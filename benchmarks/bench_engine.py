@@ -1,32 +1,28 @@
-"""Row vs vector vs columnar engine: speedups and differential checks.
+"""Row reference vs columnar engine: speedup and differential checks.
 
-The vectorized engine exists purely for throughput: every operator
-processes ``RowBatch`` slices through compiled batch kernels instead of
-pulling one tuple at a time through Python generators.  The columnar
-engine goes one step further: typed column arrays with validity
-bitmaps, dictionary-encoded strings, and selection vectors instead of
-copies (docs/execution.md).  Correctness is non-negotiable — the
+The columnar engine exists purely for throughput: operators stream
+column batches with selection vectors through compiled kernels —
+dictionary-encoded strings, no row copies, tuples only at the output
+boundary (docs/execution.md) — instead of pulling one tuple at a time
+through Python generators.  Correctness is non-negotiable — the
 response-time simulation and QCC calibration are driven by
-``WorkMeter`` totals, so all three engines must produce identical rows
-*and* bit-identical metered work on every shape here.
+``WorkMeter`` totals, so both engines must produce identical rows *and*
+bit-identical metered work on every shape here.
 
-Two composite gates, each a total-wall-clock ratio over its suite:
+One composite gate, a total-wall-clock ratio over both suites: row over
+columnar must reach ``REPRO_BENCH_ENGINE_MIN`` (default 4x).
 
 * ``SHAPES`` (numeric scan / filter / join / aggregate — the original
-  acceptance shapes): row over vector must reach
-  ``REPRO_BENCH_ENGINE_MIN`` (default 3x).  The columnar engine is
-  timed on these too and reported, but not gated — both batch engines
-  share the final tuple-materialisation boundary, which caps numeric
-  col/vec around 1.6-1.9x (see docs/execution.md).
+  acceptance shapes): the final tuple-materialisation boundary caps the
+  gain here around 5-7x.
 * ``COLUMNAR_SHAPES`` (dictionary predicates, grouping, DISTINCT —
-  where dict codes and selection vectors change the algorithm, not
-  just the constant): vector over columnar must reach
-  ``REPRO_BENCH_ENGINE_COL_MIN`` (default 3x).
+  where dict codes and selection vectors change the algorithm, not just
+  the constant): 9-17x.
 
 Per-shape timings, rows/sec, and per-batch memory (columnar
 ``storage_bytes`` vs a deep ``getsizeof`` of the same rows as tuples)
 land in the JSON artifact for trend tracking (see BENCH_engine.json
-for the committed baseline).  CI's smoke job relaxes both gates for
+for the committed baseline).  CI's smoke job relaxes the gate for
 noisy shared runners.
 """
 
@@ -46,16 +42,14 @@ from repro.sqlengine.types import Column, ColumnType, Schema
 from repro.workload import BENCH_SCALE
 from repro.workload.schema import table_specs
 
-#: Composite row/vector speedup the numeric suite must demonstrate.
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_MIN", "3.0"))
-#: Composite vector/columnar speedup the columnar suite must demonstrate.
-COL_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_COL_MIN", "3.0"))
+#: Composite row/columnar speedup the two suites together must demonstrate.
+MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_MIN", "4.0"))
 #: Timing repetitions per (shape, engine); best-of is reported.
 REPS = int(os.environ.get("REPRO_BENCH_ENGINE_REPS", "7"))
 #: Optional path for the standalone JSON artifact.
 ARTIFACT = os.environ.get("REPRO_BENCH_ENGINE_JSON", "")
 
-ENGINES = ("row", "vector", "columnar")
+ENGINES = ("row", "columnar")
 
 #: The scan-filter-join-aggregate shapes of the original acceptance
 #: criterion — numeric columns, unselective scans, tuple-heavy output.
@@ -184,7 +178,7 @@ def _best_time(database, plan, engine):
 
 
 def _measure_suite(database, shapes):
-    """Time every shape on all three engines; assert the differential."""
+    """Time every shape on both engines; assert the differential."""
     out = {}
     totals = dict.fromkeys(ENGINES, 0.0)
     for name, sql in shapes:
@@ -196,36 +190,26 @@ def _measure_suite(database, shapes):
             )
             totals[engine] += times[engine]
 
-        # Differential invariant: identical rows, bit-identical meters,
-        # across all three engines (none of these shapes has a LIMIT,
-        # the one construct where the row engine meters less work).
-        reference = results["vector"]
-        ref_meter = reference.meter
-        for engine in ("row", "columnar"):
-            assert results[engine].rows == reference.rows, (name, engine)
-            meter = results[engine].meter
-            assert (meter.cpu_ms, meter.io_ms, meter.tuples_out) == (
-                ref_meter.cpu_ms,
-                ref_meter.io_ms,
-                ref_meter.tuples_out,
-            ), (name, engine)
+        # Differential invariant: identical rows, bit-identical meters
+        # (none of these shapes has a LIMIT, the one construct where the
+        # row engine meters less work).
+        reference, columnar = results["row"], results["columnar"]
+        assert columnar.rows == reference.rows, name
+        meter, ref_meter = columnar.meter, reference.meter
+        assert (meter.cpu_ms, meter.io_ms, meter.tuples_out) == (
+            ref_meter.cpu_ms,
+            ref_meter.io_ms,
+            ref_meter.tuples_out,
+        ), name
 
         n = len(reference.rows)
-        row_s, vec_s, col_s = (
-            times["row"],
-            times["vector"],
-            times["columnar"],
-        )
+        row_s, col_s = times["row"], times["columnar"]
         out[name] = {
             "rows": n,
             "row_s": row_s,
-            "vector_s": vec_s,
             "columnar_s": col_s,
             "row_rows_per_sec": n / row_s if row_s > 0 else None,
-            "vector_rows_per_sec": n / vec_s if vec_s > 0 else None,
             "columnar_rows_per_sec": n / col_s if col_s > 0 else None,
-            "speedup": row_s / vec_s if vec_s > 0 else None,
-            "columnar_speedup": vec_s / col_s if col_s > 0 else None,
             "columnar_over_row": row_s / col_s if col_s > 0 else None,
         }
     return out, totals
@@ -270,14 +254,10 @@ def _memory_metrics(database, batch_size=1024):
 def _measure(database):
     shapes, totals = _measure_suite(database, SHAPES)
     col_shapes, col_totals = _measure_suite(database, COLUMNAR_SHAPES)
+    columnar_s = totals["columnar"] + col_totals["columnar"]
     composite = (
-        totals["row"] / totals["vector"]
-        if totals["vector"] > 0
-        else float("inf")
-    )
-    col_composite = (
-        col_totals["vector"] / col_totals["columnar"]
-        if col_totals["columnar"] > 0
+        (totals["row"] + col_totals["row"]) / columnar_s
+        if columnar_s > 0
         else float("inf")
     )
     return {
@@ -290,7 +270,6 @@ def _measure(database):
         "columnar_shapes": col_shapes,
         "memory": _memory_metrics(database),
         "composite_speedup": composite,
-        "columnar_composite_speedup": col_composite,
     }
 
 
@@ -300,10 +279,8 @@ def _print_suite(title, shapes):
         print(
             f"{name:17s} rows={shape['rows']:6d} "
             f"row={shape['row_s'] * 1e3:7.1f}ms "
-            f"vec={shape['vector_s'] * 1e3:7.1f}ms "
             f"col={shape['columnar_s'] * 1e3:7.1f}ms "
-            f"row/vec={shape['speedup']:5.2f}x "
-            f"vec/col={shape['columnar_speedup']:5.2f}x"
+            f"row/col={shape['columnar_over_row']:5.2f}x"
         )
 
 
@@ -317,19 +294,14 @@ def test_engine_speedups(benchmark, engine_db):
         "Engine benchmark: numeric shapes (BENCH_SCALE)",
         results["shapes"],
     )
-    print(
-        f"composite row/vector speedup: "
-        f"{results['composite_speedup']:.2f}x "
-        f"(required: {MIN_SPEEDUP:.1f}x)"
-    )
     _print_suite(
         "Engine benchmark: columnar shapes (BENCH_SCALE)",
         results["columnar_shapes"],
     )
     print(
-        f"composite vector/columnar speedup: "
-        f"{results['columnar_composite_speedup']:.2f}x "
-        f"(required: {COL_MIN_SPEEDUP:.1f}x)"
+        f"composite row/columnar speedup: "
+        f"{results['composite_speedup']:.2f}x "
+        f"(required: {MIN_SPEEDUP:.1f}x)"
     )
     for table_name in ("lineitem", "tags"):
         mem = results["memory"][table_name]
@@ -346,11 +318,8 @@ def test_engine_speedups(benchmark, engine_db):
         print(f"artifact written to {ARTIFACT}")
 
     assert results["composite_speedup"] >= MIN_SPEEDUP, results
-    assert (
-        results["columnar_composite_speedup"] >= COL_MIN_SPEEDUP
-    ), results
     # The columnar layout must also be smaller per batch, not just
-    # faster: typed arrays + dict codes vs boxed tuples.
+    # faster: one pointer list per column vs boxed tuples.
     for table_name in ("lineitem", "tags"):
         mem = results["memory"][table_name]
         assert mem["columnar_bytes"] < mem["row_bytes"], mem

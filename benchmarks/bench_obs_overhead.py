@@ -7,7 +7,7 @@ same workload three ways — null sink, metrics only, metrics + tracing —
 and prints the per-query cost of each level of visibility.
 
 The second bench gates the operator profiler's dispatch: with profiling
-disabled (the default), ``PhysicalPlan.rows``/``rows_batched`` add one
+disabled (the default), ``PhysicalPlan.rows``/``rows_columnar`` add one
 attribute load and one identity check per stream open.  It measures the
 workload with the dispatch patched out entirely (the pre-profiler
 baseline), with the dispatch in place but disabled, and with profiling
@@ -111,20 +111,20 @@ def test_obs_overhead(benchmark, bench_databases):
 def _dispatch_patched_out():
     """Remove the profiler check from operator dispatch entirely.
 
-    Replaces the public ``rows``/``rows_batched`` dispatchers with bare
+    Replaces the public ``rows``/``rows_columnar`` dispatchers with bare
     pass-throughs to the private implementations — the code shape the
     executor had before the profiler existed, i.e. the true no-obs
     baseline for the dispatch gate.
     """
     original_rows = PhysicalPlan.rows
-    original_batched = PhysicalPlan.rows_batched
+    original_columnar = PhysicalPlan.rows_columnar
     PhysicalPlan.rows = lambda self, ctx: self._rows(ctx)
-    PhysicalPlan.rows_batched = lambda self, ctx: self._rows_batched(ctx)
+    PhysicalPlan.rows_columnar = lambda self, ctx: self._rows_columnar(ctx)
     try:
         yield
     finally:
         PhysicalPlan.rows = original_rows
-        PhysicalPlan.rows_batched = original_batched
+        PhysicalPlan.rows_columnar = original_columnar
 
 
 #: Executed repeatedly against one server database for the dispatch

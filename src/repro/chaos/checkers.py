@@ -31,7 +31,7 @@ Bundled invariants:
     an epoch bump.
 ``engine-equivalence``
     Rerunning the identical fault schedule on the row engine reproduces
-    the vector engine's behaviour bit-for-bit: same per-query status,
+    the columnar engine's behaviour bit-for-bit: same per-query status,
     rows, retries, chosen servers, and (WorkMeter-derived) response and
     per-fragment times.
 ``shed-only-over-budget``
@@ -244,39 +244,39 @@ def check_cache_epoch(run: ScenarioRun) -> List[str]:
 
 
 def _engine_mismatch(
-    vector: QueryOutcome, row: QueryOutcome
+    columnar: QueryOutcome, row: QueryOutcome
 ) -> Optional[str]:
-    if vector.status != row.status:
+    if columnar.status != row.status:
         return (
-            f"status diverged (vector={vector.status}, row={row.status})"
+            f"status diverged (columnar={columnar.status}, row={row.status})"
         )
-    if vector.status != "ok":
+    if columnar.status != "ok":
         return None
-    if not rows_close_unordered(vector.rows, row.rows):
+    if not rows_close_unordered(columnar.rows, row.rows):
         return "result rows diverged"
-    if vector.retries != row.retries:
+    if columnar.retries != row.retries:
         return (
-            f"retries diverged (vector={vector.retries}, row={row.retries})"
+            f"retries diverged (columnar={columnar.retries}, row={row.retries})"
         )
-    if vector.reroutes != row.reroutes:
+    if columnar.reroutes != row.reroutes:
         return (
-            f"reroutes diverged (vector={vector.reroutes}, "
+            f"reroutes diverged (columnar={columnar.reroutes}, "
             f"row={row.reroutes})"
         )
-    if vector.servers != row.servers:
+    if columnar.servers != row.servers:
         return (
-            f"routing diverged (vector={vector.servers}, row={row.servers})"
+            f"routing diverged (columnar={columnar.servers}, row={row.servers})"
         )
     if not math.isclose(
-        vector.response_ms, row.response_ms, rel_tol=1e-9, abs_tol=1e-9
+        columnar.response_ms, row.response_ms, rel_tol=1e-9, abs_tol=1e-9
     ):
         return (
-            f"response time diverged (vector={vector.response_ms!r}, "
+            f"response time diverged (columnar={columnar.response_ms!r}, "
             f"row={row.response_ms!r})"
         )
-    if set(vector.fragment_ms) != set(row.fragment_ms):
+    if set(columnar.fragment_ms) != set(row.fragment_ms):
         return "fragment sets diverged"
-    for fragment_id, observed in vector.fragment_ms.items():
+    for fragment_id, observed in columnar.fragment_ms.items():
         if not math.isclose(
             observed, row.fragment_ms[fragment_id], rel_tol=1e-9, abs_tol=1e-9
         ):

@@ -15,7 +15,7 @@ on the virtual clock and records everything the invariant checkers need:
 It then reruns the same workload twice more: once with the fault
 schedule stripped (the *fault-free oracle* — any completed chaos query
 must produce exactly the oracle's rows) and once on the row execution
-engine (the vector engine's answers, response times and per-fragment
+engine (the columnar engine's answers, response times and per-fragment
 observed times must match bit-for-bit, faults included).
 
 Everything runs on virtual time with seeded randomness only, so a
@@ -96,7 +96,7 @@ class QueryOutcome:
     retries: int = 0
     servers: Tuple[str, ...] = ()
     #: per-fragment observed response time (WorkMeter-derived, so the
-    #: row and vector engines must agree bit-for-bit)
+    #: row and columnar engines must agree bit-for-bit)
     fragment_ms: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
     #: Admission priority class (concurrent scenarios only).
@@ -543,9 +543,8 @@ def run_scenario(
     need them.
 
     The primary pass and the oracle run on the process-default engine
-    (``REPRO_ENGINE``, normally vector) so the chaos sweep exercises
-    whichever batch engine CI selects; the differential rerun is always
-    the row engine, the simplest independent implementation.
+    (columnar, the production engine); the differential rerun is always
+    the row engine, the small independent reference implementation.
     """
     run = ScenarioRun(spec=spec, outcomes=[])
     run.outcomes = _execute(

@@ -501,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "SQL execution engine for every server and the merge: "
-                "vector = batched row tuples, columnar = typed column "
-                "arrays with selection vectors, row = tuple-at-a-time "
+                "columnar = column batches with selection vectors (the "
+                "production engine), row = tuple-at-a-time reference "
                 f"(default: {DEFAULT_ENGINE}, or REPRO_ENGINE)"
             ),
         )

@@ -65,7 +65,6 @@ class EstimatedInput(PhysicalPlan):
         )
 
     _rows = rows
-    _rows_batched = rows
 
     def describe(self) -> str:
         return f"EstimatedInput({self.name} rows~{self.estimated_rows:.0f})"

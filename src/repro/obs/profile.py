@@ -20,7 +20,7 @@ inclusive totals, computed at report time by :class:`PlanProfile`.
 
 Profiling follows the same null-object pattern as ``NULL_REGISTRY``:
 the process-global profiler defaults to :data:`NULL_PROFILER`, and the
-operator dispatch in ``PhysicalPlan.rows``/``rows_batched`` reduces to
+operator dispatch in ``PhysicalPlan.rows``/``rows_columnar`` reduces to
 one attribute load and one identity check per stream open — nothing per
 row.  Enable with :func:`enable_profiling` or the :func:`profiling`
 context manager.
@@ -206,94 +206,31 @@ class OperatorProfiler:
 
     # -- stream wrappers -------------------------------------------------
     #
-    # Both wrappers meter wall and virtual deltas around each next() and
-    # around the final close().  A child's windows are strictly inside
-    # its parent's, so parent totals are inclusive and children never
-    # absorb a parent's end-of-stream meter flush, whichever order the
-    # generator teardown cascade runs in.
+    # One timed stream serves both engines; they differ only in how a
+    # yielded item is counted.  Wall and virtual deltas are metered
+    # around each next() and around the final close().  A child's
+    # windows are strictly inside its parent's, so parent totals are
+    # inclusive and children never absorb a parent's end-of-stream meter
+    # flush, whichever order the generator teardown cascade runs in.
 
     def profile_rows(self, node: object, ctx: object) -> Iterator:
-        stats = self.stats_for(node)
-        stats.invocations += 1
-        meter = ctx.meter
-        perf = time.perf_counter
-        it = node._rows(ctx)
-        rows_out = 0
-        wall = 0.0
-        virtual = 0.0
-        try:
-            while True:
-                m0 = meter.total_ms
-                t0 = perf()
-                try:
-                    row = next(it)
-                except StopIteration:
-                    wall += perf() - t0
-                    virtual += meter.total_ms - m0
-                    break
-                wall += perf() - t0
-                virtual += meter.total_ms - m0
-                rows_out += 1
-                yield row
-        finally:
-            close = getattr(it, "close", None)
-            if close is not None:
-                m0 = meter.total_ms
-                t0 = perf()
-                close()
-                wall += perf() - t0
-                virtual += meter.total_ms - m0
-            stats.rows_out += rows_out
-            stats.wall_s += wall
-            stats.meter_ms += virtual
-
-    def profile_batches(self, node: object, ctx: object) -> Iterator:
-        stats = self.stats_for(node)
-        stats.invocations += 1
-        meter = ctx.meter
-        perf = time.perf_counter
-        it = node._rows_batched(ctx)
-        rows_out = 0
-        batches = 0
-        wall = 0.0
-        virtual = 0.0
-        try:
-            while True:
-                m0 = meter.total_ms
-                t0 = perf()
-                try:
-                    batch = next(it)
-                except StopIteration:
-                    wall += perf() - t0
-                    virtual += meter.total_ms - m0
-                    break
-                wall += perf() - t0
-                virtual += meter.total_ms - m0
-                batches += 1
-                rows_out += len(batch)
-                yield batch
-        finally:
-            close = getattr(it, "close", None)
-            if close is not None:
-                m0 = meter.total_ms
-                t0 = perf()
-                close()
-                wall += perf() - t0
-                virtual += meter.total_ms - m0
-            stats.rows_out += rows_out
-            stats.batches += batches
-            stats.wall_s += wall
-            stats.meter_ms += virtual
+        return self._timed(node, node._rows(ctx), ctx.meter, _count_row)
 
     def profile_columnar(self, node: object, ctx: object) -> Iterator:
+        return self._timed(
+            node, node._rows_columnar(ctx), ctx.meter, _count_batch
+        )
+
+    def _timed(
+        self,
+        node: object,
+        it: Iterator,
+        meter: object,
+        count: Callable[[OperatorStats, object], None],
+    ) -> Iterator:
         stats = self.stats_for(node)
         stats.invocations += 1
-        meter = ctx.meter
         perf = time.perf_counter
-        it = node._rows_columnar(ctx)
-        rows_out = 0
-        phys_rows = 0
-        batches = 0
         wall = 0.0
         virtual = 0.0
         try:
@@ -301,17 +238,14 @@ class OperatorProfiler:
                 m0 = meter.total_ms
                 t0 = perf()
                 try:
-                    batch = next(it)
+                    item = next(it)
                 except StopIteration:
+                    break
+                finally:
                     wall += perf() - t0
                     virtual += meter.total_ms - m0
-                    break
-                wall += perf() - t0
-                virtual += meter.total_ms - m0
-                batches += 1
-                rows_out += len(batch)
-                phys_rows += batch.n_rows
-                yield batch
+                count(stats, item)
+                yield item
         finally:
             close = getattr(it, "close", None)
             if close is not None:
@@ -320,29 +254,30 @@ class OperatorProfiler:
                 close()
                 wall += perf() - t0
                 virtual += meter.total_ms - m0
-            stats.rows_out += rows_out
-            stats.batches += batches
-            stats.phys_rows += phys_rows
             stats.wall_s += wall
             stats.meter_ms += virtual
+
+
+def _count_row(stats: OperatorStats, row: object) -> None:
+    stats.rows_out += 1
+
+
+def _count_batch(stats: OperatorStats, batch: object) -> None:
+    stats.batches += 1
+    stats.rows_out += len(batch)
+    stats.phys_rows += batch.n_rows
 
 
 class NullProfiler(OperatorProfiler):
     """The disabled profiler.
 
     Operator dispatch never routes through it (it short-circuits on an
-    identity check), but the wrappers degrade to bare pass-throughs in
-    case someone calls them anyway.
+    identity check), but the timed stream degrades to a bare
+    pass-through in case someone calls it anyway.
     """
 
-    def profile_rows(self, node: object, ctx: object) -> Iterator:
-        return node._rows(ctx)
-
-    def profile_batches(self, node: object, ctx: object) -> Iterator:
-        return node._rows_batched(ctx)
-
-    def profile_columnar(self, node: object, ctx: object) -> Iterator:
-        return node._rows_columnar(ctx)
+    def _timed(self, node, it, meter, count) -> Iterator:
+        return it
 
 
 NULL_PROFILER = NullProfiler()

@@ -98,7 +98,6 @@ from .physical import (
     NestedLoopJoin,
     PhysicalPlan,
     Project,
-    RowBatch,
     SeqScan,
     Sort,
     SortMergeJoin,
@@ -133,7 +132,7 @@ __all__ = [
     "Limit", "Literal", "MaterializedInput", "NestedLoopJoin", "Not",
     "Nullable", "Optimizer", "OptimizerConfig", "OptimizerError", "Or",
     "ParseError", "PhysicalPlan", "PlanCandidate", "PlanCost", "Project",
-    "QueryBlock", "RandomString", "REFERENCE_PROFILE", "Row", "RowBatch",
+    "QueryBlock", "RandomString", "REFERENCE_PROFILE", "Row",
     "Schema",
     "SchemaError", "SelectStatement", "SeqScan", "Serial", "ServerProfile",
     "Sort", "SortMergeJoin", "SqlError", "StatsContext", "StorageError", "StorageManager",

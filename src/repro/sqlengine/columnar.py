@@ -7,27 +7,28 @@ logically present.  Filters, index-scan residuals and hash-join
 residuals never copy rows; they produce a new batch sharing the same
 column objects with a narrower selection (:meth:`ColumnBatch.with_sel`).
 
-Column storage is typed:
+Column representations:
 
-* ``IntColumn`` / ``FloatColumn`` — ``array('q')`` / ``array('d')``
-  compact storage (8 bytes per value, no per-value boxing at rest) with
-  an optional validity bytearray marking NULL slots;
+* ``TableColumn`` — one column of a stored table's projection, built
+  when a kernel first reads it: a plain value list for numeric and
+  boolean columns (the row tuples' own objects, so nothing is copied or
+  re-boxed), a ``DictColumn`` for strings;
 * ``DictColumn`` — dictionary-encoded strings: an ``array('q')`` of
   codes (−1 = NULL) plus a shared dictionary/encode map, so equality
   predicates, hash-join probes and group-by keys can work on integer
   codes instead of string values;
-* ``ValueColumn`` — plain Python list fallback (BOOL columns, integers
-  outside the 64-bit range, operator intermediates);
+* ``ValueColumn`` — plain Python list (table numerics, operator
+  intermediates);
+* ``IntColumn`` / ``FloatColumn`` — ``array('q')`` / ``array('d')``
+  compact storage (8 bytes per value, no per-value boxing) with an
+  optional validity bytearray marking NULL slots: the wire format
+  fragment transfer is costed by (:func:`encode_rows`);
 * ``SliceColumn`` / ``TakeColumn`` / ``GatherColumn`` — lazy views used
   for scan batching, index-scan rid fetches and join output.  They
-  decode (materialise boxed Python values) only when a kernel actually
-  pulls the column, which is what gives the engine late
+  decode (build a selection-aligned value list) only when a kernel
+  actually pulls the column, which is what gives the engine late
   materialisation: row tuples exist only at ``Project`` output, fragment
   serialisation and the integrator merge boundary.
-
-Decoded value lists are cached per column object, so repeated kernels
-over the same batch (or repeated queries over the same table projection)
-decode once.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ class ColumnData:
         """``(codes, dictionary, encode)`` when dictionary-encoded, else
         None.  ``codes`` is a plain int list aligned to physical rows."""
         return None
-
-    def slice(self, start: int, stop: int) -> "ColumnData":
-        return SliceColumn(self, start, stop)
-
-    def take(self, indices: List[int]) -> "ColumnData":
-        return TakeColumn(self, indices)
 
     def storage_bytes(self) -> int:
         """Approximate resident bytes of the compact backing storage."""
@@ -408,39 +403,73 @@ class ColumnBatch:
         )
 
 
+class TableColumn(ColumnData):
+    """One column of a heap table's projection, built on first access.
+
+    A query pays — in time and in resident memory — only for the table
+    columns its kernels actually read, and each of those holds exactly
+    one copy of the column: numeric and boolean columns the list of the
+    row tuples' own value objects, string columns their dictionary
+    encoding (decoded views appear only if a kernel asks for them).
+    """
+
+    __slots__ = ("_rows", "_idx", "_ctype", "_col")
+
+    def __init__(self, rows: Sequence[Row], idx: int, ctype: ColumnType):
+        self._rows = rows
+        self._idx = idx
+        self._ctype = ctype
+        self._col: Optional[ColumnData] = None
+
+    def _built(self) -> ColumnData:
+        col = self._col
+        if col is None:
+            idx = self._idx
+            raw = [row[idx] for row in self._rows]
+            if self._ctype is ColumnType.STR:
+                col = _build_dict(raw)
+            else:
+                col = ValueColumn(raw)
+            self._col = col
+        return col
+
+    def values(self) -> List[Any]:
+        return self._built().values()
+
+    def has_nulls(self) -> bool:
+        return self._built().has_nulls()
+
+    def dict_view(self) -> Optional[Tuple[List[int], List[str], Dict[str, int]]]:
+        return self._built().dict_view()
+
+
 class TableColumns:
     """The columnar projection of one heap table (all physical rows)."""
 
-    __slots__ = ("cols", "n_rows", "_slices")
+    __slots__ = ("cols", "n_rows")
 
-    def __init__(self, cols: Tuple[ColumnData, ...], n_rows: int):
-        self.cols = cols
-        self.n_rows = n_rows
-        # Slice-column tuples memoised per (start, stop): batch
-        # boundaries are fixed by batch_size, so every scan of this
-        # table version hits the same windows and reuses the slice
-        # columns' decoded-value caches instead of redecoding.
-        self._slices: Dict[Tuple[int, int], Tuple[ColumnData, ...]] = {}
+    def __init__(self, rows: Sequence[Row], schema: Schema):
+        self.cols = tuple(
+            TableColumn(rows, idx, column.ctype)
+            for idx, column in enumerate(schema.columns)
+        )
+        self.n_rows = len(rows)
 
     def batch(self, start: int, stop: int) -> ColumnBatch:
         """A zero-copy slice batch over rows [start, stop)."""
-        key = (start, stop)
-        cols = self._slices.get(key)
-        if cols is None:
-            cols = tuple(col.slice(start, stop) for col in self.cols)
-            self._slices[key] = cols
-        return ColumnBatch(cols, stop - start, None)
+        return ColumnBatch(
+            tuple(SliceColumn(col, start, stop) for col in self.cols),
+            stop - start,
+            None,
+        )
 
     def take_batch(self, indices: List[int]) -> ColumnBatch:
         """A gather batch over arbitrary physical row ids."""
         return ColumnBatch(
-            tuple(col.take(indices) for col in self.cols),
+            tuple(TakeColumn(col, indices) for col in self.cols),
             len(indices),
             None,
         )
-
-    def storage_bytes(self) -> int:
-        return sum(col.storage_bytes() for col in self.cols)
 
 
 def _build_numeric(
@@ -455,12 +484,8 @@ def _build_numeric(
             if v is None:
                 validity[i] = 0
                 dense[i] = 0
-        col = cls(array(typecode, dense), validity)
-    else:
-        col = cls(array(typecode, raw), None)
-    # Cache the already-boxed originals: decoding would only rebuild them.
-    col._values = raw
-    return col
+        return cls(array(typecode, dense), validity)
+    return cls(array(typecode, raw), None)
 
 
 def _build_dict(raw: List[Any]) -> DictColumn:
@@ -479,9 +504,7 @@ def _build_dict(raw: List[Any]) -> DictColumn:
                 code = encode[v] = len(dictionary)
                 dictionary.append(v)
             append(code)
-    col = DictColumn(codes, dictionary, encode, nullable)
-    col._values = raw
-    return col
+    return DictColumn(codes, dictionary, encode, nullable)
 
 
 def _encode_column(raw: List[Any], ctype: ColumnType) -> ColumnData:
@@ -500,16 +523,6 @@ def _encode_column(raw: List[Any], ctype: ColumnType) -> ColumnData:
     if ctype is ColumnType.STR:
         return _build_dict(raw)
     return ValueColumn(raw)
-
-
-def build_table_columns(rows: Sequence[Row], schema: Schema) -> TableColumns:
-    """Columnarise a heap table's rows against its schema."""
-    n = len(rows)
-    cols = tuple(
-        _encode_column([row[idx] for row in rows], column.ctype)
-        for idx, column in enumerate(schema.columns)
-    )
-    return TableColumns(cols, n)
 
 
 def encode_rows(rows: Sequence[Row], schema: Schema) -> ColumnBatch:

@@ -1,17 +1,16 @@
 """Plan execution entry points.
 
-Three engines run the same physical plan:
+Two engines run the same physical plan:
 
-* ``"vector"`` (default) — batch-at-a-time via ``rows_batched()`` and
-  compiled batch kernels over lists of row tuples;
-* ``"columnar"`` — batch-at-a-time via ``rows_columnar()`` over typed
-  column arrays with selection vectors (dict-encoded strings, validity
-  bitmaps, late materialisation at the output boundary);
-* ``"row"`` — the legacy tuple-at-a-time iterators.
+* ``"columnar"`` (default) — the production engine: batch-at-a-time via
+  ``rows_columnar()`` over column batches with selection vectors
+  (dict-encoded strings, late materialisation at the output boundary);
+* ``"row"`` — the reference engine: tuple-at-a-time iterators, the small
+  independent implementation the differential tests and the chaos
+  ``engine-equivalence`` checker compare the columnar engine against.
 
-All produce identical rows *and* identical ``WorkMeter`` totals (see
-docs/execution.md), so the choice is purely a wall-clock/throughput and
-memory knob.  The process-wide default can be overridden with the
+Both produce identical rows *and* identical ``WorkMeter`` totals (see
+docs/execution.md).  The process-wide default can be overridden with the
 ``REPRO_ENGINE`` environment variable.
 """
 
@@ -33,10 +32,10 @@ from .physical import (
 from .storage import StorageManager
 from .types import Row, Schema, SqlError
 
-ENGINES = ("vector", "columnar", "row")
+ENGINES = ("columnar", "row")
 
-#: Process-wide default engine; "vector" unless overridden via env.
-DEFAULT_ENGINE = os.environ.get("REPRO_ENGINE", "vector")
+#: Process-wide default engine; "columnar" unless overridden via env.
+DEFAULT_ENGINE = os.environ.get("REPRO_ENGINE", "columnar")
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -85,30 +84,22 @@ def execute_plan(
         batch_size=batch_size,
     )
     start = time.perf_counter()
-    if chosen == "vector":
-        rows: List[Row] = []
-        extend = rows.extend
-        batches = 0
-        for batch in plan.rows_batched(ctx):
-            batches += 1
-            extend(batch)
-    elif chosen == "columnar":
+    batches = 0
+    if chosen == "columnar":
         # Late materialisation: row tuples exist only here, at the
         # result boundary.
-        rows = []
+        rows: List[Row] = []
         extend = rows.extend
-        batches = 0
-        for cbatch in plan.rows_columnar(ctx):
+        for batch in plan.rows_columnar(ctx):
             batches += 1
-            extend(cbatch.materialize())
+            extend(batch.materialize())
     else:
         rows = list(plan.rows(ctx))
-        batches = 0
     elapsed = time.perf_counter() - start
     ctx.meter.tuples_out = len(rows)
 
     obs = get_obs()
-    if chosen != "row":
+    if chosen == "columnar":
         obs.metrics.counter("engine_batches_total", engine=chosen).inc(
             batches
         )

@@ -6,18 +6,7 @@ estimation, predicate pushdown) and compiled against a concrete
 execution.  Compilation happens once per operator, so the per-row path is a
 closure call with positional tuple indexing only.
 
-Each node additionally supports :meth:`Expression.compile_batch`, which
-returns a *batch kernel*: a callable taking a list of rows and returning
-the list of per-row results.  Kernels evaluate whole columns per call
-(list comprehensions over pre-extracted operand columns, C-level
-``operator`` functions for comparisons/arithmetic, surviving-index
-selection for AND/OR short-circuit), which is what the vectorized
-execution engine runs on.  A kernel must return exactly the values the
-per-row evaluator would — same Python objects semantics, same SQL
-three-valued logic, same error classes — so the two engines are
-interchangeable.
-
-The columnar engine adds two more compilation targets:
+The columnar engine compiles the same trees into two batch targets:
 
 * :meth:`Expression.compile_columnar` — ``ColumnBatch`` -> value list
   aligned to the batch's selection.  Column-wise: operand columns are
@@ -30,21 +19,25 @@ The columnar engine adds two more compilation targets:
   literal on a dictionary-encoded column compares integer codes, never
   strings.
 
-Columnar kernels obey the same contract as batch kernels: identical
-values/selections, identical three-valued logic and identical error
-classes and messages as the row evaluator.
+A columnar kernel must return exactly what the per-row evaluator would:
+identical values/selections, identical SQL three-valued logic (AND/OR
+short-circuit included, so the right operand never sees rows the left
+already decided) and identical error classes and messages — the row
+evaluator is the reference the differential tests compare against.
 """
 
 from __future__ import annotations
 
 import operator as _operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -63,8 +56,6 @@ class ExpressionError(SqlError):
 
 
 Evaluator = Callable[[Row], Any]
-
-BatchEvaluator = Callable[[List[Row]], List[Any]]
 
 #: ColumnBatch -> list of values aligned with the batch's selection.
 ColumnarEvaluator = Callable[["ColumnBatch"], List[Any]]
@@ -88,15 +79,6 @@ class Expression:
 
     def compile(self, schema: Schema) -> Evaluator:
         raise NotImplementedError
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        """Compile into a batch kernel (rows -> list of values).
-
-        The default adapter evaluates the per-row closure per element;
-        nodes with a genuinely vectorizable shape override this.
-        """
-        evaluate = self.compile(schema)
-        return lambda rows: [evaluate(row) for row in rows]
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         """Compile into a columnar kernel (ColumnBatch -> value list).
@@ -174,10 +156,6 @@ class Literal(Expression):
         value = self.value
         return lambda row: value
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        value = self.value
-        return lambda rows: [value] * len(rows)
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         value = self.value
         return lambda batch: [value] * len(batch)
@@ -218,10 +196,6 @@ class ColumnRef(Expression):
     def compile(self, schema: Schema) -> Evaluator:
         idx = schema.index_of(self.name)
         return lambda row: row[idx]
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        idx = schema.index_of(self.name)
-        return lambda rows: [row[idx] for row in rows]
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         idx = schema.index_of(self.name)
@@ -283,93 +257,6 @@ class Comparison(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        op = "!=" if self.op == "<>" else self.op
-        cmp = _COMPARATORS[op]
-
-        # Literal fast paths: comparing a column against a constant is
-        # the dominant predicate shape; skip materialising the constant
-        # column and the zip.
-        if isinstance(self.right, Literal):
-            rv = self.right.value
-            if rv is None:
-                return lambda rows: [None] * len(rows)
-            lf = self.left.compile_batch(schema)
-
-            def evaluate_right_literal(rows: List[Row]) -> List[Any]:
-                lvs = lf(rows)
-                try:
-                    return [
-                        None if a is None else cmp(a, rv) for a in lvs
-                    ]
-                except TypeError:
-                    pass
-                for a in lvs:
-                    if a is None:
-                        continue
-                    try:
-                        cmp(a, rv)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compare {a!r} {op} {rv!r}"
-                        ) from exc
-                raise AssertionError("unreachable")  # pragma: no cover
-
-            return evaluate_right_literal
-        if isinstance(self.left, Literal):
-            lv = self.left.value
-            if lv is None:
-                return lambda rows: [None] * len(rows)
-            rf = self.right.compile_batch(schema)
-
-            def evaluate_left_literal(rows: List[Row]) -> List[Any]:
-                rvs = rf(rows)
-                try:
-                    return [
-                        None if b is None else cmp(lv, b) for b in rvs
-                    ]
-                except TypeError:
-                    pass
-                for b in rvs:
-                    if b is None:
-                        continue
-                    try:
-                        cmp(lv, b)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compare {lv!r} {op} {b!r}"
-                        ) from exc
-                raise AssertionError("unreachable")  # pragma: no cover
-
-            return evaluate_left_literal
-
-        lf = self.left.compile_batch(schema)
-        rf = self.right.compile_batch(schema)
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            lvs = lf(rows)
-            rvs = rf(rows)
-            try:
-                return [
-                    None if a is None or b is None else cmp(a, b)
-                    for a, b in zip(lvs, rvs)
-                ]
-            except TypeError:
-                pass
-            # Slow path only to raise the same error as the row engine.
-            for a, b in zip(lvs, rvs):
-                if a is None or b is None:
-                    continue
-                try:
-                    cmp(a, b)
-                except TypeError as exc:
-                    raise TypeMismatchError(
-                        f"cannot compare {a!r} {op} {b!r}"
-                    ) from exc
-            raise AssertionError("unreachable")  # pragma: no cover
-
-        return evaluate_batch
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         op = "!=" if self.op == "<>" else self.op
         cmp = _COMPARATORS[op]
@@ -387,17 +274,7 @@ class Comparison(Expression):
                         None if a is None else cmp(a, rv) for a in lvs
                     ]
                 except TypeError:
-                    pass
-                for a in lvs:
-                    if a is None:
-                        continue
-                    try:
-                        cmp(a, rv)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compare {a!r} {op} {rv!r}"
-                        ) from exc
-                raise AssertionError("unreachable")  # pragma: no cover
+                    _raise_compare_error(zip(lvs, repeat(rv)), cmp, op)
 
             return evaluate_right_literal
         if isinstance(self.left, Literal):
@@ -413,17 +290,7 @@ class Comparison(Expression):
                         None if b is None else cmp(lv, b) for b in rvs
                     ]
                 except TypeError:
-                    pass
-                for b in rvs:
-                    if b is None:
-                        continue
-                    try:
-                        cmp(lv, b)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compare {lv!r} {op} {b!r}"
-                        ) from exc
-                raise AssertionError("unreachable")  # pragma: no cover
+                    _raise_compare_error(zip(repeat(lv), rvs), cmp, op)
 
             return evaluate_left_literal
 
@@ -439,17 +306,7 @@ class Comparison(Expression):
                     for a, b in zip(lvs, rvs)
                 ]
             except TypeError:
-                pass
-            for a, b in zip(lvs, rvs):
-                if a is None or b is None:
-                    continue
-                try:
-                    cmp(a, b)
-                except TypeError as exc:
-                    raise TypeMismatchError(
-                        f"cannot compare {a!r} {op} {b!r}"
-                    ) from exc
-            raise AssertionError("unreachable")  # pragma: no cover
+                _raise_compare_error(zip(lvs, rvs), cmp, op)
 
         return evaluate_columnar
 
@@ -486,6 +343,23 @@ class Comparison(Expression):
 
     def sql(self) -> str:
         return f"{self.left.sql()} {self.op} {self.right.sql()}"
+
+
+def _raise_compare_error(
+    pairs: Iterable[Tuple[Any, Any]], cmp: Callable[[Any, Any], bool], op: str
+) -> None:
+    """Slow path after a kernel hit a ``TypeError``: re-compare pair by
+    pair, in order, to raise exactly the row evaluator's error."""
+    for a, b in pairs:
+        if a is None or b is None:
+            continue
+        try:
+            cmp(a, b)
+        except TypeError as exc:
+            raise TypeMismatchError(
+                f"cannot compare {a!r} {op} {b!r}"
+            ) from exc
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def _compile_literal_filter(
@@ -535,21 +409,12 @@ def _compile_literal_filter(
         try:
             return use(vals, lit, sel)
         except TypeError:
-            pass
-        # Slow path only to raise the same error as the row engine.
-        for i in range(len(vals)) if sel is None else sel:
-            v = vals[i]
-            if v is None:
-                continue
-            try:
-                cmp(lit, v) if literal_left else cmp(v, lit)
-            except TypeError as exc:
-                if literal_left:
-                    message = f"cannot compare {lit!r} {op} {v!r}"
-                else:
-                    message = f"cannot compare {v!r} {op} {lit!r}"
-                raise TypeMismatchError(message) from exc
-        raise AssertionError("unreachable")  # pragma: no cover
+            seen = vals if sel is None else [vals[i] for i in sel]
+            _raise_compare_error(
+                zip(repeat(lit), seen) if literal_left else zip(seen, repeat(lit)),
+                cmp,
+                op,
+            )
 
     return filter_literal
 
@@ -694,28 +559,6 @@ class And(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        lf = self.left.compile_batch(schema)
-        rf = self.right.compile_batch(schema)
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            lvs = lf(rows)
-            # Short-circuit via a selection vector: the right side only
-            # sees rows the left side did not already decide (is False),
-            # mirroring the row evaluator's early return.
-            need = [i for i, lv in enumerate(lvs) if lv is not False]
-            out: List[Any] = [False] * len(rows)
-            if not need:
-                return out
-            rvs = rf([rows[i] for i in need])
-            for i, rv in zip(need, rvs):
-                if rv is False:
-                    continue
-                out[i] = None if (lvs[i] is None or rv is None) else True
-            return out
-
-        return evaluate_batch
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         lf = self.left.compile_columnar(schema)
         rf = self.right.compile_columnar(schema)
@@ -723,7 +566,7 @@ class And(Expression):
         def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
             lvs = lf(batch)
             sel = batch.selected()
-            # Same short-circuit as the batch kernel, expressed on the
+            # The row evaluator's short-circuit, expressed on the
             # selection: the right side only sees rows the left did not
             # already decide (is False).
             need_pos = [p for p, lv in enumerate(lvs) if lv is not False]
@@ -787,25 +630,6 @@ class Or(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        lf = self.left.compile_batch(schema)
-        rf = self.right.compile_batch(schema)
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            lvs = lf(rows)
-            need = [i for i, lv in enumerate(lvs) if lv is not True]
-            out: List[Any] = [True] * len(rows)
-            if not need:
-                return out
-            rvs = rf([rows[i] for i in need])
-            for i, rv in zip(need, rvs):
-                if rv is True:
-                    continue
-                out[i] = None if (lvs[i] is None or rv is None) else False
-            return out
-
-        return evaluate_batch
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         lf = self.left.compile_columnar(schema)
         rf = self.right.compile_columnar(schema)
@@ -828,7 +652,7 @@ class Or(Expression):
 
     def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
         # Value kernels (not sub-filters) so both sides observe exactly
-        # the rows the batch kernel would show them — this preserves
+        # the rows the row evaluator would show them — this preserves
         # error behaviour: the right side never sees rows the left
         # already proved True.
         lf = self.left.compile_columnar(schema)
@@ -881,10 +705,6 @@ class Not(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.operand.compile_batch(schema)
-        return lambda rows: [None if v is None else not v for v in f(rows)]
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         f = self.operand.compile_columnar(schema)
         return lambda batch: [None if v is None else not v for v in f(batch)]
@@ -912,12 +732,6 @@ class IsNull(Expression):
         if self.negated:
             return lambda row: f(row) is not None
         return lambda row: f(row) is None
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.operand.compile_batch(schema)
-        if self.negated:
-            return lambda rows: [v is not None for v in f(rows)]
-        return lambda rows: [v is None for v in f(rows)]
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         f = self.operand.compile_columnar(schema)
@@ -959,8 +773,106 @@ class IsNull(Expression):
         return f"{self.operand.sql()} {suffix}"
 
 
+class _PerValuePredicate(Expression):
+    """Compilation shared by LIKE and IN: predicates over one operand
+    whose answer depends only on the operand's value.
+
+    ``_test()`` returns the decision for one non-NULL value (raising
+    ``TypeMismatchError`` for a value it cannot judge); NULL operands
+    yield NULL.  Over a dictionary-encoded column it runs once per
+    dictionary *entry*, not per row: the set of codes whose answer is
+    True is computed once per dictionary object — one dictionary is
+    shared by every batch of a table version, so the cache (validated by
+    identity, not id alone) also serves later queries — and rows are
+    decided by code membership.
+    """
+
+    operand: Expression
+
+    def _test(self) -> Callable[[Any], bool]:
+        raise NotImplementedError
+
+    def compile(self, schema: Schema) -> Evaluator:
+        f = self.operand.compile(schema)
+        test = self._test()
+
+        def evaluate(row: Row) -> Optional[bool]:
+            value = f(row)
+            return None if value is None else test(value)
+
+        return evaluate
+
+    @staticmethod
+    def _true_codes(
+        test: Callable[[Any], bool],
+    ) -> Callable[[List[str]], FrozenSet[int]]:
+        cache: Dict[int, Tuple[List[str], FrozenSet[int]]] = {}
+
+        def codes_matching(dictionary: List[str]) -> FrozenSet[int]:
+            hit = cache.get(id(dictionary))
+            if hit is not None and hit[0] is dictionary:
+                return hit[1]
+            codes = frozenset(
+                c for c, entry in enumerate(dictionary) if test(entry)
+            )
+            cache[id(dictionary)] = (dictionary, codes)
+            return codes
+
+        return codes_matching
+
+    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
+        f = self.operand.compile_columnar(schema)
+        test = self._test()
+
+        def by_value(batch: "ColumnBatch") -> List[Any]:
+            return [None if v is None else test(v) for v in f(batch)]
+
+        if not isinstance(self.operand, ColumnRef):
+            return by_value
+        idx = schema.index_of(self.operand.name)
+        codes_matching = self._true_codes(test)
+
+        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
+            view = batch.cols[idx].dict_view()
+            if view is None:
+                return by_value(batch)
+            codes, dictionary, _encode = view
+            true_codes = codes_matching(dictionary)
+            sel = batch.sel
+            if sel is None:
+                return [None if c < 0 else c in true_codes for c in codes]
+            return [
+                None if (c := codes[i]) < 0 else c in true_codes
+                for i in sel
+            ]
+
+        return evaluate_columnar
+
+    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
+        by_value = Expression.compile_filter_columnar(self, schema)
+        if not isinstance(self.operand, ColumnRef):
+            return by_value
+        idx = schema.index_of(self.operand.name)
+        codes_matching = self._true_codes(self._test())
+
+        def filter_columnar(batch: "ColumnBatch") -> List[int]:
+            view = batch.cols[idx].dict_view()
+            if view is None:
+                return by_value(batch)
+            codes, dictionary, _encode = view
+            # NULL codes are -1 and never in the set, so membership alone
+            # implements three-valued logic.
+            true_codes = codes_matching(dictionary)
+            sel = batch.sel
+            if sel is None:
+                return [i for i, c in enumerate(codes) if c in true_codes]
+            return [i for i in sel if codes[i] in true_codes]
+
+        return filter_columnar
+
+
 @dataclass(frozen=True, repr=False)
-class Like(Expression):
+class Like(_PerValuePredicate):
     """SQL LIKE with ``%`` (any run) and ``_`` (any one char) wildcards."""
 
     operand: Expression
@@ -983,145 +895,18 @@ class Like(Expression):
                 parts.append(re.escape(ch))
         return re.compile("^" + "".join(parts) + "$", re.DOTALL)
 
-    def compile(self, schema: Schema) -> Evaluator:
-        f = self.operand.compile(schema)
-        regex = self._regex()
+    def _test(self) -> Callable[[Any], bool]:
+        match = self._regex().match
         negated = self.negated
 
-        def evaluate(row: Row) -> Optional[bool]:
-            value = f(row)
-            if value is None:
-                return None
+        def test(value: Any) -> bool:
             if not isinstance(value, str):
                 raise TypeMismatchError(
                     f"LIKE requires a string, got {value!r}"
                 )
-            matched = regex.match(value) is not None
-            return (not matched) if negated else matched
+            return (match(value) is not None) is not negated
 
-        return evaluate
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.operand.compile_batch(schema)
-        match = self._regex().match
-        negated = self.negated
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            out: List[Any] = []
-            append = out.append
-            for value in f(rows):
-                if value is None:
-                    append(None)
-                elif not isinstance(value, str):
-                    raise TypeMismatchError(
-                        f"LIKE requires a string, got {value!r}"
-                    )
-                else:
-                    matched = match(value) is not None
-                    append((not matched) if negated else matched)
-            return out
-
-        return evaluate_batch
-
-    def _dict_matcher(self) -> Callable[[Tuple[str, ...]], frozenset]:
-        """Per-dictionary evaluation: pattern-match each distinct string
-        once and return the set of codes whose final answer is True.
-
-        The dictionary tuple is stable for a table version, so the match
-        set is computed once per dictionary object and reused across
-        batches and queries (cache validated by identity, not id alone).
-        """
-        match = self._regex().match
-        negated = self.negated
-        cache: Dict[int, Tuple[Any, frozenset]] = {}
-
-        def codes_matching(dictionary: Tuple[str, ...]) -> frozenset:
-            key = id(dictionary)
-            hit = cache.get(key)
-            if hit is not None and hit[0] is dictionary:
-                return hit[1]
-            if negated:
-                codes = frozenset(
-                    c
-                    for c, entry in enumerate(dictionary)
-                    if match(entry) is None
-                )
-            else:
-                codes = frozenset(
-                    c
-                    for c, entry in enumerate(dictionary)
-                    if match(entry) is not None
-                )
-            cache[key] = (dictionary, codes)
-            return codes
-
-        return codes_matching
-
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        f = self.operand.compile_columnar(schema)
-        match = self._regex().match
-        negated = self.negated
-
-        def evaluate_values(values: List[Any]) -> List[Any]:
-            out: List[Any] = []
-            append = out.append
-            for value in values:
-                if value is None:
-                    append(None)
-                elif not isinstance(value, str):
-                    raise TypeMismatchError(
-                        f"LIKE requires a string, got {value!r}"
-                    )
-                else:
-                    matched = match(value) is not None
-                    append((not matched) if negated else matched)
-            return out
-
-        if not isinstance(self.operand, ColumnRef):
-            return lambda batch: evaluate_values(f(batch))
-
-        idx = schema.index_of(self.operand.name)
-        codes_matching = self._dict_matcher()
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            view = batch.cols[idx].dict_view()
-            if view is None:
-                return evaluate_values(f(batch))
-            codes, dictionary, _encode = view
-            true_codes = codes_matching(dictionary)
-            sel = batch.sel
-            if sel is None:
-                return [None if c < 0 else c in true_codes for c in codes]
-            return [
-                None if (c := codes[i]) < 0 else c in true_codes
-                for i in sel
-            ]
-
-        return evaluate_columnar
-
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        if not isinstance(self.operand, ColumnRef):
-            return Expression.compile_filter_columnar(self, schema)
-        idx = schema.index_of(self.operand.name)
-        codes_matching = self._dict_matcher()
-        fallback = Expression.compile_filter_columnar(self, schema)
-
-        def filter_columnar(batch: "ColumnBatch") -> List[int]:
-            view = batch.cols[idx].dict_view()
-            if view is None:
-                return fallback(batch)
-            codes, dictionary, _encode = view
-            # NULL codes are -1 and never in the set, so membership alone
-            # implements three-valued logic.
-            true_codes = codes_matching(dictionary)
-            sel = batch.sel
-            if sel is None:
-                return [
-                    i for i, c in enumerate(codes) if c in true_codes
-                ]
-            return [i for i in sel if codes[i] in true_codes]
-
-        return filter_columnar
+        return test
 
     def columns(self) -> Iterator[str]:
         yield from self.operand.columns()
@@ -1136,7 +921,7 @@ class Like(Expression):
 
 
 @dataclass(frozen=True, repr=False)
-class InList(Expression):
+class InList(_PerValuePredicate):
     """``expr [NOT] IN (v1, v2, ...)`` over literal values."""
 
     operand: Expression
@@ -1146,135 +931,17 @@ class InList(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return (self.operand,)
 
-    def compile(self, schema: Schema) -> Evaluator:
-        f = self.operand.compile(schema)
+    def _test(self) -> Callable[[Any], bool]:
         members = set(self.values)
         negated = self.negated
 
-        def evaluate(row: Row) -> Optional[bool]:
-            value = f(row)
-            if value is None:
-                return None
+        def test(value: Any) -> bool:
             try:
-                matched = value in members
+                return (value in members) is not negated
             except TypeError as exc:  # unhashable — cannot happen for scalars
                 raise TypeMismatchError(str(exc)) from exc
-            return (not matched) if negated else matched
 
-        return evaluate
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.operand.compile_batch(schema)
-        members = set(self.values)
-        negated = self.negated
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            out: List[Any] = []
-            append = out.append
-            for value in f(rows):
-                if value is None:
-                    append(None)
-                    continue
-                try:
-                    matched = value in members
-                except TypeError as exc:
-                    raise TypeMismatchError(str(exc)) from exc
-                append((not matched) if negated else matched)
-            return out
-
-        return evaluate_batch
-
-    def _dict_matcher(self) -> Callable[[Tuple[str, ...]], frozenset]:
-        """Set of dictionary codes whose final IN answer is True, cached
-        per dictionary object (see Like._dict_matcher)."""
-        members = set(self.values)
-        negated = self.negated
-        cache: Dict[int, Tuple[Any, frozenset]] = {}
-
-        def codes_matching(dictionary: Tuple[str, ...]) -> frozenset:
-            key = id(dictionary)
-            hit = cache.get(key)
-            if hit is not None and hit[0] is dictionary:
-                return hit[1]
-            if negated:
-                codes = frozenset(
-                    c
-                    for c, entry in enumerate(dictionary)
-                    if entry not in members
-                )
-            else:
-                codes = frozenset(
-                    c
-                    for c, entry in enumerate(dictionary)
-                    if entry in members
-                )
-            cache[key] = (dictionary, codes)
-            return codes
-
-        return codes_matching
-
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        f = self.operand.compile_columnar(schema)
-        members = set(self.values)
-        negated = self.negated
-
-        def evaluate_values(values: List[Any]) -> List[Any]:
-            out: List[Any] = []
-            append = out.append
-            for value in values:
-                if value is None:
-                    append(None)
-                    continue
-                try:
-                    matched = value in members
-                except TypeError as exc:
-                    raise TypeMismatchError(str(exc)) from exc
-                append((not matched) if negated else matched)
-            return out
-
-        if not isinstance(self.operand, ColumnRef):
-            return lambda batch: evaluate_values(f(batch))
-
-        idx = schema.index_of(self.operand.name)
-        codes_matching = self._dict_matcher()
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            view = batch.cols[idx].dict_view()
-            if view is None:
-                return evaluate_values(f(batch))
-            codes, dictionary, _encode = view
-            true_codes = codes_matching(dictionary)
-            sel = batch.sel
-            if sel is None:
-                return [None if c < 0 else c in true_codes for c in codes]
-            return [
-                None if (c := codes[i]) < 0 else c in true_codes
-                for i in sel
-            ]
-
-        return evaluate_columnar
-
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        if not isinstance(self.operand, ColumnRef):
-            return Expression.compile_filter_columnar(self, schema)
-        idx = schema.index_of(self.operand.name)
-        codes_matching = self._dict_matcher()
-        fallback = Expression.compile_filter_columnar(self, schema)
-
-        def filter_columnar(batch: "ColumnBatch") -> List[int]:
-            view = batch.cols[idx].dict_view()
-            if view is None:
-                return fallback(batch)
-            codes, dictionary, _encode = view
-            true_codes = codes_matching(dictionary)
-            sel = batch.sel
-            if sel is None:
-                return [
-                    i for i, c in enumerate(codes) if c in true_codes
-                ]
-            return [i for i in sel if codes[i] in true_codes]
-
-        return filter_columnar
+        return test
 
     def columns(self) -> Iterator[str]:
         yield from self.operand.columns()
@@ -1322,71 +989,6 @@ class Arithmetic(Expression):
 
         return evaluate
 
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        fn = _ARITHMETIC_FUNCS[self.op]
-        op_sql = self.op
-
-        if isinstance(self.right, Literal):
-            rv = self.right.value
-            if rv is None:
-                return lambda rows: [None] * len(rows)
-            lf = self.left.compile_batch(schema)
-
-            def evaluate_right_literal(rows: List[Row]) -> List[Any]:
-                lvs = lf(rows)
-                try:
-                    return [None if a is None else fn(a, rv) for a in lvs]
-                except (ZeroDivisionError, TypeError):
-                    pass
-                out: List[Any] = []
-                for a in lvs:
-                    if a is None:
-                        out.append(None)
-                        continue
-                    try:
-                        out.append(fn(a, rv))
-                    except ZeroDivisionError:
-                        out.append(None)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compute {a!r} {op_sql} {rv!r}"
-                        ) from exc
-                return out
-
-            return evaluate_right_literal
-
-        lf = self.left.compile_batch(schema)
-        rf = self.right.compile_batch(schema)
-
-        def evaluate_batch(rows: List[Row]) -> List[Any]:
-            lvs = lf(rows)
-            rvs = rf(rows)
-            try:
-                return [
-                    None if a is None or b is None else fn(a, b)
-                    for a, b in zip(lvs, rvs)
-                ]
-            except (ZeroDivisionError, TypeError):
-                pass
-            # Slow path: element-wise, with the row engine's error and
-            # NULL-on-division-by-zero semantics.
-            out: List[Any] = []
-            for a, b in zip(lvs, rvs):
-                if a is None or b is None:
-                    out.append(None)
-                    continue
-                try:
-                    out.append(fn(a, b))
-                except ZeroDivisionError:
-                    out.append(None)
-                except TypeError as exc:
-                    raise TypeMismatchError(
-                        f"cannot compute {a!r} {op_sql} {b!r}"
-                    ) from exc
-            return out
-
-        return evaluate_batch
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         fn = _ARITHMETIC_FUNCS[self.op]
         op_sql = self.op
@@ -1410,21 +1012,7 @@ class Arithmetic(Expression):
                         return lit_loop(lvs, rv)
                     return [None if a is None else fn(a, rv) for a in lvs]
                 except (ZeroDivisionError, TypeError):
-                    pass
-                out: List[Any] = []
-                for a in lvs:
-                    if a is None:
-                        out.append(None)
-                        continue
-                    try:
-                        out.append(fn(a, rv))
-                    except ZeroDivisionError:
-                        out.append(None)
-                    except TypeError as exc:
-                        raise TypeMismatchError(
-                            f"cannot compute {a!r} {op_sql} {rv!r}"
-                        ) from exc
-                return out
+                    return _arith_pairwise(zip(lvs, repeat(rv)), fn, op_sql)
 
             return evaluate_right_literal
 
@@ -1452,21 +1040,7 @@ class Arithmetic(Expression):
                     for a, b in zip(lvs, rvs)
                 ]
             except (ZeroDivisionError, TypeError):
-                pass
-            out: List[Any] = []
-            for a, b in zip(lvs, rvs):
-                if a is None or b is None:
-                    out.append(None)
-                    continue
-                try:
-                    out.append(fn(a, b))
-                except ZeroDivisionError:
-                    out.append(None)
-                except TypeError as exc:
-                    raise TypeMismatchError(
-                        f"cannot compute {a!r} {op_sql} {b!r}"
-                    ) from exc
-            return out
+                return _arith_pairwise(zip(lvs, rvs), fn, op_sql)
 
         return evaluate_columnar
 
@@ -1485,6 +1059,27 @@ class Arithmetic(Expression):
 
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
+
+
+def _arith_pairwise(
+    pairs: Iterable[Tuple[Any, Any]], fn: Callable[[Any, Any], Any], op_sql: str
+) -> List[Any]:
+    """Slow path after a kernel hit an error: element-wise, with the row
+    evaluator's NULL-on-division-by-zero and its ``TypeMismatchError``."""
+    out: List[Any] = []
+    for a, b in pairs:
+        if a is None or b is None:
+            out.append(None)
+            continue
+        try:
+            out.append(fn(a, b))
+        except ZeroDivisionError:
+            out.append(None)
+        except TypeError as exc:
+            raise TypeMismatchError(
+                f"cannot compute {a!r} {op_sql} {b!r}"
+            ) from exc
+    return out
 
 
 _ARITHMETIC_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
@@ -1585,11 +1180,6 @@ class FuncCall(Expression):
             return func(v)
 
         return evaluate
-
-    def compile_batch(self, schema: Schema) -> BatchEvaluator:
-        f = self.arg.compile_batch(schema)
-        func = _SCALAR_FUNCS[self.name.upper()]
-        return lambda rows: [None if v is None else func(v) for v in f(rows)]
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         f = self.arg.compile_columnar(schema)

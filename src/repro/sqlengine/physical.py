@@ -1,35 +1,31 @@
 """Physical operators: costing and iterator execution.
 
-Every operator supports two independent uses:
+Every operator supports costing and two execution engines:
 
 * ``estimate_cost(estimator)`` — statistics-only costing.  This works on a
   catalog with **no data attached** (the "simulated federated system" of
   the paper uses exactly this path for what-if planning).
-* ``rows(ctx)`` — iterator execution against real storage.  Execution
-  meters the actual work performed (CPU/IO in reference-machine ms) into
-  ``ctx.meter``; the simulation layer converts metered work into observed
-  response time under the server's current load.
-* ``rows_batched(ctx)`` — batch-vectorized execution yielding lists of
-  row tuples.  The base class provides an adapter over ``rows()``; the
-  hot operators override it with genuine batch implementations driven by
-  :meth:`~repro.sqlengine.expressions.Expression.compile_batch` kernels.
-* ``rows_columnar(ctx)`` — columnar execution yielding
-  :class:`~repro.sqlengine.columnar.ColumnBatch` objects (typed column
-  arrays + selection vector).  The base class adapts the batched row
-  stream by transposition; the hot operators override it with kernels
-  that narrow selections instead of copying rows and defer tuple
-  construction to the ``Project``/serialisation boundary
+* ``rows_columnar(ctx)`` — the production engine: batch execution yielding
+  :class:`~repro.sqlengine.columnar.ColumnBatch` objects (column lists +
+  selection vector).  Operators narrow selections instead of copying
+  rows and defer tuple construction to the serialisation boundary
   (``compile_columnar`` / ``compile_filter_columnar`` kernels).
+  Execution meters the actual work performed (CPU/IO in
+  reference-machine ms) into ``ctx.meter``; the simulation layer
+  converts metered work into observed response time under the server's
+  current load.
+* ``rows(ctx)`` — the reference engine: tuple-at-a-time iterators, kept
+  small and obviously correct so the differential tests and the chaos
+  ``engine-equivalence`` checker have something independent to compare
+  the columnar engine against.
 
 Metering is charged per *lifecycle event* (stream start, build/
 materialize phase end, stream end) as ``count * unit_cost`` with integer
-counts accumulated locally, in all engines, in the same order — so the
-row, vector and columnar engines produce bit-for-bit identical
-``WorkMeter`` totals for any plan that runs to completion (see
-docs/execution.md; a ``Limit`` that abandons its input early is the one
-documented exception, since the batched engines scan in batch
-granularity — vector and columnar share batch boundaries and therefore
-still meter identically to each other).
+counts accumulated locally, in both engines, in the same order — so the
+row and columnar engines produce bit-for-bit identical ``WorkMeter``
+totals for any plan that runs to completion (see docs/execution.md; a
+``Limit`` that abandons its input early is the one documented exception,
+since the columnar engine scans in batch granularity).
 
 Operators are immutable; a plan tree is shared freely between the
 optimizer, the explain table, QCC's records and the executor.
@@ -63,7 +59,6 @@ from .cost import (
 )
 from .expressions import (
     AggregateCall,
-    BatchEvaluator,
     ColumnRef,
     Expression,
     Literal,
@@ -74,10 +69,7 @@ from .parser import OrderItem, SelectItem
 from .storage import StorageManager
 from .types import Column, ColumnType, Row, Schema, SqlError
 
-#: A batch is a plain list of row tuples.
-RowBatch = List[Row]
-
-#: Rows per batch in the vectorized engine.  Large enough to amortise
+#: Rows per batch in the columnar engine.  Large enough to amortise
 #: per-batch Python overhead, small enough to keep batches cache-warm.
 DEFAULT_BATCH_SIZE = 1024
 
@@ -114,9 +106,9 @@ class WorkMeter:
 class ExecutionContext:
     """Everything an operator needs at run time.
 
-    ``engine`` records which execution path drives this context ("row",
-    "vector" or "columnar"); ``batch_size`` is the row count per batch
-    on the batched paths.  ``profiler`` is captured from the process-global
+    ``engine`` records which execution path drives this context
+    ("columnar" or "row"); ``batch_size`` is the row count per batch on
+    the columnar path.  ``profiler`` is captured from the process-global
     profiling state at construction time (``NULL_PROFILER`` unless
     ``repro.obs.profile.enable_profiling()`` is active), so every
     operator dispatch is one attribute load plus one identity check.
@@ -168,13 +160,6 @@ class PhysicalPlan:
             return self._rows(ctx)
         return profiler.profile_rows(self, ctx)
 
-    def rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Batched execution (dispatch; operators implement ``_rows_batched``)."""
-        profiler = ctx.profiler
-        if profiler is NULL_PROFILER:
-            return self._rows_batched(ctx)
-        return profiler.profile_batches(self, ctx)
-
     def rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         """Columnar execution (dispatch; operators implement ``_rows_columnar``)."""
         profiler = ctx.profiler
@@ -185,39 +170,21 @@ class PhysicalPlan:
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         raise NotImplementedError
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Batched execution; yields non-empty lists of row tuples.
-
-        The default adapter chunks the legacy ``_rows()`` stream, so any
-        operator without a native batch implementation (and any future
-        operator) is automatically correct on the vector path — it runs
-        the very same row code, metering included.  It chunks the
-        *private* stream so a profiled node is counted once, not once
-        per engine.
-        """
-        size = ctx.batch_size
-        batch: RowBatch = []
-        append = batch.append
-        for row in self._rows(ctx):
-            append(row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         """Columnar execution; yields non-empty :class:`ColumnBatch`es.
 
-        The default adapter transposes the batched row stream, so any
-        operator without a native columnar implementation is
-        automatically correct on the columnar path — batch boundaries
-        (and therefore metering) are exactly the vector engine's.
+        The default adapter chunks the ``_rows()`` stream by
+        ``batch_size`` and transposes each chunk, so an operator without
+        a native columnar implementation is still correct on the
+        columnar path — it runs the very same row code, metering
+        included.  It chunks the *private* stream so a profiled node is
+        counted once, not once per engine.  An operator with children
+        must override it to pull them through ``rows_columnar``;
+        ``_rows`` would run the whole subtree on the row path.
         """
-        width = len(self.output_schema)
-        for batch in self._rows_batched(ctx):
-            yield ColumnBatch.from_rows(batch, width)
+        return _chunked(
+            self._rows(ctx), ctx.batch_size, len(self.output_schema)
+        )
 
     def describe(self) -> str:
         """One-line operator description (also the plan signature leaf)."""
@@ -255,6 +222,89 @@ class PhysicalPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()}>"
+
+
+def _chunked(
+    rows: Iterator[Row], size: int, width: int
+) -> Iterator[ColumnBatch]:
+    """Transpose a row stream into column batches of at most *size* rows."""
+    batch: List[Row] = []
+    for row in rows:
+        batch.append(row)
+        if len(batch) >= size:
+            yield ColumnBatch.from_rows(batch, width)
+            batch = []
+    if batch:
+        yield ColumnBatch.from_rows(batch, width)
+
+
+def _drain_columnar(plan: "PhysicalPlan", ctx: ExecutionContext) -> List[Row]:
+    """Run *plan* to completion on the columnar path, as row tuples."""
+    data: List[Row] = []
+    for batch in plan.rows_columnar(ctx):
+        data.extend(batch.materialize())
+    return data
+
+
+def _concat_column(batches: Sequence[ColumnBatch], j: int) -> List[Any]:
+    """Column *j* across *batches*, selection-aligned (read-only: a single
+    batch contributes its own cached value list)."""
+    if len(batches) == 1:
+        return batches[0].column_values(j)
+    out: List[Any] = []
+    for batch in batches:
+        out.extend(batch.column_values(j))
+    return out
+
+
+def _metered(
+    stream: Iterator[Any],
+    meter: WorkMeter,
+    unit_cost: float,
+    size: Optional[Callable[[Any], int]] = None,
+) -> Iterator[Any]:
+    """Pass *stream* through, charging ``count * unit_cost`` CPU at its end.
+
+    The one count-and-flush both engines meter their input with: *count*
+    is the number of items pulled — or, with ``size=len``, the rows in
+    the batches pulled — accumulated as an integer and charged once,
+    when the stream is exhausted or the consumer abandons it (a
+    ``Limit`` upstream).  An abandoned producer is closed first, so its
+    own end-of-stream charges land before this one exactly as they do
+    on exhaustion: float addition is not associative, and the meter
+    totals must not depend on how a stream ended.
+    """
+    count = 0
+    try:
+        if size is None:
+            for item in stream:
+                count += 1
+                yield item
+        else:
+            for item in stream:
+                count += size(item)
+                yield item
+    finally:
+        close = getattr(stream, "close", None)
+        if close is not None:
+            close()
+        meter.cpu_ms += count * unit_cost
+
+
+def _narrowed(
+    batch: ColumnBatch, kernels: Sequence[Callable[[ColumnBatch], List[int]]]
+) -> Optional[ColumnBatch]:
+    """Apply AND-ed selection kernels in turn; None once nothing survives.
+
+    Each conjunct sees only the survivors of the previous one, no row is
+    copied, and the result shares its input's column objects.
+    """
+    for kernel in kernels:
+        sel = kernel(batch)
+        if not sel:
+            return None
+        batch = batch.with_sel(sel)
+    return batch
 
 
 def _predicate_sql(predicate: Optional[Expression]) -> str:
@@ -319,53 +369,9 @@ class SeqScan(PhysicalPlan):
         )
         ops = _count_operators(self.predicate)
         per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
-        scanned = 0
-        emitted = 0
-        try:
-            for row in heap.scan():
-                scanned += 1
-                if predicate is None or predicate(row) is True:
-                    emitted += 1
-                    yield row
-        finally:
-            meter.cpu_ms += scanned * per_row
-            meter.tuples_out += emitted
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        heap = ctx.storage.table(self.table.name)
-        params = ctx.params
-        meter = ctx.meter
-        width = self.output_schema.row_width_bytes()
-        meter.io_ms += pages_for(len(heap), width) * params.seq_page_cost
-        kernels = (
-            [
-                c.compile_batch(self.output_schema)
-                for c in conjuncts(self.predicate)
-            ]
-            if self.predicate is not None
-            else []
-        )
-        ops = _count_operators(self.predicate)
-        per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
-        data = heap.rows
-        size = ctx.batch_size
-        scanned = 0
-        emitted = 0
-        try:
-            for start in range(0, len(data), size):
-                batch = data[start : start + size]
-                scanned += len(batch)
-                for kernel in kernels:
-                    keep = kernel(batch)
-                    batch = [row for row, k in zip(batch, keep) if k is True]
-                    if not batch:
-                        break
-                if batch:
-                    emitted += len(batch)
-                    yield batch
-        finally:
-            meter.cpu_ms += scanned * per_row
-            meter.tuples_out += emitted
+        for row in _metered(heap.scan(), meter, per_row):
+            if predicate is None or predicate(row) is True:
+                yield row
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         heap = ctx.storage.table(self.table.name)
@@ -373,38 +379,23 @@ class SeqScan(PhysicalPlan):
         meter = ctx.meter
         width = self.output_schema.row_width_bytes()
         meter.io_ms += pages_for(len(heap), width) * params.seq_page_cost
-        kernels = (
-            [
-                c.compile_filter_columnar(self.output_schema)
-                for c in conjuncts(self.predicate)
-            ]
-            if self.predicate is not None
-            else []
-        )
+        kernels = [
+            c.compile_filter_columnar(self.output_schema)
+            for c in conjuncts(self.predicate)
+        ]
         ops = _count_operators(self.predicate)
         per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
         table_cols = heap.columnar()
         n = table_cols.n_rows
         size = ctx.batch_size
-        scanned = 0
-        emitted = 0
-        try:
-            for start in range(0, n, size):
-                stop = min(start + size, n)
-                batch: Optional[ColumnBatch] = table_cols.batch(start, stop)
-                scanned += stop - start
-                for kernel in kernels:
-                    sel = kernel(batch)
-                    if not sel:
-                        batch = None
-                        break
-                    batch = batch.with_sel(sel)
-                if batch is not None:
-                    emitted += len(batch)
-                    yield batch
-        finally:
-            meter.cpu_ms += scanned * per_row
-            meter.tuples_out += emitted
+        windows = (
+            table_cols.batch(start, min(start + size, n))
+            for start in range(0, n, size)
+        )
+        for window in _metered(windows, meter, per_row, len):
+            batch = _narrowed(window, kernels)
+            if batch is not None:
+                yield batch
 
     def describe(self) -> str:
         pred = _predicate_sql(self.predicate)
@@ -472,59 +463,10 @@ class IndexScan(PhysicalPlan):
         )
         ops = _count_operators(self.residual)
         per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
-        matched = 0
-        emitted = 0
-        try:
-            for rid in index.lookup(self.value.value):
-                row = heap.fetch(rid)
-                matched += 1
-                if residual is None or residual(row) is True:
-                    emitted += 1
-                    yield row
-        finally:
-            meter.cpu_ms += matched * per_row
-            meter.tuples_out += emitted
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        heap = ctx.storage.table(self.table.name)
-        index = heap.index_on(self.column)
-        if index is None:
-            raise ExecutionError(
-                f"no index on {self.table.name}.{self.column}"
-            )
-        params = ctx.params
-        meter = ctx.meter
-        meter.io_ms += params.index_probe_cost
-        kernels = (
-            [
-                c.compile_batch(self.output_schema)
-                for c in conjuncts(self.residual)
-            ]
-            if self.residual is not None
-            else []
-        )
-        ops = _count_operators(self.residual)
-        per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
-        rids = index.lookup(self.value.value)
-        fetch = heap.fetch
-        size = ctx.batch_size
-        matched = 0
-        emitted = 0
-        try:
-            for start in range(0, len(rids), size):
-                batch = [fetch(rid) for rid in rids[start : start + size]]
-                matched += len(batch)
-                for kernel in kernels:
-                    keep = kernel(batch)
-                    batch = [row for row, k in zip(batch, keep) if k is True]
-                    if not batch:
-                        break
-                if batch:
-                    emitted += len(batch)
-                    yield batch
-        finally:
-            meter.cpu_ms += matched * per_row
-            meter.tuples_out += emitted
+        matched = map(heap.fetch, index.lookup(self.value.value))
+        for row in _metered(matched, meter, per_row):
+            if residual is None or residual(row) is True:
+                yield row
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         heap = ctx.storage.table(self.table.name)
@@ -536,38 +478,23 @@ class IndexScan(PhysicalPlan):
         params = ctx.params
         meter = ctx.meter
         meter.io_ms += params.index_probe_cost
-        kernels = (
-            [
-                c.compile_filter_columnar(self.output_schema)
-                for c in conjuncts(self.residual)
-            ]
-            if self.residual is not None
-            else []
-        )
+        kernels = [
+            c.compile_filter_columnar(self.output_schema)
+            for c in conjuncts(self.residual)
+        ]
         ops = _count_operators(self.residual)
         per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
         rids = index.lookup(self.value.value)
         table_cols = heap.columnar()
         size = ctx.batch_size
-        matched = 0
-        emitted = 0
-        try:
-            for start in range(0, len(rids), size):
-                chunk = list(rids[start : start + size])
-                batch: Optional[ColumnBatch] = table_cols.take_batch(chunk)
-                matched += len(chunk)
-                for kernel in kernels:
-                    sel = kernel(batch)
-                    if not sel:
-                        batch = None
-                        break
-                    batch = batch.with_sel(sel)
-                if batch is not None:
-                    emitted += len(batch)
-                    yield batch
-        finally:
-            meter.cpu_ms += matched * per_row
-            meter.tuples_out += emitted
+        fetched = (
+            table_cols.take_batch(list(rids[start : start + size]))
+            for start in range(0, len(rids), size)
+        )
+        for matched in _metered(fetched, meter, per_row, len):
+            batch = _narrowed(matched, kernels)
+            if batch is not None:
+                yield batch
 
     def describe(self) -> str:
         parts = [f"{self.table.name} AS {self.binding}", f"{self.column}={self.value.sql()}"]
@@ -612,67 +539,22 @@ class Filter(PhysicalPlan):
         predicate = self.predicate.compile(self.output_schema)
         ops = _count_operators(self.predicate)
         per_row = ops * ctx.params.cpu_operator_cost
-        meter = ctx.meter
-        seen = 0
-        try:
-            for row in self.child.rows(ctx):
-                seen += 1
-                if predicate(row) is True:
-                    yield row
-        finally:
-            meter.cpu_ms += seen * per_row
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        # Conjunct-at-a-time selection vectors: each AND-ed conjunct is
-        # applied to the survivors of the previous one, so later (often
-        # costlier) conjuncts see progressively smaller batches.
-        kernels = [
-            c.compile_batch(self.output_schema)
-            for c in conjuncts(self.predicate)
-        ]
-        ops = _count_operators(self.predicate)
-        per_row = ops * ctx.params.cpu_operator_cost
-        meter = ctx.meter
-        seen = 0
-        try:
-            for batch in self.child.rows_batched(ctx):
-                seen += len(batch)
-                for kernel in kernels:
-                    keep = kernel(batch)
-                    batch = [row for row, k in zip(batch, keep) if k is True]
-                    if not batch:
-                        break
-                if batch:
-                    yield batch
-        finally:
-            meter.cpu_ms += seen * per_row
+        for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
+            if predicate(row) is True:
+                yield row
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        # Selection-vector filtering: conjuncts narrow the selection in
-        # turn; no row is ever copied, surviving batches share their
-        # parent's column objects.
         kernels = [
             c.compile_filter_columnar(self.output_schema)
             for c in conjuncts(self.predicate)
         ]
         ops = _count_operators(self.predicate)
         per_row = ops * ctx.params.cpu_operator_cost
-        meter = ctx.meter
-        seen = 0
-        try:
-            for in_batch in self.child.rows_columnar(ctx):
-                seen += len(in_batch)
-                batch: Optional[ColumnBatch] = in_batch
-                for kernel in kernels:
-                    sel = kernel(batch)
-                    if not sel:
-                        batch = None
-                        break
-                    batch = batch.with_sel(sel)
-                if batch is not None:
-                    yield batch
-        finally:
-            meter.cpu_ms += seen * per_row
+        child = self.child.rows_columnar(ctx)
+        for in_batch in _metered(child, ctx.meter, per_row, len):
+            batch = _narrowed(in_batch, kernels)
+            if batch is not None:
+                yield batch
 
     def describe(self) -> str:
         return f"Filter({self.predicate.sql()})"
@@ -715,35 +597,8 @@ class Project(PhysicalPlan):
             if item.expr is not None
         ]
         per_row = len(evaluators) * ctx.params.cpu_operator_cost
-        meter = ctx.meter
-        seen = 0
-        try:
-            for row in self.child.rows(ctx):
-                seen += 1
-                yield tuple(f(row) for f in evaluators)
-        finally:
-            meter.cpu_ms += seen * per_row
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        kernels = [
-            item.expr.compile_batch(self.child.output_schema)
-            for item in self.items
-            if item.expr is not None
-        ]
-        per_row = len(kernels) * ctx.params.cpu_operator_cost
-        meter = ctx.meter
-        seen = 0
-        try:
-            for batch in self.child.rows_batched(ctx):
-                seen += len(batch)
-                if kernels:
-                    # Column-at-a-time: each kernel produces one output
-                    # column; zip transposes back to row tuples at C speed.
-                    yield list(zip(*(k(batch) for k in kernels)))
-                else:
-                    yield [()] * len(batch)
-        finally:
-            meter.cpu_ms += seen * per_row
+        for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
+            yield tuple(f(row) for f in evaluators)
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Plain column references pass the underlying column straight
@@ -759,28 +614,17 @@ class Project(PhysicalPlan):
             else:
                 plans.append((-1, item.expr.compile_columnar(child_schema)))
         per_row = len(plans) * ctx.params.cpu_operator_cost
-        meter = ctx.meter
-        seen = 0
-        try:
-            for batch in self.child.rows_columnar(ctx):
-                n = len(batch)
-                seen += n
-                if not plans:
-                    yield ColumnBatch((), n, None)
-                    continue
-                sel = batch.sel
-                cols: List[ColumnData] = []
-                for idx, kernel in plans:
-                    if kernel is None:
-                        col = batch.cols[idx]
-                        cols.append(
-                            col if sel is None else TakeColumn(col, sel)
-                        )
-                    else:
-                        cols.append(ValueColumn(kernel(batch)))
-                yield ColumnBatch(tuple(cols), n, None)
-        finally:
-            meter.cpu_ms += seen * per_row
+        child = self.child.rows_columnar(ctx)
+        for batch in _metered(child, ctx.meter, per_row, len):
+            sel = batch.sel
+            cols: List[ColumnData] = []
+            for idx, kernel in plans:
+                if kernel is None:
+                    col = batch.cols[idx]
+                    cols.append(col if sel is None else TakeColumn(col, sel))
+                else:
+                    cols.append(ValueColumn(kernel(batch)))
+            yield ColumnBatch(tuple(cols), len(batch), None)
 
     def describe(self) -> str:
         return f"Project({', '.join(item.sql() for item in self.items)})"
@@ -867,50 +711,51 @@ class NestedLoopJoin(PhysicalPlan):
         finally:
             meter.cpu_ms += pairs * per_pair
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        # Batch-granular: one output batch (and one ``pairs`` charge)
+        # per left batch.  The condition runs as a selection kernel over
+        # one candidate batch per left row — its values broadcast next
+        # to the materialised inner columns — so the surviving selection
+        # *is* the list of matching inner rows.
         params = ctx.params
         meter = ctx.meter
-        inner: List[Row] = []
-        for right_batch in self.right.rows_batched(ctx):
-            inner.extend(right_batch)
+        inner = _drain_columnar(self.right, ctx)
         meter.cpu_ms += len(inner) * params.materialize_tuple_cost
         kernel = (
-            self.condition.compile_batch(self.output_schema)
+            self.condition.compile_filter_columnar(self.output_schema)
             if self.condition is not None
             else None
         )
         ops = max(_count_operators(self.condition), 1)
         per_pair = ops * params.cpu_operator_cost
         null_pad = (None,) * len(self.right.output_schema)
-        outer = self.outer
+        width = len(self.output_schema)
+        n_inner = len(inner)
+        inner_cols = ColumnBatch.from_rows(inner, len(null_pad)).cols
         pairs = 0
         try:
-            for batch in self.left.rows_batched(ctx):
-                pairs += len(batch) * len(inner)
-                out: RowBatch = []
-                if kernel is None:
-                    if inner:
-                        for left_row in batch:
-                            out.extend(
-                                left_row + right_row for right_row in inner
+            for batch in self.left.rows_columnar(ctx):
+                pairs += len(batch) * n_inner
+                out: List[Row] = []
+                for left_row in batch.materialize():
+                    matches: Sequence[Row] = inner
+                    if kernel is not None and inner:
+                        candidates = ColumnBatch(
+                            tuple(
+                                ValueColumn([v] * n_inner, v is None)
+                                for v in left_row
                             )
-                    elif outer:
-                        out = [left_row + null_pad for left_row in batch]
-                else:
-                    for left_row in batch:
-                        candidates = [
-                            left_row + right_row for right_row in inner
-                        ]
-                        keep = kernel(candidates) if candidates else []
-                        matched = False
-                        for combined, k in zip(candidates, keep):
-                            if k is True:
-                                matched = True
-                                out.append(combined)
-                        if outer and not matched:
-                            out.append(left_row + null_pad)
+                            + inner_cols,
+                            n_inner,
+                            None,
+                        )
+                        matches = [inner[i] for i in kernel(candidates)]
+                    if matches:
+                        out.extend(left_row + r for r in matches)
+                    elif self.outer:
+                        out.append(left_row + null_pad)
                 if out:
-                    yield out
+                    yield ColumnBatch.from_rows(out, width)
         finally:
             meter.cpu_ms += pairs * per_pair
 
@@ -1024,105 +869,6 @@ class HashJoin(PhysicalPlan):
             meter.cpu_ms += probed * params.hash_probe_cost
             meter.cpu_ms += examined * params.cpu_tuple_cost
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        params = ctx.params
-        meter = ctx.meter
-        right_schema = self.right.output_schema
-        left_schema = self.left.output_schema
-        right_idx = [right_schema.index_of(k) for k in self.right_keys]
-        left_idx = [left_schema.index_of(k) for k in self.left_keys]
-        single = len(right_idx) == 1
-
-        # Build.  NULL keys never enter the buckets; a single-key join
-        # uses the bare value as the dict key (same grouping, no tuple
-        # allocation per row).
-        buckets: Dict[Any, List[Row]] = {}
-        setdefault = buckets.setdefault
-        built = 0
-        if single:
-            ri = right_idx[0]
-            for right_batch in self.right.rows_batched(ctx):
-                built += len(right_batch)
-                for row in right_batch:
-                    key = row[ri]
-                    if key is not None:
-                        setdefault(key, []).append(row)
-        else:
-            for right_batch in self.right.rows_batched(ctx):
-                built += len(right_batch)
-                for row in right_batch:
-                    key = tuple(row[i] for i in right_idx)
-                    if not any(v is None for v in key):
-                        setdefault(key, []).append(row)
-        meter.cpu_ms += built * params.hash_build_cost
-
-        kernel = (
-            self.residual.compile_batch(self.output_schema)
-            if self.residual is not None
-            else None
-        )
-        null_pad = (None,) * len(self.right.output_schema)
-        outer = self.outer
-        get = buckets.get
-        li = left_idx[0] if single else -1
-        probed = 0
-        examined = 0
-        try:
-            for batch in self.left.rows_batched(ctx):
-                probed += len(batch)
-                out: RowBatch = []
-                if kernel is None:
-                    # A NULL probe key (bare or inside the tuple) misses
-                    # the dict — NULLs never joined on the build side.
-                    for left_row in batch:
-                        rights = get(
-                            left_row[li]
-                            if single
-                            else tuple(left_row[i] for i in left_idx)
-                        )
-                        if rights:
-                            examined += len(rights)
-                            if len(rights) == 1:
-                                out.append(left_row + rights[0])
-                            else:
-                                out.extend(left_row + r for r in rights)
-                        elif outer:
-                            out.append(left_row + null_pad)
-                else:
-                    # Residual filter: gather candidates for the whole
-                    # batch, evaluate the residual kernel once, then
-                    # reassemble in left-row order (with outer padding).
-                    candidates: RowBatch = []
-                    counts: List[int] = []
-                    for left_row in batch:
-                        rights = get(
-                            left_row[li]
-                            if single
-                            else tuple(left_row[i] for i in left_idx)
-                        )
-                        if rights:
-                            examined += len(rights)
-                            candidates.extend(left_row + r for r in rights)
-                            counts.append(len(rights))
-                        else:
-                            counts.append(0)
-                    keep = kernel(candidates) if candidates else []
-                    pos = 0
-                    for left_row, n in zip(batch, counts):
-                        matched = False
-                        for k in range(pos, pos + n):
-                            if keep[k] is True:
-                                matched = True
-                                out.append(candidates[k])
-                        pos += n
-                        if outer and not matched:
-                            out.append(left_row + null_pad)
-                if out:
-                    yield out
-        finally:
-            meter.cpu_ms += probed * params.hash_probe_cost
-            meter.cpu_ms += examined * params.cpu_tuple_cost
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         params = ctx.params
         meter = ctx.meter
@@ -1183,13 +929,7 @@ class HashJoin(PhysicalPlan):
         def right_values(j: int) -> List[Any]:
             vals = right_cache.get(j)
             if vals is None:
-                if len(build_batches) == 1:
-                    vals = build_batches[0].column_values(j)
-                else:
-                    vals = []
-                    for rb in build_batches:
-                        vals.extend(rb.column_values(j))
-                right_cache[j] = vals
+                vals = right_cache[j] = _concat_column(build_batches, j)
             return vals
 
         def right_getter(j: int) -> Callable[[], List[Any]]:
@@ -1420,6 +1160,22 @@ class SortMergeJoin(PhysicalPlan):
         )
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+        return self._merge(ctx, lambda plan: list(plan.rows(ctx)))
+
+    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        # Both inputs are drained before anything is emitted, so only
+        # the way they are pulled differs from the reference path.
+        return _chunked(
+            self._merge(ctx, lambda plan: _drain_columnar(plan, ctx)),
+            ctx.batch_size,
+            len(self.output_schema),
+        )
+
+    def _merge(
+        self,
+        ctx: ExecutionContext,
+        drain: Callable[[PhysicalPlan], List[Row]],
+    ) -> Iterator[Row]:
         params = ctx.params
         meter = ctx.meter
         left_idx = [self.left.output_schema.index_of(k) for k in self.left_keys]
@@ -1428,7 +1184,7 @@ class SortMergeJoin(PhysicalPlan):
         ]
 
         def sorted_side(plan, idx):
-            data = list(plan.rows(ctx))
+            data = drain(plan)
             n = max(len(data), 1)
             meter.cpu_ms += n * (
                 math.log2(n + 1.0) * params.sort_compare_cost
@@ -1635,7 +1391,6 @@ def _rewrite_over_internal(
     expr: Expression,
     group_map: Dict[str, int],
     agg_map: Dict[int, int],
-    agg_calls: List[AggregateCall],
 ) -> Expression:
     """Rewrite an output expression over the internal (keys + aggs) row."""
     key = expr.sql()
@@ -1645,7 +1400,7 @@ def _rewrite_over_internal(
         position = agg_map[id(expr)]
         return ColumnRef(f"_a{position}")
     children = tuple(
-        _rewrite_over_internal(c, group_map, agg_map, agg_calls)
+        _rewrite_over_internal(c, group_map, agg_map)
         for c in expr.children()
     )
     if not children:
@@ -1672,6 +1427,9 @@ class HashAggregate(PhysicalPlan):
         self.having = having
         self.output_schema = output_schema
 
+        self._group_positions = {
+            e.sql(): i for i, e in enumerate(self.group_by)
+        }
         # Collect the aggregate calls appearing in items/having, in order.
         self._agg_calls: List[AggregateCall] = []
         self._agg_positions: Dict[int, int] = {}
@@ -1690,6 +1448,12 @@ class HashAggregate(PhysicalPlan):
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
+
+    def _over_internal(self, expr: Expression) -> Expression:
+        """*expr* rewritten over the internal (keys + aggregates) row."""
+        return _rewrite_over_internal(
+            expr, self._group_positions, self._agg_positions
+        )
 
     def _internal_schema(self) -> Schema:
         columns = [
@@ -1773,19 +1537,16 @@ class HashAggregate(PhysicalPlan):
             ]
 
         internal_schema = self._internal_schema()
-        group_map = {e.sql(): i for i, e in enumerate(self.group_by)}
         item_fns = [
-            _rewrite_over_internal(
-                item.expr, group_map, self._agg_positions, self._agg_calls
-            ).compile(internal_schema)
+            self._over_internal(item.expr).compile(internal_schema)
             for item in self.items
             if item.expr is not None
         ]
         having_fn = None
         if self.having is not None:
-            having_fn = _rewrite_over_internal(
-                self.having, group_map, self._agg_positions, self._agg_calls
-            ).compile(internal_schema)
+            having_fn = self._over_internal(self.having).compile(
+                internal_schema
+            )
 
         per_group = len(self.items) * params.cpu_operator_cost
         meter.cpu_ms += len(groups) * per_group
@@ -1794,129 +1555,6 @@ class HashAggregate(PhysicalPlan):
             if having_fn is not None and having_fn(internal_row) is not True:
                 continue
             yield tuple(f(internal_row) for f in item_fns)
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        params = ctx.params
-        meter = ctx.meter
-        child_schema = self.child.output_schema
-        key_kernels = [e.compile_batch(child_schema) for e in self.group_by]
-        agg_specs = [
-            (call.name.upper(), call.distinct) for call in self._agg_calls
-        ]
-        # Several aggregates often share one argument expression
-        # (SUM(x), AVG(x), MIN(x)...): evaluate each distinct argument
-        # column once per batch.  ``arg_keys[i]`` indexes the shared
-        # column for call *i*, or is None for COUNT(*).
-        arg_keys: List[Optional[int]] = []
-        unique_kernels: List[BatchEvaluator] = []
-        seen_args: Dict[str, int] = {}
-        for call in self._agg_calls:
-            if call.arg is None:
-                arg_keys.append(None)
-                continue
-            sql = call.arg.sql()
-            pos = seen_args.get(sql)
-            if pos is None:
-                pos = len(unique_kernels)
-                seen_args[sql] = pos
-                unique_kernels.append(call.arg.compile_batch(child_schema))
-            arg_keys.append(pos)
-
-        # Group state is the same _AggState the row engine folds with, so
-        # float accumulation order — hence every result bit — matches.
-        # Rows are first bucketed into per-batch index lists (preserving
-        # first-occurrence group order and row order within each group),
-        # then each aggregate folds its column slice in one tight loop.
-        groups: Dict[Tuple[Any, ...], List[_AggState]] = {}
-        get_group = groups.get
-        single = len(key_kernels) == 1
-        per_row = max(len(self._agg_calls), 1) * params.agg_update_cost
-        consumed = 0
-        for batch in self.child.rows_batched(ctx):
-            n = len(batch)
-            consumed += n
-            cols = [k(batch) for k in unique_kernels]
-            if not key_kernels:
-                states = get_group(())
-                if states is None:
-                    states = groups[()] = [
-                        _AggState(name, distinct)
-                        for name, distinct in agg_specs
-                    ]
-                for state, ak in zip(states, arg_keys):
-                    if ak is None:
-                        state.count += n
-                    else:
-                        _fold_agg(state, cols[ak])
-                continue
-            if single:
-                key_col = key_kernels[0](batch)
-            else:
-                key_col = list(zip(*[k(batch) for k in key_kernels]))
-            index_lists: Dict[Any, List[int]] = {}
-            get_list = index_lists.get
-            for ri, kv in enumerate(key_col):
-                lst = get_list(kv)
-                if lst is None:
-                    index_lists[kv] = [ri]
-                else:
-                    lst.append(ri)
-            for kv, idxs in index_lists.items():
-                key = (kv,) if single else kv
-                states = get_group(key)
-                if states is None:
-                    states = groups[key] = [
-                        _AggState(name, distinct)
-                        for name, distinct in agg_specs
-                    ]
-                for state, ak in zip(states, arg_keys):
-                    if ak is None:
-                        state.count += len(idxs)
-                    else:
-                        col = cols[ak]
-                        _fold_agg(state, [col[i] for i in idxs])
-        meter.cpu_ms += consumed * per_row
-
-        if not groups and not self.group_by:
-            groups[()] = [
-                _AggState(name, distinct) for name, distinct in agg_specs
-            ]
-
-        internal_schema = self._internal_schema()
-        group_map = {e.sql(): i for i, e in enumerate(self.group_by)}
-        item_kernels = [
-            _rewrite_over_internal(
-                item.expr, group_map, self._agg_positions, self._agg_calls
-            ).compile_batch(internal_schema)
-            for item in self.items
-            if item.expr is not None
-        ]
-        having_kernel = None
-        if self.having is not None:
-            having_kernel = _rewrite_over_internal(
-                self.having, group_map, self._agg_positions, self._agg_calls
-            ).compile_batch(internal_schema)
-
-        per_group = len(self.items) * params.cpu_operator_cost
-        meter.cpu_ms += len(groups) * per_group
-        internal_rows: RowBatch = [
-            key + tuple(s.result() for s in states)
-            for key, states in groups.items()
-        ]
-        if having_kernel is not None:
-            keep = having_kernel(internal_rows)
-            internal_rows = [
-                r for r, k in zip(internal_rows, keep) if k is True
-            ]
-        if not internal_rows:
-            return
-        if item_kernels:
-            out = list(zip(*(k(internal_rows) for k in item_kernels)))
-        else:
-            out = [()] * len(internal_rows)
-        size = ctx.batch_size
-        for start in range(0, len(out), size):
-            yield out[start : start + size]
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         params = ctx.params
@@ -1945,8 +1583,10 @@ class HashAggregate(PhysicalPlan):
                 fold_kinds.append(">")
             else:
                 fold_kinds.append("")
-        # Shared-argument dedup, exactly as the vector engine: each
-        # distinct argument expression is evaluated once per batch.
+        # Several aggregates often share one argument expression
+        # (SUM(x), AVG(x), MIN(x)...): each distinct argument is
+        # evaluated once per batch.  ``arg_keys[i]`` indexes the shared
+        # column for call *i*, or is None for COUNT(*).
         arg_keys: List[Optional[int]] = []
         unique_kernels: List[Any] = []
         # Per unique argument: the child column index when the argument
@@ -2132,49 +1772,43 @@ class HashAggregate(PhysicalPlan):
                 _AggState(name, distinct) for name, distinct in agg_specs
             ]
 
+        per_group = len(self.items) * params.cpu_operator_cost
+        meter.cpu_ms += len(groups) * per_group
+        if not groups:
+            return
+        # HAVING and the output items run as columnar kernels over the
+        # internal (keys + aggregates) rows of all groups at once.
         internal_schema = self._internal_schema()
-        group_map = {e.sql(): i for i, e in enumerate(self.group_by)}
-        item_kernels = [
-            _rewrite_over_internal(
-                item.expr, group_map, self._agg_positions, self._agg_calls
-            ).compile_batch(internal_schema)
+        internal = ColumnBatch.from_rows(
+            [
+                key + tuple(s.result() for s in states)
+                for key, states in groups.items()
+            ],
+            len(internal_schema),
+        )
+        if self.having is not None:
+            sel = self._over_internal(self.having).compile_filter_columnar(
+                internal_schema
+            )(internal)
+            if not sel:
+                return
+            internal = internal.with_sel(sel)
+        out_cols = [
+            self._over_internal(item.expr).compile_columnar(
+                internal_schema
+            )(internal)
             for item in self.items
             if item.expr is not None
         ]
-        having_kernel = None
-        if self.having is not None:
-            having_kernel = _rewrite_over_internal(
-                self.having, group_map, self._agg_positions, self._agg_calls
-            ).compile_batch(internal_schema)
-
-        per_group = len(self.items) * params.cpu_operator_cost
-        meter.cpu_ms += len(groups) * per_group
-        internal_rows: RowBatch = [
-            key + tuple(s.result() for s in states)
-            for key, states in groups.items()
-        ]
-        if having_kernel is not None:
-            keep = having_kernel(internal_rows)
-            internal_rows = [
-                r for r, k in zip(internal_rows, keep) if k is True
-            ]
-        if not internal_rows:
-            return
         size = ctx.batch_size
-        total = len(internal_rows)
-        if item_kernels:
-            # Emit output groups column-wise — no row tuples.
-            out_cols = [k(internal_rows) for k in item_kernels]
-            for start in range(0, total, size):
-                stop = min(start + size, total)
-                yield ColumnBatch(
-                    tuple(ValueColumn(c[start:stop]) for c in out_cols),
-                    stop - start,
-                    None,
-                )
-        else:
-            for start in range(0, total, size):
-                yield ColumnBatch((), min(size, total - start), None)
+        total = len(internal)
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            yield ColumnBatch(
+                tuple(ValueColumn(c[start:stop]) for c in out_cols),
+                stop - start,
+                None,
+            )
 
     def describe(self) -> str:
         keys = ", ".join(e.sql() for e in self.group_by) or "<global>"
@@ -2233,31 +1867,6 @@ class Sort(PhysicalPlan):
             data.sort(key=lambda row: _sort_key((fn(row),)), reverse=not ascending)
         yield from data
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        params = ctx.params
-        meter = ctx.meter
-        schema = self.child.output_schema
-        data: RowBatch = []
-        for batch in self.child.rows_batched(ctx):
-            data.extend(batch)
-        n = max(len(data), 1)
-        meter.cpu_ms += n * math.log2(n + 1.0) * params.sort_compare_cost
-        # Same stable right-to-left multi-pass as the row engine, but
-        # each pass sorts an index permutation keyed by a pre-computed
-        # decorated column ((is None, value) = NULLs last).
-        for o in reversed(self.order_by):
-            col = o.expr.compile_batch(schema)(data)
-            decorated = [(v is None, v) for v in col]
-            order = sorted(
-                range(len(data)),
-                key=decorated.__getitem__,
-                reverse=not o.ascending,
-            )
-            data = [data[i] for i in order]
-        size = ctx.batch_size
-        for start in range(0, len(data), size):
-            yield data[start : start + size]
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         params = ctx.params
         meter = ctx.meter
@@ -2274,15 +1883,7 @@ class Sort(PhysicalPlan):
         # only columns the sort keys actually touch get decoded before
         # the output gather.
         def concat(j: int) -> Callable[[], List[Any]]:
-            def thunk() -> List[Any]:
-                if len(batches) == 1:
-                    return batches[0].column_values(j)
-                out: List[Any] = []
-                for b in batches:
-                    out.extend(b.column_values(j))
-                return out
-
-            return thunk
+            return lambda: _concat_column(batches, j)
 
         combined = ColumnBatch(
             tuple(LazyColumn(concat(j)) for j in range(width)), total, None
@@ -2355,17 +1956,6 @@ class Limit(PhysicalPlan):
             if remaining == 0:
                 return
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        remaining = self.count
-        if remaining == 0:
-            return
-        for batch in self.child.rows_batched(ctx):
-            if len(batch) >= remaining:
-                yield batch[:remaining]
-                return
-            remaining -= len(batch)
-            yield batch
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         remaining = self.count
         if remaining == 0:
@@ -2405,75 +1995,44 @@ class Distinct(PhysicalPlan):
         )
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
-        meter = ctx.meter
         seen = set()
-        consumed = 0
-        try:
-            for row in self.child.rows(ctx):
-                consumed += 1
-                key = _sort_key(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield row
-        finally:
-            meter.cpu_ms += consumed * params.hash_build_cost
-
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        params = ctx.params
-        meter = ctx.meter
-        seen = set()
-        add = seen.add
-        consumed = 0
-        try:
-            for batch in self.child.rows_batched(ctx):
-                consumed += len(batch)
-                out: RowBatch = []
-                for row in batch:
-                    key = tuple((v is None, v) for v in row)
-                    if key not in seen:
-                        add(key)
-                        out.append(row)
-                if out:
-                    yield out
-        finally:
-            meter.cpu_ms += consumed * params.hash_build_cost
+        per_row = ctx.params.hash_build_cost
+        for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
+            key = _sort_key(row)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield row
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        params = ctx.params
-        meter = ctx.meter
         seen = set()
         add = seen.add
-        consumed = 0
+        per_row = ctx.params.hash_build_cost
         # Over a single column the raw value is its own distinct key
         # (``(v is None, v)`` wrapping partitions values identically), so
         # no row tuples and no per-row key tuples are built at all.
         single = len(self.output_schema) == 1
-        try:
-            for batch in self.child.rows_columnar(ctx):
-                consumed += len(batch)
-                psel = batch.selected()
-                sel_out: List[int] = []
-                if single:
-                    for pos, v in zip(psel, batch.column_values(0)):
-                        if v not in seen:
-                            add(v)
-                            sel_out.append(pos)
-                else:
-                    # Distinct keys span the whole row, so this is a
-                    # genuine materialisation point; survivors are
-                    # re-expressed as a narrowed selection over the
-                    # input columns.
-                    for pos, row in zip(psel, batch.materialize()):
-                        key = tuple((v is None, v) for v in row)
-                        if key not in seen:
-                            add(key)
-                            sel_out.append(pos)
-                if sel_out:
-                    yield batch.with_sel(sel_out)
-        finally:
-            meter.cpu_ms += consumed * params.hash_build_cost
+        child = self.child.rows_columnar(ctx)
+        for batch in _metered(child, ctx.meter, per_row, len):
+            psel = batch.selected()
+            sel_out: List[int] = []
+            if single:
+                for pos, v in zip(psel, batch.column_values(0)):
+                    if v not in seen:
+                        add(v)
+                        sel_out.append(pos)
+            else:
+                # Distinct keys span the whole row, so this is a
+                # genuine materialisation point; survivors are
+                # re-expressed as a narrowed selection over the
+                # input columns.
+                for pos, row in zip(psel, batch.materialize()):
+                    key = tuple((v is None, v) for v in row)
+                    if key not in seen:
+                        add(key)
+                        sel_out.append(pos)
+            if sel_out:
+                yield batch.with_sel(sel_out)
 
     def describe(self) -> str:
         return "Distinct()"
@@ -2520,29 +2079,17 @@ class MaterializedInput(PhysicalPlan):
         )
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        per_row = ctx.params.cpu_tuple_cost
-        meter = ctx.meter
-        emitted = 0
-        try:
-            for row in self.data:
-                emitted += 1
-                yield row
-        finally:
-            meter.cpu_ms += emitted * per_row
+        return _metered(iter(self.data), ctx.meter, ctx.params.cpu_tuple_cost)
 
-    def _rows_batched(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        per_row = ctx.params.cpu_tuple_cost
-        meter = ctx.meter
+    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         data = self.data
         size = ctx.batch_size
-        emitted = 0
-        try:
-            for start in range(0, len(data), size):
-                batch = data[start : start + size]
-                emitted += len(batch)
-                yield batch
-        finally:
-            meter.cpu_ms += emitted * per_row
+        width = len(self.output_schema)
+        batches = (
+            ColumnBatch.from_rows(data[start : start + size], width)
+            for start in range(0, len(data), size)
+        )
+        return _metered(batches, ctx.meter, ctx.params.cpu_tuple_cost, len)
 
     def describe(self) -> str:
         return f"MaterializedInput({self.name} rows={len(self.data)})"

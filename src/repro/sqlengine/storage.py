@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import Catalog, IndexDef, TableDef, collect_stats
-from .columnar import TableColumns, build_table_columns
+from .columnar import TableColumns
 from .types import Row, Schema, SqlError
 
 
@@ -66,14 +66,13 @@ class HeapTable:
     def columnar(self) -> TableColumns:
         """The columnar projection of this table, cached per version.
 
-        Typed arrays and string dictionaries are built on first columnar
-        access after a mutation; every later scan (any query, any batch)
-        reuses them, so table columns decode at most once per version.
+        Each column is built when a kernel first reads it after a
+        mutation; every later scan (any query, any batch) reuses it.
         """
         cached = self._columnar
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        columns = build_table_columns(self.rows, self.schema)
+        columns = TableColumns(self.rows, self.schema)
         self._columnar = (self._version, columns)
         return columns
 

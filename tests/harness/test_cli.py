@@ -114,7 +114,7 @@ class TestExplainCommand:
         assert "Ranked global plans" in out
         assert "p1[" in out
 
-    @pytest.mark.parametrize("engine", ["row", "vector"])
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
     def test_analyze_annotates_estimates_and_actuals(self, capsys, engine):
         code = main(
             [
@@ -133,16 +133,17 @@ class TestExplainCommand:
         assert "II merge plan:" in out
         assert re.search(r"\(est rows=\d+ total=", out)
         assert re.search(
-            r"\(actual rows=\d+ batches=\d+ loops=\d+ time=", out
+            r"\(actual rows=\d+ batches=\d+(?: sel=[\d.]+)? loops=\d+ time=",
+            out,
         )
         # Both the fragment plan and the merge plan were annotated.
         assert out.count("actual rows=") >= 2
 
-    def test_analyze_row_and_vector_report_identical_row_counts(
+    def test_analyze_row_and_columnar_report_identical_row_counts(
         self, capsys
     ):
         counts = {}
-        for engine in ("row", "vector"):
+        for engine in ("row", "columnar"):
             assert (
                 main(
                     [
@@ -159,7 +160,7 @@ class TestExplainCommand:
             )
             out = capsys.readouterr().out
             counts[engine] = re.findall(r"actual rows=(\d+)", out)
-        assert counts["row"] == counts["vector"]
+        assert counts["row"] == counts["columnar"]
         assert counts["row"]
 
 

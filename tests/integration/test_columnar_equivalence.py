@@ -1,4 +1,4 @@
-"""Property-based three-engine equivalence, seeded via ``derive_rng``.
+"""Property-based row-vs-columnar equivalence, seeded via ``derive_rng``.
 
 Complements ``test_engine_equivalence`` (hypothesis-driven, workload
 tables) with deterministic randomized shapes over data the workload
@@ -8,9 +8,8 @@ dictionary-encoding path), empty tables, and degenerate batch sizes
 across batch boundaries, per-batch dictionary views, join builds that
 span batches).
 
-Every generated query must produce byte-identical rows on all three
-engines and bit-identical ``WorkMeter`` totals between vector and
-columnar (and the row engine too — no generated shape uses LIMIT).
+Every generated query must produce byte-identical rows and bit-identical
+``WorkMeter`` totals on both engines (no generated shape uses LIMIT).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.sqlengine.types import Column, ColumnType, Schema
 from repro.workload import TEST_SCALE
 from repro.workload.schema import table_specs
 
-ENGINES = ("row", "vector", "columnar")
+ENGINES = ("row", "columnar")
 
 ROOT_SEED = 20260807
 
@@ -64,10 +63,10 @@ def mixed_db():
     return database
 
 
-def assert_equivalent(database, sql, batch_size):
+def assert_equivalent(database, sql, batch_size, check_meter=True):
     plan = database.explain(sql)[0].plan
-    results = {
-        engine: execute_plan(
+    reference, columnar = (
+        execute_plan(
             plan,
             database.storage,
             database.params,
@@ -75,17 +74,15 @@ def assert_equivalent(database, sql, batch_size):
             batch_size=batch_size,
         )
         for engine in ENGINES
-    }
-    reference = results["vector"]
-    for engine in ENGINES:
-        result = results[engine]
-        assert result.rows == reference.rows, (sql, engine, batch_size)
-        meter, ref = result.meter, reference.meter
+    )
+    assert columnar.rows == reference.rows, (sql, batch_size)
+    if check_meter:
+        meter, ref = columnar.meter, reference.meter
         assert (meter.cpu_ms, meter.io_ms, meter.tuples_out) == (
             ref.cpu_ms,
             ref.io_ms,
             ref.tuples_out,
-        ), (sql, engine, batch_size)
+        ), (sql, batch_size)
 
 
 # -- generators (pure functions of the derived rng) -------------------------
@@ -187,32 +184,7 @@ def test_random_shapes_bit_identical(mixed_db, kind, generate, case):
     ],
 )
 def test_edge_cases_bit_identical(mixed_db, sql, batch_size):
-    if "LIMIT" in sql:
-        # Rows always match; vector==columnar meters are compared via
-        # the row-engine-exempt path below.
-        plan = mixed_db.explain(sql)[0].plan
-        results = {
-            engine: execute_plan(
-                plan,
-                mixed_db.storage,
-                mixed_db.params,
-                engine=engine,
-                batch_size=batch_size,
-            )
-            for engine in ENGINES
-        }
-        reference = results["vector"]
-        for engine in ENGINES:
-            assert results[engine].rows == reference.rows
-        col_meter = results["columnar"].meter
-        assert (
-            col_meter.cpu_ms,
-            col_meter.io_ms,
-            col_meter.tuples_out,
-        ) == (
-            reference.meter.cpu_ms,
-            reference.meter.io_ms,
-            reference.meter.tuples_out,
-        )
-        return
-    assert_equivalent(mixed_db, sql, batch_size)
+    # LIMIT is the documented meter exception; rows always match.
+    assert_equivalent(
+        mixed_db, sql, batch_size, check_meter="LIMIT" not in sql
+    )

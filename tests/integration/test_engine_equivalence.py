@@ -1,15 +1,15 @@
-"""Differential harness: row, vector and columnar engines, bit for bit.
+"""Differential harness: the columnar engine against the row reference.
 
-The batch engines are only allowed to change wall-clock time.  For
+The columnar engine is only allowed to change wall-clock time.  For
 every query — the full paper workload plus randomized filter / join /
-aggregate shapes — all three engines must return identical row lists
-*and* identical ``WorkMeter`` totals, because metered work drives the
+aggregate shapes — both engines must return identical row lists *and*
+identical ``WorkMeter`` totals, because metered work drives the
 response-time simulation and QCC calibration (docs/execution.md).
 
-The single documented exception is LIMIT under a batch engine: early
-termination happens at batch granularity, so vector and columnar may
-meter slightly more scanned work than the row engine (they still agree
-with *each other* bit for bit).  Rows must always match exactly.
+The single documented exception is LIMIT: the columnar engine
+terminates early at batch granularity, so it may meter slightly more
+scanned work than the row engine (``test_columnar_engine`` pins the
+exact batch-boundary amounts).  Rows must always match exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.workload import TEST_SCALE
 from repro.workload.queries import EXTENDED_QUERY_TYPES
 from repro.workload.schema import table_specs
 
-ENGINES = ("row", "vector", "columnar")
+ENGINES = ("row", "columnar")
 
 
 @pytest.fixture(scope="module")
@@ -44,23 +44,12 @@ def run_all(database, sql):
 
 def assert_equivalent(database, sql, check_meter=True):
     results = run_all(database, sql)
-    reference = results["vector"]
-    for engine in ENGINES:
-        result = results[engine]
-        assert result.engine == engine
-        assert result.rows == reference.rows, (sql, engine)
-        if check_meter:
-            assert result.meter.cpu_ms == reference.meter.cpu_ms, (sql, engine)
-            assert result.meter.io_ms == reference.meter.io_ms, (sql, engine)
-            assert result.meter.tuples_out == reference.meter.tuples_out, (
-                sql,
-                engine,
-            )
-    # Vector and columnar agree bit-for-bit even when the row engine is
-    # exempt (LIMIT): both terminate at the same batch boundaries.
-    columnar = results["columnar"]
-    assert columnar.meter.cpu_ms == reference.meter.cpu_ms, sql
-    assert columnar.meter.io_ms == reference.meter.io_ms, sql
+    reference, columnar = results["row"], results["columnar"]
+    assert (reference.engine, columnar.engine) == ENGINES
+    assert columnar.rows == reference.rows, sql
+    if check_meter:
+        assert columnar.meter.cpu_ms == reference.meter.cpu_ms, sql
+        assert columnar.meter.io_ms == reference.meter.io_ms, sql
     assert columnar.meter.tuples_out == reference.meter.tuples_out, sql
 
 
@@ -163,10 +152,9 @@ def test_order_by_distinct_bit_identical(workload_db):
 
 
 def test_limit_rows_identical_meter_exempt(workload_db):
-    # LIMIT is the documented meter exception: the batch engines scan
-    # to the batch boundary, so the row engine's meter is exempt.  Rows
-    # match on all three and vector==columnar meters are still asserted
-    # inside the helper.
+    # LIMIT is the documented meter exception: the columnar engine
+    # scans to the batch boundary, so the meters are exempt.  Rows and
+    # the output count must still match.
     assert_equivalent(
         workload_db,
         "SELECT l.linekey FROM lineitem l "

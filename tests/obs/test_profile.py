@@ -1,5 +1,5 @@
 """Operator profiler: counters, plan profiles, EXPLAIN ANALYZE rendering,
-and row-vs-vector equivalence on real federated queries."""
+and row-vs-columnar equivalence on real federated queries."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from repro.harness import (
     build_databases,
     build_federation,
 )
+from repro.sqlengine import ColumnBatch, NestedLoopJoin, SeqScan, SortMergeJoin
 from repro.workload import QUERY_TYPES, TEST_SCALE
 
 
@@ -32,7 +33,7 @@ def engine_databases():
         engine: build_databases(
             DEFAULT_SERVER_SPECS, TEST_SCALE, seed=7, engine=engine
         )
-        for engine in ("row", "vector")
+        for engine in ("row", "columnar")
     }
 
 
@@ -53,9 +54,10 @@ class FakeNode:
     def _rows(self, ctx):
         yield from self._rows_data
 
-    def _rows_batched(self, ctx):
+    def _rows_columnar(self, ctx):
         if self._rows_data:
-            yield list(self._rows_data)
+            batch = ColumnBatch.from_rows([(v,) for v in self._rows_data], 1)
+            yield batch.with_sel(batch.selected()[1:])
 
 
 class FakeMeter:
@@ -97,15 +99,16 @@ class TestProfilerWrappers:
         assert stats.rows_out == 6
         assert stats.batches == 0
 
-    def test_profile_batches_counts_batches(self):
+    def test_profile_columnar_counts_batches_and_physical_rows(self):
         profiler = OperatorProfiler()
         node = FakeNode("scan", rows=[1, 2, 3])
         ctx = FakeCtx()
-        batches = list(profiler.profile_batches(node, ctx))
-        assert batches == [[1, 2, 3]]
+        batches = list(profiler.profile_columnar(node, ctx))
+        assert [b.materialize() for b in batches] == [[(2,), (3,)]]
         stats = profiler.capture().stats_for(node)
-        assert stats.rows_out == 3
+        assert stats.rows_out == 2
         assert stats.batches == 1
+        assert stats.phys_rows == 3
 
     def test_meter_delta_attributed_to_node(self):
         profiler = OperatorProfiler()
@@ -142,6 +145,7 @@ class TestProfilerWrappers:
     def test_null_profiler_passes_through(self):
         node = FakeNode("scan", rows=[1, 2])
         assert list(NULL_PROFILER.profile_rows(node, FakeCtx())) == [1, 2]
+        assert len(list(NULL_PROFILER.profile_columnar(node, FakeCtx()))) == 1
         assert len(NULL_PROFILER._entries) == 0
 
 
@@ -274,39 +278,64 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "template", QUERY_TYPES, ids=[t.name for t in QUERY_TYPES]
     )
-    def test_row_and_vector_profiles_agree(
+    def test_row_and_columnar_profiles_agree(
         self, engine_databases, template
     ):
         sql = template.instance(0).sql
         row_counts, row_result = self._profiled_counts(
             engine_databases, "row", sql
         )
-        vec_counts, vec_result = self._profiled_counts(
-            engine_databases, "vector", sql
+        col_counts, col_result = self._profiled_counts(
+            engine_databases, "columnar", sql
         )
-        assert row_counts == vec_counts
+        assert row_counts == col_counts
         assert sorted(map(tuple, row_result.rows)) == sorted(
-            map(tuple, vec_result.rows)
+            map(tuple, col_result.rows)
         )
-        # The vector engine streams batches; the row engine never does.
+        # The columnar engine streams batches through every operator;
+        # the row engine never does.
         assert all(
             stats.batches == 0
             for _, stats in row_result.profile.operators()
         )
-        assert any(
-            stats.batches > 0
-            for _, stats in vec_result.profile.operators()
+        assert all(
+            stats.batches > 0 or stats.rows_out == 0
+            for _, stats in col_result.profile.operators()
         )
 
     def test_result_profile_attached_and_queryable(self, engine_databases):
         sql = QUERY_TYPES[0].instance(0).sql
-        _, result = self._profiled_counts(engine_databases, "vector", sql)
+        _, result = self._profiled_counts(engine_databases, "columnar", sql)
         profile = result.profile
         roots = profile.roots()
         # Fragment plans plus the II merge plan.
         assert result.merge_plan in roots
         merge_stats = profile.stats_for(result.merge_plan)
         assert merge_stats.rows_out == result.row_count
+
+    @pytest.mark.parametrize("join", ["nested-loop", "sort-merge"])
+    def test_no_subtree_drops_to_the_row_path(self, engine_databases, join):
+        # Neither join has a kernel-level columnar algorithm, but both
+        # must pull their inputs as column batches: every scan below
+        # them reports batches, none reports row-path-only execution.
+        database = engine_databases["columnar"]["S1"]
+        orders = database.catalog.lookup("orders")
+        customer = database.catalog.lookup("customer")
+        left = SeqScan(orders, "o")
+        right = SeqScan(customer, "c")
+        if join == "nested-loop":
+            plan = NestedLoopJoin(left, right, None)
+        else:
+            plan = SortMergeJoin(left, right, ["o.custkey"], ["c.custkey"])
+        with profiling() as profiler:
+            columnar = database.run_plan(plan, engine="columnar")
+        assert columnar.rows == database.run_plan(plan, engine="row").rows
+        profile = profiler.capture()
+        for scan in (left, right):
+            stats = profile.stats_for(scan)
+            assert stats.batches > 0 and stats.phys_rows > 0
+            assert stats.rows_out == stats.phys_rows
+        assert profile.stats_for(plan).batches > 0
 
     def test_disabled_profiling_attaches_nothing(self, sample_databases):
         deployment = build_federation(
