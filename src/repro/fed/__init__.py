@@ -21,7 +21,6 @@ from .rerouting import (
     Checkpoint,
     RerouteConfig,
     ReroutePolicy,
-    RerouteSettle,
     batch_schedule,
     checkpoint_consumed,
     make_reroute_policy,
@@ -100,7 +99,6 @@ __all__ = [
     "ReplicaSyncDaemon",
     "RerouteConfig",
     "ReroutePolicy",
-    "RerouteSettle",
     "RoundRobinRouter",
     "Router",
     "batch_schedule",

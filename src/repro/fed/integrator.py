@@ -17,9 +17,9 @@ with the merge inflated by II's own load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
-from ..obs import NULL_TRACE, QueryTrace, get_obs
+from ..obs import NULL_TRACE, QueryTrace, Span, get_obs
 from ..obs.profile import NULL_PROFILER, PlanProfile, get_profiler
 from ..sqlengine import (
     Catalog,
@@ -36,8 +36,10 @@ from ..sqlengine import (
 )
 from ..sqlengine.storage import StorageManager
 from ..sim import (
+    Completion,
     ConstantLoad,
     ContentionProfile,
+    Delay,
     LoadSchedule,
     RemoteExecution,
     ServerUnavailable,
@@ -56,6 +58,10 @@ from .nicknames import FederationError, NicknameRegistry
 from .patroller import PatrolRecord, QueryPatroller
 from .plan_cache import CalibrationEpoch, PlanCache, plan_key
 from .routers import CostBasedRouter, Router
+
+
+#: Queue name of the integrator's own merge stage.
+II_QUEUE = "II"
 
 
 @dataclass
@@ -84,13 +90,131 @@ class FederatedResult:
     merge_plan: Optional[PhysicalPlan] = None
     #: operator-level profile (only while profiling is enabled)
     profile: Optional[PlanProfile] = None
-    #: fragments migrated mid-flight by the re-routing policy (always 0
-    #: on the sequential path and when re-routing is disabled)
+    #: fragments migrated mid-flight by the re-routing strategy (always
+    #: 0 under every other strategy)
     reroutes: int = 0
 
     @property
     def row_count(self) -> int:
         return len(self.rows)
+
+
+@dataclass(slots=True)
+class FragmentSlot:
+    """One fragment of the chosen plan between execution and
+    settlement: the record every dispatch strategy works on."""
+
+    #: The compile-time choice and the option that actually ran (they
+    #: differ after a Section 4.1 substitution), with its rows and raw
+    #: service demand.
+    choice: FragmentOption
+    option: FragmentOption
+    execution: RemoteExecution
+    #: The fragment's ``dispatch`` span.
+    span: Span
+    #: Strategy-private: the second leg of a race, once one has fired.
+    leg: Optional[tuple] = None
+
+
+class Settled(NamedTuple):
+    """What a strategy makes of one :class:`FragmentSlot`."""
+
+    #: The option whose result flows on (a hedge backup when it won),
+    #: with its rows at the fragment's effective latency.
+    option: FragmentOption
+    execution: RemoteExecution
+    #: What QCC learns from: the same, except for a migrated fragment
+    #: (see :mod:`repro.fed.rerouting`, calibrator discipline).
+    learned: RemoteExecution
+    completion: Completion
+    #: Extra ``dispatch``-span attributes describing a race.
+    tags: Dict[str, object]
+
+
+class DispatchStrategy:
+    """How executed fragments, and then the merge, turn into latencies:
+    the one parameter of :meth:`InformationIntegrator.lifecycle`.  Both
+    methods are generators; what they yield goes to the lifecycle's
+    driver, what they return comes back to the lifecycle."""
+
+    #: True when a fragment's latency is known the instant it executes:
+    #: ``execute_option`` then reports to QCC itself, *before* the next
+    #: fragment executes.  Otherwise the lifecycle reports each
+    #: fragment's ``learned`` execution once it has settled.
+    reports_on_execute = False
+
+    def dispatch(
+        self, slots: List[FragmentSlot], t_dispatch: float, trace: QueryTrace
+    ) -> Generator[object, object, List[Settled]]:
+        """Settle every slot, in order."""
+        raise NotImplementedError
+
+    def merge(
+        self, demand_ms: float, t_ms: float, trace: QueryTrace, span: Span
+    ) -> Generator[object, object, Completion]:
+        """Charge the II-side merge's *demand_ms*, submitted at *t_ms*."""
+        raise NotImplementedError
+
+
+class _Uncontended(DispatchStrategy):
+    """Nothing else is in flight: no queues, sojourn == demand."""
+
+    reports_on_execute = True
+
+    @staticmethod
+    def _alone(queue: str, t_ms: float, demand_ms: float) -> Completion:
+        return Completion(
+            queue, t_ms, t_ms, t_ms + demand_ms, demand_ms, demand_ms, 1, False
+        )
+
+    def dispatch(self, slots, t_dispatch, trace):
+        yield from ()  # nothing to wait for
+        return [
+            Settled(
+                slot.option,
+                slot.execution,
+                slot.execution,
+                self._alone(
+                    slot.option.server, t_dispatch, slot.execution.observed_ms
+                ),
+                {},
+            )
+            for slot in slots
+        ]
+
+    def merge(self, demand_ms, t_ms, trace, span):
+        yield from ()
+        return self._alone(II_QUEUE, t_ms, demand_ms)
+
+
+UNCONTENDED = _Uncontended()
+
+
+def _end_dispatch(
+    trace: QueryTrace,
+    slot: FragmentSlot,
+    option: FragmentOption,
+    execution: RemoteExecution,
+    t_ms: float,
+    **attributes: object,
+) -> None:
+    """Close *slot*'s dispatch span on the option that produced its
+    result."""
+    estimated = option.estimated.total
+    trace.end(
+        slot.span,
+        t_ms,
+        server=option.server,
+        estimated_total=estimated,
+        calibrated_total=option.calibrated.total,
+        calibration_factor=(
+            option.calibrated.total / estimated if estimated > 0 else None
+        ),
+        observed_ms=execution.observed_ms,
+        substituted=option.server != slot.choice.server,
+        engine=execution.engine,
+        **attributes,
+    )
 
 
 class InformationIntegrator:
@@ -111,7 +235,6 @@ class InformationIntegrator:
         compile_overhead_ms: float = 2.0,
         failure_penalty_ms: float = 250.0,
         max_retries: int = 3,
-        advance_clock: bool = True,
         enable_plan_cache: bool = True,
         plan_cache_size: int = 128,
         engine: Optional[str] = None,
@@ -130,7 +253,9 @@ class InformationIntegrator:
         self.compile_overhead_ms = compile_overhead_ms
         self.failure_penalty_ms = failure_penalty_ms
         self.max_retries = max_retries
-        self.advance_clock = advance_clock
+        #: Whether :meth:`submit` moves the clock; a scheduler that owns
+        #: the clock (``ConcurrentRuntime``) turns this off.
+        self.advance_clock = True
         self.patroller = QueryPatroller()
         self.explain_table = ExplainTable()
         # The plan cache shares QCC's calibration epoch so recalibrations
@@ -344,6 +469,21 @@ class InformationIntegrator:
 
     # -- run time ------------------------------------------------------------
 
+    def open_query(
+        self,
+        sql: str,
+        t_ms: float,
+        label: Optional[str] = None,
+        **root_attributes: object,
+    ) -> Tuple[PatrolRecord, QueryTrace, Span]:
+        """Log *sql* with the patroller and open its trace and ``query``
+        root span: what every driver does before :meth:`lifecycle` (the
+        concurrent runtime decides admission between the two)."""
+        record = self.patroller.submit(sql, t_ms, label=label)
+        trace = get_obs().tracer.start(record.query_id, sql, t_ms)
+        root = trace.begin("query", t_ms, **root_attributes)
+        return record, trace, root
+
     def submit(
         self,
         sql: str,
@@ -351,19 +491,56 @@ class InformationIntegrator:
         t_ms: Optional[float] = None,
         staleness_tolerance_ms: Optional[float] = None,
     ) -> FederatedResult:
-        """Process one federated query end to end."""
+        """Process one federated query end to end, nothing else in flight.
+
+        The uncontended driver of :meth:`lifecycle`: only ``Delay``s
+        surface here, which the lifecycle has already booked as elapsed
+        time, and the clock moves by ``response_ms`` at the end (a
+        scheduler stepping through the delays could land one ulp off).
+        """
         t0 = self.clock.now if t_ms is None else t_ms
-        record = self.patroller.submit(sql, t0, label=label)
+        process = self.lifecycle(
+            *self.open_query(sql, t0, label),
+            UNCONTENDED,
+            staleness_tolerance_ms,
+        )
+        try:
+            while True:
+                next(process)
+        except StopIteration as done:
+            result = done.value
+        if self.advance_clock and t_ms is None:
+            self.clock.advance(result.response_ms)
+        return result
+
+    def lifecycle(
+        self,
+        record: PatrolRecord,
+        trace: QueryTrace,
+        root: Span,
+        strategy: DispatchStrategy,
+        staleness_tolerance_ms: Optional[float] = None,
+    ) -> Generator[object, object, FederatedResult]:
+        """The one query lifecycle: compile, route, dispatch (retrying
+        around failed servers), merge, report.
+
+        Yields scheduler requests (its own ``Delay``s plus whatever
+        *strategy* yields) to its driver and returns the result; a query
+        that cannot be compiled or runs out of retries is logged as
+        failed and raises :class:`FederationError`.
+        """
         obs = get_obs()
+        mw = self.meta_wrapper
+        t0 = record.submitted_ms
+        eager = strategy.reports_on_execute
         obs.metrics.counter("ii_queries_total").inc()
-        trace = obs.tracer.start(record.query_id, sql, t0)
         if self.qcc is not None:
             self.qcc.tick(t0)
 
         elapsed = self.compile_overhead_ms
         excluded: set = set()
         retries = 0
-        # Retry attempts recompile at the *advanced* clock — the failed
+        # Retry attempts recompile at the *advanced* clock: the failed
         # attempt and its penalty have consumed virtual time, and a
         # compilation stamped with the stale t0 would consult load,
         # availability and replica freshness as of before the failure.
@@ -371,20 +548,21 @@ class InformationIntegrator:
         last_error: Optional[ServerUnavailable] = None
 
         while retries <= self.max_retries:
+            compile_span = trace.begin("compile", t_attempt, attempt=retries)
             try:
                 decomposed, plans = self.compile(
-                    sql, t_attempt, excluded, staleness_tolerance_ms
+                    record.sql, t_attempt, excluded, staleness_tolerance_ms
                 )
             except FederationError as exc:
-                self.patroller.fail(record, t0 + elapsed, str(exc))
-                obs.metrics.counter("ii_query_failures_total").inc()
-                obs.tracer.finish(trace, t0 + elapsed, status="failed")
+                self._fail(record, trace, root, t0 + elapsed, str(exc))
                 raise
             span = trace.begin("route", t_attempt)
             if self.qcc is not None:
                 chosen = self.qcc.recommend_global(decomposed, plans, t_attempt)
             else:
-                chosen = self.router.choose(decomposed, plans, label, t_attempt)
+                chosen = self.router.choose(
+                    decomposed, plans, record.label, t_attempt
+                )
             trace.end(
                 span,
                 t_attempt,
@@ -392,25 +570,185 @@ class InformationIntegrator:
                 estimated_total=chosen.total_cost,
                 candidates=len(plans),
             )
-            try:
-                result = self._execute_plan(
-                    decomposed, chosen, t0 + elapsed, record, retries
+            if retries == 0:
+                # Only the first attempt pays the compile overhead;
+                # retries recompile at the already advanced clock.
+                yield Delay(self.compile_overhead_ms)
+            t_dispatch = t0 + elapsed
+            trace.end(compile_span, t_dispatch, plan_candidates=len(plans))
+            self.explain_table.record(
+                record.query_id, record.sql, t_dispatch, chosen
+            )
+
+            # Execute every fragment at the dispatch instant to learn
+            # its rows and raw service demand.
+            slots: List[FragmentSlot] = []
+            failure: Optional[ServerUnavailable] = None
+            for choice in chosen.choices:
+                # Siblings overlap in virtual time: never stack-nest them.
+                frag_span = trace.begin_child(
+                    root,
+                    "dispatch",
+                    t_dispatch,
+                    fragment=choice.fragment.fragment_id,
+                    server=choice.server,
                 )
-            except ServerUnavailable as exc:
-                last_error = exc
-                excluded.add(exc.server)
-                self.patroller.note_server_failure(record, exc.server)
+                try:
+                    option, execution = (
+                        mw.execute_option(choice, t_dispatch)
+                        if eager
+                        else mw.execute_option(
+                            choice, t_dispatch, report=False
+                        )
+                    )
+                except ServerUnavailable as exc:
+                    failure = exc
+                    trace.end(
+                        frag_span, t_dispatch, failed=True, reason=str(exc)
+                    )
+                    break
+                slots.append(FragmentSlot(choice, option, execution, frag_span))
+
+            if failure is not None:
+                # The attempt is abandoned before any queueing, so the
+                # fragments that did execute count at their raw demand.
+                for slot in slots:
+                    if not eager:
+                        mw.note_execution(
+                            slot.option, slot.execution, t_dispatch
+                        )
+                    _end_dispatch(
+                        trace,
+                        slot,
+                        slot.option,
+                        slot.execution,
+                        t_dispatch + slot.execution.observed_ms,
+                    )
+                last_error = failure
+                excluded.add(failure.server)
+                self.patroller.note_server_failure(record, failure.server)
                 obs.metrics.counter("ii_query_retries_total").inc()
                 trace.event(
-                    "retry", t0 + elapsed, server=exc.server, attempt=retries
+                    "retry",
+                    t_dispatch,
+                    server=failure.server,
+                    attempt=retries,
                 )
                 elapsed += self.failure_penalty_ms
                 retries += 1
                 t_attempt = t0 + elapsed
+                yield Delay(self.failure_penalty_ms)
                 continue
-            self.patroller.complete(record, t0 + result.response_ms)
-            obs.metrics.histogram("ii_response_ms").observe(result.response_ms)
-            obs.tracer.finish(trace, t0 + result.response_ms)
+
+            settled = yield from strategy.dispatch(slots, t_dispatch, trace)
+            outcomes: Dict[str, FragmentOutcome] = {}
+            remote_ms = 0.0
+            reroutes = 0
+            for slot, (option, execution, learned, completion, tags) in zip(
+                slots, settled
+            ):
+                if not eager:
+                    mw.note_execution(option, learned, t_dispatch)
+                _end_dispatch(
+                    trace,
+                    slot,
+                    option,
+                    execution,
+                    completion.finished_ms,
+                    queue_wait_ms=completion.wait_ms,
+                    service_ms=completion.service_ms,
+                    sojourn_ms=completion.sojourn_ms,
+                    depth_at_arrival=completion.depth_at_arrival,
+                    **tags,
+                )
+                outcomes[option.fragment.fragment_id] = FragmentOutcome(
+                    option=option, execution=execution
+                )
+                remote_ms = max(remote_ms, execution.observed_ms)
+                reroutes += "rerouted" in tags
+
+            # II-side merge: computed locally, charged by the strategy.
+            inputs: Dict[str, PhysicalPlan] = {
+                fragment_id: MaterializedInput(
+                    fragment_id,
+                    decomposed.fragment_for_binding(
+                        outcome.option.fragment.bindings[0]
+                    ).output_schema,
+                    outcome.execution.rows,
+                )
+                for fragment_id, outcome in outcomes.items()
+            }
+            t_merge = t_dispatch + remote_ms
+            merge_span = trace.begin_child(root, "merge", t_merge)
+            merge_plan = build_merge_plan(decomposed, inputs)
+            merge_result = execute_plan(
+                merge_plan, self._merge_storage, self.params, engine=self.engine
+            )
+            level = self.load.level(t_dispatch)
+            merge_demand_ms = (
+                self.profile.cpu_ms(merge_result.meter.cpu_ms)
+                * self.contention.cpu_multiplier(level)
+                + self.profile.io_ms(merge_result.meter.io_ms)
+                * self.contention.io_multiplier(level)
+            )
+            merged = yield from strategy.merge(
+                merge_demand_ms, t_merge, trace, merge_span
+            )
+            merge_ms = merged.sojourn_ms
+            trace.end(
+                merge_span,
+                merged.finished_ms,
+                estimated_total=chosen.merge_cost.total,
+                observed_ms=merge_ms,
+                rows=len(merge_result.rows),
+                ii_load=level,
+                engine=merge_result.engine,
+            )
+            obs.metrics.histogram("ii_merge_ms").observe(merge_ms)
+            obs.metrics.histogram("ii_remote_ms").observe(remote_ms)
+
+            # merged.finished_ms - t0, up to float residue.
+            response_ms = (t_dispatch - t0) + remote_ms + merge_ms
+            if self.qcc is not None:
+                raw_estimate = (
+                    max(c.calibrated.total for c in chosen.choices)
+                    + chosen.merge_cost.total
+                )
+                self.qcc.record_ii_execution(
+                    estimated_total=raw_estimate,
+                    observed_ms=remote_ms + merge_ms,
+                    t_ms=t_dispatch,
+                )
+            result = FederatedResult(
+                rows=merge_result.rows,
+                schema=merge_result.schema,
+                response_ms=response_ms,
+                plan=chosen,
+                fragments=outcomes,
+                record=record,
+                merge_ms=merge_ms,
+                remote_ms=remote_ms,
+                retries=retries,
+                merge_plan=merge_plan,
+                reroutes=reroutes,
+            )
+            self.patroller.complete(record, t0 + response_ms)
+            obs.metrics.histogram("ii_response_ms").observe(response_ms)
+            # The root span carries the latency ledger that
+            # obs.flight.decompose_trace reads back.  It closes at the
+            # merge's own finish instant: t0 + response_ms can sit one
+            # ulp past it, leaving the merge span poking out of its parent.
+            trace.end(
+                root,
+                merged.finished_ms,
+                status="completed",
+                pre_dispatch_ms=t_dispatch - t0,
+                remote_ms=remote_ms,
+                merge_ms=merge_ms,
+                response_ms=response_ms,
+                retries=retries,
+            )
+            obs.tracer.finish(trace, merged.finished_ms)
             if trace is not NULL_TRACE:
                 result.trace = trace
                 self.explain_table.attach_trace(record.query_id, trace)
@@ -420,8 +758,6 @@ class InformationIntegrator:
                 self.explain_table.attach_profile(
                     record.query_id, result.profile
                 )
-            if self.advance_clock and t_ms is None:
-                self.clock.advance(result.response_ms)
             return result
 
         # ``retries`` has overshot by one on exit: it counts *attempts*
@@ -431,118 +767,30 @@ class InformationIntegrator:
             f" ({retries} attempts)"
             + (f": {last_error}" if last_error else "")
         )
-        self.patroller.fail(
+        self._fail(
             record,
+            trace,
+            root,
             t0 + elapsed,
             message,
             server=last_error.server if last_error else None,
         )
-        obs.metrics.counter("ii_query_failures_total").inc()
-        obs.tracer.finish(trace, t0 + elapsed, status="failed")
         raise FederationError(message)
 
-    def _execute_plan(
+    def _fail(
         self,
-        decomposed: DecomposedQuery,
-        chosen: GlobalPlan,
-        t_ms: float,
         record: PatrolRecord,
-        retries: int,
-    ) -> FederatedResult:
-        self.explain_table.record(record.query_id, record.sql, t_ms, chosen)
+        trace: QueryTrace,
+        root: Span,
+        t_ms: float,
+        message: str,
+        server: Optional[str] = None,
+    ) -> None:
+        self.patroller.fail(record, t_ms, message, server=server)
         obs = get_obs()
-        trace = obs.tracer.current or NULL_TRACE
-
-        # Dispatch every fragment at the same instant (concurrently).
-        outcomes: Dict[str, FragmentOutcome] = {}
-        remote_ms = 0.0
-        for choice in chosen.choices:
-            span = trace.begin(
-                "dispatch",
-                t_ms,
-                fragment=choice.fragment.fragment_id,
-                server=choice.server,
-            )
-            option, execution = self.meta_wrapper.execute_option(choice, t_ms)
-            estimated = option.estimated.total
-            trace.end(
-                span,
-                t_ms + execution.observed_ms,
-                server=option.server,
-                estimated_total=estimated,
-                calibrated_total=option.calibrated.total,
-                calibration_factor=(
-                    option.calibrated.total / estimated if estimated > 0 else None
-                ),
-                observed_ms=execution.observed_ms,
-                substituted=option.server != choice.server,
-                engine=execution.engine,
-            )
-            outcomes[option.fragment.fragment_id] = FragmentOutcome(
-                option=option, execution=execution
-            )
-            remote_ms = max(remote_ms, execution.observed_ms)
-
-        # II-side merge over the fragment results.
-        inputs: Dict[str, PhysicalPlan] = {
-            fragment_id: MaterializedInput(
-                fragment_id,
-                decomposed.fragment_for_binding(
-                    outcome.option.fragment.bindings[0]
-                ).output_schema,
-                outcome.execution.rows,
-            )
-            for fragment_id, outcome in outcomes.items()
-        }
-        span = trace.begin("merge", t_ms + remote_ms)
-        merge_plan = build_merge_plan(decomposed, inputs)
-        merge_result = execute_plan(
-            merge_plan, self._merge_storage, self.params, engine=self.engine
-        )
-        level = self.load.level(t_ms)
-        merge_ms = (
-            self.profile.cpu_ms(merge_result.meter.cpu_ms)
-            * self.contention.cpu_multiplier(level)
-            + self.profile.io_ms(merge_result.meter.io_ms)
-            * self.contention.io_multiplier(level)
-        )
-        trace.end(
-            span,
-            t_ms + remote_ms + merge_ms,
-            estimated_total=chosen.merge_cost.total,
-            observed_ms=merge_ms,
-            rows=len(merge_result.rows),
-            ii_load=level,
-            engine=merge_result.engine,
-        )
-        obs.metrics.histogram("ii_merge_ms").observe(merge_ms)
-        obs.metrics.histogram("ii_remote_ms").observe(remote_ms)
-
-        response_ms = (t_ms - record.submitted_ms) + remote_ms + merge_ms
-
-        if self.qcc is not None:
-            raw_estimate = (
-                max(c.calibrated.total for c in chosen.choices)
-                + chosen.merge_cost.total
-            )
-            self.qcc.record_ii_execution(
-                estimated_total=raw_estimate,
-                observed_ms=remote_ms + merge_ms,
-                t_ms=t_ms,
-            )
-
-        return FederatedResult(
-            rows=merge_result.rows,
-            schema=merge_result.schema,
-            response_ms=response_ms,
-            plan=chosen,
-            fragments=outcomes,
-            record=record,
-            merge_ms=merge_ms,
-            remote_ms=remote_ms,
-            retries=retries,
-            merge_plan=merge_plan,
-        )
+        obs.metrics.counter("ii_query_failures_total").inc()
+        root.annotate(status="failed", reason=message)
+        obs.tracer.finish(trace, t_ms, status="failed")
 
     # -- convenience -----------------------------------------------------
 

@@ -206,24 +206,6 @@ def merge_partial_rows(
     return list(primary_rows[:cut_row]) + list(replica_rows[cut_row:])
 
 
-@dataclass(frozen=True)
-class RerouteSettle:
-    """Settlement of one migrated fragment (the hedge-outcome analogue
-    threaded through the runtime's settled tuples)."""
-
-    target: FragmentOption
-    merged_rows: List[Row]
-    cut_row: int
-    migrated_rows: int
-    #: Service consumed past the checkpointed boundary — the re-shipped
-    #: partial batch, the price paid for a clean cut.
-    wasted_ms: float
-    #: Total primary service consumed when the migration fired.
-    consumed_ms: float
-    #: Virtual instant the migration fired.
-    fired_ms: float
-
-
 class ReroutePolicy:
     """Decides and accounts for mid-query migrations."""
 
