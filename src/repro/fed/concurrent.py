@@ -28,12 +28,6 @@ priority class; the :class:`~repro.fed.admission.AdmissionController`
 sheds it (recorded, budgeted, token-audited) before any work is done
 when the class is out of tokens or the backlog already exceeds its
 latency budget.
-
-Known approximation: the observability tracer's "current trace" is
-process-global, so spans from overlapping queries attach to whichever
-trace started last when tracing is enabled.  Each query's own trace
-object is still threaded through its coroutine, so per-query span data
-is correct; only ``tracer.current`` is ambiguous mid-flight.
 """
 
 from __future__ import annotations
@@ -358,6 +352,7 @@ class QueuedDispatch(DispatchStrategy):
 
     def dispatch(self, slots, t_dispatch, trace):
         outcomes = yield AllOf([self.request(slot, trace) for slot in slots])
+        get_obs().tracer.resume(trace)
         return [
             self.settle(slot, outcome, t_dispatch, trace)
             for slot, outcome in zip(slots, outcomes)
@@ -478,6 +473,7 @@ class QueuedDispatch(DispatchStrategy):
         may lose, or ships only a tail, must never feed the calibrator.
         Returns the ``(target, execution, span)`` it left on the slot,
         or None when the target turns out to be down."""
+        get_obs().tracer.resume(trace)
         try:
             target, execution = (
                 self.runtime.integrator.meta_wrapper.execute_option(

@@ -574,6 +574,7 @@ class InformationIntegrator:
                 # Only the first attempt pays the compile overhead;
                 # retries recompile at the already advanced clock.
                 yield Delay(self.compile_overhead_ms)
+                obs.tracer.resume(trace)
             t_dispatch = t0 + elapsed
             trace.end(compile_span, t_dispatch, plan_candidates=len(plans))
             self.explain_table.record(
@@ -638,6 +639,7 @@ class InformationIntegrator:
                 retries += 1
                 t_attempt = t0 + elapsed
                 yield Delay(self.failure_penalty_ms)
+                obs.tracer.resume(trace)
                 continue
 
             settled = yield from strategy.dispatch(slots, t_dispatch, trace)

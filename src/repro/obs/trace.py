@@ -9,7 +9,8 @@ dicts / JSON.
 
 The :class:`Tracer` keeps the *current* trace so that components below
 the integrator (the meta-wrapper, QCC) can annotate the in-flight query
-without threading a handle through every call.  :data:`NULL_TRACER` and
+without threading a handle through every call; a query that yields to
+others calls :meth:`Tracer.resume` when it runs again.  :data:`NULL_TRACER` and
 :data:`NULL_TRACE` implement the same surface as no-ops — the default
 until ``repro.obs.configure()`` enables tracing.
 """
@@ -238,6 +239,12 @@ class Tracer:
         self.current = trace
         return trace
 
+    def resume(self, trace: QueryTrace) -> None:
+        """Make *trace* current again.  Overlapping queries interleave
+        at their yields; each calls this when it resumes, so whatever
+        components below the integrator emit next lands in its trace."""
+        self.current = trace
+
     def finish(
         self, trace: QueryTrace, t_ms: float, status: str = "completed"
     ) -> QueryTrace:
@@ -308,6 +315,9 @@ class NullTracer(Tracer):
 
     def start(self, query_id: int, sql: str, t_ms: float) -> QueryTrace:
         return NULL_TRACE
+
+    def resume(self, trace: QueryTrace) -> None:
+        pass
 
     def finish(
         self, trace: QueryTrace, t_ms: float, status: str = "completed"

@@ -217,3 +217,50 @@ class TestHedgeTracing:
             out = decompose_trace(handle.trace)
             assert out["exact"] is True
             assert out["total_ms"] == handle.result.response_ms
+
+
+class TestOverlapAttribution:
+    """Spans and events a query causes after yielding to another query
+    land in its own trace, not in whichever trace started last."""
+
+    def test_retry_compile_spans_stay_with_the_retrying_query(
+        self, sample_databases
+    ):
+        from repro.harness import build_federation
+        from repro.sim import OutageSchedule
+        from repro.workload.queries import QT1, QT3
+
+        # S3 wins at base load, is up for the first compile (t=0) and
+        # down at the first dispatch (t=2): the first query fails over
+        # and recompiles at t=252, while a second query that started at
+        # t=251 is still inside its own compile delay.
+        deployment = build_federation(
+            scale=TEST_SCALE,
+            prebuilt_databases=sample_databases,
+            availability={"S3": OutageSchedule([(1.0, 200.0)])},
+        )
+        obs.configure(metrics=False, tracing=True, log_level=None)
+        try:
+            runtime = ConcurrentRuntime(deployment.integrator)
+            retrying = runtime.submit_at(0.0, QT3.instance(0).sql)
+            bystander = runtime.submit_at(251.0, QT1.instance(0).sql)
+            runtime.run()
+        finally:
+            obs.disable()
+        assert retrying.result.retries == 1
+        assert bystander.result.retries == 0
+
+        first, second = retrying.trace.find("compile")
+        assert second.attributes["attempt"] == 1
+        assert second.start_ms == 252.0
+        assert [s.name for s in second.find("decompose")] == ["decompose"]
+        assert second.find("plan_enumeration")
+        assert second.find("plan_cache")
+        # The bystander compiled once, and only its own statement.
+        (compile_span,) = bystander.trace.find("compile")
+        for name in ("decompose", "plan_enumeration"):
+            (span,) = bystander.trace.find(name)
+            assert span in compile_span.children
+        (decompose,) = bystander.trace.find("decompose")
+        assert decompose.attributes["sql"] == bystander.sql
+        assert not bystander.trace.find("retry")
