@@ -3,9 +3,8 @@
 :class:`ConcurrentRuntime` drives an unmodified
 :class:`~repro.fed.integrator.InformationIntegrator` from a
 discrete-event scheduler (:mod:`repro.sim.sched`).  Each submitted query
-is one run of the integrator's own
-:meth:`~repro.fed.integrator.InformationIntegrator.lifecycle`, spawned
-as a scheduler process behind the admission front door; instead of
+is one run of the integrator's own ``lifecycle`` generator, spawned as
+a scheduler process behind the admission front door; instead of
 settling fragment demands at their raw value, a :class:`QueuedDispatch`
 strategy *yields* them into per-server capacity queues.  When many
 queries are in flight their fragments contend, sojourn times inflate,
@@ -13,8 +12,7 @@ and the inflated sojourns (not the raw demands) are what the
 meta-wrapper reports to QCC: the calibrator observes load exactly the
 way the paper's testbed observed update storms, except the load now
 emerges from query concurrency itself.  :class:`HedgedDispatch` and
-:class:`MigratableDispatch` race each queued fragment against a second
-leg at the next HRW-ranked replica.
+:class:`MigratableDispatch` add a second leg at the next HRW replica.
 
 Equivalence guarantee: a query that meets no contention (every queue
 empty for its whole lifetime) observes sojourn == raw demand *exactly*
@@ -197,9 +195,7 @@ class ConcurrentRuntime:
             self.queue_for(name)
         self.handles: List[QueryHandle] = []
         #: Highest-priority class: the default for unclassified queries.
-        self._default_class = min(
-            classes, key=lambda c: c.rank
-        ).name
+        self._default_class = min(classes, key=lambda c: c.rank).name
 
     # -- queue plumbing --------------------------------------------------
 
@@ -284,59 +280,58 @@ class ConcurrentRuntime:
         ii = self.integrator
         obs = get_obs()
         t0 = handle.submitted_ms
-        obs.metrics.gauge("sched_in_flight").set(
-            self.scheduler.live_processes
-        )
-        record, trace, root = ii.open_query(
-            handle.sql,
-            t0,
-            handle.label,
-            klass=handle.klass,
-            query_index=handle.index,
-        )
-        if trace is not NULL_TRACE:
-            self._ensure_span_recorder()
-            handle.trace = trace
-        decision = self.admission.decide(handle.klass, t0)
-        trace.event(
-            "admission",
-            t0,
-            admitted=decision.admitted,
-            tokens_before=decision.tokens_before,
-            predicted_ms=decision.predicted_ms,
-            budget_ms=(
-                None if math.isinf(decision.budget_ms)
-                else decision.budget_ms
-            ),
-            reason=decision.reason or "admitted",
-        )
-        if not decision.admitted:
-            ii.patroller.shed(record, t0, decision.reason)
-            obs.metrics.counter(
-                "admission_shed_total",
-                klass=handle.klass,
-                reason=decision.reason,
-            ).inc()
-            trace.end(root, t0, status="shed", reason=decision.reason)
-            obs.tracer.finish(trace, t0, status="shed")
-            handle.shed = ShedVerdict(record=record, decision=decision)
-            return
-        obs.metrics.counter(
-            "admission_admitted_total", klass=handle.klass
-        ).inc()
+        in_flight = obs.metrics.gauge("sched_in_flight")
+        in_flight.set(self.scheduler.live_processes)
         try:
+            record, trace, root = ii.open_query(
+                handle.sql,
+                t0,
+                handle.label,
+                klass=handle.klass,
+                query_index=handle.index,
+            )
+            if trace is not NULL_TRACE:
+                self._ensure_span_recorder()
+                handle.trace = trace
+            decision = self.admission.decide(handle.klass, t0)
+            trace.event(
+                "admission",
+                t0,
+                admitted=decision.admitted,
+                tokens_before=decision.tokens_before,
+                predicted_ms=decision.predicted_ms,
+                budget_ms=(
+                    None if math.isinf(decision.budget_ms)
+                    else decision.budget_ms
+                ),
+                reason=decision.reason or "admitted",
+            )
+            if not decision.admitted:
+                ii.patroller.shed(record, t0, decision.reason)
+                obs.metrics.counter(
+                    "admission_shed_total",
+                    klass=handle.klass,
+                    reason=decision.reason,
+                ).inc()
+                trace.end(root, t0, status="shed", reason=decision.reason)
+                obs.tracer.finish(trace, t0, status="shed")
+                handle.shed = ShedVerdict(record=record, decision=decision)
+                return
+            obs.metrics.counter(
+                "admission_admitted_total", klass=handle.klass
+            ).inc()
             handle.result = yield from ii.lifecycle(
                 record, trace, root, self.strategy, staleness_tolerance_ms
             )
+            obs.metrics.histogram(
+                "query_sojourn_ms", klass=handle.klass
+            ).observe(handle.result.response_ms)
         except FederationError as exc:
             handle.error = exc
-            return
-        obs.metrics.histogram(
-            "query_sojourn_ms", klass=handle.klass
-        ).observe(handle.result.response_ms)
-        obs.metrics.gauge("sched_in_flight").set(
-            self.scheduler.live_processes - 1
-        )
+        finally:
+            # On every exit (shed, failed, completed) the scheduler
+            # still counts this process as live.
+            in_flight.set(self.scheduler.live_processes - 1)
 
 
 class QueuedDispatch(DispatchStrategy):
@@ -383,7 +378,9 @@ class QueuedDispatch(DispatchStrategy):
         self, slot: FragmentSlot, outcome, t_dispatch: float, trace: QueryTrace
     ) -> Settled:
         """Resolve what :meth:`request` resumed with."""
-        return self.settled(slot.option, slot.execution, outcome)
+        return self.settled(
+            slot.option, slot.execution, outcome, outcome.sojourn_ms
+        )
 
     # -- shared by every queued strategy --------------------------------
 
@@ -401,13 +398,12 @@ class QueuedDispatch(DispatchStrategy):
         option: FragmentOption,
         execution,
         completion,
-        effective_ms: Optional[float] = None,
+        effective_ms: float,
         learned=None,
         **tags: object,
     ) -> Settled:
-        """*option*'s *execution* at its effective latency (*completion*'s
-        sojourn unless a race says otherwise), which QCC learns too
-        unless *learned* overrides it."""
+        """*option*'s *execution* at the fragment's effective latency,
+        which QCC learns too unless *learned* overrides it."""
         metrics = get_obs().metrics
         metrics.histogram("sched_sojourn_ms", server=option.server).observe(
             completion.sojourn_ms
@@ -415,8 +411,6 @@ class QueuedDispatch(DispatchStrategy):
         metrics.gauge("sched_queue_depth", server=option.server).set(
             self.runtime.queue_for(option.server).depth
         )
-        if effective_ms is None:
-            effective_ms = completion.sojourn_ms
         inflated = dataclasses.replace(execution, observed_ms=effective_ms)
         return Settled(option, inflated, learned or inflated, completion, tags)
 
@@ -468,11 +462,10 @@ class QueuedDispatch(DispatchStrategy):
         **attributes: object,
     ) -> Optional[tuple]:
         """Execute *slot*'s fragment at *target* as the second leg of a
-        race, its *name* span (and so its queue lifecycle, or cancelled
+        race, its *name* span (hence its queue lifecycle or cancelled
         slice) under the dispatch span.  ``report=False``: a leg that
         may lose, or ships only a tail, must never feed the calibrator.
-        Returns the ``(target, execution, span)`` it left on the slot,
-        or None when the target turns out to be down."""
+        Returns the slot's new ``leg``, or None if the target is down."""
         get_obs().tracer.resume(trace)
         try:
             target, execution = (
@@ -498,9 +491,8 @@ class QueuedDispatch(DispatchStrategy):
 
 class HedgedDispatch(QueuedDispatch):
     """Race each fragment against a timer-armed backup at the next
-    HRW-ranked replica; only the winner's execution flows onward
-    (runtime log, calibrator, merge), the cancelled loser leaves a
-    waste metric."""
+    HRW-ranked replica; only the winner flows onward (runtime log,
+    calibrator, merge), the cancelled loser leaves a waste metric."""
 
     def request(self, slot, trace):
         policy = self.policy
@@ -646,8 +638,8 @@ class MigratableDispatch(QueuedDispatch):
     def settle(self, slot, outcome, t_dispatch, trace):
         completion = outcome.completion
         if not outcome.migrated:
-            return self.settled(slot.option, slot.execution, completion)
-        primary, execution = slot.option, slot.execution
+            return super().settle(slot, completion, t_dispatch, trace)
+        execution = slot.execution
         target, target_execution, span, point = slot.leg
         migrated_rows = execution.row_count - point.cut_row
         # Service past the checkpointed boundary is the partial batch
@@ -655,7 +647,7 @@ class MigratableDispatch(QueuedDispatch):
         wasted_ms = max(0.0, outcome.consumed_ms - point.kept_demand_ms)
         self.policy.note_fired(migrated_rows, wasted_ms)
         self.runtime.integrator.meta_wrapper.note_reroute(
-            primary,
+            slot.option,
             target,
             cut_row=point.cut_row,
             wasted_ms=wasted_ms,
@@ -674,7 +666,7 @@ class MigratableDispatch(QueuedDispatch):
             ),
         )
         return self.settled(
-            primary,
+            slot.option,
             merged,
             completion,
             # Primary dispatch through the migrated tail's completion.

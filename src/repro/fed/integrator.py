@@ -123,8 +123,7 @@ class Settled(NamedTuple):
     #: with its rows at the fragment's effective latency.
     option: FragmentOption
     execution: RemoteExecution
-    #: What QCC learns from: the same, except for a migrated fragment
-    #: (see :mod:`repro.fed.rerouting`, calibrator discipline).
+    #: What QCC learns from: the same, unless the fragment migrated.
     learned: RemoteExecution
     completion: Completion
     #: Extra ``dispatch``-span attributes describing a race.
@@ -137,10 +136,9 @@ class DispatchStrategy:
     methods are generators; what they yield goes to the lifecycle's
     driver, what they return comes back to the lifecycle."""
 
-    #: True when a fragment's latency is known the instant it executes:
-    #: ``execute_option`` then reports to QCC itself, *before* the next
-    #: fragment executes.  Otherwise the lifecycle reports each
-    #: fragment's ``learned`` execution once it has settled.
+    #: True when a fragment's latency is known as it executes, so that
+    #: ``execute_option`` reports to QCC itself, *before* the next one
+    #: executes; otherwise the lifecycle reports ``learned`` at settle.
     reports_on_execute = False
 
     def dispatch(
@@ -163,24 +161,26 @@ class _Uncontended(DispatchStrategy):
 
     @staticmethod
     def _alone(queue: str, t_ms: float, demand_ms: float) -> Completion:
+        """*demand_ms* submitted at *t_ms* to an idle *queue*."""
         return Completion(
-            queue, t_ms, t_ms, t_ms + demand_ms, demand_ms, demand_ms, 1, False
+            queue=queue,
+            queued_ms=t_ms,
+            started_ms=t_ms,
+            finished_ms=t_ms + demand_ms,
+            demand_ms=demand_ms,
+            service_ms=demand_ms,
+            depth_at_arrival=1,
+            contended=False,
         )
 
     def dispatch(self, slots, t_dispatch, trace):
         yield from ()  # nothing to wait for
-        return [
-            Settled(
-                slot.option,
-                slot.execution,
-                slot.execution,
-                self._alone(
-                    slot.option.server, t_dispatch, slot.execution.observed_ms
-                ),
-                {},
-            )
-            for slot in slots
-        ]
+        settled = []
+        for slot in slots:
+            ran = slot.execution
+            alone = self._alone(slot.option.server, t_dispatch, ran.observed_ms)
+            settled.append(Settled(slot.option, ran, ran, alone, {}))
+        return settled
 
     def merge(self, demand_ms, t_ms, trace, span):
         yield from ()
@@ -198,8 +198,7 @@ def _end_dispatch(
     t_ms: float,
     **attributes: object,
 ) -> None:
-    """Close *slot*'s dispatch span on the option that produced its
-    result."""
+    """Close *slot*'s dispatch span on the option whose result flows on."""
     estimated = option.estimated.total
     trace.end(
         slot.span,
@@ -499,11 +498,8 @@ class InformationIntegrator:
         scheduler stepping through the delays could land one ulp off).
         """
         t0 = self.clock.now if t_ms is None else t_ms
-        process = self.lifecycle(
-            *self.open_query(sql, t0, label),
-            UNCONTENDED,
-            staleness_tolerance_ms,
-        )
+        query = self.open_query(sql, t0, label)
+        process = self.lifecycle(*query, UNCONTENDED, staleness_tolerance_ms)
         try:
             while True:
                 next(process)
@@ -603,7 +599,7 @@ class InformationIntegrator:
                         )
                     )
                 except ServerUnavailable as exc:
-                    failure = exc
+                    failure = last_error = exc
                     trace.end(
                         frag_span, t_dispatch, failed=True, reason=str(exc)
                     )
@@ -625,15 +621,11 @@ class InformationIntegrator:
                         slot.execution,
                         t_dispatch + slot.execution.observed_ms,
                     )
-                last_error = failure
                 excluded.add(failure.server)
                 self.patroller.note_server_failure(record, failure.server)
                 obs.metrics.counter("ii_query_retries_total").inc()
                 trace.event(
-                    "retry",
-                    t_dispatch,
-                    server=failure.server,
-                    attempt=retries,
+                    "retry", t_dispatch, server=failure.server, attempt=retries
                 )
                 elapsed += self.failure_penalty_ms
                 retries += 1

@@ -264,3 +264,49 @@ class TestOverlapAttribution:
         (decompose,) = bystander.trace.find("decompose")
         assert decompose.attributes["sql"] == bystander.sql
         assert not bystander.trace.find("retry")
+
+
+class TestInFlightGauge:
+    """``sched_in_flight`` is settled on every exit of a query, not only
+    the completed one: a drained runtime always reads zero."""
+
+    @pytest.mark.parametrize("last_outcome", ["shed", "failed"])
+    def test_drained_runtime_reads_zero(self, sample_databases, last_outcome):
+        from repro.fed import PriorityClass
+        from repro.harness import build_federation
+        from repro.sim import OutageSchedule
+        from repro.workload.queries import QT1
+
+        # One token, refilled far too slowly for the second arrival;
+        # every server down by the time the second query compiles.
+        classes = (
+            PriorityClass(
+                "only",
+                rank=0,
+                rate_qps=0.001 if last_outcome == "shed" else 1000.0,
+                burst=1.0,
+            ),
+        )
+        outage = OutageSchedule([(500.0, 10_000.0)])
+        deployment = build_federation(
+            scale=TEST_SCALE,
+            prebuilt_databases=sample_databases,
+            availability=(
+                {} if last_outcome == "shed"
+                else {name: outage for name in ("S1", "S2", "S3")}
+            ),
+        )
+        sink = obs.configure(metrics=True, tracing=False, log_level=None)
+        try:
+            runtime = ConcurrentRuntime(deployment.integrator, classes=classes)
+            sql = QT1.instance(0).sql
+            first = runtime.submit_at(0.0, sql)
+            last = runtime.submit_at(1_000.0, sql)
+            runtime.run()
+            in_flight = sink.metrics.gauge_value("sched_in_flight")
+        finally:
+            obs.disable()
+        assert first.status == "completed"
+        assert last.status == last_outcome
+        assert runtime.scheduler.live_processes == 0
+        assert in_flight == 0.0

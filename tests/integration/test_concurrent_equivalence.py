@@ -11,8 +11,17 @@ feed the calibrator.
 
 import pytest
 
-from repro.fed import ConcurrentRuntime, DEFAULT_CLASSES, PriorityClass
+import repro.obs as obs
+from repro.fed import (
+    ConcurrentRuntime,
+    DEFAULT_CLASSES,
+    FederationError,
+    PriorityClass,
+    QueryStatus,
+)
 from repro.harness import build_federation
+from repro.obs import decompose_trace
+from repro.sim import OutageSchedule, WindowedErrorInjector
 from repro.workload import TEST_SCALE, build_workload
 from repro.workload.queries import QT1, QT3
 
@@ -20,36 +29,112 @@ from repro.workload.queries import QT1, QT3
 # sequential reference and the concurrent run.
 
 
+#: Fault scenarios for the lone-query equivalence: every server up, or
+#: the base-load winner (S3) up for the first compile at t=0 but down
+#: from the first dispatch on, so the query fails over (retry + exclude).
+SCENARIOS = {
+    "all-up": {},
+    "winner-down": {"outages": {"S3": [(1.0, 1e9)]}},
+}
+
+#: Ways for a lone query to fail: every dispatch errors until the retry
+#: budget is spent, or every server is gone by the first retry's compile.
+FAILURES = {
+    "retries exhausted": {"erroring_from_ms": 1.0, "max_retries": 1},
+    "nothing viable": {
+        "outages": dict.fromkeys(("S1", "S2", "S3"), [(1.0, 1e9)])
+    },
+}
+
+
 @pytest.fixture()
 def make_deployment(sample_databases):
-    def factory():
-        return build_federation(
-            scale=TEST_SCALE, prebuilt_databases=sample_databases
+    def factory(outages=None, erroring_from_ms=None, max_retries=3):
+        deployment = build_federation(
+            scale=TEST_SCALE,
+            prebuilt_databases=sample_databases,
+            availability={
+                server: OutageSchedule(windows)
+                for server, windows in (outages or {}).items()
+            },
         )
+        if erroring_from_ms is not None:
+            # Up, so every compile sees it, but failing every execute.
+            for server in deployment.servers.values():
+                server.errors = WindowedErrorInjector(
+                    [(erroring_from_ms, 1e9, 1.0)]
+                )
+        deployment.integrator.max_retries = max_retries
+        return deployment
 
     return factory
 
 
+def run_both(make_deployment, sql, faults=None, label=None, **runtime_kwargs):
+    """One lone query through each driver of the lifecycle, on
+    identically built federations: ``submit`` (uncontended) and a
+    :class:`ConcurrentRuntime`.  Returns ``(deployment, outcome)`` per
+    driver, the outcome being the result or the FederationError."""
+    faults = faults or {}
+    sequential = make_deployment(**faults)
+    try:
+        reference = sequential.integrator.submit(sql, label=label)
+    except FederationError as exc:
+        reference = exc
+    concurrent = make_deployment(**faults)
+    runtime = ConcurrentRuntime(concurrent.integrator, **runtime_kwargs)
+    handle = runtime.submit_at(0.0, sql, klass="gold", label=label)
+    runtime.run()
+    return (sequential, reference), (concurrent, handle.result or handle.error)
+
+
+def books(deployment):
+    """Everything the lifecycle reports to, beyond the result itself."""
+    qcc = deployment.qcc
+    return {
+        "runtime_log": deployment.meta_wrapper.runtime_log,
+        "patrol": deployment.integrator.patroller.records(),
+        "availability": {
+            server: list(health.outcomes)
+            for server, health in qcc.availability._health.items()
+        },
+        "decisions": qcc.decision_log,
+        "executions": qcc.execution_records,
+        "epoch": deployment.integrator.calibration_epoch.value,
+    }
+
+
+def span_tree(span):
+    """A span as comparable data, without what only a scheduler adds:
+    the admission event, queue_wait/service children and the class."""
+    attributes = {
+        key: value
+        for key, value in span.attributes.items()
+        if key not in ("klass", "query_index")
+    }
+    children = [
+        span_tree(child)
+        for child in span.children
+        if child.name not in ("admission", "queue_wait", "service")
+    ]
+    return (span.name, span.start_ms, span.end_ms, attributes, children)
+
+
 class TestSingleQueryEquivalence:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("discipline", ["ps", "fifo"])
     def test_single_query_is_bit_identical(
-        self, make_deployment, discipline
+        self, make_deployment, discipline, scenario
     ):
+        retried = 0
         for instance in build_workload(instances_per_type=1):
-            sequential = make_deployment()
-            reference = sequential.integrator.submit(
-                instance.sql, label=instance.label
+            (sequential, reference), (concurrent, result) = run_both(
+                make_deployment,
+                instance.sql,
+                SCENARIOS[scenario],
+                label=instance.label,
+                discipline=discipline,
             )
-
-            concurrent = make_deployment()
-            runtime = ConcurrentRuntime(
-                concurrent.integrator, discipline=discipline
-            )
-            handle = runtime.submit_at(0.0, instance.sql, klass="gold")
-            runtime.run()
-
-            result = handle.result
-            assert result is not None, handle.error
             # Exact equality, not approx: an uncontended queue must add
             # zero float residue to any observable.
             assert result.rows == reference.rows
@@ -58,29 +143,44 @@ class TestSingleQueryEquivalence:
             assert result.merge_ms == reference.merge_ms
             assert result.retries == reference.retries
             assert result.plan.servers == reference.plan.servers
+            assert books(concurrent) == books(sequential)
+            retried += reference.retries
+        assert (retried > 0) == (scenario == "winner-down")
 
-    def test_single_query_calibrator_feedback_is_bit_identical(
-        self, make_deployment
-    ):
-        instance = QT3.instance(0)
+    @pytest.mark.parametrize("failure", sorted(FAILURES))
+    def test_failed_query_is_bit_identical(self, make_deployment, failure):
+        """Both drivers give up with the same message, at the same
+        instant, with the same books."""
+        (sequential, reference), (concurrent, error) = run_both(
+            make_deployment, QT3.instance(0).sql, FAILURES[failure]
+        )
+        assert isinstance(reference, FederationError)
+        assert isinstance(error, FederationError)
+        assert ("retries" in str(reference)) == (
+            failure == "retries exhausted"
+        )
+        assert str(error) == str(reference)
+        (record,) = sequential.integrator.patroller.records()
+        assert record.status is QueryStatus.FAILED
+        assert books(concurrent) == books(sequential)
 
-        sequential = make_deployment()
-        sequential.integrator.submit(instance.sql)
-
-        concurrent = make_deployment()
-        runtime = ConcurrentRuntime(concurrent.integrator)
-        runtime.submit_at(0.0, instance.sql, klass="gold")
-        runtime.run()
-
-        seq_log = sequential.meta_wrapper.runtime_log
-        conc_log = concurrent.meta_wrapper.runtime_log
-        assert [
-            (e.server, e.fragment_signature, e.observed_ms, e.estimated_total)
-            for e in seq_log
-        ] == [
-            (e.server, e.fragment_signature, e.observed_ms, e.estimated_total)
-            for e in conc_log
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_span_trees_are_identical(self, make_deployment, scenario):
+        """One span shape: the two drivers differ only in what a
+        scheduler adds (admission, queue_wait/service, the class)."""
+        obs.configure(metrics=False, tracing=True, log_level=None)
+        try:
+            (_, reference), (_, result) = run_both(
+                make_deployment, QT3.instance(0).sql, SCENARIOS[scenario]
+            )
+        finally:
+            obs.disable()
+        assert [s.name for s in reference.trace.spans] == ["query"]
+        assert [span_tree(s) for s in result.trace.spans] == [
+            span_tree(s) for s in reference.trace.spans
         ]
+        assert result.trace.finished_ms == reference.trace.finished_ms
+        assert decompose_trace(reference.trace)["exact"] is True
 
     def test_sequential_runs_unaffected_by_scheduler_import(
         self, make_deployment
