@@ -588,12 +588,6 @@ class MigratableDispatch(QueuedDispatch):
                 return lambda: None
             return epoch.subscribe(lambda _value: interrupt())
 
-        def decline(reason: str) -> None:
-            policy.note_declined(reason)
-            get_obs().metrics.counter(
-                "reroute_declined_total", reason=reason
-            ).inc()
-
         def migrate(t_fire: float, consumed_ms: float) -> Optional[Work]:
             # Checkpoint the consumed batches, then learn the tail's
             # demand by executing the fragment at the target now.
@@ -603,7 +597,7 @@ class MigratableDispatch(QueuedDispatch):
                 return None
             target = self.backup_option(slot.option, t_fire)
             if target is None:
-                decline("no-replica")
+                self._decline("no-replica")
                 return None
             leg = self.fire_leg(
                 slot,
@@ -615,7 +609,7 @@ class MigratableDispatch(QueuedDispatch):
                 batches_kept=point.batches_kept,
             )
             if leg is None:
-                decline("target-down")
+                self._decline("target-down")
                 return None
             _, execution, span = leg
             slot.leg = (*leg, point)
@@ -634,6 +628,12 @@ class MigratableDispatch(QueuedDispatch):
         return MigratableWork(
             primary=super().request(slot, trace), arm=arm, migrate=migrate
         )
+
+    def _decline(self, reason: str) -> None:
+        self.policy.note_declined(reason)
+        get_obs().metrics.counter(
+            "reroute_declined_total", reason=reason
+        ).inc()
 
     def settle(self, slot, outcome, t_dispatch, trace):
         completion = outcome.completion

@@ -13,12 +13,14 @@ import json
 import pytest
 
 import repro.obs as obs
-from repro.fed import ConcurrentRuntime
-from repro.harness import build_replica_federation
+from repro.fed import ConcurrentRuntime, PriorityClass
+from repro.harness import build_federation, build_replica_federation
 from repro.harness.loadgen import run_loadgen
 from repro.obs import decompose_trace
 from repro.obs.export import chrome_trace_events
+from repro.sim import OutageSchedule
 from repro.workload import TEST_SCALE, build_workload
+from repro.workload.queries import QT1, QT3
 
 
 @pytest.fixture(params=["fifo", "ps"])
@@ -226,10 +228,6 @@ class TestOverlapAttribution:
     def test_retry_compile_spans_stay_with_the_retrying_query(
         self, sample_databases
     ):
-        from repro.harness import build_federation
-        from repro.sim import OutageSchedule
-        from repro.workload.queries import QT1, QT3
-
         # S3 wins at base load, is up for the first compile (t=0) and
         # down at the first dispatch (t=2): the first query fails over
         # and recompiles at t=252, while a second query that started at
@@ -272,11 +270,6 @@ class TestInFlightGauge:
 
     @pytest.mark.parametrize("last_outcome", ["shed", "failed"])
     def test_drained_runtime_reads_zero(self, sample_databases, last_outcome):
-        from repro.fed import PriorityClass
-        from repro.harness import build_federation
-        from repro.sim import OutageSchedule
-        from repro.workload.queries import QT1
-
         # One token, refilled far too slowly for the second arrival;
         # every server down by the time the second query compiles.
         classes = (
