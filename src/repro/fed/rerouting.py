@@ -54,7 +54,6 @@ from typing import Dict, List, Optional
 
 from ..sim.server import RemoteExecution, exact_split, transfer_spans
 from ..sqlengine import Row
-from .global_optimizer import FragmentOption
 
 #: Relative slack when testing a consumed demand against a cumulative
 #: batch boundary (float accumulation at the interrupt instant).
