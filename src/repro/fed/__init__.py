@@ -51,6 +51,7 @@ from .routers import (
     CostBasedRouter,
     FixedRouter,
     PreferredServerRouter,
+    QCCRouter,
     RoundRobinRouter,
     Router,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "PoissonArrivals",
     "PreferredServerRouter",
     "PriorityClass",
+    "QCCRouter",
     "QueryFragment",
     "QueryHandle",
     "QueryPatroller",

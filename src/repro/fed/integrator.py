@@ -57,7 +57,7 @@ from .merge import build_merge_plan
 from .nicknames import FederationError, NicknameRegistry
 from .patroller import PatrolRecord, QueryPatroller
 from .plan_cache import CalibrationEpoch, PlanCache, plan_key
-from .routers import CostBasedRouter, Router
+from .routers import CostBasedRouter, QCCRouter, Router
 
 
 #: Queue name of the integrator's own merge stage.
@@ -245,7 +245,9 @@ class InformationIntegrator:
         self.params = params
         self.load = load
         self.contention = contention
-        self.router = router if router is not None else CostBasedRouter()
+        if router is None:
+            router = QCCRouter(qcc) if qcc is not None else CostBasedRouter()
+        self.router = router
         self.qcc = qcc
         if qcc is not None:
             self.meta_wrapper.attach_qcc(qcc)
@@ -553,12 +555,9 @@ class InformationIntegrator:
                 self._fail(record, trace, root, t0 + elapsed, str(exc))
                 raise
             span = trace.begin("route", t_attempt)
-            if self.qcc is not None:
-                chosen = self.qcc.recommend_global(decomposed, plans, t_attempt)
-            else:
-                chosen = self.router.choose(
-                    decomposed, plans, record.label, t_attempt
-                )
+            chosen = self.router.choose(
+                decomposed, plans, record.label, t_attempt
+            )
             trace.end(
                 span,
                 t_attempt,

@@ -1,9 +1,12 @@
 """Global plan selection strategies.
 
 The integrator delegates the final "which global plan runs" decision to a
-router.  The default :class:`CostBasedRouter` picks the cheapest plan —
-which, with QCC attached upstream, means the cheapest *calibrated* plan:
-QCC influences the decision without the router knowing it exists.
+router — always, and only, through :meth:`Router.choose`.  Without a QCC
+the default is :class:`CostBasedRouter` (the cheapest plan); with one it
+is :class:`QCCRouter`, which defers to QCC's global recommendation.  An
+explicitly supplied router wins either way: QCC then still calibrates
+the costs the router ranks and records every execution, it just no
+longer picks the plan.
 
 The other routers model the baselines of Section 5:
 
@@ -50,6 +53,23 @@ class CostBasedRouter(Router):
         if not plans:
             raise FederationError("no global plan to choose from")
         return plans[0]
+
+
+class QCCRouter(Router):
+    """Defer to QCC's recommendation (Section 4.2): the cheapest
+    calibrated plan, rotated across its near-cost cluster."""
+
+    def __init__(self, qcc) -> None:
+        self.qcc = qcc
+
+    def choose(
+        self,
+        decomposed: DecomposedQuery,
+        plans: Sequence[GlobalPlan],
+        label: Optional[str] = None,
+        t_ms: float = 0.0,
+    ) -> GlobalPlan:
+        return self.qcc.recommend_global(decomposed, plans, t_ms)
 
 
 class FixedRouter(Router):

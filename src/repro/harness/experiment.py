@@ -223,14 +223,9 @@ def dynamic_assignment(
     dynamic assignment for each query type.
     """
     decomposed, plans = deployment.integrator.compile(instance.sql)
-    if deployment.qcc is not None:
-        chosen = deployment.qcc.recommend_global(
-            decomposed, plans, deployment.clock.now
-        )
-    else:
-        chosen = deployment.integrator.router.choose(
-            decomposed, plans, instance.label, deployment.clock.now
-        )
+    chosen = deployment.integrator.router.choose(
+        decomposed, plans, instance.label, deployment.clock.now
+    )
     return tuple(sorted(chosen.servers))
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.fed import FederationError, QueryStatus
-from repro.harness import build_federation
+from repro.fed import FederationError, FixedRouter, QCCRouter, QueryStatus
+from repro.harness import build_federation, dynamic_assignment
 from repro.sim import OutageSchedule
 from repro.sqlengine import rows_equal_unordered
-from repro.workload import TEST_SCALE
+from repro.workload import QT1, TEST_SCALE
 
 
 @pytest.fixture()
@@ -79,6 +79,35 @@ class TestCompile:
             SQL, excluded_servers={"S3"}
         )
         assert all("S3" not in p.servers for p in plans)
+
+
+class TestRoutingSeam:
+    """``router.choose`` is the only routing decision, QCC or not."""
+
+    @pytest.mark.parametrize("with_qcc", [False, True])
+    def test_explicit_router_is_honoured(self, sample_databases, with_qcc):
+        # With a QCC attached the lifecycle used to bypass the router
+        # and take QCC's global recommendation (S3 for everything).
+        deployment = build_federation(
+            scale=TEST_SCALE,
+            with_qcc=with_qcc,
+            router=FixedRouter({"QT1": "S1"}),
+            prebuilt_databases=sample_databases,
+        )
+        assert dynamic_assignment(deployment, QT1.instance(0)) == ("S1",)
+        result = deployment.integrator.submit(SQL, label="QT1")
+        assert result.plan.servers == frozenset({"S1"})
+        if with_qcc:
+            # QCC still calibrates and records; it just does not route.
+            assert deployment.qcc.execution_records >= 1
+
+    def test_default_router_defers_to_qcc(self, sample_databases):
+        deployment = build_federation(
+            scale=TEST_SCALE, prebuilt_databases=sample_databases
+        )
+        router = deployment.integrator.router
+        assert isinstance(router, QCCRouter)
+        assert router.qcc is deployment.qcc
 
 
 class TestFailover:
