@@ -9,6 +9,7 @@ offering the interface a remote server exposes to the federation:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterable, List, Optional, Sequence
 
 from .catalog import Catalog
@@ -41,12 +42,7 @@ class Database:
         self.storage = StorageManager(self.catalog)
         config = optimizer_config or DEFAULT_CONFIG
         if config.params is not params:
-            config = OptimizerConfig(
-                keep_alternatives=config.keep_alternatives,
-                enable_nested_loop=config.enable_nested_loop,
-                enable_index_scan=config.enable_index_scan,
-                params=params,
-            )
+            config = replace(config, params=params)
         self.optimizer = Optimizer(profile=profile, config=config)
 
     # -- DDL / DML ---------------------------------------------------------

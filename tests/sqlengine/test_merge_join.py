@@ -113,6 +113,19 @@ class TestOptimizerIntegration:
                 tiny_db.run_plan(candidate.plan).rows, reference
             )
 
+    def test_database_keeps_every_config_field_under_custom_params(self):
+        # Database re-homes the config on its own cost parameters; it
+        # used to rebuild it field by field and forget enable_merge_join.
+        from dataclasses import replace
+
+        from repro.sqlengine import DEFAULT_COST_PARAMETERS, Database
+
+        params = replace(DEFAULT_COST_PARAMETERS)
+        config = OptimizerConfig(keep_alternatives=6, enable_merge_join=True)
+        applied = Database(params=params, optimizer_config=config).optimizer.config
+        assert applied == replace(config, params=params)
+        assert applied.params is params
+
     def test_estimate_cost_positive_and_blocking(self, tiny_db):
         from repro.sqlengine.cost import StatsContext
         from repro.sqlengine.physical import CostEstimator
