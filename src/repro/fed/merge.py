@@ -17,17 +17,13 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..sqlengine import (
-    Distinct,
     Filter,
-    HashAggregate,
     HashJoin,
-    Limit,
     NestedLoopJoin,
     PhysicalPlan,
     PlanCost,
-    Project,
     Schema,
-    Sort,
+    finish_plan,
 )
 from ..sqlengine.cost import CostParameters, ServerProfile, StatsContext
 from ..sqlengine.physical import CostEstimator
@@ -138,23 +134,7 @@ def build_merge_plan(
         assert predicate is not None
         plan = Filter(plan, predicate)
 
-    block = decomposed.block
-    if block.residual is not None:
-        plan = Filter(plan, block.residual)
-    if block.has_aggregation:
-        plan = HashAggregate(
-            plan, block.group_by, block.items, block.output_schema,
-            having=block.having,
-        )
-    else:
-        plan = Project(plan, block.items, block.output_schema)
-    if block.distinct:
-        plan = Distinct(plan)
-    if block.order_by:
-        plan = Sort(plan, block.order_by)
-    if block.limit is not None:
-        plan = Limit(plan, block.limit)
-    return plan
+    return finish_plan(plan, decomposed.block)
 
 
 def _edge_connects(

@@ -72,6 +72,7 @@ from .optimizer import (
     OptimizerConfig,
     OptimizerError,
     PlanCandidate,
+    finish_plan,
     plan_sql,
     plan_statement,
 )
@@ -140,7 +141,7 @@ __all__ = [
     "UniformFloat", "UniformInt", "UpdateStatement", "WorkMeter",
     "ZipfInt", "bind", "collect_stats", "estimate_selectivity",
     "encode_rows",
-    "execute_dml", "execute_plan", "parse", "parse_expression",
+    "execute_dml", "execute_plan", "finish_plan", "parse", "parse_expression",
     "parse_statement", "plan_sql", "plan_statement", "populate",
     "resolve_engine",
     "rows_close_unordered",

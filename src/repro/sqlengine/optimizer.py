@@ -120,7 +120,7 @@ class Optimizer:
         finished: List[PlanCandidate] = []
         seen_signatures = set()
         for candidate in join_alternatives:
-            plan = self._finish_plan(candidate.plan, block)
+            plan = finish_plan(candidate.plan, block)
             signature = plan.signature()
             if signature in seen_signatures:
                 continue
@@ -334,31 +334,30 @@ class Optimizer:
             )
         return NestedLoopJoin(left, right, step.condition, outer=step.outer)
 
-    # -- finishing touches --------------------------------------------------
 
-    def _finish_plan(
-        self, join_plan: PhysicalPlan, block: QueryBlock
-    ) -> PhysicalPlan:
-        plan = join_plan
-        if block.residual is not None:
-            plan = Filter(plan, block.residual)
-        if block.has_aggregation:
-            plan = HashAggregate(
-                plan,
-                block.group_by,
-                block.items,
-                block.output_schema,
-                having=block.having,
-            )
-        else:
-            plan = Project(plan, block.items, block.output_schema)
-        if block.distinct:
-            plan = Distinct(plan)
-        if block.order_by:
-            plan = Sort(plan, block.order_by)
-        if block.limit is not None:
-            plan = Limit(plan, block.limit)
-        return plan
+def finish_plan(plan: PhysicalPlan, block: QueryBlock) -> PhysicalPlan:
+    """Put *block*'s tail on a plan that produces its joined relations:
+    residual filter, aggregate or project, distinct, sort, limit.  The
+    optimizer finishes local plans with it, the integrator its merge."""
+    if block.residual is not None:
+        plan = Filter(plan, block.residual)
+    if block.has_aggregation:
+        plan = HashAggregate(
+            plan,
+            block.group_by,
+            block.items,
+            block.output_schema,
+            having=block.having,
+        )
+    else:
+        plan = Project(plan, block.items, block.output_schema)
+    if block.distinct:
+        plan = Distinct(plan)
+    if block.order_by:
+        plan = Sort(plan, block.order_by)
+    if block.limit is not None:
+        plan = Limit(plan, block.limit)
+    return plan
 
 
 def _schema_bindings(plan: PhysicalPlan) -> List[str]:
