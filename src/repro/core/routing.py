@@ -47,6 +47,11 @@ from .load_balance import (
 )
 
 
+#: Assumed processing time when converting a probe RTT into an initial
+#: calibration factor before any execution history exists.
+NOMINAL_PROBE_MS = 50.0
+
+
 @dataclass(frozen=True)
 class QCCConfig:
     """Every QCC knob in one place."""
@@ -59,9 +64,6 @@ class QCCConfig:
     enable_fragment_balancing: bool = False
     enable_global_balancing: bool = False
     enable_reliability: bool = True
-    #: Assumed processing time when converting a probe RTT into an
-    #: initial calibration factor before any execution history exists.
-    nominal_probe_ms: float = 50.0
     reliability_weight: float = 1.0
     #: Generalise fragment signatures by stripping literal constants, so
     #: factors learned on one parameterisation apply to unseen instances
@@ -305,9 +307,7 @@ class QueryCostCalibrator:
                 # Initial factor from network exploration: a server whose
                 # probe RTT is large relative to nominal processing gets
                 # its estimates inflated before any query has run.
-                initial = (
-                    self.config.nominal_probe_ms + rtt
-                ) / self.config.nominal_probe_ms
+                initial = (NOMINAL_PROBE_MS + rtt) / NOMINAL_PROBE_MS
                 self.calibrator.set_initial_factor(server, initial)
             try:
                 pair = self._meta_wrapper.probe_ratio(server, t_ms)

@@ -126,10 +126,10 @@ class ConcurrentRuntime:
     """Event-driven multi-query front end over one integrator.
 
     ``discipline`` selects the per-server contention model (``"ps"``
-    processor sharing or ``"fifo"``); ``server_capacity`` /
-    ``ii_capacity`` are service rates (1.0 = the sequential runtime's
-    speed).  The runtime owns the integrator's clock via its scheduler
-    and disables the integrator's own clock advancement.
+    processor sharing or ``"fifo"``); every queue serves at the
+    sequential runtime's speed.  The runtime owns the integrator's clock
+    via its scheduler and disables the integrator's own clock
+    advancement.
 
     ``hedge_after_ms`` selects :class:`HedgedDispatch` (the static
     hedge delay; per-signature p95 derivation takes over once latency
@@ -147,8 +147,6 @@ class ConcurrentRuntime:
         integrator: InformationIntegrator,
         classes: Sequence[PriorityClass] = DEFAULT_CLASSES,
         discipline: str = "ps",
-        server_capacity: float = 1.0,
-        ii_capacity: float = 1.0,
         hedge_after_ms: Optional[float] = None,
         hedge_depth_cap: int = DEFAULT_DEPTH_CAP,
         reroute_batch_rows: Optional[int] = None,
@@ -177,13 +175,9 @@ class ConcurrentRuntime:
         integrator.advance_clock = False
         self.scheduler = EventScheduler(integrator.clock)
         self.discipline = discipline
-        self.server_capacity = float(server_capacity)
         self.queues: Dict[str, ServerQueue] = {}
         self.ii_queue = ServerQueue(
-            II_QUEUE,
-            self.scheduler,
-            capacity=ii_capacity,
-            discipline=discipline,
+            II_QUEUE, self.scheduler, discipline=discipline
         )
         self.admission = AdmissionController(
             classes, {II_QUEUE: self.ii_queue}, t0_ms=self.scheduler.now
@@ -206,10 +200,7 @@ class ConcurrentRuntime:
         queue = self.queues.get(server)
         if queue is None:
             queue = ServerQueue(
-                server,
-                self.scheduler,
-                capacity=self.server_capacity,
-                discipline=self.discipline,
+                server, self.scheduler, discipline=self.discipline
             )
             self.queues[server] = queue
             self.admission.backlog_sources[server] = queue

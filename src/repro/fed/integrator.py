@@ -235,7 +235,6 @@ class InformationIntegrator:
         failure_penalty_ms: float = 250.0,
         max_retries: int = 3,
         enable_plan_cache: bool = True,
-        plan_cache_size: int = 128,
         engine: Optional[str] = None,
     ):
         self.registry = registry
@@ -271,7 +270,7 @@ class InformationIntegrator:
             epoch if epoch is not None else CalibrationEpoch()
         )
         self.plan_cache = (
-            PlanCache(self.calibration_epoch, maxsize=plan_cache_size)
+            PlanCache(self.calibration_epoch)
             if enable_plan_cache
             else None
         )

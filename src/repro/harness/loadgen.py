@@ -34,7 +34,7 @@ from ..fed.concurrent import ConcurrentRuntime, QueryHandle
 from ..sim.rng import derive_rng
 from ..sqlengine import Database
 from ..workload import TEST_SCALE, WorkloadScale
-from ..workload.queries import QUERY_TYPES, QueryTemplate
+from ..workload.queries import QUERY_TYPES
 from .deployment import build_federation
 from .metrics import ResponseStats
 from .report import ascii_table
@@ -396,7 +396,6 @@ def run_loadgen(
     seed: int = 7,
     scale: WorkloadScale = TEST_SCALE,
     discipline: str = "ps",
-    templates: Sequence[QueryTemplate] = QUERY_TYPES,
     prebuilt_databases: Optional[Dict[str, Database]] = None,
     integrator: Optional[InformationIntegrator] = None,
     max_queries: Optional[int] = None,
@@ -438,7 +437,7 @@ def run_loadgen(
             break
         if max_queries is not None and len(runtime.handles) >= max_queries:
             break
-        template = workload_rng.choice(templates)
+        template = workload_rng.choice(QUERY_TYPES)
         instance = template.instance(
             workload_rng.randint(0, 9), DATA_SEED
         )
