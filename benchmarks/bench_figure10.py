@@ -14,36 +14,17 @@ Shape assertions: positive gain in every phase; average gain in the
 from __future__ import annotations
 
 
-from conftest import get_fixed_sweep, get_qcc_sweep
-from repro.harness import ascii_table, bar_chart, gains_by_phase, mean
+from repro.harness import ascii_table, bar_chart
 
 
-def _measure(cache, databases, workload):
-    fixed = get_fixed_sweep(cache, databases, workload)
-    qcc, _ = get_qcc_sweep(cache, databases, workload)
-    return fixed, qcc
-
-
-def test_figure10_gain_over_fixed_assignment_1(
-    benchmark, bench_databases, bench_workload, sweep_cache
-):
-    fixed, qcc = benchmark.pedantic(
-        _measure,
-        args=(sweep_cache, bench_databases, bench_workload),
-        rounds=1,
-        iterations=1,
-    )
-    gains = gains_by_phase(fixed, qcc)
+def test_figure10_gain_over_fixed_assignment_1(benchmark, evaluation):
+    figure = benchmark.pedantic(evaluation.figure10, rounds=1, iterations=1)
+    gains = figure.gains
 
     print("\n=== Figure 10: benefit of QCC over Fixed Assignment 1 ===")
     rows = [
-        [
-            phase,
-            fixed[phase].mean_response_ms,
-            qcc[phase].mean_response_ms,
-            gains[phase],
-        ]
-        for phase in fixed
+        [phase, figure.baseline_ms[phase], figure.qcc_ms[phase], gain]
+        for phase, gain in gains.items()
     ]
     print(
         ascii_table(
@@ -52,7 +33,7 @@ def test_figure10_gain_over_fixed_assignment_1(
     )
     print()
     print(bar_chart(gains, unit="%", title="Gain per phase"))
-    average = mean(list(gains.values()))
+    average = figure.average_gain
     print(f"\nAverage gain: {average:.1f}%  (paper: ~50%)")
 
     # -- shape assertions ---------------------------------------------------

@@ -16,38 +16,19 @@ optimal anyway.
 from __future__ import annotations
 
 
-from conftest import get_preferred_sweep, get_qcc_sweep
-from repro.harness import ascii_table, bar_chart, gains_by_phase, mean
+from repro.harness import ascii_table, bar_chart, mean
 
 S3_LOADED_WITH_ALTERNATIVE = ("Phase2", "Phase4", "Phase6")
 
 
-def _measure(cache, databases, workload):
-    preferred = get_preferred_sweep(cache, databases, workload)
-    qcc, _ = get_qcc_sweep(cache, databases, workload)
-    return preferred, qcc
-
-
-def test_figure11_gain_over_always_s3(
-    benchmark, bench_databases, bench_workload, sweep_cache
-):
-    preferred, qcc = benchmark.pedantic(
-        _measure,
-        args=(sweep_cache, bench_databases, bench_workload),
-        rounds=1,
-        iterations=1,
-    )
-    gains = gains_by_phase(preferred, qcc)
+def test_figure11_gain_over_always_s3(benchmark, evaluation):
+    figure = benchmark.pedantic(evaluation.figure11, rounds=1, iterations=1)
+    gains = figure.gains
 
     print("\n=== Figure 11: benefit of QCC over Fixed Assignment 2 (always S3) ===")
     rows = [
-        [
-            phase,
-            preferred[phase].mean_response_ms,
-            qcc[phase].mean_response_ms,
-            gains[phase],
-        ]
-        for phase in preferred
+        [phase, figure.baseline_ms[phase], figure.qcc_ms[phase], gain]
+        for phase, gain in gains.items()
     ]
     print(
         ascii_table(

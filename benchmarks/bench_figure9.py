@@ -17,46 +17,14 @@ import json
 import os
 import time
 
-from repro.baselines import uncalibrated_deployment
-from repro.harness import grouped_series, observe_on_servers
-from repro.workload import BENCH_SCALE, LOAD_LEVEL, QUERY_TYPES
-
 #: Optional path for a standalone JSON artifact of the results.
 ARTIFACT = os.environ.get("REPRO_BENCH_FIGURE9_JSON", "")
 
 
-def _measure(databases):
-    deployment = uncalibrated_deployment(
-        scale=BENCH_SCALE, prebuilt_databases=databases
-    )
-    servers = deployment.server_names()
-    results = {}
-    for template in QUERY_TYPES:
-        instance = template.instance(0)
-        deployment.set_load({name: 0.0 for name in servers})
-        base = observe_on_servers(deployment, instance)
-        deployment.set_load({name: LOAD_LEVEL for name in servers})
-        loaded = observe_on_servers(deployment, instance)
-        deployment.set_load({name: 0.0 for name in servers})
-        # the paper's key crossover case: only S3 loaded
-        deployment.set_load({"S3": LOAD_LEVEL})
-        s3_only = observe_on_servers(deployment, instance)
-        deployment.set_load({name: 0.0 for name in servers})
-        results[template.name] = {
-            "base": base,
-            "loaded": loaded,
-            "s3_loaded": s3_only,
-        }
-    return results
-
-
-def test_figure9_sensitivity_of_query_type_to_load(
-    benchmark, bench_databases
-):
+def test_figure9_sensitivity_of_query_type_to_load(benchmark, evaluation):
     wall_start = time.perf_counter()
-    results = benchmark.pedantic(
-        _measure, args=(bench_databases,), rounds=1, iterations=1
-    )
+    figure = benchmark.pedantic(evaluation.figure9, rounds=1, iterations=1)
+    results = figure.measurements
     wall_s = time.perf_counter() - wall_start
     # One observation per (query type, load condition, server).
     executed = sum(
@@ -64,20 +32,7 @@ def test_figure9_sensitivity_of_query_type_to_load(
     )
     real_qps = executed / wall_s if wall_s > 0 else float("inf")
 
-    print("\n=== Figure 9: response time (ms) per server, per query type ===")
-    for name, data in results.items():
-        print(
-            grouped_series(
-                ["S1", "S2", "S3"],
-                {
-                    "Base (all idle)": data["base"],
-                    "Load (all loaded)": data["loaded"],
-                    "Only S3 loaded": data["s3_loaded"],
-                },
-                title=f"\n{name}",
-                unit="ms",
-            )
-        )
+    print("\n" + figure.render())
 
     # Virtual-time series above; real wall-clock throughput below.
     print(

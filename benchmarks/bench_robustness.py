@@ -17,7 +17,7 @@ from repro.harness import (
     build_databases,
     gains_by_phase,
     mean,
-    run_phase,
+    run_phase_sweep,
 )
 from repro.workload import BENCH_SCALE, PHASES, build_workload
 
@@ -50,14 +50,8 @@ def _gain_for_seed(seed: int) -> float:
     calibrated = qcc_deployment(
         scale=BENCH_SCALE, seed=seed, prebuilt_databases=databases
     )
-    fixed_sweep = {
-        phase.name: run_phase(fixed, workload, phase)
-        for phase in PHASE_SUBSET
-    }
-    qcc_sweep = {
-        phase.name: run_phase(calibrated, workload, phase)
-        for phase in PHASE_SUBSET
-    }
+    fixed_sweep = run_phase_sweep(fixed, workload, phases=PHASE_SUBSET)
+    qcc_sweep = run_phase_sweep(calibrated, workload, phases=PHASE_SUBSET)
     gains = gains_by_phase(fixed_sweep, qcc_sweep)
     return mean(list(gains.values()))
 

@@ -20,20 +20,16 @@ Shape assertions:
 from __future__ import annotations
 
 
-from conftest import get_qcc_sweep
 from repro.harness import ascii_table
 from repro.workload import FIXED_ASSIGNMENT_1, PHASES, QUERY_TYPE_NAMES
 
 
 def test_table1_and_table2_assignments(
-    benchmark, bench_databases, bench_workload, sweep_cache
+    benchmark, evaluation
 ):
-    _, assignments = benchmark.pedantic(
-        get_qcc_sweep,
-        args=(sweep_cache, bench_databases, bench_workload),
-        rounds=1,
-        iterations=1,
-    )
+    assignments = benchmark.pedantic(
+        evaluation.table2, rounds=1, iterations=1
+    ).assignments
 
     print("\n=== Table 1: combinations of server load conditions ===")
     rows = [

@@ -2,9 +2,9 @@
 
 Every bench regenerates one of the paper's tables/figures.  The loaded
 sample databases (the dominant setup cost) are built once per session and
-shared read-only across deployments; expensive phase sweeps are cached in
-``sweep_cache`` so Figures 10/11 and Table 2 do not recompute the same
-QCC sweep three times.
+shared read-only across deployments; the paper benches take their numbers
+from one session-wide :class:`repro.harness.Evaluation`, so Figures 10/11
+and Table 2 do not recompute the same QCC sweep three times.
 """
 
 from __future__ import annotations
@@ -13,18 +13,8 @@ import os
 
 import pytest
 
-from repro.baselines import (
-    fixed_assignment_deployment,
-    preferred_server_deployment,
-    qcc_deployment,
-)
-from repro.harness import (
-    DEFAULT_SERVER_SPECS,
-    build_databases,
-    dynamic_assignment,
-    run_phase,
-)
-from repro.workload import BENCH_SCALE, PHASES, QUERY_TYPES, build_workload
+from repro.harness import DEFAULT_SERVER_SPECS, Evaluation, build_databases
+from repro.workload import BENCH_SCALE, build_workload
 
 #: Instances per query type in benchmark workloads (paper: 10).  CI's
 #: bench-smoke job shrinks this via the environment to keep the per-PR
@@ -43,50 +33,9 @@ def bench_workload():
 
 
 @pytest.fixture(scope="session")
-def sweep_cache():
-    return {}
-
-
-def qcc_sweep_with_assignments(databases, workload):
-    """One QCC deployment swept over all phases, collecting both the
-    response times and the per-phase dynamic assignment of each query
-    type (the data behind Figures 10/11 and Table 2)."""
-    deployment = qcc_deployment(scale=BENCH_SCALE, prebuilt_databases=databases)
-    sweep = {}
-    assignments = {t.name: [] for t in QUERY_TYPES}
-    for phase in PHASES:
-        sweep[phase.name] = run_phase(deployment, workload, phase)
-        for template in QUERY_TYPES:
-            servers = dynamic_assignment(deployment, template.instance(0))
-            assignments[template.name].append("/".join(servers))
-    return sweep, assignments
-
-
-def get_qcc_sweep(cache, databases, workload):
-    if "qcc" not in cache:
-        cache["qcc"] = qcc_sweep_with_assignments(databases, workload)
-    return cache["qcc"]
-
-
-def run_baseline_sweep(factory, databases, workload):
-    deployment = factory(scale=BENCH_SCALE, prebuilt_databases=databases)
-    sweep = {}
-    for phase in PHASES:
-        sweep[phase.name] = run_phase(deployment, workload, phase)
-    return sweep
-
-
-def get_fixed_sweep(cache, databases, workload):
-    if "fixed" not in cache:
-        cache["fixed"] = run_baseline_sweep(
-            fixed_assignment_deployment, databases, workload
-        )
-    return cache["fixed"]
-
-
-def get_preferred_sweep(cache, databases, workload):
-    if "preferred" not in cache:
-        cache["preferred"] = run_baseline_sweep(
-            preferred_server_deployment, databases, workload
-        )
-    return cache["preferred"]
+def evaluation(bench_databases):
+    return Evaluation(
+        scale=BENCH_SCALE,
+        databases=bench_databases,
+        instances_per_type=INSTANCES_PER_TYPE,
+    )

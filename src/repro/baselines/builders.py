@@ -1,113 +1,47 @@
-"""Deployment factories for the comparison systems."""
+"""Deployment factories for the comparison systems.
+
+Every system is the same federation (:func:`build_federation`, whose
+keyword options each factory forwards); they differ only in the routing
+policy and in whether a QCC is attached.
+"""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from ..sqlengine import CostParameters, DEFAULT_COST_PARAMETERS, Database
 from ..fed import FixedRouter, PreferredServerRouter, RoundRobinRouter
-from ..core import QCCConfig
-from ..harness.deployment import (
-    DEFAULT_SERVER_SPECS,
-    Deployment,
-    ServerSpec,
-    build_federation,
-)
-from ..workload import BENCH_SCALE, FIXED_ASSIGNMENT_1, PREFERRED_SERVER, WorkloadScale
+from ..harness.deployment import Deployment, build_federation
+from ..workload import FIXED_ASSIGNMENT_1, PREFERRED_SERVER
 
 
 def fixed_assignment_deployment(
-    assignment: Optional[Mapping[str, str]] = None,
-    specs: Sequence[ServerSpec] = DEFAULT_SERVER_SPECS,
-    scale: WorkloadScale = BENCH_SCALE,
-    seed: int = 7,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
-    prebuilt_databases: Optional[Mapping[str, Database]] = None,
+    assignment: Optional[Mapping[str, str]] = None, **options
 ) -> Deployment:
     """Fixed Assignment 1: per-query-type routing frozen at registration."""
-    return build_federation(
-        specs=specs,
-        scale=scale,
-        seed=seed,
-        with_qcc=False,
-        router=FixedRouter(assignment or FIXED_ASSIGNMENT_1),
-        params=params,
-        prebuilt_databases=prebuilt_databases,
-    )
+    router = FixedRouter(assignment or FIXED_ASSIGNMENT_1)
+    return build_federation(with_qcc=False, router=router, **options)
 
 
 def preferred_server_deployment(
-    server: str = PREFERRED_SERVER,
-    specs: Sequence[ServerSpec] = DEFAULT_SERVER_SPECS,
-    scale: WorkloadScale = BENCH_SCALE,
-    seed: int = 7,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
-    prebuilt_databases: Optional[Mapping[str, Database]] = None,
+    server: str = PREFERRED_SERVER, **options
 ) -> Deployment:
     """Fixed Assignment 2: always route to the most powerful server."""
-    return build_federation(
-        specs=specs,
-        scale=scale,
-        seed=seed,
-        with_qcc=False,
-        router=PreferredServerRouter(server),
-        params=params,
-        prebuilt_databases=prebuilt_databases,
-    )
+    router = PreferredServerRouter(server)
+    return build_federation(with_qcc=False, router=router, **options)
 
 
-def uncalibrated_deployment(
-    specs: Sequence[ServerSpec] = DEFAULT_SERVER_SPECS,
-    scale: WorkloadScale = BENCH_SCALE,
-    seed: int = 7,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
-    prebuilt_databases: Optional[Mapping[str, Database]] = None,
-) -> Deployment:
+def uncalibrated_deployment(**options) -> Deployment:
     """Cost-based routing on raw estimates (DB2 II without QCC)."""
-    return build_federation(
-        specs=specs,
-        scale=scale,
-        seed=seed,
-        with_qcc=False,
-        params=params,
-        prebuilt_databases=prebuilt_databases,
-    )
+    return build_federation(with_qcc=False, **options)
 
 
-def blind_round_robin_deployment(
-    specs: Sequence[ServerSpec] = DEFAULT_SERVER_SPECS,
-    scale: WorkloadScale = BENCH_SCALE,
-    seed: int = 7,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
-    prebuilt_databases: Optional[Mapping[str, Database]] = None,
-) -> Deployment:
+def blind_round_robin_deployment(**options) -> Deployment:
     """Cost-oblivious round robin across capable server sets."""
     return build_federation(
-        specs=specs,
-        scale=scale,
-        seed=seed,
-        with_qcc=False,
-        router=RoundRobinRouter(),
-        params=params,
-        prebuilt_databases=prebuilt_databases,
+        with_qcc=False, router=RoundRobinRouter(), **options
     )
 
 
-def qcc_deployment(
-    specs: Sequence[ServerSpec] = DEFAULT_SERVER_SPECS,
-    scale: WorkloadScale = BENCH_SCALE,
-    seed: int = 7,
-    qcc_config: Optional[QCCConfig] = None,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
-    prebuilt_databases: Optional[Mapping[str, Database]] = None,
-) -> Deployment:
+def qcc_deployment(**options) -> Deployment:
     """The paper's system: II + meta-wrapper + QCC."""
-    return build_federation(
-        specs=specs,
-        scale=scale,
-        seed=seed,
-        with_qcc=True,
-        qcc_config=qcc_config,
-        params=params,
-        prebuilt_databases=prebuilt_databases,
-    )
+    return build_federation(with_qcc=True, **options)

@@ -33,6 +33,8 @@ from ..fed.concurrent import ConcurrentRuntime
 from ..fed.replication import ReplicaManager
 from ..harness.deployment import (
     DEFAULT_SERVER_SPECS,
+    REPLICA_PLACEMENT,
+    REPLICA_SERVER_SPECS,
     Deployment,
     build_databases,
     build_federation,
@@ -55,14 +57,12 @@ from .scenario import ScenarioSpec, fault_window_steps
 #: schedules — not data — are what varies across scenarios.
 DATA_SEED = 7
 
-#: Origins of the replica topology's nicknames (matches
-#: build_replica_federation's S1/R1 and S2/R2 table groups).
+#: Origins of the replica topology's nicknames: the S-servers of
+#: build_replica_federation's S1/R1 and S2/R2 table groups.
 REPLICA_ORIGINS: Dict[str, str] = {
-    "orders": "S1",
-    "customer": "S1",
-    "lineitem": "S2",
-    "product": "S2",
-    "supplier": "S2",
+    table: server
+    for server in ("S1", "S2")
+    for table in REPLICA_PLACEMENT[server]
 }
 
 #: Priority classes concurrent chaos scenarios run under.  ``gold`` is
@@ -104,6 +104,28 @@ class QueryOutcome:
     #: Mid-query batch migrations this query performed (re-routing
     #: scenarios only; always 0 when the dimension is off).
     reroutes: int = 0
+
+    @classmethod
+    def completed(cls, result, **submission) -> "QueryOutcome":
+        """An ``ok`` outcome carrying everything *result* measured."""
+        return cls(
+            status="ok",
+            rows=list(result.rows),
+            response_ms=result.response_ms,
+            retries=result.retries,
+            servers=tuple(sorted(result.plan.servers)),
+            fragment_ms={
+                fragment_id: outcome.execution.observed_ms
+                for fragment_id, outcome in result.fragments.items()
+            },
+            reroutes=result.reroutes,
+            **submission,
+        )
+
+    @classmethod
+    def unanswered(cls, status: str, error, **submission) -> "QueryOutcome":
+        """A ``failed`` or ``shed`` outcome and why."""
+        return cls(status=status, error=str(error), **submission)
 
 
 @dataclass(frozen=True)
@@ -182,13 +204,12 @@ def replica_databases() -> Dict[str, Database]:
     """Shared test-scale databases for the S1/R1/S2/R2 topology."""
     global _REPLICA_DATABASES
     if _REPLICA_DATABASES is None:
-        deployment = build_replica_federation(
-            scale=TEST_SCALE, seed=DATA_SEED, with_qcc=False
+        _REPLICA_DATABASES = build_databases(
+            REPLICA_SERVER_SPECS,
+            TEST_SCALE,
+            seed=DATA_SEED,
+            placement=REPLICA_PLACEMENT,
         )
-        _REPLICA_DATABASES = {
-            name: server.database
-            for name, server in deployment.servers.items()
-        }
     return _REPLICA_DATABASES
 
 
@@ -201,27 +222,22 @@ def _build_deployment(
     with_faults: bool,
     databases: Optional[Dict[str, Database]],
 ) -> Tuple[Deployment, Optional[ReplicaManager]]:
-    if spec.topology == "replica":
-        prebuilt = databases if databases is not None else replica_databases()
-        deployment = build_replica_federation(
-            scale=TEST_SCALE,
-            seed=DATA_SEED,
-            prebuilt_databases=prebuilt,
-            engine=engine,
-        )
+    replica = spec.topology == "replica"
+    build = build_replica_federation if replica else build_federation
+    if databases is None:
+        databases = replica_databases() if replica else triple_databases()
+    deployment = build(
+        scale=TEST_SCALE,
+        seed=DATA_SEED,
+        prebuilt_databases=databases,
+        engine=engine,
+    )
+    manager = None
+    if replica:
         manager = ReplicaManager(deployment.registry)
         for nickname, origin in REPLICA_ORIGINS.items():
             manager.set_origin(nickname, origin)
         deployment.integrator.replica_manager = manager
-    else:
-        prebuilt = databases if databases is not None else triple_databases()
-        deployment = build_federation(
-            scale=TEST_SCALE,
-            seed=DATA_SEED,
-            prebuilt_databases=prebuilt,
-            engine=engine,
-        )
-        manager = None
 
     if with_faults:
         _apply_schedule_faults(spec, deployment)
@@ -370,51 +386,24 @@ def _drive_concurrent(
 
     outcomes: List[QueryOutcome] = []
     for index, (query, handle) in enumerate(zip(spec.queries, handles)):
+        submission = dict(
+            index=index,
+            query_type=query.query_type,
+            sql=handle.sql,
+            submitted_ms=handle.submitted_ms,
+            klass=handle.klass,
+        )
         if handle.result is not None:
-            result = handle.result
-            outcomes.append(
-                QueryOutcome(
-                    index=index,
-                    query_type=query.query_type,
-                    sql=handle.sql,
-                    submitted_ms=handle.submitted_ms,
-                    status="ok",
-                    rows=list(result.rows),
-                    response_ms=result.response_ms,
-                    retries=result.retries,
-                    servers=tuple(sorted(result.plan.servers)),
-                    fragment_ms={
-                        fragment_id: outcome.execution.observed_ms
-                        for fragment_id, outcome in result.fragments.items()
-                    },
-                    klass=handle.klass,
-                    reroutes=result.reroutes,
-                )
-            )
+            outcome = QueryOutcome.completed(handle.result, **submission)
         elif handle.shed is not None:
-            outcomes.append(
-                QueryOutcome(
-                    index=index,
-                    query_type=query.query_type,
-                    sql=handle.sql,
-                    submitted_ms=handle.submitted_ms,
-                    status="shed",
-                    error=handle.shed.reason,
-                    klass=handle.klass,
-                )
+            outcome = QueryOutcome.unanswered(
+                "shed", handle.shed.reason, **submission
             )
         else:
-            outcomes.append(
-                QueryOutcome(
-                    index=index,
-                    query_type=query.query_type,
-                    sql=handle.sql,
-                    submitted_ms=handle.submitted_ms,
-                    status="failed",
-                    error=str(handle.error),
-                    klass=handle.klass,
-                )
+            outcome = QueryOutcome.unanswered(
+                "failed", handle.error, **submission
             )
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -471,45 +460,25 @@ def _execute(
                         event = lag_events[applied]
                         manager.note_write(event.table, event.start_ms)
                         applied += 1
-                sql = query.sql(DATA_SEED)
-                submitted = clock.now
+                submission = dict(
+                    index=index,
+                    query_type=query.query_type,
+                    sql=query.sql(DATA_SEED),
+                    submitted_ms=clock.now,
+                )
                 try:
                     result = integrator.submit(
-                        sql,
+                        submission["sql"],
                         label=query.query_type,
                         staleness_tolerance_ms=spec.staleness_tolerance_ms,
                     )
                 except (FederationError, ServerUnavailable) as exc:
-                    outcomes.append(
-                        QueryOutcome(
-                            index=index,
-                            query_type=query.query_type,
-                            sql=sql,
-                            submitted_ms=submitted,
-                            status="failed",
-                            error=str(exc),
-                        )
+                    outcome = QueryOutcome.unanswered(
+                        "failed", exc, **submission
                     )
-                    continue
-                outcomes.append(
-                    QueryOutcome(
-                        index=index,
-                        query_type=query.query_type,
-                        sql=sql,
-                        submitted_ms=submitted,
-                        status="ok",
-                        rows=list(result.rows),
-                        response_ms=result.response_ms,
-                        retries=result.retries,
-                        servers=tuple(sorted(result.plan.servers)),
-                        fragment_ms={
-                            fragment_id: outcome.execution.observed_ms
-                            for fragment_id, outcome in (
-                                result.fragments.items()
-                            )
-                        },
-                    )
-                )
+                else:
+                    outcome = QueryOutcome.completed(result, **submission)
+                outcomes.append(outcome)
 
         if run is not None and deployment.qcc is not None:
             qcc = deployment.qcc

@@ -25,7 +25,8 @@ import sys
 from typing import List, Optional
 
 from . import obs
-from .harness import build_federation
+from .harness import Evaluation, build_federation, run_timeline
+from .harness.experiment import calibrated_pass
 from .obs.export import chrome_trace_json, render_prometheus
 from .obs.profile import (
     disable_profiling,
@@ -35,23 +36,12 @@ from .obs.profile import (
 from .sqlengine import DEFAULT_ENGINE, ENGINES, REFERENCE_PROFILE
 from .sqlengine.cost import StatsContext
 from .sqlengine.physical import CostEstimator, stats_context_for_plan
-from .harness.experiments import (
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_table2,
-    run_timeline,
-)
 from .workload import BENCH_SCALE, PAPER_SCALE, TEST_SCALE, build_workload
 
 _SCALES = {"test": TEST_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
 
-_EXPERIMENTS = {
-    "figure9": run_figure9,
-    "table2": run_table2,
-    "figure10": run_figure10,
-    "figure11": run_figure11,
-}
+#: Paper artefacts ``repro experiment`` regenerates: Evaluation methods.
+_EXPERIMENTS = ("figure9", "table2", "figure10", "figure11")
 
 
 def _parse_load(values: List[str]):
@@ -64,6 +54,46 @@ def _parse_load(values: List[str]):
             )
         loads[server] = float(level)
     return loads
+
+
+def _add_federation_args(
+    parser: argparse.ArgumentParser, load: bool = True
+) -> None:
+    """``--scale`` / ``--load`` / ``--engine`` of every command that
+    builds one federation and submits to it (see :func:`_federation`).
+    Experiments build their own federations internally; for them the
+    engine is selected process-wide via REPRO_ENGINE instead."""
+    parser.add_argument(
+        "--scale", choices=_SCALES, default="test", help="data scale"
+    )
+    if load:
+        parser.add_argument(
+            "--load",
+            action="append",
+            default=[],
+            metavar="SERVER=LEVEL",
+            help="set a server's load level, e.g. --load S3=0.8 (repeatable)",
+        )
+    parser.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default=None,
+        help=(
+            "SQL execution engine for every server and the merge: "
+            "columnar = column batches with selection vectors (the "
+            "production engine), row = tuple-at-a-time reference "
+            f"(default: {DEFAULT_ENGINE}, or REPRO_ENGINE)"
+        ),
+    )
+
+
+def _federation(args):
+    """The federation a command's ``_add_federation_args`` describe."""
+    deployment = build_federation(
+        scale=_SCALES[args.scale], engine=args.engine
+    )
+    deployment.set_load(_parse_load(getattr(args, "load", [])))
+    return deployment
 
 
 def _add_load_stream_args(parser: argparse.ArgumentParser) -> None:
@@ -144,9 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="guided quickstart demo")
-    demo.add_argument(
-        "--scale", choices=_SCALES, default="test", help="data scale"
-    )
+    _add_federation_args(demo, load=False)
 
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure"
@@ -164,16 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="run one federated query")
     query.add_argument("sql", help="federated SELECT over the sample schema")
-    query.add_argument(
-        "--scale", choices=_SCALES, default="test", help="data scale"
-    )
-    query.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="SERVER=LEVEL",
-        help="set a server's load level, e.g. --load S3=0.8 (repeatable)",
-    )
+    _add_federation_args(query)
     query.add_argument(
         "--explain",
         action="store_true",
@@ -190,16 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "sql", help="federated SELECT over the sample schema"
     )
-    explain.add_argument(
-        "--scale", choices=_SCALES, default="test", help="data scale"
-    )
-    explain.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="SERVER=LEVEL",
-        help="set a server's load level (repeatable)",
-    )
+    _add_federation_args(explain)
     explain.add_argument(
         "--analyze",
         action="store_true",
@@ -209,34 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     status = sub.add_parser(
         "status", help="run a workload and dump QCC's learned state"
     )
-    status.add_argument(
-        "--scale", choices=_SCALES, default="test", help="data scale"
-    )
+    _add_federation_args(status)
     status.add_argument(
         "--queries", type=int, default=16, help="workload size"
-    )
-    status.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="SERVER=LEVEL",
-        help="set a server's load level (repeatable)",
     )
 
     trace = sub.add_parser(
         "trace", help="run one query with tracing on and dump the JSON trace"
     )
     trace.add_argument("sql", help="federated SELECT over the sample schema")
-    trace.add_argument(
-        "--scale", choices=_SCALES, default="test", help="data scale"
-    )
-    trace.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="SERVER=LEVEL",
-        help="set a server's load level (repeatable)",
-    )
+    _add_federation_args(trace)
     trace.add_argument(
         "--format",
         choices=("json", "chrome"),
@@ -262,18 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = sub.add_parser(
         "metrics", help="run a workload and dump the metrics snapshot"
     )
-    metrics.add_argument(
-        "--scale", choices=_SCALES, default="test", help="data scale"
-    )
+    _add_federation_args(metrics)
     metrics.add_argument(
         "--queries", type=int, default=16, help="workload size"
-    )
-    metrics.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="SERVER=LEVEL",
-        help="set a server's load level (repeatable)",
     )
     metrics.add_argument(
         "--format",
@@ -492,32 +475,38 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    # Experiments build their own federations internally; for them the
-    # engine is selected process-wide via REPRO_ENGINE instead.
-    for command in (demo, query, explain, status, trace, metrics):
-        command.add_argument(
-            "--engine",
-            choices=ENGINES,
-            default=None,
-            help=(
-                "SQL execution engine for every server and the merge: "
-                "columnar = column batches with selection vectors (the "
-                "production engine), row = tuple-at-a-time reference "
-                f"(default: {DEFAULT_ENGINE}, or REPRO_ENGINE)"
-            ),
-        )
     return parser
 
 
+def _write_or_print(payload: str, path: Optional[str], what: str) -> None:
+    if path:
+        with open(path, "w") as handle:
+            handle.write(payload + "\n")
+        print(f"{what} written to {path}")
+    else:
+        print(payload)
+
+
+def _print_ranked_plans(deployment, sql: str) -> int:
+    _, plans = deployment.integrator.compile(sql)
+    print("Ranked global plans (calibrated cost):")
+    for plan in plans:
+        print(f"  {plan.describe()}")
+    return 0
+
+
+def _run_sample_workload(deployment, queries: int) -> None:
+    """The first *queries* of a mixed QT1-QT4 workload, then one
+    recalibration so QCC's reported state reflects them."""
+    workload = build_workload(instances_per_type=max(1, queries // 4))
+    calibrated_pass(deployment, workload[:queries])
+
+
 def _cmd_demo(args) -> int:
-    scale = _SCALES[args.scale]
     print(f"Building federation at {args.scale} scale...")
-    deployment = build_federation(scale=scale, engine=args.engine)
-    workload = build_workload(instances_per_type=3)
-    print(f"Running a {len(workload)}-query mixed workload (QT1-QT4)...")
-    for instance in workload:
-        deployment.integrator.submit(instance.sql, label=instance.label)
-    deployment.qcc.recalibrate(deployment.clock.now)
+    deployment = _federation(args)
+    print("Running a 12-query mixed workload (QT1-QT4)...")
+    _run_sample_workload(deployment, 12)
     patroller = deployment.integrator.patroller
     print(f"\nMean response: {patroller.mean_response_ms():.1f} ms")
     print("Per-type means:")
@@ -534,15 +523,11 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    scale = _SCALES[args.scale]
-    runner = _EXPERIMENTS[args.name]
     print(f"Running {args.name} at {args.scale} scale (this executes the "
           "full phase sweep)...\n")
-    result = runner(scale=scale)
+    result = getattr(Evaluation(scale=_SCALES[args.scale]), args.name)()
     print(result.render())
     if args.json:
-        import json
-
         with open(args.json, "w") as handle:
             json.dump(result.to_dict(), handle, indent=2)
         print(f"\nStructured result written to {args.json}")
@@ -550,16 +535,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    scale = _SCALES[args.scale]
-    deployment = build_federation(scale=scale, engine=args.engine)
-    if args.load:
-        deployment.set_load(_parse_load(args.load))
+    deployment = _federation(args)
     if args.explain:
-        _, plans = deployment.integrator.compile(args.sql)
-        print("Ranked global plans (calibrated cost):")
-        for plan in plans:
-            print(f"  {plan.describe()}")
-        return 0
+        return _print_ranked_plans(deployment, args.sql)
     result = deployment.integrator.submit(args.sql)
     print(f"servers: {sorted(result.plan.servers)}")
     print(
@@ -575,16 +553,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    scale = _SCALES[args.scale]
-    deployment = build_federation(scale=scale, engine=args.engine)
-    if args.load:
-        deployment.set_load(_parse_load(args.load))
+    deployment = _federation(args)
     if not args.analyze:
-        _, plans = deployment.integrator.compile(args.sql)
-        print("Ranked global plans (calibrated cost):")
-        for plan in plans:
-            print(f"  {plan.describe()}")
-        return 0
+        return _print_ranked_plans(deployment, args.sql)
     profiler = enable_profiling()
     try:
         result = deployment.integrator.submit(args.sql)
@@ -631,16 +602,8 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    scale = _SCALES[args.scale]
-    deployment = build_federation(scale=scale, engine=args.engine)
-    if args.load:
-        deployment.set_load(_parse_load(args.load))
-    workload = build_workload(
-        instances_per_type=max(1, args.queries // 4)
-    )
-    for instance in workload[: args.queries]:
-        deployment.integrator.submit(instance.sql, label=instance.label)
-    deployment.qcc.recalibrate(deployment.clock.now)
+    deployment = _federation(args)
+    _run_sample_workload(deployment, args.queries)
     for key, value in deployment.qcc.status().items():
         print(f"{key}: {value}")
     return 0
@@ -648,35 +611,19 @@ def _cmd_status(args) -> int:
 
 def _cmd_trace(args) -> int:
     obs.configure(log_level=None)
-    scale = _SCALES[args.scale]
-    deployment = build_federation(scale=scale, engine=args.engine)
-    if args.load:
-        deployment.set_load(_parse_load(args.load))
-    result = deployment.integrator.submit(args.sql)
+    result = _federation(args).integrator.submit(args.sql)
     if args.format == "chrome":
         payload = chrome_trace_json([result.trace])
     else:
         payload = result.trace.to_json()
-    out_path = args.out or args.json
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"Trace written to {out_path}")
-    else:
-        print(payload)
+    _write_or_print(payload, args.out or args.json, "Trace")
     return 0
 
 
 def _cmd_metrics(args) -> int:
     sink = obs.configure(log_level=None)
-    scale = _SCALES[args.scale]
-    deployment = build_federation(scale=scale, engine=args.engine)
-    if args.load:
-        deployment.set_load(_parse_load(args.load))
-    workload = build_workload(instances_per_type=max(1, args.queries // 4))
-    for instance in workload[: args.queries]:
-        deployment.integrator.submit(instance.sql, label=instance.label)
-    deployment.qcc.recalibrate(deployment.clock.now)
+    deployment = _federation(args)
+    _run_sample_workload(deployment, args.queries)
     cache = deployment.integrator.plan_cache
     fmt = args.format
     out_path = args.out
@@ -699,19 +646,13 @@ def _cmd_metrics(args) -> int:
                 )
                 lines.append(f"  {key}: {formatted}")
         payload = "\n".join(lines)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"Metrics written to {out_path}")
-    else:
-        print(payload)
+    _write_or_print(payload, out_path, "Metrics")
     return 0
 
 
 def _cmd_timeline(args) -> int:
-    scale = _SCALES[args.scale]
     print(f"Running the timeline sweep at {args.scale} scale...\n")
-    result = run_timeline(scale=scale)
+    result = run_timeline(scale=_SCALES[args.scale])
     print(result.render())
     if args.csv:
         samples_path = f"{args.csv}_samples.csv"

@@ -1,9 +1,14 @@
-"""Federation builders for experiments and examples.
+"""The federation assembler: a topology is data, the wiring exists once.
 
-:func:`build_federation` assembles the paper's evaluation deployment:
-one integrator, three heterogeneous remote DB2-like servers with the full
-sample schema replicated on each, mutable load levels (so the phase
-runner can flip Table 1's Base/Load conditions), and optionally a QCC.
+:func:`build_federation` turns a topology — server specs plus an
+optional placement (which server hosts which tables; absent = every
+table everywhere) — into the paper's Figure 1/2 wiring: one integrator,
+a meta-wrapper over one relational wrapper per remote DB2-like server,
+mutable load levels (so the phase runner can flip Table 1's Base/Load
+conditions), and optionally a QCC.  It is the only place the harness,
+baselines, chaos runner and CLI construct those objects; the default
+topology is Section 5's three fully replicated servers and
+:func:`build_replica_federation` is Section 4's S1/R1/S2/R2.
 
 Server characteristics are chosen so the qualitative structure of the
 paper's Figure 9 emerges: S3 is the most powerful machine overall but
@@ -131,28 +136,35 @@ class Deployment:
         return sorted(self.servers)
 
 
+#: server name -> the tables it hosts, in registration order.
+TablePlacement = Mapping[str, Sequence[str]]
+
+
 def build_databases(
     specs: Sequence[ServerSpec],
     scale: WorkloadScale = BENCH_SCALE,
     seed: int = 7,
     params: CostParameters = DEFAULT_COST_PARAMETERS,
     engine: Optional[str] = None,
+    placement: Optional[TablePlacement] = None,
 ) -> Dict[str, Database]:
-    """One fully loaded sample database per server spec.
+    """One loaded sample database per server spec.
 
-    All servers receive byte-identical data (full replication): the
-    paper replicates tables so "each server is involved in a diverse set
-    of queries", and identical replicas keep result correctness checks
-    trivial.
+    Each server receives the tables *placement* gives it (all of them
+    when absent).  Copies of a table are byte-identical across servers:
+    the paper replicates tables so "each server is involved in a diverse
+    set of queries", and identical replicas keep result correctness
+    checks trivial.
     """
+    tables = {table.name: table for table in table_specs(scale)}
     databases: Dict[str, Database] = {}
-    specs_for_scale = table_specs(scale)
     for spec in specs:
         database = Database(
             name=spec.name, profile=spec.profile(), params=params,
             engine=engine,
         )
-        populate(database, specs_for_scale, seed=seed)
+        hosted = placement[spec.name] if placement is not None else tables
+        populate(database, [tables[name] for name in hosted], seed=seed)
         databases[spec.name] = database
     return databases
 
@@ -166,77 +178,75 @@ def build_federation(
     router: Optional[Router] = None,
     params: CostParameters = DEFAULT_COST_PARAMETERS,
     availability: Optional[Mapping[str, AvailabilitySchedule]] = None,
-    error_seeds: Optional[Mapping[str, float]] = None,
     prebuilt_databases: Optional[Mapping[str, Database]] = None,
     induced_load: bool = False,
     induced_gain: float = 0.002,
     induced_decay_ms: float = 2_000.0,
     enable_plan_cache: bool = True,
-    plan_cache_size: int = 128,
     engine: Optional[str] = None,
     transfer: str = "rows",
     transfer_batch_rows: int = 1024,
+    placement: Optional[TablePlacement] = None,
 ) -> Deployment:
     """Assemble servers, wrappers, MW, (optionally) QCC and the II.
 
-    ``prebuilt_databases`` lets benchmark suites reuse loaded data across
-    deployments (loading 100k-row tables dominates setup time otherwise).
-    ``error_seeds`` maps server name -> transient error rate.
+    ``placement`` maps each server to the tables it hosts; without it
+    every server hosts every table.  Nicknames are registered in spec
+    order, so the first host of a table supplies the global catalog's
+    definition of it.
+    ``prebuilt_databases`` lets benchmark suites and the chaos harness
+    reuse loaded data across deployments (loading 100k-row tables
+    dominates setup time otherwise).
     With ``induced_load`` each server's load level additionally rises
     with the traffic routed to it (the hot-spot feedback of Section 4);
     ``Deployment.set_load`` still controls the phase base level.
     ``transfer``/``transfer_batch_rows`` select the fragment result wire
     format on every server (see :class:`~repro.sim.RemoteServer`).
+    ``router`` replaces the default routing policy (cheapest plan, or
+    QCC's recommendation when a QCC is attached).
     """
     clock = VirtualClock()
-    if prebuilt_databases is None:
-        databases = build_databases(specs, scale, seed, params, engine=engine)
-    else:
-        databases = dict(prebuilt_databases)
+    databases = prebuilt_databases
+    if databases is None:
+        databases = build_databases(
+            specs, scale, seed, params, engine, placement
+        )
 
     servers: Dict[str, RemoteServer] = {}
     loads: Dict[str, MutableLoad] = {}
-    wrappers: Dict[str, RelationalWrapper] = {}
+    registry = NicknameRegistry()
     for spec in specs:
-        load = MutableLoad(0.0)
-        loads[spec.name] = load
-        if induced_load:
-            schedule_load = InducedLoad(
-                gain=induced_gain, decay_ms=induced_decay_ms, base=load
-            )
-        else:
-            schedule_load = load
-        schedule = (
-            availability.get(spec.name, AlwaysUp())
-            if availability
-            else AlwaysUp()
-        )
-        error_rate = (error_seeds or {}).get(spec.name, spec.error_rate)
-        server = RemoteServer(
+        database = databases[spec.name]
+        load = loads[spec.name] = MutableLoad(0.0)
+        servers[spec.name] = RemoteServer(
             name=spec.name,
-            database=databases[spec.name],
+            database=database,
             contention=spec.contention(),
-            load=schedule_load,
+            load=(
+                InducedLoad(
+                    gain=induced_gain, decay_ms=induced_decay_ms, base=load
+                )
+                if induced_load
+                else load
+            ),
             link=spec.link(),
-            availability=schedule,
-            errors=ErrorInjector(error_rate, seed=seed, name=spec.name),
+            availability=(availability or {}).get(spec.name, AlwaysUp()),
+            errors=ErrorInjector(spec.error_rate, seed=seed, name=spec.name),
             transfer=transfer,
             transfer_batch_rows=transfer_batch_rows,
         )
-        servers[spec.name] = server
-        wrappers[spec.name] = RelationalWrapper(server)
-
-    registry = NicknameRegistry()
-    for spec in specs:
-        catalog = databases[spec.name].catalog
-        for table_name in catalog.table_names():
-            table = catalog.lookup(table_name)
-            if spec.name == specs[0].name:
-                registry.register(
-                    table_name, spec.name, table_name, table_def=table
-                )
-            else:
-                registry.register(table_name, spec.name, table_name)
+        hosted = (
+            placement[spec.name]
+            if placement is not None
+            else database.catalog.table_names()
+        )
+        for table_name in hosted:
+            # Only a nickname's first registration reads the definition.
+            registry.register(
+                table_name,
+                spec.name,
+                table_def=database.catalog.lookup(table_name),
+            )
 
     qcc: Optional[QueryCostCalibrator] = None
     if with_qcc:
@@ -244,7 +254,10 @@ def build_federation(
             servers=[spec.name for spec in specs],
             config=qcc_config or QCCConfig(),
         )
-    meta_wrapper = MetaWrapper(wrappers, qcc=qcc)
+    meta_wrapper = MetaWrapper(
+        {name: RelationalWrapper(server) for name, server in servers.items()},
+        qcc=qcc,
+    )
     if qcc is not None:
         qcc.bind_meta_wrapper(meta_wrapper)
 
@@ -256,7 +269,6 @@ def build_federation(
         router=router,
         qcc=qcc,
         enable_plan_cache=enable_plan_cache,
-        plan_cache_size=plan_cache_size,
         engine=engine,
     )
     return Deployment(
@@ -271,157 +283,51 @@ def build_federation(
     )
 
 
-def build_replica_federation(
-    scale: WorkloadScale = BENCH_SCALE,
-    seed: int = 7,
-    qcc_config: Optional[QCCConfig] = None,
-    with_qcc: bool = True,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
-    availability: Optional[Mapping[str, AvailabilitySchedule]] = None,
-    error_seeds: Optional[Mapping[str, float]] = None,
-    prebuilt_databases: Optional[Mapping[str, Database]] = None,
-    induced_load: bool = False,
-    induced_gain: float = 0.002,
-    induced_decay_ms: float = 2_000.0,
-    enable_plan_cache: bool = True,
-    plan_cache_size: int = 128,
-    engine: Optional[str] = None,
-    transfer: str = "rows",
-    transfer_batch_rows: int = 1024,
-) -> Deployment:
+def _replica_of(origin: ServerSpec, name: str, latency_ms: float) -> ServerSpec:
+    # Replicas run on slightly weaker machines (93% of the origin's
+    # speed): their estimated costs sit ~8% above the origin's — inside
+    # the paper's 20% near-cost band, outside a very tight one — which
+    # is exactly the regime the band ablation explores.
+    return replace(
+        origin,
+        name=name,
+        latency_ms=latency_ms,
+        cpu_speed=origin.cpu_speed * 0.93,
+        io_speed=origin.io_speed * 0.93,
+    )
+
+
+_S1, _S2, _ = DEFAULT_SERVER_SPECS
+
+#: The Section 4 load-distribution topology: S1, R1, S2, R2.
+REPLICA_SERVER_SPECS: Tuple[ServerSpec, ...] = (
+    _S1,
+    _replica_of(_S1, "R1", latency_ms=10.0),
+    _S2,
+    _replica_of(_S2, "R2", latency_ms=14.0),
+)
+
+_GROUP_A = ("orders", "customer")
+_GROUP_B = ("lineitem", "product", "supplier")
+
+#: R1 replicates S1's tables and R2 replicates S2's.
+REPLICA_PLACEMENT: TablePlacement = {
+    "S1": _GROUP_A,
+    "R1": _GROUP_A,
+    "S2": _GROUP_B,
+    "R2": _GROUP_B,
+}
+
+
+def build_replica_federation(**options) -> Deployment:
     """The Section 4 load-distribution scenario: S1, S2, R1, R2.
 
     R1 replicates S1's tables (orders, customer) and R2 replicates S2's
     (lineitem, product, supplier), so a federated join across the two
     table groups has two fragments with two candidate servers each —
     exactly the paper's Q6 with its nine derivable global plans.
-
-    ``prebuilt_databases``/``availability``/``error_seeds`` mirror
-    :func:`build_federation`: the chaos harness reuses loaded replica
-    databases across hundreds of scenarios and injects per-server
-    outages and transient errors.
+    *options* are :func:`build_federation`'s.
     """
-    group_a = ("orders", "customer")
-    group_b = ("lineitem", "product", "supplier")
-    spec_map = {
-        "S1": group_a,
-        "R1": group_a,
-        "S2": group_b,
-        "R2": group_b,
-    }
-    base = {s.name: s for s in DEFAULT_SERVER_SPECS}
-    # Replicas run on slightly weaker machines (93% of the origin's
-    # speed): their estimated costs sit ~8% above the origin's — inside
-    # the paper's 20% near-cost band, outside a very tight one — which
-    # is exactly the regime the band ablation explores.
-    specs = (
-        base["S1"],
-        replace(
-            base["S1"],
-            name="R1",
-            latency_ms=10.0,
-            cpu_speed=base["S1"].cpu_speed * 0.93,
-            io_speed=base["S1"].io_speed * 0.93,
-        ),
-        base["S2"],
-        replace(
-            base["S2"],
-            name="R2",
-            latency_ms=14.0,
-            cpu_speed=base["S2"].cpu_speed * 0.93,
-            io_speed=base["S2"].io_speed * 0.93,
-        ),
-    )
-
-    clock = VirtualClock()
-    all_table_specs = {spec.name: spec for spec in table_specs(scale)}
-
-    servers: Dict[str, RemoteServer] = {}
-    loads: Dict[str, MutableLoad] = {}
-    wrappers: Dict[str, RelationalWrapper] = {}
-    databases: Dict[str, Database] = {}
-    for spec in specs:
-        if prebuilt_databases is not None:
-            database = prebuilt_databases[spec.name]
-        else:
-            database = Database(
-                name=spec.name, profile=spec.profile(), params=params,
-                engine=engine,
-            )
-            populate(
-                database,
-                [all_table_specs[t] for t in spec_map[spec.name]],
-                seed=seed,
-            )
-        databases[spec.name] = database
-        load = MutableLoad(0.0)
-        loads[spec.name] = load
-        if induced_load:
-            schedule_load = InducedLoad(
-                gain=induced_gain, decay_ms=induced_decay_ms, base=load
-            )
-        else:
-            schedule_load = load
-        schedule = (
-            availability.get(spec.name, AlwaysUp())
-            if availability
-            else AlwaysUp()
-        )
-        error_rate = (error_seeds or {}).get(spec.name, spec.error_rate)
-        server = RemoteServer(
-            name=spec.name,
-            database=database,
-            contention=spec.contention(),
-            load=schedule_load,
-            link=spec.link(),
-            availability=schedule,
-            errors=ErrorInjector(error_rate, seed=seed, name=spec.name),
-            transfer=transfer,
-            transfer_batch_rows=transfer_batch_rows,
-        )
-        servers[spec.name] = server
-        wrappers[spec.name] = RelationalWrapper(server)
-
-    registry = NicknameRegistry()
-    seen: set = set()
-    for spec in specs:
-        for table_name in spec_map[spec.name]:
-            table = databases[spec.name].catalog.lookup(table_name)
-            if table_name not in seen:
-                registry.register(
-                    table_name, spec.name, table_name, table_def=table
-                )
-                seen.add(table_name)
-            else:
-                registry.register(table_name, spec.name, table_name)
-
-    qcc: Optional[QueryCostCalibrator] = None
-    if with_qcc:
-        qcc = QueryCostCalibrator(
-            servers=[spec.name for spec in specs],
-            config=qcc_config or QCCConfig(),
-        )
-    meta_wrapper = MetaWrapper(wrappers, qcc=qcc)
-    if qcc is not None:
-        qcc.bind_meta_wrapper(meta_wrapper)
-
-    integrator = InformationIntegrator(
-        registry=registry,
-        meta_wrapper=meta_wrapper,
-        clock=clock,
-        params=params,
-        qcc=qcc,
-        enable_plan_cache=enable_plan_cache,
-        plan_cache_size=plan_cache_size,
-        engine=engine,
-    )
-    return Deployment(
-        integrator=integrator,
-        registry=registry,
-        meta_wrapper=meta_wrapper,
-        servers=servers,
-        loads=loads,
-        clock=clock,
-        qcc=qcc,
-        specs=specs,
+    return build_federation(
+        REPLICA_SERVER_SPECS, placement=REPLICA_PLACEMENT, **options
     )

@@ -1,27 +1,59 @@
-"""Experiment runners implementing Section 5's procedure.
+"""The experiment module: Section 5's procedure and every paper artefact.
 
 The central abstraction is the *phase sweep*: one deployment processes
 the same workload under each of Table 1's load phases, with a warm-up
-pass per phase so QCC (when present) adapts to the new conditions before
-the measured pass — mirroring how the paper's system observes a phase
-before benefiting from calibration.
+per phase so QCC (when present) adapts to the new conditions before the
+measured pass — mirroring how the paper's system observes a phase before
+benefiting from calibration.  The warm-up cycle (probe → pass →
+recalibrate) is written once, in :func:`warm_up` / :func:`calibrated_pass`.
+
+On top of it, :class:`Evaluation` produces Figure 9, Table 2 and
+Figures 10/11 as structured results, :func:`run_timeline` the
+availability/calibration timeline and :func:`run_procedure` the
+seven-step procedure.  The CLI (``python -m repro experiment ...``), the
+benchmark suite and notebooks all take their numbers from these runners;
+only the rendering differs between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..fed import FederationError
-from ..sim import ServerUnavailable
+from .. import obs
+from ..baselines import (
+    fixed_assignment_deployment,
+    preferred_server_deployment,
+    qcc_deployment,
+    uncalibrated_deployment,
+)
+from ..fed import FederationError, decompose
+from ..obs.timeline import NULL_TIMELINE, Timeline
+from ..sim import AvailabilitySchedule, ServerUnavailable
+from ..sqlengine import Database
 from ..workload import (
+    BENCH_SCALE,
     LOAD_LEVEL,
     PHASES,
+    QUERY_TYPES,
     Phase,
     QueryInstance,
+    WorkloadScale,
+    build_workload,
 )
-from .deployment import Deployment
+from .deployment import (
+    DEFAULT_SERVER_SPECS,
+    Deployment,
+    build_databases,
+    build_federation,
+)
 from .metrics import ResponseStats, mean, percent_gain
+from .report import ascii_table, bar_chart, grouped_series
+
+#: Idle virtual time between load regimes: the clock advances so QCC's
+#: daemons probe the servers under the *new* conditions before the
+#: warm-up traffic arrives.
+PHASE_GAP_MS = 3_000.0
 
 
 @dataclass(frozen=True)
@@ -39,6 +71,10 @@ class QueryOutcome:
         return self.instance.query_type
 
 
+def _mean_completed_ms(outcomes: Sequence[QueryOutcome]) -> float:
+    return mean([o.response_ms for o in outcomes if not o.failed])
+
+
 @dataclass
 class PhaseOutcome:
     """All measured executions of one phase."""
@@ -48,7 +84,7 @@ class PhaseOutcome:
 
     @property
     def mean_response_ms(self) -> float:
-        return mean([o.response_ms for o in self.outcomes if not o.failed])
+        return _mean_completed_ms(self.outcomes)
 
     def stats(self) -> ResponseStats:
         return ResponseStats.from_samples(
@@ -81,23 +117,12 @@ def run_query(deployment: Deployment, instance: QueryInstance) -> QueryOutcome:
     """Submit one workload query through the integrator."""
     try:
         result = deployment.integrator.submit(instance.sql, label=instance.label)
-    except (FederationError, ServerUnavailable) as exc:
-        return QueryOutcome(
-            instance=instance,
-            response_ms=0.0,
-            servers=(),
-            retries=0,
-            failed=True,
-        )
+    except (FederationError, ServerUnavailable):
+        return QueryOutcome(instance, 0.0, (), 0, failed=True)
     servers = tuple(
         sorted({o.option.server for o in result.fragments.values()})
     )
-    return QueryOutcome(
-        instance=instance,
-        response_ms=result.response_ms,
-        servers=servers,
-        retries=result.retries,
-    )
+    return QueryOutcome(instance, result.response_ms, servers, result.retries)
 
 
 def run_workload_once(
@@ -107,35 +132,46 @@ def run_workload_once(
     return [run_query(deployment, instance) for instance in workload]
 
 
+def calibrated_pass(
+    deployment: Deployment, workload: Sequence[QueryInstance]
+) -> List[QueryOutcome]:
+    """One pass over the workload, then close the calibration cycle so
+    the next pass routes on factors learned from this one."""
+    outcomes = run_workload_once(deployment, workload)
+    if deployment.qcc is not None:
+        deployment.qcc.recalibrate(deployment.clock.now)
+    return outcomes
+
+
+def warm_up(
+    deployment: Deployment, workload: Sequence[QueryInstance], passes: int
+) -> None:
+    """*passes* calibration cycles under the current load conditions:
+    probe the servers, run the workload, recalibrate."""
+    for _ in range(passes):
+        if deployment.qcc is not None:
+            deployment.qcc.probe_servers(deployment.clock.now)
+        calibrated_pass(deployment, workload)
+
+
+def _set_all_loads(deployment: Deployment, level: float) -> None:
+    deployment.set_load(dict.fromkeys(deployment.server_names(), level))
+
+
 def run_phase(
     deployment: Deployment,
     workload: Sequence[QueryInstance],
     phase: Phase,
     load_level: float = LOAD_LEVEL,
     warmup_passes: int = 2,
-    phase_gap_ms: float = 3_000.0,
 ) -> PhaseOutcome:
-    """Apply *phase*'s load conditions, warm up, then measure one pass.
-
-    ``phase_gap_ms`` models the idle time between load regimes: the
-    clock advances so QCC's daemons probe the servers under the *new*
-    conditions before the warm-up traffic arrives.
-    """
+    """Apply *phase*'s load conditions, warm up, then measure one pass."""
     deployment.set_load(
         phase.levels(tuple(deployment.server_names()), load_level)
     )
-    deployment.clock.advance(phase_gap_ms)
-    for _ in range(warmup_passes):
-        if deployment.qcc is not None:
-            deployment.qcc.probe_servers(deployment.clock.now)
-        run_workload_once(deployment, workload)
-        if deployment.qcc is not None:
-            # Close the calibration cycle so the measured pass routes on
-            # factors learned under the current phase.
-            deployment.qcc.recalibrate(deployment.clock.now)
-    outcome = PhaseOutcome(phase=phase)
-    outcome.outcomes = run_workload_once(deployment, workload)
-    return outcome
+    deployment.clock.advance(PHASE_GAP_MS)
+    warm_up(deployment, workload, warmup_passes)
+    return PhaseOutcome(phase, run_workload_once(deployment, workload))
 
 
 def run_phase_sweep(
@@ -278,53 +314,34 @@ def run_procedure(
     :func:`run_phase_sweep`.
     """
     probe = make_calibrated()
+    keyed = [(f"{i.query_type}#{i.instance_id}", i) for i in workload]
 
     # Step 1: query fragment generation.
-    from ..fed import decompose
-
-    fragments: Dict[str, List[str]] = {}
-    for instance in workload:
-        decomposed = decompose(instance.sql, probe.registry)
-        fragments[f"{instance.query_type}#{instance.instance_id}"] = [
-            f.sql for f in decomposed.fragments
-        ]
+    fragments = {
+        key: [f.sql for f in decompose(i.sql, probe.registry).fragments]
+        for key, i in keyed
+    }
 
     # Step 2: estimated costs per server (explain mode, load-blind).
-    estimates = {
-        f"{i.query_type}#{i.instance_id}": estimate_on_servers(probe, i)
-        for i in workload
-    }
+    estimates = {key: estimate_on_servers(probe, i) for key, i in keyed}
 
     # Step 3: baseline observations (no load).
-    probe.set_load({name: 0.0 for name in probe.server_names()})
-    baseline = {
-        f"{i.query_type}#{i.instance_id}": observe_on_servers(probe, i)
-        for i in workload
-    }
+    _set_all_loads(probe, 0.0)
+    baseline = {key: observe_on_servers(probe, i) for key, i in keyed}
 
     # Step 4: heavy-load observations.
-    probe.set_load({name: load_level for name in probe.server_names()})
-    loaded = {
-        f"{i.query_type}#{i.instance_id}": observe_on_servers(probe, i)
-        for i in workload
-    }
+    _set_all_loads(probe, load_level)
+    loaded = {key: observe_on_servers(probe, i) for key, i in keyed}
 
     # Step 5: workload execution on estimated costs under load (no QCC).
     fixed = make_fixed()
-    fixed.set_load({name: load_level for name in fixed.server_names()})
+    _set_all_loads(fixed, load_level)
     fixed_outcomes = run_workload_once(fixed, workload)
 
     # Step 6: workload execution on calibrated costs under load.
     calibrated = make_calibrated()
-    calibrated.set_load(
-        {name: load_level for name in calibrated.server_names()}
-    )
-    for _ in range(warmup_passes):
-        if calibrated.qcc is not None:
-            calibrated.qcc.probe_servers(calibrated.clock.now)
-        run_workload_once(calibrated, workload)
-        if calibrated.qcc is not None:
-            calibrated.qcc.recalibrate(calibrated.clock.now)
+    _set_all_loads(calibrated, load_level)
+    warm_up(calibrated, workload, warmup_passes)
     calibrated_outcomes = run_workload_once(calibrated, workload)
 
     return ProcedureReport(
@@ -332,10 +349,354 @@ def run_procedure(
         estimates=estimates,
         baseline_observations=baseline,
         loaded_observations=loaded,
-        fixed_mean_ms=mean(
-            [o.response_ms for o in fixed_outcomes if not o.failed]
-        ),
-        calibrated_mean_ms=mean(
-            [o.response_ms for o in calibrated_outcomes if not o.failed]
-        ),
+        fixed_mean_ms=_mean_completed_ms(fixed_outcomes),
+        calibrated_mean_ms=_mean_completed_ms(calibrated_outcomes),
     )
+
+
+# ---------------------------------------------------------------------------
+# The paper's tables and figures
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Figure9Result:
+    """Per-type, per-condition, per-server response times (ms)."""
+
+    measurements: Dict[str, Dict[str, Dict[str, float]]]
+
+    def to_dict(self) -> Dict:
+        return {"experiment": "figure9", "measurements": self.measurements}
+
+    def render(self) -> str:
+        parts = ["=== Figure 9: response time (ms) per server, per query type ==="]
+        for name, data in self.measurements.items():
+            parts.append(
+                grouped_series(
+                    ["S1", "S2", "S3"],
+                    {
+                        "Base (all idle)": data["base"],
+                        "Load (all loaded)": data["loaded"],
+                        "Only S3 loaded": data["s3_loaded"],
+                    },
+                    title=f"\n{name}",
+                    unit="ms",
+                )
+            )
+        return "\n".join(parts)
+
+
+@dataclass
+class Table2Result:
+    """QCC's per-phase dynamic assignment plus the phase response sweep."""
+
+    assignments: Dict[str, List[str]]
+    sweep: Dict[str, PhaseOutcome]
+
+    def to_dict(self) -> Dict:
+        return {
+            "experiment": "table2",
+            "assignments": self.assignments,
+            "mean_response_ms": {
+                phase: outcome.mean_response_ms
+                for phase, outcome in self.sweep.items()
+            },
+        }
+
+    def render(self) -> str:
+        parts = ["=== Table 1: combinations of server load conditions ==="]
+        rows = [
+            [server] + [phase.condition(server) for phase in PHASES]
+            for server in ("S1", "S2", "S3")
+        ]
+        parts.append(ascii_table(["Server"] + [p.name for p in PHASES], rows))
+        parts.append("")
+        parts.append("=== Table 2: dynamic assignment per phase ===")
+        rows = [[name] + values for name, values in self.assignments.items()]
+        parts.append(ascii_table(["Type"] + [p.name for p in PHASES], rows))
+        return "\n".join(parts)
+
+
+@dataclass
+class GainResult:
+    """A per-phase comparison of a baseline system against QCC."""
+
+    title: str
+    baseline_ms: Dict[str, float]
+    qcc_ms: Dict[str, float]
+    gains: Dict[str, float]
+
+    @property
+    def average_gain(self) -> float:
+        return mean(list(self.gains.values()))
+
+    def to_dict(self) -> Dict:
+        return {
+            "experiment": self.title.strip("= ").strip(),
+            "baseline_ms": self.baseline_ms,
+            "qcc_ms": self.qcc_ms,
+            "gains_percent": self.gains,
+            "average_gain_percent": self.average_gain,
+        }
+
+    def render(self) -> str:
+        rows = [
+            [
+                phase,
+                self.baseline_ms[phase],
+                self.qcc_ms[phase],
+                self.gains[phase],
+            ]
+            for phase in self.baseline_ms
+        ]
+        table = ascii_table(
+            ["Phase", "Baseline (ms)", "QCC (ms)", "Gain (%)"],
+            rows,
+            title=self.title,
+        )
+        chart = bar_chart(self.gains, unit="%", title="Gain per phase")
+        return (
+            f"{table}\n\n{chart}\n\nAverage gain: {self.average_gain:.1f}%"
+        )
+
+
+class Evaluation:
+    """Section 5's evaluation of the systems over one loaded dataset.
+
+    Every artefact method returns a structured result with ``render()``
+    and ``to_dict()``.  The QCC sweep behind Table 2 and Figures 10/11
+    runs at most once per evaluation, however many of them are asked for.
+    """
+
+    def __init__(
+        self,
+        scale: WorkloadScale = BENCH_SCALE,
+        databases: Optional[Mapping[str, Database]] = None,
+        instances_per_type: int = 5,
+    ) -> None:
+        self.scale = scale
+        if databases is None:
+            databases = build_databases(DEFAULT_SERVER_SPECS, scale)
+        self.databases = databases
+        self.workload = build_workload(instances_per_type=instances_per_type)
+        self._table2: Optional[Table2Result] = None
+
+    def _deploy(self, factory: Callable[..., Deployment]) -> Deployment:
+        return factory(scale=self.scale, prebuilt_databases=self.databases)
+
+    def figure9(self) -> Figure9Result:
+        """Each query type observed directly at every server under
+        Base, Load and the paper's crossover case, only S3 loaded."""
+        deployment = self._deploy(uncalibrated_deployment)
+        conditions = {
+            "base": {},
+            "loaded": dict.fromkeys(deployment.server_names(), LOAD_LEVEL),
+            "s3_loaded": {"S3": LOAD_LEVEL},
+        }
+        measurements: Dict[str, Dict[str, Dict[str, float]]] = {}
+        for template in QUERY_TYPES:
+            observed = measurements[template.name] = {}
+            for condition, levels in conditions.items():
+                _set_all_loads(deployment, 0.0)
+                deployment.set_load(levels)
+                observed[condition] = observe_on_servers(
+                    deployment, template.instance(0)
+                )
+        _set_all_loads(deployment, 0.0)
+        return Figure9Result(measurements=measurements)
+
+    def table2(self) -> Table2Result:
+        """The QCC system swept over Table 1's phases, sampling its
+        dynamic assignment of each query type after every phase."""
+        if self._table2 is None:
+            deployment = self._deploy(qcc_deployment)
+            sweep: Dict[str, PhaseOutcome] = {}
+            assignments: Dict[str, List[str]] = {
+                t.name: [] for t in QUERY_TYPES
+            }
+            for phase in PHASES:
+                sweep[phase.name] = run_phase(deployment, self.workload, phase)
+                for template in QUERY_TYPES:
+                    servers = dynamic_assignment(
+                        deployment, template.instance(0)
+                    )
+                    assignments[template.name].append("/".join(servers))
+            self._table2 = Table2Result(assignments=assignments, sweep=sweep)
+        return self._table2
+
+    def _gain_over(
+        self, baseline_factory: Callable[..., Deployment], title: str
+    ) -> GainResult:
+        baseline = run_phase_sweep(
+            self._deploy(baseline_factory), self.workload
+        )
+        calibrated = self.table2().sweep
+        return GainResult(
+            title=title,
+            baseline_ms={
+                name: outcome.mean_response_ms
+                for name, outcome in baseline.items()
+            },
+            qcc_ms={
+                name: outcome.mean_response_ms
+                for name, outcome in calibrated.items()
+            },
+            gains=gains_by_phase(baseline, calibrated),
+        )
+
+    def figure10(self) -> GainResult:
+        return self._gain_over(
+            fixed_assignment_deployment,
+            "=== Figure 10: QCC vs Fixed Assignment 1 ===",
+        )
+
+    def figure11(self) -> GainResult:
+        return self._gain_over(
+            preferred_server_deployment,
+            "=== Figure 11: QCC vs Fixed Assignment 2 (always S3) ===",
+        )
+
+
+# ---------------------------------------------------------------------------
+# The availability / calibration timeline
+# ---------------------------------------------------------------------------
+
+
+class _ManualOutage(AvailabilitySchedule):
+    """A schedule flipped by the experiment loop, not by the clock.
+
+    Virtual-time outage windows would have to guess how long each phase
+    runs; a manual switch makes the down interval exactly one phase long
+    regardless of scale, while still exercising the *real* detection
+    path (failed requests and probes through the meta-wrapper).
+    """
+
+    def __init__(self) -> None:
+        self.down = False
+
+    def is_up(self, t_ms: float) -> bool:
+        return not self.down
+
+
+@dataclass
+class TimelineResult:
+    """The federation timeline of a Figure-9-style load/outage sweep."""
+
+    timeline: Timeline
+    #: (phase name, start t_ms, end t_ms), in run order
+    phases: List[Tuple[str, float, float]]
+
+    def to_dict(self) -> Dict:
+        return {
+            "experiment": "timeline",
+            "phases": [
+                {"name": name, "start_ms": start, "end_ms": end}
+                for name, start, end in self.phases
+            ],
+            **self.timeline.to_dict(),
+        }
+
+    def samples_csv(self) -> str:
+        return self.timeline.samples_csv()
+
+    def events_csv(self) -> str:
+        return self.timeline.events_csv()
+
+    def render(self) -> str:
+        parts = ["=== Federation timeline (Figure-9-style sweep) ==="]
+        rows = [
+            [name, f"{start:.0f}", f"{end:.0f}"]
+            for name, start, end in self.phases
+        ]
+        parts.append(ascii_table(["Phase", "Start (ms)", "End (ms)"], rows))
+        parts.append("")
+        parts.append("Per-server calibration-factor series:")
+        server_rows = []
+        for server in self.timeline.servers():
+            series = self.timeline.server_series(server, "calibration_factor")
+            availability = self.timeline.server_series(server, "available")
+            downs = sum(1 for _, up in availability if not up)
+            server_rows.append(
+                [
+                    server,
+                    len(series),
+                    f"{series[0][1]:.2f}" if series else "-",
+                    f"{series[-1][1]:.2f}" if series else "-",
+                    downs,
+                ]
+            )
+        parts.append(
+            ascii_table(
+                ["Server", "Samples", "First factor", "Last factor",
+                 "Down samples"],
+                server_rows,
+            )
+        )
+        kinds: Dict[str, int] = {}
+        for event in self.timeline.events:
+            kinds[event.kind] = kinds.get(event.kind, 0) + 1
+        summary = ", ".join(
+            f"{kind}: {count}" for kind, count in sorted(kinds.items())
+        )
+        parts.append(f"\nEvents ({len(self.timeline.events)}): {summary}")
+        for event in self.timeline.events:
+            if event.kind in ("server-down", "server-up"):
+                parts.append(
+                    f"  [{event.t_ms:.0f}ms] {event.kind} {event.server}"
+                    f" ({event.detail})"
+                )
+        return "\n".join(parts)
+
+
+def run_timeline(
+    scale: WorkloadScale = BENCH_SCALE,
+    databases: Optional[Mapping[str, Database]] = None,
+    instances_per_type: int = 2,
+    load_level: float = LOAD_LEVEL,
+    seed: int = 7,
+) -> TimelineResult:
+    """A Figure-9-style sweep recorded on the federation timeline.
+
+    Four phases — all idle, all loaded, S3 down, S3 recovered — with a
+    recalibration at every phase boundary, so the timeline captures both
+    the calibration factors absorbing the load shift and the
+    availability transitions around the outage.  ``seed`` drives the
+    table data (unless ``databases`` is prebuilt) and the workload
+    interleaving, so two invocations with the same seed produce
+    identical timelines.
+    """
+    sink = obs.get_obs()
+    if sink.timeline is NULL_TIMELINE:
+        sink = obs.configure(
+            metrics=False, tracing=False, timeline=True, log_level=None
+        )
+    outage = _ManualOutage()
+    deployment = build_federation(
+        scale=scale,
+        seed=seed,
+        prebuilt_databases=databases,
+        availability={"S3": outage},
+    )
+    workload = build_workload(
+        instances_per_type=instances_per_type, seed=seed
+    )
+    phases: List[Tuple[str, float, float]] = []
+
+    def run_phase_named(name: str) -> None:
+        # An unroutable query during the outage phase is itself a data
+        # point; the availability events already recorded why.
+        start = deployment.clock.now
+        calibrated_pass(deployment, workload)
+        phases.append((name, start, deployment.clock.now))
+
+    run_phase_named("base")
+    _set_all_loads(deployment, load_level)
+    run_phase_named("loaded")
+    _set_all_loads(deployment, 0.0)
+    outage.down = True
+    run_phase_named("s3-outage")
+    outage.down = False
+    # Recovery is probe-driven, exactly as in the paper's daemon design.
+    deployment.qcc.probe_servers(deployment.clock.now)
+    run_phase_named("recovered")
+    return TimelineResult(timeline=sink.timeline, phases=phases)

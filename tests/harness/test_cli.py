@@ -7,7 +7,7 @@ import pytest
 
 import repro.obs as obs
 from repro.cli import build_parser, main
-from repro.harness.experiments import run_figure9
+from repro.harness import Evaluation
 from repro.workload import QUERY_TYPES, TEST_SCALE
 
 QT1_SQL = QUERY_TYPES[0].instance(0).sql
@@ -328,7 +328,9 @@ class TestChaosCommand:
 
 class TestExperimentRunners:
     def test_figure9_runner_structure(self, sample_databases):
-        result = run_figure9(scale=TEST_SCALE, databases=sample_databases)
+        result = Evaluation(
+            scale=TEST_SCALE, databases=sample_databases
+        ).figure9()
         assert set(result.measurements) == {"QT1", "QT2", "QT3", "QT4"}
         for data in result.measurements.values():
             assert set(data) == {"base", "loaded", "s3_loaded"}

@@ -6,10 +6,12 @@ correct result or fails with a clean FederationError — never a crash —
 and that the patroller's books always balance.
 """
 
+from dataclasses import replace
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fed import FederationError, QueryStatus
-from repro.harness import build_federation
+from repro.harness import DEFAULT_SERVER_SPECS, build_federation
 from repro.sim import (
     OutageSchedule,
     ServerUnavailable,
@@ -44,17 +46,20 @@ class TestFailureInjection:
     )
     def test_graceful_degradation(self, sample_databases, plan, start_time):
         availability = {}
-        error_seeds = {}
+        error_rates = {}
         for server, (kind, value) in plan.items():
             if kind == "outage":
                 availability[server] = OutageSchedule([value])
             else:
-                error_seeds[server] = value
+                error_rates[server] = value
         deployment = build_federation(
             scale=TEST_SCALE,
             prebuilt_databases=sample_databases,
             availability=availability,
-            error_seeds=error_seeds,
+            specs=[
+                replace(spec, error_rate=error_rates.get(spec.name, 0.0))
+                for spec in DEFAULT_SERVER_SPECS
+            ],
         )
         deployment.clock.advance(float(start_time))
         instance = QT3.instance(0)

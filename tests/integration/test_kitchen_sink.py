@@ -6,10 +6,12 @@ outage, and phase shifts — and the system must keep answering queries
 correctly.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import LoadBalanceConfig, QCCConfig
-from repro.harness import build_federation
+from repro.harness import DEFAULT_SERVER_SPECS, build_federation
 from repro.sim import InducedLoad, OutageSchedule, UpdateStormDriver
 from repro.sqlengine import rows_close_unordered
 from repro.workload import PHASES, TEST_SCALE, build_workload
@@ -29,7 +31,10 @@ def test_everything_on_everything_breaks_nothing(sample_databases, seed):
         seed=seed,
         qcc_config=config,
         prebuilt_databases=None if seed != 7 else sample_databases,
-        error_seeds={"S2": 0.15},
+        specs=[
+            replace(spec, error_rate=0.15 if spec.name == "S2" else 0.0)
+            for spec in DEFAULT_SERVER_SPECS
+        ],
     )
     # Traffic-sensitive load on S1 plus a storm hitting it.
     s1 = deployment.servers["S1"]
