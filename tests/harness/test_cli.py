@@ -339,3 +339,23 @@ class TestExperimentRunners:
         rendered = result.render()
         assert "Figure 9" in rendered
         assert "QT2" in rendered
+
+    def test_cli_and_benchmark_share_the_table2_runner(
+        self, sample_databases, tmp_path, capsys
+    ):
+        # `repro experiment table2` and benchmarks/bench_table2.py (via
+        # the session Evaluation of benchmarks/conftest.py) both read
+        # Evaluation.table2(); same scale and data => same assignments.
+        path = tmp_path / "table2.json"
+        assert main(
+            ["experiment", "table2", "--scale", "test", "--json", str(path)]
+        ) == 0
+        assert "Table 2" in capsys.readouterr().out
+        from_cli = json.loads(path.read_text())
+        measured = Evaluation(
+            scale=TEST_SCALE, databases=sample_databases, instances_per_type=5
+        ).table2()
+        assert from_cli["assignments"] == measured.assignments
+        assert from_cli == measured.to_dict()
+        assert set(measured.assignments) == {"QT1", "QT2", "QT3", "QT4"}
+        assert all(len(row) == 8 for row in measured.assignments.values())

@@ -1,6 +1,8 @@
 """Unit tests for federation builders."""
 
 
+import pytest
+
 from repro.fed import FixedRouter
 from repro.harness import (
     DEFAULT_SERVER_SPECS,
@@ -8,6 +10,28 @@ from repro.harness import (
     build_replica_federation,
 )
 from repro.workload import TEST_SCALE
+
+ALL_TABLES = ["customer", "lineitem", "orders", "product", "supplier"]
+GROUP_A = ["customer", "orders"]
+GROUP_B = ["lineitem", "product", "supplier"]
+
+#: builder, servers in spec order -> hosted tables, nickname -> hosts in
+#: registration order (the first one supplied the global definition).
+TOPOLOGIES = {
+    "triple": (
+        build_federation,
+        {"S1": ALL_TABLES, "S2": ALL_TABLES, "S3": ALL_TABLES},
+        {table: ["S1", "S2", "S3"] for table in ALL_TABLES},
+    ),
+    "replica": (
+        build_replica_federation,
+        {"S1": GROUP_A, "R1": GROUP_A, "S2": GROUP_B, "R2": GROUP_B},
+        {
+            **{table: ["S1", "R1"] for table in GROUP_A},
+            **{table: ["S2", "R2"] for table in GROUP_B},
+        },
+    ),
+}
 
 
 class TestServerSpecs:
@@ -23,6 +47,72 @@ class TestServerSpecs:
         specs = {s.name: s for s in DEFAULT_SERVER_SPECS}
         assert specs["S3"].cpu_sensitivity > specs["S1"].cpu_sensitivity
         assert specs["S3"].io_sensitivity < specs["S1"].io_sensitivity
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+class TestTopologyIsData:
+    """The one assembler reproduces both deployments exactly."""
+
+    @pytest.fixture()
+    def built(self, topology):
+        build, hosted, placements = TOPOLOGIES[topology]
+        return build(scale=TEST_SCALE), hosted, placements
+
+    def test_servers_and_their_tables(self, built):
+        deployment, hosted, _ = built
+        assert list(deployment.servers) == list(hosted)
+        assert [spec.name for spec in deployment.specs] == list(hosted)
+        assert list(deployment.loads) == list(hosted)
+        assert deployment.meta_wrapper.server_names() == sorted(hosted)
+        for name, tables in hosted.items():
+            catalog = deployment.servers[name].database.catalog
+            assert catalog.table_names() == tables
+
+    def test_registry_placements_and_definition_owners(self, built):
+        deployment, _, placements = built
+        registry = deployment.registry
+        assert registry.nicknames() == sorted(placements)
+        for nickname, hosts in placements.items():
+            assert [
+                (p.server, p.remote_table)
+                for p in registry.placements(nickname)
+            ] == [(host, nickname) for host in hosts]
+            owner = deployment.servers[hosts[0]].database.catalog
+            assert (
+                registry.global_catalog.lookup(nickname).stats.row_count
+                == owner.lookup(nickname).stats.row_count
+            )
+
+    def test_servers_follow_their_specs(self, built):
+        deployment, _, _ = built
+        for spec in deployment.specs:
+            server = deployment.servers[spec.name]
+            assert server.database.profile == spec.profile()
+            assert server.contention == spec.contention()
+            assert server.link.latency_ms == spec.latency_ms
+            assert server.link.bandwidth_mbps == spec.bandwidth_mbps
+            assert server.load is deployment.loads[spec.name]
+
+    def test_replica_specs_derive_from_their_origins(self, built):
+        deployment, _, _ = built
+        specs = {spec.name: spec for spec in deployment.specs}
+        for replica, origin, latency_ms in (
+            ("R1", "S1", 10.0), ("R2", "S2", 14.0),
+        ):
+            if replica not in specs:
+                continue
+            assert specs[replica].latency_ms == latency_ms
+            assert specs[replica].cpu_speed == specs[origin].cpu_speed * 0.93
+            assert specs[replica].io_speed == specs[origin].io_speed * 0.93
+        for origin in DEFAULT_SERVER_SPECS:
+            if origin.name in specs:
+                assert specs[origin.name] == origin
+
+    def test_qcc_watches_every_server(self, built):
+        deployment, hosted, _ = built
+        assert deployment.integrator.qcc is deployment.qcc
+        assert deployment.meta_wrapper.qcc is deployment.qcc
+        assert list(deployment.qcc.availability.snapshot()) == list(hosted)
 
 
 class TestBuildFederation:
