@@ -460,15 +460,16 @@ def _execute(
                         event = lag_events[applied]
                         manager.note_write(event.table, event.start_ms)
                         applied += 1
+                sql = query.sql(DATA_SEED)
                 submission = dict(
                     index=index,
                     query_type=query.query_type,
-                    sql=query.sql(DATA_SEED),
+                    sql=sql,
                     submitted_ms=clock.now,
                 )
                 try:
                     result = integrator.submit(
-                        submission["sql"],
+                        sql,
                         label=query.query_type,
                         staleness_tolerance_ms=spec.staleness_tolerance_ms,
                     )

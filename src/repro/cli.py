@@ -25,8 +25,12 @@ import sys
 from typing import List, Optional
 
 from . import obs
-from .harness import Evaluation, build_federation, run_timeline
-from .harness.experiment import calibrated_pass
+from .harness import (
+    Evaluation,
+    build_federation,
+    calibrated_pass,
+    run_timeline,
+)
 from .obs.export import chrome_trace_json, render_prometheus
 from .obs.profile import (
     disable_profiling,

@@ -190,6 +190,10 @@ def run_phase_sweep(
     }
 
 
+def _mean_by_phase(sweep: Mapping[str, PhaseOutcome]) -> Dict[str, float]:
+    return {name: outcome.mean_response_ms for name, outcome in sweep.items()}
+
+
 def gains_by_phase(
     baseline: Mapping[str, PhaseOutcome],
     treatment: Mapping[str, PhaseOutcome],
@@ -397,10 +401,7 @@ class Table2Result:
         return {
             "experiment": "table2",
             "assignments": self.assignments,
-            "mean_response_ms": {
-                phase: outcome.mean_response_ms
-                for phase, outcome in self.sweep.items()
-            },
+            "mean_response_ms": _mean_by_phase(self.sweep),
         }
 
     def render(self) -> str:
@@ -533,14 +534,8 @@ class Evaluation:
         calibrated = self.table2().sweep
         return GainResult(
             title=title,
-            baseline_ms={
-                name: outcome.mean_response_ms
-                for name, outcome in baseline.items()
-            },
-            qcc_ms={
-                name: outcome.mean_response_ms
-                for name, outcome in calibrated.items()
-            },
+            baseline_ms=_mean_by_phase(baseline),
+            qcc_ms=_mean_by_phase(calibrated),
             gains=gains_by_phase(baseline, calibrated),
         )
 
