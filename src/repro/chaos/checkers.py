@@ -21,6 +21,11 @@ Bundled invariants:
 ``no-down-dispatch``
     The integrator never dispatches a fragment to a server the
     availability monitor had already marked down at dispatch time.
+``no-stale-dispatch``
+    Under a staleness tolerance, no fragment — first choice, Section 4.1
+    substitute, hedge backup or migration target — is dispatched to a
+    server whose copy the dispatching attempt's own compilation found
+    staler than the tolerance.
 ``calibration-bounds``
     Every calibration factor QCC serves (per-server, per-fragment,
     probe-derived initial, and the II workload factor) stays inside the
@@ -204,6 +209,20 @@ def check_no_down_dispatch(run: ScenarioRun) -> List[str]:
                 f"fragment dispatched to {record.server} at "
                 f"t={record.t_ms:.1f}ms while the availability monitor "
                 f"had it marked down ({', '.join(record.down_before)})"
+            )
+    return problems
+
+
+@register_checker("no-stale-dispatch")
+def check_no_stale_dispatch(run: ScenarioRun) -> List[str]:
+    problems: List[str] = []
+    for record in run.dispatches:
+        if record.fresh is not None and record.server not in record.fresh:
+            problems.append(
+                f"fragment dispatched to {record.server} at "
+                f"t={record.t_ms:.1f}ms although its attempt's compilation "
+                f"admitted only the fresh copies on "
+                f"({', '.join(record.fresh)})"
             )
     return problems
 

@@ -6,7 +6,8 @@ on the virtual clock and records everything the invariant checkers need:
 
 * per-query outcomes (rows, response time, retries, servers, errors);
 * every fragment dispatch, stamped with the set of servers the
-  availability monitor considered down *at that instant*;
+  availability monitor considered down *at that instant* and, under a
+  staleness tolerance, the set its attempt's compilation found fresh;
 * every plan-cache hit, stamped with the entry's epoch and the live
   epoch counter;
 * the calibration factors (server, fragment, initial, II) after a final
@@ -135,6 +136,10 @@ class DispatchRecord:
     t_ms: float
     server: str
     down_before: Tuple[str, ...]
+    #: Servers whose copies of the fragment's tables were within the
+    #: scenario's staleness tolerance when the dispatching attempt
+    #: compiled (None = the scenario has no tolerance).
+    fresh: Optional[Tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -288,27 +293,54 @@ def _apply_schedule_faults(spec: ScenarioSpec, deployment: Deployment) -> None:
 
 
 def _record_dispatches(
-    deployment: Deployment, records: List[DispatchRecord]
+    deployment: Deployment,
+    records: List[DispatchRecord],
+    manager: Optional[ReplicaManager],
+    tolerance_ms: Optional[float],
 ) -> None:
-    """Wrap MW's dispatch path to log (server, monitor down-set) pairs."""
+    """Wrap MW's dispatch path to log (server, monitor down-set,
+    attempt's fresh set) triples."""
     meta_wrapper = deployment.meta_wrapper
+    integrator = deployment.integrator
     qcc = deployment.qcc
+    #: id(fragment) -> fresh set as of its latest compilation.  A cache
+    #: hit re-reads the set at the hit instant: the entry's freshness
+    #: horizon promises it has not moved since the entry was compiled.
+    fresh_for: Dict[int, Tuple[str, ...]] = {}
+
+    if manager is not None and tolerance_ms is not None:
+        compile_query = integrator.compile
+
+        def compiling(sql, t_ms=None, *args, **kwargs):
+            decomposed, plans = compile_query(sql, t_ms, *args, **kwargs)
+            t = integrator.clock.now if t_ms is None else t_ms
+            for fragment in decomposed.fragments:
+                fresh_for[id(fragment)] = tuple(
+                    sorted(
+                        manager.fresh_servers(
+                            fragment.nicknames, t, tolerance_ms
+                        )
+                    )
+                )
+            return decomposed, plans
+
+        integrator.compile = compiling
+
     original = meta_wrapper.execute_option
 
-    def recording(option, t_ms, allow_substitution=True, **kwargs):
+    def recording(option, t_ms, *args, **kwargs):
         down = (
             tuple(qcc.availability.down_servers())
             if qcc is not None
             else ()
         )
+        fresh = fresh_for.get(id(option.fragment))
         try:
-            used, execution = original(
-                option, t_ms, allow_substitution, **kwargs
-            )
+            used, execution = original(option, t_ms, *args, **kwargs)
         except ServerUnavailable as exc:
-            records.append(DispatchRecord(t_ms, exc.server, down))
+            records.append(DispatchRecord(t_ms, exc.server, down, fresh))
             raise
-        records.append(DispatchRecord(t_ms, used.server, down))
+        records.append(DispatchRecord(t_ms, used.server, down, fresh))
         return used, execution
 
     meta_wrapper.execute_option = recording
@@ -432,7 +464,9 @@ def _execute(
         server.database.engine = resolved
 
     if run is not None:
-        _record_dispatches(deployment, run.dispatches)
+        _record_dispatches(
+            deployment, run.dispatches, manager, spec.staleness_tolerance_ms
+        )
         _record_cache_lookups(deployment, run.cache_lookups)
 
     lag_events = sorted(

@@ -224,14 +224,6 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGY_SERVERS:
             raise ValueError(f"unknown topology {self.topology!r}")
-        if (
-            self.hedge_after_ms is not None
-            and self.reroute_batch_rows is not None
-        ):
-            raise ValueError(
-                "hedge_after_ms and reroute_batch_rows are mutually "
-                "exclusive on one scenario"
-            )
         servers = TOPOLOGY_SERVERS[self.topology]
         for fault in self.faults:
             if fault.server not in servers:

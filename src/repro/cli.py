@@ -132,12 +132,6 @@ def _add_load_stream_args(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=7, help="traffic seed"
     )
     parser.add_argument(
-        "--discipline",
-        choices=("ps", "fifo"),
-        default="ps",
-        help="server queue discipline (default: ps)",
-    )
-    parser.add_argument(
         "--scale",
         choices=sorted(_SCALES),
         default="test",
@@ -161,8 +155,7 @@ def _add_load_stream_args(parser: argparse.ArgumentParser) -> None:
         metavar="ROWS",
         help=(
             "enable mid-query batch re-routing (transfer batch size in "
-            "rows; mutually exclusive with --hedge-after; "
-            "default: disabled)"
+            "rows; default: disabled)"
         ),
     )
 
@@ -370,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ROWS",
         help=(
             "enable mid-query batch re-routing in concurrent scenarios "
-            "(transfer batch size in rows; mutually exclusive with "
-            "--hedge-after; default: disabled)"
+            "(transfer batch size in rows; default: disabled)"
         ),
     )
     chaos.add_argument(
@@ -691,13 +683,6 @@ def _cmd_chaos(args) -> int:
     forbid_global_random()
 
     checker_names = args.checkers or None
-    if args.hedge_after is not None and (
-        args.reroute_batch is not None or args.reroute_rate > 0.0
-    ):
-        raise SystemExit(
-            "--hedge-after and --reroute-batch/--reroute-rate are "
-            "mutually exclusive"
-        )
     if args.repro:
         specs = [ScenarioSpec.from_json(args.repro)]
     else:
@@ -710,10 +695,11 @@ def _cmd_chaos(args) -> int:
         # or to interrupt a fragment mid-flight.
         from dataclasses import replace as _replace
 
+        overrides = {}
         if args.hedge_after is not None:
-            overrides = {"hedge_after_ms": args.hedge_after}
-        else:
-            overrides = {"reroute_batch_rows": args.reroute_batch}
+            overrides["hedge_after_ms"] = args.hedge_after
+        if args.reroute_batch is not None:
+            overrides["reroute_batch_rows"] = args.reroute_batch
         specs = [
             _replace(spec, **overrides)
             if spec.arrival is not None
@@ -823,7 +809,6 @@ def _run_load_stream(args, traced: bool):
         classes=classes,
         seed=args.seed,
         scale=_SCALES[args.scale],
-        discipline=args.discipline,
         hedge_after_ms=args.hedge_after,
         reroute_batch_rows=args.reroute_batch,
     )

@@ -12,8 +12,9 @@ Two granularities:
   fragment instance gets a stable, deterministic replica (plan-cache and
   data-cache locality survive calibration epochs), distinct fragments
   spread uniformly across the cluster, and membership churn moves only
-  ~1/n of the assignments.  The HRW rank order also names the natural
-  backup replica for hedged dispatch (``repro.fed.hedging``).
+  ~1/n of the assignments.  The same ranked cluster names the replica a
+  second leg goes to (hedge backup, mid-query migration target — see
+  ``repro.fed.concurrent``): one exchangeability rule, one band.
 
 * **Global level** (4.2): among enumerated global plans, drop plans
   dominated by a cheaper plan on the same server set, cluster plans
@@ -182,22 +183,11 @@ class FragmentLoadBalancer:
     def ranked_cluster(
         self, chosen: FragmentOption, siblings: Sequence[FragmentOption]
     ) -> List[FragmentOption]:
-        """The exchangeable near-cost cluster, in HRW rank order."""
-        cluster = self._cluster(chosen, siblings)
-        order = {
-            server: position
-            for position, server in enumerate(
-                rank_servers(
-                    chosen.fragment.signature, [o.server for o in cluster]
-                )
-            )
-        }
-        cluster.sort(key=lambda o: order[o.server])
-        return cluster
-
-    def _cluster(
-        self, chosen: FragmentOption, siblings: Sequence[FragmentOption]
-    ) -> List[FragmentOption]:
+        """The one replica-choice rule: *chosen* and the siblings it is
+        exchangeable with — identical plan, viable, calibrated cost
+        within the band of the cluster's cheapest — in HRW rank order.
+        Substitution takes the head; a second leg (hedge backup,
+        migration target) the first other entry that is available."""
         plan_signature = chosen.plan_signature
         matches = [
             option
@@ -209,8 +199,10 @@ class FragmentLoadBalancer:
         cheapest = min(o.calibrated.total for o in matches)
         threshold = cheapest * (1.0 + self.config.band)
         cluster = [o for o in matches if o.calibrated.total <= threshold]
-        cluster.sort(key=lambda o: o.server)
-        return cluster
+        order = rank_servers(
+            chosen.fragment.signature, [o.server for o in cluster]
+        )
+        return sorted(cluster, key=lambda o: order.index(o.server))
 
 
 class GlobalLoadBalancer:

@@ -15,7 +15,7 @@ from .admission import (
     shed_violations,
 )
 from .concurrent import ConcurrentRuntime, QueryHandle
-from .hedging import HedgeConfig, HedgePolicy, make_policy
+from .hedging import HedgeConfig, HedgePolicy
 from .rerouting import (
     BatchSpan,
     Checkpoint,
@@ -23,7 +23,6 @@ from .rerouting import (
     ReroutePolicy,
     batch_schedule,
     checkpoint_consumed,
-    make_reroute_policy,
     merge_partial_rows,
     tail_demand_ms,
 )
@@ -112,8 +111,6 @@ __all__ = [
     "enumerate_global_plans",
     "estimate_merge_cost",
     "make_arrivals",
-    "make_policy",
-    "make_reroute_policy",
     "merge_partial_rows",
     "parse_class_spec",
     "plan_key",

@@ -11,8 +11,9 @@ queries are in flight their fragments contend, sojourn times inflate,
 and the inflated sojourns (not the raw demands) are what the
 meta-wrapper reports to QCC: the calibrator observes load exactly the
 way the paper's testbed observed update storms, except the load now
-emerges from query concurrency itself.  :class:`HedgedDispatch` and
-:class:`MigratableDispatch` add a second leg at the next HRW replica.
+emerges from query concurrency itself.  :class:`RacedDispatch` adds a
+second leg — a hedge backup or a mid-query migration — at the next
+replica of the fragment's Section 4.1 cluster.
 
 Equivalence guarantee: a query that meets no contention (every queue
 empty for its whole lifetime) observes sojourn == raw demand *exactly*
@@ -33,9 +34,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from ..core.load_balance import rank_servers
+from ..core.load_balance import FragmentLoadBalancer
 from ..core.routing import generalize_signature
 from ..obs import (
     NULL_TRACE,
@@ -48,8 +50,7 @@ from ..obs import (
 from ..sim import (
     AllOf,
     EventScheduler,
-    HedgedWork,
-    MigratableWork,
+    RacedWork,
     ServerQueue,
     ServerUnavailable,
     Work,
@@ -65,7 +66,7 @@ from .admission import (
     ShedVerdict,
 )
 from .global_optimizer import FragmentOption
-from .hedging import DEFAULT_DEPTH_CAP, HedgePolicy, make_policy
+from .hedging import HedgeConfig, HedgePolicy
 from .integrator import (
     II_QUEUE,
     DispatchStrategy,
@@ -77,9 +78,9 @@ from .integrator import (
 from .merge import build_merge_plan as build_merge_plan
 from .nicknames import FederationError
 from .rerouting import (
+    RerouteConfig,
     ReroutePolicy,
     batch_schedule,
-    make_reroute_policy,
     merge_partial_rows,
     tail_demand_ms,
 )
@@ -125,21 +126,19 @@ class QueryHandle:
 class ConcurrentRuntime:
     """Event-driven multi-query front end over one integrator.
 
-    ``discipline`` selects the per-server contention model (``"ps"``
-    processor sharing or ``"fifo"``); every queue serves at the
-    sequential runtime's speed.  The runtime owns the integrator's clock
-    via its scheduler and disables the integrator's own clock
+    Every server is an egalitarian processor-sharing queue serving at
+    the sequential runtime's speed.  The runtime owns the integrator's
+    clock via its scheduler and disables the integrator's own clock
     advancement.
 
-    ``hedge_after_ms`` selects :class:`HedgedDispatch` (the static
-    hedge delay; per-signature p95 derivation takes over once latency
-    history accumulates, see :mod:`repro.fed.hedging`) and
-    ``reroute_batch_rows`` :class:`MigratableDispatch` (bounded
-    mid-query batch re-routing, see :mod:`repro.fed.rerouting`).  With
-    both ``None`` (the default) dispatch is plain
-    :class:`QueuedDispatch`; the two are mutually exclusive (both race
-    a fragment against a replica, and combining them would
-    double-release cancelled work).
+    ``hedge_after_ms`` (the static hedge delay; per-signature p95
+    derivation takes over once latency history accumulates, see
+    :mod:`repro.fed.hedging`) and ``reroute_batch_rows`` (bounded
+    mid-query batch re-routing, see :mod:`repro.fed.rerouting`) each
+    arm one trigger of :class:`RacedDispatch`; with both ``None`` (the
+    default) dispatch is plain :class:`QueuedDispatch`.  With both set,
+    whichever trigger first launches a leg owns the fragment's single
+    second-leg slot.
     """
 
     def __init__(
@@ -148,42 +147,37 @@ class ConcurrentRuntime:
         classes: Sequence[PriorityClass] = DEFAULT_CLASSES,
         discipline: str = "ps",
         hedge_after_ms: Optional[float] = None,
-        hedge_depth_cap: int = DEFAULT_DEPTH_CAP,
         reroute_batch_rows: Optional[int] = None,
     ):
-        if hedge_after_ms is not None and reroute_batch_rows is not None:
+        # Processor sharing is the only discipline; the parameter is
+        # kept solely because benchmarks/e2e/workloads.py (frozen by
+        # BENCHMARK.json) passes ``discipline="ps"``.
+        if discipline != "ps":
             raise ValueError(
-                "hedged dispatch and mid-query re-routing are mutually "
-                "exclusive; enable one of hedge_after_ms / "
-                "reroute_batch_rows"
+                f"unknown discipline {discipline!r}; only 'ps' exists"
             )
         self.integrator = integrator
-        self.hedge_after_ms = hedge_after_ms
-        self.hedging: Optional[HedgePolicy] = make_policy(
-            hedge_after_ms, hedge_depth_cap
+        self.hedging: Optional[HedgePolicy] = (
+            None
+            if hedge_after_ms is None
+            else HedgePolicy(HedgeConfig(static_after_ms=hedge_after_ms))
         )
-        self.reroute_batch_rows = reroute_batch_rows
-        self.rerouting: Optional[ReroutePolicy] = make_reroute_policy(
-            reroute_batch_rows
+        self.rerouting: Optional[ReroutePolicy] = (
+            None
+            if reroute_batch_rows is None
+            else ReroutePolicy(RerouteConfig(batch_rows=reroute_batch_rows))
         )
-        if self.hedging is not None:
-            self.strategy: QueuedDispatch = HedgedDispatch(self, self.hedging)
-        elif self.rerouting is not None:
-            self.strategy = MigratableDispatch(self, self.rerouting)
-        else:
-            self.strategy = QueuedDispatch(self)
+        raced = self.hedging is not None or self.rerouting is not None
+        self.strategy = RacedDispatch(self) if raced else QueuedDispatch(self)
         integrator.advance_clock = False
         self.scheduler = EventScheduler(integrator.clock)
-        self.discipline = discipline
         self.queues: Dict[str, ServerQueue] = {}
-        self.ii_queue = ServerQueue(
-            II_QUEUE, self.scheduler, discipline=discipline
-        )
+        self.ii_queue = ServerQueue(II_QUEUE, self.scheduler)
         self.admission = AdmissionController(
             classes, {II_QUEUE: self.ii_queue}, t0_ms=self.scheduler.now
         )
         #: Installed on every queue the first time a traced query runs;
-        #: None until then so untraced runs submit zero extra events.
+        #: None until then so untraced runs make no hook calls.
         self._span_recorder: Optional[QueueSpanRecorder] = None
         for name in integrator.meta_wrapper.server_names():
             self.queue_for(name)
@@ -199,9 +193,7 @@ class ConcurrentRuntime:
         topology changes) still contend."""
         queue = self.queues.get(server)
         if queue is None:
-            queue = ServerQueue(
-                server, self.scheduler, discipline=self.discipline
-            )
+            queue = ServerQueue(server, self.scheduler)
             self.queues[server] = queue
             self.admission.backlog_sources[server] = queue
             if self._span_recorder is not None:
@@ -212,9 +204,8 @@ class ConcurrentRuntime:
         """Install the shared queue-hook span recorder on every queue.
 
         Called only from traced query coroutines, so a runtime that
-        never traces keeps ``NULL_QUEUE_EVENTS`` on every queue and the
-        scheduler's disabled fast path (no start-notification events on
-        the heap) stays byte-identical.
+        never traces keeps ``NULL_QUEUE_EVENTS`` on every queue and
+        pays one identity check per hook site.
         """
         if self._span_recorder is None:
             self._span_recorder = QueueSpanRecorder()
@@ -331,10 +322,8 @@ class QueuedDispatch(DispatchStrategy):
     through the integrator's own queue.  QCC learns the queue-inflated
     sojourns, at settle time."""
 
-    def __init__(self, runtime: ConcurrentRuntime, policy=None):
+    def __init__(self, runtime: ConcurrentRuntime):
         self.runtime = runtime
-        #: The hedge or re-route policy of the subclass that has one.
-        self.policy = policy
 
     def dispatch(self, slots, t_dispatch, trace):
         outcomes = yield AllOf([self.request(slot, trace) for slot in slots])
@@ -405,63 +394,167 @@ class QueuedDispatch(DispatchStrategy):
         inflated = dataclasses.replace(execution, observed_ms=effective_ms)
         return Settled(option, inflated, learned or inflated, completion, tags)
 
-    def backup_option(
-        self, primary: FragmentOption, t_fire: float
-    ) -> Optional[FragmentOption]:
-        """The replica a second leg (hedge backup or migration) targets.
 
-        Candidates are the fragment's compile-time siblings with an
-        *identical* plan on a different server, near the cluster's
-        cheapest cost (same exchangeability rule as Section 4.1
-        balancing), walked in HRW rank order: the highest-ranked one
-        believed available at the instant the leg fires wins.
-        """
-        ii = self.runtime.integrator
-        matches = [
-            option
-            for option in ii.meta_wrapper.sibling_options(
-                primary.fragment.signature
+class RacedDispatch(QueuedDispatch):
+    """Give each fragment one second leg at the next replica of its
+    Section 4.1 cluster, launched by whichever trigger fires first:
+
+    * the *hedge* timer races a backup against the primary; only the
+      winner flows onward (runtime log, calibrator, merge) at the
+      fragment's effective latency, the cancelled loser leaves a waste
+      metric;
+    * a calibration-epoch bump mid-flight *re-routes* the unshipped
+      batches; the merged prefix + tail rows flow onward at the true
+      end-to-end latency, while QCC still learns the primary's raw
+      demand, never counterfactual per-server costs (see
+      :mod:`repro.fed.rerouting`).
+
+    Either of the runtime's two policies may be absent; the one that
+    first launches a leg owns the fragment's single second-leg slot.
+    """
+
+    def __init__(self, runtime: ConcurrentRuntime):
+        super().__init__(runtime)
+        self.hedge = runtime.hedging
+        self.reroute = runtime.rerouting
+        qcc = runtime.integrator.qcc
+        #: Owner of the one replica-choice rule: QCC's own balancer, so
+        #: second legs and substitution share ``LoadBalanceConfig.band``.
+        self.balancer = (
+            qcc.fragment_balancer if qcc is not None else FragmentLoadBalancer()
+        )
+
+    def request(self, slot, trace):
+        # The primary is submitted exactly as a plain request, so a race
+        # that never launches is byte-identical to plain dispatch.
+        primary = super().request(slot, trace)
+        after_ms = arm = schedule = None
+        if self.hedge is not None:
+            after_ms = self.hedge.hedge_after(
+                generalize_signature(slot.option.fragment.signature)
             )
-            if option.server != primary.server
-            and option.plan_signature == primary.plan_signature
-            and option.is_viable
-        ]
-        if not matches:
+        if self.reroute is not None:
+            schedule = batch_schedule(
+                slot.execution, self.reroute.config.batch_rows
+            )
+            # A single-batch fragment has no boundary to migrate at.
+            if len(schedule) > 1:
+                arm = self._subscribe
+        return RacedWork(
+            primary,
+            partial(self._second_leg, slot, trace, schedule),
+            after_ms,
+            arm,
+        )
+
+    def _subscribe(self, interrupt):
+        epoch = self.runtime.integrator.calibration_epoch
+        return epoch.subscribe(lambda _value: interrupt())
+
+    def _second_leg(self, slot, trace, schedule, t_fire, consumed_ms):
+        """Built when a trigger fires: replica choice, availability and
+        the fanout cap reflect the state *then*.  The timer (it does not
+        peek: ``consumed_ms`` is None) hedges, an interrupt migrates."""
+        if consumed_ms is None:
+            return self._hedge_leg(slot, trace, t_fire)
+        return self._reroute_leg(slot, trace, schedule, t_fire, consumed_ms)
+
+    def _hedge_leg(self, slot, trace, t_fire):
+        backup = self._target(slot, t_fire)
+        if backup is None:
             return None
-        ceiling = min(
-            [o.calibrated.total for o in matches]
-            + [primary.calibrated.total]
-        ) * (1.0 + self.policy.config.band)
-        by_server: Dict[str, FragmentOption] = {}
-        for option in matches:
-            if option.calibrated.total <= ceiling:
-                by_server.setdefault(option.server, option)
-        for server in rank_servers(
-            primary.fragment.signature, sorted(by_server)
-        ):
-            if ii.qcc is None or ii.qcc.is_available(server, t_fire):
-                return by_server[server]
+        queue = self.runtime.queue_for(backup.server)
+        metrics = get_obs().metrics
+        if not self.hedge.allow_backup(queue.depth):
+            self.hedge.suppressed += 1
+            metrics.counter(
+                "hedge_suppressed_total", server=backup.server
+            ).inc()
+            return None
+        leg = self._fire(slot, backup, t_fire, trace, "hedge_backup")
+        if leg is None:
+            return None
+        _, execution, span, _ = leg
+        metrics.counter("hedge_fired_total", server=backup.server).inc()
+        return self.work(queue, execution.observed_ms, trace, span), False
+
+    def _reroute_leg(self, slot, trace, schedule, t_fire, consumed_ms):
+        # Checkpoint the consumed batches, then learn the tail's demand
+        # by executing the fragment at the target now.
+        point = self.reroute.checkpoint(schedule, consumed_ms)
+        if point is None:
+            self.reroute.note_declined("drained")
+            return None
+        target = self._target(slot, t_fire)
+        if target is None:
+            return self._decline("no-replica")
+        leg = self._fire(
+            slot,
+            target,
+            t_fire,
+            trace,
+            "reroute",
+            point,
+            cut_row=point.cut_row,
+            batches_kept=point.batches_kept,
+        )
+        if leg is None:
+            return self._decline("target-down")
+        _, execution, span, _ = leg
+        get_obs().metrics.counter(
+            "reroute_fired_total", server=target.server
+        ).inc()
+        tail = self.work(
+            self.runtime.queue_for(target.server),
+            tail_demand_ms(execution, point.cut_row),
+            trace,
+            span,
+        )
+        return tail, True
+
+    def _decline(self, reason: str) -> None:
+        self.reroute.note_declined(reason)
+        get_obs().metrics.counter(
+            "reroute_declined_total", reason=reason
+        ).inc()
+
+    def _target(
+        self, slot: FragmentSlot, t_fire: float
+    ) -> Optional[FragmentOption]:
+        """The replica a second leg goes to: the first entry of the
+        fragment's ranked Section 4.1 cluster — drawn from what its own
+        compilation admitted — that is not the primary and is believed
+        available at the instant the leg fires."""
+        qcc = self.runtime.integrator.qcc
+        for option in self.balancer.ranked_cluster(slot.option, slot.siblings):
+            if option.server != slot.option.server and (
+                qcc is None or qcc.is_available(option.server, t_fire)
+            ):
+                return option
         return None
 
-    def fire_leg(
+    def _fire(
         self,
         slot: FragmentSlot,
         target: FragmentOption,
         t_fire: float,
         trace: QueryTrace,
         name: str,
+        point=None,
         **attributes: object,
     ) -> Optional[tuple]:
-        """Execute *slot*'s fragment at *target* as the second leg of a
-        race, its *name* span (hence its queue lifecycle or cancelled
-        slice) under the dispatch span.  ``report=False``: a leg that
-        may lose, or ships only a tail, must never feed the calibrator.
-        Returns the slot's new ``leg``, or None if the target is down."""
+        """Execute *slot*'s fragment at *target* as its second leg, the
+        *name* span (hence its queue lifecycle or cancelled slice) under
+        the dispatch span.  No siblings, ``report=False``: a leg that
+        may lose, or ships only a tail, is never substituted and must
+        never feed the calibrator.  Returns the slot's new ``leg`` —
+        (option, execution, span, migration checkpoint or None) — or
+        None if the target is down."""
         get_obs().tracer.resume(trace)
         try:
             target, execution = (
                 self.runtime.integrator.meta_wrapper.execute_option(
-                    target, t_fire, allow_substitution=False, report=False
+                    target, t_fire, report=False
                 )
             )
         except ServerUnavailable:
@@ -476,173 +569,81 @@ class QueuedDispatch(DispatchStrategy):
             **attributes,
             fired_ms=t_fire,
         )
-        slot.leg = (target, execution, span)
+        slot.leg = (target, execution, span, point)
         return slot.leg
 
-
-class HedgedDispatch(QueuedDispatch):
-    """Race each fragment against a timer-armed backup at the next
-    HRW-ranked replica; only the winner flows onward (runtime log,
-    calibrator, merge), the cancelled loser leaves a waste metric."""
-
-    def request(self, slot, trace):
-        policy = self.policy
-        option = slot.option
-
-        def backup_factory(t_fire: float) -> Optional[Work]:
-            # Built when the hedge timer fires: replica choice,
-            # availability and the fanout cap reflect the state *then*.
-            backup = self.backup_option(option, t_fire)
-            if backup is None:
-                return None
-            queue = self.runtime.queue_for(backup.server)
-            if not policy.allow_backup(queue.depth):
-                policy.suppressed += 1
-                get_obs().metrics.counter(
-                    "hedge_suppressed_total", server=backup.server
-                ).inc()
-                return None
-            leg = self.fire_leg(slot, backup, t_fire, trace, "hedge_backup")
-            if leg is None:
-                return None
-            _, execution, span = leg
-            get_obs().metrics.counter(
-                "hedge_fired_total", server=backup.server
-            ).inc()
-            return self.work(queue, execution.observed_ms, trace, span)
-
-        return HedgedWork(
-            primary=super().request(slot, trace),
-            hedge_after_ms=policy.hedge_after(
-                generalize_signature(option.fragment.signature)
-            ),
-            backup_factory=backup_factory,
-        )
-
     def settle(self, slot, outcome, t_dispatch, trace):
+        completion = outcome.completion
+        if slot.leg is None:
+            settled = super().settle(slot, completion, t_dispatch, trace)
+        elif slot.leg[3] is None:
+            settled = self._settle_hedged(slot, outcome, t_dispatch, trace)
+        else:
+            settled = self._settle_rerouted(slot, outcome, t_dispatch, trace)
+        if self.hedge is not None:
+            # Every fragment's effective latency feeds the hedge delay.
+            self.hedge.observe(
+                generalize_signature(settled.option.fragment.signature),
+                settled.execution.observed_ms,
+            )
+        return settled
+
+    def _settle_hedged(self, slot, outcome, t_dispatch, trace):
         completion = outcome.completion
         winner, execution = slot.option, slot.execution
+        loser, backup_execution, span, _ = slot.leg
         effective_ms = completion.sojourn_ms
-        tags: Dict[str, object] = {}
-        if outcome.hedged:
-            loser, backup_execution, span = slot.leg
-            if outcome.winner == "backup":
-                winner, loser, execution = loser, winner, backup_execution
-                # The fragment's real latency includes the hedge wait
-                # before the backup was even fired.
-                effective_ms = completion.finished_ms - t_dispatch
-                get_obs().metrics.counter(
-                    "hedge_backup_wins_total", server=winner.server
-                ).inc()
-            self.runtime.integrator.meta_wrapper.note_hedge_waste(
-                loser, outcome.wasted_ms, completion.finished_ms
-            )
-            trace.end(
-                span,
-                completion.finished_ms,
-                winner=outcome.winner,
-                wasted_ms=outcome.wasted_ms,
-            )
-            tags = dict(
-                hedged=True,
-                hedge_fired=True,
-                hedge_winner=outcome.winner,
-                backup_wins=outcome.winner == "backup",
-                hedge_wasted_ms=outcome.wasted_ms,
-            )
-        self.policy.note_outcome(
-            outcome.hedged, outcome.winner, outcome.wasted_ms
-        )
-        self.policy.observe(
-            generalize_signature(winner.fragment.signature), effective_ms
-        )
-        return self.settled(
-            winner, execution, completion, effective_ms, **tags
-        )
-
-
-class MigratableDispatch(QueuedDispatch):
-    """Let each fragment move its unshipped batches to the next
-    HRW-ranked identical-plan replica when the calibration epoch bumps
-    mid-flight.  The merged prefix + tail rows flow onward at the true
-    end-to-end latency; QCC still learns the primary's raw demand, never
-    counterfactual per-server costs (see :mod:`repro.fed.rerouting`)."""
-
-    def request(self, slot, trace):
-        policy = self.policy
-        epoch = self.runtime.integrator.calibration_epoch
-        schedule = batch_schedule(slot.execution, policy.config.batch_rows)
-
-        def arm(interrupt):
-            if len(schedule) <= 1:
-                # A single-batch fragment has no boundary to migrate at.
-                return lambda: None
-            return epoch.subscribe(lambda _value: interrupt())
-
-        def migrate(t_fire: float, consumed_ms: float) -> Optional[Work]:
-            # Checkpoint the consumed batches, then learn the tail's
-            # demand by executing the fragment at the target now.
-            point = policy.checkpoint(schedule, consumed_ms)
-            if not policy.should_migrate(schedule, point):
-                policy.note_declined("drained")
-                return None
-            target = self.backup_option(slot.option, t_fire)
-            if target is None:
-                self._decline("no-replica")
-                return None
-            leg = self.fire_leg(
-                slot,
-                target,
-                t_fire,
-                trace,
-                "reroute",
-                cut_row=point.cut_row,
-                batches_kept=point.batches_kept,
-            )
-            if leg is None:
-                self._decline("target-down")
-                return None
-            _, execution, span = leg
-            slot.leg = (*leg, point)
+        backup_won = outcome.winner == "second"
+        winner_name = "backup" if backup_won else "primary"
+        if backup_won:
+            winner, loser, execution = loser, winner, backup_execution
+            # The fragment's real latency includes the hedge wait
+            # before the backup was even fired.
+            effective_ms = completion.finished_ms - t_dispatch
             get_obs().metrics.counter(
-                "reroute_fired_total", server=target.server
+                "hedge_backup_wins_total", server=winner.server
             ).inc()
-            return self.work(
-                self.runtime.queue_for(target.server),
-                tail_demand_ms(execution, point.cut_row),
-                trace,
-                span,
-            )
-
-        # The primary is submitted exactly as a plain request, so
-        # untriggered re-routing is byte-identical to plain dispatch.
-        return MigratableWork(
-            primary=super().request(slot, trace), arm=arm, migrate=migrate
+        wasted_ms = outcome.consumed_ms
+        self.runtime.integrator.meta_wrapper.note_cancelled_leg(
+            "hedge",
+            loser,
+            wasted_ms,
+            completion.finished_ms,
+            server=loser.server,
+        )
+        trace.end(
+            span, completion.finished_ms, winner=winner_name, wasted_ms=wasted_ms
+        )
+        self.hedge.note_outcome(True, winner_name, wasted_ms)
+        return self.settled(
+            winner,
+            execution,
+            completion,
+            effective_ms,
+            hedged=True,
+            hedge_fired=True,
+            hedge_winner=winner_name,
+            backup_wins=backup_won,
+            hedge_wasted_ms=wasted_ms,
         )
 
-    def _decline(self, reason: str) -> None:
-        self.policy.note_declined(reason)
-        get_obs().metrics.counter(
-            "reroute_declined_total", reason=reason
-        ).inc()
-
-    def settle(self, slot, outcome, t_dispatch, trace):
+    def _settle_rerouted(self, slot, outcome, t_dispatch, trace):
         completion = outcome.completion
-        if not outcome.migrated:
-            return super().settle(slot, completion, t_dispatch, trace)
         execution = slot.execution
         target, target_execution, span, point = slot.leg
         migrated_rows = execution.row_count - point.cut_row
         # Service past the checkpointed boundary is the partial batch
         # the target re-ships: the price paid for a clean cut.
         wasted_ms = max(0.0, outcome.consumed_ms - point.kept_demand_ms)
-        self.policy.note_fired(migrated_rows, wasted_ms)
-        self.runtime.integrator.meta_wrapper.note_reroute(
+        self.reroute.note_fired(migrated_rows, wasted_ms)
+        self.runtime.integrator.meta_wrapper.note_cancelled_leg(
+            "reroute",
             slot.option,
-            target,
+            wasted_ms,
+            completion.finished_ms,
+            from_server=slot.option.server,
+            to_server=target.server,
             cut_row=point.cut_row,
-            wasted_ms=wasted_ms,
-            t_ms=completion.finished_ms,
         )
         trace.end(
             span,

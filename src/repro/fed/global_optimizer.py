@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from ..sqlengine import PhysicalPlan, PlanCost
 from ..sqlengine.cost import CostParameters, ServerProfile
@@ -59,10 +59,22 @@ class GlobalPlan:
     choices: Tuple[FragmentOption, ...]
     merge_cost: PlanCost
     total_cost: float
+    #: Per fragment id, every option this plan's compilation admitted —
+    #: what survived the exclusion, replica-freshness and viability
+    #: filters.  Carried with the plan (so it survives a plan-cache hit)
+    #: because it is the only set a choice may be exchanged within:
+    #: Section 4.1 substitution and second-leg targets both draw from it.
+    alternatives: Mapping[str, Tuple[FragmentOption, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def servers(self) -> FrozenSet[str]:
         return frozenset(choice.server for choice in self.choices)
+
+    def siblings_of(self, choice: FragmentOption) -> Tuple[FragmentOption, ...]:
+        """The admitted options for *choice*'s fragment (it included)."""
+        return self.alternatives.get(choice.fragment.fragment_id, ())
 
     def choice_for(self, fragment_id: str) -> FragmentOption:
         for choice in self.choices:
@@ -90,6 +102,7 @@ def enumerate_global_plans(
     a :class:`FederationError` is raised — the query cannot run.
     """
     per_fragment: List[List[FragmentOption]] = []
+    alternatives: Dict[str, Tuple[FragmentOption, ...]] = {}
     for fragment in decomposed.fragments:
         fragment_options = [
             option
@@ -101,6 +114,7 @@ def enumerate_global_plans(
                 f"no viable server for fragment {fragment.fragment_id} "
                 f"of query {decomposed.statement.sql()[:60]!r}"
             )
+        alternatives[fragment.fragment_id] = tuple(fragment_options)
         per_fragment.append(sorted(fragment_options, key=lambda o: o.calibrated.total))
 
     plans: List[GlobalPlan] = []
@@ -123,15 +137,9 @@ def enumerate_global_plans(
             )
         )
     plans.sort(key=lambda p: p.total_cost)
-    plans = plans[:keep]
     return [
-        GlobalPlan(
-            plan_id=f"p{index + 1}",
-            choices=plan.choices,
-            merge_cost=plan.merge_cost,
-            total_cost=plan.total_cost,
-        )
-        for index, plan in enumerate(plans)
+        replace(plan, plan_id=f"p{index + 1}", alternatives=alternatives)
+        for index, plan in enumerate(plans[:keep])
     ]
 
 

@@ -1,12 +1,14 @@
 """Hedged-dispatch policy: when to fire a backup, and at which replica.
 
 Tail-latency insurance for fragment dispatch (Dean & Barroso's "tail at
-scale" hedged requests, adapted to the paper's replica clusters): the
-primary fragment goes to the head of its HRW rank
-(:func:`repro.core.load_balance.rank_servers`); if no completion arrives
-within ``hedge_after_ms`` a backup fires at the next-ranked replica, the
-first result wins and the loser is cancelled, releasing its remaining
-service back to the queue.
+scale" hedged requests, adapted to the paper's replica clusters): if no
+completion arrives within ``hedge_after_ms`` a backup fires at the next
+replica of the fragment's Section 4.1 cluster
+(:meth:`repro.core.load_balance.FragmentLoadBalancer.ranked_cluster` —
+the replica-choice rule itself lives there, not here), the first result
+wins and the loser is cancelled, releasing its remaining service back
+to the queue.  The race is :class:`repro.fed.concurrent.RacedDispatch`'s
+timer leg.
 
 :class:`HedgePolicy` owns the two adaptive pieces:
 
@@ -31,10 +33,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict
 
-#: Default backup suppression threshold (in-flight jobs at the backup).
-DEFAULT_DEPTH_CAP = 4
+#: LRU bound on distinct signatures whose latency window is tracked.
+MAX_TRACKED = 1024
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,9 @@ class HedgeConfig:
     min_samples: int = 8
     #: Sliding window of latency observations kept per signature.
     window: int = 64
-    #: Suppress the backup when its queue depth exceeds this.
-    depth_cap: int = DEFAULT_DEPTH_CAP
-    #: Replicas within (1 + band) × cheapest are hedge-exchangeable
-    #: (same rule as Section 4.1 fragment balancing).
-    band: float = 0.2
-    #: LRU bound on distinct signatures tracked.
-    max_tracked: int = 1024
+    #: Suppress the backup when its queue depth (in-flight jobs at the
+    #: backup) exceeds this.
+    depth_cap: int = 4
 
     def __post_init__(self) -> None:
         if self.static_after_ms < 0:
@@ -90,7 +88,7 @@ class HedgePolicy:
             window = deque(maxlen=self.config.window)
         self._history[signature] = window
         window.append(latency_ms)
-        while len(self._history) > self.config.max_tracked:
+        while len(self._history) > MAX_TRACKED:
             del self._history[next(iter(self._history))]
 
     def hedge_after(self, signature: str) -> float:
@@ -142,14 +140,3 @@ class HedgePolicy:
             "wasted_ms": round(self.wasted_ms, 3),
         }
 
-
-def make_policy(
-    hedge_after_ms: Optional[float],
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> Optional[HedgePolicy]:
-    """Policy from the user-facing knob: ``None`` disables hedging."""
-    if hedge_after_ms is None:
-        return None
-    return HedgePolicy(
-        HedgeConfig(static_after_ms=hedge_after_ms, depth_cap=depth_cap)
-    )

@@ -112,6 +112,9 @@ class FragmentSlot:
     execution: RemoteExecution
     #: The fragment's ``dispatch`` span.
     span: Span
+    #: What the query's compilation admitted for this fragment
+    #: (:meth:`GlobalPlan.siblings_of`): where a second leg may go.
+    siblings: Tuple[FragmentOption, ...]
     #: Strategy-private: the second leg of a race, once one has fired.
     leg: Optional[tuple] = None
 
@@ -588,13 +591,10 @@ class InformationIntegrator:
                     fragment=choice.fragment.fragment_id,
                     server=choice.server,
                 )
+                siblings = chosen.siblings_of(choice)
                 try:
-                    option, execution = (
-                        mw.execute_option(choice, t_dispatch)
-                        if eager
-                        else mw.execute_option(
-                            choice, t_dispatch, report=False
-                        )
+                    option, execution = mw.execute_option(
+                        choice, t_dispatch, siblings, report=eager
                     )
                 except ServerUnavailable as exc:
                     failure = last_error = exc
@@ -602,7 +602,9 @@ class InformationIntegrator:
                         frag_span, t_dispatch, failed=True, reason=str(exc)
                     )
                     break
-                slots.append(FragmentSlot(choice, option, execution, frag_span))
+                slots.append(
+                    FragmentSlot(choice, option, execution, frag_span, siblings)
+                )
 
             if failure is not None:
                 # The attempt is abandoned before any queueing, so the

@@ -18,11 +18,13 @@ transfer format:
   **checkpoints** the batches whose cumulative demand it has already
   consumed, quantising *down* to a batch boundary: partially transferred
   batches are re-shipped by the target, never spliced.
-* The *remaining* scan range is re-planned onto the next
-  rendezvous-ranked identical-plan replica (the same HRW selection and
-  exchangeability band hedging uses) and the primary's unserved demand
-  is released back to its queue via ``ServerQueue.cancel`` — the hedge
-  loser's release machinery.
+* The *remaining* scan range is re-planned onto the next replica of
+  the fragment's Section 4.1 cluster (the one replica-choice rule
+  substitution and hedging use,
+  :meth:`repro.core.load_balance.FragmentLoadBalancer.ranked_cluster`)
+  and the primary's unserved demand is released back to its queue —
+  the migration is the interrupt leg of the same
+  :class:`~repro.sim.sched.RacedWork` request whose timer leg hedges.
 * Merged output is ``primary_rows[:cut] + replica_rows[cut:]``.  Replicas
   run identical plans over identical data with deterministic engines, so
   the merge is byte-identical to either side's full result — the
@@ -30,10 +32,11 @@ transfer format:
   oracle rather than assuming it.
 
 Policy bounds (what makes this "bounded" rather than full tuple
-routing): at most **one** migration per fragment per dispatch, targets
-must run the *identical* plan within the exchangeability band, the
+routing): at most **one** second leg per fragment per dispatch (a
+migration or a hedge backup, whichever launches first), targets must
+run the *identical* plan within the exchangeability band, the
 checkpoint only ever moves backward to a batch boundary, and a fragment
-with fewer than ``min_remaining_rows`` unshipped rows declines to move.
+whose batches have all shipped declines to move.
 
 Calibrator discipline: a migrated fragment still reports its *primary*
 execution's raw demonstrated demand (the simulation knows it exactly),
@@ -67,20 +70,10 @@ class RerouteConfig:
     #: Checkpoint granularity (rows) when the execution carries no wire
     #: batches; also the user-facing enable knob (None upstream = off).
     batch_rows: int
-    #: Replicas within (1 + band) × cheapest are migration-exchangeable
-    #: (same rule as hedging and Section 4.1 fragment balancing).
-    band: float = 0.2
-    #: Fragments with fewer unshipped rows than this decline to move —
-    #: migrating a nearly-drained fragment only adds cancel churn.
-    min_remaining_rows: int = 1
 
     def __post_init__(self) -> None:
         if self.batch_rows < 1:
             raise ValueError(f"batch_rows must be >= 1, got {self.batch_rows}")
-        if self.band < 0:
-            raise ValueError(f"negative exchangeability band {self.band}")
-        if self.min_remaining_rows < 1:
-            raise ValueError("min_remaining_rows must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -220,19 +213,13 @@ class ReroutePolicy:
 
     def checkpoint(
         self, schedule: List[BatchSpan], consumed_ms: float
-    ) -> Checkpoint:
-        return checkpoint_consumed(schedule, consumed_ms)
-
-    def should_migrate(
-        self, schedule: List[BatchSpan], point: Checkpoint
-    ) -> bool:
-        """Is there enough unshipped work left to justify moving?"""
+    ) -> Optional[Checkpoint]:
+        """Where a migration at *consumed_ms* of service would cut, or
+        None when every batch has already shipped."""
+        point = checkpoint_consumed(schedule, consumed_ms)
         if point.batches_kept >= len(schedule):
-            return False
-        total_rows = schedule[-1].stop_row if schedule else 0
-        return (
-            total_rows - point.cut_row >= self.config.min_remaining_rows
-        )
+            return None
+        return point
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -254,11 +241,3 @@ class ReroutePolicy:
             "wasted_ms": round(self.wasted_ms, 3),
         }
 
-
-def make_reroute_policy(
-    batch_rows: Optional[int],
-) -> Optional[ReroutePolicy]:
-    """Policy from the user-facing knob: ``None`` disables re-routing."""
-    if batch_rows is None:
-        return None
-    return ReroutePolicy(RerouteConfig(batch_rows=batch_rows))

@@ -65,7 +65,6 @@ class LoadGenResult:
     rate_qps: float
     duration_ms: float
     seed: int
-    discipline: str
     classes: Tuple[PriorityClass, ...]
     handles: List[QueryHandle]
     decisions: List[AdmissionDecision]
@@ -166,7 +165,9 @@ class LoadGenResult:
             "arrival": {"process": self.arrival, "rate_qps": self.rate_qps},
             "duration_ms": self.duration_ms,
             "seed": self.seed,
-            "discipline": self.discipline,
+            # A constant since processor sharing became the only queue
+            # discipline; kept so the artifact's bytes do not move.
+            "discipline": "ps",
             "classes": [
                 {
                     "name": spec.name,
@@ -265,8 +266,8 @@ class LoadGenResult:
     def render(self) -> str:
         lines = [
             f"arrival={self.arrival}@{self.rate_qps:g}qps "
-            f"duration={self.duration_ms:g}ms discipline="
-            f"{self.discipline} seed={self.seed}",
+            f"duration={self.duration_ms:g}ms discipline=ps "
+            f"seed={self.seed}",
             f"offered={self.offered} completed={len(self.completed)} "
             f"shed={len(self.sheds)} failed={len(self.failures)} "
             f"sustained={self.sustained_qps:.1f}q/s "
@@ -395,7 +396,6 @@ def run_loadgen(
     classes: Sequence[PriorityClass] = DEFAULT_CLASSES,
     seed: int = 7,
     scale: WorkloadScale = TEST_SCALE,
-    discipline: str = "ps",
     prebuilt_databases: Optional[Dict[str, Database]] = None,
     integrator: Optional[InformationIntegrator] = None,
     max_queries: Optional[int] = None,
@@ -410,8 +410,8 @@ def run_loadgen(
     passes prebuilt databases to skip the populate step.
     ``hedge_after_ms`` enables hedged fragment dispatch and
     ``reroute_batch_rows`` enables mid-query batch re-routing (both
-    default to off and are mutually exclusive; the verdict artifact
-    stays byte-identical to pre-feature runs when off).
+    default to off and may be combined; the verdict artifact stays
+    byte-identical to pre-feature runs when off).
     """
     if integrator is None:
         deployment = build_federation(
@@ -423,7 +423,6 @@ def run_loadgen(
     runtime = ConcurrentRuntime(
         integrator,
         classes=classes,
-        discipline=discipline,
         hedge_after_ms=hedge_after_ms,
         reroute_batch_rows=reroute_batch_rows,
     )
@@ -464,7 +463,6 @@ def run_loadgen(
         rate_qps=rate_qps,
         duration_ms=duration_ms,
         seed=seed,
-        discipline=discipline,
         classes=tuple(classes),
         handles=list(runtime.handles),
         decisions=list(runtime.admission.decisions),

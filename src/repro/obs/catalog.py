@@ -64,9 +64,7 @@ def catalog_lines() -> List[str]:
 
     sink = obs.configure(metrics=True, tracing=True, log_level=None)
     try:
-        result = run_loadgen(
-            rate_qps=80.0, duration_ms=1500.0, seed=7, discipline="ps"
-        )
+        result = run_loadgen(rate_qps=80.0, duration_ms=1500.0, seed=7)
         monitor = SLOMonitor(
             [policy_for_class(spec) for spec in result.classes]
         )

@@ -56,8 +56,8 @@ class QueueSpanRecorder:
 
     def __init__(self) -> None:
         #: id(job) -> [tag, queue_wait span, service span (None until
-        #: start)].  Keyed by identity — jobs are eq-dataclasses — and
-        #: popped at complete/cancel, so a recycled id cannot alias.
+        #: start)].  Keyed by the job handle's identity and popped at
+        #: complete/cancel, so a recycled id cannot alias.
         self._live: Dict[int, List[object]] = {}
 
     # -- QueueEvents surface --------------------------------------------

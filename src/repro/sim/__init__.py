@@ -30,12 +30,10 @@ from .sched import (
     Completion,
     Delay,
     EventScheduler,
-    HedgedWork,
-    HedgeOutcome,
-    MigratableWork,
-    MigrationOutcome,
     NULL_QUEUE_EVENTS,
     QueueEvents,
+    RaceOutcome,
+    RacedWork,
     ServerQueue,
     Work,
 )
@@ -60,13 +58,9 @@ __all__ = [
     "Delay",
     "ErrorInjector",
     "EventScheduler",
-    "HedgeOutcome",
-    "HedgedWork",
     "InducedLoad",
     "LOCAL_LINK",
     "LoadSchedule",
-    "MigratableWork",
-    "MigrationOutcome",
     "MutableLoad",
     "NetworkLink",
     "NULL_QUEUE_EVENTS",
@@ -74,6 +68,8 @@ __all__ = [
     "PeriodicTimer",
     "QueueEvents",
     "REQUEST_BYTES",
+    "RaceOutcome",
+    "RacedWork",
     "RemoteExecution",
     "RemoteServer",
     "ServerQueue",

@@ -10,30 +10,22 @@ bound for a server's capacity queue, a :class:`Delay`, or an
 request completes, receiving a :class:`Completion` describing when the
 work actually finished.
 
-Per-server capacity is modelled by :class:`ServerQueue` under one of two
-disciplines:
+Per-server capacity is modelled by :class:`ServerQueue` as egalitarian
+processor sharing: all resident fragments progress simultaneously at
+``capacity / n`` each, the classic model of a multiprogrammed database
+server.  Sojourn inflates smoothly with the number of concurrent
+residents — which is exactly the signal the paper's QCC calibrates
+against, so contention produced by *overlapping queries* feeds the
+calibrator the same way the testbed's real update storms did.
 
-``fifo``
-    One fragment at a time; later arrivals wait for the backlog to
-    drain.  Sojourn = queueing delay + service time.
-``ps``
-    Egalitarian processor sharing: all resident fragments progress
-    simultaneously at ``capacity / n`` each, the classic model of a
-    multiprogrammed database server.  Sojourn inflates smoothly with the
-    number of concurrent residents.
-
-Either way, observed sojourn times grow with concurrency — which is
-exactly the signal the paper's QCC calibrates against, so contention
-produced by *overlapping queries* feeds the calibrator the same way the
-testbed's real update storms did.
-
-Hedged dispatch (tail-latency insurance) is a first-class request:
-:class:`HedgedWork` submits a primary :class:`Work` item and arms a
-timer; if no completion arrives within ``hedge_after_ms`` a lazily
-constructed backup is fired at a second queue, the first completion of
-the pair wins, and the loser is *cancelled* — its remaining service is
-released back to its :class:`ServerQueue` so hedging never doubles the
-steady-state load.
+A second leg (tail-latency insurance, mid-query re-routing) is a
+first-class request: :class:`RacedWork` submits a primary :class:`Work`
+item and arms its triggers — a timer, an external interrupt, or both.
+The first trigger whose ``second_leg`` callback produces work launches
+the request's one second leg at another queue, either racing the primary
+(first completion wins) or replacing it; the loser is *cancelled* — its
+remaining service is released back to its :class:`ServerQueue`, so a
+second leg never doubles the steady-state load.
 
 Determinism: events at equal virtual times fire in scheduling order (a
 monotonic sequence number breaks ties), processor-sharing departures
@@ -95,81 +87,60 @@ class AllOf:
 
 
 @dataclass(frozen=True)
-class HedgedWork:
-    """Primary work plus a timed backup: first completion wins.
+class RacedWork:
+    """Primary work that may gain one second leg at another queue.
 
-    ``backup_factory(t_ms)`` is called at the instant the hedge timer
-    fires (primary still pending) and returns the backup :class:`Work`
-    — or ``None`` to decline (adaptive fanout cap, backup unavailable).
-    Building the backup lazily matters: its demand and target queue are
-    chosen under the conditions that exist *when the hedge fires*, not
-    when the primary was dispatched.
+    The primary :class:`Work` is submitted exactly as a plain yield — a
+    request whose triggers never launch anything is byte-identical to
+    it — and then the triggers are armed, timer before interrupt:
+
+    * ``after_ms``: a timer; it fires once, if the primary is still
+      pending after that delay.
+    * ``arm(interrupt)``: installs an external trigger (the re-routing
+      layer subscribes it to the calibration epoch) and returns a disarm
+      callable, which the scheduler calls once the request settles or a
+      leg has launched.  ``interrupt()`` may fire any number of times,
+      even synchronously inside ``arm``.
+
+    A firing trigger calls ``second_leg(t_ms, consumed_ms)``.
+    ``consumed_ms`` is the dedicated service the primary has consumed so
+    far when an interrupt fired and ``None`` when the timer did: peeking
+    settles the queue's processor-sharing accounts at that instant, and
+    a timer that then declines must leave them exactly as an unhedged
+    run would.  Built lazily, the leg's demand and target are chosen
+    under the conditions that exist *when the trigger fires*.  It
+    returns ``None`` to decline (the interrupt stays live and may
+    re-fire) or the second :class:`Work` plus ``replaces``: True cancels
+    the primary now and the second leg alone settles the request; False
+    races the two, first completion wins and the loser is cancelled.
+    Whichever trigger first launches a leg owns the request's single
+    second-leg slot; every later firing is ignored.
     """
 
     primary: "Work"
-    hedge_after_ms: float
-    backup_factory: Callable[[float], Optional["Work"]]
+    second_leg: Callable[
+        [float, Optional[float]], Optional[Tuple["Work", bool]]
+    ]
+    after_ms: Optional[float] = None
+    arm: Optional[Callable[[Callable[[], None]], Callable[[], None]]] = None
 
     def __post_init__(self) -> None:
-        if self.hedge_after_ms < 0:
-            raise ValueError(
-                f"negative hedge timeout {self.hedge_after_ms}"
-            )
+        if self.after_ms is not None and self.after_ms < 0:
+            raise ValueError(f"negative trigger delay {self.after_ms}")
 
 
 @dataclass(frozen=True)
-class HedgeOutcome:
-    """Resume value of a :class:`HedgedWork` request."""
+class RaceOutcome:
+    """Resume value of a :class:`RacedWork` request."""
 
-    #: The winning request's completion.
+    #: The completion that settled the request.
     completion: "Completion"
-    #: ``"primary"`` or ``"backup"``.
+    #: ``"primary"`` or ``"second"``: the leg that completion belongs to.
     winner: str
-    #: True when the backup was actually fired (timer elapsed and the
-    #: factory produced work).
-    hedged: bool
-    #: Virtual instant the backup was fired (None when not hedged).
-    backup_fired_ms: Optional[float]
-    #: Service the cancelled loser had already consumed (dedicated
-    #: service-time ms) — the price paid for the insurance.
-    wasted_ms: float
-
-
-@dataclass(frozen=True)
-class MigratableWork:
-    """Cancellable work plus an externally armed migration trigger.
-
-    The primary :class:`Work` is submitted normally — an enabled but
-    never-triggered migration is byte-identical to a plain ``Work``
-    yield.  ``arm(interrupt)`` installs the trigger (the re-routing
-    layer subscribes it to the calibration epoch) and returns a disarm
-    callable; the scheduler disarms on completion or after a migration.
-    When ``interrupt()`` fires while the primary is still resident, the
-    scheduler calls ``migrate(t_ms, consumed_ms)`` with the dedicated
-    service the primary has consumed so far; returning a :class:`Work`
-    cancels the primary (its unserved demand is released back to the
-    queue, exactly like a hedge loser) and submits the replacement,
-    while returning ``None`` declines and leaves the primary running.
-    At most one migration happens per request.
-    """
-
-    primary: "Work"
-    arm: Callable[[Callable[[], None]], Callable[[], None]]
-    migrate: Callable[[float, float], Optional["Work"]]
-
-
-@dataclass(frozen=True)
-class MigrationOutcome:
-    """Resume value of a :class:`MigratableWork` request."""
-
-    #: The completion that settled the request — the primary's when no
-    #: migration happened, the replacement's after one.
-    completion: "Completion"
-    #: True when the primary was cancelled and a replacement submitted.
-    migrated: bool
-    #: Virtual instant the migration fired (None when not migrated).
-    migrated_at_ms: Optional[float]
-    #: Dedicated service the cancelled primary had already consumed.
+    #: Virtual instant the second leg launched (None when none did).
+    fired_ms: Optional[float]
+    #: Dedicated service the cancelled leg had consumed — the replaced
+    #: primary, or the race's loser; 0.0 when nothing was cancelled.
     consumed_ms: float
 
 
@@ -298,135 +269,13 @@ class EventScheduler:
             self.call_later(request.delay_ms, resume, None)
         elif isinstance(request, AllOf):
             self._join(request.requests, resume)
-        elif isinstance(request, HedgedWork):
-            self._hedge(request, resume)
-        elif isinstance(request, MigratableWork):
-            self._migrate(request, resume)
+        elif isinstance(request, RacedWork):
+            _Race(self, request, resume).start()
         else:
             raise TypeError(
                 f"process yielded {request!r}; "
-                "expected Work, Delay, AllOf, HedgedWork or MigratableWork"
+                "expected Work, Delay, AllOf or RacedWork"
             )
-
-    def _hedge(
-        self, request: HedgedWork, resume: Callable[[object], None]
-    ) -> None:
-        """Race the primary against a timer-armed backup (first wins)."""
-        state: dict = {"done": False, "backup": None, "fired_at": None}
-        primary_queue = request.primary.queue
-
-        def finish(winner: str, completion: "Completion") -> None:
-            if state["done"]:
-                return  # the other leg already won
-            state["done"] = True
-            wasted = 0.0
-            if winner == "primary" and state["backup"] is not None:
-                queue, job = state["backup"]
-                wasted = queue.cancel(job)
-            elif winner == "backup":
-                wasted = primary_queue.cancel(state["primary_job"])
-            resume(
-                HedgeOutcome(
-                    completion=completion,
-                    winner=winner,
-                    hedged=state["backup"] is not None,
-                    backup_fired_ms=state["fired_at"],
-                    wasted_ms=wasted,
-                )
-            )
-
-        state["primary_job"] = primary_queue.submit(
-            request.primary.demand_ms,
-            lambda completion: finish("primary", completion),
-            tag=request.primary.tag,
-        )
-
-        def fire_backup() -> None:
-            if state["done"]:
-                return  # primary completed before the timer
-            backup = request.backup_factory(self.clock.now)
-            if backup is None:
-                return  # declined (fanout cap, no replica, server down)
-            state["fired_at"] = self.clock.now
-            state["backup"] = (
-                backup.queue,
-                backup.queue.submit(
-                    backup.demand_ms,
-                    lambda completion: finish("backup", completion),
-                    tag=backup.tag,
-                ),
-            )
-
-        self.call_later(request.hedge_after_ms, fire_backup)
-
-    def _migrate(
-        self, request: MigratableWork, resume: Callable[[object], None]
-    ) -> None:
-        """Run the primary, migratable once via the armed interrupt."""
-        state: dict = {
-            "done": False,
-            "migrated": False,
-            "fired_at": None,
-            "consumed": 0.0,
-            "disarm": None,
-        }
-        primary_queue = request.primary.queue
-
-        def disarm() -> None:
-            fn = state["disarm"]
-            if fn is not None:
-                state["disarm"] = None
-                fn()
-
-        def finish_primary(completion: "Completion") -> None:
-            state["done"] = True
-            disarm()
-            resume(MigrationOutcome(completion, False, None, 0.0))
-
-        def finish_migrated(completion: "Completion") -> None:
-            state["done"] = True
-            resume(
-                MigrationOutcome(
-                    completion, True, state["fired_at"], state["consumed"]
-                )
-            )
-
-        primary_job = primary_queue.submit(
-            request.primary.demand_ms,
-            finish_primary,
-            tag=request.primary.tag,
-        )
-
-        def interrupt() -> None:
-            if state["done"] or state["migrated"]:
-                return
-            now = self.clock.now
-            # Peek at consumed service *before* deciding: the migrate
-            # callback quantises the checkpoint to batch boundaries and
-            # may decline (fully drained, no viable replica).
-            consumed = primary_queue.consumed_ms(primary_job)
-            replacement = request.migrate(now, consumed)
-            if replacement is None:
-                return
-            state["migrated"] = True
-            state["fired_at"] = now
-            # ``cancel`` releases the primary's unserved demand back to
-            # its queue — the same machinery that releases hedge losers.
-            state["consumed"] = primary_queue.cancel(primary_job)
-            disarm()
-            replacement.queue.submit(
-                replacement.demand_ms,
-                finish_migrated,
-                tag=replacement.tag,
-            )
-
-        installed = request.arm(interrupt)
-        if state["done"] or state["migrated"]:
-            # The trigger fired synchronously while arming; nothing left
-            # to watch.
-            installed()
-        else:
-            state["disarm"] = installed
 
     def _join(
         self, requests: Tuple[object, ...], resume: Callable[[object], None]
@@ -461,6 +310,109 @@ class EventScheduler:
         if until_ms is not None:
             self.clock.advance_to(until_ms)
         return self.clock.now
+
+
+class _Race:
+    """Scheduler-side state of one :class:`RacedWork`: the resident
+    legs as ``(queue, job)`` pairs and the triggers that may still add
+    the second one."""
+
+    __slots__ = (
+        "scheduler", "request", "resume", "primary", "second",
+        "fired_ms", "consumed_ms", "done", "disarm",
+    )
+
+    def __init__(
+        self,
+        scheduler: EventScheduler,
+        request: RacedWork,
+        resume: Callable[[object], None],
+    ):
+        self.scheduler = scheduler
+        self.request = request
+        self.resume = resume
+        self.primary: Optional[tuple] = None
+        self.second: Optional[tuple] = None
+        self.fired_ms: Optional[float] = None
+        self.consumed_ms = 0.0
+        self.done = False
+        self.disarm: Optional[Callable[[], None]] = None
+
+    def start(self) -> None:
+        request = self.request
+        self.primary = self._submit(request.primary, self._primary_done)
+        if request.after_ms is not None:
+            self.scheduler.call_later(request.after_ms, self._timer)
+        if request.arm is not None:
+            installed = request.arm(self._interrupt)
+            if self.done or self.fired_ms is not None:
+                # The trigger fired synchronously while arming; nothing
+                # left to watch.
+                installed()
+            else:
+                self.disarm = installed
+
+    def _submit(self, work: Work, callback: Callable) -> tuple:
+        return work.queue, work.queue.submit(
+            work.demand_ms, callback, tag=work.tag
+        )
+
+    # -- triggers --------------------------------------------------------
+
+    def _timer(self) -> None:
+        if not self.done and self.fired_ms is None:
+            self._launch(None)
+
+    def _interrupt(self) -> None:
+        if not self.done and self.fired_ms is None:
+            # Peek at consumed service *before* deciding: the leg
+            # quantises the checkpoint to batch boundaries and may
+            # decline (fully drained, no viable replica).
+            queue, job = self.primary
+            self._launch(queue.consumed_ms(job))
+
+    def _launch(self, consumed_ms: Optional[float]) -> None:
+        now = self.scheduler.now
+        leg = self.request.second_leg(now, consumed_ms)
+        if leg is None:
+            return  # declined (fanout cap, drained, no replica, down)
+        work, replaces = leg
+        self.fired_ms = now
+        if replaces:
+            self._cancel(self.primary)
+            self.primary = None
+        self._disarm()
+        self.second = self._submit(work, self._second_done)
+
+    # -- settlement ------------------------------------------------------
+
+    def _primary_done(self, completion: "Completion") -> None:
+        self._settle("primary", completion, self.second)
+
+    def _second_done(self, completion: "Completion") -> None:
+        self._settle("second", completion, self.primary)
+
+    def _settle(
+        self, winner: str, completion: "Completion", loser: Optional[tuple]
+    ) -> None:
+        self.done = True
+        self._disarm()
+        if loser is not None:
+            self._cancel(loser)
+        self.resume(
+            RaceOutcome(completion, winner, self.fired_ms, self.consumed_ms)
+        )
+
+    def _cancel(self, leg: tuple) -> None:
+        """The one loser-cancellation path: release *leg*'s unserved
+        demand back to its queue, keeping what it had consumed."""
+        queue, job = leg
+        self.consumed_ms = queue.cancel(job)
+
+    def _disarm(self) -> None:
+        disarm, self.disarm = self.disarm, None
+        if disarm is not None:
+            disarm()
 
 
 class QueueEvents:
@@ -502,9 +454,9 @@ class QueueEvents:
 NULL_QUEUE_EVENTS = QueueEvents()
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Job:
-    """One resident work item (both disciplines)."""
+    """One resident work item; a handle, compared by identity."""
 
     seq: int
     queued_ms: float
@@ -514,10 +466,6 @@ class _Job:
     callback: Callable[[Completion], None]
     depth_at_arrival: int = 1
     contended: bool = False
-    #: FIFO: scheduled finish instant (re-derived after a cancellation).
-    finish_ms: float = 0.0
-    #: FIFO: fences completion events armed before a reschedule.
-    token: int = 0
     cancelled: bool = False
     #: Observer tag from the submitting :class:`Work` (None = untagged).
     tag: Optional[object] = None
@@ -527,40 +475,25 @@ class ServerQueue:
     """A capacity-limited service station on the scheduler's clock.
 
     ``capacity`` is a service rate: a demand of ``d`` ms takes ``d /
-    capacity`` ms of dedicated service.  Under ``fifo`` jobs run one at
-    a time in arrival order; under ``ps`` all resident jobs share the
-    capacity equally (processor sharing).
+    capacity`` ms of dedicated service.  All resident jobs share the
+    capacity equally (egalitarian processor sharing).
     """
 
-    DISCIPLINES = ("fifo", "ps")
-
     def __init__(
-        self,
-        name: str,
-        scheduler: EventScheduler,
-        capacity: float = 1.0,
-        discipline: str = "ps",
+        self, name: str, scheduler: EventScheduler, capacity: float = 1.0
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if discipline not in self.DISCIPLINES:
-            raise ValueError(
-                f"unknown discipline {discipline!r}; "
-                f"expected one of {self.DISCIPLINES}"
-            )
         self.name = name
         self.scheduler = scheduler
         self.capacity = float(capacity)
-        self.discipline = discipline
         #: Lifecycle observer (span layer); the null object by default.
         self.events: QueueEvents = NULL_QUEUE_EVENTS
         self._jobs: List[_Job] = []
         self._seq = 0
-        #: FIFO: when the last queued job will finish.
-        self._free_at = 0.0
-        #: PS: last instant the residents' remaining work was updated.
+        #: Last instant the residents' remaining work was updated.
         self._last_update = 0.0
-        #: PS: guards against stale departure events after state changes.
+        #: Guards against stale departure events after state changes.
         self._epoch = 0
         # -- lifetime statistics ----------------------------------------
         self.served = 0
@@ -572,14 +505,12 @@ class ServerQueue:
 
     @property
     def depth(self) -> int:
-        """Jobs currently in the system (queued + in service)."""
+        """Jobs currently in the system."""
         return len(self._jobs)
 
     def backlog_ms(self, t_ms: float) -> float:
         """Virtual time needed to drain the current residents (no new
         arrivals) — the admission controller's wait predictor."""
-        if self.discipline == "fifo":
-            return max(0.0, self._free_at - t_ms)
         self._advance_ps(t_ms)
         # ``remaining_ms`` is already in service-time units (demand /
         # capacity), and the server retires one service-unit per unit of
@@ -588,7 +519,7 @@ class ServerQueue:
 
     def consumed_ms(self, job: _Job) -> float:
         """Dedicated service *job* has consumed so far, without touching
-        it (0.0 when it has not started, or already left the system).
+        it (0.0 when it has already left the system).
 
         This is exactly what :meth:`cancel` would report if called at
         the same instant — re-routing peeks here to quantise a
@@ -596,14 +527,8 @@ class ServerQueue:
         """
         if job.cancelled or job not in self._jobs:
             return 0.0
-        now = self.scheduler.now
-        service = job.demand_ms / self.capacity
-        if self.discipline == "fifo":
-            if job.started_ms <= now:
-                return min(service, now - job.started_ms)
-            return 0.0
-        self._advance_ps(now)
-        return max(0.0, service - job.remaining_ms)
+        self._advance_ps(self.scheduler.now)
+        return max(0.0, job.demand_ms / self.capacity - job.remaining_ms)
 
     # -- submission ------------------------------------------------------
 
@@ -620,46 +545,13 @@ class ServerQueue:
         if demand_ms < 0:
             raise ValueError(f"negative work demand {demand_ms}")
         now = self.scheduler.now
-        service = demand_ms / self.capacity
-        if self.discipline == "fifo":
-            start = max(now, self._free_at)
-            finish = start + service
-            self._free_at = finish
-            job = _Job(
-                seq=self._seq,
-                queued_ms=now,
-                started_ms=start,
-                demand_ms=demand_ms,
-                remaining_ms=service,
-                callback=callback,
-                depth_at_arrival=len(self._jobs) + 1,
-                contended=start > now,
-                finish_ms=finish,
-                tag=tag,
-            )
-            self._seq += 1
-            self._jobs.append(job)
-            self.max_depth = max(self.max_depth, len(self._jobs))
-            self.scheduler.call_at(
-                finish, self._complete_fifo, job, job.token
-            )
-            if self.events is not NULL_QUEUE_EVENTS:
-                self.events.on_enqueue(self, job, now)
-                if start <= now:
-                    self.events.on_start(self, job, start)
-                else:
-                    self.scheduler.call_at(
-                        start, self._notify_start, job, job.token
-                    )
-            return job
-        # Processor sharing.
         self._advance_ps(now)
         job = _Job(
             seq=self._seq,
             queued_ms=now,
             started_ms=now,
             demand_ms=demand_ms,
-            remaining_ms=service,
+            remaining_ms=demand_ms / self.capacity,
             callback=callback,
             depth_at_arrival=len(self._jobs) + 1,
             tag=tag,
@@ -677,75 +569,21 @@ class ServerQueue:
             self.events.on_start(self, job, now)
         return job
 
-    def _notify_start(self, job: _Job, token: int) -> None:
-        """Deferred FIFO start hook; fenced like completion events so a
-        cancellation-restack (which re-arms with a new token) or a
-        cancel of the job itself silences the stale notification."""
-        if job.cancelled or token != job.token:
-            return
-        if self.events is not NULL_QUEUE_EVENTS:
-            self.events.on_start(self, job, job.started_ms)
-
     # -- cancellation ----------------------------------------------------
 
     def cancel(self, job: _Job) -> float:
         """Abandon *job*, releasing its unserved demand back to the queue.
 
         Returns the dedicated-service milliseconds the job had already
-        consumed (0.0 when it never reached the server, or when it had
-        already completed/been cancelled) — the hedging layer reports
-        this as ``hedge_wasted_ms``.
+        consumed (0.0 when it had already completed/been cancelled) —
+        the hedging layer reports this as ``hedge_wasted_ms``.
         """
         if job.cancelled or job not in self._jobs:
             return 0.0
         now = self.scheduler.now
         job.cancelled = True
-        service = job.demand_ms / self.capacity
-        if self.discipline == "fifo":
-            if job.started_ms <= now:
-                consumed = min(service, now - job.started_ms)
-            else:
-                consumed = 0.0
-            self._jobs.remove(job)
-            self.busy_ms += consumed
-            self.cancelled_jobs += 1
-            if self.events is not NULL_QUEUE_EVENTS:
-                self.events.on_cancel(self, job, now, consumed)
-            # Jobs queued behind the cancelled one move up: walk the
-            # (arrival-ordered) residents, keep the in-service head's
-            # finish, and restack everything that had not yet started.
-            cursor = now
-            for other in self._jobs:
-                if other.started_ms <= now:
-                    cursor = other.finish_ms  # in service: unchanged
-                    continue
-                start = max(cursor, other.queued_ms)
-                finish = start + other.demand_ms / self.capacity
-                cursor = finish
-                if finish == other.finish_ms:
-                    continue  # ahead of the cancelled job: untouched
-                other.started_ms = start
-                other.finish_ms = finish
-                other.contended = start > other.queued_ms
-                other.token += 1
-                self.scheduler.call_at(
-                    finish, self._complete_fifo, other, other.token
-                )
-                if self.events is not NULL_QUEUE_EVENTS:
-                    # The pre-restack start notification is token-fenced
-                    # out; re-arm (or fire immediately when the job just
-                    # moved into service).
-                    if start <= now:
-                        self.events.on_start(self, other, start)
-                    else:
-                        self.scheduler.call_at(
-                            start, self._notify_start, other, other.token
-                        )
-            self._free_at = cursor
-            return consumed
-        # Processor sharing.
         self._advance_ps(now)
-        consumed = max(0.0, service - job.remaining_ms)
+        consumed = max(0.0, job.demand_ms / self.capacity - job.remaining_ms)
         self._jobs.remove(job)
         self.busy_ms += consumed
         self.cancelled_jobs += 1
@@ -753,28 +591,6 @@ class ServerQueue:
             self.events.on_cancel(self, job, now, consumed)
         self._reschedule_ps()
         return consumed
-
-    # -- FIFO ------------------------------------------------------------
-
-    def _complete_fifo(self, job: _Job, token: int) -> None:
-        if job.cancelled or token != job.token:
-            return  # cancelled, or superseded by a post-cancel restack
-        self._jobs.remove(job)
-        self.served += 1
-        self.busy_ms += job.remaining_ms
-        completion = Completion(
-            queue=self.name,
-            queued_ms=job.queued_ms,
-            started_ms=job.started_ms,
-            finished_ms=job.finish_ms,
-            demand_ms=job.demand_ms,
-            service_ms=job.demand_ms / self.capacity,
-            depth_at_arrival=job.depth_at_arrival,
-            contended=job.contended,
-        )
-        if self.events is not NULL_QUEUE_EVENTS:
-            self.events.on_complete(self, job, completion)
-        job.callback(completion)
 
     # -- processor sharing ----------------------------------------------
 
@@ -829,7 +645,4 @@ class ServerQueue:
         head.callback(completion)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ServerQueue {self.name} {self.discipline} "
-            f"depth={self.depth}>"
-        )
+        return f"<ServerQueue {self.name} depth={self.depth}>"

@@ -12,7 +12,7 @@ optimizer is influenced without being modified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import get_obs
 from ..sqlengine import PlanCost
@@ -55,6 +55,18 @@ class RuntimeLogEntry:
     observed_ms: float
 
 
+#: Per second-leg kind: the cancelled leg's counter, its waste
+#: histogram and its trace event.
+_CANCELLED_LEG = {
+    "hedge": (
+        "mw_hedge_cancelled_total", "mw_hedge_wasted_ms", "hedge_cancelled"
+    ),
+    "reroute": (
+        "mw_reroute_cancelled_total", "mw_reroute_wasted_ms", "rerouted"
+    ),
+}
+
+
 class MetaWrapper:
     """Middleware between the integrator and the per-source wrappers."""
 
@@ -67,7 +79,6 @@ class MetaWrapper:
         self.qcc = qcc
         self.compile_log: List[CompileLogEntry] = []
         self.runtime_log: List[RuntimeLogEntry] = []
-        self._siblings: Dict[str, List[FragmentOption]] = {}
 
     # -- wiring ----------------------------------------------------------
 
@@ -154,12 +165,7 @@ class MetaWrapper:
                 )
                 if self.qcc is not None:
                     self.qcc.record_compile(server, fragment.signature, option)
-        self._siblings[fragment.signature] = list(options)
         return options
-
-    def sibling_options(self, fragment_signature: str) -> List[FragmentOption]:
-        """Options recorded at the most recent compile of this fragment."""
-        return list(self._siblings.get(fragment_signature, ()))
 
     # -- run time ------------------------------------------------------------
 
@@ -167,14 +173,16 @@ class MetaWrapper:
         self,
         option: FragmentOption,
         t_ms: float,
-        allow_substitution: bool = True,
+        siblings: Sequence[FragmentOption] = (),
         report: bool = True,
     ) -> Tuple[FragmentOption, RemoteExecution]:
         """Execute a fragment option; returns (actually-run option, result).
 
-        With QCC attached and substitution allowed, the fragment-level
-        load balancer may swap the option for an *identical* plan on an
-        equivalent server (Section 4.1) just before dispatch.
+        *siblings* are the options the query's own compilation admitted
+        for this fragment (:meth:`GlobalPlan.siblings_of`): with QCC
+        attached, the fragment-level load balancer may swap the option
+        for an *identical* plan on an equivalent server among them
+        (Section 4.1) just before dispatch.  None given, none swapped.
 
         ``report=False`` defers the runtime-log/metrics/QCC reporting:
         the concurrent runtime executes the fragment to learn its raw
@@ -184,8 +192,7 @@ class MetaWrapper:
         contention, exactly as the paper's probe model intends.
         """
         obs = get_obs()
-        if self.qcc is not None and allow_substitution:
-            siblings = self.sibling_options(option.fragment.signature)
+        if self.qcc is not None and siblings:
             substituted = self.qcc.substitute(option, siblings, t_ms)
             if substituted is not option:
                 obs.metrics.counter(
@@ -254,63 +261,36 @@ class MetaWrapper:
                 t_ms=t_ms,
             )
 
-    def note_hedge_waste(
+    def note_cancelled_leg(
         self,
+        kind: str,
         option: FragmentOption,
         wasted_ms: float,
         t_ms: float,
+        **event: object,
     ) -> None:
-        """Record the cancelled loser of a hedged dispatch.
+        """Record the cancelled leg of a raced dispatch: *kind* is
+        ``"hedge"`` (the race's loser ran at *option*) or ``"reroute"``
+        (the primary at *option* was migrated off mid-flight).
 
-        Only the *winning* execution reaches :meth:`note_execution` (and
-        thus the runtime log and the calibrator — a cancelled partial
-        execution would poison the observed/estimated ratio).  The loser
-        leaves just a metric: the dedicated service it consumed before
-        cancellation, i.e. the price of the tail-latency insurance.
+        A cancelled partial execution would poison the observed/
+        estimated ratio, so it never reaches :meth:`note_execution`, the
+        runtime log or the calibrator — the strategy feeds those
+        separately (the hedge winner at its effective latency; a
+        migrated primary's full demonstrated demand).  The cancelled leg
+        leaves just metrics and a trace event: *wasted_ms* is the
+        dedicated service a hedge loser consumed, or the partial-batch
+        service past the checkpoint that a migration target re-ships.
         """
+        counter, histogram, event_name = _CANCELLED_LEG[kind]
         obs = get_obs()
-        obs.metrics.counter(
-            "mw_hedge_cancelled_total", server=option.server
-        ).inc()
-        obs.metrics.histogram("mw_hedge_wasted_ms").observe(wasted_ms)
+        obs.metrics.counter(counter, server=option.server).inc()
+        obs.metrics.histogram(histogram).observe(wasted_ms)
         obs.trace_event(
-            "hedge_cancelled",
+            event_name,
             t_ms,
             fragment=option.fragment.fragment_id,
-            server=option.server,
-            wasted_ms=wasted_ms,
-        )
-
-    def note_reroute(
-        self,
-        primary: FragmentOption,
-        target: FragmentOption,
-        cut_row: int,
-        wasted_ms: float,
-        t_ms: float,
-    ) -> None:
-        """Record a mid-query batch migration off *primary*.
-
-        Like a hedge loser, the cancelled primary leg leaves only
-        metrics and a trace event.  The calibrator is fed separately —
-        the primary's full demonstrated demand goes through
-        :meth:`note_execution` so QCC's per-server feedback stays
-        bit-identical to a run where the migration never happened;
-        ``wasted_ms`` is the partial-batch service past the checkpoint
-        that the target re-ships.
-        """
-        obs = get_obs()
-        obs.metrics.counter(
-            "mw_reroute_cancelled_total", server=primary.server
-        ).inc()
-        obs.metrics.histogram("mw_reroute_wasted_ms").observe(wasted_ms)
-        obs.trace_event(
-            "rerouted",
-            t_ms,
-            fragment=primary.fragment.fragment_id,
-            from_server=primary.server,
-            to_server=target.server,
-            cut_row=cut_row,
+            **event,
             wasted_ms=wasted_ms,
         )
 

@@ -23,6 +23,7 @@ SMOKE_SCENARIOS = [(42, i) for i in range(6)] + [(42, 8), (42, 10), (7, 0)]
 EXPECTED_CHECKERS = {
     "oracle-equivalence",
     "no-down-dispatch",
+    "no-stale-dispatch",
     "calibration-bounds",
     "cache-epoch",
     "engine-equivalence",
@@ -54,6 +55,10 @@ def test_invariants_hold(seed, index, sample_databases):
     assert run.oracle is not None and run.row_engine is not None
     if spec.arrival is None:
         assert run.shed == 0
+    # Under a staleness tolerance every dispatch carries its attempt's
+    # fresh set — the evidence ``no-stale-dispatch`` audits.
+    stamped = spec.staleness_tolerance_ms is not None
+    assert all((d.fresh is not None) == stamped for d in run.dispatches)
 
 
 def test_smoke_set_covers_both_arrival_modes():
@@ -86,16 +91,12 @@ def test_rerun_is_byte_identical(sample_databases):
     assert first.admission_decisions == second.admission_decisions
 
 
-def test_hedged_scenario_upholds_every_invariant():
-    """A hedged concurrent replica scenario under a latency fault passes
-    the full checker registry — including the *exact* (not float-
-    tolerant) oracle row equality the hedged branch of
-    ``oracle-equivalence`` demands."""
+def _hedged_spec(**overrides):
     from repro.chaos import ArrivalSpec, FaultEvent, QuerySpec, ScenarioSpec
 
     base = generate_scenario(42, 0)
     assert base.arrival is not None  # reuse its sampled query classes
-    spec = ScenarioSpec(
+    options = dict(
         seed=42,
         index=0,
         topology="replica",
@@ -115,9 +116,46 @@ def test_hedged_scenario_upholds_every_invariant():
         arrival=ArrivalSpec(process="poisson", rate_qps=60.0),
         hedge_after_ms=20.0,
     )
+    options.update(overrides)
+    return ScenarioSpec(**options)
+
+
+def test_hedged_scenario_upholds_every_invariant():
+    """A hedged concurrent replica scenario under a latency fault passes
+    the full checker registry — including the *exact* (not float-
+    tolerant) oracle row equality the hedged branch of
+    ``oracle-equivalence`` demands."""
+    spec = _hedged_spec()
     run = run_scenario(spec)
     assert violations(run_checkers(run)) == []
     assert run.completed + run.failed + run.shed == len(spec.queries)
+
+
+def test_combined_scenario_upholds_every_invariant():
+    """The same scenario with re-routing on beside hedging and a
+    staleness tolerance that a mid-run origin write turns into a real
+    constraint: every checker holds, second legs fire, and none of them
+    reaches a replica the compilation rejected as stale."""
+    from repro.chaos import FaultEvent
+
+    hedged = _hedged_spec()
+    lag = FaultEvent(
+        kind="replica_lag", server="S1", start_ms=5.0, end_ms=5.0,
+        table="orders",
+    )
+    spec = _hedged_spec(
+        faults=hedged.faults + (lag,),
+        reroute_batch_rows=8,
+        staleness_tolerance_ms=50.0,
+    )
+    run = run_scenario(spec)
+    assert violations(run_checkers(run)) == []
+    assert run.completed == len(spec.queries)
+    # More dispatches than fragments completed: second legs launched.
+    fragments = sum(len(o.fragment_ms) for o in run.outcomes)
+    assert len(run.dispatches) > fragments
+    assert any(d.fresh is not None and "R1" not in d.fresh
+               for d in run.dispatches)
 
 
 def test_faults_actually_bite():

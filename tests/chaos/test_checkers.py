@@ -122,6 +122,19 @@ def test_no_down_dispatch_catches_bad_dispatch(clean_run):
     assert found["no-down-dispatch"], "down-server dispatch not detected"
 
 
+def test_no_stale_dispatch_catches_unadmitted_replica(clean_run):
+    run = _mutant(clean_run)
+    # Without a tolerance (fresh=None) any server is fair game.
+    assert all(record.fresh is None for record in run.dispatches)
+    run.dispatches.append(
+        DispatchRecord(
+            t_ms=123.0, server="R1", down_before=(), fresh=("S1",)
+        )
+    )
+    found = run_checkers(run, names=["no-stale-dispatch"])
+    assert found["no-stale-dispatch"], "stale-replica dispatch not detected"
+
+
 def test_calibration_bounds_catches_runaway_factor(clean_run):
     run = _mutant(clean_run)
     low, high = run.factor_bounds
@@ -219,6 +232,7 @@ def test_every_bundled_checker_has_a_mutation_test(clean_run):
         "oracle-equivalence",
         "reroute-oracle-equivalence",
         "no-down-dispatch",
+        "no-stale-dispatch",
         "calibration-bounds",
         "cache-epoch",
         "engine-equivalence",

@@ -162,17 +162,19 @@ class TestSerialisation:
         assert "reroute_batch_rows" not in payload
         assert ScenarioSpec.from_dict(payload).reroute_batch_rows is None
 
-    def test_hedge_and_reroute_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(
-                seed=1,
-                index=0,
-                topology="replica",
-                queries=(QuerySpec("QT1", 0, 12.5, klass="gold"),),
-                arrival=ArrivalSpec(process="poisson", rate_qps=40.0),
-                hedge_after_ms=75.0,
-                reroute_batch_rows=16,
-            )
+    def test_hedge_and_reroute_combine_and_round_trip(self):
+        spec = ScenarioSpec(
+            seed=1,
+            index=0,
+            topology="replica",
+            queries=(QuerySpec("QT1", 0, 12.5, klass="gold"),),
+            arrival=ArrivalSpec(process="poisson", rate_qps=40.0),
+            hedge_after_ms=75.0,
+            reroute_batch_rows=16,
+        )
+        clone = ScenarioSpec.from_json(spec.canonical_json())
+        assert clone == spec
+        assert (clone.hedge_after_ms, clone.reroute_batch_rows) == (75.0, 16)
 
     def test_default_sweep_never_samples_rerouting(self):
         for index in range(20):

@@ -3,7 +3,7 @@
 Satellite guarantees under test: span trees are well-nested and
 per-trace disjoint under concurrency, queue_wait + service equals the
 scheduler's sojourn bit-for-bit, every completed query's decomposition
-recombines to exactly its recorded response time (fifo and ps alike),
+recombines to exactly its recorded response time,
 and hedge races leave the winner's tags plus the loser's cancelled
 slice on the winning trace and in the Chrome export.
 """
@@ -23,16 +23,16 @@ from repro.workload import TEST_SCALE, build_workload
 from repro.workload.queries import QT1, QT3
 
 
-@pytest.fixture(params=["fifo", "ps"])
+@pytest.fixture(params=["ps"])
 def traced_overload(request, sample_databases):
-    """One 2x-overload traced run per queue discipline."""
+    """One 2x-overload traced run (processor sharing, the one queue
+    discipline)."""
     obs.configure(metrics=True, tracing=True, log_level=None)
     try:
         yield run_loadgen(
             rate_qps=80.0,
             duration_ms=1_500.0,
             seed=11,
-            discipline=request.param,
             prebuilt_databases=sample_databases,
         )
     finally:

@@ -9,7 +9,8 @@ and the whole run remains a pure function of the seed.
 
 import pytest
 
-from repro.fed import ConcurrentRuntime, HedgeConfig, HedgePolicy, make_policy
+from repro.fed import ConcurrentRuntime, HedgeConfig, HedgePolicy
+from repro.fed.hedging import MAX_TRACKED
 from repro.harness import build_replica_federation
 from repro.workload import TEST_SCALE, build_workload
 
@@ -36,18 +37,32 @@ def make_deployment(replica_databases):
     return factory
 
 
-def _drive(deployment, hedge_after_ms, depth_cap=4, spacing_ms=1.0):
+def _drive(
+    deployment,
+    hedge_after_ms,
+    depth_cap=None,
+    spacing_ms=1.0,
+    reroute_batch_rows=None,
+    bumps=0,
+):
     runtime = ConcurrentRuntime(
         deployment.integrator,
         hedge_after_ms=hedge_after_ms,
-        hedge_depth_cap=depth_cap,
+        reroute_batch_rows=reroute_batch_rows,
     )
+    if depth_cap is not None:
+        runtime.hedging.config = HedgeConfig(
+            static_after_ms=hedge_after_ms, depth_cap=depth_cap
+        )
     handles = [
         runtime.submit_at(index * spacing_ms, instance.sql, klass="gold")
         for index, instance in enumerate(
             build_workload(instances_per_type=2)
         )
     ]
+    epoch = deployment.integrator.calibration_epoch
+    for tick in range(bumps):
+        runtime.scheduler.call_at(5.0 * (tick + 1), epoch.bump)
     runtime.run()
     return runtime, handles
 
@@ -104,14 +119,12 @@ class TestHedgePolicy:
         assert policy.hedge_after("sig") == 1.0
 
     def test_history_is_lru_bounded(self):
-        policy = HedgePolicy(
-            HedgeConfig(static_after_ms=50.0, max_tracked=8)
-        )
-        for index in range(32):
+        policy = HedgePolicy(HedgeConfig(static_after_ms=50.0))
+        for index in range(MAX_TRACKED + 32):
             policy.observe(f"sig-{index}", 1.0)
-        assert len(policy._history) <= 8
+        assert len(policy._history) <= MAX_TRACKED
         # The most recent signatures survive, the oldest are evicted.
-        assert policy.samples("sig-31") == 1
+        assert policy.samples(f"sig-{MAX_TRACKED + 31}") == 1
         assert policy.samples("sig-0") == 0
 
     def test_depth_cap_gates_backup(self):
@@ -133,12 +146,12 @@ class TestHedgePolicy:
         assert policy.primary_wins == 1
         assert policy.wasted_ms == pytest.approx(5.0)
 
-    def test_make_policy_none_disables(self):
-        assert make_policy(None) is None
-        policy = make_policy(25.0, depth_cap=7)
-        assert policy is not None
-        assert policy.config.static_after_ms == 25.0
-        assert policy.config.depth_cap == 7
+    def test_runtime_knob_none_disables(self, make_deployment):
+        assert ConcurrentRuntime(make_deployment().integrator).hedging is None
+        runtime = ConcurrentRuntime(
+            make_deployment().integrator, hedge_after_ms=25.0
+        )
+        assert runtime.hedging.config.static_after_ms == 25.0
 
     def test_rejects_invalid_configuration(self):
         with pytest.raises(ValueError):
@@ -172,6 +185,20 @@ class TestDisabledEquivalence:
         ):
             assert lazy[0] == eager[0]  # rows
             assert lazy[5] == eager[5]  # chosen servers
+
+    def test_idle_rerouting_beside_hedging_changes_nothing(
+        self, make_deployment
+    ):
+        """With both knobs on but no calibration-epoch bump the
+        interrupt never fires: bit-identical to hedging alone."""
+        hedged_rt, hedged = _drive(make_deployment(), hedge_after_ms=1.0)
+        both_rt, both = _drive(
+            make_deployment(), hedge_after_ms=1.0, reroute_batch_rows=4
+        )
+        assert hedged_rt.hedging.fired > 0
+        assert both_rt.rerouting.fired == 0
+        assert _observables(both) == _observables(hedged)
+        assert both_rt.hedging.stats() == hedged_rt.hedging.stats()
 
     def test_disabled_calibrator_feedback_identical(self, make_deployment):
         plain_dep = make_deployment()
@@ -238,3 +265,35 @@ class TestHedgedRuns:
         assert strict_rt.hedging.suppressed >= permissive_rt.hedging.suppressed
         for handle in handles:  # suppression never breaks a query
             assert handle.result is not None, handle.error
+
+
+class TestCombinedRuns:
+    def test_both_legs_in_one_run_preserve_rows_and_replay(
+        self, make_deployment
+    ):
+        """Hedging and re-routing on together, with calibration-epoch
+        bumps landing mid-flight: some fragments take a hedge backup,
+        others migrate (never both — one second-leg slot each), every
+        query returns the plain run's rows, and a rerun is
+        bit-identical."""
+        _, plain = _drive(make_deployment(), None)
+
+        def combined():
+            return _drive(
+                make_deployment(),
+                hedge_after_ms=1.0,
+                reroute_batch_rows=4,
+                bumps=40,
+            )
+
+        first_rt, first = combined()
+        assert first_rt.hedging.fired > 0
+        assert first_rt.rerouting.fired > 0
+        for combined_obs, plain_obs in zip(
+            _observables(first), _observables(plain)
+        ):
+            assert combined_obs[0] == plain_obs[0]
+        second_rt, second = combined()
+        assert _observables(second) == _observables(first)
+        assert second_rt.hedging.stats() == first_rt.hedging.stats()
+        assert second_rt.rerouting.stats() == first_rt.rerouting.stats()

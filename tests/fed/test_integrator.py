@@ -80,6 +80,25 @@ class TestCompile:
         )
         assert all("S3" not in p.servers for p in plans)
 
+    def test_plans_carry_the_admitted_alternatives(self, deployment):
+        """Every plan names what each of its choices may be exchanged
+        for: the options that survived the compilation's own filters —
+        also after a plan-cache hit."""
+        integrator = deployment.integrator
+        _, plans = integrator.compile(SQL)
+        for plan in plans:
+            for choice in plan.choices:
+                siblings = plan.siblings_of(choice)
+                assert choice in siblings
+                assert {o.server for o in siblings} == {"S1", "S2", "S3"}
+        _, narrowed = integrator.compile(SQL, excluded_servers={"S3"})
+        _, cached = integrator.compile(SQL, excluded_servers={"S3"})
+        assert integrator.plan_cache.hits == 1
+        for plan in narrowed + cached:
+            for choice in plan.choices:
+                servers = {o.server for o in plan.siblings_of(choice)}
+                assert servers == {"S1", "S2"}
+
 
 class TestRoutingSeam:
     """``router.choose`` is the only routing decision, QCC or not."""
@@ -175,7 +194,7 @@ class TestRetryAccounting:
     def _always_fail(deployment):
         from repro.sim import ServerUnavailable
 
-        def boom(choice, t_ms):
+        def boom(choice, t_ms, *args, **kwargs):
             raise ServerUnavailable(choice.server, t_ms, transient=True)
 
         deployment.meta_wrapper.execute_option = boom

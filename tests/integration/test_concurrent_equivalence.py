@@ -122,7 +122,7 @@ def span_tree(span):
 
 class TestSingleQueryEquivalence:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("discipline", ["ps", "fifo"])
+    @pytest.mark.parametrize("discipline", ["ps"])
     def test_single_query_is_bit_identical(
         self, make_deployment, discipline, scenario
     ):

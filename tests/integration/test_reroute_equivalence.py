@@ -65,6 +65,7 @@ def _run_query(
     sql,
     reroute_batch_rows=None,
     bump_at=(),
+    hedge_after_ms=None,
 ):
     """One fresh deployment, one query, optional epoch bumps.
 
@@ -86,7 +87,9 @@ def _run_query(
         server.database.engine = resolved
     try:
         runtime = ConcurrentRuntime(
-            deployment.integrator, reroute_batch_rows=reroute_batch_rows
+            deployment.integrator,
+            reroute_batch_rows=reroute_batch_rows,
+            hedge_after_ms=hedge_after_ms,
         )
         handle = runtime.submit_at(0.0, sql)
         epoch = deployment.integrator.calibration_epoch
@@ -202,6 +205,41 @@ def test_migration_sweep_matches_oracle(
         # A single-batch fragment has no boundary to migrate at; the
         # policy must never arm (batch_rows=1024 at test scale).
         assert migrations == 0
+
+
+@pytest.mark.parametrize("hedge_after_ms", (None, 1e9))
+def test_unreachable_hedge_timer_beside_rerouting_changes_nothing(
+    replica_databases, hedge_after_ms
+):
+    """At every interrupt instant, re-routing with a hedge timer armed
+    beside it that never comes due (``1e9``) is bit-identical to
+    re-routing alone (``None``: the rerun itself is)."""
+    sql = _query_sql("qt2")
+    oracle, _ = _run_query(replica_databases, "columnar", sql)
+
+    def observe(t_bump, **knobs):
+        result, log = _run_query(
+            replica_databases,
+            "columnar",
+            sql,
+            reroute_batch_rows=4,
+            bump_at=(t_bump,),
+            **knobs,
+        )
+        return (
+            list(result.rows),
+            result.response_ms,
+            result.remote_ms,
+            result.reroutes,
+            _log_key(log),
+        )
+
+    migrations = 0
+    for t_bump in _bump_instants(oracle, 4):
+        alone = observe(t_bump)
+        assert observe(t_bump, hedge_after_ms=hedge_after_ms) == alone
+        migrations += alone[3]
+    assert migrations > 0
 
 
 @pytest.mark.parametrize("component", ("qt2", "qt4"))

@@ -78,8 +78,8 @@ class TestQueueSpanRecorder:
         assert (service.start_ms, service.end_ms) == (15.0, 21.0)
 
     def test_completion_without_start_synthesises_service_span(self):
-        # FIFO cancel-restack can complete a job whose deferred start
-        # notification never fired in this recorder's lifetime.
+        # The recorder tolerates a completion whose start notification
+        # it never saw (the hooks are separate calls).
         trace, _, dispatch = _trace_with_dispatch()
         recorder = QueueSpanRecorder()
         job = _job(SpanTag(trace, dispatch))

@@ -1,5 +1,5 @@
 """Event scheduler and capacity queues: determinism, conservation,
-FIFO-vs-PS sojourn shapes."""
+processor-sharing sojourn shapes, and the one second-leg request."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.sim.sched import (
     Completion,
     Delay,
     EventScheduler,
+    RacedWork,
     ServerQueue,
     Work,
 )
@@ -80,15 +81,15 @@ class TestEventScheduler:
     def test_replay_is_deterministic(self):
         def drive():
             sched = EventScheduler()
-            fifo = ServerQueue("F", sched, capacity=2.0, discipline="fifo")
-            ps = ServerQueue("P", sched, capacity=2.0, discipline="ps")
+            fast = ServerQueue("F", sched, capacity=2.0)
+            slow = ServerQueue("P", sched, capacity=1.0)
             log = []
             for index in range(6):
                 sched.spawn(
-                    _worker(fifo, 10.0 + index, log), at_ms=index * 3.0
+                    _worker(fast, 10.0 + index, log), at_ms=index * 3.0
                 )
                 sched.spawn(
-                    _worker(ps, 8.0 + index, log), at_ms=index * 3.0
+                    _worker(slow, 8.0 + index, log), at_ms=index * 3.0
                 )
             sched.run()
             return [
@@ -100,14 +101,12 @@ class TestEventScheduler:
 
 
 class TestServerQueue:
-    @pytest.mark.parametrize("discipline", ["fifo", "ps"])
+    @pytest.mark.parametrize("discipline", ["ps"])
     def test_capacity_conservation(self, discipline):
         """Total busy time == total demand / capacity, every job is
         served exactly once, and the queue drains empty."""
         sched = EventScheduler()
-        queue = ServerQueue(
-            "S", sched, capacity=2.0, discipline=discipline
-        )
+        queue = ServerQueue("S", sched, capacity=2.0)
         demands = [10.0, 4.0, 26.0, 8.0, 2.0]
         log = []
         for index, demand in enumerate(demands):
@@ -136,25 +135,12 @@ class TestServerQueue:
         assert completion.sojourn_ms == 10.0 / 3.0
         assert completion.wait_ms == 0.0
 
-    def test_fifo_serialises_in_arrival_order(self):
-        sched = EventScheduler()
-        queue = ServerQueue("S", sched, capacity=1.0, discipline="fifo")
-        log = []
-        for _ in range(3):
-            sched.spawn(_worker(queue, 10.0, log), at_ms=0.0)
-        sched.run()
-        assert [c.finished_ms for c in log] == [10.0, 20.0, 30.0]
-        assert [c.sojourn_ms for c in log] == [10.0, 20.0, 30.0]
-        assert [c.wait_ms for c in log] == [0.0, 10.0, 20.0]
-        assert log[0].contended is False
-        assert log[1].contended and log[2].contended
-
     def test_ps_shares_capacity_equally(self):
         """Two equal jobs arriving together each take twice their solo
         service time and finish simultaneously — the egalitarian-PS
-        signature FIFO cannot produce."""
+        signature."""
         sched = EventScheduler()
-        queue = ServerQueue("S", sched, capacity=1.0, discipline="ps")
+        queue = ServerQueue("S", sched, capacity=1.0)
         log = []
         for _ in range(2):
             sched.spawn(_worker(queue, 10.0, log), at_ms=0.0)
@@ -163,38 +149,9 @@ class TestServerQueue:
         assert all(c.contended for c in log)
         assert all(c.sojourn_ms == pytest.approx(20.0) for c in log)
 
-    def test_ps_vs_fifo_sojourn_shape(self):
-        """Same workload, both disciplines: FIFO lets the short job jump
-        out fast behind nothing, PS drags every resident; total drain
-        time is identical (work conservation)."""
-
-        def drive(discipline):
-            sched = EventScheduler()
-            queue = ServerQueue(
-                "S", sched, capacity=1.0, discipline=discipline
-            )
-            log = []
-            sched.spawn(_worker(queue, 30.0, log), at_ms=0.0)
-            sched.spawn(_worker(queue, 3.0, log), at_ms=1.0)
-            sched.run()
-            return {c.demand_ms: c.sojourn_ms for c in log}
-
-        fifo, ps = drive("fifo"), drive("ps")
-        # FIFO: the short job waits out the long one's full residual.
-        assert fifo[3.0] == pytest.approx(32.0)
-        assert fifo[30.0] == pytest.approx(30.0)
-        # PS: the short job only pays double while sharing (sojourn 6);
-        # the long job pays for the company instead (sojourn 33).
-        assert ps[3.0] == pytest.approx(6.0)
-        assert ps[30.0] == pytest.approx(33.0)
-        # Work conservation: both disciplines drain the 33 ms of demand
-        # at the same instant, t = 33.
-        assert 1.0 + fifo[3.0] == pytest.approx(33.0)
-        assert ps[30.0] == pytest.approx(33.0)
-
     def test_ps_departure_ties_break_by_arrival_order(self):
         sched = EventScheduler()
-        queue = ServerQueue("S", sched, capacity=1.0, discipline="ps")
+        queue = ServerQueue("S", sched, capacity=1.0)
         log = []
         for _ in range(3):
             sched.spawn(_worker(queue, 12.0, log), at_ms=0.0)
@@ -205,22 +162,18 @@ class TestServerQueue:
 
     def test_backlog_ms_predicts_drain_time(self):
         sched = EventScheduler()
-        fifo = ServerQueue("F", sched, capacity=2.0, discipline="fifo")
-        ps = ServerQueue("P", sched, capacity=2.0, discipline="ps")
+        queue = ServerQueue("P", sched, capacity=2.0)
         log = []
-        for queue in (fifo, ps):
-            sched.spawn(_worker(queue, 10.0, log), at_ms=0.0)
-            sched.spawn(_worker(queue, 6.0, log), at_ms=0.0)
+        sched.spawn(_worker(queue, 10.0, log), at_ms=0.0)
+        sched.spawn(_worker(queue, 6.0, log), at_ms=0.0)
         sched.run(until_ms=0.0)
-        assert fifo.backlog_ms(0.0) == pytest.approx(8.0)
-        assert ps.backlog_ms(0.0) == pytest.approx(8.0)
+        assert queue.backlog_ms(0.0) == pytest.approx(8.0)
         sched.run()
-        assert fifo.backlog_ms(sched.now) == 0.0
-        assert ps.backlog_ms(sched.now) == 0.0
+        assert queue.backlog_ms(sched.now) == 0.0
 
     def test_max_depth_tracks_peak_concurrency(self):
         sched = EventScheduler()
-        queue = ServerQueue("S", sched, capacity=1.0, discipline="ps")
+        queue = ServerQueue("S", sched, capacity=1.0)
         log = []
         for index in range(4):
             sched.spawn(_worker(queue, 5.0, log), at_ms=float(index))
@@ -231,8 +184,6 @@ class TestServerQueue:
         sched = EventScheduler()
         with pytest.raises(ValueError):
             ServerQueue("S", sched, capacity=0.0)
-        with pytest.raises(ValueError):
-            ServerQueue("S", sched, discipline="lifo")
         queue = ServerQueue("S", sched)
         with pytest.raises(ValueError):
             queue.submit(-1.0, lambda completion: None)
@@ -243,56 +194,10 @@ class TestServerQueue:
 
 
 class TestCancellation:
-    def test_fifo_cancel_queued_job_restacks_tail(self):
-        """Cancelling a queued job moves later arrivals up; their
-        completions fire at the re-derived earlier instants."""
-        sched = EventScheduler()
-        queue = ServerQueue("S", sched, capacity=1.0, discipline="fifo")
-        log = []
-        jobs = {}
-
-        def driver():
-            jobs["a"] = queue.submit(10.0, log.append)
-            jobs["b"] = queue.submit(10.0, log.append)
-            jobs["c"] = queue.submit(10.0, log.append)
-            yield Delay(2.0)
-            wasted = queue.cancel(jobs["b"])
-            assert wasted == 0.0  # never reached the server
-
-        sched.spawn(driver())
-        sched.run()
-        assert [c.finished_ms for c in log] == [10.0, 20.0]
-        assert queue.served == 2
-        assert queue.cancelled_jobs == 1
-        assert queue.depth == 0
-
-    def test_fifo_cancel_in_service_releases_capacity(self):
-        """Cancelling the job *in service* frees the server immediately:
-        the next job starts at the cancel instant, and the wasted time
-        equals the service already consumed."""
-        sched = EventScheduler()
-        queue = ServerQueue("S", sched, capacity=1.0, discipline="fifo")
-        log = []
-        jobs = {}
-
-        def driver():
-            jobs["a"] = queue.submit(10.0, log.append)
-            jobs["b"] = queue.submit(5.0, log.append)
-            yield Delay(4.0)
-            wasted = queue.cancel(jobs["a"])
-            assert wasted == 4.0
-
-        sched.spawn(driver())
-        sched.run()
-        assert len(log) == 1
-        # b starts at the cancel instant (t=4) and runs 5ms.
-        assert log[0].finished_ms == 9.0
-        assert queue.backlog_ms(sched.now) == 0.0
-
     def test_ps_cancel_speeds_up_survivor(self):
         """Removing one of two PS residents doubles the survivor's rate."""
         sched = EventScheduler()
-        queue = ServerQueue("S", sched, capacity=1.0, discipline="ps")
+        queue = ServerQueue("S", sched, capacity=1.0)
         log = []
         jobs = {}
 
@@ -312,7 +217,7 @@ class TestCancellation:
 
     def test_cancel_completed_or_cancelled_job_is_noop(self):
         sched = EventScheduler()
-        queue = ServerQueue("S", sched, capacity=1.0, discipline="fifo")
+        queue = ServerQueue("S", sched, capacity=1.0)
         done = []
         job = queue.submit(5.0, done.append)
         sched.run()
@@ -325,96 +230,192 @@ class TestCancellation:
         assert len(done) == 1
 
 
-class TestHedgedWork:
-    def _hedge(self, sched, primary_queue, backup_queue, primary_ms,
-               backup_ms, after_ms, outcomes, decline=False):
-        from repro.sim.sched import HedgedWork
+TRIGGERS = ("timer", "interrupt", "both")
+every_trigger = pytest.mark.parametrize("trigger", TRIGGERS)
 
-        def factory(t_fire):
-            if decline:
-                return None
-            return Work(backup_queue, backup_ms)
 
-        def process():
-            outcome = yield HedgedWork(
-                primary=Work(primary_queue, primary_ms),
-                hedge_after_ms=after_ms,
-                backup_factory=factory,
-            )
-            outcomes.append(outcome)
+class _Race:
+    """One :class:`RacedWork` on its own scheduler.
 
-        sched.spawn(process())
+    *trigger* picks what is armed: the timer (at ``at_ms``), the
+    interrupt (the test fires it with :meth:`interrupt_at`), or both.
+    Every ``second_leg`` call is logged as ``(t_ms, consumed_ms)``.
+    """
 
-    def test_backup_fires_only_after_timeout(self):
-        """A fast primary completes before the timer: no hedge, and the
-        completion is bit-identical to a plain Work submission."""
-        sched = EventScheduler()
-        fast = ServerQueue("S1", sched, capacity=1.0)
-        backup = ServerQueue("S2", sched, capacity=1.0)
-        outcomes = []
-        self._hedge(sched, fast, backup, 5.0, 5.0, 10.0, outcomes)
-        sched.run()
-        (outcome,) = outcomes
-        assert outcome.winner == "primary"
-        assert not outcome.hedged
-        assert outcome.backup_fired_ms is None
-        assert outcome.wasted_ms == 0.0
-        assert backup.served == 0 and backup.max_depth == 0
-        assert outcome.completion.sojourn_ms == 5.0
-
-    def test_backup_wins_when_primary_stalls(self):
-        """Primary queued behind a long backlog: the hedge fires at the
-        timeout, the idle backup wins, and the primary's unstarted work
-        is released (zero waste)."""
-        sched = EventScheduler()
-        slow = ServerQueue("S1", sched, capacity=1.0, discipline="fifo")
-        backup = ServerQueue("S2", sched, capacity=1.0, discipline="fifo")
-        blocker = []
-        slow.submit(100.0, blocker.append)  # pre-existing backlog
-        outcomes = []
-        self._hedge(sched, slow, backup, 10.0, 10.0, 20.0, outcomes)
-        sched.run()
-        (outcome,) = outcomes
-        assert outcome.winner == "backup"
-        assert outcome.hedged
-        assert outcome.backup_fired_ms == 20.0
-        assert outcome.completion.finished_ms == 30.0
-        assert outcome.wasted_ms == 0.0  # primary never started
-        assert slow.cancelled_jobs == 1
-        # The blocker still completes normally.
-        assert blocker and blocker[0].finished_ms == 100.0
-
-    def test_losing_backup_is_cancelled_and_capacity_released(self):
-        """Primary finishes first after the hedge fired: the backup is
-        cancelled and its queue drains immediately."""
-        sched = EventScheduler()
-        primary = ServerQueue("S1", sched, capacity=1.0, discipline="fifo")
-        backup = ServerQueue("S2", sched, capacity=1.0, discipline="fifo")
-        outcomes = []
-        # Primary takes 30ms; hedge fires at 20ms; backup would take
-        # 50ms, so the primary wins at t=30 and the backup (10ms into
-        # its service) is cancelled.
-        self._hedge(sched, primary, backup, 30.0, 50.0, 20.0, outcomes)
-        sched.run()
-        (outcome,) = outcomes
-        assert outcome.winner == "primary"
-        assert outcome.hedged
-        assert outcome.wasted_ms == pytest.approx(10.0)
-        assert backup.cancelled_jobs == 1
-        assert backup.depth == 0
-        assert backup.backlog_ms(sched.now) == 0.0
-
-    def test_declined_factory_leaves_primary_untouched(self):
-        sched = EventScheduler()
-        primary = ServerQueue("S1", sched, capacity=1.0)
-        backup = ServerQueue("S2", sched, capacity=1.0)
-        outcomes = []
-        self._hedge(
-            sched, primary, backup, 30.0, 10.0, 5.0, outcomes, decline=True
+    def __init__(self, trigger, primary_ms, second_ms, at_ms,
+                 replaces=False, decline=False, sync=False):
+        self.sched = EventScheduler()
+        self.primary = ServerQueue("S1", self.sched)
+        self.second = ServerQueue("S2", self.sched)
+        self.second_ms = second_ms
+        self.replaces = replaces
+        self.decline = decline
+        self.sync = sync
+        self.calls = []
+        self.disarmed = 0
+        self.outcomes = []
+        self._interrupt = None
+        request = RacedWork(
+            Work(self.primary, primary_ms),
+            self.second_leg,
+            after_ms=at_ms if trigger != "interrupt" else None,
+            arm=self.arm if trigger != "timer" else None,
         )
-        sched.run()
-        (outcome,) = outcomes
+        self.sched.spawn(self._process(request))
+
+    def _process(self, request):
+        self.outcomes.append((yield request))
+
+    def second_leg(self, t_ms, consumed_ms):
+        self.calls.append((t_ms, consumed_ms))
+        if self.decline:
+            return None
+        return Work(self.second, self.second_ms), self.replaces
+
+    def arm(self, interrupt):
+        self._interrupt = interrupt
+        if self.sync:
+            interrupt()
+
+        def disarm():
+            self.disarmed += 1
+
+        return disarm
+
+    def interrupt_at(self, t_ms):
+        self.sched.call_at(t_ms, lambda: self._interrupt())
+
+    def run(self):
+        self.sched.run()
+        (outcome,) = self.outcomes
+        return outcome
+
+
+class TestRacedWork:
+    """The one second-leg request, under each trigger kind.  With both
+    armed the shared cases put the timer first, so their ``both`` runs
+    are the *timer launches first → later interrupts ignored* ordering;
+    the other combined orderings follow below."""
+
+    def _race(self, trigger, *args, at_ms, **kwargs):
+        race = _Race(trigger, *args, at_ms=at_ms, **kwargs)
+        if trigger == "interrupt":
+            race.interrupt_at(at_ms)
+        elif trigger == "both":
+            race.interrupt_at(at_ms + 1.0)
+        return race
+
+    @every_trigger
+    def test_untriggered_race_is_a_plain_work(self, trigger):
+        """A fast primary completes before any trigger fires: no second
+        leg, and the completion is bit-identical to a plain Work."""
+        race = self._race(trigger, 5.0, 5.0, at_ms=10.0)
+        outcome = race.run()
         assert outcome.winner == "primary"
-        assert not outcome.hedged
+        assert outcome.fired_ms is None
+        assert outcome.consumed_ms == 0.0
+        assert outcome.completion.sojourn_ms == 5.0
+        assert race.calls == []
+        assert race.second.served == 0 and race.second.max_depth == 0
+        # The interrupt is disarmed the moment the request settles.
+        assert race.disarmed == (0 if trigger == "timer" else 1)
+
+    @every_trigger
+    @pytest.mark.parametrize("replaces", [False, True])
+    def test_second_leg_settles_a_slow_primary(self, trigger, replaces):
+        """The trigger fires at t=20 with the 100 ms primary pending; the
+        10 ms second leg settles the request at t=30.  Raced, the
+        primary runs on until it loses; replaced, it is cancelled at the
+        launch instant."""
+        race = self._race(trigger, 100.0, 10.0, at_ms=20.0, replaces=replaces)
+        outcome = race.run()
+        assert outcome.winner == "second"
+        assert outcome.fired_ms == 20.0
+        assert outcome.completion.finished_ms == 30.0
+        assert outcome.consumed_ms == (20.0 if replaces else 30.0)
+        # Only an interrupt peeks at the primary's consumed service.
+        assert race.calls == [(20.0, 20.0 if trigger == "interrupt" else None)]
+        assert race.primary.cancelled_jobs == 1
+        assert race.primary.depth == 0 and race.primary.served == 0
+        assert race.disarmed == (0 if trigger == "timer" else 1)
+
+    @every_trigger
+    def test_losing_second_leg_is_cancelled_and_capacity_released(
+        self, trigger
+    ):
+        """The primary (30 ms) finishes first after a 50 ms second leg
+        launched at t=20: the loser is cancelled 10 ms into its service
+        and its queue drains immediately."""
+        race = self._race(trigger, 30.0, 50.0, at_ms=20.0)
+        outcome = race.run()
+        assert outcome.winner == "primary"
+        assert outcome.fired_ms == 20.0
+        assert outcome.consumed_ms == pytest.approx(10.0)
+        assert race.second.cancelled_jobs == 1
+        assert race.second.depth == 0
+        assert race.second.backlog_ms(race.sched.now) == 0.0
+
+    @every_trigger
+    def test_declined_leg_leaves_primary_untouched(self, trigger):
+        race = self._race(trigger, 30.0, 10.0, at_ms=5.0, decline=True)
+        if trigger != "timer":
+            race.interrupt_at(8.0)  # a declined interrupt may re-fire
+        outcome = race.run()
+        assert outcome.winner == "primary"
+        assert outcome.fired_ms is None
         assert outcome.completion.sojourn_ms == 30.0
-        assert backup.served == 0
+        assert race.second.served == 0
+        assert race.calls == {
+            "timer": [(5.0, None)],
+            "interrupt": [(5.0, 5.0), (8.0, 8.0)],
+            "both": [(5.0, None), (6.0, 6.0), (8.0, 8.0)],
+        }[trigger]
+
+    def test_interrupt_launch_makes_the_timer_a_noop(self):
+        race = _Race("both", 100.0, 10.0, at_ms=20.0, replaces=True)
+        race.interrupt_at(4.0)
+        outcome = race.run()
+        assert outcome.winner == "second"
+        assert outcome.fired_ms == 4.0
+        assert outcome.consumed_ms == 4.0
+        assert outcome.completion.finished_ms == 14.0
+        assert race.calls == [(4.0, 4.0)]  # the t=20 timer asked nothing
+        assert race.second.served == 1
+
+    def test_declined_interrupt_leaves_the_timer_live(self):
+        race = _Race("both", 100.0, 10.0, at_ms=20.0)
+        race.decline = True
+        race.interrupt_at(4.0)
+        race.interrupt_at(9.0)
+        race.sched.call_at(15.0, setattr, race, "decline", False)
+        outcome = race.run()
+        assert race.calls == [(4.0, 4.0), (9.0, 9.0), (20.0, None)]
+        assert outcome.winner == "second"
+        assert outcome.fired_ms == 20.0
+        assert race.disarmed == 1
+
+    @pytest.mark.parametrize("decline", [False, True])
+    def test_trigger_firing_synchronously_inside_arm(self, decline):
+        """An interrupt that fires while ``arm`` is still installing it
+        either launches (and is disarmed at once) or, declined, stays
+        live for a later firing."""
+        race = _Race(
+            "interrupt", 100.0, 10.0, at_ms=None,
+            replaces=True, decline=decline, sync=True,
+        )
+        if decline:
+            race.sched.call_at(5.0, setattr, race, "decline", False)
+            race.interrupt_at(6.0)
+        outcome = race.run()
+        fired = 6.0 if decline else 0.0
+        assert race.calls == [(0.0, 0.0)] + ([(6.0, 6.0)] if decline else [])
+        assert outcome.winner == "second"
+        assert outcome.fired_ms == fired
+        assert outcome.consumed_ms == fired
+        assert outcome.completion.finished_ms == fired + 10.0
+        assert race.disarmed == 1
+
+    def test_rejects_negative_timer(self):
+        queue = ServerQueue("S", EventScheduler())
+        with pytest.raises(ValueError):
+            RacedWork(Work(queue, 1.0), lambda t, c: None, after_ms=-1.0)

@@ -1,5 +1,5 @@
-"""ServerQueue lifecycle hooks: emission order, token fencing, and the
-zero-extra-events guarantee of the disabled (null observer) path."""
+"""ServerQueue lifecycle hooks: emission order and the
+zero-extra-events guarantee of the observer path."""
 
 from repro.sim.sched import (
     EventScheduler,
@@ -30,18 +30,18 @@ class Recorder(QueueEvents):
         return [c for c in self.calls if c[0] == kind]
 
 
-def _queue(discipline, events=None):
+def _queue(events=None):
     sched = EventScheduler()
-    queue = ServerQueue("S1", sched, capacity=1.0, discipline=discipline)
+    queue = ServerQueue("S1", sched, capacity=1.0)
     if events is not None:
         queue.events = events
     return sched, queue
 
 
-class TestFifoHooks:
+class TestPsHooks:
     def test_idle_submission_starts_immediately(self):
         rec = Recorder()
-        sched, queue = _queue("fifo", rec)
+        sched, queue = _queue(rec)
         done = []
         queue.submit(10.0, done.append, tag="j1")
         # Enqueue and start are both emitted synchronously at submit
@@ -54,53 +54,9 @@ class TestFifoHooks:
         assert completion.wait_ms == 0.0
         assert completion.service_ms == 10.0
 
-    def test_queued_submission_defers_start_to_head_departure(self):
-        rec = Recorder()
-        sched, queue = _queue("fifo", rec)
-        done = []
-        queue.submit(10.0, done.append, tag="j1")
-        queue.submit(5.0, done.append, tag="j2")
-        # j2 is behind j1: only its enqueue is emitted at submit time.
-        assert [c[0] for c in rec.calls] == ["enqueue", "start", "enqueue"]
-        sched.run()
-        # At t=10 both j1's completion and j2's deferred start fire; the
-        # completion event was armed first, so it lands first.
-        kinds = [(c[0], c[2]) for c in rec.calls]
-        assert kinds == [
-            ("enqueue", "j1"),
-            ("start", "j1"),
-            ("enqueue", "j2"),
-            ("complete", "j1"),
-            ("start", "j2"),
-            ("complete", "j2"),
-        ]
-        assert rec.of("start")[1][3] == 10.0
-        j2 = rec.of("complete")[1][3]
-        assert j2.wait_ms + j2.service_ms == j2.sojourn_ms
-
-    def test_cancel_of_queued_job_silences_its_start(self):
-        rec = Recorder()
-        sched, queue = _queue("fifo", rec)
-        done = []
-        queue.submit(10.0, done.append, tag="head")
-        victim = queue.submit(5.0, done.append, tag="victim")
-        queue.submit(5.0, done.append, tag="tail")
-        sched.call_at(2.0, queue.cancel, victim)
-        sched.run()
-        # The victim never starts: its deferred notification is fenced
-        # by job.cancelled.  The tail restacks into the freed slot and
-        # still gets exactly one start.
-        assert [c[2] for c in rec.of("start")] == ["head", "tail"]
-        assert [c[2] for c in rec.of("cancel")] == ["victim"]
-        assert rec.of("cancel")[0][4] == 0.0  # never reached the server
-        assert [c[2] for c in rec.of("complete")] == ["head", "tail"]
-        # Restacked tail: starts at the head's departure, not behind the
-        # cancelled victim.
-        assert rec.of("start")[1][3] == 10.0
-
     def test_cancel_in_service_reports_consumed_ms(self):
         rec = Recorder()
-        sched, queue = _queue("fifo", rec)
+        sched, queue = _queue(rec)
         running = queue.submit(10.0, lambda c: None, tag="running")
         sched.call_at(4.0, queue.cancel, running)
         sched.run()
@@ -109,31 +65,9 @@ class TestFifoHooks:
         assert cancel[4] == 4.0  # four ms of dedicated service burned
         assert rec.of("complete") == []
 
-    def test_restack_reemits_start_with_fresh_token(self):
-        rec = Recorder()
-        sched, queue = _queue("fifo", rec)
-        done = []
-        queue.submit(10.0, done.append, tag="head")
-        victim = queue.submit(10.0, done.append, tag="victim")
-        tail = queue.submit(5.0, done.append, tag="tail")
-        # Cancel the victim while the head is mid-service, then let the
-        # tail run to completion in its restacked slot.
-        sched.call_at(3.0, queue.cancel, victim)
-        sched.run()
-        starts = [c for c in rec.of("start") if c[2] == "tail"]
-        assert len(starts) == 1, "stale pre-restack start must be fenced"
-        assert starts[0][3] == 10.0
-        completion = [c for c in rec.of("complete") if c[2] == "tail"][0][3]
-        assert completion.finished_ms == 15.0
-        assert completion.wait_ms + completion.service_ms == (
-            completion.sojourn_ms
-        )
-
-
-class TestPsHooks:
     def test_enqueue_and_start_are_simultaneous(self):
         rec = Recorder()
-        sched, queue = _queue("ps", rec)
+        sched, queue = _queue(rec)
         done = []
         sched.call_at(0.0, queue.submit, 10.0, done.append, "a")
         sched.call_at(2.0, queue.submit, 10.0, done.append, "b")
@@ -152,7 +86,7 @@ class TestPsHooks:
 
     def test_cancel_reports_shared_service_consumed(self):
         rec = Recorder()
-        sched, queue = _queue("ps", rec)
+        sched, queue = _queue(rec)
         victim = queue.submit(10.0, lambda c: None, tag="victim")
         sched.call_at(0.0, queue.submit, 10.0, lambda c: None, "other")
         sched.call_at(6.0, queue.cancel, victim)
@@ -165,11 +99,10 @@ class TestPsHooks:
 
 class TestDisabledPath:
     def test_null_observer_arms_no_extra_scheduler_events(self):
-        """The zero-overhead contract is structural: with the null
-        observer installed (the default) a FIFO queue arms exactly one
-        scheduler event per job — the completion.  A live observer adds
-        one deferred start notification per job that arrives to a busy
-        server, and nothing else."""
+        """The zero-overhead contract is structural: hooks observe,
+        they never schedule.  A queue arms one departure event per
+        arrival and one per departure that leaves residents behind,
+        with the null observer (the default) and a live one alike."""
 
         def run(events):
             sched = EventScheduler()
@@ -182,7 +115,7 @@ class TestDisabledPath:
                 return original(t_ms, fn, *args)
 
             sched.call_at = counting
-            queue = ServerQueue("S1", sched, capacity=1.0, discipline="fifo")
+            queue = ServerQueue("S1", sched, capacity=1.0)
             if events is not None:
                 queue.events = events
             done = []
@@ -192,14 +125,12 @@ class TestDisabledPath:
             assert len(done) == 5
             return armed
 
-        assert run(None) == 5
-        # Four of the five jobs queue behind the head: one deferred
-        # start notification each.
+        assert run(None) == 9
         assert run(Recorder()) == 9
 
     def test_tag_defaults_to_none_and_passes_through(self):
         rec = Recorder()
-        sched, queue = _queue("fifo", rec)
+        sched, queue = _queue(rec)
         tag = object()
         queue.submit(1.0, lambda c: None, tag=tag)
         queue.submit(1.0, lambda c: None)

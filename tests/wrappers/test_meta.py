@@ -92,11 +92,6 @@ class TestCompileFragment:
         options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
         assert {o.server for o in options} == {"S1", "S2"}
 
-    def test_sibling_options_stored(self, deployment):
-        fragment = _fragment(deployment)
-        options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
-        siblings = deployment.meta_wrapper.sibling_options(fragment.signature)
-        assert len(siblings) == len(options)
 
 
 class TestExecuteOption:
@@ -105,7 +100,9 @@ class TestExecuteOption:
         deployment.meta_wrapper.attach_qcc(qcc)
         fragment = _fragment(deployment)
         options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
-        option, result = deployment.meta_wrapper.execute_option(options[0], 0.0)
+        option, result = deployment.meta_wrapper.execute_option(
+            options[0], 0.0, options
+        )
         assert result.observed_ms > 0
         log = deployment.meta_wrapper.runtime_log
         assert log and log[0].observed_ms == result.observed_ms
@@ -117,9 +114,7 @@ class TestExecuteOption:
         deployment.meta_wrapper.attach_qcc(qcc)
         fragment = _fragment(deployment)
         options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
-        deployment.meta_wrapper.execute_option(
-            options[0], 0.0, allow_substitution=False
-        )
+        deployment.meta_wrapper.execute_option(options[0], 0.0)
         assert not any(c[0] == "substitute" for c in qcc.calls)
 
 
