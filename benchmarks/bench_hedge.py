@@ -16,6 +16,9 @@ Gates, all on virtual time and fully seeded:
 * **Determinism** — two hedged invocations produce bit-identical
   latencies and policy counters.
 
+A third, ``combined`` drive turns mid-query re-routing on beside
+hedging under the same spikes and is held to the same three gates.
+
 CI uploads the summary as ``bench-hedge.json``.
 """
 
@@ -25,24 +28,22 @@ import json
 import os
 import time
 
-from repro.fed import ConcurrentRuntime
-from repro.harness import build_replica_federation
 from repro.sim import StepSchedule
-from repro.workload import TEST_SCALE, build_workload
 
-SEED = 13
+from tail_drive import (
+    P99_IMPROVEMENT,
+    combined_summary,
+    drive,
+    hedge_stats,
+    latency_profile,
+    replica_databases,
+)
 
 #: Queries in the stream; CI can shrink via the environment.
 QUERIES = int(os.environ.get("REPRO_BENCH_HEDGE_QUERIES", "150"))
 
 #: Optional path for a standalone JSON artifact of the results.
 ARTIFACT = os.environ.get("REPRO_BENCH_HEDGE_JSON", "")
-
-#: Open-loop submission interval (virtual ms) — ~12.5 q/s leaves the
-#: queues headroom, so the spikes create a *tail*, not saturation.
-#: (Hedging under saturation only feeds the congestion; the adaptive
-#: fanout cap exists for exactly that regime.)
-SPACING_MS = 80.0
 
 #: Two brief congestion spikes on S1's link (level 0.95 ≈ 8.6x
 #: latency): long enough to stall queries dispatched into them, short
@@ -54,96 +55,51 @@ SPIKES = ((1_000.0, 0.95), (1_800.0, 0.0), (6_000.0, 0.95), (6_800.0, 0.0))
 #: latency history accumulates.
 HEDGE_AFTER_MS = 30.0
 
-#: The hedged p99 must come in at or below this fraction of the
-#: unhedged p99.  Measured headroom is ~4x; the gate only demands 25%.
-P99_IMPROVEMENT = 0.75
+#: Checkpoint granularity of the ``combined`` drive's re-routing.
+REROUTE_BATCH_ROWS = 8
 
 
-def _replica_databases():
-    deployment = build_replica_federation(
-        scale=TEST_SCALE, seed=SEED, with_qcc=False
-    )
-    return {
-        name: server.database
-        for name, server in deployment.servers.items()
-    }
-
-
-def _drive(databases, hedge_after_ms):
-    deployment = build_replica_federation(
-        scale=TEST_SCALE, seed=SEED, prebuilt_databases=databases
-    )
+def _spikes(deployment):
     deployment.servers["S1"].link.congestion = StepSchedule(list(SPIKES))
-    runtime = ConcurrentRuntime(
-        deployment.integrator, hedge_after_ms=hedge_after_ms
+
+
+def _drive(databases, hedge_after_ms, reroute_batch_rows=None):
+    return drive(
+        databases,
+        QUERIES,
+        _spikes,
+        hedge_after_ms=hedge_after_ms,
+        reroute_batch_rows=reroute_batch_rows,
     )
-    instances = build_workload(instances_per_type=10)
-    handles = [
-        runtime.submit_at(
-            index * SPACING_MS,
-            instances[index % len(instances)].sql,
-            klass="gold",
-        )
-        for index in range(QUERIES)
-    ]
-    runtime.run()
-
-    outcomes = []
-    latencies = []
-    for handle in handles:
-        result = handle.result
-        status = "ok" if result is not None else "failed"
-        rows = tuple(result.rows) if result is not None else ()
-        outcomes.append((status, rows))
-        if result is not None:
-            latencies.append(result.response_ms)
-    policy = runtime.hedging
-    stats = {
-        "fired": policy.fired if policy else 0,
-        "suppressed": policy.suppressed if policy else 0,
-        "backup_wins": policy.backup_wins if policy else 0,
-        "primary_wins": policy.primary_wins if policy else 0,
-        "wasted_ms": policy.wasted_ms if policy else 0.0,
-    }
-    return outcomes, latencies, stats
-
-
-def _quantile(ordered, q):
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
-def _profile(latencies):
-    ordered = sorted(latencies)
-    return {
-        "p50_ms": _quantile(ordered, 0.50),
-        "p95_ms": _quantile(ordered, 0.95),
-        "p99_ms": _quantile(ordered, 0.99),
-        "mean_ms": sum(ordered) / len(ordered),
-        "queries": len(ordered),
-    }
 
 
 def test_hedging_cuts_spike_tail(benchmark):
-    databases = _replica_databases()
+    databases = replica_databases()
     wall_start = time.perf_counter()
+    both = dict(
+        hedge_after_ms=HEDGE_AFTER_MS, reroute_batch_rows=REROUTE_BATCH_ROWS
+    )
 
     def _measure():
         plain = _drive(databases, hedge_after_ms=None)
         hedged = _drive(databases, hedge_after_ms=HEDGE_AFTER_MS)
         rerun = _drive(databases, hedge_after_ms=HEDGE_AFTER_MS)
-        return plain, hedged, rerun
+        combined = _drive(databases, **both)
+        combined_rerun = _drive(databases, **both)
+        return plain, hedged, rerun, combined, combined_rerun
 
-    plain, hedged, rerun = benchmark.pedantic(
+    plain, hedged, rerun, combined, combined_rerun = benchmark.pedantic(
         _measure, rounds=1, iterations=1
     )
     wall_s = time.perf_counter() - wall_start
 
     (plain_out, plain_lat, _) = plain
-    (hedged_out, hedged_lat, stats) = hedged
-    (rerun_out, rerun_lat, rerun_stats) = rerun
+    (hedged_out, hedged_lat, hedged_runtime) = hedged
+    (rerun_out, rerun_lat, rerun_runtime) = rerun
+    stats, rerun_stats = hedge_stats(hedged_runtime), hedge_stats(rerun_runtime)
 
-    plain_profile = _profile(plain_lat)
-    hedged_profile = _profile(hedged_lat)
+    plain_profile = latency_profile(plain_lat)
+    hedged_profile = latency_profile(hedged_lat)
 
     print("\n=== Hedged dispatch under transient congestion ===")
     for label, profile in (
@@ -160,7 +116,10 @@ def test_hedging_cuts_spike_tail(benchmark):
         f"suppressed={stats['suppressed']} "
         f"wasted={stats['wasted_ms']:.1f}ms"
     )
-    print(f"wall clock: {wall_s:.2f} s for {3 * QUERIES} queries")
+    combined_entry = combined_summary(
+        combined, combined_rerun, plain_out, plain_profile, both
+    )
+    print(f"wall clock: {wall_s:.2f} s for {5 * QUERIES} queries")
 
     benchmark.extra_info["unhedged_p99_ms"] = plain_profile["p99_ms"]
     benchmark.extra_info["hedged_p99_ms"] = hedged_profile["p99_ms"]
@@ -176,6 +135,7 @@ def test_hedging_cuts_spike_tail(benchmark):
             "hedged": hedged_profile,
             "policy": stats,
             "wall_s": wall_s,
+            "combined": combined_entry,
         }
         with open(ARTIFACT, "w") as handle:
             json.dump(artifact, handle, indent=2)

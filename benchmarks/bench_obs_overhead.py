@@ -19,7 +19,7 @@ min-of-N repeat count.
 The third bench applies the same discipline to the scheduler's queue
 hooks: every :class:`~repro.sim.sched.ServerQueue` lifecycle emission
 site is guarded by one ``self.events is not NULL_QUEUE_EVENTS``
-identity check.  It times a synthetic fifo+ps workload (submissions,
+identity check.  It times a synthetic workload (submissions,
 completions, hedge-style cancellations) against patched-in pre-hook
 method copies — the queue exactly as it was before the span layer — and
 gates the default (hooks present, null observer) under the same
@@ -254,35 +254,13 @@ def _submit_prehook(self, demand_ms, callback, tag=None):
     if demand_ms < 0:
         raise ValueError(f"negative work demand {demand_ms}")
     now = self.scheduler.now
-    service = demand_ms / self.capacity
-    if self.discipline == "fifo":
-        start = max(now, self._free_at)
-        finish = start + service
-        self._free_at = finish
-        job = _Job(
-            seq=self._seq,
-            queued_ms=now,
-            started_ms=start,
-            demand_ms=demand_ms,
-            remaining_ms=service,
-            callback=callback,
-            depth_at_arrival=len(self._jobs) + 1,
-            contended=start > now,
-            finish_ms=finish,
-            tag=tag,
-        )
-        self._seq += 1
-        self._jobs.append(job)
-        self.max_depth = max(self.max_depth, len(self._jobs))
-        self.scheduler.call_at(finish, self._complete_fifo, job, job.token)
-        return job
     self._advance_ps(now)
     job = _Job(
         seq=self._seq,
         queued_ms=now,
         started_ms=now,
         demand_ms=demand_ms,
-        remaining_ms=service,
+        remaining_ms=demand_ms / self.capacity,
         callback=callback,
         depth_at_arrival=len(self._jobs) + 1,
         tag=tag,
@@ -298,66 +276,18 @@ def _submit_prehook(self, demand_ms, callback, tag=None):
 
 
 def _cancel_prehook(self, job):
-    """``ServerQueue.cancel`` without hooks or start re-arming."""
+    """``ServerQueue.cancel`` without hooks."""
     if job.cancelled or job not in self._jobs:
         return 0.0
     now = self.scheduler.now
     job.cancelled = True
-    service = job.demand_ms / self.capacity
-    if self.discipline == "fifo":
-        if job.started_ms <= now:
-            consumed = min(service, now - job.started_ms)
-        else:
-            consumed = 0.0
-        self._jobs.remove(job)
-        self.busy_ms += consumed
-        self.cancelled_jobs += 1
-        cursor = now
-        for other in self._jobs:
-            if other.started_ms <= now:
-                cursor = other.finish_ms
-                continue
-            start = max(cursor, other.queued_ms)
-            finish = start + other.demand_ms / self.capacity
-            cursor = finish
-            if finish == other.finish_ms:
-                continue
-            other.started_ms = start
-            other.finish_ms = finish
-            other.contended = start > other.queued_ms
-            other.token += 1
-            self.scheduler.call_at(
-                finish, self._complete_fifo, other, other.token
-            )
-        self._free_at = cursor
-        return consumed
     self._advance_ps(now)
-    consumed = max(0.0, service - job.remaining_ms)
+    consumed = max(0.0, job.demand_ms / self.capacity - job.remaining_ms)
     self._jobs.remove(job)
     self.busy_ms += consumed
     self.cancelled_jobs += 1
     self._reschedule_ps()
     return consumed
-
-
-def _complete_fifo_prehook(self, job, token):
-    if job.cancelled or token != job.token:
-        return
-    self._jobs.remove(job)
-    self.served += 1
-    self.busy_ms += job.remaining_ms
-    job.callback(
-        Completion(
-            queue=self.name,
-            queued_ms=job.queued_ms,
-            started_ms=job.started_ms,
-            finished_ms=job.finish_ms,
-            demand_ms=job.demand_ms,
-            service_ms=job.demand_ms / self.capacity,
-            depth_at_arrival=job.depth_at_arrival,
-            contended=job.contended,
-        )
-    )
 
 
 def _depart_ps_prehook(self, epoch):
@@ -387,17 +317,15 @@ def _depart_ps_prehook(self, epoch):
 @contextmanager
 def _hooks_patched_out():
     """Replace every hook-bearing ServerQueue method with its pre-hook
-    shape — no ``events`` identity checks, no deferred start
-    notifications — i.e. the true no-obs baseline for the queue gate."""
+    shape — no ``events`` identity checks — i.e. the true no-obs
+    baseline for the queue gate."""
     originals = {
         "submit": ServerQueue.submit,
         "cancel": ServerQueue.cancel,
-        "_complete_fifo": ServerQueue._complete_fifo,
         "_depart_ps": ServerQueue._depart_ps,
     }
     ServerQueue.submit = _submit_prehook
     ServerQueue.cancel = _cancel_prehook
-    ServerQueue._complete_fifo = _complete_fifo_prehook
     ServerQueue._depart_ps = _depart_ps_prehook
     try:
         yield
@@ -428,18 +356,20 @@ class _CountingEvents(QueueEvents):
         self.cancelled += 1
 
 
-#: Jobs per discipline per timed drive.  Arrivals outpace service 2:1 so
-#: queues stay deep (FIFO restacks walk real backlogs) and every tenth
-#: job is cancelled mid-flight, covering all four hook sites.
+#: Jobs per queue per timed drive.  Every tenth job is cancelled
+#: mid-flight, covering all four hook sites.
 _HOOK_JOBS = 250
+
+#: One queue whose arrivals outpace service 2:1, so it stays deep and
+#: the sharing arithmetic dominates, and one with headroom, where the
+#: hook sites are the larger share of each job's cost.
+_HOOK_CAPACITIES = (1.0, 4.0)
 
 
 def _drive_queues(events=None):
-    for discipline in ("fifo", "ps"):
+    for capacity in _HOOK_CAPACITIES:
         sched = EventScheduler()
-        queue = ServerQueue(
-            "S1", sched, capacity=1.0, discipline=discipline
-        )
+        queue = ServerQueue("S1", sched, capacity=capacity)
         if events is not None:
             queue.events = events
         done = []
@@ -517,7 +447,7 @@ def test_sched_hook_overhead(benchmark):
 
     print(
         "\n=== Scheduler queue-hook overhead "
-        "(%d paired fifo+ps drives, %d jobs each) ==="
+        "(%d paired deep+shallow drives, %d jobs each) ==="
         % (execs, 2 * _HOOK_JOBS)
     )
     rows = [
