@@ -84,6 +84,9 @@ def drive(
 
 
 def hedge_stats(runtime):
+    # The raw counters, not ``policy.stats()``: bench-hedge.json's
+    # ``policy`` entry is byte-compared across commits and has always
+    # carried integer counts and the unrounded waste.
     policy = runtime.hedging
     return {
         "fired": policy.fired if policy else 0,

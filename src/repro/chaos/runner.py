@@ -311,14 +311,13 @@ def _record_dispatches(
     if manager is not None and tolerance_ms is not None:
         compile_query = integrator.compile
 
-        def compiling(sql, t_ms=None, *args, **kwargs):
+        def compiling(sql, t_ms, *args, **kwargs):
             decomposed, plans = compile_query(sql, t_ms, *args, **kwargs)
-            t = integrator.clock.now if t_ms is None else t_ms
             for fragment in decomposed.fragments:
                 fresh_for[id(fragment)] = tuple(
                     sorted(
                         manager.fresh_servers(
-                            fragment.nicknames, t, tolerance_ms
+                            fragment.nicknames, t_ms, tolerance_ms
                         )
                     )
                 )

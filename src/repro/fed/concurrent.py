@@ -573,10 +573,11 @@ class RacedDispatch(QueuedDispatch):
         return slot.leg
 
     def settle(self, slot, outcome, t_dispatch, trace):
-        completion = outcome.completion
         if slot.leg is None:
-            settled = super().settle(slot, completion, t_dispatch, trace)
-        elif slot.leg[3] is None:
+            settled = super().settle(
+                slot, outcome.completion, t_dispatch, trace
+            )
+        elif slot.leg[3] is None:  # no migration checkpoint: a hedge
             settled = self._settle_hedged(slot, outcome, t_dispatch, trace)
         else:
             settled = self._settle_rerouted(slot, outcome, t_dispatch, trace)
@@ -614,7 +615,7 @@ class RacedDispatch(QueuedDispatch):
         trace.end(
             span, completion.finished_ms, winner=winner_name, wasted_ms=wasted_ms
         )
-        self.hedge.note_outcome(True, winner_name, wasted_ms)
+        self.hedge.note_outcome(winner_name, wasted_ms)
         return self.settled(
             winner,
             execution,

@@ -117,11 +117,9 @@ class HedgePolicy:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def note_outcome(
-        self, hedged: bool, winner: str, wasted_ms: float
-    ) -> None:
-        if not hedged:
-            return
+    def note_outcome(self, winner: str, wasted_ms: float) -> None:
+        """Book one settled race: *winner* is ``"primary"`` or
+        ``"backup"``, *wasted_ms* what the cancelled loser consumed."""
         self.fired += 1
         self.wasted_ms += wasted_ms
         if winner == "backup":

@@ -137,10 +137,9 @@ class TestHedgePolicy:
 
     def test_outcome_bookkeeping(self):
         policy = HedgePolicy(HedgeConfig(static_after_ms=50.0))
-        policy.note_outcome(hedged=False, winner="primary", wasted_ms=0.0)
         assert policy.fired == 0
-        policy.note_outcome(hedged=True, winner="backup", wasted_ms=3.0)
-        policy.note_outcome(hedged=True, winner="primary", wasted_ms=2.0)
+        policy.note_outcome(winner="backup", wasted_ms=3.0)
+        policy.note_outcome(winner="primary", wasted_ms=2.0)
         assert policy.fired == 2
         assert policy.backup_wins == 1
         assert policy.primary_wins == 1
