@@ -314,13 +314,10 @@ def _record_dispatches(
         def compiling(sql, t_ms, *args, **kwargs):
             decomposed, plans = compile_query(sql, t_ms, *args, **kwargs)
             for fragment in decomposed.fragments:
-                fresh_for[id(fragment)] = tuple(
-                    sorted(
-                        manager.fresh_servers(
-                            fragment.nicknames, t_ms, tolerance_ms
-                        )
-                    )
+                fresh = manager.fresh_servers(
+                    fragment.nicknames, t_ms, tolerance_ms
                 )
+                fresh_for[id(fragment)] = tuple(sorted(fresh))
             return decomposed, plans
 
         integrator.compile = compiling

@@ -1,14 +1,13 @@
-"""Hedged-dispatch policy: when to fire a backup, and at which replica.
+"""Hedged-dispatch policy: when to fire a backup.
 
 Tail-latency insurance for fragment dispatch (Dean & Barroso's "tail at
 scale" hedged requests, adapted to the paper's replica clusters): if no
 completion arrives within ``hedge_after_ms`` a backup fires at the next
-replica of the fragment's Section 4.1 cluster
-(:meth:`repro.core.load_balance.FragmentLoadBalancer.ranked_cluster` —
-the replica-choice rule itself lives there, not here), the first result
-wins and the loser is cancelled, releasing its remaining service back
-to the queue.  The race is :class:`repro.fed.concurrent.RacedDispatch`'s
-timer leg.
+replica of the fragment's Section 4.1 cluster (the rule is
+:meth:`repro.core.load_balance.FragmentLoadBalancer.ranked_cluster`),
+the first result wins and the loser is cancelled, releasing its
+remaining service back to the queue — the timer leg of
+:class:`repro.fed.concurrent.RacedDispatch`.
 
 :class:`HedgePolicy` owns the two adaptive pieces:
 

@@ -16,7 +16,7 @@ with the merge inflated by II's own load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from ..obs import NULL_TRACE, QueryTrace, Span, get_obs
@@ -574,6 +574,12 @@ class InformationIntegrator:
                 obs.tracer.resume(trace)
             t_dispatch = t0 + elapsed
             trace.end(compile_span, t_dispatch, plan_candidates=len(plans))
+            # The winner is kept as history (explain table, result) —
+            # without the alternatives, which are needed only until
+            # dispatch and would pin every plan tree its compilation
+            # weighed for as long as that history lives.
+            siblings_of = chosen.siblings_of
+            chosen = replace(chosen, alternatives={})
             self.explain_table.record(
                 record.query_id, record.sql, t_dispatch, chosen
             )
@@ -591,7 +597,7 @@ class InformationIntegrator:
                     fragment=choice.fragment.fragment_id,
                     server=choice.server,
                 )
-                siblings = chosen.siblings_of(choice)
+                siblings = siblings_of(choice)
                 try:
                     option, execution = mw.execute_option(
                         choice, t_dispatch, siblings, report=eager
