@@ -127,18 +127,23 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: Dict[str, TableDef] = {}
+        #: Bumped by every mutation an optimizer can see; a plan is valid
+        #: for the version it was planned under.
+        self.version = 0
 
     def register(self, table: TableDef) -> None:
         key = table.name.lower()
         if key in self._tables:
             raise CatalogError(f"table {table.name!r} already registered")
         self._tables[key] = table
+        self.version += 1
 
     def unregister(self, name: str) -> None:
         key = name.lower()
         if key not in self._tables:
             raise CatalogError(f"unknown table {name!r}")
         del self._tables[key]
+        self.version += 1
 
     def lookup(self, name: str) -> TableDef:
         table = self._tables.get(name.lower())
@@ -158,6 +163,14 @@ class Catalog:
     def update_stats(self, name: str, stats: TableStats) -> None:
         table = self.lookup(name)
         table.stats = stats
+        self.version += 1
+
+    def add_index(self, name: str, column: str) -> None:
+        """Record a single-column index on *name* (storage builds it)."""
+        table = self.lookup(name)
+        bare = column.rpartition(".")[2]
+        table.indexes = table.indexes + (IndexDef(name, bare),)
+        self.version += 1
 
     def stats_only_clone(self) -> "Catalog":
         """A copy carrying schemas and statistics but no storage binding.

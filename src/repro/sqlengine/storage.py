@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .catalog import Catalog, IndexDef, TableDef, collect_stats
+from .catalog import Catalog, TableDef, collect_stats
 from .columnar import TableColumns
 from .types import Row, Schema, SqlError
 
@@ -187,9 +187,7 @@ class StorageManager:
     def create_index(self, table_name: str, column: str) -> None:
         table = self.table(table_name)
         table.create_index(column)
-        definition = self.catalog.lookup(table_name)
-        bare = column.rpartition(".")[2]
-        definition.indexes = definition.indexes + (IndexDef(table_name, bare),)
+        self.catalog.add_index(table_name, column)
 
     def analyze(self, name: Optional[str] = None) -> None:
         """Refresh catalog statistics from physical data (RUNSTATS)."""

@@ -48,3 +48,62 @@ class TestDatabaseFacade:
         assert tiny_db.catalog.lookup("emp").has_index_on("empno")
         result = tiny_db.run("SELECT * FROM emp WHERE empno = 5")
         assert result.row_count == 1
+
+
+def _signatures(db, sql):
+    return [candidate.signature for candidate in db.explain(sql)]
+
+
+class TestExplainTracksCatalog:
+    """``explain`` answers for the catalog as it is *now*: every mutation
+    an optimizer can see goes through the catalog and bumps its version."""
+
+    POINT = "SELECT * FROM emp WHERE empno = 5"
+    JOIN = "SELECT COUNT(*) FROM dept d JOIN emp e ON d.deptno = e.deptno"
+
+    def test_every_visible_mutation_bumps_the_version(self, tiny_db):
+        catalog = tiny_db.catalog
+        seen = [catalog.version]
+        tiny_db.create_index("emp", "empno")
+        seen.append(catalog.version)
+        tiny_db.analyze("emp")
+        seen.append(catalog.version)
+        tiny_db.create_table("extra", Schema((Column("x", ColumnType.INT),)))
+        seen.append(catalog.version)
+        tiny_db.storage.drop_table("extra")
+        seen.append(catalog.version)
+        assert seen == sorted(set(seen))
+
+    def test_create_index_offers_an_index_scan(self, tiny_db):
+        before = _signatures(tiny_db, self.POINT)
+        assert not any("IndexScan" in s for s in before)
+        tiny_db.create_index("emp", "empno")
+        after = _signatures(tiny_db, self.POINT)
+        assert "IndexScan" in after[0]
+
+    def test_load_rows_changes_the_cheapest_join_order(self, tiny_db):
+        before = tiny_db.explain(self.JOIN)[0]
+        assert "HashJoin(e.deptno=d.deptno)" in before.signature
+        tiny_db.load_rows("dept", [(i, 50) for i in range(100, 5100)])
+        after = tiny_db.explain(self.JOIN)[0]
+        assert "HashJoin(d.deptno=e.deptno)" in after.signature
+        assert after.cost.total > before.cost.total
+
+    def test_recreated_table_never_gets_the_old_plan(self, tiny_db):
+        old = tiny_db.explain("SELECT * FROM dept")[0]
+        tiny_db.storage.drop_table("dept")
+        tiny_db.create_table("dept", Schema((Column("x", ColumnType.INT),)))
+        new = tiny_db.explain("SELECT * FROM dept")[0]
+        assert len(new.plan.output_schema) == 1 != len(old.plan.output_schema)
+        assert tiny_db.run("SELECT * FROM dept").rows == []
+
+    def test_dml_without_analyze_keeps_serving(self, tiny_db):
+        before = tiny_db.explain(self.JOIN)
+        version = tiny_db.catalog.version
+        tiny_db.run_dml("DELETE FROM emp WHERE empno > 10")
+        assert tiny_db.catalog.version == version
+        after = tiny_db.explain(self.JOIN)
+        assert [c.signature for c in after] == [c.signature for c in before]
+        assert [c.cost for c in after] == [c.cost for c in before]
+        tiny_db.analyze("emp")
+        assert tiny_db.explain(self.JOIN)[0].cost != before[0].cost
