@@ -5,12 +5,18 @@ offering the interface a remote server exposes to the federation:
 
 * ``explain(sql)`` — compile-time plan alternatives with estimated costs;
 * ``run(sql)`` / ``run_plan(plan)`` — execute and meter actual work.
+
+``explain`` is a pure function of the SQL text, the catalog and the
+optimizer's profile and configuration, so its answers are kept in a
+statement cache (DB2's dynamic statement cache) that is dropped the
+moment any of those moves.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .catalog import Catalog
 from .cost import CostParameters, DEFAULT_COST_PARAMETERS, ServerProfile, REFERENCE_PROFILE
@@ -21,6 +27,9 @@ from .parser import parse
 from .physical import PhysicalPlan
 from .storage import StorageManager
 from .types import Schema
+
+#: Statements whose plans a database keeps (LRU), like ``fed.PlanCache``.
+STATEMENT_CACHE_SIZE = 128
 
 
 class Database:
@@ -44,6 +53,14 @@ class Database:
         if config.params is not params:
             config = replace(config, params=params)
         self.optimizer = Optimizer(profile=profile, config=config)
+        self._statements: "OrderedDict[str, Tuple[PlanCandidate, ...]]" = (
+            OrderedDict()
+        )
+        #: (catalog, its version, optimizer profile, optimizer config)
+        #: every cached statement was planned under.
+        self._planned_under: Optional[tuple] = None
+        self.statement_hits = 0
+        self.statement_misses = 0
 
     # -- DDL / DML ---------------------------------------------------------
 
@@ -62,9 +79,34 @@ class Database:
     # -- compile time --------------------------------------------------------
 
     def explain(self, sql: str) -> List[PlanCandidate]:
-        """Plan alternatives for *sql*, cheapest first (no execution)."""
-        block = bind(parse(sql), self.catalog)
-        return self.optimizer.optimize(block)
+        """Plan alternatives for *sql*, cheapest first (no execution).
+
+        The list is the caller's; the candidates are shared and immutable.
+        """
+        catalog, optimizer = self.catalog, self.optimizer
+        under = (catalog, catalog.version, optimizer.profile, optimizer.config)
+        if under != self._planned_under:
+            self._statements.clear()
+            self._planned_under = under
+        candidates = self._statements.get(sql)
+        if candidates is not None:
+            self.statement_hits += 1
+            self._statements.move_to_end(sql)
+            return list(candidates)
+        self.statement_misses += 1
+        candidates = tuple(optimizer.optimize(bind(parse(sql), catalog)))
+        self._statements[sql] = candidates
+        if len(self._statements) > STATEMENT_CACHE_SIZE:
+            self._statements.popitem(last=False)
+        return list(candidates)
+
+    def statement_cache_stats(self) -> Dict[str, int]:
+        """Statement-cache counters for dashboards/CLI output."""
+        return {
+            "entries": len(self._statements),
+            "hits": self.statement_hits,
+            "misses": self.statement_misses,
+        }
 
     def estimate_plan(
         self, plan: PhysicalPlan, profile: Optional[ServerProfile] = None
