@@ -353,12 +353,15 @@ class InformationIntegrator:
         Repeated compilations are served from the plan cache while the
         calibration epoch (and any replica-freshness horizon) says the
         cost surface has not moved, so a hit returns exactly the plans a
-        fresh compilation would produce.
+        fresh compilation would produce.  Once it has moved, the cached
+        decomposition is re-priced: every step below but ``decompose``.
         """
         t = self.clock.now if t_ms is None else t_ms
         trace = get_obs().tracer.current or NULL_TRACE
         cache = self.plan_cache
         key = plan_key(sql, excluded_servers, staleness_tolerance_ms)
+        topology = self.registry.version
+        decomposed = None
         if cache is not None:
             entry = cache.get(key, t)
             if entry is not None:
@@ -370,8 +373,10 @@ class InformationIntegrator:
                     plans=len(entry.plans),
                 )
                 return entry.decomposed, list(entry.plans)
+            decomposed = cache.decomposition(key, topology)
         span = trace.begin("decompose", t, sql=sql)
-        decomposed = decompose(sql, self.registry)
+        if decomposed is None:
+            decomposed = decompose(sql, self.registry)
         trace.end(
             span,
             t,
@@ -396,6 +401,7 @@ class InformationIntegrator:
                 valid_until_ms=self._freshness_horizon(
                     decomposed, t, staleness_tolerance_ms
                 ),
+                topology=topology,
             )
             trace.event("plan_cache", t, hit=False, epoch=cache.epoch.value)
         return decomposed, plans

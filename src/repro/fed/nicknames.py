@@ -35,6 +35,9 @@ class NicknameRegistry:
         self._placements: Dict[str, List[Placement]] = {}
         self._global_catalog = Catalog()
         self._epochs: List = []
+        #: Bumped by every placement change: a decomposition is valid for
+        #: the version it was made under.
+        self.version = 0
 
     def bind_epoch(self, epoch) -> None:
         """Bump *epoch* whenever the placement topology changes.
@@ -90,6 +93,7 @@ class NicknameRegistry:
         self._notify_topology_change()
 
     def _notify_topology_change(self) -> None:
+        self.version += 1
         for epoch in self._epochs:
             epoch.bump()
 

@@ -1,26 +1,32 @@
-"""Epoch-invalidated LRU cache of compiled federated plans.
+"""LRU cache of compiled federated plans: one entry, two validity horizons.
 
-Every ``InformationIntegrator.submit()`` re-runs decompose → per-fragment
-wrapper compilation → global-plan enumeration, even for the repeated
-query templates that dominate the paper's workload.  But the cost
-surface the global optimizer sees is a pure function of the query text,
-the excluded-server set, the staleness tolerance, and QCC's calibration
-state — and Section 3.1 folds observations into active factors only at
-recalibration-cycle boundaries precisely so that surface is *stable
-between cycles*.  Compiled plans can therefore be reused verbatim while
-the surface has not moved.
+Every ``InformationIntegrator.submit()`` would otherwise re-run decompose
+→ per-fragment wrapper compilation → global-plan enumeration, even for
+the repeated query templates that dominate the paper's workload.  An
+entry holds what a compilation produced, in two halves that go stale at
+different moments:
 
-"Has not moved" is tracked by a :class:`~repro.core.epoch.CalibrationEpoch`
-counter that every cost-surface input bumps: recalibrations (active and
-initial factors, the II factor), availability transitions, reliability-
-rate changes, and replica writes/syncs.  A cached entry records the
-epoch it was compiled under and is served only while the counter still
-matches, so a hit reproduces byte-identical plans to a fresh
-compilation.
+* The **compiled** half — the decomposition — is a pure function of the
+  query text and the nickname topology.  It lives while the registry's
+  ``version`` is the one it was made under.
+* The **priced** half — the ranked global plans — additionally depends on
+  the excluded-server set, the staleness tolerance and QCC's calibration
+  state.  Section 3.1 folds observations into active factors only at
+  recalibration-cycle boundaries precisely so that surface is *stable
+  between cycles*, so priced plans are reused verbatim while a
+  :class:`~repro.core.epoch.CalibrationEpoch` counter that every
+  cost-surface input bumps (recalibrations, availability transitions,
+  reliability-rate changes, replica writes/syncs, topology changes) still
+  reads what it read when they were priced.  A hit therefore reproduces
+  byte-identical plans to a fresh compilation.
+
+QCC *multiplies* wrapper estimates by a factor, so an epoch bump moves no
+remote plan and no raw estimate: a stale priced half is re-priced over
+the kept decomposition, not recompiled from SQL text.
 
 Time-based replica staleness is the one input that moves *without* an
 event: with a staleness tolerance, a currently-fresh replica silently
-crosses the tolerance as virtual time passes.  Entries compiled under a
+crosses the tolerance as virtual time passes.  Plans priced under a
 tolerance therefore also carry a ``valid_until_ms`` horizon — the first
 instant any fresh-but-behind placement relevant to the query can cross
 — and expire on their own when the clock reaches it.
@@ -60,8 +66,11 @@ class PlanCacheEntry:
     """One compiled query: the decomposition plus its ranked plans."""
 
     decomposed: DecomposedQuery
+    #: Registry version *decomposed* was made under; it is reused for
+    #: re-pricing only while the topology still is that one.
+    topology: int
     plans: Tuple[GlobalPlan, ...]
-    #: Epoch the entry was compiled under; served only while it matches.
+    #: Epoch the plans were priced under; served only while it matches.
     epoch: int
     #: Absolute virtual time after which a replica-freshness crossing
     #: could change the candidate set; None = no time-based expiry.
@@ -74,10 +83,11 @@ class PlanCache:
     """Bounded LRU of compiled plans, validated against the epoch.
 
     The cache never *serves* stale state: a lookup whose entry was
-    compiled under an older epoch (or past its freshness horizon) drops
-    the entry and reports a miss, so the integrator recompiles
-    transparently and plan-choice behavior is exactly that of an
-    uncached integrator.
+    priced under an older epoch (or is past its freshness horizon)
+    reports a miss, so the integrator re-prices transparently and plan-
+    choice behavior is exactly that of an uncached integrator.  The
+    entry keeps its slot: its decomposition does not depend on the
+    epoch, and :meth:`decomposition` hands it to the re-pricing.
     """
 
     def __init__(self, epoch: CalibrationEpoch, maxsize: int = 128):
@@ -101,7 +111,6 @@ class PlanCache:
         obs = get_obs()
         entry = self._entries.get(key)
         if entry is not None and not self._is_live(entry, t_ms):
-            del self._entries[key]
             self.invalidations += 1
             obs.metrics.counter("plan_cache_invalidations_total").inc()
             entry = None
@@ -122,6 +131,16 @@ class PlanCache:
             return False
         return True
 
+    def decomposition(
+        self, key: PlanKey, topology: int
+    ) -> Optional[DecomposedQuery]:
+        """What a stale entry for *key* still holds good: its
+        decomposition, if it was made under *topology*."""
+        entry = self._entries.get(key)
+        if entry is not None and entry.topology == topology:
+            return entry.decomposed
+        return None
+
     # -- population ------------------------------------------------------
 
     def put(
@@ -131,9 +150,11 @@ class PlanCache:
         plans: List[GlobalPlan],
         t_ms: float,
         valid_until_ms: Optional[float] = None,
+        topology: int = 0,
     ) -> PlanCacheEntry:
         entry = PlanCacheEntry(
             decomposed=decomposed,
+            topology=topology,
             plans=tuple(plans),
             epoch=self.epoch.value,
             valid_until_ms=valid_until_ms,

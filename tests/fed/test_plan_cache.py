@@ -55,11 +55,19 @@ class TestPlanCacheUnit:
     def test_epoch_bump_invalidates(self):
         cache, epoch = self._cache()
         key = plan_key("q1")
-        cache.put(key, "d", ["p"], 0.0)
+        cache.put(key, "d", ["p"], 0.0, topology=3)
         epoch.bump()
         assert cache.get(key, 1.0) is None
         assert cache.invalidations == 1
-        assert len(cache) == 0
+        # The entry keeps its slot for re-pricing: the decomposition is
+        # good for as long as the topology it was made under.
+        assert len(cache) == 1
+        assert cache.decomposition(key, 3) == "d"
+        assert cache.decomposition(key, 4) is None
+        assert cache.decomposition(plan_key("other"), 3) is None
+        cache.put(key, "d", ["p2"], 1.0, topology=3)
+        assert cache.get(key, 1.0).plans == ("p2",)
+        assert (len(cache), cache.invalidations, cache.evictions) == (1, 1, 0)
 
     def test_freshness_horizon_expires_entry(self):
         cache, _ = self._cache()
