@@ -29,6 +29,7 @@ import logging
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Deque, Dict, Optional, Sequence
 
 from ..obs import get_obs
@@ -97,6 +98,7 @@ _LITERAL_RE = re.compile(r"\b\d+(\.\d+)?\b|'(?:[^']|'')*'")
 _LOG = logging.getLogger("repro.qcc")
 
 
+@lru_cache(maxsize=1024)
 def generalize_signature(signature: str) -> str:
     """Replace literal constants in a fragment signature with ``?``."""
     return _LITERAL_RE.sub("?", signature)

@@ -141,6 +141,9 @@ class PhysicalPlan:
 
     #: filled in by subclasses
     output_schema: Schema
+    #: :meth:`signature`, once computed: a node is never reassigned after
+    #: ``__init__`` and cached plans are asked for it at every pricing.
+    _signature: Optional[str] = None
 
     def children(self) -> Tuple["PhysicalPlan", ...]:
         return ()
@@ -197,8 +200,12 @@ class PhysicalPlan:
         fragment-level load balancing requires *identical* plans before it
         will treat them as exchangeable (Section 4.1).
         """
-        inner = ",".join(child.signature() for child in self.children())
-        return f"{self.describe()}[{inner}]" if inner else self.describe()
+        if self._signature is None:
+            inner = ",".join(child.signature() for child in self.children())
+            self._signature = (
+                f"{self.describe()}[{inner}]" if inner else self.describe()
+            )
+        return self._signature
 
     def explain_lines(self, indent: int = 0) -> List[str]:
         lines = ["  " * indent + self.describe()]
