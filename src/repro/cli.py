@@ -621,6 +621,10 @@ def _cmd_metrics(args) -> int:
     deployment = _federation(args)
     _run_sample_workload(deployment, args.queries)
     cache = deployment.integrator.plan_cache
+    statements = {
+        name: server.database.statement_cache_stats()
+        for name, server in deployment.servers.items()
+    }
     fmt = args.format
     out_path = args.out
     if args.json:  # legacy alias
@@ -629,6 +633,7 @@ def _cmd_metrics(args) -> int:
         snapshot = sink.metrics.snapshot()
         if cache is not None:
             snapshot["plan_cache"] = cache.stats()
+        snapshot["statement_cache"] = statements
         payload = json.dumps(snapshot, indent=2)
     elif fmt == "prom":
         payload = render_prometheus(sink.metrics)
@@ -641,6 +646,9 @@ def _cmd_metrics(args) -> int:
                     f"{value:.3f}" if isinstance(value, float) else value
                 )
                 lines.append(f"  {key}: {formatted}")
+            for name, stats in statements.items():
+                counters = " ".join(f"{k}={v}" for k, v in stats.items())
+                lines.append(f"  statements@{name}: {counters}")
         payload = "\n".join(lines)
     _write_or_print(payload, out_path, "Metrics")
     return 0

@@ -202,6 +202,15 @@ class TestTelemetryCommands:
         payload = json.loads(path.read_text())
         assert "counters" in payload
         assert "plan_cache" in payload
+        statements = payload["statement_cache"]
+        assert sorted(statements) == ["S1", "S2", "S3"]
+        for stats in statements.values():
+            assert stats["entries"] == stats["misses"] > 0
+
+    def test_metrics_text_lists_statement_caches(self, capsys, clean_obs):
+        assert main(["metrics", "--scale", "test", "--queries", "4"]) == 0
+        section = capsys.readouterr().out.split("\nplan cache:\n")[1]
+        assert re.search(r"  statements@S3: entries=\d+ hits=\d+ misses=\d+", section)
 
     def test_trace_chrome_format(self, tmp_path, clean_obs):
         path = tmp_path / "trace.json"
