@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .catalog import Catalog
 from .cost import CostParameters, DEFAULT_COST_PARAMETERS, ServerProfile, REFERENCE_PROFILE
@@ -53,9 +53,8 @@ class Database:
         if config.params is not params:
             config = replace(config, params=params)
         self.optimizer = Optimizer(profile=profile, config=config)
-        self._statements: "OrderedDict[str, Tuple[PlanCandidate, ...]]" = (
-            OrderedDict()
-        )
+        #: SQL text -> its plan candidates, least recently used first.
+        self._statements: "OrderedDict[str, tuple]" = OrderedDict()
         #: (catalog, its version, optimizer profile, optimizer config)
         #: every cached statement was planned under.
         self._planned_under: Optional[tuple] = None
@@ -89,15 +88,15 @@ class Database:
             self._statements.clear()
             self._planned_under = under
         candidates = self._statements.get(sql)
-        if candidates is not None:
+        if candidates is None:
+            self.statement_misses += 1
+            candidates = tuple(optimizer.optimize(bind(parse(sql), catalog)))
+            self._statements[sql] = candidates
+            if len(self._statements) > STATEMENT_CACHE_SIZE:
+                self._statements.popitem(last=False)
+        else:
             self.statement_hits += 1
             self._statements.move_to_end(sql)
-            return list(candidates)
-        self.statement_misses += 1
-        candidates = tuple(optimizer.optimize(bind(parse(sql), catalog)))
-        self._statements[sql] = candidates
-        if len(self._statements) > STATEMENT_CACHE_SIZE:
-            self._statements.popitem(last=False)
         return list(candidates)
 
     def statement_cache_stats(self) -> Dict[str, int]:
