@@ -45,7 +45,7 @@ class EstimatedInput(PhysicalPlan):
         self.output_schema = schema
         self.estimated_rows = max(float(estimated_rows), 0.0)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator) -> PlanCost:
         return PlanCost(
             first_tuple=0.0,
             total=0.0,

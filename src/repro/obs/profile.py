@@ -330,21 +330,16 @@ def render_analyzed_plan(
     *estimate*, when given, maps a node to its ``PlanCost`` (typically
     ``lambda n: n.estimate_cost(estimator)``), putting the optimizer's
     rows/cost next to what actually happened — the per-operator version
-    of the paper's estimated-vs-observed comparison.
+    of the paper's estimated-vs-observed comparison.  What it raises
+    propagates: a broken cost formula is a traceback, not a missing column.
     """
     lines: List[str] = []
 
     def render(node: object, depth: int) -> None:
         parts = ["  " * depth + node.describe()]
         if estimate is not None:
-            try:
-                cost = estimate(node)
-            except Exception:
-                cost = None
-            if cost is not None:
-                parts.append(
-                    f"(est rows={cost.rows:.0f} total={cost.total:.2f})"
-                )
+            cost = estimate(node)
+            parts.append(f"(est rows={cost.rows:.0f} total={cost.total:.2f})")
         stats = profile.stats_for(node)
         if stats is not None:
             selectivity = stats.selectivity

@@ -197,9 +197,10 @@ class Optimizer:
                         if e.connects(left_key, right_key)
                     ]
                     candidates.extend(
-                        self._join_pair(
+                        self._join_split(
                             best[left_key],
                             best[right_key],
+                            left_key,
                             edges,
                             estimator,
                         )
@@ -207,9 +208,9 @@ class Optimizer:
                 if not candidates:
                     continue
                 candidates.sort(key=lambda c: c.cost.total)
-                best[subset_key] = _dedupe(candidates)[
-                    : self.config.keep_alternatives
-                ]
+                best[subset_key] = _dedupe(
+                    candidates, self.config.keep_alternatives
+                )
         full = frozenset(bindings)
         if full not in best:
             raise OptimizerError(
@@ -218,57 +219,42 @@ class Optimizer:
             )
         return best[full]
 
-    def _join_pair(
+    def _join_split(
         self,
         left_alternatives: Sequence[PlanCandidate],
         right_alternatives: Sequence[PlanCandidate],
+        left_bindings: FrozenSet[str],
         edges: Sequence[JoinEdge],
         estimator: CostEstimator,
     ) -> List[PlanCandidate]:
+        """Every join method over every pair of alternatives of one split.
+
+        The key lists and the nested-loop condition depend on the split
+        alone, so its joins share them — and *estimator*, which prices
+        by identity, evaluates their selectivity once for the split.
+        """
+        config = self.config
+        keys = [edge.oriented(left_bindings) for edge in edges]
+        left_keys = tuple(lk for lk, _ in keys)
+        right_keys = tuple(rk for _, rk in keys)
+        condition = combine_conjuncts([e.expression() for e in edges])
         results: List[PlanCandidate] = []
         for left_alt, right_alt in itertools.product(
             left_alternatives, right_alternatives
         ):
             left, right = left_alt.plan, right_alt.plan
+            joins: List[PhysicalPlan] = []
             if edges:
-                left_keys = []
-                right_keys = []
-                left_bound = frozenset(
-                    _schema_bindings(left)
-                )
-                for edge in edges:
-                    lk, rk = edge.oriented(left_bound)
-                    left_keys.append(lk)
-                    right_keys.append(rk)
-                hash_join = HashJoin(left, right, left_keys, right_keys)
+                joins.append(HashJoin(left, right, left_keys, right_keys))
+                if config.enable_merge_join:
+                    joins.append(
+                        SortMergeJoin(left, right, left_keys, right_keys)
+                    )
+            if config.enable_nested_loop or not edges:
+                joins.append(NestedLoopJoin(left, right, condition))
+            for join in joins:
                 results.append(
-                    PlanCandidate(
-                        hash_join, hash_join.estimate_cost(estimator)
-                    )
-                )
-                if self.config.enable_merge_join:
-                    merge_join = SortMergeJoin(
-                        left, right, left_keys, right_keys
-                    )
-                    results.append(
-                        PlanCandidate(
-                            merge_join, merge_join.estimate_cost(estimator)
-                        )
-                    )
-                if self.config.enable_nested_loop:
-                    condition = combine_conjuncts(
-                        [e.expression() for e in edges]
-                    )
-                    nl_join = NestedLoopJoin(left, right, condition)
-                    results.append(
-                        PlanCandidate(
-                            nl_join, nl_join.estimate_cost(estimator)
-                        )
-                    )
-            else:
-                cross = NestedLoopJoin(left, right, None)
-                results.append(
-                    PlanCandidate(cross, cross.estimate_cost(estimator))
+                    PlanCandidate(join, join.estimate_cost(estimator))
                 )
         return results
 
@@ -302,7 +288,8 @@ class Optimizer:
                 PlanCandidate(plan, plan.estimate_cost(estimator))
             )
         candidates.sort(key=lambda c: c.cost.total)
-        return _dedupe(candidates)
+        # Both, whatever ``keep_alternatives``: finishing can reorder them.
+        return _dedupe(candidates, len(candidates))
 
     def _fixed_join(
         self,
@@ -360,14 +347,6 @@ def finish_plan(plan: PhysicalPlan, block: QueryBlock) -> PhysicalPlan:
     return plan
 
 
-def _schema_bindings(plan: PhysicalPlan) -> List[str]:
-    bindings = []
-    for column in plan.output_schema.columns:
-        if column.table and column.table not in bindings:
-            bindings.append(column.table)
-    return bindings
-
-
 def _chain_equi_keys(
     part: Expression,
     left_bindings: FrozenSet[str],
@@ -417,10 +396,15 @@ def _splits(
     return splits
 
 
-def _dedupe(candidates: Sequence[PlanCandidate]) -> List[PlanCandidate]:
+def _dedupe(
+    candidates: Sequence[PlanCandidate], keep: int
+) -> List[PlanCandidate]:
+    """The first *keep* candidates with distinct signatures, in order."""
     seen = set()
-    unique = []
+    unique: List[PlanCandidate] = []
     for candidate in candidates:
+        if len(unique) == keep:
+            break
         signature = candidate.signature
         if signature in seen:
             continue

@@ -123,7 +123,17 @@ class ExecutionContext:
 
 
 class CostEstimator:
-    """Bundles the knobs used when costing a plan."""
+    """The knobs a plan is costed with, and everything costed with them.
+
+    Under fixed knobs a node's cost is a pure function of the node, so an
+    estimator evaluates each formula once: per plan node, per predicate
+    and per join-key list, all by object identity except the key lists.
+    It lives for one ``Optimizer.optimize`` / ``Database.estimate_plan``
+    / ``estimate_merge_cost`` / EXPLAIN ANALYZE rendering and must not be
+    reused once the statistics behind *stats* may have moved.  Nothing
+    is remembered on the nodes: they outlive the call in the statement
+    and plan caches and are re-costed there under other profiles.
+    """
 
     def __init__(
         self,
@@ -134,6 +144,36 @@ class CostEstimator:
         self.params = params
         self.profile = profile
         self.stats = stats
+        #: node -> cost (nodes hash by identity).
+        self.costs: Dict["PhysicalPlan", PlanCost] = {}
+        #: id(predicate) -> (predicate, (selectivity, operator count)); the
+        #: predicate is held so its id cannot be reused.
+        self._predicates: Dict[int, Tuple[Expression, Tuple[float, int]]] = {}
+        self._equijoins: Dict[Tuple[Tuple[str, ...], ...], float] = {}
+
+    def predicate(self, predicate: Optional[Expression]) -> Tuple[float, int]:
+        """``(selectivity, operator count)`` of *predicate*."""
+        known = self._predicates.get(id(predicate))
+        if known is None:
+            known = self._predicates[id(predicate)] = predicate, (
+                estimate_selectivity(predicate, self.stats),
+                _count_operators(predicate),
+            )
+        return known[1]
+
+    def equijoin(
+        self, left_keys: Tuple[str, ...], right_keys: Tuple[str, ...]
+    ) -> float:
+        """Combined selectivity of the equalities ``left_keys = right_keys``."""
+        selectivity = self._equijoins.get((left_keys, right_keys))
+        if selectivity is None:
+            selectivity = 1.0
+            for lk, rk in zip(left_keys, right_keys):
+                selectivity *= equijoin_selectivity(
+                    self.stats.column(lk), self.stats.column(rk)
+                )
+            self._equijoins[left_keys, right_keys] = selectivity
+        return selectivity
 
 
 class PhysicalPlan:
@@ -149,6 +189,19 @@ class PhysicalPlan:
         return ()
 
     def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+        """This tree's cost under *estimator*: the operator's formula over
+        its children's costs, evaluated once per node and estimator."""
+        cost = estimator.costs.get(self)
+        if cost is None:
+            cost = estimator.costs[self] = self._cost(
+                estimator,
+                *[child.estimate_cost(estimator) for child in self.children()],
+            )
+        return cost
+
+    def _cost(self, estimator: CostEstimator, *children: PlanCost) -> PlanCost:
+        """The operator's cost formula, pure in the node, the estimator's
+        knobs and the costs of ``children()`` (same order)."""
         raise NotImplementedError
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
@@ -343,14 +396,13 @@ class SeqScan(PhysicalPlan):
         self.predicate = predicate
         self.output_schema = table.schema.rename_table(binding)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         rows_in = self.table.stats.row_count
         width = self.output_schema.row_width_bytes()
-        selectivity = estimate_selectivity(self.predicate, estimator.stats)
+        selectivity, ops = estimator.predicate(self.predicate)
         rows_out = max(rows_in * selectivity, 0.0)
         io = profile.io_ms(pages_for(rows_in, width) * params.seq_page_cost)
-        ops = _count_operators(self.predicate)
         cpu = profile.cpu_ms(
             rows_in * (params.cpu_tuple_cost + ops * params.cpu_operator_cost)
         )
@@ -430,17 +482,16 @@ class IndexScan(PhysicalPlan):
         self.residual = residual
         self.output_schema = table.schema.rename_table(binding)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         stats = self.table.stats.for_column(self.column)
         rows_in = self.table.stats.row_count
         n_distinct = stats.n_distinct if stats else max(rows_in, 1)
         matched = rows_in / max(n_distinct, 1)
-        selectivity = estimate_selectivity(self.residual, estimator.stats)
+        selectivity, ops = estimator.predicate(self.residual)
         rows_out = max(matched * selectivity, 0.0)
         width = self.output_schema.row_width_bytes()
         probe = profile.io_ms(params.index_probe_cost)
-        ops = _count_operators(self.residual)
         cpu = profile.cpu_ms(
             matched * (params.cpu_tuple_cost + ops * params.cpu_operator_cost)
         )
@@ -526,12 +577,10 @@ class Filter(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         params, profile = estimator.params, estimator.profile
-        child = self.child.estimate_cost(estimator)
-        selectivity = estimate_selectivity(self.predicate, estimator.stats)
+        selectivity, ops = estimator.predicate(self.predicate)
         rows_out = max(child.rows * selectivity, 0.0)
-        ops = _count_operators(self.predicate)
         cpu = profile.cpu_ms(child.rows * ops * params.cpu_operator_cost)
         total = child.total + cpu
         first = child.first_tuple + cpu / max(rows_out, 1.0)
@@ -583,9 +632,8 @@ class Project(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         params, profile = estimator.params, estimator.profile
-        child = self.child.estimate_cost(estimator)
         cpu = profile.cpu_ms(
             child.rows * len(self.items) * params.cpu_operator_cost
         )
@@ -666,16 +714,16 @@ class NestedLoopJoin(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(
+        self, estimator: CostEstimator, left: PlanCost, right: PlanCost
+    ) -> PlanCost:
         params, profile = estimator.params, estimator.profile
-        left = self.left.estimate_cost(estimator)
-        right = self.right.estimate_cost(estimator)
         pairs = left.rows * right.rows
-        selectivity = estimate_selectivity(self.condition, estimator.stats)
+        selectivity, ops = estimator.predicate(self.condition)
         rows_out = max(pairs * selectivity, 0.0)
         if self.outer:
             rows_out = max(rows_out, left.rows)
-        ops = max(_count_operators(self.condition), 1)
+        ops = max(ops, 1)
         cpu = profile.cpu_ms(
             pairs * ops * params.cpu_operator_cost
             + right.rows * params.materialize_tuple_cost
@@ -803,18 +851,14 @@ class HashJoin(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(
+        self, estimator: CostEstimator, left: PlanCost, right: PlanCost
+    ) -> PlanCost:
         params, profile = estimator.params, estimator.profile
-        left = self.left.estimate_cost(estimator)
-        right = self.right.estimate_cost(estimator)
-        selectivity = 1.0
-        for lk, rk in zip(self.left_keys, self.right_keys):
-            selectivity *= equijoin_selectivity(
-                estimator.stats.column(lk), estimator.stats.column(rk)
-            )
+        selectivity = estimator.equijoin(self.left_keys, self.right_keys)
         rows_out = max(left.rows * right.rows * selectivity, 0.0)
         if self.residual is not None:
-            rows_out *= estimate_selectivity(self.residual, estimator.stats)
+            rows_out *= estimator.predicate(self.residual)[0]
         if self.outer:
             rows_out = max(rows_out, left.rows)
         build = profile.cpu_ms(right.rows * params.hash_build_cost)
@@ -1137,15 +1181,11 @@ class SortMergeJoin(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(
+        self, estimator: CostEstimator, left: PlanCost, right: PlanCost
+    ) -> PlanCost:
         params, profile = estimator.params, estimator.profile
-        left = self.left.estimate_cost(estimator)
-        right = self.right.estimate_cost(estimator)
-        selectivity = 1.0
-        for lk, rk in zip(self.left_keys, self.right_keys):
-            selectivity *= equijoin_selectivity(
-                estimator.stats.column(lk), estimator.stats.column(rk)
-            )
+        selectivity = estimator.equijoin(self.left_keys, self.right_keys)
         rows_out = max(left.rows * right.rows * selectivity, 0.0)
         sort_cost = 0.0
         for side in (left, right):
@@ -1472,9 +1512,8 @@ class HashAggregate(PhysicalPlan):
         )
         return Schema(tuple(columns))
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         params, profile = estimator.params, estimator.profile
-        child = self.child.estimate_cost(estimator)
         groups = self._estimate_groups(child.rows, estimator)
         updates = child.rows * max(len(self._agg_calls), 1)
         cpu = profile.cpu_ms(
@@ -1845,9 +1884,8 @@ class Sort(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         params, profile = estimator.params, estimator.profile
-        child = self.child.estimate_cost(estimator)
         n = max(child.rows, 1.0)
         compares = n * math.log2(n + 1.0)
         cpu = profile.cpu_ms(compares * params.sort_compare_cost)
@@ -1936,8 +1974,7 @@ class Limit(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
-        child = self.child.estimate_cost(estimator)
+    def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         rows_out = min(child.rows, float(self.count))
         if child.rows > 0:
             fraction = rows_out / child.rows
@@ -1989,9 +2026,8 @@ class Distinct(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         params, profile = estimator.params, estimator.profile
-        child = self.child.estimate_cost(estimator)
         cpu = profile.cpu_ms(child.rows * params.hash_build_cost)
         rows_out = max(1.0, child.rows * 0.9)
         return PlanCost(
@@ -2074,7 +2110,7 @@ class MaterializedInput(PhysicalPlan):
         self.output_schema = schema
         self.data = list(data)
 
-    def estimate_cost(self, estimator: CostEstimator) -> PlanCost:
+    def _cost(self, estimator: CostEstimator) -> PlanCost:
         params, profile = estimator.params, estimator.profile
         n = float(len(self.data))
         cpu = profile.cpu_ms(n * params.cpu_tuple_cost)

@@ -76,13 +76,16 @@ _PYTHON_TYPES = {
 }
 
 #: Bytes charged per value when estimating transfer sizes.  String columns
-#: additionally account for their average length (see TableStats).
+#: additionally account for :data:`AVG_STR_LEN_BYTES`.
 TYPE_WIDTH_BYTES = {
     ColumnType.INT: 8,
     ColumnType.FLOAT: 8,
     ColumnType.BOOL: 1,
     ColumnType.STR: 24,
 }
+#: Payload charged per string value, whatever ``ColumnStats.avg_str_len``
+#: measured (a known simplification, see docs/cost_model.md).
+AVG_STR_LEN_BYTES = 16.0
 
 
 @dataclass(frozen=True)
@@ -110,18 +113,28 @@ class Schema:
     Resolution accepts either bare names (``price``) or qualified names
     (``orders.price``).  A bare name that matches columns from more than
     one table is ambiguous and raises :class:`SchemaError`.
+
+    Building one is free: the optimizer derives a schema for every join
+    it considers and resolves names on the few it keeps, so the name
+    indexes are filled by the first :meth:`index_of` and the row width
+    by the first :meth:`row_width_bytes`.
     """
 
-    __slots__ = ("columns", "_by_qualified", "_by_bare")
+    __slots__ = ("columns", "_by_qualified", "_by_bare", "_row_width")
 
     def __init__(self, columns: Sequence[Column]):
         self.columns: Tuple[Column, ...] = tuple(columns)
-        self._by_qualified = {}
-        self._by_bare = {}
+        self._by_qualified: Optional[dict] = None
+        self._by_bare: Optional[dict] = None
+        self._row_width: Optional[float] = None
+
+    def _index_names(self) -> None:
+        by_qualified, by_bare = {}, {}
         for idx, col in enumerate(self.columns):
             if col.table:
-                self._by_qualified.setdefault(f"{col.table}.{col.name}", idx)
-            self._by_bare.setdefault(col.name, []).append(idx)
+                by_qualified.setdefault(f"{col.table}.{col.name}", idx)
+            by_bare.setdefault(col.name, []).append(idx)
+        self._by_qualified, self._by_bare = by_qualified, by_bare
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -141,6 +154,8 @@ class Schema:
 
         Raises :class:`SchemaError` if the name is unknown or ambiguous.
         """
+        if self._by_bare is None:
+            self._index_names()
         if "." in name:
             idx = self._by_qualified.get(name)
             if idx is None:
@@ -186,14 +201,17 @@ class Schema:
         """Return a copy with every column re-qualified to *table*."""
         return Schema(tuple(c.with_table(table) for c in self.columns))
 
-    def row_width_bytes(self, avg_str_len: float = 16.0) -> float:
+    def row_width_bytes(self) -> float:
         """Approximate stored/transferred width of one row, in bytes."""
-        width = 0.0
-        for col in self.columns:
-            if col.ctype is ColumnType.STR:
-                width += TYPE_WIDTH_BYTES[ColumnType.STR] + avg_str_len
-            else:
-                width += col.width_bytes()
+        width = self._row_width
+        if width is None:
+            width = 0.0
+            for col in self.columns:
+                if col.ctype is ColumnType.STR:
+                    width += TYPE_WIDTH_BYTES[ColumnType.STR] + AVG_STR_LEN_BYTES
+                else:
+                    width += col.width_bytes()
+            self._row_width = width
         return width
 
     def validate_row(self, row: Sequence[Any]) -> Tuple[Any, ...]:

@@ -245,15 +245,18 @@ class TestRenderAnalyzedPlan:
         )
         assert "(est rows=7 total=1.50)" in rendered
 
-    def test_estimate_errors_degrade_gracefully(self):
+    def test_estimate_errors_propagate(self):
+        # No estimate raises for any QT1-QT5 plan on either topology, so
+        # one that does is a broken cost formula and must not render as
+        # a silently missing (est ...) column.
         node = FakeNode("scan")
         profile = PlanProfile({})
 
         def broken(n):
-            raise RuntimeError("no estimator for leaf")
+            raise RuntimeError("cost formula blew up")
 
-        rendered = render_analyzed_plan(node, profile, estimate=broken)
-        assert rendered == "scan (never executed)"
+        with pytest.raises(RuntimeError, match="cost formula blew up"):
+            render_analyzed_plan(node, profile, estimate=broken)
 
 
 class TestEngineEquivalence:

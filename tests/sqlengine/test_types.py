@@ -99,6 +99,13 @@ class TestSchema:
         strs = Schema((Column("a", ColumnType.STR),))
         assert strs.row_width_bytes() > ints.row_width_bytes()
 
+    def test_row_width_is_the_same_however_the_schema_was_built(self):
+        # 8 + (24 + 16) + 8 + (24 + 16), computed once per schema.
+        for schema in (Schema(_T + _U), Schema(_T).concat(Schema(_U))):
+            assert schema.row_width_bytes() == 96.0
+            assert schema.row_width_bytes() == 96.0
+        assert Schema(_T + _U).rename_table("r").row_width_bytes() == 96.0
+
     def test_has_column(self):
         schema = _schema()
         assert schema.has_column("name")
@@ -108,6 +115,72 @@ class TestSchema:
     def test_equality(self):
         assert _schema() == _schema()
         assert _schema() != Schema(())
+
+
+# -- name indexes are filled by the first resolution -------------------------
+
+_T = (Column("id", ColumnType.INT, "t"), Column("name", ColumnType.STR, "t"))
+_U = (Column("id", ColumnType.INT, "u"), Column("tag", ColumnType.STR))
+
+#: Every kind of ``index_of`` outcome over the columns t.id, t.name, u.id, tag.
+_MIXED = {
+    "t.id": 0,
+    "u.id": 2,
+    "name": 1,
+    "tag": 3,
+    "x.tag": 3,  # stale qualifier on an unqualified column
+    "x.name": "unknown column 'x.name'",  # ... but not on a qualified one
+    "id": "ambiguous column 'id' (present in t, u)",
+    "missing": "unknown column 'missing'",
+}
+#: ... and over r.id, r.name, r.id, r.tag (the first duplicate wins).
+_RENAMED = {
+    "r.id": 0,
+    "r.tag": 3,
+    "name": 1,
+    "t.id": "unknown column 't.id'",
+    "x.tag": "unknown column 'x.tag'",
+    "id": "ambiguous column 'id' (present in r)",
+    "missing": "unknown column 'missing'",
+}
+
+
+def _outcomes(schema, names):
+    outcomes = {}
+    for name in names:
+        try:
+            outcomes[name] = schema.index_of(name)
+        except SchemaError as exc:
+            outcomes[name] = str(exc)
+    return outcomes
+
+
+@pytest.mark.parametrize("derived_first", [False, True])
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: Schema(_T + _U), _MIXED),
+        (lambda: Schema(_T).concat(Schema(_U)), _MIXED),
+        (lambda: Schema(_T + _U).rename_table("r"), _RENAMED),
+    ],
+    ids=["constructor", "concat", "rename_table"],
+)
+def test_resolution_does_not_depend_on_when_it_first_happens(
+    build, expected, derived_first
+):
+    schema = build()
+    derived = [schema.concat(Schema(_U)), schema.rename_table("d")]
+    names = list(expected) + ["d.id", "d.tag"]
+    if derived_first:
+        for other in derived:
+            _outcomes(other, names)
+    assert _outcomes(schema, expected) == expected
+    assert _outcomes(schema, expected) == expected  # from the filled index
+    for other in derived:
+        # A schema derived from an indexed (or not yet indexed) one
+        # resolves like one built from the same columns from scratch.
+        assert _outcomes(other, names) == _outcomes(Schema(other.columns), names)
+    assert _outcomes(schema, expected) == expected
 
 
 def test_rows_equal_unordered():
