@@ -35,8 +35,7 @@ def _run(deployment, workload):
         outcomes = run_workload_once(deployment, workload)
         responses.extend(o.response_ms for o in outcomes if not o.failed)
         retries += sum(o.retries for o in outcomes)
-        if deployment.qcc is not None:
-            deployment.qcc.recalibrate(deployment.clock.now)
+        deployment.qcc.recalibrate(deployment.clock.now)
     failures = deployment.integrator.patroller.failure_count()
     return mean(responses), retries, failures
 

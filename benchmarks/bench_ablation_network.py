@@ -42,13 +42,11 @@ def _with_congestible_link(deployment):
 def _run(deployment, control, workload, congested: bool):
     control.set(CONGESTION_LEVEL if congested else 0.0)
     deployment.clock.advance(3_000.0)
-    if deployment.qcc is not None:
-        deployment.qcc.probe_servers(deployment.clock.now)
+    deployment.qcc.probe_servers(deployment.clock.now)
     # adaptation passes, then the measured pass
     for _ in range(2):
         run_workload_once(deployment, workload)
-        if deployment.qcc is not None:
-            deployment.qcc.recalibrate(deployment.clock.now)
+        deployment.qcc.recalibrate(deployment.clock.now)
     outcomes = run_workload_once(deployment, workload)
     responses = [o.response_ms for o in outcomes if not o.failed]
     s3_hits = sum(1 for o in outcomes if "S3" in o.servers)

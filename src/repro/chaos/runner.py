@@ -325,11 +325,7 @@ def _record_dispatches(
     original = meta_wrapper.execute_option
 
     def recording(option, t_ms, *args, **kwargs):
-        down = (
-            tuple(qcc.availability.down_servers())
-            if qcc is not None
-            else ()
-        )
+        down = tuple(qcc.availability.down_servers())
         fresh = fresh_for.get(id(option.fragment))
         try:
             used, execution = original(option, t_ms, *args, **kwargs)
@@ -511,7 +507,7 @@ def _execute(
                     outcome = QueryOutcome.completed(result, **submission)
                 outcomes.append(outcome)
 
-        if run is not None and deployment.qcc is not None:
+        if run is not None:
             qcc = deployment.qcc
             qcc.recalibrate(clock.now)
             calibrator = qcc.calibrator
@@ -539,8 +535,7 @@ def run_scenario(
 
     ``databases`` overrides the shared per-topology dataset (tests pass
     session-scoped fixtures).  The oracle and row-engine reruns can be
-    disabled individually — the shrinker does so for checkers that don't
-    need them.
+    disabled individually.
 
     The primary pass and the oracle run on the process-default engine
     (columnar, the production engine); the differential rerun is always

@@ -101,7 +101,8 @@ def _federation(args):
 
 
 def _add_load_stream_args(parser: argparse.ArgumentParser) -> None:
-    """Shared arrival-stream knobs of ``repro loadgen`` / ``repro slo``."""
+    """Arrival-stream knobs and trace exports shared by ``repro
+    loadgen`` and ``repro slo``."""
     parser.add_argument(
         "--arrival",
         choices=("poisson", "bursty"),
@@ -156,6 +157,26 @@ def _add_load_stream_args(parser: argparse.ArgumentParser) -> None:
         help=(
             "enable mid-query batch re-routing (transfer batch size in "
             "rows; default: disabled)"
+        ),
+    )
+    parser.add_argument(
+        "--flight",
+        metavar="PATH",
+        default=None,
+        help=(
+            "trace the run and write the flight-recorder JSON (span "
+            "trees, exact latency decompositions, under `slo` the SLO "
+            "verdicts) to PATH"
+        ),
+    )
+    parser.add_argument(
+        "--chrome",
+        metavar="PATH",
+        default=None,
+        help=(
+            "trace the run and write Chrome trace-event JSON (one "
+            "process per query, queue-wait/service slices in per-server "
+            "lanes) to PATH for Perfetto / chrome://tracing"
         ),
     )
 
@@ -241,12 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the trace to PATH instead of stdout",
     )
-    trace.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="legacy alias for --format json --out PATH",
-    )
 
     metrics = sub.add_parser(
         "metrics", help="run a workload and dump the metrics snapshot"
@@ -269,12 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write the output to PATH instead of stdout",
-    )
-    metrics.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="legacy alias for --format json --out PATH",
     )
 
     timeline = sub.add_parser(
@@ -394,25 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
             "to PATH (byte-deterministic for fixed parameters)"
         ),
     )
-    loadgen.add_argument(
-        "--flight",
-        metavar="PATH",
-        default=None,
-        help=(
-            "enable tracing and write the flight-recorder JSON (span "
-            "trees + exact latency decompositions) to PATH"
-        ),
-    )
-    loadgen.add_argument(
-        "--chrome",
-        metavar="PATH",
-        default=None,
-        help=(
-            "enable tracing and write Chrome trace-event JSON (one "
-            "process per query, queue-wait/service slices in per-server "
-            "lanes) to PATH for Perfetto / chrome://tracing"
-        ),
-    )
     slo = sub.add_parser(
         "slo",
         help=(
@@ -449,25 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "burn-rate checkpoint grid step (default: a quarter of the "
             "smallest short window)"
-        ),
-    )
-    slo.add_argument(
-        "--flight",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the flight-recorder JSON (span trees, latency "
-            "decompositions, SLO verdicts) to PATH"
-        ),
-    )
-    slo.add_argument(
-        "--chrome",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write Chrome trace-event JSON (one process per query, "
-            "queue-wait/service slices in per-server lanes) to PATH "
-            "for Perfetto / chrome://tracing"
         ),
     )
 
@@ -612,7 +583,7 @@ def _cmd_trace(args) -> int:
         payload = chrome_trace_json([result.trace])
     else:
         payload = result.trace.to_json()
-    _write_or_print(payload, args.out or args.json, "Trace")
+    _write_or_print(payload, args.out, "Trace")
     return 0
 
 
@@ -626,9 +597,6 @@ def _cmd_metrics(args) -> int:
         for name, server in deployment.servers.items()
     }
     fmt = args.format
-    out_path = args.out
-    if args.json:  # legacy alias
-        fmt, out_path = "json", args.json
     if fmt == "json":
         snapshot = sink.metrics.snapshot()
         if cache is not None:
@@ -650,7 +618,7 @@ def _cmd_metrics(args) -> int:
                 counters = " ".join(f"{k}={v}" for k, v in stats.items())
                 lines.append(f"  statements@{name}: {counters}")
         payload = "\n".join(lines)
-    _write_or_print(payload, out_path, "Metrics")
+    _write_or_print(payload, args.out, "Metrics")
     return 0
 
 
@@ -823,11 +791,18 @@ def _run_load_stream(args, traced: bool):
     return result, classes
 
 
-def _write_chrome_trace(result, path: str) -> None:
-    traces = [h.trace for h in result.handles if h.trace is not None]
-    with open(path, "w") as handle:
-        handle.write(chrome_trace_json(traces) + "\n")
-    print(f"Chrome trace written to {path}")
+def _finish_load_stream(result, args, slo_report=None) -> int:
+    """Write the trace exports *args* ask for; returns the exit status."""
+    if args.flight:
+        with open(args.flight, "w") as handle:
+            handle.write(result.flight_json(slo_report) + "\n")
+        print(f"Flight record written to {args.flight}")
+    if args.chrome:
+        traces = [h.trace for h in result.handles if h.trace is not None]
+        with open(args.chrome, "w") as handle:
+            handle.write(chrome_trace_json(traces) + "\n")
+        print(f"Chrome trace written to {args.chrome}")
+    return 1 if result.shed_violations() or result.failures else 0
 
 
 def _cmd_loadgen(args) -> int:
@@ -840,13 +815,7 @@ def _cmd_loadgen(args) -> int:
             for line in result.verdict_lines():
                 handle.write(line + "\n")
         print(f"Verdicts written to {args.jsonl}")
-    if args.flight:
-        with open(args.flight, "w") as handle:
-            handle.write(result.flight_json() + "\n")
-        print(f"Flight record written to {args.flight}")
-    if args.chrome:
-        _write_chrome_trace(result, args.chrome)
-    return 1 if result.shed_violations() or result.failures else 0
+    return _finish_load_stream(result, args)
 
 
 def _cmd_slo(args) -> int:
@@ -886,13 +855,7 @@ def _cmd_slo(args) -> int:
         f"step={report.step_ms:g}ms):"
     )
     print(report.render())
-    if args.flight:
-        with open(args.flight, "w") as handle:
-            handle.write(result.flight_json(report) + "\n")
-        print(f"Flight record written to {args.flight}")
-    if args.chrome:
-        _write_chrome_trace(result, args.chrome)
-    return 1 if result.shed_violations() or result.failures else 0
+    return _finish_load_stream(result, args, report)
 
 
 _COMMANDS = {

@@ -2,10 +2,11 @@
 
 from .availability import AvailabilityMonitor, ServerHealth
 from .bidding import Auction, Bid, BidBroker, BiddingQcc
+from .calibration import Calibration
 from .calibrator import CalibratorConfig, CostCalibrator, IICalibrator
 from .cycle import CalibrationCycleController, CycleConfig
 from .epoch import CalibrationEpoch
-from .history import Ewma, RatioHistory, RunningStats
+from .history import RatioHistory, RunningStats
 from .load_balance import (
     FragmentLoadBalancer,
     GlobalLoadBalancer,
@@ -26,13 +27,13 @@ __all__ = [
     "Bid",
     "BidBroker",
     "BiddingQcc",
+    "Calibration",
     "CalibrationCycleController",
     "CalibrationEpoch",
     "CalibratorConfig",
     "CostCalibrator",
     "CycleConfig",
     "Decision",
-    "Ewma",
     "FragmentLoadBalancer",
     "GlobalLoadBalancer",
     "IICalibrator",

@@ -35,12 +35,21 @@ class ServerHealth:
     outcomes: Deque[Tuple[float, bool]] = field(
         default_factory=lambda: deque(maxlen=64)
     )
+    #: successes among ``outcomes``, maintained by :meth:`note`
+    good: int = 0
+
+    def note(self, t_ms: float, succeeded: bool) -> None:
+        """Append one outcome, evicting the oldest from a full window."""
+        outcomes = self.outcomes
+        if len(outcomes) == outcomes.maxlen:
+            self.good -= outcomes[0][1]
+        outcomes.append((t_ms, succeeded))
+        self.good += succeeded
 
     def success_rate(self) -> float:
         if not self.outcomes:
             return 1.0
-        good = sum(1 for _, ok in self.outcomes if ok)
-        return good / len(self.outcomes)
+        return self.good / len(self.outcomes)
 
 
 class AvailabilityMonitor:
@@ -50,14 +59,10 @@ class AvailabilityMonitor:
         self,
         servers: Iterable[str],
         reliability_weight: float = 1.0,
-        outcome_window: int = 64,
         epoch: Optional[CalibrationEpoch] = None,
     ):
         self._health: Dict[str, ServerHealth] = {
-            name: ServerHealth(
-                outcomes=deque(maxlen=outcome_window)
-            )
-            for name in servers
+            name: ServerHealth() for name in servers
         }
         self.reliability_weight = reliability_weight
         #: Bumped on up/down transitions and on reliability-rate changes
@@ -87,7 +92,7 @@ class AvailabilityMonitor:
         rate_before = health.success_rate()
         health.up = False
         health.last_error_ms = t_ms
-        health.outcomes.append((t_ms, False))
+        health.note(t_ms, False)
         if was_up or health.success_rate() != rate_before:
             self.epoch.bump()
         obs = get_obs()
@@ -104,7 +109,7 @@ class AvailabilityMonitor:
         rate_before = health.success_rate()
         health.up = True
         health.last_success_ms = t_ms
-        health.outcomes.append((t_ms, True))
+        health.note(t_ms, True)
         if not was_up or health.success_rate() != rate_before:
             self.epoch.bump()
         obs = get_obs()

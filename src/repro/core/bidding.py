@@ -25,6 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..sim import ServerUnavailable
 from ..fed.global_optimizer import FragmentOption
+from .calibration import Calibration
 
 
 @dataclass(frozen=True)
@@ -119,22 +120,60 @@ class BidBroker:
         return winner.option, overhead
 
 
-class BiddingQcc:
-    """A QCC wrapper whose substitution hook runs auctions.
+class BiddingQcc(Calibration):
+    """A calibration whose substitution hook runs auctions.
 
-    Delegates every interface call to the wrapped QCC except
-    ``substitute``, which solicits live bids.  Drop-in: build the
-    deployment normally, then ``deployment.meta_wrapper.attach_qcc(
-    BiddingQcc(deployment.qcc, broker))``.
+    Every other call goes to the wrapped QCC, whose epoch and replica-
+    choice rule it shares.  Drop-in: build the deployment normally, then
+    ``deployment.meta_wrapper.attach_qcc(BiddingQcc(deployment.qcc,
+    broker))``.
     """
 
-    def __init__(self, qcc, broker: BidBroker):
+    def __init__(self, qcc: Calibration, broker: BidBroker):
         self._qcc = qcc
         self.broker = broker
+        self.epoch = qcc.epoch
+        self.fragment_balancer = qcc.fragment_balancer
 
     def substitute(self, option, siblings, t_ms):
         winner, _ = self.broker.solicit(option, siblings, t_ms)
         return winner
 
-    def __getattr__(self, name):
-        return getattr(self._qcc, name)
+    def bind_meta_wrapper(self, meta_wrapper):
+        self._qcc.bind_meta_wrapper(meta_wrapper)
+
+    def is_available(self, server, t_ms):
+        return self._qcc.is_available(server, t_ms)
+
+    def calibrate(self, server, fragment_signature, cost):
+        return self._qcc.calibrate(server, fragment_signature, cost)
+
+    def record_compile(self, server, fragment_signature, option):
+        self._qcc.record_compile(server, fragment_signature, option)
+
+    def record_execution(self, **record):
+        self._qcc.record_execution(**record)
+
+    def record_error(self, server, t_ms):
+        self._qcc.record_error(server, t_ms)
+
+    def recommend_global(self, decomposed, plans, t_ms):
+        return self._qcc.recommend_global(decomposed, plans, t_ms)
+
+    def ii_factor(self):
+        return self._qcc.ii_factor()
+
+    def record_ii_execution(self, estimated_total, observed_ms, t_ms):
+        self._qcc.record_ii_execution(estimated_total, observed_ms, t_ms)
+
+    def tick(self, t_ms):
+        self._qcc.tick(t_ms)
+
+    def probe_servers(self, t_ms):
+        return self._qcc.probe_servers(t_ms)
+
+    def recalibrate(self, t_ms):
+        self._qcc.recalibrate(t_ms)
+
+    def factor(self, server, fragment_signature=None):
+        return self._qcc.factor(server, fragment_signature)

@@ -2,10 +2,9 @@
 
 Section 3.4: "QCC maintains aggregated histories of the various dynamic
 values associated with the remote source access costs to compute and
-maintain running averages."  Three primitives:
+maintain running averages."  Two primitives:
 
 * :class:`RunningStats` — Welford-style streaming mean/variance;
-* :class:`Ewma` — exponentially weighted moving average;
 * :class:`RatioHistory` — a sliding window of (estimated, observed)
   pairs whose ratio-of-averages is the calibration factor of Section 3.1.
 """
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 
 class RunningStats:
@@ -47,31 +46,6 @@ class RunningStats:
         if self.count < 2 or self.mean == 0.0:
             return 0.0
         return self.stddev / abs(self.mean)
-
-
-class Ewma:
-    """Exponentially weighted moving average."""
-
-    def __init__(self, alpha: float = 0.3):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._value: Optional[float] = None
-
-    def update(self, value: float) -> float:
-        if self._value is None:
-            self._value = value
-        else:
-            self._value = self.alpha * value + (1.0 - self.alpha) * self._value
-        return self._value
-
-    @property
-    def value(self) -> Optional[float]:
-        return self._value
-
-    @property
-    def initialized(self) -> bool:
-        return self._value is not None
 
 
 class RatioHistory:

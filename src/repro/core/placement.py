@@ -79,17 +79,13 @@ class PlacementAdvisor:
         meta_wrapper,
         qcc,
         factor_gap: float = 1.5,
-        min_observed_ms: float = 0.0,
     ):
         """*factor_gap*: only recommend when the source's calibration
-        factor exceeds the target's by at least this ratio.
-        *min_observed_ms*: ignore nicknames with less observed traffic.
-        """
+        factor exceeds the target's by at least this ratio."""
         self.registry = registry
         self.meta_wrapper = meta_wrapper
         self.qcc = qcc
         self.factor_gap = factor_gap
-        self.min_observed_ms = min_observed_ms
 
     # -- analysis ----------------------------------------------------------
 
@@ -131,8 +127,6 @@ class PlacementAdvisor:
         recommendations: List[PlacementRecommendation] = []
         seen: Set[Tuple[str, str]] = set()
         for load in self.nickname_loads():
-            if load.observed_ms < self.min_observed_ms:
-                continue
             try:
                 hosts = self.registry.servers_for(load.nickname)
             except FederationError:

@@ -7,20 +7,9 @@ calibration cycle, and influences routing *indirectly* — by scaling the
 cost estimates II sees and (optionally) rotating near-equal-cost plans
 for load distribution.
 
-The integrator and meta-wrapper call a small, documented interface:
-
-=====================  ======================================================
-``is_available``        availability gate used while collecting options
-``calibrate``           scale a fragment's estimated cost (Figure 5)
-``record_compile``      compile-time record (a)-(d) of Section 2
-``record_execution``    runtime record (e): response time of a fragment
-``record_error``        server failure observed by MW
-``substitute``          fragment-level load-balance rotation (Section 4.1)
-``recommend_global``    global-plan choice / rotation (Section 4.2)
-``ii_factor``           workload calibration factor for II (Section 3.2)
-``record_ii_execution`` II-level (estimate, observation) pair
-``tick``                drive daemons and the calibration cycle
-=====================  ======================================================
+The integrator and meta-wrapper reach it only through the interface of
+:class:`~repro.core.calibration.Calibration`, which documents every
+call.
 """
 
 from __future__ import annotations
@@ -38,9 +27,9 @@ from ..sim import PeriodicTimer, ServerUnavailable
 from ..fed.decomposer import DecomposedQuery
 from ..fed.global_optimizer import FragmentOption, GlobalPlan
 from .availability import AvailabilityMonitor
+from .calibration import Calibration
 from .calibrator import CalibratorConfig, CostCalibrator, IICalibrator
 from .cycle import CalibrationCycleController, CycleConfig
-from .epoch import CalibrationEpoch
 from .load_balance import (
     FragmentLoadBalancer,
     GlobalLoadBalancer,
@@ -104,7 +93,7 @@ def generalize_signature(signature: str) -> str:
     return _LITERAL_RE.sub("?", signature)
 
 
-class QueryCostCalibrator:
+class QueryCostCalibrator(Calibration):
     """QCC: transparent runtime calibration of federated cost functions."""
 
     def __init__(
@@ -113,10 +102,8 @@ class QueryCostCalibrator:
         config: QCCConfig = QCCConfig(),
         start_ms: float = 0.0,
     ):
+        super().__init__()
         self.config = config
-        #: One epoch shared by every cost-surface input, so a single
-        #: counter tells plan caches whether any of them moved.
-        self.epoch = CalibrationEpoch()
         self.calibrator = CostCalibrator(config.calibrator, epoch=self.epoch)
         self.ii_calibrator = IICalibrator(
             window=config.calibrator.window,
@@ -141,9 +128,6 @@ class QueryCostCalibrator:
         )
         self._meta_wrapper = None
         self._probed_once = False
-        #: Optional ReplicaManager; when attached, timeline samples carry
-        #: per-server replica staleness next to the calibration series.
-        self.replica_manager = None
         self.decision_log: Deque[Decision] = deque(maxlen=256)
         self.compile_records = 0
         self.execution_records = 0

@@ -29,17 +29,20 @@ from ..fed.global_optimizer import (
     enumerate_global_plans,
 )
 from ..fed.nicknames import NicknameRegistry
+from .calibration import Calibration
 
 
-class _CalibrationOnlyView:
-    """Read-only QCC facade for what-if compilation.
+class _CalibrationOnlyView(Calibration):
+    """Read-only view of a calibration for what-if compilation.
 
     What-if planning must use *calibrated* costs (Section 4.2 costs the
     alternative plans with the calibration factors) but must not pollute
-    QCC's compile records or load-balance workload counters.
+    QCC's compile records or load-balance workload counters: only the
+    two reads go through, every record stays the base class's no-op.
     """
 
-    def __init__(self, qcc):
+    def __init__(self, qcc: Calibration):
+        super().__init__()
         self._qcc = qcc
 
     def is_available(self, server, t_ms):
@@ -47,18 +50,6 @@ class _CalibrationOnlyView:
 
     def calibrate(self, server, fragment_signature, cost):
         return self._qcc.calibrate(server, fragment_signature, cost)
-
-    def record_compile(self, server, fragment_signature, option):
-        pass
-
-    def record_execution(self, **kwargs):
-        pass
-
-    def record_error(self, server, t_ms):
-        pass
-
-    def substitute(self, option, siblings, t_ms):
-        return option
 
 
 def build_simulated_meta_wrapper(deployment, use_calibration: bool = True):
@@ -82,12 +73,14 @@ def build_simulated_meta_wrapper(deployment, use_calibration: bool = True):
             link=server.link,
         )
         wrappers[name] = RelationalWrapper(virtual)
-    qcc_view = (
-        _CalibrationOnlyView(deployment.qcc)
-        if use_calibration and deployment.qcc is not None
-        else None
+    return MetaWrapper(
+        wrappers,
+        qcc=(
+            _CalibrationOnlyView(deployment.qcc)
+            if use_calibration
+            else Calibration()
+        ),
     )
-    return MetaWrapper(wrappers, qcc=qcc_view)
 
 
 @dataclass
@@ -134,15 +127,12 @@ class WhatIfPlanner:
         simulated_mw = build_simulated_meta_wrapper(
             deployment, use_calibration=use_calibration
         )
-        factor_lookup = None
-        if deployment.qcc is not None:
-            factor_lookup = deployment.qcc.factor
         return cls(
             registry=deployment.registry,
             meta_wrapper=simulated_mw,
             ii_profile=deployment.integrator.profile,
             params=deployment.integrator.params,
-            factor_lookup=factor_lookup,
+            factor_lookup=deployment.qcc.factor,
             exclude_factor_threshold=exclude_factor_threshold,
         )
 

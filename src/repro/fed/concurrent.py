@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from ..core.load_balance import FragmentLoadBalancer
 from ..core.routing import generalize_signature
 from ..obs import (
     NULL_TRACE,
@@ -327,7 +326,6 @@ class QueuedDispatch(DispatchStrategy):
 
     def dispatch(self, slots, t_dispatch, trace):
         outcomes = yield AllOf([self.request(slot, trace) for slot in slots])
-        get_obs().tracer.resume(trace)
         return [
             self.settle(slot, outcome, t_dispatch, trace)
             for slot, outcome in zip(slots, outcomes)
@@ -417,12 +415,6 @@ class RacedDispatch(QueuedDispatch):
         super().__init__(runtime)
         self.hedge = runtime.hedging
         self.reroute = runtime.rerouting
-        qcc = runtime.integrator.qcc
-        #: Owner of the one replica-choice rule: QCC's own balancer, so
-        #: second legs and substitution share ``LoadBalanceConfig.band``.
-        self.balancer = (
-            qcc.fragment_balancer if qcc is not None else FragmentLoadBalancer()
-        )
 
     def request(self, slot, trace):
         # The primary is submitted exactly as a plain request, so a race
@@ -526,9 +518,9 @@ class RacedDispatch(QueuedDispatch):
         compilation admitted — that is not the primary and is believed
         available at the instant the leg fires."""
         qcc = self.runtime.integrator.qcc
-        for option in self.balancer.ranked_cluster(slot.option, slot.siblings):
-            if option.server != slot.option.server and (
-                qcc is None or qcc.is_available(option.server, t_fire)
+        for option in qcc.ranked_cluster(slot.option, slot.siblings):
+            if option.server != slot.option.server and qcc.is_available(
+                option.server, t_fire
             ):
                 return option
         return None
@@ -550,11 +542,10 @@ class RacedDispatch(QueuedDispatch):
         never feed the calibrator.  Returns the slot's new ``leg`` —
         (option, execution, span, migration checkpoint or None) — or
         None if the target is down."""
-        get_obs().tracer.resume(trace)
         try:
             target, execution = (
                 self.runtime.integrator.meta_wrapper.execute_option(
-                    target, t_fire, report=False
+                    target, t_fire, report=False, trace=trace
                 )
             )
         except ServerUnavailable:
@@ -610,6 +601,7 @@ class RacedDispatch(QueuedDispatch):
             loser,
             wasted_ms,
             completion.finished_ms,
+            trace,
             server=loser.server,
         )
         trace.end(
@@ -642,6 +634,7 @@ class RacedDispatch(QueuedDispatch):
             slot.option,
             wasted_ms,
             completion.finished_ms,
+            trace,
             from_server=slot.option.server,
             to_server=target.server,
             cut_row=point.cut_row,

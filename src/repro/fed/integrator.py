@@ -45,6 +45,7 @@ from ..sim import (
     ServerUnavailable,
     VirtualClock,
 )
+from ..core.calibration import Calibration
 from ..wrappers.meta import MetaWrapper
 from .decomposer import DecomposedQuery, decompose
 from .explain import ExplainTable
@@ -56,8 +57,8 @@ from .global_optimizer import (
 from .merge import build_merge_plan
 from .nicknames import FederationError, NicknameRegistry
 from .patroller import PatrolRecord, QueryPatroller
-from .plan_cache import CalibrationEpoch, PlanCache, plan_key
-from .routers import CostBasedRouter, QCCRouter, Router
+from .plan_cache import PlanCache, plan_key
+from .routers import QCCRouter, Router
 
 
 #: Queue name of the integrator's own merge stage.
@@ -220,7 +221,13 @@ def _end_dispatch(
 
 
 class InformationIntegrator:
-    """Federated query processor with pluggable routing and optional QCC."""
+    """Federated query processor with pluggable routing and calibration."""
+
+    #: Virtual ms charged to every query's first compilation.
+    compile_overhead_ms = 2.0
+    #: Virtual ms a failed attempt costs before the retry recompiles.
+    failure_penalty_ms = 250.0
+    max_retries = 3
 
     def __init__(
         self,
@@ -232,54 +239,35 @@ class InformationIntegrator:
         load: LoadSchedule = ConstantLoad(),
         contention: ContentionProfile = ContentionProfile(),
         router: Optional[Router] = None,
-        qcc=None,
+        qcc: Optional[Calibration] = None,
         replica_manager=None,
-        compile_overhead_ms: float = 2.0,
-        failure_penalty_ms: float = 250.0,
-        max_retries: int = 3,
         enable_plan_cache: bool = True,
         engine: Optional[str] = None,
     ):
-        self.registry = registry
         self.meta_wrapper = meta_wrapper
         self.clock = clock if clock is not None else VirtualClock()
         self.profile = profile
         self.params = params
         self.load = load
         self.contention = contention
-        if router is None:
-            router = QCCRouter(qcc) if qcc is not None else CostBasedRouter()
-        self.router = router
-        self.qcc = qcc
-        if qcc is not None:
-            self.meta_wrapper.attach_qcc(qcc)
-        self.compile_overhead_ms = compile_overhead_ms
-        self.failure_penalty_ms = failure_penalty_ms
-        self.max_retries = max_retries
+        #: The calibration II ticks, reads its factor from and reports
+        #: to: the meta-wrapper's, unless told otherwise.
+        self.qcc = qcc or meta_wrapper.qcc
+        self.router = router or QCCRouter(self.qcc)
         #: Whether :meth:`submit` moves the clock; a scheduler that owns
         #: the clock (``ConcurrentRuntime``) turns this off.
         self.advance_clock = True
         self.patroller = QueryPatroller()
         self.explain_table = ExplainTable()
-        # The plan cache shares QCC's calibration epoch so recalibrations
-        # and availability transitions invalidate cached compilations.  A
-        # custom QCC that does not publish an epoch offers no way to tell
-        # when its cost surface moves, so caching is refused outright
-        # rather than risking stale plans.
-        epoch = getattr(qcc, "epoch", None) if qcc is not None else None
-        if qcc is not None and epoch is None:
-            enable_plan_cache = False
-        self.calibration_epoch = (
-            epoch if epoch is not None else CalibrationEpoch()
-        )
+        #: The plan cache shares the calibration's epoch, so
+        #: recalibrations and availability transitions invalidate cached
+        #: compilations; the registry and the replica manager bump it too.
+        self.calibration_epoch = self.qcc.epoch
         self.plan_cache = (
-            PlanCache(self.calibration_epoch)
-            if enable_plan_cache
-            else None
+            PlanCache(self.calibration_epoch) if enable_plan_cache else None
         )
-        if hasattr(registry, "bind_epoch"):
-            registry.bind_epoch(self.calibration_epoch)
         self._replica_manager = None
+        self.registry = registry
         self.replica_manager = replica_manager
         #: Execution engine for the II-side merge (fragment engines are
         #: chosen by each remote server's database).
@@ -303,14 +291,9 @@ class InformationIntegrator:
         old topology are dropped immediately.
         """
         self._registry = registry
-        # During __init__ the epoch does not exist yet; the constructor
-        # binds explicitly once it does.
-        epoch = getattr(self, "calibration_epoch", None)
-        if epoch is not None and hasattr(registry, "bind_epoch"):
-            registry.bind_epoch(epoch)
-        cache = getattr(self, "plan_cache", None)
-        if cache is not None:
-            cache.clear()
+        registry.bind_epoch(self.calibration_epoch)
+        if self.plan_cache is not None:
+            self.plan_cache.clear()
 
     @property
     def replica_manager(self):
@@ -325,12 +308,11 @@ class InformationIntegrator:
         the manager existed (without its freshness filters) are dropped.
         """
         self._replica_manager = manager
-        if manager is not None and hasattr(manager, "bind_epoch"):
+        if manager is not None:
             manager.bind_epoch(self.calibration_epoch)
-        if self.qcc is not None and hasattr(self.qcc, "replica_manager"):
-            # QCC's timeline samples include per-server replica staleness
-            # once it can see the manager.
-            self.qcc.replica_manager = manager
+        # QCC's timeline samples include per-server replica staleness
+        # once it can see the manager.
+        self.qcc.replica_manager = manager
         if self.plan_cache is not None:
             self.plan_cache.clear()
 
@@ -342,8 +324,10 @@ class InformationIntegrator:
         t_ms: Optional[float] = None,
         excluded_servers: Optional[set] = None,
         staleness_tolerance_ms: Optional[float] = None,
+        trace: QueryTrace = NULL_TRACE,
     ) -> Tuple[DecomposedQuery, List[GlobalPlan]]:
-        """Compile *sql* into ranked global plans (no execution).
+        """Compile *sql* into ranked global plans (no execution), its
+        spans and the meta-wrapper's events going to *trace*.
 
         With a replica manager attached and a ``staleness_tolerance_ms``,
         candidate servers whose copies are older than the tolerance are
@@ -357,7 +341,6 @@ class InformationIntegrator:
         decomposition is re-priced: every step below but ``decompose``.
         """
         t = self.clock.now if t_ms is None else t_ms
-        trace = get_obs().tracer.current or NULL_TRACE
         cache = self.plan_cache
         key = plan_key(sql, excluded_servers, staleness_tolerance_ms)
         topology = self.registry.version
@@ -384,7 +367,11 @@ class InformationIntegrator:
         )
         span = trace.begin("plan_enumeration", t)
         plans = self._plans_for(
-            decomposed, t, set(excluded_servers or ()), staleness_tolerance_ms
+            decomposed,
+            t,
+            set(excluded_servers or ()),
+            staleness_tolerance_ms,
+            trace,
         )
         trace.end(
             span,
@@ -424,15 +411,11 @@ class InformationIntegrator:
         manager = self._replica_manager
         if manager is None or staleness_tolerance_ms is None:
             return None
-        deadline_of = getattr(manager, "freshness_deadline", None)
-        if deadline_of is None:
-            # Unknown manager implementation: never serve from cache.
-            return t_ms
         horizon: Optional[float] = None
         for fragment in decomposed.fragments:
             for nickname in fragment.nicknames:
                 for server in fragment.candidate_servers:
-                    deadline = deadline_of(
+                    deadline = manager.freshness_deadline(
                         nickname, server, staleness_tolerance_ms
                     )
                     if deadline is not None and deadline > t_ms:
@@ -448,11 +431,14 @@ class InformationIntegrator:
         decomposed: DecomposedQuery,
         t_ms: float,
         excluded_servers: set,
-        staleness_tolerance_ms: Optional[float] = None,
+        staleness_tolerance_ms: Optional[float],
+        trace: QueryTrace,
     ) -> List[GlobalPlan]:
         options: Dict[str, List[FragmentOption]] = {}
         for fragment in decomposed.fragments:
-            fragment_options = self.meta_wrapper.compile_fragment(fragment, t_ms)
+            fragment_options = self.meta_wrapper.compile_fragment(
+                fragment, t_ms, trace
+            )
             allowed = None
             if (
                 self.replica_manager is not None
@@ -467,13 +453,12 @@ class InformationIntegrator:
                 if o.server not in excluded_servers
                 and (allowed is None or o.server in allowed)
             ]
-        ii_factor = self.qcc.ii_factor() if self.qcc is not None else 1.0
         return enumerate_global_plans(
             decomposed,
             options,
             self.profile,
             self.params,
-            ii_calibration_factor=ii_factor,
+            ii_calibration_factor=self.qcc.ii_factor(),
         )
 
     # -- run time ------------------------------------------------------------
@@ -540,8 +525,7 @@ class InformationIntegrator:
         t0 = record.submitted_ms
         eager = strategy.reports_on_execute
         obs.metrics.counter("ii_queries_total").inc()
-        if self.qcc is not None:
-            self.qcc.tick(t0)
+        self.qcc.tick(t0)
 
         elapsed = self.compile_overhead_ms
         excluded: set = set()
@@ -557,7 +541,11 @@ class InformationIntegrator:
             compile_span = trace.begin("compile", t_attempt, attempt=retries)
             try:
                 decomposed, plans = self.compile(
-                    record.sql, t_attempt, excluded, staleness_tolerance_ms
+                    record.sql,
+                    t_attempt,
+                    excluded,
+                    staleness_tolerance_ms,
+                    trace,
                 )
             except FederationError as exc:
                 self._fail(record, trace, root, t0 + elapsed, str(exc))
@@ -577,7 +565,6 @@ class InformationIntegrator:
                 # Only the first attempt pays the compile overhead;
                 # retries recompile at the already advanced clock.
                 yield Delay(self.compile_overhead_ms)
-                obs.tracer.resume(trace)
             t_dispatch = t0 + elapsed
             trace.end(compile_span, t_dispatch, plan_candidates=len(plans))
             # The winner is kept as history (explain table, result) —
@@ -606,7 +593,7 @@ class InformationIntegrator:
                 siblings = siblings_of(choice)
                 try:
                     option, execution = mw.execute_option(
-                        choice, t_dispatch, siblings, report=eager
+                        choice, t_dispatch, siblings, eager, trace=trace
                     )
                 except ServerUnavailable as exc:
                     failure = last_error = exc
@@ -643,7 +630,6 @@ class InformationIntegrator:
                 retries += 1
                 t_attempt = t0 + elapsed
                 yield Delay(self.failure_penalty_ms)
-                obs.tracer.resume(trace)
                 continue
 
             settled = yield from strategy.dispatch(slots, t_dispatch, trace)
@@ -691,11 +677,8 @@ class InformationIntegrator:
                 merge_plan, self._merge_storage, self.params, engine=self.engine
             )
             level = self.load.level(t_dispatch)
-            merge_demand_ms = (
-                self.profile.cpu_ms(merge_result.meter.cpu_ms)
-                * self.contention.cpu_multiplier(level)
-                + self.profile.io_ms(merge_result.meter.io_ms)
-                * self.contention.io_multiplier(level)
+            merge_demand_ms = self.contention.demand_ms(
+                self.profile, merge_result.meter, level
             )
             merged = yield from strategy.merge(
                 merge_demand_ms, t_merge, trace, merge_span
@@ -715,16 +698,14 @@ class InformationIntegrator:
 
             # merged.finished_ms - t0, up to float residue.
             response_ms = (t_dispatch - t0) + remote_ms + merge_ms
-            if self.qcc is not None:
-                raw_estimate = (
+            self.qcc.record_ii_execution(
+                estimated_total=(
                     max(c.calibrated.total for c in chosen.choices)
                     + chosen.merge_cost.total
-                )
-                self.qcc.record_ii_execution(
-                    estimated_total=raw_estimate,
-                    observed_ms=remote_ms + merge_ms,
-                    t_ms=t_dispatch,
-                )
+                ),
+                observed_ms=remote_ms + merge_ms,
+                t_ms=t_dispatch,
+            )
             result = FederatedResult(
                 rows=merge_result.rows,
                 schema=merge_result.schema,

@@ -1,12 +1,12 @@
 """Global plan selection strategies.
 
 The integrator delegates the final "which global plan runs" decision to a
-router — always, and only, through :meth:`Router.choose`.  Without a QCC
-the default is :class:`CostBasedRouter` (the cheapest plan); with one it
-is :class:`QCCRouter`, which defers to QCC's global recommendation.  An
-explicitly supplied router wins either way: QCC then still calibrates
-the costs the router ranks and records every execution, it just no
-longer picks the plan.
+router — always, and only, through :meth:`Router.choose`.  The default
+is :class:`QCCRouter`, which defers to the calibration's global
+recommendation: QCC's rotation, or the cheapest plan under the identity
+calibration of a federation without one.  An explicitly supplied router
+wins: the calibration then still prices the costs the router ranks and
+records every execution, it just no longer picks the plan.
 
 The other routers model the baselines of Section 5:
 
@@ -40,6 +40,20 @@ class Router:
         raise NotImplementedError
 
 
+def _cheapest(
+    plans: Sequence[GlobalPlan], server: Optional[str] = None
+) -> GlobalPlan:
+    """The cheapest plan running every fragment on *server*; without
+    one (or without a *server*) the cheapest plan of all."""
+    if not plans:
+        raise FederationError("no global plan to choose from")
+    if server is not None:
+        matching = [p for p in plans if p.servers == frozenset([server])]
+        if matching:
+            return min(matching, key=lambda p: p.total_cost)
+    return plans[0]
+
+
 class CostBasedRouter(Router):
     """Pick the plan with the lowest (possibly calibrated) cost."""
 
@@ -50,14 +64,12 @@ class CostBasedRouter(Router):
         label: Optional[str] = None,
         t_ms: float = 0.0,
     ) -> GlobalPlan:
-        if not plans:
-            raise FederationError("no global plan to choose from")
-        return plans[0]
+        return _cheapest(plans)
 
 
 class QCCRouter(Router):
-    """Defer to QCC's recommendation (Section 4.2): the cheapest
-    calibrated plan, rotated across its near-cost cluster."""
+    """Defer to the calibration's recommendation (Section 4.2): the
+    cheapest calibrated plan, rotated across its near-cost cluster."""
 
     def __init__(self, qcc) -> None:
         self.qcc = qcc
@@ -92,14 +104,7 @@ class FixedRouter(Router):
         label: Optional[str] = None,
         t_ms: float = 0.0,
     ) -> GlobalPlan:
-        if not plans:
-            raise FederationError("no global plan to choose from")
-        target = self.assignment.get(label or "")
-        if target is not None:
-            matching = [p for p in plans if p.servers == frozenset([target])]
-            if matching:
-                return min(matching, key=lambda p: p.total_cost)
-        return plans[0]
+        return _cheapest(plans, self.assignment.get(label or ""))
 
 
 class PreferredServerRouter(Router):
@@ -115,12 +120,7 @@ class PreferredServerRouter(Router):
         label: Optional[str] = None,
         t_ms: float = 0.0,
     ) -> GlobalPlan:
-        if not plans:
-            raise FederationError("no global plan to choose from")
-        matching = [p for p in plans if p.servers == frozenset([self.server])]
-        if matching:
-            return min(matching, key=lambda p: p.total_cost)
-        return plans[0]
+        return _cheapest(plans, self.server)
 
 
 class RoundRobinRouter(Router):

@@ -5,9 +5,10 @@ optional placement (which server hosts which tables; absent = every
 table everywhere) — into the paper's Figure 1/2 wiring: one integrator,
 a meta-wrapper over one relational wrapper per remote DB2-like server,
 mutable load levels (so the phase runner can flip Table 1's Base/Load
-conditions), and optionally a QCC.  It is the only place the harness,
-baselines, chaos runner and CLI construct those objects; the default
-topology is Section 5's three fully replicated servers and
+conditions), and a calibration — a QCC, or the identity
+:class:`~repro.core.Calibration` without one.  It is the only place the
+harness, baselines, chaos runner and CLI construct those objects; the
+default topology is Section 5's three fully replicated servers and
 :func:`build_replica_federation` is Section 4's S1/R1/S2/R2.
 
 Server characteristics are chosen so the qualitative structure of the
@@ -46,7 +47,7 @@ from ..fed import (
     Router,
 )
 from ..wrappers import MetaWrapper, RelationalWrapper
-from ..core import QCCConfig, QueryCostCalibrator
+from ..core import Calibration, QCCConfig, QueryCostCalibrator
 from ..workload import BENCH_SCALE, WorkloadScale, table_specs
 
 
@@ -124,7 +125,9 @@ class Deployment:
     servers: Dict[str, RemoteServer]
     loads: Dict[str, MutableLoad]
     clock: VirtualClock
-    qcc: Optional[QueryCostCalibrator]
+    #: A :class:`QueryCostCalibrator`, or the identity calibration of
+    #: a federation built ``with_qcc=False``.
+    qcc: Calibration
     specs: Tuple[ServerSpec, ...]
 
     def set_load(self, levels: Mapping[str, float]) -> None:
@@ -188,7 +191,7 @@ def build_federation(
     transfer_batch_rows: int = 1024,
     placement: Optional[TablePlacement] = None,
 ) -> Deployment:
-    """Assemble servers, wrappers, MW, (optionally) QCC and the II.
+    """Assemble servers, wrappers, MW, the calibration and the II.
 
     ``placement`` maps each server to the tables it hosts; without it
     every server hosts every table.  Nicknames are registered in spec
@@ -248,18 +251,18 @@ def build_federation(
                 table_def=database.catalog.lookup(table_name),
             )
 
-    qcc: Optional[QueryCostCalibrator] = None
-    if with_qcc:
-        qcc = QueryCostCalibrator(
+    qcc = (
+        QueryCostCalibrator(
             servers=[spec.name for spec in specs],
             config=qcc_config or QCCConfig(),
         )
+        if with_qcc
+        else Calibration()
+    )
     meta_wrapper = MetaWrapper(
         {name: RelationalWrapper(server) for name, server in servers.items()},
         qcc=qcc,
     )
-    if qcc is not None:
-        qcc.bind_meta_wrapper(meta_wrapper)
 
     integrator = InformationIntegrator(
         registry=registry,
@@ -267,7 +270,6 @@ def build_federation(
         clock=clock,
         params=params,
         router=router,
-        qcc=qcc,
         enable_plan_cache=enable_plan_cache,
         engine=engine,
     )

@@ -138,8 +138,7 @@ def calibrated_pass(
     """One pass over the workload, then close the calibration cycle so
     the next pass routes on factors learned from this one."""
     outcomes = run_workload_once(deployment, workload)
-    if deployment.qcc is not None:
-        deployment.qcc.recalibrate(deployment.clock.now)
+    deployment.qcc.recalibrate(deployment.clock.now)
     return outcomes
 
 
@@ -149,8 +148,7 @@ def warm_up(
     """*passes* calibration cycles under the current load conditions:
     probe the servers, run the workload, recalibrate."""
     for _ in range(passes):
-        if deployment.qcc is not None:
-            deployment.qcc.probe_servers(deployment.clock.now)
+        deployment.qcc.probe_servers(deployment.clock.now)
         calibrated_pass(deployment, workload)
 
 

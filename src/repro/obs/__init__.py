@@ -183,22 +183,6 @@ class Observability:
             timeline=NULL_TIMELINE,
         )
 
-    # -- trace conveniences (safe with the null tracer) -------------------
-
-    def current_trace(self) -> Optional[QueryTrace]:
-        return self.tracer.current
-
-    def trace_event(self, name: str, t_ms: float, **attributes: object) -> None:
-        """Annotate the in-flight query's trace, if any.
-
-        This is the hook for components *below* the integrator (the
-        meta-wrapper, QCC): they never hold a trace handle, they just
-        decorate whichever query is currently being processed.
-        """
-        trace = self.tracer.current
-        if trace is not None:
-            trace.event(name, t_ms, **attributes)
-
 
 _OBS = Observability.disabled()
 
@@ -218,22 +202,18 @@ def configure(
     tracing: bool = True,
     log_level: Optional[int] = logging.INFO,
     trace_capacity: int = 64,
-    max_spans_per_trace: Optional[int] = DEFAULT_MAX_SPANS,
     histogram_capacity: int = 1024,
     timeline: bool = True,
-    timeline_capacity: int = 4096,
 ) -> Observability:
     """Install a live observability sink and return it.
 
     ``metrics``/``tracing``/``timeline`` select which parts record; a
     disabled part keeps its null implementation.  ``trace_capacity``
-    bounds how many finished traces the tracer retains,
-    ``max_spans_per_trace`` bounds each trace's span tree (drops are
-    counted in ``trace_spans_dropped_total``, never silent; None =
-    unbounded), ``timeline_capacity`` bounds the federation timeline's
-    sample and event deques.  ``log_level`` (None to leave logging
-    untouched) attaches a stream handler to the ``repro`` logger unless
-    the application already configured one.
+    bounds how many finished traces the tracer retains; each trace's
+    span tree is bounded by ``DEFAULT_MAX_SPANS`` (drops are counted in
+    ``trace_spans_dropped_total``, never silent).  ``log_level`` (None
+    to leave logging untouched) attaches a stream handler to the
+    ``repro`` logger unless the application already configured one.
     """
     global _OBS
     registry = (
@@ -241,11 +221,7 @@ def configure(
         if metrics
         else NULL_REGISTRY
     )
-    tracer = (
-        Tracer(keep=trace_capacity, max_spans=max_spans_per_trace)
-        if tracing
-        else NULL_TRACER
-    )
+    tracer = Tracer(keep=trace_capacity) if tracing else NULL_TRACER
     if tracing and metrics:
         # Registered eagerly so the family appears in every exposition
         # (and the committed metric catalog) even before the first drop.
@@ -254,9 +230,7 @@ def configure(
         metrics=registry,
         tracer=tracer,
         enabled=metrics or tracing or timeline,
-        timeline=(
-            Timeline(capacity=timeline_capacity) if timeline else NULL_TIMELINE
-        ),
+        timeline=Timeline() if timeline else NULL_TIMELINE,
     )
     if log_level is not None:
         root = logger()

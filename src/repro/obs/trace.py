@@ -7,12 +7,13 @@ arbitrary attributes (estimated cost, active calibration factor,
 observed ms, ...) and virtual-clock timestamps, and export to plain
 dicts / JSON.
 
-The :class:`Tracer` keeps the *current* trace so that components below
-the integrator (the meta-wrapper, QCC) can annotate the in-flight query
-without threading a handle through every call; a query that yields to
-others calls :meth:`Tracer.resume` when it runs again.  :data:`NULL_TRACER` and
-:data:`NULL_TRACE` implement the same surface as no-ops — the default
-until ``repro.obs.configure()`` enables tracing.
+A query's trace is *passed*: whoever opened it (the integrator) hands
+it to the components below (the meta-wrapper) as an argument, so an
+event lands in the trace of the query it is about however many queries
+are interleaved — there is no "current" trace to keep pointed at the
+right one.  :data:`NULL_TRACER` and :data:`NULL_TRACE` implement the same
+surface as no-ops — the default until ``repro.obs.configure()`` enables
+tracing, and the default of every ``trace`` parameter.
 """
 
 from __future__ import annotations
@@ -219,7 +220,6 @@ class Tracer:
         keep: int = 64,
         max_spans: Optional[int] = DEFAULT_MAX_SPANS,
     ):
-        self.current: Optional[QueryTrace] = None
         self.finished: Deque[QueryTrace] = deque(maxlen=keep)
         self.max_spans = max_spans
         #: Total spans dropped across every trace this tracer started.
@@ -236,34 +236,17 @@ class Tracer:
     def start(self, query_id: int, sql: str, t_ms: float) -> QueryTrace:
         trace = QueryTrace(query_id, sql, t_ms, max_spans=self.max_spans)
         trace._on_drop = self._note_drop
-        self.current = trace
         return trace
-
-    def resume(self, trace: QueryTrace) -> None:
-        """Make *trace* current again.  Overlapping queries interleave
-        at their yields; each calls this when it resumes, so whatever
-        components below the integrator emit next lands in its trace."""
-        self.current = trace
 
     def finish(
         self, trace: QueryTrace, t_ms: float, status: str = "completed"
     ) -> QueryTrace:
         trace.finish(t_ms, status)
         self.finished.append(trace)
-        if self.current is trace:
-            self.current = None
         return trace
 
     def last(self) -> Optional[QueryTrace]:
         return self.finished[-1] if self.finished else None
-
-    def for_query(self, query_id: int) -> Optional[QueryTrace]:
-        if self.current is not None and self.current.query_id == query_id:
-            return self.current
-        for trace in reversed(self.finished):
-            if trace.query_id == query_id:
-                return trace
-        return None
 
 
 class _NullSpan(Span):
@@ -303,21 +286,10 @@ class _NullTrace(QueryTrace):
 
 
 class NullTracer(Tracer):
-    """The disabled tracer: every start hands back the shared null trace.
-
-    ``current`` stays None so annotating components can skip work with a
-    single identity check.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(keep=1)
-        self.current = None
+    """The disabled tracer: every start hands back the shared null trace."""
 
     def start(self, query_id: int, sql: str, t_ms: float) -> QueryTrace:
         return NULL_TRACE
-
-    def resume(self, trace: QueryTrace) -> None:
-        pass
 
     def finish(
         self, trace: QueryTrace, t_ms: float, status: str = "completed"

@@ -259,6 +259,16 @@ class RemoteServer:
 
     # -- run time ------------------------------------------------------------
 
+    def _processing_ms(self, meter, t_ms: float) -> float:
+        """Metered work inflated by the load level at *t_ms* — and fed
+        back into it: work dispatched here raises the server's load for
+        subsequent requests (InducedLoad schedules)."""
+        processing_ms = self.contention.demand_ms(
+            self.profile, meter, self.load.level(t_ms)
+        )
+        self.load.note_work(t_ms, processing_ms)
+        return processing_ms
+
     def execute_plan(self, plan: PhysicalPlan, t_ms: float) -> RemoteExecution:
         """Execute *plan* and compute the observed response time."""
         if not self.is_up(t_ms):
@@ -266,18 +276,7 @@ class RemoteServer:
         if self.errors.should_fail(t_ms):
             raise ServerUnavailable(self.name, t_ms, transient=True)
         result = self.database.run_plan(plan)
-        level = self.load.level(t_ms)
-        processing_ms = (
-            self.profile.cpu_ms(result.meter.cpu_ms)
-            * self.contention.cpu_multiplier(level)
-            + self.profile.io_ms(result.meter.io_ms)
-            * self.contention.io_multiplier(level)
-        )
-        # Close the load feedback loop: work dispatched here raises the
-        # server's load for subsequent requests (InducedLoad schedules).
-        note_work = getattr(self.load, "note_work", None)
-        if note_work is not None:
-            note_work(t_ms, processing_ms)
+        processing_ms = self._processing_ms(result.meter, t_ms)
         if self.transfer == "columnar":
             schema = (
                 result.schema
@@ -353,16 +352,7 @@ class RemoteServer:
         if self.errors.should_fail(t_ms):
             raise ServerUnavailable(self.name, t_ms, transient=True)
         result = self.database.run_dml(sql)
-        level = self.load.level(t_ms)
-        processing_ms = (
-            self.profile.cpu_ms(result.meter.cpu_ms)
-            * self.contention.cpu_multiplier(level)
-            + self.profile.io_ms(result.meter.io_ms)
-            * self.contention.io_multiplier(level)
-        )
-        note_work = getattr(self.load, "note_work", None)
-        if note_work is not None:
-            note_work(t_ms, processing_ms)
+        processing_ms = self._processing_ms(result.meter, t_ms)
         network_ms = self.link.request_response_ms(REQUEST_BYTES, 64.0, t_ms)
         return RemoteExecution(
             rows=[],

@@ -8,11 +8,10 @@ execution.  See :class:`repro.sqlengine.database.Database` for the facade.
 
 from .catalog import Catalog, CatalogError, ColumnStats, IndexDef, TableDef, TableStats, collect_stats
 from .columnar import (
+    ArrayColumn,
     ColumnBatch,
     ColumnData,
     DictColumn,
-    FloatColumn,
-    IntColumn,
     TableColumns,
     ValueColumn,
     encode_rows,
@@ -118,11 +117,12 @@ from .types import (
 )
 
 __all__ = [
-    "AggregateCall", "And", "Arithmetic", "BindError", "Catalog",
+    "AggregateCall", "And", "Arithmetic", "ArrayColumn", "BindError",
+    "Catalog",
     "CatalogError", "Choice", "Column", "ColumnBatch", "ColumnData",
     "ColumnGen", "ColumnRef",
     "ColumnStats", "ColumnType", "Comparison", "CostParameters",
-    "DictColumn", "FloatColumn", "IntColumn", "TableColumns", "ValueColumn",
+    "DictColumn", "TableColumns", "ValueColumn",
     "Database", "DEFAULT_BATCH_SIZE", "DEFAULT_CONFIG",
     "DEFAULT_COST_PARAMETERS", "DEFAULT_ENGINE", "ENGINES",
     "DeleteStatement", "Distinct", "DmlError", "DmlResult",

@@ -19,7 +19,7 @@ Column representations:
   codes instead of string values;
 * ``ValueColumn`` — plain Python list (table numerics, operator
   intermediates);
-* ``IntColumn`` / ``FloatColumn`` — ``array('q')`` / ``array('d')``
+* ``ArrayColumn`` — ``array('q')`` (integers) / ``array('d')`` (floats)
   compact storage (8 bytes per value, no per-value boxing) with an
   optional validity bytearray marking NULL slots: the wire format
   fragment transfer is costed by (:func:`encode_rows`);
@@ -75,38 +75,9 @@ class ColumnData:
         return getsizeof(self.values())
 
 
-class IntColumn(ColumnData):
-    """64-bit integer column: ``array('q')`` plus optional validity."""
-
-    __slots__ = ("data", "validity", "_values")
-
-    def __init__(self, data: array, validity: Optional[bytearray] = None):
-        self.data = data
-        self.validity = validity
-        self._values: Optional[List[Any]] = None
-
-    def values(self) -> List[Any]:
-        vals = self._values
-        if vals is None:
-            raw = self.data.tolist()
-            validity = self.validity
-            if validity is not None:
-                raw = [v if ok else None for v, ok in zip(raw, validity)]
-            vals = self._values = raw
-        return vals
-
-    def has_nulls(self) -> bool:
-        return self.validity is not None
-
-    def storage_bytes(self) -> int:
-        total = getsizeof(self.data)
-        if self.validity is not None:
-            total += getsizeof(self.validity)
-        return total
-
-
-class FloatColumn(ColumnData):
-    """Float column: ``array('d')`` plus optional validity."""
+class ArrayColumn(ColumnData):
+    """Typed-array column — ``array('q')`` of 64-bit integers or
+    ``array('d')`` of floats — plus optional validity."""
 
     __slots__ = ("data", "validity", "_values")
 
@@ -476,7 +447,6 @@ def _build_numeric(
     raw: List[Any], typecode: str
 ) -> ColumnData:
     """Typed-array column from a raw value list, NULLs via validity."""
-    cls = IntColumn if typecode == "q" else FloatColumn
     if None in raw:
         validity = bytearray(1 for _ in raw)
         dense = list(raw)
@@ -484,8 +454,8 @@ def _build_numeric(
             if v is None:
                 validity[i] = 0
                 dense[i] = 0
-        return cls(array(typecode, dense), validity)
-    return cls(array(typecode, raw), None)
+        return ArrayColumn(array(typecode, dense), validity)
+    return ArrayColumn(array(typecode, raw), None)
 
 
 def _build_dict(raw: List[Any]) -> DictColumn:

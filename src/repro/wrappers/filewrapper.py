@@ -29,6 +29,7 @@ from ..sim import (
     RemoteExecution,
     ServerUnavailable,
 )
+from .base import Wrapper
 
 #: Marker estimate meaning "this wrapper does not cost queries".  An
 #: explicit ``None`` sentinel: a zero-valued ``PlanCost`` is a legal
@@ -68,7 +69,7 @@ class FileSource:
         return self.availability.is_up(t_ms)
 
 
-class FileWrapper:
+class FileWrapper(Wrapper):
     """Wrapper over a :class:`FileSource`."""
 
     source_type = "file"
@@ -113,7 +114,3 @@ class FileWrapper:
         if not self.source.is_up(t_ms):
             raise ServerUnavailable(self.source.name, t_ms)
         return self.source.link.round_trip_ms(t_ms)
-
-    def probe_ratio(self, t_ms: float):
-        """File sources cannot estimate, so there is no ratio to probe."""
-        return None

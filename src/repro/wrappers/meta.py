@@ -6,7 +6,11 @@ and (d) their server mappings; at run time it records (e) per-fragment
 response times.  Everything is forwarded to QCC, and — crucially — MW is
 where calibration is *applied*: estimated costs pass through
 ``qcc.calibrate`` before II's global optimizer ever sees them, so the
-optimizer is influenced without being modified.
+optimizer is influenced without being modified.  There is always a
+calibration to ask (:class:`~repro.core.calibration.Calibration`; the
+base class is the identity), and what MW and the calibration say about
+a fragment is written to the :class:`~repro.obs.QueryTrace` the caller
+hands in — the query's own, whatever else is in flight.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..obs import get_obs
+from ..obs import NULL_TRACE, QueryTrace, get_obs
 from ..sqlengine import PlanCost
 from ..sim import RemoteExecution, ServerUnavailable
 from ..fed.decomposer import QueryFragment
 from ..fed.global_optimizer import FragmentOption
+from ..core.calibration import Calibration
 from .base import Wrapper
 
 #: Estimate substituted when a wrapper withholds cost (file wrapper,
@@ -73,38 +78,48 @@ class MetaWrapper:
     def __init__(
         self,
         wrappers: Mapping[str, Wrapper],
-        qcc=None,
+        qcc: Optional[Calibration] = None,
     ):
         self.wrappers: Dict[str, Wrapper] = dict(wrappers)
-        self.qcc = qcc
         self.compile_log: List[CompileLogEntry] = []
         self.runtime_log: List[RuntimeLogEntry] = []
+        self.attach_qcc(qcc or Calibration())
 
     # -- wiring ----------------------------------------------------------
 
     def add_wrapper(self, name: str, wrapper: Wrapper) -> None:
         self.wrappers[name] = wrapper
 
-    def attach_qcc(self, qcc) -> None:
+    def attach_qcc(self, qcc: Calibration) -> None:
+        """The one place MW and a calibration are wired, both ways."""
         self.qcc = qcc
-        if qcc is not None and hasattr(qcc, "bind_meta_wrapper"):
-            qcc.bind_meta_wrapper(self)
+        qcc.bind_meta_wrapper(self)
+
+    def _wrapper(self, server: str, t_ms: float) -> Wrapper:
+        wrapper = self.wrappers.get(server)
+        if wrapper is None:
+            raise ServerUnavailable(server, t_ms)
+        return wrapper
 
     # -- compile time -------------------------------------------------------
 
     def compile_fragment(
-        self, fragment: QueryFragment, t_ms: float
+        self,
+        fragment: QueryFragment,
+        t_ms: float,
+        trace: QueryTrace = NULL_TRACE,
     ) -> List[FragmentOption]:
         """Collect candidate plans for *fragment* from every candidate
         server, applying QCC calibration to the estimated costs."""
         obs = get_obs()
+        qcc = self.qcc
         options: List[FragmentOption] = []
         for server in fragment.candidate_servers:
             wrapper = self.wrappers.get(server)
             if wrapper is None:
                 continue
-            if self.qcc is not None and not self.qcc.is_available(server, t_ms):
-                obs.trace_event(
+            if not qcc.is_available(server, t_ms):
+                trace.event(
                     "server_skipped",
                     t_ms,
                     server=server,
@@ -118,20 +133,16 @@ class MetaWrapper:
             try:
                 candidates = wrapper.plans(fragment.sql, t_ms)
             except ServerUnavailable:
-                if self.qcc is not None:
-                    self.qcc.record_error(server, t_ms)
+                qcc.record_error(server, t_ms)
                 continue
             for candidate in candidates:
                 estimated = candidate.cost
                 if estimated is None:
                     estimated = DEFAULT_UNKNOWN_ESTIMATE
-                if self.qcc is not None:
-                    calibrated = self.qcc.calibrate(
-                        server, fragment.signature, estimated
-                    )
-                else:
-                    calibrated = estimated
-                obs.trace_event(
+                calibrated = qcc.calibrate(
+                    server, fragment.signature, estimated
+                )
+                trace.event(
                     "calibration_lookup",
                     t_ms,
                     server=server,
@@ -163,8 +174,7 @@ class MetaWrapper:
                         calibrated=calibrated,
                     )
                 )
-                if self.qcc is not None:
-                    self.qcc.record_compile(server, fragment.signature, option)
+                qcc.record_compile(server, fragment.signature, option)
         return options
 
     # -- run time ------------------------------------------------------------
@@ -175,12 +185,13 @@ class MetaWrapper:
         t_ms: float,
         siblings: Sequence[FragmentOption] = (),
         report: bool = True,
+        trace: QueryTrace = NULL_TRACE,
     ) -> Tuple[FragmentOption, RemoteExecution]:
         """Execute a fragment option; returns (actually-run option, result).
 
         *siblings* are the options the query's own compilation admitted
-        for this fragment (:meth:`GlobalPlan.siblings_of`): with QCC
-        attached, the fragment-level load balancer may swap the option
+        for this fragment (:meth:`GlobalPlan.siblings_of`): the
+        calibration's fragment-level load balancer may swap the option
         for an *identical* plan on an equivalent server among them
         (Section 4.1) just before dispatch.  None given, none swapped.
 
@@ -192,13 +203,13 @@ class MetaWrapper:
         contention, exactly as the paper's probe model intends.
         """
         obs = get_obs()
-        if self.qcc is not None and siblings:
+        if siblings:
             substituted = self.qcc.substitute(option, siblings, t_ms)
             if substituted is not option:
                 obs.metrics.counter(
                     "mw_substitutions_total", server=substituted.server
                 ).inc()
-                obs.trace_event(
+                trace.event(
                     "substitution",
                     t_ms,
                     fragment=option.fragment.fragment_id,
@@ -206,14 +217,11 @@ class MetaWrapper:
                     to_server=substituted.server,
                 )
             option = substituted
-        wrapper = self.wrappers.get(option.server)
-        if wrapper is None:
-            raise ServerUnavailable(option.server, t_ms)
+        wrapper = self._wrapper(option.server, t_ms)
         try:
             result = wrapper.execute(option.plan, t_ms)
         except ServerUnavailable:
-            if self.qcc is not None:
-                self.qcc.record_error(option.server, t_ms)
+            self.qcc.record_error(option.server, t_ms)
             obs.metrics.counter(
                 "mw_fragment_errors_total", server=option.server
             ).inc()
@@ -251,15 +259,14 @@ class MetaWrapper:
                 observed_ms=result.observed_ms,
             )
         )
-        if self.qcc is not None:
-            self.qcc.record_execution(
-                server=option.server,
-                fragment_signature=option.fragment.signature,
-                plan_signature=option.plan_signature,
-                estimated=option.estimated,
-                observed_ms=result.observed_ms,
-                t_ms=t_ms,
-            )
+        self.qcc.record_execution(
+            server=option.server,
+            fragment_signature=option.fragment.signature,
+            plan_signature=option.plan_signature,
+            estimated=option.estimated,
+            observed_ms=result.observed_ms,
+            t_ms=t_ms,
+        )
 
     def note_cancelled_leg(
         self,
@@ -267,6 +274,7 @@ class MetaWrapper:
         option: FragmentOption,
         wasted_ms: float,
         t_ms: float,
+        trace: QueryTrace = NULL_TRACE,
         **event: object,
     ) -> None:
         """Record the cancelled leg of a raced dispatch: *kind* is
@@ -286,7 +294,7 @@ class MetaWrapper:
         obs = get_obs()
         obs.metrics.counter(counter, server=option.server).inc()
         obs.metrics.histogram(histogram).observe(wasted_ms)
-        obs.trace_event(
+        trace.event(
             event_name,
             t_ms,
             fragment=option.fragment.fragment_id,
@@ -298,10 +306,7 @@ class MetaWrapper:
 
     def probe(self, server: str, t_ms: float) -> float:
         """Daemon probe of one server, through its wrapper."""
-        wrapper = self.wrappers.get(server)
-        if wrapper is None:
-            raise ServerUnavailable(server, t_ms)
-        return wrapper.ping(t_ms)
+        return self._wrapper(server, t_ms).ping(t_ms)
 
     def quote(self, server: str, plan, t_ms: float) -> Optional[float]:
         """Solicit a server's execution-time bid for *plan*.
@@ -309,26 +314,14 @@ class MetaWrapper:
         Returns None when the wrapper cannot quote (non-relational
         sources); raises ``ServerUnavailable`` when the server is down.
         """
-        wrapper = self.wrappers.get(server)
-        if wrapper is None:
-            raise ServerUnavailable(server, t_ms)
-        quote = getattr(wrapper, "quote", None)
-        if quote is None:
-            return None
-        return quote(plan, t_ms)
+        return self._wrapper(server, t_ms).quote(plan, t_ms)
 
     def probe_ratio(self, server: str, t_ms: float):
         """Optional (estimated, observed) pair from a calibration probe.
 
         Returns None when the wrapper cannot produce one (file sources).
         """
-        wrapper = self.wrappers.get(server)
-        if wrapper is None:
-            raise ServerUnavailable(server, t_ms)
-        probe = getattr(wrapper, "probe_ratio", None)
-        if probe is None:
-            return None
-        return probe(t_ms)
+        return self._wrapper(server, t_ms).probe_ratio(t_ms)
 
     def server_names(self) -> List[str]:
         return sorted(self.wrappers)

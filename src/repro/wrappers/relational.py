@@ -12,6 +12,7 @@ from typing import Dict, List, Mapping, Optional
 from ..sqlengine import PhysicalPlan, PlanCandidate, parse
 from ..sqlengine.parser import JoinClause, SelectStatement, TableRef
 from ..sim import RemoteExecution, RemoteServer
+from .base import Wrapper
 
 
 def rename_tables(
@@ -45,7 +46,7 @@ def rename_tables(
     )
 
 
-class RelationalWrapper:
+class RelationalWrapper(Wrapper):
     """Wrapper for a relational remote server."""
 
     source_type = "relational"

@@ -8,11 +8,12 @@ from repro.baselines import (
     qcc_deployment,
     uncalibrated_deployment,
 )
+from repro.core import Calibration, QueryCostCalibrator
 from repro.fed import (
     FixedRouter,
     PreferredServerRouter,
+    QCCRouter,
     RoundRobinRouter,
-    CostBasedRouter,
 )
 from repro.workload import TEST_SCALE
 
@@ -25,7 +26,7 @@ class TestFactories:
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
         assert isinstance(deployment.integrator.router, FixedRouter)
-        assert deployment.qcc is None
+        assert type(deployment.qcc) is Calibration
         deployment.integrator.submit(SQL, label="QT1")
 
     def test_fixed_routes_to_assigned_server(self, sample_databases):
@@ -49,8 +50,10 @@ class TestFactories:
         deployment = uncalibrated_deployment(
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
-        assert isinstance(deployment.integrator.router, CostBasedRouter)
-        assert deployment.qcc is None
+        # The default router defers to the calibration, whose identity
+        # recommendation is the cheapest plan.
+        assert isinstance(deployment.integrator.router, QCCRouter)
+        assert type(deployment.qcc) is Calibration
 
     def test_blind_round_robin_spreads(self, sample_databases):
         deployment = blind_round_robin_deployment(
@@ -67,7 +70,7 @@ class TestFactories:
         deployment = qcc_deployment(
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
-        assert deployment.qcc is not None
+        assert isinstance(deployment.qcc, QueryCostCalibrator)
         result = deployment.integrator.submit(SQL)
         assert deployment.qcc.execution_records >= 1
         assert result.row_count == 1

@@ -51,6 +51,39 @@ class TestAvailabilityMonitor:
         assert monitor.snapshot() == {"S1": True, "S2": False}
 
 
+class TestSuccessRateBookkeeping:
+    """``ServerHealth`` keeps its success count as outcomes enter and
+    leave the 64-slot window; the rate — and hence every epoch bump —
+    is what re-summing the window would give."""
+
+    def test_count_equals_the_resum_through_window_eviction(self):
+        import random
+
+        rng = random.Random(5)
+        monitor = AvailabilityMonitor(["S1"])
+        health = monitor._get("S1")
+        reference = []  # the window, re-summed from scratch every step
+        up, expected_epoch = True, 0
+        for step in range(400):
+            # Long good runs, bursts of failures, and enough steps to
+            # turn the window over several times.
+            succeeded = rng.random() < (0.97 if step % 150 < 100 else 0.4)
+            before = sum(reference) / len(reference) if reference else 1.0
+            reference = (reference + [succeeded])[-64:]
+            after = sum(reference) / len(reference)
+            if up != succeeded or after != before:
+                expected_epoch += 1
+            up = succeeded
+            if succeeded:
+                monitor.record_success("S1", float(step))
+            else:
+                monitor.record_error("S1", float(step))
+            assert health.good == sum(ok for _, ok in health.outcomes)
+            assert health.success_rate() == after
+            assert monitor.epoch.value == expected_epoch
+        assert len(health.outcomes) == 64
+
+
 class TestReliabilityFactor:
     def test_perfect_server_has_unit_factor(self):
         monitor = AvailabilityMonitor(["S1"])

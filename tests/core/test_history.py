@@ -5,7 +5,7 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Ewma, RatioHistory, RunningStats
+from repro.core import RatioHistory, RunningStats
 
 
 class TestRunningStats:
@@ -38,33 +38,6 @@ class TestRunningStats:
         for v in values:
             stats.update(v)
         assert stats.variance >= 0.0
-
-
-class TestEwma:
-    def test_first_value_initialises(self):
-        ewma = Ewma(0.5)
-        assert ewma.value is None
-        assert not ewma.initialized
-        ewma.update(10.0)
-        assert ewma.value == 10.0
-
-    def test_weighting(self):
-        ewma = Ewma(0.5)
-        ewma.update(10.0)
-        ewma.update(20.0)
-        assert ewma.value == pytest.approx(15.0)
-
-    def test_alpha_one_tracks_last(self):
-        ewma = Ewma(1.0)
-        ewma.update(1.0)
-        ewma.update(99.0)
-        assert ewma.value == 99.0
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            Ewma(0.0)
-        with pytest.raises(ValueError):
-            Ewma(1.5)
 
 
 class TestRatioHistory:

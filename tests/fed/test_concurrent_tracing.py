@@ -9,18 +9,26 @@ slice on the winning trace and in the Chrome export.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 import repro.obs as obs
-from repro.fed import ConcurrentRuntime, PriorityClass
+from repro.core import Calibration
+from repro.fed import (
+    ConcurrentRuntime,
+    InformationIntegrator,
+    PriorityClass,
+    decompose,
+)
 from repro.harness import build_federation, build_replica_federation
 from repro.harness.loadgen import run_loadgen
 from repro.obs import decompose_trace
 from repro.obs.export import chrome_trace_events
 from repro.sim import OutageSchedule
 from repro.workload import TEST_SCALE, build_workload
-from repro.workload.queries import QT1, QT3
+from repro.workload.queries import QT1, QT2, QT3, QT4, QT5
+from repro.wrappers import MetaWrapper
 
 
 @pytest.fixture(params=["ps"])
@@ -262,6 +270,148 @@ class TestOverlapAttribution:
         (decompose,) = bystander.trace.find("decompose")
         assert decompose.attributes["sql"] == bystander.sql
         assert not bystander.trace.find("retry")
+
+
+class _Scripted(Calibration):
+    """A calibration whose every answer depends on its arguments alone,
+    never on what other queries did — so "the same query, alone, at the
+    same instant, with the same server state" is well defined."""
+
+    FACTORS = {"S1": 1.0, "R1": 1.02, "S2": 1.0, "R2": 1.03}
+
+    def is_available(self, server, t_ms):
+        # R2 is believed down for the first 100 ms.
+        return server != "R2" or t_ms >= 100.0
+
+    def calibrate(self, server, fragment_signature, cost):
+        return cost.scaled(self.FACTORS[server])
+
+    def substitute(self, option, siblings, t_ms):
+        # Always send the fragment to its HRW home.
+        return self.ranked_cluster(option, siblings)[0]
+
+
+#: What the meta-wrapper writes into a query's trace, and the attributes
+#: of each event that do not depend on who else is queueing.
+_MW_EVENTS = {
+    "calibration_lookup": (
+        "server", "fragment", "estimated_total", "calibrated_total"
+    ),
+    "server_skipped": ("server", "fragment", "reason"),
+    "substitution": ("fragment", "from_server", "to_server"),
+    "hedge_cancelled": ("fragment",),
+}
+
+#: Overlapping arrivals, all distinct texts (so no plan-cache hit hides
+#: a compilation that the lone twin performs).
+_ARRIVALS = [
+    (0.0, QT1.instance(0)),
+    (0.5, QT2.instance(0)),
+    (1.5, QT5.instance(0)),
+    (250.5, QT4.instance(0)),
+    (251.0, QT3.instance(1)),
+]
+
+
+def _scripted_run(arrivals):
+    """Run *arrivals* through a hedged runtime over a replica
+    federation priced by :class:`_Scripted`; S2 is down from t=1 to
+    t=200, after the first compilations and before their dispatch."""
+    plain = build_replica_federation(
+        scale=TEST_SCALE,
+        with_qcc=False,
+        availability={"S2": OutageSchedule([(1.0, 200.0)])},
+    )
+    integrator = InformationIntegrator(
+        plain.registry,
+        MetaWrapper(plain.meta_wrapper.wrappers, qcc=_Scripted()),
+    )
+    runtime = ConcurrentRuntime(integrator, hedge_after_ms=1.0)
+    handles = [
+        runtime.submit_at(t_ms, instance.sql, klass="gold")
+        for t_ms, instance in arrivals
+    ]
+    runtime.run()
+    return plain.registry, runtime, handles
+
+
+def _mw_events(trace):
+    events = Counter()
+    for name, stable in _MW_EVENTS.items():
+        for span in trace.find(name):
+            events[
+                (name,) + tuple(span.attributes[key] for key in stable)
+            ] += 1
+    return events
+
+
+class TestMetaWrapperEventAttribution:
+    """Property: what MW and the calibration say about a fragment lands
+    in the trace of the query that fragment belongs to — by passing the
+    trace, not by keeping an ambient "current" one pointed right."""
+
+    @pytest.fixture(scope="class")
+    def overlapped(self):
+        obs.configure(metrics=False, tracing=True, log_level=None)
+        try:
+            yield _scripted_run(_ARRIVALS)
+        finally:
+            obs.disable()
+
+    def test_the_run_exercises_every_event_kind(self, overlapped):
+        _, runtime, handles = overlapped
+        assert all(h.status == "completed" for h in handles)
+        assert sum(h.result.retries for h in handles) >= 1
+        assert runtime.hedging.fired >= 1
+        seen = Counter()
+        for handle in handles:
+            for key, count in _mw_events(handle.trace).items():
+                seen[key[0]] += count
+        assert set(seen) == set(_MW_EVENTS)
+        assert seen["hedge_cancelled"] == runtime.hedging.fired
+        # Queries really did interleave: someone else's span starts
+        # inside every query's lifetime.
+        for handle in handles:
+            (root,) = handle.trace.spans
+            assert any(
+                root.start_ms < other.trace.spans[0].start_ms < root.end_ms
+                or other.trace.spans[0].start_ms
+                < root.start_ms
+                < other.trace.spans[0].end_ms
+                for other in handles
+                if other is not handle
+            )
+
+    def test_each_query_emits_what_it_emits_alone(self, overlapped):
+        _, _, handles = overlapped
+        for arrival, handle in zip(_ARRIVALS, handles):
+            obs.configure(metrics=False, tracing=True, log_level=None)
+            try:
+                _, _, (alone,) = _scripted_run([arrival])
+            finally:
+                obs.disable()
+            assert alone.result.retries == handle.result.retries
+            assert _mw_events(handle.trace) == _mw_events(alone.trace), (
+                handle.sql
+            )
+
+    def test_no_event_names_a_fragment_of_another_query(self, overlapped):
+        registry, _, handles = overlapped
+        for handle in handles:
+            candidates = {
+                fragment.fragment_id: set(fragment.candidate_servers)
+                for fragment in decompose(handle.sql, registry).fragments
+            }
+            for name in _MW_EVENTS:
+                for span in handle.trace.find(name):
+                    attributes = span.attributes
+                    assert attributes["fragment"] in candidates, (name, handle.sql)
+                    servers = {
+                        attributes[key]
+                        for key in ("server", "from_server", "to_server")
+                        if key in attributes
+                    }
+                    assert servers <= candidates[attributes["fragment"]]
 
 
 class TestInFlightGauge:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import CalibrationEpoch
 from repro.fed import (
-    InformationIntegrator,
     PlanCache,
     ReplicaManager,
     plan_key,
@@ -174,19 +173,6 @@ class TestIntegratorCaching:
         assert deployment.integrator.plan_cache is None
         result = deployment.integrator.submit(SINGLE)
         assert result.row_count == 1
-
-    def test_custom_qcc_without_epoch_disables_cache(self, plain_deployment):
-        class OpaqueQcc:
-            def attach(self, *args, **kwargs):
-                pass
-
-        integrator = InformationIntegrator(
-            registry=plain_deployment.registry,
-            meta_wrapper=plain_deployment.meta_wrapper,
-            clock=plain_deployment.clock,
-            qcc=OpaqueQcc(),
-        )
-        assert integrator.plan_cache is None
 
 
 class TestReplicaFreshnessHorizon:

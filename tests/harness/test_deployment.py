@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.core import Calibration
 from repro.fed import FixedRouter
 from repro.harness import (
     DEFAULT_SERVER_SPECS,
@@ -130,8 +131,10 @@ class TestBuildFederation:
             scale=TEST_SCALE, with_qcc=False,
             prebuilt_databases=sample_databases,
         )
-        assert deployment.qcc is None
-        assert deployment.integrator.qcc is None
+        # Un-calibrated means the identity calibration, not "no object".
+        assert type(deployment.qcc) is Calibration
+        assert deployment.integrator.qcc is deployment.qcc
+        assert deployment.meta_wrapper.qcc is deployment.qcc
 
     def test_full_replication(self, sample_databases):
         deployment = build_federation(

@@ -1,0 +1,181 @@
+"""The II-MW-QCC seam: there is always a calibration, and the identity
+one is indistinguishable from the ``qcc=None`` wiring it replaced."""
+
+import hashlib
+
+import pytest
+
+import repro.obs as obs
+from repro.core import BiddingQcc, Calibration, QueryCostCalibrator
+from repro.core.whatif import _CalibrationOnlyView
+from repro.fed import InformationIntegrator
+from repro.harness import build_federation, build_replica_federation
+from repro.workload import TEST_SCALE
+from repro.workload.queries import EXTENDED_QUERY_TYPES, QT1
+from repro.wrappers import MetaWrapper
+
+#: sha256 prefixes of :func:`result_digest` over QT1-QT5 (instance 0,
+#: submitted in order to one fresh ``with_qcc=False`` federation), as
+#: produced at the parent commit, where such a federation held
+#: ``qcc=None`` behind 25 guards.
+PARENT_DIGESTS = {
+    "triple": [
+        "60d068c895b798fd",
+        "cded3996a7d2fd2b",
+        "7245dd0b0f93b745",
+        "4df0139937889240",
+        "c74c03848955a037",
+    ],
+    "replica": [
+        "954de41edb078ba3",
+        "8ac6b4441838c40d",
+        "dcfa76b1dd752bea",
+        "df78c8084b31d84e",
+        "bc3dadb05829e7e2",
+    ],
+}
+
+
+def result_digest(result) -> str:
+    """Every field of a FederatedResult that is data, floats as hex."""
+    parts = [
+        repr(result.rows),
+        repr([c.name for c in result.schema.columns]),
+        result.response_ms.hex(),
+        result.merge_ms.hex(),
+        result.remote_ms.hex(),
+        repr((result.retries, result.reroutes, result.record.query_id)),
+        result.plan.describe(),
+        result.plan.total_cost.hex(),
+    ]
+    for fragment_id, outcome in sorted(result.fragments.items()):
+        option, execution = outcome.option, outcome.execution
+        parts.append(
+            repr(
+                (
+                    fragment_id,
+                    option.server,
+                    option.plan_signature,
+                    option.estimated.total.hex(),
+                    option.calibrated.total.hex(),
+                    execution.observed_ms.hex(),
+                    execution.processing_ms.hex(),
+                    execution.network_ms.hex(),
+                    execution.engine,
+                )
+            )
+        )
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "topology, build",
+    [("triple", build_federation), ("replica", build_replica_federation)],
+)
+def test_uncalibrated_federation_matches_the_parents_none_wiring(
+    topology, build
+):
+    deployment = build(scale=TEST_SCALE, with_qcc=False)
+    digests = [
+        result_digest(
+            deployment.integrator.submit(
+                template.instance(0).sql, label=template.name
+            )
+        )[:16]
+        for template in EXTENDED_QUERY_TYPES
+    ]
+    assert digests == PARENT_DIGESTS[topology]
+
+
+class TestIdentityCalibration:
+    def test_answers_are_the_objects_that_came_in(self, sample_databases):
+        deployment = build_federation(
+            scale=TEST_SCALE,
+            with_qcc=False,
+            prebuilt_databases=sample_databases,
+        )
+        qcc = deployment.qcc
+        assert type(qcc) is Calibration
+        decomposed, plans = deployment.integrator.compile(QT1.instance(0).sql)
+        option = plans[0].choices[0]
+        assert qcc.calibrate("S1", "sig", option.estimated) is option.estimated
+        assert option.calibrated is option.estimated
+        siblings = plans[0].siblings_of(option)
+        assert qcc.substitute(option, siblings, 0.0) is option
+        assert qcc.recommend_global(decomposed, plans, 0.0) is plans[0]
+        assert qcc.ii_factor() == 1.0 and qcc.factor("S1") == 1.0
+        assert qcc.is_available("S9", 0.0)
+        before = qcc.epoch.value
+        qcc.record_error("S1", 0.0)
+        qcc.tick(1e9)
+        qcc.recalibrate(1e9)
+        assert qcc.probe_servers(1e9) == {}
+        assert qcc.epoch.value == before
+
+    def test_each_federation_gets_a_fresh_one(self, sample_databases):
+        first, second = (
+            build_federation(
+                scale=TEST_SCALE,
+                with_qcc=False,
+                prebuilt_databases=sample_databases,
+            )
+            for _ in range(2)
+        )
+        assert first.qcc is not second.qcc
+        assert first.qcc.epoch is not second.qcc.epoch
+        assert MetaWrapper({}).qcc is not MetaWrapper({}).qcc
+
+    def test_every_calibration_is_one(self, sample_databases):
+        deployment = build_federation(
+            scale=TEST_SCALE, prebuilt_databases=sample_databases
+        )
+        assert isinstance(deployment.qcc, QueryCostCalibrator)
+        for cls in (QueryCostCalibrator, BiddingQcc, _CalibrationOnlyView):
+            assert issubclass(cls, Calibration)
+            assert "__getattr__" not in vars(cls)
+
+
+class TestOverridingOnlyCalibrate:
+    """A subclass that prices and does nothing else routes a query end
+    to end: every other call of the seam has a default."""
+
+    class Repricing(Calibration):
+        def calibrate(self, server, fragment_signature, cost):
+            return cost.scaled(8.0 if server == "S3" else 2.0)
+
+    def test_routes_qt1_through_mw_and_ii(self, sample_databases):
+        plain = build_federation(
+            scale=TEST_SCALE,
+            with_qcc=False,
+            prebuilt_databases=sample_databases,
+        )
+        meta_wrapper = MetaWrapper(
+            plain.meta_wrapper.wrappers, qcc=self.Repricing()
+        )
+        integrator = InformationIntegrator(plain.registry, meta_wrapper)
+        assert integrator.qcc is meta_wrapper.qcc
+        assert integrator.calibration_epoch is meta_wrapper.qcc.epoch
+
+        sql = QT1.instance(0).sql
+        obs.configure(metrics=False, tracing=True, log_level=None)
+        try:
+            result = integrator.submit(sql, label="QT1")
+        finally:
+            obs.disable()
+        reference = plain.integrator.submit(sql, label="QT1")
+        assert result.rows == reference.rows
+        # S3 is the un-calibrated winner; pricing it 4x up moves the query.
+        assert reference.plan.servers == {"S3"}
+        assert "S3" not in result.plan.servers
+        for choice in result.plan.choices:
+            assert choice.calibrated.total == choice.estimated.total * 2.0
+        lookups = result.trace.find("calibration_lookup")
+        assert {e.attributes["server"] for e in lookups} == {"S1", "S2", "S3"}
+        assert {e.attributes["calibration_factor"] for e in lookups} == {
+            2.0,
+            8.0,
+        }
+        # The execution was reported through the seam's defaults.
+        assert [e.server for e in meta_wrapper.runtime_log] == [
+            o.option.server for o in result.fragments.values()
+        ]

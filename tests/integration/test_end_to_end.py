@@ -167,7 +167,8 @@ class TestAvailability:
 class TestTransparency:
     def test_ii_optimizer_has_no_qcc_dependency(self):
         """The paper's transparency claim: the global optimizer module
-        never imports QCC — influence flows only through costs."""
+        never imports QCC — influence flows only through costs — and
+        the integrator knows the calibration seam, not QCC."""
         import repro.fed.global_optimizer as go
         import repro.fed.integrator as integrator_module
 
@@ -176,4 +177,6 @@ class TestTransparency:
         assert "from ..core" not in source_go
         assert "import repro.core" not in source_go
         source_int = open(integrator_module.__file__).read()
-        assert "from ..core" not in source_int
+        assert [
+            line for line in source_int.splitlines() if ".core" in line
+        ] == ["from ..core.calibration import Calibration"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import timeit
 
 import repro.obs as obs
-from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry
+from repro.obs import NULL_REGISTRY, NULL_TRACE, NULL_TRACER, MetricsRegistry
 
 
 class TestGlobalState:
@@ -38,9 +38,13 @@ class TestGlobalState:
             obs.disable()
 
     def test_trace_event_without_current_trace_is_safe(self):
+        # No ambient "current" trace exists: components are handed the
+        # query's trace, and the default they are handed is inert.
         sink = obs.get_obs()
-        assert sink.current_trace() is None
-        sink.trace_event("calibration_lookup", 0.0, server="S1")
+        assert not hasattr(sink, "current_trace")
+        assert not hasattr(sink.tracer, "current")
+        NULL_TRACE.event("calibration_lookup", 0.0, server="S1")
+        assert NULL_TRACE.spans == [] and NULL_TRACE.span_count == 0
 
 
 class TestNullSinkBehaviour:

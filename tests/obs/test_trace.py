@@ -82,13 +82,20 @@ class TestJsonExport:
 
 
 class TestTracer:
-    def test_tracks_current_and_finished(self):
+    def test_tracks_finished(self):
         tracer = Tracer(keep=2)
         trace = tracer.start(1, "q", 0.0)
-        assert tracer.current is trace
+        assert tracer.last() is None
         tracer.finish(trace, 5.0)
-        assert tracer.current is None
         assert tracer.last() is trace
+
+    def test_has_no_ambient_trace(self):
+        # A query's trace is passed to whoever annotates it; nothing is
+        # "current", so nothing needs re-pointing after a yield.
+        tracer = Tracer()
+        tracer.start(1, "q", 0.0)
+        assert not hasattr(tracer, "current")
+        assert not hasattr(tracer, "resume")
 
     def test_retention_is_bounded(self):
         tracer = Tracer(keep=2)
@@ -96,18 +103,6 @@ class TestTracer:
             trace = tracer.start(query_id, "q", 0.0)
             tracer.finish(trace, 1.0)
         assert [t.query_id for t in tracer.finished] == [3, 4]
-        assert tracer.for_query(4) is not None
-        assert tracer.for_query(1) is None
-
-    def test_for_query_matches_the_running_trace(self):
-        tracer = Tracer(keep=2)
-        done = tracer.start(1, "q", 0.0)
-        tracer.finish(done, 1.0)
-        running = tracer.start(2, "q", 2.0)
-        assert tracer.for_query(2) is running
-        assert tracer.for_query(1) is done
-        tracer.finish(running, 3.0)
-        assert tracer.for_query(2) is running
 
     def test_trace_capacity_is_configurable(self, live_obs):
         sink = obs.configure(log_level=None, trace_capacity=3)
@@ -122,7 +117,6 @@ class TestNullTracer:
         tracer = NullTracer()
         trace = tracer.start(1, "q", 0.0)
         assert trace is NULL_TRACE
-        assert tracer.current is None
         span = trace.begin("dispatch", 0.0, server="S1")
         trace.end(span, 1.0)
         trace.event("retry", 1.0)

@@ -26,6 +26,7 @@ from repro.obs.profile import profiling, render_analyzed_plan
 from repro.sqlengine import (
     And,
     Arithmetic,
+    ArrayColumn,
     Column,
     ColumnBatch,
     ColumnRef,
@@ -35,9 +36,7 @@ from repro.sqlengine import (
     DEFAULT_BATCH_SIZE,
     DictColumn,
     ENGINES,
-    FloatColumn,
     InList,
-    IntColumn,
     IsNull,
     Like,
     Limit,
@@ -247,17 +246,17 @@ class TestKernels:
 
 class TestColumnData:
     def test_int_column_dense(self):
-        col = IntColumn(array("q", [3, 1, 4]))
+        col = ArrayColumn(array("q", [3, 1, 4]))
         assert col.values() == [3, 1, 4]
         assert not col.has_nulls()
 
     def test_int_column_validity(self):
-        col = IntColumn(array("q", [3, 0, 4]), bytearray([1, 0, 1]))
+        col = ArrayColumn(array("q", [3, 0, 4]), bytearray([1, 0, 1]))
         assert col.values() == [3, None, 4]
         assert col.has_nulls()
 
     def test_float_column_validity(self):
-        col = FloatColumn(array("d", [1.5, 0.0]), bytearray([1, 0]))
+        col = ArrayColumn(array("d", [1.5, 0.0]), bytearray([1, 0]))
         assert col.values() == [1.5, None]
 
     def test_dict_column_decode_and_view(self):
@@ -280,7 +279,7 @@ class TestColumnData:
         from sys import getsizeof
 
         raw = list(range(1024))
-        typed = IntColumn(array("q", raw))
+        typed = ArrayColumn(array("q", raw))
         # A boxed row representation pays the list of pointers plus one
         # Python int object per value; the typed array pays 8 bytes per
         # value.
@@ -343,7 +342,7 @@ class TestSelectionVectors:
     def batch(self):
         return ColumnBatch(
             (
-                IntColumn(array("q", [10, 11, 12, 13])),
+                ArrayColumn(array("q", [10, 11, 12, 13])),
                 ValueColumn(["a", "b", "c", "d"]),
             ),
             4,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Calibration
 from repro.fed import decompose
 from repro.harness import build_federation
 from repro.wrappers import DEFAULT_UNKNOWN_ESTIMATE, MetaWrapper
@@ -116,6 +117,24 @@ class TestExecuteOption:
         options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
         deployment.meta_wrapper.execute_option(options[0], 0.0)
         assert not any(c[0] == "substitute" for c in qcc.calls)
+
+
+class RecordingCalibration(RecordingQcc, Calibration):
+    """The same stub as a subclass of the seam's base class."""
+
+
+@pytest.mark.parametrize("stub", [RecordingQcc, RecordingCalibration])
+def test_duck_typed_and_subclassed_stubs_see_the_same_calls(deployment, stub):
+    qcc = stub(factor=2.0, available={"S3": False})
+    deployment.meta_wrapper.attach_qcc(qcc)
+    assert qcc.calls == [("bind", deployment.meta_wrapper)]
+    fragment = _fragment(deployment)
+    options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
+    assert {o.server for o in options} == {"S1", "S2"}
+    deployment.meta_wrapper.execute_option(options[0], 0.0, options)
+    assert [call[0] for call in qcc.calls[1:]] == (
+        ["calibrate", "compile"] * len(options) + ["substitute", "execute"]
+    )
 
 
 class TestUnknownCostSubstitution:
