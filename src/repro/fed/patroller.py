@@ -144,13 +144,6 @@ class QueryPatroller:
             if r.status is QueryStatus.FAILED
         )
 
-    def shed_count(self, label: Optional[str] = None) -> int:
-        return sum(
-            1
-            for r in self.records(label)
-            if r.status is QueryStatus.SHED
-        )
-
     def __len__(self) -> int:
         return len(self._records)
 

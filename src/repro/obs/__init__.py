@@ -202,7 +202,6 @@ def configure(
     tracing: bool = True,
     log_level: Optional[int] = logging.INFO,
     trace_capacity: int = 64,
-    histogram_capacity: int = 1024,
     timeline: bool = True,
 ) -> Observability:
     """Install a live observability sink and return it.
@@ -216,11 +215,7 @@ def configure(
     ``repro`` logger unless the application already configured one.
     """
     global _OBS
-    registry = (
-        MetricsRegistry(histogram_capacity=histogram_capacity)
-        if metrics
-        else NULL_REGISTRY
-    )
+    registry = MetricsRegistry() if metrics else NULL_REGISTRY
     tracer = Tracer(keep=trace_capacity) if tracing else NULL_TRACER
     if tracing and metrics:
         # Registered eagerly so the family appears in every exposition

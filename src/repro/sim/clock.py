@@ -62,7 +62,3 @@ class PeriodicTimer:
             raise ValueError("period must be positive")
         self.period_ms = float(period_ms)
         self._next_fire = now_ms + self.period_ms
-
-    @property
-    def next_fire_ms(self) -> float:
-        return self._next_fire

@@ -89,14 +89,6 @@ class PlanCost:
             width_bytes=self.width_bytes,
         )
 
-    def with_added(self, first: float, total: float) -> "PlanCost":
-        return PlanCost(
-            first_tuple=self.first_tuple + first,
-            total=self.total + total,
-            rows=self.rows,
-            width_bytes=self.width_bytes,
-        )
-
 
 INFINITE_COST = PlanCost(
     first_tuple=math.inf, total=math.inf, rows=0.0, width_bytes=0.0

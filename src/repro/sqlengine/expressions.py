@@ -535,9 +535,17 @@ _FILTER_LOOPS_NN: Dict[str, Callable[..., List[int]]] = {
 
 
 @dataclass(frozen=True, repr=False)
-class And(Expression):
+class _Connective(Expression):
+    """AND / OR under three-valued logic.  ``DECIDES`` is the operand
+    value that settles the result on its own (False for AND, True for
+    OR): the right side only sees rows the left did not already decide,
+    in the row evaluator's short-circuit and on the selection alike."""
+
     left: Expression
     right: Expression
+
+    DECIDES = False
+    KEYWORD = ""
 
     def children(self) -> Tuple[Expression, ...]:
         return (self.left, self.right)
@@ -545,42 +553,57 @@ class And(Expression):
     def compile(self, schema: Schema) -> Evaluator:
         lf = self.left.compile(schema)
         rf = self.right.compile(schema)
+        decides = self.DECIDES
+        undecided = not decides
 
         def evaluate(row: Row) -> Optional[bool]:
             lv = lf(row)
-            if lv is False:
-                return False
+            if lv is decides:
+                return decides
             rv = rf(row)
-            if rv is False:
-                return False
+            if rv is decides:
+                return decides
             if lv is None or rv is None:
                 return None
-            return True
+            return undecided
 
         return evaluate
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         lf = self.left.compile_columnar(schema)
         rf = self.right.compile_columnar(schema)
+        decides = self.DECIDES
+        undecided = not decides
 
         def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
             lvs = lf(batch)
             sel = batch.selected()
-            # The row evaluator's short-circuit, expressed on the
-            # selection: the right side only sees rows the left did not
-            # already decide (is False).
-            need_pos = [p for p, lv in enumerate(lvs) if lv is not False]
-            out: List[Any] = [False] * len(lvs)
+            need_pos = [p for p, lv in enumerate(lvs) if lv is not decides]
+            out: List[Any] = [decides] * len(lvs)
             if not need_pos:
                 return out
             rvs = rf(batch.with_sel([sel[p] for p in need_pos]))
             for p, rv in zip(need_pos, rvs):
-                if rv is False:
+                if rv is decides:
                     continue
-                out[p] = None if (lvs[p] is None or rv is None) else True
+                out[p] = None if (lvs[p] is None or rv is None) else undecided
             return out
 
         return evaluate_columnar
+
+    def columns(self) -> Iterator[str]:
+        yield from self.left.columns()
+        yield from self.right.columns()
+
+    def result_type(self, schema: Schema) -> ColumnType:
+        return ColumnType.BOOL
+
+    def sql(self) -> str:
+        return f"({self.left.sql()} {self.KEYWORD} {self.right.sql()})"
+
+
+class And(_Connective):
+    KEYWORD = "AND"
 
     def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
         lf = self.left.compile_filter_columnar(schema)
@@ -594,61 +617,10 @@ class And(Expression):
 
         return filter_columnar
 
-    def columns(self) -> Iterator[str]:
-        yield from self.left.columns()
-        yield from self.right.columns()
 
-    def result_type(self, schema: Schema) -> ColumnType:
-        return ColumnType.BOOL
-
-    def sql(self) -> str:
-        return f"({self.left.sql()} AND {self.right.sql()})"
-
-
-@dataclass(frozen=True, repr=False)
-class Or(Expression):
-    left: Expression
-    right: Expression
-
-    def children(self) -> Tuple[Expression, ...]:
-        return (self.left, self.right)
-
-    def compile(self, schema: Schema) -> Evaluator:
-        lf = self.left.compile(schema)
-        rf = self.right.compile(schema)
-
-        def evaluate(row: Row) -> Optional[bool]:
-            lv = lf(row)
-            if lv is True:
-                return True
-            rv = rf(row)
-            if rv is True:
-                return True
-            if lv is None or rv is None:
-                return None
-            return False
-
-        return evaluate
-
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        lf = self.left.compile_columnar(schema)
-        rf = self.right.compile_columnar(schema)
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            lvs = lf(batch)
-            sel = batch.selected()
-            need_pos = [p for p, lv in enumerate(lvs) if lv is not True]
-            out: List[Any] = [True] * len(lvs)
-            if not need_pos:
-                return out
-            rvs = rf(batch.with_sel([sel[p] for p in need_pos]))
-            for p, rv in zip(need_pos, rvs):
-                if rv is True:
-                    continue
-                out[p] = None if (lvs[p] is None or rv is None) else False
-            return out
-
-        return evaluate_columnar
+class Or(_Connective):
+    DECIDES = True
+    KEYWORD = "OR"
 
     def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
         # Value kernels (not sub-filters) so both sides observe exactly
@@ -675,16 +647,6 @@ class Or(Expression):
             return sorted(true_sel + rtrue)
 
         return filter_columnar
-
-    def columns(self) -> Iterator[str]:
-        yield from self.left.columns()
-        yield from self.right.columns()
-
-    def result_type(self, schema: Schema) -> ColumnType:
-        return ColumnType.BOOL
-
-    def sql(self) -> str:
-        return f"({self.left.sql()} OR {self.right.sql()})"
 
 
 @dataclass(frozen=True, repr=False)

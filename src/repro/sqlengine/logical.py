@@ -42,11 +42,6 @@ class BoundRelation:
     def schema(self) -> Schema:
         return self.table.schema.rename_table(self.binding)
 
-    def sql_fragment(self) -> str:
-        if self.table.name == self.binding:
-            return self.table.name
-        return f"{self.table.name} AS {self.binding}"
-
 
 @dataclass(frozen=True)
 class JoinEdge:

@@ -133,9 +133,6 @@ class Optimizer:
             raise OptimizerError("no plan produced")
         return finished[: self.config.keep_alternatives]
 
-    def best_plan(self, block: QueryBlock) -> PlanCandidate:
-        return self.optimize(block)[0]
-
     # -- access paths ----------------------------------------------------
 
     def _access_paths(

@@ -144,9 +144,6 @@ class HeapTable:
         bare = column.rpartition(".")[2]
         return self._indexes.get(bare)
 
-    def index_columns(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._indexes))
-
 
 class StorageManager:
     """Owns the heap tables of one database instance and keeps the

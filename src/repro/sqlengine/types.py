@@ -38,10 +38,6 @@ class ColumnType(enum.Enum):
     STR = "STR"
     BOOL = "BOOL"
 
-    @property
-    def python_type(self) -> type:
-        return _PYTHON_TYPES[self]
-
     def accepts(self, value: Any) -> bool:
         """Return True if *value* is storable in a column of this type."""
         if value is None:
@@ -67,13 +63,6 @@ class ColumnType(enum.Enum):
             return float(value)
         return value
 
-
-_PYTHON_TYPES = {
-    ColumnType.INT: int,
-    ColumnType.FLOAT: float,
-    ColumnType.STR: str,
-    ColumnType.BOOL: bool,
-}
 
 #: Bytes charged per value when estimating transfer sizes.  String columns
 #: additionally account for :data:`AVG_STR_LEN_BYTES`.

@@ -87,9 +87,6 @@ class MetaWrapper:
 
     # -- wiring ----------------------------------------------------------
 
-    def add_wrapper(self, name: str, wrapper: Wrapper) -> None:
-        self.wrappers[name] = wrapper
-
     def attach_qcc(self, qcc: Calibration) -> None:
         """The one place MW and a calibration are wired, both ways."""
         self.qcc = qcc

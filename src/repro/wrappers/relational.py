@@ -66,9 +66,6 @@ class RelationalWrapper(Wrapper):
     def server_name(self) -> str:
         return self.server.name
 
-    def add_nickname(self, nickname: str, remote_table: str) -> None:
-        self._nickname_map[nickname.lower()] = remote_table
-
     def translate(self, fragment_sql: str) -> str:
         if not self._nickname_map:
             return fragment_sql

@@ -1,5 +1,7 @@
 """Unit tests for availability tracking and the calibration cycle."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -57,8 +59,6 @@ class TestSuccessRateBookkeeping:
     is what re-summing the window would give."""
 
     def test_count_equals_the_resum_through_window_eviction(self):
-        import random
-
         rng = random.Random(5)
         monitor = AvailabilityMonitor(["S1"])
         health = monitor._get("S1")
