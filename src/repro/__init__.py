@@ -23,7 +23,6 @@ from .core import (
     WhatIfPlanner,
 )
 from .fed import (
-    CostBasedRouter,
     FederatedResult,
     FederationError,
     FixedRouter,
@@ -53,7 +52,6 @@ from .wrappers import MetaWrapper, RelationalWrapper
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostBasedRouter",
     "Database",
     "Deployment",
     "FederatedResult",

@@ -1,7 +1,10 @@
 """The paper's contribution: the Query Cost Calibrator (QCC)."""
 
+# ``repro.fed`` and this package import each other's submodules (fed
+# needs ``Calibration``, which is typed over fed's plans).  Loading fed
+# first lets its ``__init__`` finish while no module here is half-done.
+from .. import fed as _fed  # noqa: F401
 from .availability import AvailabilityMonitor, ServerHealth
-from .bidding import Auction, Bid, BidBroker, BiddingQcc
 from .calibration import Calibration
 from .calibrator import CalibratorConfig, CostCalibrator, IICalibrator
 from .cycle import CalibrationCycleController, CycleConfig
@@ -12,21 +15,11 @@ from .load_balance import (
     GlobalLoadBalancer,
     LoadBalanceConfig,
 )
-from .placement import (
-    NicknameLoad,
-    PlacementAdvisor,
-    PlacementRecommendation,
-    apply_recommendation,
-)
 from .routing import Decision, QCCConfig, QueryCostCalibrator
 from .whatif import WhatIfPlanner, WhatIfResult, build_simulated_meta_wrapper
 
 __all__ = [
-    "Auction",
     "AvailabilityMonitor",
-    "Bid",
-    "BidBroker",
-    "BiddingQcc",
     "Calibration",
     "CalibrationCycleController",
     "CalibrationEpoch",
@@ -38,9 +31,6 @@ __all__ = [
     "GlobalLoadBalancer",
     "IICalibrator",
     "LoadBalanceConfig",
-    "NicknameLoad",
-    "PlacementAdvisor",
-    "PlacementRecommendation",
     "QCCConfig",
     "QueryCostCalibrator",
     "RatioHistory",
@@ -48,6 +38,5 @@ __all__ = [
     "ServerHealth",
     "WhatIfPlanner",
     "WhatIfResult",
-    "apply_recommendation",
     "build_simulated_meta_wrapper",
 ]

@@ -30,7 +30,6 @@ class ServerHealth:
     up: bool = True
     last_error_ms: Optional[float] = None
     last_success_ms: Optional[float] = None
-    last_probe_rtt_ms: Optional[float] = None
     #: recent request outcomes: (t_ms, succeeded)
     outcomes: Deque[Tuple[float, bool]] = field(
         default_factory=lambda: deque(maxlen=64)
@@ -144,7 +143,6 @@ class AvailabilityMonitor:
                 )
             health.up = True
             health.last_success_ms = t_ms
-            health.last_probe_rtt_ms = rtt_ms
             obs.metrics.gauge("server_up", server=server).set(1.0)
             obs.metrics.histogram(
                 "server_probe_rtt_ms", server=server
@@ -169,9 +167,6 @@ class AvailabilityMonitor:
         rate = max(rate, 0.05)
         penalty = (1.0 / rate) - 1.0
         return 1.0 + self.reliability_weight * penalty
-
-    def probe_rtt(self, server: str) -> Optional[float]:
-        return self._get(server).last_probe_rtt_ms
 
     def down_servers(self) -> List[str]:
         return sorted(

@@ -4,26 +4,27 @@ Two granularities:
 
 * **Fragment level** (4.1): when the plan II selected for a fragment has
   *identical* alternatives on other servers with calibrated costs within
-  a band (default 20%), QCC clusters them and selects the replica by
-  **rendezvous (HRW) hashing** on ``(fragment_signature, server)`` — but
-  only once the fragment's workload (calibrated cost × submission
-  frequency) exceeds a threshold.  Rendezvous hashing replaces the
-  paper's positional round-robin *within* a cluster: each distinct
-  fragment instance gets a stable, deterministic replica (plan-cache and
-  data-cache locality survive calibration epochs), distinct fragments
-  spread uniformly across the cluster, and membership churn moves only
-  ~1/n of the assignments.  The same ranked cluster names the replica a
-  second leg goes to (hedge backup, mid-query migration target — see
-  ``repro.fed.concurrent``): one exchangeability rule, one band.
+  a band (default 20%), QCC clusters them and — once the fragment's
+  workload (calibrated cost × submission frequency) exceeds a threshold
+  — rotates round-robin across the cluster, as the paper says.  The
+  cluster is ordered by **rendezvous (HRW) hashing** on
+  ``(fragment_signature, server)``, which only decides where a rotation
+  *starts*: a fragment's first dispatch goes to its HRW home, so
+  distinct fragments spread uniformly across the cluster before any of
+  them repeats, and a hot one then visits every member in rank order.
+  The same ranked cluster names the replica a second leg goes to (hedge
+  backup, mid-query migration target — see ``repro.fed.concurrent``):
+  one exchangeability rule, one band.
 
 * **Global level** (4.2): among enumerated global plans, drop plans
   dominated by a cheaper plan on the same server set, cluster plans
   within the band of the cheapest, and rotate round-robin across the
   cluster — spreading a hot query's load over disjoint server sets.
 
-All per-key state (workload windows, rotation counters, last-cluster
-introspection) is LRU-bounded by ``LoadBalanceConfig.max_tracked`` so a
-workload of millions of distinct statements cannot leak memory.
+Both levels keep the same three per-key books (:class:`_Rotation`:
+workload window, rotation counter, last-cluster introspection), all
+LRU-bounded by ``LoadBalanceConfig.max_tracked`` so a workload of
+millions of distinct statements cannot leak memory.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ def hrw_score(fragment_signature: str, server: str) -> int:
 def rank_servers(fragment_signature: str, servers: Sequence[str]) -> List[str]:
     """Servers ordered by descending rendezvous weight (ties by name).
 
-    The head is the fragment's home replica; the second entry is the
-    canonical hedge backup.  Removing one server from the input moves
-    only the assignments whose head it was (~1/n of fragments).
+    The head is the fragment's home replica, where its rotation starts;
+    the second entry is the canonical hedge backup.  Removing one server
+    from the input moves only the homes it held (~1/n of fragments).
     """
     return sorted(
         servers, key=lambda s: (-hrw_score(fragment_signature, s), s)
@@ -133,15 +134,34 @@ class _WorkloadTracker:
             events.popleft()
 
 
-class FragmentLoadBalancer:
-    """Rendezvous-hash selection across identical fragment plans (4.1)."""
+class _Rotation:
+    """What both balancing levels keep per key (fragment signature or
+    statement text), each LRU-bounded by ``max_tracked``: the workload
+    window that gates balancing, the round-robin counter, and the last
+    cluster rotated over (for introspection)."""
 
     def __init__(self, config: LoadBalanceConfig = LoadBalanceConfig()):
         self.config = config
         self._tracker = _WorkloadTracker(config.window_ms, config.max_tracked)
-        #: (fragment_signature -> cluster membership) for introspection,
-        #: in HRW rank order (head = home replica, second = hedge backup).
+        self._counters: Dict[str, int] = {}
+        #: key -> member names of the last cluster, in rotation order.
         self.last_clusters: Dict[str, List[str]] = {}
+
+    def _rotate(self, key: str, cluster: Sequence[_V], names: List[str]) -> _V:
+        """The member of *cluster* whose turn it is for *key*: the head
+        first, then every member in order, period ``len(cluster)``."""
+        bound = self.config.max_tracked
+        _lru_put(self.last_clusters, key, names, bound)
+        if len(cluster) < 2:
+            return cluster[0]
+        index = self._counters.get(key, 0)
+        _lru_put(self._counters, key, index + 1, bound)
+        return cluster[index % len(cluster)]
+
+
+class FragmentLoadBalancer(_Rotation):
+    """Round-robin rotation across identical fragment plans, starting
+    at the fragment's rendezvous-hash home (Section 4.1)."""
 
     def note_execution(
         self, fragment_signature: str, calibrated_cost: float, t_ms: float
@@ -162,23 +182,19 @@ class FragmentLoadBalancer:
         dramatically different costs even [if] they have an identical
         calibrated cost."
 
-        Within the exchangeable cluster the replica is the head of the
-        fragment's HRW rank (:func:`rank_servers`): repeated submissions
-        of the *same* fragment stick to one replica (cache locality),
-        while distinct fragments spread uniformly across the cluster.
+        Below the workload threshold *chosen* stands.  Above it the
+        fragment rotates over its exchangeable cluster in HRW rank order
+        (:func:`rank_servers`): its first dispatch goes to its home
+        replica, so distinct fragments spread uniformly, and repeated
+        submissions of the *same* fragment visit every member in turn.
         """
         signature = chosen.fragment.signature
-        workload = self._tracker.workload(signature, t_ms)
-        if workload < self.config.workload_threshold:
+        if self._tracker.workload(signature, t_ms) < (
+            self.config.workload_threshold
+        ):
             return chosen
         cluster = self.ranked_cluster(chosen, siblings)
-        _lru_put(
-            self.last_clusters,
-            signature,
-            [o.server for o in cluster],
-            self.config.max_tracked,
-        )
-        return cluster[0]
+        return self._rotate(signature, cluster, [o.server for o in cluster])
 
     def ranked_cluster(
         self, chosen: FragmentOption, siblings: Sequence[FragmentOption]
@@ -186,8 +202,9 @@ class FragmentLoadBalancer:
         """The one replica-choice rule: *chosen* and the siblings it is
         exchangeable with — identical plan, viable, calibrated cost
         within the band of the cluster's cheapest — in HRW rank order.
-        Substitution takes the head; a second leg (hedge backup,
-        migration target) the first other entry that is available."""
+        Substitution rotates over it from the head; a second leg (hedge
+        backup, migration target) takes the first other entry that is
+        available."""
         plan_signature = chosen.plan_signature
         matches = [
             option
@@ -205,14 +222,8 @@ class FragmentLoadBalancer:
         return sorted(cluster, key=lambda o: order.index(o.server))
 
 
-class GlobalLoadBalancer:
+class GlobalLoadBalancer(_Rotation):
     """Round-robin rotation across near-cost global plans (Section 4.2)."""
-
-    def __init__(self, config: LoadBalanceConfig = LoadBalanceConfig()):
-        self.config = config
-        self._tracker = _WorkloadTracker(config.window_ms, config.max_tracked)
-        self._counters: Dict[str, int] = {}
-        self.last_clusters: Dict[str, List[str]] = {}
 
     def recommend(
         self,
@@ -240,17 +251,6 @@ class GlobalLoadBalancer:
         if workload >= self.config.workload_threshold:
             survivors = eliminate_dominated(plans)
             cluster = cluster_near_cost(survivors, self.config.band)
-            _lru_put(
-                self.last_clusters,
-                key,
-                [p.plan_id for p in cluster],
-                self.config.max_tracked,
-            )
-            if len(cluster) >= 2:
-                index = self._counters.get(key, 0)
-                _lru_put(
-                    self._counters, key, index + 1, self.config.max_tracked
-                )
-                chosen = cluster[index % len(cluster)]
+            chosen = self._rotate(key, cluster, [p.plan_id for p in cluster])
         self._tracker.note(key, chosen.total_cost, t_ms)
         return chosen

@@ -26,7 +26,6 @@ from .rerouting import (
     merge_partial_rows,
     tail_demand_ms,
 )
-from .cursor import BatchInfo, FederatedCursor
 from .decomposer import DecomposedQuery, QueryFragment, decompose
 from .explain import ExplainRecord, ExplainTable
 from .global_optimizer import (
@@ -47,7 +46,6 @@ from .patroller import PatrolRecord, QueryPatroller, QueryStatus
 from .plan_cache import PlanCache, PlanCacheEntry, plan_key
 from .replication import ReplicaManager, ReplicaState, ReplicaSyncDaemon
 from .routers import (
-    CostBasedRouter,
     FixedRouter,
     PreferredServerRouter,
     QCCRouter,
@@ -59,12 +57,9 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "ArrivalProcess",
-    "BatchInfo",
     "BurstyArrivals",
     "ConcurrentRuntime",
-    "CostBasedRouter",
     "DEFAULT_CLASSES",
-    "FederatedCursor",
     "DecomposedQuery",
     "EstimatedInput",
     "ExplainRecord",

@@ -351,9 +351,6 @@ class AdmissionController:
         self.backlog_sources = dict(backlog_sources or {})
         self.decisions: List[AdmissionDecision] = []
 
-    def lowest_class(self) -> PriorityClass:
-        return max(self.classes.values(), key=lambda c: c.rank)
-
     def predicted_sojourn_ms(self, t_ms: float) -> float:
         """Backlog-derived sojourn floor for a query admitted at *t_ms*.
 

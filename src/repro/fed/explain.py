@@ -9,10 +9,8 @@ winner only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..obs import QueryTrace
-from ..obs.profile import PlanProfile
 from .global_optimizer import GlobalPlan
 
 
@@ -37,8 +35,6 @@ class ExplainTable:
 
     def __init__(self) -> None:
         self._records: List[ExplainRecord] = []
-        self._traces: Dict[int, QueryTrace] = {}
-        self._profiles: Dict[int, PlanProfile] = {}
 
     def record(
         self,
@@ -64,36 +60,8 @@ class ExplainTable:
         self._records.append(record)
         return record
 
-    def attach_trace(self, query_id: int, trace: QueryTrace) -> None:
-        """Associate a runtime trace with the compile-time record.
-
-        The explain table stores only the winner plan; the trace is the
-        runtime counterpart (which fragments actually ran where, under
-        which calibration factors), so attaching it here gives operators
-        one lookup point per query.
-        """
-        self._traces[query_id] = trace
-
-    def trace_for(self, query_id: int) -> Optional[QueryTrace]:
-        return self._traces.get(query_id)
-
-    def attach_profile(self, query_id: int, profile: PlanProfile) -> None:
-        """Associate an operator-level profile with the record.
-
-        The EXPLAIN ANALYZE counterpart of :meth:`attach_trace`: per-node
-        actual rows/batches/time for the fragment and merge plans that
-        executed this query (recorded only while profiling is enabled).
-        """
-        self._profiles[query_id] = profile
-
-    def profile_for(self, query_id: int) -> Optional[PlanProfile]:
-        return self._profiles.get(query_id)
-
     def latest(self) -> Optional[ExplainRecord]:
         return self._records[-1] if self._records else None
-
-    def for_query(self, query_id: int) -> List[ExplainRecord]:
-        return [r for r in self._records if r.query_id == query_id]
 
     def __len__(self) -> int:
         return len(self._records)

@@ -76,12 +76,6 @@ class GlobalPlan:
         """The admitted options for *choice*'s fragment (it included)."""
         return self.alternatives.get(choice.fragment.fragment_id, ())
 
-    def choice_for(self, fragment_id: str) -> FragmentOption:
-        for choice in self.choices:
-            if choice.fragment.fragment_id == fragment_id:
-                return choice
-        raise FederationError(f"no choice for fragment {fragment_id!r}")
-
     def describe(self) -> str:
         parts = ", ".join(c.describe() for c in self.choices)
         return f"{self.plan_id}[{parts}] merge={self.merge_cost.total:.2f} total={self.total_cost:.2f}"

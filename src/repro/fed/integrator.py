@@ -738,13 +738,9 @@ class InformationIntegrator:
             obs.tracer.finish(trace, merged.finished_ms)
             if trace is not NULL_TRACE:
                 result.trace = trace
-                self.explain_table.attach_trace(record.query_id, trace)
             profiler = get_profiler()
             if profiler is not NULL_PROFILER:
                 result.profile = profiler.capture()
-                self.explain_table.attach_profile(
-                    record.query_id, result.profile
-                )
             return result
 
         # ``retries`` has overshot by one on exit: it counts *attempts*

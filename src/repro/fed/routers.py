@@ -54,19 +54,6 @@ def _cheapest(
     return plans[0]
 
 
-class CostBasedRouter(Router):
-    """Pick the plan with the lowest (possibly calibrated) cost."""
-
-    def choose(
-        self,
-        decomposed: DecomposedQuery,
-        plans: Sequence[GlobalPlan],
-        label: Optional[str] = None,
-        t_ms: float = 0.0,
-    ) -> GlobalPlan:
-        return _cheapest(plans)
-
-
 class QCCRouter(Router):
     """Defer to the calibration's recommendation (Section 4.2): the
     cheapest calibrated plan, rotated across its near-cost cluster."""

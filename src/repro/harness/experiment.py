@@ -91,23 +91,6 @@ class PhaseOutcome:
             [o.response_ms for o in self.outcomes if not o.failed]
         )
 
-    def by_type(self) -> Dict[str, float]:
-        grouped: Dict[str, List[float]] = {}
-        for outcome in self.outcomes:
-            if outcome.failed:
-                continue
-            grouped.setdefault(outcome.query_type, []).append(
-                outcome.response_ms
-            )
-        return {qt: mean(samples) for qt, samples in grouped.items()}
-
-    def server_usage(self) -> Dict[str, int]:
-        usage: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            for server in outcome.servers:
-                usage[server] = usage.get(server, 0) + 1
-        return usage
-
     @property
     def failure_count(self) -> int:
         return sum(1 for o in self.outcomes if o.failed)

@@ -225,6 +225,3 @@ class JsonlSink:
         if t_ms is not None:
             payload["t_ms"] = t_ms
         self.emit("metrics", payload)
-
-    def emit_trace(self, trace: QueryTrace) -> None:
-        self.emit("trace", {"trace": trace.to_dict()})

@@ -191,33 +191,6 @@ class RemoteServer:
             raise ServerUnavailable(self.name, t_ms)
         return self.link.round_trip_ms(t_ms)
 
-    def quote(self, plan: PhysicalPlan, t_ms: float) -> float:
-        """Self-reported bid for executing *plan* right now (Mariposa
-        semantics: the seller prices its own work under its own load).
-
-        The plan is re-costed under a load-adjusted hardware profile —
-        CPU and I/O speeds divided by the current contention multipliers
-        — plus the network round trip and estimated result transfer.
-        Unlike the integrator's load-blind estimates, a quote *does* see
-        the server's load; that is the point of soliciting bids at
-        execution time.
-        """
-        if not self.is_up(t_ms):
-            raise ServerUnavailable(self.name, t_ms)
-        level = self.load.level(t_ms)
-        adjusted = ServerProfile(
-            name=f"{self.profile.name}@load",
-            cpu_speed=self.profile.cpu_speed
-            / self.contention.cpu_multiplier(level),
-            io_speed=self.profile.io_speed
-            / self.contention.io_multiplier(level),
-        )
-        estimate = self.database.estimate_plan(plan, profile=adjusted)
-        transfer = self.link.transfer_ms(
-            estimate.rows * estimate.width_bytes, t_ms
-        )
-        return estimate.total + self.link.round_trip_ms(t_ms) + transfer
-
     def probe_query(self, t_ms: float) -> Tuple[float, float]:
         """Run a canned calibration query; returns (estimated, observed).
 

@@ -110,12 +110,9 @@ class Database:
     def estimate_plan(
         self, plan: PhysicalPlan, profile: Optional[ServerProfile] = None
     ):
-        """Re-cost an existing plan, optionally under another profile.
-
-        Used by execution-time quoting: a server prices a plan under a
-        *load-adjusted* profile to produce a bid that reflects its
-        current contention.
-        """
+        """Re-cost an existing plan with a fresh estimator, optionally
+        under another profile: the reference the optimizer's memoised
+        costs are held equal to (``test_optimizer_oracle.py``)."""
         from .physical import CostEstimator, stats_context_for_plan
 
         estimator = CostEstimator(

@@ -1237,15 +1237,6 @@ def combine_conjuncts(parts: Sequence[Expression]) -> Optional[Expression]:
     return result
 
 
-def referenced_tables(expr: Expression) -> FrozenSet[str]:
-    """Tables explicitly qualified in column references of *expr*."""
-    tables = set()
-    for node in walk(expr):
-        if isinstance(node, ColumnRef) and node.table:
-            tables.add(node.table)
-    return frozenset(tables)
-
-
 def is_equijoin_conjunct(expr: Expression) -> bool:
     """True for ``a.x = b.y`` style conjuncts joining two tables."""
     return (

@@ -189,11 +189,6 @@ class SelectStatement:
     def is_select_star(self) -> bool:
         return not self.items
 
-    def table_bindings(self) -> Tuple[str, ...]:
-        names = [t.binding for t in self.tables]
-        names.extend(j.table.binding for j in self.joins)
-        return tuple(names)
-
     def sql(self) -> str:
         parts = ["SELECT"]
         if self.distinct:

@@ -269,17 +269,6 @@ class PhysicalPlan:
     def explain(self) -> str:
         return "\n".join(self.explain_lines())
 
-    def base_tables(self) -> Tuple[str, ...]:
-        """Names of base tables referenced anywhere in the tree."""
-        names: List[str] = []
-        stack: List[PhysicalPlan] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (SeqScan, IndexScan)):
-                names.append(node.table.name)
-            stack.extend(node.children())
-        return tuple(sorted(names))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()}>"
 

@@ -48,8 +48,3 @@ class Wrapper:
         """(estimated, observed) of a canned calibration query; None
         when the source cannot estimate (file sources)."""
         return None
-
-    def quote(self, plan: PhysicalPlan, t_ms: float) -> Optional[float]:
-        """The source's execution-time bid for *plan*; None when it
-        cannot quote (non-relational sources)."""
-        return None

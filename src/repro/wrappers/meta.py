@@ -305,14 +305,6 @@ class MetaWrapper:
         """Daemon probe of one server, through its wrapper."""
         return self._wrapper(server, t_ms).ping(t_ms)
 
-    def quote(self, server: str, plan, t_ms: float) -> Optional[float]:
-        """Solicit a server's execution-time bid for *plan*.
-
-        Returns None when the wrapper cannot quote (non-relational
-        sources); raises ``ServerUnavailable`` when the server is down.
-        """
-        return self._wrapper(server, t_ms).quote(plan, t_ms)
-
     def probe_ratio(self, server: str, t_ms: float):
         """Optional (estimated, observed) pair from a calibration probe.
 

@@ -84,7 +84,3 @@ class RelationalWrapper(Wrapper):
     def probe_ratio(self, t_ms: float):
         """(estimated, observed) of a canned calibration query."""
         return self.server.probe_query(t_ms)
-
-    def quote(self, plan: PhysicalPlan, t_ms: float) -> float:
-        """The server's self-reported execution-time bid for *plan*."""
-        return self.server.quote(plan, t_ms)

@@ -34,7 +34,6 @@ class TestAvailabilityMonitor:
         monitor.record_error("S1", 10.0)
         monitor.record_probe("S1", 20.0, rtt_ms=12.0)
         assert monitor.is_available("S1", 21.0)
-        assert monitor.probe_rtt("S1") == 12.0
 
     def test_failed_probe_marks_down(self):
         monitor = AvailabilityMonitor(["S1"])

@@ -56,23 +56,27 @@ class TestFragmentBalancer:
             LoadBalanceConfig(band=band, workload_threshold=threshold)
         )
 
-    def test_stable_affinity_across_identical_plans(self):
-        """Repeated submissions of the same fragment stick to the HRW
-        head of the exchangeable cluster (replica cache locality)."""
+    def test_hot_fragment_rotates_over_cluster_from_hrw_home(self):
+        """Section 4.1's round-robin: the first pick is the HRW home,
+        then every cluster member in rank order, period = cluster size."""
         balancer = self._balancer()
         fragment = _fragment()
         chosen = _option("S1", 10.0, fragment)
-        siblings = [chosen, _option("R1", 11.0, fragment)]
-        home = rank_servers(fragment.signature, ["R1", "S1"])[0]
+        siblings = [
+            chosen,
+            _option("R1", 11.0, fragment),
+            _option("R2", 10.5, fragment),
+        ]
+        order = rank_servers(fragment.signature, ["R1", "R2", "S1"])
         picks = [
             balancer.substitute(chosen, siblings, 0.0).server
-            for _ in range(4)
+            for _ in range(7)
         ]
-        assert picks == [home] * 4
+        assert picks == (order * 3)[:7]
 
     def test_distinct_fragments_spread_over_cluster(self):
-        """HRW spreads distinct fragment instances across the replicas
-        even though each individual instance is sticky."""
+        """HRW spreads the first dispatches of distinct fragment
+        instances across the replicas."""
         balancer = self._balancer()
         homes = set()
         for i in range(32):
@@ -114,12 +118,13 @@ class TestFragmentBalancer:
         # Accumulate workload beyond the threshold.
         for t in range(200):
             balancer.note_execution(fragment.signature, 10.0, float(t))
-        home = rank_servers(fragment.signature, ["R1", "S1"])[0]
-        picks = {
+        order = rank_servers(fragment.signature, ["R1", "S1"])
+        picks = [
             balancer.substitute(chosen, siblings, 200.0).server
             for _ in range(4)
-        }
-        assert picks == {home}
+        ]
+        # Above it the rotation starts, at the HRW home.
+        assert picks == order * 2
 
     def test_workload_window_expires(self):
         config = LoadBalanceConfig(workload_threshold=50.0, window_ms=100.0)
@@ -151,6 +156,7 @@ class TestFragmentBalancer:
             )
             balancer.note_execution(fragment.signature, 10.0, 0.0)
         assert len(balancer.last_clusters) <= 8
+        assert len(balancer._counters) <= 8
         assert len(balancer._tracker) <= 8
 
 

@@ -172,9 +172,6 @@ class TestAdmissionController:
         with pytest.raises(KeyError):
             controller.decide("platinum", 0.0)
 
-    def test_lowest_class_is_max_rank(self):
-        assert self._controller().lowest_class().name == "batch"
-
     def test_recorded_decisions_pass_the_audit(self):
         controller = self._controller(S1=150.0, II=0.0)
         controller.decide("gold", 0.0)

@@ -133,16 +133,6 @@ class TestEnumeration:
                 decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
             )
 
-    def test_choice_lookup(self, q6_setup):
-        decomposed, options = q6_setup
-        plan = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
-        )[0]
-        qf1 = decomposed.fragments[0]
-        assert plan.choice_for(qf1.fragment_id).fragment is qf1
-        with pytest.raises(FederationError):
-            plan.choice_for("QF99")
-
 
 class TestDominanceAndClustering:
     def test_eliminate_dominated_keeps_cheapest_per_server_set(self, q6_setup):

@@ -91,14 +91,6 @@ class TestExplainTable:
         assert table.latest() is record
         assert record.estimated_total == 10.0
 
-    def test_for_query(self):
-        table = ExplainTable()
-        table.record(1, "a", 0.0, _plan())
-        table.record(2, "b", 0.0, _plan())
-        table.record(1, "a", 1.0, _plan())
-        assert len(table.for_query(1)) == 2
-        assert len(table) == 3
-
     def test_only_winner_stored(self):
         """The explain table holds one plan per compile — the winner —
         exactly DB2 II's behaviour the paper works around (Section 4.2)."""

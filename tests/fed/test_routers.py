@@ -3,7 +3,6 @@
 import pytest
 
 from repro.fed import (
-    CostBasedRouter,
     FederationError,
     FixedRouter,
     PreferredServerRouter,
@@ -72,16 +71,6 @@ PLANS = [
 ]
 
 
-class TestCostBasedRouter:
-    def test_picks_cheapest(self):
-        chosen = CostBasedRouter().choose(_decomposed(), PLANS)
-        assert chosen.plan_id == "p1"
-
-    def test_empty_raises(self):
-        with pytest.raises(FederationError):
-            CostBasedRouter().choose(_decomposed(), [])
-
-
 class TestFixedRouter:
     def test_routes_by_label(self):
         router = FixedRouter({"QT1": "S1"})
@@ -103,6 +92,10 @@ class TestFixedRouter:
         router = FixedRouter({"QT1": "S1"})
         chosen = router.choose(_decomposed(), plans, label="QT1")
         assert chosen.total_cost == 11.0
+
+    def test_empty_raises(self):
+        with pytest.raises(FederationError):
+            FixedRouter({"QT1": "S1"}).choose(_decomposed(), [], label="QT1")
 
 
 class TestPreferredServerRouter:

@@ -103,14 +103,6 @@ class TestPhaseOutcome:
     def test_mean_excludes_failures(self):
         assert self._outcome().mean_response_ms == pytest.approx(20.0)
 
-    def test_by_type(self):
-        by_type = self._outcome().by_type()
-        assert len(by_type) == 3  # the failed query's type is absent
-
-    def test_server_usage(self):
-        usage = self._outcome().server_usage()
-        assert usage == {"S1": 2, "S2": 1}
-
     def test_failure_count(self):
         assert self._outcome().failure_count == 1
 

@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 import repro.obs as obs
-from repro.core import BiddingQcc, Calibration, QueryCostCalibrator
+from repro.core import Calibration, QueryCostCalibrator
 from repro.core.whatif import _CalibrationOnlyView
 from repro.fed import InformationIntegrator
 from repro.harness import build_federation, build_replica_federation
@@ -130,9 +130,29 @@ class TestIdentityCalibration:
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
         assert isinstance(deployment.qcc, QueryCostCalibrator)
-        for cls in (QueryCostCalibrator, BiddingQcc, _CalibrationOnlyView):
+        for cls in (QueryCostCalibrator, _CalibrationOnlyView):
             assert issubclass(cls, Calibration)
             assert "__getattr__" not in vars(cls)
+
+
+def _route_qt1_under(calibration, sample_databases):
+    """QT1 through a federation whose only non-default part is
+    *calibration*: (its integrator, its traced result, the result of the
+    identity-calibration federation the wrappers came from)."""
+    plain = build_federation(
+        scale=TEST_SCALE,
+        with_qcc=False,
+        prebuilt_databases=sample_databases,
+    )
+    meta_wrapper = MetaWrapper(plain.meta_wrapper.wrappers, qcc=calibration)
+    integrator = InformationIntegrator(plain.registry, meta_wrapper)
+    sql = QT1.instance(0).sql
+    obs.configure(metrics=False, tracing=True, log_level=None)
+    try:
+        result = integrator.submit(sql, label="QT1")
+    finally:
+        obs.disable()
+    return integrator, result, plain.integrator.submit(sql, label="QT1")
 
 
 class TestOverridingOnlyCalibrate:
@@ -144,25 +164,12 @@ class TestOverridingOnlyCalibrate:
             return cost.scaled(8.0 if server == "S3" else 2.0)
 
     def test_routes_qt1_through_mw_and_ii(self, sample_databases):
-        plain = build_federation(
-            scale=TEST_SCALE,
-            with_qcc=False,
-            prebuilt_databases=sample_databases,
+        integrator, result, reference = _route_qt1_under(
+            self.Repricing(), sample_databases
         )
-        meta_wrapper = MetaWrapper(
-            plain.meta_wrapper.wrappers, qcc=self.Repricing()
-        )
-        integrator = InformationIntegrator(plain.registry, meta_wrapper)
+        meta_wrapper = integrator.meta_wrapper
         assert integrator.qcc is meta_wrapper.qcc
         assert integrator.calibration_epoch is meta_wrapper.qcc.epoch
-
-        sql = QT1.instance(0).sql
-        obs.configure(metrics=False, tracing=True, log_level=None)
-        try:
-            result = integrator.submit(sql, label="QT1")
-        finally:
-            obs.disable()
-        reference = plain.integrator.submit(sql, label="QT1")
         assert result.rows == reference.rows
         # S3 is the un-calibrated winner; pricing it 4x up moves the query.
         assert reference.plan.servers == {"S3"}
@@ -179,3 +186,27 @@ class TestOverridingOnlyCalibrate:
         assert [e.server for e in meta_wrapper.runtime_log] == [
             o.option.server for o in result.fragments.values()
         ]
+
+
+class TestOverridingOnlySubstitute:
+    """A subclass that only diverts the dispatch routes a query end to
+    end: compilation, plan choice and reporting run on the defaults."""
+
+    class Diverting(Calibration):
+        def substitute(self, option, siblings, t_ms):
+            return next(o for o in siblings if o.server == "S1")
+
+    def test_routes_qt1_through_mw_and_ii(self, sample_databases):
+        integrator, result, reference = _route_qt1_under(
+            self.Diverting(), sample_databases
+        )
+        assert result.rows == reference.rows
+        # Identity pricing compiles the reference's plan; only the
+        # dispatch leaves it.
+        assert result.plan.servers == reference.plan.servers == {"S3"}
+        (outcome,) = result.fragments.values()
+        assert outcome.option.server == "S1"
+        (event,) = result.trace.find("substitution")
+        assert event.attributes["from_server"] == "S3"
+        assert event.attributes["to_server"] == "S1"
+        assert [e.server for e in integrator.meta_wrapper.runtime_log] == ["S1"]

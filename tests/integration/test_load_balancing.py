@@ -3,6 +3,7 @@
 
 from repro.core import LoadBalanceConfig, QCCConfig
 from repro.core.cycle import CycleConfig
+from repro.core.load_balance import rank_servers
 from repro.harness.deployment import build_replica_federation
 from repro.sqlengine import rows_equal_unordered
 from repro.workload import TEST_SCALE
@@ -69,17 +70,20 @@ class TestGlobalLevelBalancing:
 
 
 class TestFragmentLevelBalancing:
-    def test_identical_fragments_keep_stable_affinity(self):
-        """HRW selection: repeated submissions of the same fragment all
-        land on one stable replica of the {S1, R1} cluster."""
+    def test_hot_fragment_rotates_over_its_cluster(self):
+        """Section 4.1 end to end: repeated submissions of one statement
+        visit both members of its {S1, R1} cluster, HRW home first, and
+        every replica gives the same rows."""
         deployment = _deployment(fragment=True, band=1.0)
-        servers = []
+        servers, answers = [], []
         for _ in range(6):
             result = deployment.integrator.submit(SINGLE)
-            outcome = next(iter(result.fragments.values()))
+            (outcome,) = result.fragments.values()
             servers.append(outcome.option.server)
-        assert len(set(servers)) == 1
-        assert servers[0] in {"S1", "R1"}
+            answers.append(result.rows)
+        order = rank_servers(outcome.option.fragment.signature, ["S1", "R1"])
+        assert servers == order * 3
+        assert all(rows == answers[0] for rows in answers)
 
     def test_substitution_results_identical(self):
         deployment = _deployment(fragment=True, band=1.0)
@@ -90,13 +94,18 @@ class TestFragmentLevelBalancing:
             assert rows_equal_unordered(results[0], other)
 
     def test_distinct_fragments_spread_over_replicas(self):
-        """Distinct fragment instances (different literals) hash to
-        different HRW homes, spreading load across the cluster."""
+        """The first dispatch of each distinct fragment instance
+        (different literals) lands on its HRW home, spreading load
+        across the cluster."""
         deployment = _deployment(fragment=True, band=1.0)
-        counts = {}
+        used = set()
         for bal in range(40, 72):
             sql = f"SELECT custkey FROM customer WHERE acctbal > {bal}"
             result = deployment.integrator.submit(sql)
-            server = next(iter(result.fragments.values())).option.server
-            counts[server] = counts.get(server, 0) + 1
-        assert set(counts) == {"S1", "R1"}
+            (outcome,) = result.fragments.values()
+            signature = outcome.option.fragment.signature
+            assert outcome.option.server == rank_servers(
+                signature, ["S1", "R1"]
+            )[0]
+            used.add(outcome.option.server)
+        assert used == {"S1", "R1"}

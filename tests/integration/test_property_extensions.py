@@ -1,51 +1,9 @@
-"""Property tests over the extension features."""
+"""Property tests over the cost calibrator."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import CalibratorConfig, CostCalibrator
-from repro.fed import FederatedCursor
-from repro.harness import build_federation
-from repro.workload import TEST_SCALE
-
-
-@pytest.fixture(scope="module")
-def cursor_deployment(sample_databases):
-    return build_federation(
-        scale=TEST_SCALE, with_qcc=False, prebuilt_databases=sample_databases
-    )
-
-
-class TestCursorProperties:
-    @given(
-        batch_size=st.integers(1, 400),
-        threshold=st.integers(500, 9_500),
-    )
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_reassembly_invariant(
-        self, cursor_deployment, sample_databases, batch_size, threshold
-    ):
-        sql = (
-            "SELECT o.orderkey, o.totalprice FROM orders o "
-            f"WHERE o.totalprice > {threshold}"
-        )
-        cursor = FederatedCursor(
-            cursor_deployment.integrator,
-            sql,
-            key_column="o.orderkey",
-            batch_size=batch_size,
-        )
-        streamed = list(cursor)
-        direct = sample_databases["S1"].run(
-            sql + " ORDER BY o.orderkey"
-        ).rows
-        assert streamed == direct
-        keys = [row[0] for row in streamed]
-        assert len(keys) == len(set(keys))
 
 
 class TestCalibratorConvergence:

@@ -164,15 +164,9 @@ class TestJsonlSink:
         sink.emit("custom", {"n": 1})
         registry = _sample_registry()
         sink.emit_metrics(registry, t_ms=42.0)
-        sink.emit_trace(_sample_trace())
-        assert sink.records_written == 3
+        assert sink.records_written == 2
         lines = path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
-        assert [r["kind"] for r in records] == [
-            "custom",
-            "metrics",
-            "trace",
-        ]
+        assert [r["kind"] for r in records] == ["custom", "metrics"]
         assert records[1]["t_ms"] == 42.0
         assert records[1]["snapshot"]["counters"]["queries_total"] == 3
-        assert records[2]["trace"]["query_id"] == 7

@@ -25,6 +25,7 @@ class TestTracedQuery:
         result = deployment.integrator.submit(QUERY)
         trace = result.trace
         assert trace is not None
+        assert trace.query_id == result.record.query_id
         assert trace.status == "completed"
         for name in ("decompose", "plan_enumeration", "route", "dispatch",
                      "merge"):
@@ -69,12 +70,6 @@ class TestTracedQuery:
         servers = {span.attributes["server"] for span in lookups}
         assert result.plan.servers <= servers
 
-    def test_trace_attached_to_explain_table(self, live_obs, deployment):
-        result = deployment.integrator.submit(QUERY)
-        query_id = result.record.query_id
-        table = deployment.integrator.explain_table
-        assert table.trace_for(query_id) is result.trace
-
     def test_metrics_reflect_the_workload(self, live_obs, deployment):
         for _ in range(3):
             deployment.integrator.submit(QUERY)
@@ -93,9 +88,6 @@ class TestTracedQuery:
     def test_disabled_sink_leaves_result_untraced(self, deployment):
         result = deployment.integrator.submit(QUERY)
         assert result.trace is None
-        assert deployment.integrator.explain_table.trace_for(
-            result.record.query_id
-        ) is None
 
 
 class TestStalenessDropIsObservable:

@@ -23,7 +23,6 @@ from repro.sqlengine.expressions import (
     combine_conjuncts,
     conjuncts,
     is_equijoin_conjunct,
-    referenced_tables,
     walk,
 )
 
@@ -188,10 +187,6 @@ class TestConjunctHelpers:
         assert not is_equijoin_conjunct(parse_expression("t.a = t.b"))
         assert not is_equijoin_conjunct(parse_expression("t.a = 5"))
         assert not is_equijoin_conjunct(parse_expression("t.a < u.b"))
-
-    def test_referenced_tables(self):
-        expr = parse_expression("t.a = u.b AND t.a > 1")
-        assert referenced_tables(expr) == frozenset({"t", "u"})
 
 
 def test_walk_visits_all_nodes():

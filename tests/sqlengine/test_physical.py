@@ -258,15 +258,6 @@ class TestPlanMetadata:
         assert scan_a.signature() == scan_b.signature()
         assert scan_a.signature() != scan_c.signature()
 
-    def test_base_tables(self, tiny_db):
-        plan = HashJoin(
-            SeqScan(tiny_db.catalog.lookup("emp"), "e"),
-            SeqScan(tiny_db.catalog.lookup("dept"), "d"),
-            ["e.deptno"],
-            ["d.deptno"],
-        )
-        assert plan.base_tables() == ("dept", "emp")
-
     def test_explain_is_indented_tree(self, tiny_db):
         plan = Filter(
             SeqScan(tiny_db.catalog.lookup("emp"), "emp"),

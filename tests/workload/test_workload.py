@@ -75,7 +75,7 @@ class TestQueryTemplates:
 
     def test_qt4_joins_three_tables(self):
         statement = parse(QT4.instance(0).sql)
-        assert len(statement.table_bindings()) == 3
+        assert len(statement.tables) + len(statement.joins) == 3
 
     def test_template_by_name(self):
         assert template_by_name("QT2") is QT2
