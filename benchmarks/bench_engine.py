@@ -19,15 +19,18 @@ columnar must reach ``REPRO_BENCH_ENGINE_MIN`` (default 4x).
   where dict codes and selection vectors change the algorithm, not just
   the constant): 9-17x.
 
-Per-shape timings, rows/sec, and per-batch memory (columnar
+Per-shape timings, rows/sec, per-batch memory (columnar
 ``storage_bytes`` vs a deep ``getsizeof`` of the same rows as tuples)
-land in the JSON artifact for trend tracking (see BENCH_engine.json
+and the GC-tracked objects a loaded database leaves for the cyclic
+collector to walk (gated per row: docs/execution.md, "What the collector
+walks") land in the JSON artifact for trend tracking (see BENCH_engine.json
 for the committed baseline).  CI's smoke job relaxes the gate for
 noisy shared runners.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -46,6 +49,8 @@ from repro.workload.schema import table_specs
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_MIN", "4.0"))
 #: Timing repetitions per (shape, engine); best-of is reported.
 REPS = int(os.environ.get("REPRO_BENCH_ENGINE_REPS", "7"))
+#: GC-tracked objects a loaded database may add per stored row.
+MAX_TRACKED_PER_ROW = 0.1
 #: Optional path for the standalone JSON artifact.
 ARTIFACT = os.environ.get("REPRO_BENCH_ENGINE_JSON", "")
 
@@ -69,6 +74,13 @@ SHAPES = (
         "SELECT o.orderkey, c.nation, o.totalprice "
         "FROM orders o, customer c "
         "WHERE o.custkey = c.custkey AND o.totalprice > 100.0",
+    ),
+    (
+        # Build side = orders, 6 000 unique keys: the build is classified
+        # unique without a list per key (docs/execution.md).
+        "fk-pk-join",
+        "SELECT l.linekey, o.totalprice FROM lineitem l, orders o "
+        "WHERE l.orderkey = o.orderkey",
     ),
     (
         "join-agg",
@@ -248,6 +260,19 @@ def _memory_metrics(database, batch_size=1024):
     metrics["ru_maxrss_kb"] = resource.getrusage(
         resource.RUSAGE_SELF
     ).ru_maxrss
+
+    # What a second, identically loaded database adds to the heap the
+    # cyclic collector traverses on every full collection.
+    specs = table_specs(BENCH_SCALE)
+    gc.collect()
+    before = len(gc.get_objects())
+    loaded = Database(name="bench-engine-gc")
+    populate(loaded, specs, seed=7)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    stored = sum(len(loaded.storage.table(spec.name)) for spec in specs)
+    metrics["gc_tracked_objects"] = tracked
+    metrics["gc_tracked_per_row"] = tracked / stored
     return metrics
 
 
@@ -312,6 +337,13 @@ def test_engine_speedups(benchmark, engine_db):
             f"({mem['bytes_ratio']:.1f}x smaller)"
         )
 
+    print(
+        f"GC-tracked objects per loaded database: "
+        f"{results['memory']['gc_tracked_objects']} "
+        f"({results['memory']['gc_tracked_per_row']:.4f} per row, "
+        f"allowed: {MAX_TRACKED_PER_ROW})"
+    )
+
     if ARTIFACT:
         with open(ARTIFACT, "w") as handle:
             json.dump(results, handle, indent=2)
@@ -323,3 +355,5 @@ def test_engine_speedups(benchmark, engine_db):
     for table_name in ("lineitem", "tags"):
         mem = results["memory"][table_name]
         assert mem["columnar_bytes"] < mem["row_bytes"], mem
+    # Loaded rows and index buckets must be invisible to the collector.
+    assert results["memory"]["gc_tracked_per_row"] < MAX_TRACKED_PER_ROW

@@ -919,48 +919,65 @@ class HashJoin(PhysicalPlan):
         single = len(right_idx) == 1
         right_width = len(right_schema)
 
-        # Build: bucket *global build row ids* (not row tuples) — the
+        # Build: map keys to *global build row ids* (not row tuples) — the
         # build side stays columnar and its payload columns are only
         # gathered lazily, per output column, when something downstream
-        # actually reads them.
+        # actually reads them.  One C-level ``dict.update`` per batch
+        # classifies the build as it goes: it is unique (every key appears
+        # at most once — the FK→PK shape) iff ``singles`` holds one entry
+        # per non-NULL key, so uniqueness needs neither a second pass nor
+        # a list per key.
         build_batches: List[ColumnBatch] = []
-        buckets: Dict[Any, List[int]] = {}
-        setdefault = buckets.setdefault
+        key_lists: List[List[Any]] = []
+        singles: Dict[Any, int] = {}
+        unique_build = True
         built = 0
-        base = 0
-        if single:
-            ri = right_idx[0]
-            for right_batch in self.right.rows_columnar(ctx):
-                build_batches.append(right_batch)
-                keys = right_batch.column_values(ri)
-                built += len(keys)
-                for off, key in enumerate(keys):
-                    if key is not None:
-                        setdefault(key, []).append(base + off)
-                base += len(keys)
-        else:
-            for right_batch in self.right.rows_columnar(ctx):
-                build_batches.append(right_batch)
+        nulls = 0
+        for right_batch in self.right.rows_columnar(ctx):
+            build_batches.append(right_batch)
+            if single:
+                keys = right_batch.column_values(right_idx[0])
+            else:
                 key_cols = [right_batch.column_values(i) for i in right_idx]
-                count = len(right_batch)
-                built += count
-                for off, key in enumerate(zip(*key_cols)):
-                    if not any(v is None for v in key):
-                        setdefault(key, []).append(base + off)
-                base += count
+                keys = list(zip(*key_cols))
+                if any(None in col for col in key_cols):
+                    # A NULL component makes the whole key NULL.
+                    keys = [None if None in key else key for key in keys]
+            key_lists.append(keys)
+            first = built
+            built += len(keys)
+            if unique_build:
+                singles.update(zip(keys, range(first, built)))
+                if None in singles:
+                    del singles[None]
+                    nulls += keys.count(None)
+                unique_build = len(singles) == built - nulls
         meter.cpu_ms += built * params.hash_build_cost
 
-        # A unique build side (every key appears at most once — the
-        # FK→PK shape) lets the probe skip per-row bucket walks: the
+        kernel = (
+            self.residual.compile_columnar(self.output_schema)
+            if self.residual is not None
+            else None
+        )
+        # A unique build lets the probe skip per-row bucket walks: the
         # per-row match list *is* the right-side gather list, and a
         # C-level ``count(None)`` decides whether any filtering is
-        # needed at all.
-        unique_build = all(len(ids) == 1 for ids in buckets.values())
-        singles: Dict[Any, int] = (
-            {k: ids[0] for k, ids in buckets.items()}
-            if unique_build
-            else {}
-        )
+        # needed at all.  Buckets exist only for a build with a repeated
+        # key, or to hand the residual path the shape it walks.
+        buckets: Dict[Any, Sequence[int]] = {}
+        if not unique_build:
+            singles.clear()
+            setdefault = buckets.setdefault
+            base = 0
+            for keys in key_lists:
+                for rid, key in enumerate(keys, base):
+                    if key is not None:
+                        setdefault(key, []).append(rid)
+                base += len(keys)
+        elif kernel is not None:
+            buckets = {key: (rid,) for key, rid in singles.items()}
+        # This frame lives as long as the probe stream does.
+        del key_lists
 
         # Lazily concatenated build-side columns, one list per column,
         # shared by every GatherColumn the probe loop emits.
@@ -975,11 +992,6 @@ class HashJoin(PhysicalPlan):
         def right_getter(j: int) -> Callable[[], List[Any]]:
             return lambda: right_values(j)
 
-        kernel = (
-            self.residual.compile_columnar(self.output_schema)
-            if self.residual is not None
-            else None
-        )
         outer = self.outer
         use_fast = kernel is None and unique_build
         get = singles.get if use_fast else buckets.get
@@ -1380,11 +1392,14 @@ def _fold_agg(state: _AggState, values: Sequence[Any]) -> None:
 
 def _fold_agg_dense(state: _AggState, values: Sequence[Any]) -> None:
     """Fold a *null-free* column slice into *state* using C-level
-    reductions.  Bit-exact with ``_fold_agg``: ``sum(values, start)`` is
-    the same left-to-right fold (no reassociation), and ``min``/``max``
-    return the first extremum, matching the strict-inequality loop's
-    keep-the-earlier-value tie behaviour.  DISTINCT, empty slices and
-    non-numeric SUM/AVG operands fall back to the generic fold."""
+    reductions.  ``min``/``max`` return the first extremum, matching
+    ``_fold_agg``'s keep-the-earlier-value tie behaviour.  ``sum(values,
+    start)`` is ``_fold_agg``'s left-to-right fold, bit for bit, on
+    CPython <= 3.11 only: from 3.12 ``sum()`` over floats is compensated
+    within each call, so a float total depends on where the slices begin
+    and end.  That is why no kernel may move a batch boundary.  DISTINCT,
+    empty slices and non-numeric SUM/AVG operands fall back to the
+    generic fold."""
     if not values:
         return
     if state.seen is not None:

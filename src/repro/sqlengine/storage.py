@@ -19,17 +19,26 @@ class HashIndex:
     def __init__(self, table: "HeapTable", column: str):
         self.column = column
         self._position = table.schema.index_of(column)
-        self._buckets: Dict[Any, List[int]] = {}
+        # Buckets are tuples of ints: the collector stops tracking those
+        # at its first pass, so a loaded index is one tracked dict, not
+        # one tracked list per key.
+        self._buckets: Dict[Any, Tuple[int, ...]] = {}
         self._count = 0
-        for rid, row in enumerate(table.rows):
-            self._insert(rid, row)
+        self._extend(0, table.rows)
 
-    def _insert(self, rid: int, row: Row) -> None:
-        key = row[self._position]
-        if key is None:
-            return
-        self._buckets.setdefault(key, []).append(rid)
-        self._count += 1
+    def _extend(self, first_rid: int, rows: Sequence[Row]) -> None:
+        """Index *rows*, stored at ``first_rid`` onwards: one tuple
+        concatenation per distinct key, however many rows carry it."""
+        position = self._position
+        grown: Dict[Any, List[int]] = {}
+        for rid, row in enumerate(rows, first_rid):
+            key = row[position]
+            if key is not None:
+                grown.setdefault(key, []).append(rid)
+        buckets = self._buckets
+        for key, rids in grown.items():
+            buckets[key] = buckets.get(key, ()) + tuple(rids)
+            self._count += len(rids)
 
     def lookup(self, value: Any) -> Sequence[int]:
         """Row ids whose indexed column equals *value* (empty if none)."""
@@ -56,12 +65,7 @@ class HeapTable:
         self._columnar: Optional[Tuple[int, TableColumns]] = None
 
     def insert(self, row: Sequence[Any]) -> None:
-        validated = self.schema.validate_row(row)
-        rid = len(self.rows)
-        self.rows.append(validated)
-        self._version += 1
-        for index in self._indexes.values():
-            index._insert(rid, validated)
+        self.insert_many((row,))
 
     def columnar(self) -> TableColumns:
         """The columnar projection of this table, cached per version.
@@ -77,11 +81,17 @@ class HeapTable:
         return columns
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Append *rows*: all validated first (a bad row inserts none),
+        then one version bump and one extension per index."""
+        validate = self.schema.validate_row
+        validated = [validate(row) for row in rows]
+        if validated:
+            first_rid = len(self.rows)
+            self.rows.extend(validated)
+            self._version += 1
+            for index in self._indexes.values():
+                index._extend(first_rid, validated)
+        return len(validated)
 
     def scan(self) -> Iterator[Row]:
         return iter(self.rows)

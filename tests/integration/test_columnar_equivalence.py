@@ -6,7 +6,10 @@ never stresses: NULL-heavy columns, low-cardinality strings (the
 dictionary-encoding path), empty tables, and degenerate batch sizes
 (1 and 2, which force every multi-batch code path: selection vectors
 across batch boundaries, per-batch dictionary views, join builds that
-span batches).
+span batches).  A ``hypothesis`` case drives ``HashJoin`` directly over
+generated build sides (repeated, NULL and ``1`` / ``1.0`` / ``True``
+keys at every batch boundary), where the build classification decides
+which probe path runs.
 
 Every generated query must produce byte-identical rows and bit-identical
 ``WorkMeter`` totals on both engines (no generated shape uses LIMIT).
@@ -15,9 +18,18 @@ Every generated query must produce byte-identical rows and bit-identical
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import derive_rng
-from repro.sqlengine import Database, execute_plan, populate
+from repro.sqlengine import (
+    ColumnRef,
+    Comparison,
+    Database,
+    HashJoin,
+    execute_plan,
+    populate,
+)
+from repro.sqlengine.physical import MaterializedInput
 from repro.sqlengine.types import Column, ColumnType, Schema
 from repro.workload import TEST_SCALE
 from repro.workload.schema import table_specs
@@ -65,6 +77,10 @@ def mixed_db():
 
 def assert_equivalent(database, sql, batch_size, check_meter=True):
     plan = database.explain(sql)[0].plan
+    assert_plan_equivalent(database, plan, batch_size, check_meter, sql)
+
+
+def assert_plan_equivalent(database, plan, batch_size, check_meter=True, what=None):
     reference, columnar = (
         execute_plan(
             plan,
@@ -75,14 +91,14 @@ def assert_equivalent(database, sql, batch_size, check_meter=True):
         )
         for engine in ENGINES
     )
-    assert columnar.rows == reference.rows, (sql, batch_size)
+    assert columnar.rows == reference.rows, (what, batch_size)
     if check_meter:
         meter, ref = columnar.meter, reference.meter
         assert (meter.cpu_ms, meter.io_ms, meter.tuples_out) == (
             ref.cpu_ms,
             ref.io_ms,
             ref.tuples_out,
-        ), (sql, batch_size)
+        ), (what, batch_size)
 
 
 # -- generators (pure functions of the derived rng) -------------------------
@@ -188,3 +204,56 @@ def test_edge_cases_bit_identical(mixed_db, sql, batch_size):
     assert_equivalent(
         mixed_db, sql, batch_size, check_meter="LIMIT" not in sql
     )
+
+
+# -- hash-join build classification -----------------------------------------
+
+_JOIN_SCHEMAS = {
+    side: Schema(
+        [
+            Column("k1", ColumnType.FLOAT, side),
+            Column("k2", ColumnType.INT, side),
+            Column("n", ColumnType.INT, side),
+        ]
+    )
+    for side in ("p", "b")
+}
+
+#: Few distinct values, so repeats, NULLs and the equal-but-distinct
+#: spellings of one (1, 1.0, True) all turn up within a handful of rows.
+_k1 = st.sampled_from([None, 1, 1.0, True, 2, 2.5, 3, 4, 5, 6])
+_k2 = st.sampled_from([None, 1, 2])
+
+
+def _side(max_size):
+    return st.lists(st.tuples(_k1, _k2), max_size=max_size).map(
+        lambda keys: [key + (n,) for n, key in enumerate(keys)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    build=_side(12),
+    probe=_side(10),
+    composite=st.booleans(),
+    outer=st.booleans(),
+    with_residual=st.booleans(),
+    batch_size=st.sampled_from([1, 2, 3, 5, 1024]),
+)
+def test_hash_join_builds_bit_identical(
+    build, probe, composite, outer, with_residual, batch_size
+):
+    keys = ("k1", "k2") if composite else ("k1",)
+    plan = HashJoin(
+        MaterializedInput("probe", _JOIN_SCHEMAS["p"], probe),
+        MaterializedInput("build", _JOIN_SCHEMAS["b"], build),
+        [f"p.{k}" for k in keys],
+        [f"b.{k}" for k in keys],
+        residual=(
+            Comparison("<=", ColumnRef("p.n"), ColumnRef("b.n"))
+            if with_residual
+            else None
+        ),
+        outer=outer,
+    )
+    assert_plan_equivalent(Database(name="hash-join-eq"), plan, batch_size)

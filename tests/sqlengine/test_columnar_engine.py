@@ -7,8 +7,8 @@ error text), the column representations (validity bitmaps, dictionary
 encoding, lazily built table columns), the selection-vector contract
 (filters narrow, never copy), the pinned LIMIT meter exception, the
 operator paths (outer-join padding, NULL join keys, aggregate edge cases,
-unique-build hash join, COUNT(*)-only grouping, single-column DISTINCT,
-the default row adapter), and the observability surface (per-operator
+unique-build hash join and its build classification, COUNT(*)-only
+grouping, single-column DISTINCT, the default row adapter), and the observability surface (per-operator
 selectivity in EXPLAIN ANALYZE, engine metrics).
 """
 
@@ -36,6 +36,7 @@ from repro.sqlengine import (
     DEFAULT_BATCH_SIZE,
     DictColumn,
     ENGINES,
+    HashJoin,
     InList,
     IsNull,
     Like,
@@ -63,9 +64,8 @@ def meter_tuple(result):
     return (meter.cpu_ms, meter.io_ms, meter.tuples_out)
 
 
-def run_engines(database, sql, batch_size=4):
-    plan = database.explain(sql)[0].plan
-    return plan, {
+def run_plan(database, plan, batch_size=4):
+    return {
         engine: execute_plan(
             plan,
             database.storage,
@@ -77,12 +77,22 @@ def run_engines(database, sql, batch_size=4):
     }
 
 
-def assert_all_equivalent(database, sql, batch_size=4):
-    _plan, results = run_engines(database, sql, batch_size)
+def run_engines(database, sql, batch_size=4):
+    plan = database.explain(sql)[0].plan
+    return plan, run_plan(database, plan, batch_size)
+
+
+def assert_plan_equivalent(database, plan, batch_size=4, what=None):
+    results = run_plan(database, plan, batch_size)
     reference = results["row"]
-    assert results["columnar"].rows == reference.rows, sql
-    assert meter_tuple(results["columnar"]) == meter_tuple(reference), sql
+    assert results["columnar"].rows == reference.rows, what
+    assert meter_tuple(results["columnar"]) == meter_tuple(reference), what
     return results
+
+
+def assert_all_equivalent(database, sql, batch_size=4):
+    plan = database.explain(sql)[0].plan
+    return assert_plan_equivalent(database, plan, batch_size, sql)
 
 
 # -- the kernel contract ------------------------------------------------------
@@ -555,6 +565,123 @@ class TestOperatorFastPaths:
             ops_db,
             "SELECT f.v FROM fact f WHERE f.tag NOT IN ('y')",
         )
+
+
+# -- hash-join build classification -----------------------------------------
+#
+# The build side is classified unique / not unique in one pass of
+# ``dict.update`` per batch.  Every case runs at a batch size that puts
+# the interesting rows in the same or in different build batches, and
+# compares rows in order and both meters with ``==`` against the row
+# engine.
+
+_KEY_SCHEMAS = {
+    side: Schema(
+        (
+            Column("k1", ColumnType.FLOAT, side),
+            Column("k2", ColumnType.INT, side),
+            Column("tag", ColumnType.STR, side),
+        )
+    )
+    for side in ("p", "b")
+}
+
+PROBE_ROWS = [
+    (1, 1, "p0"),
+    (2, 1, "p1"),
+    (None, 1, "p2"),
+    (1.0, None, "p3"),
+    (3, 2, "p4"),
+    (True, 1, "p5"),
+    (9, 9, "p6"),
+    (2, 2, "p7"),
+    (4, 1, "p8"),
+]
+
+BUILD_CASES = {
+    "unique": [(1, 1, "a"), (2, 1, "b"), (3, 2, "c"), (4, 1, "d"), (5, 1, "e")],
+    # Batch size 4: the repeat of key 2 sits in the first batch ...
+    "duplicate-in-one-batch": [
+        (1, 1, "a"), (2, 1, "b"), (2, 1, "c"), (3, 2, "d"), (4, 1, "e"),
+    ],
+    # ... and here only the second batch repeats a first-batch key.
+    "duplicate-across-batches": [
+        (1, 1, "a"), (2, 1, "b"), (3, 2, "c"), (4, 1, "d"), (2, 1, "e"),
+    ],
+    "only-repeat-is-null": [
+        (None, 1, "a"), (1, 1, "b"), (None, 1, "c"), (2, 1, "d"),
+        (None, 1, "e"), (3, 2, "f"),
+    ],
+    "all-null": [(None, 1, "a"), (None, 1, "b"), (None, None, "c")],
+    "empty": [],
+    # Unique on (k1, k2) once the rows with a NULL component are dropped;
+    # k1 alone repeats, so the single-key join takes the bucket path.
+    "null-component": [
+        (1, 1, "a"), (1, None, "b"), (None, 1, "c"), (1, None, "d"),
+        (2, 1, "e"), (2, 2, "f"), (None, None, "g"),
+    ],
+    # 1, 1.0 and True are one dict key: a duplicate, not three keys.
+    "numeric-collisions": [(1, 1, "a"), (2, 1, "b"), (1.0, 1, "c"), (True, 1, "d")],
+}
+
+
+class TestHashJoinBuildClassification:
+    def run_both(self, build_rows, keys, residual=None, outer=False, batch_size=4):
+        plan = HashJoin(
+            MaterializedInput("probe", _KEY_SCHEMAS["p"], PROBE_ROWS),
+            MaterializedInput("build", _KEY_SCHEMAS["b"], build_rows),
+            [f"p.{k}" for k in keys],
+            [f"b.{k}" for k in keys],
+            residual=residual,
+            outer=outer,
+        )
+        results = assert_plan_equivalent(Database("classify"), plan, batch_size)
+        return results["columnar"].rows
+
+    @pytest.mark.parametrize("outer", [False, True], ids=["inner", "outer"])
+    @pytest.mark.parametrize("keys", [("k1",), ("k1", "k2")], ids=["single", "composite"])
+    @pytest.mark.parametrize("case", BUILD_CASES)
+    @pytest.mark.parametrize("batch_size", [1, 4, DEFAULT_BATCH_SIZE])
+    def test_matches_row_engine(self, case, keys, outer, batch_size):
+        rows = self.run_both(
+            BUILD_CASES[case], keys, outer=outer, batch_size=batch_size
+        )
+        if outer:
+            assert any(r[5] is None for r in rows)
+            assert {r[2] for r in rows} == {r[2] for r in PROBE_ROWS}
+        if not BUILD_CASES[case] or case == "all-null":
+            assert all(r[5] is None for r in rows)
+
+    def test_duplicate_across_batches_keeps_every_match(self):
+        rows = self.run_both(BUILD_CASES["duplicate-across-batches"], ("k1",))
+        assert [r[5] for r in rows if r[2] == "p1"] == ["b", "e"]
+
+    def test_collisions_match_every_numeric_spelling(self):
+        rows = self.run_both(BUILD_CASES["numeric-collisions"], ("k1",))
+        for probe in ("p0", "p3", "p5"):
+            assert [r[5] for r in rows if r[2] == probe] == ["a", "c", "d"]
+
+    def test_null_component_never_matches(self):
+        rows = self.run_both(BUILD_CASES["null-component"], ("k1", "k2"))
+        assert [(r[2], r[5]) for r in rows] == [
+            ("p0", "a"), ("p1", "e"), ("p5", "a"), ("p7", "f"),
+        ]
+
+    @pytest.mark.parametrize("outer", [False, True], ids=["inner", "outer"])
+    @pytest.mark.parametrize(
+        "case", ["unique", "duplicate-across-batches", "null-component", "empty"]
+    )
+    def test_residual(self, case, outer):
+        # On a unique build the residual path walks one-element buckets
+        # wrapped around the classification dict.
+        residual = Comparison("<", ColumnRef("p.k2"), ColumnRef("b.k1"))
+        rows = self.run_both(
+            BUILD_CASES[case], ("k1",), residual=residual, outer=outer
+        )
+        assert all(r[5] is None or r[1] < r[3] for r in rows)
+        if case == "unique":
+            matched = [(r[2], r[5]) for r in rows if r[5] is not None]
+            assert matched == [("p1", "b"), ("p4", "c"), ("p8", "d")]
 
 
 @pytest.fixture(scope="module")

@@ -70,6 +70,50 @@ class TestHashIndex:
         table.insert((7, "x"))
         assert [table.fetch(r) for r in index.lookup(7)] == [(7, "x")]
 
+    def test_insert_many_extends_a_populated_index(self, storage):
+        table = storage.table("t")
+        table.insert_many([(i % 3, str(i)) for i in range(6)])
+        index = table.create_index("id")
+        version = table._version
+        assert table.insert_many([(2, "x"), (None, "y"), (5, "z"), (2, "w")]) == 4
+        assert table._version == version + 1
+        assert index.lookup(2) == (2, 5, 6, 9)
+        assert index.lookup(5) == (8,)
+        assert index.lookup(0) == (0, 3)
+        assert len(index) == 9
+        assert table.insert_many([]) == 0
+        assert table._version == version + 1
+
+    def test_insert_many_rejects_the_whole_batch(self, storage):
+        table = storage.table("t")
+        index = table.create_index("id")
+        with pytest.raises(SchemaError):
+            table.insert_many([(1, "a"), (2,)])
+        assert len(table) == 0 and len(index) == 0
+        assert table._version == 0
+
+    def test_bulk_insert_into_one_hot_key(self, storage):
+        # One tuple concatenation per call, not one per row: 20 000
+        # rows on a single key would otherwise copy 2e8 bucket slots.
+        table = storage.table("t")
+        index = table.create_index("id")
+        table.insert_many([(1, "a")])
+        table.insert_many([(1, "b")] * 20_000)
+        assert index.lookup(1) == tuple(range(20_001))
+        assert len(index) == 20_001
+
+    def test_index_rebuilt_on_update_and_delete(self, storage):
+        table = storage.table("t")
+        table.insert_many([(i % 3, str(i)) for i in range(9)])
+        table.create_index("id")
+        table.delete_rows(lambda row: row[0] == 1)
+        index = table.index_on("id")
+        assert index.lookup(1) == () and len(index) == 6
+        assert index.lookup(2) == (1, 3, 5)
+        table.update_rows(lambda row: row[0] == 2, lambda row: (7, row[1]))
+        index = table.index_on("id")
+        assert index.lookup(7) == (1, 3, 5) and len(index) == 6
+
     def test_duplicate_index_rejected(self, storage):
         table = storage.table("t")
         table.create_index("id")
