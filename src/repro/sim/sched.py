@@ -462,11 +462,8 @@ class _Job:
     queued_ms: float
     started_ms: float
     demand_ms: float
-    remaining_ms: float
     callback: Callable[[Completion], None]
     depth_at_arrival: int = 1
-    contended: bool = False
-    cancelled: bool = False
     #: Observer tag from the submitting :class:`Work` (None = untagged).
     tag: Optional[object] = None
 
@@ -477,6 +474,11 @@ class ServerQueue:
     ``capacity`` is a service rate: a demand of ``d`` ms takes ``d /
     capacity`` ms of dedicated service.  All resident jobs share the
     capacity equally (egalitarian processor sharing).
+
+    Residents are two aligned lists in arrival (= ``seq``) order: the
+    handles, and their remaining service as bare floats (``demand /
+    capacity`` units, one retired per unit of virtual time however it
+    is shared) whose *first* minimum is the next departure.
     """
 
     def __init__(
@@ -490,6 +492,7 @@ class ServerQueue:
         #: Lifecycle observer (span layer); the null object by default.
         self.events: QueueEvents = NULL_QUEUE_EVENTS
         self._jobs: List[_Job] = []
+        self._remaining: List[float] = []
         self._seq = 0
         #: Last instant the residents' remaining work was updated.
         self._last_update = 0.0
@@ -512,10 +515,7 @@ class ServerQueue:
         """Virtual time needed to drain the current residents (no new
         arrivals) — the admission controller's wait predictor."""
         self._advance_ps(t_ms)
-        # ``remaining_ms`` is already in service-time units (demand /
-        # capacity), and the server retires one service-unit per unit of
-        # virtual time regardless of how it is shared.
-        return sum(j.remaining_ms for j in self._jobs)
+        return sum(self._remaining)
 
     def consumed_ms(self, job: _Job) -> float:
         """Dedicated service *job* has consumed so far, without touching
@@ -525,10 +525,12 @@ class ServerQueue:
         the same instant — re-routing peeks here to quantise a
         checkpoint before committing to the cancellation.
         """
-        if job.cancelled or job not in self._jobs:
+        try:
+            index = self._jobs.index(job)
+        except ValueError:
             return 0.0
         self._advance_ps(self.scheduler.now)
-        return max(0.0, job.demand_ms / self.capacity - job.remaining_ms)
+        return max(0.0, job.demand_ms / self.capacity - self._remaining[index])
 
     # -- submission ------------------------------------------------------
 
@@ -551,18 +553,14 @@ class ServerQueue:
             queued_ms=now,
             started_ms=now,
             demand_ms=demand_ms,
-            remaining_ms=demand_ms / self.capacity,
             callback=callback,
             depth_at_arrival=len(self._jobs) + 1,
             tag=tag,
         )
         self._seq += 1
         self._jobs.append(job)
+        self._remaining.append(demand_ms / self.capacity)
         self.max_depth = max(self.max_depth, len(self._jobs))
-        if len(self._jobs) > 1:
-            # Sharing starts (or continues) for every resident.
-            for resident in self._jobs:
-                resident.contended = True
         self._reschedule_ps()
         if self.events is not NULL_QUEUE_EVENTS:
             self.events.on_enqueue(self, job, now)
@@ -578,17 +576,18 @@ class ServerQueue:
         consumed (0.0 when it had already completed/been cancelled) —
         the hedging layer reports this as ``hedge_wasted_ms``.
         """
-        if job.cancelled or job not in self._jobs:
+        try:
+            index = self._jobs.index(job)
+        except ValueError:
             return 0.0
-        now = self.scheduler.now
-        job.cancelled = True
-        self._advance_ps(now)
-        consumed = max(0.0, job.demand_ms / self.capacity - job.remaining_ms)
-        self._jobs.remove(job)
+        self._advance_ps(self.scheduler.now)
+        del self._jobs[index]
+        left = self._remaining.pop(index)
+        consumed = max(0.0, job.demand_ms / self.capacity - left)
         self.busy_ms += consumed
         self.cancelled_jobs += 1
         if self.events is not NULL_QUEUE_EVENTS:
-            self.events.on_cancel(self, job, now, consumed)
+            self.events.on_cancel(self, job, self.scheduler.now, consumed)
         self._reschedule_ps()
         return consumed
 
@@ -598,33 +597,33 @@ class ServerQueue:
         """Progress every resident's remaining work up to *t_ms*."""
         if t_ms <= self._last_update:
             return
-        if self._jobs:
-            # Each of n residents progresses at 1/n in service-time
-            # units (capacity is already folded into ``remaining_ms``).
-            burned = (t_ms - self._last_update) / len(self._jobs)
-            for job in self._jobs:
-                job.remaining_ms = max(0.0, job.remaining_ms - burned)
+        if self._remaining:
+            # Each of n residents progresses at 1/n; the conditional is
+            # ``max(0.0, r - burned)`` without a call per resident.
+            burned = (t_ms - self._last_update) / len(self._remaining)
+            self._remaining = [
+                r - burned if r > burned else 0.0 for r in self._remaining
+            ]
         self._last_update = t_ms
 
     def _reschedule_ps(self) -> None:
         """(Re)arm the next-departure event; stale events are fenced by
         the epoch counter."""
         self._epoch += 1
-        if not self._jobs:
-            return
-        head = min(self._jobs, key=lambda j: (j.remaining_ms, j.seq))
-        eta = head.remaining_ms * len(self._jobs)
-        self.scheduler.call_at(
-            self._last_update + eta, self._depart_ps, self._epoch
-        )
+        if self._remaining:
+            eta = min(self._remaining) * len(self._remaining)
+            self.scheduler.call_at(
+                self._last_update + eta, self._depart_ps, self._epoch
+            )
 
     def _depart_ps(self, epoch: int) -> None:
         if epoch != self._epoch:
             return  # superseded by a later arrival/departure
         now = self.scheduler.now
         self._advance_ps(now)
-        head = min(self._jobs, key=lambda j: (j.remaining_ms, j.seq))
-        self._jobs.remove(head)
+        index = self._remaining.index(min(self._remaining))
+        head = self._jobs.pop(index)
+        del self._remaining[index]
         self.served += 1
         self.busy_ms += head.demand_ms / self.capacity
         # Re-arm before the callback: the callback may resume a process
@@ -638,7 +637,8 @@ class ServerQueue:
             demand_ms=head.demand_ms,
             service_ms=head.demand_ms / self.capacity,
             depth_at_arrival=head.depth_at_arrival,
-            contended=head.contended,
+            # Arrived into company, or something arrived while resident.
+            contended=head.depth_at_arrival > 1 or self._seq > head.seq + 1,
         )
         if self.events is not NULL_QUEUE_EVENTS:
             self.events.on_complete(self, head, completion)

@@ -9,6 +9,7 @@ shared data.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.harness import DEFAULT_SERVER_SPECS, build_databases
 from repro.sqlengine import (
@@ -22,6 +23,11 @@ from repro.sqlengine import (
     populate,
 )
 from repro.workload import TEST_SCALE
+
+#: ``--hypothesis-profile=soak``: what CI's bench-load job runs the
+#: scheduler reference property under, with a fixed ``--hypothesis-seed``
+#: (tests that pin ``max_examples`` themselves are unaffected).
+settings.register_profile("soak", max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Event scheduler and capacity queues: determinism, conservation,
 processor-sharing sojourn shapes, and the one second-leg request."""
 
+import sys
+
 import pytest
 
 from repro.sim.sched import (
@@ -101,8 +103,7 @@ class TestEventScheduler:
 
 
 class TestServerQueue:
-    @pytest.mark.parametrize("discipline", ["ps"])
-    def test_capacity_conservation(self, discipline):
+    def test_capacity_conservation(self):
         """Total busy time == total demand / capacity, every job is
         served exactly once, and the queue drains empty."""
         sched = EventScheduler()
@@ -180,6 +181,35 @@ class TestServerQueue:
         sched.run()
         assert queue.max_depth == 4
 
+    def test_python_calls_do_not_grow_with_depth(self):
+        """One ``backlog_ms`` plus one departure enter the same number
+        of Python functions at depth 8 and at depth 800: every
+        per-resident step is a single builtin pass (C calls are not
+        ``call`` events), never a lambda or generator per resident."""
+
+        def python_calls(depth):
+            sched = EventScheduler()
+            queue = ServerQueue("S", sched, capacity=2.0)
+            done = []
+            for index in range(depth):
+                queue.submit(2.0 + index, done.append)
+            # Every submit armed a departure the next one superseded;
+            # let those fire (as no-ops) before counting.
+            sched.run(until_ms=depth - 0.5)
+            calls = []
+            sys.setprofile(
+                lambda frame, event, arg: event == "call" and calls.append(1)
+            )
+            try:
+                queue.backlog_ms(sched.now)
+                sched.run(until_ms=float(depth))  # the 1 ms head, shared
+            finally:
+                sys.setprofile(None)
+            assert len(done) == 1 and queue.depth == depth - 1
+            return len(calls)
+
+        assert python_calls(8) == python_calls(800)
+
     def test_rejects_invalid_configuration(self):
         sched = EventScheduler()
         with pytest.raises(ValueError):
@@ -214,6 +244,25 @@ class TestCancellation:
         assert len(log) == 1
         # Survivor: 2ms done at t=4, 8ms left at full rate -> t=12.
         assert log[0].finished_ms == pytest.approx(12.0)
+
+    def test_equal_survivors_of_a_cancel_depart_in_arrival_order(self):
+        """Three equal demands, the middle one cancelled: deleting from
+        the middle must leave the survivors' remaining work aligned with
+        their handles, and the tie still goes to the earlier arrival."""
+        sched = EventScheduler()
+        queue = ServerQueue("S", sched, capacity=1.0)
+        log = []
+        first, middle, last = (
+            queue.submit(12.0, lambda c, name=name: log.append((name, c)))
+            for name in ("first", "middle", "last")
+        )
+        sched.call_at(6.0, queue.cancel, middle)
+        sched.run()
+        # 2 ms each consumed by t=6, then 10 ms left for two: both at 26.
+        assert [name for name, _ in log] == ["first", "last"]
+        assert [c.finished_ms for _, c in log] == [26.0, 26.0]
+        assert queue.busy_ms == 26.0 and queue.cancelled_jobs == 1
+        assert queue.consumed_ms(first) == queue.consumed_ms(last) == 0.0
 
     def test_cancel_completed_or_cancelled_job_is_noop(self):
         sched = EventScheduler()
