@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..sqlengine import Column, Schema, parse
-from ..sqlengine.expressions import ColumnRef, Expression, walk
+from ..sqlengine.expressions import Expression
 from ..sqlengine.logical import JoinEdge, QueryBlock, bind
 from ..sqlengine.parser import SelectStatement
 from .nicknames import FederationError, NicknameRegistry
@@ -230,9 +230,8 @@ def _needed_columns(
         sources.append(block.having)
     sources.extend(o.expr for o in block.order_by)
     for source in sources:
-        for node in walk(source):
-            if isinstance(node, ColumnRef):
-                note(node.name)
+        for name in source.columns():  # qualified by bind
+            note(name)
     for edge in cross_edges:
         note(edge.left_column)
         note(edge.right_column)
@@ -259,14 +258,13 @@ def _partial_fragment(
     select_parts: List[str] = []
     columns: List[Column] = []
     for binding in group:
-        relation = block.relations[binding]
-        schema = relation.schema
+        # Types by bare name from the catalog's own schema: no renamed
+        # copy, no formatted lookup key.
+        schema = block.relations[binding].table.schema
         bare_columns = needed.get(binding) or [schema.columns[0].name]
         for bare in bare_columns:
             select_parts.append(f"{binding}.{bare} AS {binding}__{bare}")
-            columns.append(
-                Column(bare, schema.column(f"{binding}.{bare}").ctype, binding)
-            )
+            columns.append(Column(bare, schema.column(bare).ctype, binding))
 
     from_parts: List[str] = []
     for binding in group:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from . import expressions as E
 from .catalog import Catalog, TableDef
 from .expressions import (
     ColumnRef,
@@ -116,15 +117,16 @@ class QueryBlock:
         return tuple(self.relations)
 
 
-def _binding_of(name: str, input_schemas: Dict[str, Schema]) -> str:
-    """Resolve a column reference to the unique binding that provides it."""
+def _qualify_column(ref: ColumnRef, input_schemas: Dict[str, Schema]) -> ColumnRef:
+    """*ref* under the unique binding that provides it."""
+    name = ref.name
     table, _, bare = name.rpartition(".")
     if table:
         if table not in input_schemas:
             raise BindError(f"unknown table reference {table!r} in {name!r}")
         if not input_schemas[table].has_column(bare):
             raise BindError(f"column {name!r} not found")
-        return table
+        return ref
     owners = [
         binding
         for binding, schema in input_schemas.items()
@@ -136,47 +138,48 @@ def _binding_of(name: str, input_schemas: Dict[str, Schema]) -> str:
         raise BindError(
             f"ambiguous column {name!r} (in {', '.join(sorted(owners))})"
         )
-    return owners[0]
+    return ColumnRef(f"{owners[0]}.{bare}")
 
 
 def _qualify(expr: Expression, input_schemas: Dict[str, Schema]) -> Expression:
-    """Rewrite bare column refs into fully qualified ones."""
+    """Rewrite bare column refs into fully qualified ones.
+
+    Expression nodes are frozen, so a subtree that needs no rewriting is
+    returned as it is: the bound block shares it with the statement.
+    """
     if isinstance(expr, ColumnRef):
-        binding = _binding_of(expr.name, input_schemas)
-        return ColumnRef(f"{binding}.{expr.bare_name}")
-    replacements = tuple(
-        _qualify(child, input_schemas) for child in expr.children()
-    )
-    if not replacements:
-        return expr
-    return _rebuild(expr, replacements)
+        return _qualify_column(expr, input_schemas)
+    changed = False
+    replacements = []
+    for child in expr.children():
+        replacement = _qualify(child, input_schemas)
+        if replacement is not child:
+            changed = True
+        replacements.append(replacement)
+    return _rebuild(expr, replacements) if changed else expr
 
 
-def _rebuild(expr: Expression, children: Tuple[Expression, ...]) -> Expression:
+#: Node type -> clone of such a node over new children.
+_REBUILDERS = {
+    E.Comparison: lambda e, c: E.Comparison(e.op, c[0], c[1]),
+    E.And: lambda e, c: E.And(c[0], c[1]),
+    E.Or: lambda e, c: E.Or(c[0], c[1]),
+    E.Not: lambda e, c: E.Not(c[0]),
+    E.IsNull: lambda e, c: E.IsNull(c[0], e.negated),
+    E.Like: lambda e, c: E.Like(c[0], e.pattern, e.negated),
+    E.InList: lambda e, c: E.InList(c[0], e.values, e.negated),
+    E.Arithmetic: lambda e, c: E.Arithmetic(e.op, c[0], c[1]),
+    E.FuncCall: lambda e, c: E.FuncCall(e.name, c[0]),
+    E.AggregateCall: lambda e, c: E.AggregateCall(e.name, c[0], e.distinct),
+}
+
+
+def _rebuild(expr: Expression, children: Sequence[Expression]) -> Expression:
     """Clone an expression node with new children."""
-    from . import expressions as E
-
-    if isinstance(expr, E.Comparison):
-        return E.Comparison(expr.op, children[0], children[1])
-    if isinstance(expr, E.And):
-        return E.And(children[0], children[1])
-    if isinstance(expr, E.Or):
-        return E.Or(children[0], children[1])
-    if isinstance(expr, E.Not):
-        return E.Not(children[0])
-    if isinstance(expr, E.IsNull):
-        return E.IsNull(children[0], expr.negated)
-    if isinstance(expr, E.Like):
-        return E.Like(children[0], expr.pattern, expr.negated)
-    if isinstance(expr, E.InList):
-        return E.InList(children[0], expr.values, expr.negated)
-    if isinstance(expr, E.Arithmetic):
-        return E.Arithmetic(expr.op, children[0], children[1])
-    if isinstance(expr, E.FuncCall):
-        return E.FuncCall(expr.name, children[0])
-    if isinstance(expr, E.AggregateCall):
-        return E.AggregateCall(expr.name, children[0], expr.distinct)
-    raise BindError(f"cannot rebuild expression node {type(expr).__name__}")
+    rebuilder = _REBUILDERS.get(type(expr))
+    if rebuilder is None:
+        raise BindError(f"cannot rebuild expression node {type(expr).__name__}")
+    return rebuilder(expr, children)
 
 
 def _referenced_bindings(expr: Expression) -> Set[str]:

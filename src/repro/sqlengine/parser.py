@@ -9,19 +9,23 @@ Grammar (case-insensitive keywords)::
     item      := expr [AS ident] | ident '.' '*'
     tables    := source (',' source | join)*
     source    := ident [AS ident | ident]
-    join      := [INNER] JOIN source ON expr
+    join      := [INNER | LEFT [OUTER]] JOIN source ON expr
     expr      := or-chain of AND/NOT/comparison/IS NULL/arith terms
+    number    := digits ['.' digits] [('e'|'E') ['+'|'-'] digits]
 
 The parser produces a :class:`SelectStatement` AST that renders back to SQL
 via ``sql()`` — the federated decomposer manufactures fragment SQL this way,
-so round-tripping is covered by property tests.
+so round-tripping (``parse(s.sql()) == s``, floats in ``repr`` form included)
+is covered by property tests.  How the text is scanned and walked is in
+docs/architecture.md, "The SQL front end".
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from math import inf
+from typing import List, Optional, Tuple
 
 from .expressions import (
     AGGREGATE_FUNCTIONS,
@@ -55,15 +59,22 @@ KEYWORDS = {
     "LEFT", "OUTER",
 }
 
+#: One token per match, named by its kind: leading whitespace is swallowed,
+#: the end of the text is ``EOF`` and any other character ``BAD``, so the
+#: matches tile the text.  A number glued to an identifier character
+#: (``12abc``, ``1e``) is no token: its first digit comes out ``BAD``.  The
+#: lookahead-plus-backreference makes the number atomic (``(?>...)`` needs
+#: 3.11), or ``1.5e`` would fall back to ``1`` ``.`` ``5e``.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|<>|!=|=|<|>)
-  | (?P<punct>[(),.*+\-/%])
-    """,
+    r"""\s*(?:
+    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<NUMBER>(?=(?P<n>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?))(?P=n)(?![A-Za-z_]))
+  | (?P<STRING>'(?:[^']|'')*')
+  | (?P<OP><=|>=|<>|!=|=|<|>)
+  | (?P<PUNCT>[(),.*+\-/%])
+  | (?P<EOF>\Z)
+  | (?P<BAD>\S)
+    )""",
     re.VERBOSE,
 )
 
@@ -75,33 +86,38 @@ class Token:
     position: int
 
 
-def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = match.end()
-        if match.lastgroup == "ws":
-            continue
-        value = match.group()
-        if match.lastgroup == "ident":
+def _scan(text: str) -> Tuple[List[str], List[str], List[int]]:
+    """Token kinds, values and offsets of *text* as three aligned lists.
+
+    The last entry is the one ``EOF`` (value ``""``).  Keywords are folded
+    to upper case, so a value identifies its kind: no identifier spells a
+    keyword, strings keep their quotes, ``EOF`` alone is empty.
+    """
+    kinds: List[str] = []
+    values: List[str] = []
+    offsets: List[int] = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        offsets.append(match.start(kind))
+        if kind == "IDENT":
             upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, match.start()))
-            else:
-                tokens.append(Token("IDENT", value, match.start()))
-        elif match.lastgroup == "number":
-            tokens.append(Token("NUMBER", value, match.start()))
-        elif match.lastgroup == "string":
-            tokens.append(Token("STRING", value, match.start()))
-        elif match.lastgroup == "op":
-            tokens.append(Token("OP", value, match.start()))
-        else:
-            tokens.append(Token("PUNCT", value, match.start()))
-    tokens.append(Token("EOF", "", len(text)))
-    return tokens
+                kind, value = "KEYWORD", upper
+        elif kind == "BAD":
+            if value.isdecimal():
+                raise ParseError(f"malformed number at offset {offsets[-1]}")
+            raise ParseError(f"unexpected character {value!r} at offset {offsets[-1]}")
+        kinds.append(kind)
+        values.append(value)
+        if kind == "EOF":  # trailing whitespace would match it twice
+            break
+    return kinds, values, offsets
+
+
+def tokenize(text: str) -> List[Token]:
+    """The tokens of *text* as objects (the parser reads the arrays)."""
+    return [Token(*entry) for entry in zip(*_scan(text))]
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +289,8 @@ class DeleteStatement:
 
 Statement = (SelectStatement, InsertStatement, UpdateStatement, DeleteStatement)
 
+_CONSTANTS = {"NULL": None, "TRUE": True, "FALSE": False}
+
 
 # --------------------------------------------------------------------------
 # Parser
@@ -280,144 +298,136 @@ Statement = (SelectStatement, InsertStatement, UpdateStatement, DeleteStatement)
 
 
 class _Parser:
-    def __init__(self, tokens: Sequence[Token]):
-        self._tokens = tokens
+    """Recursive descent over the arrays of :func:`_scan`, by index."""
+
+    __slots__ = ("_kinds", "_values", "_offsets", "_index")
+
+    def __init__(self, text: str):
+        self._kinds, self._values, self._offsets = _scan(text)
         self._index = 0
 
     # -- token helpers -----------------------------------------------------
+    # A value identifies its kind (see _scan), so punctuation, operators
+    # and keywords are asked for by value and the open classes by kind.
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._index]
+    def _accept(self, value: str) -> bool:
+        if self._values[self._index] == value:
+            self._index += 1
+            return True
+        return False
 
-    def _advance(self) -> Token:
-        token = self._current
+    def _expect(self, value: str) -> None:
+        if self._values[self._index] != value:
+            raise self._expected(value)
         self._index += 1
-        return token
 
-    def _check(self, kind: str, value: Optional[str] = None) -> bool:
-        token = self._current
-        if token.kind != kind:
-            return False
-        return value is None or token.value == value
+    def _expect_kind(self, kind: str) -> str:
+        index = self._index
+        if self._kinds[index] != kind:
+            raise self._expected(kind)
+        self._index = index + 1
+        return self._values[index]
 
-    def _accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self._check(kind, value):
-            return self._advance()
-        return None
-
-    def _expect(self, kind: str, value: Optional[str] = None) -> Token:
-        if not self._check(kind, value):
-            token = self._current
-            want = value or kind
-            raise ParseError(
-                f"expected {want} at offset {token.position}, "
-                f"found {token.value or 'end of input'!r}"
-            )
-        return self._advance()
-
-    def _accept_keyword(self, word: str) -> bool:
-        return self._accept("KEYWORD", word) is not None
+    def _expected(self, want: str) -> ParseError:
+        return ParseError(
+            f"expected {want} at offset {self._offsets[self._index]}, "
+            f"found {self._values[self._index] or 'end of input'!r}"
+        )
 
     # -- grammar -----------------------------------------------------------
 
     def parse_statement(self):
-        if self._check("KEYWORD", "SELECT"):
+        word = self._values[self._index]
+        if word == "SELECT":
             return self.parse_select()
-        if self._check("KEYWORD", "INSERT"):
+        if word == "INSERT":
             return self._parse_insert()
-        if self._check("KEYWORD", "UPDATE"):
+        if word == "UPDATE":
             return self._parse_update()
-        if self._check("KEYWORD", "DELETE"):
+        if word == "DELETE":
             return self._parse_delete()
-        token = self._current
-        raise ParseError(
-            f"expected a statement, found {token.value or 'end of input'!r}"
-        )
+        raise ParseError(f"expected a statement, found {word or 'end of input'!r}")
 
     def _parse_insert(self) -> InsertStatement:
-        self._expect("KEYWORD", "INSERT")
-        self._expect("KEYWORD", "INTO")
-        table = self._expect("IDENT").value
+        self._expect("INSERT")
+        self._expect("INTO")
+        table = self._expect_kind("IDENT")
         columns: List[str] = []
-        if self._accept("PUNCT", "("):
-            columns.append(self._expect("IDENT").value)
-            while self._accept("PUNCT", ","):
-                columns.append(self._expect("IDENT").value)
-            self._expect("PUNCT", ")")
-        self._expect("KEYWORD", "VALUES")
+        if self._accept("("):
+            columns.append(self._expect_kind("IDENT"))
+            while self._accept(","):
+                columns.append(self._expect_kind("IDENT"))
+            self._expect(")")
+        self._expect("VALUES")
         rows: List[Tuple[Expression, ...]] = []
         while True:
-            self._expect("PUNCT", "(")
-            values = [self.parse_expression()]
-            while self._accept("PUNCT", ","):
-                values.append(self.parse_expression())
-            self._expect("PUNCT", ")")
-            rows.append(tuple(values))
-            if not self._accept("PUNCT", ","):
+            self._expect("(")
+            rows.append(tuple(self._parse_expression_list()))
+            self._expect(")")
+            if not self._accept(","):
                 break
-        self._expect("EOF")
+        self._expect_kind("EOF")
         return InsertStatement(
             table=table, columns=tuple(columns), rows=tuple(rows)
         )
 
     def _parse_update(self) -> UpdateStatement:
-        self._expect("KEYWORD", "UPDATE")
-        table = self._expect("IDENT").value
-        self._expect("KEYWORD", "SET")
+        self._expect("UPDATE")
+        table = self._expect_kind("IDENT")
+        self._expect("SET")
         assignments = [self._parse_assignment()]
-        while self._accept("PUNCT", ","):
+        while self._accept(","):
             assignments.append(self._parse_assignment())
         where = None
-        if self._accept_keyword("WHERE"):
+        if self._accept("WHERE"):
             where = self.parse_expression()
-        self._expect("EOF")
+        self._expect_kind("EOF")
         return UpdateStatement(
             table=table, assignments=tuple(assignments), where=where
         )
 
     def _parse_assignment(self) -> Assignment:
-        column = self._expect("IDENT").value
-        self._expect("OP", "=")
+        column = self._expect_kind("IDENT")
+        self._expect("=")
         return Assignment(column=column, value=self.parse_expression())
 
     def _parse_delete(self) -> DeleteStatement:
-        self._expect("KEYWORD", "DELETE")
-        self._expect("KEYWORD", "FROM")
-        table = self._expect("IDENT").value
+        self._expect("DELETE")
+        self._expect("FROM")
+        table = self._expect_kind("IDENT")
         where = None
-        if self._accept_keyword("WHERE"):
+        if self._accept("WHERE"):
             where = self.parse_expression()
-        self._expect("EOF")
+        self._expect_kind("EOF")
         return DeleteStatement(table=table, where=where)
 
     def parse_select(self) -> SelectStatement:
-        self._expect("KEYWORD", "SELECT")
-        distinct = self._accept_keyword("DISTINCT")
+        self._expect("SELECT")
+        distinct = self._accept("DISTINCT")
         items = self._parse_select_items()
-        self._expect("KEYWORD", "FROM")
+        self._expect("FROM")
         tables, joins = self._parse_from()
         where = None
-        if self._accept_keyword("WHERE"):
+        if self._accept("WHERE"):
             where = self.parse_expression()
         group_by: Tuple[Expression, ...] = ()
-        if self._accept_keyword("GROUP"):
-            self._expect("KEYWORD", "BY")
+        if self._accept("GROUP"):
+            self._expect("BY")
             group_by = tuple(self._parse_expression_list())
         having = None
-        if self._accept_keyword("HAVING"):
+        if self._accept("HAVING"):
             having = self.parse_expression()
         order_by: Tuple[OrderItem, ...] = ()
-        if self._accept_keyword("ORDER"):
-            self._expect("KEYWORD", "BY")
+        if self._accept("ORDER"):
+            self._expect("BY")
             order_by = tuple(self._parse_order_items())
         limit = None
-        if self._accept_keyword("LIMIT"):
-            token = self._expect("NUMBER")
-            if "." in token.value:
-                raise ParseError(f"LIMIT must be an integer, got {token.value}")
-            limit = int(token.value)
-        self._expect("EOF")
+        if self._accept("LIMIT"):
+            raw = self._expect_kind("NUMBER")
+            if not raw.isdecimal():
+                raise ParseError(f"LIMIT must be an integer, got {raw}")
+            limit = int(raw)
+        self._expect_kind("EOF")
         return SelectStatement(
             items=items,
             tables=tables,
@@ -431,56 +441,57 @@ class _Parser:
         )
 
     def _parse_select_items(self) -> Tuple[SelectItem, ...]:
-        if self._accept("PUNCT", "*"):
+        if self._accept("*"):
             return ()
         items = [self._parse_select_item()]
-        while self._accept("PUNCT", ","):
+        while self._accept(","):
             items.append(self._parse_select_item())
         return tuple(items)
 
     def _parse_select_item(self) -> SelectItem:
-        # t.* form: IDENT '.' '*'
+        index = self._index
+        # t.* form: IDENT '.' '*' (the lookahead cannot pass EOF: neither
+        # an identifier nor '.' is the last token)
         if (
-            self._check("IDENT")
-            and self._index + 2 < len(self._tokens)
-            and self._tokens[self._index + 1].value == "."
-            and self._tokens[self._index + 2].value == "*"
+            self._kinds[index] == "IDENT"
+            and self._values[index + 1] == "."
+            and self._values[index + 2] == "*"
         ):
-            table = self._advance().value
-            self._advance()  # '.'
-            self._advance()  # '*'
-            return SelectItem(expr=None, star_table=table)
-        expr = self.parse_expression()
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect("IDENT").value
-        elif self._check("IDENT"):
-            alias = self._advance().value
-        return SelectItem(expr=expr, alias=alias)
+            self._index = index + 3
+            return SelectItem(expr=None, star_table=self._values[index])
+        return SelectItem(expr=self.parse_expression(), alias=self._parse_alias())
+
+    def _parse_alias(self) -> Optional[str]:
+        """``[AS] ident`` after a select item or a table name."""
+        if self._accept("AS"):
+            return self._expect_kind("IDENT")
+        index = self._index
+        if self._kinds[index] == "IDENT":
+            self._index = index + 1
+            return self._values[index]
+        return None
 
     def _parse_from(self) -> Tuple[Tuple[TableRef, ...], Tuple[JoinClause, ...]]:
         tables = [self._parse_table_ref()]
         joins: List[JoinClause] = []
         while True:
-            if self._accept("PUNCT", ","):
+            word = self._values[self._index]
+            if word == ",":
+                self._index += 1
                 tables.append(self._parse_table_ref())
                 continue
-            is_join = (
-                self._check("KEYWORD", "JOIN")
-                or self._check("KEYWORD", "INNER")
-                or self._check("KEYWORD", "LEFT")
-            )
-            if not is_join:
-                break
-            outer = False
-            if self._accept_keyword("LEFT"):
-                self._accept_keyword("OUTER")
+            if word == "LEFT":
+                self._index += 1
+                self._accept("OUTER")
                 outer = True
+            elif word == "INNER" or word == "JOIN":
+                self._accept("INNER")
+                outer = False
             else:
-                self._accept_keyword("INNER")
-            self._expect("KEYWORD", "JOIN")
+                break
+            self._expect("JOIN")
             table = self._parse_table_ref()
-            self._expect("KEYWORD", "ON")
+            self._expect("ON")
             condition = self.parse_expression()
             joins.append(
                 JoinClause(table=table, condition=condition, outer=outer)
@@ -488,17 +499,12 @@ class _Parser:
         return tuple(tables), tuple(joins)
 
     def _parse_table_ref(self) -> TableRef:
-        name = self._expect("IDENT").value
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect("IDENT").value
-        elif self._check("IDENT"):
-            alias = self._advance().value
-        return TableRef(name=name, alias=alias)
+        name = self._expect_kind("IDENT")
+        return TableRef(name=name, alias=self._parse_alias())
 
     def _parse_expression_list(self) -> List[Expression]:
         exprs = [self.parse_expression()]
-        while self._accept("PUNCT", ","):
+        while self._accept(","):
             exprs.append(self.parse_expression())
         return exprs
 
@@ -507,71 +513,75 @@ class _Parser:
         while True:
             expr = self.parse_expression()
             ascending = True
-            if self._accept_keyword("DESC"):
+            if self._accept("DESC"):
                 ascending = False
             else:
-                self._accept_keyword("ASC")
+                self._accept("ASC")
             items.append(OrderItem(expr=expr, ascending=ascending))
-            if not self._accept("PUNCT", ","):
+            if not self._accept(","):
                 return items
 
     # expression precedence: OR < AND < NOT < comparison < additive < term
     def parse_expression(self) -> Expression:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expression:
         left = self._parse_and()
-        while self._accept_keyword("OR"):
+        while self._values[self._index] == "OR":
+            self._index += 1
             left = Or(left, self._parse_and())
         return left
 
     def _parse_and(self) -> Expression:
         left = self._parse_not()
-        while self._accept_keyword("AND"):
+        while self._values[self._index] == "AND":
+            self._index += 1
             left = And(left, self._parse_not())
         return left
 
     def _parse_not(self) -> Expression:
-        if self._accept_keyword("NOT"):
+        if self._values[self._index] == "NOT":
+            self._index += 1
             return Not(self._parse_not())
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Expression:
         left = self._parse_additive()
-        if self._check("OP"):
-            op = self._advance().value
-            right = self._parse_additive()
-            return Comparison(op, left, right)
-        if self._accept_keyword("IS"):
-            negated = self._accept_keyword("NOT")
-            self._expect("KEYWORD", "NULL")
+        index = self._index
+        kind = self._kinds[index]
+        if kind == "OP":
+            self._index = index + 1
+            return Comparison(self._values[index], left, self._parse_additive())
+        if kind != "KEYWORD":
+            return left
+        word = self._values[index]
+        if word == "IS":
+            self._index = index + 1
+            negated = self._accept("NOT")
+            self._expect("NULL")
             return IsNull(left, negated=negated)
-        if self._accept_keyword("BETWEEN"):
+        if word == "BETWEEN":
+            self._index = index + 1
             low = self._parse_additive()
-            self._expect("KEYWORD", "AND")
+            self._expect("AND")
             high = self._parse_additive()
             return And(Comparison(">=", left, low), Comparison("<=", left, high))
-        negated = False
-        if self._check("KEYWORD", "NOT"):
-            after = self._tokens[self._index + 1]
-            if after.kind == "KEYWORD" and after.value in ("IN", "LIKE"):
-                self._advance()
-                negated = True
-            else:
+        negated = word == "NOT"
+        if negated:
+            # NOT binds to the IN / LIKE after it, or to nothing here.
+            word = self._values[index + 1]
+            if word != "IN" and word != "LIKE":
                 return left
-        if self._accept_keyword("LIKE"):
-            pattern_token = self._expect("STRING")
-            pattern = pattern_token.value[1:-1].replace("''", "'")
+            index += 1
+        if word == "LIKE":
+            self._index = index + 1
+            pattern = self._expect_kind("STRING")[1:-1].replace("''", "'")
             return Like(left, pattern, negated=negated)
-        if self._accept_keyword("IN"):
-            self._expect("PUNCT", "(")
+        if word == "IN":
+            self._index = index + 1
+            self._expect("(")
             values = [self._parse_in_value()]
-            while self._accept("PUNCT", ","):
+            while self._accept(","):
                 values.append(self._parse_in_value())
-            self._expect("PUNCT", ")")
+            self._expect(")")
             return InList(left, tuple(values), negated=negated)
-        if negated:  # pragma: no cover - unreachable, guarded above
-            raise ParseError("dangling NOT")
         return left
 
     def _parse_in_value(self):
@@ -591,92 +601,95 @@ class _Parser:
 
     def _parse_additive(self) -> Expression:
         left = self._parse_multiplicative()
-        while self._check("PUNCT", "+") or self._check("PUNCT", "-"):
-            op = self._advance().value
+        while True:
+            op = self._values[self._index]
+            if op not in ("+", "-"):
+                return left
+            self._index += 1
             left = Arithmetic(op, left, self._parse_multiplicative())
-        return left
 
     def _parse_multiplicative(self) -> Expression:
         left = self._parse_term()
-        while (
-            self._check("PUNCT", "*")
-            or self._check("PUNCT", "/")
-            or self._check("PUNCT", "%")
-        ):
-            op = self._advance().value
+        while True:
+            op = self._values[self._index]
+            if op not in ("*", "/", "%"):
+                return left
+            self._index += 1
             left = Arithmetic(op, left, self._parse_term())
-        return left
 
     def _parse_term(self) -> Expression:
-        if self._accept("PUNCT", "("):
+        index = self._index
+        kind = self._kinds[index]
+        value = self._values[index]
+        self._index = index + 1  # every branch that returns took the token
+        if kind == "IDENT":
+            return self._parse_identifier_term(value)
+        if kind == "NUMBER":
+            if value.isdecimal():
+                return Literal(int(value))
+            number = float(value)
+            if number == inf:
+                raise ParseError(
+                    f"number {value} out of range at offset {self._offsets[index]}"
+                )
+            return Literal(number)
+        if kind == "STRING":
+            return Literal(value[1:-1].replace("''", "'"))
+        if value == "(":
             expr = self.parse_expression()
-            self._expect("PUNCT", ")")
+            self._expect(")")
             return expr
-        if self._check("NUMBER"):
-            raw = self._advance().value
-            return Literal(float(raw) if "." in raw else int(raw))
-        if self._check("STRING"):
-            raw = self._advance().value
-            return Literal(raw[1:-1].replace("''", "'"))
-        if self._accept_keyword("NULL"):
-            return Literal(None)
-        if self._accept_keyword("TRUE"):
-            return Literal(True)
-        if self._accept_keyword("FALSE"):
-            return Literal(False)
-        if self._check("PUNCT", "-"):
-            self._advance()
-            operand = self._parse_term()
-            return Arithmetic("-", Literal(0), operand)
-        if self._check("IDENT"):
-            return self._parse_identifier_term()
-        token = self._current
+        if value == "-":
+            return Arithmetic("-", Literal(0), self._parse_term())
+        if value in _CONSTANTS:
+            return Literal(_CONSTANTS[value])
         raise ParseError(
-            f"unexpected token {token.value or 'end of input'!r} "
-            f"at offset {token.position}"
+            f"unexpected token {value or 'end of input'!r} "
+            f"at offset {self._offsets[index]}"
         )
 
-    def _parse_identifier_term(self) -> Expression:
-        name = self._advance().value
-        upper = name.upper()
-        if self._check("PUNCT", "("):
-            if upper in AGGREGATE_FUNCTIONS:
-                return self._parse_aggregate(upper)
-            if upper in SCALAR_FUNCTIONS:
-                self._advance()
-                arg = self.parse_expression()
-                self._expect("PUNCT", ")")
-                return FuncCall(upper, arg)
-            raise ParseError(f"unknown function {name!r}")
-        if self._accept("PUNCT", "."):
-            column = self._expect("IDENT").value
+    def _parse_identifier_term(self, name: str) -> Expression:
+        word = self._values[self._index]
+        if word == ".":
+            self._index += 1
+            column = self._expect_kind("IDENT")
             return ColumnRef(f"{name}.{column}")
-        return ColumnRef(name)
+        if word != "(":
+            return ColumnRef(name)
+        upper = name.upper()
+        if upper in AGGREGATE_FUNCTIONS:
+            return self._parse_aggregate(upper)
+        if upper in SCALAR_FUNCTIONS:
+            self._index += 1
+            arg = self.parse_expression()
+            self._expect(")")
+            return FuncCall(upper, arg)
+        raise ParseError(f"unknown function {name!r}")
 
     def _parse_aggregate(self, name: str) -> Expression:
-        self._expect("PUNCT", "(")
-        if self._accept("PUNCT", "*"):
-            self._expect("PUNCT", ")")
+        self._expect("(")
+        if self._accept("*"):
+            self._expect(")")
             return AggregateCall(name, None)
-        distinct = self._accept_keyword("DISTINCT")
+        distinct = self._accept("DISTINCT")
         arg = self.parse_expression()
-        self._expect("PUNCT", ")")
+        self._expect(")")
         return AggregateCall(name, arg, distinct=distinct)
 
 
 def parse(sql: str) -> SelectStatement:
     """Parse a SELECT statement into its AST."""
-    return _Parser(tokenize(sql)).parse_select()
+    return _Parser(sql).parse_select()
 
 
 def parse_statement(sql: str):
     """Parse any supported statement (SELECT / INSERT / UPDATE / DELETE)."""
-    return _Parser(tokenize(sql)).parse_statement()
+    return _Parser(sql).parse_statement()
 
 
 def parse_expression(text: str) -> Expression:
     """Parse a standalone scalar/boolean expression (test helper)."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     expr = parser.parse_expression()
-    parser._expect("EOF")
+    parser._expect_kind("EOF")
     return expr

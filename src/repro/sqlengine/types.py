@@ -106,16 +106,20 @@ class Schema:
     Building one is free: the optimizer derives a schema for every join
     it considers and resolves names on the few it keeps, so the name
     indexes are filled by the first :meth:`index_of` and the row width
-    by the first :meth:`row_width_bytes`.
+    by the first :meth:`row_width_bytes`.  A schema is never changed
+    after construction, so :meth:`rename_table` may hand the same copy
+    to every caller.
     """
 
-    __slots__ = ("columns", "_by_qualified", "_by_bare", "_row_width")
+    __slots__ = ("columns", "_by_qualified", "_by_bare", "_row_width", "_renamed")
 
     def __init__(self, columns: Sequence[Column]):
         self.columns: Tuple[Column, ...] = tuple(columns)
         self._by_qualified: Optional[dict] = None
         self._by_bare: Optional[dict] = None
         self._row_width: Optional[float] = None
+        #: (table, copy) of the latest :meth:`rename_table`.
+        self._renamed: Optional[Tuple[str, "Schema"]] = None
 
     def _index_names(self) -> None:
         by_qualified, by_bare = {}, {}
@@ -138,57 +142,66 @@ class Schema:
         cols = ", ".join(f"{c.qualified_name}:{c.ctype.value}" for c in self.columns)
         return f"Schema({cols})"
 
+    def _find(self, name: str) -> Optional[int]:
+        """Index of the one column *name* resolves to, if there is one."""
+        if self._by_bare is None:
+            self._index_names()
+        if "." not in name:
+            candidates = self._by_bare.get(name, ())
+            return candidates[0] if len(candidates) == 1 else None
+        idx = self._by_qualified.get(name)
+        if idx is None:
+            # Fall back to bare resolution of the trailing component so
+            # that single-table fragments can use stale qualifiers.
+            table, _, bare = name.rpartition(".")
+            candidates = [
+                i
+                for i in self._by_bare.get(bare, ())
+                if self.columns[i].table in (None, table)
+            ]
+            if len(candidates) == 1:
+                idx = candidates[0]
+        return idx
+
     def index_of(self, name: str) -> int:
         """Resolve *name* to a column index.
 
         Raises :class:`SchemaError` if the name is unknown or ambiguous.
         """
-        if self._by_bare is None:
-            self._index_names()
-        if "." in name:
-            idx = self._by_qualified.get(name)
-            if idx is None:
-                # Fall back to bare resolution of the trailing component so
-                # that single-table fragments can use stale qualifiers.
-                table, _, bare = name.rpartition(".")
-                candidates = [
-                    i
-                    for i in self._by_bare.get(bare, [])
-                    if self.columns[i].table in (None, table)
-                ]
-                if len(candidates) == 1:
-                    return candidates[0]
+        idx = self._find(name)
+        if idx is None:
+            candidates = self._by_bare.get(name, ())  # a bare name's only
+            if not candidates:
                 raise SchemaError(f"unknown column {name!r}")
-            return idx
-        candidates = self._by_bare.get(name, [])
-        if not candidates:
-            raise SchemaError(f"unknown column {name!r}")
-        if len(candidates) > 1:
-            tables = sorted(
-                {self.columns[i].table or "?" for i in candidates}
-            )
+            tables = sorted({self.columns[i].table or "?" for i in candidates})
             raise SchemaError(
                 f"ambiguous column {name!r} (present in {', '.join(tables)})"
             )
-        return candidates[0]
+        return idx
 
     def column(self, name: str) -> Column:
         return self.columns[self.index_of(name)]
 
     def has_column(self, name: str) -> bool:
-        try:
-            self.index_of(name)
-        except SchemaError:
-            return False
-        return True
+        return self._find(name) is not None
 
     def concat(self, other: "Schema") -> "Schema":
         """Schema of the join of two row streams (left columns first)."""
         return Schema(self.columns + other.columns)
 
     def rename_table(self, table: str) -> "Schema":
-        """Return a copy with every column re-qualified to *table*."""
-        return Schema(tuple(c.with_table(table) for c in self.columns))
+        """Return a copy with every column re-qualified to *table*.
+
+        The latest copy is kept, name indexes included (one copy, whatever
+        names are asked for): statement after statement binds a catalog
+        table under the same alias.
+        """
+        renamed = self._renamed
+        if renamed is None or renamed[0] != table:
+            renamed = self._renamed = table, Schema(
+                tuple(c.with_table(table) for c in self.columns)
+            )
+        return renamed[1]
 
     def row_width_bytes(self) -> float:
         """Approximate stored/transferred width of one row, in bytes."""

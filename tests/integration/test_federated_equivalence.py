@@ -82,3 +82,20 @@ class TestFederatedEquivalence:
         assert len(federated.fragments) == 2  # orders and lineitem split
         direct = sample_databases["S1"].run(sql)
         assert rows_close_unordered(federated.rows, direct.rows), sql
+
+
+@pytest.mark.parametrize("site", ["single_site", "multi_site"])
+def test_small_float_literal_survives_decomposition(site, request):
+    """``Literal.sql()`` renders 0.00001 as 1e-05 in the fragment text;
+    the remote parser used to read that as ``1``, ``e``, ``-``, ``05``."""
+    integrator = request.getfixturevalue(site).integrator
+    sql = (
+        "SELECT o.priority, COUNT(*) AS cnt FROM orders o "
+        "JOIN lineitem l ON o.orderkey = l.orderkey "
+        "WHERE o.totalprice > {} GROUP BY o.priority"
+    )
+    tiny = integrator.submit(sql.format("0.00001"))
+    assert any(
+        "1e-05" in outcome.option.fragment.sql for outcome in tiny.fragments.values()
+    )
+    assert sorted(tiny.rows) == sorted(integrator.submit(sql.format("0")).rows)

@@ -1,8 +1,10 @@
 """Unit tests for the SQL parser."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sqlengine import ParseError, parse, parse_expression
+from repro.sqlengine.expressions import Arithmetic, Literal, conjuncts
 from repro.sqlengine.parser import tokenize
 
 
@@ -149,3 +151,62 @@ class TestSqlRoundTrip:
         once = parse(sql).sql()
         twice = parse(once).sql()
         assert once == twice
+
+
+class TestNumberRule:
+    """``digits[.digits][e[+-]digits]``: what ``Literal.sql()`` renders
+    (``repr`` of a float) parses back to the same literal."""
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0.00001", 1e-05), ("1e-05", 1e-05), ("1e5", 100000.0), ("1E+3", 1000.0),
+         ("2.5e-3", 0.0025), ("12345678901234567890.5", 1.2345678901234567e19),
+         ("1.2345678901234567e+19", 1.2345678901234567e19), ("7", 7), ("7.0", 7.0)],
+    )
+    def test_literal_value_and_type(self, text, value):
+        literal = parse_expression(text)
+        assert literal == Literal(value)
+        assert type(literal.value) is type(value)
+        assert parse_expression(literal.sql()) == literal
+
+    def test_small_float_survives_rendering(self):
+        statement = parse("SELECT a FROM t WHERE a > 0.00001")
+        assert statement.sql() == "SELECT a FROM t WHERE a > 1e-05"
+        assert parse(statement.sql()) == statement
+
+    def test_exponent_is_not_an_alias(self):
+        (item,) = parse("SELECT 1e5 FROM t").items
+        assert item.expr == Literal(100000.0) and item.alias is None
+
+    @pytest.mark.parametrize(
+        "sql, offset",
+        [("SELECT 12abc FROM t", 7), ("SELECT 1e FROM t", 7), ("SELECT 1.5e+ FROM t", 7),
+         ("SELECT a FROM t WHERE a > 3x", 26), ("SELECT 1_000 FROM t", 7)],
+    )
+    def test_number_glued_to_identifier_is_malformed(self, sql, offset):
+        with pytest.raises(ParseError, match=f"malformed number at offset {offset}$"):
+            parse(sql)
+
+    @pytest.mark.parametrize(
+        "number", ["1e999", "1" + "0" * 400 + ".0"], ids=["exponent", "decimal"]
+    )
+    def test_overflow_to_infinity_is_rejected(self, number):
+        # Literal(inf).sql() is "inf": it would come back as a column.
+        with pytest.raises(ParseError, match="out of range at offset 7"):
+            parse(f"SELECT {number} FROM t")
+
+    def test_limit_in_exponent_form_is_not_an_integer(self):
+        with pytest.raises(ParseError, match="LIMIT must be an integer, got 1e2"):
+            parse("SELECT * FROM t LIMIT 1e2")
+
+    @given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_every_finite_float_round_trips(self, value):
+        statement = parse(
+            f"SELECT a FROM t WHERE a > {value!r} AND b IN ({value!r}, -{value!r}) "
+            f"AND c < -{value!r}"
+        )
+        above, among, below = conjuncts(statement.where)
+        assert above.right == Literal(value)
+        assert among.values == (value, -value)
+        assert below.right == Arithmetic("-", Literal(0), Literal(value))
+        assert parse(statement.sql()) == statement
