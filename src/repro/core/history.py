@@ -15,6 +15,8 @@ import math
 from collections import deque
 from typing import Deque, Tuple
 
+from ..numeric import left_sum
+
 
 class RunningStats:
     """Streaming count/mean/variance (Welford's algorithm)."""
@@ -80,8 +82,8 @@ class RatioHistory:
         """avg(observed) / avg(estimated); *default* when empty."""
         if not self._pairs:
             return default
-        sum_estimated = sum(e for e, _ in self._pairs)
-        sum_observed = sum(o for _, o in self._pairs)
+        sum_estimated = left_sum(e for e, _ in self._pairs)
+        sum_observed = left_sum(o for _, o in self._pairs)
         if sum_estimated <= 0.0:
             return default
         return sum_observed / sum_estimated

@@ -39,6 +39,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
+from ..numeric import left_sum
 from .clock import VirtualClock
 
 #: Relative slack when comparing virtual times (float accumulation).
@@ -515,7 +516,7 @@ class ServerQueue:
         """Virtual time needed to drain the current residents (no new
         arrivals) — the admission controller's wait predictor."""
         self._advance_ps(t_ms)
-        return sum(self._remaining)
+        return left_sum(self._remaining)
 
     def consumed_ms(self, job: _Job) -> float:
         """Dedicated service *job* has consumed so far, without touching

@@ -265,32 +265,22 @@ class GatherColumn(ColumnData):
     """Lazy join-output column: gathers from a value provider.
 
     ``provider`` yields the source value list on first use (e.g. the
-    lazily concatenated build side of a hash join); ``indices`` may
-    contain ``None`` when ``padded`` — an outer join's NULL padding.
+    lazily concatenated build side of a hash join, whose slot 0 is the
+    NULL row an outer join's padding gathers).
     """
 
-    __slots__ = ("provider", "indices", "padded", "_values")
+    __slots__ = ("provider", "indices", "_values")
 
-    def __init__(
-        self,
-        provider: Callable[[], List[Any]],
-        indices: List[Optional[int]],
-        padded: bool = False,
-    ):
+    def __init__(self, provider: Callable[[], List[Any]], indices: List[int]):
         self.provider = provider
         self.indices = indices
-        self.padded = padded
         self._values: Optional[List[Any]] = None
 
     def values(self) -> List[Any]:
         vals = self._values
         if vals is None:
             src = self.provider()
-            if self.padded:
-                vals = [None if i is None else src[i] for i in self.indices]
-            else:
-                vals = [src[i] for i in self.indices]
-            self._values = vals
+            vals = self._values = list(map(src.__getitem__, self.indices))
         return vals
 
 

@@ -34,10 +34,12 @@ optimizer, the explain table, QCC's records and the executor.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..numeric import left_sum
 from ..obs.profile import NULL_PROFILER, OperatorProfiler, get_profiler
 from .catalog import TableDef
 from .columnar import (
@@ -72,6 +74,10 @@ from .types import Column, ColumnType, Row, Schema, SqlError
 #: Rows per batch in the columnar engine.  Large enough to amortise
 #: per-batch Python overhead, small enough to keep batches cache-warm.
 DEFAULT_BATCH_SIZE = 1024
+
+#: ``HashAggregate`` groups its input in chunks of at least this many
+#: batches' worth of rows (fewer at the end of the input).
+AGG_CHUNK_BATCHES = 4
 
 
 class ExecutionError(SqlError):
@@ -922,11 +928,13 @@ class HashJoin(PhysicalPlan):
         # Build: map keys to *global build row ids* (not row tuples) — the
         # build side stays columnar and its payload columns are only
         # gathered lazily, per output column, when something downstream
-        # actually reads them.  One C-level ``dict.update`` per batch
-        # classifies the build as it goes: it is unique (every key appears
-        # at most once — the FK→PK shape) iff ``singles`` holds one entry
-        # per non-NULL key, so uniqueness needs neither a second pass nor
-        # a list per key.
+        # actually reads them.  Ids start at 1: slot 0 of every build
+        # column is the NULL row, so a miss is the falsy id 0 and outer
+        # padding is a gather like any other.  One C-level
+        # ``dict.update`` per batch classifies the build as it goes: it is
+        # unique (every key appears at most once — the FK→PK shape) iff
+        # ``singles`` holds one entry per non-NULL key, so uniqueness
+        # needs neither a second pass nor a list per key.
         build_batches: List[ColumnBatch] = []
         key_lists: List[List[Any]] = []
         singles: Dict[Any, int] = {}
@@ -944,10 +952,10 @@ class HashJoin(PhysicalPlan):
                     # A NULL component makes the whole key NULL.
                     keys = [None if None in key else key for key in keys]
             key_lists.append(keys)
-            first = built
+            first = built + 1
             built += len(keys)
             if unique_build:
-                singles.update(zip(keys, range(first, built)))
+                singles.update(zip(keys, range(first, built + 1)))
                 if None in singles:
                     del singles[None]
                     nulls += keys.count(None)
@@ -961,14 +969,14 @@ class HashJoin(PhysicalPlan):
         )
         # A unique build lets the probe skip per-row bucket walks: the
         # per-row match list *is* the right-side gather list, and a
-        # C-level ``count(None)`` decides whether any filtering is
+        # C-level ``count(0)`` decides whether any filtering is
         # needed at all.  Buckets exist only for a build with a repeated
         # key, or to hand the residual path the shape it walks.
         buckets: Dict[Any, Sequence[int]] = {}
         if not unique_build:
             singles.clear()
             setdefault = buckets.setdefault
-            base = 0
+            base = 1
             for keys in key_lists:
                 for rid, key in enumerate(keys, base):
                     if key is not None:
@@ -979,14 +987,16 @@ class HashJoin(PhysicalPlan):
         # This frame lives as long as the probe stream does.
         del key_lists
 
-        # Lazily concatenated build-side columns, one list per column,
-        # shared by every GatherColumn the probe loop emits.
+        # Lazily concatenated build-side columns behind the NULL row, one
+        # list per column, shared by every GatherColumn the probe emits.
         right_cache: Dict[int, List[Any]] = {}
 
         def right_values(j: int) -> List[Any]:
             vals = right_cache.get(j)
             if vals is None:
-                vals = right_cache[j] = _concat_column(build_batches, j)
+                vals = right_cache[j] = [None]
+                for right_batch in build_batches:
+                    vals.extend(right_batch.column_values(j))
             return vals
 
         def right_getter(j: int) -> Callable[[], List[Any]]:
@@ -998,15 +1008,17 @@ class HashJoin(PhysicalPlan):
         li = left_idx[0] if single else -1
         # Dict-aware probe: when the probe key column is dictionary
         # encoded, translate each dictionary *entry* to its bucket once
-        # and probe by integer code.  Cached per dictionary object (one
-        # dictionary is shared by every slice of a table column).
+        # and probe by integer code; NULL's code -1 lands on a trailing
+        # miss.  Cached per dictionary object (one dictionary is shared
+        # by every slice of a table column).
         trans_cache: Dict[int, Tuple[List[str], List[Any]]] = {}
 
         def probe_translation(dictionary: List[str]) -> List[Any]:
             entry = trans_cache.get(id(dictionary))
             if entry is None:
-                entry = (dictionary, [get(s) for s in dictionary])
-                trans_cache[id(dictionary)] = entry
+                trans = list(map(get, dictionary, repeat(0)))
+                trans.append(0)
+                entry = trans_cache[id(dictionary)] = (dictionary, trans)
             return entry[1]
 
         probed = 0
@@ -1015,45 +1027,35 @@ class HashJoin(PhysicalPlan):
             for batch in self.left.rows_columnar(ctx):
                 probed += len(batch)
                 psel = batch.selected()
-                # Per selected probe row, the matching build-id bucket
-                # (or None on miss / NULL key).
+                # Per selected probe row, the matching build id or bucket
+                # (0 on a miss or a NULL key); ``map`` keeps the per-key
+                # lookup loop in C.
                 if single:
                     view = batch.cols[li].dict_view()
                     if view is not None:
                         codes, dictionary, _encode = view
+                        if batch.sel is not None:
+                            codes = map(codes.__getitem__, batch.sel)
                         trans = probe_translation(dictionary)
-                        sel = batch.sel
-                        if sel is None:
-                            matches = [
-                                trans[c] if c >= 0 else None for c in codes
-                            ]
-                        else:
-                            matches = [
-                                trans[c] if (c := codes[i]) >= 0 else None
-                                for i in sel
-                            ]
+                        matches = list(map(trans.__getitem__, codes))
                     else:
-                        # ``map`` keeps the per-key lookup loop in C.
-                        matches = list(map(get, batch.column_values(li)))
+                        matches = list(map(get, batch.column_values(li), repeat(0)))
                 else:
                     key_cols = [batch.column_values(i) for i in left_idx]
-                    matches = list(map(get, zip(*key_cols)))
+                    matches = list(map(get, zip(*key_cols), repeat(0)))
 
                 if use_fast:
-                    # ``matches`` holds one build row id (or None) per
-                    # probe row, already aligned with ``psel``.
-                    hits = len(matches) - matches.count(None)
+                    # ``matches`` holds one build row id per probe row,
+                    # already aligned with ``psel``; an outer join's miss
+                    # gathers the NULL row.
+                    hits = len(matches) - matches.count(0)
                     examined += hits
                     if outer or hits == len(matches):
                         gl = psel
                         gr = matches
                     elif hits:
-                        gl = [
-                            pos
-                            for pos, m in zip(psel, matches)
-                            if m is not None
-                        ]
-                        gr = [m for m in matches if m is not None]
+                        gl = list(compress(psel, matches))
+                        gr = list(filter(None, matches))
                     else:
                         continue
                     if batch.sel is None and gl is psel:
@@ -1066,7 +1068,7 @@ class HashJoin(PhysicalPlan):
                             TakeColumn(col, gl) for col in batch.cols
                         ]
                     out_cols.extend(
-                        GatherColumn(right_getter(j), gr, padded=outer)
+                        GatherColumn(right_getter(j), gr)
                         for j in range(right_width)
                     )
                     yield ColumnBatch(tuple(out_cols), len(gl), None)
@@ -1085,7 +1087,7 @@ class HashJoin(PhysicalPlan):
                                 gr.extend(rights)
                         elif outer:
                             gl.append(pos)
-                            gr.append(None)
+                            gr.append(0)
                 else:
                     # Residual: gather candidates for the whole batch,
                     # evaluate the residual kernel once, then reassemble
@@ -1129,13 +1131,13 @@ class HashJoin(PhysicalPlan):
                         k += count
                         if outer and not matched:
                             gl.append(pos)
-                            gr.append(None)
+                            gr.append(0)
                 if gl:
                     out_cols: List[ColumnData] = [
                         TakeColumn(col, gl) for col in batch.cols
                     ]
                     out_cols.extend(
-                        GatherColumn(right_getter(j), gr, padded=outer)
+                        GatherColumn(right_getter(j), gr)
                         for j in range(right_width)
                     )
                     yield ColumnBatch(tuple(out_cols), len(gl), None)
@@ -1339,103 +1341,47 @@ class _AggState:
 _STAR = object()
 
 
-def _fold_agg(state: _AggState, values: Sequence[Any]) -> None:
-    """Fold a column slice into *state* exactly as repeated
-    ``state.update(v)`` calls would — same accumulation order, same
-    tie-breaking (``min``/``max`` keep the earlier value on ties) — but
-    without per-value method dispatch."""
-    if state.seen is not None:
-        update = state.update
-        for v in values:
-            update(v)
-        return
-    name = state.name
-    if name == "COUNT":
-        state.count += sum(1 for v in values if v is not None)
-        return
-    if name in ("SUM", "AVG"):
-        count = state.count
-        total = state.total
-        for v in values:
-            if v is not None:
-                count += 1
-                total = v if total is None else total + v
-        state.count = count
-        state.total = total
-        return
-    if name == "MIN":
-        count = state.count
-        cur = state.min
-        for v in values:
-            if v is not None:
-                count += 1
-                if cur is None or v < cur:
-                    cur = v
-        state.count = count
-        state.min = cur
-        return
-    if name == "MAX":
-        count = state.count
-        cur = state.max
-        for v in values:
-            if v is not None:
-                count += 1
-                if cur is None or v > cur:
-                    cur = v
-        state.count = count
-        state.max = cur
-        return
-    update = state.update
-    for v in values:
-        update(v)
-
-
 def _fold_agg_dense(state: _AggState, values: Sequence[Any]) -> None:
-    """Fold a *null-free* column slice into *state* using C-level
-    reductions.  ``min``/``max`` return the first extremum, matching
-    ``_fold_agg``'s keep-the-earlier-value tie behaviour.  ``sum(values,
-    start)`` is ``_fold_agg``'s left-to-right fold, bit for bit, on
-    CPython <= 3.11 only: from 3.12 ``sum()`` over floats is compensated
-    within each call, so a float total depends on where the slices begin
-    and end.  That is why no kernel may move a batch boundary.  DISTINCT,
-    empty slices and non-numeric SUM/AVG operands fall back to the
-    generic fold."""
+    """Fold a *null-free* column slice into *state* exactly as repeated
+    ``state.update(v)`` calls would, with one C-level reduction where
+    there is one: ``min``/``max`` return the first extremum, which is
+    ``update``'s keep-the-earlier-value tie behaviour, and ``left_sum``
+    is its left-to-right fold, bit for bit, on every interpreter — so a
+    total does not depend on where the slices begin and end.  DISTINCT
+    and SUM/AVG over non-numbers take the per-value ``update``."""
     if not values:
         return
-    if state.seen is not None:
-        _fold_agg(state, values)
-        return
     name = state.name
-    if name == "COUNT":
-        state.count += len(values)
-        return
-    if name in ("SUM", "AVG"):
+    if state.seen is None:
+        if name == "COUNT":
+            state.count += len(values)
+            return
         first = values[0]
-        if isinstance(first, (int, float)):
+        if name in ("SUM", "AVG") and isinstance(first, (int, float)):
             total = state.total
             if total is None:
                 # Seed with the first element (``0 + v`` would perturb
                 # signed zeros), then fold the rest in order.
-                state.total = sum(values[1:], first)
+                state.total = left_sum(values[1:], first)
             else:
-                state.total = sum(values, total)
+                state.total = left_sum(values, total)
             state.count += len(values)
             return
-        _fold_agg(state, values)
-        return
-    if name == "MIN":
-        best = min(values)
-        if state.min is None or best < state.min:
-            state.min = best
-        state.count += len(values)
-        return
-    if name == "MAX":
-        best = max(values)
-        if state.max is None or best > state.max:
-            state.max = best
-        state.count += len(values)
-        return
-    _fold_agg(state, values)
+        if name == "MIN":
+            best = min(values)
+            if state.min is None or best < state.min:
+                state.min = best
+            state.count += len(values)
+            return
+        if name == "MAX":
+            best = max(values)
+            if state.max is None or best > state.max:
+                state.max = best
+            state.count += len(values)
+            return
+    update = state.update
+    for v in values:
+        update(v)
 
 
 def _rewrite_over_internal(
@@ -1616,23 +1562,6 @@ class HashAggregate(PhysicalPlan):
         agg_specs = [
             (call.name.upper(), call.distinct) for call in self._agg_calls
         ]
-        # Per-slot fold kind, so the dense per-group loop below can
-        # dispatch without re-deriving it from the state every time:
-        # "C" count, "S" sum/avg, "<" min, ">" max, "" generic fold.
-        fold_kinds: List[str] = []
-        for name, distinct in agg_specs:
-            if distinct:
-                fold_kinds.append("")
-            elif name == "COUNT":
-                fold_kinds.append("C")
-            elif name in ("SUM", "AVG"):
-                fold_kinds.append("S")
-            elif name == "MIN":
-                fold_kinds.append("<")
-            elif name == "MAX":
-                fold_kinds.append(">")
-            else:
-                fold_kinds.append("")
         # Several aggregates often share one argument expression
         # (SUM(x), AVG(x), MIN(x)...): each distinct argument is
         # evaluated once per batch.  ``arg_keys[i]`` indexes the shared
@@ -1640,8 +1569,8 @@ class HashAggregate(PhysicalPlan):
         arg_keys: List[Optional[int]] = []
         unique_kernels: List[Any] = []
         # Per unique argument: the child column index when the argument
-        # is a bare column reference (so denseness can be read off the
-        # column's validity metadata), else -1.
+        # is a bare column reference (so the column's validity metadata
+        # can prove it NULL-free), else -1.
         unique_ref_idx: List[int] = []
         seen_args: Dict[str, int] = {}
         for call in self._agg_calls:
@@ -1663,7 +1592,7 @@ class HashAggregate(PhysicalPlan):
 
         # COUNT(*)-only grouping degenerates to a histogram: Counter
         # runs the whole per-batch bucket-and-count at C speed (it
-        # preserves first-occurrence order, like the dict loop below).
+        # preserves first-occurrence order, like the grouping in ``fold``).
         count_only = (
             bool(key_kernels)
             and all(ak is None for ak in arg_keys)
@@ -1679,133 +1608,119 @@ class HashAggregate(PhysicalPlan):
             single_ref_idx = child_schema.index_of(self.group_by[0].name)
 
         groups: Dict[Tuple[Any, ...], List[_AggState]] = {}
-        get_group = groups.get
         single = len(key_kernels) == 1
-        count_totals: Counter = Counter()
-        per_row = max(len(self._agg_calls), 1) * params.agg_update_cost
-        consumed = 0
-        for batch in self.child.rows_columnar(ctx):
-            n = len(batch)
-            consumed += n
-            cols = [k(batch) for k in unique_kernels]
-            # Null-free argument columns take the dense C-reduction fold;
-            # validity metadata proves it for plain references, a single
-            # identity-based ``in`` scan decides for computed arguments.
-            dense = [
-                (ri >= 0 and not batch.cols[ri].has_nulls())
-                or None not in c
-                for ri, c in zip(unique_ref_idx, cols)
-            ]
-            if not key_kernels:
-                states = get_group(())
-                if states is None:
-                    states = groups[()] = [
-                        _AggState(name, distinct)
-                        for name, distinct in agg_specs
-                    ]
-                for state, ak in zip(states, arg_keys):
-                    if ak is None:
-                        state.count += n
-                    elif dense[ak]:
-                        _fold_agg_dense(state, cols[ak])
-                    else:
-                        _fold_agg(state, cols[ak])
-                continue
-            dictionary = None
-            if single_ref_idx >= 0:
-                view = batch.cols[single_ref_idx].dict_view()
-                if view is not None:
-                    codes, dictionary, _encode = view
-                    sel = batch.sel
-                    key_col: Sequence[Any] = (
-                        codes if sel is None else [codes[i] for i in sel]
-                    )
-                else:
-                    key_col = key_kernels[0](batch)
-            elif single:
-                key_col = key_kernels[0](batch)
+
+        def fold(
+            chunk: List[Tuple[Any, ...]], rows: int, dictionary: Optional[List[str]]
+        ) -> None:
+            """Group one chunk once; fold each aggregate once per group."""
+            if len(chunk) == 1:
+                key_col, cols, dense = chunk[0]
             else:
-                key_col = list(zip(*[k(batch) for k in key_kernels]))
-            if count_only:
-                # Accumulate counts only; group states are built once,
-                # after the stream (Counter preserves first-occurrence
-                # order across updates, like the dict loop below).
-                if dictionary is not None:
-                    # Count integer codes at C speed, decode per batch
-                    # (dictionaries are per-batch state, the decoded
-                    # value is the stable key).
-                    for code, cnt in Counter(key_col).items():
-                        kv = dictionary[code] if code >= 0 else None
-                        count_totals[kv] += cnt
-                else:
-                    count_totals.update(key_col)
-                continue
-            index_lists: Dict[Any, List[int]] = {}
-            get_list = index_lists.get
-            for ri, kv in enumerate(key_col):
-                lst = get_list(kv)
-                if lst is None:
-                    index_lists[kv] = [ri]
-                else:
-                    lst.append(ri)
-            for kv, idxs in index_lists.items():
+                key_parts, col_parts, dense_parts = zip(*chunk)
+                key_col = (
+                    list(chain.from_iterable(key_parts)) if key_kernels else None
+                )
+                cols = [list(chain.from_iterable(c)) for c in zip(*col_parts)]
+                dense = [all(d) for d in zip(*dense_parts)]
+            if not key_kernels:
+                # No GROUP BY: the whole chunk is the one group.
+                members: Any = [((), None)]
+            else:
+                index_lists: Dict[Any, List[int]] = defaultdict(list)
+                for ri, kv in enumerate(key_col):
+                    index_lists[kv].append(ri)
+                members = index_lists.items()
+            for kv, idxs in members:
                 if dictionary is not None:
                     kv = dictionary[kv] if kv >= 0 else None
                 key = (kv,) if single else kv
-                states = get_group(key)
+                states = groups.get(key)
                 if states is None:
                     states = groups[key] = [
                         _AggState(name, distinct)
                         for name, distinct in agg_specs
                     ]
                 # One gather per distinct argument per group, shared by
-                # every aggregate folding that argument; dense folds are
-                # inlined (same reductions as ``_fold_agg_dense``) so the
-                # per-group-per-aggregate cost is one C reduction, not a
-                # dispatching function call.
-                n_idx = len(idxs)
-                gathered: List[Optional[List[Any]]] = [None] * len(cols)
-                for state, ak, kind in zip(states, arg_keys, fold_kinds):
+                # every aggregate folding that argument, NULLs dropped
+                # (every aggregate skips them) unless the chunk has none.
+                if idxs is None:
+                    n, vals = rows, cols
+                else:
+                    n = len(idxs)
+                    vals = [list(map(c.__getitem__, idxs)) for c in cols]
+                vals = [
+                    v if d else [x for x in v if x is not None]
+                    for v, d in zip(vals, dense)
+                ]
+                for state, ak in zip(states, arg_keys):
                     if ak is None:
-                        state.count += n_idx
-                        continue
-                    if not kind or not dense[ak]:
-                        vals = gathered[ak]
-                        if vals is None:
-                            col = cols[ak]
-                            vals = gathered[ak] = [col[i] for i in idxs]
-                        _fold_agg(state, vals)
-                        continue
-                    if kind == "C":
-                        # Dense COUNT(arg) needs no gather at all.
-                        state.count += n_idx
-                        continue
-                    vals = gathered[ak]
-                    if vals is None:
-                        col = cols[ak]
-                        vals = gathered[ak] = [col[i] for i in idxs]
-                    if kind == "S":
-                        first = vals[0]
-                        if not isinstance(first, (int, float)):
-                            _fold_agg(state, vals)
-                            continue
-                        total = state.total
-                        state.total = (
-                            sum(vals[1:], first)
-                            if total is None
-                            else sum(vals, total)
-                        )
-                        state.count += n_idx
-                    elif kind == "<":
-                        best = min(vals)
-                        if state.min is None or best < state.min:
-                            state.min = best
-                        state.count += n_idx
+                        state.count += n
                     else:
-                        best = max(vals)
-                        if state.max is None or best > state.max:
-                            state.max = best
-                        state.count += n_idx
+                        _fold_agg_dense(state, vals[ak])
+
+        # Batches are buffered into chunks of at least ``chunk_limit``
+        # rows (fewer at the end, or where the key's dictionary changes),
+        # each grouped and folded once: every fold is a left fold, so
+        # the totals do not depend on where a chunk ends.
+        chunk_limit = AGG_CHUNK_BATCHES * ctx.batch_size
+        chunk: List[Tuple[Any, ...]] = []
+        chunk_rows = 0
+        chunk_dictionary = None
+        count_totals: Counter = Counter()
+        per_row = max(len(self._agg_calls), 1) * params.agg_update_cost
+        consumed = 0
+        for batch in chain(self.child.rows_columnar(ctx), (None,)):
+            dictionary = key_col = None
+            if batch is not None:
+                consumed += len(batch)
+                if single_ref_idx >= 0:
+                    view = batch.cols[single_ref_idx].dict_view()
+                    if view is not None:
+                        codes, dictionary, _encode = view
+                        sel = batch.sel
+                        key_col = (
+                            codes if sel is None else [codes[i] for i in sel]
+                        )
+                    else:
+                        key_col = key_kernels[0](batch)
+                elif single:
+                    key_col = key_kernels[0](batch)
+                elif key_kernels:
+                    key_col = list(zip(*[k(batch) for k in key_kernels]))
+                if count_only:
+                    # Accumulate counts only; group states are built once,
+                    # after the stream (Counter preserves first-occurrence
+                    # order across updates, like the grouping in ``fold``).
+                    if dictionary is not None:
+                        # Count integer codes at C speed, decode per batch
+                        # (dictionaries are per-batch state, the decoded
+                        # value is the stable key).
+                        for code, cnt in Counter(key_col).items():
+                            kv = dictionary[code] if code >= 0 else None
+                            count_totals[kv] += cnt
+                    else:
+                        count_totals.update(key_col)
+                    continue
+            if chunk and (
+                batch is None
+                or chunk_rows >= chunk_limit
+                or dictionary is not chunk_dictionary
+            ):
+                fold(chunk, chunk_rows, chunk_dictionary)
+                chunk = []
+                chunk_rows = 0
+            if batch is None:
+                break
+            cols = [k(batch) for k in unique_kernels]
+            # A plain reference's validity metadata can prove it NULL-free
+            # for free; dropping NULLs costs less than searching for them.
+            dense = [
+                ri >= 0 and not batch.cols[ri].has_nulls() for ri in unique_ref_idx
+            ]
+            chunk.append((key_col, cols, dense))
+            chunk_rows += len(batch)
+            chunk_dictionary = dictionary
         meter.cpu_ms += consumed * per_row
 
         if count_totals:

@@ -9,7 +9,8 @@ across batch boundaries, per-batch dictionary views, join builds that
 span batches).  A ``hypothesis`` case drives ``HashJoin`` directly over
 generated build sides (repeated, NULL and ``1`` / ``1.0`` / ``True``
 keys at every batch boundary), where the build classification decides
-which probe path runs.
+which probe path runs, and probe sides that are plain values or a stored
+table's dictionary-encoded strings.
 
 Every generated query must produce byte-identical rows and bit-identical
 ``WorkMeter`` totals on both engines (no generated shape uses LIMIT).
@@ -26,6 +27,7 @@ from repro.sqlengine import (
     Comparison,
     Database,
     HashJoin,
+    SeqScan,
     execute_plan,
     populate,
 )
@@ -208,44 +210,60 @@ def test_edge_cases_bit_identical(mixed_db, sql, batch_size):
 
 # -- hash-join build classification -----------------------------------------
 
+_JOIN_COLUMNS = (
+    Column("k1", ColumnType.FLOAT),
+    Column("k2", ColumnType.INT),
+    Column("tag", ColumnType.STR),
+    Column("n", ColumnType.INT),
+)
 _JOIN_SCHEMAS = {
-    side: Schema(
-        [
-            Column("k1", ColumnType.FLOAT, side),
-            Column("k2", ColumnType.INT, side),
-            Column("n", ColumnType.INT, side),
-        ]
-    )
-    for side in ("p", "b")
+    side: Schema(_JOIN_COLUMNS).rename_table(side) for side in ("p", "b")
 }
 
 #: Few distinct values, so repeats, NULLs and the equal-but-distinct
 #: spellings of one (1, 1.0, True) all turn up within a handful of rows.
 _k1 = st.sampled_from([None, 1, 1.0, True, 2, 2.5, 3, 4, 5, 6])
 _k2 = st.sampled_from([None, 1, 2])
+_tag = st.sampled_from([None, "a", "b", "c"])
 
 
 def _side(max_size):
-    return st.lists(st.tuples(_k1, _k2), max_size=max_size).map(
+    return st.lists(st.tuples(_k1, _k2, _tag), max_size=max_size).map(
         lambda keys: [key + (n,) for n, key in enumerate(keys)]
     )
+
+
+def _stored_probe(probe):
+    """*probe* as a stored table's scan: ``True`` stored as ``1.0``, the
+    tag column dictionary-encoded (its NULL is code -1)."""
+    database = Database(name="hash-join-eq")
+    database.create_table("probe", Schema(_JOIN_COLUMNS))
+    database.load_rows(
+        "probe", [(1 if row[0] is True else row[0],) + row[1:] for row in probe]
+    )
+    return database, SeqScan(database.catalog.lookup("probe"), "p")
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     build=_side(12),
     probe=_side(10),
-    composite=st.booleans(),
+    keys=st.sampled_from([("k1",), ("k1", "k2"), ("tag",), ("tag", "k2")]),
+    stored=st.booleans(),
     outer=st.booleans(),
     with_residual=st.booleans(),
     batch_size=st.sampled_from([1, 2, 3, 5, 1024]),
 )
 def test_hash_join_builds_bit_identical(
-    build, probe, composite, outer, with_residual, batch_size
+    build, probe, keys, stored, outer, with_residual, batch_size
 ):
-    keys = ("k1", "k2") if composite else ("k1",)
+    if stored:
+        database, probe_plan = _stored_probe(probe)
+    else:
+        database = Database(name="hash-join-eq")
+        probe_plan = MaterializedInput("probe", _JOIN_SCHEMAS["p"], probe)
     plan = HashJoin(
-        MaterializedInput("probe", _JOIN_SCHEMAS["p"], probe),
+        probe_plan,
         MaterializedInput("build", _JOIN_SCHEMAS["b"], build),
         [f"p.{k}" for k in keys],
         [f"b.{k}" for k in keys],
@@ -256,4 +274,4 @@ def test_hash_join_builds_bit_identical(
         ),
         outer=outer,
     )
-    assert_plan_equivalent(Database(name="hash-join-eq"), plan, batch_size)
+    assert_plan_equivalent(database, plan, batch_size)

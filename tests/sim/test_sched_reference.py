@@ -17,6 +17,7 @@ from typing import Callable
 
 from hypothesis import event, example, given, settings, strategies as st
 
+from repro.numeric import left_sum
 from repro.sim.sched import Completion, EventScheduler, ServerQueue
 
 
@@ -33,7 +34,8 @@ class _RefJob:
 
 
 class ReferenceQueue:
-    """The queue of the parent commit, observer hooks left out."""
+    """The queue of the parent commit, observer hooks left out (its
+    backlog is the same left-to-right sum on every interpreter)."""
 
     def __init__(self, name, scheduler, capacity=1.0):
         self.name, self.scheduler, self.capacity = name, scheduler, float(capacity)
@@ -46,7 +48,7 @@ class ReferenceQueue:
 
     def backlog_ms(self, t_ms):
         self._advance_ps(t_ms)
-        return sum(j.remaining_ms for j in self._jobs)
+        return left_sum(j.remaining_ms for j in self._jobs)
 
     def consumed_ms(self, job):
         if job.cancelled or job not in self._jobs:

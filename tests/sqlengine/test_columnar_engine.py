@@ -14,7 +14,9 @@ selectivity in EXPLAIN ANALYZE, engine metrics).
 
 from __future__ import annotations
 
+import math
 import os
+import random
 import subprocess
 import sys
 from array import array
@@ -36,6 +38,7 @@ from repro.sqlengine import (
     DEFAULT_BATCH_SIZE,
     DictColumn,
     ENGINES,
+    HashAggregate,
     HashJoin,
     InList,
     IsNull,
@@ -56,7 +59,11 @@ from repro.sqlengine import (
     resolve_engine,
 )
 from repro.sqlengine.columnar import NULL_CODE, TableColumn
-from repro.sqlengine.physical import ExecutionContext, MaterializedInput
+from repro.sqlengine.physical import (
+    AGG_CHUNK_BATCHES,
+    ExecutionContext,
+    MaterializedInput,
+)
 
 
 def meter_tuple(result):
@@ -682,6 +689,151 @@ class TestHashJoinBuildClassification:
         if case == "unique":
             matched = [(r[2], r[5]) for r in rows if r[5] is not None]
             assert matched == [("p1", "b"), ("p4", "c"), ("p8", "d")]
+
+    @pytest.mark.parametrize("batch_size", [1, 4, DEFAULT_BATCH_SIZE])
+    @pytest.mark.parametrize("case", ["unique", "duplicate-in-one-batch"])
+    def test_first_build_row_matches(self, case, batch_size):
+        # Build row ids start at 1, after the NULL row: id 1 is a hit.
+        rows = self.run_both(BUILD_CASES[case], ("k1",), batch_size=batch_size)
+        assert [r[3:] for r in rows if r[2] == "p0"] == [(1.0, 1, "a")]
+
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    @pytest.mark.parametrize("keys", [("k1",), ("k1", "k2")], ids=["single", "composite"])
+    @pytest.mark.parametrize("case", ["unique", "duplicate-across-batches"])
+    def test_outer_misses_and_null_keys_gather_the_null_row(self, case, keys, residual):
+        rows = self.run_both(
+            BUILD_CASES[case],
+            keys,
+            residual=(
+                Comparison("<", ColumnRef("b.k2"), Literal(10))
+                if residual
+                else None
+            ),
+            outer=True,
+        )
+        padded = [r[2] for r in rows if r[3:] == (None, None, None)]
+        # p2 has a NULL k1 and p6 misses; on the composite key p3's NULL
+        # k2 spoils the key and p7's (2, 2) misses.  Each is padded once.
+        expected = ["p2", "p3", "p6", "p7"] if len(keys) == 2 else ["p2", "p6"]
+        assert padded == expected
+
+    @pytest.mark.parametrize("batch_size", [1, 4, DEFAULT_BATCH_SIZE])
+    @pytest.mark.parametrize("outer", [False, True], ids=["inner", "outer"])
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    @pytest.mark.parametrize("where", [False, True], ids=["all", "selected"])
+    @pytest.mark.parametrize("build", ["unique", "repeated"])
+    def test_dictionary_probe_null_code_is_a_miss(
+        self, build, where, residual, outer, batch_size
+    ):
+        # A stored string column reaches the probe dictionary-encoded:
+        # the NULL code -1 and a string the build lacks both miss.
+        database = Database("dict-probe")
+        database.create_table(
+            "probe",
+            Schema((Column("tag", ColumnType.STR), Column("n", ColumnType.INT))),
+        )
+        database.load_rows(
+            "probe",
+            [("a", 0), (None, 1), ("c", 2), ("zz", 3), ("b", 4), (None, 5), ("a", 6)],
+        )
+        builds = {
+            "unique": BUILD_CASES["unique"],
+            "repeated": [(1, 1, "a"), (2, 1, "b"), (3, 2, "a"), (None, 1, None)],
+        }
+        probe = SeqScan(
+            database.catalog.lookup("probe"),
+            "p",
+            Comparison(">", ColumnRef("p.n"), Literal(0)) if where else None,
+        )
+        plan = HashJoin(
+            probe,
+            MaterializedInput("build", _KEY_SCHEMAS["b"], builds[build]),
+            ["p.tag"],
+            ["b.tag"],
+            residual=(
+                Comparison(
+                    "<", ColumnRef("b.k1"), Arithmetic("+", ColumnRef("p.n"), Literal(2))
+                )
+                if residual
+                else None
+            ),
+            outer=outer,
+        )
+        rows = assert_plan_equivalent(database, plan, batch_size)["columnar"].rows
+        assert all(r[2:] == (None, None, None) for r in rows if r[0] in (None, "zz"))
+        assert any(r[4] == r[0] for r in rows)
+        if outer:
+            assert {r[1] for r in rows} == ({1, 2, 3, 4, 5, 6} if where else set(range(7)))
+
+
+# -- float aggregates are left folds ----------------------------------------
+#
+# SUM / AVG must be the row engine's ``total + value`` fold bit for bit at
+# every batch size and across the aggregate's chunk boundaries.  Any
+# other order or grouping of these additions rounds differently — CPython
+# 3.12's compensated ``sum()`` among them.
+
+
+def _fold_rows():
+    rng = random.Random(25)
+    values = [0.1, 0.2, 0.3, 1.0, 3, 7, 1e16, -1e16, 1e-8, 2.5e15, -0.0]
+    head = [("neg-zero", -0.0), ("mixed", -0.0), ("mixed", 3), ("single", 0.1)]
+    body = [(rng.choice("abcd"), rng.choice(values)) for _ in range(400)]
+    tail = [
+        ("neg-zero", -0.0), ("mixed", 1e16), ("mixed", 1.0), ("mixed", -1e16),
+        ("nulls", None), ("nulls", 1e16), ("nulls", None), ("nulls", 1.0),
+        ("only-null", None),
+    ]
+    return head + body + tail
+
+
+#: With and without the NULL-bearing groups: one NULL in a batch sends
+#: that batch's folds down the per-value path.
+FOLD_ROWS = {
+    "nulls": _fold_rows(),
+    "dense": [row for row in _fold_rows() if row[1] is not None],
+}
+
+
+class TestFloatAggregatesAreLeftFolds:
+    def run(self, sql, data, batch_size):
+        """*sql*'s aggregate over FOLD_ROWS[data] as given (ints stay
+        ints) on both engines; the rows, signed zeros included."""
+        database = Database("left-fold")
+        database.create_table(
+            "t",
+            Schema((Column("g", ColumnType.STR), Column("x", ColumnType.FLOAT))),
+        )
+        agg = database.explain(sql)[0].plan
+        child = MaterializedInput("t", agg.child.output_schema, FOLD_ROWS[data])
+        plan = HashAggregate(
+            child, agg.group_by, agg.items, agg.output_schema, agg.having
+        )
+        results = assert_plan_equivalent(database, plan, batch_size)
+        rows = results["columnar"].rows
+        assert repr(rows) == repr(results["row"].rows)
+        return rows
+
+    @pytest.mark.parametrize("batch_size", [1, 7, DEFAULT_BATCH_SIZE])
+    @pytest.mark.parametrize("data", sorted(FOLD_ROWS))
+    def test_grouped(self, data, batch_size):
+        # Several chunks at batch sizes 1 and 7.
+        assert len(FOLD_ROWS[data]) > AGG_CHUNK_BATCHES * 7
+        rows = self.run(
+            "SELECT g, SUM(x), AVG(x), COUNT(x) FROM t GROUP BY g", data, batch_size
+        )
+        by_group = {row[0]: row[1:] for row in rows}
+        assert math.copysign(1.0, by_group["neg-zero"][0]) == -1.0
+        assert by_group["single"] == (0.1, 0.1, 1)
+        if data == "nulls":
+            assert by_group["only-null"] == (None, None, 0)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, DEFAULT_BATCH_SIZE])
+    @pytest.mark.parametrize("data", sorted(FOLD_ROWS))
+    def test_global(self, data, batch_size):
+        self.run(
+            "SELECT SUM(x), AVG(x), SUM(x * 3), AVG(x + 0.1) FROM t", data, batch_size
+        )
 
 
 @pytest.fixture(scope="module")
