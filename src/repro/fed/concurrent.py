@@ -54,6 +54,7 @@ from ..sim import (
     ServerUnavailable,
     Work,
 )
+from ..sqlengine import SqlError
 
 # Re-exported, not called: the repo benchmark's layer timer patches
 # both names in this module's namespace.
@@ -75,7 +76,6 @@ from .integrator import (
     Settled,
 )
 from .merge import build_merge_plan as build_merge_plan
-from .nicknames import FederationError
 from .rerouting import (
     RerouteConfig,
     ReroutePolicy,
@@ -307,7 +307,7 @@ class ConcurrentRuntime:
             obs.metrics.histogram(
                 "query_sojourn_ms", klass=handle.klass
             ).observe(handle.result.response_ms)
-        except FederationError as exc:
+        except SqlError as exc:
             handle.error = exc
         finally:
             # On every exit (shed, failed, completed) the scheduler

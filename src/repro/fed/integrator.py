@@ -31,6 +31,7 @@ from ..sqlengine import (
     Row,
     Schema,
     ServerProfile,
+    SqlError,
     execute_plan,
     resolve_engine,
 )
@@ -517,8 +518,10 @@ class InformationIntegrator:
 
         Yields scheduler requests (its own ``Delay``s plus whatever
         *strategy* yields) to its driver and returns the result; a query
-        that cannot be compiled or runs out of retries is logged as
-        failed and raises :class:`FederationError`.
+        that cannot be compiled is logged as failed and raises why (a
+        :class:`SqlError`: ``BindError``, :class:`FederationError`, ...),
+        one that runs out of retries likewise raises a
+        :class:`FederationError`.
         """
         obs = get_obs()
         mw = self.meta_wrapper
@@ -547,7 +550,9 @@ class InformationIntegrator:
                     staleness_tolerance_ms,
                     trace,
                 )
-            except FederationError as exc:
+            except SqlError as exc:
+                # A query that does not bind, decompose or plan fails
+                # here, its books settled, and nothing is cached.
                 self._fail(record, trace, root, t0 + elapsed, str(exc))
                 raise
             span = trace.begin("route", t_attempt)

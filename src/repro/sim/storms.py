@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..sqlengine import ColumnType
+from ..sqlengine import ColumnType, TableDef
 from .rng import derive_rng
 from .server import RemoteExecution, RemoteServer
 
@@ -52,7 +52,8 @@ class UpdateStormDriver:
             table = max(
                 names, key=lambda n: catalog.lookup(n).stats.row_count
             )
-        self.table = catalog.lookup(table)
+        self._catalog = catalog
+        self._table_name = table
         self._rng = derive_rng(seed, "storm", server.name, table)
         self._numeric_columns = [
             c
@@ -63,6 +64,12 @@ class UpdateStormDriver:
             raise ValueError(
                 f"table {table!r} has no numeric column to update"
             )
+
+    @property
+    def table(self) -> TableDef:
+        """The target's current definition: an ``analyze`` registers a
+        new one, and the statements follow the statistics it brings."""
+        return self._catalog.lookup(self._table_name)
 
     def _statement(self) -> str:
         """One random single-column range update."""

@@ -8,7 +8,7 @@ that the Query Cost Calibrator compensates for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .types import ColumnType, Row, Schema, SqlError
@@ -161,16 +161,31 @@ class Catalog:
         return iter(self._tables.values())
 
     def update_stats(self, name: str, stats: TableStats) -> None:
-        table = self.lookup(name)
-        table.stats = stats
-        self.version += 1
+        self._replace(self.lookup(name), stats=stats)
 
     def add_index(self, name: str, column: str) -> None:
         """Record a single-column index on *name* (storage builds it)."""
         table = self.lookup(name)
         bare = column.rpartition(".")[2]
-        table.indexes = table.indexes + (IndexDef(name, bare),)
+        self._replace(table, indexes=table.indexes + (IndexDef(name, bare),))
+
+    def _replace(self, table: TableDef, **changes: Any) -> None:
+        """Register a changed copy of the registered *table*.
+
+        A registered ``TableDef`` is never mutated: plans and bound
+        blocks hold the definition they were planned over, and other
+        databases with equal content may serve those plans from their
+        statement caches (``Database.explain``).  Re-costing them must
+        read what they were planned under, not this catalog's later
+        statistics.
+        """
+        self._tables[table.name.lower()] = replace(table, **changes)
         self.version += 1
+
+    def content(self) -> Tuple[TableDef, ...]:
+        """Everything an optimizer can read here — every table's name,
+        schema, statistics and indexes — for comparison with ``==``."""
+        return tuple(table for _, table in sorted(self._tables.items()))
 
     def stats_only_clone(self) -> "Catalog":
         """A copy carrying schemas and statistics but no storage binding.

@@ -9,27 +9,48 @@ offering the interface a remote server exposes to the federation:
 ``explain`` is a pure function of the SQL text, the catalog and the
 optimizer's profile and configuration, so its answers are kept in a
 statement cache (DB2's dynamic statement cache) that is dropped the
-moment any of those moves.
+moment any of those moves.  Below those caches, the statement planned
+last is shared by every database: a server whose catalog content equals
+that statement's takes its bound block, plan nodes included, and only
+prices them (docs/plan_cache.md, "The shared entry").
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .catalog import Catalog
+from .catalog import Catalog, TableDef
 from .cost import CostParameters, DEFAULT_COST_PARAMETERS, ServerProfile, REFERENCE_PROFILE
 from .executor import ExecutionResult, execute_plan, resolve_engine
-from .logical import bind
+from .logical import QueryBlock, bind
 from .optimizer import Optimizer, OptimizerConfig, DEFAULT_CONFIG, PlanCandidate
-from .parser import parse
+from .parser import SelectStatement, parse
 from .physical import PhysicalPlan
 from .storage import StorageManager
 from .types import Schema
 
 #: Statements whose plans a database keeps (LRU), like ``fed.PlanCache``.
 STATEMENT_CACHE_SIZE = 128
+
+
+class _Planned(NamedTuple):
+    """A statement as bound against some catalog's *content*."""
+
+    sql: str
+    statement: SelectStatement
+    content: Tuple[TableDef, ...]
+    block: QueryBlock
+
+
+#: The statement any database planned last.  The meta-wrapper asks a
+#: fragment's candidate servers back to back, so one entry lets servers
+#: with equal catalogs share one parse, one bind and the block's plan
+#: space, each optimizer pricing it under its own profile.  It is
+#: process-wide because the servers are independent databases; its key
+#: is exact, so no answer depends on what it holds.
+_last_planned: Optional[_Planned] = None
 
 
 class Database:
@@ -58,6 +79,8 @@ class Database:
         #: (catalog, its version, optimizer profile, optimizer config)
         #: every cached statement was planned under.
         self._planned_under: Optional[tuple] = None
+        #: ``catalog.content()`` under ``_planned_under``.
+        self._content: Tuple[TableDef, ...] = ()
         self.statement_hits = 0
         self.statement_misses = 0
 
@@ -87,10 +110,11 @@ class Database:
         if under != self._planned_under:
             self._statements.clear()
             self._planned_under = under
+            self._content = catalog.content()
         candidates = self._statements.get(sql)
         if candidates is None:
             self.statement_misses += 1
-            candidates = tuple(optimizer.optimize(bind(parse(sql), catalog)))
+            candidates = tuple(optimizer.optimize(self._bound(sql)))
             self._statements[sql] = candidates
             if len(self._statements) > STATEMENT_CACHE_SIZE:
                 self._statements.popitem(last=False)
@@ -98,6 +122,25 @@ class Database:
             self.statement_hits += 1
             self._statements.move_to_end(sql)
         return list(candidates)
+
+    def _bound(self, sql: str) -> QueryBlock:
+        """*sql* bound against this catalog — the block last planned, by
+        this database or any other, when it is the same text over equal
+        catalog content (its plan space comes with it), else a new one,
+        parsed afresh unless the text is the last one's."""
+        global _last_planned
+        last = _last_planned
+        if last is None or last.sql != sql:
+            statement = parse(sql)
+        elif last.content == self._content:
+            # Later comparisons with the same entry are by identity.
+            self._content = last.content
+            return last.block
+        else:
+            statement = last.statement
+        block = bind(statement, self.catalog)
+        _last_planned = _Planned(sql, statement, self._content, block)
+        return block
 
     def statement_cache_stats(self) -> Dict[str, int]:
         """Statement-cache counters for dashboards/CLI output."""

@@ -9,8 +9,8 @@ physical operators over this block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import expressions as E
 from .catalog import Catalog, TableDef
@@ -24,7 +24,10 @@ from .expressions import (
     walk,
 )
 from .parser import SelectItem, SelectStatement, OrderItem
-from .types import Column, Schema, SchemaError, SqlError
+from .types import Column, ColumnType, Schema, SchemaError, SqlError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .optimizer import PlanSpace
 
 
 class BindError(SqlError):
@@ -103,6 +106,11 @@ class QueryBlock:
     #: and no predicates are pushed into scans in this mode.
     fixed_joins: Tuple[FixedJoinStep, ...] = ()
     fixed_join_root: Optional[str] = None
+    #: The plan nodes and selectivities optimizers have built over this
+    #: block (``optimizer.PlanSpace``), made by the first to plan it.
+    plan_space: Optional["PlanSpace"] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def has_aggregation(self) -> bool:
@@ -203,6 +211,7 @@ def bind(statement: SelectStatement, catalog: Catalog) -> QueryBlock:
         table = catalog.lookup(ref.name)
         table_defs[ref.binding] = table
         input_schemas[ref.binding] = table.schema.rename_table(ref.binding)
+    _reject_misplaced_aggregates(statement)
 
     if any(join.outer for join in statement.joins):
         return _bind_fixed_chain(statement, input_schemas, table_defs)
@@ -273,6 +282,7 @@ def bind(statement: SelectStatement, catalog: Catalog) -> QueryBlock:
         distinct=statement.distinct,
     )
     _validate_aggregation(block)
+    _check_types(block)
     return block
 
 
@@ -336,6 +346,7 @@ def _bind_fixed_chain(
         fixed_join_root=statement.tables[0].binding,
     )
     _validate_aggregation(block)
+    _check_types(block)
     return block
 
 
@@ -392,6 +403,17 @@ def _output_schema(
     return Schema(tuple(columns))
 
 
+def _reject_misplaced_aggregates(statement: SelectStatement) -> None:
+    """WHERE and ON filter rows before any group exists, and a group
+    cannot be keyed on its own aggregate."""
+    clauses = [("WHERE", statement.where)]
+    clauses += [("ON", join.condition) for join in statement.joins]
+    clauses += [("GROUP BY", key) for key in statement.group_by]
+    for clause, expr in clauses:
+        if expr is not None and expr.contains_aggregate():
+            raise BindError(f"aggregate not allowed in {clause}: {expr.sql()!r}")
+
+
 def _validate_aggregation(block: QueryBlock) -> None:
     """Reject non-grouped non-aggregate items in an aggregated query."""
     if not block.has_aggregation:
@@ -408,3 +430,106 @@ def _validate_aggregation(block: QueryBlock) -> None:
                 f"non-aggregated item {item.expr.sql()!r} "
                 "must appear in GROUP BY"
             )
+
+
+def _check_types(block: QueryBlock) -> None:
+    """Type every expression of *block* (:func:`_type_of`); conditions
+    must be boolean."""
+    joined = Schema(
+        tuple(c for r in block.relations.values() for c in r.schema.columns)
+    )
+    conditions = [r.predicate for r in block.relations.values()]
+    conditions += [edge.expression() for edge in block.join_edges]
+    conditions += [step.condition for step in block.fixed_joins]
+    conditions += [block.residual, block.having]
+    for condition in conditions:
+        if condition is not None:
+            _expect_condition(condition, _type_of(condition, joined))
+    values = [item.expr for item in block.items] + list(block.group_by)
+    values += [o.expr for o in block.order_by]
+    for expr in values:
+        _type_of(expr, joined)
+
+
+def _type_of(expr: Expression, schema: Schema) -> Optional[ColumnType]:
+    """*expr*'s type over *schema*, ``None`` for NULL (which fits anywhere).
+
+    Raises :class:`BindError` for a well-formed statement that is wrong
+    in type, which would otherwise fail (or be false) on every row that
+    reached it: a string compared with, or looked up in a list of, a
+    non-string; arithmetic on a string other than string + string; LIKE,
+    UPPER, LOWER or LENGTH of a non-string; ABS, SUM or AVG of a string;
+    a non-boolean operand of AND, OR or NOT.
+    """
+    if isinstance(expr, E.Literal):
+        return None if expr.value is None else expr.result_type(schema)
+    if isinstance(expr, ColumnRef):
+        return expr.result_type(schema)
+    types = [_type_of(child, schema) for child in expr.children()]
+    if isinstance(expr, (E.And, E.Or, E.Not)):
+        for child, ctype in zip(expr.children(), types):
+            _expect_condition(child, ctype)
+        return ColumnType.BOOL
+    if isinstance(expr, (Comparison, E.InList)):
+        others = types[1:] if isinstance(expr, Comparison) else [
+            _type_of(E.Literal(value), schema) for value in expr.values
+        ]
+        for other in others:
+            if _clash(types[0], other):
+                raise _mismatch(
+                    expr, f"cannot compare {_name(types[0])} with {_name(other)}"
+                )
+        return ColumnType.BOOL
+    if isinstance(expr, E.Arithmetic):
+        left, right = types
+        if ColumnType.STR in types and not (
+            expr.op == "+" and {left, right} <= {ColumnType.STR, None}
+        ):
+            raise _mismatch(
+                expr, f"cannot apply {expr.op!r} to {_name(left)} and {_name(right)}"
+            )
+        if left is None or right is None:
+            return left if right is None else right
+        if ColumnType.FLOAT in types or expr.op == "/":
+            return ColumnType.FLOAT
+        return ColumnType.STR if left is ColumnType.STR else ColumnType.INT
+    if isinstance(expr, (E.Like, E.FuncCall, E.AggregateCall)) and types:
+        (arg,) = types
+        name = "LIKE" if isinstance(expr, E.Like) else expr.name.upper()
+        needs_string = _NEEDS_STRING.get(name)
+        if needs_string is not None and _clash(
+            arg, ColumnType.STR if needs_string else ColumnType.INT
+        ):
+            wanted = "a string" if needs_string else "a number"
+            raise _mismatch(expr, f"{name} needs {wanted}, not {_name(arg)}")
+        if arg is None and name in ("ABS", "SUM", "MIN", "MAX"):
+            return None
+    return expr.result_type(schema)
+
+
+#: Function (or LIKE) -> whether its argument must be a string (True) or
+#: must not be (False).
+_NEEDS_STRING = {
+    "LIKE": True, "UPPER": True, "LOWER": True, "LENGTH": True,
+    "ABS": False, "SUM": False, "AVG": False,
+}
+
+
+def _clash(left: Optional[ColumnType], right: Optional[ColumnType]) -> bool:
+    """A string against a non-string (NULL clashes with nothing)."""
+    if left is None or right is None:
+        return False
+    return (left is ColumnType.STR) != (right is ColumnType.STR)
+
+
+def _expect_condition(expr: Expression, ctype: Optional[ColumnType]) -> None:
+    if ctype not in (None, ColumnType.BOOL):
+        raise _mismatch(expr, f"{_name(ctype)} is not a condition")
+
+
+def _name(ctype: Optional[ColumnType]) -> str:
+    return "NULL" if ctype is None else ctype.value
+
+
+def _mismatch(expr: Expression, detail: str) -> BindError:
+    return BindError(f"type mismatch in {expr.sql()!r}: {detail}")

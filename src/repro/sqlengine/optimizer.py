@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog
 from .cost import (
@@ -31,7 +31,7 @@ from .expressions import (
     combine_conjuncts,
     conjuncts,
 )
-from .logical import BoundRelation, JoinEdge, QueryBlock, bind
+from .logical import BoundRelation, QueryBlock, bind
 from .parser import SelectStatement, parse
 from .physical import (
     CostEstimator,
@@ -44,6 +44,7 @@ from .physical import (
     NestedLoopJoin,
     PhysicalPlan,
     Project,
+    Selectivities,
     SeqScan,
     Sort,
     SortMergeJoin,
@@ -91,6 +92,65 @@ class OptimizerConfig:
 DEFAULT_CONFIG = OptimizerConfig()
 
 
+class _Split(NamedTuple):
+    """A two-way partition of a relation subset, with what joining its
+    sides needs: the equi-key lists (empty for a cross join) and the
+    conjunction of the connecting edges (the nested-loop condition)."""
+
+    left: FrozenSet[str]
+    right: FrozenSet[str]
+    left_keys: Tuple[str, ...]
+    right_keys: Tuple[str, ...]
+    condition: Optional[Expression]
+
+
+class PlanSpace:
+    """What optimizing one bound block builds that no profile enters:
+    its join graph's subsets and splits, its plan nodes and its
+    selectivities.
+
+    A node is a pure function of its operator, its children and its
+    keys, and the DP reaches each (operator, left, right) pair of a
+    block through one split only, so that triple — or a relation's
+    binding for a scan, a join plan for its finished tail — names the
+    node.  Every optimizer that plans the block, one per server
+    profile, takes its nodes from here and prices them with its own
+    estimator: the same nodes go through the same float operations in
+    the same order, and each returns the plans it would build alone.
+    Nodes carry no per-profile state (``CostEstimator``).
+    """
+
+    __slots__ = ("selectivities", "_nodes", "_subsets")
+
+    def __init__(self, block: QueryBlock):
+        self.selectivities = Selectivities(
+            StatsContext({b: r.table.stats for b, r in block.relations.items()})
+        )
+        self._nodes: Dict[tuple, PhysicalPlan] = {}
+        self._subsets: Optional[List[Tuple[FrozenSet[str], List[_Split]]]] = None
+
+    def node(self, key: tuple, build, *args) -> PhysicalPlan:
+        """The node named *key*, built as ``build(*args)`` the first time."""
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = build(*args)
+        return node
+
+    def subsets(
+        self, block: QueryBlock
+    ) -> List[Tuple[FrozenSet[str], List[_Split]]]:
+        """Every subset of two or more of *block*'s relations, smallest
+        first, with its splits: the order the join DP visits them in."""
+        if self._subsets is None:
+            bindings = tuple(block.relations)
+            self._subsets = [
+                (frozenset(subset), _subset_splits(frozenset(subset), block))
+                for size in range(2, len(bindings) + 1)
+                for subset in itertools.combinations(bindings, size)
+            ]
+        return self._subsets
+
+
 class Optimizer:
     """Plans a bound :class:`QueryBlock` for one server profile."""
 
@@ -105,22 +165,29 @@ class Optimizer:
     # -- public API ----------------------------------------------------
 
     def optimize(self, block: QueryBlock) -> List[PlanCandidate]:
-        """Return the top-k complete plans, cheapest first."""
+        """Return the top-k complete plans, cheapest first.
+
+        The nodes come from the block's :class:`PlanSpace`, made by the
+        first optimizer to plan the block and shared with every later
+        one; the costs are this optimizer's own.
+        """
+        space = block.plan_space
+        if space is None:
+            space = block.plan_space = PlanSpace(block)
+        selectivities = space.selectivities
         estimator = CostEstimator(
-            params=self.config.params,
-            profile=self.profile,
-            stats=StatsContext(
-                {b: r.table.stats for b, r in block.relations.items()}
-            ),
+            self.config.params, self.profile, selectivities.stats, selectivities
         )
         if block.fixed_joins:
-            join_alternatives = self._fixed_chain_plans(block, estimator)
+            join_alternatives = self._fixed_chain_plans(block, estimator, space)
         else:
-            join_alternatives = self._enumerate_joins(block, estimator)
+            join_alternatives = self._enumerate_joins(block, estimator, space)
         finished: List[PlanCandidate] = []
         seen_signatures = set()
         for candidate in join_alternatives:
-            plan = finish_plan(candidate.plan, block)
+            plan = space.node(
+                (finish_plan, candidate.plan), finish_plan, candidate.plan, block
+            )
             signature = plan.signature()
             if signature in seen_signatures:
                 continue
@@ -136,20 +203,20 @@ class Optimizer:
     # -- access paths ----------------------------------------------------
 
     def _access_paths(
-        self, relation: BoundRelation, estimator: CostEstimator
+        self, relation: BoundRelation, estimator: CostEstimator, space: PlanSpace
     ) -> List[PlanCandidate]:
         paths: List[PlanCandidate] = []
-        seq = SeqScan(relation.table, relation.binding, relation.predicate)
+        seq = _scan(relation, space)
         paths.append(PlanCandidate(seq, seq.estimate_cost(estimator)))
         if self.config.enable_index_scan and relation.predicate is not None:
             paths.extend(
-                self._index_paths(relation, estimator)
+                self._index_paths(relation, estimator, space)
             )
         paths.sort(key=lambda c: c.cost.total)
         return paths[: self.config.keep_alternatives]
 
     def _index_paths(
-        self, relation: BoundRelation, estimator: CostEstimator
+        self, relation: BoundRelation, estimator: CostEstimator, space: PlanSpace
     ) -> List[PlanCandidate]:
         paths: List[PlanCandidate] = []
         parts = conjuncts(relation.predicate)
@@ -163,8 +230,9 @@ class Optimizer:
             residual = combine_conjuncts(
                 [p for j, p in enumerate(parts) if j != i]
             )
-            scan = IndexScan(
-                relation.table, relation.binding, column, value, residual
+            scan = space.node(
+                (IndexScan, relation.binding, i),
+                IndexScan, relation.table, relation.binding, column, value, residual,
             )
             paths.append(PlanCandidate(scan, scan.estimate_cost(estimator)))
         return paths
@@ -172,42 +240,28 @@ class Optimizer:
     # -- join enumeration -------------------------------------------------
 
     def _enumerate_joins(
-        self, block: QueryBlock, estimator: CostEstimator
+        self, block: QueryBlock, estimator: CostEstimator, space: PlanSpace
     ) -> List[PlanCandidate]:
         bindings = tuple(block.relations)
         best: Dict[FrozenSet[str], List[PlanCandidate]] = {}
         for binding in bindings:
             best[frozenset([binding])] = self._access_paths(
-                block.relations[binding], estimator
+                block.relations[binding], estimator, space
             )
-        n = len(bindings)
-        for size in range(2, n + 1):
-            for subset in itertools.combinations(bindings, size):
-                subset_key = frozenset(subset)
-                candidates: List[PlanCandidate] = []
-                for left_key, right_key in _splits(subset_key):
-                    if left_key not in best or right_key not in best:
-                        continue
-                    edges = [
-                        e
-                        for e in block.join_edges
-                        if e.connects(left_key, right_key)
-                    ]
-                    candidates.extend(
-                        self._join_split(
-                            best[left_key],
-                            best[right_key],
-                            left_key,
-                            edges,
-                            estimator,
-                        )
-                    )
-                if not candidates:
+        for subset_key, splits in space.subsets(block):
+            candidates: List[PlanCandidate] = []
+            for split in splits:
+                if split.left not in best or split.right not in best:
                     continue
-                candidates.sort(key=lambda c: c.cost.total)
-                best[subset_key] = _dedupe(
-                    candidates, self.config.keep_alternatives
+                candidates.extend(
+                    self._join_split(
+                        best[split.left], best[split.right], split, estimator, space
+                    )
                 )
+            if not candidates:
+                continue
+            candidates.sort(key=lambda c: c.cost.total)
+            best[subset_key] = _dedupe(candidates, self.config.keep_alternatives)
         full = frozenset(bindings)
         if full not in best:
             raise OptimizerError(
@@ -220,35 +274,45 @@ class Optimizer:
         self,
         left_alternatives: Sequence[PlanCandidate],
         right_alternatives: Sequence[PlanCandidate],
-        left_bindings: FrozenSet[str],
-        edges: Sequence[JoinEdge],
+        split: _Split,
         estimator: CostEstimator,
+        space: PlanSpace,
     ) -> List[PlanCandidate]:
         """Every join method over every pair of alternatives of one split.
 
-        The key lists and the nested-loop condition depend on the split
-        alone, so its joins share them — and *estimator*, which prices
-        by identity, evaluates their selectivity once for the split.
+        The key lists and the nested-loop condition belong to the split,
+        so its joins share them — and *estimator*, which prices by
+        identity, evaluates their selectivity once for the split.
         """
         config = self.config
-        keys = [edge.oriented(left_bindings) for edge in edges]
-        left_keys = tuple(lk for lk, _ in keys)
-        right_keys = tuple(rk for _, rk in keys)
-        condition = combine_conjuncts([e.expression() for e in edges])
+        left_keys, right_keys = split.left_keys, split.right_keys
         results: List[PlanCandidate] = []
         for left_alt, right_alt in itertools.product(
             left_alternatives, right_alternatives
         ):
             left, right = left_alt.plan, right_alt.plan
             joins: List[PhysicalPlan] = []
-            if edges:
-                joins.append(HashJoin(left, right, left_keys, right_keys))
+            if left_keys:
+                joins.append(
+                    space.node(
+                        (HashJoin, left, right),
+                        HashJoin, left, right, left_keys, right_keys,
+                    )
+                )
                 if config.enable_merge_join:
                     joins.append(
-                        SortMergeJoin(left, right, left_keys, right_keys)
+                        space.node(
+                            (SortMergeJoin, left, right),
+                            SortMergeJoin, left, right, left_keys, right_keys,
+                        )
                     )
-            if config.enable_nested_loop or not edges:
-                joins.append(NestedLoopJoin(left, right, condition))
+            if config.enable_nested_loop or not left_keys:
+                joins.append(
+                    space.node(
+                        (NestedLoopJoin, left, right),
+                        NestedLoopJoin, left, right, split.condition,
+                    )
+                )
             for join in joins:
                 results.append(
                     PlanCandidate(join, join.estimate_cost(estimator))
@@ -258,7 +322,7 @@ class Optimizer:
     # -- fixed join chains (outer joins) ------------------------------------
 
     def _fixed_chain_plans(
-        self, block: QueryBlock, estimator: CostEstimator
+        self, block: QueryBlock, estimator: CostEstimator, space: PlanSpace
     ) -> List[PlanCandidate]:
         """Left-deep plans in statement order (outer joins pin the order).
 
@@ -269,16 +333,12 @@ class Optimizer:
         assert block.fixed_join_root is not None
         candidates: List[PlanCandidate] = []
         for prefer_hash in (True, False):
-            root = block.relations[block.fixed_join_root]
-            plan: PhysicalPlan = SeqScan(root.table, root.binding, None)
-            bound = {root.binding}
+            plan = _scan(block.relations[block.fixed_join_root], space)
+            bound = {block.fixed_join_root}
             for step in block.fixed_joins:
-                relation = block.relations[step.binding]
-                right: PhysicalPlan = SeqScan(
-                    relation.table, relation.binding, None
-                )
+                right = _scan(block.relations[step.binding], space)
                 plan = self._fixed_join(
-                    plan, right, step, frozenset(bound), prefer_hash
+                    plan, right, step, frozenset(bound), prefer_hash, space
                 )
                 bound.add(step.binding)
             candidates.append(
@@ -295,6 +355,7 @@ class Optimizer:
         step,
         left_bindings: FrozenSet[str],
         prefer_hash: bool,
+        space: PlanSpace,
     ) -> PhysicalPlan:
         parts = conjuncts(step.condition)
         left_keys: List[str] = []
@@ -308,15 +369,23 @@ class Optimizer:
             else:
                 residual_parts.append(part)
         if left_keys:
-            return HashJoin(
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual=combine_conjuncts(residual_parts),
-                outer=step.outer,
+            residual = combine_conjuncts(residual_parts)
+            return space.node(
+                (HashJoin, left, right),
+                HashJoin, left, right, left_keys, right_keys, residual, step.outer,
             )
-        return NestedLoopJoin(left, right, step.condition, outer=step.outer)
+        return space.node(
+            (NestedLoopJoin, left, right),
+            NestedLoopJoin, left, right, step.condition, step.outer,
+        )
+
+
+def _scan(relation: BoundRelation, space: PlanSpace) -> PhysicalPlan:
+    """The sequential scan of *relation* with its local predicate."""
+    return space.node(
+        (SeqScan, relation.binding),
+        SeqScan, relation.table, relation.binding, relation.predicate,
+    )
 
 
 def finish_plan(plan: PhysicalPlan, block: QueryBlock) -> PhysicalPlan:
@@ -377,6 +446,23 @@ def _equality_probe(
     if isinstance(part.right, ColumnRef) and isinstance(part.left, Literal):
         return part.right.name, part.left
     return None
+
+
+def _subset_splits(subset: FrozenSet[str], block: QueryBlock) -> List[_Split]:
+    splits = []
+    for left, right in _splits(subset):
+        edges = [e for e in block.join_edges if e.connects(left, right)]
+        keys = [edge.oriented(left) for edge in edges]
+        splits.append(
+            _Split(
+                left,
+                right,
+                tuple(lk for lk, _ in keys),
+                tuple(rk for _, rk in keys),
+                combine_conjuncts([e.expression() for e in edges]),
+            )
+        )
+    return splits
 
 
 def _splits(

@@ -128,30 +128,19 @@ class ExecutionContext:
     profiler: OperatorProfiler = field(default_factory=get_profiler)
 
 
-class CostEstimator:
-    """The knobs a plan is costed with, and everything costed with them.
+class Selectivities:
+    """Selectivities under one statistics context, each evaluated once:
+    per predicate (by object identity) and per join-key list.
 
-    Under fixed knobs a node's cost is a pure function of the node, so an
-    estimator evaluates each formula once: per plan node, per predicate
-    and per join-key list, all by object identity except the key lists.
-    It lives for one ``Optimizer.optimize`` / ``Database.estimate_plan``
-    / ``estimate_merge_cost`` / EXPLAIN ANALYZE rendering and must not be
-    reused once the statistics behind *stats* may have moved.  Nothing
-    is remembered on the nodes: they outlive the call in the statement
-    and plan caches and are re-costed there under other profiles.
+    No profile and no cost knob enters a selectivity, so the estimators
+    of every server that prices one bound block share one of these
+    (``optimizer.PlanSpace``).
     """
 
-    def __init__(
-        self,
-        params: CostParameters,
-        profile: ServerProfile,
-        stats: StatsContext,
-    ):
-        self.params = params
-        self.profile = profile
+    __slots__ = ("stats", "_predicates", "_equijoins")
+
+    def __init__(self, stats: StatsContext):
         self.stats = stats
-        #: node -> cost (nodes hash by identity).
-        self.costs: Dict["PhysicalPlan", PlanCost] = {}
         #: id(predicate) -> (predicate, (selectivity, operator count)); the
         #: predicate is held so its id cannot be reused.
         self._predicates: Dict[int, Tuple[Expression, Tuple[float, int]]] = {}
@@ -180,6 +169,38 @@ class CostEstimator:
                 )
             self._equijoins[left_keys, right_keys] = selectivity
         return selectivity
+
+
+class CostEstimator:
+    """The knobs a plan is costed with, and everything costed with them.
+
+    Under fixed knobs a node's cost is a pure function of the node, so an
+    estimator evaluates each formula once per plan node, by object
+    identity, and each selectivity once (``predicate`` / ``equijoin``,
+    from *selectivities*, its own unless handed a shared one).  It lives
+    for one ``Optimizer.optimize`` / ``Database.estimate_plan`` /
+    ``estimate_merge_cost`` / EXPLAIN ANALYZE rendering and must not be
+    reused once the statistics behind *stats* may have moved.  Nothing
+    is remembered on the nodes: they outlive the call in the statement
+    and plan caches and are re-costed there under other profiles.
+    """
+
+    def __init__(
+        self,
+        params: CostParameters,
+        profile: ServerProfile,
+        stats: StatsContext,
+        selectivities: Optional[Selectivities] = None,
+    ):
+        self.params = params
+        self.profile = profile
+        self.stats = stats
+        #: node -> cost (nodes hash by identity).
+        self.costs: Dict["PhysicalPlan", PlanCost] = {}
+        if selectivities is None:
+            selectivities = Selectivities(stats)
+        self.predicate = selectivities.predicate
+        self.equijoin = selectivities.equijoin
 
 
 class PhysicalPlan:
