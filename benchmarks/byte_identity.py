@@ -82,7 +82,6 @@ def produce(out_dir: Path) -> Dict[str, str]:
     """Run every artefact into *out_dir*; returns name -> sha256."""
     out_dir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("REPRO_ENGINE", None)
     digests: Dict[str, str] = {}
     for name, args, flag in artefacts():
         path = out_dir / name

@@ -37,7 +37,7 @@ from .obs.profile import (
     enable_profiling,
     render_analyzed_plan,
 )
-from .sqlengine import DEFAULT_ENGINE, ENGINES, REFERENCE_PROFILE
+from .sqlengine import REFERENCE_PROFILE
 from .sqlengine.cost import StatsContext
 from .sqlengine.physical import CostEstimator, stats_context_for_plan
 from .workload import BENCH_SCALE, PAPER_SCALE, TEST_SCALE, build_workload
@@ -63,10 +63,8 @@ def _parse_load(values: List[str]):
 def _add_federation_args(
     parser: argparse.ArgumentParser, load: bool = True
 ) -> None:
-    """``--scale`` / ``--load`` / ``--engine`` of every command that
-    builds one federation and submits to it (see :func:`_federation`).
-    Experiments build their own federations internally; for them the
-    engine is selected process-wide via REPRO_ENGINE instead."""
+    """``--scale`` / ``--load`` of every command that builds one
+    federation and submits to it (see :func:`_federation`)."""
     parser.add_argument(
         "--scale", choices=_SCALES, default="test", help="data scale"
     )
@@ -78,24 +76,11 @@ def _add_federation_args(
             metavar="SERVER=LEVEL",
             help="set a server's load level, e.g. --load S3=0.8 (repeatable)",
         )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help=(
-            "SQL execution engine for every server and the merge: "
-            "columnar = column batches with selection vectors (the "
-            "production engine), row = tuple-at-a-time reference "
-            f"(default: {DEFAULT_ENGINE}, or REPRO_ENGINE)"
-        ),
-    )
 
 
 def _federation(args):
     """The federation a command's ``_add_federation_args`` describe."""
-    deployment = build_federation(
-        scale=_SCALES[args.scale], engine=args.engine
-    )
+    deployment = build_federation(scale=_SCALES[args.scale])
     deployment.set_load(_parse_load(getattr(args, "load", [])))
     return deployment
 

@@ -41,6 +41,9 @@ from .load_balance import (
 #: calibration factor before any execution history exists.
 NOMINAL_PROBE_MS = 50.0
 
+#: Daemon probe period (virtual ms).
+PROBE_INTERVAL_MS = 2_000.0
+
 
 @dataclass(frozen=True)
 class QCCConfig:
@@ -49,17 +52,10 @@ class QCCConfig:
     calibrator: CalibratorConfig = CalibratorConfig()
     cycle: CycleConfig = CycleConfig()
     load_balance: LoadBalanceConfig = LoadBalanceConfig()
-    #: Daemon probe period (virtual ms); 0 disables probing.
-    probe_interval_ms: float = 2_000.0
     enable_fragment_balancing: bool = False
     enable_global_balancing: bool = False
     enable_reliability: bool = True
     reliability_weight: float = 1.0
-    #: Generalise fragment signatures by stripping literal constants, so
-    #: factors learned on one parameterisation apply to unseen instances
-    #: of the same query template (the paper's Figure 5: QF3's estimate
-    #: is calibrated before QF3 has ever executed).
-    generalize_signatures: bool = True
     #: Force an early recalibration when live observed/estimated ratios
     #: diverge from the active factors by this multiple — a reactive
     #: extension of Section 3.4's cycle adjustment (the paper lists
@@ -89,7 +85,10 @@ _LOG = logging.getLogger("repro.qcc")
 
 @lru_cache(maxsize=1024)
 def generalize_signature(signature: str) -> str:
-    """Replace literal constants in a fragment signature with ``?``."""
+    """Replace literal constants in a fragment signature with ``?``, so
+    factors learned on one parameterisation apply to unseen instances of
+    the same query template (the paper's Figure 5: QF3's estimate is
+    calibrated before QF3 has ever executed)."""
     return _LITERAL_RE.sub("?", signature)
 
 
@@ -121,11 +120,7 @@ class QueryCostCalibrator(Calibration):
         self._calibration_timer = PeriodicTimer(
             config.cycle.base_interval_ms, start_ms
         )
-        self._probe_timer = (
-            PeriodicTimer(config.probe_interval_ms, start_ms)
-            if config.probe_interval_ms > 0
-            else None
-        )
+        self._probe_timer = PeriodicTimer(PROBE_INTERVAL_MS, start_ms)
         self._meta_wrapper = None
         self._probed_once = False
         self.decision_log: Deque[Decision] = deque(maxlen=256)
@@ -146,11 +141,6 @@ class QueryCostCalibrator(Calibration):
     def is_available(self, server: str, t_ms: float) -> bool:
         return self.availability.is_available(server, t_ms)
 
-    def _signature(self, fragment_signature: str) -> str:
-        if self.config.generalize_signatures:
-            return generalize_signature(fragment_signature)
-        return fragment_signature
-
     def calibrate(
         self, server: str, fragment_signature: str, cost: PlanCost
     ) -> PlanCost:
@@ -158,7 +148,7 @@ class QueryCostCalibrator(Calibration):
         if not self.availability.is_available(server, 0.0):
             return INFINITE_COST
         factor = self.calibrator.factor(
-            server, self._signature(fragment_signature)
+            server, generalize_signature(fragment_signature)
         )
         if self.config.enable_reliability:
             factor *= self.availability.reliability_factor(server)
@@ -179,9 +169,8 @@ class QueryCostCalibrator(Calibration):
         t_ms: float,
     ) -> None:
         self.execution_records += 1
-        self.calibrator.record(
-            server, self._signature(fragment_signature), estimated.total, observed_ms
-        )
+        signature = generalize_signature(fragment_signature)
+        self.calibrator.record(server, signature, estimated.total, observed_ms)
         self.availability.record_success(server, t_ms)
         self.fragment_balancer.note_execution(
             fragment_signature, observed_ms, t_ms
@@ -237,9 +226,7 @@ class QueryCostCalibrator(Calibration):
 
     def tick(self, t_ms: float) -> None:
         """Advance QCC's background work to virtual time *t_ms*."""
-        if self._probe_timer is not None and (
-            not self._probed_once or self._probe_timer.due(t_ms)
-        ):
+        if not self._probed_once or self._probe_timer.due(t_ms):
             # The first tick always probes: "the daemon programs are also
             # used to derive initial query cost calibration factors" —
             # without this, never-visited servers keep factor 1.0 and
@@ -375,7 +362,7 @@ class QueryCostCalibrator(Calibration):
 
     def factor(self, server: str, fragment_signature: Optional[str] = None) -> float:
         if fragment_signature is not None:
-            fragment_signature = self._signature(fragment_signature)
+            fragment_signature = generalize_signature(fragment_signature)
         return self.calibrator.factor(server, fragment_signature)
 
     def status(self) -> Dict[str, object]:

@@ -42,7 +42,6 @@ from .datagen import (
 )
 from .dml import DmlError, DmlResult, execute_dml
 from .executor import (
-    DEFAULT_ENGINE,
     ENGINES,
     ExecutionResult,
     execute_plan,
@@ -66,14 +65,11 @@ from .expressions import (
 )
 from .logical import BindError, FixedJoinStep, QueryBlock, bind
 from .optimizer import (
-    DEFAULT_CONFIG,
     Optimizer,
-    OptimizerConfig,
     OptimizerError,
     PlanCandidate,
     finish_plan,
     plan_sql,
-    plan_statement,
 )
 from .parser import (
     DeleteStatement,
@@ -100,7 +96,6 @@ from .physical import (
     Project,
     SeqScan,
     Sort,
-    SortMergeJoin,
     WorkMeter,
 )
 from .storage import HeapTable, StorageError, StorageManager
@@ -123,26 +118,26 @@ __all__ = [
     "ColumnGen", "ColumnRef",
     "ColumnStats", "ColumnType", "Comparison", "CostParameters",
     "DictColumn", "TableColumns", "ValueColumn",
-    "Database", "DEFAULT_BATCH_SIZE", "DEFAULT_CONFIG",
-    "DEFAULT_COST_PARAMETERS", "DEFAULT_ENGINE", "ENGINES",
+    "Database", "DEFAULT_BATCH_SIZE",
+    "DEFAULT_COST_PARAMETERS", "ENGINES",
     "DeleteStatement", "Distinct", "DmlError", "DmlResult",
     "ExecutionError", "ExecutionResult", "Expression", "ExpressionError",
     "Filter", "FixedJoinStep", "ForeignKey", "FuncCall", "HashAggregate", "HashJoin",
     "HeapTable", "INFINITE_COST", "InList", "IndexDef", "IndexScan",
     "InsertStatement", "IsNull", "Like",
     "Limit", "Literal", "MaterializedInput", "NestedLoopJoin", "Not",
-    "Nullable", "Optimizer", "OptimizerConfig", "OptimizerError", "Or",
+    "Nullable", "Optimizer", "OptimizerError", "Or",
     "ParseError", "PhysicalPlan", "PlanCandidate", "PlanCost", "Project",
     "QueryBlock", "RandomString", "REFERENCE_PROFILE", "Row",
     "Schema",
     "SchemaError", "SelectStatement", "SeqScan", "Serial", "ServerProfile",
-    "Sort", "SortMergeJoin", "SqlError", "StatsContext", "StorageError", "StorageManager",
+    "Sort", "SqlError", "StatsContext", "StorageError", "StorageManager",
     "TableDef", "TableSpec", "TableStats", "TypeMismatchError",
     "UniformFloat", "UniformInt", "UpdateStatement", "WorkMeter",
     "ZipfInt", "bind", "collect_stats", "estimate_selectivity",
     "encode_rows",
     "execute_dml", "execute_plan", "finish_plan", "parse", "parse_expression",
-    "parse_statement", "plan_sql", "plan_statement", "populate",
+    "parse_statement", "plan_sql", "populate",
     "resolve_engine",
     "rows_close_unordered",
     "rows_equal_unordered",

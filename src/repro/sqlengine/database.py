@@ -7,7 +7,7 @@ offering the interface a remote server exposes to the federation:
 * ``run(sql)`` / ``run_plan(plan)`` — execute and meter actual work.
 
 ``explain`` is a pure function of the SQL text, the catalog and the
-optimizer's profile and configuration, so its answers are kept in a
+optimizer's profile and cost parameters, so its answers are kept in a
 statement cache (DB2's dynamic statement cache) that is dropped the
 moment any of those moves.  Below those caches, the statement planned
 last is shared by every database: a server whose catalog content equals
@@ -18,14 +18,13 @@ prices them (docs/plan_cache.md, "The shared entry").
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog, TableDef
 from .cost import CostParameters, DEFAULT_COST_PARAMETERS, ServerProfile, REFERENCE_PROFILE
 from .executor import ExecutionResult, execute_plan, resolve_engine
 from .logical import QueryBlock, bind
-from .optimizer import Optimizer, OptimizerConfig, DEFAULT_CONFIG, PlanCandidate
+from .optimizer import Optimizer, PlanCandidate
 from .parser import SelectStatement, parse
 from .physical import PhysicalPlan
 from .storage import StorageManager
@@ -61,7 +60,6 @@ class Database:
         name: str = "db",
         profile: ServerProfile = REFERENCE_PROFILE,
         params: CostParameters = DEFAULT_COST_PARAMETERS,
-        optimizer_config: Optional[OptimizerConfig] = None,
         engine: Optional[str] = None,
     ):
         self.name = name
@@ -70,14 +68,11 @@ class Database:
         self.engine = resolve_engine(engine)
         self.catalog = Catalog()
         self.storage = StorageManager(self.catalog)
-        config = optimizer_config or DEFAULT_CONFIG
-        if config.params is not params:
-            config = replace(config, params=params)
-        self.optimizer = Optimizer(profile=profile, config=config)
+        self.optimizer = Optimizer(profile, params)
         #: SQL text -> its plan candidates, least recently used first.
         self._statements: "OrderedDict[str, tuple]" = OrderedDict()
-        #: (catalog, its version, optimizer profile, optimizer config)
-        #: every cached statement was planned under.
+        #: (catalog, its version, optimizer profile, optimizer cost
+        #: parameters) every cached statement was planned under.
         self._planned_under: Optional[tuple] = None
         #: ``catalog.content()`` under ``_planned_under``.
         self._content: Tuple[TableDef, ...] = ()
@@ -106,7 +101,7 @@ class Database:
         The list is the caller's; the candidates are shared and immutable.
         """
         catalog, optimizer = self.catalog, self.optimizer
-        under = (catalog, catalog.version, optimizer.profile, optimizer.config)
+        under = (catalog, catalog.version, optimizer.profile, optimizer.params)
         if under != self._planned_under:
             self._statements.clear()
             self._planned_under = under

@@ -10,13 +10,11 @@ Two engines run the same physical plan:
   ``engine-equivalence`` checker compare the columnar engine against.
 
 Both produce identical rows *and* identical ``WorkMeter`` totals (see
-docs/execution.md).  The process-wide default can be overridden with the
-``REPRO_ENGINE`` environment variable.
+docs/execution.md).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -34,8 +32,8 @@ from .types import Row, Schema, SqlError
 
 ENGINES = ("columnar", "row")
 
-#: Process-wide default engine; "columnar" unless overridden via env.
-DEFAULT_ENGINE = os.environ.get("REPRO_ENGINE", "columnar")
+#: The engine a caller that names none gets.
+DEFAULT_ENGINE = "columnar"
 
 
 def resolve_engine(engine: Optional[str]) -> str:

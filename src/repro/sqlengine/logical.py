@@ -255,31 +255,11 @@ def bind(statement: SelectStatement, catalog: Catalog) -> QueryBlock:
         for binding in input_schemas
     }
 
-    # Qualify the output surface.
-    items = _bind_items(statement.items, input_schemas)
-    group_by = tuple(_qualify(e, input_schemas) for e in statement.group_by)
-    having = (
-        _qualify(statement.having, input_schemas)
-        if statement.having is not None
-        else None
-    )
-    order_by = tuple(
-        OrderItem(_qualify(o.expr, input_schemas), o.ascending)
-        for o in statement.order_by
-    )
-
-    output_schema = _output_schema(items, input_schemas, group_by)
     block = QueryBlock(
         relations=relations,
         join_edges=tuple(edges),
         residual=combine_conjuncts(residual),
-        items=items,
-        output_schema=output_schema,
-        group_by=group_by,
-        having=having,
-        order_by=order_by,
-        limit=statement.limit,
-        distinct=statement.distinct,
+        **_bind_output(statement, input_schemas),
     )
     _validate_aggregation(block)
     _check_types(block)
@@ -320,34 +300,69 @@ def _bind_fixed_chain(
         if statement.where is not None
         else None
     )
-    items = _bind_items(statement.items, input_schemas)
-    group_by = tuple(_qualify(e, input_schemas) for e in statement.group_by)
-    having = (
-        _qualify(statement.having, input_schemas)
-        if statement.having is not None
-        else None
-    )
-    order_by = tuple(
-        OrderItem(_qualify(o.expr, input_schemas), o.ascending)
-        for o in statement.order_by
-    )
     block = QueryBlock(
         relations=relations,
         join_edges=(),
         residual=residual,
-        items=items,
-        output_schema=_output_schema(items, input_schemas, group_by),
-        group_by=group_by,
-        having=having,
-        order_by=order_by,
-        limit=statement.limit,
-        distinct=statement.distinct,
+        **_bind_output(statement, input_schemas),
         fixed_joins=steps,
         fixed_join_root=statement.tables[0].binding,
     )
     _validate_aggregation(block)
     _check_types(block)
     return block
+
+
+def _bind_output(
+    statement: SelectStatement, input_schemas: Dict[str, Schema]
+) -> Dict[str, object]:
+    """The block's output surface, qualified: select items, grouping,
+    ordering.  An integer GROUP BY or ORDER BY key names the select item
+    at that 1-based position (SQL-92): the item's expression to group on,
+    its output column to sort on."""
+    items = _bind_items(statement.items, input_schemas)
+    group_by = []
+    for key in statement.group_by:
+        at = _position(key, items, "GROUP BY")
+        group_by.append(_qualify(key, input_schemas) if at is None else items[at].expr)
+    having = (
+        _qualify(statement.having, input_schemas)
+        if statement.having is not None
+        else None
+    )
+    output_schema = _output_schema(items, input_schemas)
+    order_by = []
+    for o in statement.order_by:
+        at = _position(o.expr, items, "ORDER BY")
+        if at is None:
+            key = _qualify(o.expr, input_schemas)
+        else:
+            key = ColumnRef(output_schema.columns[at].qualified_name)
+        order_by.append(OrderItem(key, o.ascending))
+    return dict(
+        items=items,
+        output_schema=output_schema,
+        group_by=tuple(group_by),
+        having=having,
+        order_by=tuple(order_by),
+        limit=statement.limit,
+        distinct=statement.distinct,
+    )
+
+
+def _position(
+    key: Expression, items: Sequence[SelectItem], clause: str
+) -> Optional[int]:
+    """The 0-based select-list position an integer *key* names; None for
+    any other key."""
+    if not (isinstance(key, E.Literal) and type(key.value) is int):
+        return None
+    if not 1 <= key.value <= len(items):
+        raise BindError(
+            f"{clause} position {key.value} is not in the select list "
+            f"(1 to {len(items)})"
+        )
+    return key.value - 1
 
 
 def _bind_items(
@@ -381,10 +396,10 @@ def _bind_items(
 
 
 def _output_schema(
-    items: Sequence[SelectItem],
-    input_schemas: Dict[str, Schema],
-    group_by: Sequence[Expression],
+    items: Sequence[SelectItem], input_schemas: Dict[str, Schema]
 ) -> Schema:
+    """The select list's columns; a plain column keeps its binding, so
+    ORDER BY can name it as the FROM clause does."""
     joined = Schema(
         tuple(
             col
@@ -399,37 +414,56 @@ def _output_schema(
             ctype = item.expr.result_type(joined)
         except SchemaError as exc:
             raise BindError(str(exc)) from exc
-        columns.append(Column(item.output_name(ordinal), ctype))
+        plain = isinstance(item.expr, ColumnRef) and not item.alias
+        table = item.expr.table if plain else None
+        columns.append(Column(item.output_name(ordinal), ctype, table))
     return Schema(tuple(columns))
 
 
 def _reject_misplaced_aggregates(statement: SelectStatement) -> None:
-    """WHERE and ON filter rows before any group exists, and a group
-    cannot be keyed on its own aggregate."""
+    """WHERE and ON filter rows before any group exists, a group cannot
+    be keyed on its own aggregate, and a sort runs over the finished
+    rows (ORDER BY names an aggregate by its select-list position)."""
     clauses = [("WHERE", statement.where)]
     clauses += [("ON", join.condition) for join in statement.joins]
     clauses += [("GROUP BY", key) for key in statement.group_by]
+    clauses += [("ORDER BY", o.expr) for o in statement.order_by]
     for clause, expr in clauses:
         if expr is not None and expr.contains_aggregate():
             raise BindError(f"aggregate not allowed in {clause}: {expr.sql()!r}")
 
 
 def _validate_aggregation(block: QueryBlock) -> None:
-    """Reject non-grouped non-aggregate items in an aggregated query."""
+    """In an aggregated query, the items and HAVING read columns only
+    through group keys and aggregates (what the aggregate's rows hold)."""
     if not block.has_aggregation:
         if block.having is not None:
             raise BindError("HAVING requires GROUP BY or aggregation")
         return
     group_keys = {e.sql() for e in block.group_by}
-    for item in block.items:
-        assert item.expr is not None
-        if item.expr.contains_aggregate():
-            continue
-        if item.expr.sql() not in group_keys:
+    for key in block.group_by:  # a position may name an aggregate item
+        if key.contains_aggregate():
+            raise BindError(f"aggregate not allowed in GROUP BY: {key.sql()!r}")
+    for expr in [item.expr for item in block.items] + [block.having]:
+        column = None if expr is None else _ungrouped(expr, group_keys)
+        if column is not None:
             raise BindError(
-                f"non-aggregated item {item.expr.sql()!r} "
-                "must appear in GROUP BY"
+                f"column {column.name!r} in {expr.sql()!r} must appear in "
+                "GROUP BY or inside an aggregate"
             )
+
+
+def _ungrouped(expr: Expression, group_keys: Set[str]) -> Optional[ColumnRef]:
+    """A column *expr* reads outside its aggregates and group keys."""
+    if expr.sql() in group_keys or isinstance(expr, E.AggregateCall):
+        return None
+    if isinstance(expr, ColumnRef):
+        return expr
+    for child in expr.children():
+        column = _ungrouped(child, group_keys)
+        if column is not None:
+            return column
+    return None
 
 
 def _check_types(block: QueryBlock) -> None:
@@ -445,10 +479,16 @@ def _check_types(block: QueryBlock) -> None:
     for condition in conditions:
         if condition is not None:
             _expect_condition(condition, _type_of(condition, joined))
-    values = [item.expr for item in block.items] + list(block.group_by)
-    values += [o.expr for o in block.order_by]
-    for expr in values:
+    for expr in [item.expr for item in block.items] + list(block.group_by):
         _type_of(expr, joined)
+    # The sort runs over the select list's output, not over the joined rows.
+    for o in block.order_by:
+        try:
+            _type_of(o.expr, block.output_schema)
+        except SchemaError as exc:
+            raise BindError(
+                f"ORDER BY {o.expr.sql()!r} must name select-list columns: {exc}"
+            ) from exc
 
 
 def _type_of(expr: Expression, schema: Schema) -> Optional[ColumnType]:

@@ -32,7 +32,7 @@ from .expressions import (
     conjuncts,
 )
 from .logical import BoundRelation, QueryBlock, bind
-from .parser import SelectStatement, parse
+from .parser import parse
 from .physical import (
     CostEstimator,
     Distinct,
@@ -47,7 +47,6 @@ from .physical import (
     Selectivities,
     SeqScan,
     Sort,
-    SortMergeJoin,
 )
 from .types import SqlError
 
@@ -73,23 +72,8 @@ class PlanCandidate:
         return self.plan.signature()
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Optimizer knobs."""
-
-    #: Alternatives retained per DP subset and returned overall.
-    keep_alternatives: int = 3
-    #: Consider nested-loop joins even when a hash join is applicable.
-    enable_nested_loop: bool = True
-    #: Consider sort-merge joins (off by default: adds plan diversity at
-    #: enumeration cost; the engine tracks no interesting orders).
-    enable_merge_join: bool = False
-    #: Consider index scans for equality predicates on indexed columns.
-    enable_index_scan: bool = True
-    params: CostParameters = DEFAULT_COST_PARAMETERS
-
-
-DEFAULT_CONFIG = OptimizerConfig()
+#: Alternatives retained per DP subset and returned overall.
+KEEP_ALTERNATIVES = 3
 
 
 class _Split(NamedTuple):
@@ -157,10 +141,10 @@ class Optimizer:
     def __init__(
         self,
         profile: ServerProfile = REFERENCE_PROFILE,
-        config: OptimizerConfig = DEFAULT_CONFIG,
+        params: CostParameters = DEFAULT_COST_PARAMETERS,
     ):
         self.profile = profile
-        self.config = config
+        self.params = params
 
     # -- public API ----------------------------------------------------
 
@@ -176,7 +160,7 @@ class Optimizer:
             space = block.plan_space = PlanSpace(block)
         selectivities = space.selectivities
         estimator = CostEstimator(
-            self.config.params, self.profile, selectivities.stats, selectivities
+            self.params, self.profile, selectivities.stats, selectivities
         )
         if block.fixed_joins:
             join_alternatives = self._fixed_chain_plans(block, estimator, space)
@@ -198,7 +182,7 @@ class Optimizer:
         finished.sort(key=lambda c: c.cost.total)
         if not finished:
             raise OptimizerError("no plan produced")
-        return finished[: self.config.keep_alternatives]
+        return finished[:KEEP_ALTERNATIVES]
 
     # -- access paths ----------------------------------------------------
 
@@ -208,12 +192,10 @@ class Optimizer:
         paths: List[PlanCandidate] = []
         seq = _scan(relation, space)
         paths.append(PlanCandidate(seq, seq.estimate_cost(estimator)))
-        if self.config.enable_index_scan and relation.predicate is not None:
-            paths.extend(
-                self._index_paths(relation, estimator, space)
-            )
+        if relation.predicate is not None:
+            paths.extend(self._index_paths(relation, estimator, space))
         paths.sort(key=lambda c: c.cost.total)
-        return paths[: self.config.keep_alternatives]
+        return paths[:KEEP_ALTERNATIVES]
 
     def _index_paths(
         self, relation: BoundRelation, estimator: CostEstimator, space: PlanSpace
@@ -261,7 +243,7 @@ class Optimizer:
             if not candidates:
                 continue
             candidates.sort(key=lambda c: c.cost.total)
-            best[subset_key] = _dedupe(candidates, self.config.keep_alternatives)
+            best[subset_key] = _dedupe(candidates, KEEP_ALTERNATIVES)
         full = frozenset(bindings)
         if full not in best:
             raise OptimizerError(
@@ -284,7 +266,6 @@ class Optimizer:
         so its joins share them — and *estimator*, which prices by
         identity, evaluates their selectivity once for the split.
         """
-        config = self.config
         left_keys, right_keys = split.left_keys, split.right_keys
         results: List[PlanCandidate] = []
         for left_alt, right_alt in itertools.product(
@@ -299,20 +280,12 @@ class Optimizer:
                         HashJoin, left, right, left_keys, right_keys,
                     )
                 )
-                if config.enable_merge_join:
-                    joins.append(
-                        space.node(
-                            (SortMergeJoin, left, right),
-                            SortMergeJoin, left, right, left_keys, right_keys,
-                        )
-                    )
-            if config.enable_nested_loop or not left_keys:
-                joins.append(
-                    space.node(
-                        (NestedLoopJoin, left, right),
-                        NestedLoopJoin, left, right, split.condition,
-                    )
+            joins.append(
+                space.node(
+                    (NestedLoopJoin, left, right),
+                    NestedLoopJoin, left, right, split.condition,
                 )
+            )
             for join in joins:
                 results.append(
                     PlanCandidate(join, join.estimate_cost(estimator))
@@ -345,7 +318,7 @@ class Optimizer:
                 PlanCandidate(plan, plan.estimate_cost(estimator))
             )
         candidates.sort(key=lambda c: c.cost.total)
-        # Both, whatever ``keep_alternatives``: finishing can reorder them.
+        # Both, whatever ``KEEP_ALTERNATIVES``: finishing can reorder them.
         return _dedupe(candidates, len(candidates))
 
     def _fixed_join(
@@ -496,22 +469,11 @@ def _dedupe(
     return unique
 
 
-def plan_statement(
-    statement: SelectStatement,
-    catalog: Catalog,
-    profile: ServerProfile = REFERENCE_PROFILE,
-    config: OptimizerConfig = DEFAULT_CONFIG,
-) -> List[PlanCandidate]:
-    """Bind and optimize a parsed statement against *catalog*."""
-    block = bind(statement, catalog)
-    return Optimizer(profile, config).optimize(block)
-
-
 def plan_sql(
     sql: str,
     catalog: Catalog,
     profile: ServerProfile = REFERENCE_PROFILE,
-    config: OptimizerConfig = DEFAULT_CONFIG,
+    params: CostParameters = DEFAULT_COST_PARAMETERS,
 ) -> List[PlanCandidate]:
     """Parse, bind and optimize a SQL string."""
-    return plan_statement(parse(sql), catalog, profile, config)
+    return Optimizer(profile, params).optimize(bind(parse(sql), catalog))

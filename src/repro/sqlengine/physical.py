@@ -1177,139 +1177,6 @@ class HashJoin(PhysicalPlan):
         return f"{kind}({keys}{suffix})"
 
 
-class SortMergeJoin(PhysicalPlan):
-    """Equi-join by sorting both inputs on the keys and merging.
-
-    Both inputs are materialised and sorted (no interesting-order
-    tracking exists in this engine), so the hash join usually wins on
-    cost; merge join exists as a genuine plan alternative — the paper's
-    wrappers return several plans per fragment, and rotation/what-if
-    analysis benefit from a diverse plan space.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalPlan,
-        right: PhysicalPlan,
-        left_keys: Sequence[str],
-        right_keys: Sequence[str],
-    ):
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise ExecutionError("merge join requires matching key lists")
-        self.left = left
-        self.right = right
-        self.left_keys = tuple(left_keys)
-        self.right_keys = tuple(right_keys)
-        self.output_schema = left.output_schema.concat(right.output_schema)
-
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.left, self.right)
-
-    def _cost(
-        self, estimator: CostEstimator, left: PlanCost, right: PlanCost
-    ) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
-        selectivity = estimator.equijoin(self.left_keys, self.right_keys)
-        rows_out = max(left.rows * right.rows * selectivity, 0.0)
-        sort_cost = 0.0
-        for side in (left, right):
-            n = max(side.rows, 1.0)
-            sort_cost += n * math.log2(n + 1.0) * params.sort_compare_cost
-            sort_cost += n * params.materialize_tuple_cost
-        merge = (left.rows + right.rows) * params.cpu_tuple_cost
-        emit = rows_out * params.cpu_tuple_cost
-        cpu = profile.cpu_ms(sort_cost + merge + emit)
-        total = left.total + right.total + cpu
-        # Blocking on both sides: nothing emits until both are sorted.
-        first = total - profile.cpu_ms(emit) / max(rows_out, 1.0)
-        width = left.width_bytes + right.width_bytes
-        return PlanCost(
-            first_tuple=min(first, total),
-            total=total,
-            rows=rows_out,
-            width_bytes=width,
-        )
-
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self._merge(ctx, lambda plan: list(plan.rows(ctx)))
-
-    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        # Both inputs are drained before anything is emitted, so only
-        # the way they are pulled differs from the reference path.
-        return _chunked(
-            self._merge(ctx, lambda plan: _drain_columnar(plan, ctx)),
-            ctx.batch_size,
-            len(self.output_schema),
-        )
-
-    def _merge(
-        self,
-        ctx: ExecutionContext,
-        drain: Callable[[PhysicalPlan], List[Row]],
-    ) -> Iterator[Row]:
-        params = ctx.params
-        meter = ctx.meter
-        left_idx = [self.left.output_schema.index_of(k) for k in self.left_keys]
-        right_idx = [
-            self.right.output_schema.index_of(k) for k in self.right_keys
-        ]
-
-        def sorted_side(plan, idx):
-            data = drain(plan)
-            n = max(len(data), 1)
-            meter.cpu_ms += n * (
-                math.log2(n + 1.0) * params.sort_compare_cost
-                + params.materialize_tuple_cost
-            )
-            data.sort(key=lambda row: _sort_key(tuple(row[i] for i in idx)))
-            return data
-
-        left_rows = sorted_side(self.left, left_idx)
-        right_rows = sorted_side(self.right, right_idx)
-        meter.cpu_ms += (len(left_rows) + len(right_rows)) * params.cpu_tuple_cost
-
-        def key_of(row, idx):
-            return tuple(row[i] for i in idx)
-
-        i = j = 0
-        while i < len(left_rows) and j < len(right_rows):
-            lk = key_of(left_rows[i], left_idx)
-            rk = key_of(right_rows[j], right_idx)
-            if any(v is None for v in lk):
-                i += 1
-                continue
-            if any(v is None for v in rk):
-                j += 1
-                continue
-            if _sort_key(lk) < _sort_key(rk):
-                i += 1
-            elif _sort_key(lk) > _sort_key(rk):
-                j += 1
-            else:
-                # Gather the duplicate groups on both sides.
-                i_end = i
-                while i_end < len(left_rows) and key_of(
-                    left_rows[i_end], left_idx
-                ) == lk:
-                    i_end += 1
-                j_end = j
-                while j_end < len(right_rows) and key_of(
-                    right_rows[j_end], right_idx
-                ) == rk:
-                    j_end += 1
-                for li in range(i, i_end):
-                    for rj in range(j, j_end):
-                        meter.cpu_ms += params.cpu_tuple_cost
-                        yield left_rows[li] + right_rows[rj]
-                i, j = i_end, j_end
-
-    def describe(self) -> str:
-        keys = ", ".join(
-            f"{l}={r}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        return f"SortMergeJoin({keys})"
-
-
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------

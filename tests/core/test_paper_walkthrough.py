@@ -43,10 +43,7 @@ class TestFigure345Walkthrough:
     def test_full_qcc_facade_reproduces_walkthrough(self):
         qcc = QueryCostCalibrator(
             ["S1", "S2"],
-            QCCConfig(
-                calibrator=CalibratorConfig(min_server_samples=1),
-                probe_interval_ms=0.0,
-            ),
+            QCCConfig(calibrator=CalibratorConfig(min_server_samples=1)),
         )
         estimate = PlanCost(first_tuple=1.0, total=5.0, rows=10.0)
         qcc.record_execution(

@@ -55,24 +55,6 @@ class TestCalibrateInterface:
         # generalized signature matches -> per-fragment factor 3.0
         assert calibrated.total == pytest.approx(30.0)
 
-    def test_generalization_can_be_disabled(self):
-        qcc = _qcc(generalize_signatures=False)
-        qcc.record_execution(
-            server="S1",
-            fragment_signature="SELECT x FROM t WHERE p > 100",
-            plan_signature="plan",
-            estimated=COST,
-            observed_ms=30.0,
-            t_ms=0.0,
-        )
-        qcc.recalibrate(0.0)
-        other = qcc.calibrate("S1", "SELECT x FROM t WHERE p > 999", COST)
-        # distinct signature: falls back to the per-server factor (also 3)
-        assert other.total == pytest.approx(30.0)
-        assert qcc.factor("S1", "SELECT x FROM t WHERE p > 100") == (
-            pytest.approx(3.0)
-        )
-
     def test_down_server_gets_infinite_cost(self):
         qcc = _qcc()
         qcc.record_error("S2", 0.0)
@@ -179,11 +161,6 @@ class TestTick:
         )
         qcc.tick(2.0)
         assert qcc.drift_recalibrations == 0
-
-    def test_probe_disabled_with_zero_interval(self):
-        qcc = _qcc(probe_interval_ms=0.0)
-        qcc.tick(1e9)
-        assert qcc.probes == 0
 
     def test_probe_without_meta_wrapper_is_noop(self):
         qcc = _qcc()

@@ -39,6 +39,12 @@ class TestParser:
         assert args.load == ["S3=0.8"]
         assert args.explain
 
+    def test_engine_is_not_an_option(self):
+        # Every server runs the columnar engine; the row reference is a
+        # library argument (build_federation(engine=)), not a flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["explain", "SELECT 1", "--engine", "row"])
+
 
 class TestCommands:
     def test_query(self, capsys):
@@ -114,19 +120,8 @@ class TestExplainCommand:
         assert "Ranked global plans" in out
         assert "p1[" in out
 
-    @pytest.mark.parametrize("engine", ["row", "columnar"])
-    def test_analyze_annotates_estimates_and_actuals(self, capsys, engine):
-        code = main(
-            [
-                "explain",
-                QT1_SQL,
-                "--scale",
-                "test",
-                "--analyze",
-                "--engine",
-                engine,
-            ]
-        )
+    def test_analyze_annotates_estimates_and_actuals(self, capsys):
+        code = main(["explain", QT1_SQL, "--scale", "test", "--analyze"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Global plan:" in out
@@ -138,30 +133,6 @@ class TestExplainCommand:
         )
         # Both the fragment plan and the merge plan were annotated.
         assert out.count("actual rows=") >= 2
-
-    def test_analyze_row_and_columnar_report_identical_row_counts(
-        self, capsys
-    ):
-        counts = {}
-        for engine in ("row", "columnar"):
-            assert (
-                main(
-                    [
-                        "explain",
-                        QT1_SQL,
-                        "--scale",
-                        "test",
-                        "--analyze",
-                        "--engine",
-                        engine,
-                    ]
-                )
-                == 0
-            )
-            out = capsys.readouterr().out
-            counts[engine] = re.findall(r"actual rows=(\d+)", out)
-        assert counts["row"] == counts["columnar"]
-        assert counts["row"]
 
 
 class TestTelemetryCommands:

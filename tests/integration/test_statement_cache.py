@@ -1,11 +1,11 @@
 """The server-side statement cache must be behavior-invisible.
 
 ``Database.explain`` keeps its answers for as long as the catalog and the
-optimizer's profile/config stand.  The oracle needs no switch: the
-memo-free path already exists as ``plan_sql``.  Every statement a server
-of either standard federation would be sent is asked twice and compared
-with the oracle, before and after every kind of mutation an optimizer
-can see.
+optimizer's profile and cost parameters stand.  The oracle needs no
+switch: the memo-free path already exists as ``plan_sql``.  Every
+statement a server of either standard federation would be sent is asked
+twice and compared with the oracle, before and after every kind of
+mutation an optimizer can see.
 """
 
 import pytest
@@ -50,12 +50,7 @@ def _statements(deployment):
 def _assert_matches_oracle(asked):
     for database, sql in asked:
         oracle = _described(
-            plan_sql(
-                sql,
-                database.catalog,
-                database.profile,
-                database.optimizer.config,
-            )
+            plan_sql(sql, database.catalog, database.profile, database.params)
         )
         assert _described(database.explain(sql)) == oracle, sql
         assert _described(database.explain(sql)) == oracle, sql
@@ -149,7 +144,7 @@ def test_swapped_catalog_of_equal_version_is_not_served_old_plans(tiny_db):
     after = tiny_db.explain(sql)[0]
     assert after.cost != before.cost
     assert _described([after]) == _described(
-        plan_sql(sql, other, tiny_db.profile, tiny_db.optimizer.config)[:1]
+        plan_sql(sql, other, tiny_db.profile, tiny_db.params)[:1]
     )
 
 
@@ -165,7 +160,7 @@ def test_simulated_copy_is_not_served_its_sources_plans(sample_databases):
     rescaled = _described(clone.explain(sql))
     assert rescaled != source_plans
     assert rescaled == _described(
-        plan_sql(sql, clone.catalog, clone.profile, clone.optimizer.config)
+        plan_sql(sql, clone.catalog, clone.profile, clone.params)
     )
     assert _described(source.explain(sql)) == source_plans
 

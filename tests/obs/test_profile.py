@@ -21,7 +21,7 @@ from repro.harness import (
     build_databases,
     build_federation,
 )
-from repro.sqlengine import ColumnBatch, NestedLoopJoin, SeqScan, SortMergeJoin
+from repro.sqlengine import ColumnBatch, NestedLoopJoin, SeqScan
 from repro.workload import QUERY_TYPES, TEST_SCALE
 
 
@@ -316,20 +316,16 @@ class TestEngineEquivalence:
         merge_stats = profile.stats_for(result.merge_plan)
         assert merge_stats.rows_out == result.row_count
 
-    @pytest.mark.parametrize("join", ["nested-loop", "sort-merge"])
-    def test_no_subtree_drops_to_the_row_path(self, engine_databases, join):
-        # Neither join has a kernel-level columnar algorithm, but both
-        # must pull their inputs as column batches: every scan below
-        # them reports batches, none reports row-path-only execution.
+    def test_no_subtree_drops_to_the_row_path(self, engine_databases):
+        # The nested-loop join has no kernel-level columnar algorithm, but
+        # it must pull its inputs as column batches: every scan below it
+        # reports batches, none reports row-path-only execution.
         database = engine_databases["columnar"]["S1"]
         orders = database.catalog.lookup("orders")
         customer = database.catalog.lookup("customer")
         left = SeqScan(orders, "o")
         right = SeqScan(customer, "c")
-        if join == "nested-loop":
-            plan = NestedLoopJoin(left, right, None)
-        else:
-            plan = SortMergeJoin(left, right, ["o.custkey"], ["c.custkey"])
+        plan = NestedLoopJoin(left, right, None)
         with profiling() as profiler:
             columnar = database.run_plan(plan, engine="columnar")
         assert columnar.rows == database.run_plan(plan, engine="row").rows

@@ -15,10 +15,7 @@ selectivity in EXPLAIN ANALYZE, engine metrics).
 from __future__ import annotations
 
 import math
-import os
 import random
-import subprocess
-import sys
 from array import array
 
 import pytest
@@ -953,28 +950,10 @@ class TestEngineMachinery:
         assert ENGINES == ("columnar", "row")
         assert resolve_engine("row") == "row"
         assert resolve_engine("columnar") == "columnar"
-        assert resolve_engine(None) in ENGINES
+        assert resolve_engine(None) == "columnar"
         for retired in ("vector", "turbo"):
             with pytest.raises(SqlError, match=r"\('columnar', 'row'\)"):
                 resolve_engine(retired)
-
-    def test_retired_engine_in_environment_is_rejected(self):
-        env = dict(os.environ, REPRO_ENGINE="vector")
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.sqlengine import Database; Database('x')",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode != 0
-        assert "SqlError" in proc.stderr
-        assert "('columnar', 'row')" in proc.stderr
 
 
 # -- profiler and metrics ---------------------------------------------------

@@ -874,6 +874,8 @@ class TestAgainstReference:
     @example("SELECT o.priority, COUNT(*) AS cnt FROM orders o JOIN lineitem l "
              "ON o.orderkey = l.orderkey WHERE o.totalprice > 5531.77 GROUP BY o.priority")
     @example("SELECT priority p, totalprice * 2 FROM orders WHERE custkey BETWEEN 1 AND 9")
+    # ORDER BY 1 sorts on the first select item, c.custkey, on both sides:
+    # the reference binds through ``bind`` with only ``_qualify`` swapped.
     @example("SELECT c.*, o.orderkey FROM customer c LEFT OUTER JOIN orders o "
              "ON c.custkey = o.custkey WHERE NOT c.segment NOT LIKE 'A%' ORDER BY 1 DESC LIMIT 5")
     def test_generated_statements(self, text):

@@ -3,20 +3,8 @@
 import math
 
 
-from repro.sqlengine import (
-    OptimizerConfig,
-    rows_equal_unordered,
-)
+from repro.sqlengine import rows_equal_unordered
 from repro.sqlengine.physical import HashJoin, IndexScan, NestedLoopJoin, SeqScan
-
-
-def _plans(db, sql, **kwargs):
-    config = OptimizerConfig(**kwargs) if kwargs else None
-    if config is None:
-        return db.explain(sql)
-    from repro.sqlengine.optimizer import plan_sql as plan
-
-    return plan(sql, db.catalog, db.profile, config)
 
 
 JOIN_SQL = (
@@ -62,20 +50,6 @@ class TestAccessPathChoice:
     def test_seq_scan_for_unindexed_column(self, tiny_db):
         best = tiny_db.explain("SELECT * FROM dept WHERE budget = 50")[0]
         assert isinstance(best.plan.children()[0], SeqScan)
-
-    def test_index_scan_disabled_by_config(self, tiny_db):
-        from repro.sqlengine.optimizer import Optimizer
-        from repro.sqlengine.logical import bind
-        from repro.sqlengine.parser import parse
-
-        config = OptimizerConfig(enable_index_scan=False)
-        block = bind(parse("SELECT * FROM dept WHERE deptno = 3"), tiny_db.catalog)
-        plans = Optimizer(tiny_db.profile, config).optimize(block)
-        for candidate in plans:
-            assert not any(
-                isinstance(node, IndexScan)
-                for node in _walk_plans(candidate.plan)
-            )
 
 
 def _walk_plans(plan):

@@ -3,7 +3,7 @@ and one set of plan nodes per statement, and each prices them under its
 own profile.
 
 The reference is planning that shares nothing: ``plan_sql`` over the same
-catalog, profile and configuration builds every node afresh.  Per
+catalog and profile builds every node afresh.  Per
 database, ``explain`` must return exactly its candidates — signatures,
 ``PlanCost`` compared with ``==`` and order — while the databases that
 share are seen sharing: by call counts and by node identity.
@@ -46,12 +46,12 @@ def _nodes(plan) -> List[physical.PhysicalPlan]:
     return nodes
 
 
-def _servers(source_catalog, config=None) -> List[Database]:
+def _servers(source_catalog) -> List[Database]:
     """One database per profile over its own copy of *source_catalog*:
     equal content, distinct catalog objects."""
     servers = []
     for profile in PROFILES:
-        server = Database(profile.name, profile=profile, optimizer_config=config)
+        server = Database(profile.name, profile=profile)
         server.catalog = source_catalog.stats_only_clone()
         servers.append(server)
     return servers
@@ -107,12 +107,10 @@ def built(monkeypatch):
 @given(join_problems())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_generated_problems_plan_as_if_alone(problem):
-    sql, catalog, _, config = problem
-    for server in _servers(catalog, config):
+    sql, catalog, _ = problem
+    for server in _servers(catalog):
         try:
-            expected = _described(
-                plan_sql(sql, server.catalog, server.profile, server.optimizer.config)
-            )
+            expected = _described(plan_sql(sql, server.catalog, server.profile))
         except SqlError as exc:
             with pytest.raises(type(exc)) as caught:
                 server.explain(sql)
@@ -223,7 +221,7 @@ def test_analyze_at_one_server_moves_no_plan_another_serves(tiny_specs, calls):
     after = changed.explain(sql)
     assert calls["bind"] == 2
     assert _described(after) == _described(
-        plan_sql(sql, changed.catalog, changed.profile, changed.optimizer.config)
+        plan_sql(sql, changed.catalog, changed.profile)
     )
     assert _described(after) != _described(before)
     for candidate in before:
