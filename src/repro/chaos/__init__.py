@@ -4,8 +4,9 @@ One seed drives everything: :func:`generate_scenario` samples a
 topology, a QT1–QT5 workload mix and a fault schedule (outages, flaky
 error windows, latency spikes, update storms, replica lag);
 :func:`run_scenario` executes it on virtual time alongside a fault-free
-oracle rerun and a row-engine differential rerun; :func:`run_checkers`
-audits machine-verifiable federation invariants; and
+oracle rerun and asks a SQLite copy of the data for every completed
+query's answer; :func:`run_checkers` audits machine-verifiable
+federation invariants; and
 :func:`shrink_schedule` bisects any failing schedule down to a minimal
 reproducer with a one-line ``repro chaos --repro`` command.
 

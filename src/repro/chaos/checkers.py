@@ -10,14 +10,17 @@ checker that silently passes on known-bad input is worse than none.
 Bundled invariants:
 
 ``oracle-equivalence``
-    Every query the chaos run completed must return exactly the rows the
-    fault-free oracle rerun returned (multiset equality, float-tolerant);
-    and the oracle itself — a run with no faults — must never fail.
-``reroute-oracle-equivalence``
-    A query that migrated mid-scan (bounded batch re-routing) must
-    return rows *byte-identical* to the fault-free oracle's — the
-    primary-prefix + replica-tail merge may never change the answer —
-    and no query may report a migration while the dimension is off.
+    Every query the chaos run completed must return the rows the
+    fault-free oracle rerun returned (multiset equality; float-tolerant,
+    but *byte-identical* when hedging or re-routing is on — a backup leg
+    or a primary-prefix + replica-tail merge may never change the
+    answer); the oracle itself — a run with no faults — must never fail;
+    no query may report a migration while re-routing is off, and a
+    migrated query must have a twin answer to be held against.
+``sqlite-answers``
+    Every query the chaos run completed must return the rows SQLite
+    returns for its SQL text over a copy of the same tables
+    (``rows_close_unordered``): an answer oracle that is not this code.
 ``no-down-dispatch``
     The integrator never dispatches a fragment to a server the
     availability monitor had already marked down at dispatch time.
@@ -34,11 +37,6 @@ Bundled invariants:
     A plan-cache hit is only ever served while the entry's compilation
     epoch still equals the live calibration epoch — hits never survive
     an epoch bump.
-``engine-equivalence``
-    Rerunning the identical fault schedule on the row engine reproduces
-    the columnar engine's behaviour bit-for-bit: same per-query status,
-    rows, retries, chosen servers, and (WorkMeter-derived) response and
-    per-fragment times.
 ``shed-only-over-budget``
     Admission control only sheds a query when its class genuinely lacked
     headroom at decision time — the token bucket was empty or the
@@ -50,12 +48,11 @@ Bundled invariants:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..fed.admission import shed_violations
 from ..sqlengine import rows_close_unordered, rows_equal_unordered
-from .runner import QueryOutcome, ScenarioRun
+from .runner import ScenarioRun
 
 CheckerFn = Callable[[ScenarioRun], List[str]]
 
@@ -109,9 +106,24 @@ def violations(verdicts: Mapping[str, List[str]]) -> List[str]:
 
 @register_checker("oracle-equivalence")
 def check_oracle_equivalence(run: ScenarioRun) -> List[str]:
-    if run.oracle is None:
-        return []
     problems: List[str] = []
+    rerouting = run.spec.reroute_batch_rows is not None
+    if not rerouting:
+        # An opt-in mechanism fired without opt-in.
+        for outcome in run.outcomes:
+            if outcome.reroutes:
+                problems.append(
+                    f"query #{outcome.index} ({outcome.query_type}) "
+                    f"reported {outcome.reroutes} migration(s) while "
+                    "re-routing was disabled"
+                )
+    if run.oracle is None:
+        return problems
+    # Hedged and re-routing runs are held to *exact* row equality: a
+    # backup replica (or a migration target finishing a scan) must
+    # return the same bytes the primary would have — any drift means
+    # the mechanism changed the answer, not just the latency.
+    exact = rerouting or run.spec.hedge_after_ms is not None
     oracle_by_index = {outcome.index: outcome for outcome in run.oracle}
     for outcome in run.outcomes:
         reference = oracle_by_index.get(outcome.index)
@@ -132,17 +144,16 @@ def check_oracle_equivalence(run: ScenarioRun) -> List[str]:
             continue
         if reference.status == "shed":
             # The oracle's own admission controller shed this query —
-            # pure-concurrency overload, legal even without faults.
-            # There are no oracle rows to compare against.
+            # pure-concurrency overload, legal even without faults — so
+            # there are no oracle rows; a migrated query needs them.
+            if outcome.reroutes:
+                problems.append(
+                    f"query #{outcome.index} ({outcome.query_type}) "
+                    "migrated but its fault-free oracle counterpart is "
+                    "shed — no reference answer to hold the merge against"
+                )
             continue
-        # Hedged and re-routing runs are held to *exact* row equality: a
-        # backup replica (or a migration target finishing a scan) must
-        # return the same bytes the primary would have — any drift means
-        # the mechanism changed the answer, not just the latency.
-        if (
-            run.spec.hedge_after_ms is not None
-            or run.spec.reroute_batch_rows is not None
-        ):
+        if exact:
             equivalent = rows_equal_unordered(outcome.rows, reference.rows)
         else:
             equivalent = rows_close_unordered(outcome.rows, reference.rows)
@@ -155,47 +166,18 @@ def check_oracle_equivalence(run: ScenarioRun) -> List[str]:
     return problems
 
 
-@register_checker("reroute-oracle-equivalence")
-def check_reroute_oracle_equivalence(run: ScenarioRun) -> List[str]:
-    """Mid-query migrations must be byte-invisible in the answer.
-
-    With re-routing enabled, every query that actually migrated must
-    return *exactly* (not merely approximately) the rows the fault-free
-    oracle returned — a migration stitches a primary prefix onto a
-    replica tail, and any drift at the seam is a wrong answer, not
-    degradation.  With the dimension off, a query reporting a migration
-    is itself the violation: an opt-in mechanism fired without opt-in.
-    """
+@register_checker("sqlite-answers")
+def check_sqlite_answers(run: ScenarioRun) -> List[str]:
     problems: List[str] = []
-    if run.spec.reroute_batch_rows is None:
-        for outcome in run.outcomes:
-            if outcome.reroutes:
-                problems.append(
-                    f"query #{outcome.index} ({outcome.query_type}) "
-                    f"reported {outcome.reroutes} migration(s) while "
-                    "re-routing was disabled"
-                )
-        return problems
-    if run.oracle is None:
-        return []
-    oracle_by_index = {outcome.index: outcome for outcome in run.oracle}
     for outcome in run.outcomes:
-        if outcome.status != "ok" or not outcome.reroutes:
+        if outcome.status != "ok":
             continue
-        reference = oracle_by_index.get(outcome.index)
-        if reference is None or reference.status != "ok":
-            status = "missing" if reference is None else reference.status
+        expected = run.sqlite_answers[outcome.sql]
+        if not rows_close_unordered(outcome.rows, expected):
             problems.append(
-                f"query #{outcome.index} ({outcome.query_type}) migrated "
-                f"but its fault-free oracle counterpart is {status} — "
-                "no reference answer to hold the merge against"
-            )
-            continue
-        if not rows_equal_unordered(outcome.rows, reference.rows):
-            problems.append(
-                f"query #{outcome.index} ({outcome.query_type}) migrated "
-                f"mid-scan and returned {len(outcome.rows)} rows that are "
-                f"not byte-identical to the oracle's {len(reference.rows)}"
+                f"query #{outcome.index} ({outcome.query_type}) returned "
+                f"{len(outcome.rows)} rows differing from SQLite's "
+                f"{len(expected)}"
             )
     return problems
 
@@ -262,47 +244,6 @@ def check_cache_epoch(run: ScenarioRun) -> List[str]:
     return problems
 
 
-def _engine_mismatch(
-    columnar: QueryOutcome, row: QueryOutcome
-) -> Optional[str]:
-    if columnar.status != row.status:
-        return (
-            f"status diverged (columnar={columnar.status}, row={row.status})"
-        )
-    if columnar.status != "ok":
-        return None
-    if not rows_close_unordered(columnar.rows, row.rows):
-        return "result rows diverged"
-    if columnar.retries != row.retries:
-        return (
-            f"retries diverged (columnar={columnar.retries}, row={row.retries})"
-        )
-    if columnar.reroutes != row.reroutes:
-        return (
-            f"reroutes diverged (columnar={columnar.reroutes}, "
-            f"row={row.reroutes})"
-        )
-    if columnar.servers != row.servers:
-        return (
-            f"routing diverged (columnar={columnar.servers}, row={row.servers})"
-        )
-    if not math.isclose(
-        columnar.response_ms, row.response_ms, rel_tol=1e-9, abs_tol=1e-9
-    ):
-        return (
-            f"response time diverged (columnar={columnar.response_ms!r}, "
-            f"row={row.response_ms!r})"
-        )
-    if set(columnar.fragment_ms) != set(row.fragment_ms):
-        return "fragment sets diverged"
-    for fragment_id, observed in columnar.fragment_ms.items():
-        if not math.isclose(
-            observed, row.fragment_ms[fragment_id], rel_tol=1e-9, abs_tol=1e-9
-        ):
-            return f"fragment {fragment_id} observed time diverged"
-    return None
-
-
 @register_checker("shed-only-over-budget")
 def check_shed_only_over_budget(run: ScenarioRun) -> List[str]:
     problems = shed_violations(run.admission_decisions)
@@ -316,25 +257,4 @@ def check_shed_only_over_budget(run: ScenarioRun) -> List[str]:
             f"{shed_decisions} rejecting admission decisions were "
             "recorded — a shed without evidence"
         )
-    return problems
-
-
-@register_checker("engine-equivalence")
-def check_engine_equivalence(run: ScenarioRun) -> List[str]:
-    if run.row_engine is None:
-        return []
-    problems: List[str] = []
-    row_by_index = {outcome.index: outcome for outcome in run.row_engine}
-    for outcome in run.outcomes:
-        row = row_by_index.get(outcome.index)
-        if row is None:
-            problems.append(
-                f"query #{outcome.index} missing from the row-engine rerun"
-            )
-            continue
-        mismatch = _engine_mismatch(outcome, row)
-        if mismatch is not None:
-            problems.append(
-                f"query #{outcome.index} ({outcome.query_type}): {mismatch}"
-            )
     return problems

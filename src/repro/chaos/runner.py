@@ -13,11 +13,11 @@ on the virtual clock and records everything the invariant checkers need:
 * the calibration factors (server, fragment, initial, II) after a final
   fold, plus their configured clamp bounds.
 
-It then reruns the same workload twice more: once with the fault
-schedule stripped (the *fault-free oracle* — any completed chaos query
-must produce exactly the oracle's rows) and once on the row execution
-engine (the columnar engine's answers, response times and per-fragment
-observed times must match bit-for-bit, faults included).
+It then reruns the same workload with the fault schedule stripped (the
+*fault-free oracle*: any completed chaos query must produce exactly the
+oracle's rows) and asks a SQLite copy of the dataset for the answer to
+every SQL text the chaos run completed (:mod:`repro.chaos.sqlite_answers`:
+an engine that is not this code).
 
 Everything runs on virtual time with seeded randomness only, so a
 scenario is byte-reproducible from its spec alone.
@@ -26,7 +26,7 @@ scenario is byte-reproducible from its spec alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..fed import FederationError
 from ..fed.admission import AdmissionDecision, PriorityClass
@@ -48,9 +48,10 @@ from ..sim import (
     WindowedErrorInjector,
 )
 from ..sim.rng import derive_seed
-from ..sqlengine import Database, resolve_engine
+from ..sqlengine import Database
 from ..workload import TEST_SCALE
 from .scenario import ScenarioSpec, fault_window_steps
+from .sqlite_answers import SqliteAnswers
 
 #: Seed for table data and query-instance parameters.  Deliberately
 #: *not* the scenario seed: every scenario shares one dataset so the
@@ -96,8 +97,7 @@ class QueryOutcome:
     response_ms: Optional[float] = None
     retries: int = 0
     servers: Tuple[str, ...] = ()
-    #: per-fragment observed response time (WorkMeter-derived, so the
-    #: row and columnar engines must agree bit-for-bit)
+    #: per-fragment observed response time (WorkMeter-derived)
     fragment_ms: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
     #: Admission priority class (concurrent scenarios only).
@@ -168,8 +168,8 @@ class ScenarioRun:
     factor_bounds: Tuple[float, float] = (0.0, float("inf"))
     #: The fault-free rerun's outcomes (None when skipped).
     oracle: Optional[List[QueryOutcome]] = None
-    #: The row-engine rerun's outcomes (None when skipped).
-    row_engine: Optional[List[QueryOutcome]] = None
+    #: SQLite's rows for the SQL text of every completed query.
+    sqlite_answers: Dict[str, List[tuple]] = field(default_factory=dict)
     #: Every admit/shed verdict the primary pass's admission controller
     #: issued (concurrent scenarios; empty for sequential).
     admission_decisions: List[AdmissionDecision] = field(
@@ -218,24 +218,34 @@ def replica_databases() -> Dict[str, Database]:
     return _REPLICA_DATABASES
 
 
+#: id(databases) -> (databases, their SQLite copy).  Holding the mapping
+#: keeps its id from being reused by another one.
+_SQLITE_COPIES: Dict[int, Tuple[Mapping[str, Database], SqliteAnswers]] = {}
+
+
+def sqlite_copy(databases: Mapping[str, Database]) -> SqliteAnswers:
+    """The SQLite copy of *databases*' dataset, loaded on first use."""
+    cached = _SQLITE_COPIES.get(id(databases))
+    if cached is None:
+        cached = _SQLITE_COPIES[id(databases)] = (
+            databases,
+            SqliteAnswers(databases.values()),
+        )
+    return cached[1]
+
+
 # -- deployment assembly -----------------------------------------------------
 
 
 def _build_deployment(
     spec: ScenarioSpec,
-    engine: Optional[str],
     with_faults: bool,
-    databases: Optional[Dict[str, Database]],
+    databases: Dict[str, Database],
 ) -> Tuple[Deployment, Optional[ReplicaManager]]:
     replica = spec.topology == "replica"
     build = build_replica_federation if replica else build_federation
-    if databases is None:
-        databases = replica_databases() if replica else triple_databases()
     deployment = build(
-        scale=TEST_SCALE,
-        seed=DATA_SEED,
-        prebuilt_databases=databases,
-        engine=engine,
+        scale=TEST_SCALE, seed=DATA_SEED, prebuilt_databases=databases
     )
     manager = None
     if replica:
@@ -433,28 +443,17 @@ def _drive_concurrent(
 
 def _execute(
     spec: ScenarioSpec,
-    engine: Optional[str],
     with_faults: bool,
-    databases: Optional[Dict[str, Database]],
+    databases: Dict[str, Database],
     run: Optional[ScenarioRun] = None,
 ) -> List[QueryOutcome]:
     """One full pass over the spec's workload.
 
     When *run* is given, internal recorders and the final factor
-    snapshot are attached to it (the primary pass); oracle and engine
-    reruns only collect outcomes.
+    snapshot are attached to it (the primary pass); the oracle rerun
+    only collects outcomes.
     """
-    deployment, manager = _build_deployment(
-        spec, engine, with_faults, databases
-    )
-    resolved = resolve_engine(engine)
-    saved_engines = {
-        name: server.database.engine
-        for name, server in deployment.servers.items()
-    }
-    for server in deployment.servers.values():
-        server.database.engine = resolved
-
+    deployment, manager = _build_deployment(spec, with_faults, databases)
     if run is not None:
         _record_dispatches(
             deployment, run.dispatches, manager, spec.staleness_tolerance_ms
@@ -470,58 +469,50 @@ def _execute(
     outcomes: List[QueryOutcome] = []
     clock = deployment.clock
     integrator = deployment.integrator
-    try:
-        if spec.arrival is not None:
-            outcomes = _drive_concurrent(
-                spec, integrator, manager, with_faults, lag_events, run
+    if spec.arrival is not None:
+        outcomes = _drive_concurrent(
+            spec, integrator, manager, with_faults, lag_events, run
+        )
+    else:
+        for index, query in enumerate(spec.queries):
+            clock.advance(query.gap_ms)
+            if manager is not None and with_faults:
+                while (
+                    applied < len(lag_events)
+                    and lag_events[applied].start_ms <= clock.now
+                ):
+                    event = lag_events[applied]
+                    manager.note_write(event.table, event.start_ms)
+                    applied += 1
+            sql = query.sql(DATA_SEED)
+            submission = dict(
+                index=index,
+                query_type=query.query_type,
+                sql=sql,
+                submitted_ms=clock.now,
             )
-        else:
-            for index, query in enumerate(spec.queries):
-                clock.advance(query.gap_ms)
-                if manager is not None and with_faults:
-                    while (
-                        applied < len(lag_events)
-                        and lag_events[applied].start_ms <= clock.now
-                    ):
-                        event = lag_events[applied]
-                        manager.note_write(event.table, event.start_ms)
-                        applied += 1
-                sql = query.sql(DATA_SEED)
-                submission = dict(
-                    index=index,
-                    query_type=query.query_type,
-                    sql=sql,
-                    submitted_ms=clock.now,
+            try:
+                result = integrator.submit(
+                    sql,
+                    label=query.query_type,
+                    staleness_tolerance_ms=spec.staleness_tolerance_ms,
                 )
-                try:
-                    result = integrator.submit(
-                        sql,
-                        label=query.query_type,
-                        staleness_tolerance_ms=spec.staleness_tolerance_ms,
-                    )
-                except (FederationError, ServerUnavailable) as exc:
-                    outcome = QueryOutcome.unanswered(
-                        "failed", exc, **submission
-                    )
-                else:
-                    outcome = QueryOutcome.completed(result, **submission)
-                outcomes.append(outcome)
+            except (FederationError, ServerUnavailable) as exc:
+                outcome = QueryOutcome.unanswered("failed", exc, **submission)
+            else:
+                outcome = QueryOutcome.completed(result, **submission)
+            outcomes.append(outcome)
 
-        if run is not None:
-            qcc = deployment.qcc
-            qcc.recalibrate(clock.now)
-            calibrator = qcc.calibrator
-            run.server_factors = calibrator.server_factors()
-            run.fragment_factors = calibrator.fragment_factors()
-            run.initial_factors = calibrator.initial_factors()
-            run.ii_factor = qcc.ii_factor()
-            config = qcc.config.calibrator
-            run.factor_bounds = (config.min_factor, config.max_factor)
-    finally:
-        # Databases are shared across scenarios; leave their engine
-        # selection the way we found it.
-        for name, server in deployment.servers.items():
-            server.database.engine = saved_engines[name]
+    if run is not None:
+        qcc = deployment.qcc
+        qcc.recalibrate(clock.now)
+        calibrator = qcc.calibrator
+        run.server_factors = calibrator.server_factors()
+        run.fragment_factors = calibrator.fragment_factors()
+        run.initial_factors = calibrator.initial_factors()
+        run.ii_factor = qcc.ii_factor()
+        config = qcc.config.calibrator
+        run.factor_bounds = (config.min_factor, config.max_factor)
     return outcomes
 
 
@@ -529,33 +520,28 @@ def run_scenario(
     spec: ScenarioSpec,
     databases: Optional[Dict[str, Database]] = None,
     with_oracle: bool = True,
-    with_engine_differential: bool = True,
 ) -> ScenarioRun:
-    """Execute *spec* and its verification twins; returns the record.
+    """Execute *spec* and its verification twin; returns the record.
 
     ``databases`` overrides the shared per-topology dataset (tests pass
-    session-scoped fixtures).  The oracle and row-engine reruns can be
-    disabled individually.
-
-    The primary pass and the oracle run on the process-default engine
-    (columnar, the production engine); the differential rerun is always
-    the row engine, the small independent reference implementation.
+    session-scoped fixtures).  The fault-free oracle rerun can be
+    disabled; SQLite answers every completed query's SQL text either way.
     """
+    if databases is None:
+        replica = spec.topology == "replica"
+        databases = replica_databases() if replica else triple_databases()
     run = ScenarioRun(spec=spec, outcomes=[])
-    run.outcomes = _execute(
-        spec, None, with_faults=True, databases=databases, run=run
-    )
+    run.outcomes = _execute(spec, with_faults=True, databases=databases, run=run)
     if with_oracle:
         run.oracle = _execute(
-            spec.without_faults(),
-            None,
-            with_faults=False,
-            databases=databases,
+            spec.without_faults(), with_faults=False, databases=databases
         )
-    if with_engine_differential:
-        run.row_engine = _execute(
-            spec, "row", with_faults=True, databases=databases
-        )
+    sqlite = sqlite_copy(databases)
+    run.sqlite_answers = {
+        outcome.sql: sqlite.rows(outcome.sql)
+        for outcome in run.outcomes
+        if outcome.status == "ok"
+    }
     return run
 
 

@@ -33,7 +33,6 @@ from ..sqlengine import (
     ServerProfile,
     SqlError,
     execute_plan,
-    resolve_engine,
 )
 from ..sqlengine.storage import StorageManager
 from ..sim import (
@@ -243,7 +242,6 @@ class InformationIntegrator:
         qcc: Optional[Calibration] = None,
         replica_manager=None,
         enable_plan_cache: bool = True,
-        engine: Optional[str] = None,
     ):
         self.meta_wrapper = meta_wrapper
         self.clock = clock if clock is not None else VirtualClock()
@@ -270,9 +268,6 @@ class InformationIntegrator:
         self._replica_manager = None
         self.registry = registry
         self.replica_manager = replica_manager
-        #: Execution engine for the II-side merge (fragment engines are
-        #: chosen by each remote server's database).
-        self.engine = resolve_engine(engine)
         # Merge plans touch no stored tables; a bare storage manager is
         # enough for the execution context.
         self._merge_storage = StorageManager(Catalog())
@@ -679,7 +674,7 @@ class InformationIntegrator:
             merge_span = trace.begin_child(root, "merge", t_merge)
             merge_plan = build_merge_plan(decomposed, inputs)
             merge_result = execute_plan(
-                merge_plan, self._merge_storage, self.params, engine=self.engine
+                merge_plan, self._merge_storage, self.params
             )
             level = self.load.level(t_dispatch)
             merge_demand_ms = self.contention.demand_ms(

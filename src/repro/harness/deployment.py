@@ -148,7 +148,6 @@ def build_databases(
     scale: WorkloadScale = BENCH_SCALE,
     seed: int = 7,
     params: CostParameters = DEFAULT_COST_PARAMETERS,
-    engine: Optional[str] = None,
     placement: Optional[TablePlacement] = None,
 ) -> Dict[str, Database]:
     """One loaded sample database per server spec.
@@ -163,8 +162,7 @@ def build_databases(
     databases: Dict[str, Database] = {}
     for spec in specs:
         database = Database(
-            name=spec.name, profile=spec.profile(), params=params,
-            engine=engine,
+            name=spec.name, profile=spec.profile(), params=params
         )
         hosted = placement[spec.name] if placement is not None else tables
         populate(database, [tables[name] for name in hosted], seed=seed)
@@ -186,7 +184,6 @@ def build_federation(
     induced_gain: float = 0.002,
     induced_decay_ms: float = 2_000.0,
     enable_plan_cache: bool = True,
-    engine: Optional[str] = None,
     transfer: str = "rows",
     transfer_batch_rows: int = 1024,
     placement: Optional[TablePlacement] = None,
@@ -211,9 +208,7 @@ def build_federation(
     clock = VirtualClock()
     databases = prebuilt_databases
     if databases is None:
-        databases = build_databases(
-            specs, scale, seed, params, engine, placement
-        )
+        databases = build_databases(specs, scale, seed, params, placement)
 
     servers: Dict[str, RemoteServer] = {}
     loads: Dict[str, MutableLoad] = {}
@@ -271,7 +266,6 @@ def build_federation(
         params=params,
         router=router,
         enable_plan_cache=enable_plan_cache,
-        engine=engine,
     )
     return Deployment(
         integrator=integrator,

@@ -84,7 +84,7 @@ class WindowedErrorInjector(ErrorInjector):
     rate.  Requests outside every window never fail and never consume
     randomness, so the decision for the nth in-window request is a pure
     function of (seed, name, n) — fault schedules stay byte-reproducible
-    across oracle and engine-differential reruns.
+    across reruns of a scenario.
     """
 
     def __init__(

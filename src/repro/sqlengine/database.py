@@ -162,12 +162,8 @@ class Database:
 
     # -- run time ------------------------------------------------------------
 
-    def run_plan(
-        self, plan: PhysicalPlan, engine: Optional[str] = None
-    ) -> ExecutionResult:
-        return execute_plan(
-            plan, self.storage, self.params, engine=engine or self.engine
-        )
+    def run_plan(self, plan: PhysicalPlan) -> ExecutionResult:
+        return execute_plan(plan, self.storage, self.params, engine=self.engine)
 
     def run(self, sql: str) -> ExecutionResult:
         """Optimize and execute *sql*, returning rows and metered work."""

@@ -6,11 +6,13 @@ Two engines run the same physical plan:
   ``rows_columnar()`` over column batches with selection vectors
   (dict-encoded strings, late materialisation at the output boundary);
 * ``"row"`` — the reference engine: tuple-at-a-time iterators, the small
-  independent implementation the differential tests and the chaos
-  ``engine-equivalence`` checker compare the columnar engine against.
+  independent implementation the differential tests hold the columnar
+  engine's rows and meters to (every plan of a chaos sweep included).
 
 Both produce identical rows *and* identical ``WorkMeter`` totals (see
-docs/execution.md).
+docs/execution.md).  A database fixes its engine when it is built
+(``Database(engine=)``) and ``execute_plan(engine=)`` runs one plan on
+either; the federation's II merge always runs the default.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class ExecutionResult:
     rows: List[Row]
     schema: Schema
     meter: WorkMeter
-    engine: str = "row"
+    engine: str
 
     @property
     def row_count(self) -> int:
@@ -75,12 +77,7 @@ def execute_plan(
 ) -> ExecutionResult:
     """Run *plan* to completion against *storage*."""
     chosen = resolve_engine(engine)
-    ctx = ExecutionContext(
-        storage=storage,
-        params=params,
-        engine=chosen,
-        batch_size=batch_size,
-    )
+    ctx = ExecutionContext(storage=storage, params=params, batch_size=batch_size)
     start = time.perf_counter()
     batches = 0
     if chosen == "columnar":

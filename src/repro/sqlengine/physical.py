@@ -15,9 +15,8 @@ Every operator supports costing and two execution engines:
   converts metered work into observed response time under the server's
   current load.
 * ``rows(ctx)`` — the reference engine: tuple-at-a-time iterators, kept
-  small and obviously correct so the differential tests and the chaos
-  ``engine-equivalence`` checker have something independent to compare
-  the columnar engine against.
+  small and obviously correct so the differential tests have something
+  independent to hold the columnar engine's rows and meters to.
 
 Metering is charged per *lifecycle event* (stream start, build/
 materialize phase end, stream end) as ``count * unit_cost`` with integer
@@ -112,10 +111,9 @@ class WorkMeter:
 class ExecutionContext:
     """Everything an operator needs at run time.
 
-    ``engine`` records which execution path drives this context
-    ("columnar" or "row"); ``batch_size`` is the row count per batch on
-    the columnar path.  ``profiler`` is captured from the process-global
-    profiling state at construction time (``NULL_PROFILER`` unless
+    ``batch_size`` is the row count per batch on the columnar path.
+    ``profiler`` is captured from the process-global profiling state at
+    construction time (``NULL_PROFILER`` unless
     ``repro.obs.profile.enable_profiling()`` is active), so every
     operator dispatch is one attribute load plus one identity check.
     """
@@ -123,7 +121,6 @@ class ExecutionContext:
     storage: StorageManager
     params: CostParameters
     meter: WorkMeter = field(default_factory=WorkMeter)
-    engine: str = "row"
     batch_size: int = DEFAULT_BATCH_SIZE
     profiler: OperatorProfiler = field(default_factory=get_profiler)
 

@@ -26,7 +26,7 @@ EXPECTED_CHECKERS = {
     "no-stale-dispatch",
     "calibration-bounds",
     "cache-epoch",
-    "engine-equivalence",
+    "sqlite-answers",
     "shed-only-over-budget",
 }
 
@@ -52,7 +52,10 @@ def test_invariants_hold(seed, index, sample_databases):
     # every query either completes, fails under faults, or is shed by
     # admission control (concurrent scenarios only).
     assert run.completed + run.failed + run.shed == len(spec.queries)
-    assert run.oracle is not None and run.row_engine is not None
+    assert run.oracle is not None
+    assert set(run.sqlite_answers) == {
+        o.sql for o in run.outcomes if o.status == "ok"
+    }
     if spec.arrival is None:
         assert run.shed == 0
     # Under a staleness tolerance every dispatch carries its attempt's
@@ -167,9 +170,7 @@ def test_faults_actually_bite():
     touched = 0
     for seed, index in SMOKE_SCENARIOS:
         spec = generate_scenario(seed, index)
-        run = run_scenario(
-            spec, with_oracle=False, with_engine_differential=False
-        )
+        run = run_scenario(spec, with_oracle=False)
         if run.failed or any(o.retries for o in run.outcomes):
             touched += 1
     assert touched >= 1

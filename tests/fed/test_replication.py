@@ -11,10 +11,10 @@ SQL = "SELECT COUNT(*) FROM supplier"
 
 
 @pytest.fixture()
-def deployment(sample_databases):
-    deployment = build_federation(
-        scale=TEST_SCALE, with_qcc=False, prebuilt_databases=sample_databases
-    )
+def deployment():
+    # Its own databases: these tests write to supplier, and the shared
+    # sample databases must keep their copies identical.
+    deployment = build_federation(scale=TEST_SCALE, with_qcc=False)
     manager = ReplicaManager(deployment.registry)
     deployment.integrator.replica_manager = manager
     return deployment, manager

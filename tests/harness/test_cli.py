@@ -41,7 +41,8 @@ class TestParser:
 
     def test_engine_is_not_an_option(self):
         # Every server runs the columnar engine; the row reference is a
-        # library argument (build_federation(engine=)), not a flag.
+        # library argument (Database(engine=), execute_plan(engine=)),
+        # not a flag.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "SELECT 1", "--engine", "row"])
 

@@ -3,28 +3,29 @@ and SQLite (one outside the select list is a :class:`BindError`:
 ``test_wrong_statements.py``).
 
 The answers, order included, are compared with stdlib ``sqlite3`` loaded
-with the same rows: through one server's ``Database`` on both engines,
-and through ``InformationIntegrator.submit`` on both engines and both
+with the same rows (:class:`~repro.chaos.sqlite_answers.SqliteAnswers`):
+through one server's ``Database`` on both engines, and through
+``InformationIntegrator.submit`` over servers on both engines and both
 topologies.  The replica topology keeps orders and lineitem on different
 servers, so there the join and the sort run in the II's merge plan.
 """
 
 from __future__ import annotations
 
-import sqlite3
-
 import pytest
 
-from repro.harness import build_federation, build_replica_federation
-from repro.sqlengine import (
-    ENGINES,
-    ColumnRef,
-    ColumnType,
-    bind,
-    parse,
+from repro.chaos.sqlite_answers import SqliteAnswers
+from repro.harness.deployment import (
+    DEFAULT_SERVER_SPECS,
+    REPLICA_PLACEMENT,
+    REPLICA_SERVER_SPECS,
+    build_federation,
+    build_replica_federation,
 )
+from repro.sqlengine import ENGINES, ColumnRef, bind, execute_plan, parse
 from repro.sqlengine.parser import OrderItem
-from repro.workload import TEST_SCALE, table_specs
+from repro.workload import TEST_SCALE
+from tests.datasets import server_databases
 
 #: (statement, the output positions its ORDER BY sorts on).  Rows that
 #: tie on those positions may come in any order; nothing else may differ.
@@ -66,14 +67,20 @@ ORDERED = [
     ),
 ]
 
-_SQLITE_TYPES = {ColumnType.INT: "INTEGER", ColumnType.FLOAT: "REAL", ColumnType.STR: "TEXT"}
+_TOPOLOGIES = {
+    build_federation: (DEFAULT_SERVER_SPECS, None),
+    build_replica_federation: (REPLICA_SERVER_SPECS, REPLICA_PLACEMENT),
+}
 
 
 @pytest.fixture(scope="module")
 def deployments():
     return {
-        (build.__name__, engine): build(scale=TEST_SCALE, engine=engine)
-        for build in (build_federation, build_replica_federation)
+        (build.__name__, engine): build(
+            scale=TEST_SCALE,
+            prebuilt_databases=server_databases(specs, placement, engine),
+        )
+        for build, (specs, placement) in _TOPOLOGIES.items()
         for engine in ENGINES
     }
 
@@ -81,20 +88,8 @@ def deployments():
 @pytest.fixture(scope="module")
 def oracle(deployments):
     """SQLite holding the rows the federation's servers hold."""
-    database = deployments["build_federation", "columnar"].servers["S1"].database
-    connection = sqlite3.connect(":memory:")
-    for spec in table_specs(TEST_SCALE):
-        columns = ", ".join(
-            f"{name} {_SQLITE_TYPES[ctype]}" for name, ctype, _ in spec.columns
-        )
-        connection.execute(f"CREATE TABLE {spec.name} ({columns})")
-        marks = ", ".join("?" * len(spec.columns))
-        connection.executemany(
-            f"INSERT INTO {spec.name} VALUES ({marks})",
-            database.storage.table(spec.name).rows,
-        )
-    yield connection
-    connection.close()
+    deployment = deployments["build_federation", "columnar"]
+    return SqliteAnswers(server.database for server in deployment.servers.values())
 
 
 def _assert_same_answer(rows, expected, keys):
@@ -107,17 +102,18 @@ def _assert_same_answer(rows, expected, keys):
 
 @pytest.mark.parametrize("sql, keys", ORDERED, ids=[sql for sql, _ in ORDERED])
 def test_local_answers_equal_sqlite(deployments, oracle, sql, keys):
-    expected = oracle.execute(sql).fetchall()
+    expected = oracle.rows(sql)
     assert expected
     database = deployments["build_federation", "columnar"].servers["S1"].database
     plan = database.explain(sql)[0].plan
     for engine in ENGINES:
-        _assert_same_answer(database.run_plan(plan, engine=engine).rows, expected, keys)
+        result = execute_plan(plan, database.storage, database.params, engine=engine)
+        _assert_same_answer(result.rows, expected, keys)
 
 
 @pytest.mark.parametrize("sql, keys", ORDERED, ids=[sql for sql, _ in ORDERED])
 def test_federated_answers_equal_sqlite(deployments, oracle, sql, keys):
-    expected = oracle.execute(sql).fetchall()
+    expected = oracle.rows(sql)
     for deployment in deployments.values():
         _assert_same_answer(deployment.integrator.submit(sql).rows, expected, keys)
 

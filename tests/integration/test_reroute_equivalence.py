@@ -20,10 +20,14 @@ import pytest
 
 from repro.fed import batch_schedule
 from repro.fed.concurrent import ConcurrentRuntime
-from repro.harness.deployment import build_replica_federation
+from repro.harness.deployment import (
+    REPLICA_PLACEMENT,
+    REPLICA_SERVER_SPECS,
+    build_replica_federation,
+)
 from repro.sim.rng import derive_rng
-from repro.sqlengine import resolve_engine
 from repro.workload import TEST_SCALE, queries as Q
+from tests.datasets import server_databases
 
 #: Data seed shared with the chaos runner so the replica dataset is the
 #: battle-tested one.
@@ -50,12 +54,12 @@ def _query_sql(rng_component):
 
 @pytest.fixture(scope="module")
 def replica_databases():
-    deployment = build_replica_federation(
-        scale=TEST_SCALE, seed=DATA_SEED, with_qcc=False
-    )
+    """The replica topology's databases, one set per engine."""
     return {
-        name: server.database
-        for name, server in deployment.servers.items()
+        engine: server_databases(
+            REPLICA_SERVER_SPECS, REPLICA_PLACEMENT, engine, seed=DATA_SEED
+        )
+        for engine in ENGINES
     }
 
 
@@ -67,38 +71,23 @@ def _run_query(
     bump_at=(),
     hedge_after_ms=None,
 ):
-    """One fresh deployment, one query, optional epoch bumps.
-
-    Returns ``(result, runtime_log)``.  Databases are shared across
-    runs, so the engine override is restored afterwards (the chaos
-    runner's save/restore discipline).
-    """
+    """One fresh deployment over *engine*'s databases, one query,
+    optional epoch bumps.  Returns ``(result, runtime_log)``."""
     deployment = build_replica_federation(
         scale=TEST_SCALE,
         seed=DATA_SEED,
-        prebuilt_databases=databases,
+        prebuilt_databases=databases[engine],
     )
-    resolved = resolve_engine(engine)
-    saved = {
-        name: server.database.engine
-        for name, server in deployment.servers.items()
-    }
-    for server in deployment.servers.values():
-        server.database.engine = resolved
-    try:
-        runtime = ConcurrentRuntime(
-            deployment.integrator,
-            reroute_batch_rows=reroute_batch_rows,
-            hedge_after_ms=hedge_after_ms,
-        )
-        handle = runtime.submit_at(0.0, sql)
-        epoch = deployment.integrator.calibration_epoch
-        for t_ms in bump_at:
-            runtime.scheduler.call_at(t_ms, lambda: epoch.bump())
-        runtime.run()
-    finally:
-        for name, server in deployment.servers.items():
-            server.database.engine = saved[name]
+    runtime = ConcurrentRuntime(
+        deployment.integrator,
+        reroute_batch_rows=reroute_batch_rows,
+        hedge_after_ms=hedge_after_ms,
+    )
+    handle = runtime.submit_at(0.0, sql)
+    epoch = deployment.integrator.calibration_epoch
+    for t_ms in bump_at:
+        runtime.scheduler.call_at(t_ms, lambda: epoch.bump())
+    runtime.run()
     assert handle.error is None, handle.error
     assert handle.result is not None
     return handle.result, list(deployment.meta_wrapper.runtime_log)

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fed import ConcurrentRuntime
 from repro.fed.patroller import QueryStatus
 from repro.harness import build_federation
-from repro.sqlengine import ENGINES, BindError, SqlError, bind, parse
+from repro.sqlengine import ENGINES, BindError, SqlError, bind, execute_plan, parse
 from repro.workload import TEST_SCALE, table_specs
 
 WRONG = {
@@ -286,7 +286,9 @@ def test_generated_statements_raise_nothing_but_sql_errors(sample_databases, sql
     outcomes = []
     for engine in ENGINES:
         try:
-            rows = database.run_plan(best.plan, engine=engine).rows
+            rows = execute_plan(
+                best.plan, database.storage, database.params, engine=engine
+            ).rows
         except SqlError as exc:
             outcomes.append(type(exc))
         else:

@@ -16,13 +16,10 @@ from repro.obs.profile import (
     profiling,
     render_analyzed_plan,
 )
-from repro.harness import (
-    DEFAULT_SERVER_SPECS,
-    build_databases,
-    build_federation,
-)
-from repro.sqlengine import ColumnBatch, NestedLoopJoin, SeqScan
+from repro.harness import build_federation
+from repro.sqlengine import ColumnBatch, NestedLoopJoin, SeqScan, execute_plan
 from repro.workload import QUERY_TYPES, TEST_SCALE
+from tests.datasets import server_databases
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +27,7 @@ def engine_databases():
     """Per-engine sample databases: a server's engine is fixed at
     database construction, so each engine needs its own copy."""
     return {
-        engine: build_databases(
-            DEFAULT_SERVER_SPECS, TEST_SCALE, seed=7, engine=engine
-        )
+        engine: server_databases(engine=engine)
         for engine in ("row", "columnar")
     }
 
@@ -265,9 +260,7 @@ class TestEngineEquivalence:
 
     def _profiled_counts(self, engine_databases, engine, sql):
         deployment = build_federation(
-            scale=TEST_SCALE,
-            prebuilt_databases=engine_databases[engine],
-            engine=engine,
+            scale=TEST_SCALE, prebuilt_databases=engine_databases[engine]
         )
         with profiling():
             result = deployment.integrator.submit(sql)
@@ -296,10 +289,18 @@ class TestEngineEquivalence:
             map(tuple, col_result.rows)
         )
         # The columnar engine streams batches through every operator;
-        # the row engine never does.
+        # the row engine's fragments never do (the II merge runs the
+        # default engine in both federations).
+        merge_nodes = set()
+        stack = [row_result.merge_plan]
+        while stack:
+            node = stack.pop()
+            merge_nodes.add(id(node))
+            stack.extend(node.children())
         assert all(
             stats.batches == 0
-            for _, stats in row_result.profile.operators()
+            for node, stats in row_result.profile.operators()
+            if id(node) not in merge_nodes
         )
         assert all(
             stats.batches > 0 or stats.rows_out == 0
@@ -327,8 +328,10 @@ class TestEngineEquivalence:
         right = SeqScan(customer, "c")
         plan = NestedLoopJoin(left, right, None)
         with profiling() as profiler:
-            columnar = database.run_plan(plan, engine="columnar")
-        assert columnar.rows == database.run_plan(plan, engine="row").rows
+            columnar = database.run_plan(plan)
+        assert columnar.rows == execute_plan(
+            plan, database.storage, database.params, engine="row"
+        ).rows
         profile = profiler.capture()
         for scan in (left, right):
             stats = profile.stats_for(scan)

@@ -936,9 +936,7 @@ class TestEngineMachinery:
         results = {}
         for adapter in (PhysicalPlan, MaterializedInput):
             ctx = ExecutionContext(
-                storage=joined_db.storage,
-                params=joined_db.params,
-                engine="columnar",
+                storage=joined_db.storage, params=joined_db.params
             )
             batches = list(adapter._rows_columnar(plan, ctx))
             assert [len(b) for b in batches] == [DEFAULT_BATCH_SIZE, 5]
