@@ -1,15 +1,15 @@
 """Mid-query batch re-routing under a load storm: the rescue gate.
 
 Two identically seeded replica-topology deployments (S1/R1, S2/R2)
-sharing one prebuilt dataset run the same open-loop query stream over
-the columnar transfer wire while S1 suffers a sustained mid-run load
-storm (the paper's "heavy update load" as a contention schedule).  Both
-runs see the *same* scheduled calibration-epoch bumps — recalibration
-instants — so compile-time routing, plan-cache epochs and calibrator
-feedback are bit-identical; the only difference is the
-``--reroute-batch`` knob.  Without it, a fragment dispatched into the
-storm is stuck with its inflated service demand; with it, the first
-bump checkpoints the batches already shipped and migrates only the
+sharing one prebuilt dataset run the same open-loop query stream while
+S1 suffers a sustained mid-run load storm (the paper's "heavy update
+load" as a contention schedule).  Both runs see the *same* scheduled
+calibration-epoch bumps — recalibration instants — so compile-time
+routing, plan-cache epochs and calibrator feedback are bit-identical;
+the only difference is the ``--reroute-batch`` knob.  Without it, a
+fragment dispatched into the storm is stuck with its inflated service
+demand; with it, the first bump checkpoints the uniform
+``REROUTE_BATCH_ROWS``-row spans already shipped and migrates only the
 remaining scan range to the idle replica.
 
 Gates, all on virtual time and fully seeded:
@@ -68,8 +68,8 @@ STORM_CONGESTION = 0.95
 #: routing and plan-cache state never diverge between them.
 BUMPS = tuple(2_100.0 + 150.0 * i for i in range(14))
 
-#: Checkpoint granularity — also the columnar transfer chunk size, so
-#: wire batches and migration batches are the same spans.
+#: Checkpoint granularity: a migration keeps the primary's rows up to
+#: the last whole span of this many rows and re-ships the rest.
 REROUTE_BATCH_ROWS = 8
 
 #: Static hedge delay (ms) of the ``combined`` drive: above the
@@ -105,8 +105,6 @@ def _drive(databases, reroute_batch_rows, hedge_after_ms=None):
         hedge_after_ms=hedge_after_ms,
         reroute_batch_rows=reroute_batch_rows,
         bumps=BUMPS,
-        transfer="columnar",
-        transfer_batch_rows=REROUTE_BATCH_ROWS,
     )
 
 

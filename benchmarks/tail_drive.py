@@ -39,7 +39,6 @@ def drive(
     hedge_after_ms=None,
     reroute_batch_rows=None,
     bumps=(),
-    **federation_options,
 ):
     """Run *queries* instances through a fresh deployment after
     ``fault(deployment)`` installed the fault schedules; *bumps* are
@@ -49,7 +48,6 @@ def drive(
         scale=TEST_SCALE,
         seed=SEED,
         prebuilt_databases=databases,
-        **federation_options,
     )
     fault(deployment)
     runtime = ConcurrentRuntime(

@@ -9,12 +9,9 @@ without QCC's runtime feedback.
   most powerful server (S3).
 * :func:`uncalibrated_deployment` — cost-based routing on raw, load-
   blind estimates (DB2 II without QCC).
-* :func:`blind_round_robin_deployment` — cost-oblivious rotation, a
-  load-spreading strawman used in ablations.
 """
 
 from .builders import (
-    blind_round_robin_deployment,
     fixed_assignment_deployment,
     preferred_server_deployment,
     qcc_deployment,
@@ -22,7 +19,6 @@ from .builders import (
 )
 
 __all__ = [
-    "blind_round_robin_deployment",
     "fixed_assignment_deployment",
     "preferred_server_deployment",
     "qcc_deployment",

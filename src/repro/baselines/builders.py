@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from ..fed import FixedRouter, PreferredServerRouter, RoundRobinRouter
+from ..fed import FixedRouter, PreferredServerRouter
 from ..harness.deployment import Deployment, build_federation
 from ..workload import FIXED_ASSIGNMENT_1, PREFERRED_SERVER
 
@@ -33,13 +33,6 @@ def preferred_server_deployment(
 def uncalibrated_deployment(**options) -> Deployment:
     """Cost-based routing on raw estimates (DB2 II without QCC)."""
     return build_federation(with_qcc=False, **options)
-
-
-def blind_round_robin_deployment(**options) -> Deployment:
-    """Cost-oblivious round robin across capable server sets."""
-    return build_federation(
-        with_qcc=False, router=RoundRobinRouter(), **options
-    )
 
 
 def qcc_deployment(**options) -> Deployment:

@@ -27,7 +27,6 @@ from .rerouting import (
     tail_demand_ms,
 )
 from .decomposer import DecomposedQuery, QueryFragment, decompose
-from .explain import ExplainRecord, ExplainTable
 from .global_optimizer import (
     FragmentOption,
     GlobalPlan,
@@ -44,12 +43,11 @@ from .merge import EstimatedInput, build_merge_plan, estimate_merge_cost
 from .nicknames import FederationError, NicknameRegistry, Placement
 from .patroller import PatrolRecord, QueryPatroller, QueryStatus
 from .plan_cache import PlanCache, PlanCacheEntry, plan_key
-from .replication import ReplicaManager, ReplicaState, ReplicaSyncDaemon
+from .replication import ReplicaManager, ReplicaState
 from .routers import (
     FixedRouter,
     PreferredServerRouter,
     QCCRouter,
-    RoundRobinRouter,
     Router,
 )
 
@@ -62,8 +60,6 @@ __all__ = [
     "DEFAULT_CLASSES",
     "DecomposedQuery",
     "EstimatedInput",
-    "ExplainRecord",
-    "ExplainTable",
     "FederatedResult",
     "HedgeConfig",
     "HedgePolicy",
@@ -92,10 +88,8 @@ __all__ = [
     "Checkpoint",
     "ReplicaManager",
     "ReplicaState",
-    "ReplicaSyncDaemon",
     "RerouteConfig",
     "ReroutePolicy",
-    "RoundRobinRouter",
     "Router",
     "batch_schedule",
     "build_merge_plan",

@@ -4,8 +4,7 @@ Reproduces the operational flow of the paper's Figure 1/2:
 
 Compile time — decompose the federated query into fragments, collect
 candidate plans and (calibrated) costs through the meta-wrapper,
-enumerate global plans, let the router pick the winner, store it in the
-explain table.
+enumerate global plans, let the router pick the winner.
 
 Runtime — dispatch the chosen fragment plans through the meta-wrapper
 (which reports response times to QCC), merge the fragment results
@@ -48,7 +47,6 @@ from ..sim import (
 from ..core.calibration import Calibration
 from ..wrappers.meta import MetaWrapper
 from .decomposer import DecomposedQuery, decompose
-from .explain import ExplainTable
 from .global_optimizer import (
     FragmentOption,
     GlobalPlan,
@@ -257,7 +255,6 @@ class InformationIntegrator:
         #: the clock (``ConcurrentRuntime``) turns this off.
         self.advance_clock = True
         self.patroller = QueryPatroller()
-        self.explain_table = ExplainTable()
         #: The plan cache shares the calibration's epoch, so
         #: recalibrations and availability transitions invalidate cached
         #: compilations; the registry and the replica manager bump it too.
@@ -567,15 +564,12 @@ class InformationIntegrator:
                 yield Delay(self.compile_overhead_ms)
             t_dispatch = t0 + elapsed
             trace.end(compile_span, t_dispatch, plan_candidates=len(plans))
-            # The winner is kept as history (explain table, result) —
-            # without the alternatives, which are needed only until
-            # dispatch and would pin every plan tree its compilation
-            # weighed for as long as that history lives.
+            # The winner is kept in the result without the alternatives,
+            # which are needed only until dispatch and would pin every
+            # plan tree its compilation weighed for as long as the
+            # result lives.
             siblings_of = chosen.siblings_of
             chosen = replace(chosen, alternatives={})
-            self.explain_table.record(
-                record.query_id, record.sql, t_dispatch, chosen
-            )
 
             # Execute every fragment at the dispatch instant to learn
             # its rows and raw service demand.

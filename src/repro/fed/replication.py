@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..obs import get_obs
-from ..sim.clock import PeriodicTimer
 from .nicknames import FederationError, NicknameRegistry
 
 
@@ -213,15 +212,8 @@ class ReplicaManager:
             }
         return frozenset(fresh)
 
-    def sync_all_stale(self, servers, t_ms: float) -> int:
-        """Sync every placement currently behind; returns rows copied."""
-        copied = 0
-        for state in self.stale_placements(t_ms):
-            copied += self.sync(state.nickname, state.server, servers, t_ms)
-        return copied
-
     def stale_placements(self, t_ms: float) -> List[ReplicaState]:
-        """Every placement currently behind its origin (for sync jobs)."""
+        """Every placement currently behind its origin."""
         stale = []
         for nickname in self.registry.nicknames():
             for placement in self.registry.placements(nickname):
@@ -229,36 +221,3 @@ class ReplicaManager:
                 if state.staleness_ms > 0:
                     stale.append(state)
         return stale
-
-
-class ReplicaSyncDaemon:
-    """Periodic background sync of stale placements.
-
-    QCC's probing daemons keep *cost* knowledge fresh; this daemon keeps
-    *data* fresh, on the same virtual-clock/periodic-timer machinery.
-    Drive it from the experiment loop (or wherever QCC's tick is
-    driven): ``daemon.tick(now)``.
-    """
-
-    def __init__(
-        self,
-        manager: ReplicaManager,
-        servers,
-        interval_ms: float = 10_000.0,
-        start_ms: float = 0.0,
-    ):
-        self.manager = manager
-        self.servers = servers
-        self._timer = PeriodicTimer(interval_ms, start_ms)
-        self.sync_rounds = 0
-        self.rows_copied = 0
-
-    def tick(self, t_ms: float) -> int:
-        """Run a sync round if due; returns rows copied this tick."""
-        if not self._timer.due(t_ms):
-            return 0
-        self._timer.fire(t_ms)
-        self.sync_rounds += 1
-        copied = self.manager.sync_all_stale(self.servers, t_ms)
-        self.rows_copied += copied
-        return copied

@@ -3,15 +3,12 @@
 QCC steers queries only at compile time, so a calibration bump that
 lands mid-flight is wasted on every fragment already dispatched.  ADQUEX
 (see PAPERS.md) routes *tuples* adaptively while the query runs; this
-module reproduces a bounded version of that idea on top of the columnar
-transfer format:
+module reproduces a bounded version of that idea on batch boundaries:
 
 * A dispatched fragment's service demand is divided into **batch
-  spans** — the wire's own :class:`~repro.sim.server.TransferBatch`
-  boundaries when the server streams columnar batches, or uniform
-  ``batch_rows`` chunks of the result otherwise — with per-span demand
-  attribution that sums bit-for-bit to the fragment's total
-  (:func:`repro.sim.server.exact_split`).
+  spans** — uniform ``batch_rows`` chunks of the result — with
+  row-proportional demand attribution that sums bit-for-bit to the
+  fragment's total (:func:`repro.sim.server.exact_split`).
 * When the calibration epoch bumps mid-flight (recalibration folding
   fresh factors, or an availability flip — both bump the shared
   :class:`~repro.core.epoch.CalibrationEpoch`), the fragment
@@ -55,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..numeric import left_sum
 from ..sim.server import RemoteExecution, exact_split, transfer_spans
 from ..sqlengine import Row
 
@@ -67,8 +65,8 @@ _BOUNDARY_EPS = 1e-9
 class RerouteConfig:
     """Knobs for bounded mid-query re-routing."""
 
-    #: Checkpoint granularity (rows) when the execution carries no wire
-    #: batches; also the user-facing enable knob (None upstream = off).
+    #: Checkpoint granularity (rows); also the user-facing enable knob
+    #: (None upstream = off).
     batch_rows: int
 
     def __post_init__(self) -> None:
@@ -96,23 +94,16 @@ def batch_schedule(
 ) -> List[BatchSpan]:
     """The fragment's checkpoint schedule: row spans + demand shares.
 
-    When the server shipped columnar :class:`TransferBatch`es, those are
-    the natural migration unit — their per-batch processing + network
-    attribution weights the demand split.  On the row-tuple wire the
-    result is chunked uniformly by *batch_rows* and weighted by row
-    count.  Either way the spans' demands recompose ``observed_ms``
+    The result is chunked uniformly by *batch_rows* and the demand is
+    split by row count.  The spans' demands recompose ``observed_ms``
     exactly, so checkpoint arithmetic inherits the simulation's
     bit-exactness discipline.
     """
-    if execution.batches:
-        spans = [(b.start_row, b.stop_row) for b in execution.batches]
-        weights = [b.demand_ms for b in execution.batches]
-        if not any(w > 0.0 for w in weights):
-            weights = [float(stop - start) for start, stop in spans]
-    else:
-        spans = transfer_spans(execution.row_count, batch_rows)
-        weights = [float(stop - start) for start, stop in spans]
-    demands = exact_split(execution.observed_ms, weights)
+    spans = transfer_spans(execution.row_count, batch_rows)
+    demands = exact_split(
+        execution.observed_ms,
+        [float(stop - start) for start, stop in spans],
+    )
     return [
         BatchSpan(start_row=start, stop_row=stop, demand_ms=demand)
         for (start, stop), demand in zip(spans, demands)
@@ -155,7 +146,7 @@ def checkpoint_consumed(
             kept += 1
         else:
             break
-    kept_demand = sum(span.demand_ms for span in schedule[:kept])
+    kept_demand = left_sum(span.demand_ms for span in schedule[:kept])
     return Checkpoint(
         cut_row=cut_row, batches_kept=kept, kept_demand_ms=kept_demand
     )

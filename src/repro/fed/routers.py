@@ -20,7 +20,7 @@ The other routers model the baselines of Section 5:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .decomposer import DecomposedQuery
 from .global_optimizer import GlobalPlan
@@ -108,36 +108,3 @@ class PreferredServerRouter(Router):
         t_ms: float = 0.0,
     ) -> GlobalPlan:
         return _cheapest(plans, self.server)
-
-
-class RoundRobinRouter(Router):
-    """Blind round-robin over plans on distinct server sets.
-
-    A cost-oblivious load-spreading baseline: rotates across all server
-    sets able to run the query, regardless of their speed or load.
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
-
-    def choose(
-        self,
-        decomposed: DecomposedQuery,
-        plans: Sequence[GlobalPlan],
-        label: Optional[str] = None,
-        t_ms: float = 0.0,
-    ) -> GlobalPlan:
-        if not plans:
-            raise FederationError("no global plan to choose from")
-        by_servers: Dict[frozenset, GlobalPlan] = {}
-        for plan in plans:
-            existing = by_servers.get(plan.servers)
-            if existing is None or plan.total_cost < existing.total_cost:
-                by_servers[plan.servers] = plan
-        rotation = sorted(
-            by_servers.values(), key=lambda p: sorted(p.servers)
-        )
-        key = decomposed.statement.sql()
-        index = self._counters.get(key, 0)
-        self._counters[key] = index + 1
-        return rotation[index % len(rotation)]

@@ -184,8 +184,6 @@ def build_federation(
     induced_gain: float = 0.002,
     induced_decay_ms: float = 2_000.0,
     enable_plan_cache: bool = True,
-    transfer: str = "rows",
-    transfer_batch_rows: int = 1024,
     placement: Optional[TablePlacement] = None,
 ) -> Deployment:
     """Assemble servers, wrappers, MW, the calibration and the II.
@@ -200,8 +198,6 @@ def build_federation(
     With ``induced_load`` each server's load level additionally rises
     with the traffic routed to it (the hot-spot feedback of Section 4);
     ``Deployment.set_load`` still controls the phase base level.
-    ``transfer``/``transfer_batch_rows`` select the fragment result wire
-    format on every server (see :class:`~repro.sim.RemoteServer`).
     ``router`` replaces the default routing policy (cheapest plan, or
     QCC's recommendation when a QCC is attached).
     """
@@ -230,8 +226,6 @@ def build_federation(
             link=spec.link(),
             availability=(availability or {}).get(spec.name, AlwaysUp()),
             errors=ErrorInjector(spec.error_rate, seed=seed, name=spec.name),
-            transfer=transfer,
-            transfer_batch_rows=transfer_batch_rows,
         )
         hosted = (
             placement[spec.name]

@@ -8,7 +8,6 @@ implementation shared by dashboards, metrics and reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +15,6 @@ from ..obs import Histogram, percentile
 
 __all__ = [
     "ResponseStats",
-    "geometric_mean",
     "mean",
     "percent_gain",
     "percentile",
@@ -70,10 +68,3 @@ def percent_gain(baseline: float, treatment: float) -> float:
 
 def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    positive = [v for v in values if v > 0]
-    if not positive:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in positive) / len(positive))

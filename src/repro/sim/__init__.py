@@ -21,7 +21,6 @@ from .load import (
     LoadSchedule,
     MutableLoad,
     StepSchedule,
-    UpdateStorm,
 )
 from .network import LOCAL_LINK, NetworkLink
 from .rng import derive_rng, derive_seed
@@ -39,10 +38,8 @@ from .sched import (
 )
 from .server import (
     REQUEST_BYTES,
-    TRANSFER_MODES,
     RemoteExecution,
     RemoteServer,
-    TransferBatch,
     exact_split,
     transfer_spans,
 )
@@ -76,9 +73,6 @@ __all__ = [
     "ServerUnavailable",
     "StepSchedule",
     "StormReport",
-    "TRANSFER_MODES",
-    "TransferBatch",
-    "UpdateStorm",
     "UpdateStormDriver",
     "VirtualClock",
     "WindowedErrorInjector",

@@ -10,9 +10,11 @@ plus network time) — the asymmetry whose gap the QCC measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import nextafter
+from fractions import Fraction
+from math import isfinite, nextafter, ulp
 from typing import List, Optional, Tuple
 
+from ..numeric import left_sum
 from ..sqlengine import (
     Database,
     PhysicalPlan,
@@ -20,7 +22,6 @@ from ..sqlengine import (
     Row,
     Schema,
     ServerProfile,
-    encode_rows,
 )
 from .failures import AlwaysUp, AvailabilitySchedule, ErrorInjector, ServerUnavailable
 from .load import ConstantLoad, ContentionProfile, LoadSchedule
@@ -29,17 +30,16 @@ from .network import NetworkLink
 #: Bytes assumed for a fragment-request message (SQL text + descriptor).
 REQUEST_BYTES = 512.0
 
-#: Supported fragment-transfer wire formats.
-TRANSFER_MODES = ("rows", "columnar")
-
 
 def exact_split(total: float, weights: List[float]) -> List[float]:
     """Split *total* proportionally to *weights*, summing back exactly.
 
     The last share absorbs the floating-point residue, and a final
-    one-ulp correction forces the left-to-right ``sum()`` of the shares
-    to reproduce *total* bit-for-bit — the invariant per-batch
-    attribution (and re-routing's demand splits) are tested against.
+    one-ulp correction forces the left-to-right sum of the shares
+    (:func:`repro.numeric.left_sum`) to reproduce *total* bit-for-bit —
+    the invariant re-routing's demand splits are tested against.  When
+    no nudge of the last share gets there (the exact sum lands on a
+    rounding tie either way), :func:`_grid_split` supplies the shares.
     Weights must be non-negative with a positive sum (an all-zero weight
     vector puts everything in the last share).
     """
@@ -60,20 +60,43 @@ def exact_split(total: float, weights: List[float]) -> List[float]:
     # Round-to-nearest can leave the recomposed sum one ulp off *total*;
     # nudge the residual share until the identity holds exactly.
     for _ in range(4):
-        recomposed = sum(shares)
+        recomposed = left_sum(shares)
         if recomposed == total:
-            break
+            return shares
         shares[-1] = nextafter(
             shares[-1], shares[-1] + (total - recomposed)
         )
+    if left_sum(shares) == total or not isfinite(total):
+        return shares
+    return _grid_split(total, weights)
+
+
+def _grid_split(total: float, weights: List[float]) -> List[float]:
+    """Shares of *total* that are whole multiples of ``ulp(total)``.
+
+    Every partial sum of such shares is exactly representable, so they
+    add back to *total* in any order and on any interpreter.
+    """
+    unit = ulp(total)
+    units = int(total / unit)
+    exact = [Fraction(w) for w in weights]
+    denom = sum(exact, Fraction(0))
+    shares: List[float] = []
+    given = 0
+    for w in exact[:-1]:
+        part = int(units * w / denom) if denom > 0 else 0
+        shares.append(part * unit)
+        given += part
+    shares.append((units - given) * unit)
     return shares
 
 
 def transfer_spans(row_count: int, batch_rows: int) -> List[Tuple[int, int]]:
     """Row spans ``[start, stop)`` chunking *row_count* by *batch_rows*.
 
-    Always yields at least one span so empty results still produce one
-    (empty) wire batch — a response message crosses the link either way.
+    Always yields at least one span so an empty result still has one
+    (empty) checkpoint span — a response message crosses the link
+    either way.
     """
     if row_count <= 0:
         return [(0, 0)]
@@ -82,32 +105,6 @@ def transfer_spans(row_count: int, batch_rows: int) -> List[Tuple[int, int]]:
         (start, min(start + step, row_count))
         for start in range(0, row_count, step)
     ]
-
-
-@dataclass(frozen=True)
-class TransferBatch:
-    """One wire batch of a chunked fragment transfer.
-
-    ``processing_ms``/``network_ms`` are the batch's shares of the
-    execution's totals (processing split by row count, network by wire
-    bytes); the shares of each component sum bit-for-bit to the
-    execution's total, so chunking is pure attribution — it never moves
-    the observed response time.
-    """
-
-    start_row: int
-    stop_row: int
-    wire_bytes: int
-    processing_ms: float
-    network_ms: float
-
-    @property
-    def row_count(self) -> int:
-        return self.stop_row - self.start_row
-
-    @property
-    def demand_ms(self) -> float:
-        return self.processing_ms + self.network_ms
 
 
 @dataclass
@@ -122,9 +119,6 @@ class RemoteExecution:
     started_ms: float
     #: Which execution engine produced the rows (None for DML).
     engine: Optional[str] = None
-    #: Wire-batch boundaries with per-batch attribution when the server
-    #: streams columnar transfer batches; empty on the row-tuple wire.
-    batches: Tuple[TransferBatch, ...] = ()
 
     @property
     def finished_ms(self) -> float:
@@ -147,16 +141,7 @@ class RemoteServer:
         link: Optional[NetworkLink] = None,
         availability: AvailabilitySchedule = AlwaysUp(),
         errors: Optional[ErrorInjector] = None,
-        transfer: str = "rows",
-        transfer_batch_rows: int = 1024,
     ):
-        if transfer not in TRANSFER_MODES:
-            raise ValueError(
-                f"unknown transfer mode {transfer!r}; expected one of "
-                f"{TRANSFER_MODES}"
-            )
-        if transfer_batch_rows < 1:
-            raise ValueError("transfer_batch_rows must be >= 1")
         self.name = name
         self.database = database
         self.contention = contention
@@ -164,13 +149,6 @@ class RemoteServer:
         self.link = link if link is not None else NetworkLink()
         self.availability = availability
         self.errors = errors or ErrorInjector()
-        #: Wire format for fragment results: ``"rows"`` costs boxed row
-        #: tuples by schema row width (the original model, bit-exact to
-        #: pre-columnar artifacts); ``"columnar"`` encodes results as
-        #: dictionary/typed-array :class:`ColumnBatch` chunks and costs
-        #: the wire by their ``storage_bytes``.
-        self.transfer = transfer
-        self.transfer_batch_rows = transfer_batch_rows
 
     @property
     def profile(self) -> ServerProfile:
@@ -195,7 +173,7 @@ class RemoteServer:
         """Run a canned calibration query; returns (estimated, observed).
 
         QCC's daemons "explore the network latency and processing latency
-        at remote sources": a trivial aggregate over the smallest table
+        at remote sources": a trivial aggregate over the largest table
         yields a fresh observed/estimated ratio that reflects the
         server's *current* load and link state without touching any
         user data path.
@@ -250,51 +228,11 @@ class RemoteServer:
             raise ServerUnavailable(self.name, t_ms, transient=True)
         result = self.database.run_plan(plan)
         processing_ms = self._processing_ms(result.meter, t_ms)
-        if self.transfer == "columnar":
-            schema = (
-                result.schema
-                if result.schema is not None
-                else plan.output_schema
-            )
-            spans = transfer_spans(result.row_count, self.transfer_batch_rows)
-            wire_bytes = [
-                encode_rows(result.rows[start:stop], schema).storage_bytes()
-                for start, stop in spans
-            ]
-            result_bytes = float(sum(wire_bytes))
-            network_ms = self.link.request_response_ms(
-                REQUEST_BYTES, result_bytes, t_ms
-            )
-            # Per-batch attribution: processing follows rows produced,
-            # network follows bytes shipped; each component's shares sum
-            # bit-for-bit to the totals above (exact_split), so the
-            # chunked execution is pure bookkeeping over today's costs.
-            processing_shares = exact_split(
-                processing_ms, [float(stop - start) for start, stop in spans]
-            )
-            network_shares = exact_split(
-                network_ms, [float(b) for b in wire_bytes]
-            )
-            batches = tuple(
-                TransferBatch(
-                    start_row=start,
-                    stop_row=stop,
-                    wire_bytes=bytes_,
-                    processing_ms=p_share,
-                    network_ms=n_share,
-                )
-                for (start, stop), bytes_, p_share, n_share in zip(
-                    spans, wire_bytes, processing_shares, network_shares
-                )
-            )
-        else:
-            result_bytes = (
-                result.row_count * plan.output_schema.row_width_bytes()
-            )
-            network_ms = self.link.request_response_ms(
-                REQUEST_BYTES, result_bytes, t_ms
-            )
-            batches = ()
+        # Wire bytes: result rows x the output schema's row width.
+        result_bytes = result.row_count * plan.output_schema.row_width_bytes()
+        network_ms = self.link.request_response_ms(
+            REQUEST_BYTES, result_bytes, t_ms
+        )
         return RemoteExecution(
             rows=result.rows,
             schema=result.schema,
@@ -303,7 +241,6 @@ class RemoteServer:
             network_ms=network_ms,
             started_ms=t_ms,
             engine=result.engine,
-            batches=batches,
         )
 
     def execute_sql(self, sql: str, t_ms: float) -> RemoteExecution:

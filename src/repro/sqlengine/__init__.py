@@ -8,13 +8,11 @@ execution.  See :class:`repro.sqlengine.database.Database` for the facade.
 
 from .catalog import Catalog, CatalogError, ColumnStats, IndexDef, TableDef, TableStats, collect_stats
 from .columnar import (
-    ArrayColumn,
     ColumnBatch,
     ColumnData,
     DictColumn,
     TableColumns,
     ValueColumn,
-    encode_rows,
 )
 from .cost import (
     CostParameters,
@@ -112,7 +110,7 @@ from .types import (
 )
 
 __all__ = [
-    "AggregateCall", "And", "Arithmetic", "ArrayColumn", "BindError",
+    "AggregateCall", "And", "Arithmetic", "BindError",
     "Catalog",
     "CatalogError", "Choice", "Column", "ColumnBatch", "ColumnData",
     "ColumnGen", "ColumnRef",
@@ -135,7 +133,6 @@ __all__ = [
     "TableDef", "TableSpec", "TableStats", "TypeMismatchError",
     "UniformFloat", "UniformInt", "UpdateStatement", "WorkMeter",
     "ZipfInt", "bind", "collect_stats", "estimate_selectivity",
-    "encode_rows",
     "execute_dml", "execute_plan", "finish_plan", "parse", "parse_expression",
     "parse_statement", "plan_sql", "populate",
     "resolve_engine",

@@ -19,10 +19,6 @@ Column representations:
   codes instead of string values;
 * ``ValueColumn`` — plain Python list (table numerics, operator
   intermediates);
-* ``ArrayColumn`` — ``array('q')`` (integers) / ``array('d')`` (floats)
-  compact storage (8 bytes per value, no per-value boxing) with an
-  optional validity bytearray marking NULL slots: the wire format
-  fragment transfer is costed by (:func:`encode_rows`);
 * ``SliceColumn`` / ``TakeColumn`` / ``GatherColumn`` — lazy views used
   for scan batching, index-scan rid fetches and join output.  They
   decode (build a selection-aligned value list) only when a kernel
@@ -41,9 +37,6 @@ from .types import ColumnType, Row, Schema
 
 #: Dictionary code marking a NULL string slot.
 NULL_CODE = -1
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 
 class ColumnData:
@@ -73,37 +66,6 @@ class ColumnData:
     def storage_bytes(self) -> int:
         """Approximate resident bytes of the compact backing storage."""
         return getsizeof(self.values())
-
-
-class ArrayColumn(ColumnData):
-    """Typed-array column — ``array('q')`` of 64-bit integers or
-    ``array('d')`` of floats — plus optional validity."""
-
-    __slots__ = ("data", "validity", "_values")
-
-    def __init__(self, data: array, validity: Optional[bytearray] = None):
-        self.data = data
-        self.validity = validity
-        self._values: Optional[List[Any]] = None
-
-    def values(self) -> List[Any]:
-        vals = self._values
-        if vals is None:
-            raw = self.data.tolist()
-            validity = self.validity
-            if validity is not None:
-                raw = [v if ok else None for v, ok in zip(raw, validity)]
-            vals = self._values = raw
-        return vals
-
-    def has_nulls(self) -> bool:
-        return self.validity is not None
-
-    def storage_bytes(self) -> int:
-        total = getsizeof(self.data)
-        if self.validity is not None:
-            total += getsizeof(self.validity)
-        return total
 
 
 class DictColumn(ColumnData):
@@ -433,21 +395,6 @@ class TableColumns:
         )
 
 
-def _build_numeric(
-    raw: List[Any], typecode: str
-) -> ColumnData:
-    """Typed-array column from a raw value list, NULLs via validity."""
-    if None in raw:
-        validity = bytearray(1 for _ in raw)
-        dense = list(raw)
-        for i, v in enumerate(raw):
-            if v is None:
-                validity[i] = 0
-                dense[i] = 0
-        return ArrayColumn(array(typecode, dense), validity)
-    return ArrayColumn(array(typecode, raw), None)
-
-
 def _build_dict(raw: List[Any]) -> DictColumn:
     dictionary: List[str] = []
     encode: Dict[str, int] = {}
@@ -465,40 +412,3 @@ def _build_dict(raw: List[Any]) -> DictColumn:
                 dictionary.append(v)
             append(code)
     return DictColumn(codes, dictionary, encode, nullable)
-
-
-def _encode_column(raw: List[Any], ctype: ColumnType) -> ColumnData:
-    """Typed column from a raw value list — the shared encoding dispatch.
-
-    INT columns fall back to :class:`ValueColumn` when any value is
-    outside the signed 64-bit range; BOOL columns always use the value
-    fallback (a 1-byte validity-style encoding would save little here).
-    """
-    if ctype is ColumnType.INT:
-        if all(v is None or (_INT64_MIN <= v <= _INT64_MAX) for v in raw):
-            return _build_numeric(raw, "q")
-        return ValueColumn(raw)
-    if ctype is ColumnType.FLOAT:
-        return _build_numeric(raw, "d")
-    if ctype is ColumnType.STR:
-        return _build_dict(raw)
-    return ValueColumn(raw)
-
-
-def encode_rows(rows: Sequence[Row], schema: Schema) -> ColumnBatch:
-    """Encode a result-row batch as wire columns (fragment transfer).
-
-    This is the serialisation boundary's view of the columnar format:
-    the same typed encoding :func:`build_table_columns` uses for stored
-    tables, applied to one transfer batch of result rows.  The batch's
-    :meth:`ColumnBatch.storage_bytes` is what the simulated wire charges
-    — ``array``-backed numerics at 8 bytes/value plus container
-    overhead, dictionary-encoded strings at one 8-byte code per row plus
-    the shared dictionary — instead of the boxed row-width estimate.
-    """
-    n = len(rows)
-    cols = tuple(
-        _encode_column([row[idx] for row in rows], column.ctype)
-        for idx, column in enumerate(schema.columns)
-    )
-    return ColumnBatch(cols, n, None)

@@ -27,7 +27,7 @@ totals for any plan that runs to completion (see docs/execution.md; a
 since the columnar engine scans in batch granularity).
 
 Operators are immutable; a plan tree is shared freely between the
-optimizer, the explain table, QCC's records and the executor.
+optimizer, the federated result, QCC's records and the executor.
 """
 
 from __future__ import annotations

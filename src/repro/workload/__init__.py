@@ -1,6 +1,6 @@
 """Evaluation workload: schema, query types, load phases, generators."""
 
-from .generator import build_workload, single_type_workload
+from .generator import build_workload
 from .phases import (
     BASE_LEVEL,
     FIXED_ASSIGNMENT_1,
@@ -9,7 +9,6 @@ from .phases import (
     PREFERRED_SERVER,
     Phase,
     SERVER_NAMES,
-    phase_by_name,
 )
 from .queries import (
     EXTENDED_QUERY_TYPES,
@@ -30,7 +29,6 @@ from .schema import (
     TABLE_NAMES,
     TEST_SCALE,
     WorkloadScale,
-    spec_by_name,
     table_specs,
 )
 
@@ -58,9 +56,6 @@ __all__ = [
     "TEST_SCALE",
     "WorkloadScale",
     "build_workload",
-    "phase_by_name",
-    "single_type_workload",
-    "spec_by_name",
     "table_specs",
     "template_by_name",
 ]

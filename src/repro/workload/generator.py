@@ -39,10 +39,3 @@ def build_workload(
         rng = derive_rng(seed, "workload-shuffle")
         rng.shuffle(workload)
     return workload
-
-
-def single_type_workload(
-    template: QueryTemplate, count: int = 10, seed: int = 7
-) -> List[QueryInstance]:
-    """All instances of one query type (used by Figure 9's sweeps)."""
-    return template.instances(count, seed)

@@ -64,13 +64,6 @@ PHASES: Tuple[Phase, ...] = (
 )
 
 
-def phase_by_name(name: str) -> Phase:
-    for phase in PHASES:
-        if phase.name == name:
-            return phase
-    raise KeyError(f"unknown phase {name!r}")
-
-
 #: The paper's Fixed Assignment 1 (Section 5.3): routing registered at
 #: nickname-definition time — QT1, QT3 to S1; QT2 to S2; QT4 to S3.
 FIXED_ASSIGNMENT_1: Mapping[str, str] = {

@@ -17,7 +17,7 @@ ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..sqlengine import (
     Choice,
@@ -123,12 +123,6 @@ def table_specs(scale: WorkloadScale = BENCH_SCALE) -> Tuple[TableSpec, ...]:
             indexes=("orderkey", "prodkey"),
         ),
     )
-
-
-def spec_by_name(
-    scale: WorkloadScale = BENCH_SCALE,
-) -> Dict[str, TableSpec]:
-    return {spec.name: spec for spec in table_specs(scale)}
 
 
 TABLE_NAMES = tuple(spec.name for spec in table_specs(TEST_SCALE))

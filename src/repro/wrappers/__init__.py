@@ -3,7 +3,6 @@
 from .base import Wrapper
 from .filewrapper import FileSource, FileWrapper, UNKNOWN_COST
 from .meta import (
-    CompileLogEntry,
     DEFAULT_UNKNOWN_ESTIMATE,
     MetaWrapper,
     RuntimeLogEntry,
@@ -11,7 +10,6 @@ from .meta import (
 from .relational import RelationalWrapper, rename_tables
 
 __all__ = [
-    "CompileLogEntry",
     "DEFAULT_UNKNOWN_ESTIMATE",
     "FileSource",
     "FileWrapper",

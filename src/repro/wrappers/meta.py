@@ -35,19 +35,6 @@ DEFAULT_UNKNOWN_ESTIMATE = PlanCost(
 
 
 @dataclass(frozen=True)
-class CompileLogEntry:
-    """MW's compile-time record: fragment -> candidate plan at a server."""
-
-    t_ms: float
-    fragment_id: str
-    fragment_signature: str
-    server: str
-    plan_signature: str
-    estimated: PlanCost
-    calibrated: PlanCost
-
-
-@dataclass(frozen=True)
 class RuntimeLogEntry:
     """MW's runtime record: the response time of one fragment execution."""
 
@@ -81,7 +68,6 @@ class MetaWrapper:
         qcc: Optional[Calibration] = None,
     ):
         self.wrappers: Dict[str, Wrapper] = dict(wrappers)
-        self.compile_log: List[CompileLogEntry] = []
         self.runtime_log: List[RuntimeLogEntry] = []
         self.attach_qcc(qcc or Calibration())
 
@@ -160,17 +146,6 @@ class MetaWrapper:
                     calibrated=calibrated,
                 )
                 options.append(option)
-                self.compile_log.append(
-                    CompileLogEntry(
-                        t_ms=t_ms,
-                        fragment_id=fragment.fragment_id,
-                        fragment_signature=fragment.signature,
-                        server=server,
-                        plan_signature=option.plan_signature,
-                        estimated=estimated,
-                        calibrated=calibrated,
-                    )
-                )
                 qcc.record_compile(server, fragment.signature, option)
         return options
 

@@ -2,7 +2,6 @@
 
 
 from repro.baselines import (
-    blind_round_robin_deployment,
     fixed_assignment_deployment,
     preferred_server_deployment,
     qcc_deployment,
@@ -13,7 +12,6 @@ from repro.fed import (
     FixedRouter,
     PreferredServerRouter,
     QCCRouter,
-    RoundRobinRouter,
 )
 from repro.workload import TEST_SCALE
 
@@ -54,17 +52,6 @@ class TestFactories:
         # recommendation is the cheapest plan.
         assert isinstance(deployment.integrator.router, QCCRouter)
         assert type(deployment.qcc) is Calibration
-
-    def test_blind_round_robin_spreads(self, sample_databases):
-        deployment = blind_round_robin_deployment(
-            scale=TEST_SCALE, prebuilt_databases=sample_databases
-        )
-        assert isinstance(deployment.integrator.router, RoundRobinRouter)
-        servers = set()
-        for _ in range(3):
-            result = deployment.integrator.submit(SQL)
-            servers |= result.plan.servers
-        assert len(servers) == 3
 
     def test_qcc(self, sample_databases):
         deployment = qcc_deployment(

@@ -51,11 +51,11 @@ class TestSubmit:
         assert len(records) == 1
         assert records[0].status is QueryStatus.COMPLETED
 
-    def test_explain_table_records_winner(self, deployment):
-        deployment.integrator.submit(SQL)
-        record = deployment.integrator.explain_table.latest()
-        assert record is not None
-        assert record.plan.total_cost > 0
+    def test_result_carries_the_winner(self, deployment):
+        result = deployment.integrator.submit(SQL)
+        assert result.plan.total_cost > 0
+        # Kept without the alternatives, which only dispatch needs.
+        assert result.plan.alternatives == {}
 
     def test_explicit_time_does_not_advance_clock(self, deployment):
         deployment.integrator.submit(SQL, t_ms=500.0)

@@ -1,11 +1,8 @@
-"""Unit tests for the query patroller and explain table."""
+"""Unit tests for the query patroller."""
 
 import pytest
 
 from repro.fed import QueryPatroller, QueryStatus
-from repro.fed.explain import ExplainTable
-from repro.fed.global_optimizer import GlobalPlan
-from repro.sqlengine import PlanCost
 
 
 class TestPatrollerLifecycle:
@@ -72,29 +69,3 @@ class TestPatrollerAnalytics:
         patroller = self._patroller()
         assert len(patroller) == 4
         assert len(list(patroller)) == 4
-
-
-def _plan():
-    return GlobalPlan(
-        plan_id="p1",
-        choices=(),
-        merge_cost=PlanCost(0.0, 1.0, 1.0),
-        total_cost=10.0,
-    )
-
-
-class TestExplainTable:
-    def test_record_and_latest(self):
-        table = ExplainTable()
-        assert table.latest() is None
-        record = table.record(1, "SELECT 1", 5.0, _plan())
-        assert table.latest() is record
-        assert record.estimated_total == 10.0
-
-    def test_only_winner_stored(self):
-        """The explain table holds one plan per compile — the winner —
-        exactly DB2 II's behaviour the paper works around (Section 4.2)."""
-        table = ExplainTable()
-        record = table.record(1, "q", 0.0, _plan())
-        assert isinstance(record.plan, GlobalPlan)
-        assert not hasattr(record, "alternatives")

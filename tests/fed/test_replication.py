@@ -84,32 +84,6 @@ class TestReplicaManager:
         assert fresh == frozenset({"S1"})
 
 
-class TestSyncDaemon:
-    def test_periodic_sync(self, deployment):
-        from repro.fed import ReplicaSyncDaemon
-
-        dep, manager = deployment
-        daemon = ReplicaSyncDaemon(
-            manager, dep.servers, interval_ms=1_000.0
-        )
-        manager.note_write("supplier", 100.0)
-        assert daemon.tick(500.0) == 0  # not due yet
-        copied = daemon.tick(1_500.0)
-        assert copied > 0
-        assert daemon.sync_rounds == 1
-        assert manager.stale_placements(1_600.0) == []
-
-    def test_noop_when_nothing_stale(self, deployment):
-        from repro.fed import ReplicaSyncDaemon
-
-        dep, manager = deployment
-        daemon = ReplicaSyncDaemon(
-            manager, dep.servers, interval_ms=1_000.0
-        )
-        assert daemon.tick(2_000.0) == 0
-        assert daemon.rows_copied == 0
-
-
 class TestStalenessTolerantRouting:
     def test_stale_replicas_excluded_from_routing(self, deployment):
         dep, manager = deployment

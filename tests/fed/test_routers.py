@@ -6,7 +6,6 @@ from repro.fed import (
     FederationError,
     FixedRouter,
     PreferredServerRouter,
-    RoundRobinRouter,
 )
 from repro.fed.global_optimizer import GlobalPlan, FragmentOption
 from repro.fed.decomposer import DecomposedQuery, QueryFragment
@@ -107,21 +106,3 @@ class TestPreferredServerRouter:
     def test_falls_back_if_absent(self):
         router = PreferredServerRouter("S9")
         assert router.choose(_decomposed(), PLANS).plan_id == "p1"
-
-
-class TestRoundRobinRouter:
-    def test_rotates_across_server_sets(self):
-        router = RoundRobinRouter()
-        decomposed = _decomposed()
-        servers = [
-            next(iter(router.choose(decomposed, PLANS).servers))
-            for _ in range(6)
-        ]
-        assert servers[:3] == ["S1", "S2", "S3"]  # sorted rotation order
-        assert servers[3:] == servers[:3]
-
-    def test_rotation_keyed_per_statement(self):
-        router = RoundRobinRouter()
-        first = router.choose(_decomposed(), PLANS)
-        second = router.choose(_decomposed(), PLANS)
-        assert first.servers != second.servers

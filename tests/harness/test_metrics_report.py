@@ -6,7 +6,6 @@ from repro.harness import (
     ResponseStats,
     ascii_table,
     bar_chart,
-    geometric_mean,
     grouped_series,
     mean,
     percent_gain,
@@ -52,11 +51,6 @@ class TestGains:
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
         assert mean([]) == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
-        assert geometric_mean([0.0, -5.0]) == 0.0  # ignores non-positive
 
 
 class TestAsciiTable:

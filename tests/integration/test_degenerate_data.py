@@ -1,14 +1,18 @@
 """Degenerate tables through the federation, checked against SQLite.
 
 The seeded generators only ever produce full, NULL-free tables with
-spread-out keys.  Here the five sample tables are loaded four other ways
-— empty, one row each, NULL in every non-key column, and one value in
-every key column (so every join is a cross product) — and QT1-QT5 go
-through ``InformationIntegrator.submit`` on both topologies.  Every
-answer must equal SQLite's over the same rows.
+spread-out keys.  Here the five sample tables are loaded five other ways
+— empty, one row each, NULL in every non-key column, one value in every
+key column (so every join is a cross product), and foreign keys redrawn
+from a heavily skewed distribution (a few hot keys, but not one) — and
+QT1-QT5 go through ``InformationIntegrator.submit`` on both topologies.
+Every answer must equal SQLite's over the same rows.
 """
 
 from __future__ import annotations
+
+import random
+from collections import Counter
 
 import pytest
 
@@ -19,8 +23,8 @@ from repro.harness.deployment import (
     REPLICA_SERVER_SPECS,
     build_federation,
 )
-from repro.sqlengine import ForeignKey, Serial, rows_close_unordered
-from repro.workload import WorkloadScale
+from repro.sqlengine import ForeignKey, Serial, ZipfInt, rows_close_unordered
+from repro.workload import WorkloadScale, table_specs
 from repro.workload.queries import EXTENDED_QUERY_TYPES
 from tests.datasets import server_databases
 
@@ -38,6 +42,23 @@ def _keys(table):
     return [isinstance(gen, (Serial, ForeignKey)) for _, _, gen in table.columns]
 
 
+def _skewed_keys(table, rows):
+    """Every foreign key redrawn from ``ZipfInt(parent_rows, skew=4)``
+    with a fixed seed: key 1 takes 38-65% of a column's rows."""
+    rng = random.Random(4)
+    draws = [
+        ZipfInt(gen.parent_rows, skew=4) if isinstance(gen, ForeignKey) else None
+        for _, _, gen in table.columns
+    ]
+    return [
+        tuple(
+            v if draw is None else draw.generate(rng, index)
+            for v, draw in zip(row, draws)
+        )
+        for index, row in enumerate(rows)
+    ]
+
+
 DATASETS = {
     "empty": lambda table, rows: [],
     "single-row": lambda table, rows: rows[:1],
@@ -47,6 +68,7 @@ DATASETS = {
     "one-key-value": lambda table, rows: [
         tuple(1 if key else v for v, key in zip(row, _keys(table))) for row in rows
     ],
+    "skewed-keys": _skewed_keys,
 }
 
 TOPOLOGIES = {
@@ -69,3 +91,17 @@ def test_workload_answers_equal_sqlite(dataset, topology):
     for query in WORKLOAD:
         rows = integrator.submit(query.sql).rows
         assert rows_close_unordered(rows, sqlite.rows(query.sql)), query.sql
+
+
+def test_skewed_keys_are_skewed_but_not_constant():
+    databases = server_databases(
+        DEFAULT_SERVER_SPECS, None, scale=SCALE, rows=_skewed_keys
+    )
+    storage = databases["S1"].storage
+    for table in table_specs(SCALE):
+        for position, (name, _, gen) in enumerate(table.columns):
+            if isinstance(gen, ForeignKey):
+                keys = Counter(row[position] for row in storage.table(table.name).rows)
+                hottest = keys.most_common(1)[0][1]
+                assert 1 < len(keys), (table.name, name)
+                assert hottest > sum(keys.values()) / 3, (table.name, name, keys)

@@ -125,7 +125,6 @@ class Twin:
         qcc = self.deployment.qcc
         return {
             "status": qcc.status(),
-            "compile_log": len(self.deployment.meta_wrapper.compile_log),
             "runtime_log": len(self.deployment.meta_wrapper.runtime_log),
             "patrol": self.integrator.patroller.records(),
             "clock": self.now,

@@ -7,7 +7,6 @@ from repro.sim import (
     ContentionProfile,
     MutableLoad,
     StepSchedule,
-    UpdateStorm,
 )
 
 
@@ -49,27 +48,6 @@ class TestMutableLoad:
     def test_set_validates(self):
         with pytest.raises(ValueError):
             MutableLoad().set(1.0)
-
-
-class TestUpdateStorm:
-    def test_burst_window(self):
-        storm = UpdateStorm(base=0.1, peak=0.8, start_ms=100.0, duration_ms=50.0)
-        assert storm.level(0.0) == 0.1
-        assert storm.level(120.0) == 0.8
-        assert storm.level(200.0) == 0.1
-
-    def test_periodic_bursts(self):
-        storm = UpdateStorm(
-            base=0.0, peak=0.9, start_ms=0.0, duration_ms=10.0, period_ms=100.0
-        )
-        assert storm.level(5.0) == 0.9
-        assert storm.level(50.0) == 0.0
-        assert storm.level(105.0) == 0.9
-        assert storm.level(250.0) == 0.0
-
-    def test_invalid_levels(self):
-        with pytest.raises(ValueError):
-            UpdateStorm(base=0.0, peak=1.2)
 
 
 class TestContentionProfile:

@@ -1,202 +1,148 @@
-"""Wire-cost regression: columnar transfer vs the row-width estimate.
+"""Wire cost and the checkpoint arithmetic re-routing builds on it.
 
-The columnar transfer mode charges the simulated wire by
-``ColumnBatch.storage_bytes()`` — measured bytes of the typed encoding —
-instead of ``row_count * row_width_bytes``.  These tests pin the
-relationship between the two costings:
+A fragment's network time is its result rows times the output schema's
+row width, shipped over the server's link.  Mid-query re-routing divides
+the fragment's observed demand into uniform ``batch_rows`` spans
+(:func:`repro.fed.batch_schedule`) and checkpoints whole spans only.
+The properties below pin that arithmetic:
 
-* rows mode is byte-for-byte the pre-columnar computation (and carries
-  no batch records at all);
-* the per-batch attribution is pure bookkeeping — processing, network
-  and byte shares sum *bit-exactly* to the execution totals;
-* for pure-numeric schemas the measured costing tracks the estimate:
-  at least the 8-bytes-per-value payload, at most the payload plus a
-  documented per-batch container overhead;
-* dictionary-encoded string columns are strictly cheaper than the
-  40-bytes-per-value row estimate (24 base + 16 average length).
+* :func:`repro.sim.exact_split`'s shares add back, left to right, to the
+  total bit for bit;
+* a schedule tiles ``[0, row_count)`` and its demands add back to the
+  execution's processing plus network time;
+* a checkpoint never cuts inside a span, and never keeps more demand
+  than was consumed.
 """
 
-from array import array
-from sys import getsizeof
+from hypothesis import given, settings, strategies as st
 
-import pytest
-
+from repro.fed import batch_schedule, checkpoint_consumed
+from repro.numeric import left_sum
 from repro.sim import (
     ContentionProfile,
     MutableLoad,
     NetworkLink,
+    RemoteExecution,
     RemoteServer,
-    TransferBatch,
-    transfer_spans,
+    exact_split,
 )
-from repro.sqlengine import (
-    ColumnType,
-    Choice,
-    Database,
-    Serial,
-    ServerProfile,
-    TableSpec,
-    UniformInt,
-    populate,
-)
-
-#: Container overhead of one empty typed array — the fixed cost each
-#: encoded column pays per batch on top of its 8-bytes-per-value data.
-ARRAY_OVERHEAD = getsizeof(array("q"))
+from repro.sqlengine import Database, ServerProfile, populate
 
 NUMERIC_SQL = "SELECT empno, deptno, salary FROM emp"
-STRING_SQL = "SELECT city FROM sites"
 
-SPECS_WITH_STRINGS = (
-    TableSpec(
-        "sites",
-        (
-            ("site_id", ColumnType.INT, Serial()),
-            (
-                "city",
-                ColumnType.STR,
-                Choice(("almaden", "beaverton", "cupertino", "delhi")),
-            ),
-        ),
-        row_count=240,
-    ),
+#: Non-negative, finite virtual milliseconds of every magnitude.
+_MS = st.floats(
+    min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False
 )
+_WEIGHTS = st.lists(
+    st.floats(
+        min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+    ),
+    min_size=1,
+    max_size=40,
+)
+_ROWS = st.integers(min_value=0, max_value=3_000)
+_BATCH_ROWS = st.sampled_from([1, 2, 7, 1024])
 
 
-def _server(specs, transfer, batch_rows=1024, name="srv"):
-    db = Database(
-        name, profile=ServerProfile(name, cpu_speed=2.0, io_speed=2.0)
-    )
-    populate(db, specs, seed=42)
-    return RemoteServer(
-        name=name,
-        database=db,
-        contention=ContentionProfile(0.9, 0.9),
-        load=MutableLoad(0.0),
-        link=NetworkLink(latency_ms=5.0, bandwidth_mbps=100.0),
-        transfer=transfer,
-        transfer_batch_rows=batch_rows,
-    )
-
-
-@pytest.fixture()
-def paired(tiny_specs):
-    """The same data behind both transfer modes (batching at 64 rows)."""
-    return (
-        _server(tiny_specs, "rows"),
-        _server(tiny_specs, "columnar", batch_rows=64),
+def _execution(rows, processing_ms, network_ms):
+    return RemoteExecution(
+        rows=[()] * rows,
+        schema=None,
+        observed_ms=processing_ms + network_ms,
+        processing_ms=processing_ms,
+        network_ms=network_ms,
+        started_ms=0.0,
     )
 
 
-class TestRowsModeUnchanged:
-    def test_no_batch_records(self, paired):
-        rows_server, _ = paired
-        execution = rows_server.execute_sql(NUMERIC_SQL, 0.0)
-        assert execution.batches == ()
-
-    def test_row_width_costing(self, paired):
-        rows_server, _ = paired
-        plan = rows_server.explain(NUMERIC_SQL, 0.0)[0].plan
-        execution = rows_server.execute_plan(plan, 0.0)
+class TestRowWidthCosting:
+    def test_row_width_costing(self, tiny_specs):
+        database = Database(
+            "srv", profile=ServerProfile("srv", cpu_speed=2.0, io_speed=2.0)
+        )
+        populate(database, tiny_specs, seed=42)
+        server = RemoteServer(
+            name="srv",
+            database=database,
+            contention=ContentionProfile(0.9, 0.9),
+            load=MutableLoad(0.0),
+            link=NetworkLink(latency_ms=5.0, bandwidth_mbps=100.0),
+        )
+        plan = server.explain(NUMERIC_SQL, 0.0)[0].plan
+        execution = server.execute_plan(plan, 0.0)
         expected_bytes = (
             execution.row_count * plan.output_schema.row_width_bytes()
         )
-        assert execution.network_ms == rows_server.link.request_response_ms(
+        assert execution.network_ms == server.link.request_response_ms(
             512.0, expected_bytes, 0.0
         )
-
-    def test_modes_agree_on_rows_and_processing(self, paired):
-        rows_server, col_server = paired
-        by_rows = rows_server.execute_sql(NUMERIC_SQL, 0.0)
-        by_cols = col_server.execute_sql(NUMERIC_SQL, 0.0)
-        assert by_cols.rows == by_rows.rows
-        # Only the wire is re-costed; the server did identical work.
-        assert by_cols.processing_ms == by_rows.processing_ms
+        assert execution.observed_ms == (
+            execution.processing_ms + execution.network_ms
+        )
 
 
 class TestBatchAttribution:
-    def test_shares_sum_bit_exactly(self, paired):
-        _, col_server = paired
-        execution = col_server.execute_sql(NUMERIC_SQL, 0.0)
-        assert len(execution.batches) > 1
+    @settings(max_examples=300, deadline=None)
+    @given(total=_MS, weights=_WEIGHTS)
+    def test_shares_sum_bit_exactly(self, total, weights):
+        shares = exact_split(total, weights)
+        assert len(shares) == len(weights)
+        assert left_sum(shares) == total
+
+    @settings(deadline=None)
+    @given(rows=_ROWS, batch_rows=_BATCH_ROWS, processing=_MS, network=_MS)
+    def test_spans_tile_the_result(self, rows, batch_rows, processing, network):
+        schedule = batch_schedule(
+            _execution(rows, processing, network), batch_rows
+        )
+        assert schedule[0].start_row == 0
+        assert schedule[-1].stop_row == rows
+        for before, after in zip(schedule, schedule[1:]):
+            assert before.stop_row == after.start_row
+        full, rest = divmod(rows, batch_rows)
+        expected = [batch_rows] * full + ([rest] if rest or not full else [])
+        assert [span.row_count for span in schedule] == expected
+
+    @settings(deadline=None)
+    @given(rows=_ROWS, batch_rows=_BATCH_ROWS, processing=_MS, network=_MS)
+    def test_batch_demand_is_processing_plus_network(
+        self, rows, batch_rows, processing, network
+    ):
+        execution = _execution(rows, processing, network)
+        schedule = batch_schedule(execution, batch_rows)
         assert (
-            sum(b.processing_ms for b in execution.batches)
-            == execution.processing_ms
-        )
-        assert (
-            sum(b.network_ms for b in execution.batches)
-            == execution.network_ms
+            left_sum(span.demand_ms for span in schedule)
+            == execution.observed_ms
         )
 
-    def test_spans_tile_the_result(self, paired):
-        _, col_server = paired
-        execution = col_server.execute_sql(NUMERIC_SQL, 0.0)
-        expected = transfer_spans(execution.row_count, 64)
-        assert [
-            (b.start_row, b.stop_row) for b in execution.batches
-        ] == expected
-        assert (
-            sum(b.row_count for b in execution.batches)
-            == execution.row_count
+    @settings(deadline=None)
+    @given(
+        rows=_ROWS,
+        batch_rows=_BATCH_ROWS,
+        processing=_MS,
+        network=_MS,
+        fractions=st.lists(
+            st.floats(min_value=0.0, max_value=1.5), min_size=2, max_size=2
+        ),
+    )
+    def test_checkpoint_never_cuts_inside_a_span(
+        self, rows, batch_rows, processing, network, fractions
+    ):
+        execution = _execution(rows, processing, network)
+        schedule = batch_schedule(execution, batch_rows)
+        boundaries = [0] + [span.stop_row for span in schedule]
+        earlier, later = (
+            checkpoint_consumed(schedule, execution.observed_ms * fraction)
+            for fraction in sorted(fractions)
         )
-
-    def test_batch_demand_is_processing_plus_network(self):
-        batch = TransferBatch(
-            start_row=0,
-            stop_row=4,
-            wire_bytes=128,
-            processing_ms=1.5,
-            network_ms=0.25,
-        )
-        assert batch.demand_ms == 1.75
-        assert batch.row_count == 4
-
-
-class TestNumericBounds:
-    def test_measured_cost_tracks_row_estimate(self, paired):
-        rows_server, col_server = paired
-        plan = rows_server.explain(NUMERIC_SQL, 0.0)[0].plan
-        by_rows = rows_server.execute_plan(plan, 0.0)
-        by_cols = col_server.execute_sql(NUMERIC_SQL, 0.0)
-        estimate = by_rows.row_count * plan.output_schema.row_width_bytes()
-        measured = sum(b.wire_bytes for b in by_cols.batches)
-        n_cols = len(plan.output_schema)
-        # Typed arrays carry the full 8-byte values the estimate
-        # assumes, so the payload floor holds...
-        assert measured >= estimate
-        # ...and the only markup is bounded container overhead: one
-        # array header per column per batch (plus allocator slack the
-        # same order of magnitude, hence the factor of two).
-        ceiling = estimate + len(by_cols.batches) * n_cols * (
-            2 * ARRAY_OVERHEAD
-        )
-        assert measured <= ceiling
-
-
-class TestDictStringsCheaper:
-    def test_low_cardinality_strings_beat_row_costing(self):
-        rows_server = _server(SPECS_WITH_STRINGS, "rows", name="a")
-        col_server = _server(SPECS_WITH_STRINGS, "columnar", name="b")
-        plan = rows_server.explain(STRING_SQL, 0.0)[0].plan
-        by_rows = rows_server.execute_plan(plan, 0.0)
-        by_cols = col_server.execute_sql(STRING_SQL, 0.0)
-        assert by_cols.rows == by_rows.rows
-        # Row costing charges 24 + 16 = 40 bytes per string value; the
-        # dictionary encoding ships one 8-byte code per row plus a
-        # four-entry dictionary, and must win outright.
-        estimate = by_rows.row_count * plan.output_schema.row_width_bytes()
-        measured = sum(b.wire_bytes for b in by_cols.batches)
-        assert measured < estimate
-        # The saving shows up as a faster wire, nothing else moves.
-        assert by_cols.network_ms < by_rows.network_ms
-        assert by_cols.processing_ms == by_rows.processing_ms
-
-
-class TestValidation:
-    def test_unknown_transfer_mode_rejected(self, tiny_specs):
-        with pytest.raises(ValueError):
-            _server(tiny_specs, "parquet")
-
-    def test_nonpositive_batch_rows_rejected(self, tiny_specs):
-        with pytest.raises(ValueError):
-            _server(tiny_specs, "columnar", batch_rows=0)
+        for point, fraction in zip((earlier, later), sorted(fractions)):
+            consumed = execution.observed_ms * fraction
+            kept = schedule[: point.batches_kept]
+            assert point.cut_row == boundaries[point.batches_kept]
+            assert point.kept_demand_ms == left_sum(
+                span.demand_ms for span in kept
+            )
+            assert point.kept_demand_ms <= consumed * (1 + 1e-9) + 1e-9
+        # More service consumed never moves the cut back.
+        assert earlier.cut_row <= later.cut_row

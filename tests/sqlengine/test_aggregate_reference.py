@@ -39,14 +39,13 @@ from repro.sqlengine import (
     execute_plan,
     populate,
 )
-from repro.sqlengine.columnar import ColumnBatch, ValueColumn, encode_rows
+from repro.sqlengine.columnar import ColumnBatch, ValueColumn
 from repro.sqlengine.physical import (
     AGG_CHUNK_BATCHES,
     Filter,
     HashAggregate,
     MaterializedInput,
     _AggState,
-    _metered,
 )
 from repro.workload.queries import QT2
 from repro.workload.schema import WorkloadScale, table_specs
@@ -422,8 +421,7 @@ SCHEMA = Schema(
 #: Values whose float sums round differently under any other order or
 #: grouping of the additions, signed zeros, and NULLs.  A materialized
 #: input keeps ``x``'s ints (mixed int/float folds); a stored table
-#: coerces them to floats and dictionary-encodes ``s``; an encoded input
-#: gives every batch a dictionary of its own.
+#: coerces them to floats and dictionary-encodes ``s``.
 _X = st.sampled_from(
     [None, -0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 2.5, 1e16, -1e16, 1e-8, 3, 7]
 )
@@ -445,20 +443,7 @@ HAVING = ["", " HAVING COUNT(*) > 1", " HAVING SUM(y) > 0", " HAVING MIN(s) < 'b
 WHERE = ["", " WHERE y > 0", " WHERE x IS NOT NULL"]
 
 
-class EncodedInput(MaterializedInput):
-    """Rows in batches encoded as fragment transfer encodes them: typed
-    arrays with validity, each batch's strings in a dictionary of its own."""
-
-    def _rows_columnar(self, ctx):
-        data, size, schema = self.data, ctx.batch_size, self.output_schema
-        batches = (
-            encode_rows(data[start : start + size], schema)
-            for start in range(0, len(data), size)
-        )
-        return _metered(batches, ctx.meter, ctx.params.cpu_tuple_cost, len)
-
-
-SOURCES = {"stored": None, "materialized": MaterializedInput, "encoded": EncodedInput}
+SOURCES = {"stored": None, "materialized": MaterializedInput}
 
 
 def aggregate_plans(rows, sql, source):
@@ -473,8 +458,6 @@ def aggregate_plans(rows, sql, source):
     child = plan.child
     if source != "stored":
         scan = child
-        if source == "encoded":
-            rows = [SCHEMA.validate_row(row) for row in rows]
         child = SOURCES[source]("t", scan.output_schema, rows)
         if scan.predicate is not None:
             child = Filter(child, scan.predicate)

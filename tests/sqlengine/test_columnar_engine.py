@@ -3,8 +3,8 @@
 Covers the kernel contract (``compile_columnar`` /
 ``compile_filter_columnar`` against the row evaluator: SQL NULL
 semantics, three-valued AND/OR with short-circuit selection, identical
-error text), the column representations (validity bitmaps, dictionary
-encoding, lazily built table columns), the selection-vector contract
+error text), the column representations (dictionary encoding, lazily built
+table columns), the selection-vector contract
 (filters narrow, never copy), the pinned LIMIT meter exception, the
 operator paths (outer-join padding, NULL join keys, aggregate edge cases,
 unique-build hash join and its build classification, COUNT(*)-only
@@ -25,7 +25,6 @@ from repro.obs.profile import profiling, render_analyzed_plan
 from repro.sqlengine import (
     And,
     Arithmetic,
-    ArrayColumn,
     Column,
     ColumnBatch,
     ColumnRef,
@@ -51,11 +50,10 @@ from repro.sqlengine import (
     SqlError,
     TypeMismatchError,
     ValueColumn,
-    encode_rows,
     execute_plan,
     resolve_engine,
 )
-from repro.sqlengine.columnar import NULL_CODE, TableColumn
+from repro.sqlengine.columnar import NULL_CODE, TableColumn, TableColumns
 from repro.sqlengine.physical import (
     AGG_CHUNK_BATCHES,
     ExecutionContext,
@@ -117,10 +115,10 @@ ROWS = [
 ]
 
 #: Kernels must agree on plain value lists (operator intermediates) and
-#: on the typed / dictionary-encoded layout with its fast paths.
+#: on a stored table's layout with its dictionary-encoded fast paths.
 LAYOUTS = {
     "values": lambda rows: ColumnBatch.from_rows(rows, len(SCHEMA)),
-    "encoded": lambda rows: encode_rows(rows, SCHEMA),
+    "stored": lambda rows: TableColumns(rows, SCHEMA).batch(0, len(rows)),
 }
 
 
@@ -160,7 +158,7 @@ class TestKernels:
 
     def test_empty_batch(self):
         expr = Comparison(">", ColumnRef("a"), Literal(1))
-        empty = encode_rows([], SCHEMA)
+        empty = TableColumns([], SCHEMA).batch(0, 0)
         assert expr.compile_columnar(SCHEMA)(empty) == []
         assert expr.compile_filter_columnar(SCHEMA)(empty) == []
 
@@ -255,24 +253,10 @@ class TestKernels:
         assert agrees_with_row_engine(Or(safe, explosive), rows) == [True]
 
 
-# -- typed columns ----------------------------------------------------------
+# -- column representations --------------------------------------------------
 
 
 class TestColumnData:
-    def test_int_column_dense(self):
-        col = ArrayColumn(array("q", [3, 1, 4]))
-        assert col.values() == [3, 1, 4]
-        assert not col.has_nulls()
-
-    def test_int_column_validity(self):
-        col = ArrayColumn(array("q", [3, 0, 4]), bytearray([1, 0, 1]))
-        assert col.values() == [3, None, 4]
-        assert col.has_nulls()
-
-    def test_float_column_validity(self):
-        col = ArrayColumn(array("d", [1.5, 0.0]), bytearray([1, 0]))
-        assert col.values() == [1.5, None]
-
     def test_dict_column_decode_and_view(self):
         dictionary = ["lo", "hi"]
         encode = {"lo": 0, "hi": 1}
@@ -288,17 +272,6 @@ class TestColumnData:
         assert ValueColumn([1, None]).has_nulls()
         assert not ValueColumn([1, 2]).has_nulls()
         assert not ValueColumn([1, None], nullable=False).has_nulls()
-
-    def test_typed_storage_is_compact(self):
-        from sys import getsizeof
-
-        raw = list(range(1024))
-        typed = ArrayColumn(array("q", raw))
-        # A boxed row representation pays the list of pointers plus one
-        # Python int object per value; the typed array pays 8 bytes per
-        # value.
-        boxed_bytes = getsizeof(raw) + sum(getsizeof(v) for v in raw)
-        assert typed.storage_bytes() < boxed_bytes / 3
 
     def test_table_storage_dictionary_encodes_strings(self):
         database = Database("cols")
@@ -356,7 +329,7 @@ class TestSelectionVectors:
     def batch(self):
         return ColumnBatch(
             (
-                ArrayColumn(array("q", [10, 11, 12, 13])),
+                ValueColumn([10, 11, 12, 13]),
                 ValueColumn(["a", "b", "c", "d"]),
             ),
             4,

@@ -18,8 +18,6 @@ from repro.workload import (
     QUERY_TYPES,
     WorkloadScale,
     build_workload,
-    phase_by_name,
-    single_type_workload,
     table_specs,
     template_by_name,
 )
@@ -99,18 +97,16 @@ class TestPhases:
             assert actual == pattern, server
 
     def test_levels(self):
-        phase = phase_by_name("Phase2")
+        phase = PHASES[1]
+        assert phase.name == "Phase2"
         levels = phase.levels(("S1", "S2", "S3"))
         assert levels == {"S1": BASE_LEVEL, "S2": BASE_LEVEL, "S3": LOAD_LEVEL}
 
     def test_condition_labels(self):
-        phase = phase_by_name("Phase4")
+        phase = PHASES[3]
+        assert phase.name == "Phase4"
         assert phase.condition("S2") == "Load"
         assert phase.condition("S1") == "Base"
-
-    def test_unknown_phase(self):
-        with pytest.raises(KeyError):
-            phase_by_name("Phase9")
 
     def test_fixed_assignment_1(self):
         assert FIXED_ASSIGNMENT_1 == {
@@ -145,8 +141,3 @@ class TestGenerator:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             build_workload(instances_per_type=0)
-
-    def test_single_type_workload(self):
-        workload = single_type_workload(QT2, count=3)
-        assert len(workload) == 3
-        assert all(q.query_type == "QT2" for q in workload)

@@ -16,6 +16,7 @@ class RecordingQcc:
         self.factor = factor
         self.available = available or {}
         self.calls = []
+        self.compiled = []
 
     def bind_meta_wrapper(self, mw):
         self.calls.append(("bind", mw))
@@ -29,6 +30,7 @@ class RecordingQcc:
 
     def record_compile(self, server, fragment_signature, option):
         self.calls.append(("compile", server))
+        self.compiled.append((server, fragment_signature, option))
 
     def record_execution(self, **kwargs):
         self.calls.append(("execute", kwargs["server"], kwargs["observed_ms"]))
@@ -59,15 +61,16 @@ class TestCompileFragment:
         options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
         assert {o.server for o in options} == {"S1", "S2", "S3"}
 
-    def test_compile_log_populated(self, deployment):
+    def test_compile_records_every_option(self, deployment):
+        qcc = RecordingQcc(factor=1.0)
+        deployment.meta_wrapper.attach_qcc(qcc)
         fragment = _fragment(deployment)
-        deployment.meta_wrapper.compile_fragment(fragment, 5.0)
-        entries = deployment.meta_wrapper.compile_log
-        assert entries
-        entry = entries[0]
-        assert entry.t_ms == 5.0
-        assert entry.fragment_id == fragment.fragment_id
-        assert entry.estimated.total > 0
+        options = deployment.meta_wrapper.compile_fragment(fragment, 5.0)
+        assert options
+        assert qcc.compiled == [
+            (option.server, fragment.signature, option) for option in options
+        ]
+        assert all(option.estimated.total > 0 for option in options)
 
     def test_without_qcc_calibrated_equals_estimated(self, deployment):
         fragment = _fragment(deployment)
