@@ -182,9 +182,7 @@ def _best_time(database, plan, engine):
     result = None
     for _ in range(REPS):
         start = time.perf_counter()
-        result = execute_plan(
-            plan, database.storage, database.params, engine=engine
-        )
+        result = execute_plan(plan, database.storage, engine=engine)
         best = min(best, time.perf_counter() - start)
     return best, result
 

@@ -14,7 +14,6 @@ Run:  python examples/load_balancing.py
 from repro.core import LoadBalanceConfig, QCCConfig, WhatIfPlanner
 from repro.core.cycle import CycleConfig
 from repro.harness import ascii_table, build_replica_federation, mean
-from repro.sqlengine import DEFAULT_COST_PARAMETERS
 from repro.workload import TEST_SCALE
 
 Q6 = (
@@ -64,7 +63,6 @@ def main() -> None:
         registry=deployment.registry,
         meta_wrapper=deployment.meta_wrapper,
         ii_profile=deployment.integrator.profile,
-        params=DEFAULT_COST_PARAMETERS,
     )
     whatif = planner.derive_global_plans(Q6, deployment.clock.now)
     print(

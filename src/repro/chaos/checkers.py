@@ -32,7 +32,7 @@ Bundled invariants:
 ``calibration-bounds``
     Every calibration factor QCC serves (per-server, per-fragment,
     probe-derived initial, and the II workload factor) stays inside the
-    configured ``CalibratorConfig`` clamp bounds.
+    calibrator's clamp bounds (``MIN_FACTOR``, ``MAX_FACTOR``).
 ``cache-epoch``
     A plan-cache hit is only ever served while the entry's compilation
     epoch still equals the live calibration epoch — hits never survive

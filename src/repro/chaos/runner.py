@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..core.calibrator import MAX_FACTOR, MIN_FACTOR
 from ..fed import FederationError
 from ..fed.admission import AdmissionDecision, PriorityClass
 from ..fed.concurrent import ConcurrentRuntime
@@ -511,8 +512,7 @@ def _execute(
         run.fragment_factors = calibrator.fragment_factors()
         run.initial_factors = calibrator.initial_factors()
         run.ii_factor = qcc.ii_factor()
-        config = qcc.config.calibrator
-        run.factor_bounds = (config.min_factor, config.max_factor)
+        run.factor_bounds = (MIN_FACTOR, MAX_FACTOR)
     return outcomes
 
 

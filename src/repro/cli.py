@@ -516,12 +516,10 @@ def _cmd_explain(args) -> int:
     profile = result.profile
     if profile is None:  # pragma: no cover - submit always attaches it
         profile = profiler.capture()
-    params = deployment.integrator.params
     specs = {spec.name: spec for spec in deployment.specs}
     print(f"Global plan: {result.plan.describe()}")
     for choice in result.plan.choices:
         estimator = CostEstimator(
-            params=params,
             profile=specs[choice.server].profile(),
             stats=stats_context_for_plan(choice.plan),
         )
@@ -534,9 +532,7 @@ def _cmd_explain(args) -> int:
             )
         )
     if result.merge_plan is not None:
-        merge_estimator = CostEstimator(
-            params=params, profile=REFERENCE_PROFILE, stats=StatsContext({})
-        )
+        merge_estimator = CostEstimator(profile=REFERENCE_PROFILE, stats=StatsContext({}))
         print("\nII merge plan:")
         print(
             render_analyzed_plan(

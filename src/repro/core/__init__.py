@@ -6,7 +6,7 @@
 from .. import fed as _fed  # noqa: F401
 from .availability import AvailabilityMonitor, ServerHealth
 from .calibration import Calibration
-from .calibrator import CalibratorConfig, CostCalibrator, IICalibrator
+from .calibrator import CostCalibrator, IICalibrator
 from .cycle import CalibrationCycleController, CycleConfig
 from .epoch import CalibrationEpoch
 from .history import RatioHistory, RunningStats
@@ -23,7 +23,6 @@ __all__ = [
     "Calibration",
     "CalibrationCycleController",
     "CalibrationEpoch",
-    "CalibratorConfig",
     "CostCalibrator",
     "CycleConfig",
     "Decision",

@@ -28,8 +28,6 @@ class ServerHealth:
     """Mutable health state of one server."""
 
     up: bool = True
-    last_error_ms: Optional[float] = None
-    last_success_ms: Optional[float] = None
     #: recent request outcomes: (t_ms, succeeded)
     outcomes: Deque[Tuple[float, bool]] = field(
         default_factory=lambda: deque(maxlen=64)
@@ -90,7 +88,6 @@ class AvailabilityMonitor:
         was_up = health.up
         rate_before = health.success_rate()
         health.up = False
-        health.last_error_ms = t_ms
         health.note(t_ms, False)
         if was_up or health.success_rate() != rate_before:
             self.epoch.bump()
@@ -107,7 +104,6 @@ class AvailabilityMonitor:
         was_up = health.up
         rate_before = health.success_rate()
         health.up = True
-        health.last_success_ms = t_ms
         health.note(t_ms, True)
         if not was_up or health.success_rate() != rate_before:
             self.epoch.bump()
@@ -129,7 +125,6 @@ class AvailabilityMonitor:
                     t_ms, "server-down", server=server, detail="probe failed"
                 )
             health.up = False
-            health.last_error_ms = t_ms
             obs.metrics.gauge("server_up", server=server).set(0.0)
         else:
             if not health.up:
@@ -142,7 +137,6 @@ class AvailabilityMonitor:
                     value=rtt_ms,
                 )
             health.up = True
-            health.last_success_ms = t_ms
             obs.metrics.gauge("server_up", server=server).set(1.0)
             obs.metrics.histogram(
                 "server_probe_rtt_ms", server=server

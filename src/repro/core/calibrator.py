@@ -10,7 +10,6 @@ so the optimizer sees a stable cost surface between cycles.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..obs import get_obs
@@ -21,38 +20,36 @@ from .history import RatioHistory
 _LOG = logging.getLogger("repro.calibrator")
 
 
-@dataclass(frozen=True)
-class CalibratorConfig:
-    """Knobs for factor computation."""
+#: Sliding-window size for each ratio history.  Small by design: a long
+#: window blends observations from superseded load regimes and makes QCC
+#: lag environment changes by several calibration cycles.
+WINDOW = 8
 
-    #: Sliding-window size for each ratio history.  Small by design: a
-    #: long window blends observations from superseded load regimes and
-    #: makes QCC lag environment changes by several calibration cycles.
-    window: int = 8
-    #: Minimum samples before a per-fragment factor is trusted.
-    min_fragment_samples: int = 2
-    #: Minimum samples before a per-server factor is trusted.
-    min_server_samples: int = 1
-    #: Factors are clamped to this range to bound the damage a single
-    #: wild observation can do.
-    min_factor: float = 0.05
-    max_factor: float = 100.0
-    #: A per-fragment factor that receives no new samples for this many
-    #: recalibration cycles is dropped (falls back to the per-server
-    #: factor, which daemon probes keep fresh).  Prevents a server from
-    #: being shunned forever on the basis of stale observations.
-    fragment_stale_cycles: int = 2
+#: Minimum samples before a per-fragment factor is trusted.
+MIN_FRAGMENT_SAMPLES = 2
+
+#: Minimum samples before a per-server factor is trusted.
+MIN_SERVER_SAMPLES = 1
+
+#: Minimum samples before the II workload factor is trusted.
+II_MIN_SAMPLES = 2
+
+#: Factors are clamped to this range to bound the damage a single wild
+#: observation can do.
+MIN_FACTOR = 0.05
+MAX_FACTOR = 100.0
+
+#: A per-fragment factor that receives no new samples for this many
+#: recalibration cycles is dropped (falls back to the per-server factor,
+#: which daemon probes keep fresh).  Prevents a server from being shunned
+#: forever on the basis of stale observations.
+FRAGMENT_STALE_CYCLES = 2
 
 
 class CostCalibrator:
     """Learns and serves query-fragment processing cost calibration factors."""
 
-    def __init__(
-        self,
-        config: CalibratorConfig = CalibratorConfig(),
-        epoch: Optional[CalibrationEpoch] = None,
-    ):
-        self.config = config
+    def __init__(self, epoch: Optional[CalibrationEpoch] = None):
         #: Bumped whenever the active factors (the cost surface served to
         #: the optimizer) change; plan caches validate against it.
         self.epoch = epoch if epoch is not None else CalibrationEpoch()
@@ -78,12 +75,12 @@ class CostCalibrator:
     ) -> None:
         """Record one (estimate, observation) pair from the meta-wrapper."""
         server_history = self._server_history.setdefault(
-            server, RatioHistory(self.config.window)
+            server, RatioHistory(WINDOW)
         )
         server_history.record(estimated_total, observed_ms)
         key = (server, fragment_signature)
         fragment_history = self._fragment_history.setdefault(
-            key, RatioHistory(self.config.window)
+            key, RatioHistory(WINDOW)
         )
         fragment_history.record(estimated_total, observed_ms)
 
@@ -97,7 +94,7 @@ class CostCalibrator:
         would never decay once traffic stops flowing to the server.
         """
         server_history = self._server_history.setdefault(
-            server, RatioHistory(self.config.window)
+            server, RatioHistory(WINDOW)
         )
         server_history.record(estimated_total, observed_ms)
 
@@ -127,7 +124,7 @@ class CostCalibrator:
         """
         self.epoch.bump()
         for server, history in self._server_history.items():
-            if history.count >= self.config.min_server_samples:
+            if history.count >= MIN_SERVER_SAMPLES:
                 self._active_server[server] = self._clamp(history.ratio())
                 history.clear()
         for key, history in self._fragment_history.items():
@@ -135,13 +132,13 @@ class CostCalibrator:
             total = history.total_recorded
             if total > last_count:
                 self._fragment_staleness[key] = (total, 0)
-                if history.count >= self.config.min_fragment_samples:
+                if history.count >= MIN_FRAGMENT_SAMPLES:
                     self._active_fragment[key] = self._clamp(history.ratio())
                     history.clear()
             elif count_staleness:
                 stale_cycles += 1
                 self._fragment_staleness[key] = (last_count, stale_cycles)
-                if stale_cycles >= self.config.fragment_stale_cycles:
+                if stale_cycles >= FRAGMENT_STALE_CYCLES:
                     dropped = self._active_fragment.pop(key, None)
                     if dropped is not None:
                         # A silent fallback here is undetectable from the
@@ -203,10 +200,10 @@ class CostCalibrator:
         """
         worst = 1.0
         for server, history in self._server_history.items():
-            if history.count < self.config.min_server_samples:
+            if history.count < MIN_SERVER_SAMPLES:
                 continue
             # Clamp the live ratio exactly as recalibration would before
-            # comparing: an observation outside [min_factor, max_factor]
+            # comparing: an observation outside [MIN_FACTOR, MAX_FACTOR]
             # can never move the active factor past the clamp bounds, so
             # comparing the raw ratio would report permanent drift (and
             # force an early recalibration on every check) for a
@@ -234,8 +231,9 @@ class CostCalibrator:
     def fragment_factors(self) -> Dict[Tuple[str, str], float]:
         """Active per-(server, fragment signature) factors.
 
-        Invariant checkers audit these against the configured clamp
-        bounds; they are folded copies, so mutating the dict is safe.
+        Invariant checkers audit these against the clamp bounds
+        (``MIN_FACTOR``, ``MAX_FACTOR``); they are folded copies, so
+        mutating the dict is safe.
         """
         return dict(self._active_fragment)
 
@@ -269,7 +267,7 @@ class CostCalibrator:
         return history.count if history else 0
 
     def _clamp(self, value: float) -> float:
-        return min(self.config.max_factor, max(self.config.min_factor, value))
+        return min(MAX_FACTOR, max(MIN_FACTOR, value))
 
 
 class IICalibrator:
@@ -280,29 +278,16 @@ class IICalibrator:
     the integrator's own machine.
     """
 
-    def __init__(
-        self,
-        window: int = 32,
-        min_samples: int = 2,
-        min_factor: float = 0.05,
-        max_factor: float = 100.0,
-    ):
-        if not 0 < min_factor <= max_factor:
-            raise ValueError("factor bounds must satisfy 0 < min <= max")
-        self._history = RatioHistory(window)
-        self._min_samples = min_samples
-        self.min_factor = min_factor
-        self.max_factor = max_factor
+    def __init__(self) -> None:
+        self._history = RatioHistory(WINDOW)
         self._active = 1.0
 
     def record(self, estimated_total: float, observed_ms: float) -> None:
         self._history.record(estimated_total, observed_ms)
 
     def recalibrate(self) -> float:
-        if self._history.count >= self._min_samples:
-            self._active = max(
-                self.min_factor, min(self.max_factor, self._history.ratio())
-            )
+        if self._history.count >= II_MIN_SAMPLES:
+            self._active = max(MIN_FACTOR, min(MAX_FACTOR, self._history.ratio()))
             self._history.clear()
         return self._active
 

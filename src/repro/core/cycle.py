@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Volatility at which the cycle equals the base interval.
+TARGET_VOLATILITY = 0.25
+
 
 @dataclass(frozen=True)
 class CycleConfig:
@@ -19,8 +22,6 @@ class CycleConfig:
     base_interval_ms: float = 2_000.0
     min_interval_ms: float = 250.0
     max_interval_ms: float = 30_000.0
-    #: Volatility at which the cycle equals the base interval.
-    target_volatility: float = 0.25
 
     def __post_init__(self) -> None:
         if not (
@@ -31,8 +32,6 @@ class CycleConfig:
             raise ValueError(
                 "intervals must satisfy 0 < min <= base <= max"
             )
-        if self.target_volatility <= 0:
-            raise ValueError("target volatility must be positive")
 
 
 class CalibrationCycleController:
@@ -45,16 +44,14 @@ class CalibrationCycleController:
     def next_interval(self, volatility: float) -> float:
         """Adapt the interval: high volatility → recalibrate sooner.
 
-        At ``volatility == target_volatility`` the interval is the base;
+        At ``volatility == TARGET_VOLATILITY`` the interval is the base;
         twice the target halves it, half the target doubles it.
         """
         cfg = self.config
         if volatility <= 0.0:
             interval = cfg.max_interval_ms
         else:
-            interval = cfg.base_interval_ms * (
-                cfg.target_volatility / volatility
-            )
+            interval = cfg.base_interval_ms * (TARGET_VOLATILITY / volatility)
         self.current_interval_ms = min(
             cfg.max_interval_ms, max(cfg.min_interval_ms, interval)
         )

@@ -23,8 +23,8 @@ Two granularities:
 
 Both levels keep the same three per-key books (:class:`_Rotation`:
 workload window, rotation counter, last-cluster introspection), all
-LRU-bounded by ``LoadBalanceConfig.max_tracked`` so a workload of
-millions of distinct statements cannot leak memory.
+LRU-bounded by ``MAX_TRACKED`` so a workload of millions of distinct
+statements cannot leak memory.
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ from ..fed.global_optimizer import (
     cluster_near_cost,
     eliminate_dominated,
 )
+from ..numeric import left_sum
+
+#: Sliding window (virtual ms) over which workload is measured.
+WINDOW_MS = 60_000.0
+
+#: LRU bound on distinct keys tracked (workload windows, rotation
+#: counters, last-cluster introspection).
+MAX_TRACKED = 1024
 
 
 @dataclass(frozen=True)
@@ -51,22 +59,17 @@ class LoadBalanceConfig:
     band: float = 0.2
     #: Minimum workload (cost-ms × queries / window) before balancing.
     workload_threshold: float = 0.0
-    #: Sliding window (virtual ms) over which workload is measured.
-    window_ms: float = 60_000.0
-    #: LRU bound on distinct keys tracked (workload windows, rotation
-    #: counters, last-cluster introspection).
-    max_tracked: int = 1024
 
 
 _V = TypeVar("_V")
 
 
-def _lru_put(mapping: Dict[str, _V], key: str, value: _V, bound: int) -> None:
+def _lru_put(mapping: Dict[str, _V], key: str, value: _V) -> None:
     """Insert ``key`` at the most-recently-used end, evicting the LRU
-    entries beyond ``bound`` (dicts preserve insertion order)."""
+    entries beyond ``MAX_TRACKED`` (dicts preserve insertion order)."""
     mapping.pop(key, None)
     mapping[key] = value
-    while len(mapping) > bound:
+    while len(mapping) > MAX_TRACKED:
         del mapping[next(iter(mapping))]
 
 
@@ -98,13 +101,11 @@ def rank_servers(fragment_signature: str, servers: Sequence[str]) -> List[str]:
 class _WorkloadTracker:
     """Measures per-key workload: calibrated cost × frequency in a window.
 
-    LRU-bounded: at most ``max_tracked`` keys are retained, evicting the
+    LRU-bounded: at most ``MAX_TRACKED`` keys are retained, evicting the
     least recently *noted* key first.
     """
 
-    def __init__(self, window_ms: float, max_tracked: int = 1024):
-        self.window_ms = window_ms
-        self.max_tracked = max_tracked
+    def __init__(self) -> None:
         self._events: Dict[str, Deque[Tuple[float, float]]] = {}
 
     def __len__(self) -> int:
@@ -118,7 +119,7 @@ class _WorkloadTracker:
         self._events[key] = events
         events.append((t_ms, cost))
         self._trim(events, t_ms)
-        while len(self._events) > self.max_tracked:
+        while len(self._events) > MAX_TRACKED:
             del self._events[next(iter(self._events))]
 
     def workload(self, key: str, t_ms: float) -> float:
@@ -126,23 +127,23 @@ class _WorkloadTracker:
         if not events:
             return 0.0
         self._trim(events, t_ms)
-        return sum(cost for _, cost in events)
+        return left_sum(cost for _, cost in events)
 
     def _trim(self, events: Deque[Tuple[float, float]], t_ms: float) -> None:
-        horizon = t_ms - self.window_ms
+        horizon = t_ms - WINDOW_MS
         while events and events[0][0] < horizon:
             events.popleft()
 
 
 class _Rotation:
     """What both balancing levels keep per key (fragment signature or
-    statement text), each LRU-bounded by ``max_tracked``: the workload
+    statement text), each LRU-bounded by ``MAX_TRACKED``: the workload
     window that gates balancing, the round-robin counter, and the last
     cluster rotated over (for introspection)."""
 
     def __init__(self, config: LoadBalanceConfig = LoadBalanceConfig()):
         self.config = config
-        self._tracker = _WorkloadTracker(config.window_ms, config.max_tracked)
+        self._tracker = _WorkloadTracker()
         self._counters: Dict[str, int] = {}
         #: key -> member names of the last cluster, in rotation order.
         self.last_clusters: Dict[str, List[str]] = {}
@@ -150,12 +151,11 @@ class _Rotation:
     def _rotate(self, key: str, cluster: Sequence[_V], names: List[str]) -> _V:
         """The member of *cluster* whose turn it is for *key*: the head
         first, then every member in order, period ``len(cluster)``."""
-        bound = self.config.max_tracked
-        _lru_put(self.last_clusters, key, names, bound)
+        _lru_put(self.last_clusters, key, names)
         if len(cluster) < 2:
             return cluster[0]
         index = self._counters.get(key, 0)
-        _lru_put(self._counters, key, index + 1, bound)
+        _lru_put(self._counters, key, index + 1)
         return cluster[index % len(cluster)]
 
 

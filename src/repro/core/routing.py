@@ -28,7 +28,7 @@ from ..fed.decomposer import DecomposedQuery
 from ..fed.global_optimizer import FragmentOption, GlobalPlan
 from .availability import AvailabilityMonitor
 from .calibration import Calibration
-from .calibrator import CalibratorConfig, CostCalibrator, IICalibrator
+from .calibrator import CostCalibrator, IICalibrator
 from .cycle import CalibrationCycleController, CycleConfig
 from .load_balance import (
     FragmentLoadBalancer,
@@ -49,7 +49,6 @@ PROBE_INTERVAL_MS = 2_000.0
 class QCCConfig:
     """Every QCC knob in one place."""
 
-    calibrator: CalibratorConfig = CalibratorConfig()
     cycle: CycleConfig = CycleConfig()
     load_balance: LoadBalanceConfig = LoadBalanceConfig()
     enable_fragment_balancing: bool = False
@@ -99,16 +98,11 @@ class QueryCostCalibrator(Calibration):
         self,
         servers: Sequence[str],
         config: QCCConfig = QCCConfig(),
-        start_ms: float = 0.0,
     ):
         super().__init__()
         self.config = config
-        self.calibrator = CostCalibrator(config.calibrator, epoch=self.epoch)
-        self.ii_calibrator = IICalibrator(
-            window=config.calibrator.window,
-            min_factor=config.calibrator.min_factor,
-            max_factor=config.calibrator.max_factor,
-        )
+        self.calibrator = CostCalibrator(epoch=self.epoch)
+        self.ii_calibrator = IICalibrator()
         self.availability = AvailabilityMonitor(
             servers,
             reliability_weight=config.reliability_weight,
@@ -117,10 +111,8 @@ class QueryCostCalibrator(Calibration):
         self.cycle = CalibrationCycleController(config.cycle)
         self.fragment_balancer = FragmentLoadBalancer(config.load_balance)
         self.global_balancer = GlobalLoadBalancer(config.load_balance)
-        self._calibration_timer = PeriodicTimer(
-            config.cycle.base_interval_ms, start_ms
-        )
-        self._probe_timer = PeriodicTimer(PROBE_INTERVAL_MS, start_ms)
+        self._calibration_timer = PeriodicTimer(config.cycle.base_interval_ms)
+        self._probe_timer = PeriodicTimer(PROBE_INTERVAL_MS)
         self._meta_wrapper = None
         self._probed_once = False
         self.decision_log: Deque[Decision] = deque(maxlen=256)

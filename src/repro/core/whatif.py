@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sqlengine import CostParameters, Database, ServerProfile
+from ..sqlengine import Database, ServerProfile
 from ..fed.decomposer import decompose
 from ..fed.global_optimizer import (
     FragmentOption,
@@ -100,14 +100,12 @@ class WhatIfPlanner:
         registry: NicknameRegistry,
         meta_wrapper,
         ii_profile: ServerProfile,
-        params: CostParameters,
         factor_lookup: Optional[Callable[[str], float]] = None,
         exclude_factor_threshold: Optional[float] = None,
     ):
         self.registry = registry
         self.meta_wrapper = meta_wrapper
         self.ii_profile = ii_profile
-        self.params = params
         self.factor_lookup = factor_lookup
         self.exclude_factor_threshold = exclude_factor_threshold
 
@@ -131,7 +129,6 @@ class WhatIfPlanner:
             registry=deployment.registry,
             meta_wrapper=simulated_mw,
             ii_profile=deployment.integrator.profile,
-            params=deployment.integrator.params,
             factor_lookup=deployment.qcc.factor,
             exclude_factor_threshold=exclude_factor_threshold,
         )
@@ -173,7 +170,6 @@ class WhatIfPlanner:
                 decomposed,
                 masked,
                 self.ii_profile,
-                self.params,
                 ii_calibration_factor=ii_factor,
                 keep=1,
             )

@@ -15,11 +15,10 @@ from .admission import (
     shed_violations,
 )
 from .concurrent import ConcurrentRuntime, QueryHandle
-from .hedging import HedgeConfig, HedgePolicy
+from .hedging import HedgePolicy
 from .rerouting import (
     BatchSpan,
     Checkpoint,
-    RerouteConfig,
     ReroutePolicy,
     batch_schedule,
     checkpoint_consumed,
@@ -61,7 +60,6 @@ __all__ = [
     "DecomposedQuery",
     "EstimatedInput",
     "FederatedResult",
-    "HedgeConfig",
     "HedgePolicy",
     "FederationError",
     "FixedRouter",
@@ -88,7 +86,6 @@ __all__ = [
     "Checkpoint",
     "ReplicaManager",
     "ReplicaState",
-    "RerouteConfig",
     "ReroutePolicy",
     "Router",
     "batch_schedule",

@@ -66,7 +66,7 @@ from .admission import (
     ShedVerdict,
 )
 from .global_optimizer import FragmentOption
-from .hedging import HedgeConfig, HedgePolicy
+from .hedging import HedgePolicy
 from .integrator import (
     II_QUEUE,
     DispatchStrategy,
@@ -77,7 +77,6 @@ from .integrator import (
 )
 from .merge import build_merge_plan as build_merge_plan
 from .rerouting import (
-    RerouteConfig,
     ReroutePolicy,
     batch_schedule,
     merge_partial_rows,
@@ -159,12 +158,12 @@ class ConcurrentRuntime:
         self.hedging: Optional[HedgePolicy] = (
             None
             if hedge_after_ms is None
-            else HedgePolicy(HedgeConfig(static_after_ms=hedge_after_ms))
+            else HedgePolicy(hedge_after_ms)
         )
         self.rerouting: Optional[ReroutePolicy] = (
             None
             if reroute_batch_rows is None
-            else ReroutePolicy(RerouteConfig(batch_rows=reroute_batch_rows))
+            else ReroutePolicy(reroute_batch_rows)
         )
         raced = self.hedging is not None or self.rerouting is not None
         self.strategy = RacedDispatch(self) if raced else QueuedDispatch(self)
@@ -426,9 +425,7 @@ class RacedDispatch(QueuedDispatch):
                 generalize_signature(slot.option.fragment.signature)
             )
         if self.reroute is not None:
-            schedule = batch_schedule(
-                slot.execution, self.reroute.config.batch_rows
-            )
+            schedule = batch_schedule(slot.execution, self.reroute.batch_rows)
             # A single-batch fragment has no boundary to migrate at.
             if len(schedule) > 1:
                 arm = self._subscribe

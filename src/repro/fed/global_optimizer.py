@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from ..sqlengine import PhysicalPlan, PlanCost
-from ..sqlengine.cost import CostParameters, ServerProfile
+from ..sqlengine.cost import ServerProfile
 from .decomposer import DecomposedQuery, QueryFragment
 from .merge import estimate_merge_cost
 from .nicknames import FederationError
@@ -85,7 +85,6 @@ def enumerate_global_plans(
     decomposed: DecomposedQuery,
     options: Dict[str, Sequence[FragmentOption]],
     ii_profile: ServerProfile,
-    params: CostParameters,
     ii_calibration_factor: float = 1.0,
     keep: int = 16,
 ) -> List[GlobalPlan]:
@@ -117,9 +116,7 @@ def enumerate_global_plans(
             choice.fragment.fragment_id: choice.calibrated.rows
             for choice in combo
         }
-        merge = estimate_merge_cost(
-            decomposed, fragment_rows, ii_profile, params
-        )
+        merge = estimate_merge_cost(decomposed, fragment_rows, ii_profile)
         total = max(choice.calibrated.total for choice in combo)
         total += merge.total * ii_calibration_factor
         plans.append(

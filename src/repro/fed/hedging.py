@@ -12,15 +12,15 @@ remaining service back to the queue — the timer leg of
 :class:`HedgePolicy` owns the two adaptive pieces:
 
 * **Timeout derivation** — per generalized fragment signature (literals
-  folded to ``?`` so instances pool), the hedge delay is a quantile
-  (default p95) of the observed fragment latencies in a sliding window.
-  Until ``min_samples`` observations exist the static
-  ``static_after_ms`` fallback applies.  Hedging at ~p95 bounds the
-  extra load at ~5% of dispatches while cutting exactly the tail.
+  folded to ``?`` so instances pool), the hedge delay is the ``QUANTILE``
+  (p95) of the observed fragment latencies in a sliding window.  Until
+  ``MIN_SAMPLES`` observations exist the static ``static_after_ms``
+  fallback applies.  Hedging at ~p95 bounds the extra load at ~5% of
+  dispatches while cutting exactly the tail.
 
 * **Adaptive fanout cap** — no backup is fired when the candidate
   queue's in-flight depth (the ``sched_queue_depth`` gauge's source)
-  already exceeds ``depth_cap``: hedging into an overloaded replica
+  already exceeds ``DEPTH_CAP``: hedging into an overloaded replica
   only feeds the congestion it is trying to dodge.
 
 Determinism: the policy consumes no randomness and no wall-clock; all
@@ -31,44 +31,37 @@ remain byte-reproducible from the seed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict
 
 #: LRU bound on distinct signatures whose latency window is tracked.
 MAX_TRACKED = 1024
 
+#: Latency quantile that arms the hedge timer once history exists.
+QUANTILE = 0.95
 
-@dataclass(frozen=True)
-class HedgeConfig:
-    """Knobs for hedged fragment dispatch."""
+#: Observations required before the quantile replaces the static
+#: fallback.
+MIN_SAMPLES = 8
 
-    #: Static hedge delay (virtual ms) until a signature has history.
-    static_after_ms: float
-    #: Latency quantile that arms the hedge timer once history exists.
-    quantile: float = 0.95
-    #: Observations required before the quantile replaces the static
-    #: fallback.
-    min_samples: int = 8
-    #: Sliding window of latency observations kept per signature.
-    window: int = 64
-    #: Suppress the backup when its queue depth (in-flight jobs at the
-    #: backup) exceeds this.
-    depth_cap: int = 4
+#: Sliding window of latency observations kept per signature.
+WINDOW = 64
 
-    def __post_init__(self) -> None:
-        if self.static_after_ms < 0:
-            raise ValueError(
-                f"negative hedge delay {self.static_after_ms}"
-            )
-        if not 0.0 < self.quantile <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
+#: Suppress the backup when its queue depth (in-flight jobs at the
+#: backup) exceeds this.
+DEPTH_CAP = 4
 
 
 class HedgePolicy:
-    """Derives hedge timeouts from observed latency; caps the fanout."""
+    """Derives hedge timeouts from observed latency; caps the fanout.
 
-    def __init__(self, config: HedgeConfig):
-        self.config = config
+    *static_after_ms* is the hedge delay (virtual ms) until a signature
+    has history.
+    """
+
+    def __init__(self, static_after_ms: float):
+        if static_after_ms < 0:
+            raise ValueError(f"negative hedge delay {static_after_ms}")
+        self.static_after_ms = static_after_ms
         self._history: Dict[str, Deque[float]] = {}
         # -- lifetime counters (mirrored into obs by the runtime) -------
         self.fired = 0
@@ -84,23 +77,20 @@ class HedgePolicy:
         sliding window (LRU-bounded across signatures)."""
         window = self._history.pop(signature, None)
         if window is None:
-            window = deque(maxlen=self.config.window)
+            window = deque(maxlen=WINDOW)
         self._history[signature] = window
         window.append(latency_ms)
         while len(self._history) > MAX_TRACKED:
             del self._history[next(iter(self._history))]
 
     def hedge_after(self, signature: str) -> float:
-        """Hedge delay for *signature*: the configured latency quantile
-        of its window, or the static fallback while history is thin."""
+        """Hedge delay for *signature*: the ``QUANTILE`` of its window,
+        or the static fallback while history is thin."""
         window = self._history.get(signature)
-        if window is None or len(window) < self.config.min_samples:
-            return self.config.static_after_ms
+        if window is None or len(window) < MIN_SAMPLES:
+            return self.static_after_ms
         ordered = sorted(window)
-        index = min(
-            len(ordered) - 1,
-            max(0, int(self.config.quantile * len(ordered))),
-        )
+        index = min(len(ordered) - 1, max(0, int(QUANTILE * len(ordered))))
         return ordered[index]
 
     def samples(self, signature: str) -> int:
@@ -112,7 +102,7 @@ class HedgePolicy:
     def allow_backup(self, backup_depth: int) -> bool:
         """Whether a backup may fire given the candidate queue's current
         in-flight depth."""
-        return backup_depth <= self.config.depth_cap
+        return backup_depth <= DEPTH_CAP
 
     # -- bookkeeping -----------------------------------------------------
 

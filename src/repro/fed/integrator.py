@@ -22,8 +22,6 @@ from ..obs import NULL_TRACE, QueryTrace, Span, get_obs
 from ..obs.profile import NULL_PROFILER, PlanProfile, get_profiler
 from ..sqlengine import (
     Catalog,
-    CostParameters,
-    DEFAULT_COST_PARAMETERS,
     MaterializedInput,
     PhysicalPlan,
     REFERENCE_PROFILE,
@@ -233,7 +231,6 @@ class InformationIntegrator:
         meta_wrapper: MetaWrapper,
         clock: Optional[VirtualClock] = None,
         profile: ServerProfile = REFERENCE_PROFILE,
-        params: CostParameters = DEFAULT_COST_PARAMETERS,
         load: LoadSchedule = ConstantLoad(),
         contention: ContentionProfile = ContentionProfile(),
         router: Optional[Router] = None,
@@ -244,7 +241,6 @@ class InformationIntegrator:
         self.meta_wrapper = meta_wrapper
         self.clock = clock if clock is not None else VirtualClock()
         self.profile = profile
-        self.params = params
         self.load = load
         self.contention = contention
         #: The calibration II ticks, reads its factor from and reports
@@ -377,7 +373,6 @@ class InformationIntegrator:
                 key,
                 decomposed,
                 plans,
-                t,
                 valid_until_ms=self._freshness_horizon(
                     decomposed, t, staleness_tolerance_ms
                 ),
@@ -450,7 +445,6 @@ class InformationIntegrator:
             decomposed,
             options,
             self.profile,
-            self.params,
             ii_calibration_factor=self.qcc.ii_factor(),
         )
 
@@ -667,9 +661,7 @@ class InformationIntegrator:
             t_merge = t_dispatch + remote_ms
             merge_span = trace.begin_child(root, "merge", t_merge)
             merge_plan = build_merge_plan(decomposed, inputs)
-            merge_result = execute_plan(
-                merge_plan, self._merge_storage, self.params
-            )
+            merge_result = execute_plan(merge_plan, self._merge_storage)
             level = self.load.level(t_dispatch)
             merge_demand_ms = self.contention.demand_ms(
                 self.profile, merge_result.meter, level

@@ -25,7 +25,7 @@ from ..sqlengine import (
     Schema,
     finish_plan,
 )
-from ..sqlengine.cost import CostParameters, ServerProfile, StatsContext
+from ..sqlengine.cost import ServerProfile, StatsContext
 from ..sqlengine.physical import CostEstimator
 from ..sqlengine.expressions import combine_conjuncts
 from ..sqlengine.logical import JoinEdge
@@ -154,7 +154,6 @@ def estimate_merge_cost(
     decomposed: DecomposedQuery,
     fragment_rows: Dict[str, float],
     profile: ServerProfile,
-    params: CostParameters,
 ) -> PlanCost:
     """Cost the II-side merge for given fragment cardinalities."""
     inputs: Dict[str, PhysicalPlan] = {
@@ -172,5 +171,5 @@ def estimate_merge_cost(
             for binding, relation in decomposed.block.relations.items()
         }
     )
-    estimator = CostEstimator(params=params, profile=profile, stats=stats)
+    estimator = CostEstimator(profile=profile, stats=stats)
     return plan.estimate_cost(estimator)

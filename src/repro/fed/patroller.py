@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
+from ..numeric import left_sum
 from ..obs import get_obs
 
 _LOG = logging.getLogger("repro.patroller")
@@ -135,7 +136,7 @@ class QueryPatroller:
         ]
         if not times:
             return 0.0
-        return sum(times) / len(times)
+        return left_sum(times) / len(times)
 
     def failure_count(self, label: Optional[str] = None) -> int:
         return sum(

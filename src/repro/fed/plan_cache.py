@@ -35,13 +35,16 @@ instant any fresh-but-behind placement relevant to the query can cross
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..obs import get_obs
 from ..core.epoch import CalibrationEpoch
 from .decomposer import DecomposedQuery
 from .global_optimizer import GlobalPlan
+
+#: Compiled queries the cache keeps (LRU).
+MAXSIZE = 128
 
 #: Cache key: (sql, excluded servers, staleness tolerance).  Everything
 #: else that influences compilation is covered by the epoch.
@@ -75,8 +78,6 @@ class PlanCacheEntry:
     #: Absolute virtual time after which a replica-freshness crossing
     #: could change the candidate set; None = no time-based expiry.
     valid_until_ms: Optional[float]
-    compiled_at_ms: float
-    hits: int = field(default=0)
 
 
 class PlanCache:
@@ -90,11 +91,8 @@ class PlanCache:
     epoch, and :meth:`decomposition` hands it to the re-pricing.
     """
 
-    def __init__(self, epoch: CalibrationEpoch, maxsize: int = 128):
-        if maxsize <= 0:
-            raise ValueError("plan cache size must be positive")
+    def __init__(self, epoch: CalibrationEpoch):
         self.epoch = epoch
-        self.maxsize = maxsize
         self._entries: "OrderedDict[PlanKey, PlanCacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -119,7 +117,6 @@ class PlanCache:
             obs.metrics.counter("plan_cache_misses_total").inc()
             return None
         self._entries.move_to_end(key)
-        entry.hits += 1
         self.hits += 1
         obs.metrics.counter("plan_cache_hits_total").inc()
         return entry
@@ -148,7 +145,6 @@ class PlanCache:
         key: PlanKey,
         decomposed: DecomposedQuery,
         plans: List[GlobalPlan],
-        t_ms: float,
         valid_until_ms: Optional[float] = None,
         topology: int = 0,
     ) -> PlanCacheEntry:
@@ -158,12 +154,11 @@ class PlanCache:
             plans=tuple(plans),
             epoch=self.epoch.value,
             valid_until_ms=valid_until_ms,
-            compiled_at_ms=t_ms,
         )
         self._entries[key] = entry
         self._entries.move_to_end(key)
         obs = get_obs()
-        while len(self._entries) > self.maxsize:
+        while len(self._entries) > MAXSIZE:
             self._entries.popitem(last=False)
             self.evictions += 1
             obs.metrics.counter("plan_cache_evictions_total").inc()
@@ -192,7 +187,7 @@ class PlanCache:
         """A snapshot for dashboards/CLI output."""
         return {
             "entries": len(self._entries),
-            "maxsize": self.maxsize,
+            "maxsize": MAXSIZE,
             "epoch": self.epoch.value,
             "hits": self.hits,
             "misses": self.misses,

@@ -62,19 +62,6 @@ _BOUNDARY_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class RerouteConfig:
-    """Knobs for bounded mid-query re-routing."""
-
-    #: Checkpoint granularity (rows); also the user-facing enable knob
-    #: (None upstream = off).
-    batch_rows: int
-
-    def __post_init__(self) -> None:
-        if self.batch_rows < 1:
-            raise ValueError(f"batch_rows must be >= 1, got {self.batch_rows}")
-
-
-@dataclass(frozen=True)
 class BatchSpan:
     """One checkpointable unit of a dispatched fragment's service."""
 
@@ -190,10 +177,16 @@ def merge_partial_rows(
 
 
 class ReroutePolicy:
-    """Decides and accounts for mid-query migrations."""
+    """Decides and accounts for mid-query migrations.
 
-    def __init__(self, config: RerouteConfig):
-        self.config = config
+    *batch_rows* is the checkpoint granularity (rows); a runtime without
+    a policy does not re-route.
+    """
+
+    def __init__(self, batch_rows: int):
+        if batch_rows < 1:
+            raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
+        self.batch_rows = batch_rows
         # -- lifetime counters (mirrored into obs by the runtime) -------
         self.fired = 0
         self.migrated_rows = 0

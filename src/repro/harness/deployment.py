@@ -23,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..sqlengine import (
-    CostParameters,
-    DEFAULT_COST_PARAMETERS,
-    Database,
-    ServerProfile,
-    populate,
-)
+from ..sqlengine import Database, ServerProfile, populate
 from ..sim import (
     AlwaysUp,
     AvailabilitySchedule,
@@ -147,7 +141,6 @@ def build_databases(
     specs: Sequence[ServerSpec],
     scale: WorkloadScale = BENCH_SCALE,
     seed: int = 7,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
     placement: Optional[TablePlacement] = None,
 ) -> Dict[str, Database]:
     """One loaded sample database per server spec.
@@ -161,9 +154,7 @@ def build_databases(
     tables = {table.name: table for table in table_specs(scale)}
     databases: Dict[str, Database] = {}
     for spec in specs:
-        database = Database(
-            name=spec.name, profile=spec.profile(), params=params
-        )
+        database = Database(name=spec.name, profile=spec.profile())
         hosted = placement[spec.name] if placement is not None else tables
         populate(database, [tables[name] for name in hosted], seed=seed)
         databases[spec.name] = database
@@ -177,7 +168,6 @@ def build_federation(
     qcc_config: Optional[QCCConfig] = None,
     with_qcc: bool = True,
     router: Optional[Router] = None,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
     availability: Optional[Mapping[str, AvailabilitySchedule]] = None,
     prebuilt_databases: Optional[Mapping[str, Database]] = None,
     induced_load: bool = False,
@@ -204,7 +194,7 @@ def build_federation(
     clock = VirtualClock()
     databases = prebuilt_databases
     if databases is None:
-        databases = build_databases(specs, scale, seed, params, placement)
+        databases = build_databases(specs, scale, seed, placement)
 
     servers: Dict[str, RemoteServer] = {}
     loads: Dict[str, MutableLoad] = {}
@@ -257,7 +247,6 @@ def build_federation(
         registry=registry,
         meta_wrapper=meta_wrapper,
         clock=clock,
-        params=params,
         router=router,
         enable_plan_cache=enable_plan_cache,
     )

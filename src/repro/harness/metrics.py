@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..numeric import left_sum
 from ..obs import Histogram, percentile
 
 __all__ = [
@@ -67,4 +68,4 @@ def percent_gain(baseline: float, treatment: float) -> float:
 
 
 def mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0

@@ -22,7 +22,7 @@ from .load import (
     MutableLoad,
     StepSchedule,
 )
-from .network import LOCAL_LINK, NetworkLink
+from .network import NetworkLink
 from .rng import derive_rng, derive_seed
 from .sched import (
     AllOf,
@@ -56,7 +56,6 @@ __all__ = [
     "ErrorInjector",
     "EventScheduler",
     "InducedLoad",
-    "LOCAL_LINK",
     "LoadSchedule",
     "MutableLoad",
     "NetworkLink",

@@ -42,11 +42,11 @@ class PeriodicTimer:
     controller adjusts ``period_ms`` between firings (Section 3.4).
     """
 
-    def __init__(self, period_ms: float, start_ms: float = 0.0):
+    def __init__(self, period_ms: float):
         if period_ms <= 0:
             raise ValueError("period must be positive")
         self.period_ms = float(period_ms)
-        self._next_fire = start_ms + self.period_ms
+        self._next_fire = self.period_ms
 
     def due(self, now_ms: float) -> bool:
         return now_ms >= self._next_fire

@@ -8,7 +8,6 @@ the paper's cost functions cannot see.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .load import ConstantLoad, LoadSchedule
@@ -22,32 +21,23 @@ class NetworkLink:
     ``bandwidth_mbps`` the nominal throughput.  ``congestion`` is a
     schedule in [0, 1): at level c, latency is multiplied by
     ``1 + latency_slope*c`` and bandwidth divided by ``1 + c``.
-    ``jitter_fraction`` adds deterministic (seeded) uniform jitter.
     """
 
     latency_ms: float = 5.0
     bandwidth_mbps: float = 100.0
     congestion: LoadSchedule = field(default_factory=ConstantLoad)
     latency_slope: float = 8.0
-    jitter_fraction: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.latency_ms < 0:
             raise ValueError("latency must be non-negative")
         if self.bandwidth_mbps <= 0:
             raise ValueError("bandwidth must be positive")
-        self._rng = random.Random(self.seed)
-
-    def _jitter(self) -> float:
-        if self.jitter_fraction <= 0:
-            return 1.0
-        return 1.0 + self._rng.uniform(0.0, self.jitter_fraction)
 
     def one_way_ms(self, t_ms: float) -> float:
         """Current one-way latency."""
         level = self.congestion.level(t_ms)
-        return self.latency_ms * (1.0 + self.latency_slope * level) * self._jitter()
+        return self.latency_ms * (1.0 + self.latency_slope * level)
 
     def round_trip_ms(self, t_ms: float) -> float:
         return 2.0 * self.one_way_ms(t_ms)
@@ -70,6 +60,3 @@ class NetworkLink:
             + self.transfer_ms(request_bytes, t_ms)
             + self.transfer_ms(response_bytes, t_ms)
         )
-
-
-LOCAL_LINK = NetworkLink(latency_ms=0.05, bandwidth_mbps=10_000.0)

@@ -15,8 +15,6 @@ from .columnar import (
     ValueColumn,
 )
 from .cost import (
-    CostParameters,
-    DEFAULT_COST_PARAMETERS,
     INFINITE_COST,
     PlanCost,
     REFERENCE_PROFILE,
@@ -114,10 +112,10 @@ __all__ = [
     "Catalog",
     "CatalogError", "Choice", "Column", "ColumnBatch", "ColumnData",
     "ColumnGen", "ColumnRef",
-    "ColumnStats", "ColumnType", "Comparison", "CostParameters",
+    "ColumnStats", "ColumnType", "Comparison",
     "DictColumn", "TableColumns", "ValueColumn",
     "Database", "DEFAULT_BATCH_SIZE",
-    "DEFAULT_COST_PARAMETERS", "ENGINES",
+    "ENGINES",
     "DeleteStatement", "Distinct", "DmlError", "DmlResult",
     "ExecutionError", "ExecutionResult", "Expression", "ExpressionError",
     "Filter", "FixedJoinStep", "ForeignKey", "FuncCall", "HashAggregate", "HashJoin",

@@ -38,24 +38,18 @@ DEFAULT_SELECTIVITY = 0.25
 
 PAGE_SIZE_BYTES = 8192.0
 
-
-@dataclass(frozen=True)
-class CostParameters:
-    """Tunable constants of the cost model (reference-machine ms)."""
-
-    cpu_tuple_cost: float = 0.0005
-    cpu_operator_cost: float = 0.0002
-    seq_page_cost: float = 1.50
-    index_probe_cost: float = 0.0040
-    hash_build_cost: float = 0.0015
-    hash_probe_cost: float = 0.0008
-    sort_compare_cost: float = 0.0004
-    agg_update_cost: float = 0.0020
-    startup_cost: float = 0.20
-    materialize_tuple_cost: float = 0.0005
-
-
-DEFAULT_COST_PARAMETERS = CostParameters()
+# The cost model's unit costs (reference-machine ms).  They are fixed:
+# QCC calibrates by multiplying estimates, never by moving these.
+CPU_TUPLE_COST = 0.0005
+CPU_OPERATOR_COST = 0.0002
+SEQ_PAGE_COST = 1.50
+INDEX_PROBE_COST = 0.0040
+HASH_BUILD_COST = 0.0015
+HASH_PROBE_COST = 0.0008
+SORT_COMPARE_COST = 0.0004
+AGG_UPDATE_COST = 0.0020
+STARTUP_COST = 0.20
+MATERIALIZE_TUPLE_COST = 0.0005
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ offering the interface a remote server exposes to the federation:
 * ``run(sql)`` / ``run_plan(plan)`` — execute and meter actual work.
 
 ``explain`` is a pure function of the SQL text, the catalog and the
-optimizer's profile and cost parameters, so its answers are kept in a
-statement cache (DB2's dynamic statement cache) that is dropped the
-moment any of those moves.  Below those caches, the statement planned
+optimizer's profile, so its answers are kept in a statement cache (DB2's
+dynamic statement cache) that is dropped the moment any of those moves.  Below those caches, the statement planned
 last is shared by every database: a server whose catalog content equals
 that statement's takes its bound block, plan nodes included, and only
 prices them (docs/plan_cache.md, "The shared entry").
@@ -21,7 +20,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog, TableDef
-from .cost import CostParameters, DEFAULT_COST_PARAMETERS, ServerProfile, REFERENCE_PROFILE
+from .cost import ServerProfile, REFERENCE_PROFILE
 from .executor import ExecutionResult, execute_plan, resolve_engine
 from .logical import QueryBlock, bind
 from .optimizer import Optimizer, PlanCandidate
@@ -59,20 +58,18 @@ class Database:
         self,
         name: str = "db",
         profile: ServerProfile = REFERENCE_PROFILE,
-        params: CostParameters = DEFAULT_COST_PARAMETERS,
         engine: Optional[str] = None,
     ):
         self.name = name
         self.profile = profile
-        self.params = params
         self.engine = resolve_engine(engine)
         self.catalog = Catalog()
         self.storage = StorageManager(self.catalog)
-        self.optimizer = Optimizer(profile, params)
+        self.optimizer = Optimizer(profile)
         #: SQL text -> its plan candidates, least recently used first.
         self._statements: "OrderedDict[str, tuple]" = OrderedDict()
-        #: (catalog, its version, optimizer profile, optimizer cost
-        #: parameters) every cached statement was planned under.
+        #: (catalog, its version, optimizer profile) every cached
+        #: statement was planned under.
         self._planned_under: Optional[tuple] = None
         #: ``catalog.content()`` under ``_planned_under``.
         self._content: Tuple[TableDef, ...] = ()
@@ -101,7 +98,7 @@ class Database:
         The list is the caller's; the candidates are shared and immutable.
         """
         catalog, optimizer = self.catalog, self.optimizer
-        under = (catalog, catalog.version, optimizer.profile, optimizer.params)
+        under = (catalog, catalog.version, optimizer.profile)
         if under != self._planned_under:
             self._statements.clear()
             self._planned_under = under
@@ -154,7 +151,6 @@ class Database:
         from .physical import CostEstimator, stats_context_for_plan
 
         estimator = CostEstimator(
-            params=self.params,
             profile=profile or self.profile,
             stats=stats_context_for_plan(plan),
         )
@@ -163,7 +159,7 @@ class Database:
     # -- run time ------------------------------------------------------------
 
     def run_plan(self, plan: PhysicalPlan) -> ExecutionResult:
-        return execute_plan(plan, self.storage, self.params, engine=self.engine)
+        return execute_plan(plan, self.storage, engine=self.engine)
 
     def run(self, sql: str) -> ExecutionResult:
         """Optimize and execute *sql*, returning rows and metered work."""
@@ -178,7 +174,7 @@ class Database:
         statement = parse_statement(sql)
         if isinstance(statement, SelectStatement):
             raise DmlError("run_dml expects INSERT/UPDATE/DELETE; use run()")
-        return execute_dml(statement, self.storage, self.params)
+        return execute_dml(statement, self.storage)
 
     # -- simulation ------------------------------------------------------------
 
@@ -195,7 +191,6 @@ class Database:
         clone = cls(
             name=f"{source.name}:simulated",
             profile=source.profile,
-            params=source.params,
             engine=source.engine,
         )
         clone.catalog = source.catalog.stats_only_clone()

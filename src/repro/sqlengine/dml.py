@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from .cost import CostParameters, DEFAULT_COST_PARAMETERS, pages_for
+from .cost import CPU_TUPLE_COST, SEQ_PAGE_COST, pages_for
 from .expressions import Expression
 from .parser import (
     DeleteStatement,
@@ -47,15 +47,14 @@ _WRITE_ROW_COST_FACTOR = 4.0
 def execute_dml(
     statement,
     storage: StorageManager,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
 ) -> DmlResult:
     """Execute an INSERT/UPDATE/DELETE statement against *storage*."""
     if isinstance(statement, InsertStatement):
-        return _execute_insert(statement, storage, params)
+        return _execute_insert(statement, storage)
     if isinstance(statement, UpdateStatement):
-        return _execute_update(statement, storage, params)
+        return _execute_update(statement, storage)
     if isinstance(statement, DeleteStatement):
-        return _execute_delete(statement, storage, params)
+        return _execute_delete(statement, storage)
     raise DmlError(f"not a DML statement: {type(statement).__name__}")
 
 
@@ -75,7 +74,6 @@ _EMPTY_SCHEMA = Schema(())
 def _execute_insert(
     statement: InsertStatement,
     storage: StorageManager,
-    params: CostParameters,
 ) -> DmlResult:
     table = storage.table(statement.table)
     schema = table.schema
@@ -102,8 +100,8 @@ def _execute_insert(
             for position, value in zip(positions, values):
                 row[position] = value
         table.insert(row)
-        meter.cpu_ms += params.cpu_tuple_cost * _WRITE_ROW_COST_FACTOR
-        meter.io_ms += params.seq_page_cost / max(
+        meter.cpu_ms += CPU_TUPLE_COST * _WRITE_ROW_COST_FACTOR
+        meter.io_ms += SEQ_PAGE_COST / max(
             1.0, pages_for(1.0, schema.row_width_bytes())
         ) * 0.1
     meter.tuples_out = len(statement.rows)
@@ -113,7 +111,6 @@ def _execute_insert(
 def _execute_update(
     statement: UpdateStatement,
     storage: StorageManager,
-    params: CostParameters,
 ) -> DmlResult:
     table = storage.table(statement.table)
     schema = table.schema
@@ -134,15 +131,11 @@ def _execute_update(
 
     # Charge the scan (every row is examined) plus per-change cost.
     rows_in = len(table)
-    meter.io_ms += pages_for(rows_in, schema.row_width_bytes()) * (
-        params.seq_page_cost
-    )
-    meter.cpu_ms += rows_in * params.cpu_tuple_cost
+    meter.io_ms += pages_for(rows_in, schema.row_width_bytes()) * SEQ_PAGE_COST
+    meter.cpu_ms += rows_in * CPU_TUPLE_COST
     changed = table.update_rows(predicate, assign)
-    meter.cpu_ms += changed * params.cpu_tuple_cost * _WRITE_ROW_COST_FACTOR
-    meter.io_ms += pages_for(changed, schema.row_width_bytes()) * (
-        params.seq_page_cost
-    )
+    meter.cpu_ms += changed * CPU_TUPLE_COST * _WRITE_ROW_COST_FACTOR
+    meter.io_ms += pages_for(changed, schema.row_width_bytes()) * SEQ_PAGE_COST
     meter.tuples_out = changed
     return DmlResult(rows_affected=changed, meter=meter)
 
@@ -150,7 +143,6 @@ def _execute_update(
 def _execute_delete(
     statement: DeleteStatement,
     storage: StorageManager,
-    params: CostParameters,
 ) -> DmlResult:
     table = storage.table(statement.table)
     schema = table.schema
@@ -159,11 +151,9 @@ def _execute_delete(
         statement.where.compile(schema) if statement.where is not None else None
     )
     rows_in = len(table)
-    meter.io_ms += pages_for(rows_in, schema.row_width_bytes()) * (
-        params.seq_page_cost
-    )
-    meter.cpu_ms += rows_in * params.cpu_tuple_cost
+    meter.io_ms += pages_for(rows_in, schema.row_width_bytes()) * SEQ_PAGE_COST
+    meter.cpu_ms += rows_in * CPU_TUPLE_COST
     deleted = table.delete_rows(predicate)
-    meter.cpu_ms += deleted * params.cpu_tuple_cost * _WRITE_ROW_COST_FACTOR
+    meter.cpu_ms += deleted * CPU_TUPLE_COST * _WRITE_ROW_COST_FACTOR
     meter.tuples_out = deleted
     return DmlResult(rows_affected=deleted, meter=meter)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..obs import get_obs
-from .cost import CostParameters, DEFAULT_COST_PARAMETERS
 from .physical import (
     DEFAULT_BATCH_SIZE,
     ExecutionContext,
@@ -71,13 +70,12 @@ class ExecutionResult:
 def execute_plan(
     plan: PhysicalPlan,
     storage: StorageManager,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
     engine: Optional[str] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> ExecutionResult:
     """Run *plan* to completion against *storage*."""
     chosen = resolve_engine(engine)
-    ctx = ExecutionContext(storage=storage, params=params, batch_size=batch_size)
+    ctx = ExecutionContext(storage=storage, batch_size=batch_size)
     start = time.perf_counter()
     batches = 0
     if chosen == "columnar":

@@ -16,8 +16,6 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog
 from .cost import (
-    CostParameters,
-    DEFAULT_COST_PARAMETERS,
     PlanCost,
     REFERENCE_PROFILE,
     ServerProfile,
@@ -138,13 +136,8 @@ class PlanSpace:
 class Optimizer:
     """Plans a bound :class:`QueryBlock` for one server profile."""
 
-    def __init__(
-        self,
-        profile: ServerProfile = REFERENCE_PROFILE,
-        params: CostParameters = DEFAULT_COST_PARAMETERS,
-    ):
+    def __init__(self, profile: ServerProfile = REFERENCE_PROFILE):
         self.profile = profile
-        self.params = params
 
     # -- public API ----------------------------------------------------
 
@@ -159,9 +152,7 @@ class Optimizer:
         if space is None:
             space = block.plan_space = PlanSpace(block)
         selectivities = space.selectivities
-        estimator = CostEstimator(
-            self.params, self.profile, selectivities.stats, selectivities
-        )
+        estimator = CostEstimator(self.profile, selectivities.stats, selectivities)
         if block.fixed_joins:
             join_alternatives = self._fixed_chain_plans(block, estimator, space)
         else:
@@ -473,7 +464,6 @@ def plan_sql(
     sql: str,
     catalog: Catalog,
     profile: ServerProfile = REFERENCE_PROFILE,
-    params: CostParameters = DEFAULT_COST_PARAMETERS,
 ) -> List[PlanCandidate]:
     """Parse, bind and optimize a SQL string."""
-    return Optimizer(profile, params).optimize(bind(parse(sql), catalog))
+    return Optimizer(profile).optimize(bind(parse(sql), catalog))

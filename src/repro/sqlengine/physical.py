@@ -50,7 +50,16 @@ from .columnar import (
     ValueColumn,
 )
 from .cost import (
-    CostParameters,
+    AGG_UPDATE_COST,
+    CPU_OPERATOR_COST,
+    CPU_TUPLE_COST,
+    HASH_BUILD_COST,
+    HASH_PROBE_COST,
+    INDEX_PROBE_COST,
+    MATERIALIZE_TUPLE_COST,
+    SEQ_PAGE_COST,
+    SORT_COMPARE_COST,
+    STARTUP_COST,
     PlanCost,
     ServerProfile,
     StatsContext,
@@ -119,7 +128,6 @@ class ExecutionContext:
     """
 
     storage: StorageManager
-    params: CostParameters
     meter: WorkMeter = field(default_factory=WorkMeter)
     batch_size: int = DEFAULT_BATCH_SIZE
     profiler: OperatorProfiler = field(default_factory=get_profiler)
@@ -129,7 +137,7 @@ class Selectivities:
     """Selectivities under one statistics context, each evaluated once:
     per predicate (by object identity) and per join-key list.
 
-    No profile and no cost knob enters a selectivity, so the estimators
+    No profile enters a selectivity, so the estimators
     of every server that prices one bound block share one of these
     (``optimizer.PlanSpace``).
     """
@@ -169,9 +177,9 @@ class Selectivities:
 
 
 class CostEstimator:
-    """The knobs a plan is costed with, and everything costed with them.
+    """The profile a plan is costed under, and everything costed under it.
 
-    Under fixed knobs a node's cost is a pure function of the node, so an
+    Under one profile a node's cost is a pure function of the node, so an
     estimator evaluates each formula once per plan node, by object
     identity, and each selectivity once (``predicate`` / ``equijoin``,
     from *selectivities*, its own unless handed a shared one).  It lives
@@ -184,12 +192,10 @@ class CostEstimator:
 
     def __init__(
         self,
-        params: CostParameters,
         profile: ServerProfile,
         stats: StatsContext,
         selectivities: Optional[Selectivities] = None,
     ):
-        self.params = params
         self.profile = profile
         self.stats = stats
         #: node -> cost (nodes hash by identity).
@@ -225,7 +231,7 @@ class PhysicalPlan:
 
     def _cost(self, estimator: CostEstimator, *children: PlanCost) -> PlanCost:
         """The operator's cost formula, pure in the node, the estimator's
-        knobs and the costs of ``children()`` (same order)."""
+        profile and the costs of ``children()`` (same order)."""
         raise NotImplementedError
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
@@ -410,17 +416,17 @@ class SeqScan(PhysicalPlan):
         self.output_schema = table.schema.rename_table(binding)
 
     def _cost(self, estimator: CostEstimator) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         rows_in = self.table.stats.row_count
         width = self.output_schema.row_width_bytes()
         selectivity, ops = estimator.predicate(self.predicate)
         rows_out = max(rows_in * selectivity, 0.0)
-        io = profile.io_ms(pages_for(rows_in, width) * params.seq_page_cost)
+        io = profile.io_ms(pages_for(rows_in, width) * SEQ_PAGE_COST)
         cpu = profile.cpu_ms(
-            rows_in * (params.cpu_tuple_cost + ops * params.cpu_operator_cost)
+            rows_in * (CPU_TUPLE_COST + ops * CPU_OPERATOR_COST)
         )
-        total = params.startup_cost + io + cpu
-        first = params.startup_cost + (io + cpu) / max(rows_out, 1.0)
+        total = STARTUP_COST + io + cpu
+        first = STARTUP_COST + (io + cpu) / max(rows_out, 1.0)
         return PlanCost(
             first_tuple=min(first, total),
             total=total,
@@ -430,33 +436,31 @@ class SeqScan(PhysicalPlan):
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         heap = ctx.storage.table(self.table.name)
-        params = ctx.params
         meter = ctx.meter
         width = self.output_schema.row_width_bytes()
-        meter.io_ms += pages_for(len(heap), width) * params.seq_page_cost
+        meter.io_ms += pages_for(len(heap), width) * SEQ_PAGE_COST
         predicate = (
             self.predicate.compile(self.output_schema)
             if self.predicate is not None
             else None
         )
         ops = _count_operators(self.predicate)
-        per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
+        per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
         for row in _metered(heap.scan(), meter, per_row):
             if predicate is None or predicate(row) is True:
                 yield row
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         heap = ctx.storage.table(self.table.name)
-        params = ctx.params
         meter = ctx.meter
         width = self.output_schema.row_width_bytes()
-        meter.io_ms += pages_for(len(heap), width) * params.seq_page_cost
+        meter.io_ms += pages_for(len(heap), width) * SEQ_PAGE_COST
         kernels = [
             c.compile_filter_columnar(self.output_schema)
             for c in conjuncts(self.predicate)
         ]
         ops = _count_operators(self.predicate)
-        per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
+        per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
         table_cols = heap.columnar()
         n = table_cols.n_rows
         size = ctx.batch_size
@@ -496,7 +500,7 @@ class IndexScan(PhysicalPlan):
         self.output_schema = table.schema.rename_table(binding)
 
     def _cost(self, estimator: CostEstimator) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         stats = self.table.stats.for_column(self.column)
         rows_in = self.table.stats.row_count
         n_distinct = stats.n_distinct if stats else max(rows_in, 1)
@@ -504,12 +508,12 @@ class IndexScan(PhysicalPlan):
         selectivity, ops = estimator.predicate(self.residual)
         rows_out = max(matched * selectivity, 0.0)
         width = self.output_schema.row_width_bytes()
-        probe = profile.io_ms(params.index_probe_cost)
+        probe = profile.io_ms(INDEX_PROBE_COST)
         cpu = profile.cpu_ms(
-            matched * (params.cpu_tuple_cost + ops * params.cpu_operator_cost)
+            matched * (CPU_TUPLE_COST + ops * CPU_OPERATOR_COST)
         )
-        total = params.startup_cost + probe + cpu
-        first = params.startup_cost + probe + cpu / max(rows_out, 1.0)
+        total = STARTUP_COST + probe + cpu
+        first = STARTUP_COST + probe + cpu / max(rows_out, 1.0)
         return PlanCost(
             first_tuple=min(first, total),
             total=total,
@@ -524,16 +528,15 @@ class IndexScan(PhysicalPlan):
             raise ExecutionError(
                 f"no index on {self.table.name}.{self.column}"
             )
-        params = ctx.params
         meter = ctx.meter
-        meter.io_ms += params.index_probe_cost
+        meter.io_ms += INDEX_PROBE_COST
         residual = (
             self.residual.compile(self.output_schema)
             if self.residual is not None
             else None
         )
         ops = _count_operators(self.residual)
-        per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
+        per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
         matched = map(heap.fetch, index.lookup(self.value.value))
         for row in _metered(matched, meter, per_row):
             if residual is None or residual(row) is True:
@@ -546,15 +549,14 @@ class IndexScan(PhysicalPlan):
             raise ExecutionError(
                 f"no index on {self.table.name}.{self.column}"
             )
-        params = ctx.params
         meter = ctx.meter
-        meter.io_ms += params.index_probe_cost
+        meter.io_ms += INDEX_PROBE_COST
         kernels = [
             c.compile_filter_columnar(self.output_schema)
             for c in conjuncts(self.residual)
         ]
         ops = _count_operators(self.residual)
-        per_row = params.cpu_tuple_cost + ops * params.cpu_operator_cost
+        per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
         rids = index.lookup(self.value.value)
         table_cols = heap.columnar()
         size = ctx.batch_size
@@ -591,10 +593,10 @@ class Filter(PhysicalPlan):
         return (self.child,)
 
     def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         selectivity, ops = estimator.predicate(self.predicate)
         rows_out = max(child.rows * selectivity, 0.0)
-        cpu = profile.cpu_ms(child.rows * ops * params.cpu_operator_cost)
+        cpu = profile.cpu_ms(child.rows * ops * CPU_OPERATOR_COST)
         total = child.total + cpu
         first = child.first_tuple + cpu / max(rows_out, 1.0)
         return PlanCost(
@@ -607,7 +609,7 @@ class Filter(PhysicalPlan):
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         predicate = self.predicate.compile(self.output_schema)
         ops = _count_operators(self.predicate)
-        per_row = ops * ctx.params.cpu_operator_cost
+        per_row = ops * CPU_OPERATOR_COST
         for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
             if predicate(row) is True:
                 yield row
@@ -618,7 +620,7 @@ class Filter(PhysicalPlan):
             for c in conjuncts(self.predicate)
         ]
         ops = _count_operators(self.predicate)
-        per_row = ops * ctx.params.cpu_operator_cost
+        per_row = ops * CPU_OPERATOR_COST
         child = self.child.rows_columnar(ctx)
         for in_batch in _metered(child, ctx.meter, per_row, len):
             batch = _narrowed(in_batch, kernels)
@@ -646,9 +648,9 @@ class Project(PhysicalPlan):
         return (self.child,)
 
     def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         cpu = profile.cpu_ms(
-            child.rows * len(self.items) * params.cpu_operator_cost
+            child.rows * len(self.items) * CPU_OPERATOR_COST
         )
         width = self.output_schema.row_width_bytes()
         return PlanCost(
@@ -664,7 +666,7 @@ class Project(PhysicalPlan):
             for item in self.items
             if item.expr is not None
         ]
-        per_row = len(evaluators) * ctx.params.cpu_operator_cost
+        per_row = len(evaluators) * CPU_OPERATOR_COST
         for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
             yield tuple(f(row) for f in evaluators)
 
@@ -681,7 +683,7 @@ class Project(PhysicalPlan):
                 plans.append((child_schema.index_of(item.expr.name), None))
             else:
                 plans.append((-1, item.expr.compile_columnar(child_schema)))
-        per_row = len(plans) * ctx.params.cpu_operator_cost
+        per_row = len(plans) * CPU_OPERATOR_COST
         child = self.child.rows_columnar(ctx)
         for batch in _metered(child, ctx.meter, per_row, len):
             sel = batch.sel
@@ -730,7 +732,7 @@ class NestedLoopJoin(PhysicalPlan):
     def _cost(
         self, estimator: CostEstimator, left: PlanCost, right: PlanCost
     ) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         pairs = left.rows * right.rows
         selectivity, ops = estimator.predicate(self.condition)
         rows_out = max(pairs * selectivity, 0.0)
@@ -738,8 +740,8 @@ class NestedLoopJoin(PhysicalPlan):
             rows_out = max(rows_out, left.rows)
         ops = max(ops, 1)
         cpu = profile.cpu_ms(
-            pairs * ops * params.cpu_operator_cost
-            + right.rows * params.materialize_tuple_cost
+            pairs * ops * CPU_OPERATOR_COST
+            + right.rows * MATERIALIZE_TUPLE_COST
         )
         total = left.total + right.total + cpu
         first = left.first_tuple + right.total + cpu / max(rows_out, 1.0)
@@ -752,17 +754,16 @@ class NestedLoopJoin(PhysicalPlan):
         )
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
         meter = ctx.meter
         inner = list(self.right.rows(ctx))
-        meter.cpu_ms += len(inner) * params.materialize_tuple_cost
+        meter.cpu_ms += len(inner) * MATERIALIZE_TUPLE_COST
         condition = (
             self.condition.compile(self.output_schema)
             if self.condition is not None
             else None
         )
         ops = max(_count_operators(self.condition), 1)
-        per_pair = ops * params.cpu_operator_cost
+        per_pair = ops * CPU_OPERATOR_COST
         null_pad = (None,) * len(self.right.output_schema)
         pairs = 0
         try:
@@ -785,17 +786,16 @@ class NestedLoopJoin(PhysicalPlan):
         # one candidate batch per left row — its values broadcast next
         # to the materialised inner columns — so the surviving selection
         # *is* the list of matching inner rows.
-        params = ctx.params
         meter = ctx.meter
         inner = _drain_columnar(self.right, ctx)
-        meter.cpu_ms += len(inner) * params.materialize_tuple_cost
+        meter.cpu_ms += len(inner) * MATERIALIZE_TUPLE_COST
         kernel = (
             self.condition.compile_filter_columnar(self.output_schema)
             if self.condition is not None
             else None
         )
         ops = max(_count_operators(self.condition), 1)
-        per_pair = ops * params.cpu_operator_cost
+        per_pair = ops * CPU_OPERATOR_COST
         null_pad = (None,) * len(self.right.output_schema)
         width = len(self.output_schema)
         n_inner = len(inner)
@@ -867,16 +867,16 @@ class HashJoin(PhysicalPlan):
     def _cost(
         self, estimator: CostEstimator, left: PlanCost, right: PlanCost
     ) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         selectivity = estimator.equijoin(self.left_keys, self.right_keys)
         rows_out = max(left.rows * right.rows * selectivity, 0.0)
         if self.residual is not None:
             rows_out *= estimator.predicate(self.residual)[0]
         if self.outer:
             rows_out = max(rows_out, left.rows)
-        build = profile.cpu_ms(right.rows * params.hash_build_cost)
-        probe = profile.cpu_ms(left.rows * params.hash_probe_cost)
-        emit = profile.cpu_ms(rows_out * params.cpu_tuple_cost)
+        build = profile.cpu_ms(right.rows * HASH_BUILD_COST)
+        probe = profile.cpu_ms(left.rows * HASH_PROBE_COST)
+        emit = profile.cpu_ms(rows_out * CPU_TUPLE_COST)
         total = left.total + right.total + build + probe + emit
         first = right.total + build + left.first_tuple + (probe + emit) / max(
             rows_out, 1.0
@@ -890,7 +890,6 @@ class HashJoin(PhysicalPlan):
         )
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
         meter = ctx.meter
         right_schema = self.right.output_schema
         left_schema = self.left.output_schema
@@ -905,7 +904,7 @@ class HashJoin(PhysicalPlan):
             if any(v is None for v in key):
                 continue
             buckets.setdefault(key, []).append(row)
-        meter.cpu_ms += built * params.hash_build_cost
+        meter.cpu_ms += built * HASH_BUILD_COST
 
         residual = (
             self.residual.compile(self.output_schema)
@@ -930,11 +929,10 @@ class HashJoin(PhysicalPlan):
                 if self.outer and not matched:
                     yield left_row + null_pad
         finally:
-            meter.cpu_ms += probed * params.hash_probe_cost
-            meter.cpu_ms += examined * params.cpu_tuple_cost
+            meter.cpu_ms += probed * HASH_PROBE_COST
+            meter.cpu_ms += examined * CPU_TUPLE_COST
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        params = ctx.params
         meter = ctx.meter
         right_schema = self.right.output_schema
         left_schema = self.left.output_schema
@@ -978,7 +976,7 @@ class HashJoin(PhysicalPlan):
                     del singles[None]
                     nulls += keys.count(None)
                 unique_build = len(singles) == built - nulls
-        meter.cpu_ms += built * params.hash_build_cost
+        meter.cpu_ms += built * HASH_BUILD_COST
 
         kernel = (
             self.residual.compile_columnar(self.output_schema)
@@ -1160,8 +1158,8 @@ class HashJoin(PhysicalPlan):
                     )
                     yield ColumnBatch(tuple(out_cols), len(gl), None)
         finally:
-            meter.cpu_ms += probed * params.hash_probe_cost
-            meter.cpu_ms += examined * params.cpu_tuple_cost
+            meter.cpu_ms += probed * HASH_PROBE_COST
+            meter.cpu_ms += examined * CPU_TUPLE_COST
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -1348,19 +1346,19 @@ class HashAggregate(PhysicalPlan):
         return Schema(tuple(columns))
 
     def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         groups = self._estimate_groups(child.rows, estimator)
         updates = child.rows * max(len(self._agg_calls), 1)
         cpu = profile.cpu_ms(
-            updates * params.agg_update_cost
-            + groups * len(self.items) * params.cpu_operator_cost
+            updates * AGG_UPDATE_COST
+            + groups * len(self.items) * CPU_OPERATOR_COST
         )
         total = child.total + cpu
         width = self.output_schema.row_width_bytes()
         # Aggregation is blocking: nothing is emitted before the input is
         # consumed, so first-tuple is essentially total minus emission.
         emit = profile.cpu_ms(
-            groups * len(self.items) * params.cpu_operator_cost
+            groups * len(self.items) * CPU_OPERATOR_COST
         )
         first = max(child.total + cpu - emit, child.first_tuple)
         return PlanCost(
@@ -1383,7 +1381,6 @@ class HashAggregate(PhysicalPlan):
         return max(1.0, min(distinct, rows_in))
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
         meter = ctx.meter
         child_schema = self.child.output_schema
         key_fns = [e.compile(child_schema) for e in self.group_by]
@@ -1393,7 +1390,7 @@ class HashAggregate(PhysicalPlan):
         ]
 
         groups: Dict[Tuple[Any, ...], List[_AggState]] = {}
-        per_row = max(len(self._agg_calls), 1) * params.agg_update_cost
+        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
         consumed = 0
         for row in self.child.rows(ctx):
             consumed += 1
@@ -1429,7 +1426,7 @@ class HashAggregate(PhysicalPlan):
                 internal_schema
             )
 
-        per_group = len(self.items) * params.cpu_operator_cost
+        per_group = len(self.items) * CPU_OPERATOR_COST
         meter.cpu_ms += len(groups) * per_group
         for key, states in groups.items():
             internal_row = key + tuple(s.result() for s in states)
@@ -1438,7 +1435,6 @@ class HashAggregate(PhysicalPlan):
             yield tuple(f(internal_row) for f in item_fns)
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        params = ctx.params
         meter = ctx.meter
         child_schema = self.child.output_schema
         key_kernels = [
@@ -1553,7 +1549,7 @@ class HashAggregate(PhysicalPlan):
         chunk_rows = 0
         chunk_dictionary = None
         count_totals: Counter = Counter()
-        per_row = max(len(self._agg_calls), 1) * params.agg_update_cost
+        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
         consumed = 0
         for batch in chain(self.child.rows_columnar(ctx), (None,)):
             dictionary = key_col = None
@@ -1622,7 +1618,7 @@ class HashAggregate(PhysicalPlan):
                 _AggState(name, distinct) for name, distinct in agg_specs
             ]
 
-        per_group = len(self.items) * params.cpu_operator_cost
+        per_group = len(self.items) * CPU_OPERATOR_COST
         meter.cpu_ms += len(groups) * per_group
         if not groups:
             return
@@ -1689,20 +1685,19 @@ class Sort(PhysicalPlan):
         return (self.child,)
 
     def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         n = max(child.rows, 1.0)
         compares = n * math.log2(n + 1.0)
-        cpu = profile.cpu_ms(compares * params.sort_compare_cost)
+        cpu = profile.cpu_ms(compares * SORT_COMPARE_COST)
         total = child.total + cpu
         return PlanCost(
-            first_tuple=total - profile.cpu_ms(params.cpu_tuple_cost),
+            first_tuple=total - profile.cpu_ms(CPU_TUPLE_COST),
             total=total,
             rows=child.rows,
             width_bytes=child.width_bytes,
         )
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
         meter = ctx.meter
         schema = self.child.output_schema
         key_fns = [
@@ -1710,20 +1705,19 @@ class Sort(PhysicalPlan):
         ]
         data = list(self.child.rows(ctx))
         n = max(len(data), 1)
-        meter.cpu_ms += n * math.log2(n + 1.0) * params.sort_compare_cost
+        meter.cpu_ms += n * math.log2(n + 1.0) * SORT_COMPARE_COST
         # Stable multi-key sort: apply keys right-to-left.
         for fn, ascending in reversed(key_fns):
             data.sort(key=lambda row: _sort_key((fn(row),)), reverse=not ascending)
         yield from data
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        params = ctx.params
         meter = ctx.meter
         schema = self.child.output_schema
         batches = list(self.child.rows_columnar(ctx))
         total = sum(len(b) for b in batches)
         n = max(total, 1)
-        meter.cpu_ms += n * math.log2(n + 1.0) * params.sort_compare_cost
+        meter.cpu_ms += n * math.log2(n + 1.0) * SORT_COMPARE_COST
         if not total:
             return
         width = len(schema)
@@ -1831,8 +1825,8 @@ class Distinct(PhysicalPlan):
         return (self.child,)
 
     def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
-        cpu = profile.cpu_ms(child.rows * params.hash_build_cost)
+        profile = estimator.profile
+        cpu = profile.cpu_ms(child.rows * HASH_BUILD_COST)
         rows_out = max(1.0, child.rows * 0.9)
         return PlanCost(
             first_tuple=child.first_tuple,
@@ -1843,7 +1837,7 @@ class Distinct(PhysicalPlan):
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         seen = set()
-        per_row = ctx.params.hash_build_cost
+        per_row = HASH_BUILD_COST
         for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
             key = _sort_key(row)
             if key in seen:
@@ -1854,7 +1848,7 @@ class Distinct(PhysicalPlan):
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         seen = set()
         add = seen.add
-        per_row = ctx.params.hash_build_cost
+        per_row = HASH_BUILD_COST
         # Over a single column the raw value is its own distinct key
         # (``(v is None, v)`` wrapping partitions values identically), so
         # no row tuples and no per-row key tuples are built at all.
@@ -1915,18 +1909,18 @@ class MaterializedInput(PhysicalPlan):
         self.data = list(data)
 
     def _cost(self, estimator: CostEstimator) -> PlanCost:
-        params, profile = estimator.params, estimator.profile
+        profile = estimator.profile
         n = float(len(self.data))
-        cpu = profile.cpu_ms(n * params.cpu_tuple_cost)
+        cpu = profile.cpu_ms(n * CPU_TUPLE_COST)
         return PlanCost(
-            first_tuple=params.startup_cost,
-            total=params.startup_cost + cpu,
+            first_tuple=STARTUP_COST,
+            total=STARTUP_COST + cpu,
             rows=max(n, 1.0),
             width_bytes=self.output_schema.row_width_bytes(),
         )
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return _metered(iter(self.data), ctx.meter, ctx.params.cpu_tuple_cost)
+        return _metered(iter(self.data), ctx.meter, CPU_TUPLE_COST)
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         data = self.data
@@ -1936,7 +1930,7 @@ class MaterializedInput(PhysicalPlan):
             ColumnBatch.from_rows(data[start : start + size], width)
             for start in range(0, len(data), size)
         )
-        return _metered(batches, ctx.meter, ctx.params.cpu_tuple_cost, len)
+        return _metered(batches, ctx.meter, CPU_TUPLE_COST, len)
 
     def describe(self) -> str:
         return f"MaterializedInput({self.name} rows={len(self.data)})"

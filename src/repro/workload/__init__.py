@@ -26,7 +26,6 @@ from .queries import (
 from .schema import (
     BENCH_SCALE,
     PAPER_SCALE,
-    TABLE_NAMES,
     TEST_SCALE,
     WorkloadScale,
     table_specs,
@@ -52,7 +51,6 @@ __all__ = [
     "QueryInstance",
     "QueryTemplate",
     "SERVER_NAMES",
-    "TABLE_NAMES",
     "TEST_SCALE",
     "WorkloadScale",
     "build_workload",

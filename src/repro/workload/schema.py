@@ -123,6 +123,3 @@ def table_specs(scale: WorkloadScale = BENCH_SCALE) -> Tuple[TableSpec, ...]:
             indexes=("orderkey", "prodkey"),
         ),
     )
-
-
-TABLE_NAMES = tuple(spec.name for spec in table_specs(TEST_SCALE))

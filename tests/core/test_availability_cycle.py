@@ -119,23 +119,19 @@ class TestReliabilityFactor:
 class TestCycleController:
     def test_target_volatility_gives_base(self):
         controller = CalibrationCycleController(
-            CycleConfig(base_interval_ms=1000.0, target_volatility=0.25)
+            CycleConfig(base_interval_ms=1000.0)
         )
         assert controller.next_interval(0.25) == pytest.approx(1000.0)
 
     def test_high_volatility_shortens(self):
         controller = CalibrationCycleController(
-            CycleConfig(base_interval_ms=1000.0, target_volatility=0.25)
+            CycleConfig(base_interval_ms=1000.0)
         )
         assert controller.next_interval(0.5) == pytest.approx(500.0)
 
     def test_low_volatility_lengthens(self):
         controller = CalibrationCycleController(
-            CycleConfig(
-                base_interval_ms=1000.0,
-                target_volatility=0.25,
-                max_interval_ms=3000.0,
-            )
+            CycleConfig(base_interval_ms=1000.0, max_interval_ms=3000.0)
         )
         assert controller.next_interval(0.125) == pytest.approx(2000.0)
 
@@ -158,5 +154,3 @@ class TestCycleController:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             CycleConfig(base_interval_ms=10.0, min_interval_ms=20.0)
-        with pytest.raises(ValueError):
-            CycleConfig(target_volatility=0.0)

@@ -3,7 +3,6 @@
 from repro.core import (
     AvailabilityMonitor,
     CalibrationEpoch,
-    CalibratorConfig,
     CostCalibrator,
     QueryCostCalibrator,
 )
@@ -19,13 +18,13 @@ class TestCalibrationEpoch:
 
 class TestCalibratorBumps:
     def test_recalibrate_always_bumps(self):
-        calibrator = CostCalibrator(CalibratorConfig())
+        calibrator = CostCalibrator()
         before = calibrator.epoch.value
         calibrator.recalibrate()  # no samples: factors unchanged
         assert calibrator.epoch.value == before + 1
 
     def test_initial_factor_bumps_only_on_change(self):
-        calibrator = CostCalibrator(CalibratorConfig())
+        calibrator = CostCalibrator()
         calibrator.set_initial_factor("S1", 1.5)
         after_first = calibrator.epoch.value
         assert after_first > 0

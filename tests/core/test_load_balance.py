@@ -1,11 +1,14 @@
 """Unit tests for fragment- and global-level load distribution."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import FragmentLoadBalancer, GlobalLoadBalancer, LoadBalanceConfig
+from repro.core import load_balance
 from repro.core.load_balance import hrw_score, rank_servers
 from repro.fed.decomposer import DecomposedQuery, QueryFragment
 from repro.fed.global_optimizer import FragmentOption, GlobalPlan
+from repro.numeric import left_sum
 from repro.sqlengine import Column, ColumnType, PlanCost, Schema, SeqScan
 from repro.sqlengine.catalog import TableDef, TableStats
 from repro.sqlengine.logical import QueryBlock
@@ -126,9 +129,9 @@ class TestFragmentBalancer:
         # Above it the rotation starts, at the HRW home.
         assert picks == order * 2
 
-    def test_workload_window_expires(self):
-        config = LoadBalanceConfig(workload_threshold=50.0, window_ms=100.0)
-        balancer = FragmentLoadBalancer(config)
+    def test_workload_window_expires(self, monkeypatch):
+        monkeypatch.setattr(load_balance, "WINDOW_MS", 100.0)
+        balancer = FragmentLoadBalancer(LoadBalanceConfig(workload_threshold=50.0))
         fragment = _fragment()
         balancer.note_execution(fragment.signature, 100.0, 0.0)
         chosen = _option("S1", 10.0, fragment)
@@ -146,8 +149,16 @@ class TestFragmentBalancer:
             fragment.signature, ["R1", "S1"]
         )
 
-    def test_last_clusters_lru_bounded(self):
-        balancer = FragmentLoadBalancer(LoadBalanceConfig(max_tracked=8))
+    @given(st.lists(st.floats(0.0, 1e4, allow_nan=False), max_size=40))
+    def test_workload_is_a_left_fold(self, costs):
+        balancer = FragmentLoadBalancer()
+        for cost in costs:
+            balancer.note_execution("sig", cost, 0.0)
+        assert balancer._tracker.workload("sig", 0.0) == left_sum(costs)
+
+    def test_last_clusters_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(load_balance, "MAX_TRACKED", 8)
+        balancer = FragmentLoadBalancer()
         for i in range(32):
             fragment = _fragment(f"SELECT a FROM t WHERE t.a = {i}")
             chosen = _option("S1", 10.0, fragment)
@@ -306,8 +317,9 @@ class TestGlobalBalancer:
         second = balancer.recommend(decomposed, plans, 0.0)
         assert {first.plan_id, second.plan_id} == {"p1", "p2"}
 
-    def test_counters_and_clusters_lru_bounded(self):
-        balancer = GlobalLoadBalancer(LoadBalanceConfig(max_tracked=8))
+    def test_counters_and_clusters_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(load_balance, "MAX_TRACKED", 8)
+        balancer = GlobalLoadBalancer()
         plans = [
             _global_plan("p1", ["S1"], 10.0),
             _global_plan("p2", ["R1"], 10.5),

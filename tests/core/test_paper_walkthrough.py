@@ -11,14 +11,14 @@ Figure 6 does the same at the II level with the workload factor.
 
 import pytest
 
-from repro.core import CalibratorConfig, CostCalibrator, IICalibrator
-from repro.core.routing import QCCConfig, QueryCostCalibrator
+from repro.core import CostCalibrator, IICalibrator
+from repro.core.routing import QueryCostCalibrator
 from repro.sqlengine import PlanCost
 
 
 class TestFigure345Walkthrough:
     def test_factors_match_paper(self):
-        calibrator = CostCalibrator(CalibratorConfig(min_server_samples=1))
+        calibrator = CostCalibrator()
         # Runtime phase (Figure 4): estimated vs observed per fragment.
         calibrator.record("S1", "QF1", 5.0, 8.0)
         calibrator.record("S2", "QF2", 5.0, 7.0)
@@ -29,7 +29,7 @@ class TestFigure345Walkthrough:
         assert calibrator.factor("S2") == pytest.approx(1.4)
 
     def test_unseen_fragment_calibrated_by_server_factor(self):
-        calibrator = CostCalibrator(CalibratorConfig(min_server_samples=1))
+        calibrator = CostCalibrator()
         calibrator.record("S2", "QF2", 5.0, 7.0)
         calibrator.recalibrate()
         # Figure 5: "MW calibrates the cost to 11.2 by multiplying the
@@ -41,10 +41,7 @@ class TestFigure345Walkthrough:
         assert calibrated.rows == 10.0
 
     def test_full_qcc_facade_reproduces_walkthrough(self):
-        qcc = QueryCostCalibrator(
-            ["S1", "S2"],
-            QCCConfig(calibrator=CalibratorConfig(min_server_samples=1)),
-        )
+        qcc = QueryCostCalibrator(["S1", "S2"])
         estimate = PlanCost(first_tuple=1.0, total=5.0, rows=10.0)
         qcc.record_execution(
             server="S1", fragment_signature="QF1", plan_signature="p1",
@@ -67,7 +64,7 @@ class TestFigure6Walkthrough:
         """Figure 6: II's own processing is calibrated from execution
         history — estimated global cost (built from calibrated source
         costs) vs observed end-to-end time."""
-        ii = IICalibrator(min_samples=1)
+        ii = IICalibrator()
         ii.record(10.0, 12.0)
         ii.record(20.0, 24.0)
         ii.recalibrate()

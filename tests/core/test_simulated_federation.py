@@ -95,7 +95,6 @@ class TestPlannerFromDeployment:
             registry=deployment.registry,
             meta_wrapper=deployment.meta_wrapper,
             ii_profile=deployment.integrator.profile,
-            params=deployment.integrator.params,
         ).derive_global_plans(Q6, 0.0)
         simulated = WhatIfPlanner.from_deployment(
             deployment, use_calibration=False

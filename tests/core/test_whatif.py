@@ -5,7 +5,6 @@ import pytest
 from repro.core import WhatIfPlanner
 from repro.fed import enumerate_global_plans, decompose
 from repro.harness.deployment import build_replica_federation
-from repro.sqlengine import DEFAULT_COST_PARAMETERS
 from repro.workload import TEST_SCALE
 
 
@@ -26,7 +25,6 @@ def planner(replica_deployment):
         registry=replica_deployment.registry,
         meta_wrapper=replica_deployment.meta_wrapper,
         ii_profile=replica_deployment.integrator.profile,
-        params=DEFAULT_COST_PARAMETERS,
     )
 
 
@@ -68,7 +66,6 @@ class TestDerivation:
             decomposed,
             options,
             replica_deployment.integrator.profile,
-            DEFAULT_COST_PARAMETERS,
             keep=100,
         )
         for plan in whatif.plans:
@@ -85,7 +82,6 @@ class TestExclusion:
             registry=replica_deployment.registry,
             meta_wrapper=replica_deployment.meta_wrapper,
             ii_profile=replica_deployment.integrator.profile,
-            params=DEFAULT_COST_PARAMETERS,
             factor_lookup=lambda server: factors.get(server, 1.0),
             exclude_factor_threshold=10.0,
         )

@@ -14,7 +14,6 @@ from repro.fed import (
 )
 from repro.fed.global_optimizer import FragmentOption
 from repro.sqlengine import (
-    DEFAULT_COST_PARAMETERS,
     PlanCost,
     REFERENCE_PROFILE,
     SeqScan,
@@ -69,7 +68,7 @@ class TestEnumeration:
     def test_nine_combinations(self, q6_setup):
         decomposed, options = q6_setup
         plans = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+            decomposed, options, REFERENCE_PROFILE
         )
         # 3 x 3 = 9 combinations, all retained (keep=16 default)
         assert len(plans) == 9
@@ -77,7 +76,7 @@ class TestEnumeration:
     def test_sorted_and_ids_assigned(self, q6_setup):
         decomposed, options = q6_setup
         plans = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+            decomposed, options, REFERENCE_PROFILE
         )
         totals = [p.total_cost for p in plans]
         assert totals == sorted(totals)
@@ -86,7 +85,7 @@ class TestEnumeration:
     def test_total_is_max_fragment_plus_merge(self, q6_setup):
         decomposed, options = q6_setup
         plans = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+            decomposed, options, REFERENCE_PROFILE
         )
         best = plans[0]
         fragment_max = max(c.calibrated.total for c in best.choices)
@@ -97,13 +96,12 @@ class TestEnumeration:
     def test_ii_factor_scales_merge(self, q6_setup):
         decomposed, options = q6_setup
         base = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+            decomposed, options, REFERENCE_PROFILE
         )[0]
         inflated = enumerate_global_plans(
             decomposed,
             options,
             REFERENCE_PROFILE,
-            DEFAULT_COST_PARAMETERS,
             ii_calibration_factor=3.0,
         )[0]
         assert inflated.total_cost > base.total_cost
@@ -120,7 +118,7 @@ class TestEnumeration:
             calibrated=PlanCost(math.inf, math.inf, 0.0),
         )
         plans = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+            decomposed, options, REFERENCE_PROFILE
         )
         assert all(math.isfinite(p.total_cost) for p in plans)
 
@@ -130,7 +128,7 @@ class TestEnumeration:
         options[qf1.fragment_id] = []
         with pytest.raises(FederationError, match="no viable server"):
             enumerate_global_plans(
-                decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+                decomposed, options, REFERENCE_PROFILE
             )
 
 
@@ -138,7 +136,7 @@ class TestDominanceAndClustering:
     def test_eliminate_dominated_keeps_cheapest_per_server_set(self, q6_setup):
         decomposed, options = q6_setup
         plans = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+            decomposed, options, REFERENCE_PROFILE
         )
         survivors = eliminate_dominated(plans)
         # 2x2 server sets = 4 distinct combinations
@@ -155,7 +153,7 @@ class TestDominanceAndClustering:
     def test_cluster_near_cost_band(self, q6_setup):
         decomposed, options = q6_setup
         plans = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+            decomposed, options, REFERENCE_PROFILE
         )
         survivors = eliminate_dominated(plans)
         cluster = cluster_near_cost(survivors, band=0.2)
@@ -166,7 +164,7 @@ class TestDominanceAndClustering:
     def test_cluster_zero_band_is_singleton(self, q6_setup):
         decomposed, options = q6_setup
         plans = enumerate_global_plans(
-            decomposed, options, REFERENCE_PROFILE, DEFAULT_COST_PARAMETERS
+            decomposed, options, REFERENCE_PROFILE
         )
         cluster = cluster_near_cost(eliminate_dominated(plans), band=0.0)
         assert len(cluster) >= 1

@@ -9,7 +9,7 @@ and the whole run remains a pure function of the seed.
 
 import pytest
 
-from repro.fed import ConcurrentRuntime, HedgeConfig, HedgePolicy
+from repro.fed import ConcurrentRuntime, HedgePolicy, hedging
 from repro.fed.hedging import MAX_TRACKED
 from repro.harness import build_replica_federation
 from repro.workload import TEST_SCALE, build_workload
@@ -40,7 +40,6 @@ def make_deployment(replica_databases):
 def _drive(
     deployment,
     hedge_after_ms,
-    depth_cap=None,
     spacing_ms=1.0,
     reroute_batch_rows=None,
     bumps=0,
@@ -50,10 +49,6 @@ def _drive(
         hedge_after_ms=hedge_after_ms,
         reroute_batch_rows=reroute_batch_rows,
     )
-    if depth_cap is not None:
-        runtime.hedging.config = HedgeConfig(
-            static_after_ms=hedge_after_ms, depth_cap=depth_cap
-        )
     handles = [
         runtime.submit_at(index * spacing_ms, instance.sql, klass="gold")
         for index, instance in enumerate(
@@ -86,10 +81,9 @@ def _observables(handles):
 
 
 class TestHedgePolicy:
-    def test_static_fallback_until_min_samples(self):
-        policy = HedgePolicy(
-            HedgeConfig(static_after_ms=50.0, min_samples=4)
-        )
+    def test_static_fallback_until_min_samples(self, monkeypatch):
+        monkeypatch.setattr(hedging, "MIN_SAMPLES", 4)
+        policy = HedgePolicy(50.0)
         for latency in (1.0, 2.0, 3.0):
             policy.observe("sig", latency)
         assert policy.hedge_after("sig") == 50.0
@@ -97,9 +91,8 @@ class TestHedgePolicy:
         assert policy.hedge_after("sig") != 50.0
 
     def test_quantile_takeover_tracks_tail(self):
-        policy = HedgePolicy(
-            HedgeConfig(static_after_ms=50.0, min_samples=8, quantile=0.95)
-        )
+        assert (hedging.MIN_SAMPLES, hedging.QUANTILE) == (8, 0.95)
+        policy = HedgePolicy(50.0)
         # 19 fast observations and one 100ms straggler: p95 of the
         # sorted window lands on the straggler.
         for _ in range(19):
@@ -109,17 +102,17 @@ class TestHedgePolicy:
         # An unknown signature still gets the static fallback.
         assert policy.hedge_after("other") == 50.0
 
-    def test_window_is_sliding(self):
-        policy = HedgePolicy(
-            HedgeConfig(static_after_ms=50.0, min_samples=2, window=4)
-        )
+    def test_window_is_sliding(self, monkeypatch):
+        monkeypatch.setattr(hedging, "MIN_SAMPLES", 2)
+        monkeypatch.setattr(hedging, "WINDOW", 4)
+        policy = HedgePolicy(50.0)
         for latency in (100.0, 100.0, 1.0, 1.0, 1.0, 1.0):
             policy.observe("sig", latency)
         # The two 100ms samples have slid out of the 4-wide window.
         assert policy.hedge_after("sig") == 1.0
 
     def test_history_is_lru_bounded(self):
-        policy = HedgePolicy(HedgeConfig(static_after_ms=50.0))
+        policy = HedgePolicy(50.0)
         for index in range(MAX_TRACKED + 32):
             policy.observe(f"sig-{index}", 1.0)
         assert len(policy._history) <= MAX_TRACKED
@@ -127,16 +120,15 @@ class TestHedgePolicy:
         assert policy.samples(f"sig-{MAX_TRACKED + 31}") == 1
         assert policy.samples("sig-0") == 0
 
-    def test_depth_cap_gates_backup(self):
-        policy = HedgePolicy(
-            HedgeConfig(static_after_ms=50.0, depth_cap=2)
-        )
+    def test_depth_cap_gates_backup(self, monkeypatch):
+        monkeypatch.setattr(hedging, "DEPTH_CAP", 2)
+        policy = HedgePolicy(50.0)
         assert policy.allow_backup(0)
         assert policy.allow_backup(2)
         assert not policy.allow_backup(3)
 
     def test_outcome_bookkeeping(self):
-        policy = HedgePolicy(HedgeConfig(static_after_ms=50.0))
+        policy = HedgePolicy(50.0)
         assert policy.fired == 0
         policy.note_outcome(winner="backup", wasted_ms=3.0)
         policy.note_outcome(winner="primary", wasted_ms=2.0)
@@ -150,13 +142,11 @@ class TestHedgePolicy:
         runtime = ConcurrentRuntime(
             make_deployment().integrator, hedge_after_ms=25.0
         )
-        assert runtime.hedging.config.static_after_ms == 25.0
+        assert runtime.hedging.static_after_ms == 25.0
 
     def test_rejects_invalid_configuration(self):
         with pytest.raises(ValueError):
-            HedgeConfig(static_after_ms=-1.0)
-        with pytest.raises(ValueError):
-            HedgeConfig(static_after_ms=1.0, quantile=0.0)
+            HedgePolicy(-1.0)
 
 
 class TestDisabledEquivalence:
@@ -251,16 +241,16 @@ class TestHedgedRuns:
             fragments += len(result.plan.servers)
         assert len(deployment.meta_wrapper.runtime_log) == fragments
 
-    def test_depth_cap_zero_suppresses_every_backup(self, make_deployment):
-        """depth_cap=0 refuses any backup whose queue holds even one
+    def test_depth_cap_zero_suppresses_every_backup(
+        self, make_deployment, monkeypatch
+    ):
+        """DEPTH_CAP=0 refuses any backup whose queue holds even one
         in-flight job; under overlapping load that suppresses hedges
         that a permissive cap would fire."""
-        permissive_rt, _ = _drive(
-            make_deployment(), hedge_after_ms=1.0, depth_cap=100
-        )
-        strict_rt, handles = _drive(
-            make_deployment(), hedge_after_ms=1.0, depth_cap=0
-        )
+        monkeypatch.setattr(hedging, "DEPTH_CAP", 100)
+        permissive_rt, _ = _drive(make_deployment(), hedge_after_ms=1.0)
+        monkeypatch.setattr(hedging, "DEPTH_CAP", 0)
+        strict_rt, handles = _drive(make_deployment(), hedge_after_ms=1.0)
         assert strict_rt.hedging.suppressed >= permissive_rt.hedging.suppressed
         for handle in handles:  # suppression never breaks a query
             assert handle.result is not None, handle.error

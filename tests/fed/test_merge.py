@@ -12,7 +12,6 @@ from repro.fed import (
 from repro.fed.nicknames import FederationError
 from repro.sqlengine import (
     Catalog,
-    DEFAULT_COST_PARAMETERS,
     MaterializedInput,
     REFERENCE_PROFILE,
     rows_equal_unordered,
@@ -92,9 +91,7 @@ class TestEstimatedInput:
         leaf = EstimatedInput(
             "x", Schema((Column("a", ColumnType.INT),)), 500.0
         )
-        estimator = CostEstimator(
-            DEFAULT_COST_PARAMETERS, REFERENCE_PROFILE, StatsContext({})
-        )
+        estimator = CostEstimator(REFERENCE_PROFILE, StatsContext({}))
         cost = leaf.estimate_cost(estimator)
         assert cost.rows == 500.0
         assert cost.total == 0.0
@@ -114,13 +111,11 @@ class TestEstimateMergeCost:
             decomposed,
             {"QF1": 10.0, "QF2": 10.0},
             REFERENCE_PROFILE,
-            DEFAULT_COST_PARAMETERS,
         )
         large = estimate_merge_cost(
             decomposed,
             {"QF1": 10_000.0, "QF2": 10_000.0},
             REFERENCE_PROFILE,
-            DEFAULT_COST_PARAMETERS,
         )
         assert small.total > 0
         assert large.total > small.total

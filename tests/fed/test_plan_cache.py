@@ -6,6 +6,7 @@ from repro.core import CalibrationEpoch
 from repro.fed import (
     PlanCache,
     ReplicaManager,
+    plan_cache,
     plan_key,
 )
 from repro.harness import build_federation
@@ -36,15 +37,15 @@ def plain_deployment(sample_databases):
 class TestPlanCacheUnit:
     """Direct cache mechanics; entries hold opaque sentinels."""
 
-    def _cache(self, maxsize=8):
+    def _cache(self):
         epoch = CalibrationEpoch()
-        return PlanCache(epoch, maxsize=maxsize), epoch
+        return PlanCache(epoch), epoch
 
     def test_miss_then_hit(self):
         cache, _ = self._cache()
         key = plan_key("q1")
         assert cache.get(key, 0.0) is None
-        cache.put(key, "decomposed", ["plan"], 0.0)
+        cache.put(key, "decomposed", ["plan"])
         entry = cache.get(key, 1.0)
         assert entry is not None
         assert entry.plans == ("plan",)
@@ -54,7 +55,7 @@ class TestPlanCacheUnit:
     def test_epoch_bump_invalidates(self):
         cache, epoch = self._cache()
         key = plan_key("q1")
-        cache.put(key, "d", ["p"], 0.0, topology=3)
+        cache.put(key, "d", ["p"], topology=3)
         epoch.bump()
         assert cache.get(key, 1.0) is None
         assert cache.invalidations == 1
@@ -64,24 +65,25 @@ class TestPlanCacheUnit:
         assert cache.decomposition(key, 3) == "d"
         assert cache.decomposition(key, 4) is None
         assert cache.decomposition(plan_key("other"), 3) is None
-        cache.put(key, "d", ["p2"], 1.0, topology=3)
+        cache.put(key, "d", ["p2"], topology=3)
         assert cache.get(key, 1.0).plans == ("p2",)
         assert (len(cache), cache.invalidations, cache.evictions) == (1, 1, 0)
 
     def test_freshness_horizon_expires_entry(self):
         cache, _ = self._cache()
         key = plan_key("q1", staleness_tolerance_ms=500.0)
-        cache.put(key, "d", ["p"], 100.0, valid_until_ms=600.0)
+        cache.put(key, "d", ["p"], valid_until_ms=600.0)
         assert cache.get(key, 599.0) is not None
         assert cache.get(key, 600.0) is None
         assert cache.invalidations == 1
 
-    def test_lru_eviction_order(self):
-        cache, _ = self._cache(maxsize=2)
-        cache.put(plan_key("a"), "d", ["p"], 0.0)
-        cache.put(plan_key("b"), "d", ["p"], 0.0)
+    def test_lru_eviction_order(self, monkeypatch):
+        monkeypatch.setattr(plan_cache, "MAXSIZE", 2)
+        cache, _ = self._cache()
+        cache.put(plan_key("a"), "d", ["p"])
+        cache.put(plan_key("b"), "d", ["p"])
         cache.get(plan_key("a"), 1.0)  # refresh a's recency
-        cache.put(plan_key("c"), "d", ["p"], 2.0)  # evicts b
+        cache.put(plan_key("c"), "d", ["p"])  # evicts b
         assert cache.get(plan_key("a"), 3.0) is not None
         assert cache.get(plan_key("b"), 3.0) is None
         assert cache.get(plan_key("c"), 3.0) is not None
@@ -89,19 +91,15 @@ class TestPlanCacheUnit:
 
     def test_clear_counts_invalidations(self):
         cache, _ = self._cache()
-        cache.put(plan_key("a"), "d", ["p"], 0.0)
-        cache.put(plan_key("b"), "d", ["p"], 0.0)
+        cache.put(plan_key("a"), "d", ["p"])
+        cache.put(plan_key("b"), "d", ["p"])
         assert cache.clear() == 2
         assert cache.invalidations == 2
         assert len(cache) == 0
 
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            PlanCache(CalibrationEpoch(), maxsize=0)
-
     def test_stats_snapshot(self):
         cache, epoch = self._cache()
-        cache.put(plan_key("a"), "d", ["p"], 0.0)
+        cache.put(plan_key("a"), "d", ["p"])
         cache.get(plan_key("a"), 1.0)
         epoch.bump()
         stats = cache.stats()

@@ -1,7 +1,9 @@
 """Unit tests for metrics and report rendering."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.fed import QueryPatroller
 from repro.harness import (
     ResponseStats,
     ascii_table,
@@ -10,6 +12,12 @@ from repro.harness import (
     mean,
     percent_gain,
     percentile,
+)
+from repro.numeric import left_sum
+
+#: Response times as the experiments produce them: many, non-integral.
+_TIMES = st.lists(
+    st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=40
 )
 
 
@@ -51,6 +59,22 @@ class TestGains:
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
         assert mean([]) == 0.0
+
+
+class TestAveragesAreLeftFolds:
+    """The means behind Table 2 and Figures 10/11 add left to right on
+    every interpreter; CPython 3.12's ``sum`` compensates and differs."""
+
+    @given(_TIMES)
+    def test_mean(self, values):
+        assert mean(values) == left_sum(values) / len(values)
+
+    @given(_TIMES)
+    def test_patroller_mean_response(self, times):
+        patroller = QueryPatroller()
+        for time in times:
+            patroller.complete(patroller.submit("q", 0.0), time)
+        assert patroller.mean_response_ms() == left_sum(times) / len(times)
 
 
 class TestAsciiTable:

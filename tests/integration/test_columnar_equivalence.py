@@ -87,7 +87,6 @@ def assert_plan_equivalent(database, plan, batch_size, check_meter=True, what=No
         execute_plan(
             plan,
             database.storage,
-            database.params,
             engine=engine,
             batch_size=batch_size,
         )

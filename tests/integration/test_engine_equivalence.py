@@ -36,7 +36,7 @@ def run_all(database, sql):
     plan = database.explain(sql)[0].plan
     return {
         engine: execute_plan(
-            plan, database.storage, database.params, engine=engine
+            plan, database.storage, engine=engine
         )
         for engine in ENGINES
     }

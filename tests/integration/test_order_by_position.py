@@ -107,7 +107,7 @@ def test_local_answers_equal_sqlite(deployments, oracle, sql, keys):
     database = deployments["build_federation", "columnar"].servers["S1"].database
     plan = database.explain(sql)[0].plan
     for engine in ENGINES:
-        result = execute_plan(plan, database.storage, database.params, engine=engine)
+        result = execute_plan(plan, database.storage, engine=engine)
         _assert_same_answer(result.rows, expected, keys)
 
 

@@ -34,8 +34,8 @@ SECOND_LEGS = ({}, {"hedge_after_ms": 20.0, "reroute_batch_rows": 8})
 
 @pytest.fixture(scope="module")
 def executed():
-    """(fragment runs as (plan, database), merge runs as (plan, storage,
-    params), dispatches per second-leg setting)."""
+    """(fragment runs as (plan, database), merge runs as (plan, storage),
+    dispatches per second-leg setting)."""
     fragments = {}
     merges = []
     dispatches = [0] * len(SECOND_LEGS)
@@ -47,9 +47,9 @@ def executed():
         fragments[id(plan), id(server.database)] = (plan, server.database)
         return execution
 
-    def recording_merge(plan, storage, params):
-        merges.append((plan, storage, params))
-        return run_merge(plan, storage, params)
+    def recording_merge(plan, storage):
+        merges.append((plan, storage))
+        return run_merge(plan, storage)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RemoteServer, "execute_plan", recording_fragment)
@@ -65,9 +65,9 @@ def executed():
     return list(fragments.values()), merges, dispatches
 
 
-def _assert_engines_agree(plan, storage, params):
+def _assert_engines_agree(plan, storage):
     row, columnar = (
-        execute_plan(plan, storage, params, engine=engine)
+        execute_plan(plan, storage, engine=engine)
         for engine in ("row", "columnar")
     )
     assert columnar.rows == row.rows, plan.explain()
@@ -90,10 +90,10 @@ def test_the_sweep_covers_both_topologies_and_second_legs(executed):
 def test_fragment_plans_agree(executed):
     fragments, _, _ = executed
     for plan, database in fragments:
-        _assert_engines_agree(plan, database.storage, database.params)
+        _assert_engines_agree(plan, database.storage)
 
 
 def test_merge_plans_agree(executed):
     _, merges, _ = executed
-    for plan, storage, params in merges:
-        _assert_engines_agree(plan, storage, params)
+    for plan, storage in merges:
+        _assert_engines_agree(plan, storage)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CalibratorConfig, CostCalibrator
+from repro.core import CostCalibrator
 
 
 class TestCalibratorConvergence:
@@ -15,7 +15,7 @@ class TestCalibratorConvergence:
     def test_factor_converges_to_true_multiplier(self, multiplier, estimates):
         """If observations are exactly estimate x m, the learned factor
         is exactly m (up to clamping)."""
-        calibrator = CostCalibrator(CalibratorConfig(window=32))
+        calibrator = CostCalibrator()
         for estimate in estimates:
             calibrator.record("S", "sig", estimate, estimate * multiplier)
         calibrator.recalibrate()
@@ -29,7 +29,7 @@ class TestCalibratorConvergence:
     )
     @settings(max_examples=40, deadline=None)
     def test_factor_within_observed_range(self, multipliers):
-        calibrator = CostCalibrator(CalibratorConfig(window=32))
+        calibrator = CostCalibrator()
         for m in multipliers:
             calibrator.record("S", "sig", 10.0, 10.0 * m)
         calibrator.recalibrate()
@@ -42,7 +42,7 @@ class TestCalibratorConvergence:
     )
     @settings(max_examples=40, deadline=None)
     def test_regime_change_absorbed_in_one_cycle(self, regime_a, regime_b):
-        calibrator = CostCalibrator(CalibratorConfig(window=32))
+        calibrator = CostCalibrator()
         for _ in range(5):
             calibrator.record("S", "sig", 10.0, 10.0 * regime_a)
         calibrator.recalibrate()

@@ -18,7 +18,7 @@ the module constants alone.
 
 import pytest
 
-from repro.fed import batch_schedule
+from repro.fed import ReroutePolicy, batch_schedule
 from repro.fed.concurrent import ConcurrentRuntime
 from repro.harness.deployment import (
     REPLICA_PLACEMENT,
@@ -271,3 +271,10 @@ def test_double_bump_migrates_at_most_once(replica_databases):
     )
     assert list(perturbed.rows) == list(oracle.rows)
     assert perturbed.reroutes <= len(perturbed.fragments)
+
+
+def test_policy_rejects_a_batch_below_one_row():
+    """``--reroute-batch`` is outside input: zero rows per checkpoint is
+    refused, not looped on."""
+    with pytest.raises(ValueError):
+        ReroutePolicy(0)

@@ -88,7 +88,7 @@ def test_servers_with_equal_catalogs_share_and_plan_as_if_alone(
         db = servers[name].database
         assert [(c.signature, c.cost) for c in candidates] == [
             (c.signature, c.cost)
-            for c in plan_sql(sql, db.catalog, db.profile, db.params)
+            for c in plan_sql(sql, db.catalog, db.profile)
         ], (name, sql)
         by_text[sql][name] = _node_ids(candidates)
 

@@ -71,7 +71,7 @@ def _assert_local_answers(database, sqlite, sql):
     expected = sqlite.rows(sql)
     plan = database.explain(sql)[0].plan
     for engine in ENGINES:
-        rows = execute_plan(plan, database.storage, database.params, engine=engine).rows
+        rows = execute_plan(plan, database.storage, engine=engine).rows
         assert rows_close_unordered(rows, expected), (engine, sql)
 
 

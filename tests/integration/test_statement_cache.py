@@ -50,7 +50,7 @@ def _statements(deployment):
 def _assert_matches_oracle(asked):
     for database, sql in asked:
         oracle = _described(
-            plan_sql(sql, database.catalog, database.profile, database.params)
+            plan_sql(sql, database.catalog, database.profile)
         )
         assert _described(database.explain(sql)) == oracle, sql
         assert _described(database.explain(sql)) == oracle, sql
@@ -144,7 +144,7 @@ def test_swapped_catalog_of_equal_version_is_not_served_old_plans(tiny_db):
     after = tiny_db.explain(sql)[0]
     assert after.cost != before.cost
     assert _described([after]) == _described(
-        plan_sql(sql, other, tiny_db.profile, tiny_db.params)[:1]
+        plan_sql(sql, other, tiny_db.profile)[:1]
     )
 
 
@@ -160,7 +160,7 @@ def test_simulated_copy_is_not_served_its_sources_plans(sample_databases):
     rescaled = _described(clone.explain(sql))
     assert rescaled != source_plans
     assert rescaled == _described(
-        plan_sql(sql, clone.catalog, clone.profile, clone.params)
+        plan_sql(sql, clone.catalog, clone.profile)
     )
     assert _described(source.explain(sql)) == source_plans
 

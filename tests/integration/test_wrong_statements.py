@@ -287,7 +287,7 @@ def test_generated_statements_raise_nothing_but_sql_errors(sample_databases, sql
     for engine in ENGINES:
         try:
             rows = execute_plan(
-                best.plan, database.storage, database.params, engine=engine
+                best.plan, database.storage, engine=engine
             ).rows
         except SqlError as exc:
             outcomes.append(type(exc))

@@ -94,9 +94,10 @@ class TestStalenessDropIsObservable:
     def test_fragment_factor_drop_emits_metric_and_log(
         self, live_obs, caplog
     ):
-        from repro.core.calibrator import CalibratorConfig, CostCalibrator
+        from repro.core.calibrator import FRAGMENT_STALE_CYCLES, CostCalibrator
 
-        calibrator = CostCalibrator(CalibratorConfig(fragment_stale_cycles=2))
+        assert FRAGMENT_STALE_CYCLES == 2
+        calibrator = CostCalibrator()
         for _ in range(3):
             calibrator.record("S1", "QF1", estimated_total=10.0, observed_ms=30.0)
         calibrator.recalibrate()

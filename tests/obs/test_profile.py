@@ -330,7 +330,7 @@ class TestEngineEquivalence:
         with profiling() as profiler:
             columnar = database.run_plan(plan)
         assert columnar.rows == execute_plan(
-            plan, database.storage, database.params, engine="row"
+            plan, database.storage, engine="row"
         ).rows
         profile = profiler.capture()
         for scan in (left, right):

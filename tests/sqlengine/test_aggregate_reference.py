@@ -40,6 +40,7 @@ from repro.sqlengine import (
     populate,
 )
 from repro.sqlengine.columnar import ColumnBatch, ValueColumn
+from repro.sqlengine.cost import AGG_UPDATE_COST, CPU_OPERATOR_COST
 from repro.sqlengine.physical import (
     AGG_CHUNK_BATCHES,
     Filter,
@@ -153,7 +154,6 @@ class BatchFoldAggregate(HashAggregate):
     """The parent commit's columnar aggregation, sums left-folded."""
 
     def _rows_columnar(self, ctx):
-        params = ctx.params
         meter = ctx.meter
         child_schema = self.child.output_schema
         key_kernels = [
@@ -228,7 +228,7 @@ class BatchFoldAggregate(HashAggregate):
         get_group = groups.get
         single = len(key_kernels) == 1
         count_totals = Counter()
-        per_row = max(len(self._agg_calls), 1) * params.agg_update_cost
+        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
         consumed = 0
         for batch in self.child.rows_columnar(ctx):
             n = len(batch)
@@ -368,7 +368,7 @@ class BatchFoldAggregate(HashAggregate):
                 _AggState(name, distinct) for name, distinct in agg_specs
             ]
 
-        per_group = len(self.items) * params.cpu_operator_cost
+        per_group = len(self.items) * CPU_OPERATOR_COST
         meter.cpu_ms += len(groups) * per_group
         if not groups:
             return
@@ -469,7 +469,6 @@ def run(plan, database, engine, batch_size):
     result = execute_plan(
         plan,
         database.storage,
-        database.params,
         engine=engine,
         batch_size=batch_size,
     )
@@ -525,7 +524,7 @@ def test_qt2_reduces_once_per_group_aggregate_and_chunk(steady_db, batch_size):
     assert isinstance(plan, HashAggregate)
     rows_in = len(
         execute_plan(
-            plan.child, steady_db.storage, steady_db.params, engine="columnar"
+            plan.child, steady_db.storage, engine="columnar"
         ).rows
     )
     calls = Counter()
@@ -542,7 +541,6 @@ def test_qt2_reduces_once_per_group_aggregate_and_chunk(steady_db, batch_size):
         result = execute_plan(
             plan,
             steady_db.storage,
-            steady_db.params,
             engine="columnar",
             batch_size=batch_size,
         )

@@ -55,7 +55,7 @@ def test_fk_pk_join_collects_per_batch_not_per_key():
     gc.collect()
     gc.callbacks.append(count)
     try:
-        result = execute_plan(plan, database.storage, database.params)
+        result = execute_plan(plan, database.storage)
     finally:
         gc.callbacks.remove(count)
     assert result.rows[0][0] == SCALE.large_rows

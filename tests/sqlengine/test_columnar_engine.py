@@ -53,6 +53,7 @@ from repro.sqlengine import (
     execute_plan,
     resolve_engine,
 )
+from repro.sqlengine import cost
 from repro.sqlengine.columnar import NULL_CODE, TableColumn, TableColumns
 from repro.sqlengine.physical import (
     AGG_CHUNK_BATCHES,
@@ -71,7 +72,6 @@ def run_plan(database, plan, batch_size=4):
         engine: execute_plan(
             plan,
             database.storage,
-            database.params,
             engine=engine,
             batch_size=batch_size,
         )
@@ -401,7 +401,6 @@ class TestLimitMeters:
         tiny_db.create_table("u", Schema([Column("y", ColumnType.INT)]))
         tiny_db.load_rows("u", [(i,) for i in range(3)])
         catalog = tiny_db.catalog
-        params = tiny_db.params
         results = {}
         for engine in ENGINES:
             plan = Limit(
@@ -412,7 +411,7 @@ class TestLimitMeters:
                 5,
             )
             results[engine] = execute_plan(
-                plan, tiny_db.storage, params, engine=engine, batch_size=4
+                plan, tiny_db.storage, engine=engine, batch_size=4
             )
         assert results["columnar"].rows == results["row"].rows
         assert len(results["row"].rows) == 5
@@ -420,10 +419,10 @@ class TestLimitMeters:
         def charged(left_rows, pairs):
             total = 0.0
             for term in (
-                3 * params.cpu_tuple_cost,  # inner scan, drained
-                3 * params.materialize_tuple_cost,
-                left_rows * params.cpu_tuple_cost,
-                pairs * params.cpu_operator_cost,
+                3 * cost.CPU_TUPLE_COST,  # inner scan, drained
+                3 * cost.MATERIALIZE_TUPLE_COST,
+                left_rows * cost.CPU_TUPLE_COST,
+                pairs * cost.CPU_OPERATOR_COST,
             ):
                 total += term
             return total
@@ -908,9 +907,7 @@ class TestEngineMachinery:
         )
         results = {}
         for adapter in (PhysicalPlan, MaterializedInput):
-            ctx = ExecutionContext(
-                storage=joined_db.storage, params=joined_db.params
-            )
+            ctx = ExecutionContext(storage=joined_db.storage)
             batches = list(adapter._rows_columnar(plan, ctx))
             assert [len(b) for b in batches] == [DEFAULT_BATCH_SIZE, 5]
             assert [r for b in batches for r in b.materialize()] == data
@@ -944,7 +941,6 @@ class TestObservability:
                 execute_plan(
                     plan,
                     database.storage,
-                    database.params,
                     engine=engine,
                     batch_size=8,
                 )
@@ -993,7 +989,6 @@ class TestObservability:
             execute_plan(
                 plan,
                 ops_db.storage,
-                ops_db.params,
                 engine="columnar",
                 batch_size=8,
             )

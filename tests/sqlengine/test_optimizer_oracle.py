@@ -32,12 +32,7 @@ from repro.sqlengine import (
 )
 from repro.sqlengine.catalog import Catalog, ColumnStats, IndexDef, TableDef, TableStats
 from repro.sqlengine import optimizer as optimizer_module
-from repro.sqlengine.cost import (
-    DEFAULT_COST_PARAMETERS,
-    PlanCost,
-    ServerProfile,
-    StatsContext,
-)
+from repro.sqlengine.cost import PlanCost, ServerProfile, StatsContext
 from repro.sqlengine.database import Database
 from repro.sqlengine.expressions import combine_conjuncts, conjuncts
 from repro.sqlengine.logical import QueryBlock, bind
@@ -108,7 +103,7 @@ def test_candidate_costs_equal_a_fresh_costing(build, monkeypatch):
             assert [c.plan for c in db.explain(sql)] == [c.plan for c in candidates]
             fresh = {
                 c.signature: c.plan
-                for c in plan_sql(sql, db.catalog, db.profile, db.params)
+                for c in plan_sql(sql, db.catalog, db.profile)
             }
             for candidate in candidates:
                 plan = candidate.plan
@@ -119,7 +114,6 @@ def test_candidate_costs_equal_a_fresh_costing(build, monkeypatch):
                 assert never_costed is not plan
                 assert requoted == never_costed.estimate_cost(
                     CostEstimator(
-                        db.params,
                         OTHER_PROFILE,
                         stats_context_for_plan(never_costed),
                     )
@@ -167,9 +161,7 @@ class ReferenceOptimizer:
         """No memo of any kind: the recursion is spelled out here and
         every formula is evaluated by an estimator that has seen nothing."""
         children = [self._cost(child) for child in plan.children()]
-        estimator = CostEstimator(
-            DEFAULT_COST_PARAMETERS, self.profile, StatsContext(self.stats)
-        )
+        estimator = CostEstimator(self.profile, StatsContext(self.stats))
         return plan._cost(estimator, *children)
 
     def _access_paths(self, relation) -> List[Priced]:

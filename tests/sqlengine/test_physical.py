@@ -32,7 +32,7 @@ def data(tiny_db):
 
 
 def run(db, plan):
-    return execute_plan(plan, db.storage, db.params)
+    return execute_plan(plan, db.storage)
 
 
 class TestSeqScan:

@@ -1,6 +1,8 @@
-"""Every module-level ``def`` and ``class`` under ``src/repro`` is used.
+"""Every module-level ``def``, ``class`` and public constant under
+``src/repro`` is used.
 
-A definition earns its place by being named somewhere a non-test caller
+A public constant is a module-level assignment to an UPPER_CASE name
+(no leading underscore).  A definition earns its place by being named somewhere a non-test caller
 can reach it: in ``src/`` outside its own body (and outside the
 re-exports of an ``__init__.py``), or in ``benchmarks/`` or
 ``examples/``.  Code only tests reach belongs in the tests.  The scan
@@ -26,7 +28,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 import repro
 
@@ -47,7 +49,13 @@ ALLOWED: Dict[str, str] = {
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-Definition = Tuple[Path, ast.stmt]
+_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+class Definition(NamedTuple):
+    path: Path
+    node: ast.stmt
+    name: str
 
 
 def _module_level(tree: ast.Module) -> Iterator[ast.stmt]:
@@ -68,8 +76,24 @@ def _module_level(tree: ast.Module) -> Iterator[ast.stmt]:
             yield node
 
 
+def _assigned_constants(node: ast.stmt) -> Iterator[str]:
+    """Public UPPER_CASE names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        names = target.elts if isinstance(target, ast.Tuple) else [target]
+        for name in names:
+            if isinstance(name, ast.Name) and _CONSTANT.fullmatch(name.id):
+                yield name.id
+
+
 def definitions(root: Path) -> List[Definition]:
-    """Every module-level ``def`` / ``class`` under *root*."""
+    """Every module-level ``def`` / ``class`` / public constant under
+    *root*."""
     found: List[Definition] = []
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -77,7 +101,9 @@ def definitions(root: Path) -> List[Definition]:
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                found.append((path, node))
+                found.append(Definition(path, node, node.name))
+            for name in _assigned_constants(node):
+                found.append(Definition(path, node, name))
     return found
 
 
@@ -127,24 +153,24 @@ def unreached(src: Path, callers: List[Path]) -> List[str]:
     defs = definitions(src)
     registrars = {
         node.name
-        for _, node in defs
+        for _, node, _ in defs
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     uses = _src_uses(src)
     caller_names = _caller_names(callers)
     missing: List[str] = []
-    for path, node in defs:
-        if not isinstance(node, ast.ClassDef) and any(
+    for path, node, defined in defs:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
             _decorator_name(d) in registrars for d in node.decorator_list
         ):
             continue
         first, last = node.lineno, node.end_lineno or node.lineno
-        named = node.name in caller_names or any(
-            name == node.name and not (where == path and first <= line <= last)
+        named = defined in caller_names or any(
+            name == defined and not (where == path and first <= line <= last)
             for where, line, name in uses
         )
         if not named:
-            missing.append(f"{path}:{node.lineno}: {node.name}")
+            missing.append(f"{path}:{node.lineno}: {defined}")
     return missing
 
 
@@ -199,13 +225,24 @@ def test_scan_sees_each_way_of_being_named(tmp_path):
         "if True:\n"
         "    def versioned():\n"
         "        pass\n"
+        "\n"
+        "USED = 1\n"
+        "UNUSED, ALSO_USED = 2, 3\n"
+        "TYPED: int = 4\n"
+        "_PRIVATE = 5\n"
+        "lower = 6\n"
+        "SELF_REFERENCE = [SELF_REFERENCE for _ in ()]\n"
+        "\n"
+        "def reader():\n"
+        "    return USED + ALSO_USED\n"
     )
     bench = tmp_path / "bench"
     bench.mkdir()
     (bench / "run.py").write_text(
-        "from pkg.mod import caller\n"
+        "from pkg.mod import caller, reader\n"
         "PATCHED = 'pkg.mod.ByString'\n"
+        "print(mod.TYPED)\n"
     )
     assert sorted(
         entry.rsplit(": ", 1)[1] for entry in unreached(src, [bench])
-    ) == ["exported", "versioned"]
+    ) == ["SELF_REFERENCE", "UNUSED", "exported", "versioned"]
