@@ -4,6 +4,7 @@
 
     python -m repro demo                     # guided quickstart
     python -m repro experiment figure10      # regenerate a paper figure
+    python -m repro experiment all --markdown   # ... and EXPERIMENTS.md's tables
     python -m repro query "SELECT ..."       # one federated query
     python -m repro explain "SELECT ..." --analyze   # EXPLAIN ANALYZE
     python -m repro status --queries 20      # QCC state after a workload
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from . import obs
@@ -31,6 +33,7 @@ from .harness import (
     calibrated_pass,
     run_timeline,
 )
+from .harness.report import replace_marked_blocks
 from .obs.export import chrome_trace_json, render_prometheus
 from .obs.profile import (
     disable_profiling,
@@ -182,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure"
     )
-    experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
+    experiment.add_argument("name", choices=sorted(_EXPERIMENTS + ("all",)))
     experiment.add_argument(
         "--scale", choices=_SCALES, default="bench", help="data scale"
     )
@@ -191,6 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="also write the structured result as JSON",
+    )
+    experiment.add_argument(
+        "--markdown",
+        metavar="PATH",
+        nargs="?",
+        const="EXPERIMENTS.md",
+        help="also rewrite the results' marked blocks of PATH (EXPERIMENTS.md)",
     )
 
     query = sub.add_parser("query", help="run one federated query")
@@ -477,12 +487,21 @@ def _cmd_demo(args) -> int:
 def _cmd_experiment(args) -> int:
     print(f"Running {args.name} at {args.scale} scale (this executes the "
           "full phase sweep)...\n")
-    result = getattr(Evaluation(scale=_SCALES[args.scale]), args.name)()
-    print(result.render())
+    names = _EXPERIMENTS if args.name == "all" else (args.name,)
+    evaluation = Evaluation(scale=_SCALES[args.scale])
+    results = {name: getattr(evaluation, name)() for name in names}
+    print("\n\n".join(result.render() for result in results.values()))
     if args.json:
+        payload = {name: result.to_dict() for name, result in results.items()}
         with open(args.json, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
+            json.dump(payload.get(args.name, payload), handle, indent=2)
         print(f"\nStructured result written to {args.json}")
+    if args.markdown:
+        blocks = {name: result.markdown() for name, result in results.items()}
+        path = Path(args.markdown)
+        text = replace_marked_blocks(path.read_text("utf-8"), blocks)
+        path.write_text(text, "utf-8")
+        print(f"\nBlocks {', '.join(names)} of {args.markdown} regenerated")
     return 0
 
 

@@ -33,6 +33,7 @@ from ..sim import AvailabilitySchedule, ServerUnavailable
 from ..sqlengine import Database
 from ..workload import (
     BENCH_SCALE,
+    FIXED_ASSIGNMENT_1,
     LOAD_LEVEL,
     PHASES,
     QUERY_TYPES,
@@ -48,7 +49,7 @@ from .deployment import (
     build_federation,
 )
 from .metrics import ResponseStats, mean, percent_gain
-from .report import ascii_table, bar_chart, grouped_series
+from .report import ascii_table, bar_chart, grouped_series, markdown_table
 
 #: Idle virtual time between load regimes: the clock advances so QCC's
 #: daemons probe the servers under the *new* conditions before the
@@ -370,6 +371,29 @@ class Figure9Result:
             )
         return "\n".join(parts)
 
+    def markdown(self) -> str:
+        """One row per type and condition; the winner is bold where it
+        is not the type's winner at base."""
+        labels = {"base": "base", "loaded": "all loaded", "s3_loaded": "only S3 loaded"}
+        rows = []
+        for name, data in self.measurements.items():
+            base = data["base"]
+            for condition, label in labels.items():
+                times = data[condition]
+                winner = min(times, key=times.get)
+                if winner != min(base, key=base.get):
+                    winner = f"**{winner}**"
+                ratio = times["S3"] / base["S3"]
+                rows.append(
+                    [name, label]
+                    + [f"{ms:.1f}" for ms in times.values()]
+                    + [winner, "" if condition == "base" else f"{ratio:.1f}x"]
+                )
+        servers = list(next(iter(self.measurements.values()))["base"])
+        return markdown_table(
+            ["Type", "Condition", *servers, "Winner", "S3 / base"], rows
+        )
+
 
 @dataclass
 class Table2Result:
@@ -397,6 +421,18 @@ class Table2Result:
         rows = [[name] + values for name, values in self.assignments.items()]
         parts.append(ascii_table(["Type"] + [p.name for p in PHASES], rows))
         return "\n".join(parts)
+
+    def markdown(self) -> str:
+        """Fixed Assignment 1 beside QCC's assignment per phase, bold
+        where it differs from the all-idle first phase."""
+        rows = [
+            [name, FIXED_ASSIGNMENT_1[name]]
+            + [s if s == servers[0] else f"**{s}**" for s in servers]
+            for name, servers in self.assignments.items()
+        ]
+        return markdown_table(
+            ["Type", "Fixed"] + [p.name for p in PHASES], rows
+        )
 
 
 @dataclass
@@ -440,6 +476,18 @@ class GainResult:
         return (
             f"{table}\n\n{chart}\n\nAverage gain: {self.average_gain:.1f}%"
         )
+
+    def markdown(self) -> str:
+        rows = [
+            [p, f"{self.baseline_ms[p]:.1f}", f"{self.qcc_ms[p]:.1f}", f"{g:.1f}%"]
+            for p, g in self.gains.items()
+        ]
+        rows.append(["**avg**", "", "", f"**{self.average_gain:.1f}%**"])
+        gained = [gain for gain in self.gains.values() if gain > 0]
+        if 0 < len(gained) < len(self.gains):
+            label = f"**avg of the {len(gained)} with a gain**"
+            rows.append([label, "", "", f"**{mean(gained):.1f}%**"])
+        return markdown_table(["Phase", "Baseline (ms)", "QCC (ms)", "Gain"], rows)
 
 
 class Evaluation:

@@ -61,6 +61,27 @@ def bar_chart(
     return "\n".join(parts)
 
 
+def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """A Markdown table of already formatted cells."""
+    lines = [f"| {' | '.join(headers)} |", "|" + "---|" * len(headers)]
+    lines.extend(f"| {' | '.join(row)} |" for row in rows)
+    return "\n".join(lines)
+
+
+def replace_marked_blocks(text: str, blocks: Mapping[str, str]) -> str:
+    """*text* with the lines between ``<!-- BEGIN name -->`` and
+    ``<!-- END name -->`` replaced by ``blocks[name]``, for every name;
+    each pair of markers must occur exactly once."""
+    for name, block in blocks.items():
+        begin, end = f"<!-- BEGIN {name} -->", f"<!-- END {name} -->"
+        head, _, rest = text.partition(begin)
+        _old, found, tail = rest.partition(end)
+        if not found or text.count(begin) != 1 or text.count(end) != 1:
+            raise ValueError(f"expected one marked block {name!r}")
+        text = f"{head}{begin}\n{block}\n{end}{tail}"
+    return text
+
+
 def grouped_series(
     columns: Sequence[str],
     groups: Mapping[str, Mapping[str, float]],

@@ -35,10 +35,11 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from functools import partial
+from itertools import compress, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..numeric import left_sum
+from ..numeric import left_sum_from
 from ..obs.profile import NULL_PROFILER, OperatorProfiler, get_profiler
 from .catalog import TableDef
 from .columnar import (
@@ -82,10 +83,6 @@ from .types import Column, ColumnType, Row, Schema, SqlError
 #: Rows per batch in the columnar engine.  Large enough to amortise
 #: per-batch Python overhead, small enough to keep batches cache-warm.
 DEFAULT_BATCH_SIZE = 1024
-
-#: ``HashAggregate`` groups its input in chunks of at least this many
-#: batches' worth of rows (fewer at the end of the input).
-AGG_CHUNK_BATCHES = 4
 
 
 class ExecutionError(SqlError):
@@ -1224,47 +1221,14 @@ class _AggState:
 _STAR = object()
 
 
-def _fold_agg_dense(state: _AggState, values: Sequence[Any]) -> None:
-    """Fold a *null-free* column slice into *state* exactly as repeated
-    ``state.update(v)`` calls would, with one C-level reduction where
-    there is one: ``min``/``max`` return the first extremum, which is
-    ``update``'s keep-the-earlier-value tie behaviour, and ``left_sum``
-    is its left-to-right fold, bit for bit, on every interpreter — so a
-    total does not depend on where the slices begin and end.  DISTINCT
-    and SUM/AVG over non-numbers take the per-value ``update``."""
-    if not values:
-        return
-    name = state.name
-    if state.seen is None:
-        if name == "COUNT":
-            state.count += len(values)
-            return
-        first = values[0]
-        if name in ("SUM", "AVG") and isinstance(first, (int, float)):
-            total = state.total
-            if total is None:
-                # Seed with the first element (``0 + v`` would perturb
-                # signed zeros), then fold the rest in order.
-                state.total = left_sum(values[1:], first)
-            else:
-                state.total = left_sum(values, total)
-            state.count += len(values)
-            return
-        if name == "MIN":
-            best = min(values)
-            if state.min is None or best < state.min:
-                state.min = best
-            state.count += len(values)
-            return
-        if name == "MAX":
-            best = max(values)
-            if state.max is None or best > state.max:
-                state.max = best
-            state.count += len(values)
-            return
-    update = state.update
-    for v in values:
-        update(v)
+#: One group's COUNT / MIN / MAX over its non-NULL argument values, as
+#: ``_AggState`` computes it: ``min``/``max`` return the first extremum,
+#: which is ``update``'s keep-the-earlier-value tie behaviour.
+_GROUP_FOLDS: Dict[str, Callable[[Sequence[Any]], Any]] = {
+    "COUNT": len,
+    "MIN": partial(min, default=None),
+    "MAX": partial(max, default=None),
+}
 
 
 def _rewrite_over_internal(
@@ -1437,201 +1401,129 @@ class HashAggregate(PhysicalPlan):
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         meter = ctx.meter
         child_schema = self.child.output_schema
-        key_kernels = [
-            e.compile_columnar(child_schema) for e in self.group_by
-        ]
-        agg_specs = [
-            (call.name.upper(), call.distinct) for call in self._agg_calls
-        ]
+        key_kernels = [e.compile_columnar(child_schema) for e in self.group_by]
         # Several aggregates often share one argument expression
         # (SUM(x), AVG(x), MIN(x)...): each distinct argument is
-        # evaluated once per batch.  ``arg_keys[i]`` indexes the shared
+        # evaluated and gathered once.  ``arg_keys[i]`` indexes the shared
         # column for call *i*, or is None for COUNT(*).
-        arg_keys: List[Optional[int]] = []
-        unique_kernels: List[Any] = []
+        args: Dict[str, Expression] = {}
+        for call in self._agg_calls:
+            if call.arg is not None:
+                args.setdefault(call.arg.sql(), call.arg)
+        positions = {sql: i for i, sql in enumerate(args)}
+        arg_keys = [
+            None if call.arg is None else positions[call.arg.sql()]
+            for call in self._agg_calls
+        ]
+        unique_kernels = [e.compile_columnar(child_schema) for e in args.values()]
         # Per unique argument: the child column index when the argument
         # is a bare column reference (so the column's validity metadata
         # can prove it NULL-free), else -1.
-        unique_ref_idx: List[int] = []
-        seen_args: Dict[str, int] = {}
-        for call in self._agg_calls:
-            if call.arg is None:
-                arg_keys.append(None)
-                continue
-            sql = call.arg.sql()
-            pos = seen_args.get(sql)
-            if pos is None:
-                pos = len(unique_kernels)
-                seen_args[sql] = pos
-                unique_kernels.append(call.arg.compile_columnar(child_schema))
-                unique_ref_idx.append(
-                    child_schema.index_of(call.arg.name)
-                    if isinstance(call.arg, ColumnRef)
-                    else -1
-                )
-            arg_keys.append(pos)
+        unique_ref_idx = [
+            child_schema.index_of(e.name) if isinstance(e, ColumnRef) else -1
+            for e in args.values()
+        ]
 
-        # COUNT(*)-only grouping degenerates to a histogram: Counter
-        # runs the whole per-batch bucket-and-count at C speed (it
-        # preserves first-occurrence order, like the grouping in ``fold``).
-        count_only = (
-            bool(key_kernels)
-            and all(ak is None for ak in arg_keys)
-            and not any(distinct for _name, distinct in agg_specs)
-        )
-
-        # Dict-aware grouping: a single plain column-reference key over
-        # a dictionary-encoded column buckets by integer code and only
-        # decodes one string per *group* (code<->value is a bijection,
-        # so first-occurrence group order is unchanged).
-        single_ref_idx = -1
-        if len(self.group_by) == 1 and isinstance(self.group_by[0], ColumnRef):
-            single_ref_idx = child_schema.index_of(self.group_by[0].name)
-
-        groups: Dict[Tuple[Any, ...], List[_AggState]] = {}
+        # A single plain column-reference key over a dictionary-encoded
+        # column groups by integer code and decodes one string per
+        # *group* (code<->value is a bijection, so first-occurrence group
+        # order is unchanged) — while every batch shares one dictionary.
         single = len(key_kernels) == 1
+        coded = single and isinstance(self.group_by[0], ColumnRef)
+        key_idx = child_schema.index_of(self.group_by[0].name) if coded else -1
+        dictionary: Optional[List[str]] = None
 
-        def fold(
-            chunk: List[Tuple[Any, ...]], rows: int, dictionary: Optional[List[str]]
-        ) -> None:
-            """Group one chunk once; fold each aggregate once per group."""
-            if len(chunk) == 1:
-                key_col, cols, dense = chunk[0]
-            else:
-                key_parts, col_parts, dense_parts = zip(*chunk)
-                key_col = (
-                    list(chain.from_iterable(key_parts)) if key_kernels else None
-                )
-                cols = [list(chain.from_iterable(c)) for c in zip(*col_parts)]
-                dense = [all(d) for d in zip(*dense_parts)]
-            if not key_kernels:
-                # No GROUP BY: the whole chunk is the one group.
-                members: Any = [((), None)]
-            else:
-                index_lists: Dict[Any, List[int]] = defaultdict(list)
-                for ri, kv in enumerate(key_col):
-                    index_lists[kv].append(ri)
-                members = index_lists.items()
-            for kv, idxs in members:
-                if dictionary is not None:
-                    kv = dictionary[kv] if kv >= 0 else None
-                key = (kv,) if single else kv
-                states = groups.get(key)
-                if states is None:
-                    states = groups[key] = [
-                        _AggState(name, distinct)
-                        for name, distinct in agg_specs
-                    ]
-                # One gather per distinct argument per group, shared by
-                # every aggregate folding that argument, NULLs dropped
-                # (every aggregate skips them) unless the chunk has none.
-                if idxs is None:
-                    n, vals = rows, cols
-                else:
-                    n = len(idxs)
-                    vals = [list(map(c.__getitem__, idxs)) for c in cols]
-                vals = [
-                    v if d else [x for x in v if x is not None]
-                    for v, d in zip(vals, dense)
-                ]
-                for state, ak in zip(states, arg_keys):
-                    if ak is None:
-                        state.count += n
-                    else:
-                        _fold_agg_dense(state, vals[ak])
-
-        # Batches are buffered into chunks of at least ``chunk_limit``
-        # rows (fewer at the end, or where the key's dictionary changes),
-        # each grouped and folded once: every fold is a left fold, so
-        # the totals do not depend on where a chunk ends.
-        chunk_limit = AGG_CHUNK_BATCHES * ctx.batch_size
-        chunk: List[Tuple[Any, ...]] = []
-        chunk_rows = 0
-        chunk_dictionary = None
-        count_totals: Counter = Counter()
-        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
+        # The whole input, once: the key column and each distinct argument.
+        keys: List[Any] = []
+        cols: List[List[Any]] = [[] for _ in unique_kernels]
+        # Per argument: has validity metadata proven it NULL-free?  A plain
+        # reference's metadata does so for free; dropping NULLs costs less
+        # than searching for them.
+        dense = [ri >= 0 for ri in unique_ref_idx]
         consumed = 0
-        for batch in chain(self.child.rows_columnar(ctx), (None,)):
-            dictionary = key_col = None
-            if batch is not None:
-                consumed += len(batch)
-                if single_ref_idx >= 0:
-                    view = batch.cols[single_ref_idx].dict_view()
-                    if view is not None:
-                        codes, dictionary, _encode = view
-                        sel = batch.sel
-                        key_col = (
-                            codes if sel is None else [codes[i] for i in sel]
-                        )
-                    else:
-                        key_col = key_kernels[0](batch)
-                elif single:
-                    key_col = key_kernels[0](batch)
-                elif key_kernels:
-                    key_col = list(zip(*[k(batch) for k in key_kernels]))
-                if count_only:
-                    # Accumulate counts only; group states are built once,
-                    # after the stream (Counter preserves first-occurrence
-                    # order across updates, like the grouping in ``fold``).
+        for batch in self.child.rows_columnar(ctx):
+            consumed += len(batch)
+            if coded:
+                view = batch.cols[key_idx].dict_view()
+                if view is not None and (dictionary is None or view[1] is dictionary):
+                    codes, dictionary, _encode = view
+                    sel = batch.sel
+                    keys.extend(codes if sel is None else map(codes.__getitem__, sel))
+                else:
+                    # Codes of two dictionaries cannot share one grouping.
+                    coded = False
                     if dictionary is not None:
-                        # Count integer codes at C speed, decode per batch
-                        # (dictionaries are per-batch state, the decoded
-                        # value is the stable key).
-                        for code, cnt in Counter(key_col).items():
-                            kv = dictionary[code] if code >= 0 else None
-                            count_totals[kv] += cnt
-                    else:
-                        count_totals.update(key_col)
-                    continue
-            if chunk and (
-                batch is None
-                or chunk_rows >= chunk_limit
-                or dictionary is not chunk_dictionary
-            ):
-                fold(chunk, chunk_rows, chunk_dictionary)
-                chunk = []
-                chunk_rows = 0
-            if batch is None:
-                break
-            cols = [k(batch) for k in unique_kernels]
-            # A plain reference's validity metadata can prove it NULL-free
-            # for free; dropping NULLs costs less than searching for them.
-            dense = [
-                ri >= 0 and not batch.cols[ri].has_nulls() for ri in unique_ref_idx
-            ]
-            chunk.append((key_col, cols, dense))
-            chunk_rows += len(batch)
-            chunk_dictionary = dictionary
+                        keys = [dictionary[c] if c >= 0 else None for c in keys]
+                        dictionary = None
+            if not coded:
+                if single:
+                    keys.extend(key_kernels[0](batch))
+                elif key_kernels:
+                    keys.extend(zip(*[k(batch) for k in key_kernels]))
+            for col, kernel in zip(cols, unique_kernels):
+                col.extend(kernel(batch))
+            dense = [d and not batch.cols[ri].has_nulls() for d, ri in zip(dense, unique_ref_idx)]
+        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
         meter.cpu_ms += consumed * per_row
 
-        if count_totals:
-            for kv, cnt in count_totals.items():
-                states = [
-                    _AggState(name, distinct) for name, distinct in agg_specs
-                ]
-                for state in states:
-                    state.count += cnt
-                groups[(kv,) if single else kv] = states
-
-        if not groups and not self.group_by:
-            groups[()] = [
-                _AggState(name, distinct) for name, distinct in agg_specs
+        # Group once, in first-occurrence order, into row-id lists, and
+        # gather each argument once per group, NULLs dropped (every
+        # aggregate skips them).  Without an argument to gather, grouping
+        # is a histogram: ``Counter`` counts at C speed, in the same order.
+        if not key_kernels:
+            group_keys, sizes = [()], [consumed]
+            slices = [
+                [col if d else [v for v in col if v is not None]]
+                for col, d in zip(cols, dense)
             ]
+        elif not unique_kernels:
+            histogram = Counter(keys)
+            group_keys, sizes = list(histogram), list(histogram.values())
+            slices = []
+        else:
+            rows_of: Dict[Any, List[int]] = defaultdict(list)
+            for ri, kv in enumerate(keys):
+                rows_of[kv].append(ri)
+            group_keys, members = list(rows_of), rows_of.values()
+            sizes = list(map(len, members))
+            slices = [
+                [list(map(col.__getitem__, ids)) for ids in members] if d
+                else [[v for v in map(col.__getitem__, ids) if v is not None] for ids in members]
+                for col, d in zip(cols, dense)
+            ]
+        if dictionary is not None:
+            group_keys = [dictionary[c] if c >= 0 else None for c in group_keys]
 
         per_group = len(self.items) * CPU_OPERATOR_COST
-        meter.cpu_ms += len(groups) * per_group
-        if not groups:
+        meter.cpu_ms += len(sizes) * per_group
+        if not sizes:
             return
+        # Each aggregate over all groups at once, one C reduction per
+        # group; DISTINCT keeps each value's first occurrence.
+        agg_cols: List[List[Any]] = []
+        for call, ak in zip(self._agg_calls, arg_keys):
+            if ak is None:
+                agg_cols.append(sizes)
+                continue
+            values = slices[ak]
+            if call.distinct:
+                values = [list(dict.fromkeys(g)) for g in values]
+            name = call.name.upper()
+            if name in ("SUM", "AVG"):
+                # ``bind`` admits numbers only.  Seeded with the first
+                # value: ``0 + v`` would turn -0.0 into 0.0.
+                totals = [left_sum_from(g[1:], g[0]) if g else None for g in values]
+                if name == "AVG":
+                    totals = [t / len(g) if g else None for t, g in zip(totals, values)]
+                agg_cols.append(totals)
+            else:
+                agg_cols.append(list(map(_GROUP_FOLDS[name], values)))
+
         # HAVING and the output items run as columnar kernels over the
         # internal (keys + aggregates) rows of all groups at once.
         internal_schema = self._internal_schema()
-        internal = ColumnBatch.from_rows(
-            [
-                key + tuple(s.result() for s in states)
-                for key, states in groups.items()
-            ],
-            len(internal_schema),
-        )
+        key_cols = [group_keys] if single else [list(c) for c in zip(*group_keys)]
+        internal = ColumnBatch(tuple(map(ValueColumn, key_cols + agg_cols)), len(sizes), None)
         if self.having is not None:
             sel = self._over_internal(self.having).compile_filter_columnar(
                 internal_schema

@@ -8,6 +8,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import build_parser, main
 from repro.harness import Evaluation
+from repro.harness.report import replace_marked_blocks
 from repro.workload import QUERY_TYPES, TEST_SCALE
 
 QT1_SQL = QUERY_TYPES[0].instance(0).sql
@@ -340,3 +341,40 @@ class TestExperimentRunners:
         assert from_cli == measured.to_dict()
         assert set(measured.assignments) == {"QT1", "QT2", "QT3", "QT4"}
         assert all(len(row) == 8 for row in measured.assignments.values())
+
+    def test_all_markdown_rewrites_only_the_marked_blocks(self, tmp_path, capsys):
+        names = ("figure9", "table2", "figure10", "figure11")
+        stale = "".join(
+            f"## {name}\n\n<!-- BEGIN {name} -->\n| old |\n<!-- END {name} -->\n\nprose\n"
+            for name in names
+        )
+        path, payload = tmp_path / "EXPERIMENTS.md", tmp_path / "all.json"
+        path.write_text("# head\n\n" + stale)
+        assert main(
+            [
+                "experiment", "all", "--scale", "test",
+                "--markdown", str(path), "--json", str(payload),
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert all(title in out for title in ("Figure 9", "Table 2", "Figure 10", "Figure 11"))
+        text = path.read_text()
+        blocks = dict(
+            re.findall(r"<!-- BEGIN (\w+) -->\n(.*?)\n<!-- END \1 -->", text, re.S)
+        )
+        assert list(blocks) == list(names)
+        assert all(block.startswith("| ") for block in blocks.values())
+        # Outside the blocks nothing moved.
+        assert replace_marked_blocks(text, dict.fromkeys(names, "| old |")) == (
+            "# head\n\n" + stale
+        )
+        assert list(json.loads(payload.read_text())) == list(names)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["no markers", "<!-- BEGIN a -->\n<!-- BEGIN a -->\n<!-- END a -->", "<!-- BEGIN a -->\n"],
+        ids=["missing", "twice", "unterminated"],
+    )
+    def test_a_block_must_be_marked_once(self, text):
+        with pytest.raises(ValueError, match="'a'"):
+            replace_marked_blocks(text, {"a": "| new |"})

@@ -1,30 +1,32 @@
-"""``HashAggregate``'s columnar fold against the per-batch fold it replaced.
+"""``HashAggregate``'s whole-input aggregation against the chunked fold
+it replaced.
 
-:class:`BatchFoldAggregate` is the columnar aggregation of the parent
-commit, kept as the reference: every batch grouped on its own, each
-aggregate folded once per (batch, group) through an inlined copy of
-``_fold_agg_dense``, a separate branch for the no-key case.  Its float
-sums are ``left_sum`` — the parent's builtin ``sum`` was that
-left-to-right fold on CPython <= 3.11 only.  The operator itself buffers
-batches into chunks of ``AGG_CHUNK_BATCHES * batch_size`` rows and folds
-once per group per chunk.  A generated grammar of group keys
-(none, one, composite, dictionary-coded, NULL), aggregates (``COUNT(*)``,
-``COUNT(x)``, ``SUM``, ``AVG``, ``MIN`` / ``MAX`` over numbers and
-strings, ``DISTINCT``, shared and computed arguments, ``HAVING``),
-NULL-heavy and empty inputs and batch sizes must give ``==`` rows in
-order and ``==`` meters on both, and on the row engine.  Every fold is
-exact, so no tolerance is correct here.
+:class:`ChunkFoldAggregate` is the columnar aggregation of the parent
+commit, kept as the reference: batches buffered into chunks of
+``AGG_CHUNK_BATCHES * batch_size`` rows, each chunk grouped on its own
+and every aggregate folded into one ``_AggState`` per group through
+``_fold_agg_dense``.  The operator itself groups the whole input once
+and computes each aggregate for all groups at once.  A generated grammar
+of group keys (none, one, composite, dictionary-coded, NULL), aggregates
+(``COUNT(*)``, ``COUNT(x)``, ``SUM``, ``AVG``, ``MIN`` / ``MAX`` over
+numbers and strings, ``DISTINCT``, shared and computed arguments,
+``HAVING``), NULL-heavy and empty inputs and batch sizes must give
+``==`` rows in order and ``==`` meters on both, and on the row engine.
+Every fold is exact, so no tolerance is correct here.  (The grammar
+draws no NaN: there the reference is wrong, see
+``test_columnar_engine.py::TestExtremesPastNaN``.)
 
-The count test traces the C reductions one QT2 query makes at the
-benchmark's ``steady_engine`` data scale: at most one per group, per
-aggregate, per chunk — however many batches the join emits.
+The cost tests hold the operator to no per-group Python objects: no
+``_AggState`` without DISTINCT, and as many Python function calls at
+500 groups as at 5.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
-from collections import Counter
-from functools import reduce
+from collections import Counter, defaultdict
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,116 +44,62 @@ from repro.sqlengine import (
 from repro.sqlengine.columnar import ColumnBatch, ValueColumn
 from repro.sqlengine.cost import AGG_UPDATE_COST, CPU_OPERATOR_COST
 from repro.sqlengine.physical import (
-    AGG_CHUNK_BATCHES,
     Filter,
     HashAggregate,
     MaterializedInput,
     _AggState,
 )
-from repro.workload.queries import QT2
-from repro.workload.schema import WorkloadScale, table_specs
+from repro.workload import TEST_SCALE
+from repro.workload.queries import QUERY_TYPES
+from repro.workload.schema import table_specs
 
 
 # -- the parent's fold, kept as the reference ---------------------------------
 
-
-def _fold_agg(state, values):
-    """Fold a column slice into *state* exactly as repeated
-    ``state.update(v)`` calls would — same accumulation order, same
-    tie-breaking (``min``/``max`` keep the earlier value on ties) — but
-    without per-value method dispatch."""
-    if state.seen is not None:
-        update = state.update
-        for v in values:
-            update(v)
-        return
-    name = state.name
-    if name == "COUNT":
-        state.count += sum(1 for v in values if v is not None)
-        return
-    if name in ("SUM", "AVG"):
-        count = state.count
-        total = state.total
-        for v in values:
-            if v is not None:
-                count += 1
-                total = v if total is None else total + v
-        state.count = count
-        state.total = total
-        return
-    if name == "MIN":
-        count = state.count
-        cur = state.min
-        for v in values:
-            if v is not None:
-                count += 1
-                if cur is None or v < cur:
-                    cur = v
-        state.count = count
-        state.min = cur
-        return
-    if name == "MAX":
-        count = state.count
-        cur = state.max
-        for v in values:
-            if v is not None:
-                count += 1
-                if cur is None or v > cur:
-                    cur = v
-        state.count = count
-        state.max = cur
-        return
-    update = state.update
-    for v in values:
-        update(v)
+#: The reference groups its input in chunks of at least this many
+#: batches' worth of rows (fewer at the end of the input).
+AGG_CHUNK_BATCHES = 4
 
 
 def _fold_agg_dense(state, values):
-    """Fold a *null-free* column slice into *state* using C-level
-    reductions.  ``min``/``max`` return the first extremum, matching
-    ``_fold_agg``'s keep-the-earlier-value tie behaviour; ``left_sum`` is
-    its left-to-right fold.  DISTINCT, empty slices and non-numeric
-    SUM/AVG operands fall back to the generic fold."""
+    """Fold a *null-free* column slice into *state* exactly as repeated
+    ``state.update(v)`` calls would, with one C-level reduction where
+    there is one."""
     if not values:
         return
-    if state.seen is not None:
-        _fold_agg(state, values)
-        return
     name = state.name
-    if name == "COUNT":
-        state.count += len(values)
-        return
-    if name in ("SUM", "AVG"):
+    if state.seen is None:
+        if name == "COUNT":
+            state.count += len(values)
+            return
         first = values[0]
-        if isinstance(first, (int, float)):
+        if name in ("SUM", "AVG") and isinstance(first, (int, float)):
             total = state.total
             if total is None:
-                # Seed with the first element (``0 + v`` would perturb
-                # signed zeros), then fold the rest in order.
                 state.total = left_sum(values[1:], first)
             else:
                 state.total = left_sum(values, total)
             state.count += len(values)
             return
-        _fold_agg(state, values)
-        return
-    if name == "MIN":
-        best = min(values)
-        if state.min is None or best < state.min:
-            state.min = best
-        state.count += len(values)
-        return
-    if name == "MAX":
-        best = max(values)
-        if state.max is None or best > state.max:
-            state.max = best
-        state.count += len(values)
-        return
-    _fold_agg(state, values)
+        if name == "MIN":
+            best = min(values)
+            if state.min is None or best < state.min:
+                state.min = best
+            state.count += len(values)
+            return
+        if name == "MAX":
+            best = max(values)
+            if state.max is None or best > state.max:
+                state.max = best
+            state.count += len(values)
+            return
+    update = state.update
+    for v in values:
+        update(v)
 
 
-class BatchFoldAggregate(HashAggregate):
-    """The parent commit's columnar aggregation, sums left-folded."""
+class ChunkFoldAggregate(HashAggregate):
+    """The parent commit's columnar aggregation."""
 
     def _rows_columnar(self, ctx):
         meter = ctx.meter
@@ -162,32 +110,8 @@ class BatchFoldAggregate(HashAggregate):
         agg_specs = [
             (call.name.upper(), call.distinct) for call in self._agg_calls
         ]
-        # Per-slot fold kind, so the dense per-group loop below can
-        # dispatch without re-deriving it from the state every time:
-        # "C" count, "S" sum/avg, "<" min, ">" max, "" generic fold.
-        fold_kinds = []
-        for name, distinct in agg_specs:
-            if distinct:
-                fold_kinds.append("")
-            elif name == "COUNT":
-                fold_kinds.append("C")
-            elif name in ("SUM", "AVG"):
-                fold_kinds.append("S")
-            elif name == "MIN":
-                fold_kinds.append("<")
-            elif name == "MAX":
-                fold_kinds.append(">")
-            else:
-                fold_kinds.append("")
-        # Several aggregates often share one argument expression
-        # (SUM(x), AVG(x), MIN(x)...): each distinct argument is
-        # evaluated once per batch.  ``arg_keys[i]`` indexes the shared
-        # column for call *i*, or is None for COUNT(*).
         arg_keys = []
         unique_kernels = []
-        # Per unique argument: the child column index when the argument
-        # is a bare column reference (so denseness can be read off the
-        # column's validity metadata), else -1.
         unique_ref_idx = []
         seen_args = {}
         for call in self._agg_calls:
@@ -207,151 +131,111 @@ class BatchFoldAggregate(HashAggregate):
                 )
             arg_keys.append(pos)
 
-        # COUNT(*)-only grouping degenerates to a histogram: Counter
-        # runs the whole per-batch bucket-and-count at C speed (it
-        # preserves first-occurrence order, like the dict loop below).
         count_only = (
             bool(key_kernels)
             and all(ak is None for ak in arg_keys)
             and not any(distinct for _name, distinct in agg_specs)
         )
-
-        # Dict-aware grouping: a single plain column-reference key over
-        # a dictionary-encoded column buckets by integer code and only
-        # decodes one string per *group* (code<->value is a bijection,
-        # so first-occurrence group order is unchanged).
         single_ref_idx = -1
         if len(self.group_by) == 1 and isinstance(self.group_by[0], ColumnRef):
             single_ref_idx = child_schema.index_of(self.group_by[0].name)
 
         groups = {}
-        get_group = groups.get
         single = len(key_kernels) == 1
-        count_totals = Counter()
-        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
-        consumed = 0
-        for batch in self.child.rows_columnar(ctx):
-            n = len(batch)
-            consumed += n
-            cols = [k(batch) for k in unique_kernels]
-            # Null-free argument columns take the dense C-reduction fold;
-            # validity metadata proves it for plain references, a single
-            # identity-based ``in`` scan decides for computed arguments.
-            dense = [
-                (ri >= 0 and not batch.cols[ri].has_nulls())
-                or None not in c
-                for ri, c in zip(unique_ref_idx, cols)
-            ]
-            if not key_kernels:
-                states = get_group(())
-                if states is None:
-                    states = groups[()] = [
-                        _AggState(name, distinct)
-                        for name, distinct in agg_specs
-                    ]
-                for state, ak in zip(states, arg_keys):
-                    if ak is None:
-                        state.count += n
-                    elif dense[ak]:
-                        _fold_agg_dense(state, cols[ak])
-                    else:
-                        _fold_agg(state, cols[ak])
-                continue
-            dictionary = None
-            if single_ref_idx >= 0:
-                view = batch.cols[single_ref_idx].dict_view()
-                if view is not None:
-                    codes, dictionary, _encode = view
-                    sel = batch.sel
-                    key_col = (
-                        codes if sel is None else [codes[i] for i in sel]
-                    )
-                else:
-                    key_col = key_kernels[0](batch)
-            elif single:
-                key_col = key_kernels[0](batch)
+
+        def fold(chunk, rows, dictionary):
+            """Group one chunk once; fold each aggregate once per group."""
+            if len(chunk) == 1:
+                key_col, cols, dense = chunk[0]
             else:
-                key_col = list(zip(*[k(batch) for k in key_kernels]))
-            if count_only:
-                # Accumulate counts only; group states are built once,
-                # after the stream (Counter preserves first-occurrence
-                # order across updates, like the dict loop below).
-                if dictionary is not None:
-                    # Count integer codes at C speed, decode per batch
-                    # (dictionaries are per-batch state, the decoded
-                    # value is the stable key).
-                    for code, cnt in Counter(key_col).items():
-                        kv = dictionary[code] if code >= 0 else None
-                        count_totals[kv] += cnt
-                else:
-                    count_totals.update(key_col)
-                continue
-            index_lists = {}
-            get_list = index_lists.get
-            for ri, kv in enumerate(key_col):
-                lst = get_list(kv)
-                if lst is None:
-                    index_lists[kv] = [ri]
-                else:
-                    lst.append(ri)
-            for kv, idxs in index_lists.items():
+                key_parts, col_parts, dense_parts = zip(*chunk)
+                key_col = (
+                    list(chain.from_iterable(key_parts)) if key_kernels else None
+                )
+                cols = [list(chain.from_iterable(c)) for c in zip(*col_parts)]
+                dense = [all(d) for d in zip(*dense_parts)]
+            if not key_kernels:
+                members = [((), None)]
+            else:
+                index_lists = defaultdict(list)
+                for ri, kv in enumerate(key_col):
+                    index_lists[kv].append(ri)
+                members = index_lists.items()
+            for kv, idxs in members:
                 if dictionary is not None:
                     kv = dictionary[kv] if kv >= 0 else None
                 key = (kv,) if single else kv
-                states = get_group(key)
+                states = groups.get(key)
                 if states is None:
                     states = groups[key] = [
                         _AggState(name, distinct)
                         for name, distinct in agg_specs
                     ]
-                # One gather per distinct argument per group, shared by
-                # every aggregate folding that argument; dense folds are
-                # inlined (same reductions as ``_fold_agg_dense``) so the
-                # per-group-per-aggregate cost is one C reduction, not a
-                # dispatching function call.
-                n_idx = len(idxs)
-                gathered = [None] * len(cols)
-                for state, ak, kind in zip(states, arg_keys, fold_kinds):
+                if idxs is None:
+                    n, vals = rows, cols
+                else:
+                    n = len(idxs)
+                    vals = [list(map(c.__getitem__, idxs)) for c in cols]
+                vals = [
+                    v if d else [x for x in v if x is not None]
+                    for v, d in zip(vals, dense)
+                ]
+                for state, ak in zip(states, arg_keys):
                     if ak is None:
-                        state.count += n_idx
-                        continue
-                    if not kind or not dense[ak]:
-                        vals = gathered[ak]
-                        if vals is None:
-                            col = cols[ak]
-                            vals = gathered[ak] = [col[i] for i in idxs]
-                        _fold_agg(state, vals)
-                        continue
-                    if kind == "C":
-                        # Dense COUNT(arg) needs no gather at all.
-                        state.count += n_idx
-                        continue
-                    vals = gathered[ak]
-                    if vals is None:
-                        col = cols[ak]
-                        vals = gathered[ak] = [col[i] for i in idxs]
-                    if kind == "S":
-                        first = vals[0]
-                        if not isinstance(first, (int, float)):
-                            _fold_agg(state, vals)
-                            continue
-                        total = state.total
-                        state.total = (
-                            left_sum(vals[1:], first)
-                            if total is None
-                            else left_sum(vals, total)
-                        )
-                        state.count += n_idx
-                    elif kind == "<":
-                        best = min(vals)
-                        if state.min is None or best < state.min:
-                            state.min = best
-                        state.count += n_idx
+                        state.count += n
                     else:
-                        best = max(vals)
-                        if state.max is None or best > state.max:
-                            state.max = best
-                        state.count += n_idx
+                        _fold_agg_dense(state, vals[ak])
+
+        chunk_limit = AGG_CHUNK_BATCHES * ctx.batch_size
+        chunk = []
+        chunk_rows = 0
+        chunk_dictionary = None
+        count_totals = Counter()
+        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
+        consumed = 0
+        for batch in chain(self.child.rows_columnar(ctx), (None,)):
+            dictionary = key_col = None
+            if batch is not None:
+                consumed += len(batch)
+                if single_ref_idx >= 0:
+                    view = batch.cols[single_ref_idx].dict_view()
+                    if view is not None:
+                        codes, dictionary, _encode = view
+                        sel = batch.sel
+                        key_col = (
+                            codes if sel is None else [codes[i] for i in sel]
+                        )
+                    else:
+                        key_col = key_kernels[0](batch)
+                elif single:
+                    key_col = key_kernels[0](batch)
+                elif key_kernels:
+                    key_col = list(zip(*[k(batch) for k in key_kernels]))
+                if count_only:
+                    if dictionary is not None:
+                        for code, cnt in Counter(key_col).items():
+                            kv = dictionary[code] if code >= 0 else None
+                            count_totals[kv] += cnt
+                    else:
+                        count_totals.update(key_col)
+                    continue
+            if chunk and (
+                batch is None
+                or chunk_rows >= chunk_limit
+                or dictionary is not chunk_dictionary
+            ):
+                fold(chunk, chunk_rows, chunk_dictionary)
+                chunk = []
+                chunk_rows = 0
+            if batch is None:
+                break
+            cols = [k(batch) for k in unique_kernels]
+            dense = [
+                ri >= 0 and not batch.cols[ri].has_nulls() for ri in unique_ref_idx
+            ]
+            chunk.append((key_col, cols, dense))
+            chunk_rows += len(batch)
+            chunk_dictionary = dictionary
         meter.cpu_ms += consumed * per_row
 
         if count_totals:
@@ -372,8 +256,6 @@ class BatchFoldAggregate(HashAggregate):
         meter.cpu_ms += len(groups) * per_group
         if not groups:
             return
-        # HAVING and the output items run as columnar kernels over the
-        # internal (keys + aggregates) rows of all groups at once.
         internal_schema = self._internal_schema()
         internal = ColumnBatch.from_rows(
             [
@@ -462,7 +344,7 @@ def aggregate_plans(rows, sql, source):
         if scan.predicate is not None:
             child = Filter(child, scan.predicate)
     args = (child, plan.group_by, plan.items, plan.output_schema, plan.having)
-    return HashAggregate(*args), BatchFoldAggregate(*args), database
+    return HashAggregate(*args), ChunkFoldAggregate(*args), database
 
 
 def run(plan, database, engine, batch_size):
@@ -486,7 +368,7 @@ def run(plan, database, engine, batch_size):
     source=st.sampled_from(sorted(SOURCES)),
     batch_size=st.sampled_from([1, 2, 3, 7, 1024]),
 )
-def test_matches_per_batch_fold(
+def test_matches_chunk_fold(
     rows, keys, aggregates, having, where, source, batch_size
 ):
     group = f" GROUP BY {', '.join(keys)}" if keys else ""
@@ -497,59 +379,82 @@ def test_matches_per_batch_fold(
     assert run(plan, database, "row", batch_size) == expected, sql
 
 
-# -- C reductions per QT2 query ------------------------------------------------
+# -- no per-group Python objects ----------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def steady_db():
-    """The sample database at the ``steady_engine`` benchmark's scale."""
-    database = Database(name="steady")
-    populate(
-        database,
-        table_specs(WorkloadScale(large_rows=24_000, small_rows=1_200)),
-        seed=7,
+def test_no_aggregate_state_without_distinct(monkeypatch):
+    database = Database(name="states")
+    populate(database, table_specs(TEST_SCALE), seed=7)
+    built = []
+    init = _AggState.__init__
+
+    def counting(self, name, distinct):
+        built.append(name)
+        init(self, name, distinct)
+
+    monkeypatch.setattr(_AggState, "__init__", counting)
+    for template in QUERY_TYPES:
+        sql = template.instance(0).sql
+        assert "DISTINCT" not in sql
+        assert execute_plan(
+            database.explain(sql)[0].plan, database.storage, engine="columnar"
+        ).rows
+    assert built == []
+
+
+def _grouped_db(groups):
+    """2 000 rows over *groups* keys, int and string, NULLs in ``x``."""
+    database = Database(name=f"groups-{groups}")
+    database.create_table("t", SCHEMA)
+    database.load_rows(
+        "t",
+        [
+            (i % groups, f"k{i % groups}", None if i % 7 == 0 else i / 8, i % 11)
+            for i in range(2_000)
+        ],
     )
+    database.analyze()
     return database
 
 
-_REDUCTIONS = {sum: "sum", min: "min", max: "max", reduce: "reduce"}
-#: Where a fold's reduction is called from, besides ``HashAggregate``'s
-#: own methods (``fold`` is the chunk fold inside ``_rows_columnar``).
-_FOLDS = {"_fold_agg_dense", "left_sum", "fold"}
+#: 3.11's comprehensions are frames of their own; 3.12 inlines them
+#: (PEP 709), so only function calls are counted.
+_COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 
 
-@pytest.mark.parametrize("batch_size", [256, 1024])
-def test_qt2_reduces_once_per_group_aggregate_and_chunk(steady_db, batch_size):
-    plan = steady_db.explain(QT2.instance(0).sql)[0].plan
-    assert isinstance(plan, HashAggregate)
-    rows_in = len(
-        execute_plan(
-            plan.child, steady_db.storage, engine="columnar"
-        ).rows
-    )
+def _python_calls(database, sql):
+    plan = database.explain(sql)[0].plan
+    assert isinstance(plan, HashAggregate), plan.explain()
     calls = Counter()
 
     def trace(frame, event, arg):
-        if event == "c_call" and arg in _REDUCTIONS:
-            if frame.f_code.co_name in _FOLDS or isinstance(
-                frame.f_locals.get("self"), HashAggregate
-            ):
-                calls[_REDUCTIONS[arg]] += 1
+        if event == "call" and frame.f_code.co_name not in _COMPREHENSIONS:
+            calls[frame.f_code.co_name] += 1
 
+    # A collection runs whatever ``gc.callbacks`` hold, in Python.
+    gc.disable()
     sys.setprofile(trace)
     try:
-        result = execute_plan(
-            plan,
-            steady_db.storage,
-            engine="columnar",
-            batch_size=batch_size,
-        )
+        result = execute_plan(plan, database.storage, engine="columnar")
     finally:
         sys.setprofile(None)
-    groups = len(result.rows)
-    aggregates = sum(1 for call in plan._agg_calls if call.arg is not None)
-    chunks = -(-rows_in // (AGG_CHUNK_BATCHES * batch_size))
-    assert (groups, aggregates) == (50, 8)
-    # Two calls per execution are not folds: ``max`` prices the per-row
-    # meter charge and ``min`` bounds the one output batch.
-    assert sum(calls.values()) <= groups * aggregates * chunks + 2, calls
+        gc.enable()
+    return calls, len(result.rows)
+
+
+@pytest.mark.parametrize("key", ["g", "s"], ids=["int-key", "dictionary-key"])
+@pytest.mark.parametrize(
+    "aggregates",
+    [
+        "COUNT(*)",
+        "COUNT(*), COUNT(x), SUM(x), AVG(x * y), MIN(x), MAX(x * y), "
+        "SUM(DISTINCT y), MIN(s), MAX(y)",
+    ],
+    ids=["histogram", "folds"],
+)
+def test_python_calls_do_not_grow_with_groups(key, aggregates):
+    sql = f"SELECT {key}, {aggregates} FROM t GROUP BY {key} HAVING COUNT(*) > 0"
+    few, few_rows = _python_calls(_grouped_db(5), sql)
+    many, many_rows = _python_calls(_grouped_db(500), sql)
+    assert (few_rows, many_rows) == (5, 500)
+    assert many == few

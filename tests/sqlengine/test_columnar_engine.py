@@ -54,12 +54,8 @@ from repro.sqlengine import (
     resolve_engine,
 )
 from repro.sqlengine import cost
-from repro.sqlengine.columnar import NULL_CODE, TableColumn, TableColumns
-from repro.sqlengine.physical import (
-    AGG_CHUNK_BATCHES,
-    ExecutionContext,
-    MaterializedInput,
-)
+from repro.sqlengine.columnar import NULL_CODE, TableColumn, TableColumns, _build_dict
+from repro.sqlengine.physical import ExecutionContext, MaterializedInput
 
 
 def meter_tuple(result):
@@ -738,9 +734,9 @@ class TestHashJoinBuildClassification:
 # -- float aggregates are left folds ----------------------------------------
 #
 # SUM / AVG must be the row engine's ``total + value`` fold bit for bit at
-# every batch size and across the aggregate's chunk boundaries.  Any
-# other order or grouping of these additions rounds differently — CPython
-# 3.12's compensated ``sum()`` among them.
+# every batch size, across batch boundaries.  Any other order or grouping
+# of these additions rounds differently — CPython 3.12's compensated
+# ``sum()`` among them.
 
 
 def _fold_rows():
@@ -786,8 +782,6 @@ class TestFloatAggregatesAreLeftFolds:
     @pytest.mark.parametrize("batch_size", [1, 7, DEFAULT_BATCH_SIZE])
     @pytest.mark.parametrize("data", sorted(FOLD_ROWS))
     def test_grouped(self, data, batch_size):
-        # Several chunks at batch sizes 1 and 7.
-        assert len(FOLD_ROWS[data]) > AGG_CHUNK_BATCHES * 7
         rows = self.run(
             "SELECT g, SUM(x), AVG(x), COUNT(x) FROM t GROUP BY g", data, batch_size
         )
@@ -803,6 +797,68 @@ class TestFloatAggregatesAreLeftFolds:
         self.run(
             "SELECT SUM(x), AVG(x), SUM(x * 3), AVG(x + 0.1) FROM t", data, batch_size
         )
+
+
+class PerBatchDictionaries(MaterializedInput):
+    """A leaf that dictionary-encodes column 0 of every batch (or of every
+    other one) with a dictionary of the batch's own."""
+
+    def __init__(self, name, schema, data, every):
+        super().__init__(name, schema, data)
+        self.every = every
+
+    def _rows_columnar(self, ctx):
+        for i, batch in enumerate(super()._rows_columnar(ctx)):
+            if i % self.every == 0:
+                coded = _build_dict(batch.column_values(0))
+                batch = ColumnBatch((coded,) + tuple(batch.cols[1:]), batch.n_rows)
+            yield batch
+
+
+class TestGroupingAcrossDictionaries:
+    """Codes of two dictionaries cannot share one grouping: the key's
+    groups, their order and the meters match the row engine when each
+    batch brings its own dictionary, or only some batches have one."""
+
+    @pytest.mark.parametrize("every", [1, 2], ids=["each-batch", "alternate"])
+    @pytest.mark.parametrize("aggregates", ["COUNT(*)", "COUNT(*), SUM(x), MIN(k)"])
+    def test_groups_match_the_row_engine(self, aggregates, every):
+        database = Database("dictionaries")
+        database.create_table(
+            "t", Schema((Column("k", ColumnType.STR), Column("x", ColumnType.INT)))
+        )
+        agg = database.explain(f"SELECT k, {aggregates} FROM t GROUP BY k")[0].plan
+        rows = [("b", 1), ("a", 2), ("a", 3), (None, 4), ("c", 5), ("b", 6), (None, 7)]
+        child = PerBatchDictionaries("t", agg.child.output_schema, rows, every)
+        plan = HashAggregate(child, agg.group_by, agg.items, agg.output_schema, agg.having)
+        result = assert_plan_equivalent(database, plan, batch_size=2)["columnar"]
+        assert [row[0] for row in result.rows] == ["b", "a", None, "c"]
+
+
+class TestExtremesPastNaN:
+    """MIN / MAX compare every value with the running extreme, as the
+    row engine does: a NaN never wins a comparison, so it stays only
+    where it comes first.  Here it comes after 4 096 rows of 1.0, four
+    full batches, and is followed by the true extremes.  SQL makes NaN
+    from finite data: ``1e308 * 10 - 1e308 * 10`` is ``inf - inf``."""
+
+    @pytest.mark.parametrize("group", ["", " GROUP BY g"], ids=["global", "grouped"])
+    @pytest.mark.parametrize(
+        "arg, nan_row",
+        [("x", math.nan), ("x * 10 - x * 10 + x", 1e308)],
+        ids=["stored", "computed"],
+    )
+    def test_nan_in_a_later_batch(self, arg, nan_row, group):
+        database = Database("nan-extremes")
+        database.create_table(
+            "t", Schema((Column("g", ColumnType.INT), Column("x", ColumnType.FLOAT)))
+        )
+        database.load_rows(
+            "t", [(0, 1.0)] * 4096 + [(0, nan_row), (0, 0.5), (0, 2.0)]
+        )
+        sql = f"SELECT MIN({arg}), MAX({arg}) FROM t{group}"
+        results = assert_all_equivalent(database, sql, DEFAULT_BATCH_SIZE)
+        assert results["columnar"].rows == [(0.5, 2.0)]
 
 
 @pytest.fixture(scope="module")
