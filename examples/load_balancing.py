@@ -11,7 +11,12 @@ within 20% of the cheapest and rotates round-robin.
 Run:  python examples/load_balancing.py
 """
 
-from repro.core import LoadBalanceConfig, QCCConfig, WhatIfPlanner
+from repro.core import (
+    LoadBalanceConfig,
+    QCCConfig,
+    WhatIfPlanner,
+    build_simulated_meta_wrapper,
+)
 from repro.core.cycle import CycleConfig
 from repro.harness import ascii_table, build_replica_federation, mean
 from repro.workload import TEST_SCALE
@@ -57,11 +62,13 @@ def run_stream(balanced: bool, queries: int = 20):
 def main() -> None:
     print("Hot query (Q6):", Q6, "\n")
 
-    # First, show the what-if machinery the balancer relies on.
+    # First, show the what-if machinery the balancer relies on: masked
+    # explains against a simulated copy of the federation (stats-only
+    # servers, QCC's factors read but never fed).
     deployment, _, _ = run_stream(balanced=False, queries=1)
     planner = WhatIfPlanner(
         registry=deployment.registry,
-        meta_wrapper=deployment.meta_wrapper,
+        meta_wrapper=build_simulated_meta_wrapper(deployment),
         ii_profile=deployment.integrator.profile,
     )
     whatif = planner.derive_global_plans(Q6, deployment.clock.now)

@@ -7,26 +7,20 @@ policy and in whether a QCC is attached.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 from ..fed import FixedRouter, PreferredServerRouter
 from ..harness.deployment import Deployment, build_federation
 from ..workload import FIXED_ASSIGNMENT_1, PREFERRED_SERVER
 
 
-def fixed_assignment_deployment(
-    assignment: Optional[Mapping[str, str]] = None, **options
-) -> Deployment:
+def fixed_assignment_deployment(**options) -> Deployment:
     """Fixed Assignment 1: per-query-type routing frozen at registration."""
-    router = FixedRouter(assignment or FIXED_ASSIGNMENT_1)
+    router = FixedRouter(FIXED_ASSIGNMENT_1)
     return build_federation(with_qcc=False, router=router, **options)
 
 
-def preferred_server_deployment(
-    server: str = PREFERRED_SERVER, **options
-) -> Deployment:
+def preferred_server_deployment(**options) -> Deployment:
     """Fixed Assignment 2: always route to the most powerful server."""
-    router = PreferredServerRouter(server)
+    router = PreferredServerRouter(PREFERRED_SERVER)
     return build_federation(with_qcc=False, router=router, **options)
 
 

@@ -85,21 +85,17 @@ def global_random_uses(root: Union[str, Path]) -> List[str]:
     return uses
 
 
-def forbid_global_random(root: Optional[Union[str, Path]] = None) -> None:
-    """Error out if the target package touches global ``random`` state.
+def forbid_global_random() -> None:
+    """Error out if the simulator touches global ``random`` state.
 
-    Defaults to scanning both ``src/repro/sim`` (the simulation
-    substrate, event scheduler included) and ``src/repro/fed`` (the
-    federation layer: admission control's arrival generators consume
-    randomness too) — every package a chaos scenario executes stochastic
-    code from.
+    Scans both ``src/repro/sim`` (the simulation substrate, event
+    scheduler included) and ``src/repro/fed`` (the federation layer:
+    admission control's arrival generators consume randomness too) —
+    every package a chaos scenario executes stochastic code from.
     """
-    if root is None:
-        from .. import fed, sim
+    from .. import fed, sim
 
-        roots = [Path(sim.__file__).parent, Path(fed.__file__).parent]
-    else:
-        roots = [Path(root)]
+    roots = [Path(sim.__file__).parent, Path(fed.__file__).parent]
     uses: List[str] = []
     for package_root in roots:
         uses.extend(global_random_uses(package_root))

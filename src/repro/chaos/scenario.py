@@ -54,7 +54,7 @@ QUERY_TYPE_NAMES: Tuple[str, ...] = tuple(
 #: Virtual-time horizon (ms) fault windows are sampled within.  Matched
 #: to the span a handful of test-scale queries actually covers, so
 #: faults overlap query execution instead of landing in dead time.
-DEFAULT_HORIZON_MS = 4_000.0
+HORIZON_MS = 4_000.0
 
 
 @dataclass(frozen=True)
@@ -317,17 +317,15 @@ class ScenarioSpec:
 # -- generation --------------------------------------------------------------
 
 
-def _sample_fault(
-    rng, topology: str, horizon_ms: float
-) -> FaultEvent:
+def _sample_fault(rng, topology: str) -> FaultEvent:
     servers = TOPOLOGY_SERVERS[topology]
     kinds: List[str] = ["outage", "flaky", "latency", "storm"]
     if REPLICA_LAG_NICKNAMES[topology]:
         kinds.append("replica_lag")
     kind = rng.choice(kinds)
     server = rng.choice(servers)
-    start = round(rng.uniform(0.0, horizon_ms * 0.8), 1)
-    duration = round(rng.uniform(150.0, horizon_ms * 0.4), 1)
+    start = round(rng.uniform(0.0, HORIZON_MS * 0.8), 1)
+    duration = round(rng.uniform(150.0, HORIZON_MS * 0.4), 1)
     end = start + duration
     if kind == "outage":
         return FaultEvent(kind, server, start, end)
@@ -352,10 +350,7 @@ REROUTE_BATCH_CHOICES = (4, 16, 64)
 
 
 def generate_scenario(
-    seed: int,
-    index: int,
-    horizon_ms: float = DEFAULT_HORIZON_MS,
-    reroute_rate: float = 0.0,
+    seed: int, index: int, reroute_rate: float = 0.0
 ) -> ScenarioSpec:
     """Sample one scenario; pure function of ``(seed, index)``.
 
@@ -382,7 +377,7 @@ def generate_scenario(
     fault_rng = derive_rng(seed, "chaos", index, "faults")
     fault_count = fault_rng.randint(1, 6)
     faults = tuple(
-        _sample_fault(fault_rng, topology, horizon_ms)
+        _sample_fault(fault_rng, topology)
         for _ in range(fault_count)
     )
 
@@ -435,15 +430,9 @@ def generate_scenario(
 
 
 def generate_scenarios(
-    seed: int,
-    count: int,
-    horizon_ms: float = DEFAULT_HORIZON_MS,
-    reroute_rate: float = 0.0,
+    seed: int, count: int, reroute_rate: float = 0.0
 ) -> List[ScenarioSpec]:
-    return [
-        generate_scenario(seed, i, horizon_ms, reroute_rate)
-        for i in range(count)
-    ]
+    return [generate_scenario(seed, i, reroute_rate) for i in range(count)]
 
 
 def fault_window_steps(

@@ -104,7 +104,6 @@ def shrink_schedule(
     spec: ScenarioSpec,
     failing: FailureProbe,
     max_attempts: int = 200,
-    shrink_queries: bool = True,
 ) -> ShrinkResult:
     """Minimise *spec* while ``failing(spec)`` keeps reporting a failure.
 
@@ -132,7 +131,7 @@ def shrink_schedule(
     current = replace(current, faults=tuple(faults))
     message = fault_message or message
 
-    if shrink_queries and not budget.exhausted:
+    if not budget.exhausted:
         queries, query_message = _ddmin(
             current.queries,
             lambda candidate: failing(

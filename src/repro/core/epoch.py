@@ -26,8 +26,8 @@ class CalibrationEpoch:
 
     __slots__ = ("value", "_listeners")
 
-    def __init__(self, value: int = 0):
-        self.value = value
+    def __init__(self) -> None:
+        self.value = 0
         self._listeners = []
 
     def bump(self) -> int:

@@ -8,18 +8,13 @@ time ("the implementation is done by adjusting cost functions of [the
 other servers] to infinity"), collecting the winner of each masked
 compilation — 4 explain calls for the paper's 2×2 example instead of
 enumerating all 9 combinations.
-
-The planner can also *prune probe combinations*: servers whose cost
-calibration factors exceed a threshold are excluded up front ("QCC ...
-can exclude those remote sources with very high server cost calibration
-factors from being considered as candidates").
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..sqlengine import Database, ServerProfile
 from ..fed.decomposer import decompose
@@ -100,42 +95,12 @@ class WhatIfPlanner:
         registry: NicknameRegistry,
         meta_wrapper,
         ii_profile: ServerProfile,
-        factor_lookup: Optional[Callable[[str], float]] = None,
-        exclude_factor_threshold: Optional[float] = None,
     ):
         self.registry = registry
         self.meta_wrapper = meta_wrapper
         self.ii_profile = ii_profile
-        self.factor_lookup = factor_lookup
-        self.exclude_factor_threshold = exclude_factor_threshold
 
-    @classmethod
-    def from_deployment(
-        cls,
-        deployment,
-        use_calibration: bool = True,
-        exclude_factor_threshold: Optional[float] = None,
-    ) -> "WhatIfPlanner":
-        """Build a planner over a fully *simulated* federated system.
-
-        The returned planner compiles against stats-only virtual copies
-        of the deployment's servers — the paper's Figure 2 architecture,
-        where QCC's what-if analysis never touches the live data path.
-        """
-        simulated_mw = build_simulated_meta_wrapper(
-            deployment, use_calibration=use_calibration
-        )
-        return cls(
-            registry=deployment.registry,
-            meta_wrapper=simulated_mw,
-            ii_profile=deployment.integrator.profile,
-            factor_lookup=deployment.qcc.factor,
-            exclude_factor_threshold=exclude_factor_threshold,
-        )
-
-    def derive_global_plans(
-        self, sql: str, t_ms: float, ii_factor: float = 1.0
-    ) -> WhatIfResult:
+    def derive_global_plans(self, sql: str, t_ms: float) -> WhatIfResult:
         """Enumerate distinct winner plans across server-mask combinations."""
         decomposed = decompose(sql, self.registry)
         options: Dict[str, List[FragmentOption]] = {}
@@ -146,7 +111,6 @@ class WhatIfPlanner:
             )
             options[fragment.fragment_id] = fragment_options
             servers = sorted({o.server for o in fragment_options})
-            servers = [s for s in servers if not self._excluded(s)]
             server_sets.append((fragment.fragment_id, servers))
 
         winners: List[GlobalPlan] = []
@@ -170,7 +134,6 @@ class WhatIfPlanner:
                 decomposed,
                 masked,
                 self.ii_profile,
-                ii_calibration_factor=ii_factor,
                 keep=1,
             )
             winner = plans[0]
@@ -198,8 +161,3 @@ class WhatIfPlanner:
             explain_calls=explain_calls,
             masked_combinations=combinations,
         )
-
-    def _excluded(self, server: str) -> bool:
-        if self.factor_lookup is None or self.exclude_factor_threshold is None:
-            return False
-        return self.factor_lookup(server) > self.exclude_factor_threshold

@@ -190,37 +190,34 @@ class PoissonArrivals(ArrivalProcess):
         return f"poisson(rate={self.rate_qps:g}qps)"
 
 
+#: Mean dwell times (virtual ms) of the bursty source's on and off states.
+BURST_ON_MS = 400.0
+BURST_OFF_MS = 600.0
+
+
 class BurstyArrivals(ArrivalProcess):
     """On/off Markov-modulated Poisson process (MMPP-2).
 
     The source alternates between an *on* state emitting Poisson
     arrivals at ``rate_qps / duty`` and a silent *off* state; state
-    dwell times are exponential with means ``on_ms`` and ``off_ms``
-    (``duty = on_ms / (on_ms + off_ms)``).  The long-run average rate is
+    dwell times are exponential with means :data:`BURST_ON_MS` and
+    :data:`BURST_OFF_MS` (``duty = on / (on + off)``).  The long-run
+    average rate is
     ``rate_qps``, but arrivals cluster into bursts — the overload shape
     that actually breaks latency SLOs in production.
     """
 
-    def __init__(
-        self,
-        rate_qps: float,
-        seed: int,
-        *path: object,
-        on_ms: float = 400.0,
-        off_ms: float = 600.0,
-    ):
-        if rate_qps <= 0 or on_ms <= 0 or off_ms <= 0:
-            raise ValueError("rate and dwell times must be positive")
+    def __init__(self, rate_qps: float, seed: int, *path: object):
+        if rate_qps <= 0:
+            raise ValueError(f"rate must be positive, got {rate_qps}")
         self.rate_qps = rate_qps
-        self.on_ms = on_ms
-        self.off_ms = off_ms
         self._rng = derive_rng(seed, "arrivals", "bursty", rate_qps, *path)
 
     def gaps(self) -> Iterator[float]:
-        duty = self.on_ms / (self.on_ms + self.off_ms)
+        duty = BURST_ON_MS / (BURST_ON_MS + BURST_OFF_MS)
         burst_rate_per_ms = (self.rate_qps / duty) / 1000.0
         rng = self._rng
-        remaining_on = rng.expovariate(1.0 / self.on_ms)
+        remaining_on = rng.expovariate(1.0 / BURST_ON_MS)
         while True:
             elapsed = 0.0
             gap = rng.expovariate(burst_rate_per_ms)
@@ -229,15 +226,15 @@ class BurstyArrivals(ArrivalProcess):
             # arrivals.
             while gap > remaining_on:
                 gap -= remaining_on
-                elapsed += remaining_on + rng.expovariate(1.0 / self.off_ms)
-                remaining_on = rng.expovariate(1.0 / self.on_ms)
+                elapsed += remaining_on + rng.expovariate(1.0 / BURST_OFF_MS)
+                remaining_on = rng.expovariate(1.0 / BURST_ON_MS)
             remaining_on -= gap
             yield elapsed + gap
 
     def describe(self) -> str:
         return (
-            f"bursty(rate={self.rate_qps:g}qps, on={self.on_ms:g}ms, "
-            f"off={self.off_ms:g}ms)"
+            f"bursty(rate={self.rate_qps:g}qps, on={BURST_ON_MS:g}ms, "
+            f"off={BURST_OFF_MS:g}ms)"
         )
 
 
@@ -421,9 +418,6 @@ class AdmissionController:
             predicted
         )
         return decision
-
-    def shed_decisions(self) -> List[AdmissionDecision]:
-        return [d for d in self.decisions if not d.admitted]
 
 
 def shed_violations(

@@ -534,18 +534,18 @@ class RacedDispatch(QueuedDispatch):
     ) -> Optional[tuple]:
         """Execute *slot*'s fragment at *target* as its second leg, the
         *name* span (hence its queue lifecycle or cancelled slice) under
-        the dispatch span.  No siblings, ``report=False``: a leg that
-        may lose, or ships only a tail, is never substituted and must
-        never feed the calibrator.  Returns the slot's new ``leg`` —
-        (option, execution, span, migration checkpoint or None) — or
-        None if the target is down."""
+        the dispatch span.  No siblings: a leg that may lose, or ships
+        only a tail, is never substituted, and only its failure is
+        reported here (settle decides what the calibrator learns).
+        Returns the slot's new ``leg`` — (option, execution, span,
+        migration checkpoint or None) — or None if the target is down."""
+        meta_wrapper = self.runtime.integrator.meta_wrapper
         try:
-            target, execution = (
-                self.runtime.integrator.meta_wrapper.execute_option(
-                    target, t_fire, report=False, trace=trace
-                )
+            target, execution = meta_wrapper.execute_option(
+                target, t_fire, trace=trace
             )
         except ServerUnavailable:
+            meta_wrapper.note_failure(target.server, t_fire)
             return None
         span = trace.begin_child(
             slot.span,

@@ -6,11 +6,11 @@ Compile time — decompose the federated query into fragments, collect
 candidate plans and (calibrated) costs through the meta-wrapper,
 enumerate global plans, let the router pick the winner.
 
-Runtime — dispatch the chosen fragment plans through the meta-wrapper
-(which reports response times to QCC), merge the fragment results
-locally, and log completion with the query patroller.  Fragments execute
-concurrently; the response time is ``max(fragment times) + merge time``,
-with the merge inflated by II's own load.
+Runtime — dispatch the chosen fragment plans through the meta-wrapper,
+report each settled fragment's response time (or its server's failure)
+to QCC through it, merge the fragment results locally, and log
+completion with the query patroller.  Fragments execute concurrently;
+the response time is ``max(fragment times) + merge time``.
 """
 
 from __future__ import annotations
@@ -34,10 +34,7 @@ from ..sqlengine import (
 from ..sqlengine.storage import StorageManager
 from ..sim import (
     Completion,
-    ConstantLoad,
-    ContentionProfile,
     Delay,
-    LoadSchedule,
     RemoteExecution,
     ServerUnavailable,
     VirtualClock,
@@ -136,11 +133,6 @@ class DispatchStrategy:
     methods are generators; what they yield goes to the lifecycle's
     driver, what they return comes back to the lifecycle."""
 
-    #: True when a fragment's latency is known as it executes, so that
-    #: ``execute_option`` reports to QCC itself, *before* the next one
-    #: executes; otherwise the lifecycle reports ``learned`` at settle.
-    reports_on_execute = False
-
     def dispatch(
         self, slots: List[FragmentSlot], t_dispatch: float, trace: QueryTrace
     ) -> Generator[object, object, List[Settled]]:
@@ -156,8 +148,6 @@ class DispatchStrategy:
 
 class _Uncontended(DispatchStrategy):
     """Nothing else is in flight: no queues, sojourn == demand."""
-
-    reports_on_execute = True
 
     @staticmethod
     def _alone(queue: str, t_ms: float, demand_ms: float) -> Completion:
@@ -230,19 +220,14 @@ class InformationIntegrator:
         registry: NicknameRegistry,
         meta_wrapper: MetaWrapper,
         clock: Optional[VirtualClock] = None,
-        profile: ServerProfile = REFERENCE_PROFILE,
-        load: LoadSchedule = ConstantLoad(),
-        contention: ContentionProfile = ContentionProfile(),
         router: Optional[Router] = None,
         qcc: Optional[Calibration] = None,
-        replica_manager=None,
         enable_plan_cache: bool = True,
     ):
         self.meta_wrapper = meta_wrapper
         self.clock = clock if clock is not None else VirtualClock()
-        self.profile = profile
-        self.load = load
-        self.contention = contention
+        #: The hardware II merges on (global plans price their merge on it).
+        self.profile: ServerProfile = REFERENCE_PROFILE
         #: The calibration II ticks, reads its factor from and reports
         #: to: the meta-wrapper's, unless told otherwise.
         self.qcc = qcc or meta_wrapper.qcc
@@ -260,7 +245,7 @@ class InformationIntegrator:
         )
         self._replica_manager = None
         self.registry = registry
-        self.replica_manager = replica_manager
+        self.replica_manager = None
         # Merge plans touch no stored tables; a bare storage manager is
         # enough for the execution context.
         self._merge_storage = StorageManager(Catalog())
@@ -512,7 +497,6 @@ class InformationIntegrator:
         obs = get_obs()
         mw = self.meta_wrapper
         t0 = record.submitted_ms
-        eager = strategy.reports_on_execute
         obs.metrics.counter("ii_queries_total").inc()
         self.qcc.tick(t0)
 
@@ -581,7 +565,7 @@ class InformationIntegrator:
                 siblings = siblings_of(choice)
                 try:
                     option, execution = mw.execute_option(
-                        choice, t_dispatch, siblings, eager, trace=trace
+                        choice, t_dispatch, siblings, trace=trace
                     )
                 except ServerUnavailable as exc:
                     failure = last_error = exc
@@ -595,12 +579,11 @@ class InformationIntegrator:
 
             if failure is not None:
                 # The attempt is abandoned before any queueing, so the
-                # fragments that did execute count at their raw demand.
+                # fragments that did execute count at their raw demand;
+                # QCC learns them, then the failure, in the order they
+                # happened.
                 for slot in slots:
-                    if not eager:
-                        mw.note_execution(
-                            slot.option, slot.execution, t_dispatch
-                        )
+                    mw.note_execution(slot.option, slot.execution, t_dispatch)
                     _end_dispatch(
                         trace,
                         slot,
@@ -608,8 +591,8 @@ class InformationIntegrator:
                         slot.execution,
                         t_dispatch + slot.execution.observed_ms,
                     )
+                mw.note_failure(failure.server, t_dispatch)
                 excluded.add(failure.server)
-                self.patroller.note_server_failure(record, failure.server)
                 obs.metrics.counter("ii_query_retries_total").inc()
                 trace.event(
                     "retry", t_dispatch, server=failure.server, attempt=retries
@@ -627,8 +610,7 @@ class InformationIntegrator:
             for slot, (option, execution, learned, completion, tags) in zip(
                 slots, settled
             ):
-                if not eager:
-                    mw.note_execution(option, learned, t_dispatch)
+                mw.note_execution(option, learned, t_dispatch)
                 _end_dispatch(
                     trace,
                     slot,
@@ -662,9 +644,10 @@ class InformationIntegrator:
             merge_span = trace.begin_child(root, "merge", t_merge)
             merge_plan = build_merge_plan(decomposed, inputs)
             merge_result = execute_plan(merge_plan, self._merge_storage)
-            level = self.load.level(t_dispatch)
-            merge_demand_ms = self.contention.demand_ms(
-                self.profile, merge_result.meter, level
+            # II runs unloaded: the merge costs its raw demand.
+            meter = merge_result.meter
+            merge_demand_ms = self.profile.cpu_ms(meter.cpu_ms) + (
+                self.profile.io_ms(meter.io_ms)
             )
             merged = yield from strategy.merge(
                 merge_demand_ms, t_merge, trace, merge_span
@@ -676,7 +659,7 @@ class InformationIntegrator:
                 estimated_total=chosen.merge_cost.total,
                 observed_ms=merge_ms,
                 rows=len(merge_result.rows),
-                ii_load=level,
+                ii_load=0.0,
                 engine=merge_result.engine,
             )
             obs.metrics.histogram("ii_merge_ms").observe(merge_ms)
@@ -736,14 +719,7 @@ class InformationIntegrator:
             f" ({retries} attempts)"
             + (f": {last_error}" if last_error else "")
         )
-        self._fail(
-            record,
-            trace,
-            root,
-            t0 + elapsed,
-            message,
-            server=last_error.server if last_error else None,
-        )
+        self._fail(record, trace, root, t0 + elapsed, message)
         raise FederationError(message)
 
     def _fail(
@@ -753,9 +729,8 @@ class InformationIntegrator:
         root: Span,
         t_ms: float,
         message: str,
-        server: Optional[str] = None,
     ) -> None:
-        self.patroller.fail(record, t_ms, message, server=server)
+        self.patroller.fail(record, t_ms, message)
         obs = get_obs()
         obs.metrics.counter("ii_query_failures_total").inc()
         root.annotate(status="failed", reason=message)

@@ -60,7 +60,7 @@ class EstimatedInput(PhysicalPlan):
             f"EstimatedInput {self.name} is compile-time only"
         )
 
-    _rows = rows
+    _rows = _rows_columnar = rows
 
     def describe(self) -> str:
         return f"EstimatedInput({self.name} rows~{self.estimated_rows:.0f})"

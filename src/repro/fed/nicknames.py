@@ -53,7 +53,6 @@ class NicknameRegistry:
         self,
         nickname: str,
         server: str,
-        remote_table: Optional[str] = None,
         table_def: Optional[TableDef] = None,
     ) -> None:
         """Register (or add a replica placement for) *nickname*.
@@ -63,7 +62,7 @@ class NicknameRegistry:
         placements registered later may omit it.
         """
         key = nickname.lower()
-        placement = Placement(server=server, remote_table=remote_table or nickname)
+        placement = Placement(server=server, remote_table=nickname)
         existing = self._placements.get(key)
         if existing is None:
             if table_def is None:

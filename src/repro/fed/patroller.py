@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from ..numeric import left_sum
@@ -38,7 +38,6 @@ class PatrolRecord:
     completed_ms: Optional[float] = None
     status: QueryStatus = QueryStatus.RUNNING
     error: Optional[str] = None
-    failed_servers: List[str] = field(default_factory=list)
     label: Optional[str] = None
 
     @property
@@ -76,18 +75,10 @@ class QueryPatroller:
                 "query_response_ms", label=record.label or "all"
             ).observe(response)
 
-    def fail(
-        self,
-        record: PatrolRecord,
-        t_ms: float,
-        error: str,
-        server: Optional[str] = None,
-    ) -> None:
+    def fail(self, record: PatrolRecord, t_ms: float, error: str) -> None:
         record.completed_ms = t_ms
         record.status = QueryStatus.FAILED
         record.error = error
-        if server is not None:
-            record.failed_servers.append(server)
         get_obs().metrics.counter("queries_failed_total").inc()
         _LOG.warning(
             "query %d failed at %.0fms: %s", record.query_id, t_ms, error
@@ -109,10 +100,6 @@ class QueryPatroller:
         _LOG.info(
             "query %d shed at %.0fms: %s", record.query_id, t_ms, reason
         )
-
-    def note_server_failure(self, record: PatrolRecord, server: str) -> None:
-        """Record a server failure that the query survived via failover."""
-        record.failed_servers.append(server)
 
     # -- analytics -----------------------------------------------------
 
@@ -138,11 +125,9 @@ class QueryPatroller:
             return 0.0
         return left_sum(times) / len(times)
 
-    def failure_count(self, label: Optional[str] = None) -> int:
+    def failure_count(self) -> int:
         return sum(
-            1
-            for r in self.records(label)
-            if r.status is QueryStatus.FAILED
+            1 for r in self._records if r.status is QueryStatus.FAILED
         )
 
     def __len__(self) -> int:

@@ -211,13 +211,3 @@ class ReplicaManager:
                 if self.staleness_ms(name, server, t_ms) <= tolerance_ms
             }
         return frozenset(fresh)
-
-    def stale_placements(self, t_ms: float) -> List[ReplicaState]:
-        """Every placement currently behind its origin."""
-        stale = []
-        for nickname in self.registry.nicknames():
-            for placement in self.registry.placements(nickname):
-                state = self.state(nickname, placement.server, t_ms)
-                if state.staleness_ms > 0:
-                    stale.append(state)
-        return stale

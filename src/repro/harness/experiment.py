@@ -144,15 +144,13 @@ def run_phase(
     deployment: Deployment,
     workload: Sequence[QueryInstance],
     phase: Phase,
-    load_level: float = LOAD_LEVEL,
-    warmup_passes: int = 2,
 ) -> PhaseOutcome:
     """Apply *phase*'s load conditions, warm up, then measure one pass."""
     deployment.set_load(
-        phase.levels(tuple(deployment.server_names()), load_level)
+        phase.levels(tuple(deployment.server_names()), LOAD_LEVEL)
     )
     deployment.clock.advance(PHASE_GAP_MS)
-    warm_up(deployment, workload, warmup_passes)
+    warm_up(deployment, workload, 2)
     return PhaseOutcome(phase, run_workload_once(deployment, workload))
 
 
@@ -160,15 +158,10 @@ def run_phase_sweep(
     deployment: Deployment,
     workload: Sequence[QueryInstance],
     phases: Sequence[Phase] = PHASES,
-    load_level: float = LOAD_LEVEL,
-    warmup_passes: int = 2,
 ) -> Dict[str, PhaseOutcome]:
     """Run the workload under every phase with one persistent deployment."""
     return {
-        phase.name: run_phase(
-            deployment, workload, phase, load_level, warmup_passes
-        )
-        for phase in phases
+        phase.name: run_phase(deployment, workload, phase) for phase in phases
     }
 
 
@@ -291,8 +284,6 @@ def run_procedure(
     make_fixed: Callable[[], Deployment],
     make_calibrated: Callable[[], Deployment],
     workload: Sequence[QueryInstance],
-    load_level: float = LOAD_LEVEL,
-    warmup_passes: int = 1,
 ) -> ProcedureReport:
     """Execute steps 1-6 of Section 5.1 and collect the artifacts.
 
@@ -316,18 +307,18 @@ def run_procedure(
     baseline = {key: observe_on_servers(probe, i) for key, i in keyed}
 
     # Step 4: heavy-load observations.
-    _set_all_loads(probe, load_level)
+    _set_all_loads(probe, LOAD_LEVEL)
     loaded = {key: observe_on_servers(probe, i) for key, i in keyed}
 
     # Step 5: workload execution on estimated costs under load (no QCC).
     fixed = make_fixed()
-    _set_all_loads(fixed, load_level)
+    _set_all_loads(fixed, LOAD_LEVEL)
     fixed_outcomes = run_workload_once(fixed, workload)
 
     # Step 6: workload execution on calibrated costs under load.
     calibrated = make_calibrated()
-    _set_all_loads(calibrated, load_level)
-    warm_up(calibrated, workload, warmup_passes)
+    _set_all_loads(calibrated, LOAD_LEVEL)
+    warm_up(calibrated, workload, 1)
     calibrated_outcomes = run_workload_once(calibrated, workload)
 
     return ProcedureReport(
@@ -675,19 +666,15 @@ class TimelineResult:
 def run_timeline(
     scale: WorkloadScale = BENCH_SCALE,
     databases: Optional[Mapping[str, Database]] = None,
-    instances_per_type: int = 2,
-    load_level: float = LOAD_LEVEL,
-    seed: int = 7,
 ) -> TimelineResult:
     """A Figure-9-style sweep recorded on the federation timeline.
 
     Four phases — all idle, all loaded, S3 down, S3 recovered — with a
     recalibration at every phase boundary, so the timeline captures both
     the calibration factors absorbing the load shift and the
-    availability transitions around the outage.  ``seed`` drives the
-    table data (unless ``databases`` is prebuilt) and the workload
-    interleaving, so two invocations with the same seed produce
-    identical timelines.
+    availability transitions around the outage.  The table data (unless
+    ``databases`` is prebuilt) and the workload interleaving are seeded,
+    so two invocations produce identical timelines.
     """
     sink = obs.get_obs()
     if sink.timeline is NULL_TIMELINE:
@@ -697,13 +684,10 @@ def run_timeline(
     outage = _ManualOutage()
     deployment = build_federation(
         scale=scale,
-        seed=seed,
         prebuilt_databases=databases,
         availability={"S3": outage},
     )
-    workload = build_workload(
-        instances_per_type=instances_per_type, seed=seed
-    )
+    workload = build_workload(instances_per_type=2)
     phases: List[Tuple[str, float, float]] = []
 
     def run_phase_named(name: str) -> None:
@@ -714,7 +698,7 @@ def run_timeline(
         phases.append((name, start, deployment.clock.now))
 
     run_phase_named("base")
-    _set_all_loads(deployment, load_level)
+    _set_all_loads(deployment, LOAD_LEVEL)
     run_phase_named("loaded")
     _set_all_loads(deployment, 0.0)
     outage.down = True

@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..fed import InformationIntegrator
 from ..obs import decompose_trace
 from ..fed.admission import (
     AdmissionDecision,
@@ -397,7 +396,6 @@ def run_loadgen(
     seed: int = 7,
     scale: WorkloadScale = TEST_SCALE,
     prebuilt_databases: Optional[Dict[str, Database]] = None,
-    integrator: Optional[InformationIntegrator] = None,
     max_queries: Optional[int] = None,
     hedge_after_ms: Optional[float] = None,
     reroute_batch_rows: Optional[int] = None,
@@ -405,23 +403,20 @@ def run_loadgen(
     """Fire one seeded open-loop arrival stream; returns the verdicts.
 
     ``max_queries`` caps the stream (whichever of the cap and
-    ``duration_ms`` is hit first ends submission); ``integrator`` reuses
-    an existing federation instead of building one — the benchmark
-    passes prebuilt databases to skip the populate step.
+    ``duration_ms`` is hit first ends submission); the benchmark passes
+    prebuilt databases to skip the populate step.
     ``hedge_after_ms`` enables hedged fragment dispatch and
     ``reroute_batch_rows`` enables mid-query batch re-routing (both
     default to off and may be combined; the verdict artifact stays
     byte-identical to pre-feature runs when off).
     """
-    if integrator is None:
-        deployment = build_federation(
-            scale=scale,
-            seed=DATA_SEED,
-            prebuilt_databases=prebuilt_databases,
-        )
-        integrator = deployment.integrator
+    deployment = build_federation(
+        scale=scale,
+        seed=DATA_SEED,
+        prebuilt_databases=prebuilt_databases,
+    )
     runtime = ConcurrentRuntime(
-        integrator,
+        deployment.integrator,
         classes=classes,
         hedge_after_ms=hedge_after_ms,
         reroute_batch_rows=reroute_batch_rows,

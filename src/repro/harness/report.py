@@ -43,11 +43,11 @@ def _fmt(value: Any) -> str:
 
 def bar_chart(
     series: Mapping[str, float],
-    width: int = 40,
     unit: str = "",
     title: Optional[str] = None,
 ) -> str:
-    """A horizontal ASCII bar chart (one bar per key)."""
+    """A horizontal ASCII bar chart (one bar per key, the longest 40
+    characters)."""
     parts: List[str] = []
     if title:
         parts.append(title)
@@ -56,7 +56,7 @@ def bar_chart(
     peak = max(abs(v) for v in series.values()) or 1.0
     label_width = max(len(k) for k in series)
     for key, value in series.items():
-        bar = "#" * max(0, int(round(abs(value) / peak * width)))
+        bar = "#" * max(0, int(round(abs(value) / peak * 40)))
         parts.append(f"{key.ljust(label_width)}  {bar} {value:.1f}{unit}")
     return "\n".join(parts)
 

@@ -25,9 +25,9 @@ from typing import Any, Iterable
 
 if sys.version_info >= (3, 12):
 
-    def left_sum(values: Iterable[Any], start: Any = 0) -> Any:
-        """``start + v0 + v1 + ...``, added left to right."""
-        return reduce(add, values, start)
+    def left_sum(values: Iterable[Any]) -> Any:
+        """``0 + v0 + v1 + ...``, added left to right."""
+        return reduce(add, values, 0)
 
     left_sum_from = partial(reduce, add)
 

@@ -192,31 +192,30 @@ def get_obs() -> Observability:
     return _OBS
 
 
-def logger(name: str = "") -> logging.Logger:
-    """A logger under the ``repro`` namespace (``repro.<name>``)."""
-    return logging.getLogger(f"repro.{name}" if name else "repro")
+def logger() -> logging.Logger:
+    """The ``repro`` namespace's logger."""
+    return logging.getLogger("repro")
 
 
 def configure(
     metrics: bool = True,
     tracing: bool = True,
     log_level: Optional[int] = logging.INFO,
-    trace_capacity: int = 64,
     timeline: bool = True,
 ) -> Observability:
     """Install a live observability sink and return it.
 
     ``metrics``/``tracing``/``timeline`` select which parts record; a
-    disabled part keeps its null implementation.  ``trace_capacity``
-    bounds how many finished traces the tracer retains; each trace's
-    span tree is bounded by ``DEFAULT_MAX_SPANS`` (drops are counted in
+    disabled part keeps its null implementation.  The tracer retains
+    the last ``TRACE_CAPACITY`` finished traces; each trace's span tree
+    is bounded by ``DEFAULT_MAX_SPANS`` (drops are counted in
     ``trace_spans_dropped_total``, never silent).  ``log_level`` (None
     to leave logging untouched) attaches a stream handler to the
     ``repro`` logger unless the application already configured one.
     """
     global _OBS
     registry = MetricsRegistry() if metrics else NULL_REGISTRY
-    tracer = Tracer(keep=trace_capacity) if tracing else NULL_TRACER
+    tracer = Tracer() if tracing else NULL_TRACER
     if tracing and metrics:
         # Registered eagerly so the family appears in every exposition
         # (and the committed metric catalog) even before the first drop.

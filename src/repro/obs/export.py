@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 from .metrics import MetricKey, MetricsRegistry
 from .trace import QueryTrace, Span
@@ -191,10 +191,8 @@ def chrome_trace_events(
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def chrome_trace_json(
-    traces: Sequence[QueryTrace], indent: Optional[int] = None
-) -> str:
-    return json.dumps(chrome_trace_events(traces), indent=indent)
+def chrome_trace_json(traces: Sequence[QueryTrace]) -> str:
+    return json.dumps(chrome_trace_events(traces))
 
 
 # -- JSONL telemetry sink ----------------------------------------------------
@@ -218,10 +216,5 @@ class JsonlSink:
             handle.write(json.dumps(record, default=str) + "\n")
         self.records_written += 1
 
-    def emit_metrics(
-        self, registry: MetricsRegistry, t_ms: Optional[float] = None
-    ) -> None:
-        payload: Dict[str, object] = {"snapshot": registry.snapshot()}
-        if t_ms is not None:
-            payload["t_ms"] = t_ms
-        self.emit("metrics", payload)
+    def emit_metrics(self, registry: MetricsRegistry) -> None:
+        self.emit("metrics", {"snapshot": registry.snapshot()})

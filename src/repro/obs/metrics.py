@@ -68,9 +68,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Sample distribution with p50/p95/p99 summaries.
@@ -292,9 +289,6 @@ class NullGauge(Gauge):
         pass
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
 

@@ -91,7 +91,6 @@ def policy_for_class(
     spec,
     objective: float = DEFAULT_OBJECTIVE,
     default_target_ms: float = DEFAULT_TARGET_MS,
-    windows: Tuple[BurnWindow, ...] = DEFAULT_WINDOWS,
 ) -> SLOPolicy:
     """Derive a policy from a :class:`~repro.fed.admission.PriorityClass`:
     the latency target is the class's admission budget when finite,
@@ -105,7 +104,6 @@ def policy_for_class(
         klass=spec.name,
         target_ms=target,
         objective=objective,
-        windows=windows,
     )
 
 
@@ -193,12 +191,6 @@ class SLOReport:
     end_ms: float
     step_ms: float
     verdicts: Tuple[ClassVerdict, ...]
-
-    def verdict_for(self, klass: str) -> Optional[ClassVerdict]:
-        for verdict in self.verdicts:
-            if verdict.klass == klass:
-                return verdict
-        return None
 
     @property
     def breached(self) -> bool:

@@ -73,15 +73,16 @@ _SAMPLE_FIELDS = (
 
 _EVENT_FIELDS = ("t_ms", "kind", "server", "detail", "value")
 
+#: How many samples, and how many events, a :class:`Timeline` keeps.
+CAPACITY = 4096
+
 
 class Timeline:
     """Bounded recorder of federation samples and events."""
 
-    def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.samples: Deque[TimelineSample] = deque(maxlen=capacity)
-        self.events: Deque[TimelineEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.samples: Deque[TimelineSample] = deque(maxlen=CAPACITY)
+        self.events: Deque[TimelineEvent] = deque(maxlen=CAPACITY)
 
     # -- recording -------------------------------------------------------
 
@@ -137,9 +138,6 @@ class Timeline:
             if s.server == server
         ]
 
-    def events_of(self, kind: str) -> List[TimelineEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def servers(self) -> List[str]:
         return sorted({s.server for s in self.samples})
 
@@ -151,8 +149,8 @@ class Timeline:
             "events": [asdict(e) for e in self.events],
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def samples_csv(self) -> str:
         """The samples as CSV (header + one row per sample)."""
@@ -187,9 +185,6 @@ def _csv(fields, records) -> str:
 
 class NullTimeline(Timeline):
     """The disabled timeline: accepts every call, records nothing."""
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
 
     def sample(self, *args, **kwargs) -> None:
         pass

@@ -29,6 +29,9 @@ from typing import Callable, Deque, Dict, List, Optional
 #: the ``trace_spans_dropped_total`` counter), never silently truncated.
 DEFAULT_MAX_SPANS = 4096
 
+#: How many finished traces a :class:`Tracer` retains.
+TRACE_CAPACITY = 64
+
 
 class Span:
     """One timed step of a query, with attributes and child spans."""
@@ -208,20 +211,16 @@ class QueryTrace:
             payload["spans_dropped"] = self.spans_dropped
         return payload
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=str)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, default=str)
 
 
 class Tracer:
     """Creates traces and retains the most recent completed ones."""
 
-    def __init__(
-        self,
-        keep: int = 64,
-        max_spans: Optional[int] = DEFAULT_MAX_SPANS,
-    ):
-        self.finished: Deque[QueryTrace] = deque(maxlen=keep)
-        self.max_spans = max_spans
+    def __init__(self) -> None:
+        self.finished: Deque[QueryTrace] = deque(maxlen=TRACE_CAPACITY)
+        self.max_spans = DEFAULT_MAX_SPANS
         #: Total spans dropped across every trace this tracer started.
         self.spans_dropped = 0
         #: Wired by ``repro.obs.configure`` to the live registry's

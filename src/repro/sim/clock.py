@@ -11,8 +11,8 @@ from __future__ import annotations
 class VirtualClock:
     """A monotonically advancing virtual clock (milliseconds)."""
 
-    def __init__(self, start_ms: float = 0.0):
-        self._now = float(start_ms)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -43,26 +43,21 @@ class ConstantLoad(LoadSchedule):
 class StepSchedule(LoadSchedule):
     """Piecewise-constant load: a sorted list of (start_ms, level) steps.
 
-    Before the first step the level is ``initial``.
+    Before the first step the level is 0.
     """
 
-    def __init__(
-        self,
-        steps: Sequence[Tuple[float, float]],
-        initial: float = 0.0,
-    ):
+    def __init__(self, steps: Sequence[Tuple[float, float]]):
         ordered = sorted(steps)
         for _, level in ordered:
             if not 0.0 <= level < 1.0:
                 raise ValueError(f"load level must be in [0, 1), got {level}")
         self._starts = [s for s, _ in ordered]
         self._levels = [lv for _, lv in ordered]
-        self._initial = initial
 
     def level(self, t_ms: float) -> float:
         idx = bisect.bisect_right(self._starts, t_ms) - 1
         if idx < 0:
-            return self._initial
+            return 0.0
         return self._levels[idx]
 
 
@@ -85,6 +80,10 @@ class MutableLoad(LoadSchedule):
         self.current = value
 
 
+#: Ceiling of the level traffic alone can induce.
+INDUCED_CAP = 0.95
+
+
 class InducedLoad(LoadSchedule):
     """Load generated by the query traffic itself.
 
@@ -96,23 +95,22 @@ class InducedLoad(LoadSchedule):
     balancer genuinely helps under this model; always-cheapest routing
     creates the hot spot the paper describes.
 
-    ``level = min(cap, gain * W)`` where W is the exponentially-decayed
-    sum of recent work (ms), with time constant ``decay_ms``.  A static
-    ``base`` schedule (e.g. a phase level) is added underneath.
+    ``level = min(INDUCED_CAP, gain * W)`` where W is the
+    exponentially-decayed sum of recent work (ms), with time constant
+    ``decay_ms``.  A static ``base`` schedule (e.g. a phase level) is
+    added underneath.
     """
 
     def __init__(
         self,
         gain: float = 0.002,
         decay_ms: float = 2_000.0,
-        cap: float = 0.95,
         base: Optional[LoadSchedule] = None,
     ):
-        if gain < 0 or decay_ms <= 0 or not 0.0 <= cap < 1.0:
+        if gain < 0 or decay_ms <= 0:
             raise ValueError("invalid induced-load parameters")
         self.gain = gain
         self.decay_ms = decay_ms
-        self.cap = cap
         self.base = base if base is not None else ConstantLoad(0.0)
         self._work = 0.0
         self._last_t = 0.0
@@ -129,7 +127,7 @@ class InducedLoad(LoadSchedule):
 
     def level(self, t_ms: float) -> float:
         self._decay_to(t_ms)
-        induced = min(self.cap, self.gain * self._work)
+        induced = min(INDUCED_CAP, self.gain * self._work)
         return min(0.949, self.base.level(t_ms) + induced)
 
 

@@ -243,11 +243,6 @@ class RemoteServer:
             engine=result.engine,
         )
 
-    def execute_sql(self, sql: str, t_ms: float) -> RemoteExecution:
-        """Convenience: optimize locally and execute the best plan."""
-        best = self.explain(sql, t_ms)[0]
-        return self.execute_plan(best.plan, t_ms)
-
     def execute_dml(self, sql: str, t_ms: float) -> RemoteExecution:
         """Execute an INSERT/UPDATE/DELETE at this server.
 

@@ -12,7 +12,7 @@ load level for concurrent queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..sqlengine import ColumnType, TableDef
 from .rng import derive_rng
@@ -31,27 +31,15 @@ class StormReport:
 class UpdateStormDriver:
     """Synthesises and executes update bursts against one server."""
 
-    def __init__(
-        self,
-        server: RemoteServer,
-        table: Optional[str] = None,
-        seed: int = 7,
-        on_write=None,
-    ):
-        """*on_write*, when given, is called as ``on_write(table, t_ms)``
-        after each statement — the hook replica managers use to learn
-        that this placement's replicas just fell behind."""
+    def __init__(self, server: RemoteServer, seed: int = 7):
+        """The storm hits the server's largest table: that is where
+        update storms hurt."""
         self.server = server
-        self.on_write = on_write
         catalog = server.database.catalog
         names = catalog.table_names()
         if not names:
             raise ValueError(f"server {server.name} has no tables")
-        if table is None:
-            # Default to the largest table: that is where update storms hurt.
-            table = max(
-                names, key=lambda n: catalog.lookup(n).stats.row_count
-            )
+        table = max(names, key=lambda n: catalog.lookup(n).stats.row_count)
         self._catalog = catalog
         self._table_name = table
         self._rng = derive_rng(seed, "storm", server.name, table)
@@ -96,8 +84,6 @@ class UpdateStormDriver:
             execution = self.server.execute_dml(self._statement(), t_ms)
             executions.append(execution)
             total += execution.observed_ms
-            if self.on_write is not None:
-                self.on_write(self.table.name, t_ms)
         return StormReport(
             statements=statements,
             total_observed_ms=total,

@@ -138,13 +138,6 @@ class Catalog:
         self._tables[key] = table
         self.version += 1
 
-    def unregister(self, name: str) -> None:
-        key = name.lower()
-        if key not in self._tables:
-            raise CatalogError(f"unknown table {name!r}")
-        del self._tables[key]
-        self.version += 1
-
     def lookup(self, name: str) -> TableDef:
         table = self._tables.get(name.lower())
         if table is None:

@@ -201,10 +201,6 @@ class SelectStatement:
     limit: Optional[int] = None
     distinct: bool = False
 
-    @property
-    def is_select_star(self) -> bool:
-        return not self.items
-
     def sql(self) -> str:
         parts = ["SELECT"]
         if self.distinct:

@@ -254,20 +254,9 @@ class PhysicalPlan:
         raise NotImplementedError
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        """Columnar execution; yields non-empty :class:`ColumnBatch`es.
-
-        The default adapter chunks the ``_rows()`` stream by
-        ``batch_size`` and transposes each chunk, so an operator without
-        a native columnar implementation is still correct on the
-        columnar path — it runs the very same row code, metering
-        included.  It chunks the *private* stream so a profiled node is
-        counted once, not once per engine.  An operator with children
-        must override it to pull them through ``rows_columnar``;
-        ``_rows`` would run the whole subtree on the row path.
-        """
-        return _chunked(
-            self._rows(ctx), ctx.batch_size, len(self.output_schema)
-        )
+        """Columnar execution; yields non-empty :class:`ColumnBatch`es,
+        pulling children through ``rows_columnar``."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         """One-line operator description (also the plan signature leaf)."""
@@ -298,20 +287,6 @@ class PhysicalPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()}>"
-
-
-def _chunked(
-    rows: Iterator[Row], size: int, width: int
-) -> Iterator[ColumnBatch]:
-    """Transpose a row stream into column batches of at most *size* rows."""
-    batch: List[Row] = []
-    for row in rows:
-        batch.append(row)
-        if len(batch) >= size:
-            yield ColumnBatch.from_rows(batch, width)
-            batch = []
-    if batch:
-        yield ColumnBatch.from_rows(batch, width)
 
 
 def _drain_columnar(plan: "PhysicalPlan", ctx: ExecutionContext) -> List[Row]:

@@ -175,13 +175,6 @@ class StorageManager:
         )
         return table
 
-    def drop_table(self, name: str) -> None:
-        key = name.lower()
-        if key not in self._tables:
-            raise StorageError(f"unknown table {name!r}")
-        del self._tables[key]
-        self.catalog.unregister(name)
-
     def table(self, name: str) -> HeapTable:
         table = self._tables.get(name.lower())
         if table is None:

@@ -236,13 +236,9 @@ def rows_equal_unordered(a: Iterable[Row], b: Iterable[Row]) -> bool:
     return sorted(a, key=key) == sorted(b, key=key)
 
 
-def rows_close_unordered(
-    a: Iterable[Row],
-    b: Iterable[Row],
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-9,
-) -> bool:
-    """Multiset equality tolerant of float summation-order differences.
+def rows_close_unordered(a: Iterable[Row], b: Iterable[Row]) -> bool:
+    """Multiset equality tolerant of float summation-order differences
+    (relative and absolute tolerance 1e-9).
 
     Aggregates computed along different execution paths (e.g. a local
     plan vs an II-side merge) accumulate floats in different orders and
@@ -260,7 +256,7 @@ def rows_close_unordered(
             return False
         for va, vb in zip(row_a, row_b):
             if isinstance(va, float) and isinstance(vb, float):
-                if not math.isclose(va, vb, rel_tol=rel_tol, abs_tol=abs_tol):
+                if not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-9):
                     return False
             elif va != vb:
                 return False

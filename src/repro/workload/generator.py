@@ -7,19 +7,18 @@ is uniformly distributed among four query types."
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..sim.rng import derive_rng
-from .queries import QUERY_TYPES, QueryInstance, QueryTemplate
+from .queries import QUERY_TYPES, QueryInstance
 
 
 def build_workload(
-    templates: Sequence[QueryTemplate] = QUERY_TYPES,
     instances_per_type: int = 10,
     seed: int = 7,
     shuffle: bool = True,
 ) -> List[QueryInstance]:
-    """A uniform mix of query instances across the given templates.
+    """A uniform mix of query instances across the four query types.
 
     With ``shuffle`` the types are interleaved pseudo-randomly (but
     deterministically for a given seed); otherwise instances round-robin
@@ -29,11 +28,11 @@ def build_workload(
         raise ValueError("instances_per_type must be >= 1")
     per_type = {
         template.name: template.instances(instances_per_type, seed)
-        for template in templates
+        for template in QUERY_TYPES
     }
     workload: List[QueryInstance] = []
     for index in range(instances_per_type):
-        for template in templates:
+        for template in QUERY_TYPES:
             workload.append(per_type[template.name][index])
     if shuffle:
         rng = derive_rng(seed, "workload-shuffle")

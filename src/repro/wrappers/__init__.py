@@ -7,7 +7,7 @@ from .meta import (
     MetaWrapper,
     RuntimeLogEntry,
 )
-from .relational import RelationalWrapper, rename_tables
+from .relational import RelationalWrapper
 
 __all__ = [
     "DEFAULT_UNKNOWN_ESTIMATE",
@@ -18,5 +18,4 @@ __all__ = [
     "RuntimeLogEntry",
     "UNKNOWN_COST",
     "Wrapper",
-    "rename_tables",
 ]

@@ -22,13 +22,7 @@ from ..sqlengine import (
     PlanCandidate,
     Schema,
 )
-from ..sim import (
-    AlwaysUp,
-    AvailabilitySchedule,
-    NetworkLink,
-    RemoteExecution,
-    ServerUnavailable,
-)
+from ..sim import NetworkLink, RemoteExecution
 from .base import Wrapper
 
 #: Marker estimate meaning "this wrapper does not cost queries".  An
@@ -47,12 +41,10 @@ class FileSource:
         schema: Schema,
         rows: Sequence[Sequence[Any]],
         link: Optional[NetworkLink] = None,
-        availability: AvailabilitySchedule = AlwaysUp(),
     ):
         self.name = name
         self.table_name = table_name
         self.link = link if link is not None else NetworkLink()
-        self.availability = availability
         # The wrapper evaluates fragments over a private embedded engine;
         # the *timing* model below is what makes this a remote file.
         self._database = Database(name=f"file:{name}")
@@ -64,9 +56,6 @@ class FileSource:
     @property
     def database(self) -> Database:
         return self._database
-
-    def is_up(self, t_ms: float) -> bool:
-        return self.availability.is_up(t_ms)
 
 
 class FileWrapper(Wrapper):
@@ -83,8 +72,6 @@ class FileWrapper(Wrapper):
         return self.source.name
 
     def plans(self, fragment_sql: str, t_ms: float) -> List[PlanCandidate]:
-        if not self.source.is_up(t_ms):
-            raise ServerUnavailable(self.source.name, t_ms)
         candidates = self.source.database.explain(fragment_sql)
         # Return the executable plan but withhold the cost: file wrappers
         # cannot estimate (the engine here is an implementation detail).
@@ -93,8 +80,6 @@ class FileWrapper(Wrapper):
         ]
 
     def execute(self, plan: PhysicalPlan, t_ms: float) -> RemoteExecution:
-        if not self.source.is_up(t_ms):
-            raise ServerUnavailable(self.source.name, t_ms)
         result = self.source.database.run_plan(plan)
         # The whole file crosses the wire, then II evaluates the fragment.
         network_ms = self.source.link.round_trip_ms(t_ms) + (
@@ -111,6 +96,4 @@ class FileWrapper(Wrapper):
         )
 
     def ping(self, t_ms: float) -> float:
-        if not self.source.is_up(t_ms):
-            raise ServerUnavailable(self.source.name, t_ms)
         return self.source.link.round_trip_ms(t_ms)

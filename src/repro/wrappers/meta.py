@@ -156,7 +156,6 @@ class MetaWrapper:
         option: FragmentOption,
         t_ms: float,
         siblings: Sequence[FragmentOption] = (),
-        report: bool = True,
         trace: QueryTrace = NULL_TRACE,
     ) -> Tuple[FragmentOption, RemoteExecution]:
         """Execute a fragment option; returns (actually-run option, result).
@@ -167,12 +166,12 @@ class MetaWrapper:
         for an *identical* plan on an equivalent server among them
         (Section 4.1) just before dispatch.  None given, none swapped.
 
-        ``report=False`` defers the runtime-log/metrics/QCC reporting:
-        the concurrent runtime executes the fragment to learn its raw
-        service demand, runs that demand through the server's capacity
-        queue, and only then calls :meth:`note_execution` with the
-        queue-inflated sojourn — so under load the calibrator observes
-        contention, exactly as the paper's probe model intends.
+        Nothing is reported here.  The caller learns the fragment's raw
+        service demand, settles it (through a capacity queue, when other
+        queries contend) and then reports it with :meth:`note_execution`
+        — so under load the calibrator observes contention, exactly as
+        the paper's probe model intends — or, when the server failed
+        (:class:`ServerUnavailable`), with :meth:`note_failure`.
         """
         obs = get_obs()
         if siblings:
@@ -189,18 +188,9 @@ class MetaWrapper:
                     to_server=substituted.server,
                 )
             option = substituted
-        wrapper = self._wrapper(option.server, t_ms)
-        try:
-            result = wrapper.execute(option.plan, t_ms)
-        except ServerUnavailable:
-            self.qcc.record_error(option.server, t_ms)
-            obs.metrics.counter(
-                "mw_fragment_errors_total", server=option.server
-            ).inc()
-            raise
-        if report:
-            self.note_execution(option, result, t_ms)
-        return option, result
+        return option, self._wrapper(option.server, t_ms).execute(
+            option.plan, t_ms
+        )
 
     def note_execution(
         self,
@@ -239,6 +229,13 @@ class MetaWrapper:
             observed_ms=result.observed_ms,
             t_ms=t_ms,
         )
+
+    def note_failure(self, server: str, t_ms: float) -> None:
+        """Record a fragment execution *server* failed (metrics, QCC)."""
+        self.qcc.record_error(server, t_ms)
+        get_obs().metrics.counter(
+            "mw_fragment_errors_total", server=server
+        ).inc()
 
     def note_cancelled_leg(
         self,

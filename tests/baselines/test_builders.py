@@ -13,7 +13,7 @@ from repro.fed import (
     PreferredServerRouter,
     QCCRouter,
 )
-from repro.workload import TEST_SCALE
+from repro.workload import FIXED_ASSIGNMENT_1, TEST_SCALE
 
 SQL = "SELECT COUNT(*) FROM customer"
 
@@ -29,12 +29,10 @@ class TestFactories:
 
     def test_fixed_routes_to_assigned_server(self, sample_databases):
         deployment = fixed_assignment_deployment(
-            assignment={"QT1": "S2"},
-            scale=TEST_SCALE,
-            prebuilt_databases=sample_databases,
+            scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
         result = deployment.integrator.submit(SQL, label="QT1")
-        assert result.plan.servers == frozenset({"S2"})
+        assert result.plan.servers == frozenset({FIXED_ASSIGNMENT_1["QT1"]})
 
     def test_preferred(self, sample_databases):
         deployment = preferred_server_deployment(

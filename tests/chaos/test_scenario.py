@@ -13,9 +13,10 @@ from repro.chaos import (
     generate_scenario,
     generate_scenarios,
 )
+from repro.chaos import scenario
 from repro.chaos.scenario import (
     CHAOS_CLASS_NAMES,
-    DEFAULT_HORIZON_MS,
+    HORIZON_MS,
     QUERY_TYPE_NAMES,
     fault_window_steps,
 )
@@ -39,7 +40,7 @@ class TestGeneratorDeterminism:
         b = [generate_scenario(2, i).canonical_json() for i in range(5)]
         assert a != b
 
-    def test_component_streams_are_independent(self):
+    def test_component_streams_are_independent(self, monkeypatch):
         """Fault sampling must not perturb the workload stream.
 
         Halving the horizon changes every fault window but draws from
@@ -47,7 +48,9 @@ class TestGeneratorDeterminism:
         from their own derived streams and must not move.
         """
         spec = generate_scenario(42, 0)
-        narrow = generate_scenario(42, 0, horizon_ms=DEFAULT_HORIZON_MS / 2)
+        monkeypatch.setattr(scenario, "HORIZON_MS", HORIZON_MS / 2)
+        narrow = generate_scenario(42, 0)
+        assert narrow.faults != spec.faults
         assert narrow.topology == spec.topology
         assert narrow.queries == spec.queries
         assert narrow.staleness_tolerance_ms == spec.staleness_tolerance_ms
@@ -236,7 +239,7 @@ class TestValidity:
             assert fault.kind in FAULT_KINDS
             assert fault.server in servers
             assert 0.0 <= fault.start_ms <= fault.end_ms
-            assert fault.end_ms <= DEFAULT_HORIZON_MS * 1.2
+            assert fault.end_ms <= HORIZON_MS * 1.2
         if spec.topology == "triple":
             assert all(f.kind != "replica_lag" for f in spec.faults)
             assert spec.staleness_tolerance_ms is None

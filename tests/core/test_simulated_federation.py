@@ -84,9 +84,20 @@ class TestSimulatedMetaWrapper:
 
     def test_whatif_records_do_not_pollute_qcc(self, deployment):
         before = deployment.qcc.compile_records
-        planner = WhatIfPlanner.from_deployment(deployment)
+        planner = _simulated_planner(deployment)
         planner.derive_global_plans(Q6, 0.0)
         assert deployment.qcc.compile_records == before
+
+
+def _simulated_planner(deployment, use_calibration=True):
+    """A what-if planner over a stats-only copy of *deployment*."""
+    return WhatIfPlanner(
+        registry=deployment.registry,
+        meta_wrapper=build_simulated_meta_wrapper(
+            deployment, use_calibration=use_calibration
+        ),
+        ii_profile=deployment.integrator.profile,
+    )
 
 
 class TestPlannerFromDeployment:
@@ -96,7 +107,7 @@ class TestPlannerFromDeployment:
             meta_wrapper=deployment.meta_wrapper,
             ii_profile=deployment.integrator.profile,
         ).derive_global_plans(Q6, 0.0)
-        simulated = WhatIfPlanner.from_deployment(
+        simulated = _simulated_planner(
             deployment, use_calibration=False
         ).derive_global_plans(Q6, 0.0)
         assert simulated.explain_calls == live.explain_calls

@@ -74,17 +74,3 @@ class TestDerivation:
             cheapest = min(p.total_cost for p in same_set)
             assert plan.total_cost == pytest.approx(cheapest)
 
-
-class TestExclusion:
-    def test_high_factor_servers_pruned(self, replica_deployment):
-        factors = {"S1": 1.0, "R1": 50.0, "S2": 1.0, "R2": 1.0}
-        planner = WhatIfPlanner(
-            registry=replica_deployment.registry,
-            meta_wrapper=replica_deployment.meta_wrapper,
-            ii_profile=replica_deployment.integrator.profile,
-            factor_lookup=lambda server: factors.get(server, 1.0),
-            exclude_factor_threshold=10.0,
-        )
-        result = planner.derive_global_plans(Q6, 0.0)
-        assert result.explain_calls == 2  # R1 pruned: 1 x 2 combinations
-        assert all("R1" not in p.servers for p in result.plans)

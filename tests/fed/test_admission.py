@@ -98,7 +98,7 @@ class TestArrivals:
         assert sum(gaps) / len(gaps) == pytest.approx(25.0, rel=0.1)
 
     def test_bursty_long_run_rate_matches_and_clusters(self):
-        process = BurstyArrivals(40.0, 3, on_ms=400.0, off_ms=600.0)
+        process = BurstyArrivals(40.0, 3)
         gaps = list(itertools.islice(process.gaps(), 6000))
         # Long-run average rate is the nominal one...
         assert sum(gaps) / len(gaps) == pytest.approx(25.0, rel=0.15)

@@ -29,9 +29,9 @@ class TestRegistration:
     def test_replica_placement(self):
         registry = NicknameRegistry()
         registry.register("orders", "S1", table_def=_table())
-        registry.register("orders", "S2", remote_table="orders_copy")
+        registry.register("orders", "S2")
         assert registry.servers_for("orders") == frozenset({"S1", "S2"})
-        assert registry.remote_table("orders", "S2") == "orders_copy"
+        assert registry.remote_table("orders", "S2") == "orders"
 
     def test_duplicate_placement_rejected(self):
         registry = NicknameRegistry()

@@ -18,18 +18,9 @@ class TestPatrollerLifecycle:
     def test_fail(self):
         patroller = QueryPatroller()
         record = patroller.submit("SELECT 1", 0.0)
-        patroller.fail(record, 10.0, "boom", server="S1")
+        patroller.fail(record, 10.0, "boom")
         assert record.status is QueryStatus.FAILED
         assert record.error == "boom"
-        assert record.failed_servers == ["S1"]
-
-    def test_note_server_failure_survivable(self):
-        patroller = QueryPatroller()
-        record = patroller.submit("SELECT 1", 0.0)
-        patroller.note_server_failure(record, "S2")
-        patroller.complete(record, 5.0)
-        assert record.status is QueryStatus.COMPLETED
-        assert record.failed_servers == ["S2"]
 
     def test_ids_increment(self):
         patroller = QueryPatroller()
@@ -60,7 +51,6 @@ class TestPatrollerAnalytics:
 
     def test_failure_count(self):
         assert self._patroller().failure_count() == 1
-        assert self._patroller().failure_count("QT1") == 0
 
     def test_mean_of_empty(self):
         assert QueryPatroller().mean_response_ms() == 0.0

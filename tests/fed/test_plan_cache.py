@@ -150,7 +150,7 @@ class TestIntegratorCaching:
             "supplier"
         )
         plain_deployment.registry.register(
-            "supplier_copy", "S1", "supplier", table_def=table
+            "supplier_copy", "S1", table_def=table
         )
         assert integrator.calibration_epoch.value > epoch_before
         integrator.compile(SQL)

@@ -13,7 +13,7 @@ from repro.harness import (
     run_workload_once,
 )
 from repro.harness.experiment import PhaseOutcome, QueryOutcome
-from repro.workload import PHASES, QT1, TEST_SCALE, build_workload
+from repro.workload import LOAD_LEVEL, PHASES, QT1, TEST_SCALE, build_workload
 
 
 @pytest.fixture()
@@ -82,9 +82,8 @@ class TestRunners:
 
     def test_run_phase_sets_loads(self, deployment):
         workload = build_workload(instances_per_type=1)
-        run_phase(deployment, workload, PHASES[1], load_level=0.7,
-                  warmup_passes=0)
-        assert deployment.servers["S3"].current_load(0.0) == 0.7
+        run_phase(deployment, workload, PHASES[1])
+        assert deployment.servers["S3"].current_load(0.0) == LOAD_LEVEL
         assert deployment.servers["S1"].current_load(0.0) == 0.0
 
 

@@ -97,10 +97,11 @@ class TestAsciiTable:
 
 class TestCharts:
     def test_bar_chart(self):
-        text = bar_chart({"S1": 10.0, "S2": 20.0}, width=10, unit="ms")
+        text = bar_chart({"S1": 10.0, "S2": 20.0}, unit="ms")
         lines = text.splitlines()
         assert lines[0].startswith("S1")
-        assert lines[1].count("#") == 10
+        assert lines[0].count("#") == 20
+        assert lines[1].count("#") == 40
         assert "20.0ms" in lines[1]
 
     def test_bar_chart_empty(self):

@@ -21,7 +21,7 @@ from repro.fed import (
 )
 from repro.harness import build_federation
 from repro.obs import decompose_trace
-from repro.sim import OutageSchedule, WindowedErrorInjector
+from repro.sim import OutageSchedule, ServerUnavailable, WindowedErrorInjector
 from repro.workload import TEST_SCALE, build_workload
 from repro.workload.queries import QT1, QT3
 
@@ -36,6 +36,12 @@ SCENARIOS = {
     "all-up": {},
     "winner-down": {"outages": {"S3": [(1.0, 1e9)]}},
 }
+
+#: Two fragments with no join edge between them, both best at S3.
+CROSS_JOIN = (
+    "SELECT c.nation, o.priority FROM customer c, orders o "
+    "WHERE c.acctbal > 9990 AND o.totalprice > 9990"
+)
 
 #: Ways for a lone query to fail: every dispatch errors until the retry
 #: budget is spent, or every server is gone by the first retry's compile.
@@ -163,6 +169,46 @@ class TestSingleQueryEquivalence:
         (record,) = sequential.integrator.patroller.records()
         assert record.status is QueryStatus.FAILED
         assert books(concurrent) == books(sequential)
+
+    def test_failed_fragment_is_reported_after_the_ones_before_it(
+        self, make_deployment, monkeypatch
+    ):
+        """A cross join with no join edge runs as two fragments, both on
+        S3 at base load; the second one fails.  QCC must learn the first
+        fragment's success and then the failure, in the order they
+        happened, under both drivers: S3 ends up down in each."""
+        built = []
+
+        def failing_second_execute(**faults):
+            deployment = make_deployment(**faults)
+            wrapper = deployment.meta_wrapper.wrappers["S3"]
+            execute, calls = wrapper.execute, []
+
+            def failing_second(plan, t_ms):
+                calls.append(t_ms)
+                if len(calls) == 2:
+                    raise ServerUnavailable("S3", t_ms)
+                return execute(plan, t_ms)
+
+            monkeypatch.setattr(wrapper, "execute", failing_second)
+            built.append(calls)
+            return deployment
+
+        (sequential, reference), (concurrent, result) = run_both(
+            failing_second_execute, CROSS_JOIN
+        )
+        for calls in built:
+            assert calls[:2] == [calls[0]] * 2  # both fragments at S3
+        assert result.retries == reference.retries == 1
+        assert "S3" not in reference.plan.servers
+        assert result.rows == reference.rows
+        for deployment in (sequential, concurrent):
+            assert not deployment.qcc.is_available("S3", 0.0)
+        # The retry runs both fragments on one server, where the
+        # concurrent driver's queue shares it between them: only the
+        # availability books are comparable.
+        for book in ("availability", "decisions"):
+            assert books(concurrent)[book] == books(sequential)[book]
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_span_trees_are_identical(self, make_deployment, scenario):

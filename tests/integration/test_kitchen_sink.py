@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import LoadBalanceConfig, QCCConfig
 from repro.harness import DEFAULT_SERVER_SPECS, build_federation
-from repro.sim import InducedLoad, OutageSchedule, UpdateStormDriver
+from repro.sim import InducedLoad, OutageSchedule
 from repro.sqlengine import rows_close_unordered
 from repro.workload import PHASES, TEST_SCALE, build_workload
 
@@ -42,7 +42,15 @@ def test_everything_on_everything_breaks_nothing(seed):
     s1.load = InducedLoad(gain=0.003, decay_ms=10_000.0, base=deployment.loads["S1"])
     # The storm hits a table the workload never reads: its load effects
     # are felt, but replica equivalence of the workload tables survives.
-    storm = UpdateStormDriver(s1, table="supplier", seed=seed)
+    def storm(t_ms):
+        for burst in range(1, 5):
+            low = burst * seed
+            s1.execute_dml(
+                "UPDATE supplier SET rating = rating + 1 "
+                f"WHERE suppkey >= {low} AND suppkey < {low + 3}",
+                t_ms,
+            )
+
     # S3 takes an outage partway through.
     deployment.servers["S3"].availability = OutageSchedule(
         [(2_000.0, 20_000.0)]
@@ -62,7 +70,7 @@ def test_everything_on_everything_breaks_nothing(seed):
                 for name in deployment.server_names()
             }
         )
-        storm.burst(deployment.clock.now, statements=4)
+        storm(deployment.clock.now)
         for instance in workload:
             try:
                 result = deployment.integrator.submit(

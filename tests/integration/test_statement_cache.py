@@ -29,9 +29,11 @@ def _described(candidates):
 
 def _statements(deployment):
     """(database, sql) for every QT1-QT5 fragment x candidate server."""
-    workload = build_workload(
-        templates=EXTENDED_QUERY_TYPES, instances_per_type=2, seed=7
-    )
+    workload = [
+        template.instance(instance, 7)
+        for template in EXTENDED_QUERY_TYPES
+        for instance in range(2)
+    ]
     asked = []
     for instance in workload:
         for fragment in decompose(instance.sql, deployment.registry).fragments:
@@ -70,18 +72,11 @@ def _rescale_stats(database):
     database.catalog.update_stats("orders", stats.scaled(0.01))
 
 
-def _recreate_empty(database):
-    schema = database.catalog.lookup("customer").schema
-    database.storage.drop_table("customer")
-    database.create_table("customer", schema)
-
-
 #: Every kind of mutation an optimizer can see, with the table it needs.
 MUTATIONS = (
     ("orders", _add_index),
     ("customer", _load_rows),
     ("orders", _rescale_stats),
-    ("customer", _recreate_empty),
 )
 
 

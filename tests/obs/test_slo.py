@@ -125,6 +125,12 @@ class TestSweep:
             monitor().sweep("gold", end_ms=100.0, step_ms=0.0)
 
 
+def _verdict(report, klass):
+    """*report*'s verdict for *klass*."""
+    (verdict,) = [v for v in report.verdicts if v.klass == klass]
+    return verdict
+
+
 class TestReport:
     def test_default_step_is_quarter_of_smallest_short_window(self):
         report = monitor().report(end_ms=100.0)
@@ -132,7 +138,7 @@ class TestReport:
 
     def test_no_traffic_class_has_no_compliance_and_no_breach(self):
         report = monitor().report(end_ms=100.0)
-        verdict = report.verdict_for("gold")
+        verdict = _verdict(report, "gold")
         assert verdict.compliance is None
         assert verdict.budget_burned == 0.0
         assert not verdict.breached
@@ -147,12 +153,12 @@ class TestReport:
                   980.0, 990.0):
             m.observe_completion("gold", t, latency_ms=1.0)
         m.observe_shed("gold", 1000.0)
-        verdict = m.report(end_ms=1000.0, step_ms=25.0).verdict_for("gold")
+        verdict = _verdict(m.report(end_ms=1000.0, step_ms=25.0), "gold")
         assert verdict.compliance == pytest.approx(0.9)
         assert not any(alert.fired for alert in verdict.alerts)
         assert not verdict.breached
         m.observe_shed("gold", 1001.0)
-        verdict = m.report(end_ms=1001.0, step_ms=25.0).verdict_for("gold")
+        verdict = _verdict(m.report(end_ms=1001.0, step_ms=25.0), "gold")
         assert verdict.compliance < 0.9
         assert not any(alert.fired for alert in verdict.alerts)
         assert verdict.breached
@@ -162,7 +168,7 @@ class TestReport:
         m.observe_completion("gold", 1.0, latency_ms=1.0)
         m.observe_shed("gold", 2.0)
         m.observe_failure("gold", 3.0)
-        verdict = m.report(end_ms=10.0).verdict_for("gold")
+        verdict = _verdict(m.report(end_ms=10.0), "gold")
         assert (verdict.total, verdict.good, verdict.bad) == (3, 1, 2)
         assert (verdict.shed, verdict.failed) == (1, 1)
 
@@ -192,7 +198,7 @@ class TestReport:
             ),
         ]
         m.ingest(handles)
-        verdict = m.report(end_ms=100.0).verdict_for("gold")
+        verdict = _verdict(m.report(end_ms=100.0), "gold")
         assert (verdict.good, verdict.shed, verdict.failed) == (1, 1, 1)
 
     def test_report_is_deterministic(self):

@@ -8,6 +8,7 @@ import json
 import pytest
 
 import repro.obs as obs
+import repro.obs.timeline as timeline_module
 from repro.obs.timeline import (
     NULL_TIMELINE,
     NullTimeline,
@@ -16,6 +17,10 @@ from repro.obs.timeline import (
 )
 from repro.harness import run_timeline
 from repro.workload import TEST_SCALE
+
+
+def _events_of(timeline, kind):
+    return [e for e in timeline.events if e.kind == kind]
 
 
 def _sample(timeline, t_ms, server="S1", factor=1.0, **overrides):
@@ -40,17 +45,14 @@ class TestTimelineRecorder:
             11.0, "server-down", "S3", "probe", None
         )
 
-    def test_capacity_is_bounded_newest_win(self):
-        timeline = Timeline(capacity=3)
+    def test_capacity_is_bounded_newest_win(self, monkeypatch):
+        monkeypatch.setattr(timeline_module, "CAPACITY", 3)
+        timeline = Timeline()
         for t in range(5):
             _sample(timeline, float(t))
             timeline.event(float(t), "tick")
         assert [s.t_ms for s in timeline.samples] == [2.0, 3.0, 4.0]
         assert [e.t_ms for e in timeline.events] == [2.0, 3.0, 4.0]
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            Timeline(capacity=0)
 
     def test_server_series_filters_and_orders(self):
         timeline = Timeline()
@@ -67,14 +69,6 @@ class TestTimelineRecorder:
     def test_server_series_rejects_unknown_field(self):
         with pytest.raises(ValueError):
             Timeline().server_series("S1", field="nope")
-
-    def test_events_of_filters_by_kind(self):
-        timeline = Timeline()
-        timeline.event(1.0, "server-down", server="S3")
-        timeline.event(2.0, "recalibration", detail="cycle 1")
-        assert [e.kind for e in timeline.events_of("server-down")] == [
-            "server-down"
-        ]
 
 
 class TestTimelineExport:
@@ -156,8 +150,8 @@ class TestRunTimeline:
 
     def test_captures_availability_transitions(self, sweep):
         timeline = sweep.timeline
-        downs = timeline.events_of("server-down")
-        ups = timeline.events_of("server-up")
+        downs = _events_of(timeline, "server-down")
+        ups = _events_of(timeline, "server-up")
         assert any(e.server == "S3" for e in downs)
         assert any(e.server == "S3" for e in ups)
         availability = [
@@ -170,7 +164,7 @@ class TestRunTimeline:
         assert up_t > down_t
 
     def test_records_recalibration_events(self, sweep):
-        cycles = sweep.timeline.events_of("recalibration")
+        cycles = _events_of(sweep.timeline, "recalibration")
         assert len(cycles) == len(sweep.phases)
         assert all(e.value is not None and e.value > 0 for e in cycles)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import repro.obs as obs
+import repro.obs.trace as trace_module
 from repro.obs import NULL_TRACE, Tracer
 from repro.obs.trace import NullTracer, QueryTrace
 
@@ -83,7 +84,7 @@ class TestJsonExport:
 
 class TestTracer:
     def test_tracks_finished(self):
-        tracer = Tracer(keep=2)
+        tracer = Tracer()
         trace = tracer.start(1, "q", 0.0)
         assert tracer.last() is None
         tracer.finish(trace, 5.0)
@@ -97,15 +98,17 @@ class TestTracer:
         assert not hasattr(tracer, "current")
         assert not hasattr(tracer, "resume")
 
-    def test_retention_is_bounded(self):
-        tracer = Tracer(keep=2)
+    def test_retention_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "TRACE_CAPACITY", 2)
+        tracer = Tracer()
         for query_id in range(1, 5):
             trace = tracer.start(query_id, "q", 0.0)
             tracer.finish(trace, 1.0)
         assert [t.query_id for t in tracer.finished] == [3, 4]
 
-    def test_trace_capacity_is_configurable(self, live_obs):
-        sink = obs.configure(log_level=None, trace_capacity=3)
+    def test_trace_capacity_is_configurable(self, live_obs, monkeypatch):
+        monkeypatch.setattr(trace_module, "TRACE_CAPACITY", 3)
+        sink = obs.configure(log_level=None)
         for query_id in range(1, 6):
             trace = sink.tracer.start(query_id, "q", 0.0)
             sink.tracer.finish(trace, 1.0)

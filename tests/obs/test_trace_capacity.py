@@ -79,7 +79,8 @@ class TestSpanCapacity:
             def inc(self, amount=1.0):
                 self.value += amount
 
-        tracer = Tracer(max_spans=1)
+        tracer = Tracer()
+        tracer.max_spans = 1
         counter = Counter()
         tracer.drop_counter = counter
         trace = tracer.start(1, "sql", 0.0)

@@ -9,9 +9,6 @@ class TestVirtualClock:
     def test_starts_at_zero(self):
         assert VirtualClock().now == 0.0
 
-    def test_custom_start(self):
-        assert VirtualClock(100.0).now == 100.0
-
     def test_advance(self):
         clock = VirtualClock()
         assert clock.advance(5.0) == 5.0

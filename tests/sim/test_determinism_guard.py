@@ -29,7 +29,16 @@ def test_default_scan_covers_fed_package(tmp_path, monkeypatch):
     assert "arrivals.py:2" in str(excinfo.value)
 
 
-def test_flags_module_level_random_calls(tmp_path):
+def _guard_only(root, monkeypatch):
+    """Point the guard's two packages at *root*."""
+    import repro.fed
+    import repro.sim
+
+    for package in (repro.fed, repro.sim):
+        monkeypatch.setattr(package, "__file__", str(root / "__init__.py"))
+
+
+def test_flags_module_level_random_calls(tmp_path, monkeypatch):
     offender = tmp_path / "offender.py"
     offender.write_text(
         "import random\n"
@@ -42,13 +51,14 @@ def test_flags_module_level_random_calls(tmp_path):
     uses = global_random_uses(tmp_path)
     attrs = [use.rsplit("random.", 1)[1] for use in uses]
     assert sorted(attrs) == ["choice", "random", "shuffle", "uniform"]
+    _guard_only(tmp_path, monkeypatch)
     with pytest.raises(DeterminismError) as excinfo:
-        forbid_global_random(tmp_path)
+        forbid_global_random()
     assert "offender.py:3" in str(excinfo.value)
     assert "derive_rng" in str(excinfo.value)
 
 
-def test_seeded_instances_are_allowed(tmp_path):
+def test_seeded_instances_are_allowed(tmp_path, monkeypatch):
     clean = tmp_path / "clean.py"
     clean.write_text(
         "import random\n"
@@ -57,7 +67,8 @@ def test_seeded_instances_are_allowed(tmp_path):
         "    return rng.random()\n"
     )
     assert global_random_uses(tmp_path) == []
-    forbid_global_random(tmp_path)
+    _guard_only(tmp_path, monkeypatch)
+    forbid_global_random()
 
 
 def test_bare_references_without_call_are_flagged(tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.sim.load as load_module
 from repro.sim import InducedLoad, MutableLoad
 
 
@@ -23,14 +24,15 @@ class TestInducedLoad:
         cooled = load.level(1_000.0)  # ten time constants later
         assert cooled < hot * 0.01 + 0.01
 
-    def test_cap(self):
-        load = InducedLoad(gain=1.0, cap=0.9)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(load_module, "INDUCED_CAP", 0.5)
+        load = InducedLoad(gain=1.0)
         load.note_work(0.0, 1e9)
-        assert load.level(0.0) <= 0.949
+        assert load.level(0.0) == 0.5
 
     def test_base_plus_induced_bounded(self):
         base = MutableLoad(0.9)
-        load = InducedLoad(gain=1.0, cap=0.9, base=base)
+        load = InducedLoad(gain=1.0, base=base)
         load.note_work(0.0, 1e9)
         assert load.level(0.0) < 0.95
 
@@ -46,8 +48,6 @@ class TestInducedLoad:
             InducedLoad(gain=-1.0)
         with pytest.raises(ValueError):
             InducedLoad(decay_ms=0.0)
-        with pytest.raises(ValueError):
-            InducedLoad(cap=1.0)
 
 
 class TestServerFeedback:

@@ -23,8 +23,8 @@ class TestConstantLoad:
 
 class TestStepSchedule:
     def test_steps(self):
-        schedule = StepSchedule([(100.0, 0.5), (200.0, 0.9)], initial=0.1)
-        assert schedule.level(50.0) == 0.1
+        schedule = StepSchedule([(100.0, 0.5), (200.0, 0.9)])
+        assert schedule.level(50.0) == 0.0
         assert schedule.level(100.0) == 0.5
         assert schedule.level(150.0) == 0.5
         assert schedule.level(500.0) == 0.9

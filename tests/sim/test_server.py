@@ -90,10 +90,6 @@ class TestExecute:
                 server.execute_plan(plan, 0.0)
         assert err.value.transient
 
-    def test_execute_sql_convenience(self, server):
-        execution = server.execute_sql(SQL, 0.0)
-        assert execution.row_count > 0
-
 
 class TestProbes:
     def test_ping_returns_rtt(self, server):

@@ -98,11 +98,6 @@ class TestUpdateStormDriver:
         )
         assert len(reports) == 4
 
-    def test_explicit_table(self, server):
-        driver = UpdateStormDriver(server, table="dept")
-        assert driver.table.name == "dept"
-        driver.burst(0.0, statements=2)
-
     def test_storm_makes_estimates_stale(self, server):
         """Heavy updates without RUNSTATS leave the optimizer's
         statistics describing data that no longer exists — one of the

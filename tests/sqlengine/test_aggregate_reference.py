@@ -31,7 +31,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.numeric import left_sum
+from repro.numeric import left_sum_from
 from repro.sqlengine import (
     Column,
     ColumnRef,
@@ -76,9 +76,9 @@ def _fold_agg_dense(state, values):
         if name in ("SUM", "AVG") and isinstance(first, (int, float)):
             total = state.total
             if total is None:
-                state.total = left_sum(values[1:], first)
+                state.total = left_sum_from(values[1:], first)
             else:
-                state.total = left_sum(values, total)
+                state.total = left_sum_from(values, total)
             state.count += len(values)
             return
         if name == "MIN":

@@ -109,14 +109,6 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             Catalog().lookup("missing")
 
-    def test_unregister(self):
-        catalog = Catalog()
-        catalog.register(self._table())
-        catalog.unregister("t")
-        assert not catalog.has_table("t")
-        with pytest.raises(CatalogError):
-            catalog.unregister("t")
-
     def test_table_names_sorted(self):
         catalog = Catalog()
         catalog.register(self._table("zeta"))

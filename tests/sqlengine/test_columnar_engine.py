@@ -44,7 +44,6 @@ from repro.sqlengine import (
     NestedLoopJoin,
     Not,
     Or,
-    PhysicalPlan,
     Schema,
     SeqScan,
     SqlError,
@@ -55,7 +54,7 @@ from repro.sqlengine import (
 )
 from repro.sqlengine import cost
 from repro.sqlengine.columnar import NULL_CODE, TableColumn, TableColumns, _build_dict
-from repro.sqlengine.physical import ExecutionContext, MaterializedInput
+from repro.sqlengine.physical import MaterializedInput
 
 
 def meter_tuple(result):
@@ -954,22 +953,6 @@ class TestOperatorSemantics:
 
 
 class TestEngineMachinery:
-    def test_default_adapter_chunks_row_stream(self, joined_db):
-        # MaterializedInput has a native columnar path; go through the
-        # base-class adapter explicitly to test the row bridge.
-        data = [(i,) for i in range(DEFAULT_BATCH_SIZE + 5)]
-        plan = MaterializedInput(
-            "m", Schema((Column("x", ColumnType.INT),)), data
-        )
-        results = {}
-        for adapter in (PhysicalPlan, MaterializedInput):
-            ctx = ExecutionContext(storage=joined_db.storage)
-            batches = list(adapter._rows_columnar(plan, ctx))
-            assert [len(b) for b in batches] == [DEFAULT_BATCH_SIZE, 5]
-            assert [r for b in batches for r in b.materialize()] == data
-            results[adapter] = ctx.meter.cpu_ms
-        assert results[PhysicalPlan] == results[MaterializedInput] > 0
-
     def test_resolve_engine_validates(self):
         assert ENGINES == ("columnar", "row")
         assert resolve_engine("row") == "row"

@@ -33,7 +33,7 @@ class TestTokenizer:
 class TestSelectParsing:
     def test_minimal(self):
         stmt = parse("SELECT * FROM t")
-        assert stmt.is_select_star
+        assert stmt.items == ()
         assert stmt.tables[0].name == "t"
 
     def test_items_with_aliases(self):

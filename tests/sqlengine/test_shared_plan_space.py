@@ -17,7 +17,7 @@ from typing import List
 import pytest
 from hypothesis import given, settings
 
-from repro.sqlengine import Database, SqlError, plan_sql, populate
+from repro.sqlengine import Catalog, Database, SqlError, plan_sql, populate
 from repro.sqlengine import database as database_module
 from repro.sqlengine import physical
 from repro.sqlengine.cost import REFERENCE_PROFILE, ServerProfile
@@ -150,7 +150,10 @@ def test_a_server_missing_a_table_raises_the_same_bind_error_every_time(
     sample_databases, calls
 ):
     full, lacking, other = _servers(sample_databases["S1"].catalog)
-    lacking.catalog.unregister("orders")
+    lacking.catalog = Catalog()
+    for table in full.catalog:
+        if table.name != "orders":
+            lacking.catalog.register(table)
     sql = QT4.instance(0).sql
     with pytest.raises(BindError) as first:
         lacking.explain(sql)

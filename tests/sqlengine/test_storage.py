@@ -130,11 +130,6 @@ class TestStorageManager:
         with pytest.raises(StorageError):
             storage.table("missing")
 
-    def test_drop_table(self, storage):
-        storage.drop_table("t")
-        assert not storage.has_table("t")
-        assert not storage.catalog.has_table("t")
-
     def test_load_rows_refreshes_stats(self, storage):
         storage.load_rows("t", [(1, "a"), (2, "b"), (2, "c")])
         stats = storage.catalog.lookup("t").stats

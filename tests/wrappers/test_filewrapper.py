@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import NetworkLink, OutageSchedule, ServerUnavailable
+from repro.sim import NetworkLink
 from repro.sqlengine import Column, ColumnType, Schema
 from repro.wrappers import FileSource, FileWrapper, UNKNOWN_COST
 
@@ -42,18 +42,6 @@ class TestFileWrapper:
         execution = wrapper.execute(plan, 0.0)
         transfer = source.link.transfer_ms(source.file_bytes, 0.0)
         assert execution.network_ms >= transfer
-
-    def test_unavailable(self):
-        schema = Schema((Column("id", ColumnType.INT),))
-        source = FileSource(
-            "f", "t", schema, [(1,)],
-            availability=OutageSchedule([(0.0, 100.0)]),
-        )
-        wrapper = FileWrapper(source)
-        with pytest.raises(ServerUnavailable):
-            wrapper.plans("SELECT id FROM t", 50.0)
-        with pytest.raises(ServerUnavailable):
-            wrapper.ping(50.0)
 
     def test_probe_ratio_is_none(self, source):
         assert FileWrapper(source).probe_ratio(0.0) is None

@@ -108,10 +108,32 @@ class TestExecuteOption:
             options[0], 0.0, options
         )
         assert result.observed_ms > 0
+        # Executing reports nothing: the caller settles, then reports.
         log = deployment.meta_wrapper.runtime_log
-        assert log and log[0].observed_ms == result.observed_ms
-        assert any(c[0] == "execute" for c in qcc.calls)
+        assert not log
+        assert not any(c[0] == "execute" for c in qcc.calls)
         assert any(c[0] == "substitute" for c in qcc.calls)
+        deployment.meta_wrapper.note_execution(option, result, 0.0)
+        assert log and log[0].observed_ms == result.observed_ms
+        assert qcc.calls[-1] == ("execute", option.server, result.observed_ms)
+
+    def test_failure_is_reported_by_note_failure(self, deployment):
+        from repro.sim import OutageSchedule, ServerUnavailable
+
+        qcc = RecordingQcc()
+        deployment.meta_wrapper.attach_qcc(qcc)
+        fragment = _fragment(deployment)
+        options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
+        option = options[0]
+        deployment.servers[option.server].availability = OutageSchedule(
+            [(0.0, 100.0)]
+        )
+        with pytest.raises(ServerUnavailable):
+            deployment.meta_wrapper.execute_option(option, 0.0)
+        assert not any(c[0] == "error" for c in qcc.calls)
+        deployment.meta_wrapper.note_failure(option.server, 0.0)
+        assert qcc.calls[-1] == ("error", option.server)
+        assert not deployment.meta_wrapper.runtime_log
 
     def test_substitution_can_be_disabled(self, deployment):
         qcc = RecordingQcc()
@@ -134,9 +156,14 @@ def test_duck_typed_and_subclassed_stubs_see_the_same_calls(deployment, stub):
     fragment = _fragment(deployment)
     options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
     assert {o.server for o in options} == {"S1", "S2"}
-    deployment.meta_wrapper.execute_option(options[0], 0.0, options)
+    option, result = deployment.meta_wrapper.execute_option(
+        options[0], 0.0, options
+    )
+    deployment.meta_wrapper.note_execution(option, result, 0.0)
+    deployment.meta_wrapper.note_failure("S3", 0.0)
     assert [call[0] for call in qcc.calls[1:]] == (
-        ["calibrate", "compile"] * len(options) + ["substitute", "execute"]
+        ["calibrate", "compile"] * len(options)
+        + ["substitute", "execute", "error"]
     )
 
 

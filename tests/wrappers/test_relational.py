@@ -1,10 +1,10 @@
-"""Unit tests for the relational wrapper and table renaming."""
+"""Unit tests for the relational wrapper."""
 
 import pytest
 
 from repro.sim import MutableLoad, RemoteServer, ServerUnavailable, OutageSchedule
-from repro.sqlengine import Database, parse, populate
-from repro.wrappers import RelationalWrapper, rename_tables
+from repro.sqlengine import Database, populate
+from repro.wrappers import RelationalWrapper
 
 
 @pytest.fixture()
@@ -12,33 +12,6 @@ def wrapper(tiny_specs):
     db = Database("srv")
     populate(db, tiny_specs, seed=42)
     return RelationalWrapper(RemoteServer("srv", db, load=MutableLoad()))
-
-
-class TestRenameTables:
-    def test_rename_adds_alias_preserving_binding(self):
-        statement = parse("SELECT emp.salary FROM emp WHERE emp.salary > 1")
-        renamed = rename_tables(statement, {"emp": "emp_v2"})
-        assert renamed.tables[0].name == "emp_v2"
-        assert renamed.tables[0].binding == "emp"
-        assert "emp_v2 AS emp" in renamed.sql()
-
-    def test_existing_alias_kept(self):
-        statement = parse("SELECT e.salary FROM emp e")
-        renamed = rename_tables(statement, {"emp": "emp_v2"})
-        assert renamed.tables[0].binding == "e"
-
-    def test_join_tables_renamed(self):
-        statement = parse(
-            "SELECT e.empno FROM emp e JOIN dept d ON e.deptno = d.deptno"
-        )
-        renamed = rename_tables(statement, {"dept": "dept_x"})
-        assert renamed.joins[0].table.name == "dept_x"
-        assert renamed.joins[0].table.binding == "d"
-
-    def test_identity_mapping_no_change(self):
-        statement = parse("SELECT * FROM emp")
-        renamed = rename_tables(statement, {"emp": "emp"})
-        assert renamed.sql() == statement.sql()
 
 
 class TestWrapper:
@@ -53,15 +26,9 @@ class TestWrapper:
         assert execution.rows == [(300,)]
         assert execution.observed_ms > 0
 
-    def test_translate_with_nickname_map(self, tiny_specs):
-        db = Database("srv")
-        populate(db, tiny_specs, seed=42)
-        server = RemoteServer("srv", db)
-        wrapper = RelationalWrapper(server, nickname_map={"people": "emp"})
-        sql = wrapper.translate("SELECT COUNT(*) FROM people")
-        assert "emp" in sql
-        plans = wrapper.plans("SELECT COUNT(*) FROM people", 0.0)
-        assert wrapper.execute(plans[0].plan, 0.0).rows == [(300,)]
+    def test_translate_passes_nicknames_through(self, wrapper):
+        sql = "SELECT COUNT(*) FROM emp e WHERE e.salary > 1"
+        assert wrapper.translate(sql) == sql
 
     def test_ping(self, wrapper):
         assert wrapper.ping(0.0) > 0
