@@ -5,6 +5,7 @@ latency profile of the result."""
 
 from __future__ import annotations
 
+from repro.core import Calibration
 from repro.fed import ConcurrentRuntime
 from repro.harness import build_replica_federation
 from repro.workload import TEST_SCALE, build_workload
@@ -24,7 +25,7 @@ P99_IMPROVEMENT = 0.75
 
 def replica_databases():
     deployment = build_replica_federation(
-        scale=TEST_SCALE, seed=SEED, with_qcc=False
+        scale=TEST_SCALE, seed=SEED, calibration=Calibration()
     )
     return {
         name: server.database

@@ -84,7 +84,7 @@ def main() -> None:
         qcc=qcc,
     )
     integrator = InformationIntegrator(
-        registry=registry, meta_wrapper=meta_wrapper, qcc=qcc
+        registry=registry, meta_wrapper=meta_wrapper
     )
 
     sql = (

@@ -25,10 +25,8 @@ from .core import (
 from .fed import (
     FederatedResult,
     FederationError,
-    FixedRouter,
     InformationIntegrator,
     NicknameRegistry,
-    PreferredServerRouter,
 )
 from .harness import (
     Deployment,
@@ -56,13 +54,11 @@ __all__ = [
     "Deployment",
     "FederatedResult",
     "FederationError",
-    "FixedRouter",
     "InformationIntegrator",
     "MetaWrapper",
     "NicknameRegistry",
     "PHASES",
     "PlanCost",
-    "PreferredServerRouter",
     "QCCConfig",
     "QUERY_TYPES",
     "QueryCostCalibrator",

@@ -20,7 +20,7 @@ paper meaning.
 ``record_error``        server failure observed by MW
 ``substitute``          fragment-level load-balance rotation (Section 4.1)
 ``ranked_cluster``      the one replica-choice rule (4.1; second legs too)
-``recommend_global``    global-plan choice / rotation (Section 4.2)
+``recommend_global``    the one global-plan choice (4.2; baselines: fixed)
 ``ii_factor``           workload calibration factor for II (Section 3.2)
 ``record_ii_execution`` II-level (estimate, observation) pair
 ``tick``                drive daemons and the calibration cycle
@@ -109,8 +109,11 @@ class Calibration:
         self,
         decomposed: DecomposedQuery,
         plans: Sequence[GlobalPlan],
+        label: Optional[str],
         t_ms: float,
     ) -> GlobalPlan:
+        """The plan II runs for a query labelled *label*: the only
+        routing decision of a federation, the cheapest plan here."""
         return plans[0]
 
     def ii_factor(self) -> float:

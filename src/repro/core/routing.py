@@ -200,6 +200,7 @@ class QueryCostCalibrator(Calibration):
         self,
         decomposed: DecomposedQuery,
         plans: Sequence[GlobalPlan],
+        label: Optional[str],
         t_ms: float,
     ) -> GlobalPlan:
         if not self.config.enable_global_balancing:

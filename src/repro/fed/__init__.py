@@ -39,16 +39,10 @@ from .integrator import (
     InformationIntegrator,
 )
 from .merge import EstimatedInput, build_merge_plan, estimate_merge_cost
-from .nicknames import FederationError, NicknameRegistry, Placement
+from .nicknames import FederationError, NicknameRegistry
 from .patroller import PatrolRecord, QueryPatroller, QueryStatus
 from .plan_cache import PlanCache, PlanCacheEntry, plan_key
-from .replication import ReplicaManager, ReplicaState
-from .routers import (
-    FixedRouter,
-    PreferredServerRouter,
-    QCCRouter,
-    Router,
-)
+from .replication import ReplicaManager
 
 __all__ = [
     "AdmissionController",
@@ -62,20 +56,16 @@ __all__ = [
     "FederatedResult",
     "HedgePolicy",
     "FederationError",
-    "FixedRouter",
     "FragmentOption",
     "FragmentOutcome",
     "GlobalPlan",
     "InformationIntegrator",
     "NicknameRegistry",
     "PatrolRecord",
-    "Placement",
     "PlanCache",
     "PlanCacheEntry",
     "PoissonArrivals",
-    "PreferredServerRouter",
     "PriorityClass",
-    "QCCRouter",
     "QueryFragment",
     "QueryHandle",
     "QueryPatroller",
@@ -85,9 +75,7 @@ __all__ = [
     "BatchSpan",
     "Checkpoint",
     "ReplicaManager",
-    "ReplicaState",
     "ReroutePolicy",
-    "Router",
     "batch_schedule",
     "build_merge_plan",
     "checkpoint_consumed",

@@ -4,7 +4,7 @@ Reproduces the operational flow of the paper's Figure 1/2:
 
 Compile time — decompose the federated query into fragments, collect
 candidate plans and (calibrated) costs through the meta-wrapper,
-enumerate global plans, let the router pick the winner.
+enumerate global plans, let the calibration pick the winner.
 
 Runtime — dispatch the chosen fragment plans through the meta-wrapper,
 report each settled fragment's response time (or its server's failure)
@@ -51,7 +51,6 @@ from .merge import build_merge_plan
 from .nicknames import FederationError, NicknameRegistry
 from .patroller import PatrolRecord, QueryPatroller
 from .plan_cache import PlanCache, plan_key
-from .routers import QCCRouter, Router
 
 
 #: Queue name of the integrator's own merge stage.
@@ -155,7 +154,6 @@ class _Uncontended(DispatchStrategy):
         return Completion(
             queue=queue,
             queued_ms=t_ms,
-            started_ms=t_ms,
             finished_ms=t_ms + demand_ms,
             demand_ms=demand_ms,
             service_ms=demand_ms,
@@ -207,7 +205,7 @@ def _end_dispatch(
 
 
 class InformationIntegrator:
-    """Federated query processor with pluggable routing and calibration."""
+    """Federated query processor; its meta-wrapper's calibration routes."""
 
     #: Virtual ms charged to every query's first compilation.
     compile_overhead_ms = 2.0
@@ -220,18 +218,15 @@ class InformationIntegrator:
         registry: NicknameRegistry,
         meta_wrapper: MetaWrapper,
         clock: Optional[VirtualClock] = None,
-        router: Optional[Router] = None,
-        qcc: Optional[Calibration] = None,
         enable_plan_cache: bool = True,
     ):
         self.meta_wrapper = meta_wrapper
         self.clock = clock if clock is not None else VirtualClock()
         #: The hardware II merges on (global plans price their merge on it).
         self.profile: ServerProfile = REFERENCE_PROFILE
-        #: The calibration II ticks, reads its factor from and reports
-        #: to: the meta-wrapper's, unless told otherwise.
-        self.qcc = qcc or meta_wrapper.qcc
-        self.router = router or QCCRouter(self.qcc)
+        #: The calibration II ticks, reads its factor from, reports to
+        #: and asks for the plan to run: always the meta-wrapper's.
+        self.qcc: Calibration = meta_wrapper.qcc
         #: Whether :meth:`submit` moves the clock; a scheduler that owns
         #: the clock (``ConcurrentRuntime``) turns this off.
         self.advance_clock = True
@@ -526,7 +521,7 @@ class InformationIntegrator:
                 self._fail(record, trace, root, t0 + elapsed, str(exc))
                 raise
             span = trace.begin("route", t_attempt)
-            chosen = self.router.choose(
+            chosen = self.qcc.recommend_global(
                 decomposed, plans, record.label, t_attempt
             )
             trace.end(

@@ -2,15 +2,14 @@
 
 A *nickname* is the local name under which a remote table is known to the
 integrator (DB2 II terminology).  Each nickname maps to one or more
-*placements* — (server, remote table) pairs — because the paper's setup
-replicates tables across the three remote servers.  The registry also
-builds the II-side global catalog (schemas + statistics, no data) that
-federated queries bind against.
+*placements* — the servers holding a copy, under the nickname's own
+name — because the paper's setup replicates tables across the three
+remote servers.  The registry also builds the II-side global catalog
+(schemas + statistics, no data) that federated queries bind against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..sqlengine import Catalog, SqlError, TableDef, TableStats
@@ -20,19 +19,12 @@ class FederationError(SqlError):
     """Raised for federation-level configuration and planning errors."""
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One copy of a nickname's data."""
-
-    server: str
-    remote_table: str
-
-
 class NicknameRegistry:
     """Maps nicknames to their placements and serves the global catalog."""
 
     def __init__(self) -> None:
-        self._placements: Dict[str, List[Placement]] = {}
+        #: nickname -> the servers holding a copy, in registration order.
+        self._placements: Dict[str, List[str]] = {}
         self._global_catalog = Catalog()
         self._epochs: List = []
         #: Bumped by every placement change: a decomposition is valid for
@@ -62,7 +54,6 @@ class NicknameRegistry:
         placements registered later may omit it.
         """
         key = nickname.lower()
-        placement = Placement(server=server, remote_table=nickname)
         existing = self._placements.get(key)
         if existing is None:
             if table_def is None:
@@ -70,7 +61,7 @@ class NicknameRegistry:
                     f"first registration of nickname {nickname!r} "
                     "requires a table definition"
                 )
-            self._placements[key] = [placement]
+            self._placements[key] = [server]
             self._global_catalog.register(
                 TableDef(
                     name=nickname,
@@ -84,11 +75,11 @@ class NicknameRegistry:
             )
             self._notify_topology_change()
             return
-        if any(p.server == server for p in existing):
+        if server in existing:
             raise FederationError(
                 f"nickname {nickname!r} already placed on server {server!r}"
             )
-        existing.append(placement)
+        existing.append(server)
         self._notify_topology_change()
 
     def _notify_topology_change(self) -> None:
@@ -96,22 +87,15 @@ class NicknameRegistry:
         for epoch in self._epochs:
             epoch.bump()
 
-    def placements(self, nickname: str) -> List[Placement]:
+    def placements(self, nickname: str) -> List[str]:
+        """The servers holding *nickname*, in registration order."""
         found = self._placements.get(nickname.lower())
         if not found:
             raise FederationError(f"unknown nickname {nickname!r}")
         return list(found)
 
     def servers_for(self, nickname: str) -> FrozenSet[str]:
-        return frozenset(p.server for p in self.placements(nickname))
-
-    def remote_table(self, nickname: str, server: str) -> str:
-        for placement in self.placements(nickname):
-            if placement.server == server:
-                return placement.remote_table
-        raise FederationError(
-            f"nickname {nickname!r} has no placement on server {server!r}"
-        )
+        return frozenset(self.placements(nickname))
 
     def common_servers(self, nicknames: Iterable[str]) -> FrozenSet[str]:
         """Servers hosting *all* the given nicknames (co-location set)."""

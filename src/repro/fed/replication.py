@@ -14,26 +14,14 @@ oldest origin write it has not yet received (0 when fully caught up).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..obs import get_obs
 from .nicknames import FederationError, NicknameRegistry
 
 
-@dataclass(frozen=True)
-class ReplicaState:
-    """Currency information for one (nickname, server) placement."""
-
-    nickname: str
-    server: str
-    is_origin: bool
-    synced_at_ms: Optional[float]
-    staleness_ms: float
-
-
 class ReplicaManager:
-    """Tracks write and sync times per placement.
+    """Tracks each replica placement's oldest unsynced origin write.
 
     The *origin* of a nickname is the placement writes are applied to;
     replicas catch up via :meth:`sync`.  The manager never moves data
@@ -46,8 +34,6 @@ class ReplicaManager:
         self.registry = registry
         self._origin: Dict[str, str] = {}
         self._first_unsynced_write: Dict[Tuple[str, str], Optional[float]] = {}
-        self._synced_at: Dict[Tuple[str, str], Optional[float]] = {}
-        self._last_write: Dict[str, Optional[float]] = {}
         self._epochs: List = []
 
     # -- epoch wiring -------------------------------------------------------
@@ -80,7 +66,7 @@ class ReplicaManager:
         origin = self._origin.get(nickname.lower())
         if origin is None:
             # Default: the first registered placement is the origin.
-            origin = self.registry.placements(nickname)[0].server
+            origin = self.registry.placements(nickname)[0]
         return origin
 
     # -- write / sync events ------------------------------------------------
@@ -88,13 +74,12 @@ class ReplicaManager:
     def note_write(self, nickname: str, t_ms: float) -> None:
         """An origin write happened: every replica falls behind."""
         key = nickname.lower()
-        self._last_write[key] = t_ms
         origin = self.origin_of(nickname)
         fell_behind = False
-        for placement in self.registry.placements(nickname):
-            if placement.server == origin:
+        for server in self.registry.placements(nickname):
+            if server == origin:
                 continue
-            pk = (key, placement.server)
+            pk = (key, server)
             if self._first_unsynced_write.get(pk) is None:
                 self._first_unsynced_write[pk] = t_ms
                 fell_behind = True
@@ -117,15 +102,12 @@ class ReplicaManager:
             return 0
         origin_db = servers[origin_name].database
         replica_db = servers[server].database
-        remote_origin = self.registry.remote_table(nickname, origin_name)
-        remote_replica = self.registry.remote_table(nickname, server)
-        rows = list(origin_db.storage.table(remote_origin).scan())
-        replica_table = replica_db.storage.table(remote_replica)
+        rows = list(origin_db.storage.table(nickname).scan())
+        replica_table = replica_db.storage.table(nickname)
         replica_table.delete_rows(None)
         replica_table.insert_many(rows)
-        replica_db.analyze(remote_replica)
+        replica_db.analyze(nickname)
         self._first_unsynced_write[(key, server)] = None
-        self._synced_at[(key, server)] = t_ms
         self._bump()
         get_obs().timeline.event(
             t_ms,
@@ -175,22 +157,9 @@ class ReplicaManager:
         """
         worst = 0.0
         for nickname in self.registry.nicknames():
-            for placement in self.registry.placements(nickname):
-                if placement.server == server:
-                    worst = max(
-                        worst, self.staleness_ms(nickname, server, t_ms)
-                    )
+            if server in self.registry.placements(nickname):
+                worst = max(worst, self.staleness_ms(nickname, server, t_ms))
         return worst
-
-    def state(self, nickname: str, server: str, t_ms: float) -> ReplicaState:
-        key = nickname.lower()
-        return ReplicaState(
-            nickname=nickname,
-            server=server,
-            is_origin=server == self.origin_of(nickname),
-            synced_at_ms=self._synced_at.get((key, server)),
-            staleness_ms=self.staleness_ms(nickname, server, t_ms),
-        )
 
     def fresh_servers(
         self,

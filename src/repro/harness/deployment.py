@@ -5,11 +5,12 @@ optional placement (which server hosts which tables; absent = every
 table everywhere) — into the paper's Figure 1/2 wiring: one integrator,
 a meta-wrapper over one relational wrapper per remote DB2-like server,
 mutable load levels (so the phase runner can flip Table 1's Base/Load
-conditions), and a calibration — a QCC, or the identity
-:class:`~repro.core.Calibration` without one.  It is the only place the
-harness, baselines, chaos runner and CLI construct those objects; the
-default topology is Section 5's three fully replicated servers and
-:func:`build_replica_federation` is Section 4's S1/R1/S2/R2.
+conditions), and the calibration that prices and picks every plan — a
+QCC unless the caller hands in another :class:`~repro.core.Calibration`
+(the identity one, or a baseline's fixed assignment).  It is the only
+place the harness, baselines, chaos runner and CLI construct those
+objects; the default topology is Section 5's three fully replicated
+servers and :func:`build_replica_federation` is Section 4's S1/R1/S2/R2.
 
 Server characteristics are chosen so the qualitative structure of the
 paper's Figure 9 emerges: S3 is the most powerful machine overall but
@@ -35,11 +36,7 @@ from ..sim import (
     RemoteServer,
     VirtualClock,
 )
-from ..fed import (
-    InformationIntegrator,
-    NicknameRegistry,
-    Router,
-)
+from ..fed import InformationIntegrator, NicknameRegistry
 from ..wrappers import MetaWrapper, RelationalWrapper
 from ..core import Calibration, QCCConfig, QueryCostCalibrator
 from ..workload import BENCH_SCALE, WorkloadScale, table_specs
@@ -119,8 +116,8 @@ class Deployment:
     servers: Dict[str, RemoteServer]
     loads: Dict[str, MutableLoad]
     clock: VirtualClock
-    #: A :class:`QueryCostCalibrator`, or the identity calibration of
-    #: a federation built ``with_qcc=False``.
+    #: A :class:`QueryCostCalibrator`, or the calibration the federation
+    #: was built with (``build_federation(calibration=)``).
     qcc: Calibration
     specs: Tuple[ServerSpec, ...]
 
@@ -166,8 +163,7 @@ def build_federation(
     scale: WorkloadScale = BENCH_SCALE,
     seed: int = 7,
     qcc_config: Optional[QCCConfig] = None,
-    with_qcc: bool = True,
-    router: Optional[Router] = None,
+    calibration: Optional[Calibration] = None,
     availability: Optional[Mapping[str, AvailabilitySchedule]] = None,
     prebuilt_databases: Optional[Mapping[str, Database]] = None,
     induced_load: bool = False,
@@ -188,9 +184,12 @@ def build_federation(
     With ``induced_load`` each server's load level additionally rises
     with the traffic routed to it (the hot-spot feedback of Section 4);
     ``Deployment.set_load`` still controls the phase base level.
-    ``router`` replaces the default routing policy (cheapest plan, or
-    QCC's recommendation when a QCC is attached).
+    ``calibration`` is what prices every option and picks every plan
+    (:meth:`Calibration.recommend_global`); without one it is a QCC
+    built from ``qcc_config``.
     """
+    if calibration is not None and qcc_config is not None:
+        raise ValueError("pass calibration= or qcc_config=, not both")
     clock = VirtualClock()
     databases = prebuilt_databases
     if databases is None:
@@ -230,13 +229,9 @@ def build_federation(
                 table_def=database.catalog.lookup(table_name),
             )
 
-    qcc = (
-        QueryCostCalibrator(
-            servers=[spec.name for spec in specs],
-            config=qcc_config or QCCConfig(),
-        )
-        if with_qcc
-        else Calibration()
+    qcc = calibration or QueryCostCalibrator(
+        servers=[spec.name for spec in specs],
+        config=qcc_config or QCCConfig(),
     )
     meta_wrapper = MetaWrapper(
         {name: RelationalWrapper(server) for name, server in servers.items()},
@@ -247,7 +242,6 @@ def build_federation(
         registry=registry,
         meta_wrapper=meta_wrapper,
         clock=clock,
-        router=router,
         enable_plan_cache=enable_plan_cache,
     )
     return Deployment(

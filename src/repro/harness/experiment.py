@@ -7,12 +7,13 @@ measured pass — mirroring how the paper's system observes a phase before
 benefiting from calibration.  The warm-up cycle (probe → pass →
 recalibrate) is written once, in :func:`warm_up` / :func:`calibrated_pass`.
 
-On top of it, :class:`Evaluation` produces Figure 9, Table 2 and
-Figures 10/11 as structured results, :func:`run_timeline` the
-availability/calibration timeline and :func:`run_procedure` the
-seven-step procedure.  The CLI (``python -m repro experiment ...``), the
-benchmark suite and notebooks all take their numbers from these runners;
-only the rendering differs between them.
+On top of it, :class:`Evaluation` produces Figure 9, Table 2,
+Figures 10/11 and the systems' routing regret as structured results,
+:func:`run_timeline` the availability/calibration timeline and
+:func:`run_procedure` the seven-step procedure.  The CLI (``python -m
+repro experiment ...``), the benchmark suite and notebooks all take
+their numbers from these runners; only the rendering differs between
+them.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def dynamic_assignment(
     dynamic assignment for each query type.
     """
     decomposed, plans = deployment.integrator.compile(instance.sql)
-    chosen = deployment.integrator.router.choose(
+    chosen = deployment.qcc.recommend_global(
         decomposed, plans, instance.label, deployment.clock.now
     )
     return tuple(sorted(chosen.servers))
@@ -392,6 +393,10 @@ class Table2Result:
 
     assignments: Dict[str, List[str]]
     sweep: Dict[str, PhaseOutcome]
+    #: phase name -> workload instance -> its response at every server
+    #: (:func:`observe_on_servers`), taken right after the phase's
+    #: measured pass: what :meth:`Evaluation.regret` measures against.
+    observed: Dict[str, Dict[QueryInstance, Dict[str, float]]]
 
     def to_dict(self) -> Dict:
         return {
@@ -481,12 +486,77 @@ class GainResult:
         return markdown_table(["Phase", "Baseline (ms)", "QCC (ms)", "Gain"], rows)
 
 
+def _regret_ms(
+    outcome: QueryOutcome, observed: Mapping[str, float]
+) -> float:
+    """The response observed at the one server *outcome* ran on, minus
+    the best response observed at any server."""
+    if len(outcome.servers) != 1:
+        raise ValueError(
+            f"{outcome.instance.label}#{outcome.instance.instance_id} ran "
+            f"on {outcome.servers}: regret needs exactly one server"
+        )
+    (server,) = outcome.servers
+    return observed[server] - min(observed.values())
+
+
+@dataclass
+class RegretResult:
+    """Routing regret per system and phase: against the hindsight-best
+    server, what each query's routing cost it."""
+
+    #: system -> phase -> mean regret (ms) over the measured pass
+    mean_ms: Dict[str, Dict[str, float]]
+    #: system -> phase -> share of the pass's queries with zero regret
+    zero_share: Dict[str, Dict[str, float]]
+
+    def to_dict(self) -> Dict:
+        return {
+            "experiment": "regret",
+            "mean_regret_ms": self.mean_ms,
+            "zero_regret_share": self.zero_share,
+        }
+
+    def _rows(self) -> List[List[str]]:
+        """One row per phase, then the mean over the phases."""
+        columns = []
+        for system, by_phase in self.mean_ms.items():
+            means = list(by_phase.values())
+            shares = list(self.zero_share[system].values())
+            columns.append([f"{ms:.1f}" for ms in means + [mean(means)]])
+            columns.append(
+                [f"{100 * s:.0f}%" for s in shares + [mean(shares)]]
+            )
+        phases = list(next(iter(self.mean_ms.values()))) + ["avg"]
+        return [list(row) for row in zip(phases, *columns)]
+
+    def _headers(self) -> List[str]:
+        return ["Phase"] + [
+            heading
+            for system in self.mean_ms
+            for heading in (f"{system} (ms)", f"{system} zero-regret")
+        ]
+
+    def render(self) -> str:
+        return ascii_table(
+            self._headers(),
+            self._rows(),
+            title="=== Routing regret against the hindsight-best server ===",
+        )
+
+    def markdown(self) -> str:
+        rows = self._rows()
+        rows[-1] = [f"**{cell}**" for cell in rows[-1]]
+        return markdown_table(self._headers(), rows)
+
+
 class Evaluation:
     """Section 5's evaluation of the systems over one loaded dataset.
 
     Every artefact method returns a structured result with ``render()``
-    and ``to_dict()``.  The QCC sweep behind Table 2 and Figures 10/11
-    runs at most once per evaluation, however many of them are asked for.
+    and ``to_dict()``.  Each system's phase sweep — the QCC one behind
+    Table 2, the fixed assignments' behind Figures 10/11 — runs at most
+    once per evaluation, however many artefacts are asked for.
     """
 
     def __init__(
@@ -501,6 +571,7 @@ class Evaluation:
         self.databases = databases
         self.workload = build_workload(instances_per_type=instances_per_type)
         self._table2: Optional[Table2Result] = None
+        self._sweeps: Dict[Callable, Dict[str, PhaseOutcome]] = {}
 
     def _deploy(self, factory: Callable[..., Deployment]) -> Deployment:
         return factory(scale=self.scale, prebuilt_databases=self.databases)
@@ -532,25 +603,43 @@ class Evaluation:
         if self._table2 is None:
             deployment = self._deploy(qcc_deployment)
             sweep: Dict[str, PhaseOutcome] = {}
+            observed: Dict[str, Dict[QueryInstance, Dict[str, float]]] = {}
             assignments: Dict[str, List[str]] = {
                 t.name: [] for t in QUERY_TYPES
             }
             for phase in PHASES:
                 sweep[phase.name] = run_phase(deployment, self.workload, phase)
+                # Within a phase nothing an observation sees moves (the
+                # load is the phase's, links are static, every server is
+                # up and error-free), so one set serves every system.
+                observed[phase.name] = {
+                    instance: observe_on_servers(deployment, instance)
+                    for instance in self.workload
+                }
                 for template in QUERY_TYPES:
                     servers = dynamic_assignment(
                         deployment, template.instance(0)
                     )
                     assignments[template.name].append("/".join(servers))
-            self._table2 = Table2Result(assignments=assignments, sweep=sweep)
+            self._table2 = Table2Result(
+                assignments=assignments, sweep=sweep, observed=observed
+            )
         return self._table2
+
+    def _sweep(
+        self, factory: Callable[..., Deployment]
+    ) -> Dict[str, PhaseOutcome]:
+        """*factory*'s system swept over every phase, once."""
+        if factory not in self._sweeps:
+            self._sweeps[factory] = run_phase_sweep(
+                self._deploy(factory), self.workload
+            )
+        return self._sweeps[factory]
 
     def _gain_over(
         self, baseline_factory: Callable[..., Deployment], title: str
     ) -> GainResult:
-        baseline = run_phase_sweep(
-            self._deploy(baseline_factory), self.workload
-        )
+        baseline = self._sweep(baseline_factory)
         calibrated = self.table2().sweep
         return GainResult(
             title=title,
@@ -570,6 +659,31 @@ class Evaluation:
             preferred_server_deployment,
             "=== Figure 11: QCC vs Fixed Assignment 2 (always S3) ===",
         )
+
+    def regret(self) -> RegretResult:
+        """Each system's routing regret per phase: for every query of
+        the phase's measured pass, the response observed at the server
+        it ran on minus the best one observed at any server."""
+        table2 = self.table2()
+        systems = {
+            "QCC": table2.sweep,
+            "Fixed 1": self._sweep(fixed_assignment_deployment),
+            "Fixed 2": self._sweep(preferred_server_deployment),
+        }
+        mean_ms: Dict[str, Dict[str, float]] = {}
+        zero_share: Dict[str, Dict[str, float]] = {}
+        for system, sweep in systems.items():
+            mean_ms[system], zero_share[system] = {}, {}
+            for name, phase in sweep.items():
+                regrets = [
+                    _regret_ms(o, table2.observed[name][o.instance])
+                    for o in phase.outcomes
+                ]
+                mean_ms[system][name] = mean(regrets)
+                zero_share[system][name] = sum(
+                    r == 0.0 for r in regrets
+                ) / len(regrets)
+        return RegretResult(mean_ms=mean_ms, zero_share=zero_share)
 
 
 # ---------------------------------------------------------------------------

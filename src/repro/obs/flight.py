@@ -7,8 +7,8 @@ Two pieces connect the scheduler's queue hooks to the causal span layer:
   parent span (the fragment's ``dispatch`` span, or the ``merge`` span
   for II-side work) under which the queue's lifecycle should appear.
 * :class:`QueueSpanRecorder` — a :class:`~repro.sim.sched.QueueEvents`
-  implementation turning enqueue → start → complete/cancel into
-  ``queue_wait`` and ``service`` child spans.  At completion the two
+  implementation turning enqueue → complete/cancel into ``queue_wait``
+  and ``service`` child spans.  At completion the two
   spans are snapped to the :class:`~repro.sim.sched.Completion`'s exact
   decomposition (``wait_ms`` is the primitive there, so
   queue_wait + service == sojourn holds bit-for-bit); for processor
@@ -32,7 +32,7 @@ recorder satisfies the ``QueueEvents`` surface structurally, keeping
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from .trace import NULL_SPAN, QueryTrace, Span
 
@@ -55,41 +55,39 @@ class QueueSpanRecorder:
     """
 
     def __init__(self) -> None:
-        #: id(job) -> [tag, queue_wait span, service span (None until
-        #: start)].  Keyed by the job handle's identity and popped at
-        #: complete/cancel, so a recycled id cannot alias.
-        self._live: Dict[int, List[object]] = {}
+        #: id(job) -> (queue_wait span, service span).  Keyed by the job
+        #: handle's identity and popped at complete/cancel, so a recycled
+        #: id cannot alias.
+        self._live: Dict[int, Tuple[Span, Span]] = {}
 
     # -- QueueEvents surface --------------------------------------------
 
     def on_enqueue(self, queue, job, t_ms: float) -> None:
+        """Open both spans at the arrival instant: a zero-width wait,
+        then service, which processor sharing gives from the first
+        moment."""
         tag = job.tag
         if not isinstance(tag, SpanTag):
             return
-        wait = tag.trace.begin_child(
+        trace = tag.trace
+        wait = trace.begin_child(
             tag.parent, "queue_wait", t_ms, server=queue.name
         )
-        self._live[id(job)] = [tag, wait, None]
-
-    def on_start(self, queue, job, t_ms: float) -> None:
-        state = self._live.get(id(job))
-        if state is None:
-            return
-        tag, wait, _ = state
-        tag.trace.end(wait, t_ms)
-        state[2] = tag.trace.begin_child(
+        trace.end(wait, t_ms)
+        service = trace.begin_child(
             tag.parent, "service", t_ms, server=queue.name
         )
+        self._live[id(job)] = (wait, service)
 
     def on_complete(self, queue, job, completion) -> None:
         state = self._live.pop(id(job), None)
         if state is None:
             return
-        tag, wait, service = state
+        wait, service = state
         # Snap both spans to the completion's exact decomposition:
-        # [queued, queued + wait] and [queued + wait, finished].  For PS
-        # this rewrites the provisional start-instant boundary into the
-        # logical wait/service split.
+        # [queued, queued + wait] and [queued + wait, finished], the
+        # logical wait/service split that replaces the provisional
+        # arrival-instant boundary.
         boundary = completion.queued_ms + completion.wait_ms
         if wait is not NULL_SPAN:
             wait.start_ms = completion.queued_ms
@@ -97,10 +95,6 @@ class QueueSpanRecorder:
             wait.annotate(
                 wait_ms=completion.wait_ms,
                 depth_at_arrival=completion.depth_at_arrival,
-            )
-        if service is None:
-            service = tag.trace.begin_child(
-                tag.parent, "service", boundary, server=queue.name
             )
         if service is not NULL_SPAN:
             service.start_ms = boundary
@@ -114,16 +108,15 @@ class QueueSpanRecorder:
         state = self._live.pop(id(job), None)
         if state is None:
             return
-        tag, wait, service = state
+        wait, service = state
         for span in (wait, service):
-            if span is None or span is NULL_SPAN:
+            if span is NULL_SPAN:
                 continue
             if span.end_ms is None:
                 span.end_ms = t_ms
             span.annotate(cancelled=True)
-        target = service if service is not None else wait
-        if target is not NULL_SPAN and target is not None:
-            target.annotate(consumed_ms=consumed_ms)
+        if service is not NULL_SPAN:
+            service.annotate(consumed_ms=consumed_ms)
 
 
 # -- latency decomposition ---------------------------------------------------

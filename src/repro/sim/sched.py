@@ -151,7 +151,6 @@ class Completion:
 
     queue: str
     queued_ms: float
-    started_ms: float
     finished_ms: float
     demand_ms: float
     #: Dedicated service time (``demand_ms / capacity``).
@@ -420,8 +419,8 @@ class QueueEvents:
     """Observer interface for :class:`ServerQueue` lifecycle hooks.
 
     The span layer (:mod:`repro.obs.flight`) implements this to turn a
-    job's enqueue → start → complete/cancel transitions into queue_wait
-    and service spans.  The base class is the null object: every queue
+    job's enqueue → complete/cancel transitions into queue_wait and
+    service spans.  The base class is the null object: every queue
     starts with :data:`NULL_QUEUE_EVENTS` and each emission site guards
     with a single identity check, so the disabled path costs nothing
     and inserts no extra scheduler events (byte-identical heaps).
@@ -431,13 +430,9 @@ class QueueEvents:
     """
 
     def on_enqueue(self, queue: "ServerQueue", job: "_Job", t_ms: float) -> None:
-        """*job* entered *queue* at ``t_ms``."""
-
-    def on_start(self, queue: "ServerQueue", job: "_Job", t_ms: float) -> None:
-        """*job* began receiving service at ``t_ms`` (for processor
-        sharing this is its arrival instant — service is shared from the
-        first moment; the wait/service split is finalised at
-        completion)."""
+        """*job* entered *queue* at ``t_ms`` and began receiving service
+        there: under processor sharing service is shared from the first
+        moment, and the wait/service split is finalised at completion."""
 
     def on_complete(
         self, queue: "ServerQueue", job: "_Job", completion: Completion
@@ -461,7 +456,6 @@ class _Job:
 
     seq: int
     queued_ms: float
-    started_ms: float
     demand_ms: float
     callback: Callable[[Completion], None]
     depth_at_arrival: int = 1
@@ -552,7 +546,6 @@ class ServerQueue:
         job = _Job(
             seq=self._seq,
             queued_ms=now,
-            started_ms=now,
             demand_ms=demand_ms,
             callback=callback,
             depth_at_arrival=len(self._jobs) + 1,
@@ -565,7 +558,6 @@ class ServerQueue:
         self._reschedule_ps()
         if self.events is not NULL_QUEUE_EVENTS:
             self.events.on_enqueue(self, job, now)
-            self.events.on_start(self, job, now)
         return job
 
     # -- cancellation ----------------------------------------------------
@@ -633,7 +625,6 @@ class ServerQueue:
         completion = Completion(
             queue=self.name,
             queued_ms=head.queued_ms,
-            started_ms=head.started_ms,
             finished_ms=now,
             demand_ms=head.demand_ms,
             service_ms=head.demand_ms / self.capacity,

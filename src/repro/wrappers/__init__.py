@@ -2,11 +2,7 @@
 
 from .base import Wrapper
 from .filewrapper import FileSource, FileWrapper, UNKNOWN_COST
-from .meta import (
-    DEFAULT_UNKNOWN_ESTIMATE,
-    MetaWrapper,
-    RuntimeLogEntry,
-)
+from .meta import DEFAULT_UNKNOWN_ESTIMATE, MetaWrapper
 from .relational import RelationalWrapper
 
 __all__ = [
@@ -15,7 +11,6 @@ __all__ = [
     "FileWrapper",
     "MetaWrapper",
     "RelationalWrapper",
-    "RuntimeLogEntry",
     "UNKNOWN_COST",
     "Wrapper",
 ]

@@ -15,7 +15,6 @@ hands in — the query's own, whatever else is in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACE, QueryTrace, get_obs
@@ -32,19 +31,6 @@ from .base import Wrapper
 DEFAULT_UNKNOWN_ESTIMATE = PlanCost(
     first_tuple=1.0, total=100.0, rows=1000.0, width_bytes=64.0
 )
-
-
-@dataclass(frozen=True)
-class RuntimeLogEntry:
-    """MW's runtime record: the response time of one fragment execution."""
-
-    t_ms: float
-    fragment_id: str
-    fragment_signature: str
-    server: str
-    plan_signature: str
-    estimated_total: float
-    observed_ms: float
 
 
 #: Per second-leg kind: the cancelled leg's counter, its waste
@@ -68,15 +54,9 @@ class MetaWrapper:
         qcc: Optional[Calibration] = None,
     ):
         self.wrappers: Dict[str, Wrapper] = dict(wrappers)
-        self.runtime_log: List[RuntimeLogEntry] = []
-        self.attach_qcc(qcc or Calibration())
-
-    # -- wiring ----------------------------------------------------------
-
-    def attach_qcc(self, qcc: Calibration) -> None:
-        """The one place MW and a calibration are wired, both ways."""
-        self.qcc = qcc
-        qcc.bind_meta_wrapper(self)
+        # The one place MW and a calibration are wired, both ways.
+        self.qcc = qcc or Calibration()
+        self.qcc.bind_meta_wrapper(self)
 
     def _wrapper(self, server: str, t_ms: float) -> Wrapper:
         wrapper = self.wrappers.get(server)
@@ -198,7 +178,7 @@ class MetaWrapper:
         result: RemoteExecution,
         t_ms: float,
     ) -> None:
-        """Record one fragment execution (metrics, runtime log, QCC).
+        """Record one fragment execution (metrics, QCC).
 
         ``result.observed_ms`` is what QCC learns from; the concurrent
         runtime passes a queue-inflated copy of the raw execution here.
@@ -210,17 +190,6 @@ class MetaWrapper:
         obs.metrics.histogram(
             "mw_fragment_response_ms", server=option.server
         ).observe(result.observed_ms)
-        self.runtime_log.append(
-            RuntimeLogEntry(
-                t_ms=t_ms,
-                fragment_id=option.fragment.fragment_id,
-                fragment_signature=option.fragment.signature,
-                server=option.server,
-                plan_signature=option.plan_signature,
-                estimated_total=option.estimated.total,
-                observed_ms=result.observed_ms,
-            )
-        )
         self.qcc.record_execution(
             server=option.server,
             fragment_signature=option.fragment.signature,
@@ -251,8 +220,8 @@ class MetaWrapper:
         (the primary at *option* was migrated off mid-flight).
 
         A cancelled partial execution would poison the observed/
-        estimated ratio, so it never reaches :meth:`note_execution`, the
-        runtime log or the calibrator — the strategy feeds those
+        estimated ratio, so it never reaches :meth:`note_execution` or the
+        calibrator — the strategy feeds those
         separately (the hedge winner at its effective latency; a
         migrated primary's full demonstrated demand).  The cancelled leg
         leaves just metrics and a trace event: *wasted_ms* is the

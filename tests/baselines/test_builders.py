@@ -2,17 +2,14 @@
 
 
 from repro.baselines import (
+    FixedAssignment,
+    PreferredServer,
     fixed_assignment_deployment,
     preferred_server_deployment,
     qcc_deployment,
     uncalibrated_deployment,
 )
 from repro.core import Calibration, QueryCostCalibrator
-from repro.fed import (
-    FixedRouter,
-    PreferredServerRouter,
-    QCCRouter,
-)
 from repro.workload import FIXED_ASSIGNMENT_1, TEST_SCALE
 
 SQL = "SELECT COUNT(*) FROM customer"
@@ -23,8 +20,10 @@ class TestFactories:
         deployment = fixed_assignment_deployment(
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
-        assert isinstance(deployment.integrator.router, FixedRouter)
-        assert type(deployment.qcc) is Calibration
+        # Identity costs, plus the frozen label -> server assignment.
+        assert type(deployment.qcc) is FixedAssignment
+        assert deployment.qcc.assignment == FIXED_ASSIGNMENT_1
+        assert deployment.integrator.qcc is deployment.qcc
         deployment.integrator.submit(SQL, label="QT1")
 
     def test_fixed_routes_to_assigned_server(self, sample_databases):
@@ -38,7 +37,8 @@ class TestFactories:
         deployment = preferred_server_deployment(
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
-        assert isinstance(deployment.integrator.router, PreferredServerRouter)
+        assert type(deployment.qcc) is PreferredServer
+        # Unlabelled, and routed to S3 all the same.
         result = deployment.integrator.submit(SQL)
         assert result.plan.servers == frozenset({"S3"})
 
@@ -46,9 +46,8 @@ class TestFactories:
         deployment = uncalibrated_deployment(
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
-        # The default router defers to the calibration, whose identity
-        # recommendation is the cheapest plan.
-        assert isinstance(deployment.integrator.router, QCCRouter)
+        # The identity calibration, whose recommendation is the
+        # cheapest plan.
         assert type(deployment.qcc) is Calibration
 
     def test_qcc(self, sample_databases):

@@ -177,7 +177,7 @@ class TestRecommendGlobal:
             _global_plan("p2", ["S2"], 10.1),
         ]
         picks = {
-            qcc.recommend_global(_decomposed(), plans, 0.0).plan_id
+            qcc.recommend_global(_decomposed(), plans, None, 0.0).plan_id
             for _ in range(4)
         }
         assert picks == {"p1"}
@@ -191,7 +191,7 @@ class TestRecommendGlobal:
             _global_plan("p2", ["S2"], 10.1),
         ]
         picks = {
-            qcc.recommend_global(_decomposed(), plans, 0.0).plan_id
+            qcc.recommend_global(_decomposed(), plans, None, 0.0).plan_id
             for _ in range(4)
         }
         assert picks == {"p1", "p2"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import WhatIfPlanner
+from repro.core import Calibration, WhatIfPlanner
 from repro.fed import enumerate_global_plans, decompose
 from repro.harness.deployment import build_replica_federation
 from repro.workload import TEST_SCALE
@@ -16,7 +16,9 @@ Q6 = (
 
 @pytest.fixture(scope="module")
 def replica_deployment():
-    return build_replica_federation(scale=TEST_SCALE, with_qcc=False)
+    return build_replica_federation(
+        scale=TEST_SCALE, calibration=Calibration()
+    )
 
 
 @pytest.fixture()

@@ -319,7 +319,7 @@ def _scripted_run(arrivals):
     t=200, after the first compilations and before their dispatch."""
     plain = build_replica_federation(
         scale=TEST_SCALE,
-        with_qcc=False,
+        calibration=Calibration(),
         availability={"S2": OutageSchedule([(1.0, 200.0)])},
     )
     integrator = InformationIntegrator(

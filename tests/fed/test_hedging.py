@@ -9,17 +9,19 @@ and the whole run remains a pure function of the seed.
 
 import pytest
 
+from repro.core import Calibration
 from repro.fed import ConcurrentRuntime, HedgePolicy, hedging
 from repro.fed.hedging import MAX_TRACKED
 from repro.harness import build_replica_federation
 from repro.workload import TEST_SCALE, build_workload
+from tests.executions import noted_executions
 
 
 @pytest.fixture(scope="module")
 def replica_databases():
     """Loaded S1/R1/S2/R2 databases, shared across this module."""
     deployment = build_replica_federation(
-        scale=TEST_SCALE, seed=7, with_qcc=False
+        scale=TEST_SCALE, seed=7, calibration=Calibration()
     )
     return {
         name: server.database
@@ -191,15 +193,12 @@ class TestDisabledEquivalence:
 
     def test_disabled_calibrator_feedback_identical(self, make_deployment):
         plain_dep = make_deployment()
+        plain = noted_executions(plain_dep.meta_wrapper)
         _drive(plain_dep, None)
         disabled_dep = make_deployment()
+        disabled = noted_executions(disabled_dep.meta_wrapper)
         _drive(disabled_dep, hedge_after_ms=None)
-        key = lambda e: (  # noqa: E731
-            e.server, e.fragment_signature, e.observed_ms, e.estimated_total
-        )
-        assert list(map(key, plain_dep.meta_wrapper.runtime_log)) == list(
-            map(key, disabled_dep.meta_wrapper.runtime_log)
-        )
+        assert plain and disabled == plain
 
 
 class TestHedgedRuns:
@@ -226,10 +225,11 @@ class TestHedgedRuns:
         )
 
     def test_only_winner_reaches_runtime_log(self, make_deployment):
-        """Cancelled losers must not feed the calibrator: the runtime
-        log carries exactly one execution per fragment dispatch, and
+        """Cancelled losers must not feed the calibrator: the meta-
+        wrapper notes exactly one execution per fragment dispatch, and
         every loser shows up in the hedge-cancelled counter instead."""
         deployment = make_deployment()
+        noted = noted_executions(deployment.meta_wrapper)
         runtime, handles = _drive(deployment, hedge_after_ms=1.0)
         policy = runtime.hedging
         assert policy.fired > 0
@@ -239,7 +239,7 @@ class TestHedgedRuns:
             result = handle.result
             assert result is not None
             fragments += len(result.plan.servers)
-        assert len(deployment.meta_wrapper.runtime_log) == fragments
+        assert len(noted) == fragments
 
     def test_depth_cap_zero_suppresses_every_backup(
         self, make_deployment, monkeypatch

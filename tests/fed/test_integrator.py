@@ -2,17 +2,22 @@
 
 import pytest
 
-from repro.fed import FederationError, FixedRouter, QCCRouter, QueryStatus
+from repro.baselines import FixedAssignment
+from repro.core import Calibration, QueryCostCalibrator
+from repro.fed import FederationError, QueryStatus
 from repro.harness import build_federation, dynamic_assignment
 from repro.sim import OutageSchedule
 from repro.sqlengine import rows_equal_unordered
 from repro.workload import QT1, TEST_SCALE
+from tests.executions import noted_executions
 
 
 @pytest.fixture()
 def deployment(sample_databases):
     return build_federation(
-        scale=TEST_SCALE, with_qcc=False, prebuilt_databases=sample_databases
+        scale=TEST_SCALE,
+        calibration=Calibration(),
+        prebuilt_databases=sample_databases,
     )
 
 
@@ -70,9 +75,10 @@ class TestCompile:
         assert len(plans) > 1  # three replicated servers x alternatives
 
     def test_explain_mode_does_not_execute(self, deployment):
+        noted = noted_executions(deployment.meta_wrapper)
         deployment.integrator.explain(SQL)
         assert len(deployment.integrator.patroller) == 0
-        assert len(deployment.meta_wrapper.runtime_log) == 0
+        assert noted == []
 
     def test_excluded_servers_respected(self, deployment):
         _, plans = deployment.integrator.compile(
@@ -101,32 +107,41 @@ class TestCompile:
 
 
 class TestRoutingSeam:
-    """``router.choose`` is the only routing decision, QCC or not."""
+    """``recommend_global`` is the only routing decision, whichever
+    calibration the federation was built with."""
 
-    @pytest.mark.parametrize("with_qcc", [False, True])
-    def test_explicit_router_is_honoured(self, sample_databases, with_qcc):
-        # With a QCC attached the lifecycle used to bypass the router
-        # and take QCC's global recommendation (S3 for everything).
+    def test_fixed_assignment_is_honoured(self, sample_databases):
         deployment = build_federation(
             scale=TEST_SCALE,
-            with_qcc=with_qcc,
-            router=FixedRouter({"QT1": "S1"}),
+            calibration=FixedAssignment({"QT1": "S1"}),
             prebuilt_databases=sample_databases,
         )
         assert dynamic_assignment(deployment, QT1.instance(0)) == ("S1",)
         result = deployment.integrator.submit(SQL, label="QT1")
         assert result.plan.servers == frozenset({"S1"})
-        if with_qcc:
-            # QCC still calibrates and records; it just does not route.
-            assert deployment.qcc.execution_records >= 1
 
-    def test_default_router_defers_to_qcc(self, sample_databases):
+    def test_default_router_defers_to_qcc(
+        self, sample_databases, monkeypatch
+    ):
         deployment = build_federation(
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
-        router = deployment.integrator.router
-        assert isinstance(router, QCCRouter)
-        assert router.qcc is deployment.qcc
+        assert not hasattr(deployment.integrator, "router")
+        assert deployment.integrator.qcc is deployment.qcc
+        assert isinstance(deployment.qcc, QueryCostCalibrator)
+        asked = []
+        recommend = QueryCostCalibrator.recommend_global
+
+        def spy(self, decomposed, plans, label, t_ms):
+            asked.append((label, t_ms))
+            return recommend(self, decomposed, plans, label, t_ms)
+
+        # Patched on the class, as the benchmark's layer timer does: the
+        # lifecycle looks the method up on every attempt.
+        monkeypatch.setattr(QueryCostCalibrator, "recommend_global", spy)
+        result = deployment.integrator.submit(SQL, label="QT1", t_ms=5.0)
+        assert asked == [("QT1", 5.0)]
+        assert result.retries == 0
 
 
 class TestFailover:
@@ -135,7 +150,7 @@ class TestFailover:
         availability = {"S3": OutageSchedule([(0.0, 1e9)])}
         deployment = build_federation(
             scale=TEST_SCALE,
-            with_qcc=False,
+            calibration=Calibration(),
             prebuilt_databases=sample_databases,
             availability=availability,
         )
@@ -150,7 +165,7 @@ class TestFailover:
         }
         deployment = build_federation(
             scale=TEST_SCALE,
-            with_qcc=False,
+            calibration=Calibration(),
             prebuilt_databases=sample_databases,
             availability=availability,
         )
@@ -166,7 +181,7 @@ class TestFailover:
         availability = {"S3": OutageSchedule([(0.0, 1e9)])}
         deployment = build_federation(
             scale=TEST_SCALE,
-            with_qcc=False,
+            calibration=Calibration(),
             prebuilt_databases=sample_databases,
             availability=availability,
         )

@@ -24,14 +24,15 @@ class TestRegistration:
         registry = NicknameRegistry()
         registry.register("orders", "S1", table_def=_table())
         assert registry.servers_for("orders") == frozenset({"S1"})
-        assert registry.remote_table("orders", "S1") == "orders"
+        assert registry.placements("orders") == ["S1"]
 
     def test_replica_placement(self):
         registry = NicknameRegistry()
         registry.register("orders", "S1", table_def=_table())
         registry.register("orders", "S2")
         assert registry.servers_for("orders") == frozenset({"S1", "S2"})
-        assert registry.remote_table("orders", "S2") == "orders"
+        # A placement is a server name, in registration order.
+        assert registry.placements("orders") == ["S1", "S2"]
 
     def test_duplicate_placement_rejected(self):
         registry = NicknameRegistry()
@@ -46,8 +47,8 @@ class TestRegistration:
     def test_missing_placement(self):
         registry = NicknameRegistry()
         registry.register("orders", "S1", table_def=_table())
-        with pytest.raises(FederationError, match="no placement"):
-            registry.remote_table("orders", "S9")
+        assert "S9" not in registry.placements("orders")
+        assert registry.common_servers(["orders"]) == frozenset({"S1"})
 
     def test_case_insensitive(self):
         registry = NicknameRegistry()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CalibrationEpoch
+from repro.core import Calibration, CalibrationEpoch
 from repro.fed import (
     PlanCache,
     ReplicaManager,
@@ -30,7 +30,9 @@ def deployment(sample_databases):
 @pytest.fixture()
 def plain_deployment(sample_databases):
     return build_federation(
-        scale=TEST_SCALE, with_qcc=False, prebuilt_databases=sample_databases
+        scale=TEST_SCALE,
+        calibration=Calibration(),
+        prebuilt_databases=sample_databases,
     )
 
 

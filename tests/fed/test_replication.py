@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Calibration
 from repro.fed import FederationError, ReplicaManager
 from repro.harness import build_federation
 from repro.workload import TEST_SCALE
@@ -13,7 +14,9 @@ SQL = "SELECT COUNT(*) FROM supplier"
 def deployment():
     # Its own databases: these tests write to supplier, and the shared
     # sample databases must keep their copies identical.
-    deployment = build_federation(scale=TEST_SCALE, with_qcc=False)
+    deployment = build_federation(
+        scale=TEST_SCALE, calibration=Calibration()
+    )
     manager = ReplicaManager(deployment.registry)
     deployment.integrator.replica_manager = manager
     return deployment, manager
@@ -65,18 +68,16 @@ class TestReplicaManager:
         assert manager.sync("supplier", "S1", dep.servers, 0.0) == 0
 
     def test_stale_placements_listing(self, deployment):
-        _, manager = deployment
+        dep, manager = deployment
         manager.note_write("supplier", 100.0)
-        states = [
-            manager.state("supplier", server, 500.0)
-            for server in ("S1", "S2", "S3")
+        stale = [
+            server
+            for server in dep.registry.placements("supplier")
+            if manager.staleness_ms("supplier", server, 500.0) > 0
         ]
-        stale = [s for s in states if s.staleness_ms > 0]
-        assert {(s.nickname, s.server) for s in stale} == {
-            ("supplier", "S2"),
-            ("supplier", "S3"),
-        }
-        assert all(not s.is_origin for s in stale)
+        assert stale == ["S2", "S3"]
+        assert manager.origin_of("supplier") not in stale
+        assert manager.worst_staleness("S2", 500.0) == 400.0
 
     def test_fresh_servers_intersection(self, deployment):
         _, manager = deployment

@@ -8,8 +8,10 @@ import pytest
 import repro.obs as obs
 from repro.cli import build_parser, main
 from repro.harness import Evaluation
+from repro.harness.experiment import QueryOutcome, _regret_ms
+from repro.harness.metrics import mean
 from repro.harness.report import replace_marked_blocks
-from repro.workload import QUERY_TYPES, TEST_SCALE
+from repro.workload import QT1, QUERY_TYPES, TEST_SCALE
 
 QT1_SQL = QUERY_TYPES[0].instance(0).sql
 
@@ -343,7 +345,7 @@ class TestExperimentRunners:
         assert all(len(row) == 8 for row in measured.assignments.values())
 
     def test_all_markdown_rewrites_only_the_marked_blocks(self, tmp_path, capsys):
-        names = ("figure9", "table2", "figure10", "figure11")
+        names = ("figure9", "table2", "figure10", "figure11", "regret")
         stale = "".join(
             f"## {name}\n\n<!-- BEGIN {name} -->\n| old |\n<!-- END {name} -->\n\nprose\n"
             for name in names
@@ -357,7 +359,12 @@ class TestExperimentRunners:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert all(title in out for title in ("Figure 9", "Table 2", "Figure 10", "Figure 11"))
+        assert all(
+            title in out
+            for title in (
+                "Figure 9", "Table 2", "Figure 10", "Figure 11", "regret"
+            )
+        )
         text = path.read_text()
         blocks = dict(
             re.findall(r"<!-- BEGIN (\w+) -->\n(.*?)\n<!-- END \1 -->", text, re.S)
@@ -369,6 +376,55 @@ class TestExperimentRunners:
             "# head\n\n" + stale
         )
         assert list(json.loads(payload.read_text())) == list(names)
+
+    def test_regret_of_the_three_systems(self, sample_databases):
+        result = Evaluation(
+            scale=TEST_SCALE, databases=sample_databases
+        ).regret()
+        means = {
+            system: {phase: round(ms, 3) for phase, ms in by_phase.items()}
+            for system, by_phase in result.mean_ms.items()
+        }
+        # At test scale QCC keeps every query on S3 in every phase, as
+        # Fixed 2 does (Table 2 at this scale), so the two tie exactly:
+        # only a few instances of phases 2 and 4 have a better server.
+        qcc = dict.fromkeys(means["QCC"], 0.0)
+        qcc.update(Phase2=0.604, Phase4=0.604)
+        assert means == {
+            "QCC": qcc,
+            "Fixed 1": {
+                "Phase1": 15.244,
+                "Phase2": 7.072,
+                "Phase3": 21.819,
+                "Phase4": 13.646,
+                "Phase5": 25.885,
+                "Phase6": 17.109,
+                "Phase7": 32.46,
+                "Phase8": 23.684,
+            },
+            "Fixed 2": qcc,
+        }
+        overall = {
+            system: mean(list(by_phase.values()))
+            for system, by_phase in result.mean_ms.items()
+        }
+        assert overall["QCC"] == overall["Fixed 2"] < overall["Fixed 1"]
+        share = dict.fromkeys(qcc, 1.0)
+        share.update(Phase2=0.9, Phase4=0.9)
+        assert result.zero_share == {
+            "QCC": share,
+            "Fixed 1": dict.fromkeys(qcc, 0.25),
+            "Fixed 2": share,
+        }
+        assert "avg" in result.render()
+        assert result.markdown().splitlines()[-1].startswith("| **avg** |")
+
+    def test_regret_needs_one_server_per_query(self):
+        outcome = QueryOutcome(QT1.instance(0), 1.0, ("S1", "S2"), 0)
+        with pytest.raises(ValueError, match="exactly one server"):
+            _regret_ms(outcome, {"S1": 1.0, "S2": 2.0})
+        alone = QueryOutcome(QT1.instance(0), 1.0, ("S2",), 0)
+        assert _regret_ms(alone, {"S1": 1.0, "S2": 2.5}) == 1.5
 
     @pytest.mark.parametrize(
         "text",

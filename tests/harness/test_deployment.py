@@ -3,8 +3,8 @@
 
 import pytest
 
-from repro.core import Calibration
-from repro.fed import FixedRouter
+from repro.baselines import FixedAssignment
+from repro.core import Calibration, QCCConfig
 from repro.harness import (
     DEFAULT_SERVER_SPECS,
     build_federation,
@@ -74,10 +74,7 @@ class TestTopologyIsData:
         registry = deployment.registry
         assert registry.nicknames() == sorted(placements)
         for nickname, hosts in placements.items():
-            assert [
-                (p.server, p.remote_table)
-                for p in registry.placements(nickname)
-            ] == [(host, nickname) for host in hosts]
+            assert registry.placements(nickname) == hosts
             owner = deployment.servers[hosts[0]].database.catalog
             assert (
                 registry.global_catalog.lookup(nickname).stats.row_count
@@ -128,7 +125,7 @@ class TestBuildFederation:
 
     def test_without_qcc(self, sample_databases):
         deployment = build_federation(
-            scale=TEST_SCALE, with_qcc=False,
+            scale=TEST_SCALE, calibration=Calibration(),
             prebuilt_databases=sample_databases,
         )
         # Un-calibrated means the identity calibration, not "no object".
@@ -164,14 +161,24 @@ class TestBuildFederation:
         assert deployment.servers["S2"].current_load(0.0) == 0.0
 
     def test_router_wiring(self, sample_databases):
-        router = FixedRouter({"QT1": "S1"})
+        # The calibration handed in is the one that routes, everywhere.
+        router = FixedAssignment({"QT1": "S1"})
         deployment = build_federation(
             scale=TEST_SCALE,
-            with_qcc=False,
-            router=router,
+            calibration=router,
             prebuilt_databases=sample_databases,
         )
-        assert deployment.integrator.router is router
+        assert deployment.qcc is router
+        assert deployment.integrator.qcc is router
+        assert deployment.meta_wrapper.qcc is router
+
+    def test_calibration_and_qcc_config_exclude_each_other(self):
+        with pytest.raises(ValueError, match="not both"):
+            build_federation(
+                scale=TEST_SCALE,
+                calibration=Calibration(),
+                qcc_config=QCCConfig(),
+            )
 
 
 class TestReplicaFederation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Calibration
 from repro.harness import (
     build_federation,
     dynamic_assignment,
@@ -19,7 +20,9 @@ from repro.workload import LOAD_LEVEL, PHASES, QT1, TEST_SCALE, build_workload
 @pytest.fixture()
 def deployment(sample_databases):
     return build_federation(
-        scale=TEST_SCALE, with_qcc=False, prebuilt_databases=sample_databases
+        scale=TEST_SCALE,
+        calibration=Calibration(),
+        prebuilt_databases=sample_databases,
     )
 
 
@@ -62,7 +65,7 @@ class TestRunners:
 
         deployment = build_federation(
             scale=TEST_SCALE,
-            with_qcc=False,
+            calibration=Calibration(),
             prebuilt_databases=sample_databases,
             availability={
                 name: OutageSchedule([(0.0, 1e9)])

@@ -13,11 +13,13 @@ from repro.harness import build_federation, build_replica_federation
 from repro.workload import TEST_SCALE
 from repro.workload.queries import EXTENDED_QUERY_TYPES, QT1
 from repro.wrappers import MetaWrapper
+from tests.executions import noted_executions
 
 #: sha256 prefixes of :func:`result_digest` over QT1-QT5 (instance 0,
-#: submitted in order to one fresh ``with_qcc=False`` federation), as
-#: produced at the parent commit, where such a federation held
-#: ``qcc=None`` behind 25 guards.
+#: submitted in order to one fresh federation built with the identity
+#: calibration), as produced at the commit before the identity
+#: calibration existed, where such a federation held ``qcc=None``
+#: behind 25 guards.
 PARENT_DIGESTS = {
     "triple": [
         "60d068c895b798fd",
@@ -75,7 +77,7 @@ def result_digest(result) -> str:
 def test_uncalibrated_federation_matches_the_parents_none_wiring(
     topology, build
 ):
-    deployment = build(scale=TEST_SCALE, with_qcc=False)
+    deployment = build(scale=TEST_SCALE, calibration=Calibration())
     digests = [
         result_digest(
             deployment.integrator.submit(
@@ -91,7 +93,7 @@ class TestIdentityCalibration:
     def test_answers_are_the_objects_that_came_in(self, sample_databases):
         deployment = build_federation(
             scale=TEST_SCALE,
-            with_qcc=False,
+            calibration=Calibration(),
             prebuilt_databases=sample_databases,
         )
         qcc = deployment.qcc
@@ -102,7 +104,7 @@ class TestIdentityCalibration:
         assert option.calibrated is option.estimated
         siblings = plans[0].siblings_of(option)
         assert qcc.substitute(option, siblings, 0.0) is option
-        assert qcc.recommend_global(decomposed, plans, 0.0) is plans[0]
+        assert qcc.recommend_global(decomposed, plans, "QT1", 0.0) is plans[0]
         assert qcc.ii_factor() == 1.0 and qcc.factor("S1") == 1.0
         assert qcc.is_available("S9", 0.0)
         before = qcc.epoch.value
@@ -116,7 +118,7 @@ class TestIdentityCalibration:
         first, second = (
             build_federation(
                 scale=TEST_SCALE,
-                with_qcc=False,
+                calibration=Calibration(),
                 prebuilt_databases=sample_databases,
             )
             for _ in range(2)
@@ -138,21 +140,24 @@ class TestIdentityCalibration:
 def _route_qt1_under(calibration, sample_databases):
     """QT1 through a federation whose only non-default part is
     *calibration*: (its integrator, its traced result, the result of the
-    identity-calibration federation the wrappers came from)."""
+    identity-calibration federation the wrappers came from, the
+    executions its meta-wrapper noted)."""
     plain = build_federation(
         scale=TEST_SCALE,
-        with_qcc=False,
+        calibration=Calibration(),
         prebuilt_databases=sample_databases,
     )
     meta_wrapper = MetaWrapper(plain.meta_wrapper.wrappers, qcc=calibration)
     integrator = InformationIntegrator(plain.registry, meta_wrapper)
+    noted = noted_executions(meta_wrapper)
     sql = QT1.instance(0).sql
     obs.configure(metrics=False, tracing=True, log_level=None)
     try:
         result = integrator.submit(sql, label="QT1")
     finally:
         obs.disable()
-    return integrator, result, plain.integrator.submit(sql, label="QT1")
+    reference = plain.integrator.submit(sql, label="QT1")
+    return integrator, result, reference, noted
 
 
 class TestOverridingOnlyCalibrate:
@@ -164,7 +169,7 @@ class TestOverridingOnlyCalibrate:
             return cost.scaled(8.0 if server == "S3" else 2.0)
 
     def test_routes_qt1_through_mw_and_ii(self, sample_databases):
-        integrator, result, reference = _route_qt1_under(
+        integrator, result, reference, noted = _route_qt1_under(
             self.Repricing(), sample_databases
         )
         meta_wrapper = integrator.meta_wrapper
@@ -183,7 +188,7 @@ class TestOverridingOnlyCalibrate:
             8.0,
         }
         # The execution was reported through the seam's defaults.
-        assert [e.server for e in meta_wrapper.runtime_log] == [
+        assert [e.server for e in noted] == [
             o.option.server for o in result.fragments.values()
         ]
 
@@ -197,7 +202,7 @@ class TestOverridingOnlySubstitute:
             return next(o for o in siblings if o.server == "S1")
 
     def test_routes_qt1_through_mw_and_ii(self, sample_databases):
-        integrator, result, reference = _route_qt1_under(
+        _, result, reference, noted = _route_qt1_under(
             self.Diverting(), sample_databases
         )
         assert result.rows == reference.rows
@@ -209,4 +214,4 @@ class TestOverridingOnlySubstitute:
         (event,) = result.trace.find("substitution")
         assert event.attributes["from_server"] == "S3"
         assert event.attributes["to_server"] == "S1"
-        assert [e.server for e in integrator.meta_wrapper.runtime_log] == ["S1"]
+        assert [e.server for e in noted] == ["S1"]

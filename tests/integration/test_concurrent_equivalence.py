@@ -24,6 +24,7 @@ from repro.obs import decompose_trace
 from repro.sim import OutageSchedule, ServerUnavailable, WindowedErrorInjector
 from repro.workload import TEST_SCALE, build_workload
 from repro.workload.queries import QT1, QT3
+from tests.executions import noted_executions
 
 # Concurrency is an II-side concern: the same physical data backs the
 # sequential reference and the concurrent run.
@@ -71,6 +72,7 @@ def make_deployment(sample_databases):
                     [(erroring_from_ms, 1e9, 1.0)]
                 )
         deployment.integrator.max_retries = max_retries
+        noted_executions(deployment.meta_wrapper)
         return deployment
 
     return factory
@@ -98,7 +100,7 @@ def books(deployment):
     """Everything the lifecycle reports to, beyond the result itself."""
     qcc = deployment.qcc
     return {
-        "runtime_log": deployment.meta_wrapper.runtime_log,
+        "noted": noted_executions(deployment.meta_wrapper),
         "patrol": deployment.integrator.patroller.records(),
         "availability": {
             server: list(health.outcomes)
@@ -267,11 +269,13 @@ class TestContentionInflation:
         assert all(h.result is not None for h in handles)
         slowest = max(h.result.response_ms for h in handles)
         assert slowest > baseline.result.response_ms
-        # The inflation reached the calibrator's input log, not just
-        # the client-visible response times.
-        observed = [e.observed_ms for e in crowded.meta_wrapper.runtime_log]
+        # The inflation reached what the calibrator learns from, not
+        # just the client-visible response times.
+        observed = [
+            e.observed_ms for e in noted_executions(crowded.meta_wrapper)
+        ]
         solo_observed = [
-            e.observed_ms for e in solo.meta_wrapper.runtime_log
+            e.observed_ms for e in noted_executions(solo.meta_wrapper)
         ]
         assert max(observed) > max(solo_observed)
 

@@ -7,6 +7,7 @@ from repro.harness import run_workload_once
 from repro.sim import OutageSchedule
 from repro.sqlengine import rows_equal_unordered
 from repro.workload import QT1, QT2, TEST_SCALE, build_workload
+from tests.executions import noted_executions
 
 
 @pytest.fixture()
@@ -49,11 +50,11 @@ class TestCalibrationLearning:
         """After a stable workload, calibrated cost ≈ observed time."""
         instance = QT2.instance(0)
         deployment.set_load({"S1": 0.0, "S2": 0.0, "S3": 0.7})
+        log = noted_executions(deployment.meta_wrapper)
         for _ in range(4):
             deployment.integrator.submit(instance.sql, label="QT2")
         deployment.qcc.recalibrate(deployment.clock.now)
 
-        log = deployment.meta_wrapper.runtime_log
         last = log[-1]
         factor = deployment.qcc.factor(last.server, last.fragment_signature)
         observed_ratio = last.observed_ms / last.estimated_total

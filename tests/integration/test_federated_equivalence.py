@@ -8,6 +8,7 @@ same SQL directly on one server's database.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import Calibration
 from repro.harness import build_federation
 from repro.harness.deployment import build_replica_federation
 from repro.sqlengine import rows_close_unordered
@@ -46,13 +47,17 @@ def _federated_queries(draw):
 @pytest.fixture(scope="module")
 def single_site(sample_databases):
     return build_federation(
-        scale=TEST_SCALE, with_qcc=False, prebuilt_databases=sample_databases
+        scale=TEST_SCALE,
+        calibration=Calibration(),
+        prebuilt_databases=sample_databases,
     )
 
 
 @pytest.fixture(scope="module")
 def multi_site():
-    return build_replica_federation(scale=TEST_SCALE, with_qcc=False)
+    return build_replica_federation(
+        scale=TEST_SCALE, calibration=Calibration()
+    )
 
 
 class TestFederatedEquivalence:

@@ -22,6 +22,7 @@ from repro.fed import FederationError, ReplicaManager, plan_key
 from repro.harness import DEFAULT_SERVER_SPECS, build_databases, build_federation
 from repro.sim.failures import OutageSchedule
 from repro.workload import TEST_SCALE, build_workload
+from tests.executions import noted_executions
 
 TABLES = ("customer", "lineitem", "orders", "product", "supplier")
 #: S3 starts with one table group; the rest is registered mid-run.
@@ -74,6 +75,7 @@ class Twin:
             enable_plan_cache=enable_plan_cache,
         )
         self.integrator = self.deployment.integrator
+        self.noted = noted_executions(self.deployment.meta_wrapper)
         self.manager = ReplicaManager(self.deployment.registry)
         self.integrator.replica_manager = self.manager
         self.late = list(LATE_PLACEMENTS)
@@ -125,7 +127,7 @@ class Twin:
         qcc = self.deployment.qcc
         return {
             "status": qcc.status(),
-            "runtime_log": len(self.deployment.meta_wrapper.runtime_log),
+            "noted": self.noted,
             "patrol": self.integrator.patroller.records(),
             "clock": self.now,
         }

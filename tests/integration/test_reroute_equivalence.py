@@ -28,6 +28,7 @@ from repro.harness.deployment import (
 from repro.sim.rng import derive_rng
 from repro.workload import TEST_SCALE, queries as Q
 from tests.datasets import server_databases
+from tests.executions import noted_executions
 
 #: Data seed shared with the chaos runner so the replica dataset is the
 #: battle-tested one.
@@ -72,12 +73,13 @@ def _run_query(
     hedge_after_ms=None,
 ):
     """One fresh deployment over *engine*'s databases, one query,
-    optional epoch bumps.  Returns ``(result, runtime_log)``."""
+    optional epoch bumps.  Returns ``(result, noted executions)``."""
     deployment = build_replica_federation(
         scale=TEST_SCALE,
         seed=DATA_SEED,
         prebuilt_databases=databases[engine],
     )
+    noted = noted_executions(deployment.meta_wrapper)
     runtime = ConcurrentRuntime(
         deployment.integrator,
         reroute_batch_rows=reroute_batch_rows,
@@ -90,7 +92,7 @@ def _run_query(
     runtime.run()
     assert handle.error is None, handle.error
     assert handle.result is not None
-    return handle.result, list(deployment.meta_wrapper.runtime_log)
+    return handle.result, noted
 
 
 def _log_key(log):

@@ -11,7 +11,7 @@ after a failure, may not come back in through the side door.
 import pytest
 
 from repro.chaos.runner import REPLICA_ORIGINS
-from repro.core import QCCConfig
+from repro.core import Calibration, QCCConfig
 from repro.fed import ConcurrentRuntime, ReplicaManager
 from repro.harness import build_replica_federation
 from repro.sim import ServerUnavailable
@@ -26,7 +26,7 @@ T0_MS = 10.0
 @pytest.fixture(scope="module")
 def replica_databases():
     deployment = build_replica_federation(
-        scale=TEST_SCALE, seed=7, with_qcc=False
+        scale=TEST_SCALE, seed=7, calibration=Calibration()
     )
     return {
         name: server.database

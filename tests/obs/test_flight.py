@@ -27,7 +27,6 @@ def _completion(queued, wait, service, contended=True):
     return Completion(
         queue="S1",
         queued_ms=queued,
-        started_ms=queued + wait,
         finished_ms=queued + (wait + service) if contended else (
             queued + service
         ),
@@ -44,7 +43,6 @@ class TestQueueSpanRecorder:
         recorder = QueueSpanRecorder()
         job = _job(SpanTag(trace, dispatch))
         recorder.on_enqueue(QUEUE, job, 10.0)
-        recorder.on_start(QUEUE, job, 14.0)
         completion = _completion(10.0, 4.0, 6.0)
         recorder.on_complete(QUEUE, job, completion)
 
@@ -63,36 +61,28 @@ class TestQueueSpanRecorder:
         )
 
     def test_ps_completion_rewrites_provisional_boundary(self):
-        # Under PS on_start fires at the arrival instant; the logical
+        # Under PS service starts at the arrival instant; the logical
         # wait/service split only exists at completion and must
         # overwrite the provisional zero-width wait span.
         trace, _, dispatch = _trace_with_dispatch()
         recorder = QueueSpanRecorder()
         job = _job(SpanTag(trace, dispatch))
         recorder.on_enqueue(QUEUE, job, 10.0)
-        recorder.on_start(QUEUE, job, 10.0)
+        (wait,) = trace.find("queue_wait")
+        (service,) = trace.find("service")
+        assert (wait.start_ms, wait.end_ms) == (10.0, 10.0)
+        assert (service.start_ms, service.end_ms) == (10.0, None)
         recorder.on_complete(QUEUE, job, _completion(10.0, 5.0, 6.0))
         (wait,) = trace.find("queue_wait")
         (service,) = trace.find("service")
         assert (wait.start_ms, wait.end_ms) == (10.0, 15.0)
         assert (service.start_ms, service.end_ms) == (15.0, 21.0)
 
-    def test_completion_without_start_synthesises_service_span(self):
-        # The recorder tolerates a completion whose start notification
-        # it never saw (the hooks are separate calls).
-        trace, _, dispatch = _trace_with_dispatch()
-        recorder = QueueSpanRecorder()
-        job = _job(SpanTag(trace, dispatch))
-        recorder.on_enqueue(QUEUE, job, 10.0)
-        recorder.on_complete(QUEUE, job, _completion(10.0, 2.0, 6.0))
-        assert len(trace.find("service")) == 1
-
     def test_cancel_marks_spans_and_records_consumed(self):
         trace, _, dispatch = _trace_with_dispatch()
         recorder = QueueSpanRecorder()
         job = _job(SpanTag(trace, dispatch))
         recorder.on_enqueue(QUEUE, job, 10.0)
-        recorder.on_start(QUEUE, job, 12.0)
         recorder.on_cancel(QUEUE, job, 15.0, consumed_ms=3.0)
         (service,) = trace.find("service")
         assert service.attributes["cancelled"] is True
@@ -106,7 +96,6 @@ class TestQueueSpanRecorder:
         recorder = QueueSpanRecorder()
         job = _job(None)
         recorder.on_enqueue(QUEUE, job, 0.0)
-        recorder.on_start(QUEUE, job, 0.0)
         recorder.on_complete(QUEUE, job, _completion(0.0, 0.0, 1.0, False))
         recorder.on_cancel(QUEUE, job, 1.0, 0.0)
         assert recorder._live == {}

@@ -17,9 +17,6 @@ class Recorder(QueueEvents):
     def on_enqueue(self, queue, job, t_ms):
         self.calls.append(("enqueue", queue.name, job.tag, t_ms))
 
-    def on_start(self, queue, job, t_ms):
-        self.calls.append(("start", queue.name, job.tag, t_ms))
-
     def on_complete(self, queue, job, completion):
         self.calls.append(("complete", queue.name, job.tag, completion))
 
@@ -44,12 +41,11 @@ class TestPsHooks:
         sched, queue = _queue(rec)
         done = []
         queue.submit(10.0, done.append, tag="j1")
-        # Enqueue and start are both emitted synchronously at submit
-        # time — an idle server begins service at the arrival instant.
-        assert [c[0] for c in rec.calls] == ["enqueue", "start"]
-        assert rec.calls[0][3] == 0.0 and rec.calls[1][3] == 0.0
+        # Enqueue is emitted synchronously at submit time, and it is the
+        # start of service too: an idle server serves from the arrival.
+        assert rec.calls == [("enqueue", "S1", "j1", 0.0)]
         sched.run()
-        assert [c[0] for c in rec.calls] == ["enqueue", "start", "complete"]
+        assert [c[0] for c in rec.calls] == ["enqueue", "complete"]
         completion = rec.of("complete")[0][3]
         assert completion.wait_ms == 0.0
         assert completion.service_ms == 10.0
@@ -72,12 +68,12 @@ class TestPsHooks:
         sched.call_at(0.0, queue.submit, 10.0, done.append, "a")
         sched.call_at(2.0, queue.submit, 10.0, done.append, "b")
         sched.run()
-        # PS shares capacity from the first instant: start == enqueue.
-        for kind in ("enqueue", "start"):
-            assert [(c[2], c[3]) for c in rec.of(kind)] == [
-                ("a", 0.0),
-                ("b", 2.0),
-            ]
+        # PS shares capacity from the first instant: the enqueue hook,
+        # at the arrival instant, is the only start there is.
+        assert [(c[2], c[3]) for c in rec.of("enqueue")] == [
+            ("a", 0.0),
+            ("b", 2.0),
+        ]
         for call in rec.of("complete"):
             completion = call[3]
             assert completion.wait_ms + completion.service_ms == (

@@ -113,7 +113,7 @@ class ReferenceQueue:
         self._reschedule_ps()
         head.callback(
             Completion(
-                queue=self.name, queued_ms=head.queued_ms, started_ms=head.queued_ms,
+                queue=self.name, queued_ms=head.queued_ms,
                 finished_ms=now, demand_ms=head.demand_ms,
                 service_ms=head.demand_ms / self.capacity,
                 depth_at_arrival=head.depth_at_arrival, contended=head.contended,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Calibration
 from repro.sqlengine import (
     Column,
     ColumnType,
@@ -169,7 +170,7 @@ class TestEndToEnd:
         from repro.workload import TEST_SCALE
 
         deployment = build_federation(
-            scale=TEST_SCALE, with_qcc=False,
+            scale=TEST_SCALE, calibration=Calibration(),
             prebuilt_databases=sample_databases,
         )
         result = deployment.integrator.submit(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Calibration
 from repro.sqlengine import (
     BindError,
     Column,
@@ -225,7 +226,7 @@ class TestFederatedOuterJoin:
         from repro.workload import TEST_SCALE
 
         deployment = build_federation(
-            scale=TEST_SCALE, with_qcc=False,
+            scale=TEST_SCALE, calibration=Calibration(),
             prebuilt_databases=sample_databases,
         )
         sql = (

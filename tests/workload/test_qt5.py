@@ -1,6 +1,7 @@
 """Tests for the QT5 extension workload (outer-join report)."""
 
 
+from repro.core import Calibration
 from repro.harness import build_federation
 from repro.sqlengine import parse, rows_equal_unordered
 from repro.workload import (
@@ -55,7 +56,7 @@ class TestQt5Execution:
 
     def test_federated_matches_direct(self, sample_databases):
         deployment = build_federation(
-            scale=TEST_SCALE, with_qcc=False,
+            scale=TEST_SCALE, calibration=Calibration(),
             prebuilt_databases=sample_databases,
         )
         instance = QT5.instance(1)

@@ -7,6 +7,7 @@ from repro.fed import decompose
 from repro.harness import build_federation
 from repro.wrappers import DEFAULT_UNKNOWN_ESTIMATE, MetaWrapper
 from repro.workload import TEST_SCALE
+from tests.executions import noted_executions
 
 
 class RecordingQcc:
@@ -46,8 +47,15 @@ class RecordingQcc:
 @pytest.fixture()
 def deployment(sample_databases):
     return build_federation(
-        scale=TEST_SCALE, with_qcc=False, prebuilt_databases=sample_databases
+        scale=TEST_SCALE,
+        calibration=Calibration(),
+        prebuilt_databases=sample_databases,
     )
+
+
+def _over(deployment, qcc):
+    """A meta-wrapper over *deployment*'s wrappers, wired to *qcc*."""
+    return MetaWrapper(deployment.meta_wrapper.wrappers, qcc=qcc)
 
 
 def _fragment(deployment, sql="SELECT COUNT(*) FROM customer"):
@@ -63,9 +71,9 @@ class TestCompileFragment:
 
     def test_compile_records_every_option(self, deployment):
         qcc = RecordingQcc(factor=1.0)
-        deployment.meta_wrapper.attach_qcc(qcc)
+        mw = _over(deployment, qcc)
         fragment = _fragment(deployment)
-        options = deployment.meta_wrapper.compile_fragment(fragment, 5.0)
+        options = mw.compile_fragment(fragment, 5.0)
         assert options
         assert qcc.compiled == [
             (option.server, fragment.signature, option) for option in options
@@ -80,9 +88,9 @@ class TestCompileFragment:
 
     def test_qcc_calibration_applied(self, deployment):
         qcc = RecordingQcc(factor=3.0)
-        deployment.meta_wrapper.attach_qcc(qcc)
+        mw = _over(deployment, qcc)
         fragment = _fragment(deployment)
-        options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
+        options = mw.compile_fragment(fragment, 0.0)
         for option in options:
             assert option.calibrated.total == pytest.approx(
                 option.estimated.total * 3.0
@@ -91,9 +99,9 @@ class TestCompileFragment:
 
     def test_unavailable_server_skipped(self, deployment):
         qcc = RecordingQcc(available={"S3": False})
-        deployment.meta_wrapper.attach_qcc(qcc)
+        mw = _over(deployment, qcc)
         fragment = _fragment(deployment)
-        options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
+        options = mw.compile_fragment(fragment, 0.0)
         assert {o.server for o in options} == {"S1", "S2"}
 
 
@@ -101,46 +109,45 @@ class TestCompileFragment:
 class TestExecuteOption:
     def test_runtime_log_and_qcc_report(self, deployment):
         qcc = RecordingQcc(factor=1.0)
-        deployment.meta_wrapper.attach_qcc(qcc)
+        mw = _over(deployment, qcc)
+        noted = noted_executions(mw)
         fragment = _fragment(deployment)
-        options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
-        option, result = deployment.meta_wrapper.execute_option(
-            options[0], 0.0, options
-        )
+        options = mw.compile_fragment(fragment, 0.0)
+        option, result = mw.execute_option(options[0], 0.0, options)
         assert result.observed_ms > 0
         # Executing reports nothing: the caller settles, then reports.
-        log = deployment.meta_wrapper.runtime_log
-        assert not log
+        assert not noted
         assert not any(c[0] == "execute" for c in qcc.calls)
         assert any(c[0] == "substitute" for c in qcc.calls)
-        deployment.meta_wrapper.note_execution(option, result, 0.0)
-        assert log and log[0].observed_ms == result.observed_ms
+        mw.note_execution(option, result, 0.0)
+        assert noted and noted[0].observed_ms == result.observed_ms
         assert qcc.calls[-1] == ("execute", option.server, result.observed_ms)
 
     def test_failure_is_reported_by_note_failure(self, deployment):
         from repro.sim import OutageSchedule, ServerUnavailable
 
         qcc = RecordingQcc()
-        deployment.meta_wrapper.attach_qcc(qcc)
+        mw = _over(deployment, qcc)
+        noted = noted_executions(mw)
         fragment = _fragment(deployment)
-        options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
+        options = mw.compile_fragment(fragment, 0.0)
         option = options[0]
         deployment.servers[option.server].availability = OutageSchedule(
             [(0.0, 100.0)]
         )
         with pytest.raises(ServerUnavailable):
-            deployment.meta_wrapper.execute_option(option, 0.0)
+            mw.execute_option(option, 0.0)
         assert not any(c[0] == "error" for c in qcc.calls)
-        deployment.meta_wrapper.note_failure(option.server, 0.0)
+        mw.note_failure(option.server, 0.0)
         assert qcc.calls[-1] == ("error", option.server)
-        assert not deployment.meta_wrapper.runtime_log
+        assert not noted
 
     def test_substitution_can_be_disabled(self, deployment):
         qcc = RecordingQcc()
-        deployment.meta_wrapper.attach_qcc(qcc)
+        mw = _over(deployment, qcc)
         fragment = _fragment(deployment)
-        options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
-        deployment.meta_wrapper.execute_option(options[0], 0.0)
+        options = mw.compile_fragment(fragment, 0.0)
+        mw.execute_option(options[0], 0.0)
         assert not any(c[0] == "substitute" for c in qcc.calls)
 
 
@@ -151,16 +158,14 @@ class RecordingCalibration(RecordingQcc, Calibration):
 @pytest.mark.parametrize("stub", [RecordingQcc, RecordingCalibration])
 def test_duck_typed_and_subclassed_stubs_see_the_same_calls(deployment, stub):
     qcc = stub(factor=2.0, available={"S3": False})
-    deployment.meta_wrapper.attach_qcc(qcc)
-    assert qcc.calls == [("bind", deployment.meta_wrapper)]
+    mw = _over(deployment, qcc)
+    assert qcc.calls == [("bind", mw)]
     fragment = _fragment(deployment)
-    options = deployment.meta_wrapper.compile_fragment(fragment, 0.0)
+    options = mw.compile_fragment(fragment, 0.0)
     assert {o.server for o in options} == {"S1", "S2"}
-    option, result = deployment.meta_wrapper.execute_option(
-        options[0], 0.0, options
-    )
-    deployment.meta_wrapper.note_execution(option, result, 0.0)
-    deployment.meta_wrapper.note_failure("S3", 0.0)
+    option, result = mw.execute_option(options[0], 0.0, options)
+    mw.note_execution(option, result, 0.0)
+    mw.note_failure("S3", 0.0)
     assert [call[0] for call in qcc.calls[1:]] == (
         ["calibrate", "compile"] * len(options)
         + ["substitute", "execute", "error"]
