@@ -42,7 +42,7 @@ FROZEN_CYCLE = CycleConfig(
 def _run_band(band: float) -> float:
     config = QCCConfig(
         enable_global_balancing=True,
-        load_balance=LoadBalanceConfig(band=band, workload_threshold=0.0),
+        load_balance=LoadBalanceConfig(band=band),
         cycle=FROZEN_CYCLE,
         drift_trigger_ratio=0.0,
     )

@@ -46,7 +46,7 @@ def _run_variant(fragment: bool, global_: bool):
     config = QCCConfig(
         enable_fragment_balancing=fragment,
         enable_global_balancing=global_,
-        load_balance=LoadBalanceConfig(band=0.6, workload_threshold=0.0),
+        load_balance=LoadBalanceConfig(band=0.6),
         cycle=FROZEN_CYCLE,
         drift_trigger_ratio=0.0,
     )

@@ -15,34 +15,18 @@ on, and enforces disabled ≤ ``REPRO_BENCH_OBS_MAX`` × baseline
 (default 1.03, i.e. a 3% budget).  ``REPRO_BENCH_OBS_JSON`` writes the
 measurements as a JSON artifact; ``REPRO_BENCH_OBS_REPS`` sets the
 min-of-N repeat count.
-
-The third bench applies the same discipline to the scheduler's queue
-hooks: every :class:`~repro.sim.sched.ServerQueue` lifecycle emission
-site is guarded by one ``self.events is not NULL_QUEUE_EVENTS``
-identity check.  It times a synthetic workload (submissions,
-completions, hedge-style cancellations) against the same methods
-recompiled from their own source with the hook sites deleted — the queue
-as it would read without the span layer — and gates the default (hooks
-present, null observer) under the same ``REPRO_BENCH_OBS_MAX`` budget.
-``REPRO_BENCH_SCHED_JSON`` writes that bench's artifact.
 """
 
 from __future__ import annotations
 
-import ast
-import functools
-import inspect
 import json
 import os
-import textwrap
 import time
 from contextlib import contextmanager
 
 import repro.obs as obs
 from repro.obs.profile import disable_profiling, enable_profiling
 from repro.harness import ascii_table, build_federation
-import repro.sim.sched as sched_module
-from repro.sim.sched import EventScheduler, QueueEvents, ServerQueue
 from repro.sqlengine.physical import PhysicalPlan
 from repro.workload import BENCH_SCALE, build_workload
 
@@ -244,214 +228,3 @@ def test_profiler_dispatch_overhead(benchmark, bench_databases):
     # Profiling on may legitimately cost more, but must stay sane.
     assert results["profiling enabled"] < 2.0 * baseline
 
-
-# -- scheduler queue-hook gate ------------------------------------------------
-
-
-class _StripHooks(ast.NodeTransformer):
-    """Deletes every ``if self.events is not NULL_QUEUE_EVENTS:`` block."""
-
-    def __init__(self):
-        self.stripped = 0
-
-    def visit_If(self, node):
-        if "NULL_QUEUE_EVENTS" in ast.unparse(node.test):
-            self.stripped += 1
-            return None
-        return self.generic_visit(node)
-
-
-@functools.cache
-def _without_hooks(method):
-    """*method* recompiled from its own source minus the hook sites: the
-    queue as it would read had the span layer never existed.  Derived,
-    not copied, so the baseline follows whatever the queue's
-    representation becomes and the gate keeps comparing like with like."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
-    strip = _StripHooks()
-    tree = ast.fix_missing_locations(strip.visit(tree))
-    assert strip.stripped, f"no hook site found in {method.__qualname__}"
-    namespace = {}
-    code = compile(tree, f"<{method.__qualname__} without hooks>", "exec")
-    exec(code, vars(sched_module), namespace)
-    return namespace[method.__name__]
-
-
-#: Every ServerQueue method that carries a hook site.
-_HOOKED_METHODS = ("submit", "cancel", "_depart_ps")
-
-
-@contextmanager
-def _hooks_patched_out():
-    """Replace every hook-bearing ServerQueue method with its hook-free
-    shape — no ``events`` identity checks — i.e. the true no-obs
-    baseline for the queue gate."""
-    originals = {name: vars(ServerQueue)[name] for name in _HOOKED_METHODS}
-    for name, method in originals.items():
-        setattr(ServerQueue, name, _without_hooks(method))
-    try:
-        yield
-    finally:
-        for name, method in originals.items():
-            setattr(ServerQueue, name, method)
-
-
-class _CountingEvents(QueueEvents):
-    """Cheapest possible live observer: one counter bump per hook."""
-
-    def __init__(self):
-        self.enqueued = 0
-        self.completed = 0
-        self.cancelled = 0
-
-    def on_enqueue(self, queue, job, t_ms):
-        self.enqueued += 1
-
-    def on_complete(self, queue, job, completion):
-        self.completed += 1
-
-    def on_cancel(self, queue, job, t_ms, consumed_ms):
-        self.cancelled += 1
-
-
-#: Jobs per queue per timed drive.  Every tenth job is cancelled
-#: mid-flight, covering all three hooks.
-_HOOK_JOBS = 250
-
-#: One queue whose arrivals outpace service 2:1, so it stays deep and
-#: the sharing arithmetic dominates, and one with headroom, where the
-#: hook sites are the larger share of each job's cost.
-_HOOK_CAPACITIES = (1.0, 4.0)
-
-
-def _drive_queues(events=None):
-    for capacity in _HOOK_CAPACITIES:
-        sched = EventScheduler()
-        queue = ServerQueue("S1", sched, capacity=capacity)
-        if events is not None:
-            queue.events = events
-        done = []
-        handles = []
-        for i in range(_HOOK_JOBS):
-            sched.call_at(
-                i * 2.0,
-                lambda i=i: handles.append(
-                    queue.submit(3.0 + (i % 5), done.append)
-                ),
-            )
-            if i % 10 == 5:
-                sched.call_at(
-                    i * 2.0 + 1.0, lambda i=i: queue.cancel(handles[i])
-                )
-        sched.run()
-
-
-def _measure_sched_hooks():
-    reps = int(os.environ.get("REPRO_BENCH_OBS_REPS", "5"))
-    execs = int(os.environ.get("REPRO_BENCH_OBS_EXECS", "10"))
-
-    def timed_drive(events=None) -> float:
-        start = time.perf_counter()
-        _drive_queues(events)
-        return time.perf_counter() - start
-
-    counting = _CountingEvents()
-    for _ in range(3):
-        timed_drive()  # warm caches before the first timed pair
-    raw = []
-    disabled = []
-    enabled = []
-    # Same back-to-back pairing as the dispatch gate — machine drift
-    # cancels inside each pair — but with the within-pair order
-    # alternated: at ~20 ms per drive the second leg of a pair runs
-    # measurably warmer/colder than the first, and alternating cancels
-    # that position bias in the median ratio too.
-    for pair in range(execs * reps):
-        if pair % 2 == 0:
-            with _hooks_patched_out():
-                raw.append(timed_drive())
-            disabled.append(timed_drive())
-        else:
-            disabled.append(timed_drive())
-            with _hooks_patched_out():
-                raw.append(timed_drive())
-        enabled.append(timed_drive(counting))
-    return {
-        "pre-hook baseline (hooks removed)": raw,
-        "hooks present, null observer (default)": disabled,
-        "hooks live (counting observer)": enabled,
-    }, execs * reps, counting
-
-
-def test_sched_hook_overhead(benchmark):
-    samples, execs, counting = benchmark.pedantic(
-        _measure_sched_hooks, rounds=1, iterations=1
-    )
-
-    raw = samples["pre-hook baseline (hooks removed)"]
-    max_ratio = float(os.environ.get("REPRO_BENCH_OBS_MAX", "1.03"))
-    ratio = _median(
-        d / r
-        for r, d in zip(
-            raw, samples["hooks present, null observer (default)"]
-        )
-    )
-    live_ratio = _median(
-        e / r
-        for r, e in zip(raw, samples["hooks live (counting observer)"])
-    )
-    results = {mode: min(times) for mode, times in samples.items()}
-    baseline = results["pre-hook baseline (hooks removed)"]
-
-    print(
-        "\n=== Scheduler queue-hook overhead "
-        "(%d paired deep+shallow drives, %d jobs each) ==="
-        % (execs, 2 * _HOOK_JOBS)
-    )
-    rows = [
-        [
-            mode,
-            f"{seconds * 1e3:.3f}",
-            f"{100 * (seconds - baseline) / baseline:+.2f}%",
-        ]
-        for mode, seconds in results.items()
-    ]
-    print(ascii_table(["Mode", "Best drive (ms)", "vs baseline"], rows))
-    print(
-        f"median paired ratios: disabled/baseline {ratio:.4f} "
-        f"(max {max_ratio:.2f}), live/baseline {live_ratio:.4f}"
-    )
-
-    artifact = os.environ.get("REPRO_BENCH_SCHED_JSON")
-    if artifact:
-        with open(artifact, "w") as handle:
-            json.dump(
-                {
-                    "paired_drives": execs,
-                    "jobs_per_drive": 2 * _HOOK_JOBS,
-                    "best_drive_seconds": results,
-                    "disabled_over_baseline": ratio,
-                    "live_over_baseline": live_ratio,
-                    "max_ratio": max_ratio,
-                },
-                handle,
-                indent=2,
-            )
-
-    # The live observer must actually have seen every lifecycle event
-    # (across all its timed drives): every job enqueues, and each either
-    # completes or is cancelled.
-    per_drive = 2 * _HOOK_JOBS
-    drives = execs  # counting observer rides only the enabled drives
-    assert counting.enqueued == per_drive * drives
-    assert counting.completed + counting.cancelled == per_drive * drives
-    assert counting.cancelled > 0
-
-    # The gate: hooks behind a null observer must be indistinguishable
-    # from the pre-hook queue (within the noise budget).
-    assert ratio <= max_ratio, (
-        f"disabled queue hooks cost {100 * (ratio - 1):.1f}% "
-        f"(budget {100 * (max_ratio - 1):.1f}%)"
-    )
-    # A live observer pays per-event dispatch, but must stay sane.
-    assert results["hooks live (counting observer)"] < 2.0 * baseline

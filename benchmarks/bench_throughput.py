@@ -44,7 +44,7 @@ FROZEN_CYCLE = CycleConfig(
 def _run(rate_qps: float, balanced: bool) -> float:
     config = QCCConfig(
         enable_global_balancing=balanced,
-        load_balance=LoadBalanceConfig(band=0.6, workload_threshold=0.0),
+        load_balance=LoadBalanceConfig(band=0.6),
         cycle=FROZEN_CYCLE,
         drift_trigger_ratio=0.0,
     )

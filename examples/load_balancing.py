@@ -37,7 +37,7 @@ FROZEN_CYCLE = CycleConfig(
 def run_stream(balanced: bool, queries: int = 20):
     config = QCCConfig(
         enable_global_balancing=balanced,
-        load_balance=LoadBalanceConfig(band=0.3, workload_threshold=0.0),
+        load_balance=LoadBalanceConfig(band=0.3),
         cycle=FROZEN_CYCLE,
         drift_trigger_ratio=0.0,
     )

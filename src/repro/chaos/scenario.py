@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..fed.admission import make_arrivals
 from ..sim.rng import derive_rng
 from ..workload.queries import EXTENDED_QUERY_TYPES, template_by_name
 
@@ -388,7 +389,7 @@ def generate_scenario(
 
     # Concurrency dimension: a separate stream (existing components keep
     # their bytes) decides whether this scenario drives queries open-loop
-    # through the event scheduler.  Concurrent scenarios resample gaps
+    # through the event scheduler.  Concurrent scenarios redraw gaps
     # from the arrival process and tag each query with a priority class.
     arrival: Optional[ArrivalSpec] = None
     arrival_rng = derive_rng(seed, "chaos", index, "arrival")
@@ -396,12 +397,11 @@ def generate_scenario(
         process = arrival_rng.choice(ARRIVAL_PROCESSES)
         rate_qps = arrival_rng.choice((20.0, 40.0, 80.0))
         arrival = ArrivalSpec(process=process, rate_qps=rate_qps)
+        gaps = make_arrivals(process, rate_qps, seed, "chaos", index).gaps()
         queries = tuple(
             replace(
                 query,
-                gap_ms=round(
-                    arrival_rng.expovariate(rate_qps / 1000.0), 2
-                ),
+                gap_ms=round(next(gaps), 2),
                 klass=arrival_rng.choice(CHAOS_CLASS_NAMES),
             )
             for query in queries

@@ -48,7 +48,7 @@ from .workload import BENCH_SCALE, PAPER_SCALE, TEST_SCALE, build_workload
 _SCALES = {"test": TEST_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
 
 #: Paper artefacts ``repro experiment`` regenerates: Evaluation methods.
-_EXPERIMENTS = ("figure9", "table2", "figure10", "figure11", "regret")
+_EXPERIMENTS = ("figure9", "table2", "figure10", "figure11", "regret", "residual")
 
 
 def _parse_load(values: List[str]):

@@ -4,14 +4,13 @@ Two granularities:
 
 * **Fragment level** (4.1): when the plan II selected for a fragment has
   *identical* alternatives on other servers with calibrated costs within
-  a band (default 20%), QCC clusters them and — once the fragment's
-  workload (calibrated cost × submission frequency) exceeds a threshold
-  — rotates round-robin across the cluster, as the paper says.  The
-  cluster is ordered by **rendezvous (HRW) hashing** on
-  ``(fragment_signature, server)``, which only decides where a rotation
-  *starts*: a fragment's first dispatch goes to its HRW home, so
-  distinct fragments spread uniformly across the cluster before any of
-  them repeats, and a hot one then visits every member in rank order.
+  a band (default 20%), QCC clusters them and rotates round-robin
+  across the cluster, as the paper says.  The cluster is ordered by
+  **rendezvous (HRW) hashing** on ``(fragment_signature, server)``,
+  which only decides where a rotation *starts*: a fragment's first
+  dispatch goes to its HRW home, so distinct fragments spread uniformly
+  across the cluster before any of them repeats, and a hot one then
+  visits every member in rank order.
   The same ranked cluster names the replica a second leg goes to (hedge
   backup, mid-query migration target — see ``repro.fed.concurrent``):
   one exchangeability rule, one band.
@@ -21,18 +20,16 @@ Two granularities:
   within the band of the cheapest, and rotate round-robin across the
   cluster — spreading a hot query's load over disjoint server sets.
 
-Both levels keep the same three per-key books (:class:`_Rotation`:
-workload window, rotation counter, last-cluster introspection), all
-LRU-bounded by ``MAX_TRACKED`` so a workload of millions of distinct
-statements cannot leak memory.
+Both levels keep one per-key book (:class:`_Rotation`: the rotation
+counter), LRU-bounded by ``MAX_TRACKED`` so a workload of millions of
+distinct statements cannot leak memory.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Sequence, Tuple, TypeVar
+from typing import Dict, List, Sequence, TypeVar
 
 from ..fed.decomposer import DecomposedQuery
 from ..fed.global_optimizer import (
@@ -41,13 +38,8 @@ from ..fed.global_optimizer import (
     cluster_near_cost,
     eliminate_dominated,
 )
-from ..numeric import left_sum
 
-#: Sliding window (virtual ms) over which workload is measured.
-WINDOW_MS = 60_000.0
-
-#: LRU bound on distinct keys tracked (workload windows, rotation
-#: counters, last-cluster introspection).
+#: LRU bound on distinct keys whose rotation counter is kept.
 MAX_TRACKED = 1024
 
 
@@ -57,8 +49,6 @@ class LoadBalanceConfig:
 
     #: Plans within (1 + band) × cheapest are considered exchangeable.
     band: float = 0.2
-    #: Minimum workload (cost-ms × queries / window) before balancing.
-    workload_threshold: float = 0.0
 
 
 _V = TypeVar("_V")
@@ -98,60 +88,18 @@ def rank_servers(fragment_signature: str, servers: Sequence[str]) -> List[str]:
     )
 
 
-class _WorkloadTracker:
-    """Measures per-key workload: calibrated cost × frequency in a window.
-
-    LRU-bounded: at most ``MAX_TRACKED`` keys are retained, evicting the
-    least recently *noted* key first.
-    """
-
-    def __init__(self) -> None:
-        self._events: Dict[str, Deque[Tuple[float, float]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def note(self, key: str, cost: float, t_ms: float) -> None:
-        events = self._events.pop(key, None)
-        if events is None:
-            events = deque()
-        # Re-insert at the MRU end before bounding.
-        self._events[key] = events
-        events.append((t_ms, cost))
-        self._trim(events, t_ms)
-        while len(self._events) > MAX_TRACKED:
-            del self._events[next(iter(self._events))]
-
-    def workload(self, key: str, t_ms: float) -> float:
-        events = self._events.get(key)
-        if not events:
-            return 0.0
-        self._trim(events, t_ms)
-        return left_sum(cost for _, cost in events)
-
-    def _trim(self, events: Deque[Tuple[float, float]], t_ms: float) -> None:
-        horizon = t_ms - WINDOW_MS
-        while events and events[0][0] < horizon:
-            events.popleft()
-
-
 class _Rotation:
     """What both balancing levels keep per key (fragment signature or
-    statement text), each LRU-bounded by ``MAX_TRACKED``: the workload
-    window that gates balancing, the round-robin counter, and the last
-    cluster rotated over (for introspection)."""
+    statement text), LRU-bounded by ``MAX_TRACKED``: the round-robin
+    counter."""
 
     def __init__(self, config: LoadBalanceConfig = LoadBalanceConfig()):
         self.config = config
-        self._tracker = _WorkloadTracker()
         self._counters: Dict[str, int] = {}
-        #: key -> member names of the last cluster, in rotation order.
-        self.last_clusters: Dict[str, List[str]] = {}
 
-    def _rotate(self, key: str, cluster: Sequence[_V], names: List[str]) -> _V:
+    def _rotate(self, key: str, cluster: Sequence[_V]) -> _V:
         """The member of *cluster* whose turn it is for *key*: the head
         first, then every member in order, period ``len(cluster)``."""
-        _lru_put(self.last_clusters, key, names)
         if len(cluster) < 2:
             return cluster[0]
         index = self._counters.get(key, 0)
@@ -163,16 +111,8 @@ class FragmentLoadBalancer(_Rotation):
     """Round-robin rotation across identical fragment plans, starting
     at the fragment's rendezvous-hash home (Section 4.1)."""
 
-    def note_execution(
-        self, fragment_signature: str, calibrated_cost: float, t_ms: float
-    ) -> None:
-        self._tracker.note(fragment_signature, calibrated_cost, t_ms)
-
     def substitute(
-        self,
-        chosen: FragmentOption,
-        siblings: Sequence[FragmentOption],
-        t_ms: float,
+        self, chosen: FragmentOption, siblings: Sequence[FragmentOption]
     ) -> FragmentOption:
         """Possibly swap *chosen* for an identical plan on another server.
 
@@ -182,19 +122,13 @@ class FragmentLoadBalancer(_Rotation):
         dramatically different costs even [if] they have an identical
         calibrated cost."
 
-        Below the workload threshold *chosen* stands.  Above it the
-        fragment rotates over its exchangeable cluster in HRW rank order
-        (:func:`rank_servers`): its first dispatch goes to its home
+        The fragment rotates over its exchangeable cluster in HRW rank
+        order (:func:`rank_servers`): its first dispatch goes to its home
         replica, so distinct fragments spread uniformly, and repeated
         submissions of the *same* fragment visit every member in turn.
         """
-        signature = chosen.fragment.signature
-        if self._tracker.workload(signature, t_ms) < (
-            self.config.workload_threshold
-        ):
-            return chosen
         cluster = self.ranked_cluster(chosen, siblings)
-        return self._rotate(signature, cluster, [o.server for o in cluster])
+        return self._rotate(chosen.fragment.signature, cluster)
 
     def ranked_cluster(
         self, chosen: FragmentOption, siblings: Sequence[FragmentOption]
@@ -226,31 +160,12 @@ class GlobalLoadBalancer(_Rotation):
     """Round-robin rotation across near-cost global plans (Section 4.2)."""
 
     def recommend(
-        self,
-        decomposed: DecomposedQuery,
-        plans: Sequence[GlobalPlan],
-        t_ms: float,
+        self, decomposed: DecomposedQuery, plans: Sequence[GlobalPlan]
     ) -> GlobalPlan:
-        """Choose the plan to run for this submission.
-
-        Below the workload threshold this is simply the cheapest plan;
-        above it, rotation over the dominance-pruned near-cost cluster.
-        The workload tracker records the cost of the plan *actually
-        chosen* — rotation may pick a costlier cluster member, and the
-        threshold must reflect the work really sent out.
-        """
+        """Choose the plan to run for this submission: rotation over
+        the dominance-pruned near-cost cluster, keyed by statement."""
         if not plans:
             raise ValueError("no plans to recommend from")
-        key = decomposed.statement.sql()
-        cheapest = plans[0]
-        chosen = cheapest
-        # This submission counts toward its own gate (the tracker used
-        # to be fed before the check), but its cost is only known after
-        # the choice — so add the candidate cost to the read instead.
-        workload = self._tracker.workload(key, t_ms) + cheapest.total_cost
-        if workload >= self.config.workload_threshold:
-            survivors = eliminate_dominated(plans)
-            cluster = cluster_near_cost(survivors, self.config.band)
-            chosen = self._rotate(key, cluster, [p.plan_id for p in cluster])
-        self._tracker.note(key, chosen.total_cost, t_ms)
-        return chosen
+        survivors = eliminate_dominated(plans)
+        cluster = cluster_near_cost(survivors, self.config.band)
+        return self._rotate(decomposed.statement.sql(), cluster)

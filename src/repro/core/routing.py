@@ -164,9 +164,6 @@ class QueryCostCalibrator(Calibration):
         signature = generalize_signature(fragment_signature)
         self.calibrator.record(server, signature, estimated.total, observed_ms)
         self.availability.record_success(server, t_ms)
-        self.fragment_balancer.note_execution(
-            fragment_signature, observed_ms, t_ms
-        )
 
     def _log(self, t_ms: float, kind: str, detail: str) -> None:
         self.decision_log.append(Decision(t_ms=t_ms, kind=kind, detail=detail))
@@ -192,7 +189,7 @@ class QueryCostCalibrator(Calibration):
     ) -> FragmentOption:
         if not self.config.enable_fragment_balancing:
             return option
-        return self.fragment_balancer.substitute(option, siblings, t_ms)
+        return self.fragment_balancer.substitute(option, siblings)
 
     # -- II-facing interface ------------------------------------------------
 
@@ -205,7 +202,7 @@ class QueryCostCalibrator(Calibration):
     ) -> GlobalPlan:
         if not self.config.enable_global_balancing:
             return plans[0]
-        return self.global_balancer.recommend(decomposed, plans, t_ms)
+        return self.global_balancer.recommend(decomposed, plans)
 
     def ii_factor(self) -> float:
         return self.ii_calibrator.factor

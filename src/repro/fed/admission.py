@@ -241,7 +241,7 @@ class BurstyArrivals(ArrivalProcess):
 def make_arrivals(
     process: str, rate_qps: float, seed: int, *path: object
 ) -> ArrivalProcess:
-    """Factory used by the CLI / chaos runner (``poisson`` | ``bursty``)."""
+    """Factory used by the CLI / chaos scenarios (``poisson`` | ``bursty``)."""
     if process == "poisson":
         return PoissonArrivals(rate_qps, seed, *path)
     if process == "bursty":

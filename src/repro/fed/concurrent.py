@@ -38,13 +38,11 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..core.routing import generalize_signature
-from ..obs import (
-    NULL_TRACE,
-    QueryTrace,
-    QueueSpanRecorder,
-    Span,
-    SpanTag,
-    get_obs,
+from ..obs import NULL_TRACE, QueryTrace, Span, get_obs
+from ..obs.flight import (
+    cancel_queue_spans,
+    open_queue_spans,
+    settle_queue_spans,
 )
 from ..sim import (
     AllOf,
@@ -174,9 +172,6 @@ class ConcurrentRuntime:
         self.admission = AdmissionController(
             classes, {II_QUEUE: self.ii_queue}, t0_ms=self.scheduler.now
         )
-        #: Installed on every queue the first time a traced query runs;
-        #: None until then so untraced runs make no hook calls.
-        self._span_recorder: Optional[QueueSpanRecorder] = None
         for name in integrator.meta_wrapper.server_names():
             self.queue_for(name)
         self.handles: List[QueryHandle] = []
@@ -194,22 +189,7 @@ class ConcurrentRuntime:
             queue = ServerQueue(server, self.scheduler)
             self.queues[server] = queue
             self.admission.backlog_sources[server] = queue
-            if self._span_recorder is not None:
-                queue.events = self._span_recorder
         return queue
-
-    def _ensure_span_recorder(self) -> None:
-        """Install the shared queue-hook span recorder on every queue.
-
-        Called only from traced query coroutines, so a runtime that
-        never traces keeps ``NULL_QUEUE_EVENTS`` on every queue and
-        pays one identity check per hook site.
-        """
-        if self._span_recorder is None:
-            self._span_recorder = QueueSpanRecorder()
-            self.ii_queue.events = self._span_recorder
-            for queue in self.queues.values():
-                queue.events = self._span_recorder
 
     # -- submission ------------------------------------------------------
 
@@ -271,7 +251,6 @@ class ConcurrentRuntime:
                 query_index=handle.index,
             )
             if trace is not NULL_TRACE:
-                self._ensure_span_recorder()
                 handle.trace = trace
             decision = self.admission.decide(handle.klass, t0)
             trace.event(
@@ -318,7 +297,8 @@ class QueuedDispatch(DispatchStrategy):
     """Contend: push each fragment's raw demand through its server's
     capacity queue and resume when the slowest finishes; the merge goes
     through the integrator's own queue.  QCC learns the queue-inflated
-    sojourns, at settle time."""
+    sojourns, at settle time, and a traced query's queue spans
+    (:mod:`repro.obs.flight`) settle from the same completions."""
 
     def __init__(self, runtime: ConcurrentRuntime):
         self.runtime = runtime
@@ -334,7 +314,9 @@ class QueuedDispatch(DispatchStrategy):
         # The join resumed at the slowest fragment's finish, so the
         # scheduler's clock already stands at *t_ms*.
         ii_queue = self.runtime.ii_queue
-        completion = yield self.work(ii_queue, demand_ms, trace, span)
+        work, spans = self.work(ii_queue, demand_ms, trace, span)
+        completion = yield work
+        settle_queue_spans(spans, completion)
         get_obs().metrics.gauge("sched_queue_depth", server=II_QUEUE).set(
             ii_queue.depth
         )
@@ -344,31 +326,34 @@ class QueuedDispatch(DispatchStrategy):
 
     def request(self, slot: FragmentSlot, trace: QueryTrace):
         """The scheduler request that runs *slot*'s fragment."""
-        return self.work(
+        work, slot.queue_spans = self.work(
             self.runtime.queue_for(slot.option.server),
             slot.execution.observed_ms,
             trace,
             slot.span,
         )
+        return work
 
     def settle(
         self, slot: FragmentSlot, outcome, t_dispatch: float, trace: QueryTrace
     ) -> Settled:
         """Resolve what :meth:`request` resumed with."""
+        settle_queue_spans(slot.queue_spans, outcome)
         return self.settled(
             slot.option, slot.execution, outcome, outcome.sojourn_ms
         )
 
     # -- shared by every queued strategy --------------------------------
 
-    @staticmethod
-    def work(
-        queue: ServerQueue, demand_ms: float, trace: QueryTrace, span: Span
-    ) -> Work:
-        """*demand_ms* at *queue*, its queue_wait/service spans parented
-        under *span* (untagged work skips the recorder)."""
-        tag = None if trace is NULL_TRACE else SpanTag(trace, span)
-        return Work(queue, demand_ms, tag=tag)
+    def work(self, queue: ServerQueue, demand_ms: float, trace: QueryTrace, span: Span):
+        """*demand_ms* at *queue*, and its queue spans under *span*
+        opened now — the instant the scheduler enqueues it — when
+        *trace* records (else None)."""
+        spans = None
+        if trace is not NULL_TRACE:
+            now = self.runtime.scheduler.now
+            spans = open_queue_spans(trace, span, queue.name, now)
+        return Work(queue, demand_ms), spans
 
     def settled(
         self,
@@ -460,12 +445,11 @@ class RacedDispatch(QueuedDispatch):
                 "hedge_suppressed_total", server=backup.server
             ).inc()
             return None
-        leg = self._fire(slot, backup, t_fire, trace, "hedge_backup")
-        if leg is None:
+        backup_work = self._fire(slot, backup, t_fire, trace, "hedge_backup")
+        if backup_work is None:
             return None
-        _, execution, span, _ = leg
         metrics.counter("hedge_fired_total", server=backup.server).inc()
-        return self.work(queue, execution.observed_ms, trace, span), False
+        return backup_work, False
 
     def _reroute_leg(self, slot, trace, schedule, t_fire, consumed_ms):
         # Checkpoint the consumed batches, then learn the tail's demand
@@ -477,7 +461,7 @@ class RacedDispatch(QueuedDispatch):
         target = self._target(slot, t_fire)
         if target is None:
             return self._decline("no-replica")
-        leg = self._fire(
+        tail = self._fire(
             slot,
             target,
             t_fire,
@@ -487,18 +471,11 @@ class RacedDispatch(QueuedDispatch):
             cut_row=point.cut_row,
             batches_kept=point.batches_kept,
         )
-        if leg is None:
+        if tail is None:
             return self._decline("target-down")
-        _, execution, span, _ = leg
         get_obs().metrics.counter(
             "reroute_fired_total", server=target.server
         ).inc()
-        tail = self.work(
-            self.runtime.queue_for(target.server),
-            tail_demand_ms(execution, point.cut_row),
-            trace,
-            span,
-        )
         return tail, True
 
     def _decline(self, reason: str) -> None:
@@ -531,14 +508,15 @@ class RacedDispatch(QueuedDispatch):
         name: str,
         point=None,
         **attributes: object,
-    ) -> Optional[tuple]:
+    ) -> Optional[Work]:
         """Execute *slot*'s fragment at *target* as its second leg, the
-        *name* span (hence its queue lifecycle or cancelled slice) under
-        the dispatch span.  No siblings: a leg that may lose, or ships
-        only a tail, is never substituted, and only its failure is
-        reported here (settle decides what the calibrator learns).
-        Returns the slot's new ``leg`` — (option, execution, span,
-        migration checkpoint or None) — or None if the target is down."""
+        *name* span (hence its queue spans) under the dispatch span.  No
+        siblings: a leg that may lose, or ships only a tail, is never
+        substituted, and only its failure is reported here (settle
+        decides what the calibrator learns).  Sets the slot's ``leg`` —
+        (option, execution, span, migration checkpoint or None, queue
+        spans) — and returns the leg's work: the whole fragment, or the
+        tail past *point*; None if the target is down."""
         meta_wrapper = self.runtime.integrator.meta_wrapper
         try:
             target, execution = meta_wrapper.execute_option(
@@ -557,8 +535,16 @@ class RacedDispatch(QueuedDispatch):
             **attributes,
             fired_ms=t_fire,
         )
-        slot.leg = (target, execution, span, point)
-        return slot.leg
+        demand_ms = (
+            execution.observed_ms
+            if point is None
+            else tail_demand_ms(execution, point.cut_row)
+        )
+        work, spans = self.work(
+            self.runtime.queue_for(target.server), demand_ms, trace, span
+        )
+        slot.leg = (target, execution, span, point, spans)
+        return work
 
     def settle(self, slot, outcome, t_dispatch, trace):
         if slot.leg is None:
@@ -580,12 +566,14 @@ class RacedDispatch(QueuedDispatch):
     def _settle_hedged(self, slot, outcome, t_dispatch, trace):
         completion = outcome.completion
         winner, execution = slot.option, slot.execution
-        loser, backup_execution, span, _ = slot.leg
+        loser, backup_execution, span, _, lost_spans = slot.leg
+        won_spans = slot.queue_spans
         effective_ms = completion.sojourn_ms
         backup_won = outcome.winner == "second"
         winner_name = "backup" if backup_won else "primary"
         if backup_won:
             winner, loser, execution = loser, winner, backup_execution
+            won_spans, lost_spans = lost_spans, won_spans
             # The fragment's real latency includes the hedge wait
             # before the backup was even fired.
             effective_ms = completion.finished_ms - t_dispatch
@@ -593,6 +581,9 @@ class RacedDispatch(QueuedDispatch):
                 "hedge_backup_wins_total", server=winner.server
             ).inc()
         wasted_ms = outcome.consumed_ms
+        # The loser was cancelled the instant the winner finished.
+        settle_queue_spans(won_spans, completion)
+        cancel_queue_spans(lost_spans, completion.finished_ms, wasted_ms)
         self.runtime.integrator.meta_wrapper.note_cancelled_leg(
             "hedge",
             loser,
@@ -620,7 +611,12 @@ class RacedDispatch(QueuedDispatch):
     def _settle_rerouted(self, slot, outcome, t_dispatch, trace):
         completion = outcome.completion
         execution = slot.execution
-        target, target_execution, span, point = slot.leg
+        target, target_execution, span, point, tail_spans = slot.leg
+        # The primary was cancelled the instant the migration fired.
+        cancel_queue_spans(
+            slot.queue_spans, outcome.fired_ms, outcome.consumed_ms
+        )
+        settle_queue_spans(tail_spans, completion)
         migrated_rows = execution.row_count - point.cut_row
         # Service past the checkpointed boundary is the partial batch
         # the target re-ships: the price paid for a clean cut.

@@ -108,7 +108,10 @@ class FragmentSlot:
     #: What the query's compilation admitted for this fragment
     #: (:meth:`GlobalPlan.siblings_of`): where a second leg may go.
     siblings: Tuple[FragmentOption, ...]
-    #: Strategy-private: the second leg of a race, once one has fired.
+    #: Strategy-private: the queued work's queue_wait/service spans
+    #: (None when untraced), and the second leg of a race, once one has
+    #: fired.
+    queue_spans: Optional[Tuple[Span, Span]] = None
     leg: Optional[tuple] = None
 
 

@@ -8,16 +8,17 @@ benefiting from calibration.  The warm-up cycle (probe → pass →
 recalibrate) is written once, in :func:`warm_up` / :func:`calibrated_pass`.
 
 On top of it, :class:`Evaluation` produces Figure 9, Table 2,
-Figures 10/11 and the systems' routing regret as structured results,
-:func:`run_timeline` the availability/calibration timeline and
-:func:`run_procedure` the seven-step procedure.  The CLI (``python -m
-repro experiment ...``), the benchmark suite and notebooks all take
-their numbers from these runners; only the rendering differs between
-them.
+Figures 10/11, the systems' routing regret and QCC's cost residual as
+structured results, :func:`run_timeline` the availability/calibration
+timeline and :func:`run_procedure` the seven-step procedure.  The CLI
+(``python -m repro experiment ...``), the benchmark suite and notebooks
+all take their numbers from these runners; only the rendering differs
+between them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,6 +30,7 @@ from ..baselines import (
     uncalibrated_deployment,
 )
 from ..fed import FederationError, decompose
+from ..numeric import left_sum
 from ..obs.timeline import NULL_TIMELINE, Timeline
 from ..sim import AvailabilitySchedule, ServerUnavailable
 from ..sqlengine import Database
@@ -67,6 +69,8 @@ class QueryOutcome:
     servers: Tuple[str, ...]
     retries: int
     failed: bool = False
+    #: (estimated, calibrated, observed) cost of every fragment that ran
+    fragment_costs: Tuple[Tuple[float, float, float], ...] = ()
 
     @property
     def query_type(self) -> str:
@@ -104,10 +108,15 @@ def run_query(deployment: Deployment, instance: QueryInstance) -> QueryOutcome:
         result = deployment.integrator.submit(instance.sql, label=instance.label)
     except (FederationError, ServerUnavailable):
         return QueryOutcome(instance, 0.0, (), 0, failed=True)
-    servers = tuple(
-        sorted({o.option.server for o in result.fragments.values()})
+    fragments = result.fragments.values()
+    servers = tuple(sorted({o.option.server for o in fragments}))
+    costs = tuple(
+        (o.option.estimated.total, o.option.calibrated.total, o.execution.observed_ms)
+        for o in fragments
     )
-    return QueryOutcome(instance, result.response_ms, servers, result.retries)
+    return QueryOutcome(
+        instance, result.response_ms, servers, result.retries, fragment_costs=costs
+    )
 
 
 def run_workload_once(
@@ -550,6 +559,83 @@ class RegretResult:
         return markdown_table(self._headers(), rows)
 
 
+def _routed_cost(outcome: QueryOutcome) -> Tuple[float, float, float]:
+    """The (estimated, calibrated, observed) cost of *outcome*'s one
+    fragment."""
+    if len(outcome.fragment_costs) != 1:
+        raise ValueError(
+            f"{outcome.instance.label}#{outcome.instance.instance_id} ran "
+            f"{len(outcome.fragment_costs)} fragments: the residual needs "
+            "exactly one"
+        )
+    return outcome.fragment_costs[0]
+
+
+def _residual(ratios: Sequence[float]) -> Tuple[float, float]:
+    """The geometric mean of *ratios* and their worst q-error,
+    ``max(r, 1/r)``."""
+    log_mean = left_sum(math.log(r) for r in ratios) / len(ratios)
+    return math.exp(log_mean), max(max(r, 1.0 / r) for r in ratios)
+
+
+@dataclass
+class ResidualResult:
+    """QCC's cost residual per phase: the observed cost of each routed
+    fragment over its load-blind estimate (raw) and over the calibrated
+    cost QCC routed on."""
+
+    #: phase -> (geometric mean of observed / estimated, worst q-error)
+    raw: Dict[str, Tuple[float, float]]
+    #: phase -> (geometric mean of observed / calibrated, worst q-error)
+    calibrated: Dict[str, Tuple[float, float]]
+
+    def to_dict(self) -> Dict:
+        return {
+            "experiment": "residual",
+            **{
+                kind: {
+                    phase: {"geomean_ratio": ratio, "worst_q_error": q}
+                    for phase, (ratio, q) in by_phase.items()
+                }
+                for kind, by_phase in (
+                    ("raw", self.raw), ("calibrated", self.calibrated)
+                )
+            },
+        }
+
+    def _rows(self) -> List[List[str]]:
+        """One row per phase, then the phases' geometric mean ratio and
+        worst q-error."""
+        rows = [[phase] for phase in self.raw] + [["all"]]
+        for by_phase in (self.raw, self.calibrated):
+            ratios = [ratio for ratio, _ in by_phase.values()]
+            worst = [q for _, q in by_phase.values()]
+            overall = (_residual(ratios)[0], max(worst))
+            for row, (ratio, q) in zip(rows, [*by_phase.values(), overall]):
+                row += [f"{ratio:.3f}", f"{q:.2f}"]
+        return rows
+
+    _HEADERS = [
+        "Phase",
+        "raw obs/est",
+        "raw worst q-error",
+        "QCC obs/cal",
+        "QCC worst q-error",
+    ]
+
+    def render(self) -> str:
+        return ascii_table(
+            self._HEADERS,
+            self._rows(),
+            title="=== Cost residual before and after calibration ===",
+        )
+
+    def markdown(self) -> str:
+        rows = self._rows()
+        rows[-1] = [f"**{cell}**" for cell in rows[-1]]
+        return markdown_table(self._HEADERS, rows)
+
+
 class Evaluation:
     """Section 5's evaluation of the systems over one loaded dataset.
 
@@ -684,6 +770,18 @@ class Evaluation:
                     r == 0.0 for r in regrets
                 ) / len(regrets)
         return RegretResult(mean_ms=mean_ms, zero_share=zero_share)
+
+    def residual(self) -> ResidualResult:
+        """QCC's cost residual per phase: for every query of the phase's
+        measured pass, its routed fragment's observed cost over the
+        load-blind estimate and over the calibrated cost."""
+        raw: Dict[str, Tuple[float, float]] = {}
+        calibrated: Dict[str, Tuple[float, float]] = {}
+        for name, phase in self.table2().sweep.items():
+            costs = [_routed_cost(o) for o in phase.outcomes]
+            raw[name] = _residual([obs / est for est, _, obs in costs])
+            calibrated[name] = _residual([obs / cal for _, cal, obs in costs])
+        return ResidualResult(raw=raw, calibrated=calibrated)
 
 
 # ---------------------------------------------------------------------------

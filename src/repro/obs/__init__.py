@@ -46,11 +46,7 @@ from .export import (
     escape_label_value,
     render_prometheus,
 )
-from .flight import (
-    QueueSpanRecorder,
-    SpanTag,
-    decompose_trace,
-)
+from .flight import decompose_trace
 from .metrics import (
     NULL_REGISTRY,
     Counter,
@@ -130,12 +126,10 @@ __all__ = [
     "OperatorStats",
     "PlanProfile",
     "QueryTrace",
-    "QueueSpanRecorder",
     "SLOMonitor",
     "SLOPolicy",
     "SLOReport",
     "Span",
-    "SpanTag",
     "Timeline",
     "TimelineEvent",
     "TimelineSample",

@@ -1,20 +1,15 @@
-"""Flight recorder: queue-hook span recording + exact latency decomposition.
+"""Flight recorder: queue spans + exact latency decomposition.
 
-Two pieces connect the scheduler's queue hooks to the causal span layer:
-
-* :class:`SpanTag` — the opaque tag a dispatching coroutine attaches to
-  a :class:`~repro.sim.sched.Work` item.  It names the trace and the
-  parent span (the fragment's ``dispatch`` span, or the ``merge`` span
-  for II-side work) under which the queue's lifecycle should appear.
-* :class:`QueueSpanRecorder` — a :class:`~repro.sim.sched.QueueEvents`
-  implementation turning enqueue → complete/cancel into ``queue_wait``
-  and ``service`` child spans.  At completion the two
-  spans are snapped to the :class:`~repro.sim.sched.Completion`'s exact
-  decomposition (``wait_ms`` is the primitive there, so
-  queue_wait + service == sojourn holds bit-for-bit); for processor
-  sharing the split is the *logical* one — the slowdown in excess of
-  dedicated service drawn as wait — since PS has no temporal start-of-
-  service boundary.
+A queued :class:`~repro.sim.sched.Work` item of a traced query gets
+``queue_wait`` and ``service`` child spans from the dispatch strategy
+that builds it (``repro.fed.concurrent``): :func:`open_queue_spans` at
+the enqueue instant, then :func:`settle_queue_spans` from its
+:class:`~repro.sim.sched.Completion` or :func:`cancel_queue_spans` for
+a cancelled leg.  A settled pair is the completion's exact
+decomposition (``wait_ms`` is the primitive there, so queue_wait +
+service == sojourn holds bit-for-bit); for processor sharing the split
+is the *logical* one — the slowdown in excess of dedicated service
+drawn as wait — since PS has no temporal start-of-service boundary.
 
 :func:`decompose_trace` then reads a finished concurrent-runtime trace
 back into the flat latency decomposition the flight-recorder artifact
@@ -24,99 +19,61 @@ total is bit-identical to the query's recorded ``response_ms`` for
 every non-hedged query (hedged backup wins may carry an honest
 ``exact: false``).
 
-This module deliberately imports nothing from :mod:`repro.sim` — the
-recorder satisfies the ``QueueEvents`` surface structurally, keeping
-``repro.obs`` importable on its own.
+This module deliberately imports nothing from :mod:`repro.sim` — a
+completion is read by attribute — keeping ``repro.obs`` importable on
+its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .trace import NULL_SPAN, QueryTrace, Span
 
 
-@dataclass(frozen=True)
-class SpanTag:
-    """Routing label carried by a Work item into the queue hooks."""
+def open_queue_spans(
+    trace: QueryTrace, parent: Span, server: str, t_ms: float
+) -> Tuple[Span, Span]:
+    """Under *parent*, a zero-width wait at *t_ms* and an open service
+    span: processor sharing serves from the arrival instant."""
+    wait = trace.begin_child(parent, "queue_wait", t_ms, server=server)
+    trace.end(wait, t_ms)
+    service = trace.begin_child(parent, "service", t_ms, server=server)
+    return wait, service
 
-    trace: QueryTrace
-    parent: Span
+
+def settle_queue_spans(spans: Optional[Tuple[Span, Span]], completion) -> None:
+    """Snap *spans* (None: untraced) to [queued, queued + wait] and
+    [queued + wait, finished] of *completion*."""
+    if spans is None:
+        return
+    wait, service = spans
+    boundary = completion.queued_ms + completion.wait_ms
+    if wait is not NULL_SPAN:
+        wait.start_ms, wait.end_ms = completion.queued_ms, boundary
+    wait.annotate(
+        wait_ms=completion.wait_ms,
+        depth_at_arrival=completion.depth_at_arrival,
+    )
+    if service is not NULL_SPAN:
+        service.start_ms, service.end_ms = boundary, completion.finished_ms
+    service.annotate(
+        service_ms=completion.service_ms, sojourn_ms=completion.sojourn_ms
+    )
 
 
-class QueueSpanRecorder:
-    """QueueEvents observer emitting queue_wait/service child spans.
-
-    One recorder instance is shared by every queue of a runtime; live
-    per-job state is keyed by the job handle itself (unique per
-    submission).  Jobs without a :class:`SpanTag` are ignored, so
-    untagged traffic costs one dict miss per lifecycle hook.
-    """
-
-    def __init__(self) -> None:
-        #: id(job) -> (queue_wait span, service span).  Keyed by the job
-        #: handle's identity and popped at complete/cancel, so a recycled
-        #: id cannot alias.
-        self._live: Dict[int, Tuple[Span, Span]] = {}
-
-    # -- QueueEvents surface --------------------------------------------
-
-    def on_enqueue(self, queue, job, t_ms: float) -> None:
-        """Open both spans at the arrival instant: a zero-width wait,
-        then service, which processor sharing gives from the first
-        moment."""
-        tag = job.tag
-        if not isinstance(tag, SpanTag):
-            return
-        trace = tag.trace
-        wait = trace.begin_child(
-            tag.parent, "queue_wait", t_ms, server=queue.name
-        )
-        trace.end(wait, t_ms)
-        service = trace.begin_child(
-            tag.parent, "service", t_ms, server=queue.name
-        )
-        self._live[id(job)] = (wait, service)
-
-    def on_complete(self, queue, job, completion) -> None:
-        state = self._live.pop(id(job), None)
-        if state is None:
-            return
-        wait, service = state
-        # Snap both spans to the completion's exact decomposition:
-        # [queued, queued + wait] and [queued + wait, finished], the
-        # logical wait/service split that replaces the provisional
-        # arrival-instant boundary.
-        boundary = completion.queued_ms + completion.wait_ms
-        if wait is not NULL_SPAN:
-            wait.start_ms = completion.queued_ms
-            wait.end_ms = boundary
-            wait.annotate(
-                wait_ms=completion.wait_ms,
-                depth_at_arrival=completion.depth_at_arrival,
-            )
-        if service is not NULL_SPAN:
-            service.start_ms = boundary
-            service.end_ms = completion.finished_ms
-            service.annotate(
-                service_ms=completion.service_ms,
-                sojourn_ms=completion.sojourn_ms,
-            )
-
-    def on_cancel(self, queue, job, t_ms: float, consumed_ms: float) -> None:
-        state = self._live.pop(id(job), None)
-        if state is None:
-            return
-        wait, service = state
-        for span in (wait, service):
-            if span is NULL_SPAN:
-                continue
-            if span.end_ms is None:
-                span.end_ms = t_ms
-            span.annotate(cancelled=True)
-        if service is not NULL_SPAN:
-            service.annotate(consumed_ms=consumed_ms)
+def cancel_queue_spans(
+    spans: Optional[Tuple[Span, Span]], t_ms: float, consumed_ms: float
+) -> None:
+    """Close *spans* (None: untraced) of a leg cancelled at *t_ms* after
+    ``consumed_ms`` of dedicated service."""
+    if spans is None:
+        return
+    wait, service = spans
+    wait.annotate(cancelled=True)
+    if service is not NULL_SPAN:
+        service.end_ms = t_ms
+    service.annotate(cancelled=True, consumed_ms=consumed_ms)
 
 
 # -- latency decomposition ---------------------------------------------------

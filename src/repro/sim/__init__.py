@@ -29,8 +29,6 @@ from .sched import (
     Completion,
     Delay,
     EventScheduler,
-    NULL_QUEUE_EVENTS,
-    QueueEvents,
     RaceOutcome,
     RacedWork,
     ServerQueue,
@@ -59,10 +57,8 @@ __all__ = [
     "LoadSchedule",
     "MutableLoad",
     "NetworkLink",
-    "NULL_QUEUE_EVENTS",
     "OutageSchedule",
     "PeriodicTimer",
-    "QueueEvents",
     "REQUEST_BYTES",
     "RaceOutcome",
     "RacedWork",

@@ -52,10 +52,6 @@ class Work:
 
     queue: "ServerQueue"
     demand_ms: float
-    #: Opaque observer tag carried to the queue's :class:`QueueEvents`
-    #: hooks (the span layer uses it to parent queue_wait/service spans
-    #: under the dispatching query's span tree).  ``None`` = untagged.
-    tag: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.demand_ms < 0:
@@ -264,7 +260,7 @@ class EventScheduler:
         self, request: object, resume: Callable[[object], None]
     ) -> None:
         if isinstance(request, Work):
-            request.queue.submit(request.demand_ms, resume, tag=request.tag)
+            request.queue.submit(request.demand_ms, resume)
         elif isinstance(request, Delay):
             self.call_later(request.delay_ms, resume, None)
         elif isinstance(request, AllOf):
@@ -353,9 +349,7 @@ class _Race:
                 self.disarm = installed
 
     def _submit(self, work: Work, callback: Callable) -> tuple:
-        return work.queue, work.queue.submit(
-            work.demand_ms, callback, tag=work.tag
-        )
+        return work.queue, work.queue.submit(work.demand_ms, callback)
 
     # -- triggers --------------------------------------------------------
 
@@ -415,41 +409,6 @@ class _Race:
             disarm()
 
 
-class QueueEvents:
-    """Observer interface for :class:`ServerQueue` lifecycle hooks.
-
-    The span layer (:mod:`repro.obs.flight`) implements this to turn a
-    job's enqueue → complete/cancel transitions into queue_wait and
-    service spans.  The base class is the null object: every queue
-    starts with :data:`NULL_QUEUE_EVENTS` and each emission site guards
-    with a single identity check, so the disabled path costs nothing
-    and inserts no extra scheduler events (byte-identical heaps).
-
-    Hooks run on the scheduler's clock but must never mutate queue or
-    scheduler state — they observe.
-    """
-
-    def on_enqueue(self, queue: "ServerQueue", job: "_Job", t_ms: float) -> None:
-        """*job* entered *queue* at ``t_ms`` and began receiving service
-        there: under processor sharing service is shared from the first
-        moment, and the wait/service split is finalised at completion."""
-
-    def on_complete(
-        self, queue: "ServerQueue", job: "_Job", completion: Completion
-    ) -> None:
-        """*job* finished; ``completion`` carries the exact wait/service
-        decomposition."""
-
-    def on_cancel(
-        self, queue: "ServerQueue", job: "_Job", t_ms: float, consumed_ms: float
-    ) -> None:
-        """*job* was cancelled at ``t_ms`` having consumed
-        ``consumed_ms`` of dedicated service (hedge loser)."""
-
-
-NULL_QUEUE_EVENTS = QueueEvents()
-
-
 @dataclass(eq=False, slots=True)
 class _Job:
     """One resident work item; a handle, compared by identity."""
@@ -459,8 +418,6 @@ class _Job:
     demand_ms: float
     callback: Callable[[Completion], None]
     depth_at_arrival: int = 1
-    #: Observer tag from the submitting :class:`Work` (None = untagged).
-    tag: Optional[object] = None
 
 
 class ServerQueue:
@@ -484,8 +441,6 @@ class ServerQueue:
         self.name = name
         self.scheduler = scheduler
         self.capacity = float(capacity)
-        #: Lifecycle observer (span layer); the null object by default.
-        self.events: QueueEvents = NULL_QUEUE_EVENTS
         self._jobs: List[_Job] = []
         self._remaining: List[float] = []
         self._seq = 0
@@ -530,15 +485,11 @@ class ServerQueue:
     # -- submission ------------------------------------------------------
 
     def submit(
-        self,
-        demand_ms: float,
-        callback: Callable[[Completion], None],
-        tag: Optional[object] = None,
+        self, demand_ms: float, callback: Callable[[Completion], None]
     ) -> _Job:
         """Enqueue ``demand_ms`` of service now; ``callback(completion)``
         fires at the (virtual) instant the work finishes.  Returns an
-        opaque job handle accepted by :meth:`cancel`.  ``tag`` is handed
-        unchanged to the queue's :class:`QueueEvents` observer."""
+        opaque job handle accepted by :meth:`cancel`."""
         if demand_ms < 0:
             raise ValueError(f"negative work demand {demand_ms}")
         now = self.scheduler.now
@@ -549,15 +500,12 @@ class ServerQueue:
             demand_ms=demand_ms,
             callback=callback,
             depth_at_arrival=len(self._jobs) + 1,
-            tag=tag,
         )
         self._seq += 1
         self._jobs.append(job)
         self._remaining.append(demand_ms / self.capacity)
         self.max_depth = max(self.max_depth, len(self._jobs))
         self._reschedule_ps()
-        if self.events is not NULL_QUEUE_EVENTS:
-            self.events.on_enqueue(self, job, now)
         return job
 
     # -- cancellation ----------------------------------------------------
@@ -579,8 +527,6 @@ class ServerQueue:
         consumed = max(0.0, job.demand_ms / self.capacity - left)
         self.busy_ms += consumed
         self.cancelled_jobs += 1
-        if self.events is not NULL_QUEUE_EVENTS:
-            self.events.on_cancel(self, job, self.scheduler.now, consumed)
         self._reschedule_ps()
         return consumed
 
@@ -632,8 +578,6 @@ class ServerQueue:
             # Arrived into company, or something arrived while resident.
             contended=head.depth_at_arrival > 1 or self._seq > head.seq + 1,
         )
-        if self.events is not NULL_QUEUE_EVENTS:
-            self.events.on_complete(self, head, completion)
         head.callback(completion)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

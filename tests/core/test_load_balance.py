@@ -1,14 +1,12 @@
 """Unit tests for fragment- and global-level load distribution."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core import FragmentLoadBalancer, GlobalLoadBalancer, LoadBalanceConfig
 from repro.core import load_balance
 from repro.core.load_balance import hrw_score, rank_servers
 from repro.fed.decomposer import DecomposedQuery, QueryFragment
 from repro.fed.global_optimizer import FragmentOption, GlobalPlan
-from repro.numeric import left_sum
 from repro.sqlengine import Column, ColumnType, PlanCost, Schema, SeqScan
 from repro.sqlengine.catalog import TableDef, TableStats
 from repro.sqlengine.logical import QueryBlock
@@ -54,10 +52,8 @@ def _option(server, total, fragment=None, table_name="t", predicate=None):
 
 
 class TestFragmentBalancer:
-    def _balancer(self, band=0.2, threshold=0.0):
-        return FragmentLoadBalancer(
-            LoadBalanceConfig(band=band, workload_threshold=threshold)
-        )
+    def _balancer(self, band=0.2):
+        return FragmentLoadBalancer(LoadBalanceConfig(band=band))
 
     def test_hot_fragment_rotates_over_cluster_from_hrw_home(self):
         """Section 4.1's round-robin: the first pick is the HRW home,
@@ -72,7 +68,7 @@ class TestFragmentBalancer:
         ]
         order = rank_servers(fragment.signature, ["R1", "R2", "S1"])
         picks = [
-            balancer.substitute(chosen, siblings, 0.0).server
+            balancer.substitute(chosen, siblings).server
             for _ in range(7)
         ]
         assert picks == (order * 3)[:7]
@@ -86,7 +82,7 @@ class TestFragmentBalancer:
             fragment = _fragment(f"SELECT a FROM t WHERE t.a = {i}")
             chosen = _option("S1", 10.0, fragment)
             siblings = [chosen, _option("R1", 10.0, fragment)]
-            homes.add(balancer.substitute(chosen, siblings, 0.0).server)
+            homes.add(balancer.substitute(chosen, siblings).server)
         assert homes == {"S1", "R1"}
 
     def test_non_identical_plans_not_exchangeable(self):
@@ -95,7 +91,7 @@ class TestFragmentBalancer:
         chosen = _option("S1", 10.0, fragment)
         different = _option("R1", 10.0, fragment, predicate="t.a > 1")
         picks = {
-            balancer.substitute(chosen, [chosen, different], 0.0).server
+            balancer.substitute(chosen, [chosen, different]).server
             for _ in range(4)
         }
         assert picks == {"S1"}
@@ -106,69 +102,31 @@ class TestFragmentBalancer:
         chosen = _option("S1", 10.0, fragment)
         pricey = _option("R1", 13.0, fragment)  # 30% above cheapest
         picks = {
-            balancer.substitute(chosen, [chosen, pricey], 0.0).server
+            balancer.substitute(chosen, [chosen, pricey]).server
             for _ in range(4)
         }
         assert picks == {"S1"}
-
-    def test_workload_threshold_gates_balancing(self):
-        balancer = self._balancer(threshold=1_000.0)
-        fragment = _fragment()
-        chosen = _option("S1", 10.0, fragment)
-        siblings = [chosen, _option("R1", 10.0, fragment)]
-        # Low workload: no substitution even with a perfect replica.
-        assert balancer.substitute(chosen, siblings, 0.0).server == "S1"
-        # Accumulate workload beyond the threshold.
-        for t in range(200):
-            balancer.note_execution(fragment.signature, 10.0, float(t))
-        order = rank_servers(fragment.signature, ["R1", "S1"])
-        picks = [
-            balancer.substitute(chosen, siblings, 200.0).server
-            for _ in range(4)
-        ]
-        # Above it the rotation starts, at the HRW home.
-        assert picks == order * 2
-
-    def test_workload_window_expires(self, monkeypatch):
-        monkeypatch.setattr(load_balance, "WINDOW_MS", 100.0)
-        balancer = FragmentLoadBalancer(LoadBalanceConfig(workload_threshold=50.0))
-        fragment = _fragment()
-        balancer.note_execution(fragment.signature, 100.0, 0.0)
-        chosen = _option("S1", 10.0, fragment)
-        siblings = [chosen, _option("R1", 10.0, fragment)]
-        # At t=500 the old workload has aged out of the window.
-        assert balancer.substitute(chosen, siblings, 500.0).server == "S1"
 
     def test_cluster_membership_recorded(self):
         balancer = self._balancer()
         fragment = _fragment()
         chosen = _option("S1", 10.0, fragment)
-        balancer.substitute(chosen, [chosen, _option("R1", 10.0, fragment)], 0.0)
-        # Recorded in HRW rank order: head = home, second = hedge backup.
-        assert balancer.last_clusters[fragment.signature] == rank_servers(
+        cluster = balancer.ranked_cluster(
+            chosen, [chosen, _option("R1", 10.0, fragment)]
+        )
+        # In HRW rank order: head = home, second = hedge backup.
+        assert [o.server for o in cluster] == rank_servers(
             fragment.signature, ["R1", "S1"]
         )
 
-    @given(st.lists(st.floats(0.0, 1e4, allow_nan=False), max_size=40))
-    def test_workload_is_a_left_fold(self, costs):
-        balancer = FragmentLoadBalancer()
-        for cost in costs:
-            balancer.note_execution("sig", cost, 0.0)
-        assert balancer._tracker.workload("sig", 0.0) == left_sum(costs)
-
-    def test_last_clusters_lru_bounded(self, monkeypatch):
+    def test_rotation_counters_lru_bounded(self, monkeypatch):
         monkeypatch.setattr(load_balance, "MAX_TRACKED", 8)
         balancer = FragmentLoadBalancer()
         for i in range(32):
             fragment = _fragment(f"SELECT a FROM t WHERE t.a = {i}")
             chosen = _option("S1", 10.0, fragment)
-            balancer.substitute(
-                chosen, [chosen, _option("R1", 10.0, fragment)], 0.0
-            )
-            balancer.note_execution(fragment.signature, 10.0, 0.0)
-        assert len(balancer.last_clusters) <= 8
-        assert len(balancer._counters) <= 8
-        assert len(balancer._tracker) <= 8
+            balancer.substitute(chosen, [chosen, _option("R1", 10.0, fragment)])
+        assert len(balancer._counters) == 8
 
 
 class TestRendezvousHashing:
@@ -246,7 +204,7 @@ class TestGlobalBalancer:
         ]
         decomposed = _decomposed()
         picks = [
-            balancer.recommend(decomposed, plans, 0.0).plan_id
+            balancer.recommend(decomposed, plans).plan_id
             for _ in range(4)
         ]
         assert set(picks) == {"p1", "p2"}
@@ -260,62 +218,14 @@ class TestGlobalBalancer:
             _global_plan("p3", ["R1"], 11.0),
         ]
         picks = {
-            balancer.recommend(_decomposed(), plans, 0.0).plan_id
+            balancer.recommend(_decomposed(), plans).plan_id
             for _ in range(6)
         }
         assert "p2" not in picks
 
-    def test_threshold_returns_cheapest(self):
-        balancer = GlobalLoadBalancer(
-            LoadBalanceConfig(workload_threshold=1e9)
-        )
-        plans = [
-            _global_plan("p1", ["S1"], 10.0),
-            _global_plan("p2", ["R1"], 10.0),
-        ]
-        picks = {
-            balancer.recommend(_decomposed(), plans, 0.0).plan_id
-            for _ in range(4)
-        }
-        assert picks == {"p1"}
-
     def test_empty_plans_rejected(self):
         with pytest.raises(ValueError):
-            GlobalLoadBalancer().recommend(_decomposed(), [], 0.0)
-
-    def test_tracker_records_chosen_plan_cost(self):
-        """Regression: rotation may pick a costlier cluster member — the
-        workload tracker must record the *chosen* plan's cost, not the
-        cheapest's."""
-        balancer = GlobalLoadBalancer(LoadBalanceConfig(band=0.2))
-        plans = [
-            _global_plan("p1", ["S1"], 10.0),
-            _global_plan("p2", ["R1"], 11.0),
-        ]
-        decomposed = _decomposed()
-        key = decomposed.statement.sql()
-        chosen_costs = [
-            balancer.recommend(decomposed, plans, 0.0).total_cost
-            for _ in range(4)
-        ]
-        assert set(chosen_costs) == {10.0, 11.0}  # rotation really rotates
-        assert balancer._tracker.workload(key, 0.0) == sum(chosen_costs)
-
-    def test_threshold_counts_current_submission(self):
-        """The submission being decided counts toward its own gate (the
-        tracker used to be fed before the check) — a single submission
-        whose cheapest cost meets the threshold balances immediately."""
-        balancer = GlobalLoadBalancer(
-            LoadBalanceConfig(band=0.2, workload_threshold=10.0)
-        )
-        plans = [
-            _global_plan("p1", ["S1"], 10.0),
-            _global_plan("p2", ["R1"], 10.5),
-        ]
-        decomposed = _decomposed()
-        first = balancer.recommend(decomposed, plans, 0.0)
-        second = balancer.recommend(decomposed, plans, 0.0)
-        assert {first.plan_id, second.plan_id} == {"p1", "p2"}
+            GlobalLoadBalancer().recommend(_decomposed(), [])
 
     def test_counters_and_clusters_lru_bounded(self, monkeypatch):
         monkeypatch.setattr(load_balance, "MAX_TRACKED", 8)
@@ -326,11 +236,9 @@ class TestGlobalBalancer:
         ]
         for i in range(32):
             balancer.recommend(
-                _decomposed(f"SELECT a FROM t WHERE a = {i}"), plans, 0.0
+                _decomposed(f"SELECT a FROM t WHERE a = {i}"), plans
             )
-        assert len(balancer._counters) <= 8
-        assert len(balancer.last_clusters) <= 8
-        assert len(balancer._tracker) <= 8
+        assert len(balancer._counters) == 8
 
     def test_rotation_keyed_per_statement(self):
         balancer = GlobalLoadBalancer(LoadBalanceConfig(band=0.2))
@@ -338,7 +246,7 @@ class TestGlobalBalancer:
             _global_plan("p1", ["S1"], 10.0),
             _global_plan("p2", ["R1"], 10.5),
         ]
-        first = balancer.recommend(_decomposed("SELECT a FROM t"), plans, 0.0)
-        other = balancer.recommend(_decomposed("SELECT a FROM u"), plans, 0.0)
+        first = balancer.recommend(_decomposed("SELECT a FROM t"), plans)
+        other = balancer.recommend(_decomposed("SELECT a FROM u"), plans)
         # independent rotation counters -> both start at the same position
         assert first.plan_id == other.plan_id

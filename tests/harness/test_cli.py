@@ -8,7 +8,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import build_parser, main
 from repro.harness import Evaluation
-from repro.harness.experiment import QueryOutcome, _regret_ms
+from repro.harness.experiment import QueryOutcome, _regret_ms, _routed_cost
 from repro.harness.metrics import mean
 from repro.harness.report import replace_marked_blocks
 from repro.workload import QT1, QUERY_TYPES, TEST_SCALE
@@ -345,7 +345,7 @@ class TestExperimentRunners:
         assert all(len(row) == 8 for row in measured.assignments.values())
 
     def test_all_markdown_rewrites_only_the_marked_blocks(self, tmp_path, capsys):
-        names = ("figure9", "table2", "figure10", "figure11", "regret")
+        names = ("figure9", "table2", "figure10", "figure11", "regret", "residual")
         stale = "".join(
             f"## {name}\n\n<!-- BEGIN {name} -->\n| old |\n<!-- END {name} -->\n\nprose\n"
             for name in names
@@ -362,7 +362,8 @@ class TestExperimentRunners:
         assert all(
             title in out
             for title in (
-                "Figure 9", "Table 2", "Figure 10", "Figure 11", "regret"
+                "Figure 9", "Table 2", "Figure 10", "Figure 11", "regret",
+                "residual",
             )
         )
         text = path.read_text()
@@ -425,6 +426,51 @@ class TestExperimentRunners:
             _regret_ms(outcome, {"S1": 1.0, "S2": 2.0})
         alone = QueryOutcome(QT1.instance(0), 1.0, ("S2",), 0)
         assert _regret_ms(alone, {"S1": 1.0, "S2": 2.5}) == 1.5
+
+    def test_residual_before_and_after_calibration(self, sample_databases):
+        result = Evaluation(
+            scale=TEST_SCALE, databases=sample_databases
+        ).residual()
+        rounded = {
+            kind: {
+                phase: (round(ratio, 3), round(q, 3))
+                for phase, (ratio, q) in by_phase.items()
+            }
+            for kind, by_phase in (
+                ("raw", result.raw), ("calibrated", result.calibrated)
+            )
+        }
+        # At test scale every query runs on S3, so the phases fall into
+        # two groups: S3 idle (1, 3, 5, 7) and S3 loaded (2, 4, 6, 8).
+        # Even idle, the raw ratio is 1.88, not 1 (DESIGN decision 2).
+        idle = ("Phase1", "Phase3", "Phase5", "Phase7")
+        assert rounded == {
+            "raw": {
+                phase: (1.877, 2.025) if phase in idle else (3.322, 4.769)
+                for phase in result.raw
+            },
+            "calibrated": {
+                phase: (1.008, 1.066) if phase in idle else (0.987, 1.095)
+                for phase in result.raw
+            },
+        }
+        assert result.to_dict()["raw"]["Phase1"]["worst_q_error"] == (
+            result.raw["Phase1"][1]
+        )
+        assert "residual" in result.render()
+        assert result.markdown().splitlines()[-1].startswith("| **all** |")
+
+    def test_residual_needs_one_fragment_per_query(self):
+        costs = ((10.0, 12.0, 11.0), (5.0, 5.0, 6.0))
+        outcome = QueryOutcome(
+            QT1.instance(0), 1.0, ("S1", "S2"), 0, fragment_costs=costs
+        )
+        with pytest.raises(ValueError, match="exactly one"):
+            _routed_cost(outcome)
+        alone = QueryOutcome(
+            QT1.instance(0), 1.0, ("S1",), 0, fragment_costs=costs[:1]
+        )
+        assert _routed_cost(alone) == (10.0, 12.0, 11.0)
 
     @pytest.mark.parametrize(
         "text",

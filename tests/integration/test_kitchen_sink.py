@@ -23,7 +23,7 @@ def test_everything_on_everything_breaks_nothing(seed):
         enable_fragment_balancing=True,
         enable_global_balancing=True,
         enable_reliability=True,
-        load_balance=LoadBalanceConfig(band=0.3, workload_threshold=0.0),
+        load_balance=LoadBalanceConfig(band=0.3),
         drift_trigger_ratio=2.0,
     )
     # Its own databases, not the shared sample ones: the storm below

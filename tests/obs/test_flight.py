@@ -1,9 +1,12 @@
-"""Queue-hook span recording and the exact latency decomposition."""
+"""Queue spans and the exact latency decomposition."""
 
-from types import SimpleNamespace
-
-from repro.obs.flight import QueueSpanRecorder, SpanTag, decompose_trace
-from repro.obs.trace import QueryTrace
+from repro.obs.flight import (
+    cancel_queue_spans,
+    decompose_trace,
+    open_queue_spans,
+    settle_queue_spans,
+)
+from repro.obs.trace import NULL_SPAN, NULL_TRACE, QueryTrace
 from repro.sim.sched import Completion
 
 
@@ -12,13 +15,6 @@ def _trace_with_dispatch():
     root = trace.begin("query", 0.0)
     dispatch = trace.begin_child(root, "dispatch", 10.0, server="S1")
     return trace, root, dispatch
-
-
-def _job(tag):
-    return SimpleNamespace(tag=tag)
-
-
-QUEUE = SimpleNamespace(name="S1")
 
 
 def _completion(queued, wait, service, contended=True):
@@ -37,18 +33,17 @@ def _completion(queued, wait, service, contended=True):
     )
 
 
-class TestQueueSpanRecorder:
-    def test_lifecycle_emits_snapped_wait_and_service(self):
+class TestQueueSpans:
+    def test_settled_spans_snap_to_wait_and_service(self):
         trace, _, dispatch = _trace_with_dispatch()
-        recorder = QueueSpanRecorder()
-        job = _job(SpanTag(trace, dispatch))
-        recorder.on_enqueue(QUEUE, job, 10.0)
-        completion = _completion(10.0, 4.0, 6.0)
-        recorder.on_complete(QUEUE, job, completion)
+        spans = open_queue_spans(trace, dispatch, "S1", 10.0)
+        settle_queue_spans(spans, _completion(10.0, 4.0, 6.0))
 
         (wait,) = trace.find("queue_wait")
         (service,) = trace.find("service")
+        assert spans == (wait, service)
         assert dispatch.children == [wait, service]
+        assert wait.attributes["server"] == service.attributes["server"] == "S1"
         assert (wait.start_ms, wait.end_ms) == (10.0, 14.0)
         assert (service.start_ms, service.end_ms) == (14.0, 20.0)
         assert wait.attributes["wait_ms"] == 4.0
@@ -65,40 +60,41 @@ class TestQueueSpanRecorder:
         # wait/service split only exists at completion and must
         # overwrite the provisional zero-width wait span.
         trace, _, dispatch = _trace_with_dispatch()
-        recorder = QueueSpanRecorder()
-        job = _job(SpanTag(trace, dispatch))
-        recorder.on_enqueue(QUEUE, job, 10.0)
-        (wait,) = trace.find("queue_wait")
-        (service,) = trace.find("service")
+        spans = open_queue_spans(trace, dispatch, "S1", 10.0)
+        wait, service = spans
         assert (wait.start_ms, wait.end_ms) == (10.0, 10.0)
         assert (service.start_ms, service.end_ms) == (10.0, None)
-        recorder.on_complete(QUEUE, job, _completion(10.0, 5.0, 6.0))
-        (wait,) = trace.find("queue_wait")
-        (service,) = trace.find("service")
+        settle_queue_spans(spans, _completion(10.0, 5.0, 6.0))
         assert (wait.start_ms, wait.end_ms) == (10.0, 15.0)
         assert (service.start_ms, service.end_ms) == (15.0, 21.0)
 
     def test_cancel_marks_spans_and_records_consumed(self):
         trace, _, dispatch = _trace_with_dispatch()
-        recorder = QueueSpanRecorder()
-        job = _job(SpanTag(trace, dispatch))
-        recorder.on_enqueue(QUEUE, job, 10.0)
-        recorder.on_cancel(QUEUE, job, 15.0, consumed_ms=3.0)
-        (service,) = trace.find("service")
-        assert service.attributes["cancelled"] is True
-        assert service.attributes["consumed_ms"] == 3.0
+        spans = open_queue_spans(trace, dispatch, "S1", 10.0)
+        cancel_queue_spans(spans, 15.0, consumed_ms=3.0)
+        wait, service = spans
+        assert (wait.start_ms, wait.end_ms) == (10.0, 10.0)
+        assert wait.attributes == {"server": "S1", "cancelled": True}
+        assert service.attributes == {
+            "server": "S1",
+            "cancelled": True,
+            "consumed_ms": 3.0,
+        }
         assert service.end_ms == 15.0
-        # Terminal events drop the live entry: nothing further records.
-        recorder.on_complete(QUEUE, job, _completion(10.0, 2.0, 5.0))
-        assert len(trace.find("service")) == 1
 
-    def test_untagged_jobs_are_ignored(self):
-        recorder = QueueSpanRecorder()
-        job = _job(None)
-        recorder.on_enqueue(QUEUE, job, 0.0)
-        recorder.on_complete(QUEUE, job, _completion(0.0, 0.0, 1.0, False))
-        recorder.on_cancel(QUEUE, job, 1.0, 0.0)
-        assert recorder._live == {}
+    def test_untraced_work_opens_no_spans(self):
+        # The null trace hands back null spans, and the strategies pass
+        # None for untraced work: neither records anything.
+        assert open_queue_spans(NULL_TRACE, NULL_SPAN, "S1", 0.0) == (
+            NULL_SPAN,
+            NULL_SPAN,
+        )
+        settle_queue_spans(None, _completion(0.0, 0.0, 1.0, False))
+        cancel_queue_spans(None, 1.0, 0.0)
+        settle_queue_spans((NULL_SPAN, NULL_SPAN), _completion(0.0, 1.0, 1.0))
+        cancel_queue_spans((NULL_SPAN, NULL_SPAN), 1.0, 0.5)
+        assert NULL_SPAN.attributes == {}
+        assert NULL_SPAN.end_ms is None
 
 
 class TestDecomposeTrace:
