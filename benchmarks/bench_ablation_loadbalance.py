@@ -62,9 +62,8 @@ def _run_variant(fragment: bool, global_: bool):
     for _ in range(QUERIES_PER_RUN):
         result = deployment.integrator.submit(Q6)
         responses.append(result.response_ms)
-        for outcome in result.fragments.values():
-            server = outcome.option.server
-            usage[server] = usage.get(server, 0) + 1
+        for fragment in result.fragments.values():
+            usage[fragment.server] = usage.get(fragment.server, 0) + 1
     return mean(responses), usage
 
 

@@ -31,7 +31,7 @@ def main() -> None:
             [
                 f"{deployment.clock.now:.0f}",
                 note,
-                "/".join(sorted(result.plan.servers)),
+                "/".join(sorted(result.servers)),
                 f"{result.response_ms:.1f}",
                 result.retries,
                 str(deployment.qcc.availability.down_servers()),

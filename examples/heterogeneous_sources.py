@@ -97,13 +97,13 @@ def main() -> None:
 
     for attempt in (1, 2, 3):
         result = integrator.submit(sql)
-        file_outcome = next(
-            o for o in result.fragments.values() if o.option.server == "clicklog"
+        file_fragment = next(
+            f for f in result.fragments.values() if f.server == "clicklog"
         )
         print(
             f"run {attempt}: response={result.response_ms:7.1f} ms | "
-            f"file fragment estimate={file_outcome.option.calibrated.total:7.1f} "
-            f"observed={file_outcome.execution.observed_ms:7.1f}"
+            f"file fragment estimate={file_fragment.calibrated_total:7.1f} "
+            f"observed={file_fragment.observed_ms:7.1f}"
         )
         qcc.recalibrate(integrator.clock.now)
 

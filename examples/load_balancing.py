@@ -53,9 +53,8 @@ def run_stream(balanced: bool, queries: int = 20):
     for _ in range(queries):
         result = deployment.integrator.submit(Q6)
         responses.append(result.response_ms)
-        for outcome in result.fragments.values():
-            server = outcome.option.server
-            usage[server] = usage.get(server, 0) + 1
+        for fragment in result.fragments.values():
+            usage[fragment.server] = usage.get(fragment.server, 0) + 1
     return deployment, mean(responses), usage
 
 

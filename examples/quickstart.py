@@ -37,7 +37,7 @@ def main() -> None:
 
     # Runtime: execute, merge, observe.
     result = integrator.submit(sql)
-    print(f"\nChosen plan ran on: {sorted(result.plan.servers)}")
+    print(f"\nChosen plan ran on: {sorted(result.servers)}")
     print(f"Response time: {result.response_ms:.1f} ms "
           f"(remote {result.remote_ms:.1f} + merge {result.merge_ms:.1f})")
     print(f"Rows ({result.row_count}):")

@@ -115,10 +115,10 @@ class QueryOutcome:
             rows=list(result.rows),
             response_ms=result.response_ms,
             retries=result.retries,
-            servers=tuple(sorted(result.plan.servers)),
+            servers=tuple(sorted(result.servers)),
             fragment_ms={
-                fragment_id: outcome.execution.observed_ms
-                for fragment_id, outcome in result.fragments.items()
+                fragment_id: fragment.observed_ms
+                for fragment_id, fragment in result.fragments.items()
             },
             reroutes=result.reroutes,
             **submission,

@@ -510,7 +510,7 @@ def _cmd_query(args) -> int:
     if args.explain:
         return _print_ranked_plans(deployment, args.sql)
     result = deployment.integrator.submit(args.sql)
-    print(f"servers: {sorted(result.plan.servers)}")
+    print(f"servers: {sorted(result.servers)}")
     print(
         f"response: {result.response_ms:.1f} ms "
         f"(remote {result.remote_ms:.1f} + merge {result.merge_ms:.1f})"
@@ -527,39 +527,37 @@ def _cmd_explain(args) -> int:
     deployment = _federation(args)
     if not args.analyze:
         return _print_ranked_plans(deployment, args.sql)
-    profiler = enable_profiling()
+    enable_profiling()
     try:
         result = deployment.integrator.submit(args.sql)
     finally:
         disable_profiling()
     profile = result.profile
-    if profile is None:  # pragma: no cover - submit always attaches it
-        profile = profiler.capture()
     specs = {spec.name: spec for spec in deployment.specs}
-    print(f"Global plan: {result.plan.describe()}")
-    for choice in result.plan.choices:
+    print(f"Global plan: {result.describe()}")
+    fragment_plans, merge_plan = result.executed_plans()
+    for fragment_id, fragment, plan in fragment_plans:
         estimator = CostEstimator(
-            profile=specs[choice.server].profile(),
-            stats=stats_context_for_plan(choice.plan),
+            profile=specs[fragment.server].profile(),
+            stats=stats_context_for_plan(plan),
         )
-        print(f"\nFragment {choice.fragment.fragment_id} @ {choice.server}:")
+        print(f"\nFragment {fragment_id} @ {fragment.server}:")
         print(
             render_analyzed_plan(
-                choice.plan,
+                plan,
                 profile,
                 estimate=lambda n, e=estimator: n.estimate_cost(e),
             )
         )
-    if result.merge_plan is not None:
-        merge_estimator = CostEstimator(profile=REFERENCE_PROFILE, stats=StatsContext({}))
-        print("\nII merge plan:")
-        print(
-            render_analyzed_plan(
-                result.merge_plan,
-                profile,
-                estimate=lambda n: n.estimate_cost(merge_estimator),
-            )
+    merge_estimator = CostEstimator(profile=REFERENCE_PROFILE, stats=StatsContext({}))
+    print("\nII merge plan:")
+    print(
+        render_analyzed_plan(
+            merge_plan,
+            profile,
+            estimate=lambda n: n.estimate_cost(merge_estimator),
         )
+    )
     print(
         f"\nresponse: {result.response_ms:.1f} ms "
         f"(remote {result.remote_ms:.1f} + merge {result.merge_ms:.1f}), "

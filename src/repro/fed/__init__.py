@@ -35,7 +35,7 @@ from .global_optimizer import (
 )
 from .integrator import (
     FederatedResult,
-    FragmentOutcome,
+    FragmentRecord,
     InformationIntegrator,
 )
 from .merge import EstimatedInput, build_merge_plan, estimate_merge_cost
@@ -57,7 +57,7 @@ __all__ = [
     "HedgePolicy",
     "FederationError",
     "FragmentOption",
-    "FragmentOutcome",
+    "FragmentRecord",
     "GlobalPlan",
     "InformationIntegrator",
     "NicknameRegistry",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from ..sqlengine import PhysicalPlan, PlanCost
 from ..sqlengine.cost import ServerProfile
@@ -44,11 +44,22 @@ class FragmentOption:
     def is_viable(self) -> bool:
         return math.isfinite(self.calibrated.total)
 
-    def describe(self) -> str:
-        return (
-            f"{self.fragment.fragment_id}@{self.server} "
-            f"est={self.estimated.total:.2f} cal={self.calibrated.total:.2f}"
-        )
+
+def describe_plan(
+    plan_id: str,
+    fragments: Iterable[Tuple[str, str, float, float]],
+    merge_cost: float,
+    total_cost: float,
+) -> str:
+    """One line for a global plan: its (fragment id, server, estimated,
+    calibrated) choices and its merge and total costs.  Both
+    :meth:`GlobalPlan.describe` and a finished query's description
+    (:meth:`FederatedResult.describe`) print through it."""
+    parts = ", ".join(
+        f"{fragment_id}@{server} est={estimated:.2f} cal={calibrated:.2f}"
+        for fragment_id, server, estimated, calibrated in fragments
+    )
+    return f"{plan_id}[{parts}] merge={merge_cost:.2f} total={total_cost:.2f}"
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,15 @@ class GlobalPlan:
         return self.alternatives.get(choice.fragment.fragment_id, ())
 
     def describe(self) -> str:
-        parts = ", ".join(c.describe() for c in self.choices)
-        return f"{self.plan_id}[{parts}] merge={self.merge_cost.total:.2f} total={self.total_cost:.2f}"
+        return describe_plan(
+            self.plan_id,
+            (
+                (c.fragment.fragment_id, c.server, c.estimated.total, c.calibrated.total)
+                for c in self.choices
+            ),
+            self.merge_cost.total,
+            self.total_cost,
+        )
 
 
 def enumerate_global_plans(

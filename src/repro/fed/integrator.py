@@ -15,8 +15,8 @@ the response time is ``max(fragment times) + merge time``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Generator, List, NamedTuple, Optional, Tuple
 
 from ..obs import NULL_TRACE, QueryTrace, Span, get_obs
 from ..obs.profile import NULL_PROFILER, PlanProfile, get_profiler
@@ -45,6 +45,7 @@ from .decomposer import DecomposedQuery, decompose
 from .global_optimizer import (
     FragmentOption,
     GlobalPlan,
+    describe_plan,
     enumerate_global_plans,
 )
 from .merge import build_merge_plan
@@ -57,30 +58,48 @@ from .plan_cache import PlanCache, plan_key
 II_QUEUE = "II"
 
 
-@dataclass
-class FragmentOutcome:
-    """What actually happened to one fragment at run time."""
+@dataclass(frozen=True, slots=True)
+class FragmentRecord:
+    """What one fragment of a finished query ran as, in scalars: the
+    option whose rows flowed on (a Section 4.1 substitute or a winning
+    hedge backup, when one took over) and what it cost."""
 
-    option: FragmentOption
-    execution: RemoteExecution
+    server: str
+    plan_signature: str
+    #: The option's estimated and calibrated totals.
+    estimated_total: float
+    calibrated_total: float
+    observed_ms: float
+    row_count: int
 
 
 @dataclass
 class FederatedResult:
-    """The integrator's answer to one federated query."""
+    """The integrator's answer to one federated query: the rows and
+    what producing them cost, as scalars.
+
+    Nothing the query worked with is kept — not the compiled plan, the
+    merge plan over the fragments' rows, nor the fragments' executions —
+    so a result costs its rows and a few numbers for as long as its
+    caller holds it."""
 
     rows: List[Row]
     schema: Schema
     response_ms: float
-    plan: GlobalPlan
-    fragments: Dict[str, FragmentOutcome]
+    #: The chosen global plan: its id, the servers it routed the
+    #: fragments to (before any substitution or second leg) and its
+    #: estimated merge and total costs.
+    plan_id: str
+    servers: FrozenSet[str]
+    merge_cost: float
+    total_cost: float
+    #: Per fragment id, in dispatch order.
+    fragments: Dict[str, FragmentRecord]
     record: PatrolRecord
     merge_ms: float
     remote_ms: float
     retries: int = 0
     trace: Optional[QueryTrace] = None
-    #: the II-side merge plan that produced ``rows``
-    merge_plan: Optional[PhysicalPlan] = None
     #: operator-level profile (only while profiling is enabled)
     profile: Optional[PlanProfile] = None
     #: fragments migrated mid-flight by the re-routing strategy (always
@@ -90,6 +109,44 @@ class FederatedResult:
     @property
     def row_count(self) -> int:
         return len(self.rows)
+
+    def describe(self) -> str:
+        """The plan line of :meth:`GlobalPlan.describe`, over the
+        fragments as they ran."""
+        return describe_plan(
+            self.plan_id,
+            (
+                (fragment_id, f.server, f.estimated_total, f.calibrated_total)
+                for fragment_id, f in self.fragments.items()
+            ),
+            self.merge_cost,
+            self.total_cost,
+        )
+
+    def executed_plans(
+        self,
+    ) -> Tuple[List[Tuple[str, FragmentRecord, PhysicalPlan]], PhysicalPlan]:
+        """Each fragment, in dispatch order, with the plan tree that ran
+        it, and the II merge plan: read off :attr:`profile` (so only a
+        profiled query has them).
+
+        The profile's roots come in first-execution order, the merge
+        plan last; before the fragments' plans sit whatever else ran
+        while profiling (QCC's probe queries, a failed attempt's
+        fragments).  Walking back from the merge, each fragment takes
+        the latest unclaimed root with its plan signature.
+        """
+        *candidates, merge_plan = self.profile.roots()
+        paired: List[Tuple[str, FragmentRecord, PhysicalPlan]] = []
+        for fragment_id, fragment in reversed(self.fragments.items()):
+            index = max(
+                i
+                for i, node in enumerate(candidates)
+                if node.signature() == fragment.plan_signature
+            )
+            paired.append((fragment_id, fragment, candidates.pop(index)))
+        paired.reverse()
+        return paired, merge_plan
 
 
 @dataclass(slots=True)
@@ -540,12 +597,6 @@ class InformationIntegrator:
                 yield Delay(self.compile_overhead_ms)
             t_dispatch = t0 + elapsed
             trace.end(compile_span, t_dispatch, plan_candidates=len(plans))
-            # The winner is kept in the result without the alternatives,
-            # which are needed only until dispatch and would pin every
-            # plan tree its compilation weighed for as long as the
-            # result lives.
-            siblings_of = chosen.siblings_of
-            chosen = replace(chosen, alternatives={})
 
             # Execute every fragment at the dispatch instant to learn
             # its rows and raw service demand.
@@ -560,7 +611,7 @@ class InformationIntegrator:
                     fragment=choice.fragment.fragment_id,
                     server=choice.server,
                 )
-                siblings = siblings_of(choice)
+                siblings = chosen.siblings_of(choice)
                 try:
                     option, execution = mw.execute_option(
                         choice, t_dispatch, siblings, trace=trace
@@ -602,7 +653,8 @@ class InformationIntegrator:
                 continue
 
             settled = yield from strategy.dispatch(slots, t_dispatch, trace)
-            outcomes: Dict[str, FragmentOutcome] = {}
+            fragments: Dict[str, FragmentRecord] = {}
+            inputs: Dict[str, PhysicalPlan] = {}
             remote_ms = 0.0
             reroutes = 0
             for slot, (option, execution, learned, completion, tags) in zip(
@@ -621,23 +673,26 @@ class InformationIntegrator:
                     depth_at_arrival=completion.depth_at_arrival,
                     **tags,
                 )
-                outcomes[option.fragment.fragment_id] = FragmentOutcome(
-                    option=option, execution=execution
+                fragment_id = option.fragment.fragment_id
+                fragments[fragment_id] = FragmentRecord(
+                    option.server,
+                    option.plan_signature,
+                    option.estimated.total,
+                    option.calibrated.total,
+                    execution.observed_ms,
+                    execution.row_count,
+                )
+                inputs[fragment_id] = MaterializedInput(
+                    fragment_id,
+                    decomposed.fragment_for_binding(
+                        option.fragment.bindings[0]
+                    ).output_schema,
+                    execution.rows,
                 )
                 remote_ms = max(remote_ms, execution.observed_ms)
                 reroutes += "rerouted" in tags
 
             # II-side merge: computed locally, charged by the strategy.
-            inputs: Dict[str, PhysicalPlan] = {
-                fragment_id: MaterializedInput(
-                    fragment_id,
-                    decomposed.fragment_for_binding(
-                        outcome.option.fragment.bindings[0]
-                    ).output_schema,
-                    outcome.execution.rows,
-                )
-                for fragment_id, outcome in outcomes.items()
-            }
             t_merge = t_dispatch + remote_ms
             merge_span = trace.begin_child(root, "merge", t_merge)
             merge_plan = build_merge_plan(decomposed, inputs)
@@ -677,13 +732,15 @@ class InformationIntegrator:
                 rows=merge_result.rows,
                 schema=merge_result.schema,
                 response_ms=response_ms,
-                plan=chosen,
-                fragments=outcomes,
+                plan_id=chosen.plan_id,
+                servers=chosen.servers,
+                merge_cost=chosen.merge_cost.total,
+                total_cost=chosen.total_cost,
+                fragments=fragments,
                 record=record,
                 merge_ms=merge_ms,
                 remote_ms=remote_ms,
                 retries=retries,
-                merge_plan=merge_plan,
                 reroutes=reroutes,
             )
             self.patroller.complete(record, t0 + response_ms)

@@ -109,10 +109,9 @@ def run_query(deployment: Deployment, instance: QueryInstance) -> QueryOutcome:
     except (FederationError, ServerUnavailable):
         return QueryOutcome(instance, 0.0, (), 0, failed=True)
     fragments = result.fragments.values()
-    servers = tuple(sorted({o.option.server for o in fragments}))
+    servers = tuple(sorted({f.server for f in fragments}))
     costs = tuple(
-        (o.option.estimated.total, o.option.calibrated.total, o.execution.observed_ms)
-        for o in fragments
+        (f.estimated_total, f.calibrated_total, f.observed_ms) for f in fragments
     )
     return QueryOutcome(
         instance, result.response_ms, servers, result.retries, fragment_costs=costs

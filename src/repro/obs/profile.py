@@ -112,8 +112,10 @@ class PlanProfile:
     def roots(self) -> List[object]:
         """Profiled nodes that are not descendants of any profiled node.
 
-        For a federated query these are the executed fragment plans
-        (in dispatch order) followed by the II-side merge plan.
+        In first-execution order: for a federated query, any QCC probe
+        queries, then the executed fragment plans (in dispatch order),
+        then the II-side merge plan (``FederatedResult.executed_plans``
+        pairs them with the query's fragments).
         """
         descendants = set()
         for node, _ in self._entries.values():

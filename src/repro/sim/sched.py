@@ -393,6 +393,12 @@ class _Race:
         self._disarm()
         if loser is not None:
             self._cancel(loser)
+        # Each leg's job calls back into this race: dropping the legs
+        # breaks the cycle, so the race and everything it reaches (the
+        # fragment's rows, the query's generator) is freed by reference
+        # counting when the query finishes.  The triggers check ``done``
+        # first and never read the legs again.
+        self.primary = self.second = None
         self.resume(
             RaceOutcome(completion, winner, self.fired_ms, self.consumed_ms)
         )

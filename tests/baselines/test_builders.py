@@ -31,7 +31,7 @@ class TestFactories:
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
         result = deployment.integrator.submit(SQL, label="QT1")
-        assert result.plan.servers == frozenset({FIXED_ASSIGNMENT_1["QT1"]})
+        assert result.servers == frozenset({FIXED_ASSIGNMENT_1["QT1"]})
 
     def test_preferred(self, sample_databases):
         deployment = preferred_server_deployment(
@@ -40,7 +40,7 @@ class TestFactories:
         assert type(deployment.qcc) is PreferredServer
         # Unlabelled, and routed to S3 all the same.
         result = deployment.integrator.submit(SQL)
-        assert result.plan.servers == frozenset({"S3"})
+        assert result.servers == frozenset({"S3"})
 
     def test_uncalibrated(self, sample_databases):
         deployment = uncalibrated_deployment(

@@ -76,7 +76,7 @@ def _observables(handles):
                 result.remote_ms,
                 result.merge_ms,
                 result.retries,
-                result.plan.servers,
+                result.servers,
             )
         )
     return rows
@@ -238,7 +238,7 @@ class TestHedgedRuns:
         for handle in handles:
             result = handle.result
             assert result is not None
-            fragments += len(result.plan.servers)
+            fragments += len(result.servers)
         assert len(noted) == fragments
 
     def test_depth_cap_zero_suppresses_every_backup(

@@ -58,9 +58,12 @@ class TestSubmit:
 
     def test_result_carries_the_winner(self, deployment):
         result = deployment.integrator.submit(SQL)
-        assert result.plan.total_cost > 0
-        # Kept without the alternatives, which only dispatch needs.
-        assert result.plan.alternatives == {}
+        assert result.total_cost > result.merge_cost >= 0
+        (fragment,) = result.fragments.values()
+        assert result.servers == {fragment.server}
+        assert result.describe().startswith(
+            f"{result.plan_id}[QF1@{fragment.server} "
+        )
 
     def test_explicit_time_does_not_advance_clock(self, deployment):
         deployment.integrator.submit(SQL, t_ms=500.0)
@@ -118,7 +121,7 @@ class TestRoutingSeam:
         )
         assert dynamic_assignment(deployment, QT1.instance(0)) == ("S1",)
         result = deployment.integrator.submit(SQL, label="QT1")
-        assert result.plan.servers == frozenset({"S1"})
+        assert result.servers == frozenset({"S1"})
 
     def test_default_router_defers_to_qcc(
         self, sample_databases, monkeypatch
@@ -155,7 +158,7 @@ class TestFailover:
             availability=availability,
         )
         result = deployment.integrator.submit(SQL)
-        assert "S3" not in result.plan.servers
+        assert "S3" not in result.servers
         assert result.row_count > 0
 
     def test_all_servers_down_fails(self, sample_databases):

@@ -150,7 +150,7 @@ class TestSingleQueryEquivalence:
             assert result.remote_ms == reference.remote_ms
             assert result.merge_ms == reference.merge_ms
             assert result.retries == reference.retries
-            assert result.plan.servers == reference.plan.servers
+            assert result.servers == reference.servers
             assert books(concurrent) == books(sequential)
             retried += reference.retries
         assert (retried > 0) == (scenario == "winner-down")
@@ -202,7 +202,7 @@ class TestSingleQueryEquivalence:
         for calls in built:
             assert calls[:2] == [calls[0]] * 2  # both fragments at S3
         assert result.retries == reference.retries == 1
-        assert "S3" not in reference.plan.servers
+        assert "S3" not in reference.servers
         assert result.rows == reference.rows
         for deployment in (sequential, concurrent):
             assert not deployment.qcc.is_available("S3", 0.0)

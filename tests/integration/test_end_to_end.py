@@ -145,7 +145,7 @@ class TestAvailability:
 
         instance = QT1.instance(0)
         result = deployment.integrator.submit(instance.sql, label="QT1")
-        assert "S3" not in result.plan.servers
+        assert "S3" not in result.servers
         assert result.row_count > 0
 
         # After the outage, a daemon probe readmits S3.

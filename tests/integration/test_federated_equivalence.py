@@ -100,7 +100,6 @@ def test_small_float_literal_survives_decomposition(site, request):
         "WHERE o.totalprice > {} GROUP BY o.priority"
     )
     tiny = integrator.submit(sql.format("0.00001"))
-    assert any(
-        "1e-05" in outcome.option.fragment.sql for outcome in tiny.fragments.values()
-    )
+    decomposed, _ = integrator.compile(sql.format("0.00001"))
+    assert any("1e-05" in fragment.sql for fragment in decomposed.fragments)
     assert sorted(tiny.rows) == sorted(integrator.submit(sql.format("0")).rows)

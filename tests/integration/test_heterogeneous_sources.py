@@ -70,11 +70,11 @@ def federation():
     return InformationIntegrator(registry=registry, meta_wrapper=meta_wrapper)
 
 
-def _file_outcome(result):
-    (outcome,) = (
-        o for o in result.fragments.values() if o.option.server == "clicklog"
+def _file_fragment(result):
+    (fragment,) = (
+        f for f in result.fragments.values() if f.server == "clicklog"
     )
-    return outcome
+    return fragment
 
 
 def test_file_fragment_is_priced_by_default_then_by_what_qcc_learned(
@@ -90,24 +90,22 @@ def test_file_fragment_is_priced_by_default_then_by_what_qcc_learned(
         ],
     )
     assert first.rows == local.run(SQL).rows
-    assert {o.option.server for o in first.fragments.values()} == {
+    assert {f.server for f in first.fragments.values()} == {
         "crm",
         "clicklog",
     }
 
     # The file wrapper withheld a cost: MW put the default in its place.
-    cold = _file_outcome(first)
-    assert cold.option.estimated == DEFAULT_UNKNOWN_ESTIMATE
+    cold = _file_fragment(first)
+    assert cold.estimated_total == DEFAULT_UNKNOWN_ESTIMATE.total
 
     # One execution later QCC prices the file source from what it saw.
     qcc.recalibrate(federation.clock.now)
     learned = qcc.factor("clicklog")
     assert learned == pytest.approx(
-        cold.execution.observed_ms / DEFAULT_UNKNOWN_ESTIMATE.total
+        cold.observed_ms / DEFAULT_UNKNOWN_ESTIMATE.total
     )
     assert learned != 1.0
-    warm = _file_outcome(federation.submit(SQL))
-    assert warm.option.estimated == DEFAULT_UNKNOWN_ESTIMATE
-    assert warm.option.calibrated.total == pytest.approx(
-        cold.execution.observed_ms
-    )
+    warm = _file_fragment(federation.submit(SQL))
+    assert warm.estimated_total == DEFAULT_UNKNOWN_ESTIMATE.total
+    assert warm.calibrated_total == pytest.approx(cold.observed_ms)

@@ -7,6 +7,7 @@ from repro.core.load_balance import rank_servers
 from repro.harness.deployment import build_replica_federation
 from repro.sqlengine import rows_equal_unordered
 from repro.workload import TEST_SCALE
+from tests.executions import noted_executions
 
 Q6 = (
     "SELECT o.priority, COUNT(*) AS n FROM orders o "
@@ -41,7 +42,7 @@ class TestGlobalLevelBalancing:
         server_sets = set()
         for _ in range(6):
             result = deployment.integrator.submit(Q6)
-            server_sets.add(result.plan.servers)
+            server_sets.add(result.servers)
         assert len(server_sets) >= 2
 
     def test_rotation_preserves_results(self):
@@ -53,7 +54,7 @@ class TestGlobalLevelBalancing:
     def test_disabled_balancing_sticks_to_cheapest(self):
         deployment = _deployment(global_=False)
         server_sets = {
-            frozenset(deployment.integrator.submit(Q6).plan.servers)
+            frozenset(deployment.integrator.submit(Q6).servers)
             for _ in range(4)
         }
         assert len(server_sets) == 1
@@ -65,13 +66,14 @@ class TestFragmentLevelBalancing:
         visit both members of its {S1, R1} cluster, HRW home first, and
         every replica gives the same rows."""
         deployment = _deployment(fragment=True, band=1.0)
+        noted = noted_executions(deployment.meta_wrapper)
         servers, answers = [], []
         for _ in range(6):
             result = deployment.integrator.submit(SINGLE)
-            (outcome,) = result.fragments.values()
-            servers.append(outcome.option.server)
+            (fragment,) = result.fragments.values()
+            servers.append(fragment.server)
             answers.append(result.rows)
-        order = rank_servers(outcome.option.fragment.signature, ["S1", "R1"])
+        order = rank_servers(noted[-1].fragment_signature, ["S1", "R1"])
         assert servers == order * 3
         assert all(rows == answers[0] for rows in answers)
 
@@ -88,14 +90,15 @@ class TestFragmentLevelBalancing:
         (different literals) lands on its HRW home, spreading load
         across the cluster."""
         deployment = _deployment(fragment=True, band=1.0)
+        noted = noted_executions(deployment.meta_wrapper)
         used = set()
         for bal in range(40, 72):
             sql = f"SELECT custkey FROM customer WHERE acctbal > {bal}"
             result = deployment.integrator.submit(sql)
-            (outcome,) = result.fragments.values()
-            signature = outcome.option.fragment.signature
-            assert outcome.option.server == rank_servers(
+            (fragment,) = result.fragments.values()
+            signature = noted[-1].fragment_signature
+            assert fragment.server == rank_servers(
                 signature, ["S1", "R1"]
             )[0]
-            used.add(outcome.option.server)
+            used.add(fragment.server)
         assert used == {"S1", "R1"}

@@ -22,6 +22,7 @@ from repro.harness.deployment import (
     build_federation,
     build_replica_federation,
 )
+from repro.obs.profile import profiling
 from repro.sqlengine import ENGINES, ColumnRef, bind, execute_plan, parse
 from repro.sqlengine.parser import OrderItem
 from repro.workload import TEST_SCALE
@@ -120,9 +121,12 @@ def test_federated_answers_equal_sqlite(deployments, oracle, sql, keys):
 
 def test_the_merge_plan_sorts_on_the_named_item(deployments):
     sql = ORDERED[6][0]
-    result = deployments["build_replica_federation", "columnar"].integrator.submit(sql)
+    integrator = deployments["build_replica_federation", "columnar"].integrator
+    with profiling():
+        result = integrator.submit(sql)
     assert len(result.fragments) == 2
-    assert "Sort(l.quantity DESC, o.orderkey ASC)" in result.merge_plan.explain()
+    _, merge_plan = result.executed_plans()
+    assert "Sort(l.quantity DESC, o.orderkey ASC)" in merge_plan.explain()
 
 
 def test_a_position_names_the_output_column(sample_databases):

@@ -48,7 +48,7 @@ def test_cached_and_uncached_runs_choose_identical_plans(
                     instance.sql, label=instance.label
                 )
                 assert (
-                    r_cached.plan.describe() == r_uncached.plan.describe()
+                    r_cached.describe() == r_uncached.describe()
                 ), (phase.name, repeat, instance.label)
                 assert r_cached.response_ms == pytest.approx(
                     r_uncached.response_ms

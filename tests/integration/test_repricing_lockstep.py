@@ -112,14 +112,27 @@ class Twin:
         except FederationError as error:
             return ("failed", str(error)), None
         seen = (
-            result.plan.describe(),
+            result.describe(),
+            result.total_cost.hex(),
             result.response_ms,
             result.retries,
             result.rows,
             [
-                (c.fragment.fragment_id, c.fragment.candidate_servers)
-                for c in result.plan.choices
+                (
+                    fragment_id,
+                    f.server,
+                    f.plan_signature,
+                    f.estimated_total.hex(),
+                    f.calibrated_total.hex(),
+                )
+                for fragment_id, f in result.fragments.items()
             ],
+            # Where each fragment was priced: its candidate servers
+            # that answered.
+            sorted(
+                (e.attributes["fragment"], e.attributes["server"])
+                for e in result.trace.find("calibration_lookup")
+            ),
         )
         return seen, result.trace
 

@@ -120,8 +120,10 @@ def _bump_instants(result, batch_rows):
     batch ``i`` and a midpoint lands strictly inside batch ``i+1``.
     """
     instants = set()
-    for outcome in result.fragments.values():
-        spans = batch_schedule(outcome.execution, batch_rows)
+    for fragment in result.fragments.values():
+        # A fragment record carries the row count and observed demand
+        # the schedule is cut from.
+        spans = batch_schedule(fragment, batch_rows)
         acc = DISPATCH_MS
         previous = acc
         for span in spans:
@@ -166,8 +168,8 @@ def test_migration_sweep_matches_oracle(
     oracle_rows = list(oracle.rows)
     oracle_key = _log_key(oracle_log)
     multi_batch = any(
-        len(batch_schedule(outcome.execution, batch_rows)) > 1
-        for outcome in oracle.fragments.values()
+        len(batch_schedule(fragment, batch_rows)) > 1
+        for fragment in oracle.fragments.values()
     )
 
     migrations = 0

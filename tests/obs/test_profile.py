@@ -292,7 +292,8 @@ class TestEngineEquivalence:
         # the row engine's fragments never do (the II merge runs the
         # default engine in both federations).
         merge_nodes = set()
-        stack = [row_result.merge_plan]
+        _, merge_plan = row_result.executed_plans()
+        stack = [merge_plan]
         while stack:
             node = stack.pop()
             merge_nodes.add(id(node))
@@ -312,9 +313,10 @@ class TestEngineEquivalence:
         _, result = self._profiled_counts(engine_databases, "columnar", sql)
         profile = result.profile
         roots = profile.roots()
-        # Fragment plans plus the II merge plan.
-        assert result.merge_plan in roots
-        merge_stats = profile.stats_for(result.merge_plan)
+        # Fragment plans, then the II merge plan.
+        _, merge_plan = result.executed_plans()
+        assert merge_plan is roots[-1]
+        merge_stats = profile.stats_for(merge_plan)
         assert merge_stats.rows_out == result.row_count
 
     def test_no_subtree_drops_to_the_row_path(self, engine_databases):
