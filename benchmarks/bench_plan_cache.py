@@ -2,7 +2,7 @@
 
 The paper's workload resubmits the same query instances phase after
 phase, so between calibration cycles the integrator recompiles
-identical (sql, exclusions, tolerance) triples against an unchanged
+identical (sql, exclusions) pairs against an unchanged
 cost surface.  Three drives over the standard mixed QT1-QT4 workload:
 
 * *warm*: cache on, every lookup hits, against the same deployment with

@@ -250,7 +250,9 @@ def _build_deployment(
     )
     manager = None
     if replica:
-        manager = ReplicaManager(deployment.registry)
+        manager = ReplicaManager(
+            deployment.registry, tolerance_ms=spec.staleness_tolerance_ms
+        )
         for nickname, origin in REPLICA_ORIGINS.items():
             manager.set_origin(nickname, origin)
         deployment.integrator.replica_manager = manager
@@ -307,7 +309,6 @@ def _record_dispatches(
     deployment: Deployment,
     records: List[DispatchRecord],
     manager: Optional[ReplicaManager],
-    tolerance_ms: Optional[float],
 ) -> None:
     """Wrap MW's dispatch path to log (server, monitor down-set,
     attempt's fresh set) triples."""
@@ -319,16 +320,15 @@ def _record_dispatches(
     #: horizon promises it has not moved since the entry was compiled.
     fresh_for: Dict[int, Tuple[str, ...]] = {}
 
-    if manager is not None and tolerance_ms is not None:
+    if manager is not None:
         compile_query = integrator.compile
 
         def compiling(sql, t_ms, *args, **kwargs):
             decomposed, plans = compile_query(sql, t_ms, *args, **kwargs)
             for fragment in decomposed.fragments:
-                fresh = manager.fresh_servers(
-                    fragment.nicknames, t_ms, tolerance_ms
-                )
-                fresh_for[id(fragment)] = tuple(sorted(fresh))
+                fresh = manager.fresh_servers(fragment.nicknames, t_ms)
+                if fresh is not None:
+                    fresh_for[id(fragment)] = tuple(sorted(fresh))
             return decomposed, plans
 
         integrator.compile = compiling
@@ -411,7 +411,6 @@ def _drive_concurrent(
                 query.sql(DATA_SEED),
                 klass=query.klass or CHAOS_CLASSES[0].name,
                 label=query.query_type,
-                staleness_tolerance_ms=spec.staleness_tolerance_ms,
             )
         )
     runtime.run()
@@ -456,9 +455,7 @@ def _execute(
     """
     deployment, manager = _build_deployment(spec, with_faults, databases)
     if run is not None:
-        _record_dispatches(
-            deployment, run.dispatches, manager, spec.staleness_tolerance_ms
-        )
+        _record_dispatches(deployment, run.dispatches, manager)
         _record_cache_lookups(deployment, run.cache_lookups)
 
     lag_events = sorted(
@@ -493,11 +490,7 @@ def _execute(
                 submitted_ms=clock.now,
             )
             try:
-                result = integrator.submit(
-                    sql,
-                    label=query.query_type,
-                    staleness_tolerance_ms=spec.staleness_tolerance_ms,
-                )
+                result = integrator.submit(sql, label=query.query_type)
             except (FederationError, ServerUnavailable) as exc:
                 outcome = QueryOutcome.unanswered("failed", exc, **submission)
             else:

@@ -206,8 +206,8 @@ class ScenarioSpec:
     topology: str
     queries: Tuple[QuerySpec, ...]
     faults: Tuple[FaultEvent, ...] = field(default_factory=tuple)
-    #: Replica-currency tolerance queries are submitted with (replica
-    #: topology only); None = no currency filtering.
+    #: Replica-currency tolerance of the scenario's replica manager
+    #: (replica topology only); None = no currency filtering.
     staleness_tolerance_ms: Optional[float] = None
     #: Open-loop arrival process; None = sequential closed-loop drive.
     arrival: Optional[ArrivalSpec] = None

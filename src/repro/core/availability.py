@@ -3,7 +3,10 @@
 Two information sources feed the monitor:
 
 * the query execution log — errors surfaced by the meta-wrapper mark a
-  server down *immediately*, so no further fragments are routed to it;
+  server down *immediately*, so no further fragments are routed to it,
+  and a success marks it up again only if its request was dispatched
+  no earlier than that mark (under contention a fragment dispatched
+  before the error can settle after it);
 * daemon probes — periodic pings through the meta-wrapper that both
   detect recovery (a down server becomes eligible again) and measure
   network latency for initial calibration factors.
@@ -15,6 +18,7 @@ highly available remote servers".
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
@@ -28,6 +32,8 @@ class ServerHealth:
     """Mutable health state of one server."""
 
     up: bool = True
+    #: instant of the latest down mark (a failed request or probe)
+    down_at: float = -math.inf
     #: recent request outcomes: (t_ms, succeeded)
     outcomes: Deque[Tuple[float, bool]] = field(
         default_factory=lambda: deque(maxlen=64)
@@ -88,6 +94,7 @@ class AvailabilityMonitor:
         was_up = health.up
         rate_before = health.success_rate()
         health.up = False
+        health.down_at = max(health.down_at, t_ms)
         health.note(t_ms, False)
         if was_up or health.success_rate() != rate_before:
             self.epoch.bump()
@@ -100,13 +107,22 @@ class AvailabilityMonitor:
             )
 
     def record_success(self, server: str, t_ms: float) -> None:
+        """A request to *server* dispatched at *t_ms* succeeded.
+
+        It counts toward the reliability window either way, but a request
+        dispatched before the server's last down mark is stale news: it
+        leaves a down server down.
+        """
         health = self._get(server)
         was_up = health.up
         rate_before = health.success_rate()
-        health.up = True
+        stale = t_ms < health.down_at
+        health.up = was_up or not stale
         health.note(t_ms, True)
-        if not was_up or health.success_rate() != rate_before:
+        if health.up != was_up or health.success_rate() != rate_before:
             self.epoch.bump()
+        if stale:
+            return
         obs = get_obs()
         obs.metrics.gauge("server_up", server=server).set(1.0)
         if not was_up:
@@ -125,6 +141,7 @@ class AvailabilityMonitor:
                     t_ms, "server-down", server=server, detail="probe failed"
                 )
             health.up = False
+            health.down_at = max(health.down_at, t_ms)
             obs.metrics.gauge("server_up", server=server).set(0.0)
         else:
             if not health.up:

@@ -32,7 +32,7 @@ paper meaning.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..sqlengine import PlanCost
 from ..fed.decomposer import DecomposedQuery
@@ -129,8 +129,8 @@ class Calibration:
     def tick(self, t_ms: float) -> None:
         pass
 
-    def probe_servers(self, t_ms: float) -> Dict[str, Optional[float]]:
-        return {}
+    def probe_servers(self, t_ms: float) -> None:
+        pass
 
     def recalibrate(self, t_ms: float) -> None:
         pass

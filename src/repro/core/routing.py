@@ -237,11 +237,10 @@ class QueryCostCalibrator(Calibration):
             self._calibration_timer.fire(t_ms)
             self.recalibrate(t_ms, count_staleness=False)
 
-    def probe_servers(self, t_ms: float) -> Dict[str, Optional[float]]:
+    def probe_servers(self, t_ms: float) -> None:
         """Daemon pass: probe every server through the meta-wrapper."""
-        results: Dict[str, Optional[float]] = {}
         if self._meta_wrapper is None:
-            return results
+            return
         self._probed_once = True
         for server in self._meta_wrapper.server_names():
             self.probes += 1
@@ -250,13 +249,7 @@ class QueryCostCalibrator(Calibration):
             try:
                 rtt = self._meta_wrapper.probe(server, t_ms)
             except ServerUnavailable:
-                self.availability.record_probe(server, t_ms, None)
-                results[server] = None
-                if was_up:
-                    self._log(
-                        t_ms, "server-down",
-                        f"{server} failed its daemon probe",
-                    )
+                self._probe_failed(server, t_ms, was_up)
                 continue
             self.availability.record_probe(server, t_ms, rtt)
             if not was_up:
@@ -265,7 +258,6 @@ class QueryCostCalibrator(Calibration):
                     f"{server} answered a daemon probe "
                     f"(rtt {rtt:.1f} ms); eligible for routing again",
                 )
-            results[server] = rtt
             if self.calibrator.sample_count(server) == 0:
                 # Initial factor from network exploration: a server whose
                 # probe RTT is large relative to nominal processing gets
@@ -275,13 +267,20 @@ class QueryCostCalibrator(Calibration):
             try:
                 pair = self._meta_wrapper.probe_ratio(server, t_ms)
             except ServerUnavailable:
-                self.availability.record_probe(server, t_ms, None)
+                # The ping just marked the server up.
+                self._probe_failed(server, t_ms, True)
                 continue
             if pair is not None:
                 estimated, observed = pair
                 if estimated > 0:
                     self.calibrator.record_probe(server, estimated, observed)
-        return results
+
+    def _probe_failed(self, server: str, t_ms: float, was_up: bool) -> None:
+        self.availability.record_probe(server, t_ms, None)
+        if was_up:
+            self._log(
+                t_ms, "server-down", f"{server} failed its daemon probe"
+            )
 
     def recalibrate(self, t_ms: float, count_staleness: bool = True) -> None:
         """Fold histories into active factors and adapt the cycle."""

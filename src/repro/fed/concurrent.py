@@ -199,7 +199,6 @@ class ConcurrentRuntime:
         sql: str,
         klass: Optional[str] = None,
         label: Optional[str] = None,
-        staleness_tolerance_ms: Optional[float] = None,
     ) -> QueryHandle:
         """Schedule one federated query to arrive at virtual *t_ms*."""
         handle = QueryHandle(
@@ -210,9 +209,7 @@ class ConcurrentRuntime:
             submitted_ms=t_ms,
         )
         self.handles.append(handle)
-        self.scheduler.spawn(
-            self._query_process(handle, staleness_tolerance_ms), at_ms=t_ms
-        )
+        self.scheduler.spawn(self._query_process(handle), at_ms=t_ms)
         return handle
 
     def run(self, until_ms: Optional[float] = None) -> float:
@@ -232,9 +229,7 @@ class ConcurrentRuntime:
 
     # -- the per-query coroutine ----------------------------------------
 
-    def _query_process(
-        self, handle: QueryHandle, staleness_tolerance_ms: Optional[float]
-    ):
+    def _query_process(self, handle: QueryHandle):
         """Admit *handle*'s query, then drive the integrator's
         lifecycle over this runtime's queues."""
         ii = self.integrator
@@ -280,7 +275,7 @@ class ConcurrentRuntime:
                 "admission_admitted_total", klass=handle.klass
             ).inc()
             handle.result = yield from ii.lifecycle(
-                record, trace, root, self.strategy, staleness_tolerance_ms
+                record, trace, root, self.strategy
             )
             obs.metrics.histogram(
                 "query_sojourn_ms", klass=handle.klass

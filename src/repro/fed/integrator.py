@@ -352,16 +352,14 @@ class InformationIntegrator:
         sql: str,
         t_ms: Optional[float] = None,
         excluded_servers: Optional[set] = None,
-        staleness_tolerance_ms: Optional[float] = None,
         trace: QueryTrace = NULL_TRACE,
     ) -> Tuple[DecomposedQuery, List[GlobalPlan]]:
         """Compile *sql* into ranked global plans (no execution), its
         spans and the meta-wrapper's events going to *trace*.
 
-        With a replica manager attached and a ``staleness_tolerance_ms``,
-        candidate servers whose copies are older than the tolerance are
-        excluded — runtime-aware replica currency, re-evaluated at every
-        compilation.
+        With a replica manager attached, candidate servers whose copies
+        are older than its tolerance are excluded — runtime-aware replica
+        currency, re-evaluated at every compilation.
 
         Repeated compilations are served from the plan cache while the
         calibration epoch (and any replica-freshness horizon) says the
@@ -371,7 +369,7 @@ class InformationIntegrator:
         """
         t = self.clock.now if t_ms is None else t_ms
         cache = self.plan_cache
-        key = plan_key(sql, excluded_servers, staleness_tolerance_ms)
+        key = plan_key(sql, excluded_servers)
         topology = self.registry.version
         decomposed = None
         if cache is not None:
@@ -396,11 +394,7 @@ class InformationIntegrator:
         )
         span = trace.begin("plan_enumeration", t)
         plans = self._plans_for(
-            decomposed,
-            t,
-            set(excluded_servers or ()),
-            staleness_tolerance_ms,
-            trace,
+            decomposed, t, set(excluded_servers or ()), trace
         )
         trace.end(
             span,
@@ -409,72 +403,41 @@ class InformationIntegrator:
             best_estimate=plans[0].total_cost if plans else None,
         )
         if cache is not None:
+            # The entry expires when replica currency could next change
+            # its candidate set.
+            manager = self._replica_manager
             cache.put(
                 key,
                 decomposed,
                 plans,
-                valid_until_ms=self._freshness_horizon(
-                    decomposed, t, staleness_tolerance_ms
+                valid_until_ms=(
+                    None
+                    if manager is None
+                    else manager.freshness_horizon(decomposed.fragments, t)
                 ),
                 topology=topology,
             )
             trace.event("plan_cache", t, hit=False, epoch=cache.epoch.value)
         return decomposed, plans
 
-    def _freshness_horizon(
-        self,
-        decomposed: DecomposedQuery,
-        t_ms: float,
-        staleness_tolerance_ms: Optional[float],
-    ) -> Optional[float]:
-        """Earliest instant replica currency could change the candidate
-        set of *decomposed* — cache entries expire there.
-
-        Between epoch bumps a placement's staleness only grows, so the
-        fresh set can only shrink, and it shrinks exactly when a behind-
-        but-fresh placement crosses the tolerance.  Placements already
-        past the tolerance re-enter only via a sync, which bumps the
-        epoch.
-        """
-        manager = self._replica_manager
-        if manager is None or staleness_tolerance_ms is None:
-            return None
-        horizon: Optional[float] = None
-        for fragment in decomposed.fragments:
-            for nickname in fragment.nicknames:
-                for server in fragment.candidate_servers:
-                    deadline = manager.freshness_deadline(
-                        nickname, server, staleness_tolerance_ms
-                    )
-                    if deadline is not None and deadline > t_ms:
-                        horizon = (
-                            deadline
-                            if horizon is None
-                            else min(horizon, deadline)
-                        )
-        return horizon
-
     def _plans_for(
         self,
         decomposed: DecomposedQuery,
         t_ms: float,
         excluded_servers: set,
-        staleness_tolerance_ms: Optional[float],
         trace: QueryTrace,
     ) -> List[GlobalPlan]:
+        manager = self._replica_manager
         options: Dict[str, List[FragmentOption]] = {}
         for fragment in decomposed.fragments:
             fragment_options = self.meta_wrapper.compile_fragment(
                 fragment, t_ms, trace
             )
-            allowed = None
-            if (
-                self.replica_manager is not None
-                and staleness_tolerance_ms is not None
-            ):
-                allowed = self.replica_manager.fresh_servers(
-                    fragment.nicknames, t_ms, staleness_tolerance_ms
-                )
+            allowed = (
+                None
+                if manager is None
+                else manager.fresh_servers(fragment.nicknames, t_ms)
+            )
             options[fragment.fragment_id] = [
                 o
                 for o in fragment_options
@@ -510,7 +473,6 @@ class InformationIntegrator:
         sql: str,
         label: Optional[str] = None,
         t_ms: Optional[float] = None,
-        staleness_tolerance_ms: Optional[float] = None,
     ) -> FederatedResult:
         """Process one federated query end to end, nothing else in flight.
 
@@ -521,7 +483,7 @@ class InformationIntegrator:
         """
         t0 = self.clock.now if t_ms is None else t_ms
         query = self.open_query(sql, t0, label)
-        process = self.lifecycle(*query, UNCONTENDED, staleness_tolerance_ms)
+        process = self.lifecycle(*query, UNCONTENDED)
         try:
             while True:
                 next(process)
@@ -537,7 +499,6 @@ class InformationIntegrator:
         trace: QueryTrace,
         root: Span,
         strategy: DispatchStrategy,
-        staleness_tolerance_ms: Optional[float] = None,
     ) -> Generator[object, object, FederatedResult]:
         """The one query lifecycle: compile, route, dispatch (retrying
         around failed servers), merge, report.
@@ -569,11 +530,7 @@ class InformationIntegrator:
             compile_span = trace.begin("compile", t_attempt, attempt=retries)
             try:
                 decomposed, plans = self.compile(
-                    record.sql,
-                    t_attempt,
-                    excluded,
-                    staleness_tolerance_ms,
-                    trace,
+                    record.sql, t_attempt, excluded, trace
                 )
             except SqlError as exc:
                 # A query that does not bind, decompose or plan fails

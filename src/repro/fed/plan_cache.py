@@ -10,7 +10,7 @@ different moments:
   query text and the nickname topology.  It lives while the registry's
   ``version`` is the one it was made under.
 * The **priced** half — the ranked global plans — additionally depends on
-  the excluded-server set, the staleness tolerance and QCC's calibration
+  the excluded-server set, replica currency and QCC's calibration
   state.  Section 3.1 folds observations into active factors only at
   recalibration-cycle boundaries precisely so that surface is *stable
   between cycles*, so priced plans are reused verbatim while a
@@ -25,11 +25,14 @@ remote plan and no raw estimate: a stale priced half is re-priced over
 the kept decomposition, not recompiled from SQL text.
 
 Time-based replica staleness is the one input that moves *without* an
-event: with a staleness tolerance, a currently-fresh replica silently
-crosses the tolerance as virtual time passes.  Plans priced under a
-tolerance therefore also carry a ``valid_until_ms`` horizon — the first
+event: under the replica manager's staleness tolerance, a currently-fresh
+replica silently crosses it as virtual time passes.  Plans priced under
+a tolerance therefore also carry a ``valid_until_ms`` horizon — the first
 instant any fresh-but-behind placement relevant to the query can cross
-— and expire on their own when the clock reaches it.
+(``ReplicaManager.freshness_horizon``) — and expire on their own when the
+clock reaches it.  The tolerance itself is fixed for a manager's lifetime
+and attaching another manager clears the cache, so it is not part of the
+key.
 """
 
 from __future__ import annotations
@@ -46,21 +49,18 @@ from .global_optimizer import GlobalPlan
 #: Compiled queries the cache keeps (LRU).
 MAXSIZE = 128
 
-#: Cache key: (sql, excluded servers, staleness tolerance).  Everything
-#: else that influences compilation is covered by the epoch.
-PlanKey = Tuple[str, FrozenSet[str], Optional[float]]
+#: Cache key: (sql, excluded servers).  Everything else that influences
+#: compilation is covered by the epoch and the freshness horizon.
+PlanKey = Tuple[str, FrozenSet[str]]
 
 
 def plan_key(
-    sql: str,
-    excluded_servers: Optional[FrozenSet[str]] = None,
-    staleness_tolerance_ms: Optional[float] = None,
+    sql: str, excluded_servers: Optional[FrozenSet[str]] = None
 ) -> PlanKey:
     """Normalise compile arguments into a cache key."""
     return (
         sql,
         frozenset(excluded_servers) if excluded_servers else frozenset(),
-        staleness_tolerance_ms,
     )
 
 

@@ -4,9 +4,13 @@ The paper's related work discusses substituting replicas "if their
 staleness is within an application's tolerance" and criticises that
 method for being optimization-time only.  This module provides the
 runtime-aware version in QCC's spirit: writes at an origin make its
-replicas stale, queries declare a tolerance, and candidate servers are
-filtered by *current* replica currency at every compilation — so the
-same query flips between replicas as syncs and writes happen.
+replicas stale, the deployment declares one tolerance (the manager's,
+fixed for its lifetime), and candidate servers are filtered by *current*
+replica currency at every compilation — so the same query flips between
+replicas as syncs and writes happen.  This module alone decides which
+placements are fresh and until when: the integrator asks the manager
+for a fragment's fresh set and for the instant a compiled plan's set
+could next change.  Another tolerance is another manager.
 
 Staleness here is time-based: a replica's staleness is the age of the
 oldest origin write it has not yet received (0 when fully caught up).
@@ -28,10 +32,16 @@ class ReplicaManager:
     itself for write tracking — the deployment wires
     ``note_write`` next to its DML path — but :meth:`sync` does copy
     rows so a synced replica really is current.
+
+    *tolerance_ms* is the staleness a query may read; None admits every
+    placement however stale.
     """
 
-    def __init__(self, registry: NicknameRegistry):
+    def __init__(
+        self, registry: NicknameRegistry, tolerance_ms: Optional[float] = None
+    ):
         self.registry = registry
+        self.tolerance_ms = tolerance_ms
         self._origin: Dict[str, str] = {}
         self._first_unsynced_write: Dict[Tuple[str, str], Optional[float]] = {}
         self._epochs: List = []
@@ -120,33 +130,17 @@ class ReplicaManager:
 
     # -- queries ----------------------------------------------------------
 
+    def _behind_since(self, nickname: str, server: str) -> Optional[float]:
+        """Instant of the oldest origin write *server*'s copy of
+        *nickname* lacks; None when the copy is current."""
+        if server == self.origin_of(nickname):
+            return None
+        return self._first_unsynced_write.get((nickname.lower(), server))
+
     def staleness_ms(self, nickname: str, server: str, t_ms: float) -> float:
         """Age of the oldest unsynced origin write (0 = current)."""
-        key = nickname.lower()
-        if server == self.origin_of(nickname):
-            return 0.0
-        first_unsynced = self._first_unsynced_write.get((key, server))
-        if first_unsynced is None:
-            return 0.0
-        return max(0.0, t_ms - first_unsynced)
-
-    def freshness_deadline(
-        self, nickname: str, server: str, tolerance_ms: float
-    ) -> Optional[float]:
-        """Instant at which *server*'s copy of *nickname* crosses
-        *tolerance_ms*, or None if it never will without a new write.
-
-        Origins and fully-synced replicas have no deadline; a replica
-        with an unsynced write at ``w`` stays fresh until exactly
-        ``w + tolerance_ms``.
-        """
-        key = nickname.lower()
-        if server == self.origin_of(nickname):
-            return None
-        first_unsynced = self._first_unsynced_write.get((key, server))
-        if first_unsynced is None:
-            return None
-        return first_unsynced + tolerance_ms
+        since = self._behind_since(nickname, server)
+        return 0.0 if since is None else max(0.0, t_ms - since)
 
     def worst_staleness(self, server: str, t_ms: float) -> float:
         """Worst replica staleness across *server*'s placements (ms).
@@ -161,22 +155,47 @@ class ReplicaManager:
                 worst = max(worst, self.staleness_ms(nickname, server, t_ms))
         return worst
 
-    def fresh_servers(
-        self,
-        nicknames,
-        t_ms: float,
-        tolerance_ms: float,
-    ) -> FrozenSet[str]:
-        """Servers whose copies of *all* the nicknames are within
-        *tolerance_ms* of the origin."""
+    def fresh_servers(self, nicknames, t_ms: float) -> Optional[FrozenSet[str]]:
+        """Servers whose copies of *all* the nicknames are within the
+        tolerance of the origin; None without a tolerance (every
+        placement is admitted)."""
+        tolerance = self.tolerance_ms
+        if tolerance is None:
+            return None
         names = list(nicknames)
-        if not names:
-            return frozenset()
         fresh = set(self.registry.common_servers(names))
         for name in names:
             fresh = {
                 server
                 for server in fresh
-                if self.staleness_ms(name, server, t_ms) <= tolerance_ms
+                if self.staleness_ms(name, server, t_ms) <= tolerance
             }
         return frozenset(fresh)
+
+    def freshness_horizon(self, fragments, t_ms: float) -> Optional[float]:
+        """Earliest instant after *t_ms* at which replica currency could
+        change the fresh sets of *fragments*; None if it cannot without
+        a write or sync (both bump the bound epochs).
+
+        Between those events a placement's staleness only grows, so a
+        fresh set can only shrink, and it shrinks exactly when a behind-
+        but-fresh placement crosses the tolerance: a replica with an
+        unsynced write at ``w`` stays fresh until ``w + tolerance``.
+        Placements already past the tolerance re-enter only via a sync.
+        """
+        tolerance = self.tolerance_ms
+        if tolerance is None:
+            return None
+        horizon: Optional[float] = None
+        for fragment in fragments:
+            for nickname in fragment.nicknames:
+                for server in fragment.candidate_servers:
+                    since = self._behind_since(nickname, server)
+                    if since is None:
+                        continue
+                    deadline = since + tolerance
+                    if deadline > t_ms and (
+                        horizon is None or deadline < horizon
+                    ):
+                        horizon = deadline
+        return horizon

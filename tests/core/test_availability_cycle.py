@@ -29,6 +29,20 @@ class TestAvailabilityMonitor:
         monitor.record_success("S1", 20.0)
         assert monitor.is_available("S1", 21.0)
 
+    def test_stale_success_leaves_server_down(self):
+        """A success dispatched before the down mark counts toward the
+        reliability window but does not bring the server back."""
+        monitor = AvailabilityMonitor(["S1"])
+        monitor.record_error("S1", 10.0)
+        monitor.record_success("S1", 5.0)
+        assert not monitor.is_available("S1", 11.0)
+        assert monitor.reliability_factor("S1") == 2.0  # one of two
+        monitor.record_probe("S1", 30.0, rtt_ms=None)
+        monitor.record_success("S1", 20.0)
+        assert not monitor.is_available("S1", 31.0)
+        monitor.record_success("S1", 30.0)
+        assert monitor.is_available("S1", 31.0)
+
     def test_probe_recovery(self):
         monitor = AvailabilityMonitor(["S1"])
         monitor.record_error("S1", 10.0)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import QCCConfig, QueryCostCalibrator
 from repro.core.routing import generalize_signature
+from repro.sim import ServerUnavailable
 from repro.sqlengine import PlanCost
 
 
@@ -164,7 +165,8 @@ class TestTick:
 
     def test_probe_without_meta_wrapper_is_noop(self):
         qcc = _qcc()
-        assert qcc.probe_servers(0.0) == {}
+        qcc.probe_servers(0.0)
+        assert qcc.probes == 0
 
 
 class TestRecommendGlobal:
@@ -228,6 +230,29 @@ class TestDecisionLog:
         qcc.record_error("S3", 11.0)
         assert len(qcc.decision_log) == 1
         qcc.availability.record_probe("S3", 20.0, rtt_ms=5.0)
+
+    def test_failed_ratio_probe_logged(self):
+        """The ping answers, then the calibration probe fails (a flaky
+        window's injected error): the server goes down, and the log says
+        so as it does for a failed ping."""
+
+        class RatioProbeFails:
+            def server_names(self):
+                return ["S1"]
+
+            def probe(self, server, t_ms):
+                return 1.0
+
+            def probe_ratio(self, server, t_ms):
+                raise ServerUnavailable(server, t_ms, transient=True)
+
+        qcc = _qcc()
+        qcc.bind_meta_wrapper(RatioProbeFails())
+        qcc.probe_servers(0.0)
+        assert not qcc.is_available("S1", 0.0)
+        assert [(d.kind, d.detail) for d in qcc.decision_log] == [
+            ("server-down", "S1 failed its daemon probe")
+        ]
 
     def test_factor_shift_logged(self):
         qcc = _qcc()

@@ -73,7 +73,7 @@ class TestPlanCacheUnit:
 
     def test_freshness_horizon_expires_entry(self):
         cache, _ = self._cache()
-        key = plan_key("q1", staleness_tolerance_ms=500.0)
+        key = plan_key("q1")
         cache.put(key, "d", ["p"], valid_until_ms=600.0)
         assert cache.get(key, 599.0) is not None
         assert cache.get(key, 600.0) is None
@@ -112,7 +112,6 @@ class TestPlanCacheUnit:
     def test_plan_key_normalises(self):
         assert plan_key("q") == plan_key("q", set())
         assert plan_key("q", {"S1", "S2"}) == plan_key("q", {"S2", "S1"})
-        assert plan_key("q") != plan_key("q", staleness_tolerance_ms=1.0)
         assert plan_key("q") != plan_key("q", {"S1"})
 
 
@@ -178,16 +177,16 @@ class TestIntegratorCaching:
 class TestReplicaFreshnessHorizon:
     @pytest.fixture()
     def replicated(self, plain_deployment):
-        manager = ReplicaManager(plain_deployment.registry)
+        manager = ReplicaManager(plain_deployment.registry, tolerance_ms=500.0)
         plain_deployment.integrator.replica_manager = manager
         return plain_deployment, manager
 
     def test_write_invalidates_tolerant_compilation(self, replicated):
         deployment, manager = replicated
         integrator = deployment.integrator
-        integrator.compile(SINGLE, t_ms=0.0, staleness_tolerance_ms=500.0)
+        integrator.compile(SINGLE, t_ms=0.0)
         manager.note_write("supplier", 100.0)
-        integrator.compile(SINGLE, t_ms=200.0, staleness_tolerance_ms=500.0)
+        integrator.compile(SINGLE, t_ms=200.0)
         assert integrator.plan_cache.hits == 0
         assert integrator.plan_cache.invalidations == 1
 
@@ -197,17 +196,13 @@ class TestReplicaFreshnessHorizon:
         manager.note_write("supplier", 100.0)
         # Compiled at t=200 with 500ms tolerance: replicas are 100ms
         # stale, still fresh, but will cross the tolerance at t=600.
-        _, fresh_plans = integrator.compile(
-            SINGLE, t_ms=200.0, staleness_tolerance_ms=500.0
-        )
+        _, fresh_plans = integrator.compile(SINGLE, t_ms=200.0)
         assert any(
             server != "S1" for p in fresh_plans for server in p.servers
         )
-        integrator.compile(SINGLE, t_ms=400.0, staleness_tolerance_ms=500.0)
+        integrator.compile(SINGLE, t_ms=400.0)
         assert integrator.plan_cache.hits == 1
-        _, late_plans = integrator.compile(
-            SINGLE, t_ms=601.0, staleness_tolerance_ms=500.0
-        )
+        _, late_plans = integrator.compile(SINGLE, t_ms=601.0)
         assert integrator.plan_cache.hits == 1  # horizon expired the entry
         assert all(p.servers == frozenset({"S1"}) for p in late_plans)
 
@@ -215,11 +210,9 @@ class TestReplicaFreshnessHorizon:
         deployment, manager = replicated
         integrator = deployment.integrator
         manager.note_write("supplier", 100.0)
-        integrator.compile(SINGLE, t_ms=700.0, staleness_tolerance_ms=500.0)
+        integrator.compile(SINGLE, t_ms=700.0)
         manager.sync("supplier", "S2", deployment.servers, 800.0)
-        _, plans = integrator.compile(
-            SINGLE, t_ms=900.0, staleness_tolerance_ms=500.0
-        )
+        _, plans = integrator.compile(SINGLE, t_ms=900.0)
         assert integrator.plan_cache.hits == 0
         assert any("S2" in p.servers for p in plans)
 

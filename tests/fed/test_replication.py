@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Calibration
-from repro.fed import FederationError, ReplicaManager
+from repro.fed import FederationError, ReplicaManager, decompose
 from repro.harness import build_federation
 from repro.workload import TEST_SCALE
 
@@ -80,27 +80,55 @@ class TestReplicaManager:
         assert manager.worst_staleness("S2", 500.0) == 400.0
 
     def test_fresh_servers_intersection(self, deployment):
-        _, manager = deployment
+        dep, manager = deployment
         manager.note_write("supplier", 100.0)
-        fresh = manager.fresh_servers(["supplier"], 500.0, tolerance_ms=1000.0)
-        assert fresh == frozenset({"S1", "S2", "S3"})  # within tolerance
-        fresh = manager.fresh_servers(["supplier"], 500.0, tolerance_ms=100.0)
-        assert fresh == frozenset({"S1"})
+        assert manager.fresh_servers(["supplier"], 500.0) is None
+        for tolerance_ms, expected in (
+            (1000.0, {"S1", "S2", "S3"}),  # within tolerance
+            (100.0, {"S1"}),
+        ):
+            tolerant = ReplicaManager(dep.registry, tolerance_ms=tolerance_ms)
+            tolerant.note_write("supplier", 100.0)
+            fresh = tolerant.fresh_servers(["supplier"], 500.0)
+            assert fresh == frozenset(expected)
+
+    def test_freshness_horizon(self, deployment):
+        dep, _ = deployment
+        manager = ReplicaManager(dep.registry, tolerance_ms=500.0)
+        fragments = decompose(SQL, dep.registry).fragments
+        assert manager.freshness_horizon(fragments, 0.0) is None
+        manager.note_write("supplier", 100.0)
+        # Both replicas fell behind at 100 and cross the tolerance at 600.
+        assert manager.freshness_horizon(fragments, 200.0) == 600.0
+        assert manager.freshness_horizon(fragments, 600.0) is None
+        manager.sync("supplier", "S2", dep.servers, 300.0)
+        assert manager.freshness_horizon(fragments, 400.0) == 600.0
+        manager.sync("supplier", "S3", dep.servers, 450.0)
+        assert manager.freshness_horizon(fragments, 500.0) is None
+
+
+def _tolerant(dep, tolerance_ms):
+    """Attach a manager with *tolerance_ms* to the deployment."""
+    manager = ReplicaManager(dep.registry, tolerance_ms=tolerance_ms)
+    dep.integrator.replica_manager = manager
+    return manager
 
 
 class TestStalenessTolerantRouting:
     def test_stale_replicas_excluded_from_routing(self, deployment):
-        dep, manager = deployment
+        dep, _ = deployment
+        manager = _tolerant(dep, 1_000.0)
         manager.note_write("supplier", dep.clock.now)
         dep.clock.advance(5_000.0)
-        result = dep.integrator.submit(SQL, staleness_tolerance_ms=1_000.0)
+        result = dep.integrator.submit(SQL)
         assert result.servers == frozenset({"S1"})  # origin only
 
     def test_tolerant_query_uses_any_replica(self, deployment):
-        dep, manager = deployment
+        dep, _ = deployment
+        manager = _tolerant(dep, 1e9)
         manager.note_write("supplier", dep.clock.now)
         dep.clock.advance(5_000.0)
-        result = dep.integrator.submit(SQL, staleness_tolerance_ms=1e9)
+        result = dep.integrator.submit(SQL)
         # cheapest server wins as usual
         assert result.servers == frozenset({"S3"})
 
@@ -111,10 +139,11 @@ class TestStalenessTolerantRouting:
         assert result.servers == frozenset({"S3"})
 
     def test_sync_readmits_replica(self, deployment):
-        dep, manager = deployment
+        dep, _ = deployment
+        manager = _tolerant(dep, 1_000.0)
         manager.note_write("supplier", dep.clock.now)
         dep.clock.advance(5_000.0)
         manager.sync("supplier", "S3", dep.servers, dep.clock.now)
-        result = dep.integrator.submit(SQL, staleness_tolerance_ms=1_000.0)
+        result = dep.integrator.submit(SQL)
         assert result.servers == frozenset({"S3"})
 

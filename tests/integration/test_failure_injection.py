@@ -10,7 +10,8 @@ from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.fed import FederationError, QueryStatus
+import repro.obs as obs
+from repro.fed import ConcurrentRuntime, FederationError, QueryStatus
 from repro.harness import DEFAULT_SERVER_SPECS, build_federation
 from repro.sim import (
     OutageSchedule,
@@ -18,7 +19,7 @@ from repro.sim import (
     WindowedErrorInjector,
 )
 from repro.sqlengine import rows_close_unordered
-from repro.workload import QT1, QT3, TEST_SCALE
+from repro.workload import QT1, QT2, QT3, QT4, TEST_SCALE
 
 
 @st.composite
@@ -175,3 +176,45 @@ class TestMidQueryFaults:
             raise AssertionError("expected the query to fail")
         patroller = deployment.integrator.patroller
         assert patroller.failure_count() == 1
+
+
+class TestStaleSuccess:
+    """Under contention a fragment reports at its *dispatch* instant
+    after it leaves its queue, so a fragment dispatched before the error
+    that marked its server down can settle after it."""
+
+    def test_stale_success_does_not_bring_a_down_server_back(
+        self, sample_databases
+    ):
+        deployment = build_federation(
+            scale=TEST_SCALE,
+            prebuilt_databases=sample_databases,
+            availability={"S3": OutageSchedule([(20.0, 5_000.0)])},
+        )
+        runtime = ConcurrentRuntime(deployment.integrator)
+        types = (QT1, QT2, QT3, QT4)
+        obs.configure(metrics=False, tracing=False, log_level=None)
+        try:
+            for index in range(48):
+                query = types[index % 4]
+                runtime.submit_at(
+                    float(index), query.instance(index).sql, label=query.name
+                )
+            runtime.run()
+            transitions = [
+                (event.t_ms, event.kind)
+                for event in obs.get_obs().timeline.events
+                if event.server == "S3" and event.kind.startswith("server-")
+            ]
+        finally:
+            obs.disable()
+        # Marked down once, by the first error; no success of a fragment
+        # dispatched before it brings S3 back before the outage ends.
+        assert transitions == [(20.0, "server-down")]
+        downs = [
+            decision.t_ms
+            for decision in deployment.qcc.decision_log
+            if decision.kind == "server-down" and "S3" in decision.detail
+        ]
+        assert downs == [20.0]
+        assert not runtime.failures()

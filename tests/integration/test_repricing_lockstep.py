@@ -4,8 +4,9 @@ A cached integrator and an ``enable_plan_cache=False`` twin are driven
 in lockstep through a random interleaving of everything that ends a
 priced plan's life — recalibrations, bare epoch bumps, an outage opening
 on a candidate server, a new placement, replica writes under a staleness
-tolerance, the clock crossing a freshness horizon — and must agree on
-every query and on every book at the end.
+tolerance, the clock crossing a freshness horizon, a replica manager
+with the other tolerance attached — and must agree on every query and
+on every book at the end.
 
 A *hit* skips compilation by design (no compile log entry, no explain to
 discover an outage with); that is ``test_plan_cache_equivalence``'s
@@ -34,11 +35,9 @@ SQLS = tuple(
 )
 TOLERANCE_MS = 200.0
 
-SUBMIT = st.tuples(
-    st.just("submit"),
-    st.integers(0, len(SQLS) - 1),
-    st.sampled_from((None, TOLERANCE_MS)),
-)
+TOLERANCES = (None, TOLERANCE_MS)
+
+SUBMIT = st.tuples(st.just("submit"), st.integers(0, len(SQLS) - 1))
 EVENT = st.one_of(
     st.tuples(st.just("recalibrate")),
     st.tuples(st.just("bump")),
@@ -51,6 +50,7 @@ EVENT = st.one_of(
     st.tuples(st.just("register")),
     st.tuples(st.just("write"), st.sampled_from(TABLES)),
     st.tuples(st.just("advance"), st.sampled_from((50.0, 150.0, 2_500.0))),
+    st.tuples(st.just("retolerate")),
 )
 #: Two submissions for every event, so most events are followed by
 #: lookups that find what they ended.
@@ -67,7 +67,7 @@ def twin_databases():
 
 
 class Twin:
-    def __init__(self, databases, enable_plan_cache):
+    def __init__(self, databases, enable_plan_cache, tolerance_ms):
         self.deployment = build_federation(
             scale=TEST_SCALE,
             prebuilt_databases=databases,
@@ -76,9 +76,14 @@ class Twin:
         )
         self.integrator = self.deployment.integrator
         self.noted = noted_executions(self.deployment.meta_wrapper)
-        self.manager = ReplicaManager(self.deployment.registry)
-        self.integrator.replica_manager = self.manager
+        self.attach(tolerance_ms)
         self.late = list(LATE_PLACEMENTS)
+
+    def attach(self, tolerance_ms):
+        self.manager = ReplicaManager(
+            self.deployment.registry, tolerance_ms=tolerance_ms
+        )
+        self.integrator.replica_manager = self.manager
 
     @property
     def now(self):
@@ -104,11 +109,14 @@ class Twin:
             self.manager.note_write(args[0], self.now)
         elif kind == "advance":
             deployment.clock.advance(args[0])
+        elif kind == "retolerate":
+            current = TOLERANCES.index(self.manager.tolerance_ms)
+            self.attach(TOLERANCES[1 - current])
 
-    def submit(self, sql, tolerance):
+    def submit(self, sql):
         """What one query looked like from outside, failure included."""
         try:
-            result = self.integrator.submit(sql, staleness_tolerance_ms=tolerance)
+            result = self.integrator.submit(sql)
         except FederationError as error:
             return ("failed", str(error)), None
         seen = (
@@ -159,27 +167,31 @@ def span_names(trace, without=("plan_cache",)):
     return [name for root in trace.spans for name in walk(root)]
 
 
-@given(ops=OPS)
+@given(ops=OPS, tolerance_ms=st.sampled_from(TOLERANCES))
 @settings(max_examples=50, deadline=None, derandomize=True)
-def test_repricing_is_recompiling(twin_databases, ops):
+def test_repricing_is_recompiling(twin_databases, ops, tolerance_ms):
     obs.configure(metrics=False, tracing=True, log_level=None)
     try:
-        cached = Twin(twin_databases[0], enable_plan_cache=True)
-        oracle = Twin(twin_databases[1], enable_plan_cache=False)
+        cached = Twin(
+            twin_databases[0], enable_plan_cache=True, tolerance_ms=tolerance_ms
+        )
+        oracle = Twin(
+            twin_databases[1], enable_plan_cache=False, tolerance_ms=tolerance_ms
+        )
         cache = cached.integrator.plan_cache
         for op in ops:
             if op[0] != "submit":
                 cached.apply(op)
                 oracle.apply(op)
                 continue
-            _, index, tolerance = op
-            key = plan_key(SQLS[index], staleness_tolerance_ms=tolerance)
+            _, index = op
+            key = plan_key(SQLS[index])
             entry = cache._entries.get(key)
             if entry is not None and cache._is_live(entry, cached.now):
                 cached.apply(("bump",))
                 oracle.apply(("bump",))
-            seen, trace = cached.submit(SQLS[index], tolerance)
-            expected, oracle_trace = oracle.submit(SQLS[index], tolerance)
+            seen, trace = cached.submit(SQLS[index])
+            expected, oracle_trace = oracle.submit(SQLS[index])
             assert seen == expected, op
             if trace is not None:
                 assert span_names(trace) == span_names(oracle_trace), op
@@ -193,7 +205,7 @@ def test_repricing_is_recompiling(twin_databases, ops):
 
 def test_new_placement_drops_the_kept_decomposition(twin_databases):
     """The compiled half has its own horizon: a topology change."""
-    twin = Twin(twin_databases[0], enable_plan_cache=True)
+    twin = Twin(twin_databases[0], enable_plan_cache=True, tolerance_ms=None)
     sql = "SELECT COUNT(*) FROM supplier"
     decomposed, _ = twin.integrator.compile(sql)
     assert decomposed.fragments[0].candidate_servers == ("S1", "S2")

@@ -43,7 +43,7 @@ def _deployment(databases):
     )
 
 
-def _drive(deployment, path, tolerance_ms=None):
+def _drive(deployment, path):
     """Submit QT1–QT4 instances down one second-choice *path*:
     sequentially (Section 4.1 substitution on), hedged at 0 ms (every
     fragment fires its backup), or re-routing under a stream of
@@ -54,7 +54,7 @@ def _drive(deployment, path, tolerance_ms=None):
     if path == "balancing":
         deployment.clock.advance(T0_MS)
         for sql in sqls:
-            integrator.submit(sql, staleness_tolerance_ms=tolerance_ms)
+            integrator.submit(sql)
         return
     runtime = ConcurrentRuntime(
         integrator,
@@ -62,9 +62,7 @@ def _drive(deployment, path, tolerance_ms=None):
         reroute_batch_rows=8 if path == "reroute" else None,
     )
     for index, sql in enumerate(sqls):
-        runtime.submit_at(
-            T0_MS + 5.0 * index, sql, staleness_tolerance_ms=tolerance_ms
-        )
+        runtime.submit_at(T0_MS + 5.0 * index, sql)
     if path == "reroute":
         for tick in range(400):
             runtime.scheduler.call_at(
@@ -99,16 +97,16 @@ def _record_dispatches(deployment, fail_first=False):
 @pytest.mark.parametrize("path", PATHS)
 def test_stale_replicas_are_never_a_second_choice(replica_databases, path):
     deployment = _deployment(replica_databases)
-    manager = ReplicaManager(deployment.registry)
+    manager = ReplicaManager(deployment.registry, tolerance_ms=1.0)
     for nickname, origin in REPLICA_ORIGINS.items():
         manager.set_origin(nickname, origin)
     deployment.integrator.replica_manager = manager
     for nickname in REPLICA_ORIGINS:
         manager.note_write(nickname, 0.0)
-    assert manager.fresh_servers(["orders"], T0_MS, 1.0) == {"S1"}
+    assert manager.fresh_servers(["orders"], T0_MS) == {"S1"}
 
     reached, _ = _record_dispatches(deployment)
-    _drive(deployment, path, tolerance_ms=1.0)
+    _drive(deployment, path)
     assert reached
     assert set(reached) <= {"S1", "S2"}, (
         f"{path}: dispatched to a replica staler than the tolerance"
