@@ -110,12 +110,11 @@ class ReplicaManager:
         origin_name = self.origin_of(nickname)
         if server == origin_name:
             return 0
-        origin_db = servers[origin_name].database
         replica_db = servers[server].database
-        rows = list(origin_db.storage.table(nickname).scan())
-        replica_table = replica_db.storage.table(nickname)
-        replica_table.delete_rows(None)
-        replica_table.insert_many(rows)
+        copied = replica_db.load_copy(nickname, servers[origin_name].database)
+        # DML does not refresh the origin's statistics, so the copied
+        # definition may lag the copied rows: analyse them, as after any
+        # load.
         replica_db.analyze(nickname)
         self._first_unsynced_write[(key, server)] = None
         self._bump()
@@ -124,9 +123,9 @@ class ReplicaManager:
             "replica-sync",
             server=server,
             detail=nickname,
-            value=float(len(rows)),
+            value=float(copied),
         )
-        return len(rows)
+        return copied
 
     # -- queries ----------------------------------------------------------
 

@@ -143,17 +143,28 @@ def build_databases(
     """One loaded sample database per server spec.
 
     Each server receives the tables *placement* gives it (all of them
-    when absent).  Copies of a table are byte-identical across servers:
-    the paper replicates tables so "each server is involved in a diverse
-    set of queries", and identical replicas keep result correctness
-    checks trivial.
+    when absent).  Copies of a table are identical across servers: the
+    paper replicates tables so "each server is involved in a diverse set
+    of queries", and identical replicas keep result correctness checks
+    trivial.  So a table is generated, validated, indexed and analysed
+    once, at its first host in spec order; every later host loads it as
+    a copy (``Database.load_copy``), sharing its tuples, bucket tuples
+    and catalog definition while writing only its own row list and
+    bucket dicts.
     """
     tables = {table.name: table for table in table_specs(scale)}
+    first_hosts: Dict[str, Database] = {}
     databases: Dict[str, Database] = {}
     for spec in specs:
         database = Database(name=spec.name, profile=spec.profile())
         hosted = placement[spec.name] if placement is not None else tables
-        populate(database, [tables[name] for name in hosted], seed=seed)
+        for name in hosted:
+            first = first_hosts.setdefault(name, database)
+            if first is database:
+                populate(database, [tables[name]], seed=seed)
+            else:
+                database.create_table(name, tables[name].schema())
+                database.load_copy(name, first)
         databases[spec.name] = database
     return databases
 

@@ -172,7 +172,15 @@ class Catalog:
         read what they were planned under, not this catalog's later
         statistics.
         """
-        self._tables[table.name.lower()] = replace(table, **changes)
+        self.adopt(replace(table, **changes))
+
+    def adopt(self, table: TableDef) -> None:
+        """Register *table* in place of the definition of that name.
+
+        It may be another catalog's registered definition: neither
+        catalog ever mutates it (:meth:`_replace`), so both can hold it.
+        """
+        self._tables[table.name.lower()] = table
         self.version += 1
 
     def content(self) -> Tuple[TableDef, ...]:

@@ -87,6 +87,10 @@ class Database:
     def load_rows(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
         return self.storage.load_rows(table, rows)
 
+    def load_copy(self, table: str, source: "Database") -> int:
+        """Load *table* as a copy of *source*'s (``StorageManager.load_copy``)."""
+        return self.storage.load_copy(table, source.storage)
+
     def analyze(self, table: Optional[str] = None) -> None:
         self.storage.analyze(table)
 

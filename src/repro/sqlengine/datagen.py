@@ -3,9 +3,11 @@
 Column generators are declarative so that schemas in
 :mod:`repro.workload.schema` can describe their data distribution next to
 their types.  All randomness flows through one ``random.Random`` seeded by
-the caller: identical seeds yield identical tables, which keeps replica
-servers byte-identical (the paper's setup replicates tables across the
-three remote servers).
+the caller: identical seeds yield identical tables.  The paper's setup
+replicates tables across the three remote servers; a deployment
+generates each table once, at its first host, and loads every other
+replica as a copy of it (``harness.build_databases``,
+``Database.load_copy``), so the replicas hold the very same tuples.
 """
 
 from __future__ import annotations

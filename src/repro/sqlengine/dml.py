@@ -82,6 +82,9 @@ def _execute_insert(
     if statement.columns:
         positions = [schema.index_of(c) for c in statement.columns]
 
+    # Every row is evaluated and checked before any is stored: a bad
+    # row anywhere in VALUES inserts none (``HeapTable.insert_many``).
+    rows = []
     for value_row in statement.rows:
         values = [_evaluate_constant(e) for e in value_row]
         if positions is None:
@@ -99,7 +102,9 @@ def _execute_insert(
             row = [None] * len(schema)
             for position, value in zip(positions, values):
                 row[position] = value
-        table.insert(row)
+        rows.append(row)
+    table.insert_many(rows)
+    for _ in rows:
         meter.cpu_ms += CPU_TUPLE_COST * _WRITE_ROW_COST_FACTOR
         meter.io_ms += SEQ_PAGE_COST / max(
             1.0, pages_for(1.0, schema.row_width_bytes())

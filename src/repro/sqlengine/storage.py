@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import Catalog, TableDef, collect_stats
@@ -39,6 +40,14 @@ class HashIndex:
         for key, rids in grown.items():
             buckets[key] = buckets.get(key, ()) + tuple(rids)
             self._count += len(rids)
+
+    def copy(self) -> "HashIndex":
+        """This index for an equal row list: its own bucket dict, so a
+        write to either table rebinds only that table's buckets; the
+        bucket tuples themselves are shared."""
+        twin = copy.copy(self)
+        twin._buckets = dict(self._buckets)
+        return twin
 
     def lookup(self, value: Any) -> Sequence[int]:
         """Row ids whose indexed column equals *value* (empty if none)."""
@@ -93,6 +102,26 @@ class HeapTable:
                 index._extend(first_rid, validated)
         return len(validated)
 
+    def load_copy(self, source: "HeapTable") -> int:
+        """Replace this table's rows and indexes with *source*'s.
+
+        *source* validated its tuples against an equal schema, and
+        tuples are immutable, so this table takes them as they are in a
+        list of its own; its indexes are *source*'s with their own
+        bucket dicts.  Later writes to either table stay in that table.
+        """
+        if source.schema != self.schema:
+            raise StorageError(
+                f"cannot copy {source.name!r}: its schema differs from "
+                f"{self.name!r}'s"
+            )
+        self.rows = list(source.rows)
+        self._indexes = {
+            column: index.copy() for column, index in source._indexes.items()
+        }
+        self._version += 1
+        return len(self.rows)
+
     def scan(self) -> Iterator[Row]:
         return iter(self.rows)
 
@@ -110,18 +139,24 @@ class HeapTable:
         """Update rows matching *predicate* via *assign* (row -> row).
 
         ``predicate`` is a compiled row predicate or None (all rows);
-        ``assign`` maps an old row tuple to its replacement.  Indexes are
-        rebuilt afterwards.  Returns the number of rows changed.
+        ``assign`` maps an old row tuple to its replacement.  Every
+        replacement is built and validated before any is written, so a
+        failing one changes nothing; indexes are rebuilt afterwards.
+        Returns the number of rows changed.
         """
-        changed = 0
-        for rid, row in enumerate(self.rows):
-            if predicate is None or predicate(row) is True:
-                self.rows[rid] = self.schema.validate_row(assign(row))
-                changed += 1
-        if changed:
+        validate = self.schema.validate_row
+        replacements = [
+            (rid, validate(assign(row)))
+            for rid, row in enumerate(self.rows)
+            if predicate is None or predicate(row) is True
+        ]
+        if replacements:
+            rows = self.rows
+            for rid, row in replacements:
+                rows[rid] = row
             self._version += 1
             self._rebuild_indexes()
-        return changed
+        return len(replacements)
 
     def delete_rows(self, predicate: Optional[Any]) -> int:
         """Delete rows matching *predicate* (all rows when None)."""
@@ -203,4 +238,13 @@ class StorageManager:
         table = self.table(name)
         count = table.insert_many(rows)
         self.analyze(name)
+        return count
+
+    def load_copy(self, name: str, source: "StorageManager") -> int:
+        """Load table *name* as a copy of *source*'s table of that name
+        (:meth:`HeapTable.load_copy`).  The catalog registers *source*'s
+        definition, statistics included: neither catalog mutates it, so
+        the two share it until either registers another."""
+        count = self.table(name).load_copy(source.table(name))
+        self.catalog.adopt(source.catalog.lookup(name))
         return count
