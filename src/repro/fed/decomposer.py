@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..sqlengine import Column, Schema, parse
+from ..sqlengine.database import offer_bound
 from ..sqlengine.expressions import Expression
 from ..sqlengine.logical import JoinEdge, QueryBlock, bind
 from ..sqlengine.parser import SelectStatement
@@ -197,9 +198,13 @@ def _full_pushdown_fragment(
             f"no single server hosts all of {', '.join(nicknames)}; "
             "cross-server execution of this shape is not supported"
         )
+    sql = statement.sql()
+    # The fragment is the whole query: a server whose catalog content
+    # equals the registry's takes this parse and bind as its own.
+    offer_bound(sql, statement, registry.global_catalog.content(), block)
     return QueryFragment(
         fragment_id="QF1",
-        sql=statement.sql(),
+        sql=sql,
         bindings=tuple(group),
         nicknames=nicknames,
         candidate_servers=tuple(sorted(servers)),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from ..sqlengine import PhysicalPlan, PlanCost
@@ -128,27 +128,34 @@ def enumerate_global_plans(
         alternatives[fragment.fragment_id] = tuple(fragment_options)
         per_fragment.append(sorted(fragment_options, key=lambda o: o.calibrated.total))
 
-    plans: List[GlobalPlan] = []
+    # The merge's cost depends on the combination only through its
+    # fragments' cardinalities: price it once per distinct tuple of them.
+    merges: Dict[Tuple[float, ...], PlanCost] = {}
+    ranked: List[Tuple[float, Tuple[FragmentOption, ...], PlanCost]] = []
     for combo in itertools.product(*per_fragment):
-        fragment_rows = {
-            choice.fragment.fragment_id: choice.calibrated.rows
-            for choice in combo
-        }
-        merge = estimate_merge_cost(decomposed, fragment_rows, ii_profile)
+        rows = tuple(choice.calibrated.rows for choice in combo)
+        merge = merges.get(rows)
+        if merge is None:
+            fragment_rows = {
+                choice.fragment.fragment_id: choice.calibrated.rows
+                for choice in combo
+            }
+            merge = merges[rows] = estimate_merge_cost(
+                decomposed, fragment_rows, ii_profile
+            )
         total = max(choice.calibrated.total for choice in combo)
         total += merge.total * ii_calibration_factor
-        plans.append(
-            GlobalPlan(
-                plan_id="",
-                choices=tuple(combo),
-                merge_cost=merge,
-                total_cost=total,
-            )
-        )
-    plans.sort(key=lambda p: p.total_cost)
+        ranked.append((total, combo, merge))
+    ranked.sort(key=lambda entry: entry[0])
     return [
-        replace(plan, plan_id=f"p{index + 1}", alternatives=alternatives)
-        for index, plan in enumerate(plans[:keep])
+        GlobalPlan(
+            plan_id=f"p{index + 1}",
+            choices=combo,
+            merge_cost=merge,
+            total_cost=total,
+            alternatives=alternatives,
+        )
+        for index, (total, combo, merge) in enumerate(ranked[:keep])
     ]
 
 

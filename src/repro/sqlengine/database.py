@@ -9,9 +9,9 @@ offering the interface a remote server exposes to the federation:
 ``explain`` is a pure function of the SQL text, the catalog and the
 optimizer's profile, so its answers are kept in a statement cache (DB2's
 dynamic statement cache) that is dropped the moment any of those moves.  Below those caches, the statement planned
-last is shared by every database: a server whose catalog content equals
-that statement's takes its bound block, plan nodes included, and only
-prices them (docs/plan_cache.md, "The shared entry").
+or offered last is shared by every database: a server whose catalog
+content equals that statement's takes its bound block, plan nodes
+included, and only prices them (docs/plan_cache.md, "The shared entry").
 """
 
 from __future__ import annotations
@@ -42,13 +42,29 @@ class _Planned(NamedTuple):
     block: QueryBlock
 
 
-#: The statement any database planned last.  The meta-wrapper asks a
-#: fragment's candidate servers back to back, so one entry lets servers
-#: with equal catalogs share one parse, one bind and the block's plan
-#: space, each optimizer pricing it under its own profile.  It is
-#: process-wide because the servers are independent databases; its key
-#: is exact, so no answer depends on what it holds.
+#: The statement any database planned last, or the decomposer offered
+#: last.  The meta-wrapper asks a fragment's candidate servers back to
+#: back, so one entry lets servers with equal catalogs share one parse,
+#: one bind and the block's plan space, each optimizer pricing it under
+#: its own profile.  It is process-wide because the servers are
+#: independent databases; its key is exact, so no answer depends on
+#: what it holds.
 _last_planned: Optional[_Planned] = None
+
+
+def offer_bound(
+    sql: str,
+    statement: SelectStatement,
+    content: Tuple[TableDef, ...],
+    block: QueryBlock,
+) -> None:
+    """Make *block* the shared entry: *statement*, whose text is *sql*
+    (``parse(sql) == statement``), bound over a catalog whose
+    ``content()`` is *content*.  A statement-cache miss on *sql* over
+    equal content then takes the block, one over other content binds
+    *statement* without parsing *sql*."""
+    global _last_planned
+    _last_planned = _Planned(sql, statement, content, block)
 
 
 class Database:
@@ -120,11 +136,10 @@ class Database:
         return list(candidates)
 
     def _bound(self, sql: str) -> QueryBlock:
-        """*sql* bound against this catalog — the block last planned, by
-        this database or any other, when it is the same text over equal
-        catalog content (its plan space comes with it), else a new one,
-        parsed afresh unless the text is the last one's."""
-        global _last_planned
+        """*sql* bound against this catalog — the block last planned or
+        offered, by this database or anyone else, when it is the same
+        text over equal catalog content (its plan space comes with it),
+        else a new one, parsed afresh unless the text is the last one's."""
         last = _last_planned
         if last is None or last.sql != sql:
             statement = parse(sql)
@@ -135,7 +150,7 @@ class Database:
         else:
             statement = last.statement
         block = bind(statement, self.catalog)
-        _last_planned = _Planned(sql, statement, self._content, block)
+        offer_bound(sql, statement, self._content, block)
         return block
 
     def statement_cache_stats(self) -> Dict[str, int]:

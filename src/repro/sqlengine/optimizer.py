@@ -10,6 +10,7 @@ near-equal-cost plans.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
@@ -223,13 +224,20 @@ class Optimizer:
             )
         for subset_key, splits in space.subsets(block):
             candidates: List[PlanCandidate] = []
+            # The smallest totals priced for the subset so far, ascending,
+            # at most ``KEEP_ALTERNATIVES`` of them.
+            lowest: List[float] = []
             for split in splits:
                 if split.left not in best or split.right not in best:
                     continue
-                candidates.extend(
-                    self._join_split(
-                        best[split.left], best[split.right], split, estimator, space
-                    )
+                self._join_split(
+                    best[split.left],
+                    best[split.right],
+                    split,
+                    estimator,
+                    space,
+                    candidates,
+                    lowest,
                 )
             if not candidates:
                 continue
@@ -250,18 +258,34 @@ class Optimizer:
         split: _Split,
         estimator: CostEstimator,
         space: PlanSpace,
-    ) -> List[PlanCandidate]:
-        """Every join method over every pair of alternatives of one split.
+        candidates: List[PlanCandidate],
+        lowest: List[float],
+    ) -> None:
+        """Every join method over every pair of alternatives of one split
+        that can still rank among its subset's cheapest, appended to
+        *candidates*; *lowest* keeps the subset's smallest totals.
 
-        The key lists and the nested-loop condition belong to the split,
-        so its joins share them — and *estimator*, which prices by
-        identity, evaluates their selectivity once for the split.
+        A pair is skipped once ``left.total + right.total`` exceeds the
+        ``KEEP_ALTERNATIVES``-th smallest total priced for the subset:
+        both join formulas add non-negative terms to that sum, so each
+        of its joins would sort behind that many candidates, and the
+        subset's candidates have distinct signatures, so ``_dedupe``
+        keeps none beyond them (docs/cost_model.md, "The join DP's
+        bound").  The key lists and the nested-loop condition belong to
+        the split, so its joins share them — and *estimator*, which
+        prices by identity, evaluates their selectivity once for the
+        split.
         """
+        keep = KEEP_ALTERNATIVES
         left_keys, right_keys = split.left_keys, split.right_keys
-        results: List[PlanCandidate] = []
         for left_alt, right_alt in itertools.product(
             left_alternatives, right_alternatives
         ):
+            if (
+                len(lowest) == keep
+                and left_alt.cost.total + right_alt.cost.total > lowest[-1]
+            ):
+                continue
             left, right = left_alt.plan, right_alt.plan
             joins: List[PhysicalPlan] = []
             if left_keys:
@@ -278,10 +302,11 @@ class Optimizer:
                 )
             )
             for join in joins:
-                results.append(
-                    PlanCandidate(join, join.estimate_cost(estimator))
-                )
-        return results
+                cost = join.estimate_cost(estimator)
+                candidates.append(PlanCandidate(join, cost))
+                if len(lowest) < keep or cost.total < lowest[-1]:
+                    bisect.insort(lowest, cost.total)
+                    del lowest[keep:]
 
     # -- fixed join chains (outer joins) ------------------------------------
 

@@ -1,5 +1,7 @@
 """Unit tests for global plan enumeration, dominance and clustering."""
 
+import dataclasses
+import itertools
 import math
 
 import pytest
@@ -12,7 +14,9 @@ from repro.fed import (
     eliminate_dominated,
     enumerate_global_plans,
 )
-from repro.fed.global_optimizer import FragmentOption
+from repro.fed import global_optimizer
+from repro.fed.global_optimizer import FragmentOption, GlobalPlan
+from repro.fed.merge import estimate_merge_cost
 from repro.sqlengine import (
     PlanCost,
     REFERENCE_PROFILE,
@@ -130,6 +134,83 @@ class TestEnumeration:
             enumerate_global_plans(
                 decomposed, options, REFERENCE_PROFILE
             )
+
+
+def _per_combination(decomposed, options, profile, factor, keep):
+    """The merge priced for every combination: what the enumeration
+    does with each distinct tuple of fragment cardinalities priced once."""
+    per_fragment = [
+        sorted(options[f.fragment_id], key=lambda o: o.calibrated.total)
+        for f in decomposed.fragments
+    ]
+    plans = []
+    for combo in itertools.product(*per_fragment):
+        merge = estimate_merge_cost(
+            decomposed,
+            {c.fragment.fragment_id: c.calibrated.rows for c in combo},
+            profile,
+        )
+        total = max(c.calibrated.total for c in combo) + merge.total * factor
+        plans.append(GlobalPlan("", tuple(combo), merge, total))
+    plans.sort(key=lambda p: p.total_cost)
+    return [
+        dataclasses.replace(p, plan_id=f"p{i + 1}") for i, p in enumerate(plans[:keep])
+    ]
+
+
+def _with_rows(options, rows):
+    """*options* with calibrated cardinalities *rows*, in order."""
+    return {
+        fragment_id: [
+            dataclasses.replace(
+                option, calibrated=dataclasses.replace(option.calibrated, rows=r)
+            )
+            for option, r in zip(fragment_options, rows[fragment_id])
+        ]
+        for fragment_id, fragment_options in options.items()
+    }
+
+
+class TestMergePricedOncePerCardinality:
+    @pytest.mark.parametrize(
+        "rows, distinct",
+        [
+            ({"QF1": (100.0,) * 3, "QF2": (100.0,) * 3}, 1),
+            ({"QF1": (100.0, 40.0, 100.0), "QF2": (7.0, 7.0, 3000.0)}, 4),
+        ],
+        ids=["equal", "different"],
+    )
+    @pytest.mark.parametrize("keep", [16, 4])
+    def test_equals_per_combination_costing(
+        self, q6_setup, monkeypatch, rows, distinct, keep
+    ):
+        decomposed, options = q6_setup
+        options = _with_rows(options, rows)
+        qf1 = decomposed.fragments[0].fragment_id
+        # A tie on the fragment side: the order must still be the stable one.
+        options[qf1][2] = dataclasses.replace(
+            options[qf1][2], calibrated=options[qf1][0].calibrated
+        )
+        calls = []
+
+        def counting(decomposed, fragment_rows, profile):
+            calls.append(tuple(fragment_rows.values()))
+            return estimate_merge_cost(decomposed, fragment_rows, profile)
+
+        monkeypatch.setattr(global_optimizer, "estimate_merge_cost", counting)
+        plans = enumerate_global_plans(
+            decomposed, options, REFERENCE_PROFILE, 1.5, keep=keep
+        )
+        assert len(calls) == len(set(calls)) == distinct
+        expected = _per_combination(decomposed, options, REFERENCE_PROFILE, 1.5, keep)
+        assert [
+            (p.plan_id, p.choices, p.merge_cost, p.total_cost) for p in plans
+        ] == [(p.plan_id, p.choices, p.merge_cost, p.total_cost) for p in expected]
+        for plan in plans:
+            assert plan.alternatives == {
+                fragment_id: tuple(fragment_options)
+                for fragment_id, fragment_options in options.items()
+            }
 
 
 class TestDominanceAndClustering:

@@ -2,12 +2,14 @@
 each still explains the fragment as it would alone.
 
 The meta-wrapper asks a fragment's candidate servers back to back.  In
-the three-server topology every server holds every table, so all of them
-share one parse, one bind and one set of plan nodes per fragment text; in
-the replica topology S1/R1 hold equal copies of one table group and
-S2/R2 of the other, so each pair shares and the pairs never do.  Either
-way every server's answer is the memo-free oracle's (``plan_sql``):
-signatures, ``PlanCost ==`` and order.
+the three-server topology every server holds every table, so every
+fragment is its whole query and all of them share one set of plan nodes
+per text, over the block the decomposer parsed and bound: the servers
+parse and bind nothing.  In the replica topology S1/R1 hold equal copies
+of one table group and S2/R2 of the other, so each pair shares one bind
+and the pairs never do.  Either way every server's answer is the
+memo-free oracle's (``plan_sql``): signatures, ``PlanCost ==`` and
+order.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 
 import pytest
 
+from repro.fed import decomposer as decomposer_module
 from repro.harness import build_federation, build_replica_federation
 from repro.sqlengine import plan_sql
 from repro.sqlengine import database as database_module
@@ -36,42 +39,56 @@ def _node_ids(candidates):
 
 def _explained(deployment, monkeypatch):
     """(server, text) -> candidates for every fragment QT1-QT5 send a
-    server, and the binds each text cost across servers."""
+    server; the parses and binds each text cost across servers; and the
+    binds the decomposer made, by the text of what it bound."""
     answers = {}
-    binds = collections.Counter()
-    plans, bind = RelationalWrapper.plans, database_module.bind
+    work = collections.Counter()
+    decomposed = collections.Counter()
+    plans = RelationalWrapper.plans
+    parse, bind = database_module.parse, database_module.bind
 
     def recording_plans(self, fragment_sql, t_ms):
-        before = binds[None]
+        before = work["parse"], work["bind"]
         candidates = plans(self, fragment_sql, t_ms)
         sql = self.translate(fragment_sql)
         answers[self.server.name, sql] = candidates
-        binds[sql] += binds[None] - before
+        work["parse", sql] += work["parse"] - before[0]
+        work["bind", sql] += work["bind"] - before[1]
         return candidates
 
+    def counting_parse(sql):
+        work["parse"] += 1
+        return parse(sql)
+
     def counting_bind(statement, catalog):
-        binds[None] += 1
+        work["bind"] += 1
+        return bind(statement, catalog)
+
+    def counting_decomposer_bind(statement, catalog):
+        decomposed[statement.sql()] += 1
         return bind(statement, catalog)
 
     monkeypatch.setattr(RelationalWrapper, "plans", recording_plans)
+    monkeypatch.setattr(database_module, "parse", counting_parse)
     monkeypatch.setattr(database_module, "bind", counting_bind)
+    monkeypatch.setattr(decomposer_module, "bind", counting_decomposer_bind)
     for template in EXTENDED_QUERY_TYPES:
         for instance in range(2):
             deployment.integrator.submit(template.instance(instance).sql)
     monkeypatch.undo()
-    return answers, binds
+    return answers, work, decomposed
 
 
 @pytest.mark.parametrize(
-    "build, groups",
+    "build, groups, server_binds",
     [
-        (build_federation, [("S1", "S2", "S3")]),
-        (build_replica_federation, [("S1", "R1"), ("S2", "R2")]),
+        (build_federation, [("S1", "S2", "S3")], 0),
+        (build_replica_federation, [("S1", "R1"), ("S2", "R2")], 1),
     ],
     ids=["three-server", "replica"],
 )
 def test_servers_with_equal_catalogs_share_and_plan_as_if_alone(
-    build, groups, monkeypatch
+    build, groups, server_binds, monkeypatch
 ):
     deployment = build(scale=TEST_SCALE)
     servers = deployment.servers
@@ -82,7 +99,7 @@ def test_servers_with_equal_catalogs_share_and_plan_as_if_alone(
         )
         assert equal == (group_of[one] == group_of[other]), (one, other)
 
-    answers, binds = _explained(deployment, monkeypatch)
+    answers, work, decomposed = _explained(deployment, monkeypatch)
     by_text = collections.defaultdict(dict)
     for (name, sql), candidates in answers.items():
         db = servers[name].database
@@ -99,8 +116,16 @@ def test_servers_with_equal_catalogs_share_and_plan_as_if_alone(
         assert len(nodes_at) > 1
         for one, other in itertools.combinations(nodes_at, 2):
             assert nodes_at[one] & nodes_at[other], (sql, one, other)
-    # One bind per text: the servers of a group took turns on it.
-    assert all(binds[sql] == 1 for sql in by_text)
+    # The servers of a group took turns on one bind per text, or on
+    # none: in the three-server topology each text is a whole query,
+    # bound once, in the decomposer.  A server whose catalog differs
+    # from the registry's binds the decomposer's parse, never its own.
+    for sql in by_text:
+        assert work["bind", sql] == server_binds, sql
+        if decomposed[sql]:
+            assert work["parse", sql] == 0, sql
+    if not server_binds:
+        assert all(decomposed[sql] == 1 for sql in by_text)
 
 
 def test_the_registry_keeps_its_copy_when_a_host_analyzes():
@@ -114,3 +139,30 @@ def test_the_registry_keeps_its_copy_when_a_host_analyzes():
     assert deployment.registry.global_catalog.lookup("customer") is registered
     assert registered.stats is before
     assert before.row_count == len(table.rows) - 10
+
+
+def test_a_host_whose_statistics_moved_binds_the_query_itself(monkeypatch):
+    # After S1 loads more rows its catalog content no longer equals the
+    # registry's: it binds the decomposer's statement against its own
+    # statistics, and S2 and S3 still take the decomposer's block.
+    deployment = build_federation(scale=TEST_SCALE)
+    servers = deployment.servers
+    host = servers["S1"].database
+    host.load_rows("customer", list(host.storage.table("customer").rows[:10]))
+    registry_content = deployment.registry.global_catalog.content()
+    assert host.catalog.content() != registry_content
+    assert servers["S2"].database.catalog.content() == registry_content
+
+    answers, work, decomposed = _explained(deployment, monkeypatch)
+    nodes_at = collections.defaultdict(dict)
+    for (name, sql), candidates in answers.items():
+        db = servers[name].database
+        assert [(c.signature, c.cost) for c in candidates] == [
+            (c.signature, c.cost)
+            for c in plan_sql(sql, db.catalog, db.profile)
+        ], (name, sql)
+        nodes_at[sql][name] = _node_ids(candidates)
+    for sql, nodes in nodes_at.items():
+        assert decomposed[sql] == 1 and work["parse", sql] == 0, sql
+        assert not nodes["S1"] & nodes["S2"], sql
+        assert nodes["S2"] & nodes["S3"], sql

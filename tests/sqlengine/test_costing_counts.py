@@ -52,13 +52,15 @@ def test_qt4_costing_work_is_pinned(sample_databases, counts):
     assert len(block.relations) == 3
     candidates = db.optimizer.optimize(block)
     assert len(candidates) == 3
-    # Nodes: 3 scans, 42 joins (12 splits, 1-3 alternatives a side, hash
-    # and nested-loop each; the two o|p splits are cross joins), 3
-    # aggregates.  Evaluations: a page count per scan; a selectivity for
-    # the two local predicates, for the absent one (scan of l and the
-    # cross joins share it) and for the condition of each of the ten
-    # splits that has one.
-    assert counts == {"evaluations": 3 + 3 + 10, "nodes": 3 + 42 + 3}
+    # Nodes: 3 scans, 32 joins, 3 aggregates.  The 12 splits offer 42
+    # joins (1-3 alternatives a side, hash and nested-loop each; the two
+    # o|p splits are cross joins); the other ten belong to pairs whose
+    # two sides already cost more than the third-cheapest join their
+    # subset had priced, and are never built.  Evaluations: a page count
+    # per scan; a selectivity for the two local predicates, for the
+    # absent one (scan of l and the cross joins share it) and for the
+    # condition of each of the ten splits that has one.
+    assert counts == {"evaluations": 3 + 3 + 10, "nodes": 3 + 32 + 3}
 
 
 def test_four_relation_clique_costing_is_linear(counts):
@@ -85,5 +87,8 @@ def test_four_relation_clique_costing_is_linear(counts):
         f"WHERE {joins} AND r0.v > 10 AND r3.v < 400 GROUP BY r0.v"
     )
     Optimizer().optimize(bind(parse(sql), catalog))
-    assert counts["nodes"] > 300  # 50 splits, hash and nested-loop each
+    # 50 splits, hash and nested-loop each, would build 331 nodes; the
+    # DP's bound skips the pairs that cannot reach their subset's top
+    # three.
+    assert counts["nodes"] == 105
     assert counts["evaluations"] <= counts["nodes"]

@@ -36,6 +36,7 @@ from repro.sqlengine import (
     SqlError,
     bind,
     logical,
+    parse,
     parse_statement,
 )
 from repro.sqlengine import expressions as E
@@ -72,6 +73,7 @@ from repro.sqlengine.parser import (
     tokenize,
 )
 from repro.workload import TEST_SCALE
+from repro.workload.queries import EXTENDED_QUERY_TYPES
 from repro.workload.schema import table_specs
 
 # --------------------------------------------------------------------------
@@ -933,3 +935,39 @@ class TestNumberRuleIsTheOnlyException:
     def test_compared(self, text):
         assert not under_number_rule(text)
         compare_with_reference(text)
+
+
+# --------------------------------------------------------------------------
+# The rendered text of a statement
+# --------------------------------------------------------------------------
+
+
+def check_round_trip(statement: SelectStatement) -> None:
+    """``parse(s.sql()) == s``, with the same text again and the same
+    bound block (or bind error): the decomposer offers its own parse of
+    a query to the servers that explain the query's rendered text."""
+    text = statement.sql()
+    again = parse(text)
+    assert again == statement, text
+    assert again.sql() == text
+    assert _bound(again) == _bound(statement), text
+
+
+class TestRenderedTextRoundTrips:
+    @given(_selects())
+    @settings(deadline=None)
+    def test_generated_selects(self, text):
+        try:
+            statement = parse(text)
+        except ParseError:
+            event("rejected")
+            return
+        event("accepted")
+        check_round_trip(statement)
+
+    @pytest.mark.parametrize(
+        "template", EXTENDED_QUERY_TYPES, ids=lambda template: template.name
+    )
+    def test_query_type_texts(self, template):
+        for instance in template.instances(25):
+            check_round_trip(parse(instance.sql))

@@ -456,3 +456,41 @@ def test_outer_join_chains_match_reference(sql, keep, monkeypatch):
             )
         )
     _assert_matches_reference(sql, catalog, OTHER_PROFILE)
+
+
+@pytest.mark.parametrize("rows", [(0, 40), (40, 800), (6_000, 1)])
+@pytest.mark.parametrize(
+    "where",
+    [
+        "r0.k = 7 AND r1.k = 7",
+        "r0.k = 7 AND r0.v = 2 AND r1.k = 7 AND r1.v = 3",
+        "r0.k = r1.k AND r0.v = 3 AND r1.k = 7",
+    ],
+    ids=["cross", "cross-two-probes", "equi"],
+)
+@pytest.mark.parametrize("keep", [1, 2, 3])
+def test_the_join_bound_waits_for_keep_totals(rows, where, keep, monkeypatch):
+    # Index and sequential scans a side, and cross joins with one method
+    # per pair: a subset prices fewer than ``keep`` joins before pairs
+    # whose sides already cost more than all of them come up.  They may
+    # be skipped only once ``keep`` totals are known.
+    monkeypatch.setattr(optimizer_module, "KEEP_ALTERNATIVES", keep)
+    catalog = Catalog()
+    for i, count in enumerate(rows):
+        catalog.register(
+            TableDef(
+                f"t{i}",
+                Schema((Column("k", ColumnType.INT), Column("v", ColumnType.FLOAT))),
+                TableStats(
+                    count,
+                    {
+                        "k": ColumnStats(max(count // 4, 1), 0, max(count, 1)),
+                        "v": ColumnStats(97, 0.0, 500.0),
+                    },
+                ),
+                (IndexDef(f"t{i}", "k"), IndexDef(f"t{i}", "v")),
+            )
+        )
+    _assert_matches_reference(
+        f"SELECT * FROM t0 r0, t1 r1 WHERE {where}", catalog, OTHER_PROFILE
+    )
