@@ -9,6 +9,7 @@ that the Query Cost Calibrator compensates for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .types import ColumnType, Row, Schema, SqlError
@@ -69,8 +70,7 @@ def collect_stats(schema: Schema, rows: Sequence[Row]) -> TableStats:
     n = len(rows)
     column_stats: Dict[str, ColumnStats] = {}
     for idx, col in enumerate(schema.columns):
-        values = [row[idx] for row in rows]
-        non_null = [v for v in values if v is not None]
+        non_null = [v for v in map(itemgetter(idx), rows) if v is not None]
         distinct = len(set(non_null))
         null_frac = (n - len(non_null)) / n if n else 0.0
         if non_null:
@@ -78,7 +78,7 @@ def collect_stats(schema: Schema, rows: Sequence[Row]) -> TableStats:
         else:
             min_v = max_v = None
         if col.ctype is ColumnType.STR and non_null:
-            avg_len = sum(len(v) for v in non_null) / len(non_null)
+            avg_len = sum(map(len, non_null)) / len(non_null)
         else:
             avg_len = 16.0
         column_stats[col.name] = ColumnStats(

@@ -134,9 +134,9 @@ class TableSpec:
         """Yield deterministic rows for this spec given *seed*."""
         # str hash is salted per-process; crc32 keeps seeds stable across runs.
         rng = random.Random(seed * 2654435761 + zlib.crc32(self.name.encode()))
-        generators = [gen for _, _, gen in self.columns]
+        generators = [gen.generate for _, _, gen in self.columns]
         for row_index in range(self.row_count):
-            yield tuple(gen.generate(rng, row_index) for gen in generators)
+            yield tuple([generate(rng, row_index) for generate in generators])
 
     def scaled(self, factor: float) -> "TableSpec":
         """A spec with row_count (and FK ranges) scaled by *factor*."""

@@ -92,8 +92,7 @@ class HeapTable:
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
         """Append *rows*: all validated first (a bad row inserts none),
         then one version bump and one extension per index."""
-        validate = self.schema.validate_row
-        validated = [validate(row) for row in rows]
+        validated = self.schema.validate_rows(list(rows))
         if validated:
             first_rid = len(self.rows)
             self.rows.extend(validated)

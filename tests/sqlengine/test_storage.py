@@ -130,6 +130,19 @@ class TestStorageManager:
         with pytest.raises(StorageError):
             storage.table("missing")
 
+    def test_a_valid_bulk_load_stores_the_callers_tuples(self, storage):
+        rows = [(i, str(i)) for i in range(5)]
+        storage.load_rows("t", iter(rows))
+        stored = storage.table("t").rows
+        assert len(stored) == len(rows)
+        assert all(kept is row for kept, row in zip(stored, rows))
+
+    def test_a_load_needing_coercion_stores_validated_tuples(self, storage):
+        rows = [(1, "a"), [2, "b"]]
+        storage.load_rows("t", rows)
+        assert storage.table("t").rows == [(1, "a"), (2, "b")]
+        assert type(storage.table("t").rows[1]) is tuple
+
     def test_load_rows_refreshes_stats(self, storage):
         storage.load_rows("t", [(1, "a"), (2, "b"), (2, "c")])
         stats = storage.catalog.lookup("t").stats

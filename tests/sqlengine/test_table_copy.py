@@ -225,22 +225,31 @@ class TestWritesStayOnTheirHost:
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 def test_each_table_is_generated_and_validated_once(topology, monkeypatch):
-    generated, validated = [], [0]
-    generate_rows, validate_row = TableSpec.generate_rows, Schema.validate_row
+    generated, checked, coerced = [], [], [0]
+    generate_rows = TableSpec.generate_rows
+    validate_rows, validate_row = Schema.validate_rows, Schema.validate_row
 
     def counting_generate(spec, seed):
         generated.append(spec.name)
         return generate_rows(spec, seed)
 
+    def counting_check(schema, rows):
+        checked.append(len(rows))
+        return validate_rows(schema, rows)
+
     def counting_validate(schema, row):
-        validated[0] += 1
+        coerced[0] += 1
         return validate_row(schema, row)
 
     monkeypatch.setattr(TableSpec, "generate_rows", counting_generate)
+    monkeypatch.setattr(Schema, "validate_rows", counting_check)
     monkeypatch.setattr(Schema, "validate_row", counting_validate)
     databases = TOPOLOGIES[topology][0]()
     assert sorted(generated) == sorted(SPECS)
-    assert validated[0] == sum(spec.row_count for spec in SPECS.values())
+    # One bulk check per table, over all of its rows; generated values
+    # already have their columns' types, so none is coerced one by one.
+    assert sorted(checked) == sorted(spec.row_count for spec in SPECS.values())
+    assert coerced[0] == 0
     assert len(databases) == (3 if topology == "triple" else 4)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for value and schema types."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import (
     Column,
@@ -188,3 +189,111 @@ def test_rows_equal_unordered():
     assert not rows_equal_unordered([(1,)], [(1,), (1,)])
     # None values sort without TypeError
     assert rows_equal_unordered([(None,), (1,)], [(1,), (None,)])
+
+
+# -- a bulk load is checked a column at a time -------------------------------
+
+
+class _Int(int):
+    """An ``int`` subclass: INT columns accept it, the column check does not."""
+
+
+#: Each column type's own values; a batch of these passes the column check.
+_VALUES = {
+    ColumnType.INT: st.integers(-5, 5),
+    ColumnType.FLOAT: st.floats(allow_nan=False, width=32),
+    ColumnType.STR: st.text(max_size=3),
+    ColumnType.BOOL: st.booleans(),
+}
+#: What a defect puts in a row: a value of any kind but NULL.
+_ANY_VALUE = st.one_of(*_VALUES.values(), st.integers(-5, 5).map(_Int))
+
+
+@st.composite
+def _batches(draw):
+    """A schema and rows of its own values, with up to two rows then
+    given another value, another arity or the form of a list."""
+    ctypes = draw(st.lists(st.sampled_from(list(ColumnType)), max_size=4))
+    own = st.tuples(*(st.one_of(st.none(), _VALUES[c]) for c in ctypes))
+    rows = draw(st.lists(own, max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        at = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[at])
+        defect = draw(st.sampled_from(("value", "value", "arity", "list")))
+        if defect == "value" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ANY_VALUE)
+        elif defect == "arity":
+            row = draw(st.lists(_ANY_VALUE, max_size=5))
+        rows[at] = row if defect == "list" else tuple(row)
+    return Schema(tuple(Column(f"c{i}", c) for i, c in enumerate(ctypes))), rows
+
+
+def _outcome(check):
+    """(value, type) of every stored value, or (error type, message)."""
+    try:
+        rows = check()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [
+        (type(row), [(value, type(value)) for value in row]) for row in rows
+    ]
+
+
+class TestValidateRows:
+    """``validate_rows`` is ``validate_row`` per row, but checked per column.
+
+    Mutants these catch: the type-set ``<=`` turned into ``==`` (a
+    NULL-free column takes the per-row path: the ``is`` cases), a dropped
+    arity or plain-tuple check, and ``float`` or ``bool`` stored unchanged
+    in an INT column or an ``int`` in a FLOAT one (the property at most
+    seeds, the row-by-row cases always).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(_batches())
+    def test_equals_validating_each_row(self, batch):
+        schema, rows = batch
+        expected = _outcome(lambda: [schema.validate_row(row) for row in rows])
+        assert _outcome(lambda: schema.validate_rows(list(rows))) == expected
+
+    def test_rows_that_need_nothing_are_returned_as_they_are(self):
+        schema = Schema(
+            (
+                Column("a", ColumnType.INT),
+                Column("b", ColumnType.FLOAT),
+                Column("c", ColumnType.STR),
+                Column("d", ColumnType.BOOL),
+            )
+        )
+        rows = [(1, 2.5, "x", True), (3, 0.0, "", False)]
+        for batch in (rows, rows + [(None, None, None, None)]):
+            checked = schema.validate_rows(batch)
+            assert all(stored is row for stored, row in zip(checked, batch))
+        assert schema.validate_rows([]) == []
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([(1, 2.0), (3, 4)], None),  # an int widened into the FLOAT column
+            ([(1, 2.0), [3, 4.0]], None),  # a list row stored as a tuple
+            ([(1, 2.0), (_Int(3), 4.0)], None),  # the subclass kept, as before
+            ([(1, 2.0), (3.0, 4.0)], TypeMismatchError),
+            ([(1, 2.0), (True, 4.0)], TypeMismatchError),
+            ([(1, 2.0), (3, 4.0, 5)], SchemaError),
+            ([(1, 2.0), (3,)], SchemaError),
+            ([("x", 2.0), (3,)], TypeMismatchError),  # the first bad row raises
+        ],
+    )
+    def test_anything_else_goes_row_by_row(self, rows, error):
+        schema = Schema(
+            (Column("a", ColumnType.INT), Column("b", ColumnType.FLOAT))
+        )
+        if error is not None:
+            with pytest.raises(error):
+                schema.validate_rows(rows)
+            return
+        checked = schema.validate_rows(rows)
+        assert _outcome(lambda: checked) == _outcome(
+            lambda: [schema.validate_row(row) for row in rows]
+        )
+        assert all(type(row) is tuple for row in checked)
