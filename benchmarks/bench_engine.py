@@ -1,10 +1,9 @@
 """Row reference vs columnar engine: speedup and differential checks.
 
 The columnar engine exists purely for throughput: operators stream
-column batches with selection vectors through compiled kernels —
-dictionary-encoded strings, no row copies, tuples only at the output
-boundary (docs/execution.md) — instead of pulling one tuple at a time
-through Python generators.  Correctness is non-negotiable — the
+column batches with selection vectors through compiled kernels — no
+row copies, tuples only at the output boundary (docs/execution.md) —
+instead of pulling one tuple at a time through Python generators.  Correctness is non-negotiable — the
 response-time simulation and QCC calibration are driven by
 ``WorkMeter`` totals, so both engines must produce identical rows *and*
 bit-identical metered work on every shape here.
@@ -15,9 +14,10 @@ columnar must reach ``REPRO_BENCH_ENGINE_MIN`` (default 4x).
 * ``SHAPES`` (numeric scan / filter / join / aggregate — the original
   acceptance shapes): the final tuple-materialisation boundary caps the
   gain here around 5-7x.
-* ``COLUMNAR_SHAPES`` (dictionary predicates, grouping, DISTINCT —
-  where dict codes and selection vectors change the algorithm, not just
-  the constant): 9-17x.
+* ``COLUMNAR_SHAPES`` (string predicates, grouping, DISTINCT — where
+  selection vectors and whole-input grouping change the algorithm, not
+  just the constant): 12-22x on grouping and DISTINCT.  LIKE tests
+  each row's value, as the row engine does, so its shapes read 1.5-4x.
 
 Per-shape timings, rows/sec, per-batch memory (columnar
 ``storage_bytes`` vs a deep ``getsizeof`` of the same rows as tuples)
@@ -96,29 +96,29 @@ SHAPES = (
     ),
 )
 
-#: Shapes where the columnar layout changes the algorithm: LIKE / IN
-#: evaluated once per dictionary entry instead of once per row,
-#: grouping and DISTINCT over integer codes, COUNT(*) histograms.
+#: Shapes where the columnar layout changes the algorithm: LIKE kernels
+#: over a whole column, grouping and DISTINCT over a whole input at
+#: once, COUNT(*) histograms.
 #: These run over the bench-local ``tags`` table (the workload's
 #: string columns only exist on the small tables) plus the workload's
 #: own grouping / DISTINCT shapes.
 COLUMNAR_SHAPES = (
     (
-        "dict-like-agg",
+        "str-like-agg",
         "SELECT COUNT(*), SUM(val), AVG(val) FROM tags "
         "WHERE tag LIKE '%1%'",
     ),
     (
-        "dict-multi-like",
+        "str-multi-like",
         "SELECT COUNT(*), AVG(val) FROM tags WHERE label LIKE '%1%' "
         "AND label NOT LIKE '%13%' AND tag LIKE 'tag%'",
     ),
     (
-        "dict-complex-like",
+        "str-complex-like",
         "SELECT id FROM tags WHERE label LIKE '%ab%0%4%'",
     ),
     (
-        "dict-group",
+        "str-group",
         "SELECT tag, COUNT(*), SUM(val), MAX(val) FROM tags GROUP BY tag",
     ),
     (
@@ -126,7 +126,7 @@ COLUMNAR_SHAPES = (
         "SELECT l.prodkey, COUNT(*) FROM lineitem l GROUP BY l.prodkey",
     ),
     (
-        "dict-count-group",
+        "str-count-group",
         "SELECT tag, COUNT(*) FROM tags GROUP BY tag",
     ),
     (
@@ -134,7 +134,7 @@ COLUMNAR_SHAPES = (
         "SELECT DISTINCT o.custkey FROM orders o",
     ),
     (
-        "dict-distinct",
+        "str-distinct",
         "SELECT DISTINCT label FROM tags",
     ),
 )
@@ -145,7 +145,7 @@ def engine_db():
     database = Database(name="bench-engine")
     populate(database, table_specs(BENCH_SCALE), seed=7)
 
-    # Bench-local string table: a large dictionary-encodable workload
+    # Bench-local string table: few distinct strings over many rows
     # (24 tags, 200 labels over BENCH_SCALE.large_rows rows).
     rng = random.Random(11)
     tags = [f"tag_{i:02d}" for i in range(24)]

@@ -10,7 +10,6 @@ from .catalog import Catalog, CatalogError, ColumnStats, IndexDef, TableDef, Tab
 from .columnar import (
     ColumnBatch,
     ColumnData,
-    DictColumn,
     TableColumns,
     ValueColumn,
 )
@@ -113,7 +112,7 @@ __all__ = [
     "CatalogError", "Choice", "Column", "ColumnBatch", "ColumnData",
     "ColumnGen", "ColumnRef",
     "ColumnStats", "ColumnType", "Comparison",
-    "DictColumn", "TableColumns", "ValueColumn",
+    "TableColumns", "ValueColumn",
     "Database", "DEFAULT_BATCH_SIZE",
     "ENGINES",
     "DeleteStatement", "Distinct", "DmlError", "DmlResult",

@@ -10,14 +10,10 @@ column objects with a narrower selection (:meth:`ColumnBatch.with_sel`).
 Column representations:
 
 * ``TableColumn`` — one column of a stored table's projection, built
-  when a kernel first reads it: a plain value list for numeric and
-  boolean columns (the row tuples' own objects, so nothing is copied or
-  re-boxed), a ``DictColumn`` for strings;
-* ``DictColumn`` — dictionary-encoded strings: an ``array('q')`` of
-  codes (−1 = NULL) plus a shared dictionary/encode map, so equality
-  predicates, hash-join probes and group-by keys can work on integer
-  codes instead of string values;
-* ``ValueColumn`` — plain Python list (table numerics, operator
+  when a kernel first reads it: a plain value list of the row tuples'
+  own objects, whatever the column's type, so nothing is copied or
+  re-boxed;
+* ``ValueColumn`` — plain Python list (stored columns, operator
   intermediates);
 * ``SliceColumn`` / ``TakeColumn`` / ``GatherColumn`` — lazy views used
   for scan batching, index-scan rid fetches and join output.  They
@@ -29,14 +25,10 @@ Column representations:
 
 from __future__ import annotations
 
-from array import array
 from sys import getsizeof
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
-from .types import ColumnType, Row, Schema
-
-#: Dictionary code marking a NULL string slot.
-NULL_CODE = -1
+from .types import Row, Schema
 
 
 class ColumnData:
@@ -58,74 +50,13 @@ class ColumnData:
         null-check-free kernel fast paths)."""
         return True
 
-    def dict_view(self) -> Optional[Tuple[List[int], List[str], Dict[str, int]]]:
-        """``(codes, dictionary, encode)`` when dictionary-encoded, else
-        None.  ``codes`` is a plain int list aligned to physical rows."""
-        return None
-
     def storage_bytes(self) -> int:
         """Approximate resident bytes of the compact backing storage."""
         return getsizeof(self.values())
 
 
-class DictColumn(ColumnData):
-    """Dictionary-encoded string column.
-
-    ``codes[i]`` indexes ``dictionary`` (or is :data:`NULL_CODE`);
-    ``encode`` maps string -> code for O(1) literal translation.  The
-    dictionary and encode map are shared by every slice of the column,
-    which is what makes per-batch dictionary reuse free.
-    """
-
-    __slots__ = ("codes", "dictionary", "encode", "_nullable", "_codes_list", "_values")
-
-    def __init__(
-        self,
-        codes: array,
-        dictionary: List[str],
-        encode: Dict[str, int],
-        nullable: bool,
-    ):
-        self.codes = codes
-        self.dictionary = dictionary
-        self.encode = encode
-        self._nullable = nullable
-        self._codes_list: Optional[List[int]] = None
-        self._values: Optional[List[Any]] = None
-
-    def codes_list(self) -> List[int]:
-        lst = self._codes_list
-        if lst is None:
-            lst = self._codes_list = self.codes.tolist()
-        return lst
-
-    def values(self) -> List[Any]:
-        vals = self._values
-        if vals is None:
-            d = self.dictionary
-            if self._nullable:
-                vals = [d[c] if c >= 0 else None for c in self.codes_list()]
-            else:
-                vals = [d[c] for c in self.codes_list()]
-            self._values = vals
-        return vals
-
-    def has_nulls(self) -> bool:
-        return self._nullable
-
-    def dict_view(self) -> Tuple[List[int], List[str], Dict[str, int]]:
-        return (self.codes_list(), self.dictionary, self.encode)
-
-    def storage_bytes(self) -> int:
-        total = getsizeof(self.codes)
-        total += getsizeof(self.dictionary)
-        total += sum(getsizeof(s) for s in self.dictionary)
-        total += getsizeof(self.encode)
-        return total
-
-
 class ValueColumn(ColumnData):
-    """Plain Python value list (fallback and operator intermediates)."""
+    """Plain Python value list (stored columns and operator intermediates)."""
 
     __slots__ = ("_vals", "_nullable")
 
@@ -187,13 +118,6 @@ class SliceColumn(ColumnData):
     def has_nulls(self) -> bool:
         return self.parent.has_nulls()
 
-    def dict_view(self) -> Optional[Tuple[List[int], List[str], Dict[str, int]]]:
-        pv = self.parent.dict_view()
-        if pv is None:
-            return None
-        codes, dictionary, encode = pv
-        return (codes[self.start : self.stop], dictionary, encode)
-
 
 class TakeColumn(ColumnData):
     """A gather of arbitrary (valid) physical indices from a parent."""
@@ -214,13 +138,6 @@ class TakeColumn(ColumnData):
 
     def has_nulls(self) -> bool:
         return self.parent.has_nulls()
-
-    def dict_view(self) -> Optional[Tuple[List[int], List[str], Dict[str, int]]]:
-        pv = self.parent.dict_view()
-        if pv is None:
-            return None
-        codes, dictionary, encode = pv
-        return ([codes[i] for i in self.indices], dictionary, encode)
 
 
 class GatherColumn(ColumnData):
@@ -331,29 +248,22 @@ class TableColumn(ColumnData):
 
     A query pays — in time and in resident memory — only for the table
     columns its kernels actually read, and each of those holds exactly
-    one copy of the column: numeric and boolean columns the list of the
-    row tuples' own value objects, string columns their dictionary
-    encoding (decoded views appear only if a kernel asks for them).
+    one copy of the column: the list of the row tuples' own value
+    objects.
     """
 
-    __slots__ = ("_rows", "_idx", "_ctype", "_col")
+    __slots__ = ("_rows", "_idx", "_col")
 
-    def __init__(self, rows: Sequence[Row], idx: int, ctype: ColumnType):
+    def __init__(self, rows: Sequence[Row], idx: int):
         self._rows = rows
         self._idx = idx
-        self._ctype = ctype
-        self._col: Optional[ColumnData] = None
+        self._col: Optional[ValueColumn] = None
 
-    def _built(self) -> ColumnData:
+    def _built(self) -> ValueColumn:
         col = self._col
         if col is None:
             idx = self._idx
-            raw = [row[idx] for row in self._rows]
-            if self._ctype is ColumnType.STR:
-                col = _build_dict(raw)
-            else:
-                col = ValueColumn(raw)
-            self._col = col
+            col = self._col = ValueColumn([row[idx] for row in self._rows])
         return col
 
     def values(self) -> List[Any]:
@@ -361,9 +271,6 @@ class TableColumn(ColumnData):
 
     def has_nulls(self) -> bool:
         return self._built().has_nulls()
-
-    def dict_view(self) -> Optional[Tuple[List[int], List[str], Dict[str, int]]]:
-        return self._built().dict_view()
 
 
 class TableColumns:
@@ -373,8 +280,7 @@ class TableColumns:
 
     def __init__(self, rows: Sequence[Row], schema: Schema):
         self.cols = tuple(
-            TableColumn(rows, idx, column.ctype)
-            for idx, column in enumerate(schema.columns)
+            TableColumn(rows, idx) for idx in range(len(schema.columns))
         )
         self.n_rows = len(rows)
 
@@ -394,21 +300,3 @@ class TableColumns:
             None,
         )
 
-
-def _build_dict(raw: List[Any]) -> DictColumn:
-    dictionary: List[str] = []
-    encode: Dict[str, int] = {}
-    codes = array("q")
-    append = codes.append
-    nullable = False
-    for v in raw:
-        if v is None:
-            append(NULL_CODE)
-            nullable = True
-        else:
-            code = encode.get(v)
-            if code is None:
-                code = encode[v] = len(dictionary)
-                dictionary.append(v)
-            append(code)
-    return DictColumn(codes, dictionary, encode, nullable)

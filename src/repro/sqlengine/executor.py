@@ -4,7 +4,7 @@ Two engines run the same physical plan:
 
 * ``"columnar"`` (default) — the production engine: batch-at-a-time via
   ``rows_columnar()`` over column batches with selection vectors
-  (dict-encoded strings, late materialisation at the output boundary);
+  (late materialisation at the output boundary);
 * ``"row"`` — the reference engine: tuple-at-a-time iterators, the small
   independent implementation the differential tests hold the columnar
   engine's rows and meters to (every plan of a chaos sweep included).

@@ -15,9 +15,7 @@ The columnar engine compiles the same trees into two batch targets:
 * :meth:`Expression.compile_filter_columnar` — ``ColumnBatch`` -> a
   *narrowed selection vector* (sorted physical indices where the
   predicate is True).  AND chains narrow the selection conjunct by
-  conjunct; OR unions two sorted selections; equality against a string
-  literal on a dictionary-encoded column compares integer codes, never
-  strings.
+  conjunct; OR unions two sorted selections.
 
 A columnar kernel must return exactly what the per-row evaluator would:
 identical values/selections, identical SQL three-valued logic (AND/OR
@@ -36,7 +34,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -316,8 +313,7 @@ class Comparison(Expression):
 
         # Column-vs-literal: the dominant predicate shape.  Works on the
         # raw physical column (no gather), narrowing the selection with
-        # a single C-level loop; equality against a string literal on a
-        # dictionary-encoded column compares integer codes.
+        # a single C-level loop.
         if isinstance(self.left, ColumnRef) and isinstance(self.right, Literal):
             rv = self.right.value
             if rv is None:
@@ -379,31 +375,10 @@ def _compile_literal_filter(
     loop_op = _REFLECTED_OPS[op] if literal_left else op
     loop = _FILTER_LOOPS[loop_op]
     loop_nn = _FILTER_LOOPS_NN[loop_op]
-    eq_like = loop_op in ("=", "!=")
-    str_literal = isinstance(lit, str)
 
     def filter_literal(batch: "ColumnBatch") -> List[int]:
         col = batch.cols[idx]
         sel = batch.sel
-        if eq_like:
-            view = col.dict_view()
-            if view is not None:
-                codes, _dictionary, encode = view
-                # A literal of another type never equals a string, and
-                # ``!=`` keeps every non-NULL string; -2 is an
-                # impossible code (NULL is -1, real codes are >= 0).
-                code = encode.get(lit, -2) if str_literal else -2
-                if loop_op == "=":
-                    if sel is None:
-                        return [i for i, c in enumerate(codes) if c == code]
-                    return [i for i in sel if codes[i] == code]
-                if sel is None:
-                    return [
-                        i for i, c in enumerate(codes) if c >= 0 and c != code
-                    ]
-                return [
-                    i for i in sel if (c := codes[i]) >= 0 and c != code
-                ]
         vals = col.values()
         use = loop_nn if loop_op == "=" or not col.has_nulls() else loop
         try:
@@ -741,12 +716,7 @@ class _PerValuePredicate(Expression):
 
     ``_test()`` returns the decision for one non-NULL value (raising
     ``TypeMismatchError`` for a value it cannot judge); NULL operands
-    yield NULL.  Over a dictionary-encoded column it runs once per
-    dictionary *entry*, not per row: the set of codes whose answer is
-    True is computed once per dictionary object — one dictionary is
-    shared by every batch of a table version, so the cache (validated by
-    identity, not id alone) also serves later queries — and rows are
-    decided by code membership.
+    yield NULL.
     """
 
     operand: Expression
@@ -764,73 +734,14 @@ class _PerValuePredicate(Expression):
 
         return evaluate
 
-    @staticmethod
-    def _true_codes(
-        test: Callable[[Any], bool],
-    ) -> Callable[[List[str]], FrozenSet[int]]:
-        cache: Dict[int, Tuple[List[str], FrozenSet[int]]] = {}
-
-        def codes_matching(dictionary: List[str]) -> FrozenSet[int]:
-            hit = cache.get(id(dictionary))
-            if hit is not None and hit[0] is dictionary:
-                return hit[1]
-            codes = frozenset(
-                c for c, entry in enumerate(dictionary) if test(entry)
-            )
-            cache[id(dictionary)] = (dictionary, codes)
-            return codes
-
-        return codes_matching
-
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
         f = self.operand.compile_columnar(schema)
         test = self._test()
 
-        def by_value(batch: "ColumnBatch") -> List[Any]:
+        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
             return [None if v is None else test(v) for v in f(batch)]
 
-        if not isinstance(self.operand, ColumnRef):
-            return by_value
-        idx = schema.index_of(self.operand.name)
-        codes_matching = self._true_codes(test)
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            view = batch.cols[idx].dict_view()
-            if view is None:
-                return by_value(batch)
-            codes, dictionary, _encode = view
-            true_codes = codes_matching(dictionary)
-            sel = batch.sel
-            if sel is None:
-                return [None if c < 0 else c in true_codes for c in codes]
-            return [
-                None if (c := codes[i]) < 0 else c in true_codes
-                for i in sel
-            ]
-
         return evaluate_columnar
-
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        by_value = Expression.compile_filter_columnar(self, schema)
-        if not isinstance(self.operand, ColumnRef):
-            return by_value
-        idx = schema.index_of(self.operand.name)
-        codes_matching = self._true_codes(self._test())
-
-        def filter_columnar(batch: "ColumnBatch") -> List[int]:
-            view = batch.cols[idx].dict_view()
-            if view is None:
-                return by_value(batch)
-            codes, dictionary, _encode = view
-            # NULL codes are -1 and never in the set, so membership alone
-            # implements three-valued logic.
-            true_codes = codes_matching(dictionary)
-            sel = batch.sel
-            if sel is None:
-                return [i for i, c in enumerate(codes) if c in true_codes]
-            return [i for i in sel if codes[i] in true_codes]
-
-        return filter_columnar
 
 
 @dataclass(frozen=True, repr=False)

@@ -994,21 +994,6 @@ class HashJoin(PhysicalPlan):
         use_fast = kernel is None and unique_build
         get = singles.get if use_fast else buckets.get
         li = left_idx[0] if single else -1
-        # Dict-aware probe: when the probe key column is dictionary
-        # encoded, translate each dictionary *entry* to its bucket once
-        # and probe by integer code; NULL's code -1 lands on a trailing
-        # miss.  Cached per dictionary object (one dictionary is shared
-        # by every slice of a table column).
-        trans_cache: Dict[int, Tuple[List[str], List[Any]]] = {}
-
-        def probe_translation(dictionary: List[str]) -> List[Any]:
-            entry = trans_cache.get(id(dictionary))
-            if entry is None:
-                trans = list(map(get, dictionary, repeat(0)))
-                trans.append(0)
-                entry = trans_cache[id(dictionary)] = (dictionary, trans)
-            return entry[1]
-
         probed = 0
         examined = 0
         try:
@@ -1019,15 +1004,7 @@ class HashJoin(PhysicalPlan):
                 # (0 on a miss or a NULL key); ``map`` keeps the per-key
                 # lookup loop in C.
                 if single:
-                    view = batch.cols[li].dict_view()
-                    if view is not None:
-                        codes, dictionary, _encode = view
-                        if batch.sel is not None:
-                            codes = map(codes.__getitem__, batch.sel)
-                        trans = probe_translation(dictionary)
-                        matches = list(map(trans.__getitem__, codes))
-                    else:
-                        matches = list(map(get, batch.column_values(li), repeat(0)))
+                    matches = list(map(get, batch.column_values(li), repeat(0)))
                 else:
                     key_cols = [batch.column_values(i) for i in left_idx]
                     matches = list(map(get, zip(*key_cols), repeat(0)))
@@ -1399,14 +1376,7 @@ class HashAggregate(PhysicalPlan):
             for e in args.values()
         ]
 
-        # A single plain column-reference key over a dictionary-encoded
-        # column groups by integer code and decodes one string per
-        # *group* (code<->value is a bijection, so first-occurrence group
-        # order is unchanged) — while every batch shares one dictionary.
         single = len(key_kernels) == 1
-        coded = single and isinstance(self.group_by[0], ColumnRef)
-        key_idx = child_schema.index_of(self.group_by[0].name) if coded else -1
-        dictionary: Optional[List[str]] = None
 
         # The whole input, once: the key column and each distinct argument.
         keys: List[Any] = []
@@ -1418,23 +1388,10 @@ class HashAggregate(PhysicalPlan):
         consumed = 0
         for batch in self.child.rows_columnar(ctx):
             consumed += len(batch)
-            if coded:
-                view = batch.cols[key_idx].dict_view()
-                if view is not None and (dictionary is None or view[1] is dictionary):
-                    codes, dictionary, _encode = view
-                    sel = batch.sel
-                    keys.extend(codes if sel is None else map(codes.__getitem__, sel))
-                else:
-                    # Codes of two dictionaries cannot share one grouping.
-                    coded = False
-                    if dictionary is not None:
-                        keys = [dictionary[c] if c >= 0 else None for c in keys]
-                        dictionary = None
-            if not coded:
-                if single:
-                    keys.extend(key_kernels[0](batch))
-                elif key_kernels:
-                    keys.extend(zip(*[k(batch) for k in key_kernels]))
+            if single:
+                keys.extend(key_kernels[0](batch))
+            elif key_kernels:
+                keys.extend(zip(*[k(batch) for k in key_kernels]))
             for col, kernel in zip(cols, unique_kernels):
                 col.extend(kernel(batch))
             dense = [d and not batch.cols[ri].has_nulls() for d, ri in zip(dense, unique_ref_idx)]
@@ -1466,8 +1423,6 @@ class HashAggregate(PhysicalPlan):
                 else [[v for v in map(col.__getitem__, ids) if v is not None] for ids in members]
                 for col, d in zip(cols, dense)
             ]
-        if dictionary is not None:
-            group_keys = [dictionary[c] if c >= 0 else None for c in group_keys]
 
         per_group = len(self.items) * CPU_OPERATOR_COST
         meter.cpu_ms += len(sizes) * per_group

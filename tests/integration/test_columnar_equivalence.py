@@ -2,15 +2,14 @@
 
 Complements ``test_engine_equivalence`` (hypothesis-driven, workload
 tables) with deterministic randomized shapes over data the workload
-never stresses: NULL-heavy columns, low-cardinality strings (the
-dictionary-encoding path), empty tables, and degenerate batch sizes
-(1 and 2, which force every multi-batch code path: selection vectors
-across batch boundaries, per-batch dictionary views, join builds that
-span batches).  A ``hypothesis`` case drives ``HashJoin`` directly over
+never stresses: NULL-heavy columns, low-cardinality strings, empty
+tables, and degenerate batch sizes (1 and 2, which force every
+multi-batch code path: selection vectors across batch boundaries, join
+builds that span batches).  A ``hypothesis`` case drives ``HashJoin`` directly over
 generated build sides (repeated, NULL and ``1`` / ``1.0`` / ``True``
 keys at every batch boundary), where the build classification decides
 which probe path runs, and probe sides that are plain values or a stored
-table's dictionary-encoded strings.
+table's columns.
 
 Every generated query must produce byte-identical rows and bit-identical
 ``WorkMeter`` totals on both engines (no generated shape uses LIMIT).
@@ -234,7 +233,7 @@ def _side(max_size):
 
 def _stored_probe(probe):
     """*probe* as a stored table's scan: ``True`` stored as ``1.0``, the
-    tag column dictionary-encoded (its NULL is code -1)."""
+    tag column NULL in some rows."""
     database = Database(name="hash-join-eq")
     database.create_table("probe", Schema(_JOIN_COLUMNS))
     database.load_rows(

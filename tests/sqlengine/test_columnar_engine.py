@@ -3,8 +3,8 @@
 Covers the kernel contract (``compile_columnar`` /
 ``compile_filter_columnar`` against the row evaluator: SQL NULL
 semantics, three-valued AND/OR with short-circuit selection, identical
-error text), the column representations (dictionary encoding, lazily built
-table columns), the selection-vector contract
+error text), the column representations (lazily built table columns of
+the row tuples' own values), the selection-vector contract
 (filters narrow, never copy), the pinned LIMIT meter exception, the
 operator paths (outer-join padding, NULL join keys, aggregate edge cases,
 unique-build hash join and its build classification, COUNT(*)-only
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
-
 import pytest
 
 import repro.obs as obs
@@ -32,7 +30,6 @@ from repro.sqlengine import (
     Comparison,
     Database,
     DEFAULT_BATCH_SIZE,
-    DictColumn,
     ENGINES,
     HashAggregate,
     HashJoin,
@@ -53,7 +50,7 @@ from repro.sqlengine import (
     resolve_engine,
 )
 from repro.sqlengine import cost
-from repro.sqlengine.columnar import NULL_CODE, TableColumn, TableColumns, _build_dict
+from repro.sqlengine.columnar import TableColumn, TableColumns
 from repro.sqlengine.physical import MaterializedInput
 
 
@@ -110,7 +107,7 @@ ROWS = [
 ]
 
 #: Kernels must agree on plain value lists (operator intermediates) and
-#: on a stored table's layout with its dictionary-encoded fast paths.
+#: on a stored table's lazily built columns.
 LAYOUTS = {
     "values": lambda rows: ColumnBatch.from_rows(rows, len(SCHEMA)),
     "stored": lambda rows: TableColumns(rows, SCHEMA).batch(0, len(rows)),
@@ -252,23 +249,12 @@ class TestKernels:
 
 
 class TestColumnData:
-    def test_dict_column_decode_and_view(self):
-        dictionary = ["lo", "hi"]
-        encode = {"lo": 0, "hi": 1}
-        col = DictColumn(
-            array("q", [1, NULL_CODE, 0, 1]), dictionary, encode, True
-        )
-        assert col.values() == ["hi", None, "lo", "hi"]
-        codes, d, enc = col.dict_view()
-        assert codes == [1, NULL_CODE, 0, 1]
-        assert d is dictionary and enc is encode
-
     def test_value_column_lazy_nullability(self):
         assert ValueColumn([1, None]).has_nulls()
         assert not ValueColumn([1, 2]).has_nulls()
         assert not ValueColumn([1, None], nullable=False).has_nulls()
 
-    def test_table_storage_dictionary_encodes_strings(self):
+    def test_stored_string_column_holds_the_row_tuples_own_values(self):
         database = Database("cols")
         database.create_table(
             "t",
@@ -276,13 +262,16 @@ class TestColumnData:
                 [Column("x", ColumnType.INT), Column("s", ColumnType.STR)]
             ),
         )
-        database.load_rows("t", [(1, "a"), (2, None), (3, "a")])
-        columns = database.storage.table("t").columnar()
-        codes, dictionary, encode = columns.cols[1].dict_view()
-        assert (codes, dictionary, encode) == ([0, NULL_CODE, 0], ["a"], {"a": 0})
-        assert columns.cols[1].values() == ["a", None, "a"]
-        assert columns.cols[0].dict_view() is None
-        assert columns.cols[0].values() == [1, 2, 3]
+        # Equal strings that are distinct objects: a column that shares
+        # one object per distinct value (an encoding) is caught by ``is``.
+        database.load_rows(
+            "t", [(i, None if i == 2 else "".join(("s", str(i % 2)))) for i in range(5)]
+        )
+        table = database.storage.table("t")
+        s = table.columnar().cols[1]
+        assert s.values() == ["s0", "s1", None, "s1", "s0"]
+        assert all(v is row[1] for v, row in zip(s.values(), table.rows))
+        assert isinstance(s._col, ValueColumn) and s.has_nulls()
 
     def test_table_columns_are_built_on_first_read_and_hold_one_copy(self):
         database = Database("lazy")
@@ -509,7 +498,7 @@ class TestOperatorFastPaths:
             "SELECT f.tag, COUNT(*) FROM fact f GROUP BY f.tag",
             "SELECT f.k, f.tag, COUNT(*) FROM fact f GROUP BY f.k, f.tag",
         ],
-        ids=["int-key", "dict-key", "multi-key"],
+        ids=["int-key", "str-key", "multi-key"],
     )
     def test_count_only_grouping(self, ops_db, sql):
         assert_all_equivalent(ops_db, sql)
@@ -522,12 +511,12 @@ class TestOperatorFastPaths:
             "SELECT DISTINCT f.v FROM fact f",
             "SELECT DISTINCT f.k, f.tag FROM fact f",
         ],
-        ids=["int", "dict-with-null", "float", "multi"],
+        ids=["int", "str-with-null", "float", "multi"],
     )
     def test_distinct_paths(self, ops_db, sql):
         assert_all_equivalent(ops_db, sql)
 
-    def test_dict_aware_like_and_in(self, ops_db):
+    def test_like_and_in_over_strings(self, ops_db):
         assert_all_equivalent(
             ops_db,
             "SELECT f.v FROM fact f WHERE f.tag LIKE 'x%'",
@@ -686,12 +675,12 @@ class TestHashJoinBuildClassification:
     @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
     @pytest.mark.parametrize("where", [False, True], ids=["all", "selected"])
     @pytest.mark.parametrize("build", ["unique", "repeated"])
-    def test_dictionary_probe_null_code_is_a_miss(
+    def test_string_probe_null_key_is_a_miss(
         self, build, where, residual, outer, batch_size
     ):
-        # A stored string column reaches the probe dictionary-encoded:
-        # the NULL code -1 and a string the build lacks both miss.
-        database = Database("dict-probe")
+        # A stored string column reaches the probe: a NULL key and a
+        # string the build lacks both miss.
+        database = Database("str-probe")
         database.create_table(
             "probe",
             Schema((Column("tag", ColumnType.STR), Column("n", ColumnType.INT))),
@@ -798,37 +787,19 @@ class TestFloatAggregatesAreLeftFolds:
         )
 
 
-class PerBatchDictionaries(MaterializedInput):
-    """A leaf that dictionary-encodes column 0 of every batch (or of every
-    other one) with a dictionary of the batch's own."""
+class TestGroupingStringKeys:
+    """A string key's groups, their first-occurrence order (NULL a group
+    of its own) and the meters match the row engine across batches."""
 
-    def __init__(self, name, schema, data, every):
-        super().__init__(name, schema, data)
-        self.every = every
-
-    def _rows_columnar(self, ctx):
-        for i, batch in enumerate(super()._rows_columnar(ctx)):
-            if i % self.every == 0:
-                coded = _build_dict(batch.column_values(0))
-                batch = ColumnBatch((coded,) + tuple(batch.cols[1:]), batch.n_rows)
-            yield batch
-
-
-class TestGroupingAcrossDictionaries:
-    """Codes of two dictionaries cannot share one grouping: the key's
-    groups, their order and the meters match the row engine when each
-    batch brings its own dictionary, or only some batches have one."""
-
-    @pytest.mark.parametrize("every", [1, 2], ids=["each-batch", "alternate"])
     @pytest.mark.parametrize("aggregates", ["COUNT(*)", "COUNT(*), SUM(x), MIN(k)"])
-    def test_groups_match_the_row_engine(self, aggregates, every):
-        database = Database("dictionaries")
+    def test_groups_match_the_row_engine(self, aggregates):
+        database = Database("string-keys")
         database.create_table(
             "t", Schema((Column("k", ColumnType.STR), Column("x", ColumnType.INT)))
         )
         agg = database.explain(f"SELECT k, {aggregates} FROM t GROUP BY k")[0].plan
         rows = [("b", 1), ("a", 2), ("a", 3), (None, 4), ("c", 5), ("b", 6), (None, 7)]
-        child = PerBatchDictionaries("t", agg.child.output_schema, rows, every)
+        child = MaterializedInput("t", agg.child.output_schema, rows)
         plan = HashAggregate(child, agg.group_by, agg.items, agg.output_schema, agg.having)
         result = assert_plan_equivalent(database, plan, batch_size=2)["columnar"]
         assert [row[0] for row in result.rows] == ["b", "a", None, "c"]
