@@ -17,11 +17,8 @@ from .admission import (
 from .concurrent import ConcurrentRuntime, QueryHandle
 from .hedging import HedgePolicy
 from .rerouting import (
-    BatchSpan,
     Checkpoint,
     ReroutePolicy,
-    batch_schedule,
-    checkpoint_consumed,
     merge_partial_rows,
     tail_demand_ms,
 )
@@ -72,13 +69,10 @@ __all__ = [
     "QueryStatus",
     "ShedVerdict",
     "TokenBucket",
-    "BatchSpan",
     "Checkpoint",
     "ReplicaManager",
     "ReroutePolicy",
-    "batch_schedule",
     "build_merge_plan",
-    "checkpoint_consumed",
     "cluster_near_cost",
     "decompose",
     "eliminate_dominated",

@@ -76,7 +76,6 @@ from .integrator import (
 from .merge import build_merge_plan as build_merge_plan
 from .rerouting import (
     ReroutePolicy,
-    batch_schedule,
     merge_partial_rows,
     tail_demand_ms,
 )
@@ -399,19 +398,16 @@ class RacedDispatch(QueuedDispatch):
         # The primary is submitted exactly as a plain request, so a race
         # that never launches is byte-identical to plain dispatch.
         primary = super().request(slot, trace)
-        after_ms = arm = schedule = None
+        after_ms = arm = None
         if self.hedge is not None:
             after_ms = self.hedge.hedge_after(
                 generalize_signature(slot.option.fragment.signature)
             )
-        if self.reroute is not None:
-            schedule = batch_schedule(slot.execution, self.reroute.batch_rows)
-            # A single-batch fragment has no boundary to migrate at.
-            if len(schedule) > 1:
-                arm = self._subscribe
+        if self.reroute is not None and self.reroute.migratable(slot.execution):
+            arm = self._subscribe
         return RacedWork(
             primary,
-            partial(self._second_leg, slot, trace, schedule),
+            partial(self._second_leg, slot, trace),
             after_ms,
             arm,
         )
@@ -420,13 +416,13 @@ class RacedDispatch(QueuedDispatch):
         epoch = self.runtime.integrator.calibration_epoch
         return epoch.subscribe(lambda _value: interrupt())
 
-    def _second_leg(self, slot, trace, schedule, t_fire, consumed_ms):
+    def _second_leg(self, slot, trace, t_fire, consumed_ms):
         """Built when a trigger fires: replica choice, availability and
         the fanout cap reflect the state *then*.  The timer (it does not
         peek: ``consumed_ms`` is None) hedges, an interrupt migrates."""
         if consumed_ms is None:
             return self._hedge_leg(slot, trace, t_fire)
-        return self._reroute_leg(slot, trace, schedule, t_fire, consumed_ms)
+        return self._reroute_leg(slot, trace, t_fire, consumed_ms)
 
     def _hedge_leg(self, slot, trace, t_fire):
         backup = self._target(slot, t_fire)
@@ -446,10 +442,10 @@ class RacedDispatch(QueuedDispatch):
         metrics.counter("hedge_fired_total", server=backup.server).inc()
         return backup_work, False
 
-    def _reroute_leg(self, slot, trace, schedule, t_fire, consumed_ms):
+    def _reroute_leg(self, slot, trace, t_fire, consumed_ms):
         # Checkpoint the consumed batches, then learn the tail's demand
         # by executing the fragment at the target now.
-        point = self.reroute.checkpoint(schedule, consumed_ms)
+        point = self.reroute.checkpoint(slot.execution, consumed_ms)
         if point is None:
             self.reroute.note_declined("drained")
             return None

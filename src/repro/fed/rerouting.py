@@ -5,15 +5,17 @@ lands mid-flight is wasted on every fragment already dispatched.  ADQUEX
 (see PAPERS.md) routes *tuples* adaptively while the query runs; this
 module reproduces a bounded version of that idea on batch boundaries:
 
-* A dispatched fragment's service demand is divided into **batch
-  spans** — uniform ``batch_rows`` chunks of the result — with
-  row-proportional demand attribution that sums bit-for-bit to the
-  fragment's total (:func:`repro.sim.server.exact_split`).
+* A dispatched fragment's result is cut into uniform ``batch_rows``
+  batches, and each batch carries the same row-proportional share of
+  the fragment's observed demand, ``observed_ms * (batch_rows /
+  row_count)``.  The boundary after k batches is k shares folded from
+  zero, and the last boundary is ``observed_ms`` itself, so service
+  that covers the whole demand always finds the fragment drained.
 * When the calibration epoch bumps mid-flight (recalibration folding
   fresh factors, or an availability flip — both bump the shared
   :class:`~repro.core.epoch.CalibrationEpoch`), the fragment
-  **checkpoints** the batches whose cumulative demand it has already
-  consumed, quantising *down* to a batch boundary: partially transferred
+  **checkpoints** the batches whose boundary its consumed service has
+  reached, quantising *down* to a batch boundary: partially transferred
   batches are re-shipped by the target, never spliced.
 * The *remaining* scan range is re-planned onto the next replica of
   the fragment's Section 4.1 cluster (the one replica-choice rule
@@ -44,7 +46,8 @@ partial-batch service is surfaced through metrics instead
 (``mw_reroute_wasted_ms``).
 
 Determinism: the policy consumes no randomness and no wall-clock; all
-decisions are pure functions of the schedule and the interrupt instant.
+decisions are pure functions of the fragment's row count and demand,
+the batch size and the interrupt instant.
 """
 
 from __future__ import annotations
@@ -52,49 +55,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..numeric import left_sum
-from ..sim.server import RemoteExecution, exact_split, transfer_spans
+from ..sim.server import RemoteExecution
 from ..sqlengine import Row
 
 #: Relative slack when testing a consumed demand against a cumulative
 #: batch boundary (float accumulation at the interrupt instant).
 _BOUNDARY_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class BatchSpan:
-    """One checkpointable unit of a dispatched fragment's service."""
-
-    start_row: int
-    stop_row: int
-    #: This span's share of the fragment's total observed demand; the
-    #: shares of a schedule sum bit-for-bit to the total (exact_split).
-    demand_ms: float
-
-    @property
-    def row_count(self) -> int:
-        return self.stop_row - self.start_row
-
-
-def batch_schedule(
-    execution: RemoteExecution, batch_rows: int
-) -> List[BatchSpan]:
-    """The fragment's checkpoint schedule: row spans + demand shares.
-
-    The result is chunked uniformly by *batch_rows* and the demand is
-    split by row count.  The spans' demands recompose ``observed_ms``
-    exactly, so checkpoint arithmetic inherits the simulation's
-    bit-exactness discipline.
-    """
-    spans = transfer_spans(execution.row_count, batch_rows)
-    demands = exact_split(
-        execution.observed_ms,
-        [float(stop - start) for start, stop in spans],
-    )
-    return [
-        BatchSpan(start_row=start, stop_row=stop, demand_ms=demand)
-        for (start, stop), demand in zip(spans, demands)
-    ]
 
 
 @dataclass(frozen=True)
@@ -104,39 +70,11 @@ class Checkpoint:
     #: First row the migration target must produce (rows below are kept
     #: from the primary).
     cut_row: int
-    #: Fully consumed batches (prefix of the schedule).
+    #: Fully consumed batches, counted from the first row.
     batches_kept: int
     #: The kept batches' summed demand; service consumed beyond this is
     #: the partial-batch waste the target re-ships.
     kept_demand_ms: float
-
-
-def checkpoint_consumed(
-    schedule: List[BatchSpan], consumed_ms: float
-) -> Checkpoint:
-    """Quantise *consumed_ms* of service DOWN to a batch boundary.
-
-    A batch counts as consumed only when the cumulative demand through
-    it fits inside the consumed service (with one-ulp slack for the
-    float accumulation at the interrupt instant) — a partially served
-    batch is never checkpointed, so the target always restarts from a
-    clean row boundary.
-    """
-    slack = _BOUNDARY_EPS * max(1.0, abs(consumed_ms))
-    cut_row = 0
-    kept = 0
-    acc = 0.0
-    for span in schedule:
-        acc += span.demand_ms
-        if acc <= consumed_ms + slack:
-            cut_row = span.stop_row
-            kept += 1
-        else:
-            break
-    kept_demand = left_sum(span.demand_ms for span in schedule[:kept])
-    return Checkpoint(
-        cut_row=cut_row, batches_kept=kept, kept_demand_ms=kept_demand
-    )
 
 
 def tail_demand_ms(execution: RemoteExecution, cut_row: int) -> float:
@@ -144,18 +82,10 @@ def tail_demand_ms(execution: RemoteExecution, cut_row: int) -> float:
 
     The replica executed the full fragment (its demonstrated demand is
     ``observed_ms``); the migrated leg only ships the unshipped tail, so
-    it is charged the tail's row-proportional exact share of that demand.
+    it is charged the total less the kept rows' proportional share.
     """
-    total_rows = execution.row_count
-    if total_rows <= 0 or cut_row <= 0:
-        return execution.observed_ms
-    if cut_row >= total_rows:
-        return 0.0
-    shares = exact_split(
-        execution.observed_ms,
-        [float(cut_row), float(total_rows - cut_row)],
-    )
-    return max(0.0, shares[1])
+    total = execution.observed_ms
+    return total - total * (cut_row / execution.row_count)
 
 
 def merge_partial_rows(
@@ -195,15 +125,34 @@ class ReroutePolicy:
 
     # -- decisions -------------------------------------------------------
 
+    def migratable(self, execution: RemoteExecution) -> bool:
+        """Does *execution* have a batch boundary to migrate at?"""
+        return execution.row_count > self.batch_rows
+
     def checkpoint(
-        self, schedule: List[BatchSpan], consumed_ms: float
+        self, execution: RemoteExecution, consumed_ms: float
     ) -> Optional[Checkpoint]:
-        """Where a migration at *consumed_ms* of service would cut, or
-        None when every batch has already shipped."""
-        point = checkpoint_consumed(schedule, consumed_ms)
-        if point.batches_kept >= len(schedule):
+        """Quantise *consumed_ms* of a migratable *execution*'s service
+        DOWN to a batch boundary, or None when the fragment has drained.
+
+        A batch counts as consumed only when its boundary fits inside
+        the consumed service (with a relative slack for the float
+        accumulation at the interrupt instant): a partially served batch
+        is never checkpointed, so the target always restarts from a
+        clean row boundary.
+        """
+        limit = consumed_ms + _BOUNDARY_EPS * max(1.0, abs(consumed_ms))
+        if limit >= execution.observed_ms:
             return None
-        return point
+        rows, step = execution.row_count, self.batch_rows
+        share = execution.observed_ms * (step / rows)
+        kept, kept_ms = 0, 0.0
+        while (kept + 1) * step < rows and kept_ms + share <= limit:
+            kept_ms += share
+            kept += 1
+        return Checkpoint(
+            cut_row=kept * step, batches_kept=kept, kept_demand_ms=kept_ms
+        )
 
     # -- bookkeeping -----------------------------------------------------
 

@@ -38,8 +38,6 @@ from .server import (
     REQUEST_BYTES,
     RemoteExecution,
     RemoteServer,
-    exact_split,
-    transfer_spans,
 )
 from .storms import StormReport, UpdateStormDriver
 
@@ -74,6 +72,4 @@ __all__ = [
     "Work",
     "derive_rng",
     "derive_seed",
-    "exact_split",
-    "transfer_spans",
 ]

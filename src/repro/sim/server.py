@@ -10,11 +10,8 @@ plus network time) — the asymmetry whose gap the QCC measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isfinite, nextafter, ulp
 from typing import List, Optional, Tuple
 
-from ..numeric import left_sum
 from ..sqlengine import (
     Database,
     PhysicalPlan,
@@ -29,82 +26,6 @@ from .network import NetworkLink
 
 #: Bytes assumed for a fragment-request message (SQL text + descriptor).
 REQUEST_BYTES = 512.0
-
-
-def exact_split(total: float, weights: List[float]) -> List[float]:
-    """Split *total* proportionally to *weights*, summing back exactly.
-
-    The last share absorbs the floating-point residue, and a final
-    one-ulp correction forces the left-to-right sum of the shares
-    (:func:`repro.numeric.left_sum`) to reproduce *total* bit-for-bit —
-    the invariant re-routing's demand splits are tested against.  When
-    no nudge of the last share gets there (the exact sum lands on a
-    rounding tie either way), :func:`_grid_split` supplies the shares.
-    Weights must be non-negative with a positive sum (an all-zero weight
-    vector puts everything in the last share).
-    """
-    if not weights:
-        return []
-    if len(weights) == 1:
-        return [total]
-    denom = 0.0
-    for w in weights:
-        denom += w
-    shares: List[float] = []
-    acc = 0.0
-    for w in weights[:-1]:
-        share = total * (w / denom) if denom > 0.0 else 0.0
-        shares.append(share)
-        acc += share
-    shares.append(total - acc)
-    # Round-to-nearest can leave the recomposed sum one ulp off *total*;
-    # nudge the residual share until the identity holds exactly.
-    for _ in range(4):
-        recomposed = left_sum(shares)
-        if recomposed == total:
-            return shares
-        shares[-1] = nextafter(
-            shares[-1], shares[-1] + (total - recomposed)
-        )
-    if left_sum(shares) == total or not isfinite(total):
-        return shares
-    return _grid_split(total, weights)
-
-
-def _grid_split(total: float, weights: List[float]) -> List[float]:
-    """Shares of *total* that are whole multiples of ``ulp(total)``.
-
-    Every partial sum of such shares is exactly representable, so they
-    add back to *total* in any order and on any interpreter.
-    """
-    unit = ulp(total)
-    units = int(total / unit)
-    exact = [Fraction(w) for w in weights]
-    denom = sum(exact, Fraction(0))
-    shares: List[float] = []
-    given = 0
-    for w in exact[:-1]:
-        part = int(units * w / denom) if denom > 0 else 0
-        shares.append(part * unit)
-        given += part
-    shares.append((units - given) * unit)
-    return shares
-
-
-def transfer_spans(row_count: int, batch_rows: int) -> List[Tuple[int, int]]:
-    """Row spans ``[start, stop)`` chunking *row_count* by *batch_rows*.
-
-    Always yields at least one span so an empty result still has one
-    (empty) checkpoint span — a response message crosses the link
-    either way.
-    """
-    if row_count <= 0:
-        return [(0, 0)]
-    step = max(1, batch_rows)
-    return [
-        (start, min(start + step, row_count))
-        for start in range(0, row_count, step)
-    ]
 
 
 @dataclass

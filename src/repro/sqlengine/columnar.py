@@ -25,7 +25,6 @@ Column representations:
 
 from __future__ import annotations
 
-from sys import getsizeof
 from typing import Any, Callable, List, Optional, Sequence
 
 from .types import Row, Schema
@@ -50,10 +49,6 @@ class ColumnData:
         null-check-free kernel fast paths)."""
         return True
 
-    def storage_bytes(self) -> int:
-        """Approximate resident bytes of the compact backing storage."""
-        return getsizeof(self.values())
-
 
 class ValueColumn(ColumnData):
     """Plain Python value list (stored columns and operator intermediates)."""
@@ -72,9 +67,6 @@ class ValueColumn(ColumnData):
         if nullable is None:
             nullable = self._nullable = None in self._vals
         return nullable
-
-    def storage_bytes(self) -> int:
-        return getsizeof(self._vals)
 
 
 class LazyColumn(ColumnData):
@@ -225,12 +217,6 @@ class ColumnBatch:
         if not self.cols:
             return [()] * n
         return list(zip(*(self.column_values(j) for j in range(len(self.cols)))))
-
-    def storage_bytes(self) -> int:
-        total = sum(col.storage_bytes() for col in self.cols)
-        if self.sel is not None:
-            total += getsizeof(self.sel)
-        return total
 
     @staticmethod
     def from_rows(rows: Sequence[Row], width: int) -> "ColumnBatch":

@@ -8,7 +8,7 @@ bit-identical feedback (the primary's full demonstrated demand, never a
 migration-inflated figure).
 
 The sweep here is exhaustive over interrupt instants, not sampled: for
-every (engine, batch size) cell it derives the fragment batch schedules
+every (engine, batch size) cell it derives the fragments' batch boundaries
 from a no-reroute oracle run, then fires a calibration-epoch bump at
 *every* batch-boundary instant and at every mid-batch midpoint, and
 holds each perturbed run to the oracle's answer.  Seeds and query
@@ -18,7 +18,7 @@ the module constants alone.
 
 import pytest
 
-from repro.fed import ReroutePolicy, batch_schedule
+from repro.fed import ReroutePolicy
 from repro.fed.concurrent import ConcurrentRuntime
 from repro.harness.deployment import (
     REPLICA_PLACEMENT,
@@ -111,23 +111,39 @@ def _log_key(log):
     ]
 
 
+def _boundaries(policy, fragment):
+    """The cumulative batch boundaries *policy* checkpoints *fragment*
+    at: k folded copies of one batch's share, then the whole demand."""
+    total, rows = fragment.observed_ms, fragment.row_count
+    if not policy.migratable(fragment):
+        return [total]
+    share = total * (policy.batch_rows / rows)
+    boundaries, acc = [], 0.0
+    for kept in range(1, -(-rows // policy.batch_rows)):
+        acc += share
+        # The policy's own fold: consuming boundary k keeps k batches.
+        assert policy.checkpoint(fragment, acc).batches_kept == kept
+        boundaries.append(acc)
+    assert policy.checkpoint(fragment, total) is None
+    return boundaries + [total]
+
+
 def _bump_instants(result, batch_rows):
     """Every batch-boundary instant plus every mid-batch midpoint.
 
     Boundaries are derived from the oracle run's per-fragment demands —
-    the same ``batch_schedule`` the migration policy itself consults —
-    so a bump at ``boundaries[i]`` lands exactly on the checkpoint after
-    batch ``i`` and a midpoint lands strictly inside batch ``i+1``.
+    the fold the migration policy itself checkpoints at — so a bump at
+    ``boundaries[i]`` lands on the checkpoint after batch ``i`` and a
+    midpoint lands strictly inside batch ``i+1``.
     """
+    policy = ReroutePolicy(batch_rows)
     instants = set()
     for fragment in result.fragments.values():
         # A fragment record carries the row count and observed demand
-        # the schedule is cut from.
-        spans = batch_schedule(fragment, batch_rows)
-        acc = DISPATCH_MS
-        previous = acc
-        for span in spans:
-            acc += span.demand_ms
+        # the batches are cut from.
+        previous = DISPATCH_MS
+        for boundary in _boundaries(policy, fragment):
+            acc = DISPATCH_MS + boundary
             instants.add(acc)
             instants.add((previous + acc) / 2.0)
             previous = acc
@@ -168,7 +184,7 @@ def test_migration_sweep_matches_oracle(
     oracle_rows = list(oracle.rows)
     oracle_key = _log_key(oracle_log)
     multi_batch = any(
-        len(batch_schedule(fragment, batch_rows)) > 1
+        ReroutePolicy(batch_rows).migratable(fragment)
         for fragment in oracle.fragments.values()
     )
 

@@ -15,8 +15,9 @@ concurrent runtime reports the same query as failed.
 A grammar of well-formed statements over the sample schema, right or
 wrong in any clause, holds every statement it makes to the same books:
 ``bind``, ``Database.explain`` and ``Database.run`` succeed or raise a
-:class:`SqlError`, the two engines alike, and ``submit`` settles its
-record.
+:class:`SqlError`, the two engines alike, and both ``submit`` and the
+concurrent runtime settle its record: completed or failed, no handle
+pending and no scheduler process left live.
 """
 
 from __future__ import annotations
@@ -296,18 +297,36 @@ def test_generated_statements_raise_nothing_but_sql_errors(sample_databases, sql
     assert outcomes[0] == outcomes[1], sql
 
 
-@given(statements())
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_generated_statements_settle_the_books(sample_databases, sql):
-    integrator = build_federation(
-        scale=TEST_SCALE, prebuilt_databases=sample_databases
-    ).integrator
+def _submit(integrator, sql):
+    """Sequential ``submit``: the status its record must settle in."""
     try:
         integrator.submit(sql)
     except SqlError:
         assert integrator.plan_cache.stats()["entries"] == 0, sql
-        status = QueryStatus.FAILED
-    else:
-        status = QueryStatus.COMPLETED
+        return QueryStatus.FAILED
+    return QueryStatus.COMPLETED
+
+
+def _concurrent(integrator, sql):
+    """The concurrent runtime: nothing is left pending or live."""
+    runtime = ConcurrentRuntime(integrator)
+    handle = runtime.submit_at(0.0, sql)
+    runtime.run()
+    assert handle.status in ("completed", "failed"), (handle.status, sql)
+    assert runtime.scheduler.live_processes == 0, sql
+    if handle.status == "failed":
+        assert isinstance(handle.error, SqlError), sql
+        return QueryStatus.FAILED
+    return QueryStatus.COMPLETED
+
+
+@pytest.mark.parametrize("drive", [_submit, _concurrent], ids=["submit", "runtime"])
+@given(sql=statements())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_generated_statements_settle_the_books(sample_databases, drive, sql):
+    integrator = build_federation(
+        scale=TEST_SCALE, prebuilt_databases=sample_databases
+    ).integrator
+    status = drive(integrator, sql)
     (record,) = integrator.patroller.records()
     assert record.status is status, sql

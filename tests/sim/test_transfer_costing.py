@@ -1,30 +1,35 @@
 """Wire cost and the checkpoint arithmetic re-routing builds on it.
 
 A fragment's network time is its result rows times the output schema's
-row width, shipped over the server's link.  Mid-query re-routing divides
-the fragment's observed demand into uniform ``batch_rows`` spans
-(:func:`repro.fed.batch_schedule`) and checkpoints whole spans only.
+row width, shipped over the server's link.  Mid-query re-routing cuts
+the fragment's result into uniform ``batch_rows`` batches, each carrying
+the share ``observed_ms * (batch_rows / row_count)`` of its demand, and
+checkpoints whole batches only (:meth:`repro.fed.ReroutePolicy.checkpoint`).
 The properties below pin that arithmetic:
 
-* :func:`repro.sim.exact_split`'s shares add back, left to right, to the
-  total bit for bit;
-* a schedule tiles ``[0, row_count)`` and its demands add back to the
-  execution's processing plus network time;
-* a checkpoint never cuts inside a span, and never keeps more demand
-  than was consumed.
+* a checkpoint cuts on a batch boundary below the last row, keeps no
+  more demand than was consumed, stops at the first boundary past the
+  limit, and never moves back as the consumed service grows;
+* a boundary exactly on the limit counts as reached, and the last batch
+  ships only with the whole demand, even where the folded shares fall
+  an ulp short of it;
+* the checkpoint is None exactly when the whole demand fits the limit;
+* the migrated tail's demand lies in ``[0, total]``, is the total at a
+  cut of 0 and nothing at the last row, and never rises as the cut grows.
 """
+
+from math import inf, nextafter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.fed import batch_schedule, checkpoint_consumed
-from repro.numeric import left_sum
+from repro.fed import ReroutePolicy, tail_demand_ms
+from repro.fed.rerouting import _BOUNDARY_EPS
 from repro.sim import (
     ContentionProfile,
     MutableLoad,
     NetworkLink,
     RemoteExecution,
     RemoteServer,
-    exact_split,
 )
 from repro.sqlengine import Database, ServerProfile, populate
 
@@ -34,14 +39,7 @@ NUMERIC_SQL = "SELECT empno, deptno, salary FROM emp"
 _MS = st.floats(
     min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False
 )
-_WEIGHTS = st.lists(
-    st.floats(
-        min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
-    ),
-    min_size=1,
-    max_size=40,
-)
-_ROWS = st.integers(min_value=0, max_value=3_000)
+_ROWS = st.integers(min_value=1, max_value=3_000)
 _BATCH_ROWS = st.sampled_from([1, 2, 7, 1024])
 
 
@@ -82,43 +80,15 @@ class TestRowWidthCosting:
         )
 
 
+def _limit(consumed_ms):
+    """The policy's reach: the consumed demand plus its relative slack."""
+    return consumed_ms + _BOUNDARY_EPS * max(1.0, abs(consumed_ms))
+
+
 class TestBatchAttribution:
-    @settings(max_examples=300, deadline=None)
-    @given(total=_MS, weights=_WEIGHTS)
-    def test_shares_sum_bit_exactly(self, total, weights):
-        shares = exact_split(total, weights)
-        assert len(shares) == len(weights)
-        assert left_sum(shares) == total
-
-    @settings(deadline=None)
-    @given(rows=_ROWS, batch_rows=_BATCH_ROWS, processing=_MS, network=_MS)
-    def test_spans_tile_the_result(self, rows, batch_rows, processing, network):
-        schedule = batch_schedule(
-            _execution(rows, processing, network), batch_rows
-        )
-        assert schedule[0].start_row == 0
-        assert schedule[-1].stop_row == rows
-        for before, after in zip(schedule, schedule[1:]):
-            assert before.stop_row == after.start_row
-        full, rest = divmod(rows, batch_rows)
-        expected = [batch_rows] * full + ([rest] if rest or not full else [])
-        assert [span.row_count for span in schedule] == expected
-
-    @settings(deadline=None)
-    @given(rows=_ROWS, batch_rows=_BATCH_ROWS, processing=_MS, network=_MS)
-    def test_batch_demand_is_processing_plus_network(
-        self, rows, batch_rows, processing, network
-    ):
-        execution = _execution(rows, processing, network)
-        schedule = batch_schedule(execution, batch_rows)
-        assert (
-            left_sum(span.demand_ms for span in schedule)
-            == execution.observed_ms
-        )
-
     @settings(deadline=None)
     @given(
-        rows=_ROWS,
+        extra_rows=_ROWS,
         batch_rows=_BATCH_ROWS,
         processing=_MS,
         network=_MS,
@@ -127,22 +97,87 @@ class TestBatchAttribution:
         ),
     )
     def test_checkpoint_never_cuts_inside_a_span(
-        self, rows, batch_rows, processing, network, fractions
+        self, extra_rows, batch_rows, processing, network, fractions
     ):
+        # More rows than one batch: the fragment can migrate.
+        rows = batch_rows + extra_rows
         execution = _execution(rows, processing, network)
-        schedule = batch_schedule(execution, batch_rows)
-        boundaries = [0] + [span.stop_row for span in schedule]
-        earlier, later = (
-            checkpoint_consumed(schedule, execution.observed_ms * fraction)
-            for fraction in sorted(fractions)
-        )
-        for point, fraction in zip((earlier, later), sorted(fractions)):
-            consumed = execution.observed_ms * fraction
-            kept = schedule[: point.batches_kept]
-            assert point.cut_row == boundaries[point.batches_kept]
-            assert point.kept_demand_ms == left_sum(
-                span.demand_ms for span in kept
+        policy = ReroutePolicy(batch_rows)
+        assert policy.migratable(execution)
+        share = execution.observed_ms * (batch_rows / rows)
+        consumed = sorted(execution.observed_ms * f for f in fractions)
+        earlier, later = points = [
+            policy.checkpoint(execution, c) for c in consumed
+        ]
+        for point, consumed_ms in zip(points, consumed):
+            if point is None:
+                continue
+            assert point.cut_row == point.batches_kept * batch_rows
+            assert point.cut_row < rows
+            assert point.kept_demand_ms <= consumed_ms * (1 + 1e-9) + 1e-9
+            # The cut stops at the first boundary past the limit, or at
+            # the last batch, which only the whole demand completes.
+            assert (
+                point.cut_row + batch_rows >= rows
+                or point.kept_demand_ms + share > _limit(consumed_ms)
             )
-            assert point.kept_demand_ms <= consumed * (1 + 1e-9) + 1e-9
         # More service consumed never moves the cut back.
-        assert earlier.cut_row <= later.cut_row
+        if earlier is None:
+            assert later is None
+        elif later is not None:
+            assert earlier.cut_row <= later.cut_row
+
+    @settings(deadline=None)
+    @given(consumed=_MS, batch_rows=_BATCH_ROWS, doublings=st.integers(1, 8))
+    def test_a_boundary_on_the_limit_is_reached(
+        self, consumed, batch_rows, doublings
+    ):
+        # 2**j batches make the share exactly total / 2**j, so a total
+        # of 2**j limits puts the first boundary on the limit itself.
+        batches = 2**doublings
+        limit = _limit(consumed)
+        execution = _execution(batch_rows * batches, limit * batches, 0.0)
+        point = ReroutePolicy(batch_rows).checkpoint(execution, consumed)
+        assert point is not None
+        assert (point.cut_row, point.batches_kept) == (batch_rows, 1)
+        assert point.kept_demand_ms == limit
+
+    def test_the_last_batch_ships_only_with_the_whole_demand(self):
+        # Ten shares of 1.0 / 10 fold to one ulp below 1.0: a limit on
+        # that fold is short of the demand, so the last row stays put.
+        execution = _execution(10, 1.0, 0.0)
+        fold = 0.0
+        for _ in range(10):
+            fold += execution.observed_ms * (1 / 10)
+        consumed = fold / (1 + _BOUNDARY_EPS)
+        while _limit(consumed) < fold:
+            consumed = nextafter(consumed, inf)
+        assert _limit(consumed) == fold < execution.observed_ms
+        point = ReroutePolicy(1).checkpoint(execution, consumed)
+        assert (point.cut_row, point.batches_kept) == (9, 9)
+
+    @settings(deadline=None)
+    @given(consumed=_MS, rows=_ROWS, batch_rows=_BATCH_ROWS)
+    def test_drained_exactly_when_the_demand_fits(
+        self, consumed, rows, batch_rows
+    ):
+        policy = ReroutePolicy(batch_rows)
+        limit = _limit(consumed)
+        fits = _execution(batch_rows + rows, limit, 0.0)
+        assert policy.checkpoint(fits, consumed) is None
+        beyond = _execution(batch_rows + rows, nextafter(limit, inf), 0.0)
+        assert policy.checkpoint(beyond, consumed) is not None
+
+    @settings(deadline=None)
+    @given(
+        rows=_ROWS,
+        total=_MS,
+        cuts=st.lists(st.integers(0, 3_000), min_size=2, max_size=2),
+    )
+    def test_tail_demand_shrinks_from_total_to_nothing(self, rows, total, cuts):
+        execution = _execution(rows, total, 0.0)
+        assert tail_demand_ms(execution, 0) == total
+        assert tail_demand_ms(execution, rows) == 0.0
+        low, high = sorted(min(cut, rows) for cut in cuts)
+        more, less = (tail_demand_ms(execution, cut) for cut in (low, high))
+        assert 0.0 <= less <= more <= total
