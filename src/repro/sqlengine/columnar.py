@@ -69,22 +69,6 @@ class ValueColumn(ColumnData):
         return nullable
 
 
-class LazyColumn(ColumnData):
-    """Column whose physical values are produced by a thunk on demand."""
-
-    __slots__ = ("_thunk", "_values")
-
-    def __init__(self, thunk: Callable[[], List[Any]]):
-        self._thunk = thunk
-        self._values: Optional[List[Any]] = None
-
-    def values(self) -> List[Any]:
-        vals = self._values
-        if vals is None:
-            vals = self._values = self._thunk()
-        return vals
-
-
 class SliceColumn(ColumnData):
     """A contiguous physical window over a parent column.
 

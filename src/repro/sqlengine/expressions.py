@@ -9,32 +9,31 @@ closure call with positional tuple indexing only.
 The columnar engine compiles the same trees into two batch targets:
 
 * :meth:`Expression.compile_columnar` — ``ColumnBatch`` -> value list
-  aligned to the batch's selection.  Column-wise: operand columns are
-  decoded lists, no row tuples exist, and null checks are skipped
-  entirely when a column's validity metadata proves it None-free.
-* :meth:`Expression.compile_filter_columnar` — ``ColumnBatch`` -> a
+  aligned to the batch's selection;
+* :meth:`Expression.compile_filter_columnar` — ``ColumnBatch`` -> the
   *narrowed selection vector* (sorted physical indices where the
-  predicate is True).  AND chains narrow the selection conjunct by
-  conjunct; OR unions two sorted selections.
+  predicate is True).
 
-A columnar kernel must return exactly what the per-row evaluator would:
-identical values/selections, identical SQL three-valued logic (AND/OR
-short-circuit included, so the right operand never sees rows the left
-already decided) and identical error classes and messages — the row
-evaluator is the reference the differential tests compare against.
+The row evaluator is the one definition of expression semantics.  The
+base adapters materialise the batch and run it; a specialised kernel
+exists only for a shape that benchmark traffic runs: ``ColumnRef``,
+``col op lit`` selection and arithmetic over two column references
+(each a single loop over NULL-free columns), and LIKE / IN.  Whatever
+such a loop cannot handle — a column that may hold NULLs, a
+``TypeError``, a division by zero — hands the batch to the base
+adapter, so values, three-valued logic and error messages equal the
+row evaluator's by construction.
 """
 
 from __future__ import annotations
 
 import operator as _operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -82,8 +81,9 @@ class Expression:
 
         Results are aligned with the batch's selection vector: one value
         per *selected* row, in selection order.  The default adapter
-        materialises row tuples and reuses the per-row closure; nodes
-        with a column-wise shape override it.
+        materialises row tuples and reuses the per-row closure; it is
+        every node's kernel but for the shapes benchmark traffic runs,
+        and the fallback of their fast loops.
         """
         evaluate = self.compile(schema)
 
@@ -98,8 +98,8 @@ class Expression:
         Returns the sorted physical indices of rows where this predicate
         evaluates to exactly ``True`` (SQL three-valued logic: ``False``
         and ``NULL`` rows are dropped).  The default adapter evaluates
-        the value kernel and keeps ``is True`` survivors; predicates
-        with a cheap native selection shape override it.
+        the value kernel and keeps ``is True`` survivors; only
+        ``col op lit`` comparisons override it.
         """
         evaluate = self.compile_columnar(schema)
 
@@ -152,17 +152,6 @@ class Literal(Expression):
     def compile(self, schema: Schema) -> Evaluator:
         value = self.value
         return lambda row: value
-
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        value = self.value
-        return lambda batch: [value] * len(batch)
-
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        # A constant predicate either keeps every selected row (shared,
-        # read-only selection list) or none.
-        if self.value is True:
-            return lambda batch: batch.selected()
-        return lambda batch: []
 
     def result_type(self, schema: Schema) -> ColumnType:
         if isinstance(self.value, bool):
@@ -254,81 +243,34 @@ class Comparison(Expression):
 
         return evaluate
 
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        op = "!=" if self.op == "<>" else self.op
-        cmp = _COMPARATORS[op]
-
-        if isinstance(self.right, Literal):
-            rv = self.right.value
-            if rv is None:
-                return lambda batch: [None] * len(batch)
-            lf = self.left.compile_columnar(schema)
-
-            def evaluate_right_literal(batch: "ColumnBatch") -> List[Any]:
-                lvs = lf(batch)
-                try:
-                    return [
-                        None if a is None else cmp(a, rv) for a in lvs
-                    ]
-                except TypeError:
-                    _raise_compare_error(zip(lvs, repeat(rv)), cmp, op)
-
-            return evaluate_right_literal
-        if isinstance(self.left, Literal):
-            lv = self.left.value
-            if lv is None:
-                return lambda batch: [None] * len(batch)
-            rf = self.right.compile_columnar(schema)
-
-            def evaluate_left_literal(batch: "ColumnBatch") -> List[Any]:
-                rvs = rf(batch)
-                try:
-                    return [
-                        None if b is None else cmp(lv, b) for b in rvs
-                    ]
-                except TypeError:
-                    _raise_compare_error(zip(repeat(lv), rvs), cmp, op)
-
-            return evaluate_left_literal
-
-        lf = self.left.compile_columnar(schema)
-        rf = self.right.compile_columnar(schema)
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            lvs = lf(batch)
-            rvs = rf(batch)
-            try:
-                return [
-                    None if a is None or b is None else cmp(a, b)
-                    for a, b in zip(lvs, rvs)
-                ]
-            except TypeError:
-                _raise_compare_error(zip(lvs, rvs), cmp, op)
-
-        return evaluate_columnar
-
     def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
+        # ``col op lit``, the shape scans and filters run: one loop over
+        # the column's physical values.  ``=`` runs it on any column
+        # (NULL never equals a non-NULL literal); every other operator
+        # only on a NULL-free one.  Anything else, and a TypeError, is
+        # the generic kernel's, whose errors are the row evaluator's.
+        generic = Expression.compile_filter_columnar(self, schema)
+        if not (
+            isinstance(self.left, ColumnRef)
+            and isinstance(self.right, Literal)
+            and self.right.value is not None
+        ):
+            return generic
+        idx = schema.index_of(self.left.name)
         op = "!=" if self.op == "<>" else self.op
-        cmp = _COMPARATORS[op]
+        loop = _FILTER_LOOPS[op]
+        lit = self.right.value
 
-        # Column-vs-literal: the dominant predicate shape.  Works on the
-        # raw physical column (no gather), narrowing the selection with
-        # a single C-level loop.
-        if isinstance(self.left, ColumnRef) and isinstance(self.right, Literal):
-            rv = self.right.value
-            if rv is None:
-                return lambda batch: []
-            idx = schema.index_of(self.left.name)
-            return _compile_literal_filter(idx, op, cmp, rv, literal_left=False)
-        if isinstance(self.right, ColumnRef) and isinstance(self.left, Literal):
-            lv = self.left.value
-            if lv is None:
-                return lambda batch: []
-            idx = schema.index_of(self.right.name)
-            return _compile_literal_filter(
-                idx, op, cmp, lv, literal_left=True
-            )
-        return Expression.compile_filter_columnar(self, schema)
+        def filter_literal(batch: "ColumnBatch") -> List[int]:
+            col = batch.cols[idx]
+            if op != "=" and col.has_nulls():
+                return generic(batch)
+            try:
+                return loop(col.values(), lit, batch.sel)
+            except TypeError:
+                return generic(batch)
+
+        return filter_literal
 
     def columns(self) -> Iterator[str]:
         yield from self.left.columns()
@@ -341,59 +283,6 @@ class Comparison(Expression):
         return f"{self.left.sql()} {self.op} {self.right.sql()}"
 
 
-def _raise_compare_error(
-    pairs: Iterable[Tuple[Any, Any]], cmp: Callable[[Any, Any], bool], op: str
-) -> None:
-    """Slow path after a kernel hit a ``TypeError``: re-compare pair by
-    pair, in order, to raise exactly the row evaluator's error."""
-    for a, b in pairs:
-        if a is None or b is None:
-            continue
-        try:
-            cmp(a, b)
-        except TypeError as exc:
-            raise TypeMismatchError(
-                f"cannot compare {a!r} {op} {b!r}"
-            ) from exc
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
-def _compile_literal_filter(
-    idx: int,
-    op: str,
-    cmp: Callable[[Any, Any], bool],
-    lit: Any,
-    literal_left: bool,
-) -> SelectionKernel:
-    """Selection kernel for ``col op lit`` (or ``lit op col``).
-
-    The literal side is folded into the loop; ``lit op col`` runs the
-    reflected operator so both shapes share the same six loop bodies.
-    Error reporting still uses the original operand order so messages
-    match the row engine exactly.
-    """
-    loop_op = _REFLECTED_OPS[op] if literal_left else op
-    loop = _FILTER_LOOPS[loop_op]
-    loop_nn = _FILTER_LOOPS_NN[loop_op]
-
-    def filter_literal(batch: "ColumnBatch") -> List[int]:
-        col = batch.cols[idx]
-        sel = batch.sel
-        vals = col.values()
-        use = loop_nn if loop_op == "=" or not col.has_nulls() else loop
-        try:
-            return use(vals, lit, sel)
-        except TypeError:
-            seen = vals if sel is None else [vals[i] for i in sel]
-            _raise_compare_error(
-                zip(repeat(lit), seen) if literal_left else zip(seen, repeat(lit)),
-                cmp,
-                op,
-            )
-
-    return filter_literal
-
-
 _COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
     "=": _operator.eq,
     "!=": _operator.ne,
@@ -403,25 +292,11 @@ _COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
     ">=": _operator.ge,
 }
 
-#: ``lit op col`` rewritten as ``col reflected(op) lit``.
-_REFLECTED_OPS: Dict[str, str] = {
-    "=": "=",
-    "!=": "!=",
-    "<": ">",
-    "<=": ">=",
-    ">": "<",
-    ">=": "<=",
-}
-
-
-# Columnar column-vs-literal filter loops.  Six operators, each in a
-# null-checking and a null-free variant; *vals* is the column's full
-# physical value list and *sel* the batch's selection (None = all rows).
-# Explicit functions (not closures over an operator) keep the comparison
-# a single bytecode op inside the C-level list-comprehension loop.
-#
-# ``=`` needs no null variant: ``None == lit`` is False for any non-None
-# literal, so NULL rows drop out of the comparison itself.
+# Columnar column-vs-literal filter loops over NULL-free columns (and,
+# for ``=``, any column); *vals* is the column's full physical value list
+# and *sel* the batch's selection (None = all rows).  Explicit functions
+# (not closures over an operator) keep the comparison a single bytecode
+# op inside the C-level list-comprehension loop.
 
 
 def _filter_eq(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
@@ -432,23 +307,11 @@ def _filter_eq(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
 
 def _filter_ne(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
     if sel is None:
-        return [i for i, v in enumerate(vals) if v is not None and v != rv]
-    return [i for i in sel if (v := vals[i]) is not None and v != rv]
-
-
-def _filter_ne_nn(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
         return [i for i, v in enumerate(vals) if v != rv]
     return [i for i in sel if vals[i] != rv]
 
 
 def _filter_lt(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
-        return [i for i, v in enumerate(vals) if v is not None and v < rv]
-    return [i for i in sel if (v := vals[i]) is not None and v < rv]
-
-
-def _filter_lt_nn(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
     if sel is None:
         return [i for i, v in enumerate(vals) if v < rv]
     return [i for i in sel if vals[i] < rv]
@@ -456,35 +319,17 @@ def _filter_lt_nn(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[in
 
 def _filter_le(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
     if sel is None:
-        return [i for i, v in enumerate(vals) if v is not None and v <= rv]
-    return [i for i in sel if (v := vals[i]) is not None and v <= rv]
-
-
-def _filter_le_nn(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
         return [i for i, v in enumerate(vals) if v <= rv]
     return [i for i in sel if vals[i] <= rv]
 
 
 def _filter_gt(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
     if sel is None:
-        return [i for i, v in enumerate(vals) if v is not None and v > rv]
-    return [i for i in sel if (v := vals[i]) is not None and v > rv]
-
-
-def _filter_gt_nn(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
         return [i for i, v in enumerate(vals) if v > rv]
     return [i for i in sel if vals[i] > rv]
 
 
 def _filter_ge(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
-        return [i for i, v in enumerate(vals) if v is not None and v >= rv]
-    return [i for i in sel if (v := vals[i]) is not None and v >= rv]
-
-
-def _filter_ge_nn(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
     if sel is None:
         return [i for i, v in enumerate(vals) if v >= rv]
     return [i for i in sel if vals[i] >= rv]
@@ -499,22 +344,14 @@ _FILTER_LOOPS: Dict[str, Callable[..., List[int]]] = {
     ">=": _filter_ge,
 }
 
-_FILTER_LOOPS_NN: Dict[str, Callable[..., List[int]]] = {
-    "=": _filter_eq,
-    "!=": _filter_ne_nn,
-    "<": _filter_lt_nn,
-    "<=": _filter_le_nn,
-    ">": _filter_gt_nn,
-    ">=": _filter_ge_nn,
-}
-
 
 @dataclass(frozen=True, repr=False)
 class _Connective(Expression):
     """AND / OR under three-valued logic.  ``DECIDES`` is the operand
     value that settles the result on its own (False for AND, True for
-    OR): the right side only sees rows the left did not already decide,
-    in the row evaluator's short-circuit and on the selection alike."""
+    OR): the right side only sees rows the left did not already decide.
+    The columnar engine runs this evaluator too, through the base
+    adapters."""
 
     left: Expression
     right: Expression
@@ -544,28 +381,6 @@ class _Connective(Expression):
 
         return evaluate
 
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        lf = self.left.compile_columnar(schema)
-        rf = self.right.compile_columnar(schema)
-        decides = self.DECIDES
-        undecided = not decides
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            lvs = lf(batch)
-            sel = batch.selected()
-            need_pos = [p for p, lv in enumerate(lvs) if lv is not decides]
-            out: List[Any] = [decides] * len(lvs)
-            if not need_pos:
-                return out
-            rvs = rf(batch.with_sel([sel[p] for p in need_pos]))
-            for p, rv in zip(need_pos, rvs):
-                if rv is decides:
-                    continue
-                out[p] = None if (lvs[p] is None or rv is None) else undecided
-            return out
-
-        return evaluate_columnar
-
     def columns(self) -> Iterator[str]:
         yield from self.left.columns()
         yield from self.right.columns()
@@ -580,48 +395,10 @@ class _Connective(Expression):
 class And(_Connective):
     KEYWORD = "AND"
 
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        lf = self.left.compile_filter_columnar(schema)
-        rf = self.right.compile_filter_columnar(schema)
-
-        def filter_columnar(batch: "ColumnBatch") -> List[int]:
-            sel = lf(batch)
-            if not sel:
-                return sel
-            return rf(batch.with_sel(sel))
-
-        return filter_columnar
-
 
 class Or(_Connective):
     DECIDES = True
     KEYWORD = "OR"
-
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        # Value kernels (not sub-filters) so both sides observe exactly
-        # the rows the row evaluator would show them — this preserves
-        # error behaviour: the right side never sees rows the left
-        # already proved True.
-        lf = self.left.compile_columnar(schema)
-        rf = self.right.compile_columnar(schema)
-
-        def filter_columnar(batch: "ColumnBatch") -> List[int]:
-            lvs = lf(batch)
-            sel = batch.selected()
-            true_sel = [i for i, v in zip(sel, lvs) if v is True]
-            rest = [i for i, v in zip(sel, lvs) if v is not True]
-            if not rest:
-                return true_sel
-            rvs = rf(batch.with_sel(rest))
-            rtrue = [i for i, v in zip(rest, rvs) if v is True]
-            if not true_sel:
-                return rtrue
-            if not rtrue:
-                return true_sel
-            # Union of two ascending runs; Timsort merges them in O(n).
-            return sorted(true_sel + rtrue)
-
-        return filter_columnar
 
 
 @dataclass(frozen=True, repr=False)
@@ -641,10 +418,6 @@ class Not(Expression):
             return not v
 
         return evaluate
-
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        f = self.operand.compile_columnar(schema)
-        return lambda batch: [None if v is None else not v for v in f(batch)]
 
     def columns(self) -> Iterator[str]:
         yield from self.operand.columns()
@@ -669,35 +442,6 @@ class IsNull(Expression):
         if self.negated:
             return lambda row: f(row) is not None
         return lambda row: f(row) is None
-
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        f = self.operand.compile_columnar(schema)
-        if self.negated:
-            return lambda batch: [v is not None for v in f(batch)]
-        return lambda batch: [v is None for v in f(batch)]
-
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        if not isinstance(self.operand, ColumnRef):
-            return Expression.compile_filter_columnar(self, schema)
-        idx = schema.index_of(self.operand.name)
-        negated = self.negated
-
-        def filter_columnar(batch: "ColumnBatch") -> List[int]:
-            col = batch.cols[idx]
-            sel = batch.sel
-            if not col.has_nulls():
-                # Validity metadata proves the column None-free.
-                return batch.selected() if negated else []
-            vals = col.values()
-            if negated:
-                if sel is None:
-                    return [i for i, v in enumerate(vals) if v is not None]
-                return [i for i in sel if vals[i] is not None]
-            if sel is None:
-                return [i for i, v in enumerate(vals) if v is None]
-            return [i for i in sel if vals[i] is None]
-
-        return filter_columnar
 
     def columns(self) -> Iterator[str]:
         yield from self.operand.columns()
@@ -735,6 +479,11 @@ class _PerValuePredicate(Expression):
         return evaluate
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
+        # Over a column reference only: any other operand may raise on a
+        # later row before ``test`` raises on an earlier one, so its
+        # first error would not be the row evaluator's.
+        if not isinstance(self.operand, ColumnRef):
+            return Expression.compile_columnar(self, schema)
         f = self.operand.compile_columnar(schema)
         test = self._test()
 
@@ -863,57 +612,26 @@ class Arithmetic(Expression):
         return evaluate
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        fn = _ARITHMETIC_FUNCS[self.op]
-        op_sql = self.op
-
-        if isinstance(self.right, Literal):
-            rv = self.right.value
-            if rv is None:
-                return lambda batch: [None] * len(batch)
-            lf = self.left.compile_columnar(schema)
-            lit_loop = _ARITH_LIT_LOOPS[self.op]
-            li = (
-                schema.index_of(self.left.name)
-                if isinstance(self.left, ColumnRef)
-                else -1
-            )
-
-            def evaluate_right_literal(batch: "ColumnBatch") -> List[Any]:
-                lvs = lf(batch)
-                try:
-                    if li >= 0 and not batch.cols[li].has_nulls():
-                        return lit_loop(lvs, rv)
-                    return [None if a is None else fn(a, rv) for a in lvs]
-                except (ZeroDivisionError, TypeError):
-                    return _arith_pairwise(zip(lvs, repeat(rv)), fn, op_sql)
-
-            return evaluate_right_literal
-
-        lf = self.left.compile_columnar(schema)
-        rf = self.right.compile_columnar(schema)
-        # Two plain column refs over None-free columns skip the per-pair
-        # null checks entirely (the common ``price * quantity`` shape).
-        refs = isinstance(self.left, ColumnRef) and isinstance(
-            self.right, ColumnRef
-        )
-        li = schema.index_of(self.left.name) if refs else -1
-        ri = schema.index_of(self.right.name) if refs else -1
+        # Two column references (the ``price * quantity`` shape) run one
+        # loop over NULL-free columns; NULLs, a division by zero or a
+        # TypeError hand the batch to the generic kernel, and every
+        # other shape is the generic kernel's.
+        generic = Expression.compile_columnar(self, schema)
+        if not (
+            isinstance(self.left, ColumnRef) and isinstance(self.right, ColumnRef)
+        ):
+            return generic
+        li = schema.index_of(self.left.name)
+        ri = schema.index_of(self.right.name)
         pair_loop = _ARITH_PAIR_LOOPS[self.op]
 
         def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            lvs = lf(batch)
-            rvs = rf(batch)
+            if batch.cols[li].has_nulls() or batch.cols[ri].has_nulls():
+                return generic(batch)
             try:
-                if refs and not (
-                    batch.cols[li].has_nulls() or batch.cols[ri].has_nulls()
-                ):
-                    return pair_loop(lvs, rvs)
-                return [
-                    None if a is None or b is None else fn(a, b)
-                    for a, b in zip(lvs, rvs)
-                ]
+                return pair_loop(batch.column_values(li), batch.column_values(ri))
             except (ZeroDivisionError, TypeError):
-                return _arith_pairwise(zip(lvs, rvs), fn, op_sql)
+                return generic(batch)
 
         return evaluate_columnar
 
@@ -934,27 +652,6 @@ class Arithmetic(Expression):
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
 
 
-def _arith_pairwise(
-    pairs: Iterable[Tuple[Any, Any]], fn: Callable[[Any, Any], Any], op_sql: str
-) -> List[Any]:
-    """Slow path after a kernel hit an error: element-wise, with the row
-    evaluator's NULL-on-division-by-zero and its ``TypeMismatchError``."""
-    out: List[Any] = []
-    for a, b in pairs:
-        if a is None or b is None:
-            out.append(None)
-            continue
-        try:
-            out.append(fn(a, b))
-        except ZeroDivisionError:
-            out.append(None)
-        except TypeError as exc:
-            raise TypeMismatchError(
-                f"cannot compute {a!r} {op_sql} {b!r}"
-            ) from exc
-    return out
-
-
 _ARITHMETIC_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
     "+": _operator.add,
     "-": _operator.sub,
@@ -964,39 +661,9 @@ _ARITHMETIC_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-# Columnar arithmetic loops for null-free operands.  Like the filter
+# Columnar arithmetic loops for NULL-free operands.  Like the filter
 # loops above, explicit functions keep the operator a single bytecode op
-# instead of a closure call per element; the null-checking and error
-# paths stay on the generic ``fn``-based loops.
-
-
-def _arith_add_lit(vals: List[Any], rv: Any) -> List[Any]:
-    return [a + rv for a in vals]
-
-
-def _arith_sub_lit(vals: List[Any], rv: Any) -> List[Any]:
-    return [a - rv for a in vals]
-
-
-def _arith_mul_lit(vals: List[Any], rv: Any) -> List[Any]:
-    return [a * rv for a in vals]
-
-
-def _arith_div_lit(vals: List[Any], rv: Any) -> List[Any]:
-    return [a / rv for a in vals]
-
-
-def _arith_mod_lit(vals: List[Any], rv: Any) -> List[Any]:
-    return [a % rv for a in vals]
-
-
-_ARITH_LIT_LOOPS: Dict[str, Callable[..., List[Any]]] = {
-    "+": _arith_add_lit,
-    "-": _arith_sub_lit,
-    "*": _arith_mul_lit,
-    "/": _arith_div_lit,
-    "%": _arith_mod_lit,
-}
+# instead of a closure call per element.
 
 
 def _arith_add_pair(lvs: List[Any], rvs: List[Any]) -> List[Any]:
@@ -1053,11 +720,6 @@ class FuncCall(Expression):
             return func(v)
 
         return evaluate
-
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        f = self.arg.compile_columnar(schema)
-        func = _SCALAR_FUNCS[self.name.upper()]
-        return lambda batch: [None if v is None else func(v) for v in f(batch)]
 
     def columns(self) -> Iterator[str]:
         yield from self.arg.columns()

@@ -46,7 +46,6 @@ from .columnar import (
     ColumnBatch,
     ColumnData,
     GatherColumn,
-    LazyColumn,
     TakeColumn,
     ValueColumn,
 )
@@ -644,8 +643,8 @@ class Project(PhysicalPlan):
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Plain column references pass the underlying column straight
-        # through (narrowed to the selection, dict encoding preserved);
-        # computed items run a columnar kernel into a value column.
+        # through (narrowed to the selection); computed items run a
+        # columnar kernel into a value column.
         child_schema = self.child.output_schema
         plans: List[Tuple[int, Optional[Any]]] = []
         for item in self.items:
@@ -1544,14 +1543,12 @@ class Sort(PhysicalPlan):
             return
         width = len(schema)
 
-        # One combined (lazily concatenated) batch over the whole input;
-        # only columns the sort keys actually touch get decoded before
-        # the output gather.
-        def concat(j: int) -> Callable[[], List[Any]]:
-            return lambda: _concat_column(batches, j)
-
         combined = ColumnBatch(
-            tuple(LazyColumn(concat(j)) for j in range(width)), total, None
+            tuple(
+                ValueColumn(_concat_column(batches, j)) for j in range(width)
+            ),
+            total,
+            None,
         )
         # Same stable right-to-left multi-pass as the other engines, but
         # the data never moves: an index permutation is threaded through

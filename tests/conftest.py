@@ -26,9 +26,10 @@ from repro.workload import TEST_SCALE
 
 #: ``--hypothesis-profile=soak``: what CI runs the reference properties
 #: under (scheduler queue against its parent and its closed form in
-#: bench-load, SQL front end in
-#: bench-e2e-smoke), with a fixed ``--hypothesis-seed`` (tests that pin
-#: ``max_examples`` themselves are unaffected).
+#: bench-load, SQL front end in bench-e2e-smoke, aggregation and the
+#: expression kernels in bench-engine), with a fixed
+#: ``--hypothesis-seed`` (tests that pin ``max_examples`` themselves are
+#: unaffected).
 settings.register_profile("soak", max_examples=500, deadline=None)
 
 

@@ -2,14 +2,14 @@
 
 Covers the kernel contract (``compile_columnar`` /
 ``compile_filter_columnar`` against the row evaluator: SQL NULL
-semantics, three-valued AND/OR with short-circuit selection, identical
-error text), the column representations (lazily built table columns of
+semantics, three-valued AND/OR with short-circuit, identical error text,
+over fixed cases and over drawn trees and rows), the column representations (lazily built table columns of
 the row tuples' own values), the selection-vector contract
 (filters narrow, never copy), the pinned LIMIT meter exception, the
 operator paths (outer-join padding, NULL join keys, aggregate edge cases,
 unique-build hash join and its build classification, COUNT(*)-only
-grouping, single-column DISTINCT, the default row adapter), and the observability surface (per-operator
-selectivity in EXPLAIN ANALYZE, engine metrics).
+grouping, single-column DISTINCT), and the observability surface
+(per-operator selectivity in EXPLAIN ANALYZE, engine metrics).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.obs as obs
 from repro.obs.profile import profiling, render_analyzed_plan
@@ -31,6 +32,7 @@ from repro.sqlengine import (
     Database,
     DEFAULT_BATCH_SIZE,
     ENGINES,
+    FuncCall,
     HashAggregate,
     HashJoin,
     InList,
@@ -51,6 +53,11 @@ from repro.sqlengine import (
 )
 from repro.sqlengine import cost
 from repro.sqlengine.columnar import TableColumn, TableColumns
+from repro.sqlengine.expressions import (
+    ARITHMETIC_OPS,
+    COMPARISON_OPS,
+    SCALAR_FUNCTIONS,
+)
 from repro.sqlengine.physical import MaterializedInput
 
 
@@ -106,31 +113,47 @@ ROWS = [
     (0, -1.5, "World"),
 ]
 
-#: Kernels must agree on plain value lists (operator intermediates) and
-#: on a stored table's lazily built columns.
+#: Kernels must agree on plain value lists (operator intermediates), with
+#: their nullability computed or declared, and on a stored table's lazily
+#: built columns.
 LAYOUTS = {
     "values": lambda rows: ColumnBatch.from_rows(rows, len(SCHEMA)),
+    "declared": lambda rows: ColumnBatch(
+        tuple(ValueColumn(list(c), nullable=None in c) for c in zip(*rows)),
+        len(rows),
+    ),
     "stored": lambda rows: TableColumns(rows, SCHEMA).batch(0, len(rows)),
 }
 
 
+def outcome(run):
+    """What *run* returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def agrees_with_row_engine(expr, rows=ROWS):
     """Value and selection kernels match the row evaluator, with and
-    without a narrowing selection, on every layout."""
+    without a narrowing selection, on every layout: the same values, or
+    the error the row evaluator raises first over the selected rows, of
+    the same type and with the same message.  Returns the row
+    evaluator's values (or its error) over all rows."""
     evaluate = expr.compile(SCHEMA)
-    expected = [evaluate(row) for row in rows]
     for layout in LAYOUTS.values():
         batch = layout(rows)
         for sel in (None, list(range(0, len(rows), 2))):
             view = batch if sel is None else batch.with_sel(sel)
             positions = range(len(rows)) if sel is None else sel
-            assert expr.compile_columnar(SCHEMA)(view) == [
-                expected[i] for i in positions
-            ]
-            assert expr.compile_filter_columnar(SCHEMA)(view) == [
-                i for i in positions if expected[i] is True
-            ]
-    return expected
+            expected = outcome(lambda: [evaluate(rows[i]) for i in positions])
+            values = outcome(lambda: expr.compile_columnar(SCHEMA)(view))
+            assert values == expected
+            if isinstance(expected, list):
+                expected = [i for i, v in zip(positions, expected) if v is True]
+            selected = outcome(lambda: expr.compile_filter_columnar(SCHEMA)(view))
+            assert selected == expected
+    return outcome(lambda: [evaluate(row) for row in rows])
 
 
 class TestKernels:
@@ -243,6 +266,92 @@ class TestKernels:
         explosive = Comparison(">", ColumnRef("a"), Literal("boom"))
         rows = [(4, 2.5, "Hi")]
         assert agrees_with_row_engine(Or(safe, explosive), rows) == [True]
+
+
+# Drawn trees and rows for the contract.  Strings include format
+# specifiers, because ``str % x`` formats (``"%s" % None`` is ``"None"``,
+# where SQL says NULL), and ints stay small, because ``str * int``
+# repeats.
+STRINGS = st.sampled_from(("", "Hi", "%s", "a_%"))
+NON_NULL = {
+    "int": st.integers(-5, 5),
+    "float": st.floats(-1e3, 1e3, allow_nan=False),
+    "str": STRINGS,
+}
+SCALARS = st.one_of(st.none(), *NON_NULL.values())
+NON_NULL["mixed"] = st.one_of(*NON_NULL.values())
+COLUMN_REFS = st.sampled_from([ColumnRef("a"), ColumnRef("b"), ColumnRef("t.s")])
+LITERALS = st.builds(Literal, SCALARS)
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(Comparison, st.sampled_from(COMPARISON_OPS), children, children),
+        st.builds(Arithmetic, st.sampled_from(ARITHMETIC_OPS), children, children),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Not, children),
+        st.builds(IsNull, children, st.booleans()),
+        st.builds(Like, children, st.text("aH%_", max_size=4), st.booleans()),
+        st.builds(
+            InList, children, st.lists(SCALARS, max_size=3).map(tuple), st.booleans()
+        ),
+        st.builds(FuncCall, st.sampled_from(SCALAR_FUNCTIONS), children),
+    )
+
+
+#: Whole trees, plus the shapes with a kernel of their own drawn directly
+#: (``col op lit`` selection, arithmetic over two column references).
+EXPRESSIONS = st.one_of(
+    st.recursive(st.one_of(COLUMN_REFS, LITERALS), _compound, max_leaves=6),
+    st.builds(Comparison, st.sampled_from(COMPARISON_OPS), COLUMN_REFS, LITERALS),
+    st.builds(Arithmetic, st.sampled_from(ARITHMETIC_OPS), COLUMN_REFS, COLUMN_REFS),
+)
+
+
+@st.composite
+def drawn_rows(draw):
+    """1–8 rows; each column holds one kind of value or all of them
+    mixed, and may hold NULLs."""
+    n = draw(st.integers(1, 8))
+    columns = []
+    for _ in SCHEMA.columns:
+        values = NON_NULL[draw(st.sampled_from(sorted(NON_NULL)))]
+        if draw(st.booleans()):
+            values = st.one_of(st.none(), values)
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    return list(zip(*columns))
+
+
+class TestKernelContract:
+    """The contract over drawn trees and rows: every kernel, fast loop or
+    fallback, equals the row evaluator (``agrees_with_row_engine``)."""
+
+    @settings(deadline=None)
+    @given(expr=EXPRESSIONS, rows=drawn_rows())
+    # Cases draws reach only now and then, one per way a kernel can go
+    # wrong: ``!=`` over NULLs (``None != 1`` is True), a comparison
+    # loop's TypeError on a NULL-free column, ``"%s" % NULL`` in the pair
+    # loop (only its NULL check keeps it NULL), and a LIKE operand that
+    # raises on a later row than the LIKE test does.
+    @example(
+        expr=Comparison("!=", ColumnRef("a"), Literal(1)),
+        rows=[(None, 0.0, ""), (2, 0.0, "")],
+    )
+    @example(
+        expr=Comparison(">", ColumnRef("a"), Literal("Hi")),
+        rows=[(1, 0.0, ""), (2, 0.0, "")],
+    )
+    @example(
+        expr=Arithmetic("%", ColumnRef("t.s"), ColumnRef("a")),
+        rows=[(None, 0.0, "%s"), (2, 0.0, "%s")],
+    )
+    @example(
+        expr=Like(FuncCall("ABS", ColumnRef("a")), "%"),
+        rows=[(1, 0.0, ""), ("Hi", 0.0, "")],
+    )
+    def test_kernels_agree_with_row_evaluator(self, expr, rows):
+        agrees_with_row_engine(expr, rows)
 
 
 # -- column representations --------------------------------------------------
