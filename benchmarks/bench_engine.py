@@ -32,6 +32,7 @@ noisy shared runners.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import random
@@ -41,6 +42,7 @@ from sys import getsizeof
 
 import pytest
 
+from repro.obs.profile import profiling
 from repro.sqlengine import Database, execute_plan, populate
 from repro.sqlengine.types import Column, ColumnType, Schema
 from repro.workload import BENCH_SCALE
@@ -141,6 +143,51 @@ COLUMNAR_SHAPES = (
 )
 
 
+#: sha256 of each shape's meters at BENCH_SCALE (``meter_digest``).
+GOLDEN_METERS = {
+    "scan-filter": "63cc97ff9b5e24b235ffb88448b8e47bf10938c6ccf7cc1a3b8ad466a68c33d9",
+    "scan-project": "ac0eecbb9f2d0d903ba7d230de912f5ce84c3eb2a3685c72e92746ce49835de9",
+    "join": "6c9baff2f92ee1837bcf50b863b5b7bdb7821a6ca8dd8287b0df3ec758204594",
+    "fk-pk-join": "b3f267134fbe61a98d2abfe50d5c9c446c32897c8bb59dff716126d88a1a7805",
+    "join-agg": "ea2d6228a11391b9fac2187a229d0eeabc8c1eac5e16cabef581e414bb7ac6c6",
+    "aggregate": "0b50ae236a45eaf79e2867c91727310e32365d197eb32727e6cae9a59495a1d9",
+    "str-like-agg": "aae1256afde2692ad6faaa257b92c4bdd754cfc4414f6ecd6b0edf3516c3df0a",
+    "str-multi-like": "f8df5e41c9cc991eb4c309e1648c4b2dd536594e36213fa4e9f94d1a06143e5c",
+    "str-complex-like": "8b3169ef2fc3cde8b0a2e55e2961b321b61868656f9e35d4add3c74fa0f4a318",
+    "str-group": "351301b324828abb6062527d36d7fa08096a1765c9c3435a096543b6c8d9db02",
+    "count-group": "f0bf1ed35119803afd7862dd3c741a964764228488be8d193fed0e4777649594",
+    "str-count-group": "c59b009e53a9c8a7a3e5ef958e254508bc4eaac406f4226f788526126c6811af",
+    "distinct": "d0ba2e07f9402587d3a5faab93a1c4f8dd63b17c50a5fc6818b71788250b62ef",
+    "str-distinct": "05f3be4328d39dec8c18ad88f5d6836b20b6b1ab8d3d97d66f636f90f681edd4",
+}
+
+
+def _pre_order(node):
+    yield node
+    for child in node.children():
+        yield from _pre_order(child)
+
+
+def meter_digest(plan, storage):
+    """sha256 over *plan*'s operators in pre-order (``describe()``,
+    ``rows_out`` and inclusive ``meter_ms`` as ``float.hex``) and its
+    ``WorkMeter`` totals, as ``tests/integration/test_golden_meters.py``
+    pins QT1-QT5."""
+    with profiling() as profiler:
+        meter = execute_plan(plan, storage).meter
+    profile = profiler.capture()
+    digest = hashlib.sha256()
+    for node in _pre_order(plan):
+        stats = profile.stats_for(node)
+        digest.update(
+            f"{node.describe()}|{stats.rows_out}|{stats.meter_ms.hex()}\n".encode()
+        )
+    digest.update(
+        f"{meter.cpu_ms.hex()}|{meter.io_ms.hex()}|{meter.tuples_out}\n".encode()
+    )
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def engine_db():
     database = Database(name="bench-engine")
@@ -212,6 +259,8 @@ def _measure_suite(database, shapes):
             ref_meter.io_ms,
             ref_meter.tuples_out,
         ), name
+
+        assert meter_digest(plan, database.storage) == GOLDEN_METERS[name], name
 
         n = len(reference.rows)
         row_s, col_s = times["row"], times["columnar"]

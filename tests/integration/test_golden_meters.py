@@ -1,4 +1,5 @@
-"""Golden meters: QT1–QT5's columnar work at test scale, pinned per server.
+"""Golden meters: QT1–QT5's work at test scale, pinned per server, and
+the work of 120 statements of the SQLite-oracle grammar.
 
 For instance 0 of each query type, on each of S1–S3's sample databases,
 the server's best plan runs on the default engine under the operator
@@ -8,11 +9,18 @@ pre-order, its ``describe()``, its ``rows_out`` and its inclusive
 The meters are what a server's load turns into response time and what
 QCC calibrates against, so a change that moves any of them moves the
 digest.  The row engine must give the same rows and totals.
+
+The grammar pin runs the statements of ``pinned_statements.sql`` (drawn
+once from ``test_sqlite_oracle.statements`` and committed, so no
+generator change can move them) on S1's sample database and folds, per
+statement, its rows in order and the same per-operator and total meters
+into one sha256.
 """
 
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +39,16 @@ GOLDEN = {
     "QT4": "3bf8ca5ce7cdc6ebac0e708b7c659f41c207160ff54d5092f944370f5be1ec9d",
     "QT5": "05866e01561a78357df345cd8bcc89235e8593a56237433b6b3cbc1d616c68af",
 }
+
+#: The grammar's pinned statements, one per line.
+PINNED = [
+    line
+    for line in (Path(__file__).parent / "pinned_statements.sql").read_text().splitlines()
+    if line and not line.startswith("--")
+]
+
+#: sha256 over every pinned statement's rows and meters.
+GRAMMAR_GOLDEN = "db3cbae8c8de5340cf9b7edcf064631131f92023af0c82f139d08915ee4ce481"
 
 
 def _pre_order(node):
@@ -72,3 +90,18 @@ def test_meters_match_the_golden_digest(sample_databases, template, server):
     row = execute_plan(plan, database.storage, engine="row")
     assert row.rows == result.rows
     assert _totals(row.meter) == _totals(result.meter)
+
+
+def test_grammar_meters_match_the_golden_digest(sample_databases):
+    database = sample_databases["S1"]
+    assert len(PINNED) >= 100
+    digest = hashlib.sha256()
+    for sql in PINNED:
+        plan = database.explain(sql)[0].plan
+        meters, result = meter_digest(plan, database.storage)
+        digest.update(f"{sql}|{result.rows!r}|{meters}\n".encode())
+        row = execute_plan(plan, database.storage, engine="row")
+        assert row.rows == result.rows, sql
+        if "LIMIT" not in sql:
+            assert _totals(row.meter) == _totals(result.meter), sql
+    assert digest.hexdigest() == GRAMMAR_GOLDEN

@@ -17,10 +17,19 @@ answers the same SQL and the rows must agree under
   keeps to the dialect the two engines share (the module docstring of
   ``repro.chaos.sqlite_answers``): no ``/`` or ``%``, no ``+`` on
   strings, and ORDER BY only on keys that are never NULL and make the
-  order total, so a LIMIT keeps the same rows in both.
+  order total, so a LIMIT keeps the same rows in both;
+* every distinct SQL text of the four ``BENCHMARK.json`` workloads,
+  through a bare ``Database`` loaded as the benchmark loads its data
+  (traffic seed 11 here; CI also runs seed 29).  The benchmark's own
+  answer check compares the federation with a bare ``Database`` running
+  the same engine, so this is where an independent engine sees its
+  texts.
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +38,23 @@ from repro.chaos.runner import replica_databases
 from repro.chaos.sqlite_answers import SqliteAnswers
 from repro.fed import ConcurrentRuntime, FederationError
 from repro.harness import build_federation, build_replica_federation
-from repro.sqlengine import ENGINES, execute_plan, rows_close_unordered
-from repro.workload import TEST_SCALE
+from repro.sqlengine import (
+    ENGINES,
+    Database,
+    execute_plan,
+    populate,
+    rows_close_unordered,
+)
+from repro.workload import TEST_SCALE, build_workload, table_specs
 from repro.workload.queries import EXTENDED_QUERY_TYPES
+
+#: The benchmark's workload definitions, imported as its own tests do
+#: (``benchmarks/e2e/tests/conftest.py``) and never edited from here.
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+if str(E2E) not in sys.path:
+    sys.path.insert(0, str(E2E))
+
+import workloads as e2e  # noqa: E402
 
 WORKLOAD = [
     template.instance(instance_id)
@@ -283,3 +306,46 @@ def test_grammar_answers_equal_sqlite_locally(sample_databases, sqlite, sql):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_grammar_answers_equal_sqlite_federated(deployments, sqlite, sql):
     _assert_federated_answers(deployments, sqlite, sql)
+
+
+# -- the benchmark's texts ----------------------------------------------------
+
+
+def benchmark_texts(spec, seed):
+    """The distinct SQL texts *spec* submits under traffic *seed*.
+
+    ``paper_phases`` submits the texts of the data seed in an order the
+    traffic seed deals, so its texts do not depend on *seed*."""
+    if isinstance(spec, e2e.PhaseSweep):
+        queries = build_workload(
+            instances_per_type=spec.instances_per_type,
+            seed=e2e.DATA_SEED,
+            shuffle=False,
+        )
+        texts = [query.sql for query in queries]
+    else:
+        texts = [arrival.sql for arrival in e2e.generate_stream(spec, seed)]
+    return list(dict.fromkeys(texts))
+
+
+def benchmark_disagreements(name, seed):
+    """(texts checked, texts whose rows differ from SQLite's) for workload
+    *name* at traffic *seed*, over a ``Database`` loaded as the benchmark
+    loads its data."""
+    spec = e2e.WORKLOADS[name]
+    database = Database(name=name)
+    populate(database, table_specs(spec.scale), seed=e2e.DATA_SEED)
+    sqlite = SqliteAnswers([database])
+    texts = benchmark_texts(spec, seed)
+    wrong = [
+        sql
+        for sql in texts
+        if not rows_close_unordered(database.run(sql).rows, sqlite.rows(sql))
+    ]
+    return len(texts), wrong
+
+
+@pytest.mark.parametrize("workload", sorted(e2e.WORKLOADS))
+def test_benchmark_texts_equal_sqlite(workload):
+    checked, wrong = benchmark_disagreements(workload, seed=11)
+    assert checked and wrong == []
