@@ -1,23 +1,29 @@
-"""Row reference vs columnar engine: speedup and differential checks.
+"""SQLite over the columnar engine: a speed floor and differential checks.
 
-The columnar engine exists purely for throughput: operators stream
-column batches with selection vectors through compiled kernels — no
-row copies, tuples only at the output boundary (docs/execution.md) —
-instead of pulling one tuple at a time through Python generators.  Correctness is non-negotiable — the
-response-time simulation and QCC calibration are driven by
-``WorkMeter`` totals, so both engines must produce identical rows *and*
-bit-identical metered work on every shape here.
+The engine's only yardstick that is not this code is SQLite (stdlib
+``sqlite3``, loaded with the same rows by
+:class:`~repro.chaos.sqlite_answers.SqliteAnswers`): a host-relative
+ratio that still fails on an engine regression, whatever the host.
+Correctness is non-negotiable — the response-time simulation and QCC
+calibration are driven by ``WorkMeter`` totals — so every shape's rows
+must be SQLite's (``rows_close_unordered``) and its meters must match
+their golden digest (``GOLDEN_METERS``, computed while a row-at-a-time
+engine still confirmed them).
 
-One composite gate, a total-wall-clock ratio over both suites: row over
-columnar must reach ``REPRO_BENCH_ENGINE_MIN`` (default 4x).
+One gate: SQLite's total best-of-``REPS`` wall clock over the columnar
+engine's on the six numeric ``SHAPES`` must reach
+``REPRO_BENCH_ENGINE_MIN`` (default 2x; three runs on a 2-vCPU x86-64
+host under CPython 3.11.7 measured 2.68x, 2.74x and 2.83x, and 1.9-3.6x
+per shape).
 
 * ``SHAPES`` (numeric scan / filter / join / aggregate — the original
-  acceptance shapes): the final tuple-materialisation boundary caps the
-  gain here around 5-7x.
+  acceptance shapes): the tuple-materialisation boundary and Python's
+  per-batch overhead are most of the engine's time here.
 * ``COLUMNAR_SHAPES`` (string predicates, grouping, DISTINCT — where
   selection vectors and whole-input grouping change the algorithm, not
-  just the constant): 12-22x on grouping and DISTINCT.  LIKE tests
-  each row's value, as the row engine does, so its shapes read 1.5-4x.
+  just the constant): timed and checked the same way, outside the gate
+  (SQLite's ``LIKE`` runs in C and takes under half the engine's time;
+  the grouping and DISTINCT shapes take SQLite 2-5x the engine's).
 
 Per-shape timings, rows/sec, per-batch memory (the ``getsizeof`` of a
 batch's column value lists, which point at the stored rows' own values
@@ -42,22 +48,21 @@ from sys import getsizeof
 
 import pytest
 
+from repro.chaos.sqlite_answers import SqliteAnswers
 from repro.obs.profile import profiling
-from repro.sqlengine import Database, execute_plan, populate
+from repro.sqlengine import Database, execute_plan, populate, rows_close_unordered
 from repro.sqlengine.types import Column, ColumnType, Schema
 from repro.workload import BENCH_SCALE
 from repro.workload.schema import table_specs
 
-#: Composite row/columnar speedup the two suites together must demonstrate.
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_MIN", "4.0"))
+#: SQLite's time over the columnar engine's the numeric shapes must reach.
+MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_ENGINE_MIN", "2.0"))
 #: Timing repetitions per (shape, engine); best-of is reported.
 REPS = int(os.environ.get("REPRO_BENCH_ENGINE_REPS", "7"))
 #: GC-tracked objects a loaded database may add per stored row.
 MAX_TRACKED_PER_ROW = 0.1
 #: Optional path for the standalone JSON artifact.
 ARTIFACT = os.environ.get("REPRO_BENCH_ENGINE_JSON", "")
-
-ENGINES = ("row", "columnar")
 
 #: The scan-filter-join-aggregate shapes of the original acceptance
 #: criterion — numeric columns, unselective scans, tuple-heavy output.
@@ -144,6 +149,8 @@ COLUMNAR_SHAPES = (
 
 
 #: sha256 of each shape's meters at BENCH_SCALE (``meter_digest``).
+#: Computed while the row-at-a-time engine confirmed every shape's rows
+#: and totals; regenerate only with a change that means to move them.
 GOLDEN_METERS = {
     "scan-filter": "63cc97ff9b5e24b235ffb88448b8e47bf10938c6ccf7cc1a3b8ad466a68c33d9",
     "scan-project": "ac0eecbb9f2d0d903ba7d230de912f5ce84c3eb2a3685c72e92746ce49835de9",
@@ -225,52 +232,41 @@ def engine_db():
     return database
 
 
-def _best_time(database, plan, engine):
+def _best_time(run):
     best = float("inf")
     result = None
     for _ in range(REPS):
         start = time.perf_counter()
-        result = execute_plan(plan, database.storage, engine=engine)
+        result = run()
         best = min(best, time.perf_counter() - start)
     return best, result
 
 
-def _measure_suite(database, shapes):
-    """Time every shape on both engines; assert the differential."""
+def _measure_suite(database, sqlite, shapes):
+    """Time every shape on the engine and on SQLite; hold the rows to
+    SQLite's and the meters to their golden digest."""
     out = {}
-    totals = dict.fromkeys(ENGINES, 0.0)
+    totals = {"sqlite": 0.0, "columnar": 0.0}
     for name, sql in shapes:
         plan = database.explain(sql)[0].plan
-        times, results = {}, {}
-        for engine in ENGINES:
-            times[engine], results[engine] = _best_time(
-                database, plan, engine
-            )
-            totals[engine] += times[engine]
+        col_s, result = _best_time(lambda: execute_plan(plan, database.storage))
+        sqlite_s, expected = _best_time(
+            lambda: sqlite.connection.execute(sql).fetchall()
+        )
+        totals["columnar"] += col_s
+        totals["sqlite"] += sqlite_s
 
-        # Differential invariant: identical rows, bit-identical meters
-        # (none of these shapes has a LIMIT, the one construct where the
-        # row engine meters less work).
-        reference, columnar = results["row"], results["columnar"]
-        assert columnar.rows == reference.rows, name
-        meter, ref_meter = columnar.meter, reference.meter
-        assert (meter.cpu_ms, meter.io_ms, meter.tuples_out) == (
-            ref_meter.cpu_ms,
-            ref_meter.io_ms,
-            ref_meter.tuples_out,
-        ), name
-
+        assert rows_close_unordered(result.rows, expected), name
         assert meter_digest(plan, database.storage) == GOLDEN_METERS[name], name
 
-        n = len(reference.rows)
-        row_s, col_s = times["row"], times["columnar"]
+        n = len(result.rows)
         out[name] = {
             "rows": n,
-            "row_s": row_s,
+            "sqlite_s": sqlite_s,
             "columnar_s": col_s,
-            "row_rows_per_sec": n / row_s if row_s > 0 else None,
+            "sqlite_rows_per_sec": n / sqlite_s if sqlite_s > 0 else None,
             "columnar_rows_per_sec": n / col_s if col_s > 0 else None,
-            "columnar_over_row": row_s / col_s if col_s > 0 else None,
+            "sqlite_over_columnar": sqlite_s / col_s if col_s > 0 else None,
         }
     return out, totals
 
@@ -331,12 +327,12 @@ def _memory_metrics(database, batch_size=1024):
 
 
 def _measure(database):
-    shapes, totals = _measure_suite(database, SHAPES)
-    col_shapes, col_totals = _measure_suite(database, COLUMNAR_SHAPES)
-    columnar_s = totals["columnar"] + col_totals["columnar"]
+    sqlite = SqliteAnswers([database])
+    shapes, totals = _measure_suite(database, sqlite, SHAPES)
+    col_shapes, col_totals = _measure_suite(database, sqlite, COLUMNAR_SHAPES)
     composite = (
-        (totals["row"] + col_totals["row"]) / columnar_s
-        if columnar_s > 0
+        totals["sqlite"] / totals["columnar"]
+        if totals["columnar"] > 0
         else float("inf")
     )
     return {
@@ -348,7 +344,12 @@ def _measure(database):
         "shapes": shapes,
         "columnar_shapes": col_shapes,
         "memory": _memory_metrics(database),
-        "composite_speedup": composite,
+        "composite_sqlite_over_columnar": composite,
+        "columnar_shapes_sqlite_over_columnar": (
+            col_totals["sqlite"] / col_totals["columnar"]
+            if col_totals["columnar"] > 0
+            else None
+        ),
     }
 
 
@@ -357,9 +358,9 @@ def _print_suite(title, shapes):
     for name, shape in shapes.items():
         print(
             f"{name:17s} rows={shape['rows']:6d} "
-            f"row={shape['row_s'] * 1e3:7.1f}ms "
+            f"sqlite={shape['sqlite_s'] * 1e3:7.1f}ms "
             f"col={shape['columnar_s'] * 1e3:7.1f}ms "
-            f"row/col={shape['columnar_over_row']:5.2f}x"
+            f"sqlite/col={shape['sqlite_over_columnar']:5.2f}x"
         )
 
 
@@ -378,9 +379,10 @@ def test_engine_speedups(benchmark, engine_db):
         results["columnar_shapes"],
     )
     print(
-        f"composite row/columnar speedup: "
-        f"{results['composite_speedup']:.2f}x "
-        f"(required: {MIN_SPEEDUP:.1f}x)"
+        f"numeric shapes, SQLite over columnar: "
+        f"{results['composite_sqlite_over_columnar']:.2f}x "
+        f"(required: {MIN_SPEEDUP:.1f}x); columnar shapes: "
+        f"{results['columnar_shapes_sqlite_over_columnar']:.2f}x"
     )
     for table_name in ("lineitem", "tags"):
         mem = results["memory"][table_name]
@@ -403,7 +405,7 @@ def test_engine_speedups(benchmark, engine_db):
             json.dump(results, handle, indent=2)
         print(f"artifact written to {ARTIFACT}")
 
-    assert results["composite_speedup"] >= MIN_SPEEDUP, results
+    assert results["composite_sqlite_over_columnar"] >= MIN_SPEEDUP, results
     # A batch's column lists point at the stored values, never copy
     # them: one pointer list per column stays below the rows it reads.
     for table_name in ("lineitem", "tags"):

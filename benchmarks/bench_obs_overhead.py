@@ -94,19 +94,16 @@ def test_obs_overhead(benchmark, bench_databases):
 def _dispatch_patched_out():
     """Remove the profiler check from operator dispatch entirely.
 
-    Replaces the public ``rows``/``rows_columnar`` dispatchers with bare
-    pass-throughs to the private implementations — the code shape the
+    Replaces the public ``rows_columnar`` dispatcher with a bare
+    pass-through to the private implementation — the code shape the
     executor had before the profiler existed, i.e. the true no-obs
     baseline for the dispatch gate.
     """
-    original_rows = PhysicalPlan.rows
     original_columnar = PhysicalPlan.rows_columnar
-    PhysicalPlan.rows = lambda self, ctx: self._rows(ctx)
     PhysicalPlan.rows_columnar = lambda self, ctx: self._rows_columnar(ctx)
     try:
         yield
     finally:
-        PhysicalPlan.rows = original_rows
         PhysicalPlan.rows_columnar = original_columnar
 
 

@@ -531,7 +531,7 @@ def run_scenario(
         )
     sqlite = sqlite_copy(databases)
     run.sqlite_answers = {
-        outcome.sql: sqlite.rows(outcome.sql)
+        outcome.sql: sqlite.answer(outcome.sql)
         for outcome in run.outcomes
         if outcome.status == "ok"
     }

@@ -65,12 +65,13 @@ class SqliteAnswers:
                     f"({', '.join('?' * len(columns))})",
                     table.rows,
                 )
-        self._connection = connection
+        #: The loaded copy, for callers that time or inspect SQLite itself.
+        self.connection = connection
         self._answers: Dict[str, List[tuple]] = {}
 
-    def rows(self, sql: str) -> List[tuple]:
+    def answer(self, sql: str) -> List[tuple]:
         """SQLite's rows for *sql*, computed on the first request."""
         rows = self._answers.get(sql)
         if rows is None:
-            rows = self._answers[sql] = self._connection.execute(sql).fetchall()
+            rows = self._answers[sql] = self.connection.execute(sql).fetchall()
         return rows

@@ -259,7 +259,6 @@ def _end_dispatch(
         ),
         observed_ms=execution.observed_ms,
         substituted=option.server != slot.choice.server,
-        engine=execution.engine,
         **attributes,
     )
 
@@ -673,7 +672,6 @@ class InformationIntegrator:
                 observed_ms=merge_ms,
                 rows=len(merge_result.rows),
                 ii_load=0.0,
-                engine=merge_result.engine,
             )
             obs.metrics.histogram("ii_merge_ms").observe(merge_ms)
             obs.metrics.histogram("ii_remote_ms").observe(remote_ms)

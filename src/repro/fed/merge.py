@@ -53,14 +53,14 @@ class EstimatedInput(PhysicalPlan):
             width_bytes=self.output_schema.row_width_bytes(),
         )
 
-    def rows(self, ctx):
+    def rows_columnar(self, ctx):
         # Overrides the base dispatch outright: this leaf never executes,
-        # so neither engine nor profiler should ever touch it.
+        # so neither the engine nor the profiler should ever touch it.
         raise FederationError(
             f"EstimatedInput {self.name} is compile-time only"
         )
 
-    _rows = _rows_columnar = rows
+    _rows_columnar = rows_columnar
 
     def describe(self) -> str:
         return f"EstimatedInput({self.name} rows~{self.estimated_rows:.0f})"

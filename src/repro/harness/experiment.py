@@ -525,7 +525,7 @@ class RegretResult:
             "zero_regret_share": self.zero_share,
         }
 
-    def _rows(self) -> List[List[str]]:
+    def _table_rows(self) -> List[List[str]]:
         """One row per phase, then the mean over the phases."""
         columns = []
         for system, by_phase in self.mean_ms.items():
@@ -548,12 +548,12 @@ class RegretResult:
     def render(self) -> str:
         return ascii_table(
             self._headers(),
-            self._rows(),
+            self._table_rows(),
             title="=== Routing regret against the hindsight-best server ===",
         )
 
     def markdown(self) -> str:
-        rows = self._rows()
+        rows = self._table_rows()
         rows[-1] = [f"**{cell}**" for cell in rows[-1]]
         return markdown_table(self._headers(), rows)
 
@@ -602,7 +602,7 @@ class ResidualResult:
             },
         }
 
-    def _rows(self) -> List[List[str]]:
+    def _table_rows(self) -> List[List[str]]:
         """One row per phase, then the phases' geometric mean ratio and
         worst q-error."""
         rows = [[phase] for phase in self.raw] + [["all"]]
@@ -625,12 +625,12 @@ class ResidualResult:
     def render(self) -> str:
         return ascii_table(
             self._HEADERS,
-            self._rows(),
+            self._table_rows(),
             title="=== Cost residual before and after calibration ===",
         )
 
     def markdown(self) -> str:
-        rows = self._rows()
+        rows = self._table_rows()
         rows[-1] = [f"**{cell}**" for cell in rows[-1]]
         return markdown_table(self._HEADERS, rows)
 

@@ -2,8 +2,8 @@
 
 The paper's feedback loop compares estimated vs. observed cost *per
 fragment*; this module is the per-operator analogue.  An
-:class:`OperatorProfiler` wraps every physical operator's row / batch
-stream and accumulates per-node counters — rows out, batches,
+:class:`OperatorProfiler` wraps every physical operator's batch stream
+and accumulates per-node counters — rows out, batches,
 invocations, and cumulative time in both clocks:
 
 * **virtual time** — the ``WorkMeter`` charge (reference-machine ms)
@@ -20,7 +20,7 @@ inclusive totals, computed at report time by :class:`PlanProfile`.
 
 Profiling follows the same null-object pattern as ``NULL_REGISTRY``:
 the process-global profiler defaults to :data:`NULL_PROFILER`, and the
-operator dispatch in ``PhysicalPlan.rows``/``rows_columnar`` reduces to
+operator dispatch in ``PhysicalPlan.rows_columnar`` reduces to
 one attribute load and one identity check per stream open — nothing per
 row.  Enable with :func:`enable_profiling` or the :func:`profiling`
 context manager.
@@ -50,10 +50,10 @@ class OperatorStats:
         self.invocations = 0
         #: rows emitted across all invocations
         self.rows_out = 0
-        #: batches emitted (0 when only the row engine ran the node)
+        #: batches emitted across all invocations
         self.batches = 0
         #: physical slot count under the emitted selection vectors
-        #: (columnar engine only; equals rows_out when nothing narrowed)
+        #: (equals rows_out when nothing narrowed)
         self.phys_rows = 0
         #: inclusive wall-clock seconds inside next()/close()
         self.wall_s = 0.0
@@ -62,11 +62,8 @@ class OperatorStats:
 
     @property
     def selectivity(self) -> Optional[float]:
-        """Fraction of physical batch slots the selection kept.
-
-        ``None`` unless the columnar engine ran the node (phys_rows is
-        only counted by ``profile_columnar``).
-        """
+        """Fraction of physical batch slots the selection kept (``None``
+        before the node emitted a batch)."""
         if not self.phys_rows:
             return None
         return self.rows_out / self.phys_rows
@@ -206,30 +203,18 @@ class OperatorProfiler:
     def reset(self) -> None:
         self._entries.clear()
 
-    # -- stream wrappers -------------------------------------------------
+    # -- the stream wrapper ----------------------------------------------
     #
-    # One timed stream serves both engines; they differ only in how a
-    # yielded item is counted.  Wall and virtual deltas are metered
-    # around each next() and around the final close().  A child's
-    # windows are strictly inside its parent's, so parent totals are
-    # inclusive and children never absorb a parent's end-of-stream meter
-    # flush, whichever order the generator teardown cascade runs in.
-
-    def profile_rows(self, node: object, ctx: object) -> Iterator:
-        return self._timed(node, node._rows(ctx), ctx.meter, _count_row)
+    # Wall and virtual deltas are metered around each next() and around
+    # the final close().  A child's windows are strictly inside its
+    # parent's, so parent totals are inclusive and children never absorb
+    # a parent's end-of-stream meter flush, whichever order the
+    # generator teardown cascade runs in.
 
     def profile_columnar(self, node: object, ctx: object) -> Iterator:
-        return self._timed(
-            node, node._rows_columnar(ctx), ctx.meter, _count_batch
-        )
+        return self._timed(node, node._rows_columnar(ctx), ctx.meter)
 
-    def _timed(
-        self,
-        node: object,
-        it: Iterator,
-        meter: object,
-        count: Callable[[OperatorStats, object], None],
-    ) -> Iterator:
+    def _timed(self, node: object, it: Iterator, meter: object) -> Iterator:
         stats = self.stats_for(node)
         stats.invocations += 1
         perf = time.perf_counter
@@ -246,7 +231,9 @@ class OperatorProfiler:
                 finally:
                     wall += perf() - t0
                     virtual += meter.total_ms - m0
-                count(stats, item)
+                stats.batches += 1
+                stats.rows_out += len(item)
+                stats.phys_rows += item.n_rows
                 yield item
         finally:
             close = getattr(it, "close", None)
@@ -260,16 +247,6 @@ class OperatorProfiler:
             stats.meter_ms += virtual
 
 
-def _count_row(stats: OperatorStats, row: object) -> None:
-    stats.rows_out += 1
-
-
-def _count_batch(stats: OperatorStats, batch: object) -> None:
-    stats.batches += 1
-    stats.rows_out += len(batch)
-    stats.phys_rows += batch.n_rows
-
-
 class NullProfiler(OperatorProfiler):
     """The disabled profiler.
 
@@ -278,7 +255,7 @@ class NullProfiler(OperatorProfiler):
     pass-through in case someone calls it anyway.
     """
 
-    def _timed(self, node, it, meter, count) -> Iterator:
+    def _timed(self, node, it, meter) -> Iterator:
         return it
 
 

@@ -38,8 +38,6 @@ class RemoteExecution:
     processing_ms: float
     network_ms: float
     started_ms: float
-    #: Which execution engine produced the rows (None for DML).
-    engine: Optional[str] = None
 
     @property
     def finished_ms(self) -> float:
@@ -161,7 +159,6 @@ class RemoteServer:
             processing_ms=processing_ms,
             network_ms=network_ms,
             started_ms=t_ms,
-            engine=result.engine,
         )
 
     def execute_dml(self, sql: str, t_ms: float) -> RemoteExecution:

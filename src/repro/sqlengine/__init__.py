@@ -36,12 +36,7 @@ from .datagen import (
     populate,
 )
 from .dml import DmlError, DmlResult, execute_dml
-from .executor import (
-    ENGINES,
-    ExecutionResult,
-    execute_plan,
-    resolve_engine,
-)
+from .executor import ExecutionResult, execute_plan
 from .expressions import (
     AggregateCall,
     And,
@@ -114,7 +109,6 @@ __all__ = [
     "ColumnStats", "ColumnType", "Comparison",
     "TableColumns", "ValueColumn",
     "Database", "DEFAULT_BATCH_SIZE",
-    "ENGINES",
     "DeleteStatement", "Distinct", "DmlError", "DmlResult",
     "ExecutionError", "ExecutionResult", "Expression", "ExpressionError",
     "Filter", "FixedJoinStep", "ForeignKey", "FuncCall", "HashAggregate", "HashJoin",
@@ -132,7 +126,6 @@ __all__ = [
     "ZipfInt", "bind", "collect_stats", "estimate_selectivity",
     "execute_dml", "execute_plan", "finish_plan", "parse", "parse_expression",
     "parse_statement", "plan_sql", "populate",
-    "resolve_engine",
     "rows_close_unordered",
     "rows_equal_unordered",
 ]

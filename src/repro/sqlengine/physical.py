@@ -1,11 +1,11 @@
-"""Physical operators: costing and iterator execution.
+"""Physical operators: costing and batch execution.
 
-Every operator supports costing and two execution engines:
+Every operator supports:
 
 * ``estimate_cost(estimator)`` — statistics-only costing.  This works on a
   catalog with **no data attached** (the "simulated federated system" of
   the paper uses exactly this path for what-if planning).
-* ``rows_columnar(ctx)`` — the production engine: batch execution yielding
+* ``rows_columnar(ctx)`` — execution: yields
   :class:`~repro.sqlengine.columnar.ColumnBatch` objects (column lists +
   selection vector).  Operators narrow selections instead of copying
   rows and defer tuple construction to the serialisation boundary
@@ -14,17 +14,14 @@ Every operator supports costing and two execution engines:
   reference-machine ms) into ``ctx.meter``; the simulation layer
   converts metered work into observed response time under the server's
   current load.
-* ``rows(ctx)`` — the reference engine: tuple-at-a-time iterators, kept
-  small and obviously correct so the differential tests have something
-  independent to hold the columnar engine's rows and meters to.
 
 Metering is charged per *lifecycle event* (stream start, build/
 materialize phase end, stream end) as ``count * unit_cost`` with integer
-counts accumulated locally, in both engines, in the same order — so the
-row and columnar engines produce bit-for-bit identical ``WorkMeter``
-totals for any plan that runs to completion (see docs/execution.md; a
-``Limit`` that abandons its input early is the one documented exception,
-since the columnar engine scans in batch granularity).
+counts accumulated locally, so a plan that runs to completion meters
+bit-for-bit the same ``WorkMeter`` totals at every batch size (see
+docs/execution.md; a ``Limit`` meters whole batches, so the work it
+abandons depends on the batch size).  The tests hold rows to SQLite and
+meters to golden digests and to that batch-size invariance.
 
 Operators are immutable; a plan tree is shared freely between the
 optimizer, the federated result, QCC's records and the executor.
@@ -230,27 +227,12 @@ class PhysicalPlan:
         profile and the costs of ``children()`` (same order)."""
         raise NotImplementedError
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        """Row-at-a-time execution (dispatch; operators implement ``_rows``).
-
-        When the operator profiler is enabled the stream is wrapped in a
-        per-node counting shim; with the default :data:`NULL_PROFILER`
-        this is a single identity check per stream open.
-        """
-        profiler = ctx.profiler
-        if profiler is NULL_PROFILER:
-            return self._rows(ctx)
-        return profiler.profile_rows(self, ctx)
-
     def rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         """Columnar execution (dispatch; operators implement ``_rows_columnar``)."""
         profiler = ctx.profiler
         if profiler is NULL_PROFILER:
             return self._rows_columnar(ctx)
         return profiler.profile_columnar(self, ctx)
-
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        raise NotImplementedError
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         """Columnar execution; yields non-empty :class:`ColumnBatch`es,
@@ -308,32 +290,23 @@ def _concat_column(batches: Sequence[ColumnBatch], j: int) -> List[Any]:
 
 
 def _metered(
-    stream: Iterator[Any],
-    meter: WorkMeter,
-    unit_cost: float,
-    size: Optional[Callable[[Any], int]] = None,
-) -> Iterator[Any]:
+    stream: Iterator[ColumnBatch], meter: WorkMeter, unit_cost: float
+) -> Iterator[ColumnBatch]:
     """Pass *stream* through, charging ``count * unit_cost`` CPU at its end.
 
-    The one count-and-flush both engines meter their input with: *count*
-    is the number of items pulled — or, with ``size=len``, the rows in
-    the batches pulled — accumulated as an integer and charged once,
-    when the stream is exhausted or the consumer abandons it (a
-    ``Limit`` upstream).  An abandoned producer is closed first, so its
-    own end-of-stream charges land before this one exactly as they do
-    on exhaustion: float addition is not associative, and the meter
-    totals must not depend on how a stream ended.
+    The one count-and-flush operators meter their input with: *count* is
+    the number of rows in the batches pulled, accumulated as an integer
+    and charged once, when the stream is exhausted or the consumer
+    abandons it (a ``Limit`` upstream).  An abandoned producer is closed
+    first, so its own end-of-stream charges land before this one exactly
+    as they do on exhaustion: float addition is not associative, and the
+    meter totals must not depend on how a stream ended.
     """
     count = 0
     try:
-        if size is None:
-            for item in stream:
-                count += 1
-                yield item
-        else:
-            for item in stream:
-                count += size(item)
-                yield item
+        for batch in stream:
+            count += len(batch)
+            yield batch
     finally:
         close = getattr(stream, "close", None)
         if close is not None:
@@ -405,22 +378,6 @@ class SeqScan(PhysicalPlan):
             width_bytes=width,
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = ctx.storage.table(self.table.name)
-        meter = ctx.meter
-        width = self.output_schema.row_width_bytes()
-        meter.io_ms += pages_for(len(heap), width) * SEQ_PAGE_COST
-        predicate = (
-            self.predicate.compile(self.output_schema)
-            if self.predicate is not None
-            else None
-        )
-        ops = _count_operators(self.predicate)
-        per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
-        for row in _metered(heap.scan(), meter, per_row):
-            if predicate is None or predicate(row) is True:
-                yield row
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         heap = ctx.storage.table(self.table.name)
         meter = ctx.meter
@@ -439,7 +396,7 @@ class SeqScan(PhysicalPlan):
             table_cols.batch(start, min(start + size, n))
             for start in range(0, n, size)
         )
-        for window in _metered(windows, meter, per_row, len):
+        for window in _metered(windows, meter, per_row):
             batch = _narrowed(window, kernels)
             if batch is not None:
                 yield batch
@@ -492,27 +449,6 @@ class IndexScan(PhysicalPlan):
             width_bytes=width,
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = ctx.storage.table(self.table.name)
-        index = heap.index_on(self.column)
-        if index is None:
-            raise ExecutionError(
-                f"no index on {self.table.name}.{self.column}"
-            )
-        meter = ctx.meter
-        meter.io_ms += INDEX_PROBE_COST
-        residual = (
-            self.residual.compile(self.output_schema)
-            if self.residual is not None
-            else None
-        )
-        ops = _count_operators(self.residual)
-        per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
-        matched = map(heap.fetch, index.lookup(self.value.value))
-        for row in _metered(matched, meter, per_row):
-            if residual is None or residual(row) is True:
-                yield row
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         heap = ctx.storage.table(self.table.name)
         index = heap.index_on(self.column)
@@ -535,7 +471,7 @@ class IndexScan(PhysicalPlan):
             table_cols.take_batch(list(rids[start : start + size]))
             for start in range(0, len(rids), size)
         )
-        for matched in _metered(fetched, meter, per_row, len):
+        for matched in _metered(fetched, meter, per_row):
             batch = _narrowed(matched, kernels)
             if batch is not None:
                 yield batch
@@ -577,14 +513,6 @@ class Filter(PhysicalPlan):
             width_bytes=child.width_bytes,
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        predicate = self.predicate.compile(self.output_schema)
-        ops = _count_operators(self.predicate)
-        per_row = ops * CPU_OPERATOR_COST
-        for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
-            if predicate(row) is True:
-                yield row
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         kernels = [
             c.compile_filter_columnar(self.output_schema)
@@ -593,7 +521,7 @@ class Filter(PhysicalPlan):
         ops = _count_operators(self.predicate)
         per_row = ops * CPU_OPERATOR_COST
         child = self.child.rows_columnar(ctx)
-        for in_batch in _metered(child, ctx.meter, per_row, len):
+        for in_batch in _metered(child, ctx.meter, per_row):
             batch = _narrowed(in_batch, kernels)
             if batch is not None:
                 yield batch
@@ -631,16 +559,6 @@ class Project(PhysicalPlan):
             width_bytes=width,
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        evaluators = [
-            item.expr.compile(self.child.output_schema)
-            for item in self.items
-            if item.expr is not None
-        ]
-        per_row = len(evaluators) * CPU_OPERATOR_COST
-        for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
-            yield tuple(f(row) for f in evaluators)
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Plain column references pass the underlying column straight
         # through (narrowed to the selection); computed items run a
@@ -656,7 +574,7 @@ class Project(PhysicalPlan):
                 plans.append((-1, item.expr.compile_columnar(child_schema)))
         per_row = len(plans) * CPU_OPERATOR_COST
         child = self.child.rows_columnar(ctx)
-        for batch in _metered(child, ctx.meter, per_row, len):
+        for batch in _metered(child, ctx.meter, per_row):
             sel = batch.sel
             cols: List[ColumnData] = []
             for idx, kernel in plans:
@@ -723,33 +641,6 @@ class NestedLoopJoin(PhysicalPlan):
             rows=rows_out,
             width_bytes=width,
         )
-
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        meter = ctx.meter
-        inner = list(self.right.rows(ctx))
-        meter.cpu_ms += len(inner) * MATERIALIZE_TUPLE_COST
-        condition = (
-            self.condition.compile(self.output_schema)
-            if self.condition is not None
-            else None
-        )
-        ops = max(_count_operators(self.condition), 1)
-        per_pair = ops * CPU_OPERATOR_COST
-        null_pad = (None,) * len(self.right.output_schema)
-        pairs = 0
-        try:
-            for left_row in self.left.rows(ctx):
-                matched = False
-                for right_row in inner:
-                    pairs += 1
-                    combined = left_row + right_row
-                    if condition is None or condition(combined) is True:
-                        matched = True
-                        yield combined
-                if self.outer and not matched:
-                    yield left_row + null_pad
-        finally:
-            meter.cpu_ms += pairs * per_pair
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Batch-granular: one output batch (and one ``pairs`` charge)
@@ -859,49 +750,6 @@ class HashJoin(PhysicalPlan):
             rows=rows_out,
             width_bytes=width,
         )
-
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        meter = ctx.meter
-        right_schema = self.right.output_schema
-        left_schema = self.left.output_schema
-        right_idx = [right_schema.index_of(k) for k in self.right_keys]
-        left_idx = [left_schema.index_of(k) for k in self.left_keys]
-
-        buckets: Dict[Tuple[Any, ...], List[Row]] = {}
-        built = 0
-        for row in self.right.rows(ctx):
-            built += 1
-            key = tuple(row[i] for i in right_idx)
-            if any(v is None for v in key):
-                continue
-            buckets.setdefault(key, []).append(row)
-        meter.cpu_ms += built * HASH_BUILD_COST
-
-        residual = (
-            self.residual.compile(self.output_schema)
-            if self.residual is not None
-            else None
-        )
-        null_pad = (None,) * len(self.right.output_schema)
-        probed = 0
-        examined = 0
-        try:
-            for left_row in self.left.rows(ctx):
-                probed += 1
-                key = tuple(left_row[i] for i in left_idx)
-                matched = False
-                if not any(v is None for v in key):
-                    for right_row in buckets.get(key, ()):
-                        examined += 1
-                        combined = left_row + right_row
-                        if residual is None or residual(combined) is True:
-                            matched = True
-                            yield combined
-                if self.outer and not matched:
-                    yield left_row + null_pad
-        finally:
-            meter.cpu_ms += probed * HASH_PROBE_COST
-            meter.cpu_ms += examined * CPU_TUPLE_COST
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         meter = ctx.meter
@@ -1125,56 +973,9 @@ class HashJoin(PhysicalPlan):
 # ---------------------------------------------------------------------------
 
 
-class _AggState:
-    """Incremental state for one aggregate call over one group."""
-
-    __slots__ = ("name", "distinct", "count", "total", "min", "max", "seen")
-
-    def __init__(self, name: str, distinct: bool):
-        self.name = name
-        self.distinct = distinct
-        self.count = 0
-        self.total: Any = None
-        self.min: Any = None
-        self.max: Any = None
-        self.seen = set() if distinct else None
-
-    def update(self, value: Any) -> None:
-        if self.name == "COUNT" and value is _STAR:
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        if self.name in ("SUM", "AVG"):
-            self.total = value if self.total is None else self.total + value
-        elif self.name == "MIN":
-            self.min = value if self.min is None else min(self.min, value)
-        elif self.name == "MAX":
-            self.max = value if self.max is None else max(self.max, value)
-
-    def result(self) -> Any:
-        if self.name == "COUNT":
-            return self.count
-        if self.name == "SUM":
-            return self.total
-        if self.name == "AVG":
-            return self.total / self.count if self.count else None
-        if self.name == "MIN":
-            return self.min
-        return self.max
-
-
-_STAR = object()
-
-
-#: One group's COUNT / MIN / MAX over its non-NULL argument values, as
-#: ``_AggState`` computes it: ``min``/``max`` return the first extremum,
-#: which is ``update``'s keep-the-earlier-value tie behaviour.
+#: One group's COUNT / MIN / MAX over its non-NULL argument values:
+#: ``min``/``max`` return the first extremum, so a tie keeps the earlier
+#: value and a NaN never wins a comparison.
 _GROUP_FOLDS: Dict[str, Callable[[Sequence[Any]], Any]] = {
     "COUNT": len,
     "MIN": partial(min, default=None),
@@ -1294,60 +1095,6 @@ class HashAggregate(PhysicalPlan):
             else:
                 distinct *= 10.0
         return max(1.0, min(distinct, rows_in))
-
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        meter = ctx.meter
-        child_schema = self.child.output_schema
-        key_fns = [e.compile(child_schema) for e in self.group_by]
-        arg_fns: List[Optional[Callable[[Row], Any]]] = [
-            call.arg.compile(child_schema) if call.arg is not None else None
-            for call in self._agg_calls
-        ]
-
-        groups: Dict[Tuple[Any, ...], List[_AggState]] = {}
-        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
-        consumed = 0
-        for row in self.child.rows(ctx):
-            consumed += 1
-            key = tuple(f(row) for f in key_fns)
-            states = groups.get(key)
-            if states is None:
-                states = [
-                    _AggState(call.name.upper(), call.distinct)
-                    for call in self._agg_calls
-                ]
-                groups[key] = states
-            for state, arg_fn in zip(states, arg_fns):
-                value = _STAR if arg_fn is None else arg_fn(row)
-                state.update(value)
-        meter.cpu_ms += consumed * per_row
-
-        if not groups and not self.group_by:
-            # Aggregate over an empty input still yields one row.
-            groups[()] = [
-                _AggState(call.name.upper(), call.distinct)
-                for call in self._agg_calls
-            ]
-
-        internal_schema = self._internal_schema()
-        item_fns = [
-            self._over_internal(item.expr).compile(internal_schema)
-            for item in self.items
-            if item.expr is not None
-        ]
-        having_fn = None
-        if self.having is not None:
-            having_fn = self._over_internal(self.having).compile(
-                internal_schema
-            )
-
-        per_group = len(self.items) * CPU_OPERATOR_COST
-        meter.cpu_ms += len(groups) * per_group
-        for key, states in groups.items():
-            internal_row = key + tuple(s.result() for s in states)
-            if having_fn is not None and having_fn(internal_row) is not True:
-                continue
-            yield tuple(f(internal_row) for f in item_fns)
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         meter = ctx.meter
@@ -1489,11 +1236,6 @@ class HashAggregate(PhysicalPlan):
 # ---------------------------------------------------------------------------
 
 
-def _sort_key(values: Tuple[Any, ...]) -> Tuple[Tuple[bool, Any], ...]:
-    """NULLs-last total order that survives mixed None values."""
-    return tuple((v is None, v) for v in values)
-
-
 class Sort(PhysicalPlan):
     """Blocking in-memory sort."""
 
@@ -1518,20 +1260,6 @@ class Sort(PhysicalPlan):
             width_bytes=child.width_bytes,
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        meter = ctx.meter
-        schema = self.child.output_schema
-        key_fns = [
-            (o.expr.compile(schema), o.ascending) for o in self.order_by
-        ]
-        data = list(self.child.rows(ctx))
-        n = max(len(data), 1)
-        meter.cpu_ms += n * math.log2(n + 1.0) * SORT_COMPARE_COST
-        # Stable multi-key sort: apply keys right-to-left.
-        for fn, ascending in reversed(key_fns):
-            data.sort(key=lambda row: _sort_key((fn(row),)), reverse=not ascending)
-        yield from data
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         meter = ctx.meter
         schema = self.child.output_schema
@@ -1550,7 +1278,7 @@ class Sort(PhysicalPlan):
             total,
             None,
         )
-        # Same stable right-to-left multi-pass as the other engines, but
+        # A stable right-to-left multi-pass, one sort per key, but
         # the data never moves: an index permutation is threaded through
         # the passes (key values depend only on row content, so sorting
         # a permutation composes identically to sorting the rows).
@@ -1607,16 +1335,6 @@ class Limit(PhysicalPlan):
             width_bytes=child.width_bytes,
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        remaining = self.count
-        if remaining == 0:
-            return
-        for row in self.child.rows(ctx):
-            yield row
-            remaining -= 1
-            if remaining == 0:
-                return
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         remaining = self.count
         if remaining == 0:
@@ -1654,16 +1372,6 @@ class Distinct(PhysicalPlan):
             width_bytes=child.width_bytes,
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        seen = set()
-        per_row = HASH_BUILD_COST
-        for row in _metered(self.child.rows(ctx), ctx.meter, per_row):
-            key = _sort_key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         seen = set()
         add = seen.add
@@ -1673,7 +1381,7 @@ class Distinct(PhysicalPlan):
         # no row tuples and no per-row key tuples are built at all.
         single = len(self.output_schema) == 1
         child = self.child.rows_columnar(ctx)
-        for batch in _metered(child, ctx.meter, per_row, len):
+        for batch in _metered(child, ctx.meter, per_row):
             psel = batch.selected()
             sel_out: List[int] = []
             if single:
@@ -1738,9 +1446,6 @@ class MaterializedInput(PhysicalPlan):
             width_bytes=self.output_schema.row_width_bytes(),
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return _metered(iter(self.data), ctx.meter, CPU_TUPLE_COST)
-
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         data = self.data
         size = ctx.batch_size
@@ -1749,7 +1454,7 @@ class MaterializedInput(PhysicalPlan):
             ColumnBatch.from_rows(data[start : start + size], width)
             for start in range(0, len(data), size)
         )
-        return _metered(batches, ctx.meter, CPU_TUPLE_COST, len)
+        return _metered(batches, ctx.meter, CPU_TUPLE_COST)
 
     def describe(self) -> str:
         return f"MaterializedInput({self.name} rows={len(self.data)})"

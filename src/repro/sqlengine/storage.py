@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .catalog import Catalog, TableDef, collect_stats
 from .columnar import TableColumns
@@ -120,12 +120,6 @@ class HeapTable:
         }
         self._version += 1
         return len(self.rows)
-
-    def scan(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-    def fetch(self, rid: int) -> Row:
-        return self.rows[rid]
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -1,9 +1,7 @@
 """Per-server sample databases built the way a test needs them.
 
-The federation builders always build their databases on the default
-engine.  A server's engine is fixed when its ``Database`` is built, so a
-test that runs a federation on the row engine builds its own databases
-here and hands them to ``build_federation(prebuilt_databases=)``; the
+A test that wants a placement of its own builds its databases here and
+hands them to ``build_federation(prebuilt_databases=)``; the
 degenerate-data tests pass each table's generated rows through a
 function first.
 """
@@ -23,13 +21,12 @@ RowsFn = Callable[[TableSpec, List[tuple]], List[tuple]]
 def server_databases(
     specs=DEFAULT_SERVER_SPECS,
     placement=None,
-    engine: Optional[str] = None,
     scale: WorkloadScale = TEST_SCALE,
     seed: int = 7,
     rows: Optional[RowsFn] = None,
 ) -> Dict[str, Database]:
-    """One database per server spec, running *engine*, loaded with the
-    sample tables *placement* gives it (every table without one)."""
+    """One database per server spec, loaded with the sample tables
+    *placement* gives it (every table without one)."""
     tables = {table.name: table for table in table_specs(scale)}
     loaded = {}
     for table in tables.values():
@@ -37,7 +34,7 @@ def server_databases(
         loaded[table.name] = generated if rows is None else rows(table, generated)
     databases = {}
     for spec in specs:
-        database = Database(name=spec.name, profile=spec.profile(), engine=engine)
+        database = Database(name=spec.name, profile=spec.profile())
         hosted = placement[spec.name] if placement is not None else tables
         for name in hosted:
             table = tables[name]

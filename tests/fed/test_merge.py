@@ -101,7 +101,7 @@ class TestEstimatedInput:
 
         leaf = EstimatedInput("x", Schema((Column("a", ColumnType.INT),)), 5.0)
         with pytest.raises(FederationError, match="compile-time only"):
-            list(leaf.rows(None))
+            list(leaf.rows_columnar(None))
 
 
 class TestEstimateMergeCost:

@@ -43,9 +43,6 @@ class TestParser:
         assert args.explain
 
     def test_engine_is_not_an_option(self):
-        # Every server runs the columnar engine; the row reference is a
-        # library argument (Database(engine=), execute_plan(engine=)),
-        # not a flag.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "SELECT 1", "--engine", "row"])
 

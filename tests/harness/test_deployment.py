@@ -147,7 +147,7 @@ class TestBuildFederation:
             scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
         rows = {
-            name: list(server.database.storage.table("customer").scan())
+            name: list(server.database.storage.table("customer").rows)
             for name, server in deployment.servers.items()
         }
         assert rows["S1"] == rows["S2"] == rows["S3"]
@@ -195,9 +195,9 @@ class TestReplicaFederation:
     def test_replica_data_matches_origin(self):
         deployment = build_replica_federation(scale=TEST_SCALE)
         origin = list(
-            deployment.servers["S1"].database.storage.table("orders").scan()
+            deployment.servers["S1"].database.storage.table("orders").rows
         )
         replica = list(
-            deployment.servers["R1"].database.storage.table("orders").scan()
+            deployment.servers["R1"].database.storage.table("orders").rows
         )
         assert origin == replica

@@ -1,18 +1,19 @@
-"""Property-based row-vs-columnar equivalence, seeded via ``derive_rng``.
+"""Property-based batch-size invariance, seeded via ``derive_rng``.
 
 Complements ``test_engine_equivalence`` (hypothesis-driven, workload
 tables) with deterministic randomized shapes over data the workload
 never stresses: NULL-heavy columns, low-cardinality strings, empty
-tables, and degenerate batch sizes (1 and 2, which force every
+tables, and a drawn batch size besides 1 and 2 (which force every
 multi-batch code path: selection vectors across batch boundaries, join
 builds that span batches).  A ``hypothesis`` case drives ``HashJoin`` directly over
 generated build sides (repeated, NULL and ``1`` / ``1.0`` / ``True``
 keys at every batch boundary), where the build classification decides
 which probe path runs, and probe sides that are plain values or a stored
-table's columns.
+table's columns; its rows must also be a tuple-at-a-time nested loop's.
 
 Every generated query must produce byte-identical rows and bit-identical
-``WorkMeter`` totals on both engines (no generated shape uses LIMIT).
+``WorkMeter`` totals at its batch size, at 1 and at 2 as at the default
+(``tests/batching.py``; no generated shape uses LIMIT).
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ from repro.sqlengine import (
     Database,
     HashJoin,
     SeqScan,
-    execute_plan,
     populate,
 )
 from repro.sqlengine.physical import MaterializedInput
 from repro.sqlengine.types import Column, ColumnType, Schema
 from repro.workload import TEST_SCALE
 from repro.workload.schema import table_specs
-
-ENGINES = ("row", "columnar")
+from tests.batching import REFERENCE_BATCH_SIZES, assert_batch_invariant
+from tests.sqlengine.test_columnar_engine import nested_loop_join
 
 ROOT_SEED = 20260807
 
@@ -82,23 +82,13 @@ def assert_equivalent(database, sql, batch_size, check_meter=True):
 
 
 def assert_plan_equivalent(database, plan, batch_size, check_meter=True, what=None):
-    reference, columnar = (
-        execute_plan(
-            plan,
-            database.storage,
-            engine=engine,
-            batch_size=batch_size,
-        )
-        for engine in ENGINES
+    return assert_batch_invariant(
+        plan,
+        database.storage,
+        tuple(dict.fromkeys(REFERENCE_BATCH_SIZES + (batch_size,))),
+        check_meter,
+        what,
     )
-    assert columnar.rows == reference.rows, (what, batch_size)
-    if check_meter:
-        meter, ref = columnar.meter, reference.meter
-        assert (meter.cpu_ms, meter.io_ms, meter.tuples_out) == (
-            ref.cpu_ms,
-            ref.io_ms,
-            ref.tuples_out,
-        ), (what, batch_size)
 
 
 # -- generators (pure functions of the derived rng) -------------------------
@@ -257,6 +247,7 @@ def test_hash_join_builds_bit_identical(
 ):
     if stored:
         database, probe_plan = _stored_probe(probe)
+        probe = database.storage.table("probe").rows
     else:
         database = Database(name="hash-join-eq")
         probe_plan = MaterializedInput("probe", _JOIN_SCHEMAS["p"], probe)
@@ -272,4 +263,5 @@ def test_hash_join_builds_bit_identical(
         ),
         outer=outer,
     )
-    assert_plan_equivalent(database, plan, batch_size)
+    result = assert_plan_equivalent(database, plan, batch_size)
+    assert result.rows == nested_loop_join(plan, probe, build)

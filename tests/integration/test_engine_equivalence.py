@@ -1,15 +1,16 @@
-"""Differential harness: the columnar engine against the row reference.
+"""Batch-size invariance over the paper workload and randomized shapes.
 
-The columnar engine is only allowed to change wall-clock time.  For
-every query — the full paper workload plus randomized filter / join /
-aggregate shapes — both engines must return identical row lists *and*
-identical ``WorkMeter`` totals, because metered work drives the
-response-time simulation and QCC calibration (docs/execution.md).
+Metered work drives the response-time simulation and QCC calibration
+(docs/execution.md), so it must be a function of the plan and the data
+alone.  For every query — the full paper workload plus randomized
+filter / join / aggregate shapes — the engine at batch sizes 1 and 2
+must return the row list *and* the ``WorkMeter`` totals it returns at
+the default batch size, bit for bit (``tests/batching.py``).  SQLite
+holds the rows themselves (``test_sqlite_oracle.py``).
 
-The single documented exception is LIMIT: the columnar engine
-terminates early at batch granularity, so it may meter slightly more
-scanned work than the row engine (``test_columnar_engine`` pins the
-exact batch-boundary amounts).  Rows must always match exactly.
+The single documented exception is LIMIT: it meters whole batches, so
+the work it abandons depends on the batch size (``test_columnar_engine``
+pins the exact batch-boundary amounts).  Rows must always match exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sqlengine import Database, execute_plan, populate
+from repro.sqlengine import Database, populate
 from repro.workload import TEST_SCALE
 from repro.workload.queries import EXTENDED_QUERY_TYPES
 from repro.workload.schema import table_specs
-
-ENGINES = ("row", "columnar")
+from tests.batching import assert_batch_invariant
 
 
 @pytest.fixture(scope="module")
@@ -32,25 +32,9 @@ def workload_db():
     return database
 
 
-def run_all(database, sql):
-    plan = database.explain(sql)[0].plan
-    return {
-        engine: execute_plan(
-            plan, database.storage, engine=engine
-        )
-        for engine in ENGINES
-    }
-
-
 def assert_equivalent(database, sql, check_meter=True):
-    results = run_all(database, sql)
-    reference, columnar = results["row"], results["columnar"]
-    assert (reference.engine, columnar.engine) == ENGINES
-    assert columnar.rows == reference.rows, sql
-    if check_meter:
-        assert columnar.meter.cpu_ms == reference.meter.cpu_ms, sql
-        assert columnar.meter.io_ms == reference.meter.io_ms, sql
-    assert columnar.meter.tuples_out == reference.meter.tuples_out, sql
+    plan = database.explain(sql)[0].plan
+    assert_batch_invariant(plan, database.storage, check_meter=check_meter, what=sql)
 
 
 # -- the paper workload -----------------------------------------------------
@@ -152,9 +136,9 @@ def test_order_by_distinct_bit_identical(workload_db):
 
 
 def test_limit_rows_identical_meter_exempt(workload_db):
-    # LIMIT is the documented meter exception: the columnar engine
-    # scans to the batch boundary, so the meters are exempt.  Rows and
-    # the output count must still match.
+    # LIMIT is the documented meter exception: it scans to the batch
+    # boundary, so the meters are exempt.  Rows and the output count
+    # must still match.
     assert_equivalent(
         workload_db,
         "SELECT l.linekey FROM lineitem l "

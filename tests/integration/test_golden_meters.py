@@ -2,13 +2,13 @@
 the work of 120 statements of the SQLite-oracle grammar.
 
 For instance 0 of each query type, on each of S1–S3's sample databases,
-the server's best plan runs on the default engine under the operator
+the server's best plan runs under the operator
 profiler.  One sha256 covers, for every operator of the plan in
 pre-order, its ``describe()``, its ``rows_out`` and its inclusive
 ``meter_ms`` (as ``float.hex``), then the plan's ``WorkMeter`` totals.
 The meters are what a server's load turns into response time and what
 QCC calibrates against, so a change that moves any of them moves the
-digest.  The row engine must give the same rows and totals.
+digest.
 
 The grammar pin runs the statements of ``pinned_statements.sql`` (drawn
 once from ``test_sqlite_oracle.statements`` and committed, so no
@@ -29,7 +29,7 @@ from repro.obs.profile import profiling
 from repro.sqlengine import execute_plan
 from repro.workload import EXTENDED_QUERY_TYPES
 
-#: sha256 per query type, computed on the columnar engine.  Meters are
+#: sha256 per query type.  Meters are
 #: in reference-machine milliseconds and every server picks the same
 #: plan at test scale, so S1–S3 share each query's digest.
 GOLDEN = {
@@ -87,9 +87,6 @@ def test_meters_match_the_golden_digest(sample_databases, template, server):
     plan = database.explain(template.instance(0).sql)[0].plan
     digest, result = meter_digest(plan, database.storage)
     assert digest == GOLDEN[template.name], plan.explain()
-    row = execute_plan(plan, database.storage, engine="row")
-    assert row.rows == result.rows
-    assert _totals(row.meter) == _totals(result.meter)
 
 
 def test_grammar_meters_match_the_golden_digest(sample_databases):
@@ -100,8 +97,4 @@ def test_grammar_meters_match_the_golden_digest(sample_databases):
         plan = database.explain(sql)[0].plan
         meters, result = meter_digest(plan, database.storage)
         digest.update(f"{sql}|{result.rows!r}|{meters}\n".encode())
-        row = execute_plan(plan, database.storage, engine="row")
-        assert row.rows == result.rows, sql
-        if "LIMIT" not in sql:
-            assert _totals(row.meter) == _totals(result.meter), sql
     assert digest.hexdigest() == GRAMMAR_GOLDEN

@@ -4,9 +4,8 @@ and SQLite (one outside the select list is a :class:`BindError`:
 
 The answers, order included, are compared with stdlib ``sqlite3`` loaded
 with the same rows (:class:`~repro.chaos.sqlite_answers.SqliteAnswers`):
-through one server's ``Database`` on both engines, and through
-``InformationIntegrator.submit`` over servers on both engines and both
-topologies.  The replica topology keeps orders and lineitem on different
+through one server's ``Database``, and through
+``InformationIntegrator.submit`` on both topologies.  The replica topology keeps orders and lineitem on different
 servers, so there the join and the sort run in the II's merge plan.
 """
 
@@ -23,7 +22,7 @@ from repro.harness.deployment import (
     build_replica_federation,
 )
 from repro.obs.profile import profiling
-from repro.sqlengine import ENGINES, ColumnRef, bind, execute_plan, parse
+from repro.sqlengine import ColumnRef, bind, execute_plan, parse
 from repro.sqlengine.parser import OrderItem
 from repro.workload import TEST_SCALE
 from tests.datasets import server_databases
@@ -77,19 +76,18 @@ _TOPOLOGIES = {
 @pytest.fixture(scope="module")
 def deployments():
     return {
-        (build.__name__, engine): build(
+        build.__name__: build(
             scale=TEST_SCALE,
-            prebuilt_databases=server_databases(specs, placement, engine),
+            prebuilt_databases=server_databases(specs, placement),
         )
         for build, (specs, placement) in _TOPOLOGIES.items()
-        for engine in ENGINES
     }
 
 
 @pytest.fixture(scope="module")
 def oracle(deployments):
     """SQLite holding the rows the federation's servers hold."""
-    deployment = deployments["build_federation", "columnar"]
+    deployment = deployments["build_federation"]
     return SqliteAnswers(server.database for server in deployment.servers.values())
 
 
@@ -103,25 +101,23 @@ def _assert_same_answer(rows, expected, keys):
 
 @pytest.mark.parametrize("sql, keys", ORDERED, ids=[sql for sql, _ in ORDERED])
 def test_local_answers_equal_sqlite(deployments, oracle, sql, keys):
-    expected = oracle.rows(sql)
+    expected = oracle.answer(sql)
     assert expected
-    database = deployments["build_federation", "columnar"].servers["S1"].database
+    database = deployments["build_federation"].servers["S1"].database
     plan = database.explain(sql)[0].plan
-    for engine in ENGINES:
-        result = execute_plan(plan, database.storage, engine=engine)
-        _assert_same_answer(result.rows, expected, keys)
+    _assert_same_answer(execute_plan(plan, database.storage).rows, expected, keys)
 
 
 @pytest.mark.parametrize("sql, keys", ORDERED, ids=[sql for sql, _ in ORDERED])
 def test_federated_answers_equal_sqlite(deployments, oracle, sql, keys):
-    expected = oracle.rows(sql)
+    expected = oracle.answer(sql)
     for deployment in deployments.values():
         _assert_same_answer(deployment.integrator.submit(sql).rows, expected, keys)
 
 
 def test_the_merge_plan_sorts_on_the_named_item(deployments):
     sql = ORDERED[6][0]
-    integrator = deployments["build_replica_federation", "columnar"].integrator
+    integrator = deployments["build_replica_federation"].integrator
     with profiling():
         result = integrator.submit(sql)
     assert len(result.fragments) == 2

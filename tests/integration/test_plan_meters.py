@@ -1,15 +1,16 @@
-"""Every plan a chaos sweep runs gives equal rows and meters on both engines.
+"""Every plan a chaos sweep runs gives equal rows and meters at every
+batch size.
 
 A scenario's response times, retries and routing are deterministic
 functions of each execution's rows and ``WorkMeter``: the meter becomes
 processing time under load, the rows become bytes on the link, and QCC
-learns from both.  So holding the rows, ``cpu_ms``, ``io_ms`` and
-``tuples_out`` of every fragment plan a server ran
-(``RemoteServer.execute_plan``) and every II merge plan equal across the
-row and columnar engines checks, plan by plan, what rerunning whole
-scenarios on the row engine checked.  The sweep covers both topologies,
+learns from both.  So the rows, ``cpu_ms``, ``io_ms`` and ``tuples_out``
+of every fragment plan a server ran (``RemoteServer.execute_plan``) and
+every II merge plan must be the same at batch sizes 1 and 2 as at the
+default (``tests/batching.py``).  The sweep covers both topologies,
 sequential and concurrent arrivals, with and without a hedge timer and
-mid-query re-routing.
+mid-query re-routing; its ``sqlite-answers`` checker holds every answer
+to SQLite.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 import repro.fed.integrator as integrator_module
 from repro.chaos import generate_scenario, run_checkers, run_scenario, violations
 from repro.sim import RemoteServer
-from repro.sqlengine import execute_plan
+from tests.batching import assert_batch_invariant
 
 #: Scenarios 0-11 of seed 42: both topologies, both arrival modes and
 #: every fault kind.
@@ -65,19 +66,6 @@ def executed():
     return list(fragments.values()), merges, dispatches
 
 
-def _assert_engines_agree(plan, storage):
-    row, columnar = (
-        execute_plan(plan, storage, engine=engine)
-        for engine in ("row", "columnar")
-    )
-    assert columnar.rows == row.rows, plan.explain()
-    assert (
-        columnar.meter.cpu_ms,
-        columnar.meter.io_ms,
-        columnar.meter.tuples_out,
-    ) == (row.meter.cpu_ms, row.meter.io_ms, row.meter.tuples_out), plan.explain()
-
-
 def test_the_sweep_covers_both_topologies_and_second_legs(executed):
     fragments, merges, (plain, with_second_legs) = executed
     servers = {database.name for _, database in fragments}
@@ -90,10 +78,10 @@ def test_the_sweep_covers_both_topologies_and_second_legs(executed):
 def test_fragment_plans_agree(executed):
     fragments, _, _ = executed
     for plan, database in fragments:
-        _assert_engines_agree(plan, database.storage)
+        assert_batch_invariant(plan, database.storage, what=plan.explain())
 
 
 def test_merge_plans_agree(executed):
     _, merges, _ = executed
     for plan, storage in merges:
-        _assert_engines_agree(plan, storage)
+        assert_batch_invariant(plan, storage, what=plan.explain())

@@ -2,16 +2,16 @@
 
 The tentpole claim of the re-routing subsystem is *exactness*: a query
 whose scan fragment migrates mid-flight — at any batch boundary, under
-any batch size, on any execution engine — must return rows
+any batch size, one row per execution batch or the default — must return rows
 byte-identical to the fault-free run, and the calibrator must receive
 bit-identical feedback (the primary's full demonstrated demand, never a
 migration-inflated figure).
 
 The sweep here is exhaustive over interrupt instants, not sampled: for
-every (engine, batch size) cell it derives the fragments' batch boundaries
-from a no-reroute oracle run, then fires a calibration-epoch bump at
-*every* batch-boundary instant and at every mid-batch midpoint, and
-holds each perturbed run to the oracle's answer.  Seeds and query
+every (execution granularity, batch size) cell it derives the fragments'
+batch boundaries from a no-reroute oracle run, then fires a
+calibration-epoch bump at *every* batch-boundary instant and at every
+mid-batch midpoint, and holds each perturbed run to the oracle's answer.  Seeds and query
 instances come from ``derive_rng`` so the matrix is reproducible from
 the module constants alone.
 """
@@ -26,7 +26,9 @@ from repro.harness.deployment import (
     build_replica_federation,
 )
 from repro.sim.rng import derive_rng
+from repro.sqlengine import DEFAULT_BATCH_SIZE
 from repro.workload import TEST_SCALE, queries as Q
+from tests.batching import batch_size
 from tests.datasets import server_databases
 from tests.executions import noted_executions
 
@@ -37,7 +39,11 @@ DATA_SEED = 7
 #: Sweep seed: picks the query instances via derive_rng.
 SWEEP_SEED = 2025
 
-ENGINES = ("row", "columnar")
+#: Rows per execution batch, by name: ``row`` runs every operator one
+#: row at a time, ``columnar`` at the default batch size.  A migration
+#: must be byte-invisible at both, and both must see the same run.
+GRANULARITIES = {"row": 1, "columnar": DEFAULT_BATCH_SIZE}
+#: Rows per migration checkpoint (``reroute_batch_rows``).
 BATCH_SIZES = (1, 2, 7, 1024)
 
 #: Compile overhead of a single query submitted at t=0: fragments hit
@@ -55,29 +61,25 @@ def _query_sql(rng_component):
 
 @pytest.fixture(scope="module")
 def replica_databases():
-    """The replica topology's databases, one set per engine."""
-    return {
-        engine: server_databases(
-            REPLICA_SERVER_SPECS, REPLICA_PLACEMENT, engine, seed=DATA_SEED
-        )
-        for engine in ENGINES
-    }
+    """The replica topology's databases."""
+    return server_databases(REPLICA_SERVER_SPECS, REPLICA_PLACEMENT, seed=DATA_SEED)
 
 
 def _run_query(
     databases,
-    engine,
+    granularity,
     sql,
     reroute_batch_rows=None,
     bump_at=(),
     hedge_after_ms=None,
 ):
-    """One fresh deployment over *engine*'s databases, one query,
-    optional epoch bumps.  Returns ``(result, noted executions)``."""
+    """One fresh deployment over *databases*, one query executed at
+    *granularity*, optional epoch bumps.  Returns ``(result, noted
+    executions)``."""
     deployment = build_replica_federation(
         scale=TEST_SCALE,
         seed=DATA_SEED,
-        prebuilt_databases=databases[engine],
+        prebuilt_databases=databases,
     )
     noted = noted_executions(deployment.meta_wrapper)
     runtime = ConcurrentRuntime(
@@ -89,7 +91,8 @@ def _run_query(
     epoch = deployment.integrator.calibration_epoch
     for t_ms in bump_at:
         runtime.scheduler.call_at(t_ms, lambda: epoch.bump())
-    runtime.run()
+    with batch_size(GRANULARITIES[granularity]):
+        runtime.run()
     assert handle.error is None, handle.error
     assert handle.result is not None
     return handle.result, noted
@@ -150,16 +153,16 @@ def _bump_instants(result, batch_rows):
     return sorted(instants)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("granularity", GRANULARITIES)
 @pytest.mark.parametrize("component", ("qt2", "qt4"))
 def test_untriggered_rerouting_is_bit_identical(
-    replica_databases, engine, component
+    replica_databases, granularity, component
 ):
     """Enabled-but-idle re-routing must not perturb a single byte."""
     sql = _query_sql(component)
-    oracle, oracle_log = _run_query(replica_databases, engine, sql)
+    oracle, oracle_log = _run_query(replica_databases, granularity, sql)
     armed, armed_log = _run_query(
-        replica_databases, engine, sql, reroute_batch_rows=4
+        replica_databases, granularity, sql, reroute_batch_rows=4
     )
     assert armed.reroutes == 0
     assert list(armed.rows) == list(oracle.rows)
@@ -167,10 +170,10 @@ def test_untriggered_rerouting_is_bit_identical(
     assert _log_key(armed_log) == _log_key(oracle_log)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("granularity", GRANULARITIES)
 @pytest.mark.parametrize("batch_rows", BATCH_SIZES)
 def test_migration_sweep_matches_oracle(
-    replica_databases, engine, batch_rows
+    replica_databases, granularity, batch_rows
 ):
     """Bump the epoch at every boundary and midpoint; answers never move.
 
@@ -180,7 +183,7 @@ def test_migration_sweep_matches_oracle(
     or not the tail was re-shipped to a replica.
     """
     sql = _query_sql("qt2")
-    oracle, oracle_log = _run_query(replica_databases, engine, sql)
+    oracle, oracle_log = _run_query(replica_databases, granularity, sql)
     oracle_rows = list(oracle.rows)
     oracle_key = _log_key(oracle_log)
     multi_batch = any(
@@ -192,18 +195,18 @@ def test_migration_sweep_matches_oracle(
     for t_bump in _bump_instants(oracle, batch_rows):
         perturbed, log = _run_query(
             replica_databases,
-            engine,
+            granularity,
             sql,
             reroute_batch_rows=batch_rows,
             bump_at=(t_bump,),
         )
         migrations += perturbed.reroutes
         assert list(perturbed.rows) == oracle_rows, (
-            f"rows drifted (engine={engine}, batch={batch_rows}, "
+            f"rows drifted ({granularity}, batch={batch_rows}, "
             f"bump={t_bump})"
         )
         assert _log_key(log) == oracle_key, (
-            f"calibrator feedback drifted (engine={engine}, "
+            f"calibrator feedback drifted ({granularity}, "
             f"batch={batch_rows}, bump={t_bump})"
         )
     if multi_batch:
@@ -253,21 +256,22 @@ def test_unreachable_hedge_timer_beside_rerouting_changes_nothing(
 
 @pytest.mark.parametrize("component", ("qt2", "qt4"))
 def test_engines_agree_under_migration(replica_databases, component):
-    """The same mid-scan bump produces identical behaviour per engine."""
+    """The same mid-scan bump produces identical behaviour one row per
+    execution batch and at the default batch size."""
     sql = _query_sql(component)
     oracle, _ = _run_query(replica_databases, "row", sql)
     instants = _bump_instants(oracle, 4)
     t_bump = instants[len(instants) // 2]
     results = {}
-    for engine in ENGINES:
+    for granularity in GRANULARITIES:
         perturbed, log = _run_query(
             replica_databases,
-            engine,
+            granularity,
             sql,
             reroute_batch_rows=4,
             bump_at=(t_bump,),
         )
-        results[engine] = (
+        results[granularity] = (
             list(perturbed.rows),
             perturbed.response_ms,
             perturbed.reroutes,

@@ -8,12 +8,12 @@ with the same rows (:class:`~repro.chaos.sqlite_answers.SqliteAnswers`),
 answers the same SQL and the rows must agree under
 ``rows_close_unordered``:
 
-* QT1-QT5, instances 0-2, through a bare ``Database`` on both engines,
+* QT1-QT5, instances 0-2, through a bare ``Database``,
   ``InformationIntegrator.submit`` on both topologies, and the
   ``ConcurrentRuntime`` on both topologies;
 * a bounded grammar of filter / inner join / left join / group by /
   having / distinct / order by / limit statements, through a bare
-  ``Database`` on both engines and ``submit`` on both topologies.  It
+  ``Database`` and ``submit`` on both topologies.  It
   keeps to the dialect the two engines share (the module docstring of
   ``repro.chaos.sqlite_answers``): no ``/`` or ``%``, no ``+`` on
   strings, and ORDER BY only on keys that are never NULL and make the
@@ -39,7 +39,6 @@ from repro.chaos.sqlite_answers import SqliteAnswers
 from repro.fed import ConcurrentRuntime, FederationError
 from repro.harness import build_federation, build_replica_federation
 from repro.sqlengine import (
-    ENGINES,
     Database,
     execute_plan,
     populate,
@@ -91,15 +90,13 @@ def deployments(sample_databases):
 
 
 def _assert_local_answers(database, sqlite, sql):
-    expected = sqlite.rows(sql)
-    plan = database.explain(sql)[0].plan
-    for engine in ENGINES:
-        rows = execute_plan(plan, database.storage, engine=engine).rows
-        assert rows_close_unordered(rows, expected), (engine, sql)
+    expected = sqlite.answer(sql)
+    rows = execute_plan(database.explain(sql)[0].plan, database.storage).rows
+    assert rows_close_unordered(rows, expected), sql
 
 
 def _assert_federated_answers(deployments, sqlite, sql):
-    expected = sqlite.rows(sql)
+    expected = sqlite.answer(sql)
     for topology, deployment in deployments:
         try:
             rows = deployment.integrator.submit(sql).rows
@@ -135,7 +132,7 @@ def test_concurrent_answers_equal_sqlite(sample_databases, sqlite):
         runtime.run()
         for handle in handles:
             assert handle.result is not None, (topology, handle.sql, handle.error)
-            assert rows_close_unordered(handle.result.rows, sqlite.rows(handle.sql)), (
+            assert rows_close_unordered(handle.result.rows, sqlite.answer(handle.sql)), (
                 topology,
                 handle.sql,
             )
@@ -340,7 +337,7 @@ def benchmark_disagreements(name, seed):
     wrong = [
         sql
         for sql in texts
-        if not rows_close_unordered(database.run(sql).rows, sqlite.rows(sql))
+        if not rows_close_unordered(database.run(sql).rows, sqlite.answer(sql))
     ]
     return len(texts), wrong
 

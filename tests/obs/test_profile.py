@@ -1,5 +1,6 @@
 """Operator profiler: counters, plan profiles, EXPLAIN ANALYZE rendering,
-and row-vs-columnar equivalence on real federated queries."""
+and equal per-operator profiles one row per batch and at the default
+batch size on real federated queries."""
 
 from __future__ import annotations
 
@@ -17,23 +18,20 @@ from repro.obs.profile import (
     render_analyzed_plan,
 )
 from repro.harness import build_federation
-from repro.sqlengine import ColumnBatch, NestedLoopJoin, SeqScan, execute_plan
+from repro.sqlengine import (
+    DEFAULT_BATCH_SIZE,
+    ColumnBatch,
+    NestedLoopJoin,
+    SeqScan,
+    execute_plan,
+)
 from repro.workload import QUERY_TYPES, TEST_SCALE
-from tests.datasets import server_databases
-
-
-@pytest.fixture(scope="module")
-def engine_databases():
-    """Per-engine sample databases: a server's engine is fixed at
-    database construction, so each engine needs its own copy."""
-    return {
-        engine: server_databases(engine=engine)
-        for engine in ("row", "columnar")
-    }
+from tests.batching import batch_size
 
 
 class FakeNode:
-    """Minimal plan-node stand-in: describe() + children() + _rows()."""
+    """Minimal plan-node stand-in: describe() + children() +
+    _rows_columnar(), one batch of every row with the first deselected."""
 
     def __init__(self, name, rows=(), children=()):
         self.name = name
@@ -46,13 +44,18 @@ class FakeNode:
     def describe(self):
         return self.name
 
-    def _rows(self, ctx):
-        yield from self._rows_data
-
     def _rows_columnar(self, ctx):
         if self._rows_data:
             batch = ColumnBatch.from_rows([(v,) for v in self._rows_data], 1)
             yield batch.with_sel(batch.selected()[1:])
+
+
+class OneRowBatches(FakeNode):
+    """A stand-in that emits one single-row batch per row."""
+
+    def _rows_columnar(self, ctx):
+        for value in self._rows_data:
+            yield ColumnBatch.from_rows([(value,)], 1)
 
 
 class FakeMeter:
@@ -83,47 +86,38 @@ class TestOperatorStats:
 
 
 class TestProfilerWrappers:
-    def test_profile_rows_counts_rows_and_invocations(self):
-        profiler = OperatorProfiler()
-        node = FakeNode("scan", rows=[1, 2, 3])
-        ctx = FakeCtx()
-        assert list(profiler.profile_rows(node, ctx)) == [1, 2, 3]
-        assert list(profiler.profile_rows(node, ctx)) == [1, 2, 3]
-        stats = profiler.capture().stats_for(node)
-        assert stats.invocations == 2
-        assert stats.rows_out == 6
-        assert stats.batches == 0
-
     def test_profile_columnar_counts_batches_and_physical_rows(self):
         profiler = OperatorProfiler()
         node = FakeNode("scan", rows=[1, 2, 3])
         ctx = FakeCtx()
         batches = list(profiler.profile_columnar(node, ctx))
         assert [b.materialize() for b in batches] == [[(2,), (3,)]]
+        list(profiler.profile_columnar(node, ctx))
         stats = profiler.capture().stats_for(node)
-        assert stats.rows_out == 2
-        assert stats.batches == 1
-        assert stats.phys_rows == 3
+        assert stats.invocations == 2
+        assert stats.rows_out == 4
+        assert stats.batches == 2
+        assert stats.phys_rows == 6
 
     def test_meter_delta_attributed_to_node(self):
         profiler = OperatorProfiler()
         ctx = FakeCtx()
 
         class Charging(FakeNode):
-            def _rows(self, inner_ctx):
-                for row in self._rows_data:
+            def _rows_columnar(self, inner_ctx):
+                for value in self._rows_data:
                     inner_ctx.meter.total_ms += 2.0
-                    yield row
+                    yield ColumnBatch.from_rows([(value,)], 1)
 
         node = Charging("scan", rows=[1, 2])
-        list(profiler.profile_rows(node, ctx))
+        list(profiler.profile_columnar(node, ctx))
         stats = profiler.capture().stats_for(node)
         assert stats.meter_ms == pytest.approx(4.0)
 
     def test_partial_consumption_still_records_on_close(self):
         profiler = OperatorProfiler()
-        node = FakeNode("scan", rows=[1, 2, 3, 4])
-        stream = profiler.profile_rows(node, FakeCtx())
+        node = OneRowBatches("scan", rows=[1, 2, 3, 4])
+        stream = profiler.profile_columnar(node, FakeCtx())
         next(stream)
         next(stream)
         stream.close()
@@ -133,14 +127,14 @@ class TestProfilerWrappers:
     def test_reset_clears_entries(self):
         profiler = OperatorProfiler()
         node = FakeNode("scan", rows=[1])
-        list(profiler.profile_rows(node, FakeCtx()))
+        list(profiler.profile_columnar(node, FakeCtx()))
         profiler.reset()
         assert len(profiler.capture()) == 0
 
     def test_null_profiler_passes_through(self):
-        node = FakeNode("scan", rows=[1, 2])
-        assert list(NULL_PROFILER.profile_rows(node, FakeCtx())) == [1, 2]
-        assert len(list(NULL_PROFILER.profile_columnar(node, FakeCtx()))) == 1
+        node = OneRowBatches("scan", rows=[1, 2])
+        batches = list(NULL_PROFILER.profile_columnar(node, FakeCtx()))
+        assert [b.materialize() for b in batches] == [[(1,)], [(2,)]]
         assert len(NULL_PROFILER._entries) == 0
 
 
@@ -256,13 +250,13 @@ class TestRenderAnalyzedPlan:
 
 class TestEngineEquivalence:
     """The acceptance-criteria check: identical per-operator row counts
-    whichever engine executed the plan."""
+    one row per batch and at the default batch size."""
 
-    def _profiled_counts(self, engine_databases, engine, sql):
+    def _profiled_counts(self, sample_databases, size, sql):
         deployment = build_federation(
-            scale=TEST_SCALE, prebuilt_databases=engine_databases[engine]
+            scale=TEST_SCALE, prebuilt_databases=sample_databases
         )
-        with profiling():
+        with batch_size(size), profiling():
             result = deployment.integrator.submit(sql)
         assert result.profile is not None
         counts = sorted(
@@ -275,42 +269,31 @@ class TestEngineEquivalence:
         "template", QUERY_TYPES, ids=[t.name for t in QUERY_TYPES]
     )
     def test_row_and_columnar_profiles_agree(
-        self, engine_databases, template
+        self, sample_databases, template
     ):
+        # Batch size 1 executes one row at a time, through every operator
+        # of the fragments and of the II merge.
         sql = template.instance(0).sql
-        row_counts, row_result = self._profiled_counts(
-            engine_databases, "row", sql
-        )
+        row_counts, row_result = self._profiled_counts(sample_databases, 1, sql)
         col_counts, col_result = self._profiled_counts(
-            engine_databases, "columnar", sql
+            sample_databases, DEFAULT_BATCH_SIZE, sql
         )
         assert row_counts == col_counts
-        assert sorted(map(tuple, row_result.rows)) == sorted(
-            map(tuple, col_result.rows)
-        )
-        # The columnar engine streams batches through every operator;
-        # the row engine's fragments never do (the II merge runs the
-        # default engine in both federations).
-        merge_nodes = set()
-        _, merge_plan = row_result.executed_plans()
-        stack = [merge_plan]
-        while stack:
-            node = stack.pop()
-            merge_nodes.add(id(node))
-            stack.extend(node.children())
+        assert row_result.rows == col_result.rows
         assert all(
-            stats.batches == 0
-            for node, stats in row_result.profile.operators()
-            if id(node) not in merge_nodes
+            stats.batches == stats.rows_out
+            for _, stats in row_result.profile.operators()
         )
         assert all(
             stats.batches > 0 or stats.rows_out == 0
             for _, stats in col_result.profile.operators()
         )
 
-    def test_result_profile_attached_and_queryable(self, engine_databases):
+    def test_result_profile_attached_and_queryable(self, sample_databases):
         sql = QUERY_TYPES[0].instance(0).sql
-        _, result = self._profiled_counts(engine_databases, "columnar", sql)
+        _, result = self._profiled_counts(
+            sample_databases, DEFAULT_BATCH_SIZE, sql
+        )
         profile = result.profile
         roots = profile.roots()
         # Fragment plans, then the II merge plan.
@@ -319,11 +302,11 @@ class TestEngineEquivalence:
         merge_stats = profile.stats_for(merge_plan)
         assert merge_stats.rows_out == result.row_count
 
-    def test_no_subtree_drops_to_the_row_path(self, engine_databases):
+    def test_no_subtree_drops_to_the_row_path(self, sample_databases):
         # The nested-loop join has no kernel-level columnar algorithm, but
         # it must pull its inputs as column batches: every scan below it
-        # reports batches, none reports row-path-only execution.
-        database = engine_databases["columnar"]["S1"]
+        # reports batches of its rows.
+        database = sample_databases["S1"]
         orders = database.catalog.lookup("orders")
         customer = database.catalog.lookup("customer")
         left = SeqScan(orders, "o")
@@ -332,7 +315,7 @@ class TestEngineEquivalence:
         with profiling() as profiler:
             columnar = database.run_plan(plan)
         assert columnar.rows == execute_plan(
-            plan, database.storage, engine="row"
+            plan, database.storage, batch_size=1
         ).rows
         profile = profiler.capture()
         for scan in (left, right):

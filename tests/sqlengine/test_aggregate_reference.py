@@ -11,14 +11,12 @@ of group keys (none, one, composite, string, NULL), aggregates
 (``COUNT(*)``, ``COUNT(x)``, ``SUM``, ``AVG``, ``MIN`` / ``MAX`` over
 numbers and strings, ``DISTINCT``, shared and computed arguments,
 ``HAVING``), NULL-heavy and empty inputs and batch sizes must give
-``==`` rows in order and ``==`` meters on both, and on the row engine.
-Every fold is exact, so no tolerance is correct here.  (The grammar
-draws no NaN: there the reference is wrong, see
-``test_columnar_engine.py::TestExtremesPastNaN``.)
+``==`` rows in order and ``==`` meters on both.  Every fold is exact, so
+no tolerance is correct here.  (The grammar draws no NaN: there the
+reference is wrong, see ``test_columnar_engine.py::TestExtremesPastNaN``.)
 
-The cost tests hold the operator to no per-group Python objects: no
-``_AggState`` without DISTINCT, and as many Python function calls at
-500 groups as at 5.
+The cost test holds the operator to no per-group Python work: as many
+Python function calls at 500 groups as at 5.
 """
 
 from __future__ import annotations
@@ -39,19 +37,10 @@ from repro.sqlengine import (
     Database,
     Schema,
     execute_plan,
-    populate,
 )
 from repro.sqlengine.columnar import ColumnBatch, ValueColumn
 from repro.sqlengine.cost import AGG_UPDATE_COST, CPU_OPERATOR_COST
-from repro.sqlengine.physical import (
-    Filter,
-    HashAggregate,
-    MaterializedInput,
-    _AggState,
-)
-from repro.workload import TEST_SCALE
-from repro.workload.queries import QUERY_TYPES
-from repro.workload.schema import table_specs
+from repro.sqlengine.physical import Filter, HashAggregate, MaterializedInput
 
 
 # -- the parent's fold, kept as the reference ---------------------------------
@@ -59,6 +48,48 @@ from repro.workload.schema import table_specs
 #: The reference groups its input in chunks of at least this many
 #: batches' worth of rows (fewer at the end of the input).
 AGG_CHUNK_BATCHES = 4
+
+
+class _AggState:
+    """Incremental state for one aggregate call over one group (the
+    reference counts ``COUNT(*)`` rows itself)."""
+
+    __slots__ = ("name", "distinct", "count", "total", "min", "max", "seen")
+
+    def __init__(self, name, distinct):
+        self.name = name
+        self.distinct = distinct
+        self.count = 0
+        self.total = None
+        self.min = None
+        self.max = None
+        self.seen = set() if distinct else None
+
+    def update(self, value):
+        if value is None:
+            return
+        if self.seen is not None:
+            if value in self.seen:
+                return
+            self.seen.add(value)
+        self.count += 1
+        if self.name in ("SUM", "AVG"):
+            self.total = value if self.total is None else self.total + value
+        elif self.name == "MIN":
+            self.min = value if self.min is None else min(self.min, value)
+        elif self.name == "MAX":
+            self.max = value if self.max is None else max(self.max, value)
+
+    def result(self):
+        if self.name == "COUNT":
+            return self.count
+        if self.name == "SUM":
+            return self.total
+        if self.name == "AVG":
+            return self.total / self.count if self.count else None
+        if self.name == "MIN":
+            return self.min
+        return self.max
 
 
 def _fold_agg_dense(state, values):
@@ -320,13 +351,8 @@ def aggregate_plans(rows, sql, source):
     return HashAggregate(*args), ChunkFoldAggregate(*args), database
 
 
-def run(plan, database, engine, batch_size):
-    result = execute_plan(
-        plan,
-        database.storage,
-        engine=engine,
-        batch_size=batch_size,
-    )
+def run(plan, database, batch_size):
+    result = execute_plan(plan, database.storage, batch_size=batch_size)
     meter = result.meter
     return result.rows, (meter.cpu_ms, meter.io_ms, meter.tuples_out)
 
@@ -347,32 +373,11 @@ def test_matches_chunk_fold(
     group = f" GROUP BY {', '.join(keys)}" if keys else ""
     sql = f"SELECT {', '.join(keys + tuple(aggregates))} FROM t{where}{group}{having}"
     plan, reference, database = aggregate_plans(rows, sql, source)
-    expected = run(reference, database, "columnar", batch_size)
-    assert run(plan, database, "columnar", batch_size) == expected, sql
-    assert run(plan, database, "row", batch_size) == expected, sql
+    expected = run(reference, database, batch_size)
+    assert run(plan, database, batch_size) == expected, sql
 
 
-# -- no per-group Python objects ----------------------------------------------
-
-
-def test_no_aggregate_state_without_distinct(monkeypatch):
-    database = Database(name="states")
-    populate(database, table_specs(TEST_SCALE), seed=7)
-    built = []
-    init = _AggState.__init__
-
-    def counting(self, name, distinct):
-        built.append(name)
-        init(self, name, distinct)
-
-    monkeypatch.setattr(_AggState, "__init__", counting)
-    for template in QUERY_TYPES:
-        sql = template.instance(0).sql
-        assert "DISTINCT" not in sql
-        assert execute_plan(
-            database.explain(sql)[0].plan, database.storage, engine="columnar"
-        ).rows
-    assert built == []
+# -- no per-group Python work ---------------------------------------------------
 
 
 def _grouped_db(groups):
@@ -406,12 +411,12 @@ def _python_calls(database, sql):
 
     # The first run in a process fills caches in Python (the ABC
     # subclass cache); only later runs show the operator's own calls.
-    execute_plan(plan, database.storage, engine="columnar")
+    execute_plan(plan, database.storage)
     # A collection runs whatever ``gc.callbacks`` hold, in Python.
     gc.disable()
     sys.setprofile(trace)
     try:
-        result = execute_plan(plan, database.storage, engine="columnar")
+        result = execute_plan(plan, database.storage)
     finally:
         sys.setprofile(None)
         gc.enable()

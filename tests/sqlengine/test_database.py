@@ -1,5 +1,6 @@
 """Unit tests for the Database facade."""
 
+import pytest
 
 from repro.sqlengine import (
     Column,
@@ -7,6 +8,8 @@ from repro.sqlengine import (
     Database,
     Schema,
     ServerProfile,
+    SqlError,
+    populate,
 )
 
 
@@ -15,6 +18,21 @@ class TestDatabaseFacade:
         result = tiny_db.run("SELECT COUNT(*) FROM dept")
         assert result.rows == [(20,)]
         assert result.meter.total_ms > 0
+
+    def test_engine_names_are_the_frozen_shim(self, tiny_db, tiny_specs):
+        # benchmarks/e2e/answers.py builds Database(engine="row"): every
+        # accepted name runs the one engine, any other name is an error.
+        sql = "SELECT deptno, COUNT(*) FROM emp GROUP BY deptno"
+        expected = tiny_db.run(sql)
+        for name in (None, "columnar", "row"):
+            database = Database(name="reference", engine=name)
+            populate(database, tiny_specs, seed=42)
+            result = database.run(sql)
+            assert result.rows == expected.rows
+            assert result.meter.total_ms == expected.meter.total_ms
+        for retired in ("vector", "turbo"):
+            with pytest.raises(SqlError, match=retired):
+                Database(name="reference", engine=retired)
 
     def test_explain_does_not_execute(self, tiny_db):
         before = tiny_db.row_count("dept")

@@ -148,7 +148,7 @@ class TestEndToEnd:
         ).rows
         expected = sum(
             1
-            for r in db.storage.table("customer").scan()
+            for r in db.storage.table("customer").rows
             if r[3].startswith("M")
         )
         assert rows == [(expected,)]
@@ -160,7 +160,7 @@ class TestEndToEnd:
         ).rows
         expected = sum(
             1
-            for r in db.storage.table("customer").scan()
+            for r in db.storage.table("customer").rows
             if r[1] in (1, 2, 3)
         )
         assert rows == [(expected,)]

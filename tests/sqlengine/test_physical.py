@@ -26,8 +26,8 @@ from repro.sqlengine.expressions import ColumnRef, Literal
 
 @pytest.fixture()
 def data(tiny_db):
-    emp = list(tiny_db.storage.table("emp").scan())
-    dept = list(tiny_db.storage.table("dept").scan())
+    emp = list(tiny_db.storage.table("emp").rows)
+    dept = list(tiny_db.storage.table("dept").rows)
     return tiny_db, emp, dept
 
 
@@ -149,7 +149,7 @@ class TestJoins:
 
 class TestAggregation:
     def test_group_by_counts(self, tiny_db):
-        emp = list(tiny_db.storage.table("emp").scan())
+        emp = list(tiny_db.storage.table("emp").rows)
         result = tiny_db.run(
             "SELECT deptno, COUNT(*) AS n FROM emp GROUP BY deptno"
         )
@@ -159,7 +159,7 @@ class TestAggregation:
         assert dict((r[0], r[1]) for r in result.rows) == expected
 
     def test_sum_avg_min_max(self, tiny_db):
-        emp = list(tiny_db.storage.table("emp").scan())
+        emp = list(tiny_db.storage.table("emp").rows)
         result = tiny_db.run(
             "SELECT SUM(salary), AVG(salary), MIN(salary), MAX(salary) FROM emp"
         )
@@ -171,7 +171,7 @@ class TestAggregation:
         assert row[3] == max(salaries)
 
     def test_count_distinct(self, tiny_db):
-        emp = list(tiny_db.storage.table("emp").scan())
+        emp = list(tiny_db.storage.table("emp").rows)
         result = tiny_db.run("SELECT COUNT(DISTINCT deptno) FROM emp")
         assert result.rows[0][0] == len({r[1] for r in emp})
 
@@ -243,7 +243,7 @@ class TestSortLimitDistinct:
 
     def test_distinct(self, tiny_db):
         result = tiny_db.run("SELECT DISTINCT deptno FROM emp")
-        emp = list(tiny_db.storage.table("emp").scan())
+        emp = list(tiny_db.storage.table("emp").rows)
         assert sorted(r[0] for r in result.rows) == sorted({r[1] for r in emp})
 
 

@@ -29,7 +29,7 @@ class TestHeapTable:
         table = storage.table("t")
         table.insert((1, "a"))
         table.insert((2, "b"))
-        assert list(table.scan()) == [(1, "a"), (2, "b")]
+        assert table.rows == [(1, "a"), (2, "b")]
         assert len(table) == 2
 
     def test_insert_validates(self, storage):
@@ -39,7 +39,7 @@ class TestHeapTable:
     def test_fetch_by_rid(self, storage):
         table = storage.table("t")
         table.insert((1, "a"))
-        assert table.fetch(0) == (1, "a")
+        assert table.rows[0] == (1, "a")
 
 
 class TestHashIndex:
@@ -48,8 +48,8 @@ class TestHashIndex:
         table.insert_many([(i % 3, str(i)) for i in range(30)])
         index = table.create_index("id")
         for key in (0, 1, 2):
-            via_index = sorted(table.fetch(rid) for rid in index.lookup(key))
-            via_scan = sorted(row for row in table.scan() if row[0] == key)
+            via_index = sorted(table.rows[rid] for rid in index.lookup(key))
+            via_scan = sorted(row for row in table.rows if row[0] == key)
             assert via_index == via_scan
 
     def test_lookup_missing_key(self, storage):
@@ -68,7 +68,7 @@ class TestHashIndex:
         table = storage.table("t")
         index = table.create_index("id")
         table.insert((7, "x"))
-        assert [table.fetch(r) for r in index.lookup(7)] == [(7, "x")]
+        assert [table.rows[r] for r in index.lookup(7)] == [(7, "x")]
 
     def test_insert_many_extends_a_populated_index(self, storage):
         table = storage.table("t")

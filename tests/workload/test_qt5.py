@@ -42,7 +42,7 @@ class TestQt5Execution:
         # GROUP BY over the preserved side keeps every nation that has
         # at least one customer
         customer_nations = {
-            r[1] for r in db.storage.table("customer").scan()
+            r[1] for r in db.storage.table("customer").rows
         }
         assert {r[0] for r in result.rows} == customer_nations
 
