@@ -14,6 +14,7 @@ paper meaning.
 ``epoch``               the cost surface's version, shared with plan caches
 ``bind_meta_wrapper``   called by MW on attach; gives daemons a probe path
 ``is_available``        availability gate used while collecting options
+``routing_band``        band routing stays inside; None: explain every server
 ``calibrate``           scale a fragment's estimated cost (Figure 5)
 ``record_compile``      compile-time record (a)-(d) of Section 2
 ``record_execution``    runtime record (e): response time of a fragment
@@ -63,6 +64,15 @@ class Calibration:
 
     def is_available(self, server: str, t_ms: float) -> bool:
         return True
+
+    def routing_band(self) -> Optional[float]:
+        """The band every choice made from a whole query's options stays
+        inside: an option costing more than ``1 + band`` times the
+        cheapest calibrated one is never chosen, substituted in or sent a
+        second leg, so MW need not explain a server whose bound lies
+        above it.  None (here, and for the baselines and the what-if
+        view, which choose outside any band): explain every server."""
+        return None
 
     def calibrate(
         self, server: str, fragment_signature: str, cost: PlanCost

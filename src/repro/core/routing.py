@@ -133,6 +133,13 @@ class QueryCostCalibrator(Calibration):
     def is_available(self, server: str, t_ms: float) -> bool:
         return self.availability.is_available(server, t_ms)
 
+    def routing_band(self) -> Optional[float]:
+        # Section 4.2's rotation may pick a global plan in the global
+        # band whose fragment lies outside the fragment band.
+        if self.config.enable_global_balancing:
+            return None
+        return self.fragment_balancer.config.band
+
     def calibrate(
         self, server: str, fragment_signature: str, cost: PlanCost
     ) -> PlanCost:

@@ -432,20 +432,22 @@ class InformationIntegrator:
         manager = self._replica_manager
         options: Dict[str, List[FragmentOption]] = {}
         for fragment in decomposed.fragments:
-            fragment_options = self.meta_wrapper.compile_fragment(
-                fragment, t_ms, trace
-            )
+            # Excluded servers and stale replicas are never asked: the
+            # explain bound compares admissible servers only.
             allowed = (
                 None
                 if manager is None
                 else manager.fresh_servers(fragment.nicknames, t_ms)
             )
-            options[fragment.fragment_id] = [
-                o
-                for o in fragment_options
-                if o.server not in excluded_servers
-                and (allowed is None or o.server in allowed)
+            admissible = [
+                server
+                for server in fragment.candidate_servers
+                if server not in excluded_servers
+                and (allowed is None or server in allowed)
             ]
+            options[fragment.fragment_id] = self.meta_wrapper.compile_fragment(
+                fragment, t_ms, trace, admissible
+            )
         return enumerate_global_plans(
             decomposed,
             options,

@@ -15,15 +15,23 @@ hands in — the query's own, whatever else is in flight.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACE, QueryTrace, get_obs
-from ..sqlengine import PlanCost
+from ..sqlengine import (
+    PhysicalPlan,
+    PlanCandidate,
+    PlanCost,
+    ServerProfile,
+    physical,
+)
 from ..sim import RemoteExecution, ServerUnavailable
 from ..fed.decomposer import QueryFragment
 from ..fed.global_optimizer import FragmentOption
 from ..core.calibration import Calibration
 from .base import Wrapper
+from .relational import RelationalWrapper
 
 #: Estimate substituted when a wrapper withholds cost (file wrapper,
 #: signalled by ``PlanCandidate.cost is None``).  A zero-valued cost is
@@ -31,6 +39,73 @@ from .base import Wrapper
 DEFAULT_UNKNOWN_ESTIMATE = PlanCost(
     first_tuple=1.0, total=100.0, rows=1000.0, width_bytes=64.0
 )
+
+
+#: Relative slack taken off an explain bound: the float sums behind two
+#: servers' totals may differ in their last bits.
+_BOUND_SLACK = 1e-9
+
+
+def _leaves(plan: PhysicalPlan) -> int:
+    children = plan.children()
+    return sum(map(_leaves, children)) if children else 1
+
+
+class _ExplainBound:
+    """One fragment's explain bound (docs/cost_model.md, "The explain
+    bound"): the *reference* is the relational server with the largest
+    ``min(cpu_speed, io_speed)``; its *peers*, the other relational
+    servers whose catalogs hold equal content, plan the same plan space
+    under their own profiles, so its best estimate bounds theirs."""
+
+    def __init__(
+        self,
+        reference: str,
+        profiles: Mapping[str, ServerProfile],
+        peers: Collection[str],
+    ):
+        self.reference = reference
+        self.profiles = profiles
+        self.peers = peers
+        #: The reference's best candidate, once it is explained.
+        self.best: Optional[PlanCandidate] = None
+
+    @classmethod
+    def over(cls, wrappers: Mapping[str, Wrapper], servers: Sequence[str]):
+        """The bound among *servers*, or None when no two share one."""
+        databases = {
+            server: wrappers[server].server.database
+            for server in servers
+            if isinstance(wrappers[server], RelationalWrapper)
+        }
+        profiles = {s: database.profile for s, database in databases.items()}
+        if not profiles:
+            return None
+        reference = max(
+            profiles,
+            key=lambda s: min(profiles[s].cpu_speed, profiles[s].io_speed),
+        )
+        content = databases.pop(reference).catalog.content()
+        peers = {
+            s for s, d in databases.items() if d.catalog.content() == content
+        }
+        return cls(reference, profiles, peers) if peers else None
+
+    def lowest(self, peer: str) -> PlanCost:
+        """An estimate no plan of the space undercuts at *peer*: with
+        rho = min(cpu_r / cpu_s, io_r / io_s), every plan p costs
+        cost_s(p) >= rho * cost_r(p) - max(rho - 1, 0) * (its startup)."""
+        reference, other = self.profiles[self.reference], self.profiles[peer]
+        rho = min(
+            reference.cpu_speed / other.cpu_speed,
+            reference.io_speed / other.io_speed,
+        )
+        best = self.best.cost
+        startup = physical.STARTUP_COST * _leaves(self.best.plan)
+        total = rho * best.total - max(rho - 1.0, 0.0) * startup
+        return PlanCost(
+            0.0, total * (1.0 - _BOUND_SLACK), best.rows, best.width_bytes
+        )
 
 
 #: Per second-leg kind: the cancelled leg's counter, its waste
@@ -71,62 +146,117 @@ class MetaWrapper:
         fragment: QueryFragment,
         t_ms: float,
         trace: QueryTrace = NULL_TRACE,
+        admissible: Optional[Collection[str]] = None,
     ) -> List[FragmentOption]:
-        """Collect candidate plans for *fragment* from every candidate
-        server, applying QCC calibration to the estimated costs."""
+        """Candidate plans for *fragment*, their estimated costs
+        calibrated, in candidate-server order.
+
+        Only *admissible* servers (None: every candidate) are asked.  A
+        server is skipped unexplained when the calibration marks it down,
+        or when the explain bound proves that its calibrated best cost
+        lies above the calibration's routing band (docs/cost_model.md,
+        "The explain bound"); every other server is explained.
+        """
         obs = get_obs()
         qcc = self.qcc
-        options: List[FragmentOption] = []
-        for server in fragment.candidate_servers:
-            wrapper = self.wrappers.get(server)
-            if wrapper is None:
-                continue
-            if not qcc.is_available(server, t_ms):
-                trace.event(
-                    "server_skipped",
-                    t_ms,
-                    server=server,
-                    fragment=fragment.fragment_id,
-                    reason="unavailable",
-                )
-                obs.metrics.counter(
-                    "mw_servers_skipped_total", server=server
-                ).inc()
-                continue
+        servers = [
+            server
+            for server in fragment.candidate_servers
+            if server in self.wrappers
+            and (admissible is None or server in admissible)
+        ]
+        skipped: Dict[str, Dict[str, object]] = {
+            server: {"reason": "unavailable"}
+            for server in servers
+            if not qcc.is_available(server, t_ms)
+        }
+        order = [server for server in servers if server not in skipped]
+        # A whole query's global plan costs its one option and no merge,
+        # so only that option's calibrated cost can place it in the band;
+        # one fragment of several can win on its merge instead.
+        band = qcc.routing_band() if fragment.full_pushdown else None
+        bound = (
+            None if band is None else _ExplainBound.over(self.wrappers, order)
+        )
+        if bound is not None:
+            order.sort(key=lambda server: server != bound.reference)
+        explained: Dict[str, List[FragmentOption]] = {}
+        best = math.inf
+        for server in order:
+            if bound is not None and server in bound.peers:
+                lowest = qcc.calibrate(
+                    server, fragment.signature, bound.lowest(server)
+                ).total
+                threshold = (1.0 + band) * best
+                if lowest > threshold:
+                    skipped[server] = dict(
+                        reason="bound",
+                        bound=lowest,
+                        reference=bound.reference,
+                        threshold=threshold,
+                    )
+                    continue
             try:
-                candidates = wrapper.plans(fragment.sql, t_ms)
+                candidates = self.wrappers[server].plans(fragment.sql, t_ms)
             except ServerUnavailable:
                 qcc.record_error(server, t_ms)
+                if bound is not None and server == bound.reference:
+                    bound = None
                 continue
+            if bound is not None and server == bound.reference:
+                bound.best = candidates[0]
+            found = explained[server] = []
             for candidate in candidates:
                 estimated = candidate.cost
                 if estimated is None:
                     estimated = DEFAULT_UNKNOWN_ESTIMATE
-                calibrated = qcc.calibrate(
-                    server, fragment.signature, estimated
-                )
-                trace.event(
-                    "calibration_lookup",
-                    t_ms,
-                    server=server,
-                    fragment=fragment.fragment_id,
-                    estimated_total=estimated.total,
-                    calibrated_total=calibrated.total,
-                    calibration_factor=(
-                        calibrated.total / estimated.total
-                        if estimated.total > 0
-                        else None
-                    ),
-                )
                 option = FragmentOption(
                     fragment=fragment,
                     server=server,
                     plan=candidate.plan,
                     estimated=estimated,
-                    calibrated=calibrated,
+                    calibrated=qcc.calibrate(
+                        server, fragment.signature, estimated
+                    ),
+                )
+                found.append(option)
+                qcc.record_compile(server, fragment.signature, option)
+                best = min(best, option.calibrated.total)
+
+        # Events and options in candidate-server order, whatever the
+        # order of the explains.
+        options: List[FragmentOption] = []
+        for server in servers:
+            if server in skipped:
+                event = skipped[server]
+                trace.event(
+                    "server_skipped",
+                    t_ms,
+                    server=server,
+                    fragment=fragment.fragment_id,
+                    **event,
+                )
+                obs.metrics.counter(
+                    "mw_servers_skipped_total",
+                    server=server,
+                    reason=event["reason"],
+                ).inc()
+            for option in explained.get(server, ()):
+                estimated = option.estimated.total
+                trace.event(
+                    "calibration_lookup",
+                    t_ms,
+                    server=server,
+                    fragment=fragment.fragment_id,
+                    estimated_total=estimated,
+                    calibrated_total=option.calibrated.total,
+                    calibration_factor=(
+                        option.calibrated.total / estimated
+                        if estimated > 0
+                        else None
+                    ),
                 )
                 options.append(option)
-                qcc.record_compile(server, fragment.signature, option)
         return options
 
     # -- run time ------------------------------------------------------------

@@ -28,8 +28,13 @@ class TestCorrectness:
                 instance.query_type
             )
 
-    def test_results_identical_across_routed_servers(self, deployment):
-        """Replica servers are interchangeable for correctness."""
+    def test_results_identical_across_routed_servers(self, sample_databases):
+        """Replica servers are interchangeable for correctness.  It needs
+        every server's plan, so the identity calibration prices them:
+        QCC does not explain a server its band cannot reach."""
+        deployment = uncalibrated_deployment(
+            scale=TEST_SCALE, prebuilt_databases=sample_databases
+        )
         instance = QT1.instance(0)
         results = []
         for server in ("S1", "S2", "S3"):

@@ -19,6 +19,7 @@ import itertools
 
 import pytest
 
+from repro.core import Calibration
 from repro.fed import decomposer as decomposer_module
 from repro.harness import build_federation, build_replica_federation
 from repro.sqlengine import plan_sql
@@ -90,7 +91,8 @@ def _explained(deployment, monkeypatch):
 def test_servers_with_equal_catalogs_share_and_plan_as_if_alone(
     build, groups, server_binds, monkeypatch
 ):
-    deployment = build(scale=TEST_SCALE)
+    # Every host must be asked: the identity calibration has no band.
+    deployment = build(scale=TEST_SCALE, calibration=Calibration())
     servers = deployment.servers
     group_of = {name: group for group in groups for name in group}
     for one, other in itertools.combinations(sorted(servers), 2):
@@ -144,8 +146,9 @@ def test_the_registry_keeps_its_copy_when_a_host_analyzes():
 def test_a_host_whose_statistics_moved_binds_the_query_itself(monkeypatch):
     # After S1 loads more rows its catalog content no longer equals the
     # registry's: it binds the decomposer's statement against its own
-    # statistics, and S2 and S3 still take the decomposer's block.
-    deployment = build_federation(scale=TEST_SCALE)
+    # statistics, and S2 and S3 still take the decomposer's block.  The
+    # identity calibration has every host asked.
+    deployment = build_federation(scale=TEST_SCALE, calibration=Calibration())
     servers = deployment.servers
     host = servers["S1"].database
     host.load_rows("customer", list(host.storage.table("customer").rows[:10]))

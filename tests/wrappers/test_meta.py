@@ -25,6 +25,11 @@ class RecordingQcc:
     def is_available(self, server, t_ms):
         return self.available.get(server, True)
 
+    def routing_band(self):
+        # No band: MW explains every server, so every option is recorded.
+        self.calls.append(("routing_band",))
+        return None
+
     def calibrate(self, server, fragment_signature, cost):
         self.calls.append(("calibrate", server))
         return cost.scaled(self.factor)
@@ -167,7 +172,8 @@ def test_duck_typed_and_subclassed_stubs_see_the_same_calls(deployment, stub):
     mw.note_execution(option, result, 0.0)
     mw.note_failure("S3", 0.0)
     assert [call[0] for call in qcc.calls[1:]] == (
-        ["calibrate", "compile"] * len(options)
+        ["routing_band"]
+        + ["calibrate", "compile"] * len(options)
         + ["substitute", "execute", "error"]
     )
 
