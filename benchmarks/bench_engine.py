@@ -11,9 +11,9 @@ their golden digest (``GOLDEN_METERS``, computed while a row-at-a-time
 engine still confirmed them).
 
 One gate: SQLite's total best-of-``REPS`` wall clock over the columnar
-engine's on the six numeric ``SHAPES`` must reach
+engine's on the seven numeric ``SHAPES`` must reach
 ``REPRO_BENCH_ENGINE_MIN`` (default 2x; three runs on a 2-vCPU x86-64
-host under CPython 3.11.7 measured 2.68x, 2.74x and 2.83x, and 1.9-3.6x
+host under CPython 3.11.7 measured 2.89x, 2.95x and 3.21x, and 2.0-3.6x
 per shape).
 
 * ``SHAPES`` (numeric scan / filter / join / aggregate — the original
@@ -102,6 +102,17 @@ SHAPES = (
         "MIN(l.extprice), MAX(l.extprice) FROM lineitem l "
         "GROUP BY l.quantity",
     ),
+    (
+        # QT2's nine aggregates over lineitem x product: the join's probe
+        # and every fold run in one generated loop (docs/execution.md).
+        "join-agg-heavy",
+        "SELECT p.category, COUNT(*), SUM(l.extprice), "
+        "AVG(l.quantity * l.extprice), MAX(l.extprice), MIN(l.extprice), "
+        "SUM(l.quantity), AVG(l.extprice - l.quantity), "
+        "MAX(l.quantity * l.extprice), MIN(l.quantity * l.extprice) "
+        "FROM lineitem l JOIN product p ON l.prodkey = p.prodkey "
+        "WHERE p.price > 250.0 GROUP BY p.category",
+    ),
 )
 
 #: Shapes where the columnar layout changes the algorithm: LIKE kernels
@@ -158,6 +169,7 @@ GOLDEN_METERS = {
     "fk-pk-join": "b3f267134fbe61a98d2abfe50d5c9c446c32897c8bb59dff716126d88a1a7805",
     "join-agg": "ea2d6228a11391b9fac2187a229d0eeabc8c1eac5e16cabef581e414bb7ac6c6",
     "aggregate": "0b50ae236a45eaf79e2867c91727310e32365d197eb32727e6cae9a59495a1d9",
+    "join-agg-heavy": "2490944d40304ed4b4329a29f9a630255116477829d2dc64b506e033d0867d38",
     "str-like-agg": "aae1256afde2692ad6faaa257b92c4bdd754cfc4414f6ecd6b0edf3516c3df0a",
     "str-multi-like": "f8df5e41c9cc991eb4c309e1648c4b2dd536594e36213fa4e9f94d1a06143e5c",
     "str-complex-like": "8b3169ef2fc3cde8b0a2e55e2961b321b61868656f9e35d4add3c74fa0f4a318",

@@ -9,9 +9,6 @@ the values begins and ends.  :func:`left_sum` is the fold everywhere:
 A left fold is exact under any slicing — folding a slice's values into
 the running total gives the total of folding the values one by one —
 which is what lets a columnar kernel choose its own batch boundaries.
-:data:`left_sum_from` is the same fold with *start* required, a C call
-on every interpreter (no Python frame per call), for kernels that fold
-once per group.
 
 This module imports nothing from ``repro``, so every package may use it.
 """
@@ -19,7 +16,7 @@ This module imports nothing from ``repro``, so every package may use it.
 from __future__ import annotations
 
 import sys
-from functools import partial, reduce
+from functools import reduce
 from operator import add
 from typing import Any, Iterable
 
@@ -29,7 +26,5 @@ if sys.version_info >= (3, 12):
         """``0 + v0 + v1 + ...``, added left to right."""
         return reduce(add, values, 0)
 
-    left_sum_from = partial(reduce, add)
-
 else:
-    left_sum = left_sum_from = sum
+    left_sum = sum

@@ -214,6 +214,11 @@ class OperatorProfiler:
     def profile_columnar(self, node: object, ctx: object) -> Iterator:
         return self._timed(node, node._rows_columnar(ctx), ctx.meter)
 
+    def fused(self, node: object, meter: object) -> "FusedOperator":
+        """Open *node*'s window for a run inside another operator's
+        generated loop (``sqlengine.spine``), where it has no stream."""
+        return FusedOperator(self.stats_for(node), meter)
+
     def _timed(self, node: object, it: Iterator, meter: object) -> Iterator:
         stats = self.stats_for(node)
         stats.invocations += 1
@@ -245,6 +250,49 @@ class OperatorProfiler:
                 virtual += meter.total_ms - m0
             stats.wall_s += wall
             stats.meter_ms += virtual
+
+
+class FusedOperator:
+    """The counters an operator's own stream would have recorded, for an
+    operator that runs inside another's generated loop.
+
+    Its stream would have yielded one batch per input batch that gave it
+    a row, with no selection (``phys_rows == rows_out``).  Each yield
+    ends a meter window — :meth:`emit`, called when such a batch is
+    done — and the window from the last yield to the end of the stream
+    (:meth:`finish`, once the operator's end-of-stream charges have
+    landed) ends the run.  The deltas are taken at the same meter
+    readings as the stream's own would have been, so inclusive
+    ``meter_ms`` is the same float.  Wall time is the whole run's.
+    """
+
+    __slots__ = ("stats", "meter", "last", "virtual", "started")
+
+    def __init__(self, stats: OperatorStats, meter: object):
+        stats.invocations += 1
+        self.stats = stats
+        self.meter = meter
+        self.last = meter.total_ms
+        self.virtual = 0.0
+        self.started = time.perf_counter()
+
+    def emit(self, rows: int) -> None:
+        """One batch of *rows* rows, yielded now."""
+        total = self.meter.total_ms
+        self.virtual += total - self.last
+        self.last = total
+        stats = self.stats
+        stats.batches += 1
+        stats.rows_out += rows
+        stats.phys_rows += rows
+
+    def finish(self, since: Optional[float] = None) -> None:
+        """End the run: the stream ran out, or (*since* given) it was
+        closed early, in a window that opened at meter total *since*."""
+        total = self.meter.total_ms
+        self.virtual += total - (self.last if since is None else since)
+        self.stats.meter_ms += self.virtual
+        self.stats.wall_s += time.perf_counter() - self.started
 
 
 class NullProfiler(OperatorProfiler):

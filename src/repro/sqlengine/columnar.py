@@ -112,9 +112,6 @@ class TakeColumn(ColumnData):
             vals = self._values = [src[i] for i in self.indices]
         return vals
 
-    def has_nulls(self) -> bool:
-        return self.parent.has_nulls()
-
 
 class GatherColumn(ColumnData):
     """Lazy join-output column: gathers from a value provider.

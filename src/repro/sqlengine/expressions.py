@@ -17,7 +17,7 @@ The columnar engine compiles the same trees into two batch targets:
 The row evaluator is the one definition of expression semantics.  The
 base adapters materialise the batch and run it; a specialised kernel
 exists only for a shape that benchmark traffic runs: ``ColumnRef``,
-``col op lit`` selection and arithmetic over two column references
+``col op lit`` selection and the product of two column references
 (each a single loop over NULL-free columns), and LIKE / IN.  Whatever
 such a loop cannot handle — a column that may hold NULLs, a
 ``TypeError``, a division by zero — hands the batch to the base
@@ -612,25 +612,26 @@ class Arithmetic(Expression):
         return evaluate
 
     def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        # Two column references (the ``price * quantity`` shape) run one
-        # loop over NULL-free columns; NULLs, a division by zero or a
-        # TypeError hand the batch to the generic kernel, and every
-        # other shape is the generic kernel's.
+        # Two column references multiplied (the ``price * quantity``
+        # shape) run one loop over NULL-free columns; NULLs or a
+        # TypeError hand the batch to the generic kernel, and every other
+        # shape is the generic kernel's.
         generic = Expression.compile_columnar(self, schema)
         if not (
-            isinstance(self.left, ColumnRef) and isinstance(self.right, ColumnRef)
+            self.op == "*"
+            and isinstance(self.left, ColumnRef)
+            and isinstance(self.right, ColumnRef)
         ):
             return generic
         li = schema.index_of(self.left.name)
         ri = schema.index_of(self.right.name)
-        pair_loop = _ARITH_PAIR_LOOPS[self.op]
 
         def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
             if batch.cols[li].has_nulls() or batch.cols[ri].has_nulls():
                 return generic(batch)
             try:
-                return pair_loop(batch.column_values(li), batch.column_values(ri))
-            except (ZeroDivisionError, TypeError):
+                return _multiply_pairs(batch.column_values(li), batch.column_values(ri))
+            except TypeError:
                 return generic(batch)
 
         return evaluate_columnar
@@ -661,38 +662,9 @@ _ARITHMETIC_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-# Columnar arithmetic loops for NULL-free operands.  Like the filter
-# loops above, explicit functions keep the operator a single bytecode op
-# instead of a closure call per element.
-
-
-def _arith_add_pair(lvs: List[Any], rvs: List[Any]) -> List[Any]:
-    return [a + b for a, b in zip(lvs, rvs)]
-
-
-def _arith_sub_pair(lvs: List[Any], rvs: List[Any]) -> List[Any]:
-    return [a - b for a, b in zip(lvs, rvs)]
-
-
-def _arith_mul_pair(lvs: List[Any], rvs: List[Any]) -> List[Any]:
+def _multiply_pairs(lvs: List[Any], rvs: List[Any]) -> List[Any]:
+    """``a * b`` per pair of NULL-free values, one comprehension in C."""
     return [a * b for a, b in zip(lvs, rvs)]
-
-
-def _arith_div_pair(lvs: List[Any], rvs: List[Any]) -> List[Any]:
-    return [a / b for a, b in zip(lvs, rvs)]
-
-
-def _arith_mod_pair(lvs: List[Any], rvs: List[Any]) -> List[Any]:
-    return [a % b for a, b in zip(lvs, rvs)]
-
-
-_ARITH_PAIR_LOOPS: Dict[str, Callable[..., List[Any]]] = {
-    "+": _arith_add_pair,
-    "-": _arith_sub_pair,
-    "*": _arith_mul_pair,
-    "/": _arith_div_pair,
-    "%": _arith_mod_pair,
-}
 
 
 @dataclass(frozen=True, repr=False)

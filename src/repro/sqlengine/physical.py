@@ -30,19 +30,14 @@ optimizer, the federated result, QCC's records and the executor.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import compress, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..numeric import left_sum_from
 from ..obs.profile import NULL_PROFILER, OperatorProfiler, get_profiler
 from .catalog import TableDef
 from .columnar import (
     ColumnBatch,
     ColumnData,
-    GatherColumn,
     TakeColumn,
     ValueColumn,
 )
@@ -73,6 +68,7 @@ from .expressions import (
     walk,
 )
 from .parser import OrderItem, SelectItem
+from .spine import Spine
 from .storage import StorageManager
 from .types import Column, ColumnType, Row, Schema, SqlError
 
@@ -704,6 +700,9 @@ class HashJoin(PhysicalPlan):
     makes the left-outer variant natural.
     """
 
+    #: The generated pipeline of this join's stream, built on first run.
+    _spine: Optional[Spine] = None
+
     def __init__(
         self,
         left: PhysicalPlan,
@@ -752,210 +751,15 @@ class HashJoin(PhysicalPlan):
         )
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        meter = ctx.meter
-        right_schema = self.right.output_schema
-        left_schema = self.left.output_schema
-        right_idx = [right_schema.index_of(k) for k in self.right_keys]
-        left_idx = [left_schema.index_of(k) for k in self.left_keys]
-        single = len(right_idx) == 1
-        right_width = len(right_schema)
-
-        # Build: map keys to *global build row ids* (not row tuples) — the
-        # build side stays columnar and its payload columns are only
-        # gathered lazily, per output column, when something downstream
-        # actually reads them.  Ids start at 1: slot 0 of every build
-        # column is the NULL row, so a miss is the falsy id 0 and outer
-        # padding is a gather like any other.  One C-level
-        # ``dict.update`` per batch classifies the build as it goes: it is
-        # unique (every key appears at most once — the FK→PK shape) iff
-        # ``singles`` holds one entry per non-NULL key, so uniqueness
-        # needs neither a second pass nor a list per key.
-        build_batches: List[ColumnBatch] = []
-        key_lists: List[List[Any]] = []
-        singles: Dict[Any, int] = {}
-        unique_build = True
-        built = 0
-        nulls = 0
-        for right_batch in self.right.rows_columnar(ctx):
-            build_batches.append(right_batch)
-            if single:
-                keys = right_batch.column_values(right_idx[0])
-            else:
-                key_cols = [right_batch.column_values(i) for i in right_idx]
-                keys = list(zip(*key_cols))
-                if any(None in col for col in key_cols):
-                    # A NULL component makes the whole key NULL.
-                    keys = [None if None in key else key for key in keys]
-            key_lists.append(keys)
-            first = built + 1
-            built += len(keys)
-            if unique_build:
-                singles.update(zip(keys, range(first, built + 1)))
-                if None in singles:
-                    del singles[None]
-                    nulls += keys.count(None)
-                unique_build = len(singles) == built - nulls
-        meter.cpu_ms += built * HASH_BUILD_COST
-
-        kernel = (
-            self.residual.compile_columnar(self.output_schema)
-            if self.residual is not None
-            else None
-        )
-        # A unique build lets the probe skip per-row bucket walks: the
-        # per-row match list *is* the right-side gather list, and a
-        # C-level ``count(0)`` decides whether any filtering is
-        # needed at all.  Buckets exist only for a build with a repeated
-        # key, or to hand the residual path the shape it walks.
-        buckets: Dict[Any, Sequence[int]] = {}
-        if not unique_build:
-            singles.clear()
-            setdefault = buckets.setdefault
-            base = 1
-            for keys in key_lists:
-                for rid, key in enumerate(keys, base):
-                    if key is not None:
-                        setdefault(key, []).append(rid)
-                base += len(keys)
-        elif kernel is not None:
-            buckets = {key: (rid,) for key, rid in singles.items()}
-        # This frame lives as long as the probe stream does.
-        del key_lists
-
-        # Lazily concatenated build-side columns behind the NULL row, one
-        # list per column, shared by every GatherColumn the probe emits.
-        right_cache: Dict[int, List[Any]] = {}
-
-        def right_values(j: int) -> List[Any]:
-            vals = right_cache.get(j)
-            if vals is None:
-                vals = right_cache[j] = [None]
-                for right_batch in build_batches:
-                    vals.extend(right_batch.column_values(j))
-            return vals
-
-        def right_getter(j: int) -> Callable[[], List[Any]]:
-            return lambda: right_values(j)
-
-        outer = self.outer
-        use_fast = kernel is None and unique_build
-        get = singles.get if use_fast else buckets.get
-        li = left_idx[0] if single else -1
-        probed = 0
-        examined = 0
-        try:
-            for batch in self.left.rows_columnar(ctx):
-                probed += len(batch)
-                psel = batch.selected()
-                # Per selected probe row, the matching build id or bucket
-                # (0 on a miss or a NULL key); ``map`` keeps the per-key
-                # lookup loop in C.
-                if single:
-                    matches = list(map(get, batch.column_values(li), repeat(0)))
-                else:
-                    key_cols = [batch.column_values(i) for i in left_idx]
-                    matches = list(map(get, zip(*key_cols), repeat(0)))
-
-                if use_fast:
-                    # ``matches`` holds one build row id per probe row,
-                    # already aligned with ``psel``; an outer join's miss
-                    # gathers the NULL row.
-                    hits = len(matches) - matches.count(0)
-                    examined += hits
-                    if outer or hits == len(matches):
-                        gl = psel
-                        gr = matches
-                    elif hits:
-                        gl = list(compress(psel, matches))
-                        gr = list(filter(None, matches))
-                    else:
-                        continue
-                    if batch.sel is None and gl is psel:
-                        # Full passthrough: every probe row survives in
-                        # physical order, so the left columns are reused
-                        # as-is (no per-column copy).
-                        out_cols = list(batch.cols)
-                    else:
-                        out_cols = [
-                            TakeColumn(col, gl) for col in batch.cols
-                        ]
-                    out_cols.extend(
-                        GatherColumn(right_getter(j), gr)
-                        for j in range(right_width)
-                    )
-                    yield ColumnBatch(tuple(out_cols), len(gl), None)
-                    continue
-                gl = []
-                gr = []
-                if kernel is None:
-                    for pos, rights in zip(psel, matches):
-                        if rights:
-                            examined += len(rights)
-                            if len(rights) == 1:
-                                gl.append(pos)
-                                gr.append(rights[0])
-                            else:
-                                gl.extend([pos] * len(rights))
-                                gr.extend(rights)
-                        elif outer:
-                            gl.append(pos)
-                            gr.append(0)
-                else:
-                    # Residual: gather candidates for the whole batch,
-                    # evaluate the residual kernel once, then reassemble
-                    # in probe-row order (with outer padding).
-                    cgl: List[int] = []
-                    cgr: List[int] = []
-                    counts: List[int] = []
-                    for pos, rights in zip(psel, matches):
-                        if rights:
-                            examined += len(rights)
-                            counts.append(len(rights))
-                            if len(rights) == 1:
-                                cgl.append(pos)
-                                cgr.append(rights[0])
-                            else:
-                                cgl.extend([pos] * len(rights))
-                                cgr.extend(rights)
-                        else:
-                            counts.append(0)
-                    if cgl:
-                        cand_cols: List[ColumnData] = [
-                            TakeColumn(col, cgl) for col in batch.cols
-                        ]
-                        cand_cols.extend(
-                            GatherColumn(right_getter(j), cgr)
-                            for j in range(right_width)
-                        )
-                        keep = kernel(
-                            ColumnBatch(tuple(cand_cols), len(cgl), None)
-                        )
-                    else:
-                        keep = []
-                    k = 0
-                    for pos, count in zip(psel, counts):
-                        matched = False
-                        for t in range(k, k + count):
-                            if keep[t] is True:
-                                matched = True
-                                gl.append(cgl[t])
-                                gr.append(cgr[t])
-                        k += count
-                        if outer and not matched:
-                            gl.append(pos)
-                            gr.append(0)
-                if gl:
-                    out_cols: List[ColumnData] = [
-                        TakeColumn(col, gl) for col in batch.cols
-                    ]
-                    out_cols.extend(
-                        GatherColumn(right_getter(j), gr)
-                        for j in range(right_width)
-                    )
-                    yield ColumnBatch(tuple(out_cols), len(gl), None)
-        finally:
-            meter.cpu_ms += probed * HASH_PROBE_COST
-            meter.cpu_ms += examined * CPU_TUPLE_COST
+        # The batch sink of this join's spine: the probes of the joins
+        # down its left edge run in the same generated loop.
+        spine = self._spine
+        if spine is None:
+            joins = [self]
+            while isinstance(joins[-1].left, HashJoin):
+                joins.append(joins[-1].left)
+            spine = self._spine = Spine(joins[::-1], joins[-1].left)
+        return spine.joined_batches(ctx)
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -971,16 +775,6 @@ class HashJoin(PhysicalPlan):
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
-
-
-#: One group's COUNT / MIN / MAX over its non-NULL argument values:
-#: ``min``/``max`` return the first extremum, so a tie keeps the earlier
-#: value and a NaN never wins a comparison.
-_GROUP_FOLDS: Dict[str, Callable[[Sequence[Any]], Any]] = {
-    "COUNT": len,
-    "MIN": partial(min, default=None),
-    "MAX": partial(max, default=None),
-}
 
 
 def _rewrite_over_internal(
@@ -1006,8 +800,22 @@ def _rewrite_over_internal(
     return _rebuild(expr, children)
 
 
+@dataclass(frozen=True)
+class _AggregateParts:
+    """What one ``HashAggregate`` node runs, whatever its input."""
+
+    spine: Spine
+    having: Optional[Callable[[ColumnBatch], List[int]]]
+    #: per output item, the internal column it is (a group key or an
+    #: aggregate: no kernel to keep with the node), or its kernel
+    items: List[Any]
+
+
 class HashAggregate(PhysicalPlan):
     """Grouped aggregation producing the query's output items directly."""
+
+    #: :meth:`_parts`, once built.
+    _built: Optional[_AggregateParts] = None
 
     def __init__(
         self,
@@ -1096,123 +904,70 @@ class HashAggregate(PhysicalPlan):
                 distinct *= 10.0
         return max(1.0, min(distinct, rows_in))
 
+    def _parts(self) -> "_AggregateParts":
+        """The spine and the output kernels, built once per node: a plan
+        node is reused through the plan and statement caches."""
+        parts = self._built
+        if parts is None:
+            joins = []
+            node = self.child
+            while isinstance(node, HashJoin):
+                joins.append(node)
+                node = node.left
+            internal_schema = self._internal_schema()
+            having = (
+                self._over_internal(self.having).compile_filter_columnar(
+                    internal_schema
+                )
+                if self.having is not None
+                else None
+            )
+            items = []
+            for item in self.items:
+                if item.expr is not None:
+                    expr = self._over_internal(item.expr)
+                    items.append(
+                        internal_schema.index_of(expr.name)
+                        if isinstance(expr, ColumnRef)
+                        else expr.compile_columnar(internal_schema)
+                    )
+            parts = self._built = _AggregateParts(
+                Spine(joins[::-1], node, self.group_by, self._agg_calls),
+                having,
+                items,
+            )
+        return parts
+
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         meter = ctx.meter
-        child_schema = self.child.output_schema
-        key_kernels = [e.compile_columnar(child_schema) for e in self.group_by]
-        # Several aggregates often share one argument expression
-        # (SUM(x), AVG(x), MIN(x)...): each distinct argument is
-        # evaluated and gathered once.  ``arg_keys[i]`` indexes the shared
-        # column for call *i*, or is None for COUNT(*).
-        args: Dict[str, Expression] = {}
-        for call in self._agg_calls:
-            if call.arg is not None:
-                args.setdefault(call.arg.sql(), call.arg)
-        positions = {sql: i for i, sql in enumerate(args)}
-        arg_keys = [
-            None if call.arg is None else positions[call.arg.sql()]
-            for call in self._agg_calls
-        ]
-        unique_kernels = [e.compile_columnar(child_schema) for e in args.values()]
-        # Per unique argument: the child column index when the argument
-        # is a bare column reference (so the column's validity metadata
-        # can prove it NULL-free), else -1.
-        unique_ref_idx = [
-            child_schema.index_of(e.name) if isinstance(e, ColumnRef) else -1
-            for e in args.values()
-        ]
-
-        single = len(key_kernels) == 1
-
-        # The whole input, once: the key column and each distinct argument.
-        keys: List[Any] = []
-        cols: List[List[Any]] = [[] for _ in unique_kernels]
-        # Per argument: has validity metadata proven it NULL-free?  A plain
-        # reference's metadata does so for free; dropping NULLs costs less
-        # than searching for them.
-        dense = [ri >= 0 for ri in unique_ref_idx]
-        consumed = 0
-        for batch in self.child.rows_columnar(ctx):
-            consumed += len(batch)
-            if single:
-                keys.extend(key_kernels[0](batch))
-            elif key_kernels:
-                keys.extend(zip(*[k(batch) for k in key_kernels]))
-            for col, kernel in zip(cols, unique_kernels):
-                col.extend(kernel(batch))
-            dense = [d and not batch.cols[ri].has_nulls() for d, ri in zip(dense, unique_ref_idx)]
+        parts = self._parts()
+        # The input and the joins down its left edge run in one generated
+        # loop that folds every row into per-group accumulators.
+        group_keys, agg_cols, consumed = parts.spine.aggregate_groups(ctx)
         per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
         meter.cpu_ms += consumed * per_row
-
-        # Group once, in first-occurrence order, into row-id lists, and
-        # gather each argument once per group, NULLs dropped (every
-        # aggregate skips them).  Without an argument to gather, grouping
-        # is a histogram: ``Counter`` counts at C speed, in the same order.
-        if not key_kernels:
-            group_keys, sizes = [()], [consumed]
-            slices = [
-                [col if d else [v for v in col if v is not None]]
-                for col, d in zip(cols, dense)
-            ]
-        elif not unique_kernels:
-            histogram = Counter(keys)
-            group_keys, sizes = list(histogram), list(histogram.values())
-            slices = []
-        else:
-            rows_of: Dict[Any, List[int]] = defaultdict(list)
-            for ri, kv in enumerate(keys):
-                rows_of[kv].append(ri)
-            group_keys, members = list(rows_of), rows_of.values()
-            sizes = list(map(len, members))
-            slices = [
-                [list(map(col.__getitem__, ids)) for ids in members] if d
-                else [[v for v in map(col.__getitem__, ids) if v is not None] for ids in members]
-                for col, d in zip(cols, dense)
-            ]
-
+        groups = len(group_keys)
         per_group = len(self.items) * CPU_OPERATOR_COST
-        meter.cpu_ms += len(sizes) * per_group
-        if not sizes:
+        meter.cpu_ms += groups * per_group
+        if not groups:
             return
-        # Each aggregate over all groups at once, one C reduction per
-        # group; DISTINCT keeps each value's first occurrence.
-        agg_cols: List[List[Any]] = []
-        for call, ak in zip(self._agg_calls, arg_keys):
-            if ak is None:
-                agg_cols.append(sizes)
-                continue
-            values = slices[ak]
-            if call.distinct:
-                values = [list(dict.fromkeys(g)) for g in values]
-            name = call.name.upper()
-            if name in ("SUM", "AVG"):
-                # ``bind`` admits numbers only.  Seeded with the first
-                # value: ``0 + v`` would turn -0.0 into 0.0.
-                totals = [left_sum_from(g[1:], g[0]) if g else None for g in values]
-                if name == "AVG":
-                    totals = [t / len(g) if g else None for t, g in zip(totals, values)]
-                agg_cols.append(totals)
-            else:
-                agg_cols.append(list(map(_GROUP_FOLDS[name], values)))
-
         # HAVING and the output items run as columnar kernels over the
         # internal (keys + aggregates) rows of all groups at once.
-        internal_schema = self._internal_schema()
-        key_cols = [group_keys] if single else [list(c) for c in zip(*group_keys)]
-        internal = ColumnBatch(tuple(map(ValueColumn, key_cols + agg_cols)), len(sizes), None)
-        if self.having is not None:
-            sel = self._over_internal(self.having).compile_filter_columnar(
-                internal_schema
-            )(internal)
+        if len(self.group_by) == 1:
+            key_cols = [group_keys]
+        else:
+            key_cols = [list(c) for c in zip(*group_keys)]
+        internal = ColumnBatch(
+            tuple(map(ValueColumn, key_cols + agg_cols)), groups, None
+        )
+        if parts.having is not None:
+            sel = parts.having(internal)
             if not sel:
                 return
             internal = internal.with_sel(sel)
         out_cols = [
-            self._over_internal(item.expr).compile_columnar(
-                internal_schema
-            )(internal)
-            for item in self.items
-            if item.expr is not None
+            internal.column_values(item) if isinstance(item, int) else item(internal)
+            for item in parts.items
         ]
         size = ctx.batch_size
         total = len(internal)

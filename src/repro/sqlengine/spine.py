@@ -1,0 +1,980 @@
+"""Generated pipelines: a hash aggregation or a hash join, with the
+hash-join probes down the left edge of its input, as one Python loop.
+
+A *spine* is the chain of ``HashJoin`` nodes along the left edge of a
+plan — level 0 the innermost, whose left child is the spine's *leaf* —
+and a *sink*: the ``HashAggregate`` above the chain (the aggregate sink)
+or the outermost join's own output (the batch sink).  Build sides and
+the leaf stream their batches through ``rows_columnar``; everything
+between the leaf and the sink runs in one generated function, per
+selected leaf row:
+
+* look the row's keys up in each level's build table, innermost first,
+  binding the build columns that the rest of the spine reads;
+* evaluate each level's residual, and pad an outer level's row that has
+  no surviving match with the build side's NULL row (id 0);
+* aggregate sink: evaluate the group keys and aggregate arguments and
+  update per-group accumulators (first-seen group order, left folds,
+  first extrema, DISTINCT by first occurrence);
+* batch sink: append the row's leaf position and build row ids, emitted
+  once per leaf batch as ``TakeColumn`` / ``GatherColumn`` columns.  A
+  lone unique level without a residual probes a whole batch at once
+  (``map`` over the key column) instead.
+
+No join output, gather list, row-id list or per-group slice exists under
+the aggregate sink.  A generated function's source holds no SQL text and
+no value of the plan: literals, row evaluators, build tables and build
+columns are its parameters, by name, so one function serves every plan
+of one shape and is compiled once per source text.
+
+Metering is the operators' own: ``built x HASH_BUILD_COST`` after each
+build, then, once the leaf stream has ended, ``probed x HASH_PROBE_COST``
+and ``examined x CPU_TUPLE_COST`` per level, innermost first.  An
+abandoned batch sink closes its leaf first and then charges the same
+way: nested join streams unwound bottom-up.  Under the profiler each
+join inside a generated loop reports the rows, batches and inclusive
+meter windows its own stream would have had (``obs.profile.FusedOperator``).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from functools import partial
+from itertools import compress, repeat
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+from ..obs.profile import NULL_PROFILER
+from .columnar import ColumnBatch, GatherColumn, TakeColumn
+from .cost import CPU_TUPLE_COST, HASH_BUILD_COST, HASH_PROBE_COST
+from .expressions import (
+    AggregateCall,
+    Arithmetic,
+    ColumnRef,
+    Comparison,
+    Expression,
+    IsNull,
+    Literal,
+    walk,
+)
+from .types import Column, Schema
+
+#: ``co_filename`` of every generated function.
+FILENAME = "<spine>"
+
+#: Generated functions kept, by source text (the oldest is dropped first).
+MAX_SHAPES = 256
+
+_FUNCTIONS: Dict[str, Callable[..., Any]] = {}
+
+#: The free names of generated code besides its parameters.
+_GLOBALS = {"repeat": repeat, "compress": compress, "Counter": Counter, "PAD": (0,)}
+
+
+def _function(source: str) -> Callable[..., Any]:
+    """The function ``spine`` that *source* defines, compiled once per text."""
+    fn = _FUNCTIONS.get(source)
+    if fn is None:
+        namespace = dict(_GLOBALS)
+        exec(compile(source, FILENAME, "exec"), namespace)
+        # Popped: a namespace holding its own function is a cycle, and
+        # garbage for the collector once the function is dropped.
+        fn = namespace.pop("spine")
+        if len(_FUNCTIONS) >= MAX_SHAPES:
+            del _FUNCTIONS[next(iter(_FUNCTIONS))]
+        _FUNCTIONS[source] = fn
+    return fn
+
+
+# ---------------------------------------------------------------------------
+# Build sides
+# ---------------------------------------------------------------------------
+
+
+class _Build:
+    """One level's hash table from keys to global build row ids.
+
+    Ids start at 1: slot 0 of every concatenated build column is the NULL
+    row, so a miss is the falsy id 0 and outer padding reads slot 0.  One
+    C-level ``dict.update`` per batch classifies the build as it goes: it
+    is unique (no non-NULL key twice; ``1``, ``1.0`` and ``True`` are one
+    key) iff ``singles`` holds one entry per non-NULL key.  A unique build
+    without a residual is probed for one id; every other build maps keys
+    to ascending id buckets.
+    """
+
+    __slots__ = ("batches", "get", "unique", "size", "_values")
+
+    def __init__(
+        self,
+        right: Any,
+        right_idx: Sequence[int],
+        residual: Optional[Expression],
+        ctx: Any,
+    ):
+        single = len(right_idx) == 1
+        batches: List[ColumnBatch] = []
+        key_lists: List[List[Any]] = []
+        singles: Dict[Any, int] = {}
+        unique = True
+        built = 0
+        nulls = 0
+        for batch in right.rows_columnar(ctx):
+            batches.append(batch)
+            if single:
+                keys = batch.column_values(right_idx[0])
+            else:
+                key_cols = [batch.column_values(i) for i in right_idx]
+                keys = list(zip(*key_cols))
+                if any(None in col for col in key_cols):
+                    # A NULL component makes the whole key NULL.
+                    keys = [None if None in key else key for key in keys]
+            key_lists.append(keys)
+            first = built + 1
+            built += len(keys)
+            if unique:
+                singles.update(zip(keys, range(first, built + 1)))
+                if None in singles:
+                    del singles[None]
+                    nulls += keys.count(None)
+                unique = len(singles) == built - nulls
+        ctx.meter.cpu_ms += built * HASH_BUILD_COST
+        self.size = built + 1
+        self.unique = unique and residual is None
+        if self.unique:
+            self.get = singles.get
+        elif unique:
+            self.get = {key: (rid,) for key, rid in singles.items()}.get
+        else:
+            buckets: Dict[Any, List[int]] = {}
+            setdefault = buckets.setdefault
+            base = 1
+            for keys in key_lists:
+                for rid, key in enumerate(keys, base):
+                    if key is not None:
+                        setdefault(key, []).append(rid)
+                base += len(keys)
+            self.get = buckets.get
+        self.batches = batches
+        self._values: Dict[int, List[Any]] = {}
+
+    def values(self, j: int) -> List[Any]:
+        """Build column *j* behind the NULL row, concatenated once."""
+        vals = self._values.get(j)
+        if vals is None:
+            vals = self._values[j] = [None]
+            for batch in self.batches:
+                vals.extend(batch.column_values(j))
+        return vals
+
+
+def _joined(
+    providers: Sequence[Sequence[Callable[[], List[Any]]]],
+    batch: ColumnBatch,
+    positions: List[int],
+    gathers: Sequence[List[int]],
+) -> ColumnBatch:
+    """The batch sink's output for one leaf batch: the leaf columns at
+    *positions* (reused as they are when every row survives in physical
+    order), then each level's build columns gathered at its row ids."""
+    if batch.sel is None and positions is batch.selected():
+        cols = list(batch.cols)
+    else:
+        cols = [TakeColumn(col, positions) for col in batch.cols]
+    for level, ids in zip(providers, gathers):
+        cols.extend(GatherColumn(provider, ids) for provider in level)
+    return ColumnBatch(tuple(cols), len(positions), None)
+
+
+# ---------------------------------------------------------------------------
+# Source text
+# ---------------------------------------------------------------------------
+
+
+class _Source:
+    """The lines of one generated function and its parameters, in order."""
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        #: parameter name -> how an execution obtains its value
+        self.params: Dict[str, Tuple[Any, ...]] = {}
+        self._temps = 0
+
+    def line(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def param(self, prefix: str, spec: Tuple[Any, ...]) -> str:
+        name = f"{prefix}{len(self.params)}"
+        self.params[name] = spec
+        return name
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+
+def _positions(expr: Expression, schema: Schema) -> Dict[str, int]:
+    """Column name -> position in *schema*, for every column *expr* reads."""
+    return {
+        node.name: schema.index_of(node.name)
+        for node in walk(expr)
+        if isinstance(node, ColumnRef)
+    }
+
+
+#: SQL operators spelled otherwise in Python.
+_PYTHON_OPS = {"=": "==", "<>": "!="}
+
+
+def _inline(expr: Expression) -> bool:
+    """Whether *expr* is written into the loop as Python operators."""
+    if isinstance(expr, (ColumnRef, Literal)):
+        return True
+    if isinstance(expr, (Arithmetic, Comparison)):
+        return _inline(expr.left) and _inline(expr.right)
+    if isinstance(expr, IsNull):
+        return _inline(expr.operand)
+    return False
+
+
+def _rewrite(expr: Expression, positions: Dict[str, int]) -> Expression:
+    """*expr* over the tuple of the columns it reads, named ``c<position>``."""
+    if isinstance(expr, ColumnRef):
+        return ColumnRef(f"c{positions[expr.name]}")
+    children = tuple(_rewrite(c, positions) for c in expr.children())
+    if not children:
+        return expr
+    from .logical import _rebuild
+
+    return _rebuild(expr, children)
+
+
+def _evaluator(expr: Expression, schema: Schema) -> Callable[[Tuple[Any, ...]], Any]:
+    """The row evaluator of *expr* over the tuple of the columns it reads,
+    in position order."""
+    positions = _positions(expr, schema)
+    used = sorted(set(positions.values()))
+    columns = tuple(Column(f"c{p}", schema.columns[p].ctype) for p in used)
+    return _rewrite(expr, positions).compile(Schema(columns))
+
+
+def _write_expression(
+    src: _Source, depth: int, expr: Expression, schema: Schema
+) -> str:
+    """Emit the statements computing *expr*; return the name holding it.
+
+    Column references, literals, arithmetic, comparisons and IS NULL are
+    Python operators over the row's column variables with the row
+    evaluator's NULL rule; a ``TypeError`` or ``ZeroDivisionError`` among
+    them re-evaluates the whole expression with the row evaluator, so
+    its value or its first error is the row evaluator's.  Every other
+    shape calls the row evaluator over the tuple of the columns it reads.
+    """
+    positions = _positions(expr, schema)
+    if isinstance(expr, ColumnRef):
+        return f"c{positions[expr.name]}"
+    if isinstance(expr, Literal):
+        return src.param("L", ("static", expr.value))
+    row = "".join(f"c{p}, " for p in sorted(set(positions.values())))
+    target = src.temp()
+    evaluator = src.param("E", ("evaluator", expr, schema))
+    if not _inline(expr):
+        src.line(depth, f"{target} = {evaluator}(({row}))")
+        return target
+    src.line(depth, "try:")
+    value = _write_inline(src, depth + 1, expr, positions)
+    src.line(depth + 1, f"{target} = {value}")
+    src.line(depth, "except (TypeError, ZeroDivisionError):")
+    src.line(depth + 1, f"{target} = {evaluator}(({row}))")
+    return target
+
+
+def _write_inline(
+    src: _Source, depth: int, expr: Expression, positions: Dict[str, int]
+) -> str:
+    if isinstance(expr, ColumnRef):
+        return f"c{positions[expr.name]}"
+    if isinstance(expr, Literal):
+        return src.param("L", ("static", expr.value))
+    if isinstance(expr, IsNull):
+        operand = _write_operand(src, depth, expr.operand, positions)
+        return f"{operand} is {'not ' if expr.negated else ''}None"
+    left = _write_operand(src, depth, expr.left, positions)
+    right = _write_operand(src, depth, expr.right, positions)
+    op = _PYTHON_OPS.get(expr.op, expr.op)
+    return f"None if {left} is None or {right} is None else {left} {op} {right}"
+
+
+def _write_operand(
+    src: _Source, depth: int, expr: Expression, positions: Dict[str, int]
+) -> str:
+    value = _write_inline(src, depth, expr, positions)
+    if isinstance(expr, (ColumnRef, Literal)):
+        return value
+    target = src.temp()
+    src.line(depth, f"{target} = {value}")
+    return target
+
+
+# ---------------------------------------------------------------------------
+# Aggregate sink
+# ---------------------------------------------------------------------------
+
+#: Accumulator folds per aggregate argument, in the order they are kept.
+_FOLDS = ("count", "sum", "min", "max")
+
+
+class _Accumulators:
+    """The aggregate sink's folds: per distinct argument expression (by
+    SQL text), which folds it needs, with and without DISTINCT.  ``AVG``
+    is the ``sum`` fold over the ``count`` fold; ``COUNT(*)`` is the
+    group size."""
+
+    def __init__(self, calls: Sequence[AggregateCall]):
+        self.calls = list(calls)
+        self.count_star = any(call.arg is None for call in self.calls)
+        #: argument SQL -> (argument, {(distinct, fold)})
+        self.args: Dict[str, Tuple[Expression, Set[Tuple[bool, str]]]] = {}
+        for call in self.calls:
+            if call.arg is None:
+                continue
+            folds = self.args.setdefault(call.arg.sql(), (call.arg, set()))[1]
+            name = call.name.upper()
+            if name in ("SUM", "AVG"):
+                folds.add((call.distinct, "sum"))
+            if name in ("COUNT", "AVG"):
+                folds.add((call.distinct, "count"))
+            if name in ("MIN", "MAX"):
+                folds.add((call.distinct, name.lower()))
+        #: (argument number, distinct, fold) per accumulator ``A<n>``
+        self.order: List[Tuple[int, bool, str]] = [
+            (a, distinct, fold)
+            for a, (_arg, folds) in enumerate(self.args.values())
+            for distinct in (False, True)
+            for fold in _FOLDS
+            if (distinct, fold) in folds
+        ]
+        #: arguments with a DISTINCT fold, each with a ``D<a>`` seen-set list
+        self.seen = sorted({a for a, distinct, _fold in self.order if distinct})
+
+    def results(self, sizes: List[int], accs: Sequence[List[Any]]) -> List[List[Any]]:
+        """One result column per aggregate call, over all groups."""
+        index = dict(zip(self.order, accs))
+        numbers = {sql: a for a, sql in enumerate(self.args)}
+        columns = []
+        for call in self.calls:
+            name = call.name.upper()
+            if call.arg is None:
+                columns.append(sizes)
+                continue
+            a = numbers[call.arg.sql()]
+            if name == "AVG":
+                totals = index[a, call.distinct, "sum"]
+                counts = index[a, call.distinct, "count"]
+                columns.append(
+                    [None if t is None else t / c for t, c in zip(totals, counts)]
+                )
+            else:
+                fold = "sum" if name == "SUM" else name.lower()
+                columns.append(index[a, call.distinct, fold])
+        return columns
+
+    def lists(self) -> List[Tuple[str, str]]:
+        """(name, initial value) of every per-group list but ``N``."""
+        out = [
+            (f"A{n}", "0" if fold == "count" else "None")
+            for n, (_a, _distinct, fold) in enumerate(self.order)
+        ]
+        out.extend((f"D{a}", "set()") for a in self.seen)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Spines
+# ---------------------------------------------------------------------------
+
+
+class _Level:
+    """What a shape keeps of one ``HashJoin``: no plan node, so a shape
+    shared by many plans keeps none of them alive."""
+
+    __slots__ = (
+        "left_keys", "right_idx", "residual", "outer", "left_schema",
+        "output_schema", "width",
+    )
+
+    def __init__(self, join: Any):
+        self.left_keys = join.left_keys
+        self.right_idx = [join.right.output_schema.index_of(k) for k in join.right_keys]
+        self.residual = join.residual
+        self.outer = join.outer
+        self.left_schema = join.left.output_schema
+        self.output_schema = join.output_schema
+        self.width = len(join.right.output_schema)
+
+
+#: Shapes by key (``_shape``), the oldest dropped first past MAX_SHAPES.
+_SHAPES: Dict[Tuple[Any, ...], "_Shape"] = {}
+
+
+def _canonical(expr: Optional[Expression], schema: Schema) -> str:
+    """*expr* as text that tells apart every two expressions that compute
+    differently over *schema*: its tree, each column as its position and
+    each literal with its type (``1`` is not ``1.0``)."""
+    if expr is None:
+        return ""
+    if isinstance(expr, ColumnRef):
+        return f"#{schema.index_of(expr.name)}"
+    if isinstance(expr, Literal):
+        return f"{type(expr.value).__name__}:{expr.value!r}"
+    parts = []
+    for value in vars(expr).values():
+        if isinstance(value, Expression):
+            parts.append(_canonical(value, schema))
+        elif isinstance(value, tuple):
+            parts.append(repr([f"{type(v).__name__}:{v!r}" for v in value]))
+        else:
+            parts.append(repr(value))
+    return f"{type(expr).__name__}({', '.join(parts)})"
+
+
+def _shape(
+    joins: Sequence[Any],
+    leaf: Any,
+    group_by: Optional[Sequence[Expression]],
+    calls: Sequence[AggregateCall],
+) -> "_Shape":
+    """The shape of a spine, shared by every plan with an equal one: the
+    leaf's width, per level the key positions, build width, outer flag
+    and residual, and the aggregate's group keys and calls, all over
+    column positions (``_canonical``)."""
+    schema = joins[-1].output_schema if joins else leaf.output_schema
+    key = (
+        len(leaf.output_schema),
+        tuple(
+            (
+                tuple(j.left.output_schema.index_of(k) for k in j.left_keys),
+                tuple(j.right.output_schema.index_of(k) for k in j.right_keys),
+                len(j.right.output_schema),
+                j.outer,
+                _canonical(j.residual, j.output_schema),
+            )
+            for j in joins
+        ),
+        None
+        if group_by is None
+        else (
+            tuple(_canonical(e, schema) for e in group_by),
+            tuple(_canonical(c, schema) for c in calls),
+        ),
+    )
+    shape = _SHAPES.get(key)
+    if shape is None:
+        if len(_SHAPES) >= MAX_SHAPES:
+            del _SHAPES[next(iter(_SHAPES))]
+        shape = _SHAPES[key] = _Shape(joins, leaf, group_by, calls)
+    return shape
+
+
+class Spine:
+    """One plan node's pipeline: the build subtrees, the leaf, and the
+    shape whose generated code runs them.
+
+    *joins* runs innermost first and *leaf* is the innermost join's left
+    child.  The aggregate sink takes the aggregate's *group_by* and its
+    aggregate *calls*; without them the spine is the batch sink of its
+    outermost join, which the profiler sees as itself.  Only nodes below
+    the plan node that holds the spine are kept: a node must not reach
+    itself through its own cached parts.
+    """
+
+    def __init__(
+        self,
+        joins: Sequence[Any],
+        leaf: Any,
+        group_by: Optional[Sequence[Expression]] = None,
+        calls: Sequence[AggregateCall] = (),
+    ):
+        self.shape = _shape(joins, leaf, group_by, calls)
+        self.leaf = leaf
+        self.rights = [join.right for join in joins]
+        outermost = len(joins) - 1 if group_by is None else len(joins)
+        #: the node each fused level reports to the profiler as
+        self.fused = [join if level < outermost else None for level, join in enumerate(joins)]
+
+    def _open(self, ctx: Any) -> Tuple[List[_Build], List[Any]]:
+        """Build every level, outermost first (the order the join streams
+        opened in), opening a fused level's profile window before its
+        build."""
+        levels = self.shape.joins
+        builds: List[Any] = [None] * len(levels)
+        fused: List[Any] = [None] * len(levels)
+        profiler = ctx.profiler
+        for level in reversed(range(len(levels))):
+            node = self.fused[level]
+            if profiler is not NULL_PROFILER and node is not None:
+                fused[level] = profiler.fused(node, ctx.meter)
+            join = levels[level]
+            builds[level] = _Build(self.rights[level], join.right_idx, join.residual, ctx)
+        return builds, fused
+
+    def _bind(
+        self, builds: List[_Build], fused: List[Any], emit: Any = None
+    ) -> Tuple[Callable[..., Any], Tuple[Any, ...]]:
+        """The generated function for this execution's variant, and its
+        parameter values."""
+        fn, specs = self.shape.variant(
+            tuple([b.unique for b in builds]), tuple([f is not None for f in fused])
+        )
+        params = []
+        for spec in specs:
+            kind = spec[0]
+            if kind == "static":
+                params.append(spec[1])
+            elif kind == "get":
+                params.append(builds[spec[1]].get)
+            elif kind == "column":
+                params.append(builds[spec[1]].values(spec[2]))
+            elif kind == "fused":
+                params.append(fused[spec[1]].emit)
+            elif kind == "groups":
+                params.append([-1] * builds[spec[1]].size)
+            else:
+                params.append(emit)
+        return fn, tuple(params)
+
+    @staticmethod
+    def _charge(meter: Any, counts: Sequence[int], level: int) -> None:
+        # counts: p0, then (examined, rows out) per level; a level's
+        # probed rows are the previous level's rows out.
+        meter.cpu_ms += counts[2 * level] * HASH_PROBE_COST
+        meter.cpu_ms += counts[2 * level + 1] * CPU_TUPLE_COST
+
+    def aggregate_groups(self, ctx: Any) -> Tuple[List[Any], List[List[Any]], int]:
+        """Run the aggregate sink: (group keys in first-seen order, one
+        result column per aggregate call, rows the aggregate consumed)."""
+        builds, fused = self._open(ctx)
+        fn, params = self._bind(builds, fused)
+        keys, sizes, accs, counts = fn(self.leaf.rows_columnar(ctx), params)
+        for level, window in enumerate(fused):
+            self._charge(ctx.meter, counts, level)
+            if window is not None:
+                window.finish()
+        return keys, self.shape.accumulators.results(sizes, accs), counts[-1]
+
+    def joined_batches(self, ctx: Any) -> Iterator[ColumnBatch]:
+        """Run the batch sink: the outermost join's output batches."""
+        meter = ctx.meter
+        builds, fused = self._open(ctx)
+        providers = [
+            [partial(build.values, j) for j in range(join.width)]
+            for build, join in zip(builds, self.shape.joins)
+        ]
+        fn, params = self._bind(builds, fused, partial(_joined, providers))
+        leaf = self.leaf.rows_columnar(ctx)
+        counts: List[int] = []
+        stream = fn(leaf, params, counts)
+        done = False
+        try:
+            yield from stream
+            done = True
+        finally:
+            stream.close()
+            # An abandoned join stream released its input before its own
+            # charges (a loop's iterator goes before its ``finally``), so
+            # the leaf charges first and each fused window opened before
+            # it; either way the levels then charge innermost first.
+            mark = None
+            if not done:
+                mark = meter.total_ms
+                close = getattr(leaf, "close", None)
+                if close is not None:
+                    close()
+            for level, window in enumerate(fused):
+                self._charge(meter, counts, level)
+                if window is not None:
+                    window.finish(mark)
+
+
+class _Shape:
+    """What the generated code of one spine shape depends on, and every
+    variant generated for it: by the levels' build kinds (unique or
+    bucketed) and by which levels report to the profiler."""
+
+    def __init__(
+        self,
+        joins: Sequence[Any],
+        leaf: Any,
+        group_by: Optional[Sequence[Expression]],
+        calls: Sequence[AggregateCall],
+    ):
+        self.batch_sink = group_by is None
+        self.joins = [_Level(join) for join in joins]
+        self.leaf_width = len(leaf.output_schema)
+        self.widths = [j.width for j in self.joins]
+        #: combined position of each level's first build column
+        self.offsets = [len(j.left_schema) for j in self.joins]
+        #: the aggregate sink's input schema: every level's columns, in order
+        self.schema = joins[-1].output_schema if joins else leaf.output_schema
+        self.group_by = tuple(group_by or ())
+        self.accumulators = _Accumulators(calls)
+        # The combined positions the loop reads per row.  Level 0's keys
+        # are probed in C (``map`` over the key columns) as the loop
+        # advances; group keys that are build columns of one level are
+        # read only when a build row first reaches the sink.
+        reads: Set[int] = set()
+        for level, join in enumerate(self.joins):
+            if level:
+                reads.update(join.left_schema.index_of(k) for k in join.left_keys)
+            if join.residual is not None:
+                reads.update(_positions(join.residual, join.output_schema).values())
+        for arg, _folds in self.accumulators.args.values():
+            reads.update(_positions(arg, self.schema).values())
+        keys = [_positions(e, self.schema) for e in self.group_by]
+        #: the level whose build row decides the group, if one does
+        self.group_level: Optional[int] = None
+        if keys and all(isinstance(e, ColumnRef) for e in self.group_by):
+            spots = {p for k in keys for p in k.values()}
+            for level, (offset, width) in enumerate(zip(self.offsets, self.widths)):
+                if all(offset <= p < offset + width for p in spots):
+                    self.group_level = level
+        if self.group_level is None:
+            for k in keys:
+                reads.update(k.values())
+        self.reads = reads
+        self._variants: Dict[Tuple[Any, ...], Tuple[Callable[..., Any], List[Any]]] = {}
+
+    def variant(
+        self, uniques: Tuple[bool, ...], profiled: Tuple[bool, ...]
+    ) -> Tuple[Callable[..., Any], List[Any]]:
+        """The generated function of one variant and its parameter specs
+        (evaluators resolved)."""
+        variant = self._variants.get((uniques, profiled))
+        if variant is None:
+            source, specs = self.source(uniques, profiled)
+            resolved = [
+                ("static", _evaluator(spec[1], spec[2]))
+                if spec[0] == "evaluator"
+                else spec
+                for spec in specs
+            ]
+            variant = self._variants[uniques, profiled] = (_function(source), resolved)
+        return variant
+
+    # -- generation ----------------------------------------------------------
+
+    def source(
+        self, uniques: Tuple[bool, ...], profiled: Tuple[bool, ...]
+    ) -> Tuple[str, List[Tuple[Any, ...]]]:
+        """The source text of one variant — the levels' build kinds and
+        which levels report to the profiler — and its parameter specs."""
+        src = _Source()
+        batch_sink = self.batch_sink
+        levels = len(self.joins)
+        src.line(0, f"def spine(batches, P{', C' if batch_sink else ''}):")
+        src.line(1, "")  # the parameter unpacking, written last
+        if batch_sink and levels == 1 and uniques[0]:
+            self._write_vectorised(src)
+        else:
+            self._write_rows(src, uniques, profiled)
+        names = list(src.params)
+        src.lines[1] = "    " + (f"{', '.join(names)}, = P" if names else "pass")
+        return "\n".join(src.lines) + "\n", [src.params[n] for n in names]
+
+    def _write_vectorised(self, src: _Source) -> None:
+        """A lone unique level without a residual, batch sink: the whole
+        batch's probe is one ``map`` in C; ``count(0)`` decides whether
+        anything needs filtering, and ``compress`` / ``filter`` keep the
+        hits of an inner join."""
+        join = self.joins[0]
+        left = join.left_schema
+        keys = [f"batch.column_values({left.index_of(k)})" for k in join.left_keys]
+        key = keys[0] if len(keys) == 1 else f"zip({', '.join(keys)})"
+        get = src.param("G", ("get", 0))
+        emit = src.param("EMIT", ("emit",))
+        src.line(1, "p0 = x0 = 0")
+        src.line(1, "try:")
+        src.line(2, "for batch in batches:")
+        src.line(3, "n = len(batch)")
+        src.line(3, "p0 += n")
+        src.line(3, "psel = batch.selected()")
+        src.line(3, f"m = list(map({get}, {key}, repeat(0)))")
+        src.line(3, "hits = n - m.count(0)")
+        src.line(3, "x0 += hits")
+        if join.outer:
+            # A miss gathers the NULL row: every probe row is emitted.
+            src.line(3, f"yield {emit}(batch, psel, (m,))")
+        else:
+            src.line(3, "if hits == n:")
+            src.line(4, f"yield {emit}(batch, psel, (m,))")
+            src.line(3, "elif hits:")
+            src.line(4, "keep = list(compress(psel, m))")
+            src.line(4, f"yield {emit}(batch, keep, (list(filter(None, m)),))")
+        src.line(1, "finally:")
+        src.line(2, "C[:] = (p0, x0, x0)")
+
+    def _write_rows(
+        self, src: _Source, uniques: Tuple[bool, ...], profiled: Tuple[bool, ...]
+    ) -> None:
+        batch_sink = self.batch_sink
+        levels = len(self.joins)
+        # A level's rows out: its own counter, or its examined count for
+        # an inner unique level without a residual (one row per hit).
+        outputs = [
+            f"x{level}"
+            if uniques[level] and not join.outer and join.residual is None
+            else f"o{level}"
+            for level, join in enumerate(self.joins)
+        ]
+        counters = ["p0"]
+        for level in range(levels):
+            counters.extend((f"x{level}", outputs[level]))
+        zeros = ["p0"] + [f"{c}{level}" for level in range(levels) for c in "xo"]
+        src.line(1, " = ".join(zeros) + " = 0")
+        if batch_sink:
+            src.line(1, "try:")
+            depth = 2
+        else:
+            self._write_groups(src)
+            depth = 1
+        src.line(depth, "for batch in batches:")
+        src.line(depth + 1, "p0 += len(batch)")
+        watched = [level for level in range(levels) if profiled[level]]
+        for level in watched:
+            src.line(depth + 1, f"s{level} = {outputs[level]}")
+        if batch_sink:
+            src.line(depth + 1, "gl = []")
+            src.line(depth + 1, "GL = gl.append")
+            for level in range(levels):
+                src.line(depth + 1, f"h{level} = []")
+                src.line(depth + 1, f"H{level} = h{level}.append")
+        leaf_width = self.leaf_width
+        leaf_reads = sorted(p for p in self.reads if p < leaf_width)
+        names = (["pos"] if batch_sink else []) + [f"c{p}" for p in leaf_reads]
+        lists = (["batch.selected()"] if batch_sink else []) + [
+            f"batch.column_values({p})" for p in leaf_reads
+        ]
+        hits_only = False
+        if levels:
+            # Level 0's probe runs in C over the key columns; an inner
+            # level 0 loops over its hits only (``compress``), counting a
+            # unique level's hits with ``count(0)``.
+            join = self.joins[0]
+            keys = [
+                f"batch.column_values({join.left_schema.index_of(k)})"
+                for k in join.left_keys
+            ]
+            key = keys[0] if len(keys) == 1 else f"zip({', '.join(keys)})"
+            get = src.param("G", ("get", 0))
+            miss = "0" if uniques[0] else ("()" if join.residual is not None else "None")
+            probe = f"map({get}, {key}, repeat({miss}))"
+            names.insert(len(names) - len(leaf_reads), "r0" if uniques[0] else "R0")
+            hits_only = not join.outer
+            if hits_only:
+                src.line(depth + 1, f"m = list({probe})")
+                if outputs[0] == "x0":
+                    src.line(depth + 1, "x0 += len(m) - m.count(0)")
+                probe = "m"
+            lists.insert(len(lists) - len(leaf_reads), probe)
+        rows = lists[0] if len(lists) == 1 else f"zip({', '.join(lists)})"
+        if not lists:
+            rows = "repeat(None, len(batch))"
+        if hits_only:
+            rows = f"compress({rows}, m)"
+        if self._histogram():
+            # COUNT(*) alone, grouped by leaf columns: counted in C.
+            keys = [
+                f"batch.column_values({self.schema.index_of(e.name)})"
+                for e in self.group_by
+            ]
+            key = keys[0] if len(keys) == 1 else f"zip({', '.join(keys)})"
+            src.line(depth + 1, f"CN.update({key})")
+        elif levels or batch_sink or self.accumulators.args or self.group_by:
+            src.line(depth + 1, f"for {', '.join(names) or '_'} in {rows}:")
+            row = depth + 2
+            for level in range(levels):
+                row = self._write_level(src, row, level, uniques[level])
+            if batch_sink:
+                src.line(row, "GL(pos)")
+                for level in range(levels):
+                    src.line(row, f"H{level}(r{level})")
+            else:
+                self._write_fold(src, row)
+        for level in watched:
+            fused = src.param("F", ("fused", level))
+            src.line(depth + 1, f"if {outputs[level]} != s{level}:")
+            src.line(depth + 2, f"{fused}({outputs[level]} - s{level})")
+        if batch_sink:
+            emit = src.param("EMIT", ("emit",))
+            gathers = "".join(f"h{level}, " for level in range(levels))
+            src.line(depth + 1, "if gl:")
+            src.line(depth + 2, f"yield {emit}(batch, gl, ({gathers}))")
+            src.line(1, "finally:")
+            src.line(2, f"C[:] = ({', '.join(counters)},)")
+        else:
+            consumed = outputs[-1] if levels else "p0"
+            if not self.group_by:
+                # The one group's COUNT(*) is every row the sink took.
+                src.line(1, f"N[0] = {consumed}")
+            elif self._histogram():
+                src.line(1, "GK = list(CN)")
+                src.line(1, "N = list(CN.values())")
+            accs = "".join(f"A{n}, " for n in range(len(self.accumulators.order)))
+            src.line(1, f"return GK, N, ({accs}), ({', '.join(counters)}, {consumed})")
+
+    def _histogram(self) -> bool:
+        """COUNT(*) alone over the leaf, grouped by leaf columns."""
+        return (
+            not self.joins
+            and not self.batch_sink
+            and not self.accumulators.args
+            and bool(self.group_by)
+            and all(isinstance(e, ColumnRef) for e in self.group_by)
+        )
+
+    def _write_level(self, src: _Source, depth: int, level: int, unique: bool) -> int:
+        """One level's probe; returns the depth its output rows run at."""
+        join = self.joins[level]
+        keys = [join.left_schema.index_of(k) for k in join.left_keys]
+        key = f"c{keys[0]}" if len(keys) == 1 else "(" + "".join(f"c{p}, " for p in keys) + ")"
+        get = src.param("G", ("get", level)) if level else ""
+        r, bucket, x, o = f"r{level}", f"R{level}", f"x{level}", f"o{level}"
+        if join.residual is None and unique:
+            if level:
+                src.line(depth, f"{r} = {get}({key}, 0)")
+            if join.outer:
+                src.line(depth, f"if {r}:")
+                src.line(depth + 1, f"{x} += 1")
+                src.line(depth, f"{o} += 1")
+            elif level:
+                src.line(depth, f"if not {r}:")
+                src.line(depth + 1, "continue")
+                src.line(depth, f"{x} += 1")
+            self._write_build_columns(src, depth, level)
+            return depth
+        if join.residual is None:
+            if level:
+                src.line(depth, f"{bucket} = {get}({key})")
+            if join.outer:
+                src.line(depth, f"if {bucket} is None:")
+                src.line(depth + 1, f"{bucket} = PAD")
+                src.line(depth, "else:")
+                src.line(depth + 1, f"{x} += len({bucket})")
+            else:
+                if level:
+                    src.line(depth, f"if {bucket} is None:")
+                    src.line(depth + 1, "continue")
+                src.line(depth, f"{x} += len({bucket})")
+            src.line(depth, f"for {r} in {bucket}:")
+            src.line(depth + 1, f"{o} += 1")
+            self._write_build_columns(src, depth + 1, level)
+            return depth + 1
+        # A residual: candidates in bucket order, then (outer) the NULL
+        # row, taken only when no candidate passed.
+        if level:
+            src.line(depth, f"{bucket} = {get}({key}, ())")
+        src.line(depth, f"{x} += len({bucket})")
+        if join.outer:
+            src.line(depth, f"m{level} = False")
+            src.line(depth, f"for {r} in (*{bucket}, 0):")
+            self._write_build_columns(src, depth + 1, level)
+            src.line(depth + 1, f"if {r}:")
+            test = _write_expression(src, depth + 2, join.residual, join.output_schema)
+            src.line(depth + 2, f"if {test} is not True:")
+            src.line(depth + 3, "continue")
+            src.line(depth + 2, f"m{level} = True")
+            src.line(depth + 1, f"elif m{level}:")
+            src.line(depth + 2, "break")
+        else:
+            src.line(depth, f"for {r} in {bucket}:")
+            self._write_build_columns(src, depth + 1, level)
+            test = _write_expression(src, depth + 1, join.residual, join.output_schema)
+            src.line(depth + 1, f"if {test} is not True:")
+            src.line(depth + 2, "continue")
+        src.line(depth + 1, f"{o} += 1")
+        return depth + 1
+
+    def _write_build_columns(self, src: _Source, depth: int, level: int) -> None:
+        offset = self.offsets[level]
+        for p in sorted(self.reads):
+            if offset <= p < offset + self.widths[level]:
+                column = src.param("B", ("column", level, p - offset))
+                src.line(depth, f"c{p} = {column}[r{level}]")
+
+    def _write_groups(self, src: _Source) -> None:
+        """The aggregate sink's group table and per-group lists."""
+        if self._histogram():
+            src.line(1, "CN = Counter()")
+        src.line(1, "GI = {}")
+        src.line(1, "GG = GI.get")
+        src.line(1, "GK = []")
+        src.line(1, "N = []")
+        for name, _init in self.accumulators.lists():
+            src.line(1, f"{name} = []")
+        if not self.group_by:
+            # The one group of every row, there when no row is.
+            src.line(1, "GK.append(())")
+            self._write_new_group(src, 1)
+
+    def _write_new_group(self, src: _Source, depth: int) -> None:
+        src.line(depth, "N.append(0)")
+        for name, init in self.accumulators.lists():
+            src.line(depth, f"{name}.append({init})")
+
+    def _write_fold(self, src: _Source, depth: int) -> None:
+        """The aggregate sink's per-row statements."""
+        level = self.group_level
+        at = depth
+        if level is not None:
+            # The group of a build row, looked up once per build row.
+            cache = src.param("GR", ("groups", level))
+            src.line(depth, f"g = {cache}[r{level}]")
+            src.line(depth, "if g < 0:")
+            at = depth + 1
+            offset = self.offsets[level]
+            for p in sorted({self.schema.index_of(e.name) for e in self.group_by}):
+                column = src.param("B", ("column", level, p - offset))
+                src.line(at, f"c{p} = {column}[r{level}]")
+        keys = [_write_expression(src, at, e, self.schema) for e in self.group_by]
+        if keys:
+            key = keys[0] if len(keys) == 1 else "(" + "".join(f"{k}, " for k in keys) + ")"
+            src.line(at, f"g = GG({key})")
+            src.line(at, "if g is None:")
+            src.line(at + 1, f"g = GI[{key}] = len(GK)")
+            src.line(at + 1, f"GK.append({key})")
+            self._write_new_group(src, at + 1)
+            if level is not None:
+                src.line(at, f"{cache}[r{level}] = g")
+        else:
+            src.line(depth, "g = 0")
+        if self.accumulators.count_star and self.group_by:
+            src.line(depth, "N[g] += 1")
+        order = self.accumulators.order
+        for a, (arg, folds) in enumerate(self.accumulators.args.values()):
+            value = _write_expression(src, depth, arg, self.schema)
+            src.line(depth, f"if {value} is not None:")
+            for distinct in (False, True):
+                kinds = [fold for fold in _FOLDS if (distinct, fold) in folds]
+                if not kinds:
+                    continue
+                at = depth + 1
+                if distinct:
+                    src.line(at, f"d = D{a}[g]")
+                    src.line(at, f"if {value} not in d:")
+                    src.line(at + 1, f"d.add({value})")
+                    at += 1
+                for fold in kinds:
+                    acc = f"A{order.index((a, distinct, fold))}"
+                    if fold == "count":
+                        src.line(at, f"{acc}[g] += 1")
+                    elif fold == "sum":
+                        # Seeded with the first value: ``0 + v`` would
+                        # turn -0.0 into 0.0.
+                        src.line(at, f"t = {acc}[g]")
+                        src.line(at, f"{acc}[g] = {value} if t is None else t + {value}")
+                    else:
+                        # The first extremum: a later value replaces it
+                        # only by comparing strictly beyond it.
+                        op = "<" if fold == "min" else ">"
+                        src.line(at, f"t = {acc}[g]")
+                        src.line(at, f"if t is None or {value} {op} t:")
+                        src.line(at + 1, f"{acc}[g] = {value}")

@@ -24,12 +24,13 @@ from __future__ import annotations
 import gc
 import sys
 from collections import Counter, defaultdict
+from functools import partial, reduce
 from itertools import chain
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.numeric import left_sum_from
 from repro.sqlengine import (
     Column,
     ColumnRef,
@@ -44,6 +45,10 @@ from repro.sqlengine.physical import Filter, HashAggregate, MaterializedInput
 
 
 # -- the parent's fold, kept as the reference ---------------------------------
+
+#: The reference's per-slice fold: ``start + v0 + v1 + ...`` left to
+#: right, a C call on every interpreter (``sum`` compensates from 3.12).
+left_sum_from = partial(reduce, add) if sys.version_info >= (3, 12) else sum
 
 #: The reference groups its input in chunks of at least this many
 #: batches' worth of rows (fewer at the end of the input).

@@ -1,0 +1,311 @@
+"""The generated spine loop against references that share none of it.
+
+A drawn chain of one to three hash joins — inner and outer, unique and
+repeated build keys, single and composite keys with NULL parts, NULL,
+NaN, ``-0.0`` and ``1`` / ``1.0`` / ``True`` keys, residuals written
+inline or run by the row evaluator, empty build and probe sides — runs
+under an aggregate (every aggregate kind, DISTINCT, no GROUP BY, HAVING)
+or under a projection, and under a ``LIMIT`` that abandons the joins'
+stream.  The rows must equal, in order, a tuple-at-a-time nested loop
+per join (``nested_loop_join``), folded by the chunked aggregation kept
+in ``test_aggregate_reference.py``.  The meters must equal the
+operators' documented charges replayed in their order (docs/execution.md,
+"The spine"), the same at batch sizes 1, 2 and the default, and the same
+with the profiler on, whose per-join rows are the nested loop's.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.obs.profile import profiling
+from repro.sqlengine import (
+    And,
+    Arithmetic,
+    Column,
+    ColumnRef,
+    ColumnType,
+    Comparison,
+    Database,
+    IsNull,
+    Literal,
+    Or,
+    Schema,
+    execute_plan,
+)
+from repro.sqlengine.cost import (
+    AGG_UPDATE_COST,
+    CPU_OPERATOR_COST,
+    CPU_TUPLE_COST,
+    HASH_BUILD_COST,
+    HASH_PROBE_COST,
+)
+from repro.sqlengine.expressions import AggregateCall
+from repro.sqlengine.parser import SelectItem
+from repro.sqlengine.physical import (
+    DEFAULT_BATCH_SIZE,
+    HashAggregate,
+    HashJoin,
+    Limit,
+    MaterializedInput,
+    Project,
+)
+from tests.sqlengine.test_aggregate_reference import ChunkFoldAggregate
+from tests.sqlengine.test_columnar_engine import nested_loop_join
+
+#: One NaN object: a dict finds it by identity, as the nested loop's
+#: list comparison does.
+NAN = float("nan")
+
+KEYS = st.sampled_from([None, 0, 1, 1.0, True, -0.0, 0.0, NAN, 2, 3])
+VALUES = st.sampled_from([None, -0.0, 0.1, 0.2, 0.3, 2.5, 3, 1e16, -1e16])
+
+
+def _schema(table):
+    return Schema(
+        (
+            Column("k1", ColumnType.FLOAT, table),
+            Column("k2", ColumnType.INT, table),
+            Column("v", ColumnType.FLOAT, table),
+        )
+    )
+
+
+def _rows(draw, most):
+    return draw(st.lists(st.tuples(KEYS, KEYS, VALUES), max_size=most))
+
+
+@st.composite
+def residuals(draw, left, right):
+    """None, or a residual over the join's two sides: inline operators,
+    or a shape the row evaluator runs (OR)."""
+    lv, rv = ColumnRef(f"{left}.v"), ColumnRef(f"{right}.v")
+    return draw(
+        st.sampled_from(
+            [
+                None,
+                Comparison("<", lv, rv),
+                Comparison(">", Arithmetic("+", lv, rv), Literal(1.0)),
+                IsNull(rv),
+                Or(Comparison(">", lv, Literal(0.15)), Comparison("<", rv, Literal(1.0))),
+                And(IsNull(lv, negated=True), Comparison("=", ColumnRef(f"{right}.k2"), Literal(1))),
+            ]
+        )
+    )
+
+
+@st.composite
+def chains(draw):
+    """(probe rows, [(build rows, join)], top join) for 1-3 joins."""
+    probe_rows = _rows(draw, 10)
+    node = MaterializedInput("probe", _schema("p"), probe_rows)
+    tables = ["p"]
+    levels = []
+    for level in range(draw(st.integers(1, 3))):
+        name = f"b{level}"
+        build_rows = _rows(draw, 6)
+        if draw(st.booleans()):
+            # Repeated keys: every key value at least twice.
+            build_rows = build_rows + build_rows[:3]
+        width = draw(st.sampled_from([1, 2]))
+        left = [
+            f"{draw(st.sampled_from(tables))}.{draw(st.sampled_from(['k1', 'k2']))}"
+            for _ in range(width)
+        ]
+        right = [f"{name}.k1", f"{name}.k2"][:width]
+        join = HashJoin(
+            node,
+            MaterializedInput(name, _schema(name), build_rows),
+            left,
+            right,
+            residual=draw(residuals(draw(st.sampled_from(tables)), name)),
+            outer=draw(st.booleans()),
+        )
+        levels.append((build_rows, join))
+        tables.append(name)
+        node = join
+    return probe_rows, levels, node
+
+
+def reference_rows(probe_rows, levels):
+    """Each level's rows, one nested loop per join."""
+    rows = [probe_rows]
+    for build_rows, join in levels:
+        rows.append(nested_loop_join(join, rows[-1], build_rows))
+    return rows
+
+
+def _key_pairs(join, probe, build):
+    """Candidate pairs before the residual: equal keys, no NULL part."""
+    left = [join.left.output_schema.index_of(k) for k in join.left_keys]
+    right = [join.right.output_schema.index_of(k) for k in join.right_keys]
+    pairs = 0
+    for p in probe:
+        key = [p[i] for i in left]
+        if None not in key:
+            pairs += sum(1 for b in build if key == [b[i] for i in right])
+    return pairs
+
+
+def expected_cpu(probe_rows, levels, rows, sink_charges):
+    """The charges, replayed in the order the operators make them:
+    builds outermost first (the build input's rows, then the build),
+    the probe side's rows, each level's probes and candidates innermost
+    first, then the sink's."""
+    cpu = 0.0
+    for build_rows, _join in reversed(levels):
+        cpu += len(build_rows) * CPU_TUPLE_COST
+        cpu += len(build_rows) * HASH_BUILD_COST
+    cpu += len(probe_rows) * CPU_TUPLE_COST
+    for level, (build_rows, join) in enumerate(levels):
+        cpu += len(rows[level]) * HASH_PROBE_COST
+        cpu += _key_pairs(join, rows[level], build_rows) * CPU_TUPLE_COST
+    for charge in sink_charges:
+        cpu += charge
+    return cpu
+
+
+def run(plan, batch_size=DEFAULT_BATCH_SIZE):
+    result = execute_plan(plan, Database("spine").storage, batch_size=batch_size)
+    meter = result.meter
+    return result.rows, (meter.cpu_ms, meter.io_ms, meter.tuples_out)
+
+
+def exact(rows):
+    """Rows as types and reprs: ``==`` cannot tell ``-0.0`` from ``0.0``
+    or ``1`` from ``1.0``."""
+    return [tuple((type(v).__name__, repr(v)) for v in row) for row in rows]
+
+
+def check(plan, expected_rows, cpu, levels, rows):
+    got_rows, meters = run(plan)
+    assert exact(got_rows) == exact(expected_rows)
+    assert meters == (cpu, 0.0, len(expected_rows))
+    for size in (1, 2):
+        assert run(plan, size) == (got_rows, meters), size
+    with profiling() as profiler:
+        assert run(plan) == (got_rows, meters)
+    profile = profiler.capture()
+    for level, (_build, join) in enumerate(levels):
+        assert profile.stats_for(join).rows_out == len(rows[level + 1])
+
+
+AGGREGATES = [
+    "COUNT(*)", "COUNT(x)", "SUM(x)", "AVG(x)", "MIN(x)", "MAX(x)",
+    "COUNT(DISTINCT x)", "SUM(DISTINCT x)", "AVG(DISTINCT x)",
+    "MIN(DISTINCT x)", "SUM(y)", "MAX(x * y)", "SUM(x + y)",
+]
+
+
+def _aggregate(name, x, y):
+    distinct = "DISTINCT" in name
+    fn, _, arg = name.partition("(")
+    arg = arg.rstrip(")").replace("DISTINCT ", "")
+    exprs = {
+        "*": None,
+        "x": x,
+        "y": y,
+        "x * y": Arithmetic("*", x, y),
+        "x + y": Arithmetic("+", x, y),
+    }
+    return AggregateCall(fn, exprs[arg], distinct)
+
+
+@settings(deadline=None)
+@given(
+    chain=chains(),
+    aggregates=st.lists(st.sampled_from(AGGREGATES), min_size=1, max_size=4),
+    keys=st.integers(0, 2),
+    having=st.booleans(),
+    data=st.data(),
+)
+def test_aggregate_over_the_spine(chain, aggregates, keys, having, data):
+    probe_rows, levels, top = chain
+    rows = reference_rows(probe_rows, levels)
+    columns = [c.qualified_name for c in top.output_schema.columns]
+    pick = lambda suffix: ColumnRef(data.draw(st.sampled_from([c for c in columns if c.endswith(suffix)])))
+    x, y = pick(".v"), pick(".v")
+    group_by = [pick(data.draw(st.sampled_from([".k1", ".k2", ".v"]))) for _ in range(keys)]
+    calls = [_aggregate(name, x, y) for name in aggregates]
+    items = [SelectItem(e) for e in group_by] + [SelectItem(c) for c in calls]
+    schema = Schema(tuple(Column(f"o{i}", ColumnType.FLOAT) for i in range(len(items))))
+    condition = (
+        Comparison(">", AggregateCall("COUNT", None), Literal(1)) if having else None
+    )
+    args = (group_by, items, schema, condition)
+    plan = HashAggregate(top, *args)
+    reference = ChunkFoldAggregate(
+        MaterializedInput("joined", top.output_schema, rows[-1]), *args
+    )
+    expected, _meters = run(reference)
+    consumed = len(rows[-1])
+    groups = len({(): None} if not group_by else {
+        tuple(r[top.output_schema.index_of(e.name)] for e in group_by): None
+        for r in rows[-1]
+    })
+    sink = [
+        consumed * (max(len(plan._agg_calls), 1) * AGG_UPDATE_COST),
+        groups * (len(items) * CPU_OPERATOR_COST),
+    ]
+    check(plan, expected, expected_cpu(probe_rows, levels, rows, sink), levels, rows)
+
+
+@settings(deadline=None)
+@given(chain=chains(), data=st.data())
+def test_projection_over_the_spine(chain, data):
+    probe_rows, levels, top = chain
+    rows = reference_rows(probe_rows, levels)
+    columns = top.output_schema.columns
+    picked = data.draw(
+        st.lists(st.sampled_from(range(len(columns))), min_size=1, max_size=4)
+    )
+    plan = Project(
+        top,
+        [SelectItem(ColumnRef(columns[i].qualified_name)) for i in picked],
+        Schema(tuple(columns[i] for i in picked)),
+    )
+    expected = [tuple(r[i] for i in picked) for r in rows[-1]]
+    sink = [len(rows[-1]) * (len(picked) * CPU_OPERATOR_COST)]
+    check(plan, expected, expected_cpu(probe_rows, levels, rows, sink), levels, rows)
+
+
+@settings(deadline=None)
+@given(chain=chains(), limit=st.integers(0, 12), size=st.sampled_from([1, 2, 3, 1024]))
+def test_limit_abandoning_the_spine(chain, limit, size):
+    # The limit pulls leaf batches until its rows are in, then abandons
+    # the joins' stream: the leaf's rows so far are charged first, then
+    # each level's probes and candidates so far, innermost first — the
+    # order exhausted streams charge in.
+    probe_rows, levels, top = chain
+    plan = Limit(top, limit)
+    consumed = 0
+    out = 0
+    while limit and consumed < len(probe_rows) and out < limit:
+        batch = probe_rows[consumed : consumed + size]
+        consumed += len(batch)
+        out += len(reference_rows(batch, levels)[-1])
+    rows = reference_rows(probe_rows[:consumed], levels)
+    cpu = expected_cpu(probe_rows[:consumed], levels, rows, []) if limit else 0.0
+    got_rows, meters = run(plan, size)
+    assert exact(got_rows) == exact(rows[-1][:limit])
+    assert meters == (cpu, 0.0, len(got_rows))
+    with profiling():
+        assert run(plan, size) == (got_rows, meters)
+
+
+@pytest.mark.parametrize("outer", [False, True], ids=["inner", "outer"])
+def test_residual_rejecting_every_candidate_pads_an_outer_row(outer):
+    probe = [(1, 1, 0.5), (2, 1, 0.5)]
+    build = [(1, 1, 0.1), (1, 2, 0.2), (2, 1, 9.0)]
+    join = HashJoin(
+        MaterializedInput("probe", _schema("p"), probe),
+        MaterializedInput("b0", _schema("b0"), build),
+        ["p.k1"],
+        ["b0.k1"],
+        residual=Comparison(">", ColumnRef("b0.v"), Literal(1.0)),
+        outer=outer,
+    )
+    rows, _meters = run(join)
+    padded = [(1, 1, 0.5, None, None, None)] if outer else []
+    assert rows == padded + [(2, 1, 0.5, 2, 1, 9.0)]
