@@ -176,6 +176,15 @@ class ScenarioRun:
     admission_decisions: List[AdmissionDecision] = field(
         default_factory=list
     )
+    #: How often the primary pass's armed second legs acted: hedges
+    #: fired and won by the backup, migrations fired and declined by
+    #: reason (concurrent scenarios; empty for sequential).
+    second_legs: Dict[str, int] = field(default_factory=dict)
+
+    def counts(self) -> Dict[str, int]:
+        """``second_legs`` with the outcomes' retries and sheds."""
+        retries = sum(o.retries for o in self.outcomes)
+        return {**self.second_legs, "retries": retries, "sheds": self.shed}
 
     @property
     def completed(self) -> int:
@@ -417,6 +426,14 @@ def _drive_concurrent(
 
     if run is not None:
         run.admission_decisions = list(runtime.admission.decisions)
+        if runtime.hedging is not None:
+            hedges = runtime.hedging.stats()
+            run.second_legs["hedges fired"] = int(hedges["fired"])
+            run.second_legs["backup wins"] = int(hedges["backup_wins"])
+        if runtime.rerouting is not None:
+            run.second_legs["migrations fired"] = int(runtime.rerouting.stats()["fired"])
+            for reason, count in sorted(runtime.rerouting.declined.items()):
+                run.second_legs[f"migrations declined ({reason})"] = count
 
     outcomes: List[QueryOutcome] = []
     for index, (query, handle) in enumerate(zip(spec.queries, handles)):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional
 
@@ -689,8 +690,10 @@ def _cmd_chaos(args) -> int:
         sink = JsonlSink(args.jsonl)
 
     failures = 0
+    counts: Counter = Counter()
     for spec in specs:
         run = run_scenario(spec)
+        counts.update(run.counts())
         verdicts = run_checkers(run, names=checker_names)
         found = violations(verdicts)
         status = "FAIL" if found else "ok"
@@ -759,6 +762,7 @@ def _cmd_chaos(args) -> int:
         f"\n{len(specs)} scenario(s), {failures} with invariant "
         f"violations"
     )
+    print("Mechanisms: " + ", ".join(f"{name} {n}" for name, n in sorted(counts.items())))
     if sink is not None:
         print(f"Verdicts written to {args.jsonl}")
     return 1 if failures else 0

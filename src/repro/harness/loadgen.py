@@ -227,6 +227,7 @@ class LoadGenResult:
 
     def summary(self) -> Dict[str, object]:
         per_class: Dict[str, object] = {}
+        sheds = self.sheds_by_class()
         for spec in self.classes:
             stats = self.response_stats(spec.name)
             per_class[spec.name] = {
@@ -236,7 +237,7 @@ class LoadGenResult:
                 "completed": sum(
                     1 for h in self.completed if h.klass == spec.name
                 ),
-                "shed": self.sheds_by_class().get(spec.name, 0),
+                "shed": sheds.get(spec.name, 0),
                 "p50_ms": stats.median if stats else None,
                 "p95_ms": stats.p95 if stats else None,
                 "p99_ms": stats.p99 if stats else None,
@@ -263,30 +264,24 @@ class LoadGenResult:
         return summary
 
     def render(self) -> str:
+        summary = self.summary()
         lines = [
             f"arrival={self.arrival}@{self.rate_qps:g}qps "
             f"duration={self.duration_ms:g}ms discipline=ps "
             f"seed={self.seed}",
-            f"offered={self.offered} completed={len(self.completed)} "
-            f"shed={len(self.sheds)} failed={len(self.failures)} "
+            f"offered={self.offered} completed={summary['completed']} "
+            f"shed={summary['shed']} failed={summary['failed']} "
             f"sustained={self.sustained_qps:.1f}q/s "
             f"makespan={self.makespan_ms:.0f}ms",
         ]
-        rows = []
-        for spec in self.classes:
-            stats = self.response_stats(spec.name)
-            counts = self.sheds_by_class()
-            rows.append(
-                [
-                    spec.name,
-                    sum(1 for h in self.handles if h.klass == spec.name),
-                    sum(1 for h in self.completed if h.klass == spec.name),
-                    counts.get(spec.name, 0),
-                    f"{stats.median:.1f}" if stats else "-",
-                    f"{stats.p95:.1f}" if stats else "-",
-                    f"{stats.p99:.1f}" if stats else "-",
-                ]
-            )
+        rows = [
+            [name, c["offered"], c["completed"], c["shed"]]
+            + [
+                "-" if c[key] is None else f"{c[key]:.1f}"
+                for key in ("p50_ms", "p95_ms", "p99_ms")
+            ]
+            for name, c in summary["per_class"].items()
+        ]
         lines.append(
             ascii_table(
                 ["Class", "Offered", "Done", "Shed", "p50", "p95", "p99"],
@@ -295,11 +290,11 @@ class LoadGenResult:
         )
         depths = ", ".join(
             f"{name}={depth}"
-            for name, depth in sorted(self.max_queue_depths.items())
+            for name, depth in summary["max_queue_depths"].items()
         )
         lines.append(f"max queue depths: {depths}")
         if self.hedge_after_ms is not None:
-            stats = self.hedge_stats
+            stats = summary["hedge"]
             lines.append(
                 f"hedging: after={self.hedge_after_ms:g}ms "
                 f"fired={stats.get('fired', 0):g} "
@@ -308,7 +303,7 @@ class LoadGenResult:
                 f"wasted={stats.get('wasted_ms', 0.0):.1f}ms"
             )
         if self.reroute_batch_rows is not None:
-            stats = self.reroute_stats
+            stats = summary["reroute"]
             lines.append(
                 f"rerouting: batch={self.reroute_batch_rows} "
                 f"fired={stats.get('fired', 0):g} "
@@ -317,7 +312,7 @@ class LoadGenResult:
                 f"wasted={stats.get('wasted_ms', 0.0):.1f}ms"
             )
         admission_rows = []
-        for name, info in self.admission_summary().items():
+        for name, info in summary["admission"].items():
             min_tokens = info["min_tokens_before"]
             max_pred = info["max_predicted_ms"]
             admission_rows.append(
@@ -341,7 +336,7 @@ class LoadGenResult:
                 admission_rows,
             )
         )
-        problems = self.shed_violations()
+        problems = summary["shed_violations"]
         lines.append(f"shed violations: {len(problems)}")
         if problems:
             lines.extend(f"  {p}" for p in problems)

@@ -43,30 +43,17 @@ class ColumnData:
     def values(self) -> List[Any]:
         raise NotImplementedError
 
-    def has_nulls(self) -> bool:
-        """May the column contain NULLs?  Conservative True is allowed;
-        False promises the decoded list is None-free (enables the
-        null-check-free kernel fast paths)."""
-        return True
-
 
 class ValueColumn(ColumnData):
     """Plain Python value list (stored columns and operator intermediates)."""
 
-    __slots__ = ("_vals", "_nullable")
+    __slots__ = ("_vals",)
 
-    def __init__(self, values: List[Any], nullable: Optional[bool] = None):
+    def __init__(self, values: List[Any]):
         self._vals = values
-        self._nullable = nullable
 
     def values(self) -> List[Any]:
         return self._vals
-
-    def has_nulls(self) -> bool:
-        nullable = self._nullable
-        if nullable is None:
-            nullable = self._nullable = None in self._vals
-        return nullable
 
 
 class SliceColumn(ColumnData):
@@ -90,9 +77,6 @@ class SliceColumn(ColumnData):
         if vals is None:
             vals = self._values = self.parent.values()[self.start : self.stop]
         return vals
-
-    def has_nulls(self) -> bool:
-        return self.parent.has_nulls()
 
 
 class TakeColumn(ColumnData):
@@ -235,9 +219,6 @@ class TableColumn(ColumnData):
 
     def values(self) -> List[Any]:
         return self._built().values()
-
-    def has_nulls(self) -> bool:
-        return self._built().has_nulls()
 
 
 class TableColumns:

@@ -1,50 +1,27 @@
-"""Scalar and boolean expression trees.
+"""Scalar and boolean expression trees and their row evaluator.
 
 Expressions are built by the parser, analysed by the optimizer (selectivity
 estimation, predicate pushdown) and compiled against a concrete
-:class:`~repro.sqlengine.types.Schema` into plain Python closures for
-execution.  Compilation happens once per operator, so the per-row path is a
-closure call with positional tuple indexing only.
-
-The columnar engine compiles the same trees into two batch targets:
-
-* :meth:`Expression.compile_columnar` — ``ColumnBatch`` -> value list
-  aligned to the batch's selection;
-* :meth:`Expression.compile_filter_columnar` — ``ColumnBatch`` -> the
-  *narrowed selection vector* (sorted physical indices where the
-  predicate is True).
+:class:`~repro.sqlengine.types.Schema` into plain Python closures
+(:meth:`Expression.compile`): the row evaluator, a closure call per row
+with positional tuple indexing only.
 
 The row evaluator is the one definition of expression semantics.  The
-base adapters materialise the batch and run it; a specialised kernel
-exists only for a shape that benchmark traffic runs: ``ColumnRef``,
-``col op lit`` selection and the product of two column references
-(each a single loop over NULL-free columns), and LIKE / IN.  Whatever
-such a loop cannot handle — a column that may hold NULLs, a
-``TypeError``, a division by zero — hands the batch to the base
-adapter, so values, three-valued logic and error messages equal the
-row evaluator's by construction.
+engine runs expressions over column batches through kernels that
+``spine.py`` generates from these trees (``selection_kernel`` /
+``value_kernel``); whatever a generated loop cannot handle — a
+``TypeError``, a division by zero — hands the batch to the row
+evaluator, so values, three-valued logic and error messages are its own
+by construction.
 """
 
 from __future__ import annotations
 
 import operator as _operator
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from .types import ColumnType, Row, Schema, SqlError, TypeMismatchError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .columnar import ColumnBatch
 
 
 class ExpressionError(SqlError):
@@ -52,12 +29,6 @@ class ExpressionError(SqlError):
 
 
 Evaluator = Callable[[Row], Any]
-
-#: ColumnBatch -> list of values aligned with the batch's selection.
-ColumnarEvaluator = Callable[["ColumnBatch"], List[Any]]
-
-#: ColumnBatch -> narrowed selection (sorted physical indices, True rows).
-SelectionKernel = Callable[["ColumnBatch"], List[int]]
 
 #: Comparison operators in SQL surface syntax.
 COMPARISON_OPS = ("=", "!=", "<>", "<", "<=", ">", ">=")
@@ -75,42 +46,6 @@ class Expression:
 
     def compile(self, schema: Schema) -> Evaluator:
         raise NotImplementedError
-
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        """Compile into a columnar kernel (ColumnBatch -> value list).
-
-        Results are aligned with the batch's selection vector: one value
-        per *selected* row, in selection order.  The default adapter
-        materialises row tuples and reuses the per-row closure; it is
-        every node's kernel but for the shapes benchmark traffic runs,
-        and the fallback of their fast loops.
-        """
-        evaluate = self.compile(schema)
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            return [evaluate(row) for row in batch.materialize()]
-
-        return evaluate_columnar
-
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        """Compile into a selection kernel (ColumnBatch -> narrowed sel).
-
-        Returns the sorted physical indices of rows where this predicate
-        evaluates to exactly ``True`` (SQL three-valued logic: ``False``
-        and ``NULL`` rows are dropped).  The default adapter evaluates
-        the value kernel and keeps ``is True`` survivors; only
-        ``col op lit`` comparisons override it.
-        """
-        evaluate = self.compile_columnar(schema)
-
-        def filter_columnar(batch: "ColumnBatch") -> List[int]:
-            vals = evaluate(batch)
-            sel = batch.sel
-            if sel is None:
-                return [i for i, v in enumerate(vals) if v is True]
-            return [i for i, v in zip(sel, vals) if v is True]
-
-        return filter_columnar
 
     def columns(self) -> Iterator[str]:
         """Yield every column name referenced by this expression."""
@@ -183,12 +118,6 @@ class ColumnRef(Expression):
         idx = schema.index_of(self.name)
         return lambda row: row[idx]
 
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        idx = schema.index_of(self.name)
-        # column_values() is the batch's cached, selection-aligned view;
-        # callers must treat it as read-only.
-        return lambda batch: batch.column_values(idx)
-
     def columns(self) -> Iterator[str]:
         yield self.name
 
@@ -243,35 +172,6 @@ class Comparison(Expression):
 
         return evaluate
 
-    def compile_filter_columnar(self, schema: Schema) -> SelectionKernel:
-        # ``col op lit``, the shape scans and filters run: one loop over
-        # the column's physical values.  ``=`` runs it on any column
-        # (NULL never equals a non-NULL literal); every other operator
-        # only on a NULL-free one.  Anything else, and a TypeError, is
-        # the generic kernel's, whose errors are the row evaluator's.
-        generic = Expression.compile_filter_columnar(self, schema)
-        if not (
-            isinstance(self.left, ColumnRef)
-            and isinstance(self.right, Literal)
-            and self.right.value is not None
-        ):
-            return generic
-        idx = schema.index_of(self.left.name)
-        op = "!=" if self.op == "<>" else self.op
-        loop = _FILTER_LOOPS[op]
-        lit = self.right.value
-
-        def filter_literal(batch: "ColumnBatch") -> List[int]:
-            col = batch.cols[idx]
-            if op != "=" and col.has_nulls():
-                return generic(batch)
-            try:
-                return loop(col.values(), lit, batch.sel)
-            except TypeError:
-                return generic(batch)
-
-        return filter_literal
-
     def columns(self) -> Iterator[str]:
         yield from self.left.columns()
         yield from self.right.columns()
@@ -292,66 +192,12 @@ _COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
     ">=": _operator.ge,
 }
 
-# Columnar column-vs-literal filter loops over NULL-free columns (and,
-# for ``=``, any column); *vals* is the column's full physical value list
-# and *sel* the batch's selection (None = all rows).  Explicit functions
-# (not closures over an operator) keep the comparison a single bytecode
-# op inside the C-level list-comprehension loop.
-
-
-def _filter_eq(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
-        return [i for i, v in enumerate(vals) if v == rv]
-    return [i for i in sel if vals[i] == rv]
-
-
-def _filter_ne(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
-        return [i for i, v in enumerate(vals) if v != rv]
-    return [i for i in sel if vals[i] != rv]
-
-
-def _filter_lt(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
-        return [i for i, v in enumerate(vals) if v < rv]
-    return [i for i in sel if vals[i] < rv]
-
-
-def _filter_le(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
-        return [i for i, v in enumerate(vals) if v <= rv]
-    return [i for i in sel if vals[i] <= rv]
-
-
-def _filter_gt(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
-        return [i for i, v in enumerate(vals) if v > rv]
-    return [i for i in sel if vals[i] > rv]
-
-
-def _filter_ge(vals: List[Any], rv: Any, sel: Optional[List[int]]) -> List[int]:
-    if sel is None:
-        return [i for i, v in enumerate(vals) if v >= rv]
-    return [i for i in sel if vals[i] >= rv]
-
-
-_FILTER_LOOPS: Dict[str, Callable[..., List[int]]] = {
-    "=": _filter_eq,
-    "!=": _filter_ne,
-    "<": _filter_lt,
-    "<=": _filter_le,
-    ">": _filter_gt,
-    ">=": _filter_ge,
-}
-
 
 @dataclass(frozen=True, repr=False)
 class _Connective(Expression):
     """AND / OR under three-valued logic.  ``DECIDES`` is the operand
     value that settles the result on its own (False for AND, True for
-    OR): the right side only sees rows the left did not already decide.
-    The columnar engine runs this evaluator too, through the base
-    adapters."""
+    OR): the right side only sees rows the left did not already decide."""
 
     left: Expression
     right: Expression
@@ -478,20 +324,6 @@ class _PerValuePredicate(Expression):
 
         return evaluate
 
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        # Over a column reference only: any other operand may raise on a
-        # later row before ``test`` raises on an earlier one, so its
-        # first error would not be the row evaluator's.
-        if not isinstance(self.operand, ColumnRef):
-            return Expression.compile_columnar(self, schema)
-        f = self.operand.compile_columnar(schema)
-        test = self._test()
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            return [None if v is None else test(v) for v in f(batch)]
-
-        return evaluate_columnar
-
 
 @dataclass(frozen=True, repr=False)
 class Like(_PerValuePredicate):
@@ -611,31 +443,6 @@ class Arithmetic(Expression):
 
         return evaluate
 
-    def compile_columnar(self, schema: Schema) -> ColumnarEvaluator:
-        # Two column references multiplied (the ``price * quantity``
-        # shape) run one loop over NULL-free columns; NULLs or a
-        # TypeError hand the batch to the generic kernel, and every other
-        # shape is the generic kernel's.
-        generic = Expression.compile_columnar(self, schema)
-        if not (
-            self.op == "*"
-            and isinstance(self.left, ColumnRef)
-            and isinstance(self.right, ColumnRef)
-        ):
-            return generic
-        li = schema.index_of(self.left.name)
-        ri = schema.index_of(self.right.name)
-
-        def evaluate_columnar(batch: "ColumnBatch") -> List[Any]:
-            if batch.cols[li].has_nulls() or batch.cols[ri].has_nulls():
-                return generic(batch)
-            try:
-                return _multiply_pairs(batch.column_values(li), batch.column_values(ri))
-            except TypeError:
-                return generic(batch)
-
-        return evaluate_columnar
-
     def columns(self) -> Iterator[str]:
         yield from self.left.columns()
         yield from self.right.columns()
@@ -660,11 +467,6 @@ _ARITHMETIC_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
     "/": _operator.truediv,
     "%": _operator.mod,
 }
-
-
-def _multiply_pairs(lvs: List[Any], rvs: List[Any]) -> List[Any]:
-    """``a * b`` per pair of NULL-free values, one comprehension in C."""
-    return [a * b for a, b in zip(lvs, rvs)]
 
 
 @dataclass(frozen=True, repr=False)

@@ -8,8 +8,9 @@ Every operator supports:
 * ``rows_columnar(ctx)`` — execution: yields
   :class:`~repro.sqlengine.columnar.ColumnBatch` objects (column lists +
   selection vector).  Operators narrow selections instead of copying
-  rows and defer tuple construction to the serialisation boundary
-  (``compile_columnar`` / ``compile_filter_columnar`` kernels).
+  rows and defer tuple construction to the serialisation boundary;
+  expressions run as generated kernels (``spine.selection_kernel`` /
+  ``spine.value_kernel``), built once per node.
   Execution meters the actual work performed (CPU/IO in
   reference-machine ms) into ``ctx.meter``; the simulation layer
   converts metered work into observed response time under the server's
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.profile import NULL_PROFILER, OperatorProfiler, get_profiler
@@ -68,7 +70,7 @@ from .expressions import (
     walk,
 )
 from .parser import OrderItem, SelectItem
-from .spine import Spine
+from .spine import Spine, selection_kernel, value_kernel
 from .storage import StorageManager
 from .types import Column, ColumnType, Row, Schema, SqlError
 
@@ -379,10 +381,6 @@ class SeqScan(PhysicalPlan):
         meter = ctx.meter
         width = self.output_schema.row_width_bytes()
         meter.io_ms += pages_for(len(heap), width) * SEQ_PAGE_COST
-        kernels = [
-            c.compile_filter_columnar(self.output_schema)
-            for c in conjuncts(self.predicate)
-        ]
         ops = _count_operators(self.predicate)
         per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
         table_cols = heap.columnar()
@@ -393,9 +391,13 @@ class SeqScan(PhysicalPlan):
             for start in range(0, n, size)
         )
         for window in _metered(windows, meter, per_row):
-            batch = _narrowed(window, kernels)
+            batch = _narrowed(window, self._kernels)
             if batch is not None:
                 yield batch
+
+    @cached_property
+    def _kernels(self) -> List[Callable[[ColumnBatch], List[int]]]:
+        return [selection_kernel(c, self.output_schema) for c in conjuncts(self.predicate)]
 
     def describe(self) -> str:
         pred = _predicate_sql(self.predicate)
@@ -454,10 +456,6 @@ class IndexScan(PhysicalPlan):
             )
         meter = ctx.meter
         meter.io_ms += INDEX_PROBE_COST
-        kernels = [
-            c.compile_filter_columnar(self.output_schema)
-            for c in conjuncts(self.residual)
-        ]
         ops = _count_operators(self.residual)
         per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
         rids = index.lookup(self.value.value)
@@ -468,9 +466,13 @@ class IndexScan(PhysicalPlan):
             for start in range(0, len(rids), size)
         )
         for matched in _metered(fetched, meter, per_row):
-            batch = _narrowed(matched, kernels)
+            batch = _narrowed(matched, self._kernels)
             if batch is not None:
                 yield batch
+
+    @cached_property
+    def _kernels(self) -> List[Callable[[ColumnBatch], List[int]]]:
+        return [selection_kernel(c, self.output_schema) for c in conjuncts(self.residual)]
 
     def describe(self) -> str:
         parts = [f"{self.table.name} AS {self.binding}", f"{self.column}={self.value.sql()}"]
@@ -509,16 +511,16 @@ class Filter(PhysicalPlan):
             width_bytes=child.width_bytes,
         )
 
+    @cached_property
+    def _kernels(self) -> List[Callable[[ColumnBatch], List[int]]]:
+        return [selection_kernel(c, self.output_schema) for c in conjuncts(self.predicate)]
+
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        kernels = [
-            c.compile_filter_columnar(self.output_schema)
-            for c in conjuncts(self.predicate)
-        ]
         ops = _count_operators(self.predicate)
         per_row = ops * CPU_OPERATOR_COST
         child = self.child.rows_columnar(ctx)
         for in_batch in _metered(child, ctx.meter, per_row):
-            batch = _narrowed(in_batch, kernels)
+            batch = _narrowed(in_batch, self._kernels)
             if batch is not None:
                 yield batch
 
@@ -555,19 +557,23 @@ class Project(PhysicalPlan):
             width_bytes=width,
         )
 
+    @cached_property
+    def _plans(self) -> List[Tuple[int, Optional[Callable[[ColumnBatch], List[Any]]]]]:
+        """Per item, the child column it passes through, or its kernel."""
+        child_schema = self.child.output_schema
+        return [
+            (child_schema.index_of(item.expr.name), None)
+            if isinstance(item.expr, ColumnRef)
+            else (-1, value_kernel(item.expr, child_schema))
+            for item in self.items
+            if item.expr is not None
+        ]
+
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Plain column references pass the underlying column straight
         # through (narrowed to the selection); computed items run a
-        # columnar kernel into a value column.
-        child_schema = self.child.output_schema
-        plans: List[Tuple[int, Optional[Any]]] = []
-        for item in self.items:
-            if item.expr is None:
-                continue
-            if isinstance(item.expr, ColumnRef):
-                plans.append((child_schema.index_of(item.expr.name), None))
-            else:
-                plans.append((-1, item.expr.compile_columnar(child_schema)))
+        # generated kernel into a value column.
+        plans = self._plans
         per_row = len(plans) * CPU_OPERATOR_COST
         child = self.child.rows_columnar(ctx)
         for batch in _metered(child, ctx.meter, per_row):
@@ -640,15 +646,13 @@ class NestedLoopJoin(PhysicalPlan):
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         # Batch-granular: one output batch (and one ``pairs`` charge)
-        # per left batch.  The condition runs as a selection kernel over
-        # one candidate batch per left row — its values broadcast next
-        # to the materialised inner columns — so the surviving selection
-        # *is* the list of matching inner rows.
+        # per left batch.  The row evaluator runs the condition over
+        # each joined pair, inner rows in order.
         meter = ctx.meter
         inner = _drain_columnar(self.right, ctx)
         meter.cpu_ms += len(inner) * MATERIALIZE_TUPLE_COST
-        kernel = (
-            self.condition.compile_filter_columnar(self.output_schema)
+        condition = (
+            self.condition.compile(self.output_schema)
             if self.condition is not None
             else None
         )
@@ -656,28 +660,17 @@ class NestedLoopJoin(PhysicalPlan):
         per_pair = ops * CPU_OPERATOR_COST
         null_pad = (None,) * len(self.right.output_schema)
         width = len(self.output_schema)
-        n_inner = len(inner)
-        inner_cols = ColumnBatch.from_rows(inner, len(null_pad)).cols
         pairs = 0
         try:
             for batch in self.left.rows_columnar(ctx):
-                pairs += len(batch) * n_inner
+                pairs += len(batch) * len(inner)
                 out: List[Row] = []
                 for left_row in batch.materialize():
-                    matches: Sequence[Row] = inner
-                    if kernel is not None and inner:
-                        candidates = ColumnBatch(
-                            tuple(
-                                ValueColumn([v] * n_inner, v is None)
-                                for v in left_row
-                            )
-                            + inner_cols,
-                            n_inner,
-                            None,
-                        )
-                        matches = [inner[i] for i in kernel(candidates)]
+                    matches = [left_row + r for r in inner]
+                    if condition is not None:
+                        matches = [row for row in matches if condition(row) is True]
                     if matches:
-                        out.extend(left_row + r for r in matches)
+                        out.extend(matches)
                     elif self.outer:
                         out.append(left_row + null_pad)
                 if out:
@@ -916,9 +909,7 @@ class HashAggregate(PhysicalPlan):
                 node = node.left
             internal_schema = self._internal_schema()
             having = (
-                self._over_internal(self.having).compile_filter_columnar(
-                    internal_schema
-                )
+                selection_kernel(self._over_internal(self.having), internal_schema)
                 if self.having is not None
                 else None
             )
@@ -929,7 +920,7 @@ class HashAggregate(PhysicalPlan):
                     items.append(
                         internal_schema.index_of(expr.name)
                         if isinstance(expr, ColumnRef)
-                        else expr.compile_columnar(internal_schema)
+                        else value_kernel(expr, internal_schema)
                     )
             parts = self._built = _AggregateParts(
                 Spine(joins[::-1], node, self.group_by, self._agg_calls),
@@ -951,7 +942,7 @@ class HashAggregate(PhysicalPlan):
         meter.cpu_ms += groups * per_group
         if not groups:
             return
-        # HAVING and the output items run as columnar kernels over the
+        # HAVING and the output items run as generated kernels over the
         # internal (keys + aggregates) rows of all groups at once.
         if len(self.group_by) == 1:
             key_cols = [group_keys]
@@ -1015,17 +1006,20 @@ class Sort(PhysicalPlan):
             width_bytes=child.width_bytes,
         )
 
+    @cached_property
+    def _keys(self) -> List[Callable[[ColumnBatch], List[Any]]]:
+        schema = self.child.output_schema
+        return [value_kernel(o.expr, schema) for o in self.order_by]
+
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         meter = ctx.meter
-        schema = self.child.output_schema
+        width = len(self.child.output_schema)
         batches = list(self.child.rows_columnar(ctx))
         total = sum(len(b) for b in batches)
         n = max(total, 1)
         meter.cpu_ms += n * math.log2(n + 1.0) * SORT_COMPARE_COST
         if not total:
             return
-        width = len(schema)
-
         combined = ColumnBatch(
             tuple(
                 ValueColumn(_concat_column(batches, j)) for j in range(width)
@@ -1038,8 +1032,8 @@ class Sort(PhysicalPlan):
         # the passes (key values depend only on row content, so sorting
         # a permutation composes identically to sorting the rows).
         order = list(range(total))
-        for o in reversed(self.order_by):
-            col = o.expr.compile_columnar(schema)(combined)
+        for o, key in zip(reversed(self.order_by), reversed(self._keys)):
+            col = key(combined)
             decorated = [(col[i] is None, col[i]) for i in order]
             perm = sorted(
                 range(total),

@@ -1,5 +1,6 @@
-"""Generated pipelines: a hash aggregation or a hash join, with the
-hash-join probes down the left edge of its input, as one Python loop.
+"""Generated code: a hash aggregation or a hash join, with the hash-join
+probes down the left edge of its input, as one Python loop; and every
+expression kernel (``selection_kernel`` / ``value_kernel``).
 
 A *spine* is the chain of ``HashJoin`` nodes along the left edge of a
 plan — level 0 the innermost, whose left child is the spine's *leaf* —
@@ -52,7 +53,9 @@ from .expressions import (
     ColumnRef,
     Comparison,
     Expression,
+    InList,
     IsNull,
+    Like,
     Literal,
     walk,
 )
@@ -70,15 +73,15 @@ _FUNCTIONS: Dict[str, Callable[..., Any]] = {}
 _GLOBALS = {"repeat": repeat, "compress": compress, "Counter": Counter, "PAD": (0,)}
 
 
-def _function(source: str) -> Callable[..., Any]:
-    """The function ``spine`` that *source* defines, compiled once per text."""
+def _function(source: str, name: str) -> Callable[..., Any]:
+    """The function *name* that *source* defines, compiled once per text."""
     fn = _FUNCTIONS.get(source)
     if fn is None:
         namespace = dict(_GLOBALS)
         exec(compile(source, FILENAME, "exec"), namespace)
         # Popped: a namespace holding its own function is a cycle, and
         # garbage for the collector once the function is dropped.
-        fn = namespace.pop("spine")
+        fn = namespace.pop(name)
         if len(_FUNCTIONS) >= MAX_SHAPES:
             del _FUNCTIONS[next(iter(_FUNCTIONS))]
         _FUNCTIONS[source] = fn
@@ -211,6 +214,12 @@ class _Source:
         self._temps += 1
         return f"t{self._temps}"
 
+    def text(self) -> str:
+        """The source, its second line unpacking the parameters from ``P``."""
+        names = ", ".join(self.params)
+        self.lines[1] = "    " + (f"{names}, = P" if names else "pass")
+        return "\n".join(self.lines) + "\n"
+
 
 def _positions(expr: Expression, schema: Schema) -> Dict[str, int]:
     """Column name -> position in *schema*, for every column *expr* reads."""
@@ -231,7 +240,7 @@ def _inline(expr: Expression) -> bool:
         return True
     if isinstance(expr, (Arithmetic, Comparison)):
         return _inline(expr.left) and _inline(expr.right)
-    if isinstance(expr, IsNull):
+    if isinstance(expr, (IsNull, Like, InList)):
         return _inline(expr.operand)
     return False
 
@@ -262,57 +271,164 @@ def _write_expression(
 ) -> str:
     """Emit the statements computing *expr*; return the name holding it.
 
-    Column references, literals, arithmetic, comparisons and IS NULL are
-    Python operators over the row's column variables with the row
-    evaluator's NULL rule; a ``TypeError`` or ``ZeroDivisionError`` among
-    them re-evaluates the whole expression with the row evaluator, so
-    its value or its first error is the row evaluator's.  Every other
-    shape calls the row evaluator over the tuple of the columns it reads.
+    An inline expression (``_write_inline``) that raises ``TypeError`` or
+    ``ZeroDivisionError`` is re-evaluated by the row evaluator, so its
+    value or its first error is the row evaluator's.  Every other shape
+    calls the row evaluator over the tuple of the columns it reads.
     """
     positions = _positions(expr, schema)
-    if isinstance(expr, ColumnRef):
-        return f"c{positions[expr.name]}"
-    if isinstance(expr, Literal):
-        return src.param("L", ("static", expr.value))
-    row = "".join(f"c{p}, " for p in sorted(set(positions.values())))
+    if isinstance(expr, (ColumnRef, Literal)):
+        return _write_inline(src, expr, positions)
     target = src.temp()
-    evaluator = src.param("E", ("evaluator", expr, schema))
     if not _inline(expr):
-        src.line(depth, f"{target} = {evaluator}(({row}))")
+        src.line(depth, f"{target} = {_write_call(src, expr, schema)}")
         return target
     src.line(depth, "try:")
-    value = _write_inline(src, depth + 1, expr, positions)
-    src.line(depth + 1, f"{target} = {value}")
+    src.line(depth + 1, f"{target} = {_write_inline(src, expr, positions)}")
     src.line(depth, "except (TypeError, ZeroDivisionError):")
-    src.line(depth + 1, f"{target} = {evaluator}(({row}))")
+    src.line(depth + 1, f"{target} = {_write_call(src, expr, schema)}")
     return target
 
 
+def _write_call(src: _Source, expr: Expression, schema: Schema) -> str:
+    """The row evaluator of *expr* called on the columns it reads."""
+    evaluator = src.param("E", ("static", _evaluator(expr, schema)))
+    row = "".join(f"c{p}, " for p in sorted(set(_positions(expr, schema).values())))
+    return f"{evaluator}(({row}))"
+
+
 def _write_inline(
-    src: _Source, depth: int, expr: Expression, positions: Dict[str, int]
+    src: _Source, expr: Expression, positions: Dict[str, int], select: bool = False
 ) -> str:
+    """*expr* as one Python expression over the row's column variables
+    ``c<position>``, with the row evaluator's NULL rule (an operator with
+    a NULL operand is NULL); literals, LIKE matchers and IN sets are
+    parameters.  *select* writes a comparison, LIKE or IN as a test that
+    holds exactly where its value is True: ``c is not None and c op L``."""
     if isinstance(expr, ColumnRef):
         return f"c{positions[expr.name]}"
     if isinstance(expr, Literal):
         return src.param("L", ("static", expr.value))
     if isinstance(expr, IsNull):
-        operand = _write_operand(src, depth, expr.operand, positions)
-        return f"{operand} is {'not ' if expr.negated else ''}None"
-    left = _write_operand(src, depth, expr.left, positions)
-    right = _write_operand(src, depth, expr.right, positions)
-    op = _PYTHON_OPS.get(expr.op, expr.op)
-    return f"None if {left} is None or {right} is None else {left} {op} {right}"
+        first = _write_operand(src, expr.operand, positions)[0]
+        return f"{first} is {'not ' if expr.negated else ''}None"
+    if isinstance(expr, (Like, InList)):
+        operands = [_write_operand(src, expr.operand, positions)]
+        name = operands[0][1]
+        if isinstance(expr, Like):
+            match = src.param("M", ("static", expr._regex().match))
+            value = f"{match}({name}) is {'' if expr.negated else 'not '}None"
+        else:
+            members = src.param("S", ("static", set(expr.values)))
+            value = f"{name} {'not ' if expr.negated else ''}in {members}"
+    else:
+        operands = [_write_operand(src, e, positions) for e in (expr.left, expr.right)]
+        op = _PYTHON_OPS.get(expr.op, expr.op)
+        value = f"{operands[0][1]} {op} {operands[1][1]}"
+    test = _null_test(operands, select)
+    if not test:
+        return value
+    return f"{test} and {value}" if select else f"None if {test} else {value}"
 
 
 def _write_operand(
-    src: _Source, depth: int, expr: Expression, positions: Dict[str, int]
-) -> str:
-    value = _write_inline(src, depth, expr, positions)
-    if isinstance(expr, (ColumnRef, Literal)):
-        return value
+    src: _Source, expr: Expression, positions: Dict[str, int]
+) -> Tuple[str, str, bool]:
+    """(first use, later uses, may be NULL) of an operand: a computed one
+    is bound to a temporary where it is first used."""
+    value = _write_inline(src, expr, positions)
+    if isinstance(expr, ColumnRef):
+        return value, value, True
+    if isinstance(expr, Literal):
+        return value, value, expr.value is None
     target = src.temp()
-    src.line(depth, f"{target} = {value}")
-    return target
+    return f"({target} := {value})", target, True
+
+
+def _null_test(operands: Sequence[Tuple[str, str, bool]], negated: bool) -> str:
+    """Whether some operand is NULL (*negated*: none is).  Each computed
+    operand is evaluated, as the row evaluator does: ``|`` / ``&`` join
+    the tests when the second one binds a temporary."""
+    tests = [
+        f"{first} is {'not ' if negated else ''}None"
+        for first, _later, nullable in operands
+        if nullable
+    ]
+    if len(tests) == 2 and operands[1][0] != operands[1][1]:
+        return (" & " if negated else " | ").join(f"({t})" for t in tests)
+    return (" and " if negated else " or ").join(tests)
+
+
+# ---------------------------------------------------------------------------
+# Expression kernels
+# ---------------------------------------------------------------------------
+
+
+def selection_kernel(
+    expr: Expression, schema: Schema
+) -> Callable[[ColumnBatch], List[int]]:
+    """The kernel of a predicate over batches of *schema*: the sorted
+    physical indices of the selected rows where *expr* is True."""
+    return _kernel(expr, schema, True)
+
+
+def value_kernel(expr: Expression, schema: Schema) -> Callable[[ColumnBatch], List[Any]]:
+    """The kernel of an expression over batches of *schema*: one value
+    per selected row, in selection order."""
+    return _kernel(expr, schema, False)
+
+
+def _kernel(expr: Expression, schema: Schema, selection: bool) -> Callable[..., Any]:
+    """The generated function ``kernel(P, batch)``, bound to its parameters.
+
+    The selected rows run as one list comprehension over the columns
+    *expr* reads.  An inline comparison, IS NULL, LIKE or IN selects by
+    ``_write_inline``'s test, any other predicate where its value ``is
+    True``.  An inline expression that raises ``TypeError`` or
+    ``ZeroDivisionError`` hands the whole batch to the row evaluator, so
+    values, three-valued logic and the first error are the row
+    evaluator's.
+    """
+    positions = _positions(expr, schema)
+    used = sorted(set(positions.values()))
+    src = _Source()
+    src.line(0, "def kernel(P, batch):")
+    src.line(1, "")  # the parameter unpacking, written last
+    inline = _inline(expr)
+    predicate = inline and isinstance(expr, (Comparison, IsNull, Like, InList))
+    if inline:
+        value = _write_inline(src, expr, positions, selection and predicate)
+    else:
+        value = _write_call(src, expr, schema)
+    names = ", ".join(f"c{p}" for p in used)
+    if not selection:
+        lists = ", ".join(f"batch.column_values({p})" for p in used)
+        rows = f"zip({lists})" if len(used) > 1 else lists or "repeat(None, len(batch))"
+        body = f"[{value} for {names or '_'} in {rows}]"
+    else:
+        # Each selected physical index, its columns' values bound by name.
+        for p in used:
+            src.line(1, f"v{p} = batch.cols[{p}].values()")
+        loop = "for i in (range(batch.n_rows) if batch.sel is None else batch.sel)"
+        if used:
+            loop += f" for {names}, in (({''.join(f'v{p}[i], ' for p in used)}),)"
+        if not predicate:
+            value = f"({value}) is True"
+        body = f"[i {loop} if {value}]"
+    if not inline:
+        src.line(1, f"return {body}")
+    else:
+        evaluate = src.param("E", ("static", expr.compile(schema)))
+        src.line(1, "try:")
+        src.line(2, f"return {body}")
+        src.line(1, "except (TypeError, ZeroDivisionError):")
+        src.line(2, f"values = map({evaluate}, batch.materialize())")
+        src.line(2, "return " + (
+            "list(compress(batch.selected(), [v is True for v in values]))"
+            if selection else "list(values)"
+        ))
+    fn = _function(src.text(), "kernel")
+    return partial(fn, tuple(spec[1] for spec in src.params.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -646,39 +762,28 @@ class _Shape:
     def variant(
         self, uniques: Tuple[bool, ...], profiled: Tuple[bool, ...]
     ) -> Tuple[Callable[..., Any], List[Any]]:
-        """The generated function of one variant and its parameter specs
-        (evaluators resolved)."""
+        """The generated function of one variant and its parameter specs."""
         variant = self._variants.get((uniques, profiled))
         if variant is None:
-            source, specs = self.source(uniques, profiled)
-            resolved = [
-                ("static", _evaluator(spec[1], spec[2]))
-                if spec[0] == "evaluator"
-                else spec
-                for spec in specs
-            ]
-            variant = self._variants[uniques, profiled] = (_function(source), resolved)
+            src = self._write(uniques, profiled)
+            fn = _function(src.text(), "spine")
+            variant = self._variants[uniques, profiled] = (fn, list(src.params.values()))
         return variant
 
     # -- generation ----------------------------------------------------------
 
-    def source(
-        self, uniques: Tuple[bool, ...], profiled: Tuple[bool, ...]
-    ) -> Tuple[str, List[Tuple[Any, ...]]]:
-        """The source text of one variant — the levels' build kinds and
-        which levels report to the profiler — and its parameter specs."""
+    def _write(self, uniques: Tuple[bool, ...], profiled: Tuple[bool, ...]) -> _Source:
+        """The source of one variant — the levels' build kinds and which
+        levels report to the profiler — and its parameter specs."""
         src = _Source()
         batch_sink = self.batch_sink
-        levels = len(self.joins)
         src.line(0, f"def spine(batches, P{', C' if batch_sink else ''}):")
         src.line(1, "")  # the parameter unpacking, written last
-        if batch_sink and levels == 1 and uniques[0]:
+        if batch_sink and len(self.joins) == 1 and uniques[0]:
             self._write_vectorised(src)
         else:
             self._write_rows(src, uniques, profiled)
-        names = list(src.params)
-        src.lines[1] = "    " + (f"{', '.join(names)}, = P" if names else "pass")
-        return "\n".join(src.lines) + "\n", [src.params[n] for n in names]
+        return src
 
     def _write_vectorised(self, src: _Source) -> None:
         """A lone unique level without a residual, batch sink: the whole

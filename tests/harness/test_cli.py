@@ -275,6 +275,29 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert "1 scenario(s), 0 with invariant violations" in out
 
+    def test_summary_totals_each_runs_mechanism_counts(self, capsys):
+        from collections import Counter
+        from dataclasses import replace
+
+        from repro.chaos import generate_scenarios, run_scenario
+
+        code = main(
+            ["chaos", "--seed", "42", "--runs", "6",
+             "--hedge-after", "20", "--reroute-batch", "8"]
+        )
+        assert code == 0
+        totals = Counter()
+        for spec in generate_scenarios(42, 6):
+            if spec.arrival is not None:
+                spec = replace(spec, hedge_after_ms=20, reroute_batch_rows=8)
+            totals.update(run_scenario(spec).counts())
+        assert totals["hedges fired"] > 0
+        assert {"backup wins", "migrations fired", "retries", "sheds"} <= set(totals)
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary == "Mechanisms: " + ", ".join(
+            f"{name} {n}" for name, n in sorted(totals.items())
+        )
+
     def test_checker_subset_flag(self, capsys):
         code = main(
             ["chaos", "--seed", "42", "--runs", "1",

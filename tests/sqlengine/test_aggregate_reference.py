@@ -33,7 +33,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import (
     Column,
-    ColumnRef,
     ColumnType,
     Database,
     Schema,
@@ -134,21 +133,24 @@ def _fold_agg_dense(state, values):
         update(v)
 
 
+def _row_values(expr, schema):
+    """*expr*'s values over a batch's selected rows, by the row evaluator."""
+    evaluate = expr.compile(schema)
+    return lambda batch: [evaluate(row) for row in batch.materialize()]
+
+
 class ChunkFoldAggregate(HashAggregate):
     """The parent commit's columnar aggregation."""
 
     def _rows_columnar(self, ctx):
         meter = ctx.meter
         child_schema = self.child.output_schema
-        key_kernels = [
-            e.compile_columnar(child_schema) for e in self.group_by
-        ]
+        key_kernels = [_row_values(e, child_schema) for e in self.group_by]
         agg_specs = [
             (call.name.upper(), call.distinct) for call in self._agg_calls
         ]
         arg_keys = []
         unique_kernels = []
-        unique_ref_idx = []
         seen_args = {}
         for call in self._agg_calls:
             if call.arg is None:
@@ -159,12 +161,7 @@ class ChunkFoldAggregate(HashAggregate):
             if pos is None:
                 pos = len(unique_kernels)
                 seen_args[sql] = pos
-                unique_kernels.append(call.arg.compile_columnar(child_schema))
-                unique_ref_idx.append(
-                    child_schema.index_of(call.arg.name)
-                    if isinstance(call.arg, ColumnRef)
-                    else -1
-                )
+                unique_kernels.append(_row_values(call.arg, child_schema))
             arg_keys.append(pos)
 
         count_only = (
@@ -240,9 +237,7 @@ class ChunkFoldAggregate(HashAggregate):
             if batch is None:
                 break
             cols = [k(batch) for k in unique_kernels]
-            dense = [
-                ri >= 0 and not batch.cols[ri].has_nulls() for ri in unique_ref_idx
-            ]
+            dense = [None not in c for c in cols]
             chunk.append((key_col, cols, dense))
             chunk_rows += len(batch)
         meter.cpu_ms += consumed * per_row
@@ -274,16 +269,15 @@ class ChunkFoldAggregate(HashAggregate):
             len(internal_schema),
         )
         if self.having is not None:
-            sel = self._over_internal(self.having).compile_filter_columnar(
-                internal_schema
-            )(internal)
+            having = _row_values(self._over_internal(self.having), internal_schema)
+            sel = [
+                i for i, v in zip(internal.selected(), having(internal)) if v is True
+            ]
             if not sel:
                 return
             internal = internal.with_sel(sel)
         out_cols = [
-            self._over_internal(item.expr).compile_columnar(
-                internal_schema
-            )(internal)
+            _row_values(self._over_internal(item.expr), internal_schema)(internal)
             for item in self.items
             if item.expr is not None
         ]

@@ -1,7 +1,7 @@
 """Unit tests for the columnar engine: kernels, storage and operators.
 
-Covers the kernel contract (``compile_columnar`` /
-``compile_filter_columnar`` against the row evaluator: SQL NULL
+Covers the kernel contract (the generated ``spine.value_kernel`` /
+``spine.selection_kernel`` against the row evaluator: SQL NULL
 semantics, three-valued AND/OR with short-circuit, identical error text,
 over fixed cases and over drawn trees and rows), the column representations (lazily built table columns of
 the row tuples' own values), the selection-vector contract
@@ -58,6 +58,7 @@ from repro.sqlengine import (
 )
 from repro.sqlengine import cost
 from repro.sqlengine.columnar import TableColumn, TableColumns
+from repro.sqlengine.spine import selection_kernel, value_kernel
 from repro.sqlengine.expressions import (
     ARITHMETIC_OPS,
     COMPARISON_OPS,
@@ -102,15 +103,10 @@ ROWS = [
     (0, -1.5, "World"),
 ]
 
-#: Kernels must agree on plain value lists (operator intermediates), with
-#: their nullability computed or declared, and on a stored table's lazily
-#: built columns.
+#: Kernels must agree on plain value lists (operator intermediates) and
+#: on a stored table's lazily built columns.
 LAYOUTS = {
     "values": lambda rows: ColumnBatch.from_rows(rows, len(SCHEMA)),
-    "declared": lambda rows: ColumnBatch(
-        tuple(ValueColumn(list(c), nullable=None in c) for c in zip(*rows)),
-        len(rows),
-    ),
     "stored": lambda rows: TableColumns(rows, SCHEMA).batch(0, len(rows)),
 }
 
@@ -136,11 +132,11 @@ def agrees_with_row_engine(expr, rows=ROWS):
             view = batch if sel is None else batch.with_sel(sel)
             positions = range(len(rows)) if sel is None else sel
             expected = outcome(lambda: [evaluate(rows[i]) for i in positions])
-            values = outcome(lambda: expr.compile_columnar(SCHEMA)(view))
+            values = outcome(lambda: value_kernel(expr, SCHEMA)(view))
             assert values == expected
             if isinstance(expected, list):
                 expected = [i for i, v in zip(positions, expected) if v is True]
-            selected = outcome(lambda: expr.compile_filter_columnar(SCHEMA)(view))
+            selected = outcome(lambda: selection_kernel(expr, SCHEMA)(view))
             assert selected == expected
     return outcome(lambda: [evaluate(row) for row in rows])
 
@@ -163,8 +159,8 @@ class TestKernels:
     def test_empty_batch(self):
         expr = Comparison(">", ColumnRef("a"), Literal(1))
         empty = TableColumns([], SCHEMA).batch(0, 0)
-        assert expr.compile_columnar(SCHEMA)(empty) == []
-        assert expr.compile_filter_columnar(SCHEMA)(empty) == []
+        assert value_kernel(expr, SCHEMA)(empty) == []
+        assert selection_kernel(expr, SCHEMA)(empty) == []
 
     @pytest.mark.parametrize(
         "expr, expected",
@@ -220,8 +216,8 @@ class TestKernels:
             expr.compile(SCHEMA)(ROWS[0])
         for layout in LAYOUTS.values():
             for compiled in (
-                expr.compile_columnar(SCHEMA),
-                expr.compile_filter_columnar(SCHEMA),
+                value_kernel(expr, SCHEMA),
+                selection_kernel(expr, SCHEMA),
             ):
                 with pytest.raises(TypeMismatchError) as batch_err:
                     compiled(layout(ROWS))
@@ -244,11 +240,9 @@ class TestKernels:
         assert agrees_with_row_engine(And(safe, explosive), rows) == [False]
         for layout in LAYOUTS.values():
             with pytest.raises(TypeMismatchError):
-                And(explosive, safe).compile_columnar(SCHEMA)(layout(rows))
+                value_kernel(And(explosive, safe), SCHEMA)(layout(rows))
             with pytest.raises(TypeMismatchError):
-                And(explosive, safe).compile_filter_columnar(SCHEMA)(
-                    layout(rows)
-                )
+                selection_kernel(And(explosive, safe), SCHEMA)(layout(rows))
 
     def test_or_short_circuit_selection(self):
         safe = Comparison("=", ColumnRef("s"), Literal("Hi"))
@@ -347,11 +341,6 @@ class TestKernelContract:
 
 
 class TestColumnData:
-    def test_value_column_lazy_nullability(self):
-        assert ValueColumn([1, None]).has_nulls()
-        assert not ValueColumn([1, 2]).has_nulls()
-        assert not ValueColumn([1, None], nullable=False).has_nulls()
-
     def test_stored_string_column_holds_the_row_tuples_own_values(self):
         database = Database("cols")
         database.create_table(
@@ -369,7 +358,7 @@ class TestColumnData:
         s = table.columnar().cols[1]
         assert s.values() == ["s0", "s1", None, "s1", "s0"]
         assert all(v is row[1] for v, row in zip(s.values(), table.rows))
-        assert isinstance(s._col, ValueColumn) and s.has_nulls()
+        assert isinstance(s._col, ValueColumn)
 
     def test_table_columns_are_built_on_first_read_and_hold_one_copy(self):
         database = Database("lazy")

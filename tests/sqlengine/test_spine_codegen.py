@@ -7,7 +7,9 @@ source holds only names, operators, small integers (column positions,
 plan's literals and aliases spell.  Such plans still answer as SQLite
 does.
 One spine shape compiles one function, whatever its literals: the
-workload's 40 QT1–QT4 texts and QT5 compile one per shape.
+workload's 40 QT1–QT4 texts and QT5 compile one per shape, and their
+scan predicates (``col > lit``, the price column at position 2 in every
+table) one selection kernel.
 """
 
 from __future__ import annotations
@@ -147,4 +149,8 @@ def test_one_function_per_spine_shape(generated):
         execute_plan(database.explain(sql)[0].plan, database.storage)
     # QT1 and QT3 share a shape; QT2, QT4 and QT5 have one each.
     assert len(spine._SHAPES) == 4
-    assert len(generated) == len(set(generated)) <= len(spine._SHAPES)
+    spines = [s for s in generated if s.startswith("def spine(")]
+    kernels = [s for s in generated if s.startswith("def kernel(")]
+    assert len(generated) == len(set(generated)) == len(spines) + len(kernels)
+    assert len(spines) <= len(spine._SHAPES)
+    assert len(kernels) == 1
