@@ -215,8 +215,7 @@ class OperatorProfiler:
         return self._timed(node, node._rows_columnar(ctx), ctx.meter)
 
     def fused(self, node: object, meter: object) -> "FusedOperator":
-        """Open *node*'s window for a run inside another operator's
-        generated loop (``sqlengine.spine``), where it has no stream."""
+        """Open *node*'s window for a run without a stream of its own."""
         return FusedOperator(self.stats_for(node), meter)
 
     def _timed(self, node: object, it: Iterator, meter: object) -> Iterator:
@@ -253,17 +252,16 @@ class OperatorProfiler:
 
 
 class FusedOperator:
-    """The counters an operator's own stream would have recorded, for an
-    operator that runs inside another's generated loop.
+    """The counters an operator's own stream would have recorded, for one
+    that runs inside a generated loop or a scan read in one pass.
 
-    Its stream would have yielded one batch per input batch that gave it
-    a row, with no selection (``phys_rows == rows_out``).  Each yield
-    ends a meter window — :meth:`emit`, called when such a batch is
-    done — and the window from the last yield to the end of the stream
-    (:meth:`finish`, once the operator's end-of-stream charges have
-    landed) ends the run.  The deltas are taken at the same meter
-    readings as the stream's own would have been, so inclusive
-    ``meter_ms`` is the same float.  Wall time is the whole run's.
+    Each batch its stream would have yielded ends a meter window —
+    :meth:`emit`, called when such a batch is done — and the window from
+    the last yield to the end of the stream (:meth:`finish`, once the
+    operator's end-of-stream charges have landed) ends the run.  The
+    deltas are taken at the same meter readings as the stream's own
+    would have been, so inclusive ``meter_ms`` is the same float.  Wall
+    time is the whole run's.
     """
 
     __slots__ = ("stats", "meter", "last", "virtual", "started")
@@ -276,15 +274,15 @@ class FusedOperator:
         self.virtual = 0.0
         self.started = time.perf_counter()
 
-    def emit(self, rows: int) -> None:
-        """One batch of *rows* rows, yielded now."""
+    def emit(self, rows: int, slots: Optional[int] = None) -> None:
+        """One batch of *rows* rows over *slots* slots, yielded now."""
         total = self.meter.total_ms
         self.virtual += total - self.last
         self.last = total
         stats = self.stats
         stats.batches += 1
         stats.rows_out += rows
-        stats.phys_rows += rows
+        stats.phys_rows += rows if slots is None else slots
 
     def finish(self, since: Optional[float] = None) -> None:
         """End the run: the stream ran out, or (*since* given) it was

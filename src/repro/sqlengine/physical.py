@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.profile import NULL_PROFILER, OperatorProfiler, get_profiler
@@ -40,6 +41,7 @@ from .catalog import TableDef
 from .columnar import (
     ColumnBatch,
     ColumnData,
+    TableColumns,
     TakeColumn,
     ValueColumn,
 )
@@ -237,6 +239,16 @@ class PhysicalPlan:
         pulling children through ``rows_columnar``."""
         raise NotImplementedError
 
+    def rows_whole(self, ctx: ExecutionContext, windows: bool) -> Iterator[ColumnBatch]:
+        """Execution for a consumer that takes every batch: a ``SeqScan``
+        under ``Filter``s is read in one pass (``_read_whole``)."""
+        chain = [self]
+        while isinstance(chain[-1], Filter):
+            chain.append(chain[-1].child)
+        if not isinstance(chain[-1], SeqScan):
+            return self.rows_columnar(ctx)
+        return _read_whole(chain[::-1], ctx, windows)
+
     def describe(self) -> str:
         """One-line operator description (also the plan signature leaf)."""
         raise NotImplementedError
@@ -328,6 +340,48 @@ def _narrowed(
     return batch
 
 
+def _read_whole(
+    chain: Sequence["PhysicalPlan"], ctx: ExecutionContext, windows: bool
+) -> Iterator[ColumnBatch]:
+    """A ``SeqScan`` (``chain[0]``) and the ``Filter``s above it as one pass:
+    the survivors of each node's conjuncts in turn, as one batch (or its
+    ``_windows``).  Charges and profiles are the nodes' streams', at the
+    same meter readings (docs/execution.md, "The spine")."""
+    meter = ctx.meter
+    size = ctx.batch_size
+    profiler = ctx.profiler
+    replays = []
+    if profiler is not NULL_PROFILER:
+        # Opened outermost first, as the streams' first next() calls nest.
+        replays = [profiler.fused(node, meter) for node in chain[::-1]][::-1]
+    table_cols = chain[0]._open(ctx)
+    n = table_cols.n_rows
+    batch: Optional[ColumnBatch] = ColumnBatch(table_cols.cols, n, None) if n else None
+    kept: List[Optional[ColumnBatch]] = []
+    for node in chain:
+        if batch is not None:
+            batch = _narrowed(batch, node._kernels)
+        kept.append(batch)
+    for replay, out in zip(replays, kept):
+        for view in _windows(out, size):
+            replay.emit(len(view), min(size, n - view.sel[0] + view.sel[0] % size))
+    try:
+        yield from _windows(batch, size) if windows else [batch] if batch is not None else []
+    finally:
+        rows = n
+        for level, (node, out) in enumerate(zip(chain, kept)):
+            meter.cpu_ms += rows * node._per_row
+            rows = len(out) if out is not None else 0
+            if replays:
+                replays[level].finish()
+
+
+def _windows(batch: Optional[ColumnBatch], size: int) -> List[ColumnBatch]:
+    """*batch* as views of its *size*-row windows: a windowed stream's."""
+    rows = batch.selected() if batch is not None else []
+    return [batch.with_sel(list(w)) for _, w in groupby(rows, lambda i: i // size)]
+
+
 def _predicate_sql(predicate: Optional[Expression]) -> str:
     return predicate.sql() if predicate is not None else ""
 
@@ -376,24 +430,29 @@ class SeqScan(PhysicalPlan):
             width_bytes=width,
         )
 
-    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+    def _open(self, ctx: ExecutionContext) -> TableColumns:
+        """Charge the stored table's pages; its columns."""
         heap = ctx.storage.table(self.table.name)
-        meter = ctx.meter
         width = self.output_schema.row_width_bytes()
-        meter.io_ms += pages_for(len(heap), width) * SEQ_PAGE_COST
-        ops = _count_operators(self.predicate)
-        per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
-        table_cols = heap.columnar()
+        ctx.meter.io_ms += pages_for(len(heap), width) * SEQ_PAGE_COST
+        return heap.columnar()
+
+    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        table_cols = self._open(ctx)
         n = table_cols.n_rows
         size = ctx.batch_size
         windows = (
             table_cols.batch(start, min(start + size, n))
             for start in range(0, n, size)
         )
-        for window in _metered(windows, meter, per_row):
+        for window in _metered(windows, ctx.meter, self._per_row):
             batch = _narrowed(window, self._kernels)
             if batch is not None:
                 yield batch
+
+    @cached_property
+    def _per_row(self) -> float:
+        return CPU_TUPLE_COST + _count_operators(self.predicate) * CPU_OPERATOR_COST
 
     @cached_property
     def _kernels(self) -> List[Callable[[ColumnBatch], List[int]]]:
@@ -515,11 +574,13 @@ class Filter(PhysicalPlan):
     def _kernels(self) -> List[Callable[[ColumnBatch], List[int]]]:
         return [selection_kernel(c, self.output_schema) for c in conjuncts(self.predicate)]
 
+    @cached_property
+    def _per_row(self) -> float:
+        return _count_operators(self.predicate) * CPU_OPERATOR_COST
+
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        ops = _count_operators(self.predicate)
-        per_row = ops * CPU_OPERATOR_COST
         child = self.child.rows_columnar(ctx)
-        for in_batch in _metered(child, ctx.meter, per_row):
+        for in_batch in _metered(child, ctx.meter, self._per_row):
             batch = _narrowed(in_batch, self._kernels)
             if batch is not None:
                 yield batch

@@ -6,9 +6,9 @@ A *spine* is the chain of ``HashJoin`` nodes along the left edge of a
 plan — level 0 the innermost, whose left child is the spine's *leaf* —
 and a *sink*: the ``HashAggregate`` above the chain (the aggregate sink)
 or the outermost join's own output (the batch sink).  Build sides and
-the leaf stream their batches through ``rows_columnar``; everything
-between the leaf and the sink runs in one generated function, per
-selected leaf row:
+the aggregate sink's leaf come through ``rows_whole`` (a scan in one
+pass), the batch sink's leaf through ``rows_columnar``; everything
+between the leaf and the sink runs in one generated function, per row:
 
 * look the row's keys up in each level's build table, innermost first,
   binding the build columns that the rest of the spine reads;
@@ -39,6 +39,7 @@ meter windows its own stream would have had (``obs.profile.FusedOperator``).
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from functools import partial
 from itertools import compress, repeat
@@ -61,10 +62,11 @@ from .expressions import (
 )
 from .types import Column, Schema
 
-#: ``co_filename`` of every generated function.
+#: ``co_filename`` prefix of every generated function, before a digest of
+#: its source: a profiler keeps one entry per source.
 FILENAME = "<spine>"
 
-#: Generated functions kept, by source text (the oldest is dropped first).
+#: Functions (by source text), shapes and kernel shapes kept, each.
 MAX_SHAPES = 256
 
 _FUNCTIONS: Dict[str, Callable[..., Any]] = {}
@@ -78,14 +80,20 @@ def _function(source: str, name: str) -> Callable[..., Any]:
     fn = _FUNCTIONS.get(source)
     if fn is None:
         namespace = dict(_GLOBALS)
-        exec(compile(source, FILENAME, "exec"), namespace)
+        digest = hashlib.blake2s(source.encode(), digest_size=4).hexdigest()
+        exec(compile(source, FILENAME + digest, "exec"), namespace)
         # Popped: a namespace holding its own function is a cycle, and
         # garbage for the collector once the function is dropped.
-        fn = namespace.pop(name)
-        if len(_FUNCTIONS) >= MAX_SHAPES:
-            del _FUNCTIONS[next(iter(_FUNCTIONS))]
-        _FUNCTIONS[source] = fn
+        fn = _kept(_FUNCTIONS, source, namespace.pop(name))
     return fn
+
+
+def _kept(cache: Dict[Any, Any], key: Any, value: Any) -> Any:
+    """Store *value* under *key*, dropping the oldest of MAX_SHAPES entries."""
+    if len(cache) >= MAX_SHAPES:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +106,8 @@ class _Build:
 
     Ids start at 1: slot 0 of every concatenated build column is the NULL
     row, so a miss is the falsy id 0 and outer padding reads slot 0.  One
-    C-level ``dict.update`` per batch classifies the build as it goes: it
-    is unique (no non-NULL key twice; ``1``, ``1.0`` and ``True`` are one
+    C-level ``dict`` over the key column classifies the build: it is
+    unique (no non-NULL key twice; ``1``, ``1.0`` and ``True`` are one
     key) iff ``singles`` holds one entry per non-NULL key.  A unique build
     without a residual is probed for one id; every other build maps keys
     to ascending id buckets.
@@ -114,34 +122,18 @@ class _Build:
         residual: Optional[Expression],
         ctx: Any,
     ):
-        single = len(right_idx) == 1
-        batches: List[ColumnBatch] = []
-        key_lists: List[List[Any]] = []
-        singles: Dict[Any, int] = {}
-        unique = True
-        built = 0
-        nulls = 0
-        for batch in right.rows_columnar(ctx):
-            batches.append(batch)
-            if single:
-                keys = batch.column_values(right_idx[0])
-            else:
-                key_cols = [batch.column_values(i) for i in right_idx]
-                keys = list(zip(*key_cols))
-                if any(None in col for col in key_cols):
-                    # A NULL component makes the whole key NULL.
-                    keys = [None if None in key else key for key in keys]
-            key_lists.append(keys)
-            first = built + 1
-            built += len(keys)
-            if unique:
-                singles.update(zip(keys, range(first, built + 1)))
-                if None in singles:
-                    del singles[None]
-                    nulls += keys.count(None)
-                unique = len(singles) == built - nulls
-        ctx.meter.cpu_ms += built * HASH_BUILD_COST
-        self.size = built + 1
+        self.batches = list(right.rows_whole(ctx, False))
+        self._values: Dict[int, List[Any]] = {}
+        if len(right_idx) == 1:
+            keys = self.values(right_idx[0])
+        else:
+            # A NULL component makes the whole key NULL.
+            keys = [None if None in key else key for key in zip(*map(self.values, right_idx))]
+        self.size = len(keys)
+        ctx.meter.cpu_ms += (self.size - 1) * HASH_BUILD_COST
+        singles = dict(zip(keys, range(self.size)))
+        del singles[None]
+        unique = len(singles) == self.size - keys.count(None)
         self.unique = unique and residual is None
         if self.unique:
             self.get = singles.get
@@ -150,15 +142,10 @@ class _Build:
         else:
             buckets: Dict[Any, List[int]] = {}
             setdefault = buckets.setdefault
-            base = 1
-            for keys in key_lists:
-                for rid, key in enumerate(keys, base):
-                    if key is not None:
-                        setdefault(key, []).append(rid)
-                base += len(keys)
+            for rid, key in enumerate(keys):
+                if key is not None:
+                    setdefault(key, []).append(rid)
             self.get = buckets.get
-        self.batches = batches
-        self._values: Dict[int, List[Any]] = {}
 
     def values(self, j: int) -> List[Any]:
         """Build column *j* behind the NULL row, concatenated once."""
@@ -234,17 +221,6 @@ def _positions(expr: Expression, schema: Schema) -> Dict[str, int]:
 _PYTHON_OPS = {"=": "==", "<>": "!="}
 
 
-def _inline(expr: Expression) -> bool:
-    """Whether *expr* is written into the loop as Python operators."""
-    if isinstance(expr, (ColumnRef, Literal)):
-        return True
-    if isinstance(expr, (Arithmetic, Comparison)):
-        return _inline(expr.left) and _inline(expr.right)
-    if isinstance(expr, (IsNull, Like, InList)):
-        return _inline(expr.operand)
-    return False
-
-
 def _rewrite(expr: Expression, positions: Dict[str, int]) -> Expression:
     """*expr* over the tuple of the columns it reads, named ``c<position>``."""
     if isinstance(expr, ColumnRef):
@@ -271,7 +247,7 @@ def _write_expression(
 ) -> str:
     """Emit the statements computing *expr*; return the name holding it.
 
-    An inline expression (``_write_inline``) that raises ``TypeError`` or
+    An inline expression (``_inline_shape``) that raises ``TypeError`` or
     ``ZeroDivisionError`` is re-evaluated by the row evaluator, so its
     value or its first error is the row evaluator's.  Every other shape
     calls the row evaluator over the tuple of the columns it reads.
@@ -280,7 +256,7 @@ def _write_expression(
     if isinstance(expr, (ColumnRef, Literal)):
         return _write_inline(src, expr, positions)
     target = src.temp()
-    if not _inline(expr):
+    if _inline_shape(expr, schema, []) is None:
         src.line(depth, f"{target} = {_write_call(src, expr, schema)}")
         return target
     src.line(depth, "try:")
@@ -302,9 +278,10 @@ def _write_inline(
 ) -> str:
     """*expr* as one Python expression over the row's column variables
     ``c<position>``, with the row evaluator's NULL rule (an operator with
-    a NULL operand is NULL); literals, LIKE matchers and IN sets are
-    parameters.  *select* writes a comparison, LIKE or IN as a test that
-    holds exactly where its value is True: ``c is not None and c op L``."""
+    a NULL operand is NULL; ``+ - * /`` raise ``TypeError`` on one
+    instead); literals, LIKE matchers and IN sets are parameters.
+    *select* writes a comparison, LIKE or IN as a test that holds exactly
+    where its value is True: ``c is not None and c op L``."""
     if isinstance(expr, ColumnRef):
         return f"c{positions[expr.name]}"
     if isinstance(expr, Literal):
@@ -324,6 +301,9 @@ def _write_inline(
     else:
         operands = [_write_operand(src, e, positions) for e in (expr.left, expr.right)]
         op = _PYTHON_OPS.get(expr.op, expr.op)
+        if isinstance(expr, Arithmetic) and op != "%":
+            # None raises TypeError here (but ``"%s" % None`` formats).
+            return f"({operands[0][0]} {op} {operands[1][0]})"
         value = f"{operands[0][1]} {op} {operands[1][1]}"
     test = _null_test(operands, select)
     if not test:
@@ -378,6 +358,10 @@ def value_kernel(expr: Expression, schema: Schema) -> Callable[[ColumnBatch], Li
     return _kernel(expr, schema, False)
 
 
+#: Kernel functions by what their source depends on (``_kernel``).
+_KERNELS: Dict[Tuple[Any, ...], Callable[..., Any]] = {}
+
+
 def _kernel(expr: Expression, schema: Schema, selection: bool) -> Callable[..., Any]:
     """The generated function ``kernel(P, batch)``, bound to its parameters.
 
@@ -387,14 +371,51 @@ def _kernel(expr: Expression, schema: Schema, selection: bool) -> Callable[..., 
     True``.  An inline expression that raises ``TypeError`` or
     ``ZeroDivisionError`` hands the whole batch to the row evaluator, so
     values, three-valued logic and the first error are the row
-    evaluator's.
+    evaluator's.  Later kernels of a shape only gather their parameters.
     """
+    params: List[Any] = []
+    shape = _inline_shape(expr, schema, params)
+    if shape is not None:
+        key = (selection, shape)
+        params.append(expr.compile(schema))
+    else:
+        key = (selection, tuple(sorted(set(_positions(expr, schema).values()))))
+        params = [_evaluator(expr, schema)]
+    fn = _KERNELS.get(key)
+    if fn is None:
+        source = _write_kernel(expr, schema, selection, shape is not None).text()
+        fn = _kept(_KERNELS, key, _function(source, "kernel"))
+    return partial(fn, tuple(params))
+
+
+def _inline_shape(expr: Expression, schema: Schema, params: List[Any]) -> Any:
+    """What ``_write_inline``'s source for *expr* depends on (its tree, its
+    columns' positions, its literals' NULL-ness), or None if it is not
+    inline; the parameters it names go to *params*, operands' first."""
+    if isinstance(expr, ColumnRef):
+        return f"c{schema.index_of(expr.name)}"
+    if isinstance(expr, Literal):
+        params.append(expr.value)
+        return "NULL" if expr.value is None else "L"
+    if not isinstance(expr, (Arithmetic, Comparison, IsNull, Like, InList)):
+        return None
+    operands = tuple([_inline_shape(c, schema, params) for c in expr.children()])
+    if None in operands:
+        return None
+    if isinstance(expr, Like):
+        params.append(expr._regex().match)
+    elif isinstance(expr, InList):
+        params.append(set(expr.values))
+    return (type(expr).__name__, getattr(expr, "op", ""), getattr(expr, "negated", False), operands)
+
+
+def _write_kernel(expr: Expression, schema: Schema, selection: bool, inline: bool) -> _Source:
+    """The source of ``_kernel``'s function for *expr*."""
     positions = _positions(expr, schema)
     used = sorted(set(positions.values()))
     src = _Source()
     src.line(0, "def kernel(P, batch):")
     src.line(1, "")  # the parameter unpacking, written last
-    inline = _inline(expr)
     predicate = inline and isinstance(expr, (Comparison, IsNull, Like, InList))
     if inline:
         value = _write_inline(src, expr, positions, selection and predicate)
@@ -418,7 +439,7 @@ def _kernel(expr: Expression, schema: Schema, selection: bool) -> Callable[..., 
     if not inline:
         src.line(1, f"return {body}")
     else:
-        evaluate = src.param("E", ("static", expr.compile(schema)))
+        evaluate = src.param("E", ("static", None))
         src.line(1, "try:")
         src.line(2, f"return {body}")
         src.line(1, "except (TypeError, ZeroDivisionError):")
@@ -427,8 +448,7 @@ def _kernel(expr: Expression, schema: Schema, selection: bool) -> Callable[..., 
             "list(compress(batch.selected(), [v is True for v in values]))"
             if selection else "list(values)"
         ))
-    fn = _function(src.text(), "kernel")
-    return partial(fn, tuple(spec[1] for spec in src.params.values()))
+    return src
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +605,7 @@ def _shape(
     )
     shape = _SHAPES.get(key)
     if shape is None:
-        if len(_SHAPES) >= MAX_SHAPES:
-            del _SHAPES[next(iter(_SHAPES))]
-        shape = _SHAPES[key] = _Shape(joins, leaf, group_by, calls)
+        shape = _kept(_SHAPES, key, _Shape(joins, leaf, group_by, calls))
     return shape
 
 
@@ -670,7 +688,9 @@ class Spine:
         result column per aggregate call, rows the aggregate consumed)."""
         builds, fused = self._open(ctx)
         fn, params = self._bind(builds, fused)
-        keys, sizes, accs, counts = fn(self.leaf.rows_columnar(ctx), params)
+        # A fused level reports one batch per leaf window that gave it a row.
+        leaf = self.leaf.rows_whole(ctx, any(w is not None for w in fused))
+        keys, sizes, accs, counts = fn(leaf, params)
         for level, window in enumerate(fused):
             self._charge(ctx.meter, counts, level)
             if window is not None:

@@ -12,9 +12,19 @@ in ``test_aggregate_reference.py``.  The meters must equal the
 operators' documented charges replayed in their order (docs/execution.md,
 "The spine"), the same at batch sizes 1, 2 and the default, and the same
 with the profiler on, whose per-join rows are the nested loop's.
+
+Stored tables drawn the same way (empty ones, and predicates that reject
+every row) feed an aggregate's leaf and a join's build side through a
+``SeqScan`` under zero to two ``Filter``s, which those consumers read in
+one pass: rows and meters must equal the same nodes' own streams at
+batch sizes 1, 2 and the default, and so must each scan's and filter's
+profile.  A ``LIMIT`` over a batch sink, whose leaf still streams, keeps
+the meters it had before scans were read whole.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,10 +38,12 @@ from repro.sqlengine import (
     ColumnType,
     Comparison,
     Database,
+    Filter,
     IsNull,
     Literal,
     Or,
     Schema,
+    SeqScan,
     execute_plan,
 )
 from repro.sqlengine.cost import (
@@ -49,6 +61,7 @@ from repro.sqlengine.physical import (
     HashJoin,
     Limit,
     MaterializedInput,
+    PhysicalPlan,
     Project,
 )
 from tests.sqlengine.test_aggregate_reference import ChunkFoldAggregate
@@ -309,3 +322,153 @@ def test_residual_rejecting_every_candidate_pads_an_outer_row(outer):
     rows, _meters = run(join)
     padded = [(1, 1, 0.5, None, None, None)] if outer else []
     assert rows == padded + [(2, 1, 0.5, 2, 1, 9.0)]
+
+
+# ---------------------------------------------------------------------------
+# Scans read whole
+# ---------------------------------------------------------------------------
+
+STORED = st.tuples(
+    st.sampled_from([None, -0.0, 0.0, 1.0, 2.0, NAN]),
+    st.sampled_from([None, 0, 1, 2, 3]),
+    st.sampled_from([None, -0.0, 0.1, 0.2, 2.5, 1e16]),
+)
+
+
+def _conditions(table):
+    """Conditions over *table*: inline conjuncts, two conjuncts, one that
+    rejects every row and one the row evaluator runs (OR)."""
+    k1, k2, v = (ColumnRef(f"{table}.{c}") for c in ("k1", "k2", "v"))
+    return st.sampled_from(
+        [
+            Comparison(">", v, Literal(0.15)),
+            IsNull(k1, negated=True),
+            And(Comparison("<", v, Literal(2.0)), Comparison("<>", k2, Literal(1))),
+            Comparison(">", v, Literal(1e300)),
+            Or(IsNull(v), Comparison(">", Arithmetic("+", v, k1), Literal(1.5))),
+        ]
+    )
+
+
+@st.composite
+def stored_sides(draw, database, table):
+    """A stored table of 0-12 drawn rows, scanned with or without a
+    predicate under 0-2 ``Filter``s: (top node, every node top-down)."""
+    database.create_table(table, _schema(table))
+    database.load_rows(table, draw(st.lists(STORED, max_size=12)))
+    predicate = draw(st.one_of(st.none(), _conditions(table)))
+    node = SeqScan(database.catalog.lookup(table), table, predicate)
+    chain = [node]
+    for _ in range(draw(st.integers(0, 2))):
+        node = Filter(node, draw(_conditions(table)))
+        chain.insert(0, node)
+    return node, chain
+
+
+class Streamed(PhysicalPlan):
+    """*child*'s own stream, whoever consumes it: the reference a scan
+    read whole is held to."""
+
+    def __init__(self, child):
+        self.child = child
+        self.output_schema = child.output_schema
+
+    def children(self):
+        return (self.child,)
+
+    def _rows_columnar(self, ctx):
+        return self.child.rows_columnar(ctx)
+
+    def describe(self):
+        return "Streamed()"
+
+
+def _profiled(plan, database, size):
+    with profiling() as profiler:
+        rows, meters = _executed(plan, database, size)
+    return rows, meters, profiler.capture()
+
+
+def _executed(plan, database, size):
+    result = execute_plan(plan, database.storage, batch_size=size)
+    meter = result.meter
+    return exact(result.rows), (meter.cpu_ms, meter.io_ms, meter.tuples_out)
+
+
+def _fields(stats, names=("invocations", "batches", "rows_out", "phys_rows", "meter_ms")):
+    return tuple(getattr(stats, name) for name in names)
+
+
+@settings(deadline=None)
+@given(
+    data=st.data(),
+    joined=st.booleans(),
+    outer=st.booleans(),
+    sink=st.sampled_from(["aggregate", "project"]),
+)
+def test_scans_read_whole_match_their_streams(data, joined, outer, sink):
+    database = Database("whole")
+    leaf, nodes = data.draw(stored_sides(database, "p"))
+    build = None
+    if joined:
+        build, build_nodes = data.draw(stored_sides(database, "b"))
+        nodes = nodes + build_nodes
+
+    def plan(wrap):
+        node = wrap(leaf)
+        if build is not None:
+            node = HashJoin(node, wrap(build), ["p.k2"], ["b.k2"], outer=outer)
+        if sink == "project":
+            columns = node.output_schema.columns
+            return node, Project(
+                node, [SelectItem(ColumnRef(c.qualified_name)) for c in columns], Schema(columns)
+            )
+        last = ColumnRef(node.output_schema.columns[-1].qualified_name)
+        items = [
+            SelectItem(ColumnRef("p.k2")),
+            SelectItem(AggregateCall("COUNT", None)),
+            SelectItem(AggregateCall("SUM", last)),
+        ]
+        schema = Schema(tuple(Column(f"o{i}", ColumnType.FLOAT) for i in range(3)))
+        return node, HashAggregate(node, [ColumnRef("p.k2")], items, schema)
+
+    (join, whole), (streamed_join, streamed) = plan(lambda node: node), plan(Streamed)
+    for size in (1, 2, DEFAULT_BATCH_SIZE):
+        rows, meters, profile = _profiled(streamed, database, size)
+        assert _executed(whole, database, size) == (rows, meters), size
+        got_rows, got_meters, got = _profiled(whole, database, size)
+        assert (got_rows, got_meters) == (rows, meters), size
+        for node in nodes:
+            assert _fields(got.stats_for(node)) == _fields(profile.stats_for(node)), (node, size)
+        # A join fused into the aggregate's loop counts the leaf's windows.
+        assert _fields(got.stats_for(join)) == _fields(profile.stats_for(streamed_join))
+        assert _fields(got.stats_for(whole)) == _fields(profile.stats_for(streamed))
+
+
+#: The digest of ``test_limit_over_a_batch_sink_keeps_its_meters``'s rows
+#: and meters as they were before scans were read whole.
+LIMITED_METERS = "e8194ae905e71cf365d7f559127612df75abc23bf93934fd1acca77f005a3fc3"
+
+
+def test_limit_over_a_batch_sink_keeps_its_meters():
+    # The batch sink's leaf streams: the limit abandons it after the
+    # windows it pulled, which are all the scan charges for.  The build
+    # side (a filtered scan) is read whole, with its stream's charges.
+    database = Database("limit")
+    for table in ("p", "b"):
+        database.create_table(table, _schema(table))
+        database.load_rows(
+            table, [(float(i % 7), i % 5, i * 0.25) for i in range(60 if table == "p" else 9)]
+        )
+    p, b = (database.catalog.lookup(t) for t in ("p", "b"))
+    results = []
+    for limit in (0, 1, 3, 7, 20, 100):
+        for size in (1, 2, 3, 8, DEFAULT_BATCH_SIZE):
+            join = HashJoin(
+                SeqScan(p, "p", Comparison(">", ColumnRef("p.v"), Literal(2.0))),
+                Filter(SeqScan(b, "b"), Comparison("<>", ColumnRef("b.k1"), Literal(3.0))),
+                ["p.k2"],
+                ["b.k2"],
+            )
+            results.append((limit, size, _executed(Limit(join, limit), database, size)))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == LIMITED_METERS

@@ -9,20 +9,31 @@ does.
 One spine shape compiles one function, whatever its literals: the
 workload's 40 QT1–QT4 texts and QT5 compile one per shape, and their
 scan predicates (``col > lit``, the price column at position 2 in every
-table) one selection kernel.
+table) one selection kernel, whose source is written once: a later
+kernel of its shape only gathers its parameters.  Each source compiles
+under its own file name, so a profiler keeps one entry per function.
 """
 
 from __future__ import annotations
 
 import ast
+import cProfile
+import pstats
 
 import pytest
 
 from repro.chaos.sqlite_answers import SqliteAnswers
 from repro.sqlengine import (
+    Arithmetic,
     Column,
+    ColumnBatch,
+    ColumnRef,
     ColumnType,
+    Comparison,
     Database,
+    InList,
+    Like,
+    Literal,
     Schema,
     database as database_module,
     execute_plan,
@@ -55,6 +66,7 @@ def generated(monkeypatch):
     planned entry too, or a text planned before would bring its nodes)."""
     monkeypatch.setattr(spine, "_FUNCTIONS", {})
     monkeypatch.setattr(spine, "_SHAPES", {})
+    monkeypatch.setattr(spine, "_KERNELS", {})
     monkeypatch.setattr(database_module, "_last_planned", None)
     sources = []
 
@@ -154,3 +166,54 @@ def test_one_function_per_spine_shape(generated):
     assert len(generated) == len(set(generated)) == len(spines) + len(kernels)
     assert len(spines) <= len(spine._SHAPES)
     assert len(kernels) == 1
+
+
+def test_an_equal_kernel_shape_writes_no_source(monkeypatch):
+    # Literals, LIKE matchers and IN sets are parameters: a second kernel
+    # of one shape gathers them and reuses the function.
+    monkeypatch.setattr(spine, "_KERNELS", {})
+    written = []
+    write = spine._write_kernel
+    monkeypatch.setattr(
+        spine, "_write_kernel", lambda *args: written.append(args[0]) or write(*args)
+    )
+    schema = Schema((Column("n", ColumnType.INT, "t"), Column("s", ColumnType.STR, "t")))
+    n, s = ColumnRef("t.n"), ColumnRef("t.s")
+    batch = ColumnBatch.from_rows([(1, "ab"), (5, "b"), (None, "ba"), (9, None)], 2)
+    shapes = [
+        [Comparison(">", n, Literal(v)) for v in (0, 4, 8)],
+        [Like(s, p) for p in ("a%", "b%")],
+        [InList(n, vs) for vs in ((1, 9), (5,))],
+        [Arithmetic("*", n, Literal(v)) for v in (2, 3)],
+    ]
+    got = [
+        [spine.selection_kernel(e, schema)(batch) for e in exprs]
+        for exprs in shapes[:3]
+    ] + [[spine.value_kernel(e, schema)(batch) for e in shapes[3]]]
+    assert got == [
+        [[0, 1, 3], [1, 3], [3]],
+        [[0], [1, 2]],
+        [[0, 3], [1]],
+        [[2, 10, None, 18], [3, 15, None, 27]],
+    ]
+    assert written == [exprs[0] for exprs in shapes]
+    # A NULL literal is another shape: NULL-ness is written into the test.
+    assert spine.selection_kernel(Comparison(">", n, Literal(None)), schema)(batch) == []
+    assert len(written) == 5
+
+
+def test_each_generated_source_profiles_as_its_own_entry():
+    # cProfile keys a function by (file, line, name): two generated
+    # functions must not fold into one entry.
+    schema = Schema((Column("n", ColumnType.INT, "t"),))
+    batch = ColumnBatch.from_rows([(i,) for i in range(50)], 1)
+    first = spine.selection_kernel(Comparison(">", ColumnRef("t.n"), Literal(3)), schema)
+    second = spine.value_kernel(Arithmetic("+", ColumnRef("t.n"), Literal(1)), schema)
+    profiler = cProfile.Profile()
+    profiler.runcall(lambda: [first(batch), second(batch), first(batch)])
+    entries = {
+        key: stats[0]
+        for key, stats in pstats.Stats(profiler).stats.items()
+        if key[0].startswith(spine.FILENAME) and key[2] == "kernel"
+    }
+    assert sorted(entries.values()) == [1, 2]
