@@ -59,6 +59,19 @@ CheckerFn = Callable[[ScenarioRun], List[str]]
 _REGISTRY: Dict[str, CheckerFn] = {}
 
 
+#: Whether a run gave each bundled checker its case (``repro chaos`` counts
+#: the scenarios that did: a checker that never sees its case proves nothing).
+CASES: Dict[str, Callable[[ScenarioRun], bool]] = {
+    "oracle-equivalence": lambda run: run.oracle is not None and run.completed > 0,
+    "sqlite-answers": lambda run: run.completed > 0,
+    "no-down-dispatch": lambda run: any(r.excluded_down for r in run.dispatches),
+    "no-stale-dispatch": lambda run: any(r.excluded_stale for r in run.dispatches),
+    "calibration-bounds": lambda run: bool(run.server_factors or run.fragment_factors),
+    "cache-epoch": lambda run: bool(run.cache_lookups),
+    "shed-only-over-budget": lambda run: run.shed > 0,
+}
+
+
 def register_checker(name: str) -> Callable[[CheckerFn], CheckerFn]:
     """Register *fn* under *name*; later registrations override (tests
     register known-bad mutants under fresh names instead)."""

@@ -141,6 +141,18 @@ class DispatchRecord:
     #: scenario's staleness tolerance when the dispatching attempt
     #: compiled (None = the scenario has no tolerance).
     fresh: Optional[Tuple[str, ...]] = None
+    #: The fragment's candidate servers.
+    candidates: Tuple[str, ...] = ()
+
+    @property
+    def excluded_down(self) -> bool:
+        """A candidate was marked down at this dispatch."""
+        return not set(self.candidates).isdisjoint(self.down_before)
+
+    @property
+    def excluded_stale(self) -> bool:
+        """A candidate's copy was staler than the tolerance."""
+        return self.fresh is not None and not set(self.candidates) <= set(self.fresh)
 
 
 @dataclass(frozen=True)
@@ -182,9 +194,15 @@ class ScenarioRun:
     second_legs: Dict[str, int] = field(default_factory=dict)
 
     def counts(self) -> Dict[str, int]:
-        """``second_legs`` with the outcomes' retries and sheds."""
-        retries = sum(o.retries for o in self.outcomes)
-        return {**self.second_legs, "retries": retries, "sheds": self.shed}
+        """``second_legs``, the outcomes' retries, sheds and failovers (answers
+        after a retry), and the dispatches that excluded a down or stale candidate."""
+        return {
+            **self.second_legs,
+            "retries": sum(o.retries for o in self.outcomes), "sheds": self.shed,
+            "failovers": sum(o.status == "ok" and o.retries > 0 for o in self.outcomes),
+            "down exclusions": sum(r.excluded_down for r in self.dispatches),
+            "stale exclusions": sum(r.excluded_stale for r in self.dispatches),
+        }
 
     @property
     def completed(self) -> int:
@@ -347,12 +365,13 @@ def _record_dispatches(
     def recording(option, t_ms, *args, **kwargs):
         down = tuple(qcc.availability.down_servers())
         fresh = fresh_for.get(id(option.fragment))
+        candidates = option.fragment.candidate_servers
         try:
             used, execution = original(option, t_ms, *args, **kwargs)
         except ServerUnavailable as exc:
-            records.append(DispatchRecord(t_ms, exc.server, down, fresh))
+            records.append(DispatchRecord(t_ms, exc.server, down, fresh, candidates))
             raise
-        records.append(DispatchRecord(t_ms, used.server, down, fresh))
+        records.append(DispatchRecord(t_ms, used.server, down, fresh, candidates))
         return used, execution
 
     meta_wrapper.execute_option = recording

@@ -651,6 +651,7 @@ def _cmd_chaos(args) -> int:
         shrink_schedule,
         violations,
     )
+    from .chaos.checkers import CASES
     from .obs.export import JsonlSink
 
     # Reproducibility is the whole point: refuse to run if the simulator
@@ -691,10 +692,12 @@ def _cmd_chaos(args) -> int:
 
     failures = 0
     counts: Counter = Counter()
+    cases: Counter = Counter()
     for spec in specs:
         run = run_scenario(spec)
         counts.update(run.counts())
         verdicts = run_checkers(run, names=checker_names)
+        cases.update({name: name in CASES and CASES[name](run) for name in verdicts})
         found = violations(verdicts)
         status = "FAIL" if found else "ok"
         arrival = (
@@ -762,6 +765,7 @@ def _cmd_chaos(args) -> int:
         f"\n{len(specs)} scenario(s), {failures} with invariant "
         f"violations"
     )
+    print("Checker cases: " + ", ".join(f"{name} {n}" for name, n in sorted(cases.items())))
     print("Mechanisms: " + ", ".join(f"{name} {n}" for name, n in sorted(counts.items())))
     if sink is not None:
         print(f"Verdicts written to {args.jsonl}")

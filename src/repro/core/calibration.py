@@ -66,12 +66,13 @@ class Calibration:
         return True
 
     def routing_band(self) -> Optional[float]:
-        """The band every choice made from a whole query's options stays
+        """The band every choice made from a fragment's options stays
         inside: an option costing more than ``1 + band`` times the
-        cheapest calibrated one is never chosen, substituted in or sent a
-        second leg, so MW need not explain a server whose bound lies
-        above it.  None (here, and for the baselines and the what-if
-        view, which choose outside any band): explain every server."""
+        cheapest calibrated one of its rows is never chosen, substituted
+        in or sent a second leg, so MW need not explain a server whose
+        bound lies above it.  None (here, and for the baselines and the
+        what-if view, which choose outside any band): explain every
+        server."""
         return None
 
     def calibrate(

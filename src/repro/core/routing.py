@@ -15,7 +15,6 @@ call.
 from __future__ import annotations
 
 import logging
-import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +22,7 @@ from typing import Deque, Dict, Optional, Sequence
 
 from ..obs import get_obs
 from ..sqlengine import INFINITE_COST, PlanCost
+from ..sqlengine.parser import _TOKEN_RE
 from ..sim import PeriodicTimer, ServerUnavailable
 from ..fed.decomposer import DecomposedQuery
 from ..fed.global_optimizer import FragmentOption, GlobalPlan
@@ -77,8 +77,6 @@ class Decision:
     detail: str
 
 
-_LITERAL_RE = re.compile(r"\b\d+(\.\d+)?\b|'(?:[^']|'')*'")
-
 _LOG = logging.getLogger("repro.qcc")
 
 
@@ -87,8 +85,15 @@ def generalize_signature(signature: str) -> str:
     """Replace literal constants in a fragment signature with ``?``, so
     factors learned on one parameterisation apply to unseen instances of
     the same query template (the paper's Figure 5: QF3's estimate is
-    calibrated before QF3 has ever executed)."""
-    return _LITERAL_RE.sub("?", signature)
+    calibrated before QF3 has ever executed).  A literal is what the
+    tokenizer reads as a NUMBER or a STRING, exponent forms included."""
+    parts, end = [], 0
+    for match in _TOKEN_RE.finditer(signature):
+        kind = match.lastgroup
+        if kind == "NUMBER" or kind == "STRING":
+            parts += signature[end : match.start(kind)], "?"
+            end = match.end(kind)
+    return "".join(parts) + signature[end:]
 
 
 class QueryCostCalibrator(Calibration):

@@ -113,10 +113,6 @@ class StatsContext:
                 return found
         return None
 
-    def row_count(self, binding: str) -> int:
-        table_stats = self._stats.get(binding)
-        return table_stats.row_count if table_stats else 1
-
 
 def estimate_selectivity(
     expr: Optional[Expression], stats: StatsContext

@@ -22,14 +22,7 @@ from .cost import (
     ServerProfile,
     StatsContext,
 )
-from .expressions import (
-    ColumnRef,
-    Comparison,
-    Expression,
-    Literal,
-    combine_conjuncts,
-    conjuncts,
-)
+from .expressions import Expression, combine_conjuncts, conjuncts, is_equijoin_conjunct
 from .logical import BoundRelation, QueryBlock, bind
 from .parser import parse
 from .physical import (
@@ -46,6 +39,7 @@ from .physical import (
     Selectivities,
     SeqScan,
     Sort,
+    _equality_probe,
 )
 from .types import SqlError
 
@@ -181,35 +175,19 @@ class Optimizer:
     def _access_paths(
         self, relation: BoundRelation, estimator: CostEstimator, space: PlanSpace
     ) -> List[PlanCandidate]:
-        paths: List[PlanCandidate] = []
-        seq = _scan(relation, space)
-        paths.append(PlanCandidate(seq, seq.estimate_cost(estimator)))
-        if relation.predicate is not None:
-            paths.extend(self._index_paths(relation, estimator, space))
+        """The sequential scan, then an index scan per probe conjunct of
+        an indexed column, cheapest first."""
+        scans = [_scan(relation, space)]
+        for i, part in enumerate(conjuncts(relation.predicate)):
+            probe = _equality_probe(part)
+            if probe is not None and relation.table.has_index_on(probe[0]):
+                scans.append(space.node(
+                    (IndexScan, relation.binding, i),
+                    IndexScan, relation.table, relation.binding, relation.predicate, i,
+                ))
+        paths = [PlanCandidate(scan, scan.estimate_cost(estimator)) for scan in scans]
         paths.sort(key=lambda c: c.cost.total)
         return paths[:KEEP_ALTERNATIVES]
-
-    def _index_paths(
-        self, relation: BoundRelation, estimator: CostEstimator, space: PlanSpace
-    ) -> List[PlanCandidate]:
-        paths: List[PlanCandidate] = []
-        parts = conjuncts(relation.predicate)
-        for i, part in enumerate(parts):
-            probe = _equality_probe(part)
-            if probe is None:
-                continue
-            column, value = probe
-            if not relation.table.has_index_on(column):
-                continue
-            residual = combine_conjuncts(
-                [p for j, p in enumerate(parts) if j != i]
-            )
-            scan = space.node(
-                (IndexScan, relation.binding, i),
-                IndexScan, relation.table, relation.binding, column, value, residual,
-            )
-            paths.append(PlanCandidate(scan, scan.estimate_cost(estimator)))
-        return paths
 
     # -- join enumeration -------------------------------------------------
 
@@ -409,31 +387,11 @@ def _chain_equi_keys(
 ) -> Optional[Tuple[str, str]]:
     """Match ``l.x = r.y`` between the accumulated left side and the new
     right relation (either orientation); None if not a usable key."""
-    if not (
-        isinstance(part, Comparison)
-        and part.op == "="
-        and isinstance(part.left, ColumnRef)
-        and isinstance(part.right, ColumnRef)
-    ):
-        return None
-    lt, rt = part.left.table, part.right.table
-    if lt in left_bindings and rt == right_binding:
-        return part.left.name, part.right.name
-    if rt in left_bindings and lt == right_binding:
-        return part.right.name, part.left.name
-    return None
-
-
-def _equality_probe(
-    part: Expression,
-) -> Optional[Tuple[str, Literal]]:
-    """Match ``col = literal`` (either orientation) for index probing."""
-    if not isinstance(part, Comparison) or part.op != "=":
-        return None
-    if isinstance(part.left, ColumnRef) and isinstance(part.right, Literal):
-        return part.left.name, part.right
-    if isinstance(part.right, ColumnRef) and isinstance(part.left, Literal):
-        return part.right.name, part.left
+    if is_equijoin_conjunct(part):
+        if part.left.table in left_bindings and part.right.table == right_binding:
+            return part.left.name, part.right.name
+        if part.right.table in left_bindings and part.left.table == right_binding:
+            return part.right.name, part.left.name
     return None
 
 

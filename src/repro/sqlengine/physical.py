@@ -66,9 +66,12 @@ from .cost import (
 from .expressions import (
     AggregateCall,
     ColumnRef,
+    Comparison,
     Expression,
     Literal,
+    combine_conjuncts,
     conjuncts,
+    is_equijoin_conjunct,
     walk,
 )
 from .parser import OrderItem, SelectItem
@@ -127,22 +130,65 @@ class ExecutionContext:
 
 
 class Selectivities:
-    """Selectivities under one statistics context, each evaluated once:
-    per predicate (by object identity) and per join-key list.
+    """Selectivities and row estimates under one statistics context,
+    each evaluated once: per predicate (by object identity) and per
+    joined relation set.
 
-    No profile enters a selectivity, so the estimators
+    No profile enters either, so the estimators
     of every server that prices one bound block share one of these
     (``optimizer.PlanSpace``).
     """
 
-    __slots__ = ("stats", "_predicates", "_equijoins")
+    __slots__ = ("stats", "_predicates", "_rows")
 
     def __init__(self, stats: StatsContext):
         self.stats = stats
         #: id(predicate) -> (predicate, (selectivity, operator count)); the
         #: predicate is held so its id cannot be reused.
         self._predicates: Dict[int, Tuple[Expression, Tuple[float, int]]] = {}
-        self._equijoins: Dict[Tuple[Tuple[str, ...], ...], float] = {}
+        self._rows: Dict[frozenset, float] = {}
+
+    def rows(self, join: "PhysicalPlan", estimator: "CostEstimator") -> float:
+        """The rows of the relations an inner *join* joins, once per set (a
+        block's plans join a set under one set of conjuncts): the own rows
+        of each relation (any node no inner join is) by its first column's
+        binding, times each join conjunct's selectivity by its columns or
+        text; no join order enters (docs/cost_model.md, "Cardinality")."""
+        relations, joins, nodes = {}, [], [join]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (HashJoin, NestedLoopJoin)) and not node.outer:
+                joins.append(node)
+                nodes += node.left, node.right
+            else:
+                relations[node.output_schema.columns[0].table] = node
+        key = frozenset(relations)
+        rows = self._rows.get(key)
+        if rows is None:
+            parts: List[Any] = []
+            for node in joins:
+                if isinstance(node, HashJoin):
+                    parts += zip(node.left_keys, node.right_keys)
+                    parts += conjuncts(node.residual)
+                else:
+                    parts += conjuncts(node.condition)
+            rows = 1.0
+            for name in sorted(relations):
+                rows *= relations[name].estimate_cost(estimator).rows
+            for _, selectivity in sorted(map(self._conjunct, parts)):
+                rows *= selectivity
+            self._rows[key] = rows
+        return rows
+
+    def _conjunct(self, part) -> Tuple[Tuple[str, ...], float]:
+        """A join conjunct's sort key and selectivity: a key pair or ``a.x = b.y``
+        is an edge, keyed by its columns; any other, by its text."""
+        if not isinstance(part, tuple):
+            if not is_equijoin_conjunct(part):
+                return (part.sql(),), self.predicate(part)[0]
+            part = part.left.name, part.right.name
+        key = tuple(sorted(part))
+        return key, equijoin_selectivity(*map(self.stats.column, key))
 
     def predicate(self, predicate: Optional[Expression]) -> Tuple[float, int]:
         """``(selectivity, operator count)`` of *predicate*."""
@@ -154,28 +200,14 @@ class Selectivities:
             )
         return known[1]
 
-    def equijoin(
-        self, left_keys: Tuple[str, ...], right_keys: Tuple[str, ...]
-    ) -> float:
-        """Combined selectivity of the equalities ``left_keys = right_keys``."""
-        selectivity = self._equijoins.get((left_keys, right_keys))
-        if selectivity is None:
-            selectivity = 1.0
-            for lk, rk in zip(left_keys, right_keys):
-                selectivity *= equijoin_selectivity(
-                    self.stats.column(lk), self.stats.column(rk)
-                )
-            self._equijoins[left_keys, right_keys] = selectivity
-        return selectivity
-
 
 class CostEstimator:
     """The profile a plan is costed under, and everything costed under it.
 
     Under one profile a node's cost is a pure function of the node, so an
     estimator evaluates each formula once per plan node, by object
-    identity, and each selectivity once (``predicate`` / ``equijoin``,
-    from *selectivities*, its own unless handed a shared one).  It lives
+    identity, and each selectivity and relation set's rows once
+    (*selectivities*, its own unless handed a shared one).  It lives
     for one ``Optimizer.optimize`` / ``Database.estimate_plan`` /
     ``estimate_merge_cost`` / EXPLAIN ANALYZE rendering and must not be
     reused once the statistics behind *stats* may have moved.  Nothing
@@ -195,8 +227,8 @@ class CostEstimator:
         self.costs: Dict["PhysicalPlan", PlanCost] = {}
         if selectivities is None:
             selectivities = Selectivities(stats)
+        self.selectivities = selectivities
         self.predicate = selectivities.predicate
-        self.equijoin = selectivities.equijoin
 
 
 class PhysicalPlan:
@@ -386,6 +418,17 @@ def _predicate_sql(predicate: Optional[Expression]) -> str:
     return predicate.sql() if predicate is not None else ""
 
 
+def _equality_probe(part: Expression) -> Optional[Tuple[str, Literal]]:
+    """Match ``col = literal`` (either orientation) for index probing."""
+    if not isinstance(part, Comparison) or part.op != "=":
+        return None
+    if isinstance(part.left, ColumnRef) and isinstance(part.right, Literal):
+        return part.left.name, part.right
+    if isinstance(part.right, ColumnRef) and isinstance(part.left, Literal):
+        return part.right.name, part.left
+    return None
+
+
 def _count_operators(predicate: Optional[Expression]) -> int:
     if predicate is None:
         return 0
@@ -465,23 +508,22 @@ class SeqScan(PhysicalPlan):
 
 
 class IndexScan(PhysicalPlan):
-    """Equality probe into a hash index, with an optional residual filter."""
+    """Equality probe into a hash index: conjunct *probe* of the local *predicate*
+    is ``column = literal``, the rest filters.  Its rows are a ``SeqScan``'s."""
 
     def __init__(
-        self,
-        table: TableDef,
-        binding: str,
-        column: str,
-        value: Expression,
-        residual: Optional[Expression] = None,
+        self, table: TableDef, binding: str, predicate: Expression, probe: int
     ):
-        if not isinstance(value, Literal):
-            raise ExecutionError("IndexScan requires a literal probe value")
+        parts = conjuncts(predicate)
+        matched = _equality_probe(parts[probe])
+        if matched is None:
+            raise ExecutionError("IndexScan requires a column = literal probe")
         self.table = table
         self.binding = binding
-        self.column = column.rpartition(".")[2]
-        self.value = value
-        self.residual = residual
+        self.predicate = predicate
+        self.column = matched[0].rpartition(".")[2]
+        self.value = matched[1]
+        self.residual = combine_conjuncts(parts[:probe] + parts[probe + 1 :])
         self.output_schema = table.schema.rename_table(binding)
 
     def _cost(self, estimator: CostEstimator) -> PlanCost:
@@ -490,8 +532,8 @@ class IndexScan(PhysicalPlan):
         rows_in = self.table.stats.row_count
         n_distinct = stats.n_distinct if stats else max(rows_in, 1)
         matched = rows_in / max(n_distinct, 1)
-        selectivity, ops = estimator.predicate(self.residual)
-        rows_out = max(matched * selectivity, 0.0)
+        ops = estimator.predicate(self.residual)[1]
+        rows_out = max(rows_in * estimator.predicate(self.predicate)[0], 0.0)
         width = self.output_schema.row_width_bytes()
         probe = profile.io_ms(INDEX_PROBE_COST)
         cpu = profile.cpu_ms(
@@ -687,9 +729,10 @@ class NestedLoopJoin(PhysicalPlan):
         profile = estimator.profile
         pairs = left.rows * right.rows
         selectivity, ops = estimator.predicate(self.condition)
-        rows_out = max(pairs * selectivity, 0.0)
         if self.outer:
-            rows_out = max(rows_out, left.rows)
+            rows_out = max(pairs * selectivity, left.rows)
+        else:
+            rows_out = estimator.selectivities.rows(self, estimator)
         ops = max(ops, 1)
         cpu = profile.cpu_ms(
             pairs * ops * CPU_OPERATOR_COST
@@ -783,12 +826,14 @@ class HashJoin(PhysicalPlan):
         self, estimator: CostEstimator, left: PlanCost, right: PlanCost
     ) -> PlanCost:
         profile = estimator.profile
-        selectivity = estimator.equijoin(self.left_keys, self.right_keys)
-        rows_out = max(left.rows * right.rows * selectivity, 0.0)
-        if self.residual is not None:
-            rows_out *= estimator.predicate(self.residual)[0]
         if self.outer:
-            rows_out = max(rows_out, left.rows)
+            selectivity = 1.0
+            for key in zip(self.left_keys, self.right_keys):
+                selectivity *= equijoin_selectivity(*map(estimator.stats.column, key))
+            rows_out = left.rows * right.rows * selectivity
+            rows_out = max(rows_out * estimator.predicate(self.residual)[0], left.rows)
+        else:
+            rows_out = estimator.selectivities.rows(self, estimator)
         build = profile.cpu_ms(right.rows * HASH_BUILD_COST)
         probe = profile.cpu_ms(left.rows * HASH_PROBE_COST)
         emit = profile.cpu_ms(rows_out * CPU_TUPLE_COST)

@@ -171,10 +171,9 @@ class MetaWrapper:
             if not qcc.is_available(server, t_ms)
         }
         order = [server for server in servers if server not in skipped]
-        # A whole query's global plan costs its one option and no merge,
-        # so only that option's calibrated cost can place it in the band;
-        # one fragment of several can win on its merge instead.
-        band = qcc.routing_band() if fragment.full_pushdown else None
+        # Every candidate of a peer carries the reference's rows, so the
+        # merge prices a skipped option as it does an explained one.
+        band = qcc.routing_band()
         bound = (
             None if band is None else _ExplainBound.over(self.wrappers, order)
         )

@@ -137,6 +137,15 @@ def test_no_stale_dispatch_catches_unadmitted_replica(clean_run):
     assert found["no-stale-dispatch"], "stale-replica dispatch not detected"
 
 
+def test_a_dispatch_checker_sees_its_case_only_on_an_excluded_candidate():
+    fresh = DispatchRecord(0.0, "S1", ("S3",), ("S1", "R1"), ("S1", "R1"))
+    assert not fresh.excluded_down and not fresh.excluded_stale
+    stale = DispatchRecord(0.0, "S1", ("R1",), ("S1",), ("S1", "R1"))
+    assert stale.excluded_down and stale.excluded_stale
+    untolerated = DispatchRecord(0.0, "S1", (), None, ("S1", "R1"))
+    assert not untolerated.excluded_stale
+
+
 def test_calibration_bounds_catches_runaway_factor(clean_run):
     run = _mutant(clean_run)
     low, high = run.factor_bounds

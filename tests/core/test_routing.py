@@ -3,11 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import QCCConfig, QueryCostCalibrator
 from repro.core.routing import generalize_signature
 from repro.sim import ServerUnavailable
 from repro.sqlengine import PlanCost
+from repro.sqlengine.expressions import Literal
 
 
 def _qcc(**kwargs):
@@ -31,6 +33,25 @@ class TestGeneralizeSignature:
         a = "SELECT x FROM t WHERE p > 5000"
         b = "SELECT x FROM t WHERE p > 6125.5"
         assert generalize_signature(a) == generalize_signature(b)
+
+    def test_exponent_literals_fold_whole(self):
+        # Literal.sql() writes |v| < 1e-4 and |v| >= 1e16 in exponent form.
+        assert generalize_signature("x > 1e-05") == "x > ?"
+        assert generalize_signature("x > 1.5e+20") == "x > ?"
+
+    @given(
+        st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+        st.text(),
+    )
+    def test_every_rendered_literal_folds(self, number, text):
+        # A sign is the grammar's minus operator (``-5`` parses as
+        # ``0 - 5``), so it stays in the text; the number folds whole.
+        rendered = Literal(number).sql()
+        sign = "-" if rendered.startswith("-") else ""
+        sql = f"SELECT a FROM t WHERE b > {rendered} AND c = {Literal(text).sql()}"
+        assert generalize_signature(sql) == (
+            f"SELECT a FROM t WHERE b > {sign}? AND c = ?"
+        )
 
 
 class TestCalibrateInterface:

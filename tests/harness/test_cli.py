@@ -279,21 +279,31 @@ class TestChaosCommand:
         from collections import Counter
         from dataclasses import replace
 
-        from repro.chaos import generate_scenarios, run_scenario
+        from repro.chaos import generate_scenarios, run_checkers, run_scenario
+        from repro.chaos.checkers import CASES
 
         code = main(
             ["chaos", "--seed", "42", "--runs", "6",
              "--hedge-after", "20", "--reroute-batch", "8"]
         )
         assert code == 0
-        totals = Counter()
+        totals, cases = Counter(), Counter()
         for spec in generate_scenarios(42, 6):
             if spec.arrival is not None:
                 spec = replace(spec, hedge_after_ms=20, reroute_batch_rows=8)
-            totals.update(run_scenario(spec).counts())
+            run = run_scenario(spec)
+            totals.update(run.counts())
+            cases.update({name: CASES[name](run) for name in run_checkers(run)})
         assert totals["hedges fired"] > 0
-        assert {"backup wins", "migrations fired", "retries", "sheds"} <= set(totals)
-        summary = capsys.readouterr().out.splitlines()[-1]
+        assert {
+            "backup wins", "migrations fired", "retries", "sheds",
+            "failovers", "down exclusions", "stale exclusions",
+        } <= set(totals)
+        assert set(cases) == set(CASES) and cases["sqlite-answers"] > 0
+        *_, checker_cases, summary = capsys.readouterr().out.splitlines()
+        assert checker_cases == "Checker cases: " + ", ".join(
+            f"{name} {n}" for name, n in sorted(cases.items())
+        )
         assert summary == "Mechanisms: " + ", ".join(
             f"{name} {n}" for name, n in sorted(totals.items())
         )

@@ -32,9 +32,15 @@ from repro.sqlengine import (
 )
 from repro.sqlengine.catalog import Catalog, ColumnStats, IndexDef, TableDef, TableStats
 from repro.sqlengine import optimizer as optimizer_module
-from repro.sqlengine.cost import PlanCost, ServerProfile, StatsContext
+from repro.sqlengine.cost import (
+    PlanCost,
+    ServerProfile,
+    StatsContext,
+    equijoin_selectivity,
+    estimate_selectivity,
+)
 from repro.sqlengine.database import Database
-from repro.sqlengine.expressions import combine_conjuncts, conjuncts
+from repro.sqlengine.expressions import combine_conjuncts, conjuncts, is_equijoin_conjunct
 from repro.sqlengine.logical import QueryBlock, bind
 from repro.sqlengine.optimizer import (
     Optimizer,
@@ -50,6 +56,7 @@ from repro.sqlengine.physical import (
     IndexScan,
     NestedLoopJoin,
     PhysicalPlan,
+    Selectivities,
     SeqScan,
     stats_context_for_plan,
 )
@@ -159,10 +166,46 @@ class ReferenceOptimizer:
 
     def _cost(self, plan: PhysicalPlan) -> PlanCost:
         """No memo of any kind: the recursion is spelled out here and
-        every formula is evaluated by an estimator that has seen nothing."""
+        every formula is evaluated by an estimator that has seen nothing,
+        and that takes an inner join's rows from :meth:`_rows`."""
         children = [self._cost(child) for child in plan.children()]
-        estimator = CostEstimator(self.profile, StatsContext(self.stats))
+        stats = StatsContext(self.stats)
+        estimator = CostEstimator(self.profile, stats, _SpelledOutRows(stats, self))
         return plan._cost(estimator, *children)
+
+    def _rows(self, join: PhysicalPlan) -> float:
+        """An inner join's rows spelled out: the rows of each relation
+        under its inner joins, in binding order, then each join
+        conjunct's selectivity, in the order of its columns or text."""
+        stats = StatsContext(self.stats)
+        relations, parts, nodes = [], [], [join]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, HashJoin) and not node.outer:
+                parts += list(zip(node.left_keys, node.right_keys))
+                parts += conjuncts(node.residual)
+            elif isinstance(node, NestedLoopJoin) and not node.outer:
+                parts += conjuncts(node.condition)
+            else:
+                relations.append(node)
+                continue
+            nodes += node.children()
+        factors = []
+        for part in parts:
+            if isinstance(part, tuple) or is_equijoin_conjunct(part):
+                if not isinstance(part, tuple):
+                    part = (part.left.name, part.right.name)
+                a, b = sorted(part)
+                selectivity = equijoin_selectivity(stats.column(a), stats.column(b))
+                factors.append(((a, b), selectivity))
+            else:
+                factors.append(((part.sql(),), estimate_selectivity(part, stats)))
+        rows = 1.0
+        for relation in sorted(relations, key=lambda r: r.output_schema.columns[0].table):
+            rows *= self._cost(relation).rows
+        for _, selectivity in sorted(factors):
+            rows *= selectivity
+        return rows
 
     def _access_paths(self, relation) -> List[Priced]:
         paths = [
@@ -170,22 +213,15 @@ class ReferenceOptimizer:
                 SeqScan(relation.table, relation.binding, relation.predicate)
             )
         ]
-        if relation.predicate is not None:
-            parts = conjuncts(relation.predicate)
-            for i, part in enumerate(parts):
-                probe = _equality_probe(part)
-                if probe is None or not relation.table.has_index_on(probe[0]):
-                    continue
-                residual = combine_conjuncts(
-                    [p for j, p in enumerate(parts) if j != i]
+        for i, part in enumerate(conjuncts(relation.predicate)):
+            probe = _equality_probe(part)
+            if probe is None or not relation.table.has_index_on(probe[0]):
+                continue
+            paths.append(
+                self._priced(
+                    IndexScan(relation.table, relation.binding, relation.predicate, i)
                 )
-                paths.append(
-                    self._priced(
-                        IndexScan(
-                            relation.table, relation.binding, *probe, residual
-                        )
-                    )
-                )
+            )
         paths.sort(key=lambda c: c[1].total)
         return paths[: self.keep]
 
@@ -283,6 +319,19 @@ class ReferenceOptimizer:
                 outer=step.outer,
             )
         return NestedLoopJoin(left, right, step.condition, outer=step.outer)
+
+
+class _SpelledOutRows(Selectivities):
+    """Selectivities whose inner-join rows are the reference's own."""
+
+    __slots__ = ("reference",)
+
+    def __init__(self, stats: StatsContext, reference: ReferenceOptimizer):
+        super().__init__(stats)
+        self.reference = reference
+
+    def rows(self, join: PhysicalPlan, estimator: CostEstimator) -> float:
+        return self.reference._rows(join)
 
 
 def _dedupe(candidates: Sequence[Priced]) -> List[Priced]:
@@ -494,3 +543,28 @@ def test_the_join_bound_waits_for_keep_totals(rows, where, keep, monkeypatch):
     _assert_matches_reference(
         f"SELECT * FROM t0 r0, t1 r1 WHERE {where}", catalog, OTHER_PROFILE
     )
+
+
+def test_join_rows_fold_in_binding_order():
+    # Three fractional base rows, whose product rounds differently in
+    # another order: every candidate (and the reference) carries the
+    # product in binding order, whichever split priced the set first.
+    catalog = Catalog()
+    for i, v_max in enumerate((300.0, 300.0, 777.0)):
+        catalog.register(
+            TableDef(
+                f"t{i}",
+                Schema((Column("k", ColumnType.INT), Column("v", ColumnType.FLOAT))),
+                TableStats(
+                    800,
+                    {"k": ColumnStats(266, 0, 800), "v": ColumnStats(100, 0.0, v_max)},
+                ),
+            )
+        )
+    sql = (
+        "SELECT * FROM t0 r0, t1 r1, t2 r2 WHERE r0.k = r1.k AND r1.k = r2.k"
+        " AND r0.v > 50.5 AND r1.v > 50.5 AND r2.v > 50.5"
+    )
+    _assert_matches_reference(sql, catalog, OTHER_PROFILE)
+    rows = {c.cost.rows for c in plan_sql(sql, catalog, OTHER_PROFILE)}
+    assert len(rows) == 1

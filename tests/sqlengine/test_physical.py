@@ -21,7 +21,6 @@ from repro.sqlengine.physical import (
     WorkMeter,
 )
 from repro.sqlengine.parser import parse_expression
-from repro.sqlengine.expressions import ColumnRef, Literal
 
 
 @pytest.fixture()
@@ -61,22 +60,22 @@ class TestIndexScan:
     def test_probe(self, data):
         db, _, dept = data
         plan = IndexScan(
-            db.catalog.lookup("dept"), "dept", "deptno", Literal(7)
+            db.catalog.lookup("dept"), "dept", parse_expression("dept.deptno = 7"), 0
         )
         assert run(db, plan).rows == [r for r in dept if r[0] == 7]
 
     def test_probe_with_residual(self, data):
         db, _, dept = data
         plan = IndexScan(
-            db.catalog.lookup("dept"), "dept", "deptno", Literal(7),
-            residual=parse_expression("dept.budget > 1000"),
+            db.catalog.lookup("dept"), "dept",
+            parse_expression("dept.budget > 1000 AND dept.deptno = 7"), 1,
         )
         assert run(db, plan).rows == []
 
     def test_missing_index_fails(self, data):
         db, _, _ = data
         plan = IndexScan(
-            db.catalog.lookup("emp"), "emp", "empno", Literal(1)
+            db.catalog.lookup("emp"), "emp", parse_expression("emp.empno = 1"), 0
         )
         with pytest.raises(ExecutionError, match="no index"):
             run(db, plan)
@@ -85,8 +84,8 @@ class TestIndexScan:
         db, _, _ = data
         with pytest.raises(ExecutionError):
             IndexScan(
-                db.catalog.lookup("dept"), "dept", "deptno",
-                ColumnRef("dept.budget"),
+                db.catalog.lookup("dept"), "dept",
+                parse_expression("dept.deptno = dept.budget"), 0,
             )
 
 

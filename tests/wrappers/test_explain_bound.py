@@ -29,8 +29,9 @@ from repro.fed import (
     enumerate_global_plans,
 )
 from repro.harness import build_federation
+from repro.harness.deployment import REPLICA_PLACEMENT
 from repro.sim import RemoteServer
-from repro.sqlengine import Database, ServerProfile, TableStats
+from repro.sqlengine import Catalog, Database, ServerProfile, TableStats
 from repro.workload import EXTENDED_QUERY_TYPES, QT1, TEST_SCALE
 from repro.wrappers import MetaWrapper, RelationalWrapper
 
@@ -87,20 +88,26 @@ class Events:
         ]
 
 
-def _servers(source, profiles, moved):
+def _servers(source, profiles, moved, placement=None):
     """Relational wrappers over stats-only servers with *profiles*; all
-    share *source*'s catalog but server *moved*, whose statistics for
-    one table differ."""
+    share *source*'s catalog, or hold the tables *placement* gives them,
+    but server *moved*, whose statistics for its first table differ."""
     wrappers = {}
+    names = NAMES if placement is None else tuple(placement)
     for index, (cpu, io) in enumerate(profiles):
-        name = NAMES[index]
+        name = names[index]
         database = Database(name=name, profile=ServerProfile(name, cpu, io))
         database.catalog = source.catalog
+        if placement is not None:
+            database.catalog = Catalog()
+            for table in placement[name]:
+                database.catalog.register(source.catalog.lookup(table))
         if index == moved:
-            catalog = source.catalog.stats_only_clone()
-            stats = catalog.lookup("customer").stats
+            catalog = database.catalog.stats_only_clone()
+            table = "customer" if placement is None else placement[name][0]
+            stats = catalog.lookup(table).stats
             catalog.update_stats(
-                "customer",
+                table,
                 TableStats(
                     row_count=stats.row_count * 3,
                     column_stats=dict(stats.column_stats),
@@ -134,19 +141,19 @@ def _primed(cls, names, factors, failures):
 
 
 def _route(cls, wrappers, decomposed, factors, failures):
-    """Compile the one fragment through MW as *cls* would, and rank the
-    global plans: (qcc, options, plans or the error, trace events)."""
+    """Compile every fragment through MW as *cls* would, and rank the
+    global plans: (qcc, options per fragment id, plans or the error,
+    trace events)."""
     qcc = _primed(cls, list(wrappers), factors, failures)
     meta_wrapper = MetaWrapper(wrappers, qcc=qcc)
     events = Events()
-    fragment = decomposed.fragments[0]
-    options = meta_wrapper.compile_fragment(fragment, T_MS, events)
+    options = {
+        fragment.fragment_id: meta_wrapper.compile_fragment(fragment, T_MS, events)
+        for fragment in decomposed.fragments
+    }
     try:
         plans = enumerate_global_plans(
-            decomposed,
-            {fragment.fragment_id: options},
-            ServerProfile(),
-            ii_calibration_factor=qcc.ii_factor(),
+            decomposed, options, ServerProfile(), ii_calibration_factor=qcc.ii_factor()
         )
     except FederationError as error:
         plans = str(error)
@@ -214,6 +221,11 @@ def test_the_bound_skips_only_what_routing_never_sees(
     decomposed = decompose(sql, registry)
     assert decomposed.fragments[0].full_pushdown
 
+    _assert_routing_unchanged(wrappers, decomposed, factors, failures)
+
+
+def _assert_routing_unchanged(wrappers, decomposed, factors, failures):
+    """The skip path against the exhaustive one, fragment by fragment."""
     qcc, options, plans, events = _route(
         QueryCostCalibrator, wrappers, decomposed, factors, failures
     )
@@ -221,14 +233,37 @@ def test_the_bound_skips_only_what_routing_never_sees(
         ExhaustiveQcc, wrappers, decomposed, factors, failures
     )
     band = qcc.routing_band()
+    for fragment_id, every_options in every.items():
+        _assert_skips_only_out_of_band(
+            options[fragment_id],
+            every_options,
+            events.of("server_skipped", reason="bound", fragment=fragment_id),
+            band,
+        )
+    if isinstance(plans, str):
+        assert plans == every_plan
+        return
+    best, every_best = plans[0], every_plan[0]
+    assert best.total_cost == every_best.total_cost
+    assert [_key(c) for c in best.choices] == [_key(c) for c in every_best.choices]
+    for choice, every_choice in zip(best.choices, every_best.choices):
+        assert [
+            _key(o) for o in qcc.ranked_cluster(choice, best.siblings_of(choice))
+        ] == [
+            _key(o)
+            for o in qcc.ranked_cluster(
+                every_choice, every_best.siblings_of(every_choice)
+            )
+        ]
 
+
+def _assert_skips_only_out_of_band(options, every, skipped, band):
     # The skip path's options are the exhaustive path's, minus whole
     # servers, in candidate order.
     explained = {o.server for o in options}
     assert [_key(o) for o in options] == [
         _key(o) for o in every if o.server in explained
     ]
-    skipped = events.of("server_skipped", reason="bound")
     assert {e["server"] for e in skipped} == {o.server for o in every} - explained
 
     # No skipped server's true best calibrated cost undercuts its bound,
@@ -239,13 +274,8 @@ def test_the_bound_skips_only_what_routing_never_sees(
         )
         assert truth >= event["bound"] > event["threshold"], event
         assert event["reference"] not in {e["server"] for e in skipped}
-
-    if isinstance(plans, str):
-        assert plans == every_plan
+    if not every:
         return
-    best, every_best = plans[0], every_plan[0]
-    assert best.total_cost == every_best.total_cost
-    assert [_key(c) for c in best.choices] == [_key(c) for c in every_best.choices]
     cheapest = min(o.calibrated.total for o in every)
     in_band = [
         _key(o) for o in every if o.calibrated.total <= (1.0 + band) * cheapest
@@ -255,15 +285,57 @@ def test_the_bound_skips_only_what_routing_never_sees(
         for o in options
         if o.calibrated.total <= (1.0 + band) * cheapest
     ] == in_band
-    for choice, every_choice in zip(best.choices, every_best.choices):
-        assert [
-            _key(o) for o in qcc.ranked_cluster(choice, best.siblings_of(choice))
-        ] == [
-            _key(o)
-            for o in qcc.ranked_cluster(
-                every_choice, every_best.siblings_of(every_choice)
-            )
-        ]
+
+
+#: The inner joins (an outer join cannot cross servers): S1/R1/S2/R2
+#: splits one in two fragments when it crosses the table groups.
+JOINS = [
+    sql
+    for sql in STATEMENTS
+    if "LEFT JOIN" not in sql and (" JOIN " in sql or ", " in sql.split(" FROM ")[1])
+]
+
+
+@st.composite
+def replica_federations(draw):
+    speeds = st.tuples(st.sampled_from(SPEEDS), st.sampled_from(SPEEDS))
+    count = len(REPLICA_PLACEMENT)
+    profiles = draw(st.lists(speeds, min_size=count, max_size=count))
+    factors = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)),
+                st.floats(0.2, 6.0),
+            ),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    failures = draw(
+        st.lists(st.sampled_from((0, 0, 0, 1, 2, None)), min_size=count, max_size=count)
+    )
+    moved = draw(st.one_of(st.none(), st.integers(0, count - 1)))
+    return profiles, factors, failures, moved, draw(st.sampled_from(JOINS))
+
+
+@settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(federation=replica_federations())
+def test_the_bound_on_every_fragment_of_the_replica_topology(
+    sample_databases, federation
+):
+    # S1/R1 hold orders and customer, S2/R2 the other three tables: a
+    # join across the groups has two fragments, each on two servers.
+    # The merge prices the fragments' rows, which every candidate of a
+    # fragment shares (one estimate per relation set), so the bound
+    # holds on every fragment, not only on a whole query.
+    profiles, factors, failures, moved, sql = federation
+    wrappers, registry = _servers(
+        sample_databases["S1"], profiles, moved, REPLICA_PLACEMENT
+    )
+    _assert_routing_unchanged(wrappers, decompose(sql, registry), factors, failures)
 
 
 def _explains(monkeypatch):
