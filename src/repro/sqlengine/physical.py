@@ -24,6 +24,10 @@ docs/execution.md; a ``Limit`` meters whole batches, so the work it
 abandons depends on the batch size).  The tests hold rows to SQLite and
 meters to golden digests and to that batch-size invariance.
 
+A node's units of work (``_per_row``, ``_per_pair``, ``_per_update``,
+``_per_group``) are set once, when it is built; ``_cost`` reads them at
+estimated counts and the charge sites at actual ones (docs/cost_model.md).
+
 Operators are immutable; a plan tree is shared freely between the
 optimizer, the federated result, QCC's records and the executor.
 """
@@ -106,11 +110,6 @@ class WorkMeter:
     def total_ms(self) -> float:
         return self.cpu_ms + self.io_ms
 
-    def merge(self, other: "WorkMeter") -> None:
-        self.cpu_ms += other.cpu_ms
-        self.io_ms += other.io_ms
-        self.tuples_out += other.tuples_out
-
 
 @dataclass
 class ExecutionContext:
@@ -143,9 +142,9 @@ class Selectivities:
 
     def __init__(self, stats: StatsContext):
         self.stats = stats
-        #: id(predicate) -> (predicate, (selectivity, operator count)); the
-        #: predicate is held so its id cannot be reused.
-        self._predicates: Dict[int, Tuple[Expression, Tuple[float, int]]] = {}
+        #: id(predicate) -> (predicate, selectivity); the predicate is held
+        #: so its id cannot be reused.
+        self._predicates: Dict[int, Tuple[Expression, float]] = {}
         self._rows: Dict[frozenset, float] = {}
 
     def rows(self, join: "PhysicalPlan", estimator: "CostEstimator") -> float:
@@ -154,17 +153,17 @@ class Selectivities:
         of each relation (any node no inner join is) by its first column's
         binding, times each join conjunct's selectivity by its columns or
         text; no join order enters (docs/cost_model.md, "Cardinality")."""
-        relations, joins, nodes = {}, [], [join]
-        while nodes:
-            node = nodes.pop()
-            if isinstance(node, (HashJoin, NestedLoopJoin)) and not node.outer:
-                joins.append(node)
-                nodes += node.left, node.right
-            else:
-                relations[node.output_schema.columns[0].table] = node
-        key = frozenset(relations)
+        key = join._relation_set
         rows = self._rows.get(key)
         if rows is None:
+            relations, joins, nodes = {}, [], [join]
+            while nodes:
+                node = nodes.pop()
+                if _is_inner_join(node):
+                    joins.append(node)
+                    nodes += node.left, node.right
+                else:
+                    relations[node.output_schema.columns[0].table] = node
             parts: List[Any] = []
             for node in joins:
                 if isinstance(node, HashJoin):
@@ -185,19 +184,17 @@ class Selectivities:
         is an edge, keyed by its columns; any other, by its text."""
         if not isinstance(part, tuple):
             if not is_equijoin_conjunct(part):
-                return (part.sql(),), self.predicate(part)[0]
+                return (part.sql(),), self.predicate(part)
             part = part.left.name, part.right.name
         key = tuple(sorted(part))
         return key, equijoin_selectivity(*map(self.stats.column, key))
 
-    def predicate(self, predicate: Optional[Expression]) -> Tuple[float, int]:
-        """``(selectivity, operator count)`` of *predicate*."""
+    def predicate(self, predicate: Optional[Expression]) -> float:
+        """The selectivity of *predicate*."""
         known = self._predicates.get(id(predicate))
         if known is None:
-            known = self._predicates[id(predicate)] = predicate, (
-                estimate_selectivity(predicate, self.stats),
-                _count_operators(predicate),
-            )
+            selectivity = estimate_selectivity(predicate, self.stats)
+            known = self._predicates[id(predicate)] = predicate, selectivity
         return known[1]
 
 
@@ -312,12 +309,17 @@ class PhysicalPlan:
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-def _drain_columnar(plan: "PhysicalPlan", ctx: ExecutionContext) -> List[Row]:
-    """Run *plan* to completion on the columnar path, as row tuples."""
-    data: List[Row] = []
-    for batch in plan.rows_columnar(ctx):
-        data.extend(batch.materialize())
-    return data
+def _is_inner_join(node: PhysicalPlan) -> bool:
+    return isinstance(node, (HashJoin, NestedLoopJoin)) and not node.outer
+
+
+def _relations(node: PhysicalPlan) -> frozenset:
+    """The bindings *node* brings to an inner join's ``_relation_set``
+    (``Selectivities.rows``' key): an inner join's own, any other node's
+    first column's."""
+    if _is_inner_join(node):
+        return node._relation_set
+    return frozenset((node.output_schema.columns[0].table,))
 
 
 def _concat_column(batches: Sequence[ColumnBatch], j: int) -> List[Any]:
@@ -453,17 +455,15 @@ class SeqScan(PhysicalPlan):
         self.binding = binding
         self.predicate = predicate
         self.output_schema = table.schema.rename_table(binding)
+        self._per_row = CPU_TUPLE_COST + _count_operators(predicate) * CPU_OPERATOR_COST
 
     def _cost(self, estimator: CostEstimator) -> PlanCost:
         profile = estimator.profile
         rows_in = self.table.stats.row_count
         width = self.output_schema.row_width_bytes()
-        selectivity, ops = estimator.predicate(self.predicate)
-        rows_out = max(rows_in * selectivity, 0.0)
+        rows_out = max(rows_in * estimator.predicate(self.predicate), 0.0)
         io = profile.io_ms(pages_for(rows_in, width) * SEQ_PAGE_COST)
-        cpu = profile.cpu_ms(
-            rows_in * (CPU_TUPLE_COST + ops * CPU_OPERATOR_COST)
-        )
+        cpu = profile.cpu_ms(rows_in * self._per_row)
         total = STARTUP_COST + io + cpu
         first = STARTUP_COST + (io + cpu) / max(rows_out, 1.0)
         return PlanCost(
@@ -494,10 +494,6 @@ class SeqScan(PhysicalPlan):
                 yield batch
 
     @cached_property
-    def _per_row(self) -> float:
-        return CPU_TUPLE_COST + _count_operators(self.predicate) * CPU_OPERATOR_COST
-
-    @cached_property
     def _kernels(self) -> List[Callable[[ColumnBatch], List[int]]]:
         return [selection_kernel(c, self.output_schema) for c in conjuncts(self.predicate)]
 
@@ -525,6 +521,7 @@ class IndexScan(PhysicalPlan):
         self.value = matched[1]
         self.residual = combine_conjuncts(parts[:probe] + parts[probe + 1 :])
         self.output_schema = table.schema.rename_table(binding)
+        self._per_row = CPU_TUPLE_COST + _count_operators(self.residual) * CPU_OPERATOR_COST
 
     def _cost(self, estimator: CostEstimator) -> PlanCost:
         profile = estimator.profile
@@ -532,13 +529,10 @@ class IndexScan(PhysicalPlan):
         rows_in = self.table.stats.row_count
         n_distinct = stats.n_distinct if stats else max(rows_in, 1)
         matched = rows_in / max(n_distinct, 1)
-        ops = estimator.predicate(self.residual)[1]
-        rows_out = max(rows_in * estimator.predicate(self.predicate)[0], 0.0)
+        rows_out = max(rows_in * estimator.predicate(self.predicate), 0.0)
         width = self.output_schema.row_width_bytes()
         probe = profile.io_ms(INDEX_PROBE_COST)
-        cpu = profile.cpu_ms(
-            matched * (CPU_TUPLE_COST + ops * CPU_OPERATOR_COST)
-        )
+        cpu = profile.cpu_ms(matched * self._per_row)
         total = STARTUP_COST + probe + cpu
         first = STARTUP_COST + probe + cpu / max(rows_out, 1.0)
         return PlanCost(
@@ -557,8 +551,6 @@ class IndexScan(PhysicalPlan):
             )
         meter = ctx.meter
         meter.io_ms += INDEX_PROBE_COST
-        ops = _count_operators(self.residual)
-        per_row = CPU_TUPLE_COST + ops * CPU_OPERATOR_COST
         rids = index.lookup(self.value.value)
         table_cols = heap.columnar()
         size = ctx.batch_size
@@ -566,7 +558,7 @@ class IndexScan(PhysicalPlan):
             table_cols.take_batch(list(rids[start : start + size]))
             for start in range(0, len(rids), size)
         )
-        for matched in _metered(fetched, meter, per_row):
+        for matched in _metered(fetched, meter, self._per_row):
             batch = _narrowed(matched, self._kernels)
             if batch is not None:
                 yield batch
@@ -594,15 +586,15 @@ class Filter(PhysicalPlan):
         self.child = child
         self.predicate = predicate
         self.output_schema = child.output_schema
+        self._per_row = _count_operators(predicate) * CPU_OPERATOR_COST
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
     def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         profile = estimator.profile
-        selectivity, ops = estimator.predicate(self.predicate)
-        rows_out = max(child.rows * selectivity, 0.0)
-        cpu = profile.cpu_ms(child.rows * ops * CPU_OPERATOR_COST)
+        rows_out = max(child.rows * estimator.predicate(self.predicate), 0.0)
+        cpu = profile.cpu_ms(child.rows * self._per_row)
         total = child.total + cpu
         first = child.first_tuple + cpu / max(rows_out, 1.0)
         return PlanCost(
@@ -615,10 +607,6 @@ class Filter(PhysicalPlan):
     @cached_property
     def _kernels(self) -> List[Callable[[ColumnBatch], List[int]]]:
         return [selection_kernel(c, self.output_schema) for c in conjuncts(self.predicate)]
-
-    @cached_property
-    def _per_row(self) -> float:
-        return _count_operators(self.predicate) * CPU_OPERATOR_COST
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         child = self.child.rows_columnar(ctx)
@@ -643,15 +631,14 @@ class Project(PhysicalPlan):
         self.child = child
         self.items = tuple(items)
         self.output_schema = output_schema
+        self._per_row = len(self.items) * CPU_OPERATOR_COST
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
     def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         profile = estimator.profile
-        cpu = profile.cpu_ms(
-            child.rows * len(self.items) * CPU_OPERATOR_COST
-        )
+        cpu = profile.cpu_ms(child.rows * self._per_row)
         width = self.output_schema.row_width_bytes()
         return PlanCost(
             first_tuple=child.first_tuple,
@@ -662,14 +649,13 @@ class Project(PhysicalPlan):
 
     @cached_property
     def _plans(self) -> List[Tuple[int, Optional[Callable[[ColumnBatch], List[Any]]]]]:
-        """Per item, the child column it passes through, or its kernel."""
+        """Per (bound, so star-free) item, its child column or kernel."""
         child_schema = self.child.output_schema
         return [
             (child_schema.index_of(item.expr.name), None)
             if isinstance(item.expr, ColumnRef)
             else (-1, value_kernel(item.expr, child_schema))
             for item in self.items
-            if item.expr is not None
         ]
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
@@ -677,9 +663,8 @@ class Project(PhysicalPlan):
         # through (narrowed to the selection); computed items run a
         # generated kernel into a value column.
         plans = self._plans
-        per_row = len(plans) * CPU_OPERATOR_COST
         child = self.child.rows_columnar(ctx)
-        for batch in _metered(child, ctx.meter, per_row):
+        for batch in _metered(child, ctx.meter, self._per_row):
             sel = batch.sel
             cols: List[ColumnData] = []
             for idx, kernel in plans:
@@ -719,6 +704,9 @@ class NestedLoopJoin(PhysicalPlan):
         self.condition = condition
         self.outer = outer
         self.output_schema = left.output_schema.concat(right.output_schema)
+        self._per_pair = max(_count_operators(condition), 1) * CPU_OPERATOR_COST
+        if not outer:
+            self._relation_set = _relations(left) | _relations(right)
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
@@ -728,16 +716,11 @@ class NestedLoopJoin(PhysicalPlan):
     ) -> PlanCost:
         profile = estimator.profile
         pairs = left.rows * right.rows
-        selectivity, ops = estimator.predicate(self.condition)
         if self.outer:
-            rows_out = max(pairs * selectivity, left.rows)
+            rows_out = max(pairs * estimator.predicate(self.condition), left.rows)
         else:
             rows_out = estimator.selectivities.rows(self, estimator)
-        ops = max(ops, 1)
-        cpu = profile.cpu_ms(
-            pairs * ops * CPU_OPERATOR_COST
-            + right.rows * MATERIALIZE_TUPLE_COST
-        )
+        cpu = profile.cpu_ms(pairs * self._per_pair + right.rows * MATERIALIZE_TUPLE_COST)
         total = left.total + right.total + cpu
         first = left.first_tuple + right.total + cpu / max(rows_out, 1.0)
         width = left.width_bytes + right.width_bytes
@@ -753,15 +736,13 @@ class NestedLoopJoin(PhysicalPlan):
         # per left batch.  The row evaluator runs the condition over
         # each joined pair, inner rows in order.
         meter = ctx.meter
-        inner = _drain_columnar(self.right, ctx)
+        inner = [row for batch in self.right.rows_columnar(ctx) for row in batch.materialize()]
         meter.cpu_ms += len(inner) * MATERIALIZE_TUPLE_COST
         condition = (
             self.condition.compile(self.output_schema)
             if self.condition is not None
             else None
         )
-        ops = max(_count_operators(self.condition), 1)
-        per_pair = ops * CPU_OPERATOR_COST
         null_pad = (None,) * len(self.right.output_schema)
         width = len(self.output_schema)
         pairs = 0
@@ -780,7 +761,7 @@ class NestedLoopJoin(PhysicalPlan):
                 if out:
                     yield ColumnBatch.from_rows(out, width)
         finally:
-            meter.cpu_ms += pairs * per_pair
+            meter.cpu_ms += pairs * self._per_pair
 
     def describe(self) -> str:
         cond = _predicate_sql(self.condition) or "TRUE"
@@ -818,6 +799,8 @@ class HashJoin(PhysicalPlan):
         self.residual = residual
         self.outer = outer
         self.output_schema = left.output_schema.concat(right.output_schema)
+        if not outer:
+            self._relation_set = _relations(left) | _relations(right)
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
@@ -831,7 +814,7 @@ class HashJoin(PhysicalPlan):
             for key in zip(self.left_keys, self.right_keys):
                 selectivity *= equijoin_selectivity(*map(estimator.stats.column, key))
             rows_out = left.rows * right.rows * selectivity
-            rows_out = max(rows_out * estimator.predicate(self.residual)[0], left.rows)
+            rows_out = max(rows_out * estimator.predicate(self.residual), left.rows)
         else:
             rows_out = estimator.selectivities.rows(self, estimator)
         build = profile.cpu_ms(right.rows * HASH_BUILD_COST)
@@ -948,6 +931,8 @@ class HashAggregate(PhysicalPlan):
                 ):
                     self._agg_positions[id(node)] = len(self._agg_calls)
                     self._agg_calls.append(node)
+        self._per_update = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
+        self._per_group = len(self.items) * CPU_OPERATOR_COST
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
@@ -971,18 +956,12 @@ class HashAggregate(PhysicalPlan):
     def _cost(self, estimator: CostEstimator, child: PlanCost) -> PlanCost:
         profile = estimator.profile
         groups = self._estimate_groups(child.rows, estimator)
-        updates = child.rows * max(len(self._agg_calls), 1)
-        cpu = profile.cpu_ms(
-            updates * AGG_UPDATE_COST
-            + groups * len(self.items) * CPU_OPERATOR_COST
-        )
+        cpu = profile.cpu_ms(child.rows * self._per_update + groups * self._per_group)
         total = child.total + cpu
         width = self.output_schema.row_width_bytes()
         # Aggregation is blocking: nothing is emitted before the input is
         # consumed, so first-tuple is essentially total minus emission.
-        emit = profile.cpu_ms(
-            groups * len(self.items) * CPU_OPERATOR_COST
-        )
+        emit = profile.cpu_ms(groups * self._per_group)
         first = max(child.total + cpu - emit, child.first_tuple)
         return PlanCost(
             first_tuple=min(first, total),
@@ -1041,11 +1020,9 @@ class HashAggregate(PhysicalPlan):
         # The input and the joins down its left edge run in one generated
         # loop that folds every row into per-group accumulators.
         group_keys, agg_cols, consumed = parts.spine.aggregate_groups(ctx)
-        per_row = max(len(self._agg_calls), 1) * AGG_UPDATE_COST
-        meter.cpu_ms += consumed * per_row
+        meter.cpu_ms += consumed * self._per_update
         groups = len(group_keys)
-        per_group = len(self.items) * CPU_OPERATOR_COST
-        meter.cpu_ms += groups * per_group
+        meter.cpu_ms += groups * self._per_group
         if not groups:
             return
         # HAVING and the output items run as generated kernels over the

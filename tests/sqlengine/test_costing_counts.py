@@ -57,10 +57,10 @@ def test_qt4_costing_work_is_pinned(sample_databases, counts):
     # o|p splits are cross joins); the other ten belong to pairs whose
     # two sides already cost more than the third-cheapest join their
     # subset had priced, and are never built.  Evaluations: a page count
-    # per scan; a selectivity for the two local predicates, for the
-    # absent one (scan of l and the cross joins share it) and for the
-    # condition of each of the ten splits that has one.
-    assert counts == {"evaluations": 3 + 3 + 10, "nodes": 3 + 32 + 3}
+    # per scan and a selectivity per scan predicate (the two local ones
+    # and the absent one of l).  An inner join's rows come from its
+    # relation set's equijoin edges, so no join condition is evaluated.
+    assert counts == {"evaluations": 3 + 3, "nodes": 3 + 32 + 3}
 
 
 def test_four_relation_clique_costing_is_linear(counts):

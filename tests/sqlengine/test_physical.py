@@ -18,7 +18,6 @@ from repro.sqlengine.physical import (
     Limit,
     NestedLoopJoin,
     SeqScan,
-    WorkMeter,
 )
 from repro.sqlengine.parser import parse_expression
 
@@ -265,18 +264,3 @@ class TestPlanMetadata:
         lines = plan.explain().splitlines()
         assert lines[0].startswith("Filter")
         assert lines[1].startswith("  SeqScan")
-
-
-class TestWorkMeter:
-    def test_merge(self):
-        a = WorkMeter()
-        a.cpu_ms = 1.0
-        a.io_ms = 2.0
-        a.tuples_out = 3
-        b = WorkMeter()
-        b.cpu_ms = 0.5
-        b.merge(a)
-        assert b.cpu_ms == 1.5
-        assert b.io_ms == 2.0
-        assert b.tuples_out == 3
-        assert b.total_ms == 3.5
