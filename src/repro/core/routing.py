@@ -22,7 +22,7 @@ from typing import Deque, Dict, Optional, Sequence
 
 from ..obs import get_obs
 from ..sqlengine import INFINITE_COST, PlanCost
-from ..sqlengine.parser import _TOKEN_RE
+from ..sqlengine.parser import fold_literals
 from ..sim import PeriodicTimer, ServerUnavailable
 from ..fed.decomposer import DecomposedQuery
 from ..fed.global_optimizer import FragmentOption, GlobalPlan
@@ -87,13 +87,7 @@ def generalize_signature(signature: str) -> str:
     the same query template (the paper's Figure 5: QF3's estimate is
     calibrated before QF3 has ever executed).  A literal is what the
     tokenizer reads as a NUMBER or a STRING, exponent forms included."""
-    parts, end = [], 0
-    for match in _TOKEN_RE.finditer(signature):
-        kind = match.lastgroup
-        if kind == "NUMBER" or kind == "STRING":
-            parts += signature[end : match.start(kind)], "?"
-            end = match.end(kind)
-    return "".join(parts) + signature[end:]
+    return fold_literals(signature)[0]
 
 
 class QueryCostCalibrator(Calibration):

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..sqlengine import Column, Schema, parse
-from ..sqlengine.database import offer_bound
+from ..sqlengine import Column, Schema
+from ..sqlengine.database import bind_shape, offer_bound
 from ..sqlengine.expressions import Expression
-from ..sqlengine.logical import JoinEdge, QueryBlock, bind
+from ..sqlengine.logical import JoinEdge, QueryBlock
 from ..sqlengine.parser import SelectStatement
 from .nicknames import FederationError, NicknameRegistry
 
@@ -91,15 +91,9 @@ class _UnionFind:
         return result
 
 
-def decompose(
-    sql_or_statement, registry: NicknameRegistry
-) -> DecomposedQuery:
+def decompose(sql: str, registry: NicknameRegistry) -> DecomposedQuery:
     """Decompose a federated query into co-located fragments."""
-    if isinstance(sql_or_statement, SelectStatement):
-        statement = sql_or_statement
-    else:
-        statement = parse(sql_or_statement)
-    block = bind(statement, registry.global_catalog)
+    statement, block = bind_shape(sql, registry.global_catalog)
 
     bindings = list(block.relations)
     nickname_of = {
@@ -112,20 +106,9 @@ def decompose(
                 f"nickname {nickname_of[binding]!r} has no placements"
             )
 
-    if block.fixed_joins:
-        # Outer joins cannot be split across sources: the whole chain
-        # must push down to one server hosting every nickname.
-        fragment = _full_pushdown_fragment(
-            statement, block, bindings, nickname_of, registry
-        )
-        return DecomposedQuery(
-            statement=statement,
-            block=block,
-            fragments=(fragment,),
-            cross_edges=(),
-        )
-
-    # Greedy co-location grouping over join edges.
+    # Greedy co-location grouping over join edges.  Outer joins cannot be
+    # split across sources: the whole chain must push down to one server
+    # hosting every nickname.
     uf = _UnionFind(bindings)
     for edge in block.join_edges:
         left_root = uf.find(edge.left_binding)
@@ -137,7 +120,7 @@ def decompose(
         if registry.common_servers(nickname_of[b] for b in merged):
             uf.union(edge.left_binding, edge.right_binding)
 
-    groups = sorted(
+    groups = [bindings] if block.fixed_joins else sorted(
         uf.groups().values(), key=lambda g: min(bindings.index(b) for b in g)
     )
 
@@ -225,9 +208,7 @@ def _needed_columns(
             needed[binding].append(bare)
 
     sources: List[Expression] = []
-    sources.extend(
-        item.expr for item in block.items if item.expr is not None
-    )
+    sources.extend(item.expr for item in block.items)
     if block.residual is not None:
         sources.append(block.residual)
     sources.extend(block.group_by)

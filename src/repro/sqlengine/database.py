@@ -8,23 +8,28 @@ offering the interface a remote server exposes to the federation:
 
 ``explain`` is a pure function of the SQL text, the catalog and the
 optimizer's profile, so its answers are kept in a statement cache (DB2's
-dynamic statement cache) that is dropped the moment any of those moves.  Below those caches, the statement planned
-or offered last is shared by every database: a server whose catalog
-content equals that statement's takes its bound block, plan nodes
-included, and only prices them (docs/plan_cache.md, "The shared entry").
+dynamic statement cache) that is dropped the moment any of those moves.
+Below those caches, the statement planned or offered last is shared by
+every database: a server whose catalog content equals that statement's
+takes its bound block, plan nodes included, and only prices them
+(docs/plan_cache.md, "The shared entry").  The decomposer parses and
+binds once per query shape (:func:`bind_shape`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
+from math import inf
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import Catalog, TableDef
 from .cost import ServerProfile, REFERENCE_PROFILE
 from .executor import ExecutionResult, execute_plan
-from .logical import QueryBlock, bind
+from .expressions import Expression, Literal, walk
+from .logical import QueryBlock, _rebuild, bind
 from .optimizer import Optimizer, PlanCandidate
-from .parser import SelectStatement, parse
+from .parser import SelectStatement, fold_literals, literal_type, literal_value, parse
 from .physical import PhysicalPlan
 from .storage import StorageManager
 from .types import Schema, SqlError
@@ -65,6 +70,102 @@ def offer_bound(
     *statement* without parsing *sql*."""
     global _last_planned
     _last_planned = _Planned(sql, statement, content, block)
+
+
+#: Query shapes whose first parse and bind :func:`bind_shape` keeps (LRU).
+SHAPE_CACHE_SIZE = 64
+
+
+class _Shape(NamedTuple):
+    """A text's parse and bind, the template of every text of its shape."""
+
+    literals: Tuple[Optional[str], ...]  # each literal's text, None for a hole
+    holes: Tuple[Tuple[int, Literal], ...]  # (position in literals, node)
+    content: Tuple[TableDef, ...]
+    statement: SelectStatement
+    block: QueryBlock
+
+
+#: (folded text, literal types) -> its shape, least recently used first.
+_shapes: "OrderedDict[tuple, _Shape]" = OrderedDict()
+
+
+def bind_shape(sql: str, catalog: Catalog) -> Tuple[SelectStatement, QueryBlock]:
+    """``parse(sql)`` and its ``bind`` over *catalog*, as new objects: for
+    a known shape, the template rebuilt along the paths to its *holes*,
+    the WHERE and ON literals, which ``bind`` reads by type alone
+    (docs/plan_cache.md, "One parse and one bind per shape")."""
+    folded, literals = fold_literals(sql)
+    tokens = [token for _, token in literals]
+    key = (folded, tuple(map(literal_type, tokens)))
+    content = catalog.content()
+    shape = _shapes.get(key)
+    if shape is not None and shape.content == content and all(
+        fixed is None or fixed == token for fixed, token in zip(shape.literals, tokens)
+    ):
+        try:
+            values = [literal_value(tokens[at]) for at, _ in shape.holes]
+        except ValueError:  # too many digits: the parser raises it
+            values = [inf]
+        if inf not in values:  # an overflowing float: the parser raises it
+            _shapes.move_to_end(key)
+            new = {id(node): Literal(v, node.token) for (_, node), v in zip(shape.holes, values)}
+            statement, block = shape.statement, shape.block
+            return replace(
+                statement,
+                where=_swap(statement.where, new),
+                joins=_swap_each(statement.joins, "condition", new),
+            ), replace(
+                block,
+                relations=dict(
+                    zip(block.relations, _swap_each(block.relations.values(), "predicate", new))
+                ),
+                residual=_swap(block.residual, new),
+                fixed_joins=_swap_each(block.fixed_joins, "condition", new),
+            )
+    statement = parse(sql)
+    block = bind(statement, catalog)
+    holes = {
+        node.token: node
+        for condition in [statement.where] + [join.condition for join in statement.joins]
+        if condition is not None
+        for node in walk(condition)
+        if isinstance(node, Literal) and node.token is not None
+    }
+    _shapes[key] = _Shape(
+        tuple(None if index in holes else token for index, token in literals),
+        tuple((at, holes[index]) for at, (index, _) in enumerate(literals) if index in holes),
+        content,
+        statement,
+        replace(block),  # not the block whose plan space the servers fill
+    )
+    if len(_shapes) > SHAPE_CACHE_SIZE:
+        _shapes.popitem(last=False)
+    return statement, block
+
+
+def _swap(expr: Optional[Expression], new: Dict[int, Expression]):
+    """*expr* with the nodes *new* maps by id replaced, rebuilt along the
+    paths to them (*new* records each, so shared subtrees stay shared)."""
+    if expr is None:
+        return None
+    swapped = new.get(id(expr))
+    if swapped is None:
+        children = expr.children()
+        rebuilt = [_swap(child, new) for child in children]
+        changed = any(a is not b for a, b in zip(rebuilt, children))
+        swapped = new[id(expr)] = _rebuild(expr, rebuilt) if changed else expr
+    return swapped
+
+
+def _swap_each(nodes: Iterable[Any], name: str, new: Dict[int, Expression]) -> tuple:
+    """*nodes*, each with its expression field *name* swapped."""
+    out = []
+    for node in nodes:
+        expr = getattr(node, name)
+        swapped = _swap(expr, new)
+        out.append(node if swapped is expr else replace(node, **{name: swapped}))
+    return tuple(out)
 
 
 class Database:

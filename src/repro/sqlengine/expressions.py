@@ -18,7 +18,7 @@ by construction.
 from __future__ import annotations
 
 import operator as _operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from .types import ColumnType, Row, Schema, SqlError, TypeMismatchError
@@ -80,9 +80,11 @@ Expression.children = lambda self: ()  # noqa: E731  # type: ignore[attr-defined
 
 @dataclass(frozen=True, repr=False)
 class Literal(Expression):
-    """A constant value (int, float, string, bool or NULL)."""
+    """A constant value (int, float, string, bool or NULL); ``token`` is the
+    index of the token the parser read it from, if any (not compared)."""
 
     value: Any
+    token: Optional[int] = field(default=None, compare=False)
 
     def compile(self, schema: Schema) -> Evaluator:
         value = self.value

@@ -116,13 +116,7 @@ class QueryBlock:
     def has_aggregation(self) -> bool:
         if self.group_by:
             return True
-        return any(
-            item.expr is not None and item.expr.contains_aggregate()
-            for item in self.items
-        )
-
-    def bindings(self) -> Tuple[str, ...]:
-        return tuple(self.relations)
+        return any(item.expr.contains_aggregate() for item in self.items)
 
 
 def _qualify_column(ref: ColumnRef, input_schemas: Dict[str, Schema]) -> ColumnRef:

@@ -120,6 +120,31 @@ def tokenize(text: str) -> List[Token]:
     return [Token(*entry) for entry in zip(*_scan(text))]
 
 
+def fold_literals(text: str) -> Tuple[str, List[Tuple[int, str]]]:
+    """*text* with each literal folded to ``?``, and every literal's token
+    index and text: what :data:`_TOKEN_RE` reads as a NUMBER or a STRING
+    (a negative number's sign is the minus operator and stays)."""
+    parts, literals, end = [], [], 0
+    for index, match in enumerate(_TOKEN_RE.finditer(text)):
+        kind = match.lastgroup
+        if kind == "NUMBER" or kind == "STRING":
+            parts += text[end : match.start(kind)], "?"
+            end = match.end(kind)
+            literals.append((index, match[kind]))
+    return "".join(parts) + text[end:], literals
+
+
+def literal_type(token: str) -> type:
+    """The type of a NUMBER or STRING token's value."""
+    return str if token[0] == "'" else int if token.isdecimal() else float
+
+
+def literal_value(token: str):
+    """A NUMBER or STRING token's value (``inf`` past the largest float)."""
+    kind = literal_type(token)
+    return token[1:-1].replace("''", "'") if kind is str else kind(token)
+
+
 # --------------------------------------------------------------------------
 # AST
 # --------------------------------------------------------------------------
@@ -568,7 +593,7 @@ class _Parser:
             index += 1
         if word == "LIKE":
             self._index = index + 1
-            pattern = self._expect_kind("STRING")[1:-1].replace("''", "'")
+            pattern = literal_value(self._expect_kind("STRING"))
             return Like(left, pattern, negated=negated)
         if word == "IN":
             self._index = index + 1
@@ -620,17 +645,13 @@ class _Parser:
         self._index = index + 1  # every branch that returns took the token
         if kind == "IDENT":
             return self._parse_identifier_term(value)
-        if kind == "NUMBER":
-            if value.isdecimal():
-                return Literal(int(value))
-            number = float(value)
-            if number == inf:
+        if kind == "NUMBER" or kind == "STRING":
+            literal = literal_value(value)
+            if literal == inf:
                 raise ParseError(
                     f"number {value} out of range at offset {self._offsets[index]}"
                 )
-            return Literal(number)
-        if kind == "STRING":
-            return Literal(value[1:-1].replace("''", "'"))
+            return Literal(literal, index)
         if value == "(":
             expr = self.parse_expression()
             self._expect(")")

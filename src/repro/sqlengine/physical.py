@@ -919,9 +919,7 @@ class HashAggregate(PhysicalPlan):
         # Collect the aggregate calls appearing in items/having, in order.
         self._agg_calls: List[AggregateCall] = []
         self._agg_positions: Dict[int, int] = {}
-        sources: List[Expression] = [
-            item.expr for item in self.items if item.expr is not None
-        ]
+        sources: List[Expression] = [item.expr for item in self.items]
         if having is not None:
             sources.append(having)
         for source in sources:
@@ -1000,13 +998,12 @@ class HashAggregate(PhysicalPlan):
             )
             items = []
             for item in self.items:
-                if item.expr is not None:
-                    expr = self._over_internal(item.expr)
-                    items.append(
-                        internal_schema.index_of(expr.name)
-                        if isinstance(expr, ColumnRef)
-                        else value_kernel(expr, internal_schema)
-                    )
+                expr = self._over_internal(item.expr)
+                items.append(
+                    internal_schema.index_of(expr.name)
+                    if isinstance(expr, ColumnRef)
+                    else value_kernel(expr, internal_schema)
+                )
             parts = self._built = _AggregateParts(
                 Spine(joins[::-1], node, self.group_by, self._agg_calls),
                 having,

@@ -78,7 +78,12 @@ def _groups(node, storage):
 
 def _recost(node, rows, storage):
     """{constant name: (formula's charge, the meter's charge)} of *node*'s
-    own work at actual counts, reference-machine milliseconds."""
+    own work at actual counts, reference-machine milliseconds.
+
+    Each unit is restated here from the cost constants on purpose: this
+    is the independent reference.  Reading the node's ``_per_row`` /
+    ``_per_pair`` / ``_per_update`` / ``_per_group`` would compare the
+    node with itself; ``test_shared_units.py`` covers those attributes."""
     out = rows[node]
     if isinstance(node, (P.SeqScan, P.IndexScan)):
         if isinstance(node, P.SeqScan):

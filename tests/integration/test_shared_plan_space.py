@@ -4,7 +4,7 @@ each still explains the fragment as it would alone.
 The meta-wrapper asks a fragment's candidate servers back to back.  In
 the three-server topology every server holds every table, so every
 fragment is its whole query and all of them share one set of plan nodes
-per text, over the block the decomposer parsed and bound: the servers
+per text, over the block the decomposer made: the servers
 parse and bind nothing.  In the replica topology S1/R1 hold equal copies
 of one table group and S2/R2 of the other, so each pair shares one bind
 and the pairs never do.  Either way every server's answer is the
@@ -41,12 +41,14 @@ def _node_ids(candidates):
 def _explained(deployment, monkeypatch):
     """(server, text) -> candidates for every fragment QT1-QT5 send a
     server; the parses and binds each text cost across servers; and the
-    binds the decomposer made, by the text of what it bound."""
+    blocks the decomposer made (bound, or rebuilt from the text's shape),
+    by the text of their statement."""
     answers = {}
     work = collections.Counter()
     decomposed = collections.Counter()
     plans = RelationalWrapper.plans
     parse, bind = database_module.parse, database_module.bind
+    bind_shape = decomposer_module.bind_shape
 
     def recording_plans(self, fragment_sql, t_ms):
         before = work["parse"], work["bind"]
@@ -65,14 +67,15 @@ def _explained(deployment, monkeypatch):
         work["bind"] += 1
         return bind(statement, catalog)
 
-    def counting_decomposer_bind(statement, catalog):
+    def counting_bind_shape(sql, catalog):
+        statement, block = bind_shape(sql, catalog)
         decomposed[statement.sql()] += 1
-        return bind(statement, catalog)
+        return statement, block
 
     monkeypatch.setattr(RelationalWrapper, "plans", recording_plans)
     monkeypatch.setattr(database_module, "parse", counting_parse)
     monkeypatch.setattr(database_module, "bind", counting_bind)
-    monkeypatch.setattr(decomposer_module, "bind", counting_decomposer_bind)
+    monkeypatch.setattr(decomposer_module, "bind_shape", counting_bind_shape)
     for template in EXTENDED_QUERY_TYPES:
         for instance in range(2):
             deployment.integrator.submit(template.instance(instance).sql)
@@ -120,7 +123,7 @@ def test_servers_with_equal_catalogs_share_and_plan_as_if_alone(
             assert nodes_at[one] & nodes_at[other], (sql, one, other)
     # The servers of a group took turns on one bind per text, or on
     # none: in the three-server topology each text is a whole query,
-    # bound once, in the decomposer.  A server whose catalog differs
+    # whose block the decomposer made once.  A server whose catalog differs
     # from the registry's binds the decomposer's parse, never its own.
     for sql in by_text:
         assert work["bind", sql] == server_binds, sql

@@ -154,3 +154,38 @@ class TestJoinEdgeOrientation:
         edge = block.join_edges[0]
         assert edge.connects(frozenset({"e"}), frozenset({"d"}))
         assert not edge.connects(frozenset({"e"}), frozenset({"x"}))
+
+
+class TestBoundItemsHaveExpressions:
+    """``bind`` expands ``*`` and ``t.*``, so every bound select item, and
+    so every item an aggregate is built over, has an expression: the
+    aggregate's ``_per_group`` counts its items, as its output does."""
+
+    STARS = [
+        "SELECT * FROM customer c",
+        "SELECT DISTINCT c.* FROM customer c",
+        "SELECT c.*, o.totalprice FROM customer c JOIN orders o ON c.custkey = o.custkey",
+        "SELECT DISTINCT * FROM product p WHERE p.price > 10",
+    ]
+
+    def test_no_bound_item_and_no_aggregate_item_is_empty(self, sample_databases):
+        from repro.sqlengine import physical as P
+        from repro.workload import EXTENDED_QUERY_TYPES
+
+        from ..integration.test_golden_meters import PINNED
+
+        db = sample_databases["S1"]
+        texts = self.STARS + [t.instance(0).sql for t in EXTENDED_QUERY_TYPES] + PINNED
+        aggregates = 0
+        for sql in texts:
+            block = bind(parse(sql), db.catalog)
+            assert all(item.expr is not None for item in block.items), sql
+            stack = [candidate.plan for candidate in db.explain(sql)]
+            while stack:
+                node = stack.pop()
+                stack.extend(node.children())
+                if isinstance(node, P.HashAggregate):
+                    aggregates += 1
+                    assert all(item.expr is not None for item in node.items), sql
+                    assert node._per_group == len(node.items) * P.CPU_OPERATOR_COST
+        assert aggregates
