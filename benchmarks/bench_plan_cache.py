@@ -13,8 +13,9 @@ cost surface.  Three drives over the standard mixed QT1-QT4 workload:
   so their statement caches: this gate is about the plan cache alone.)
 * *cold*: the first pass over freshly built databases — every query
   decomposed, every fragment text parsed and bound once (its candidate
-  servers hold equal catalogs and share the bound block and its plan
-  nodes) and optimized at every server under that server's profile.
+  servers hold equal catalogs and share the bound block) and optimized
+  at each server the explain bound asks, which builds and prices its
+  own plan nodes under its own profile.
 * *re-priced*: the calibration epoch bumped before every round, so
   every lookup is stale and every compile re-prices the decomposition
   it kept over the servers' cached statements.  Asserts no hit, no

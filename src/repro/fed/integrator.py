@@ -395,9 +395,6 @@ class InformationIntegrator:
         plans = self._plans_for(
             decomposed, t, set(excluded_servers or ()), trace
         )
-        # The servers have priced the block: the cache keeps the
-        # decomposition, not the plan nodes it shared with them.
-        decomposed.block.plan_space = None
         trace.end(
             span,
             t,

@@ -11,9 +11,9 @@ optimizer's profile, so its answers are kept in a statement cache (DB2's
 dynamic statement cache) that is dropped the moment any of those moves.
 Below those caches, the statement planned or offered last is shared by
 every database: a server whose catalog content equals that statement's
-takes its bound block, plan nodes included, and only prices them
-(docs/plan_cache.md, "The shared entry").  The decomposer parses and
-binds once per query shape (:func:`bind_shape`).
+takes its bound block, and its optimizer builds and prices its own plan
+nodes over it (docs/plan_cache.md, "The shared entry").  The decomposer
+parses and binds once per query shape (:func:`bind_shape`).
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ class _Planned(NamedTuple):
 
 #: The statement any database planned last, or the decomposer offered
 #: last.  The meta-wrapper asks a fragment's candidate servers back to
-#: back, so one entry lets servers with equal catalogs share one parse,
-#: one bind and the block's plan space, each optimizer pricing it under
-#: its own profile.  It is process-wide because the servers are
-#: independent databases; its key is exact, so no answer depends on
-#: what it holds.
+#: back, so one entry lets servers with equal catalogs share one parse
+#: and one bind, each optimizer planning the block under its own
+#: profile.  It is process-wide because the servers are independent
+#: databases; its key is exact, so no answer depends on what it holds.
 _last_planned: Optional[_Planned] = None
 
 
@@ -137,7 +136,7 @@ def bind_shape(sql: str, catalog: Catalog) -> Tuple[SelectStatement, QueryBlock]
         tuple((at, holes[index]) for at, (index, _) in enumerate(literals) if index in holes),
         content,
         statement,
-        replace(block),  # not the block whose plan space the servers fill
+        block,
     )
     if len(_shapes) > SHAPE_CACHE_SIZE:
         _shapes.popitem(last=False)
@@ -243,8 +242,8 @@ class Database:
     def _bound(self, sql: str) -> QueryBlock:
         """*sql* bound against this catalog — the block last planned or
         offered, by this database or anyone else, when it is the same
-        text over equal catalog content (its plan space comes with it),
-        else a new one, parsed afresh unless the text is the last one's."""
+        text over equal catalog content, else a new one, parsed afresh
+        unless the text is the last one's."""
         last = _last_planned
         if last is None or last.sql != sql:
             statement = parse(sql)

@@ -9,8 +9,8 @@ physical operators over this block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import expressions as E
 from .catalog import Catalog, TableDef
@@ -25,9 +25,6 @@ from .expressions import (
 )
 from .parser import SelectItem, SelectStatement, OrderItem
 from .types import Column, ColumnType, Schema, SchemaError, SqlError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .optimizer import PlanSpace
 
 
 class BindError(SqlError):
@@ -87,7 +84,7 @@ class FixedJoinStep:
     outer: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryBlock:
     """A bound, normalised single-block SELECT."""
 
@@ -106,11 +103,6 @@ class QueryBlock:
     #: and no predicates are pushed into scans in this mode.
     fixed_joins: Tuple[FixedJoinStep, ...] = ()
     fixed_join_root: Optional[str] = None
-    #: The plan nodes and selectivities optimizers have built over this
-    #: block (``optimizer.PlanSpace``), made by the first to plan it.
-    plan_space: Optional["PlanSpace"] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     @property
     def has_aggregation(self) -> bool:

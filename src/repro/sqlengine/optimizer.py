@@ -36,7 +36,6 @@ from .physical import (
     NestedLoopJoin,
     PhysicalPlan,
     Project,
-    Selectivities,
     SeqScan,
     Sort,
     _equality_probe,
@@ -81,53 +80,6 @@ class _Split(NamedTuple):
     condition: Optional[Expression]
 
 
-class PlanSpace:
-    """What optimizing one bound block builds that no profile enters:
-    its join graph's subsets and splits, its plan nodes and its
-    selectivities.
-
-    A node is a pure function of its operator, its children and its
-    keys, and the DP reaches each (operator, left, right) pair of a
-    block through one split only, so that triple — or a relation's
-    binding for a scan, a join plan for its finished tail — names the
-    node.  Every optimizer that plans the block, one per server
-    profile, takes its nodes from here and prices them with its own
-    estimator: the same nodes go through the same float operations in
-    the same order, and each returns the plans it would build alone.
-    Nodes carry no per-profile state (``CostEstimator``).
-    """
-
-    __slots__ = ("selectivities", "_nodes", "_subsets")
-
-    def __init__(self, block: QueryBlock):
-        self.selectivities = Selectivities(
-            StatsContext({b: r.table.stats for b, r in block.relations.items()})
-        )
-        self._nodes: Dict[tuple, PhysicalPlan] = {}
-        self._subsets: Optional[List[Tuple[FrozenSet[str], List[_Split]]]] = None
-
-    def node(self, key: tuple, build, *args) -> PhysicalPlan:
-        """The node named *key*, built as ``build(*args)`` the first time."""
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = build(*args)
-        return node
-
-    def subsets(
-        self, block: QueryBlock
-    ) -> List[Tuple[FrozenSet[str], List[_Split]]]:
-        """Every subset of two or more of *block*'s relations, smallest
-        first, with its splits: the order the join DP visits them in."""
-        if self._subsets is None:
-            bindings = tuple(block.relations)
-            self._subsets = [
-                (frozenset(subset), _subset_splits(frozenset(subset), block))
-                for size in range(2, len(bindings) + 1)
-                for subset in itertools.combinations(bindings, size)
-            ]
-        return self._subsets
-
-
 class Optimizer:
     """Plans a bound :class:`QueryBlock` for one server profile."""
 
@@ -137,27 +89,19 @@ class Optimizer:
     # -- public API ----------------------------------------------------
 
     def optimize(self, block: QueryBlock) -> List[PlanCandidate]:
-        """Return the top-k complete plans, cheapest first.
-
-        The nodes come from the block's :class:`PlanSpace`, made by the
-        first optimizer to plan the block and shared with every later
-        one; the costs are this optimizer's own.
-        """
-        space = block.plan_space
-        if space is None:
-            space = block.plan_space = PlanSpace(block)
-        selectivities = space.selectivities
-        estimator = CostEstimator(self.profile, selectivities.stats, selectivities)
+        """Return the top-k complete plans, cheapest first."""
+        estimator = CostEstimator(
+            self.profile,
+            StatsContext({b: r.table.stats for b, r in block.relations.items()}),
+        )
         if block.fixed_joins:
-            join_alternatives = self._fixed_chain_plans(block, estimator, space)
+            join_alternatives = self._fixed_chain_plans(block, estimator)
         else:
-            join_alternatives = self._enumerate_joins(block, estimator, space)
+            join_alternatives = self._enumerate_joins(block, estimator)
         finished: List[PlanCandidate] = []
         seen_signatures = set()
         for candidate in join_alternatives:
-            plan = space.node(
-                (finish_plan, candidate.plan), finish_plan, candidate.plan, block
-            )
+            plan = finish_plan(candidate.plan, block)
             signature = plan.signature()
             if signature in seen_signatures:
                 continue
@@ -173,17 +117,16 @@ class Optimizer:
     # -- access paths ----------------------------------------------------
 
     def _access_paths(
-        self, relation: BoundRelation, estimator: CostEstimator, space: PlanSpace
+        self, relation: BoundRelation, estimator: CostEstimator
     ) -> List[PlanCandidate]:
         """The sequential scan, then an index scan per probe conjunct of
         an indexed column, cheapest first."""
-        scans = [_scan(relation, space)]
+        scans = [_scan(relation)]
         for i, part in enumerate(conjuncts(relation.predicate)):
             probe = _equality_probe(part)
             if probe is not None and relation.table.has_index_on(probe[0]):
-                scans.append(space.node(
-                    (IndexScan, relation.binding, i),
-                    IndexScan, relation.table, relation.binding, relation.predicate, i,
+                scans.append(IndexScan(
+                    relation.table, relation.binding, relation.predicate, i
                 ))
         paths = [PlanCandidate(scan, scan.estimate_cost(estimator)) for scan in scans]
         paths.sort(key=lambda c: c.cost.total)
@@ -192,20 +135,27 @@ class Optimizer:
     # -- join enumeration -------------------------------------------------
 
     def _enumerate_joins(
-        self, block: QueryBlock, estimator: CostEstimator, space: PlanSpace
+        self, block: QueryBlock, estimator: CostEstimator
     ) -> List[PlanCandidate]:
+        """The join DP: every subset of two or more relations, smallest
+        first, from the alternatives kept for its splits' sides."""
         bindings = tuple(block.relations)
         best: Dict[FrozenSet[str], List[PlanCandidate]] = {}
         for binding in bindings:
             best[frozenset([binding])] = self._access_paths(
-                block.relations[binding], estimator, space
+                block.relations[binding], estimator
             )
-        for subset_key, splits in space.subsets(block):
+        subsets = (
+            frozenset(subset)
+            for size in range(2, len(bindings) + 1)
+            for subset in itertools.combinations(bindings, size)
+        )
+        for subset in subsets:
             candidates: List[PlanCandidate] = []
             # The smallest totals priced for the subset so far, ascending,
             # at most ``KEEP_ALTERNATIVES`` of them.
             lowest: List[float] = []
-            for split in splits:
+            for split in _subset_splits(subset, block):
                 if split.left not in best or split.right not in best:
                     continue
                 self._join_split(
@@ -213,14 +163,13 @@ class Optimizer:
                     best[split.right],
                     split,
                     estimator,
-                    space,
                     candidates,
                     lowest,
                 )
             if not candidates:
                 continue
             candidates.sort(key=lambda c: c.cost.total)
-            best[subset_key] = _dedupe(candidates, KEEP_ALTERNATIVES)
+            best[subset] = _dedupe(candidates, KEEP_ALTERNATIVES)
         full = frozenset(bindings)
         if full not in best:
             raise OptimizerError(
@@ -235,7 +184,6 @@ class Optimizer:
         right_alternatives: Sequence[PlanCandidate],
         split: _Split,
         estimator: CostEstimator,
-        space: PlanSpace,
         candidates: List[PlanCandidate],
         lowest: List[float],
     ) -> None:
@@ -267,18 +215,8 @@ class Optimizer:
             left, right = left_alt.plan, right_alt.plan
             joins: List[PhysicalPlan] = []
             if left_keys:
-                joins.append(
-                    space.node(
-                        (HashJoin, left, right),
-                        HashJoin, left, right, left_keys, right_keys,
-                    )
-                )
-            joins.append(
-                space.node(
-                    (NestedLoopJoin, left, right),
-                    NestedLoopJoin, left, right, split.condition,
-                )
-            )
+                joins.append(HashJoin(left, right, left_keys, right_keys))
+            joins.append(NestedLoopJoin(left, right, split.condition))
             for join in joins:
                 cost = join.estimate_cost(estimator)
                 candidates.append(PlanCandidate(join, cost))
@@ -289,23 +227,24 @@ class Optimizer:
     # -- fixed join chains (outer joins) ------------------------------------
 
     def _fixed_chain_plans(
-        self, block: QueryBlock, estimator: CostEstimator, space: PlanSpace
+        self, block: QueryBlock, estimator: CostEstimator
     ) -> List[PlanCandidate]:
         """Left-deep plans in statement order (outer joins pin the order).
 
         Two method profiles are tried — hash joins wherever the ON
         clause permits, and nested loops throughout — giving the caller
-        genuine alternatives without violating the fixed order.
+        genuine alternatives without violating the fixed order.  The
+        two chains share each relation's scan.
         """
         assert block.fixed_join_root is not None
+        scans = {binding: _scan(r) for binding, r in block.relations.items()}
         candidates: List[PlanCandidate] = []
         for prefer_hash in (True, False):
-            plan = _scan(block.relations[block.fixed_join_root], space)
+            plan = scans[block.fixed_join_root]
             bound = {block.fixed_join_root}
             for step in block.fixed_joins:
-                right = _scan(block.relations[step.binding], space)
                 plan = self._fixed_join(
-                    plan, right, step, frozenset(bound), prefer_hash, space
+                    plan, scans[step.binding], step, frozenset(bound), prefer_hash
                 )
                 bound.add(step.binding)
             candidates.append(
@@ -322,7 +261,6 @@ class Optimizer:
         step,
         left_bindings: FrozenSet[str],
         prefer_hash: bool,
-        space: PlanSpace,
     ) -> PhysicalPlan:
         parts = conjuncts(step.condition)
         left_keys: List[str] = []
@@ -337,22 +275,15 @@ class Optimizer:
                 residual_parts.append(part)
         if left_keys:
             residual = combine_conjuncts(residual_parts)
-            return space.node(
-                (HashJoin, left, right),
-                HashJoin, left, right, left_keys, right_keys, residual, step.outer,
+            return HashJoin(
+                left, right, left_keys, right_keys, residual, step.outer
             )
-        return space.node(
-            (NestedLoopJoin, left, right),
-            NestedLoopJoin, left, right, step.condition, step.outer,
-        )
+        return NestedLoopJoin(left, right, step.condition, step.outer)
 
 
-def _scan(relation: BoundRelation, space: PlanSpace) -> PhysicalPlan:
+def _scan(relation: BoundRelation) -> PhysicalPlan:
     """The sequential scan of *relation* with its local predicate."""
-    return space.node(
-        (SeqScan, relation.binding),
-        SeqScan, relation.table, relation.binding, relation.predicate,
-    )
+    return SeqScan(relation.table, relation.binding, relation.predicate)
 
 
 def finish_plan(plan: PhysicalPlan, block: QueryBlock) -> PhysicalPlan:

@@ -616,6 +616,7 @@ class _Parser:
             and isinstance(expr.left, Literal)
             and expr.left.value == 0
             and isinstance(expr.right, Literal)
+            and isinstance(expr.right.value, (int, float))  # TRUE is 1
         ):
             return -expr.right.value
         raise ParseError("IN list values must be literals")

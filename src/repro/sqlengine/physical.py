@@ -131,12 +131,8 @@ class ExecutionContext:
 class Selectivities:
     """Selectivities and row estimates under one statistics context,
     each evaluated once: per predicate (by object identity) and per
-    joined relation set.
-
-    No profile enters either, so the estimators
-    of every server that prices one bound block share one of these
-    (``optimizer.PlanSpace``).
-    """
+    joined relation set.  No profile enters either; each
+    :class:`CostEstimator` keeps its own."""
 
     __slots__ = ("stats", "_predicates", "_rows")
 
@@ -203,29 +199,22 @@ class CostEstimator:
 
     Under one profile a node's cost is a pure function of the node, so an
     estimator evaluates each formula once per plan node, by object
-    identity, and each selectivity and relation set's rows once
-    (*selectivities*, its own unless handed a shared one).  It lives
-    for one ``Optimizer.optimize`` / ``Database.estimate_plan`` /
-    ``estimate_merge_cost`` / EXPLAIN ANALYZE rendering and must not be
-    reused once the statistics behind *stats* may have moved.  Nothing
-    is remembered on the nodes: they outlive the call in the statement
-    and plan caches and are re-costed there under other profiles.
+    identity, and each selectivity and relation set's rows once (its
+    :class:`Selectivities`).  It lives for one ``Optimizer.optimize`` /
+    ``Database.estimate_plan`` / ``estimate_merge_cost`` / EXPLAIN
+    ANALYZE rendering and must not be reused once the statistics behind
+    *stats* may have moved.  Nothing is remembered on the nodes: they
+    outlive the call in the statement and plan caches and are re-costed
+    there under other profiles.
     """
 
-    def __init__(
-        self,
-        profile: ServerProfile,
-        stats: StatsContext,
-        selectivities: Optional[Selectivities] = None,
-    ):
+    def __init__(self, profile: ServerProfile, stats: StatsContext):
         self.profile = profile
         self.stats = stats
         #: node -> cost (nodes hash by identity).
         self.costs: Dict["PhysicalPlan", PlanCost] = {}
-        if selectivities is None:
-            selectivities = Selectivities(stats)
-        self.selectivities = selectivities
-        self.predicate = selectivities.predicate
+        self.selectivities = Selectivities(stats)
+        self.predicate = self.selectivities.predicate
 
 
 class PhysicalPlan:

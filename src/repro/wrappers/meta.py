@@ -55,7 +55,7 @@ class _ExplainBound:
     """One fragment's explain bound (docs/cost_model.md, "The explain
     bound"): the *reference* is the relational server with the largest
     ``min(cpu_speed, io_speed)``; its *peers*, the other relational
-    servers whose catalogs hold equal content, plan the same plan space
+    servers whose catalogs hold equal content, enumerate the same plans
     under their own profiles, so its best estimate bounds theirs."""
 
     def __init__(

@@ -125,25 +125,6 @@ class TestIntegratorCaching:
             p.describe() for p in second
         ]
 
-    def test_the_cached_decomposition_pins_no_plan_space(self, deployment):
-        # The servers planned the decomposer's own block (the query is one
-        # full-pushdown fragment; their scans read the registry's table
-        # definitions); the cache keeps the block for re-pricing, not the
-        # plan nodes they built over it.  The servers' statement caches
-        # outlive a deployment, so the text is one no other test sends.
-        sql = SQL.replace("5000", "5123.25")
-        integrator = deployment.integrator
-        decomposed, plans = integrator.compile(sql)
-        assert decomposed.fragments[0].full_pushdown
-        node = plans[0].choices[0].plan
-        while node.children():
-            node = node.children()[0]
-        registered = deployment.registry.global_catalog.lookup(node.table.name)
-        assert node.table is registered
-        assert decomposed.block.plan_space is None
-        entry = integrator.plan_cache.get(plan_key(sql), deployment.clock.now)
-        assert entry.decomposed is decomposed
-
     def test_recalibration_invalidates(self, deployment):
         integrator = deployment.integrator
         integrator.compile(SQL)

@@ -226,7 +226,6 @@ def test_every_text_hits_its_own_shape_with_new_objects(registry, sql):
     assert again.statement is not first.statement and again.block is not first.block
     assert _typed(again.statement) == _typed(first.statement)
     assert _typed(again.block) == _typed(first.block)
-    assert again.block.plan_space is None
 
 
 def test_the_shape_cache_is_bounded(registry, monkeypatch):

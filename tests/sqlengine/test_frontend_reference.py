@@ -429,6 +429,7 @@ class ReferenceParser:
             and isinstance(expr.left, Literal)
             and expr.left.value == 0
             and isinstance(expr.right, Literal)
+            and isinstance(expr.right.value, (int, float))  # TRUE is 1
         ):
             return -expr.right.value
         raise ParseError("IN list values must be literals")

@@ -170,7 +170,8 @@ class ReferenceOptimizer:
         and that takes an inner join's rows from :meth:`_rows`."""
         children = [self._cost(child) for child in plan.children()]
         stats = StatsContext(self.stats)
-        estimator = CostEstimator(self.profile, stats, _SpelledOutRows(stats, self))
+        estimator = CostEstimator(self.profile, stats)
+        estimator.selectivities = _SpelledOutRows(stats, self)
         return plan._cost(estimator, *children)
 
     def _rows(self, join: PhysicalPlan) -> float:

@@ -124,6 +124,16 @@ class TestExpressionParsing:
         assert parse_expression("3.25").value == 3.25
         assert parse_expression("'it''s'").value == "it's"
 
+    @pytest.mark.parametrize("value", ["-NULL", "-'x'"])
+    def test_in_list_negates_only_numbers(self, value):
+        with pytest.raises(ParseError, match="IN list values must be literals"):
+            parse(f"SELECT c.a FROM c WHERE c.a IN (1, {value})")
+
+    def test_in_list_negated_true_is_minus_one(self):
+        # As in ``SELECT -TRUE``: TRUE is the number 1.
+        statement = parse("SELECT c.a FROM c WHERE c.a IN (-TRUE)")
+        assert statement.where.values == (-1,)
+
     def test_is_null_forms(self):
         assert parse_expression("a IS NULL").negated is False
         assert parse_expression("a IS NOT NULL").negated is True

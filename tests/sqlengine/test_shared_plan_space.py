@@ -1,12 +1,12 @@
-"""Databases whose catalogs hold equal content share one parse, one bind
-and one set of plan nodes per statement, and each prices them under its
-own profile.
+"""Databases whose catalogs hold equal content share one parse and one
+bind per statement, and each builds and prices its own plan nodes under
+its own profile.
 
 The reference is planning that shares nothing: ``plan_sql`` over the same
-catalog and profile builds every node afresh.  Per
-database, ``explain`` must return exactly its candidates — signatures,
-``PlanCost`` compared with ``==`` and order — while the databases that
-share are seen sharing: by call counts and by node identity.
+catalog and profile parses, binds and plans afresh.  Per database,
+``explain`` must return exactly its candidates — signatures, ``PlanCost``
+compared with ``==`` and order — while the databases that share are seen
+sharing, by call counts.
 """
 
 from __future__ import annotations
@@ -82,30 +82,13 @@ def calls(monkeypatch):
     return counts
 
 
-@pytest.fixture()
-def built(monkeypatch):
-    """Every plan node constructed from here on, in order."""
-    nodes: List[physical.PhysicalPlan] = []
-
-    def recording(init):
-        def wrapper(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            nodes.append(self)
-
-        return wrapper
-
-    for operator in physical.PhysicalPlan.__subclasses__():
-        monkeypatch.setattr(operator, "__init__", recording(operator.__init__))
-    return nodes
-
-
 # ---------------------------------------------------------------------------
 # equal to planning alone
 # ---------------------------------------------------------------------------
 
 
 @given(join_problems())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(deadline=None)
 def test_generated_problems_plan_as_if_alone(problem):
     sql, catalog, _ = problem
     for server in _servers(catalog):
@@ -124,22 +107,11 @@ def test_generated_problems_plan_as_if_alone(problem):
 # ---------------------------------------------------------------------------
 
 
-def test_equal_servers_parse_and_bind_once_and_build_each_node_once(
-    sample_databases, calls, built
-):
+def test_equal_servers_parse_and_bind_once(sample_databases, calls):
     servers = _servers(sample_databases["S1"].catalog)
     sql = QT4.instance(0).sql
     candidate_lists = [server.explain(sql) for server in servers]
     assert calls == {"parse": 1, "bind": 1, "optimize": len(servers)}
-    # Each server priced under its own profile, yet a plan shape met at
-    # any of them is one object everywhere, built once.
-    by_signature = {}
-    for candidates in candidate_lists:
-        for candidate in candidates:
-            for node in _nodes(candidate.plan):
-                assert by_signature.setdefault(node.signature(), node) is node
-    shapes = collections.Counter(node.signature() for node in built)
-    assert shapes and max(shapes.values()) == 1
     # Asked again, every server answers from its own statement cache.
     for server, candidates in zip(servers, candidate_lists):
         assert [c.plan for c in server.explain(sql)] == [c.plan for c in candidates]
@@ -157,7 +129,7 @@ def test_a_server_missing_a_table_raises_the_same_bind_error_every_time(
     sql = QT4.instance(0).sql
     with pytest.raises(BindError) as first:
         lacking.explain(sql)
-    shared = full.explain(sql)
+    full.explain(sql)
     messages = {str(first.value)}
     for server in (lacking, other, lacking):
         if server is lacking:
@@ -165,8 +137,9 @@ def test_a_server_missing_a_table_raises_the_same_bind_error_every_time(
                 server.explain(sql)
             messages.add(str(again.value))
         else:
-            plans = {c.plan.signature(): c.plan for c in server.explain(sql)}
-            assert any(plans.get(c.signature) is c.plan for c in shared)
+            assert _described(server.explain(sql)) == _described(
+                plan_sql(sql, server.catalog, server.profile)
+            )
     assert messages == {"unknown table 'orders'"}
     # A failed bind caches nothing: the first attempt leaves no entry to
     # share, so the full server parses again; the lacking server binds
@@ -205,9 +178,6 @@ def test_analyze_at_one_server_moves_no_plan_another_serves(tiny_specs, calls):
     before = changed.explain(sql)
     served = kept.explain(sql)
     assert calls["bind"] == 1
-    assert {id(n) for n in _nodes(before[0].plan)} & {
-        id(n) for c in served for n in _nodes(c.plan)
-    }
 
     emp = changed.storage.table("emp")
     changed.load_rows("emp", list(emp.rows) * 3)  # loads, then analyzes
