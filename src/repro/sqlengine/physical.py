@@ -45,7 +45,6 @@ from .catalog import TableDef
 from .columnar import (
     ColumnBatch,
     ColumnData,
-    TableColumns,
     TakeColumn,
     ValueColumn,
 )
@@ -80,7 +79,7 @@ from .expressions import (
 )
 from .parser import OrderItem, SelectItem
 from .spine import Spine, selection_kernel, value_kernel
-from .storage import StorageManager
+from .storage import HeapTable, StorageManager
 from .types import Column, ColumnType, Row, Schema, SqlError
 
 #: Rows per batch in the columnar engine.  Large enough to amortise
@@ -260,12 +259,10 @@ class PhysicalPlan:
     def rows_whole(self, ctx: ExecutionContext, windows: bool) -> Iterator[ColumnBatch]:
         """Execution for a consumer that takes every batch: a ``SeqScan``
         under ``Filter``s is read in one pass (``_read_whole``)."""
-        chain = [self]
-        while isinstance(chain[-1], Filter):
-            chain.append(chain[-1].child)
-        if not isinstance(chain[-1], SeqScan):
+        chain = _scan_chain(self)
+        if chain is None:
             return self.rows_columnar(ctx)
-        return _read_whole(chain[::-1], ctx, windows)
+        return _read_whole(chain, ctx, windows)
 
     def describe(self) -> str:
         """One-line operator description (also the plan signature leaf)."""
@@ -363,40 +360,68 @@ def _narrowed(
     return batch
 
 
+def _scan_chain(node: PhysicalPlan) -> Optional[List[PhysicalPlan]]:
+    """A ``SeqScan`` under zero or more ``Filter``s, scan first; None for
+    any other *node*."""
+    chain = [node]
+    while isinstance(chain[-1], Filter):
+        chain.append(chain[-1].child)
+    return chain[::-1] if isinstance(chain[-1], SeqScan) else None
+
+
 def _read_whole(
     chain: Sequence["PhysicalPlan"], ctx: ExecutionContext, windows: bool
 ) -> Iterator[ColumnBatch]:
     """A ``SeqScan`` (``chain[0]``) and the ``Filter``s above it as one pass:
     the survivors of each node's conjuncts in turn, as one batch (or its
-    ``_windows``).  Charges and profiles are the nodes' streams', at the
-    same meter readings (docs/execution.md, "The spine")."""
+    ``_windows``), charged and profiled by ``_whole_run``."""
+    run = _whole_run(chain, ctx, None)
+    batch, _script = next(run)
+    try:
+        yield from _windows(batch, ctx.batch_size) if windows else [batch] if batch is not None else []
+    finally:
+        next(run, None)
+
+
+def _whole_run(
+    chain: Sequence["PhysicalPlan"], ctx: ExecutionContext, script: Optional[Tuple[Any, ...]]
+) -> Iterator[Tuple[Optional[ColumnBatch], Tuple[Any, ...]]]:
+    """One pass over *chain*, charged and profiled as its nodes' streams,
+    at the same meter readings: windows open, pages, emits; it yields
+    (survivors, script), then charges rows x ``_per_row`` and closes the
+    windows.  Given an earlier pass's script (pages charge, rows into each
+    node, profiled windows) it reads nothing (docs/execution.md, "The spine")."""
     meter = ctx.meter
-    size = ctx.batch_size
     profiler = ctx.profiler
     replays = []
     if profiler is not NULL_PROFILER:
         # Opened outermost first, as the streams' first next() calls nest.
         replays = [profiler.fused(node, meter) for node in chain[::-1]][::-1]
-    table_cols = chain[0]._open(ctx)
-    n = table_cols.n_rows
-    batch: Optional[ColumnBatch] = ColumnBatch(table_cols.cols, n, None) if n else None
-    kept: List[Optional[ColumnBatch]] = []
-    for node in chain:
-        if batch is not None:
-            batch = _narrowed(batch, node._kernels)
-        kept.append(batch)
-    for replay, out in zip(replays, kept):
-        for view in _windows(out, size):
-            replay.emit(len(view), min(size, n - view.sel[0] + view.sel[0] % size))
-    try:
-        yield from _windows(batch, size) if windows else [batch] if batch is not None else []
-    finally:
-        rows = n
-        for level, (node, out) in enumerate(zip(chain, kept)):
-            meter.cpu_ms += rows * node._per_row
-            rows = len(out) if out is not None else 0
+    batch = None
+    if script is None:
+        heap = ctx.storage.table(chain[0].table.name)
+        table_cols = heap.columnar()
+        n, size = table_cols.n_rows, ctx.batch_size
+        batch = ColumnBatch(table_cols.cols, n, None) if n else None
+        rows, emits = [n], []
+        for node in chain:
+            if batch is not None:
+                batch = _narrowed(batch, node._kernels)
+            rows.append(len(batch) if batch is not None else 0)
             if replays:
-                replays[level].finish()
+                windows = _windows(batch, size)
+                emits.append([(len(w), min(size, n - w.sel[0] + w.sel[0] % size)) for w in windows])
+        script = (chain[0]._pages(heap), rows, emits)
+    pages, rows, emits = script
+    meter.io_ms += pages
+    for replay, views in zip(replays, emits):
+        for view in views:
+            replay.emit(*view)
+    yield batch, script
+    for level, node in enumerate(chain):
+        meter.cpu_ms += rows[level] * node._per_row
+        if replays:
+            replays[level].finish()
 
 
 def _windows(batch: Optional[ColumnBatch], size: int) -> List[ColumnBatch]:
@@ -462,15 +487,14 @@ class SeqScan(PhysicalPlan):
             width_bytes=width,
         )
 
-    def _open(self, ctx: ExecutionContext) -> TableColumns:
-        """Charge the stored table's pages; its columns."""
-        heap = ctx.storage.table(self.table.name)
-        width = self.output_schema.row_width_bytes()
-        ctx.meter.io_ms += pages_for(len(heap), width) * SEQ_PAGE_COST
-        return heap.columnar()
+    def _pages(self, heap: HeapTable) -> float:
+        """The charge for reading the stored table *heap*'s pages."""
+        return pages_for(len(heap), self.output_schema.row_width_bytes()) * SEQ_PAGE_COST
 
     def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        table_cols = self._open(ctx)
+        heap = ctx.storage.table(self.table.name)
+        ctx.meter.io_ms += self._pages(heap)
+        table_cols = heap.columnar()
         n = table_cols.n_rows
         size = ctx.batch_size
         windows = (

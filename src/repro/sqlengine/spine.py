@@ -28,6 +28,7 @@ no value of the plan: literals, row evaluators, build tables and build
 columns are its parameters, by name, so one function serves every plan
 of one shape and is compiled once per source text.
 
+A scan read whole as a build side is kept on its storage (``_built``).
 Metering is the operators' own: ``built x HASH_BUILD_COST`` after each
 build, then, once the leaf stream has ended, ``probed x HASH_PROBE_COST``
 and ``examined x CPU_TUPLE_COST`` per level, innermost first.  An
@@ -69,7 +70,13 @@ FILENAME = "<spine>"
 #: Functions (by source text), shapes and kernel shapes kept, each.
 MAX_SHAPES = 256
 
+#: Build rows (in at most MAX_SHAPES builds) a storage keeps (``_built``).
+MAX_BUILD_ROWS = 1 << 15
+
 _FUNCTIONS: Dict[str, Callable[..., Any]] = {}
+
+#: Row ids, one int object each, shared by every build's tables.
+_IDS: List[int] = []
 
 #: The free names of generated code besides its parameters.
 _GLOBALS = {"repeat": repeat, "compress": compress, "Counter": Counter, "PAD": (0,)}
@@ -110,19 +117,15 @@ class _Build:
     unique (no non-NULL key twice; ``1``, ``1.0`` and ``True`` are one
     key) iff ``singles`` holds one entry per non-NULL key.  A unique build
     without a residual is probed for one id; every other build maps keys
-    to ascending id buckets.
+    to ascending id buckets (tuples).  ``script`` is its scan's charges.
     """
 
-    __slots__ = ("batches", "get", "unique", "size", "_values")
+    __slots__ = ("batches", "get", "unique", "size", "_values", "script")
 
     def __init__(
-        self,
-        right: Any,
-        right_idx: Sequence[int],
-        residual: Optional[Expression],
-        ctx: Any,
+        self, batches: List[ColumnBatch], right_idx: Sequence[int], residual: Optional[Expression]
     ):
-        self.batches = list(right.rows_whole(ctx, False))
+        self.batches = batches
         self._values: Dict[int, List[Any]] = {}
         if len(right_idx) == 1:
             keys = self.values(right_idx[0])
@@ -130,8 +133,9 @@ class _Build:
             # A NULL component makes the whole key NULL.
             keys = [None if None in key else key for key in zip(*map(self.values, right_idx))]
         self.size = len(keys)
-        ctx.meter.cpu_ms += (self.size - 1) * HASH_BUILD_COST
-        singles = dict(zip(keys, range(self.size)))
+        if len(_IDS) < self.size:
+            _IDS.extend(range(len(_IDS), self.size))
+        singles = dict(zip(keys, _IDS))
         del singles[None]
         unique = len(singles) == self.size - keys.count(None)
         self.unique = unique and residual is None
@@ -140,11 +144,13 @@ class _Build:
         elif unique:
             self.get = {key: (rid,) for key, rid in singles.items()}.get
         else:
-            buckets: Dict[Any, List[int]] = {}
+            buckets: Dict[Any, Any] = {}
             setdefault = buckets.setdefault
-            for rid, key in enumerate(keys):
+            for rid, key in zip(_IDS, keys):
                 if key is not None:
                     setdefault(key, []).append(rid)
+            for key, rids in buckets.items():
+                buckets[key] = tuple(rids)
             self.get = buckets.get
 
     def values(self, j: int) -> List[Any]:
@@ -155,6 +161,48 @@ class _Build:
             for batch in self.batches:
                 vals.extend(batch.column_values(j))
         return vals
+
+
+def _built(right: Any, join: "_Level", ctx: Any) -> _Build:
+    """Level *join*'s build over *right*, charged; a scan read whole is
+    kept on its storage, and a later build of its key takes it as it is
+    and replays its script (docs/execution.md, "The spine")."""
+    from .physical import _scan_chain, _whole_run
+
+    chain = _scan_chain(right)
+    if chain is None:
+        build = _Build(list(right.rows_columnar(ctx)), join.right_idx, join.residual)
+    else:
+        heap = ctx.storage.table(chain[0].table.name)
+        key = (
+            heap, heap._version, right.signature(), join.right_idx,
+            join.residual is None, ctx.batch_size, ctx.profiler is NULL_PROFILER,
+        )
+        build = ctx.storage.builds.get(key)
+        # Unpacking runs the pass to its end, so its charges have landed.
+        [(batch, script)] = _whole_run(chain, ctx, None if build is None else build.script)
+        if build is None:
+            build = _Build([] if batch is None else [batch], join.right_idx, join.residual)
+            build.script = script
+            _admit(ctx.storage, key, build)
+    ctx.meter.cpu_ms += (build.size - 1) * HASH_BUILD_COST
+    return build
+
+
+def _admit(storage: Any, key: Tuple[Any, ...], build: _Build) -> None:
+    """Keep *build* while there is room, short of which the entries of
+    tables written since are swept out, once per write; nothing else leaves."""
+    kept = storage.builds
+    rows = build.size - 1
+    if kept.rows + rows > MAX_BUILD_ROWS or len(kept) >= MAX_SHAPES:
+        clock = sum(heap._version for heap in storage._tables.values())
+        if clock != kept.clock:
+            kept.clock = clock
+            for stale in [k for k in kept if k[0]._version != k[1]]:
+                kept.rows -= kept.pop(stale).size - 1
+    if kept.rows + rows <= MAX_BUILD_ROWS and len(kept) < MAX_SHAPES:
+        kept[key] = build
+        kept.rows += rows
 
 
 def _joined(
@@ -540,7 +588,7 @@ class _Level:
 
     def __init__(self, join: Any):
         self.left_keys = join.left_keys
-        self.right_idx = [join.right.output_schema.index_of(k) for k in join.right_keys]
+        self.right_idx = tuple(join.right.output_schema.index_of(k) for k in join.right_keys)
         self.residual = join.residual
         self.outer = join.outer
         self.left_schema = join.left.output_schema
@@ -647,8 +695,7 @@ class Spine:
             node = self.fused[level]
             if profiler is not NULL_PROFILER and node is not None:
                 fused[level] = profiler.fused(node, ctx.meter)
-            join = levels[level]
-            builds[level] = _Build(self.rights[level], join.right_idx, join.residual, ctx)
+            builds[level] = _built(self.rights[level], levels[level], ctx)
         return builds, fused
 
     def _bind(

@@ -183,6 +183,14 @@ class HeapTable:
         return self._indexes.get(bare)
 
 
+class KeptBuilds(dict):
+    """Hash-join builds kept across queries (``spine._built``): key -> build;
+    their ``rows``; ``clock``, the sum of the tables' versions at the last sweep."""
+
+    rows = 0
+    clock = -1
+
+
 class StorageManager:
     """Owns the heap tables of one database instance and keeps the
     catalog's definitions in sync with physical state."""
@@ -190,6 +198,7 @@ class StorageManager:
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self._tables: Dict[str, HeapTable] = {}
+        self.builds = KeptBuilds()
 
     def create_table(self, name: str, schema: Schema) -> HeapTable:
         key = name.lower()

@@ -6,14 +6,28 @@ allocations of tracked objects.  Loaded tables and per-query hash-join
 builds must therefore cost the collector a number of objects that grows
 with tables x columns and with batches, not with rows: row tuples of
 scalars and index buckets (tuples of ints) are untracked at their first
-collection, and a unique build allocates no container per key.
+collection, a unique build allocates no container per key, and a build
+kept across queries holds its buckets as tuples.
 """
 
 from __future__ import annotations
 
 import gc
 
-from repro.sqlengine import DEFAULT_BATCH_SIZE, Database, execute_plan, populate
+from repro.sqlengine import (
+    AggregateCall,
+    Column,
+    ColumnType,
+    DEFAULT_BATCH_SIZE,
+    Database,
+    HashAggregate,
+    HashJoin,
+    Schema,
+    SeqScan,
+    execute_plan,
+    populate,
+)
+from repro.sqlengine.parser import SelectItem
 from repro.workload.schema import WorkloadScale, table_specs
 
 SCALE = WorkloadScale(large_rows=12_000, small_rows=300)
@@ -65,3 +79,26 @@ def test_fk_pk_join_collects_per_batch_not_per_key():
     batches = 2 * -(-SCALE.large_rows // DEFAULT_BATCH_SIZE)
     assert collections[0] <= batches * 100 // gc.get_threshold()[0] + 1
     assert collections[1:] == [0, 0]
+
+
+def test_a_kept_bucketed_build_adds_no_container_per_key():
+    database = _loaded()
+    orders, lineitem = (database.catalog.lookup(t) for t in ("orders", "lineitem"))
+    join = HashJoin(
+        SeqScan(orders, "o"), SeqScan(lineitem, "l"), ["o.orderkey"], ["l.orderkey"]
+    )
+    count = SelectItem(AggregateCall("COUNT", None))
+    plan = HashAggregate(join, [], [count], Schema((Column("n", ColumnType.INT),)))
+    execute_plan(plan, _loaded().storage)  # compiles the spine elsewhere
+    gc.collect()
+    before = len(gc.get_objects())
+    result = execute_plan(plan, database.storage)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    (build,) = database.storage.builds.values()
+    buckets = build.get.__self__
+    assert not build.unique and result.rows == [(SCALE.large_rows,)]
+    assert all(type(rids) is tuple for rids in buckets.values())
+    # One bucket per order key; the build, its script and its columns
+    # are a few dozen tracked objects.
+    assert len(buckets) > 1_000 and grown < 100

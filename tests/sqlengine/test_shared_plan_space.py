@@ -19,7 +19,6 @@ from hypothesis import given, settings
 
 from repro.sqlengine import Catalog, Database, SqlError, plan_sql, populate
 from repro.sqlengine import database as database_module
-from repro.sqlengine import physical
 from repro.sqlengine.cost import REFERENCE_PROFILE, ServerProfile
 from repro.sqlengine.logical import BindError
 from repro.workload.queries import QT4
@@ -35,15 +34,6 @@ PROFILES = (
 
 def _described(candidates):
     return [(c.signature, c.cost) for c in candidates]
-
-
-def _nodes(plan) -> List[physical.PhysicalPlan]:
-    nodes, stack = [], [plan]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children())
-    return nodes
 
 
 def _servers(source_catalog) -> List[Database]:
@@ -156,9 +146,15 @@ def test_different_content_shares_the_parse_but_binds_again(sample_databases, ca
     sql = QT4.instance(0).sql
     ours, theirs = one.explain(sql), rescaled.explain(sql)
     assert calls == {"parse": 1, "bind": 2, "optimize": 2}
-    assert not {id(n) for c in ours for n in _nodes(c.plan)} & {
-        id(n) for c in theirs for n in _nodes(c.plan)
-    }
+    # Each server's candidates are its own planning's over its own
+    # catalog, and the rescaled statistics are priced: the rescaled
+    # server does not answer as its profile would over the other's.
+    for server, candidates in ((one, ours), (rescaled, theirs)):
+        assert _described(candidates) == _described(
+            plan_sql(sql, server.catalog, server.profile)
+        )
+    assert [c.cost for c in theirs] != [c.cost for c in ours]
+    assert _described(theirs) != _described(plan_sql(sql, one.catalog, rescaled.profile))
 
 
 # ---------------------------------------------------------------------------

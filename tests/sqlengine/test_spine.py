@@ -20,6 +20,13 @@ one pass: rows and meters must equal the same nodes' own streams at
 batch sizes 1, 2 and the default, and so must each scan's and filter's
 profile.  A ``LIMIT`` over a batch sink, whose leaf still streams, keeps
 the meters it had before scans were read whole.
+
+A build side read whole is kept on its storage across queries: each such
+plan runs twice, a miss and then a hit, with equal rows, meters and
+profiles; a drawn INSERT, UPDATE, DELETE or ``load_copy`` between two
+runs leaves the plan answering and metering as over a fresh storage; and
+the kept rows and entries stay within ``MAX_BUILD_ROWS`` and
+``MAX_SHAPES``, a write freeing its table's entries.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from repro.sqlengine import (
     SeqScan,
     execute_plan,
 )
+from repro.sqlengine import spine
 from repro.sqlengine.cost import (
     AGG_UPDATE_COST,
     CPU_OPERATOR_COST,
@@ -399,6 +407,28 @@ def _fields(stats, names=("invocations", "batches", "rows_out", "phys_rows", "me
     return tuple(getattr(stats, name) for name in names)
 
 
+def _over(leaf, build, outer, sink):
+    """(the join or the leaf, the plan): *leaf* joined to *build* (if
+    any) on ``k2``, under a projection of every column or an aggregate
+    grouped by ``p.k2``."""
+    node = leaf
+    if build is not None:
+        node = HashJoin(node, build, ["p.k2"], ["b.k2"], outer=outer)
+    if sink == "project":
+        columns = node.output_schema.columns
+        return node, Project(
+            node, [SelectItem(ColumnRef(c.qualified_name)) for c in columns], Schema(columns)
+        )
+    last = ColumnRef(node.output_schema.columns[-1].qualified_name)
+    items = [
+        SelectItem(ColumnRef("p.k2")),
+        SelectItem(AggregateCall("COUNT", None)),
+        SelectItem(AggregateCall("SUM", last)),
+    ]
+    schema = Schema(tuple(Column(f"o{i}", ColumnType.FLOAT) for i in range(3)))
+    return node, HashAggregate(node, [ColumnRef("p.k2")], items, schema)
+
+
 @settings(deadline=None)
 @given(
     data=st.data(),
@@ -407,6 +437,9 @@ def _fields(stats, names=("invocations", "batches", "rows_out", "phys_rows", "me
     sink=st.sampled_from(["aggregate", "project"]),
 )
 def test_scans_read_whole_match_their_streams(data, joined, outer, sink):
+    # Each plan runs twice per batch size, profiled and not: the first
+    # build of a stored side is kept on the storage, the second takes it
+    # and replays its charges and its profile windows.
     database = Database("whole")
     leaf, nodes = data.draw(stored_sides(database, "p"))
     build = None
@@ -415,34 +448,131 @@ def test_scans_read_whole_match_their_streams(data, joined, outer, sink):
         nodes = nodes + build_nodes
 
     def plan(wrap):
-        node = wrap(leaf)
-        if build is not None:
-            node = HashJoin(node, wrap(build), ["p.k2"], ["b.k2"], outer=outer)
-        if sink == "project":
-            columns = node.output_schema.columns
-            return node, Project(
-                node, [SelectItem(ColumnRef(c.qualified_name)) for c in columns], Schema(columns)
-            )
-        last = ColumnRef(node.output_schema.columns[-1].qualified_name)
-        items = [
-            SelectItem(ColumnRef("p.k2")),
-            SelectItem(AggregateCall("COUNT", None)),
-            SelectItem(AggregateCall("SUM", last)),
-        ]
-        schema = Schema(tuple(Column(f"o{i}", ColumnType.FLOAT) for i in range(3)))
-        return node, HashAggregate(node, [ColumnRef("p.k2")], items, schema)
+        return _over(wrap(leaf), None if build is None else wrap(build), outer, sink)
 
     (join, whole), (streamed_join, streamed) = plan(lambda node: node), plan(Streamed)
-    for size in (1, 2, DEFAULT_BATCH_SIZE):
+    kept = database.storage.builds
+    for sizes, size in enumerate((1, 2, DEFAULT_BATCH_SIZE), 1):
         rows, meters, profile = _profiled(streamed, database, size)
-        assert _executed(whole, database, size) == (rows, meters), size
-        got_rows, got_meters, got = _profiled(whole, database, size)
-        assert (got_rows, got_meters) == (rows, meters), size
-        for node in nodes:
-            assert _fields(got.stats_for(node)) == _fields(profile.stats_for(node)), (node, size)
-        # A join fused into the aggregate's loop counts the leaf's windows.
-        assert _fields(got.stats_for(join)) == _fields(profile.stats_for(streamed_join))
-        assert _fields(got.stats_for(whole)) == _fields(profile.stats_for(streamed))
+        for attempt in ("miss", "hit"):
+            assert _executed(whole, database, size) == (rows, meters), size
+            got_rows, got_meters, got = _profiled(whole, database, size)
+            assert (got_rows, got_meters) == (rows, meters), size
+            for node in nodes:
+                assert _fields(got.stats_for(node)) == _fields(profile.stats_for(node)), (node, size)
+            # A join fused into the aggregate's loop counts the leaf's windows.
+            assert _fields(got.stats_for(join)) == _fields(profile.stats_for(streamed_join))
+            assert _fields(got.stats_for(whole)) == _fields(profile.stats_for(streamed))
+            # Unprofiled and profiled builds are kept apart, once each.
+            assert len(kept) == (2 * sizes if joined else 0)
+            if attempt == "miss":
+                entries = list(kept.values())
+            assert list(kept.values()) == entries
+
+
+def _write(draw, database, table):
+    """One drawn write to *table*: an INSERT, an UPDATE or a DELETE of
+    the rows with a drawn ``k2``, or a ``load_copy`` of drawn rows."""
+    heap = database.storage.table(table)
+    kind = draw(st.sampled_from(["insert", "update", "delete", "copy"]))
+    k2 = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if kind == "insert":
+        heap.insert_many(draw(st.lists(STORED, min_size=1, max_size=4)))
+    elif kind == "update":
+        v = draw(STORED)[2]
+        heap.update_rows(lambda row: row[1] == k2, lambda row: (row[0], row[1], v))
+    elif kind == "delete":
+        heap.delete_rows(lambda row: row[1] == k2)
+    else:
+        source = Database("source")
+        source.create_table(table, _schema(table))
+        source.load_rows(table, draw(st.lists(STORED, max_size=12)))
+        database.load_copy(table, source)
+    return kind
+
+
+@settings(deadline=None)
+@given(
+    data=st.data(),
+    outer=st.booleans(),
+    sink=st.sampled_from(["aggregate", "project"]),
+    size=st.sampled_from([1, 2, DEFAULT_BATCH_SIZE]),
+    profiled=st.booleans(),
+)
+def test_a_write_between_two_runs_rebuilds_what_it_changed(data, outer, sink, size, profiled):
+    # A kept build is its table's at the version it was read: after any
+    # write, the plan runs as it does over a fresh storage holding the
+    # same rows, and so does its next run, from the build kept then.
+    database = Database("written")
+    leaf, _ = data.draw(stored_sides(database, "p"))
+    build, _ = data.draw(stored_sides(database, "b"))
+    join, plan = _over(leaf, build, outer, sink)
+    execute = _profiled if profiled else _executed
+    execute(plan, database, size)
+    assert len(database.storage.builds) == 1
+    for _ in range(data.draw(st.integers(1, 3))):
+        _write(data.draw, database, data.draw(st.sampled_from(["p", "b"])))
+    fresh = Database("fresh")
+    for table in ("p", "b"):
+        fresh.create_table(table, _schema(table))
+        fresh.load_rows(table, database.storage.table(table).rows)
+    expected = execute(plan, fresh, size)
+    for _run in ("after the write", "from the build kept then"):
+        got = execute(plan, database, size)
+        assert got[:2] == expected[:2]
+        if profiled:
+            for node in (leaf, build, join, plan):
+                assert _fields(got[2].stats_for(node)) == _fields(expected[2].stats_for(node))
+
+
+def _budget_plan(database, above):
+    """``COUNT(*)`` over ``p`` joined to the rows of ``b`` with ``v > above``."""
+    p, b = (database.catalog.lookup(t) for t in ("p", "b"))
+    build = SeqScan(b, "b", Comparison(">", ColumnRef("b.v"), Literal(above)))
+    return _over(SeqScan(p, "p"), build, False, "aggregate")[1]
+
+
+def test_kept_builds_stay_within_their_row_budget(monkeypatch):
+    monkeypatch.setattr(spine, "MAX_BUILD_ROWS", 12)
+    database = Database("budget")
+    for table in ("p", "b"):
+        database.create_table(table, _schema(table))
+        database.load_rows(table, [(float(i), i % 5, float(i)) for i in range(10)])
+    kept = database.storage.builds
+
+    def run(above):
+        before = dict(kept)
+        result = _executed(_budget_plan(database, above), database, DEFAULT_BATCH_SIZE)
+        assert kept.rows == sum(b.size - 1 for b in kept.values()) <= spine.MAX_BUILD_ROWS
+        return result, {k: v for k, v in kept.items() if before.get(k) is not v}
+
+    # Admitted while there is room: 7 rows, then 5.
+    _result, new = run(2.5)
+    assert [b.size - 1 for b in new.values()] == [7] and kept.rows == 7
+    _result, new = run(4.5)
+    assert [b.size - 1 for b in new.values()] == [5] and kept.rows == 12
+    # Full: a third build runs, and nothing is admitted or evicted.
+    entries = list(kept.values())
+    result, new = run(6.5)
+    assert not new and list(kept.values()) == entries
+    assert result == run(6.5)[0]
+    # A write to ``b`` frees its entries for the next build, which fits.
+    database.storage.table("b").insert_many([(1.0, 1, 9.5)])
+    _result, new = run(6.5)
+    assert [b.size - 1 for b in new.values()] == [4] and list(kept.values()) == list(new.values())
+    assert kept.rows == 4
+
+
+def test_kept_builds_stay_within_their_entry_budget(monkeypatch):
+    monkeypatch.setattr(spine, "MAX_SHAPES", 2)
+    database = Database("entries")
+    for table in ("p", "b"):
+        database.create_table(table, _schema(table))
+        database.load_rows(table, [(float(i), i % 5, float(i)) for i in range(10)])
+    kept = database.storage.builds
+    for above in (2.5, 4.5, 6.5):
+        _executed(_budget_plan(database, above), database, DEFAULT_BATCH_SIZE)
+    assert [b.size - 1 for b in kept.values()] == [7, 5]
 
 
 #: The digest of ``test_limit_over_a_batch_sink_keeps_its_meters``'s rows
