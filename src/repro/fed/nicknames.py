@@ -70,7 +70,6 @@ class NicknameRegistry:
                         row_count=table_def.stats.row_count,
                         column_stats=dict(table_def.stats.column_stats),
                     ),
-                    indexes=table_def.indexes,
                 )
             )
             self._notify_topology_change()

@@ -146,11 +146,10 @@ def build_databases(
     when absent).  Copies of a table are identical across servers: the
     paper replicates tables so "each server is involved in a diverse set
     of queries", and identical replicas keep result correctness checks
-    trivial.  So a table is generated, validated, indexed and analysed
-    once, at its first host in spec order; every later host loads it as
-    a copy (``Database.load_copy``), sharing its tuples, bucket tuples
-    and catalog definition while writing only its own row list and
-    bucket dicts.
+    trivial.  So a table is generated, validated and analysed once, at
+    its first host in spec order; every later host loads it as a copy
+    (``Database.load_copy``), sharing its tuples and catalog definition
+    while writing only its own row list.
     """
     tables = {table.name: table for table in table_specs(scale)}
     first_hosts: Dict[str, Database] = {}

@@ -6,7 +6,7 @@ tuple cost / next tuple cost / cardinality), and metered iterator
 execution.  See :class:`repro.sqlengine.database.Database` for the facade.
 """
 
-from .catalog import Catalog, CatalogError, ColumnStats, IndexDef, TableDef, TableStats, collect_stats
+from .catalog import Catalog, CatalogError, ColumnStats, TableDef, TableStats, collect_stats
 from .columnar import (
     ColumnBatch,
     ColumnData,
@@ -78,7 +78,6 @@ from .physical import (
     Filter,
     HashAggregate,
     HashJoin,
-    IndexScan,
     Limit,
     MaterializedInput,
     NestedLoopJoin,
@@ -112,7 +111,7 @@ __all__ = [
     "DeleteStatement", "Distinct", "DmlError", "DmlResult",
     "ExecutionError", "ExecutionResult", "Expression", "ExpressionError",
     "Filter", "FixedJoinStep", "ForeignKey", "FuncCall", "HashAggregate", "HashJoin",
-    "HeapTable", "INFINITE_COST", "InList", "IndexDef", "IndexScan",
+    "HeapTable", "INFINITE_COST", "InList",
     "InsertStatement", "IsNull", "Like",
     "Limit", "Literal", "MaterializedInput", "NestedLoopJoin", "Not",
     "Nullable", "Optimizer", "OptimizerError", "Or",

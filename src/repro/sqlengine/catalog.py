@@ -91,18 +91,6 @@ def collect_stats(schema: Schema, rows: Sequence[Row]) -> TableStats:
     return TableStats(row_count=n, column_stats=column_stats)
 
 
-@dataclass(frozen=True)
-class IndexDef:
-    """A single-column hash index definition."""
-
-    table: str
-    column: str
-
-    @property
-    def name(self) -> str:
-        return f"idx_{self.table}_{self.column}"
-
-
 @dataclass
 class TableDef:
     """A table registered in the catalog."""
@@ -110,11 +98,6 @@ class TableDef:
     name: str
     schema: Schema
     stats: TableStats
-    indexes: Tuple[IndexDef, ...] = ()
-
-    def has_index_on(self, column: str) -> bool:
-        bare = column.rpartition(".")[2]
-        return any(ix.column == bare for ix in self.indexes)
 
 
 class Catalog:
@@ -156,12 +139,6 @@ class Catalog:
     def update_stats(self, name: str, stats: TableStats) -> None:
         self._replace(self.lookup(name), stats=stats)
 
-    def add_index(self, name: str, column: str) -> None:
-        """Record a single-column index on *name* (storage builds it)."""
-        table = self.lookup(name)
-        bare = column.rpartition(".")[2]
-        self._replace(table, indexes=table.indexes + (IndexDef(name, bare),))
-
     def _replace(self, table: TableDef, **changes: Any) -> None:
         """Register a changed copy of the registered *table*.
 
@@ -185,7 +162,7 @@ class Catalog:
 
     def content(self) -> Tuple[TableDef, ...]:
         """Everything an optimizer can read here — every table's name,
-        schema, statistics and indexes — for comparison with ``==``."""
+        schema and statistics — for comparison with ``==``."""
         return tuple(table for _, table in sorted(self._tables.items()))
 
     def stats_only_clone(self) -> "Catalog":
@@ -205,7 +182,6 @@ class Catalog:
                         row_count=table.stats.row_count,
                         column_stats=dict(table.stats.column_stats),
                     ),
-                    indexes=table.indexes,
                 )
             )
         return clone

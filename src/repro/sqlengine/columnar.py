@@ -3,9 +3,9 @@
 A :class:`ColumnBatch` is the unit of data flow on the ``"columnar"``
 engine: one :class:`ColumnData` per schema column plus an explicit
 *selection vector* — a sorted list of physical row indices that are
-logically present.  Filters, index-scan residuals and hash-join
-residuals never copy rows; they produce a new batch sharing the same
-column objects with a narrower selection (:meth:`ColumnBatch.with_sel`).
+logically present.  Filters and hash-join residuals never copy rows;
+they produce a new batch sharing the same column objects with a
+narrower selection (:meth:`ColumnBatch.with_sel`).
 
 Column representations:
 
@@ -16,11 +16,11 @@ Column representations:
 * ``ValueColumn`` — plain Python list (stored columns, operator
   intermediates);
 * ``SliceColumn`` / ``TakeColumn`` / ``GatherColumn`` — lazy views used
-  for scan batching, index-scan rid fetches and join output.  They
-  decode (build a selection-aligned value list) only when a kernel
-  actually pulls the column, which is what gives the engine late
-  materialisation: row tuples exist only at ``Project`` output, fragment
-  serialisation and the integrator merge boundary.
+  for scan batching, projections and join output.  They decode (build
+  a selection-aligned value list) only when a kernel actually pulls the
+  column, which is what gives the engine late materialisation: row
+  tuples exist only at ``Project`` output, fragment serialisation and
+  the integrator merge boundary.
 """
 
 from __future__ import annotations
@@ -239,12 +239,3 @@ class TableColumns:
             stop - start,
             None,
         )
-
-    def take_batch(self, indices: List[int]) -> ColumnBatch:
-        """A gather batch over arbitrary physical row ids."""
-        return ColumnBatch(
-            tuple(TakeColumn(col, indices) for col in self.cols),
-            len(indices),
-            None,
-        )
-

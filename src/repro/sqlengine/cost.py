@@ -43,7 +43,6 @@ PAGE_SIZE_BYTES = 8192.0
 CPU_TUPLE_COST = 0.0005
 CPU_OPERATOR_COST = 0.0002
 SEQ_PAGE_COST = 1.50
-INDEX_PROBE_COST = 0.0040
 HASH_BUILD_COST = 0.0015
 HASH_PROBE_COST = 0.0008
 SORT_COMPARE_COST = 0.0004

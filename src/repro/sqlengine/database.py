@@ -201,9 +201,6 @@ class Database:
     def create_table(self, name: str, schema: Schema) -> None:
         self.storage.create_table(name, schema)
 
-    def create_index(self, table: str, column: str) -> None:
-        self.storage.create_index(table, column)
-
     def load_rows(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
         return self.storage.load_rows(table, rows)
 
@@ -303,7 +300,7 @@ class Database:
 
     @classmethod
     def stats_only_copy(cls, source: "Database") -> "Database":
-        """A copy carrying catalog (schemas, statistics, indexes) but no
+        """A copy carrying catalog (schemas, statistics) but no
         data — the paper's 'simulated catalog and virtual tables'.
 
         ``explain`` works identically to the source (the optimizer only

@@ -123,7 +123,6 @@ class TableSpec:
     name: str
     columns: Tuple[Tuple[str, ColumnType, ColumnGen], ...]
     row_count: int
-    indexes: Tuple[str, ...] = ()
 
     def schema(self) -> Schema:
         return Schema(
@@ -161,7 +160,6 @@ class TableSpec:
             name=self.name,
             columns=tuple(scaled_columns),
             row_count=rows,
-            indexes=self.indexes,
         )
 
 
@@ -170,5 +168,3 @@ def populate(database, specs: Sequence[TableSpec], seed: int = 7) -> None:
     for spec in specs:
         database.create_table(spec.name, spec.schema())
         database.load_rows(spec.name, spec.generate_rows(seed))
-        for column in spec.indexes:
-            database.create_index(spec.name, column)

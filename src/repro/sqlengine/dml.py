@@ -40,7 +40,7 @@ class DmlResult:
     meter: WorkMeter
 
 
-#: Extra CPU charged per modified row (index maintenance, logging).
+#: Extra CPU charged per modified row (the write and its log record).
 _WRITE_ROW_COST_FACTOR = 4.0
 
 #: IO charged per inserted row: a tenth of the one page a row fills.

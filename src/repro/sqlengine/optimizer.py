@@ -31,14 +31,12 @@ from .physical import (
     Filter,
     HashAggregate,
     HashJoin,
-    IndexScan,
     Limit,
     NestedLoopJoin,
     PhysicalPlan,
     Project,
     SeqScan,
     Sort,
-    _equality_probe,
 )
 from .types import SqlError
 
@@ -119,18 +117,9 @@ class Optimizer:
     def _access_paths(
         self, relation: BoundRelation, estimator: CostEstimator
     ) -> List[PlanCandidate]:
-        """The sequential scan, then an index scan per probe conjunct of
-        an indexed column, cheapest first."""
-        scans = [_scan(relation)]
-        for i, part in enumerate(conjuncts(relation.predicate)):
-            probe = _equality_probe(part)
-            if probe is not None and relation.table.has_index_on(probe[0]):
-                scans.append(IndexScan(
-                    relation.table, relation.binding, relation.predicate, i
-                ))
-        paths = [PlanCandidate(scan, scan.estimate_cost(estimator)) for scan in scans]
-        paths.sort(key=lambda c: c.cost.total)
-        return paths[:KEEP_ALTERNATIVES]
+        """The sequential scan: a relation's one access path."""
+        scan = _scan(relation)
+        return [PlanCandidate(scan, scan.estimate_cost(estimator))]
 
     # -- join enumeration -------------------------------------------------
 

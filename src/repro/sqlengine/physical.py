@@ -54,7 +54,6 @@ from .cost import (
     CPU_TUPLE_COST,
     HASH_BUILD_COST,
     HASH_PROBE_COST,
-    INDEX_PROBE_COST,
     MATERIALIZE_TUPLE_COST,
     SEQ_PAGE_COST,
     SORT_COMPARE_COST,
@@ -69,10 +68,7 @@ from .cost import (
 from .expressions import (
     AggregateCall,
     ColumnRef,
-    Comparison,
     Expression,
-    Literal,
-    combine_conjuncts,
     conjuncts,
     is_equijoin_conjunct,
     walk,
@@ -434,17 +430,6 @@ def _predicate_sql(predicate: Optional[Expression]) -> str:
     return predicate.sql() if predicate is not None else ""
 
 
-def _equality_probe(part: Expression) -> Optional[Tuple[str, Literal]]:
-    """Match ``col = literal`` (either orientation) for index probing."""
-    if not isinstance(part, Comparison) or part.op != "=":
-        return None
-    if isinstance(part.left, ColumnRef) and isinstance(part.right, Literal):
-        return part.left.name, part.right
-    if isinstance(part.right, ColumnRef) and isinstance(part.left, Literal):
-        return part.right.name, part.left
-    return None
-
-
 def _count_operators(predicate: Optional[Expression]) -> int:
     if predicate is None:
         return 0
@@ -514,77 +499,6 @@ class SeqScan(PhysicalPlan):
         pred = _predicate_sql(self.predicate)
         suffix = f" WHERE {pred}" if pred else ""
         return f"SeqScan({self.table.name} AS {self.binding}{suffix})"
-
-
-class IndexScan(PhysicalPlan):
-    """Equality probe into a hash index: conjunct *probe* of the local *predicate*
-    is ``column = literal``, the rest filters.  Its rows are a ``SeqScan``'s."""
-
-    def __init__(
-        self, table: TableDef, binding: str, predicate: Expression, probe: int
-    ):
-        parts = conjuncts(predicate)
-        matched = _equality_probe(parts[probe])
-        if matched is None:
-            raise ExecutionError("IndexScan requires a column = literal probe")
-        self.table = table
-        self.binding = binding
-        self.predicate = predicate
-        self.column = matched[0].rpartition(".")[2]
-        self.value = matched[1]
-        self.residual = combine_conjuncts(parts[:probe] + parts[probe + 1 :])
-        self.output_schema = table.schema.rename_table(binding)
-        self._per_row = CPU_TUPLE_COST + _count_operators(self.residual) * CPU_OPERATOR_COST
-
-    def _cost(self, estimator: CostEstimator) -> PlanCost:
-        profile = estimator.profile
-        stats = self.table.stats.for_column(self.column)
-        rows_in = self.table.stats.row_count
-        n_distinct = stats.n_distinct if stats else max(rows_in, 1)
-        matched = rows_in / max(n_distinct, 1)
-        rows_out = max(rows_in * estimator.predicate(self.predicate), 0.0)
-        width = self.output_schema.row_width_bytes()
-        probe = profile.io_ms(INDEX_PROBE_COST)
-        cpu = profile.cpu_ms(matched * self._per_row)
-        total = STARTUP_COST + probe + cpu
-        first = STARTUP_COST + probe + cpu / max(rows_out, 1.0)
-        return PlanCost(
-            first_tuple=min(first, total),
-            total=total,
-            rows=rows_out,
-            width_bytes=width,
-        )
-
-    def _rows_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        heap = ctx.storage.table(self.table.name)
-        index = heap.index_on(self.column)
-        if index is None:
-            raise ExecutionError(
-                f"no index on {self.table.name}.{self.column}"
-            )
-        meter = ctx.meter
-        meter.io_ms += INDEX_PROBE_COST
-        rids = index.lookup(self.value.value)
-        table_cols = heap.columnar()
-        size = ctx.batch_size
-        fetched = (
-            table_cols.take_batch(list(rids[start : start + size]))
-            for start in range(0, len(rids), size)
-        )
-        for matched in _metered(fetched, meter, self._per_row):
-            batch = _narrowed(matched, self._kernels)
-            if batch is not None:
-                yield batch
-
-    @cached_property
-    def _kernels(self) -> List[Callable[[ColumnBatch], List[int]]]:
-        return [selection_kernel(c, self.output_schema) for c in conjuncts(self.residual)]
-
-    def describe(self) -> str:
-        parts = [f"{self.table.name} AS {self.binding}", f"{self.column}={self.value.sql()}"]
-        if self.residual is not None:
-            parts.append(f"WHERE {self.residual.sql()}")
-        return f"IndexScan({' '.join(parts)})"
 
 
 # ---------------------------------------------------------------------------
@@ -1259,7 +1173,7 @@ def stats_context_for_plan(plan: PhysicalPlan) -> StatsContext:
     nodes: List[PhysicalPlan] = [plan]
     while nodes:
         node = nodes.pop()
-        if isinstance(node, (SeqScan, IndexScan)):
+        if isinstance(node, SeqScan):
             mapping[node.binding] = node.table.stats
         nodes.extend(node.children())
     return StatsContext(mapping)

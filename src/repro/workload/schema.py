@@ -76,7 +76,6 @@ def table_specs(scale: WorkloadScale = BENCH_SCALE) -> Tuple[TableSpec, ...]:
                 ("segment", ColumnType.STR, Choice(SEGMENTS)),
             ),
             row_count=small,
-            indexes=("custkey",),
         ),
         TableSpec(
             "product",
@@ -87,7 +86,6 @@ def table_specs(scale: WorkloadScale = BENCH_SCALE) -> Tuple[TableSpec, ...]:
                 ("brand", ColumnType.STR, RandomString(8)),
             ),
             row_count=small,
-            indexes=("prodkey",),
         ),
         TableSpec(
             "supplier",
@@ -97,7 +95,6 @@ def table_specs(scale: WorkloadScale = BENCH_SCALE) -> Tuple[TableSpec, ...]:
                 ("rating", ColumnType.INT, UniformInt(1, 10)),
             ),
             row_count=small,
-            indexes=("suppkey",),
         ),
         TableSpec(
             "orders",
@@ -108,7 +105,6 @@ def table_specs(scale: WorkloadScale = BENCH_SCALE) -> Tuple[TableSpec, ...]:
                 ("priority", ColumnType.INT, UniformInt(1, N_PRIORITIES)),
             ),
             row_count=large,
-            indexes=("orderkey",),
         ),
         TableSpec(
             "lineitem",
@@ -120,6 +116,5 @@ def table_specs(scale: WorkloadScale = BENCH_SCALE) -> Tuple[TableSpec, ...]:
                 ("extprice", ColumnType.FLOAT, UniformFloat(*EXTPRICE_RANGE)),
             ),
             row_count=large,
-            indexes=("orderkey", "prodkey"),
         ),
     )

@@ -50,7 +50,6 @@ def tiny_specs():
                 ("budget", ColumnType.INT, UniformInt(10, 99)),
             ),
             row_count=20,
-            indexes=("deptno",),
         ),
         TableSpec(
             "emp",

@@ -40,7 +40,5 @@ def server_databases(
             table = tables[name]
             database.create_table(name, table.schema())
             database.load_rows(name, loaded[name])
-            for column in table.indexes:
-                database.create_index(name, column)
         databases[spec.name] = database
     return databases

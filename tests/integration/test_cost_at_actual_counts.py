@@ -6,8 +6,8 @@ Every executed plan of QT1-QT5 and of the SQLite-oracle grammar's
 pinned statements runs under the operator profiler.  Bottom-up, each
 node is re-costed with its ``_cost`` formula at the reference profile,
 with every estimated count replaced by the actual one: the table's row
-count, the index entries a probe matched, each child's ``rows_out``, the
-node's own ``rows_out`` and the groups an aggregate formed.  The re-cost
+count, each child's ``rows_out``, the node's own ``rows_out`` and the
+groups an aggregate formed.  The re-cost
 must equal the node's inclusive ``meter_ms`` once the differences
 docs/cost_model.md lists ("Cost at actual counts") are taken out, and
 those differences must all still occur: a new one, or one that is gone,
@@ -35,7 +35,6 @@ PINNED = [
 #: disagree at actual counts, as docs/cost_model.md lists them.
 DIFFERENCES = {
     ("SeqScan", "STARTUP_COST"),
-    ("IndexScan", "STARTUP_COST"),
     ("HashJoin", "CPU_TUPLE_COST"),
 }
 
@@ -85,18 +84,11 @@ def _recost(node, rows, storage):
     ``_per_pair`` / ``_per_update`` / ``_per_group`` would compare the
     node with itself; ``test_shared_units.py`` covers those attributes."""
     out = rows[node]
-    if isinstance(node, (P.SeqScan, P.IndexScan)):
-        if isinstance(node, P.SeqScan):
-            scanned = len(storage.table(node.table.name))
-            width = node.output_schema.row_width_bytes()
-            io = pages_for(scanned, width) * P.SEQ_PAGE_COST
-            predicate = node.predicate
-        else:
-            index = storage.table(node.table.name).index_on(node.column)
-            scanned = len(index.lookup(node.value.value))
-            io = P.INDEX_PROBE_COST
-            predicate = node.residual
-        ops = P._count_operators(predicate)
+    if isinstance(node, P.SeqScan):
+        scanned = len(storage.table(node.table.name))
+        width = node.output_schema.row_width_bytes()
+        io = pages_for(scanned, width) * P.SEQ_PAGE_COST
+        ops = P._count_operators(node.predicate)
         per_row = scanned * (P.CPU_TUPLE_COST + ops * P.CPU_OPERATOR_COST)
         return {
             "STARTUP_COST": (P.STARTUP_COST, 0.0),

@@ -32,7 +32,6 @@ def db():
         "t", Schema((Column("k", ColumnType.INT), Column("v", ColumnType.INT)))
     )
     database.load_rows("t", ROWS)
-    database.create_index("t", "v")
     database.analyze()
     return database
 
@@ -59,8 +58,6 @@ def _units(db):
     where = parse_expression("t.v = 1 AND t.k >= 0")
     scan = _scan(db, predicate=where)
     yield scan, scan, "_per_row", 8
-    index = P.IndexScan(db.catalog.lookup("t"), "t", where, 0)
-    yield index, index, "_per_row", 4
     filtered = P.Filter(_scan(db), where)
     yield filtered, filtered, "_per_row", 8
     yield (*_optimized(db, "SELECT t.k, t.v + 1 AS w FROM t", P.Project), "_per_row", 8)
@@ -93,7 +90,6 @@ def test_a_node_dependent_unit_moves_formula_and_meter_alike(db, monkeypatch):
         scaled.add(case)
     assert scaled == {
         ("SeqScan", "_per_row"),
-        ("IndexScan", "_per_row"),
         ("Filter", "_per_row"),
         ("Project", "_per_row"),
         ("NestedLoopJoin", "_per_pair"),

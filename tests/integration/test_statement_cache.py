@@ -58,10 +58,6 @@ def _assert_matches_oracle(asked):
         assert _described(database.explain(sql)) == oracle, sql
 
 
-def _add_index(database):
-    database.create_index("orders", "totalprice")
-
-
 def _load_rows(database):
     table = database.storage.table("customer")
     database.load_rows("customer", [table.rows[0]] * 500)
@@ -74,7 +70,6 @@ def _rescale_stats(database):
 
 #: Every kind of mutation an optimizer can see, with the table it needs.
 MUTATIONS = (
-    ("orders", _add_index),
     ("customer", _load_rows),
     ("orders", _rescale_stats),
 )

@@ -12,7 +12,7 @@ from repro.sqlengine import (
     TableStats,
     collect_stats,
 )
-from repro.sqlengine.catalog import ColumnStats, IndexDef
+from repro.sqlengine.catalog import ColumnStats
 
 
 def _schema():
@@ -122,10 +122,3 @@ class TestCatalog:
         clone.update_stats("t", TableStats(row_count=999))
         assert catalog.lookup("t").stats.row_count == 4
         assert clone.lookup("t").stats.row_count == 999
-
-    def test_has_index_on(self):
-        table = self._table()
-        table.indexes = (IndexDef("t", "id"),)
-        assert table.has_index_on("id")
-        assert table.has_index_on("t.id")
-        assert not table.has_index_on("name")

@@ -49,7 +49,7 @@ def test_loaded_database_is_not_walked_per_row():
         len(database.storage.table(spec.name)) for spec in table_specs(SCALE)
     )
     assert rows == 2 * 12_000 + 3 * 300
-    # Five tables, six indexes, schemas, statistics: hundreds of objects.
+    # Five tables, schemas, statistics: hundreds of objects.
     assert grown / rows < 0.1
 
 

@@ -35,7 +35,7 @@ TEXTS = [
 ] + PINNED
 
 #: The operators that carry the unscaled startup: the plan leaves.
-LEAVES = (P.SeqScan, P.IndexScan, P.MaterializedInput)
+LEAVES = (P.SeqScan, P.MaterializedInput)
 
 
 def _nodes(plan):

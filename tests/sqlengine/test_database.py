@@ -61,12 +61,6 @@ class TestDatabaseFacade:
         assert db.profile.cpu_speed == 3.0
         assert db.optimizer.profile is profile
 
-    def test_create_index_via_facade(self, tiny_db):
-        tiny_db.create_index("emp", "empno")
-        assert tiny_db.catalog.lookup("emp").has_index_on("empno")
-        result = tiny_db.run("SELECT * FROM emp WHERE empno = 5")
-        assert result.row_count == 1
-
 
 def _signatures(db, sql):
     return [candidate.signature for candidate in db.explain(sql)]
@@ -76,26 +70,16 @@ class TestExplainTracksCatalog:
     """``explain`` answers for the catalog as it is *now*: every mutation
     an optimizer can see goes through the catalog and bumps its version."""
 
-    POINT = "SELECT * FROM emp WHERE empno = 5"
     JOIN = "SELECT COUNT(*) FROM dept d JOIN emp e ON d.deptno = e.deptno"
 
     def test_every_visible_mutation_bumps_the_version(self, tiny_db):
         catalog = tiny_db.catalog
         seen = [catalog.version]
-        tiny_db.create_index("emp", "empno")
-        seen.append(catalog.version)
         tiny_db.analyze("emp")
         seen.append(catalog.version)
         tiny_db.create_table("extra", Schema((Column("x", ColumnType.INT),)))
         seen.append(catalog.version)
         assert seen == sorted(set(seen))
-
-    def test_create_index_offers_an_index_scan(self, tiny_db):
-        before = _signatures(tiny_db, self.POINT)
-        assert not any("IndexScan" in s for s in before)
-        tiny_db.create_index("emp", "empno")
-        after = _signatures(tiny_db, self.POINT)
-        assert "IndexScan" in after[0]
 
     def test_load_rows_changes_the_cheapest_join_order(self, tiny_db):
         before = tiny_db.explain(self.JOIN)[0]

@@ -112,18 +112,12 @@ class TestScaled:
         assert _spec().scaled(0.0001).row_count == 1
 
 
-def test_populate_creates_loads_and_indexes():
+def test_populate_creates_and_loads():
     db = Database("x")
-    spec = TableSpec(
-        "t",
-        (("id", ColumnType.INT, Serial()),),
-        row_count=5,
-        indexes=("id",),
-    )
+    spec = TableSpec("t", (("id", ColumnType.INT, Serial()),), row_count=5)
     populate(db, [spec], seed=1)
     assert db.row_count("t") == 5
     assert db.catalog.lookup("t").stats.row_count == 5
-    assert db.catalog.lookup("t").has_index_on("id")
 
 
 #: table -> sha256 of ``repr`` of its ``generate_rows(7)`` and of the

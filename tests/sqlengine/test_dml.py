@@ -19,27 +19,21 @@ from repro.sqlengine import (
 
 
 @pytest.fixture()
-def indexed_db():
-    """``t(a INT, b STR)`` holding 1, 2, 3, indexed on ``a``, with its
-    columnar projection already built by a scan."""
+def scanned_db():
+    """``t(a INT, b STR)`` holding 1, 2, 3, with its columnar projection
+    already built by a scan."""
     db = Database("t")
     db.create_table(
         "t", Schema((Column("a", ColumnType.INT), Column("b", ColumnType.STR)))
     )
     db.load_rows("t", [(1, "x"), (2, "y"), (3, "z")])
-    db.create_index("t", "a")
     assert db.run("SELECT a, b FROM t").rows == [(1, "x"), (2, "y"), (3, "z")]
     return db
 
 
 def _unchanged(db):
-    """The heap, the index on ``a`` and a columnar scan still show the
-    three loaded rows."""
-    table = db.storage.table("t")
-    assert table.rows == [(1, "x"), (2, "y"), (3, "z")]
-    index = table.index_on("a")
-    assert [index.lookup(v) for v in (1, 2, 3, 7)] == [(0,), (1,), (2,), ()]
-    assert len(index) == 3
+    """The heap and a columnar scan still show the three loaded rows."""
+    assert db.storage.table("t").rows == [(1, "x"), (2, "y"), (3, "z")]
     assert db.run("SELECT a, b FROM t").rows == [(1, "x"), (2, "y"), (3, "z")]
 
 
@@ -128,15 +122,15 @@ class TestInsertExecution:
         result = tiny_db.run_dml("INSERT INTO dept VALUES (300, 5)")
         assert result.meter.total_ms > 0
 
-    def test_a_bad_later_row_inserts_none(self, indexed_db):
+    def test_a_bad_later_row_inserts_none(self, scanned_db):
         with pytest.raises(TypeMismatchError):
-            indexed_db.run_dml("INSERT INTO t VALUES (7, 'x'), ('oops', 'y')")
-        _unchanged(indexed_db)
+            scanned_db.run_dml("INSERT INTO t VALUES (7, 'x'), ('oops', 'y')")
+        _unchanged(scanned_db)
 
-    def test_a_short_later_row_inserts_none(self, indexed_db):
+    def test_a_short_later_row_inserts_none(self, scanned_db):
         with pytest.raises(DmlError):
-            indexed_db.run_dml("INSERT INTO t VALUES (7, 'x'), (8)")
-        _unchanged(indexed_db)
+            scanned_db.run_dml("INSERT INTO t VALUES (7, 'x'), (8)")
+        _unchanged(scanned_db)
 
     def test_multi_row_meter_is_per_row(self, tiny_db):
         one = tiny_db.run_dml("INSERT INTO dept VALUES (400, 1)").meter
@@ -177,11 +171,11 @@ class TestUpdateExecution:
         assert tiny_db.run("SELECT * FROM dept WHERE deptno = 7").rows == []
         assert len(tiny_db.run("SELECT * FROM dept WHERE deptno = 999").rows) == 1
 
-    def test_a_failing_update_changes_nothing(self, indexed_db):
+    def test_a_failing_update_changes_nothing(self, scanned_db):
         # Row 0 becomes NULL (1 / 0); row 1 fails (2 / 1 is 2.0, not INT).
         with pytest.raises(TypeMismatchError):
-            indexed_db.run_dml("UPDATE t SET a = a / (a - 1)")
-        _unchanged(indexed_db)
+            scanned_db.run_dml("UPDATE t SET a = a / (a - 1)")
+        _unchanged(scanned_db)
 
     def test_update_cost_scales_with_changes(self, tiny_db):
         small = tiny_db.run_dml(

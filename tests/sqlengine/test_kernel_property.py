@@ -36,7 +36,7 @@ from repro.sqlengine import (
     Or,
     Schema,
 )
-from repro.sqlengine.columnar import TableColumns
+from repro.sqlengine.columnar import TableColumns, TakeColumn
 from repro.sqlengine.expressions import ARITHMETIC_OPS, COMPARISON_OPS, SCALAR_FUNCTIONS
 from repro.sqlengine.spine import selection_kernel, value_kernel
 
@@ -113,9 +113,10 @@ def batches(rows, size, layout):
             yield ColumnBatch.from_rows(chunk, len(SCHEMA)), chunk
         elif layout == "slice":
             yield TableColumns(rows, SCHEMA).batch(start, start + len(chunk)), chunk
-        else:  # a gather, backwards, as an index scan's rid list may be
+        else:  # a gather, backwards, as a hash join's build-side ids may be
             ids = list(range(start + len(chunk) - 1, start - 1, -1))
-            yield TableColumns(rows, SCHEMA).take_batch(ids), [rows[i] for i in ids]
+            cols = tuple(TakeColumn(col, ids) for col in TableColumns(rows, SCHEMA).cols)
+            yield ColumnBatch(cols, len(ids)), [rows[i] for i in ids]
 
 
 @settings(deadline=None)

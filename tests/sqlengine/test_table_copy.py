@@ -1,13 +1,12 @@
 """Loading a replicated table as a copy of another host's.
 
-``build_databases`` generates, validates, indexes and analyses each
-table once, at its first host, and every later host loads it with
-``Database.load_copy``: its own row list over the same tuples, its own
-bucket dicts over the same bucket tuples, and the same registered
-``TableDef``.  These tests hold a copy equal to a fresh ``populate`` of
-its spec, every host's writes to that host alone, the build to one
-generation and one validation per table, and a copy to a handful of
-collector-tracked objects per table and index.
+``build_databases`` generates, validates and analyses each table once,
+at its first host, and every later host loads it with
+``Database.load_copy``: its own row list over the same tuples, and the
+same registered ``TableDef``.  These tests hold a copy equal to a fresh
+``populate`` of its spec, every host's writes to that host alone, the
+build to one generation and one validation per table, and a copy to a
+handful of collector-tracked objects per table.
 """
 
 from __future__ import annotations
@@ -60,10 +59,6 @@ def _hosted(database):
     return [table.name for table in database.catalog]
 
 
-def _index_columns(database, name):
-    return [ix.column for ix in database.catalog.lookup(name).indexes]
-
-
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 class TestCopiesEqualAFreshLoad:
     @pytest.fixture()
@@ -83,14 +78,6 @@ class TestCopiesEqualAFreshLoad:
                 assert [tuple(map(type, row)) for row in rows] == [
                     tuple(map(type, row)) for row in expected
                 ]
-                for column in _index_columns(fresh, name):
-                    index = database.storage.table(name).index_on(column)
-                    reference = fresh.storage.table(name).index_on(column)
-                    position = fresh.storage.table(name).schema.index_of(column)
-                    keys = {row[position] for row in expected} | {-1}
-                    assert len(index) == len(reference)
-                    for key in keys:
-                        assert index.lookup(key) == reference.lookup(key)
                 assert database.run(f"SELECT * FROM {name}").rows == (
                     fresh.run(f"SELECT * FROM {name}").rows
                 )
@@ -111,52 +98,45 @@ class TestCopiesEqualAFreshLoad:
                 assert database.catalog.lookup(name) is (
                     source.catalog.lookup(name)
                 )
-                for column in _index_columns(source, name):
-                    index = table.index_on(column)
-                    twin = original.index_on(column)
-                    assert index is not twin
-                    assert index._buckets is not twin._buckets
-                    assert all(
-                        index._buckets[key] is bucket
-                        for key, bucket in twin._buckets.items()
-                    )
 
 
 def _sql_literal(value):
     return f"'{value}'" if isinstance(value, str) else repr(value)
 
 
+def _key(database, name):
+    """*name*'s serial first column."""
+    return database.storage.table(name).schema.columns[0].name.rpartition(".")[2]
+
+
 def _dml(database, name):
-    """An UPDATE of the first indexed column, an INSERT and a DELETE on
-    *name*, keyed on its serial first column."""
+    """An UPDATE of the second (an INT, not the key) column, an INSERT and
+    a DELETE on *name*, keyed on its serial first column."""
     schema = database.storage.table(name).schema
-    key = schema.columns[0].name.rpartition(".")[2]
-    indexed = _index_columns(database, name)[0]
+    key = _key(database, name)
+    other = schema.columns[1].name.rpartition(".")[2]
     row = list(database.storage.table(name).rows[0])
     row[0] = 900_001
     values = ", ".join(_sql_literal(v) for v in row)
     return [
-        f"UPDATE {name} SET {indexed} = {indexed} + 100000 WHERE {key} <= 5",
+        f"UPDATE {name} SET {other} = {other} + 100000 WHERE {key} <= 5",
         f"INSERT INTO {name} VALUES ({values})",
         f"DELETE FROM {name} WHERE {key} > 700",
     ]
 
 
 def _state(database):
-    """Everything a write could leak into: rows, index buckets, the
-    registered definitions (deep-copied, so an in-place change shows)
-    and scan and index-lookup answers."""
+    """Everything a write could leak into: rows, the registered
+    definitions (deep-copied, so an in-place change shows) and scan and
+    key-lookup answers."""
     state = {}
     for name in _hosted(database):
-        table = database.storage.table(name)
-        columns = _index_columns(database, name)
         state[name] = (
-            list(table.rows),
-            {c: dict(table.index_on(c)._buckets) for c in columns},
+            list(database.storage.table(name).rows),
             copy.deepcopy(database.catalog.lookup(name)),
             database.run(f"SELECT * FROM {name}").rows,
             database.run(
-                f"SELECT * FROM {name} WHERE {columns[0]} = 3"
+                f"SELECT * FROM {name} WHERE {_key(database, name)} = 3"
             ).rows,
         )
     return state
@@ -266,9 +246,9 @@ def test_a_copy_needs_an_equal_schema():
         Database(name="empty").load_copy("supplier", source)
 
 
-def test_a_copy_is_walked_per_table_and_index_not_per_row():
-    """A copy adds the collector a row list per table and a bucket dict
-    per index (plus their owners and schemas), however many rows."""
+def test_a_copy_is_walked_per_table_not_per_row():
+    """A copy adds the collector a row list per table (plus its owners
+    and schemas), however many rows."""
     scale = WorkloadScale(large_rows=12_000, small_rows=300)
     specs = table_specs(scale)
     source = Database(name="source")
@@ -282,6 +262,5 @@ def test_a_copy_is_walked_per_table_and_index_not_per_row():
     gc.collect()
     grown = len(gc.get_objects()) - before
     rows = sum(len(replica.storage.table(spec.name)) for spec in specs)
-    indexes = sum(len(spec.indexes) for spec in specs)
     assert rows == 2 * 12_000 + 3 * 300
-    assert grown <= 12 * (len(specs) + indexes)
+    assert grown <= 12 * len(specs)
