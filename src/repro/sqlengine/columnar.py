@@ -12,7 +12,8 @@ Column representations:
 * ``TableColumn`` — one column of a stored table's projection, built
   when a kernel first reads it: a plain value list of the row tuples'
   own objects, whatever the column's type, so nothing is copied or
-  re-boxed;
+  re-boxed (``TableColumns.padded`` is the same list behind a NULL slot,
+  what hash-join builds over the table read);
 * ``ValueColumn`` — plain Python list (stored columns, operator
   intermediates);
 * ``SliceColumn`` / ``TakeColumn`` / ``GatherColumn`` — lazy views used
@@ -25,6 +26,7 @@ Column representations:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence
 
 from .types import Row, Schema
@@ -100,9 +102,9 @@ class TakeColumn(ColumnData):
 class GatherColumn(ColumnData):
     """Lazy join-output column: gathers from a value provider.
 
-    ``provider`` yields the source value list on first use (e.g. the
-    lazily concatenated build side of a hash join, whose slot 0 is the
-    NULL row an outer join's padding gathers).
+    ``provider`` yields the source value list on first use (e.g. a
+    hash join's build column, whose slot 0 is the NULL row an outer
+    join's padding gathers).
     """
 
     __slots__ = ("provider", "indices", "_values")
@@ -224,13 +226,15 @@ class TableColumn(ColumnData):
 class TableColumns:
     """The columnar projection of one heap table (all physical rows)."""
 
-    __slots__ = ("cols", "n_rows")
+    __slots__ = ("cols", "n_rows", "_rows", "_padded")
 
     def __init__(self, rows: Sequence[Row], schema: Schema):
         self.cols = tuple(
             TableColumn(rows, idx) for idx in range(len(schema.columns))
         )
         self.n_rows = len(rows)
+        self._rows = rows
+        self._padded: List[Optional[List[Any]]] = [None] * len(self.cols)
 
     def batch(self, start: int, stop: int) -> ColumnBatch:
         """A zero-copy slice batch over rows [start, stop)."""
@@ -239,3 +243,13 @@ class TableColumns:
             stop - start,
             None,
         )
+
+    def padded(self, idx: int) -> List[Any]:
+        """Column *idx* behind one NULL slot (row *i* at *i* + 1): the
+        build column of every hash-join build over this version, built on
+        first use (``spine._Build``)."""
+        vals = self._padded[idx]
+        if vals is None:
+            vals = self._padded[idx] = [None]
+            vals += map(itemgetter(idx), self._rows)
+        return vals

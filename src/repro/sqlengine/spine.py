@@ -28,7 +28,9 @@ no value of the plan: literals, row evaluators, build tables and build
 columns are its parameters, by name, so one function serves every plan
 of one shape and is compiled once per source text.
 
-A scan read whole as a build side is kept on its storage (``_built``).
+A scan read whole as a build side is kept on its storage (``_built``):
+its build rows are its table's positions and its columns the table
+version's own padded lists, so a kept build is only its hash table.
 Metering is the operators' own: ``built x HASH_BUILD_COST`` after each
 build, then, once the leaf stream has ended, ``probed x HASH_PROBE_COST``
 and ``examined x CPU_TUPLE_COST`` per level, innermost first.  An
@@ -70,8 +72,9 @@ FILENAME = "<spine>"
 #: Functions (by source text), shapes and kernel shapes kept, each.
 MAX_SHAPES = 256
 
-#: Build rows (in at most MAX_SHAPES builds) a storage keeps (``_built``).
-MAX_BUILD_ROWS = 1 << 15
+#: Build rows (in at most MAX_SHAPES builds) a storage keeps (``_built``):
+#: about 40 B each, so 10 MiB at most (docs/execution.md, "Kept builds").
+MAX_BUILD_ROWS = 1 << 18
 
 _FUNCTIONS: Dict[str, Callable[..., Any]] = {}
 
@@ -109,35 +112,51 @@ def _kept(cache: Dict[Any, Any], key: Any, value: Any) -> Any:
 
 
 class _Build:
-    """One level's hash table from keys to global build row ids.
+    """One level's hash table from keys to build row ids.
 
-    Ids start at 1: slot 0 of every concatenated build column is the NULL
-    row, so a miss is the falsy id 0 and outer padding reads slot 0.  One
-    C-level ``dict`` over the key column classifies the build: it is
-    unique (no non-NULL key twice; ``1``, ``1.0`` and ``True`` are one
-    key) iff ``singles`` holds one entry per non-NULL key.  A unique build
-    without a residual is probed for one id; every other build maps keys
-    to ascending id buckets (tuples).  ``script`` is its scan's charges.
+    ``values(j)`` is build column *j* behind the NULL row: ids start at 1,
+    so a miss is the falsy id 0 and outer padding reads slot 0.  A scan
+    build's rows are its table's (row *i* is id *i* + 1, *sel* the
+    selected positions) and its columns the table version's padded lists,
+    shared by every build of it; any other build side passes its batches
+    concatenated, every row selected (*sel* None).  So a kept build holds
+    its dict and no list per row: even its ids are ``_IDS``' ints.
+    ``size`` is its rows + 1 (charged and budgeted), ``span`` its columns'
+    length.  One C-level ``dict`` over the key column classifies the
+    build: it is unique (no non-NULL key twice; ``1``, ``1.0`` and
+    ``True`` are one key) iff ``singles`` holds one entry per non-NULL
+    key.  A unique build without a residual is probed for one id; every
+    other build maps keys to ascending id buckets (tuples).  ``script`` is
+    its scan's charges.
     """
 
-    __slots__ = ("batches", "get", "unique", "size", "_values", "script")
+    __slots__ = ("values", "get", "unique", "size", "span", "script")
 
     def __init__(
-        self, batches: List[ColumnBatch], right_idx: Sequence[int], residual: Optional[Expression]
+        self,
+        values: Callable[[int], List[Any]],
+        sel: Optional[List[int]],
+        right_idx: Sequence[int],
+        residual: Optional[Expression],
     ):
-        self.batches = batches
-        self._values: Dict[int, List[Any]] = {}
-        if len(right_idx) == 1:
-            keys = self.values(right_idx[0])
+        self.values = values
+        columns = [values(j) for j in right_idx]
+        self.span = len(columns[0])
+        if len(_IDS) < self.span:
+            _IDS.extend(range(len(_IDS), self.span))
+        ids: List[int] = _IDS  # every row, behind the NULL row's key
+        if sel is not None:
+            ids = list(map(_IDS.__getitem__, map((1).__add__, sel)))
+            columns = [list(map(column.__getitem__, ids)) for column in columns]
+        if len(columns) == 1:
+            keys = columns[0]
         else:
             # A NULL component makes the whole key NULL.
-            keys = [None if None in key else key for key in zip(*map(self.values, right_idx))]
-        self.size = len(keys)
-        if len(_IDS) < self.size:
-            _IDS.extend(range(len(_IDS), self.size))
-        singles = dict(zip(keys, _IDS))
-        del singles[None]
-        unique = len(singles) == self.size - keys.count(None)
+            keys = [None if None in key else key for key in zip(*columns)]
+        self.size = len(keys) + (sel is not None)
+        singles = dict(zip(keys, ids))
+        singles.pop(None, None)
+        unique = len(singles) == len(keys) - keys.count(None)
         self.unique = unique and residual is None
         if self.unique:
             self.get = singles.get
@@ -146,32 +165,25 @@ class _Build:
         else:
             buckets: Dict[Any, Any] = {}
             setdefault = buckets.setdefault
-            for rid, key in zip(_IDS, keys):
+            for rid, key in zip(ids, keys):
                 if key is not None:
                     setdefault(key, []).append(rid)
             for key, rids in buckets.items():
                 buckets[key] = tuple(rids)
             self.get = buckets.get
 
-    def values(self, j: int) -> List[Any]:
-        """Build column *j* behind the NULL row, concatenated once."""
-        vals = self._values.get(j)
-        if vals is None:
-            vals = self._values[j] = [None]
-            for batch in self.batches:
-                vals.extend(batch.column_values(j))
-        return vals
-
 
 def _built(right: Any, join: "_Level", ctx: Any) -> _Build:
     """Level *join*'s build over *right*, charged; a scan read whole is
     kept on its storage, and a later build of its key takes it as it is
     and replays its script (docs/execution.md, "The spine")."""
-    from .physical import _scan_chain, _whole_run
+    from .physical import _concat_column, _scan_chain, _whole_run
 
     chain = _scan_chain(right)
     if chain is None:
-        build = _Build(list(right.rows_columnar(ctx)), join.right_idx, join.residual)
+        batches = list(right.rows_columnar(ctx))
+        columns = [[None, *_concat_column(batches, j)] for j in range(join.width)]
+        build = _Build(columns.__getitem__, None, join.right_idx, join.residual)
     else:
         heap = ctx.storage.table(chain[0].table.name)
         key = (
@@ -182,7 +194,8 @@ def _built(right: Any, join: "_Level", ctx: Any) -> _Build:
         # Unpacking runs the pass to its end, so its charges have landed.
         [(batch, script)] = _whole_run(chain, ctx, None if build is None else build.script)
         if build is None:
-            build = _Build([] if batch is None else [batch], join.right_idx, join.residual)
+            sel = [] if batch is None else batch.sel
+            build = _Build(heap.columnar().padded, sel, join.right_idx, join.residual)
             build.script = script
             _admit(ctx.storage, key, build)
     ctx.meter.cpu_ms += (build.size - 1) * HASH_BUILD_COST
@@ -718,7 +731,7 @@ class Spine:
             elif kind == "fused":
                 params.append(fused[spec[1]].emit)
             elif kind == "groups":
-                params.append([-1] * builds[spec[1]].size)
+                params.append([-1] * builds[spec[1]].span)
             else:
                 params.append(emit)
         return fn, tuple(params)

@@ -113,7 +113,7 @@ class TestInsertExecution:
         with pytest.raises(DmlError):
             tiny_db.run_dml("INSERT INTO dept VALUES (deptno, 1)")
 
-    def test_insert_maintains_index(self, tiny_db):
+    def test_an_inserted_key_is_found_by_equality(self, tiny_db):
         tiny_db.run_dml("INSERT INTO dept VALUES (200, 5)")
         rows = tiny_db.run("SELECT * FROM dept WHERE deptno = 200").rows
         assert rows == [(200, 5)]
@@ -166,7 +166,7 @@ class TestUpdateExecution:
         after = tiny_db.run("SELECT budget FROM dept WHERE deptno = 3").rows
         assert after[0][0] == before[0][0] * 2
 
-    def test_update_rebuilds_index(self, tiny_db):
+    def test_an_updated_key_is_found_by_equality(self, tiny_db):
         tiny_db.run_dml("UPDATE dept SET deptno = 999 WHERE deptno = 7")
         assert tiny_db.run("SELECT * FROM dept WHERE deptno = 7").rows == []
         assert len(tiny_db.run("SELECT * FROM dept WHERE deptno = 999").rows) == 1
@@ -196,7 +196,7 @@ class TestDeleteExecution:
         assert result.rows_affected == 20
         assert tiny_db.row_count("dept") == 0
 
-    def test_delete_rebuilds_index(self, tiny_db):
+    def test_a_deleted_key_is_not_found_by_equality(self, tiny_db):
         tiny_db.run_dml("DELETE FROM dept WHERE deptno = 7")
         assert tiny_db.run("SELECT * FROM dept WHERE deptno = 7").rows == []
 

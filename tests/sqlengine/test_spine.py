@@ -26,7 +26,10 @@ plan runs twice, a miss and then a hit, with equal rows, meters and
 profiles; a drawn INSERT, UPDATE, DELETE or ``load_copy`` between two
 runs leaves the plan answering and metering as over a fresh storage; and
 the kept rows and entries stay within ``MAX_BUILD_ROWS`` and
-``MAX_SHAPES``, a write freeing its table's entries.
+``MAX_SHAPES``, a write freeing its table's entries.  A kept build's
+rows are its table's positions and its columns the table version's
+padded lists, shared by every build of that version: it holds no list
+per row of its own.
 """
 
 from __future__ import annotations
@@ -573,6 +576,64 @@ def test_kept_builds_stay_within_their_entry_budget(monkeypatch):
     for above in (2.5, 4.5, 6.5):
         _executed(_budget_plan(database, above), database, DEFAULT_BATCH_SIZE)
     assert [b.size - 1 for b in kept.values()] == [7, 5]
+
+
+def _owned_lists(build):
+    """The lists a kept build reaches without going through its table's
+    projection (``values``) or a function: its dict's, its script's."""
+    lists, stack = [], [getattr(build, slot) for slot in type(build).__slots__]
+    stack.append(build.get.__self__)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            if isinstance(obj, list):
+                lists.append(obj)
+            stack.extend(obj)
+    return lists
+
+
+@pytest.mark.parametrize("size", [1, 2, DEFAULT_BATCH_SIZE])
+def test_kept_builds_share_their_tables_columns(monkeypatch, size):
+    # A kept scan build is only its hash table: row i of its table is id
+    # i + 1 behind the NULL row, and its columns are the table version's
+    # own padded lists, which every build of that version shares.  A write
+    # gives the next build fresh lists, and sweeps the written entries.
+    monkeypatch.setattr(spine, "MAX_BUILD_ROWS", 12)
+    database = Database("shared")
+    for table in ("p", "b"):
+        database.create_table(table, _schema(table))
+        database.load_rows(table, [(float(i), i % 5, float(i)) for i in range(10)])
+    heap = database.storage.table("b")
+    kept = database.storage.builds
+
+    def build(above):
+        before = dict(kept)
+        result = _executed(_budget_plan(database, above), database, size)
+        fresh = Database("fresh")
+        for table in ("p", "b"):
+            fresh.create_table(table, _schema(table))
+            fresh.load_rows(table, database.storage.table(table).rows)
+        assert result == _executed(_budget_plan(fresh, above), fresh, size)
+        (new,) = [b for k, b in kept.items() if before.get(k) is not b]
+        rows = heap.rows
+        for j in range(3):
+            assert new.values(j) == [None] + [row[j] for row in rows]
+        for k2 in range(5):
+            ids = tuple(i + 1 for i, row in enumerate(rows) if row[1] == k2 and row[2] > above)
+            got = new.get(k2)
+            assert ((got,) if new.unique and got else got) == (ids or None)
+        assert all(len(owned) < new.size - 1 for owned in _owned_lists(new))
+        return new
+
+    first, second = build(2.5), build(4.5)
+    assert first.values.__self__ is heap.columnar()
+    assert all(first.values(j) is second.values(j) for j in range(3))
+    heap.insert_many([(1.0, 1, 9.5)])
+    third = build(6.5)
+    assert all(third.values(j) is not first.values(j) for j in range(3))
+    assert list(kept.values()) == [third] and kept.rows == third.size - 1 == 4
 
 
 #: The digest of ``test_limit_over_a_batch_sink_keeps_its_meters``'s rows

@@ -65,7 +65,7 @@ class TestCopiesEqualAFreshLoad:
     def databases(self, topology):
         return TOPOLOGIES[topology][0]()
 
-    def test_rows_indexes_and_catalog(self, databases):
+    def test_rows_and_catalog(self, databases):
         for database in databases.values():
             fresh = Database(name="fresh")
             populate(fresh, [SPECS[name] for name in _hosted(database)], seed=7)
