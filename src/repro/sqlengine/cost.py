@@ -47,7 +47,6 @@ HASH_BUILD_COST = 0.0015
 HASH_PROBE_COST = 0.0008
 SORT_COMPARE_COST = 0.0004
 AGG_UPDATE_COST = 0.0020
-STARTUP_COST = 0.20
 MATERIALIZE_TUPLE_COST = 0.0005
 
 

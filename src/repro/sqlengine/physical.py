@@ -57,7 +57,6 @@ from .cost import (
     MATERIALIZE_TUPLE_COST,
     SEQ_PAGE_COST,
     SORT_COMPARE_COST,
-    STARTUP_COST,
     PlanCost,
     ServerProfile,
     StatsContext,
@@ -463,10 +462,9 @@ class SeqScan(PhysicalPlan):
         rows_out = max(rows_in * estimator.predicate(self.predicate), 0.0)
         io = profile.io_ms(pages_for(rows_in, width) * SEQ_PAGE_COST)
         cpu = profile.cpu_ms(rows_in * self._per_row)
-        total = STARTUP_COST + io + cpu
-        first = STARTUP_COST + (io + cpu) / max(rows_out, 1.0)
+        total = io + cpu
         return PlanCost(
-            first_tuple=min(first, total),
+            first_tuple=total / max(rows_out, 1.0),
             total=total,
             rows=rows_out,
             width_bytes=width,
@@ -1196,8 +1194,8 @@ class MaterializedInput(PhysicalPlan):
         n = float(len(self.data))
         cpu = profile.cpu_ms(n * CPU_TUPLE_COST)
         return PlanCost(
-            first_tuple=STARTUP_COST,
-            total=STARTUP_COST + cpu,
+            first_tuple=0.0,
+            total=cpu,
             rows=max(n, 1.0),
             width_bytes=self.output_schema.row_width_bytes(),
         )

@@ -19,13 +19,7 @@ import math
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACE, QueryTrace, get_obs
-from ..sqlengine import (
-    PhysicalPlan,
-    PlanCandidate,
-    PlanCost,
-    ServerProfile,
-    physical,
-)
+from ..sqlengine import PlanCandidate, PlanCost, ServerProfile
 from ..sim import RemoteExecution, ServerUnavailable
 from ..fed.decomposer import QueryFragment
 from ..fed.global_optimizer import FragmentOption
@@ -44,11 +38,6 @@ DEFAULT_UNKNOWN_ESTIMATE = PlanCost(
 #: Relative slack taken off an explain bound: the float sums behind two
 #: servers' totals may differ in their last bits.
 _BOUND_SLACK = 1e-9
-
-
-def _leaves(plan: PhysicalPlan) -> int:
-    children = plan.children()
-    return sum(map(_leaves, children)) if children else 1
 
 
 class _ExplainBound:
@@ -93,19 +82,16 @@ class _ExplainBound:
 
     def lowest(self, peer: str) -> PlanCost:
         """An estimate no plan of the space undercuts at *peer*: with
-        rho = min(cpu_r / cpu_s, io_r / io_s), every plan p costs
-        cost_s(p) >= rho * cost_r(p) - max(rho - 1, 0) * (its startup)."""
+        rho = min(cpu_r / cpu_s, io_r / io_s), cost_s(p) >= rho * cost_r(p)
+        >= rho * best_r."""
         reference, other = self.profiles[self.reference], self.profiles[peer]
         rho = min(
             reference.cpu_speed / other.cpu_speed,
             reference.io_speed / other.io_speed,
         )
         best = self.best.cost
-        startup = physical.STARTUP_COST * _leaves(self.best.plan)
-        total = rho * best.total - max(rho - 1.0, 0.0) * startup
-        return PlanCost(
-            0.0, total * (1.0 - _BOUND_SLACK), best.rows, best.width_bytes
-        )
+        total = rho * best.total * (1.0 - _BOUND_SLACK)
+        return PlanCost(0.0, total, best.rows, best.width_bytes)
 
 
 #: Per second-leg kind: the cancelled leg's counter, its waste

@@ -11,8 +11,9 @@ import pytest
 
 from repro.core import Calibration
 from repro.fed import ConcurrentRuntime, HedgePolicy, hedging
+from repro.fed.concurrent import RacedDispatch
 from repro.fed.hedging import MAX_TRACKED
-from repro.harness import build_replica_federation
+from repro.harness import build_federation, build_replica_federation
 from repro.workload import TEST_SCALE, build_workload
 from tests.executions import noted_executions
 
@@ -286,3 +287,36 @@ class TestCombinedRuns:
         assert _observables(second) == _observables(first)
         assert second_rt.hedging.stats() == first_rt.hedging.stats()
         assert second_rt.rerouting.stats() == first_rt.rerouting.stats()
+
+
+class TestTripleFederation:
+    def test_timers_that_find_no_backup_change_nothing(
+        self, sample_databases, monkeypatch
+    ):
+        """In the three-server federation each fragment's ranked cluster
+        holds only its primary: the other servers' options lie outside
+        the band.  Timers fire, ``_target`` finds no backup, and the run
+        equals the unhedged one bit for bit."""
+        targets = []
+        find = RacedDispatch._target
+
+        def counted(self, slot, t_fire):
+            targets.append(find(self, slot, t_fire))
+            return targets[-1]
+
+        monkeypatch.setattr(RacedDispatch, "_target", counted)
+
+        def run(hedge_after_ms):
+            deployment = build_federation(
+                scale=TEST_SCALE, prebuilt_databases=sample_databases
+            )
+            noted = noted_executions(deployment.meta_wrapper)
+            runtime, handles = _drive(deployment, hedge_after_ms)
+            return runtime, _observables(handles), noted
+
+        _, plain, plain_noted = run(None)
+        runtime, hedged, hedged_noted = run(1.0)
+        assert len(targets) > 0 and set(targets) == {None}
+        assert (runtime.hedging.fired, runtime.hedging.suppressed) == (0, 0)
+        assert hedged == plain
+        assert hedged_noted == plain_noted

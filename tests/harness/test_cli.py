@@ -472,15 +472,16 @@ class TestExperimentRunners:
         }
         # At test scale every query runs on S3, so the phases fall into
         # two groups: S3 idle (1, 3, 5, 7) and S3 loaded (2, 4, 6, 8).
-        # Even idle, the raw ratio is 1.88, not 1 (DESIGN decision 2).
+        # Even idle, the raw ratio is 2.02, not 1 (DESIGN decision 2): the
+        # estimate prices no wire.
         idle = ("Phase1", "Phase3", "Phase5", "Phase7")
         assert rounded == {
             "raw": {
-                phase: (1.877, 2.025) if phase in idle else (3.322, 4.769)
+                phase: (2.018, 2.183) if phase in idle else (3.571, 5.001)
                 for phase in result.raw
             },
             "calibrated": {
-                phase: (1.008, 1.066) if phase in idle else (0.987, 1.095)
+                phase: (1.01, 1.075) if phase in idle else (0.988, 1.088)
                 for phase in result.raw
             },
         }

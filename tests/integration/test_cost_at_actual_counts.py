@@ -34,7 +34,6 @@ PINNED = [
 #: Every (operator, constant) on which the cost formula and the meter
 #: disagree at actual counts, as docs/cost_model.md lists them.
 DIFFERENCES = {
-    ("SeqScan", "STARTUP_COST"),
     ("HashJoin", "CPU_TUPLE_COST"),
 }
 
@@ -91,7 +90,6 @@ def _recost(node, rows, storage):
         ops = P._count_operators(node.predicate)
         per_row = scanned * (P.CPU_TUPLE_COST + ops * P.CPU_OPERATOR_COST)
         return {
-            "STARTUP_COST": (P.STARTUP_COST, 0.0),
             "io": (io, io),
             "CPU_TUPLE_COST": (per_row, per_row),
         }

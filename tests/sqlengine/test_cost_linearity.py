@@ -1,14 +1,14 @@
 """The explain bound's premise (docs/cost_model.md, "The explain bound"):
-a plan's estimated total is linear in 1/``cpu_speed`` and 1/``io_speed``
-plus one unscaled ``STARTUP_COST`` per leaf.
+a plan's estimated total is linear in 1/``cpu_speed`` and 1/``io_speed``.
 
 For every candidate plan S1-S3 give QT1-QT5 and the SQLite-oracle
 grammar's pinned statements, pricing the plan at the profiles (1, 1),
 (2, 1) and (1, 2) yields its CPU part C and I/O part I.  The plan's
-total at (1, 1) and at its own server's profile must then be
-C/cpu + I/io + ``STARTUP_COST`` x leaves.  An operator that gains an
-unscaled constant, or a ``max()`` over scaled terms, fails here — and
-would void the bound the meta-wrapper skips explains on.
+total at (1, 1), at its own server's profile and at any profile of the
+explain-bound tests' speed grid must then be C/cpu + I/io.  An operator
+that gains an unscaled constant, or a ``max()`` over scaled terms,
+fails here — and would void the bound the meta-wrapper skips explains
+on.
 """
 
 from __future__ import annotations
@@ -16,9 +16,13 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.sqlengine import ServerProfile
-from repro.sqlengine import physical as P
 from repro.workload import EXTENDED_QUERY_TYPES
+
+from ..wrappers.test_explain_bound import SPEEDS
 
 PINNED = [
     line
@@ -34,51 +38,41 @@ TEXTS = [
     for index in range(3)
 ] + PINNED
 
-#: The operators that carry the unscaled startup: the plan leaves.
-LEAVES = (P.SeqScan, P.MaterializedInput)
-
-
-def _nodes(plan):
-    yield plan
-    for child in plan.children():
-        yield from _nodes(child)
-
 
 def _total(database, plan, cpu, io):
     return database.estimate_plan(plan, ServerProfile("p", cpu, io)).total
 
 
-def test_every_candidate_is_linear_in_the_profile_but_for_its_leaves(
-    sample_databases,
-):
+@pytest.fixture(scope="module")
+def candidates(sample_databases):
+    """(text, database, candidate, total at (1, 1), C, I) of every
+    candidate plan."""
     assert len(PINNED) >= 100
+    out = []
     for sql in TEXTS:
-        leaf_counts = set()
         for database in sample_databases.values():
             for candidate in database.explain(sql):
                 plan = candidate.plan
-                nodes = list(_nodes(plan))
-                # Only leaves carry the startup, and every leaf is one.
-                assert all(
-                    isinstance(n, LEAVES) == (not n.children()) for n in nodes
-                ), plan.explain()
-                leaves = sum(isinstance(n, LEAVES) for n in nodes)
-                leaf_counts.add(leaves)
                 unit = _total(database, plan, 1.0, 1.0)
                 cpu = 2.0 * (unit - _total(database, plan, 2.0, 1.0))
                 io = 2.0 * (unit - _total(database, plan, 1.0, 2.0))
-                startup = P.STARTUP_COST * leaves
-                profile = database.profile
-                for total, (cpu_speed, io_speed) in (
-                    (unit, (1.0, 1.0)),
-                    (candidate.cost.total, (profile.cpu_speed, profile.io_speed)),
-                ):
-                    linear = cpu / cpu_speed + io / io_speed + startup
-                    assert math.isclose(total, linear, rel_tol=1e-12), (
-                        sql,
-                        plan.explain(),
-                        (cpu_speed, io_speed),
-                    )
-        # One plan space per text: the bound's startup term is every
-        # plan's, whichever server planned it.
-        assert len(leaf_counts) == 1, sql
+                out.append((sql, database, candidate, unit, cpu, io))
+    return out
+
+
+@settings(deadline=None)
+@given(speeds=st.tuples(st.sampled_from(SPEEDS), st.sampled_from(SPEEDS)))
+def test_every_candidate_is_linear_in_the_profile(candidates, speeds):
+    for sql, database, candidate, unit, cpu, io in candidates:
+        plan, profile = candidate.plan, database.profile
+        for total, (cpu_speed, io_speed) in (
+            (unit, (1.0, 1.0)),
+            (_total(database, plan, *speeds), speeds),
+            (candidate.cost.total, (profile.cpu_speed, profile.io_speed)),
+        ):
+            linear = cpu / cpu_speed + io / io_speed
+            assert math.isclose(total, linear, rel_tol=1e-12), (
+                sql,
+                plan.explain(),
+                (cpu_speed, io_speed),
+            )
